@@ -108,48 +108,9 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-impl Serialize for CollectiveKey {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.kind.serialize(w);
-        self.bytes.serialize(w);
-        self.ranks.serialize(w);
-        self.arch_id.serialize(w);
-        self.num_gpus.serialize(w);
-        self.gpus_per_node.serialize(w);
-        self.link_bits.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for CollectiveKey {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(CollectiveKey {
-            kind: Deserialize::deserialize(r)?,
-            bytes: Deserialize::deserialize(r)?,
-            ranks: Deserialize::deserialize(r)?,
-            arch_id: Deserialize::deserialize(r)?,
-            num_gpus: Deserialize::deserialize(r)?,
-            gpus_per_node: Deserialize::deserialize(r)?,
-            link_bits: Deserialize::deserialize(r)?,
-        })
-    }
-}
-
-impl Serialize for crate::cache::CacheStats {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.hits.serialize(w);
-        self.misses.serialize(w);
-        self.evictions.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for crate::cache::CacheStats {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(crate::cache::CacheStats {
-            hits: Deserialize::deserialize(r)?,
-            misses: Deserialize::deserialize(r)?,
-            evictions: Deserialize::deserialize(r)?,
-        })
-    }
+serde::codec! {
+    struct CollectiveKey { kind, bytes, ranks, arch_id, num_gpus, gpus_per_node, link_bits }
+    struct crate::cache::CacheStats { hits, misses, evictions }
 }
 
 /// Serializes one memo family: a count line, then one sorted entry per

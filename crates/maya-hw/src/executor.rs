@@ -74,28 +74,14 @@ pub struct Measurement {
     pub kernel_samples: Vec<(KernelKind, SimTime)>,
 }
 
-impl serde::Serialize for Measurement {
-    fn serialize(&self, w: &mut serde::Writer) {
-        self.iteration_time.serialize(w);
-        self.rank_end_times.serialize(w);
-        self.comm_time.serialize(w);
-        self.compute_time.serialize(w);
-        self.peak_mem_bytes.serialize(w);
-        self.kernel_samples.serialize(w);
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Measurement {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::Error> {
-        use serde::Deserialize;
-        Ok(Measurement {
-            iteration_time: Deserialize::deserialize(r)?,
-            rank_end_times: Deserialize::deserialize(r)?,
-            comm_time: Deserialize::deserialize(r)?,
-            compute_time: Deserialize::deserialize(r)?,
-            peak_mem_bytes: Deserialize::deserialize(r)?,
-            kernel_samples: Deserialize::deserialize(r)?,
-        })
+serde::codec! {
+    struct Measurement {
+        iteration_time,
+        rank_end_times,
+        comm_time,
+        compute_time,
+        peak_mem_bytes,
+        kernel_samples,
     }
 }
 

@@ -28,7 +28,6 @@ pub mod mfu;
 pub mod net_model;
 pub mod noise;
 pub mod power;
-pub mod serdes;
 pub mod specs;
 pub mod topology;
 

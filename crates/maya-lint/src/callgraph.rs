@@ -12,7 +12,7 @@
 //! - bare `m(...)` → free functions named `m`;
 //! - `other.m(...)` with an unknown receiver → the single workspace
 //!   method named `m` when exactly one exists, *unless* `m` is a
-//!   well-known std method name (the [`STD_METHODS`] deny list);
+//!   well-known std method name (the `STD_METHODS` deny list);
 //!   ambiguous names and std names resolve to nothing.
 //!
 //! Unresolvable calls get an empty target list: the interprocedural

@@ -22,7 +22,6 @@
 
 pub mod fault;
 pub mod flow;
-pub mod serdes;
 
 pub use fault::{FaultPlan, RankFailure, StragglerWindow};
 pub use flow::FlowNet;

@@ -11,7 +11,7 @@
 //!   Registration locks once per name; every update after that is a
 //!   single relaxed atomic. [`Registry::snapshot`] is deterministic
 //!   (sorted names) and the resulting [`ObsSnapshot`] has a compact
-//!   wire codec, which is what a v5 `Scrape` frame carries.
+//!   wire codec, which is what a `Scrape` frame carries.
 //! - **Span tracing** — [`FlightRecorder::span`] records flat timed
 //!   spans into bounded per-thread rings (the flight recorder), and
 //!   [`SpanNode`] is the explicit job-lifecycle tree

@@ -2,67 +2,13 @@
 //! [`ObsSnapshot`] — and the span trees inside it — can cross the wire
 //! in a `Scrape` frame and re-encode byte-identically.
 
-use serde::{compact, Deserialize, Serialize};
-
 use crate::metrics::{HistogramSnapshot, ObsSnapshot};
 use crate::span::SpanNode;
 
-impl Serialize for HistogramSnapshot {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.count.serialize(w);
-        self.sum.serialize(w);
-        self.buckets.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for HistogramSnapshot {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(HistogramSnapshot {
-            count: Deserialize::deserialize(r)?,
-            sum: Deserialize::deserialize(r)?,
-            buckets: Deserialize::deserialize(r)?,
-        })
-    }
-}
-
-impl Serialize for SpanNode {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.name.serialize(w);
-        self.start.serialize(w);
-        self.duration.serialize(w);
-        self.children.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for SpanNode {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(SpanNode {
-            name: Deserialize::deserialize(r)?,
-            start: Deserialize::deserialize(r)?,
-            duration: Deserialize::deserialize(r)?,
-            children: Deserialize::deserialize(r)?,
-        })
-    }
-}
-
-impl Serialize for ObsSnapshot {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.counters.serialize(w);
-        self.gauges.serialize(w);
-        self.histograms.serialize(w);
-        self.recent_jobs.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for ObsSnapshot {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(ObsSnapshot {
-            counters: Deserialize::deserialize(r)?,
-            gauges: Deserialize::deserialize(r)?,
-            histograms: Deserialize::deserialize(r)?,
-            recent_jobs: Deserialize::deserialize(r)?,
-        })
-    }
+serde::codec! {
+    struct HistogramSnapshot { count, sum, buckets }
+    struct SpanNode { name, start, duration, children }
+    struct ObsSnapshot { counters, gauges, histograms, recent_jobs }
 }
 
 fn json_str(s: &str) -> String {

@@ -9,190 +9,48 @@
 //! serialize as IEEE-754 bit patterns, so the round trip is bit-exact
 //! and "byte-identical to a direct call" holds across the network.
 
-use serde::{compact, Deserialize, Serialize};
-
 use crate::algorithms::AlgorithmKind;
 use crate::objective::{Provenance, TrialOutcome, TrialRecord};
 use crate::scheduler::{SearchResult, SearchStats};
 use crate::space::ConfigSpace;
 
-impl Serialize for AlgorithmKind {
-    fn serialize(&self, w: &mut compact::Writer) {
-        w.tag(match self {
-            AlgorithmKind::CmaEs => "cma_es",
-            AlgorithmKind::OnePlusOne => "one_plus_one",
-            AlgorithmKind::Pso => "pso",
-            AlgorithmKind::TwoPointsDe => "two_points_de",
-            AlgorithmKind::Random => "random",
-            AlgorithmKind::Grid => "grid",
-        });
+serde::codec! {
+    enum AlgorithmKind: "algorithm kind" {
+        "cma_es" => CmaEs,
+        "one_plus_one" => OnePlusOne,
+        "pso" => Pso,
+        "two_points_de" => TwoPointsDe,
+        "random" => Random,
+        "grid" => Grid,
     }
-}
 
-impl<'de> Deserialize<'de> for AlgorithmKind {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "cma_es" => AlgorithmKind::CmaEs,
-            "one_plus_one" => AlgorithmKind::OnePlusOne,
-            "pso" => AlgorithmKind::Pso,
-            "two_points_de" => AlgorithmKind::TwoPointsDe,
-            "random" => AlgorithmKind::Random,
-            "grid" => AlgorithmKind::Grid,
-            t => return Err(compact::Error::parse(t, "algorithm kind")),
-        })
+    struct ConfigSpace {
+        tp,
+        pp,
+        microbatch_multiplier,
+        virtual_stages,
+        activation_recompute,
+        sequence_parallel,
+        distributed_optimizer,
     }
-}
 
-impl Serialize for ConfigSpace {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.tp.serialize(w);
-        self.pp.serialize(w);
-        self.microbatch_multiplier.serialize(w);
-        self.virtual_stages.serialize(w);
-        self.activation_recompute.serialize(w);
-        self.sequence_parallel.serialize(w);
-        self.distributed_optimizer.serialize(w);
+    enum TrialOutcome: "trial outcome" {
+        "invalid" => Invalid,
+        "oom" => Oom,
+        "completed" => Completed { iteration_time, mfu, cost },
     }
-}
 
-impl<'de> Deserialize<'de> for ConfigSpace {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(ConfigSpace {
-            tp: Deserialize::deserialize(r)?,
-            pp: Deserialize::deserialize(r)?,
-            microbatch_multiplier: Deserialize::deserialize(r)?,
-            virtual_stages: Deserialize::deserialize(r)?,
-            activation_recompute: Deserialize::deserialize(r)?,
-            sequence_parallel: Deserialize::deserialize(r)?,
-            distributed_optimizer: Deserialize::deserialize(r)?,
-        })
+    enum Provenance: "provenance" {
+        "executed" => Executed,
+        "cached" => Cached,
+        "skipped" => Skipped,
     }
-}
 
-impl Serialize for TrialOutcome {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match *self {
-            TrialOutcome::Invalid => w.tag("invalid"),
-            TrialOutcome::Oom => w.tag("oom"),
-            TrialOutcome::Completed {
-                iteration_time,
-                mfu,
-                cost,
-            } => {
-                w.tag("completed");
-                iteration_time.serialize(w);
-                mfu.serialize(w);
-                cost.serialize(w);
-            }
-        }
-    }
-}
+    struct TrialRecord { config, outcome, provenance }
 
-impl<'de> Deserialize<'de> for TrialOutcome {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "invalid" => TrialOutcome::Invalid,
-            "oom" => TrialOutcome::Oom,
-            "completed" => TrialOutcome::Completed {
-                iteration_time: Deserialize::deserialize(r)?,
-                mfu: Deserialize::deserialize(r)?,
-                cost: Deserialize::deserialize(r)?,
-            },
-            t => return Err(compact::Error::parse(t, "trial outcome")),
-        })
-    }
-}
+    struct SearchStats { executed, cached, skipped, invalid }
 
-impl Serialize for Provenance {
-    fn serialize(&self, w: &mut compact::Writer) {
-        w.tag(match self {
-            Provenance::Executed => "executed",
-            Provenance::Cached => "cached",
-            Provenance::Skipped => "skipped",
-        });
-    }
-}
-
-impl<'de> Deserialize<'de> for Provenance {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "executed" => Provenance::Executed,
-            "cached" => Provenance::Cached,
-            "skipped" => Provenance::Skipped,
-            t => return Err(compact::Error::parse(t, "provenance")),
-        })
-    }
-}
-
-impl Serialize for TrialRecord {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.config.serialize(w);
-        self.outcome.serialize(w);
-        self.provenance.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for TrialRecord {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(TrialRecord {
-            config: Deserialize::deserialize(r)?,
-            outcome: Deserialize::deserialize(r)?,
-            provenance: Deserialize::deserialize(r)?,
-        })
-    }
-}
-
-impl Serialize for SearchStats {
-    fn serialize(&self, w: &mut compact::Writer) {
-        (self.executed, self.cached, self.skipped).serialize(w);
-        self.invalid.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for SearchStats {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        let (executed, cached, skipped) = Deserialize::deserialize(r)?;
-        Ok(SearchStats {
-            executed,
-            cached,
-            skipped,
-            invalid: Deserialize::deserialize(r)?,
-        })
-    }
-}
-
-impl Serialize for SearchResult {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match &self.best {
-            None => w.tag("none"),
-            Some((config, outcome)) => {
-                w.tag("some");
-                config.serialize(w);
-                outcome.serialize(w);
-            }
-        }
-        self.trials.serialize(w);
-        self.stats.serialize(w);
-        self.wall.serialize(w);
-        self.convergence.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for SearchResult {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        let best = match r.raw_token()? {
-            "none" => None,
-            "some" => Some((Deserialize::deserialize(r)?, Deserialize::deserialize(r)?)),
-            t => return Err(compact::Error::parse(t, "option tag (none|some)")),
-        };
-        Ok(SearchResult {
-            best,
-            trials: Deserialize::deserialize(r)?,
-            stats: Deserialize::deserialize(r)?,
-            wall: Deserialize::deserialize(r)?,
-            convergence: Deserialize::deserialize(r)?,
-        })
-    }
+    struct SearchResult { best, trials, stats, wall, convergence }
 }
 
 #[cfg(test)]

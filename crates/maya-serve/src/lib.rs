@@ -79,8 +79,6 @@ pub use job::{
 pub use queue::TenantStats;
 pub use registry::EngineRegistry;
 pub use request::{MeasureOutcome, Payload, Request, Response, Telemetry};
-#[allow(deprecated)]
-pub use service::ResponseHandle;
 pub use service::{MayaService, RestoreOutcome, ServiceBuilder, ServiceStats, SnapshotRestore};
 
 #[cfg(test)]

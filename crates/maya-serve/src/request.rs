@@ -118,8 +118,8 @@ pub struct Telemetry {
     /// stages), built when the service's
     /// [`maya_obs::ObsConfig::spans`] channel is on; empty otherwise.
     /// At most one root. The wire server appends a `reply` span before
-    /// recording the tree in its flight ring; wire protocol v5 carries
-    /// the tree to clients, v4 peers receive telemetry without it.
+    /// recording the tree in its flight ring; the wire carries the
+    /// tree to clients.
     pub spans: Vec<SpanNode>,
 }
 

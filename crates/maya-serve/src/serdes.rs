@@ -15,306 +15,40 @@
 //! The response *encoding* is nevertheless total: every variant of
 //! every payload has a defined wire form.
 
-use serde::{compact, Deserialize, Serialize};
+use serde::{compact, Serialize};
 
 use crate::error::ServeError;
 use crate::job::{JobOptions, Priority, SearchProgress};
-use crate::queue::TenantStats;
 use crate::request::{MeasureOutcome, Payload, Request, Response, Telemetry};
 
-impl Serialize for Priority {
-    fn serialize(&self, w: &mut compact::Writer) {
-        w.tag(match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Batch => "batch",
-        });
+serde::codec! {
+    enum Priority: "priority (high|normal|batch)" {
+        "high" => High,
+        "normal" => Normal,
+        "batch" => Batch,
+    }
+
+    struct JobOptions { deadline, priority, tenant }
+
+    struct SearchProgress { trials, committed, best, cache_delta }
+
+    enum Request: "request kind" {
+        "predict" => Predict { target, jobs },
+        "search" => Search { target, template, space, algorithm, budget, seed },
+        "measure" => Measure { target, job },
+    }
+
+    struct Telemetry { queue_wait, service_time, worker, cache, cache_delta, stages, spans }
+
+    enum MeasureOutcome: "measure outcome" {
+        "completed" => Completed(measurement),
+        "oom" => OutOfMemory { peak_bytes },
     }
 }
 
-impl<'de> Deserialize<'de> for Priority {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "high" => Priority::High,
-            "normal" => Priority::Normal,
-            "batch" => Priority::Batch,
-            t => return Err(compact::Error::parse(t, "priority (high|normal|batch)")),
-        })
-    }
-}
-
-/// The protocol-v3 layout: deadline, priority, tenant. Protocol-v2
-/// bodies carried only the deadline — `maya-wire` decodes those with
-/// [`JobOptions`] defaults for the missing fields (see
-/// `maya_wire::message::decode_submission`).
-impl Serialize for JobOptions {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.deadline.serialize(w);
-        self.priority.serialize(w);
-        self.tenant.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for JobOptions {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(JobOptions {
-            deadline: Deserialize::deserialize(r)?,
-            priority: Deserialize::deserialize(r)?,
-            tenant: Deserialize::deserialize(r)?,
-        })
-    }
-}
-
-impl Serialize for SearchProgress {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.trials.serialize(w);
-        self.committed.serialize(w);
-        match &self.best {
-            None => w.tag("none"),
-            Some((config, outcome)) => {
-                w.tag("some");
-                config.serialize(w);
-                outcome.serialize(w);
-            }
-        }
-        self.cache_delta.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for SearchProgress {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        let trials = Deserialize::deserialize(r)?;
-        let committed = Deserialize::deserialize(r)?;
-        let best = match r.raw_token()? {
-            "none" => None,
-            "some" => Some((Deserialize::deserialize(r)?, Deserialize::deserialize(r)?)),
-            t => return Err(compact::Error::parse(t, "option tag (none|some)")),
-        };
-        Ok(SearchProgress {
-            trials,
-            committed,
-            best,
-            cache_delta: Deserialize::deserialize(r)?,
-        })
-    }
-}
-
-impl Serialize for Request {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match self {
-            Request::Predict { target, jobs } => {
-                w.tag("predict");
-                target.serialize(w);
-                jobs.serialize(w);
-            }
-            Request::Search {
-                target,
-                template,
-                space,
-                algorithm,
-                budget,
-                seed,
-            } => {
-                w.tag("search");
-                target.serialize(w);
-                template.serialize(w);
-                space.serialize(w);
-                algorithm.serialize(w);
-                budget.serialize(w);
-                seed.serialize(w);
-            }
-            Request::Measure { target, job } => {
-                w.tag("measure");
-                target.serialize(w);
-                job.serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for Request {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "predict" => Request::Predict {
-                target: Deserialize::deserialize(r)?,
-                jobs: Deserialize::deserialize(r)?,
-            },
-            "search" => Request::Search {
-                target: Deserialize::deserialize(r)?,
-                template: Deserialize::deserialize(r)?,
-                space: Deserialize::deserialize(r)?,
-                algorithm: Deserialize::deserialize(r)?,
-                budget: Deserialize::deserialize(r)?,
-                seed: Deserialize::deserialize(r)?,
-            },
-            "measure" => Request::Measure {
-                target: Deserialize::deserialize(r)?,
-                job: Deserialize::deserialize(r)?,
-            },
-            t => return Err(compact::Error::parse(t, "request kind")),
-        })
-    }
-}
-
-/// The canonical (wire protocol ≥ 5) layout: the six original fields
-/// followed by the span tree. Protocol-v4-and-earlier peers use
-/// [`write_telemetry_compat`]/[`read_telemetry_compat`] with
-/// `with_spans = false`, which is exactly the pre-v5 layout.
-impl Serialize for Telemetry {
-    fn serialize(&self, w: &mut compact::Writer) {
-        write_telemetry_compat(self, w, true);
-    }
-}
-
-impl<'de> Deserialize<'de> for Telemetry {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        read_telemetry_compat(r, true)
-    }
-}
-
-/// Encodes [`Telemetry`] for a peer that does (`with_spans = true`,
-/// wire protocol ≥ 5) or does not (`false`, ≤ 4) understand the
-/// trailing span-tree field. The `false` layout is byte-identical to
-/// the pre-v5 codec.
-pub fn write_telemetry_compat(t: &Telemetry, w: &mut compact::Writer, with_spans: bool) {
-    t.queue_wait.serialize(w);
-    t.service_time.serialize(w);
-    t.worker.serialize(w);
-    t.cache.serialize(w);
-    t.cache_delta.serialize(w);
-    t.stages.serialize(w);
-    if with_spans {
-        t.spans.serialize(w);
-    }
-}
-
-/// Decodes [`Telemetry`] from either layout (see
-/// [`write_telemetry_compat`]); a `with_spans = false` body yields
-/// empty [`Telemetry::spans`].
-pub fn read_telemetry_compat<'de>(
-    r: &mut compact::Reader<'de>,
-    with_spans: bool,
-) -> Result<Telemetry, compact::Error> {
-    Ok(Telemetry {
-        queue_wait: Deserialize::deserialize(r)?,
-        service_time: Deserialize::deserialize(r)?,
-        worker: Deserialize::deserialize(r)?,
-        cache: Deserialize::deserialize(r)?,
-        cache_delta: Deserialize::deserialize(r)?,
-        stages: Deserialize::deserialize(r)?,
-        spans: if with_spans {
-            Deserialize::deserialize(r)?
-        } else {
-            Vec::new()
-        },
-    })
-}
-
-/// Per-tenant QoS counters including the queue-wait percentiles, so a
-/// wire telemetry extension can carry [`TenantStats`] without inventing
-/// a new layout. Field order is the struct's declaration order.
-impl Serialize for TenantStats {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.tenant.serialize(w);
-        self.queued.serialize(w);
-        self.in_flight.serialize(w);
-        self.admitted.serialize(w);
-        self.served.serialize(w);
-        self.quota_shed.serialize(w);
-        self.expired.serialize(w);
-        self.cancelled.serialize(w);
-        self.wait_samples.serialize(w);
-        self.queue_wait_p50.serialize(w);
-        self.queue_wait_p99.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for TenantStats {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(TenantStats {
-            tenant: Deserialize::deserialize(r)?,
-            queued: Deserialize::deserialize(r)?,
-            in_flight: Deserialize::deserialize(r)?,
-            admitted: Deserialize::deserialize(r)?,
-            served: Deserialize::deserialize(r)?,
-            quota_shed: Deserialize::deserialize(r)?,
-            expired: Deserialize::deserialize(r)?,
-            cancelled: Deserialize::deserialize(r)?,
-            wait_samples: Deserialize::deserialize(r)?,
-            queue_wait_p50: Deserialize::deserialize(r)?,
-            queue_wait_p99: Deserialize::deserialize(r)?,
-        })
-    }
-}
-
-/// Whole-service counters with the per-tenant roll-up, for scraping a
-/// deployment's state over the wire. Field order is the struct's
-/// declaration order.
-impl Serialize for crate::service::ServiceStats {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.served.serialize(w);
-        self.cancelled.serialize(w);
-        self.expired.serialize(w);
-        self.quota_shed.serialize(w);
-        self.queue_shed_expired.serialize(w);
-        self.queue_shed_cancelled.serialize(w);
-        self.panicked.serialize(w);
-        self.progress_coalesced.serialize(w);
-        self.engines_built.serialize(w);
-        self.workers.serialize(w);
-        self.queue_capacity.serialize(w);
-        self.tenants.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for crate::service::ServiceStats {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(crate::service::ServiceStats {
-            served: Deserialize::deserialize(r)?,
-            cancelled: Deserialize::deserialize(r)?,
-            expired: Deserialize::deserialize(r)?,
-            quota_shed: Deserialize::deserialize(r)?,
-            queue_shed_expired: Deserialize::deserialize(r)?,
-            queue_shed_cancelled: Deserialize::deserialize(r)?,
-            panicked: Deserialize::deserialize(r)?,
-            progress_coalesced: Deserialize::deserialize(r)?,
-            engines_built: Deserialize::deserialize(r)?,
-            workers: Deserialize::deserialize(r)?,
-            queue_capacity: Deserialize::deserialize(r)?,
-            tenants: Deserialize::deserialize(r)?,
-        })
-    }
-}
-
-impl Serialize for MeasureOutcome {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match self {
-            MeasureOutcome::Completed(m) => {
-                w.tag("completed");
-                m.serialize(w);
-            }
-            MeasureOutcome::OutOfMemory { peak_bytes } => {
-                w.tag("oom");
-                peak_bytes.serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for MeasureOutcome {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "completed" => MeasureOutcome::Completed(Deserialize::deserialize(r)?),
-            "oom" => MeasureOutcome::OutOfMemory {
-                peak_bytes: Deserialize::deserialize(r)?,
-            },
-            t => return Err(compact::Error::parse(t, "measure outcome")),
-        })
-    }
-}
-
-/// Serialize-only (see module docs): the payload's error slots encode
-/// as kind code + message via `maya::serdes`.
+// Hand-written because it is serialize-only (see module docs): the
+// error slots encode as kind code + message via `maya::serdes`, and
+// `maya-wire` decodes the same bytes as its own `WirePayload`.
 impl Serialize for Payload {
     fn serialize(&self, w: &mut compact::Writer) {
         match self {
@@ -324,7 +58,7 @@ impl Serialize for Payload {
             }
             Payload::Search(result) => {
                 w.tag("search");
-                result.as_ref().serialize(w);
+                result.serialize(w);
             }
             Payload::Measure(outcome) => {
                 w.tag("measure");
@@ -334,21 +68,14 @@ impl Serialize for Payload {
     }
 }
 
-/// Serialize-only: `kind` is implied by the payload tag and is not
-/// written separately.
+// Hand-written because it is serialize-only, and `kind` is implied
+// by the payload tag rather than written.
 impl Serialize for Response {
     fn serialize(&self, w: &mut compact::Writer) {
-        write_response_compat(self, w, true);
+        self.target.serialize(w);
+        self.telemetry.serialize(w);
+        self.payload.serialize(w);
     }
-}
-
-/// Encodes a [`Response`] for a peer on either side of the v5 span
-/// field (see [`write_telemetry_compat`]). The wire server picks the
-/// layout per connection from the peer's negotiated version.
-pub fn write_response_compat(resp: &Response, w: &mut compact::Writer, with_spans: bool) {
-    resp.target.serialize(w);
-    write_telemetry_compat(&resp.telemetry, w, with_spans);
-    resp.payload.serialize(w);
 }
 
 /// Stable wire code naming a [`ServeError`] variant; the shared
@@ -369,8 +96,8 @@ pub fn error_code(e: &ServeError) -> &'static str {
     }
 }
 
-/// Serialize-only (see module docs): a stable kind code plus the
-/// rendered message.
+// Hand-written because it is serialize-only (see module docs): a
+// stable kind code plus the rendered message.
 impl Serialize for ServeError {
     fn serialize(&self, w: &mut compact::Writer) {
         w.tag(error_code(self));
@@ -381,6 +108,7 @@ impl Serialize for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::TenantStats;
     use maya_search::{AlgorithmKind, ConfigSpace};
     use maya_torchlet::TrainingJob;
 
@@ -453,27 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_compat_layout_drops_and_restores_spans() {
-        let t = telemetry_fixture();
-        // The v4 layout must not mention the span tree at all …
-        let mut w = compact::Writer::new();
-        write_telemetry_compat(&t, &mut w, false);
-        let v4 = w.finish();
-        assert!(!v4.contains("job"), "v4 body leaked spans: {v4}");
-        // … and decoding it yields the same telemetry minus spans.
-        let mut r = compact::Reader::new(&v4);
-        let back = read_telemetry_compat(&mut r, false).unwrap();
-        r.end().unwrap();
-        assert!(back.spans.is_empty());
-        assert_eq!(back.queue_wait, t.queue_wait);
-        assert_eq!(back.cache, t.cache);
-        // The canonical layout is exactly the compat layout with spans.
-        let mut w = compact::Writer::new();
-        write_telemetry_compat(&t, &mut w, true);
-        assert_eq!(w.finish(), serde::to_string(&t));
-    }
-
-    #[test]
     fn job_options_round_trip_with_qos_fields() {
         use crate::job::{JobOptions, Priority};
         use std::time::Duration;
@@ -488,32 +195,6 @@ mod tests {
         let anon = JobOptions::new();
         let back: JobOptions = serde::from_str(&serde::to_string(&anon)).unwrap();
         assert_eq!(back, anon);
-    }
-
-    #[test]
-    fn tenant_stats_round_trip() {
-        use std::time::Duration;
-        let stats = TenantStats {
-            tenant: "tenant a/ü".into(),
-            queued: 3,
-            in_flight: 2,
-            admitted: 101,
-            served: 88,
-            quota_shed: 5,
-            expired: 4,
-            cancelled: 2,
-            wait_samples: 96,
-            queue_wait_p50: Duration::from_micros(250),
-            queue_wait_p99: Duration::from_millis(12),
-        };
-        let text = serde::to_string(&stats);
-        let back: TenantStats = serde::from_str(&text).unwrap();
-        assert_eq!(back, stats);
-        assert_eq!(serde::to_string(&back), text);
-
-        let empty: TenantStats =
-            serde::from_str(&serde::to_string(&TenantStats::default())).unwrap();
-        assert_eq!(empty, TenantStats::default());
     }
 
     fn service_stats_fixture() -> crate::service::ServiceStats {
@@ -559,20 +240,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn service_stats_round_trip() {
-        let stats = service_stats_fixture();
-        let text = serde::to_string(&stats);
-        let back: crate::service::ServiceStats = serde::from_str(&text).unwrap();
-        assert_eq!(back, stats);
-        assert_eq!(serde::to_string(&back), text);
-
-        let empty = crate::service::ServiceStats::default();
-        let back: crate::service::ServiceStats =
-            serde::from_str(&serde::to_string(&empty)).unwrap();
-        assert_eq!(back, empty);
     }
 
     #[test]

@@ -816,15 +816,6 @@ fn execute(
     })
 }
 
-/// The pre-job-API name for the submission ticket, kept for one
-/// release.
-#[deprecated(
-    since = "0.3.0",
-    note = "submit() now returns a JobHandle (poll/cancel/progress/deadline); \
-            `wait()` behaves as before"
-)]
-pub type ResponseHandle = JobHandle;
-
 /// Point-in-time service counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
@@ -1116,7 +1107,7 @@ impl MayaService {
         }
     }
 
-    /// The full observability snapshot a v5 `Scrape` frame answers
+    /// The full observability snapshot a `Scrape` frame answers
     /// with: every registry instrument, the per-tenant wait/service
     /// histograms (`serve.queue_wait_us.tenant.<name>` /
     /// `serve.service_time_us.tenant.<name>`), the aggregate engine

@@ -39,30 +39,15 @@ impl SimReport {
     }
 }
 
-impl serde::Serialize for SimReport {
-    fn serialize(&self, w: &mut serde::Writer) {
-        self.total_time.serialize(w);
-        self.rank_end_times.serialize(w);
-        self.comm_time.serialize(w);
-        self.compute_time.serialize(w);
-        self.host_time.serialize(w);
-        self.peak_mem_bytes.serialize(w);
-        self.events_processed.serialize(w);
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for SimReport {
-    fn deserialize(r: &mut serde::Reader<'de>) -> Result<Self, serde::Error> {
-        use serde::Deserialize;
-        Ok(SimReport {
-            total_time: Deserialize::deserialize(r)?,
-            rank_end_times: Deserialize::deserialize(r)?,
-            comm_time: Deserialize::deserialize(r)?,
-            compute_time: Deserialize::deserialize(r)?,
-            host_time: Deserialize::deserialize(r)?,
-            peak_mem_bytes: Deserialize::deserialize(r)?,
-            events_processed: Deserialize::deserialize(r)?,
-        })
+serde::codec! {
+    struct SimReport {
+        total_time,
+        rank_end_times,
+        comm_time,
+        compute_time,
+        host_time,
+        peak_mem_bytes,
+        events_processed,
     }
 }
 

@@ -6,204 +6,55 @@
 //! flavor, batch geometry) and the serving side reconstructs it
 //! bit-for-bit. Every codec is a plain tag-plus-fields scheme matching
 //! `maya-trace::serdes`: enum variants write a short stable tag token
-//! followed by their fields in declaration order. Tags are part of the
-//! wire format — renaming one breaks protocol compatibility, which the
-//! frame-header version accounts for.
-
-use serde::{compact, Deserialize, Serialize};
+//! followed by their fields in the order listed. Tags and field order
+//! are part of the wire format — changing either breaks protocol
+//! compatibility, which the frame-header version accounts for.
 
 use crate::models::{ModelSpec, ResNetConfig, TransformerConfig};
 use crate::parallel::ParallelConfig;
 use crate::workload::{FrameworkFlavor, TrainingJob};
 
-impl Serialize for TransformerConfig {
-    fn serialize(&self, w: &mut compact::Writer) {
-        (self.layers, self.hidden, self.heads).serialize(w);
-        (self.ffn, self.vocab, self.seq_len).serialize(w);
-        (self.causal, self.gated_mlp).serialize(w);
-    }
-}
+serde::codec! {
+    struct TransformerConfig { layers, hidden, heads, ffn, vocab, seq_len, causal, gated_mlp }
 
-impl<'de> Deserialize<'de> for TransformerConfig {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        let (layers, hidden, heads) = Deserialize::deserialize(r)?;
-        let (ffn, vocab, seq_len) = Deserialize::deserialize(r)?;
-        let (causal, gated_mlp) = Deserialize::deserialize(r)?;
-        Ok(TransformerConfig {
-            layers,
-            hidden,
-            heads,
-            ffn,
-            vocab,
-            seq_len,
-            causal,
-            gated_mlp,
-        })
-    }
-}
+    struct ResNetConfig { blocks, image_size, classes }
 
-impl Serialize for ResNetConfig {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.blocks.serialize(w);
-        (self.image_size, self.classes).serialize(w);
+    enum ModelSpec: "model spec" {
+        "gpt" => Gpt(config),
+        "llama" => Llama(config),
+        "bert" => Bert(config),
+        "vit" => ViT(config),
+        "t5" => T5(config),
+        "resnet" => ResNet(config),
     }
-}
 
-impl<'de> Deserialize<'de> for ResNetConfig {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        let blocks = Deserialize::deserialize(r)?;
-        let (image_size, classes) = Deserialize::deserialize(r)?;
-        Ok(ResNetConfig {
-            blocks,
-            image_size,
-            classes,
-        })
+    struct ParallelConfig {
+        tp,
+        pp,
+        microbatch_multiplier,
+        virtual_stages,
+        activation_recompute,
+        sequence_parallel,
+        distributed_optimizer,
     }
-}
 
-impl Serialize for ModelSpec {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match self {
-            ModelSpec::Gpt(c) => {
-                w.tag("gpt");
-                c.serialize(w);
-            }
-            ModelSpec::Llama(c) => {
-                w.tag("llama");
-                c.serialize(w);
-            }
-            ModelSpec::Bert(c) => {
-                w.tag("bert");
-                c.serialize(w);
-            }
-            ModelSpec::ViT(c) => {
-                w.tag("vit");
-                c.serialize(w);
-            }
-            ModelSpec::T5(c) => {
-                w.tag("t5");
-                c.serialize(w);
-            }
-            ModelSpec::ResNet(c) => {
-                w.tag("resnet");
-                c.serialize(w);
-            }
-        }
+    enum FrameworkFlavor: "framework flavor" {
+        "megatron" => Megatron,
+        "zero" => DeepSpeedZero { stage, activation_offload },
+        "fsdp" => Fsdp,
+        "ddp" => Ddp,
     }
-}
 
-impl<'de> Deserialize<'de> for ModelSpec {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "gpt" => ModelSpec::Gpt(Deserialize::deserialize(r)?),
-            "llama" => ModelSpec::Llama(Deserialize::deserialize(r)?),
-            "bert" => ModelSpec::Bert(Deserialize::deserialize(r)?),
-            "vit" => ModelSpec::ViT(Deserialize::deserialize(r)?),
-            "t5" => ModelSpec::T5(Deserialize::deserialize(r)?),
-            "resnet" => ModelSpec::ResNet(Deserialize::deserialize(r)?),
-            t => return Err(compact::Error::parse(t, "model spec")),
-        })
-    }
-}
-
-impl Serialize for ParallelConfig {
-    fn serialize(&self, w: &mut compact::Writer) {
-        (self.tp, self.pp, self.microbatch_multiplier).serialize(w);
-        self.virtual_stages.serialize(w);
-        (
-            self.activation_recompute,
-            self.sequence_parallel,
-            self.distributed_optimizer,
-        )
-            .serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for ParallelConfig {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        let (tp, pp, microbatch_multiplier) = Deserialize::deserialize(r)?;
-        let virtual_stages = Deserialize::deserialize(r)?;
-        let (activation_recompute, sequence_parallel, distributed_optimizer) =
-            Deserialize::deserialize(r)?;
-        Ok(ParallelConfig {
-            tp,
-            pp,
-            microbatch_multiplier,
-            virtual_stages,
-            activation_recompute,
-            sequence_parallel,
-            distributed_optimizer,
-        })
-    }
-}
-
-impl Serialize for FrameworkFlavor {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match *self {
-            FrameworkFlavor::Megatron => w.tag("megatron"),
-            FrameworkFlavor::DeepSpeedZero {
-                stage,
-                activation_offload,
-            } => {
-                w.tag("zero");
-                (stage, activation_offload).serialize(w);
-            }
-            FrameworkFlavor::Fsdp => w.tag("fsdp"),
-            FrameworkFlavor::Ddp => w.tag("ddp"),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for FrameworkFlavor {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "megatron" => FrameworkFlavor::Megatron,
-            "zero" => {
-                let (stage, activation_offload) = Deserialize::deserialize(r)?;
-                FrameworkFlavor::DeepSpeedZero {
-                    stage,
-                    activation_offload,
-                }
-            }
-            "fsdp" => FrameworkFlavor::Fsdp,
-            "ddp" => FrameworkFlavor::Ddp,
-            t => return Err(compact::Error::parse(t, "framework flavor")),
-        })
-    }
-}
-
-impl Serialize for TrainingJob {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.model.serialize(w);
-        self.parallel.serialize(w);
-        self.flavor.serialize(w);
-        self.compile.serialize(w);
-        (self.global_batch, self.world, self.gpus_per_node).serialize(w);
-        self.precision.serialize(w);
-        self.iterations.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for TrainingJob {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        let model = Deserialize::deserialize(r)?;
-        let parallel = Deserialize::deserialize(r)?;
-        let flavor = Deserialize::deserialize(r)?;
-        let compile = Deserialize::deserialize(r)?;
-        let (global_batch, world, gpus_per_node) = Deserialize::deserialize(r)?;
-        let precision = Deserialize::deserialize(r)?;
-        let iterations = Deserialize::deserialize(r)?;
-        Ok(TrainingJob {
-            model,
-            parallel,
-            flavor,
-            compile,
-            global_batch,
-            world,
-            gpus_per_node,
-            precision,
-            iterations,
-        })
+    struct TrainingJob {
+        model,
+        parallel,
+        flavor,
+        compile,
+        global_batch,
+        world,
+        gpus_per_node,
+        precision,
+        iterations,
     }
 }
 
@@ -211,6 +62,7 @@ impl<'de> Deserialize<'de> for TrainingJob {
 mod tests {
     use super::*;
     use maya_trace::Dtype;
+    use serde::{Deserialize, Serialize};
 
     fn reencodes<T: Serialize + for<'de> Deserialize<'de>>(v: &T) {
         let text = serde::to_string(v);

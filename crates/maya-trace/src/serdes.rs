@@ -1,471 +1,90 @@
-//! Hand-written [`serde::Serialize`] / [`serde::Deserialize`] codecs for
-//! the trace vocabulary, over the vendored serde's compact token format.
+//! [`serde`] codecs for the trace vocabulary, over the vendored serde's
+//! compact token format.
 //!
 //! These power the persistence features downstream — most importantly
 //! the estimator memo snapshots in `maya-estimator`, which serialize
 //! `(KernelKind, SimTime)`-style pairs so a service process can
 //! warm-start the next one. The no-op `#[derive(serde::Serialize)]`
 //! annotations on the types themselves are registry-serde compatibility
-//! markers; the real token-level codecs live here (see
+//! markers; the real token-level codecs are declared here (see
 //! `vendor/README.md` for why).
 //!
 //! Every codec is a plain tag-plus-fields scheme: enum variants write a
-//! short stable tag token followed by their fields in declaration order.
-//! Tags are part of the on-disk format — renaming one invalidates
-//! existing snapshots, which the snapshot header version accounts for.
-
-use serde::{compact, Deserialize, Serialize};
+//! short stable tag token followed by their fields in the order listed.
+//! Tags and field order are part of the on-disk format — changing
+//! either invalidates existing snapshots, which the snapshot header
+//! version accounts for.
 
 use crate::dtype::Dtype;
 use crate::kernel::KernelKind;
 use crate::ops::{CollectiveKind, MemcpyKind};
 use crate::time::SimTime;
 
-impl Serialize for SimTime {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.0.serialize(w);
-    }
-}
+serde::codec! {
+    struct SimTime { 0 }
 
-impl<'de> Deserialize<'de> for SimTime {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(SimTime(u64::deserialize(r)?))
+    enum Dtype: "dtype" {
+        "fp32" => Fp32,
+        "fp16" => Fp16,
+        "bf16" => Bf16,
+        "tf32" => Tf32,
+        "int64" => Int64,
+        "int32" => Int32,
+        "int8" => Int8,
     }
-}
 
-impl Serialize for Dtype {
-    fn serialize(&self, w: &mut compact::Writer) {
-        w.tag(self.name());
+    enum MemcpyKind: "memcpy kind" {
+        "MemcpyHtoD" => HostToDevice,
+        "MemcpyDtoH" => DeviceToHost,
+        "MemcpyDtoD" => DeviceToDevice,
+        "MemcpyHtoH" => HostToHost,
     }
-}
 
-impl<'de> Deserialize<'de> for Dtype {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        let t = r.raw_token()?;
-        [
-            Dtype::Fp32,
-            Dtype::Fp16,
-            Dtype::Bf16,
-            Dtype::Tf32,
-            Dtype::Int64,
-            Dtype::Int32,
-            Dtype::Int8,
-        ]
-        .into_iter()
-        .find(|d| d.name() == t)
-        .ok_or_else(|| compact::Error::parse(t, "dtype"))
+    enum CollectiveKind: "collective kind" {
+        "all_reduce" => AllReduce,
+        "all_gather" => AllGather,
+        "reduce_scatter" => ReduceScatter,
+        "broadcast" => Broadcast,
+        "reduce" => Reduce,
+        "send" => Send { peer },
+        "recv" => Recv { peer },
+        "all_to_all" => AllToAll,
     }
-}
 
-impl Serialize for MemcpyKind {
-    fn serialize(&self, w: &mut compact::Writer) {
-        w.tag(self.name());
-    }
-}
-
-impl<'de> Deserialize<'de> for MemcpyKind {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        let t = r.raw_token()?;
-        [
-            MemcpyKind::HostToDevice,
-            MemcpyKind::DeviceToHost,
-            MemcpyKind::DeviceToDevice,
-            MemcpyKind::HostToHost,
-        ]
-        .into_iter()
-        .find(|k| k.name() == t)
-        .ok_or_else(|| compact::Error::parse(t, "memcpy kind"))
-    }
-}
-
-impl Serialize for CollectiveKind {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match self {
-            CollectiveKind::AllReduce => w.tag("all_reduce"),
-            CollectiveKind::AllGather => w.tag("all_gather"),
-            CollectiveKind::ReduceScatter => w.tag("reduce_scatter"),
-            CollectiveKind::Broadcast => w.tag("broadcast"),
-            CollectiveKind::Reduce => w.tag("reduce"),
-            CollectiveKind::Send { peer } => {
-                w.tag("send");
-                peer.serialize(w);
-            }
-            CollectiveKind::Recv { peer } => {
-                w.tag("recv");
-                peer.serialize(w);
-            }
-            CollectiveKind::AllToAll => w.tag("all_to_all"),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for CollectiveKind {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "all_reduce" => CollectiveKind::AllReduce,
-            "all_gather" => CollectiveKind::AllGather,
-            "reduce_scatter" => CollectiveKind::ReduceScatter,
-            "broadcast" => CollectiveKind::Broadcast,
-            "reduce" => CollectiveKind::Reduce,
-            "send" => CollectiveKind::Send {
-                peer: u32::deserialize(r)?,
-            },
-            "recv" => CollectiveKind::Recv {
-                peer: u32::deserialize(r)?,
-            },
-            "all_to_all" => CollectiveKind::AllToAll,
-            t => return Err(compact::Error::parse(t, "collective kind")),
-        })
-    }
-}
-
-impl Serialize for KernelKind {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match *self {
-            KernelKind::Gemm { m, n, k, dtype } => {
-                w.tag("gemm");
-                (m, n, k).serialize(w);
-                dtype.serialize(w);
-            }
-            KernelKind::GemmStridedBatched {
-                m,
-                n,
-                k,
-                batch,
-                dtype,
-            } => {
-                w.tag("gemm_sb");
-                (m, n, k).serialize(w);
-                batch.serialize(w);
-                dtype.serialize(w);
-            }
-            KernelKind::LtMatmul { m, n, k, dtype } => {
-                w.tag("lt_matmul");
-                (m, n, k).serialize(w);
-                dtype.serialize(w);
-            }
-            KernelKind::ConvForward {
-                n,
-                c,
-                h,
-                w: width,
-                k,
-                r,
-                stride,
-                dtype,
-            } => {
-                w.tag("conv_fwd");
-                (n, c, h).serialize(w);
-                (width, k, r).serialize(w);
-                stride.serialize(w);
-                dtype.serialize(w);
-            }
-            KernelKind::ConvBackwardData {
-                n,
-                c,
-                h,
-                w: width,
-                k,
-                r,
-                stride,
-                dtype,
-            } => {
-                w.tag("conv_bwd_data");
-                (n, c, h).serialize(w);
-                (width, k, r).serialize(w);
-                stride.serialize(w);
-                dtype.serialize(w);
-            }
-            KernelKind::ConvBackwardFilter {
-                n,
-                c,
-                h,
-                w: width,
-                k,
-                r,
-                stride,
-                dtype,
-            } => {
-                w.tag("conv_bwd_filt");
-                (n, c, h).serialize(w);
-                (width, k, r).serialize(w);
-                stride.serialize(w);
-                dtype.serialize(w);
-            }
-            KernelKind::Elementwise {
-                numel,
-                arity,
-                dtype,
-            } => {
-                w.tag("elementwise");
-                numel.serialize(w);
-                arity.serialize(w);
-                dtype.serialize(w);
-            }
-            KernelKind::VectorizedElementwise { numel, dtype } => {
-                w.tag("vec_elementwise");
-                numel.serialize(w);
-                dtype.serialize(w);
-            }
-            KernelKind::FusedDropout { numel } => {
-                w.tag("fused_dropout");
-                numel.serialize(w);
-            }
-            KernelKind::SoftmaxForward { rows, cols, masked } => {
-                w.tag("softmax_fwd");
-                (rows, cols, masked).serialize(w);
-            }
-            KernelKind::SoftmaxBackward { rows, cols, masked } => {
-                w.tag("softmax_bwd");
-                (rows, cols, masked).serialize(w);
-            }
-            KernelKind::LayerNormForward { rows, cols } => {
-                w.tag("ln_fwd");
-                (rows, cols).serialize(w);
-            }
-            KernelKind::LayerNormBackwardGamma { rows, cols } => {
-                w.tag("ln_bwd_gamma");
-                (rows, cols).serialize(w);
-            }
-            KernelKind::LayerNormBackwardInput { rows, cols } => {
-                w.tag("ln_bwd_input");
-                (rows, cols).serialize(w);
-            }
-            KernelKind::EmbeddingForward { tokens, hidden } => {
-                w.tag("emb_fwd");
-                (tokens, hidden).serialize(w);
-            }
-            KernelKind::EmbeddingBackward { tokens, hidden } => {
-                w.tag("emb_bwd");
-                (tokens, hidden).serialize(w);
-            }
-            KernelKind::CrossEntropyForward { tokens, vocab } => {
-                w.tag("ce_fwd");
-                (tokens, vocab).serialize(w);
-            }
-            KernelKind::CrossEntropyBackward { tokens, vocab } => {
-                w.tag("ce_bwd");
-                (tokens, vocab).serialize(w);
-            }
-            KernelKind::MultiTensorApply {
-                numel,
-                ops_per_elem,
-            } => {
-                w.tag("multi_tensor");
-                numel.serialize(w);
-                ops_per_elem.serialize(w);
-            }
-            KernelKind::Reduce { numel, dtype } => {
-                w.tag("reduce");
-                numel.serialize(w);
-                dtype.serialize(w);
-            }
-            KernelKind::CatCopy { numel, aligned } => {
-                w.tag("cat_copy");
-                (numel, aligned).serialize(w);
-            }
-            KernelKind::Memset { bytes } => {
-                w.tag("memset");
-                bytes.serialize(w);
-            }
-            KernelKind::TriuTril { numel } => {
-                w.tag("triu_tril");
-                numel.serialize(w);
-            }
-            KernelKind::BatchNorm {
-                numel,
-                channels,
-                forward,
-            } => {
-                w.tag("batchnorm");
-                (numel, channels, forward).serialize(w);
-            }
-            KernelKind::Pool {
-                numel,
-                window,
-                forward,
-            } => {
-                w.tag("pool");
-                (numel, window, forward).serialize(w);
-            }
-            KernelKind::FusedTriton {
-                numel,
-                num_instrs,
-                dtype,
-            } => {
-                w.tag("fused_triton");
-                numel.serialize(w);
-                num_instrs.serialize(w);
-                dtype.serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for KernelKind {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "gemm" => {
-                let (m, n, k) = Deserialize::deserialize(r)?;
-                KernelKind::Gemm {
-                    m,
-                    n,
-                    k,
-                    dtype: Dtype::deserialize(r)?,
-                }
-            }
-            "gemm_sb" => {
-                let (m, n, k) = Deserialize::deserialize(r)?;
-                KernelKind::GemmStridedBatched {
-                    m,
-                    n,
-                    k,
-                    batch: u64::deserialize(r)?,
-                    dtype: Dtype::deserialize(r)?,
-                }
-            }
-            "lt_matmul" => {
-                let (m, n, k) = Deserialize::deserialize(r)?;
-                KernelKind::LtMatmul {
-                    m,
-                    n,
-                    k,
-                    dtype: Dtype::deserialize(r)?,
-                }
-            }
-            tag @ ("conv_fwd" | "conv_bwd_data" | "conv_bwd_filt") => {
-                let (n, c, h) = Deserialize::deserialize(r)?;
-                let (w, k, rr) = Deserialize::deserialize(r)?;
-                let stride = u64::deserialize(r)?;
-                let dtype = Dtype::deserialize(r)?;
-                match tag {
-                    "conv_fwd" => KernelKind::ConvForward {
-                        n,
-                        c,
-                        h,
-                        w,
-                        k,
-                        r: rr,
-                        stride,
-                        dtype,
-                    },
-                    "conv_bwd_data" => KernelKind::ConvBackwardData {
-                        n,
-                        c,
-                        h,
-                        w,
-                        k,
-                        r: rr,
-                        stride,
-                        dtype,
-                    },
-                    _ => KernelKind::ConvBackwardFilter {
-                        n,
-                        c,
-                        h,
-                        w,
-                        k,
-                        r: rr,
-                        stride,
-                        dtype,
-                    },
-                }
-            }
-            "elementwise" => KernelKind::Elementwise {
-                numel: u64::deserialize(r)?,
-                arity: u8::deserialize(r)?,
-                dtype: Dtype::deserialize(r)?,
-            },
-            "vec_elementwise" => KernelKind::VectorizedElementwise {
-                numel: u64::deserialize(r)?,
-                dtype: Dtype::deserialize(r)?,
-            },
-            "fused_dropout" => KernelKind::FusedDropout {
-                numel: u64::deserialize(r)?,
-            },
-            "softmax_fwd" => {
-                let (rows, cols, masked) = Deserialize::deserialize(r)?;
-                KernelKind::SoftmaxForward { rows, cols, masked }
-            }
-            "softmax_bwd" => {
-                let (rows, cols, masked) = Deserialize::deserialize(r)?;
-                KernelKind::SoftmaxBackward { rows, cols, masked }
-            }
-            "ln_fwd" => {
-                let (rows, cols) = Deserialize::deserialize(r)?;
-                KernelKind::LayerNormForward { rows, cols }
-            }
-            "ln_bwd_gamma" => {
-                let (rows, cols) = Deserialize::deserialize(r)?;
-                KernelKind::LayerNormBackwardGamma { rows, cols }
-            }
-            "ln_bwd_input" => {
-                let (rows, cols) = Deserialize::deserialize(r)?;
-                KernelKind::LayerNormBackwardInput { rows, cols }
-            }
-            "emb_fwd" => {
-                let (tokens, hidden) = Deserialize::deserialize(r)?;
-                KernelKind::EmbeddingForward { tokens, hidden }
-            }
-            "emb_bwd" => {
-                let (tokens, hidden) = Deserialize::deserialize(r)?;
-                KernelKind::EmbeddingBackward { tokens, hidden }
-            }
-            "ce_fwd" => {
-                let (tokens, vocab) = Deserialize::deserialize(r)?;
-                KernelKind::CrossEntropyForward { tokens, vocab }
-            }
-            "ce_bwd" => {
-                let (tokens, vocab) = Deserialize::deserialize(r)?;
-                KernelKind::CrossEntropyBackward { tokens, vocab }
-            }
-            "multi_tensor" => KernelKind::MultiTensorApply {
-                numel: u64::deserialize(r)?,
-                ops_per_elem: u8::deserialize(r)?,
-            },
-            "reduce" => KernelKind::Reduce {
-                numel: u64::deserialize(r)?,
-                dtype: Dtype::deserialize(r)?,
-            },
-            "cat_copy" => {
-                let (numel, aligned) = Deserialize::deserialize(r)?;
-                KernelKind::CatCopy { numel, aligned }
-            }
-            "memset" => KernelKind::Memset {
-                bytes: u64::deserialize(r)?,
-            },
-            "triu_tril" => KernelKind::TriuTril {
-                numel: u64::deserialize(r)?,
-            },
-            "batchnorm" => {
-                let (numel, channels, forward) = Deserialize::deserialize(r)?;
-                KernelKind::BatchNorm {
-                    numel,
-                    channels,
-                    forward,
-                }
-            }
-            "pool" => {
-                let (numel, window, forward) = Deserialize::deserialize(r)?;
-                KernelKind::Pool {
-                    numel,
-                    window,
-                    forward,
-                }
-            }
-            "fused_triton" => KernelKind::FusedTriton {
-                numel: u64::deserialize(r)?,
-                num_instrs: u32::deserialize(r)?,
-                dtype: Dtype::deserialize(r)?,
-            },
-            t => return Err(compact::Error::parse(t, "kernel kind")),
-        })
+    enum KernelKind: "kernel kind" {
+        "gemm" => Gemm { m, n, k, dtype },
+        "gemm_sb" => GemmStridedBatched { m, n, k, batch, dtype },
+        "lt_matmul" => LtMatmul { m, n, k, dtype },
+        "conv_fwd" => ConvForward { n, c, h, w, k, r, stride, dtype },
+        "conv_bwd_data" => ConvBackwardData { n, c, h, w, k, r, stride, dtype },
+        "conv_bwd_filt" => ConvBackwardFilter { n, c, h, w, k, r, stride, dtype },
+        "elementwise" => Elementwise { numel, arity, dtype },
+        "vec_elementwise" => VectorizedElementwise { numel, dtype },
+        "fused_dropout" => FusedDropout { numel },
+        "softmax_fwd" => SoftmaxForward { rows, cols, masked },
+        "softmax_bwd" => SoftmaxBackward { rows, cols, masked },
+        "ln_fwd" => LayerNormForward { rows, cols },
+        "ln_bwd_gamma" => LayerNormBackwardGamma { rows, cols },
+        "ln_bwd_input" => LayerNormBackwardInput { rows, cols },
+        "emb_fwd" => EmbeddingForward { tokens, hidden },
+        "emb_bwd" => EmbeddingBackward { tokens, hidden },
+        "ce_fwd" => CrossEntropyForward { tokens, vocab },
+        "ce_bwd" => CrossEntropyBackward { tokens, vocab },
+        "multi_tensor" => MultiTensorApply { numel, ops_per_elem },
+        "reduce" => Reduce { numel, dtype },
+        "cat_copy" => CatCopy { numel, aligned },
+        "memset" => Memset { bytes },
+        "triu_tril" => TriuTril { numel },
+        "batchnorm" => BatchNorm { numel, channels, forward },
+        "pool" => Pool { numel, window, forward },
+        "fused_triton" => FusedTriton { numel, num_instrs, dtype },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Deserialize, Serialize};
 
     fn round_trip<T>(v: T) -> T
     where

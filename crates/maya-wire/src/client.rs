@@ -24,7 +24,10 @@
 //! signal [`WireClient::submit_with_retry`] backs off on — per-request
 //! pipeline errors arrive inside the payload as
 //! [`crate::RemoteError`]s, and a torn connection resolves every
-//! in-flight request with [`WireError::ConnectionClosed`].
+//! in-flight request with [`WireError::ConnectionClosed`]. The client
+//! speaks the one protocol version of [`crate::frame`]: a server built
+//! from another revision refuses its first frame with a
+//! connection-scoped `protocol` error.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -352,8 +355,8 @@ impl WireClient {
         self.submit(request)?.wait()
     }
 
-    /// Pulls the server's point-in-time observability snapshot
-    /// (protocol v5): every registered counter, gauge and histogram,
+    /// Pulls the server's point-in-time observability snapshot: every
+    /// registered counter, gauge and histogram,
     /// plus the recent job span trees when the server records spans.
     /// Blocks until the `Scrape` reply arrives; jobs pipelined on the
     /// same connection keep streaming around it.
@@ -525,21 +528,18 @@ fn reader_loop(stream: TcpStream, shared: &Arc<ClientShared>) {
                 // events, retire its pending entry. `None`: a frame
                 // kind a server never sends this way; ignore.
                 let event: Option<JobEvent> = match frame.kind {
-                    // The frame's own header version governs the body
-                    // decode: a v4 server's responses carry no span
-                    // tree, a v5 server's do.
-                    FrameKind::Response => Some(
-                        match WireJobOutcome::decode_response_frame(&frame.body, frame.version) {
+                    FrameKind::Response => {
+                        Some(match WireJobOutcome::decode_response_frame(&frame.body) {
                             Ok(outcome) => JobEvent::Terminal(Ok(outcome)),
                             Err(e) => malformed(e),
-                        },
-                    ),
-                    FrameKind::Expired => Some(
-                        match WireJobOutcome::decode_expired_frame(&frame.body, frame.version) {
+                        })
+                    }
+                    FrameKind::Expired => {
+                        Some(match WireJobOutcome::decode_expired_frame(&frame.body) {
                             Ok(outcome) => JobEvent::Terminal(Ok(outcome)),
                             Err(e) => malformed(e),
-                        },
-                    ),
+                        })
+                    }
                     FrameKind::Scrape => Some(JobEvent::Scrape(frame.body)),
                     FrameKind::Progress => {
                         Some(match serde::from_str::<SearchProgress>(&frame.body) {

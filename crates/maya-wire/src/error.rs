@@ -100,29 +100,12 @@ impl RemoteErrorKind {
 
     /// Parses a wire code.
     pub fn from_code(code: &str) -> Option<Self> {
-        Some(match code {
-            "unknown_target" => RemoteErrorKind::UnknownTarget,
-            "overloaded" => RemoteErrorKind::Overloaded,
-            "quota_exceeded" => RemoteErrorKind::QuotaExceeded,
-            "stopped" => RemoteErrorKind::Stopped,
-            "duplicate_target" => RemoteErrorKind::DuplicateTarget,
-            "no_targets" => RemoteErrorKind::NoTargets,
-            "cancelled" => RemoteErrorKind::Cancelled,
-            "expired" => RemoteErrorKind::Expired,
-            "custom_estimator_spans_clusters" => RemoteErrorKind::CustomEstimatorSpansClusters,
-            "snapshot" => RemoteErrorKind::Snapshot,
-            "config" => RemoteErrorKind::Config,
-            "device" => RemoteErrorKind::Device,
-            "collate" => RemoteErrorKind::Collate,
-            "sim" => RemoteErrorKind::Sim,
-            "exec" => RemoteErrorKind::Exec,
-            "world_mismatch" => RemoteErrorKind::WorldMismatch,
-            "protocol" => RemoteErrorKind::Protocol,
-            _ => return None,
-        })
+        RemoteErrorKind::all()
+            .into_iter()
+            .find(|k| k.code() == code)
     }
 
-    /// Every kind (for exhaustive tests).
+    /// Every kind.
     pub fn all() -> [RemoteErrorKind; 17] {
         [
             RemoteErrorKind::UnknownTarget,
@@ -194,24 +177,26 @@ impl From<&maya::MayaError> for RemoteError {
     }
 }
 
-/// Same layout `ServeError`/`MayaError` serialize with: code + message.
-impl Serialize for RemoteError {
+// Hand-written because the tag table already exists as `code()`, which
+// `Display`, the JSON rendering and the `ServeError`/`MayaError`
+// conversions need as a `&'static str`; a `codec!` enum would be a
+// second copy of it.
+impl Serialize for RemoteErrorKind {
     fn serialize(&self, w: &mut compact::Writer) {
-        w.tag(self.kind.code());
-        w.str_token(&self.message);
+        w.tag(self.code());
     }
 }
 
-impl<'de> Deserialize<'de> for RemoteError {
+impl<'de> Deserialize<'de> for RemoteErrorKind {
     fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
         let t = r.raw_token()?;
-        let kind =
-            RemoteErrorKind::from_code(t).ok_or_else(|| compact::Error::parse(t, "error code"))?;
-        Ok(RemoteError {
-            kind,
-            message: r.str_token()?,
-        })
+        RemoteErrorKind::from_code(t).ok_or_else(|| compact::Error::parse(t, "error code"))
     }
+}
+
+// Same layout `ServeError`/`MayaError` serialize with: code + message.
+serde::codec! {
+    struct RemoteError { kind, message }
 }
 
 /// A wire client call failed (see module docs).

@@ -6,8 +6,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic   b"MAYW"
-//!      4     2  version u16 BE (this build writes VERSION and reads
-//!                       MIN_VERSION..=VERSION)
+//!      4     2  version u16 BE (VERSION; anything else is refused)
 //!      6     1  kind    1 = request, 2 = response, 3 = error,
 //!                       4 = progress, 5 = cancel, 6 = expired,
 //!                       7 = scrape
@@ -19,27 +18,22 @@
 //!     20   len  body    compact token stream (UTF-8)
 //! ```
 //!
-//! Version 2 added the job-oriented frame kinds: `progress` streams a
-//! running search's incremental results to the client (many per id,
-//! all before the terminal frame), `cancel` is the one client→server
-//! frame besides `request` (it asks the server to cooperatively stop
-//! the in-flight job with that id; its body is empty), and `expired`
-//! is the terminal frame of a job whose deadline elapsed.
+//! `request` and `cancel` travel client → server (a cancel asks the
+//! server to cooperatively stop the in-flight job with that id; its
+//! body is empty). `progress` streams a running search's incremental
+//! results back (many per id, all before the terminal frame);
+//! `response`, `expired` and `error` are the terminal frames of a job;
+//! `scrape` goes both ways (a client pulls the server's point-in-time
+//! metrics snapshot; the server echoes the id back with the serialized
+//! `maya_serve::ObsSnapshot` as the body).
 //!
-//! Version 3 grew the request body's `JobOptions` envelope from the
-//! deadline alone to deadline + priority + tenant (the per-tenant QoS
-//! vocabulary). The frame layout is unchanged; only the body differs,
-//! which is why readers accept the [`MIN_VERSION`]..=[`VERSION`] range
-//! and surface the peer's version on each [`Frame`] — a v2 body still
-//! decodes, with QoS defaults (see
-//! [`decode_submission`](crate::message::decode_submission)).
-//!
-//! Version 5 added observability: the `scrape` frame (a client pulls
-//! the server's point-in-time metrics snapshot; the server echoes the
-//! id back with the serialized `maya_serve::ObsSnapshot` as the body)
-//! and the telemetry span tree appended to response bodies. Replies to
-//! v4-and-older peers omit the span tail, so their readers — which
-//! consume exactly the pre-v5 layout — keep working unchanged.
+//! There is one protocol version. The header's version field exists so
+//! that a peer built from a different revision is *refused* with a
+//! typed error instead of having its bodies misread: [`read_frame`]
+//! accepts exactly [`MIN_VERSION`]..=[`VERSION`], and the two are
+//! equal. A future revision that must keep serving older peers lowers
+//! [`MIN_VERSION`] and branches on [`Frame::version`]; until then no
+//! codec carries a version parameter.
 //!
 //! The header is self-validating: wrong magic, an unknown version or
 //! kind, a non-zero reserved byte, or a length over the reader's
@@ -53,23 +47,12 @@ use std::io::{ErrorKind, Read, Write};
 /// Leading magic of every frame.
 pub const MAGIC: [u8; 4] = *b"MAYW";
 
-/// Protocol version this build writes (header field). Version 2
-/// introduced the job-oriented vocabulary: the request body gained a
-/// leading `JobOptions` (deadline), and the `Progress` / `Cancel` /
-/// `Expired` frame kinds joined the original three. Version 3 extended
-/// the `JobOptions` envelope with the QoS fields (priority, tenant).
-/// Version 4 extended cluster specs with the imperfect-cluster tail
-/// (link topology, heterogeneous rank pools — see
-/// `maya_hw::serdes::SPEC_TAIL_VERSION`); v3 bodies decode with both
-/// absent. Version 5 added the `Scrape` frame kind (pull the server's
-/// metrics snapshot) and the span-tree tail on response telemetry;
-/// replies to v4-and-older peers omit the tail.
+/// Protocol version this build writes (header field).
 pub const VERSION: u16 = 5;
 
-/// Oldest protocol version this build still reads. Version-2 peers
-/// differ only in the request-body envelope, so their frames are
-/// accepted and decoded with QoS defaults.
-pub const MIN_VERSION: u16 = 2;
+/// Oldest protocol version this build still reads: the current one.
+/// No down-level peer is deployed, so none is decoded.
+pub const MIN_VERSION: u16 = VERSION;
 
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 20;
@@ -111,7 +94,7 @@ pub enum FrameKind {
     /// Both directions: a client sends an empty-body `Scrape` to pull
     /// the server's point-in-time observability snapshot; the server
     /// echoes the id back in a `Scrape` frame whose body is the
-    /// serialized `maya_serve::ObsSnapshot`. Added in version 5.
+    /// serialized `maya_serve::ObsSnapshot`.
     Scrape,
 }
 
@@ -159,7 +142,7 @@ impl FrameKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
     /// The protocol version the peer wrote this frame under (within
-    /// [`MIN_VERSION`]..=[`VERSION`]; governs how the body decodes).
+    /// [`MIN_VERSION`]..=[`VERSION`]).
     pub version: u16,
     /// What the body is.
     pub kind: FrameKind,
@@ -234,27 +217,11 @@ pub enum ReadError {
     Protocol(ProtocolError),
 }
 
-/// Writes one frame under this build's own [`VERSION`]. Fails with
+/// Writes one frame under [`VERSION`]. Fails with
 /// [`ProtocolError::Oversized`] (as `InvalidData` io error) when the
 /// body exceeds `max_len`.
 pub fn write_frame<W: Write>(
     w: &mut W,
-    kind: FrameKind,
-    id: u64,
-    body: &str,
-    max_len: u32,
-) -> std::io::Result<()> {
-    write_frame_with_version(w, VERSION, kind, id, body, max_len)
-}
-
-/// [`write_frame`] with an explicit header version — how a server
-/// echoes a down-level peer's version on its reply frames. The reply
-/// bodies are identical across the supported range (only the
-/// *request* envelope changed in v3), so a v2 peer, whose reader
-/// rejects any version but its own, can consume a v3 server's frames.
-pub fn write_frame_with_version<W: Write>(
-    w: &mut W,
-    version: u16,
     kind: FrameKind,
     id: u64,
     body: &str,
@@ -274,7 +241,7 @@ pub fn write_frame_with_version<W: Write>(
         })?;
     let mut header = [0u8; HEADER_LEN];
     header[0..4].copy_from_slice(&MAGIC);
-    header[4..6].copy_from_slice(&version.to_be_bytes());
+    header[4..6].copy_from_slice(&VERSION.to_be_bytes());
     header[6] = kind.code();
     header[7] = 0;
     header[8..16].copy_from_slice(&id.to_be_bytes());
@@ -419,23 +386,20 @@ mod tests {
     fn supported_version_range_is_accepted_and_reported() {
         let mut buf = Vec::new();
         write_frame(&mut buf, FrameKind::Request, 1, "x", 64).unwrap();
-        // This build writes VERSION...
+        // This build writes VERSION, and the supported range is that
+        // one version...
+        assert_eq!(MIN_VERSION, VERSION);
         let frame = read_frame(&mut &buf[..], 64).unwrap().unwrap();
         assert_eq!(frame.version, VERSION);
-        // ...and still reads every version down to MIN_VERSION, so a
-        // v2 peer's frames decode (with QoS defaults in the body).
-        for version in MIN_VERSION..=VERSION {
+        assert_eq!(frame.body, "x");
+        // ...so its neighbours on both sides are refused.
+        for version in [MIN_VERSION - 1, VERSION + 1] {
             buf[4..6].copy_from_slice(&version.to_be_bytes());
-            let frame = read_frame(&mut &buf[..], 64).unwrap().unwrap();
-            assert_eq!(frame.version, version);
-            assert_eq!(frame.body, "x");
+            assert!(matches!(
+                read_frame(&mut &buf[..], 64),
+                Err(ReadError::Protocol(ProtocolError::Version(v))) if v == version
+            ));
         }
-        // Anything older is refused.
-        buf[4..6].copy_from_slice(&(MIN_VERSION - 1).to_be_bytes());
-        assert!(matches!(
-            read_frame(&mut &buf[..], 64),
-            Err(ReadError::Protocol(ProtocolError::Version(_)))
-        ));
     }
 
     #[test]

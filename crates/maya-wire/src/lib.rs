@@ -64,15 +64,6 @@ pub use frame::{Frame, FrameKind, ProtocolError, DEFAULT_MAX_FRAME_LEN, MIN_VERS
 pub use message::{decode_submission, WireJobOutcome, WirePayload, WireResponse};
 pub use server::{WireServer, WireServerBuilder, WireServerStats};
 
-/// The pre-job-API name for the client-side ticket, kept for one
-/// release.
-#[deprecated(
-    since = "0.3.0",
-    note = "renamed to WireJob; submit() now returns a remote job handle \
-            (poll/cancel/progress/deadline); `wait()` behaves as before"
-)]
-pub type PendingResponse = WireJob;
-
 // Client-side request-construction vocabulary, re-exported so remote
 // callers need only this crate.
 pub use maya_search::{AlgorithmKind, ConfigSpace};

@@ -22,29 +22,10 @@ use maya_serve::{JobOptions, JobState, MeasureOutcome, Request, Telemetry};
 use crate::error::RemoteError;
 use crate::frame::FrameKind;
 
-/// Decodes a request frame body — the leading [`JobOptions`] envelope
-/// followed by the [`Request`] — under the peer's protocol `version`
-/// (from the frame header).
-///
-/// Version 2 envelopes carry only the deadline; the QoS fields added
-/// in version 3 (priority, tenant) decode to their defaults, so a v2
-/// client keeps working against a v3 server unchanged. Version 3
-/// envelopes decode in full.
-pub fn decode_submission(
-    body: &str,
-    version: u16,
-) -> Result<(Request, JobOptions), compact::Error> {
-    let mut r = compact::Reader::new(body);
-    let opts = if version <= 2 {
-        JobOptions {
-            deadline: Deserialize::deserialize(&mut r)?,
-            ..JobOptions::default()
-        }
-    } else {
-        JobOptions::deserialize(&mut r)?
-    };
-    let req = Request::deserialize(&mut r)?;
-    r.end()?;
+/// Decodes a request frame body: the leading [`JobOptions`] envelope
+/// followed by the [`Request`].
+pub fn decode_submission(body: &str) -> Result<(Request, JobOptions), compact::Error> {
+    let (opts, req) = serde::from_str(body)?;
     Ok((req, opts))
 }
 
@@ -196,41 +177,6 @@ pub enum WireJobOutcome {
     Expired(Option<WireResponse>),
 }
 
-fn write_opt_response<T: Serialize>(w: &mut compact::Writer, resp: &Option<T>) {
-    match resp {
-        None => w.tag("none"),
-        Some(r) => {
-            w.tag("some");
-            r.serialize(w);
-        }
-    }
-}
-
-/// Decodes a `WireResponse` whose telemetry was written with or
-/// without the span-tree tail (protocol v5 vs older) — the read-side
-/// twin of `maya_serve::serdes::write_response_compat`.
-fn read_wire_response(
-    r: &mut compact::Reader<'_>,
-    with_spans: bool,
-) -> Result<WireResponse, compact::Error> {
-    Ok(WireResponse {
-        target: Deserialize::deserialize(r)?,
-        telemetry: maya_serve::serdes::read_telemetry_compat(r, with_spans)?,
-        payload: Deserialize::deserialize(r)?,
-    })
-}
-
-fn read_opt_response(
-    r: &mut compact::Reader<'_>,
-    with_spans: bool,
-) -> Result<Option<WireResponse>, compact::Error> {
-    Ok(match r.raw_token()? {
-        "none" => None,
-        "some" => Some(read_wire_response(r, with_spans)?),
-        t => return Err(compact::Error::parse(t, "option tag (none|some)")),
-    })
-}
-
 impl WireJobOutcome {
     /// The terminal [`JobState`] this verdict lands the job in.
     pub fn state(&self) -> JobState {
@@ -269,85 +215,42 @@ impl WireJobOutcome {
             }
             WireJobOutcome::Cancelled(resp) => {
                 w.tag("cancelled");
-                write_opt_response(&mut w, resp);
+                resp.serialize(&mut w);
                 (FrameKind::Response, w.finish())
             }
             WireJobOutcome::Expired(resp) => {
-                write_opt_response(&mut w, resp);
+                resp.serialize(&mut w);
                 (FrameKind::Expired, w.finish())
             }
         }
     }
 
-    /// Decodes the body of a `Response` frame (`done` / `cancelled`)
-    /// written under the peer's protocol `version` (from the frame
-    /// header): v5 bodies carry the telemetry span tree, older ones
-    /// decode with `telemetry.spans` empty.
-    pub fn decode_response_frame(body: &str, version: u16) -> Result<Self, compact::Error> {
-        let with_spans = version >= 5;
+    /// Decodes the body of a `Response` frame (`done` / `cancelled`).
+    pub fn decode_response_frame(body: &str) -> Result<Self, compact::Error> {
         let mut r = compact::Reader::new(body);
         let out = match r.raw_token()? {
-            "done" => WireJobOutcome::Done(read_wire_response(&mut r, with_spans)?),
-            "cancelled" => WireJobOutcome::Cancelled(read_opt_response(&mut r, with_spans)?),
+            "done" => WireJobOutcome::Done(Deserialize::deserialize(&mut r)?),
+            "cancelled" => WireJobOutcome::Cancelled(Deserialize::deserialize(&mut r)?),
             t => return Err(compact::Error::parse(t, "job outcome tag (done|cancelled)")),
         };
         r.end()?;
         Ok(out)
     }
 
-    /// Decodes the body of an [`FrameKind::Expired`] frame written
-    /// under the peer's protocol `version` (see
-    /// [`WireJobOutcome::decode_response_frame`]).
-    pub fn decode_expired_frame(body: &str, version: u16) -> Result<Self, compact::Error> {
-        let mut r = compact::Reader::new(body);
-        let out = WireJobOutcome::Expired(read_opt_response(&mut r, version >= 5)?);
-        r.end()?;
-        Ok(out)
+    /// Decodes the body of an [`FrameKind::Expired`] frame.
+    pub fn decode_expired_frame(body: &str) -> Result<Self, compact::Error> {
+        serde::from_str(body).map(WireJobOutcome::Expired)
     }
 }
 
-impl Serialize for WirePayload {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match self {
-            WirePayload::Predict(results) => {
-                w.tag("predict");
-                results.serialize(w);
-            }
-            WirePayload::Search(result) => {
-                w.tag("search");
-                result.as_ref().serialize(w);
-            }
-            WirePayload::Measure(outcome) => {
-                w.tag("measure");
-                outcome.serialize(w);
-            }
-        }
+serde::codec! {
+    enum WirePayload: "payload kind" {
+        "predict" => Predict(results),
+        "search" => Search(result),
+        "measure" => Measure(outcome),
     }
-}
 
-impl<'de> Deserialize<'de> for WirePayload {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "predict" => WirePayload::Predict(Deserialize::deserialize(r)?),
-            "search" => WirePayload::Search(Box::new(Deserialize::deserialize(r)?)),
-            "measure" => WirePayload::Measure(Deserialize::deserialize(r)?),
-            t => return Err(compact::Error::parse(t, "payload kind")),
-        })
-    }
-}
-
-impl Serialize for WireResponse {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.target.serialize(w);
-        self.telemetry.serialize(w);
-        self.payload.serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for WireResponse {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        read_wire_response(r, true)
-    }
+    struct WireResponse { target, telemetry, payload }
 }
 
 #[cfg(test)]

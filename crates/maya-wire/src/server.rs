@@ -23,11 +23,13 @@
 //!
 //! Malformed input degrades proportionally: an undecodable request
 //! *body* earns a per-request `protocol` error frame and the connection
-//! keeps serving; a corrupt frame *header* (bad magic, version skew,
-//! oversized length) means the stream itself can no longer be trusted,
-//! so the server sends a connection-scoped error frame (id 0) and
-//! closes that one connection. The server itself never dies on client
-//! input.
+//! keeps serving; a corrupt frame *header* (bad magic, oversized
+//! length, or a protocol version other than the one
+//! [`VERSION`](crate::frame::VERSION) this build speaks) means the
+//! stream itself can no longer be trusted, so the server sends a
+//! connection-scoped error frame (id 0) and closes that one
+//! connection. Every frame the server writes is stamped with its own
+//! version. The server itself never dies on client input.
 //!
 //! [`WireServer::shutdown`] is graceful: stop accepting, half-close
 //! every connection's read side, let every job pump drain its progress
@@ -35,7 +37,7 @@
 
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -44,9 +46,7 @@ use serde::{compact, Serialize};
 use maya_serve::{JobControl, JobHandle, JobOutcome, MayaService, ServeError, SpanNode};
 
 use crate::error::RemoteError;
-use crate::frame::{
-    read_frame, write_frame_with_version, FrameKind, ProtocolError, ReadError, VERSION,
-};
+use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError, ReadError};
 use crate::message::decode_submission;
 
 /// One outbound frame, queued for the connection writer.
@@ -298,40 +298,23 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     }
 }
 
-/// Encodes a job's terminal verdict as its wire frame, under the
-/// peer's protocol `version`: v5 response bodies carry the telemetry
-/// span tree, replies to older peers omit it (their readers consume
-/// exactly the pre-v5 layout). The layout is mirrored by
-/// `WireJobOutcome::decode_*` on the client.
-fn outcome_frame(id: u64, outcome: &JobOutcome, version: u16) -> OutFrame {
-    let with_spans = version >= 5;
-    fn opt_response(
-        w: &mut compact::Writer,
-        resp: &Option<maya_serve::Response>,
-        with_spans: bool,
-    ) {
-        match resp {
-            None => w.tag("none"),
-            Some(r) => {
-                w.tag("some");
-                maya_serve::serdes::write_response_compat(r, w, with_spans);
-            }
-        }
-    }
+/// Encodes a job's terminal verdict as its wire frame. The layout is
+/// mirrored by `WireJobOutcome::decode_*` on the client.
+fn outcome_frame(id: u64, outcome: &JobOutcome) -> OutFrame {
     let mut w = compact::Writer::new();
     let kind = match outcome {
         JobOutcome::Done(resp) => {
             w.tag("done");
-            maya_serve::serdes::write_response_compat(resp, &mut w, with_spans);
+            resp.serialize(&mut w);
             FrameKind::Response
         }
         JobOutcome::Cancelled(resp) => {
             w.tag("cancelled");
-            opt_response(&mut w, resp, with_spans);
+            resp.serialize(&mut w);
             FrameKind::Response
         }
         JobOutcome::Expired(resp) => {
-            opt_response(&mut w, resp, with_spans);
+            resp.serialize(&mut w);
             FrameKind::Expired
         }
     };
@@ -349,7 +332,6 @@ fn pump_job(
     out: &mpsc::Sender<OutFrame>,
     jobs: &Mutex<HashMap<u64, JobControl>>,
     service: &MayaService,
-    peer_version: &AtomicU16,
 ) {
     // The service-side job id, under which the worker recorded the
     // job's span tree (the frame id is the client's request id).
@@ -375,7 +357,7 @@ fn pump_job(
     // lint:allow(wall-clock-in-output): reply-latency telemetry anchor — timing is observability, not payload
     let reply_started = std::time::Instant::now();
     let frame = match &verdict {
-        Ok(outcome) => outcome_frame(id, outcome, peer_version.load(Ordering::Relaxed)),
+        Ok(outcome) => outcome_frame(id, outcome),
         // The worker died mid-request (panic): typed Stopped.
         Err(e) => OutFrame {
             kind: FrameKind::Error,
@@ -413,24 +395,15 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
     };
     let (tx, rx) = mpsc::channel::<OutFrame>();
     let max_len = shared.max_frame_len;
-    // The peer's protocol version, observed from its request frames
-    // and echoed on every reply frame: a v2 client's reader rejects
-    // any version but its own, and the reply bodies are identical
-    // across the supported range, so echoing is what keeps a
-    // down-level peer working. Until the first frame arrives the
-    // server's own version is used (only connection-fatal errors can
-    // be written that early).
-    let peer_version = Arc::new(AtomicU16::new(VERSION));
     // This connection's in-flight jobs, shared with the pumps (each
     // removes its own entry at terminal) so `Cancel` frames — and the
     // writer's orphan cleanup — can reach them.
     let jobs: Arc<Mutex<HashMap<u64, JobControl>>> = Arc::new(Mutex::new(HashMap::new()));
     let writer = {
         let jobs = Arc::clone(&jobs);
-        let peer_version = Arc::clone(&peer_version);
         std::thread::Builder::new()
             .name("maya-wire-write".into())
-            .spawn(move || writer_loop(write_half, &rx, max_len, &jobs, &peer_version))
+            .spawn(move || writer_loop(write_half, &rx, max_len, &jobs))
             .expect("spawn connection writer")
     };
     let mut pumps: Vec<JoinHandle<()>> = Vec::new();
@@ -440,7 +413,6 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
         match read_frame(&mut reader, shared.max_frame_len) {
             Ok(None) => break, // client closed its write half
             Ok(Some(frame)) => {
-                peer_version.store(frame.version, Ordering::Relaxed);
                 // Id 0 is reserved for connection-scoped errors: a
                 // request carrying it could never be answered
                 // unambiguously (an id-0 error frame means "the
@@ -461,10 +433,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
                     break;
                 }
                 match frame.kind {
-                    // The frame's own header version governs the body
-                    // decode: v2 peers send deadline-only JobOptions
-                    // envelopes, which land with QoS defaults.
-                    FrameKind::Request => match decode_submission(&frame.body, frame.version) {
+                    FrameKind::Request => match decode_submission(&frame.body) {
                         Ok((req, opts)) => match shared.service.try_submit_with(req, opts) {
                             Ok(handle) => {
                                 shared.admitted.fetch_add(1, Ordering::Relaxed);
@@ -474,7 +443,6 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
                                 let out = tx.clone();
                                 let jobs = Arc::clone(&jobs);
                                 let service = Arc::clone(&shared.service);
-                                let peer_version = Arc::clone(&peer_version);
                                 let id = frame.id;
                                 // Reap finished pumps here rather than
                                 // only at connection close, so a
@@ -493,16 +461,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
                                 pumps.push(
                                     std::thread::Builder::new()
                                         .name("maya-wire-job".into())
-                                        .spawn(move || {
-                                            pump_job(
-                                                id,
-                                                handle,
-                                                &out,
-                                                &jobs,
-                                                &service,
-                                                &peer_version,
-                                            )
-                                        })
+                                        .spawn(move || pump_job(id, handle, &out, &jobs, &service))
                                         .expect("spawn job pump"),
                                 );
                             }
@@ -546,7 +505,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
                         }
                     }
                     FrameKind::Scrape => {
-                        // Observability pull (v5): answer on the echoed
+                        // Observability pull: answer on the echoed
                         // id with the service's deterministic
                         // point-in-time snapshot. Request body is
                         // ignored (empty by convention).
@@ -624,15 +583,11 @@ fn writer_loop(
     rx: &mpsc::Receiver<OutFrame>,
     max_len: u32,
     jobs: &Mutex<HashMap<u64, JobControl>>,
-    peer_version: &AtomicU16,
 ) {
     let mut w = std::io::BufWriter::new(stream);
     while let Ok(frame) = rx.recv() {
         let fatal = frame.kind == FrameKind::Error && frame.id == 0;
-        let version = peer_version.load(Ordering::Relaxed);
-        if write_frame_with_version(&mut w, version, frame.kind, frame.id, &frame.body, max_len)
-            .is_err()
-        {
+        if write_frame(&mut w, frame.kind, frame.id, &frame.body, max_len).is_err() {
             break; // peer gone; reader will notice on its next read
         }
         if fatal {

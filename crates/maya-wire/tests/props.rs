@@ -409,83 +409,6 @@ impl Gen {
     }
 }
 
-impl Gen {
-    fn net_link(&mut self) -> maya_hw::NetLink {
-        maya_hw::NetLink {
-            bw_gbps: 1.0 + (self.u32(900) as f64) + self.u32(1000) as f64 / 1000.0,
-            latency_us: self.u32(50) as f64 / 10.0,
-        }
-    }
-
-    fn cluster_spec(&mut self) -> maya_hw::ClusterSpec {
-        let num_nodes = 1 + self.u32(4);
-        let gpus_per_node = 1 + self.u32(8);
-        let mut c = match self.u32(4) {
-            0 => maya_hw::ClusterSpec::v100(num_nodes, gpus_per_node),
-            1 => maya_hw::ClusterSpec::a40(num_nodes, gpus_per_node),
-            2 => maya_hw::ClusterSpec::a100(num_nodes, gpus_per_node),
-            _ => maya_hw::ClusterSpec::h100(num_nodes, gpus_per_node),
-        };
-        if self.bool() {
-            let intra = self.net_link();
-            let inter = self.net_link();
-            c = c.with_topology(maya_hw::TopologySpec::symmetric(num_nodes, intra, inter));
-        }
-        if self.bool() {
-            let gpus = [
-                maya_hw::GpuSpec::v100(),
-                maya_hw::GpuSpec::a40(),
-                maya_hw::GpuSpec::a100(),
-                maya_hw::GpuSpec::h100(),
-            ];
-            let classes = (0..1 + self.u32(3))
-                .map(|_| maya_hw::RankClass {
-                    gpu: gpus[(self.next() as usize) % gpus.len()],
-                    count: 1 + self.u32(8),
-                })
-                .collect();
-            c = c.with_hetero(maya_hw::HeteroPool::new(classes));
-        }
-        c
-    }
-
-    fn fault_plan(&mut self) -> maya_net::FaultPlan {
-        if self.bool() {
-            maya_net::FaultPlan::generate(
-                self.next(),
-                1 + self.u32(64),
-                SimTime::from_ns(1 + (self.next() >> 32)),
-            )
-        } else {
-            maya_net::FaultPlan {
-                seed: self.next(),
-                stragglers: (0..self.u32(4))
-                    .map(|_| maya_net::StragglerWindow {
-                        rank: self.u32(64),
-                        start: SimTime::from_ns(self.next() >> 32),
-                        end: SimTime::from_ns(self.next() >> 32),
-                        slowdown: 1.0 + self.u32(1000) as f64 / 100.0,
-                    })
-                    .collect(),
-                failures: (0..self.u32(3))
-                    .map(|_| maya_net::RankFailure {
-                        rank: self.u32(64),
-                        at: SimTime::from_ns(self.next() >> 32),
-                        restart_cost: SimTime::from_ns(self.next() >> 32),
-                    })
-                    .collect(),
-            }
-        }
-    }
-
-    fn power_model(&mut self) -> maya_hw::PowerModel {
-        maya_hw::PowerModel {
-            dollars_per_kwh: self.u32(1000) as f64 / 1000.0,
-            pue: 1.0 + self.u32(100) as f64 / 100.0,
-        }
-    }
-}
-
 /// decode(encode(v)) must re-encode to the same bytes.
 fn assert_reencodes<T: serde::Serialize + for<'de> serde::Deserialize<'de>>(v: &T) {
     let text = serde::to_string(v);
@@ -591,10 +514,8 @@ proptest! {
         let outcome = Gen(seed).job_outcome();
         let (kind, body) = outcome.encode();
         let back = match kind {
-            frame::FrameKind::Response => {
-                WireJobOutcome::decode_response_frame(&body, frame::VERSION)
-            }
-            frame::FrameKind::Expired => WireJobOutcome::decode_expired_frame(&body, frame::VERSION),
+            frame::FrameKind::Response => WireJobOutcome::decode_response_frame(&body),
+            frame::FrameKind::Expired => WireJobOutcome::decode_expired_frame(&body),
             other => panic!("unexpected outcome frame kind {other:?}"),
         }
         .expect("decode job outcome frame");
@@ -611,174 +532,5 @@ proptest! {
         let opts = Gen(seed).job_options();
         let back: JobOptions = serde::from_str(&serde::to_string(&opts)).unwrap();
         prop_assert_eq!(back, opts);
-    }
-
-    /// Cluster specs — including the version-4 imperfect-cluster tail
-    /// (link topology, heterogeneous rank pools) — are identity,
-    /// bit-exact on every float.
-    #[test]
-    fn cluster_specs_round_trip(seed in any::<u64>()) {
-        let c = Gen(seed).cluster_spec();
-        assert_reencodes(&c);
-        let back: maya_hw::ClusterSpec = serde::from_str(&serde::to_string(&c)).unwrap();
-        prop_assert_eq!(back, c);
-    }
-
-    /// Fault plans (generated and hand-shaped) are identity.
-    #[test]
-    fn fault_plans_round_trip(seed in any::<u64>()) {
-        let p = Gen(seed).fault_plan();
-        assert_reencodes(&p);
-        let back: maya_net::FaultPlan = serde::from_str(&serde::to_string(&p)).unwrap();
-        prop_assert_eq!(back, p);
-    }
-
-    /// Power models are identity, bit-exact.
-    #[test]
-    fn power_models_round_trip(seed in any::<u64>()) {
-        let p = Gen(seed).power_model();
-        assert_reencodes(&p);
-        let back: maya_hw::PowerModel = serde::from_str(&serde::to_string(&p)).unwrap();
-        prop_assert_eq!(back, p);
-    }
-
-    /// Version-skew decode of a cluster spec: a v3 body — base fields
-    /// only, as a version-3 peer writes them — decodes under the skew
-    /// path with both tail options absent, and a full v4 body decodes
-    /// in full.
-    #[test]
-    fn cluster_spec_survives_v3_skew(seed in any::<u64>()) {
-        use maya_hw::serdes::decode_cluster_spec;
-        use serde::Serialize as _;
-
-        let mut g = Gen(seed);
-        let full = g.cluster_spec();
-        let mut base = full.clone();
-        base.topology = None;
-        base.hetero = None;
-
-        // A v3 peer writes only the base fields, in declaration order.
-        let mut w = serde::compact::Writer::new();
-        base.gpu.serialize(&mut w);
-        base.gpus_per_node.serialize(&mut w);
-        base.num_nodes.serialize(&mut w);
-        base.intra_link.serialize(&mut w);
-        base.inter_link.serialize(&mut w);
-        base.dollars_per_gpu_hour.serialize(&mut w);
-        let body = w.finish();
-        let mut r = serde::compact::Reader::new(&body);
-        let decoded = decode_cluster_spec(&mut r, 3).expect("v3 decode");
-        r.end().expect("v3 body fully consumed");
-        prop_assert_eq!(&decoded, &base);
-        prop_assert!(decoded.topology.is_none() && decoded.hetero.is_none());
-
-        // The same peer's bytes under the v4 rules would be a truncated
-        // frame; a v4 body decodes the tail in full.
-        let v4 = serde::to_string(&full);
-        let mut r = serde::compact::Reader::new(&v4);
-        let decoded = decode_cluster_spec(&mut r, 4).expect("v4 decode");
-        r.end().expect("v4 body fully consumed");
-        prop_assert_eq!(decoded, full);
-    }
-
-    /// Version-skew decode of the request envelope: a v3 body decodes
-    /// in full under the v3 path, and a v2 body (deadline-only
-    /// envelope, as a v2 client writes it) still decodes under the
-    /// same server with QoS defaults — the request itself untouched.
-    #[test]
-    fn request_envelope_survives_v2_v3_skew(seed in any::<u64>()) {
-        use maya_wire::decode_submission;
-        use serde::Serialize as _;
-
-        let mut g = Gen(seed);
-        let opts = g.job_options();
-        let req = g.request();
-
-        // v3 body: full JobOptions envelope + request.
-        let mut w = serde::compact::Writer::new();
-        opts.serialize(&mut w);
-        req.serialize(&mut w);
-        let (req3, opts3) = decode_submission(&w.finish(), 3).expect("v3 decode");
-        prop_assert_eq!(&opts3, &opts);
-        prop_assert_eq!(serde::to_string(&req3), serde::to_string(&req));
-
-        // v2 body: deadline-only envelope + request, decoded under the
-        // v2 rules the frame header selects.
-        let mut w = serde::compact::Writer::new();
-        opts.deadline.serialize(&mut w);
-        req.serialize(&mut w);
-        let body = w.finish();
-        let (req2, opts2) = decode_submission(&body, 2).expect("v2 decode");
-        prop_assert_eq!(opts2.deadline, opts.deadline);
-        prop_assert_eq!(opts2.priority, Priority::Normal, "v2 defaults");
-        prop_assert_eq!(opts2.tenant, None, "v2 defaults");
-        prop_assert_eq!(serde::to_string(&req2), serde::to_string(&req));
-    }
-
-    /// Version-skew decode of response telemetry: a v4 body — the six
-    /// pre-span fields, as a v4 server writes them — decodes under the
-    /// skew path with no spans, and the canonical v5 body is exactly
-    /// the v4 body plus the span tail, round-tripping the tree.
-    #[test]
-    fn telemetry_survives_v4_skew(seed in any::<u64>()) {
-        use maya_serve::serdes::{read_telemetry_compat, write_telemetry_compat};
-
-        let mut g = Gen(seed);
-        let mut full = g.telemetry();
-        full.spans = vec![g.span_node(2)];
-
-        // A v4 server writes only the six base fields.
-        let mut w = serde::compact::Writer::new();
-        write_telemetry_compat(&full, &mut w, false);
-        let v4 = w.finish();
-        let mut r = serde::compact::Reader::new(&v4);
-        let decoded = read_telemetry_compat(&mut r, false).expect("v4 decode");
-        r.end().expect("v4 body fully consumed");
-        prop_assert!(decoded.spans.is_empty(), "v4 body decodes spanless");
-        prop_assert_eq!(decoded.queue_wait, full.queue_wait);
-        prop_assert_eq!(decoded.service_time, full.service_time);
-        prop_assert_eq!(decoded.cache, full.cache);
-        prop_assert_eq!(decoded.cache_delta, full.cache_delta);
-
-        // The canonical (v5) encoding appends the span tail and
-        // restores the tree on decode.
-        let v5 = serde::to_string(&full);
-        prop_assert!(v5.starts_with(&v4), "v5 body = v4 body + span tail");
-        let back: Telemetry = serde::from_str(&v5).unwrap();
-        prop_assert_eq!(back.spans.len(), 1);
-        prop_assert_eq!(serde::to_string(&back), v5);
-    }
-
-    /// A whole v4 `Response` frame body (done verdict, as a v4 server
-    /// writes it) decodes under the version-gated client path with
-    /// telemetry spans dropped; the v5 body of the same outcome
-    /// restores them and re-encodes identically.
-    #[test]
-    fn response_frames_survive_v4_skew(seed in any::<u64>()) {
-        use serde::Serialize as _;
-
-        let mut g = Gen(seed);
-        let mut resp = g.wire_response();
-        resp.telemetry.spans = vec![g.span_node(1)];
-
-        // Hand-build the body a v4 server writes: done tag, target,
-        // spanless telemetry, payload.
-        let mut w = serde::compact::Writer::new();
-        w.tag("done");
-        resp.target.serialize(&mut w);
-        maya_serve::serdes::write_telemetry_compat(&resp.telemetry, &mut w, false);
-        resp.payload.serialize(&mut w);
-        let v4_body = w.finish();
-        let back = WireJobOutcome::decode_response_frame(&v4_body, 4).expect("v4 decode");
-        let v4_resp = back.response().expect("done verdict");
-        prop_assert!(v4_resp.telemetry.spans.is_empty());
-        prop_assert_eq!(&v4_resp.target, &resp.target);
-
-        let outcome = WireJobOutcome::Done(resp);
-        let (kind, v5_body) = outcome.encode();
-        prop_assert_eq!(kind, frame::FrameKind::Response);
-        let back = WireJobOutcome::decode_response_frame(&v5_body, 5).expect("v5 decode");
-        prop_assert_eq!(back.response().unwrap().telemetry.spans.len(), 1);
-        prop_assert_eq!(back.encode().1, v5_body);
     }
 }

@@ -1,12 +1,8 @@
 //! [`MayaBuilder`]: one front door for constructing the Maya runtime.
 //!
-//! The original API grew a constructor per estimator flavor
-//! (`with_oracle`, `with_estimator`, `train`) while the spec knobs
-//! lived in struct-literal updates on [`EmulationSpec`]; every caller
-//! hand-assembled the same pieces slightly differently. The builder
-//! replaces that zoo: pick an estimator ([`EstimatorChoice`]), flip
-//! spec knobs, optionally point at a memo snapshot to warm-start from,
-//! then [`build`](MayaBuilder::build).
+//! Pick an estimator ([`EstimatorChoice`]), flip spec knobs,
+//! optionally point at a memo snapshot to warm-start from, then
+//! [`build`](MayaBuilder::build).
 //!
 //! ```
 //! use maya::MayaBuilder;
@@ -305,16 +301,18 @@ mod tests {
         }
     }
 
+    /// The builder's defaults are the oracle estimator over a default
+    /// spec: the same engine a caller would assemble by hand.
     #[test]
     fn builder_matches_deprecated_constructors() {
         let cluster = ClusterSpec::h100(1, 1);
         let built = MayaBuilder::new(cluster.clone()).build().unwrap();
-        #[allow(deprecated)]
-        let legacy = Maya::with_oracle(EmulationSpec::new(cluster));
+        let oracle = Arc::new(OracleEstimator::new(&cluster));
+        let direct = PredictionEngine::new(EmulationSpec::new(cluster), oracle);
         let job = smoke_job(1);
         assert_eq!(
             built.predict_job(&job).unwrap().iteration_time(),
-            legacy.predict_job(&job).unwrap().iteration_time(),
+            direct.predict_job(&job).unwrap().iteration_time(),
         );
     }
 

@@ -40,9 +40,7 @@
 //!
 //! Construction goes through [`MayaBuilder`] — estimator choice
 //! ([`builder::EstimatorChoice`]), spec knobs, and an optional
-//! warm-start snapshot path. The pre-0.2 constructors
-//! (`Maya::with_oracle` / `with_estimator` / `train`) remain as
-//! deprecated shims for one release.
+//! warm-start snapshot path.
 //!
 //! For serving many clients against many cluster targets from one
 //! process, see the `maya-serve` crate: it multiplexes

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use maya_cuda::{CudaContext, CudaError};
-use maya_estimator::{ForestEstimator, OracleEstimator, ProfileScale, RuntimeEstimator};
+use maya_estimator::RuntimeEstimator;
 use maya_hw::{ClusterSpec, Measurement};
 use maya_sim::SimReport;
 use maya_torchlet::TrainingJob;
@@ -266,34 +266,6 @@ impl Maya {
         snapshot: Option<(std::path::PathBuf, String)>,
     ) -> Self {
         Maya { engine, snapshot }
-    }
-
-    /// Builds Maya with a caller-provided estimator.
-    #[deprecated(since = "0.2.0", note = "use MayaBuilder::new(cluster).estimator(...)")]
-    pub fn with_estimator(spec: EmulationSpec, estimator: Arc<dyn RuntimeEstimator>) -> Self {
-        Maya::from_engine(PredictionEngine::new(spec, estimator), None)
-    }
-
-    /// Builds Maya with the oracle estimator (true per-op runtimes) —
-    /// used for Table 3 and for fast tests.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use MayaBuilder::new(cluster).with_spec(spec)"
-    )]
-    pub fn with_oracle(spec: EmulationSpec) -> Self {
-        let oracle = OracleEstimator::new(&spec.cluster);
-        Maya::from_engine(PredictionEngine::new(spec, Arc::new(oracle)), None)
-    }
-
-    /// Profiles the cluster and trains the default random-forest
-    /// estimator (the paper's deployment path).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use MayaBuilder::new(cluster).forest(scale, seed)"
-    )]
-    pub fn train(spec: EmulationSpec, scale: ProfileScale, seed: u64) -> Self {
-        let (est, _report) = ForestEstimator::train(&spec.cluster, scale, seed);
-        Maya::from_engine(PredictionEngine::new(spec, Arc::new(est)), None)
     }
 
     /// The underlying prediction engine.

@@ -10,91 +10,20 @@
 //! the rendered message, and the client surfaces them as a typed remote
 //! error rather than a rebuilt `MayaError`.
 
-use serde::{compact, Deserialize, Serialize};
+use serde::{compact, Serialize};
 
 use crate::error::MayaError;
 use crate::pipeline::{PredictOutcome, Prediction, StageTimings};
 
-impl Serialize for StageTimings {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.emulation.serialize(w);
-        self.collation.serialize(w);
-        self.estimation.serialize(w);
-        self.simulation.serialize(w);
-    }
-}
+serde::codec! {
+    struct StageTimings { emulation, collation, estimation, simulation }
 
-impl<'de> Deserialize<'de> for StageTimings {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(StageTimings {
-            emulation: Deserialize::deserialize(r)?,
-            collation: Deserialize::deserialize(r)?,
-            estimation: Deserialize::deserialize(r)?,
-            simulation: Deserialize::deserialize(r)?,
-        })
+    enum PredictOutcome: "predict outcome" {
+        "completed" => Completed(report),
+        "oom" => OutOfMemory { rank, peak_attempted },
     }
-}
 
-impl Serialize for PredictOutcome {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match self {
-            PredictOutcome::Completed(report) => {
-                w.tag("completed");
-                report.serialize(w);
-            }
-            PredictOutcome::OutOfMemory {
-                rank,
-                peak_attempted,
-            } => {
-                w.tag("oom");
-                (*rank, *peak_attempted).serialize(w);
-            }
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for PredictOutcome {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        Ok(match r.raw_token()? {
-            "completed" => PredictOutcome::Completed(Deserialize::deserialize(r)?),
-            "oom" => {
-                let (rank, peak_attempted) = Deserialize::deserialize(r)?;
-                PredictOutcome::OutOfMemory {
-                    rank,
-                    peak_attempted,
-                }
-            }
-            t => return Err(compact::Error::parse(t, "predict outcome")),
-        })
-    }
-}
-
-impl Serialize for Prediction {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.outcome.serialize(w);
-        self.timings.serialize(w);
-        (
-            self.workers_emulated,
-            self.workers_simulated,
-            self.trace_events,
-        )
-            .serialize(w);
-    }
-}
-
-impl<'de> Deserialize<'de> for Prediction {
-    fn deserialize(r: &mut compact::Reader<'de>) -> Result<Self, compact::Error> {
-        let outcome = Deserialize::deserialize(r)?;
-        let timings = Deserialize::deserialize(r)?;
-        let (workers_emulated, workers_simulated, trace_events) = Deserialize::deserialize(r)?;
-        Ok(Prediction {
-            outcome,
-            timings,
-            workers_emulated,
-            workers_simulated,
-            trace_events,
-        })
-    }
+    struct Prediction { outcome, timings, workers_emulated, workers_simulated, trace_events }
 }
 
 /// Stable wire code naming a [`MayaError`] variant. Part of the wire
@@ -113,8 +42,8 @@ pub fn error_code(e: &MayaError) -> &'static str {
     }
 }
 
-/// Serialize-only (see module docs): a stable kind code plus the
-/// rendered message.
+// Hand-written because it is serialize-only (see module docs): a
+// stable kind code plus the rendered message.
 impl Serialize for MayaError {
     fn serialize(&self, w: &mut compact::Writer) {
         w.tag(error_code(self));

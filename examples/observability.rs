@@ -9,7 +9,7 @@
 //! 1. **per-response spans**: every reply carries its own job span
 //!    tree (`job` → `queued` / `execute` → pipeline stages) in
 //!    [`Telemetry::spans`];
-//! 2. **remote scrape**: a v5 `Scrape` frame pulls the full
+//! 2. **remote scrape**: a `Scrape` frame pulls the full
 //!    [`ObsSnapshot`] — service counters, queue gauges, per-tenant
 //!    wait/service histograms, the simulator's event/flow-solver
 //!    tallies, and recent job trees — over the same connection the
@@ -117,7 +117,7 @@ fn main() {
     print_tree(root, 0);
     assert!(root.find("queued").is_some() && root.find("execute").is_some());
 
-    // 2) Pull the full snapshot over the wire with a v5 Scrape frame.
+    // 2) Pull the full snapshot over the wire with a Scrape frame.
     let snap = client.scrape().expect("scrape");
     println!(
         "\nscraped {} counters, {} gauges, {} histograms, {} recent job trees",

@@ -1,10 +1,8 @@
 //! End-to-end exercise of the per-tenant QoS path over loopback TCP:
 //! priority overtake, tenant quota shedding with per-tenant counters,
-//! protocol-v2 request bodies decoding under the v3 server,
 //! deadline-capped client retry, and byte-identical results for a
 //! single tenant riding the QoS scheduler.
 
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,7 +12,7 @@ use maya_search::{AlgorithmKind, ConfigSpace};
 use maya_serve::{JobOptions, MayaService, Priority, Request};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
 use maya_trace::Dtype;
-use maya_wire::{frame, RemoteErrorKind, WireClient, WireError, WireJobOutcome, WireServer};
+use maya_wire::{RemoteErrorKind, WireClient, WireError, WireServer};
 
 const TARGET: &str = "h100-pair";
 
@@ -150,53 +148,6 @@ fn two_tenant_qos_over_the_wire() {
     let quiet_stats = stats.tenant("interactive").expect("interactive tracked");
     assert_eq!(quiet_stats.served, 1);
     assert_eq!(quiet_stats.quota_shed, 0);
-}
-
-#[test]
-fn v2_encoded_job_options_still_decode_under_the_v3_server() {
-    use serde::Serialize as _;
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        Arc::new(
-            MayaService::builder()
-                .target(TARGET, EmulationSpec::new(cluster()))
-                .build()
-                .unwrap(),
-        ),
-    )
-    .unwrap();
-
-    // A v2 client's request body: deadline-only JobOptions envelope
-    // (here: no deadline) followed by the request — under a header
-    // whose version field says 2.
-    let mut body = serde::compact::Writer::new();
-    Option::<Duration>::None.serialize(&mut body);
-    cold_predict().serialize(&mut body);
-    let mut frame_bytes = Vec::new();
-    frame::write_frame(
-        &mut frame_bytes,
-        frame::FrameKind::Request,
-        7,
-        &body.finish(),
-        frame::DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
-    frame_bytes[4..6].copy_from_slice(&2u16.to_be_bytes());
-
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-    std::io::Write::write_all(&mut raw, &frame_bytes).unwrap();
-    let reply = frame::read_frame(&mut raw, frame::DEFAULT_MAX_FRAME_LEN)
-        .expect("readable reply")
-        .expect("a frame");
-    assert_eq!(reply.kind, frame::FrameKind::Response);
-    assert_eq!(reply.id, 7);
-    // The server echoes the peer's version on its replies: a real v2
-    // client's reader rejects any other version, so this is what makes
-    // the compatibility end-to-end rather than decode-only.
-    assert_eq!(reply.version, 2, "replies to a v2 peer must be stamped v2");
-    let outcome = WireJobOutcome::decode_response_frame(&reply.body, reply.version).unwrap();
-    let resp = outcome.into_response().expect("served with QoS defaults");
-    assert!(resp.predictions().unwrap()[0].is_ok());
 }
 
 #[test]

@@ -271,6 +271,64 @@ fn overload_is_a_typed_frame_not_a_dropped_connection() {
     assert!(after.predictions().unwrap()[0].is_ok());
 }
 
+/// The header version range is the one gate against a peer built from
+/// another protocol revision: a frame stamped with a version below the
+/// floor is refused before its body is looked at.
+#[test]
+fn frames_below_the_version_floor_are_refused_and_only_that_connection_closes() {
+    let server = WireServer::bind("127.0.0.1:0", service()).unwrap();
+    let addr = server.local_addr();
+    let good = Request::Predict {
+        target: A40_TARGET.into(),
+        jobs: vec![job(&a40_cluster(), ParallelConfig::default())],
+    };
+    let mut body = serde::compact::Writer::new();
+    use serde::Serialize as _;
+    maya_serve::JobOptions::default().serialize(&mut body);
+    good.serialize(&mut body);
+    let mut frame_bytes = Vec::new();
+    frame::write_frame(
+        &mut frame_bytes,
+        frame::FrameKind::Request,
+        7,
+        &body.finish(),
+        frame::DEFAULT_MAX_FRAME_LEN,
+    )
+    .unwrap();
+
+    for (nth, old) in [4u16, 2].into_iter().enumerate() {
+        // A perfectly valid current-version request, restamped.
+        frame_bytes[4..6].copy_from_slice(&old.to_be_bytes());
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(&frame_bytes).unwrap();
+        let reply = frame::read_frame(&mut raw, frame::DEFAULT_MAX_FRAME_LEN)
+            .expect("readable reply")
+            .expect("an error frame");
+        assert_eq!(reply.kind, frame::FrameKind::Error);
+        assert_eq!(reply.id, 0, "version skew condemns the connection");
+        assert_eq!(reply.version, frame::VERSION);
+        let err: RemoteError = serde::from_str(&reply.body).unwrap();
+        assert_eq!(err.kind, RemoteErrorKind::Protocol);
+        let range = format!("{}..={}", frame::MIN_VERSION, frame::VERSION);
+        assert!(
+            err.message.contains(&format!("version {old}")) && err.message.contains(&range),
+            "message must name the offender and the supported range: {}",
+            err.message
+        );
+        // Exactly one frame, then the server closes this connection.
+        let mut rest = Vec::new();
+        raw.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "no further frames after the refusal");
+        assert_eq!(server.stats().protocol_errors, nth as u64 + 1);
+    }
+    assert_eq!(server.stats().admitted, 0, "a refused frame is never run");
+
+    // A connection opened afterwards is served as usual.
+    let client = WireClient::connect(addr).unwrap();
+    let resp = client.call(&good).expect("server survived the refusals");
+    assert!(resp.predictions().unwrap()[0].is_ok());
+}
+
 #[test]
 fn malformed_frames_yield_typed_protocol_errors_and_the_server_survives() {
     let server = WireServer::bind("127.0.0.1:0", service()).unwrap();
@@ -296,7 +354,7 @@ fn malformed_frames_yield_typed_protocol_errors_and_the_server_survives() {
         let err: RemoteError = serde::from_str(&reply.body).unwrap();
         assert_eq!(err.kind, RemoteErrorKind::Protocol);
 
-        // Same connection, now a valid request: still served. A v2
+        // Same connection, now a valid request: still served. A
         // request body is a JobOptions envelope followed by the
         // request; the terminal Response frame leads with the job
         // outcome tag.
@@ -321,7 +379,7 @@ fn malformed_frames_yield_typed_protocol_errors_and_the_server_survives() {
             .expect("response frame");
         assert_eq!(reply.kind, frame::FrameKind::Response);
         assert_eq!(reply.id, 10);
-        let outcome = WireJobOutcome::decode_response_frame(&reply.body, reply.version).unwrap();
+        let outcome = WireJobOutcome::decode_response_frame(&reply.body).unwrap();
         let resp = outcome.into_response().expect("done carries the response");
         assert!(resp.predictions().unwrap()[0].is_ok());
     }
