@@ -12,11 +12,16 @@
 //!    frozen pre-optimization core in [`maya_sim::reference`] exactly,
 //!    including `events_processed` (same event schedule, not just the
 //!    same answer) and including error cases (deadlocks).
+//!
+//! Properties 1 and 2 also run on the contended path (link topology
+//! plus a seed-drawn fault plan), which the reference core, having no
+//! flow model, cannot check.
 
 use std::collections::BTreeMap;
 
 use maya_estimator::OracleEstimator;
 use maya_hw::ClusterSpec;
+use maya_net::FaultPlan;
 use maya_sim::engine::{simulate, SimScratch, Simulator};
 use maya_sim::reference::simulate_reference;
 use maya_trace::{
@@ -191,6 +196,19 @@ fn bytes_of(r: &maya_sim::SimReport) -> String {
     serde::to_string(r)
 }
 
+/// The contended twin of a flat setup: the same cluster with its
+/// default link topology, and a fault plan drawn from `seed` over the
+/// clean run's `horizon`.
+fn contended(
+    flat: &ClusterSpec,
+    nranks: u32,
+    horizon: SimTime,
+    seed: u64,
+) -> (ClusterSpec, FaultPlan) {
+    let plan = FaultPlan::generate(seed, nranks, horizon);
+    (flat.clone().with_default_topology(), plan)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -199,12 +217,19 @@ proptest! {
     fn simulate_is_deterministic(
         steps in proptest::collection::vec(step_strategy(), 1..40),
         nranks in 1u32..4,
+        fault_seed in any::<u64>(),
     ) {
         let c = ClusterSpec::h100(1, 4);
         let oracle = OracleEstimator::new(&c);
         let j = job(nranks, &steps);
         let a = simulate(&j, &c, &oracle).unwrap();
         let b = simulate(&j, &c, &oracle).unwrap();
+        prop_assert_eq!(bytes_of(&a), bytes_of(&b));
+
+        let (topo, plan) = contended(&c, nranks, a.total_time, fault_seed);
+        let sim = Simulator::new(&oracle, &topo).with_faults(Some(&plan));
+        let a = sim.run(&j).unwrap();
+        let b = sim.run(&j).unwrap();
         prop_assert_eq!(bytes_of(&a), bytes_of(&b));
     }
 
@@ -214,6 +239,7 @@ proptest! {
         steps_a in proptest::collection::vec(step_strategy(), 1..40),
         steps_b in proptest::collection::vec(step_strategy(), 1..40),
         nranks in 1u32..4,
+        fault_seed in any::<u64>(),
     ) {
         let c = ClusterSpec::h100(1, 4);
         let oracle = OracleEstimator::new(&c);
@@ -228,6 +254,16 @@ proptest! {
         // The prevalidated fast path is the same simulation.
         let pre = sim.run_prevalidated(&j, &mut scratch).unwrap();
         prop_assert_eq!(bytes_of(&pre), bytes_of(&fresh));
+
+        // The same arena, now dirty from flat runs, on the contended
+        // path — and then back on the flat one.
+        let (topo, plan) = contended(&c, nranks, fresh.total_time, fault_seed);
+        let net_sim = Simulator::new(&oracle, &topo).with_faults(Some(&plan));
+        let _ = net_sim.run_with_scratch(&job(nranks, &steps_a), &mut scratch);
+        let reused = net_sim.run_with_scratch(&j, &mut scratch).unwrap();
+        prop_assert_eq!(bytes_of(&reused), bytes_of(&net_sim.run(&j).unwrap()));
+        let back = sim.run_with_scratch(&j, &mut scratch).unwrap();
+        prop_assert_eq!(bytes_of(&back), bytes_of(&fresh));
     }
 
     /// The dense-slot core is event-for-event equivalent to the frozen
