@@ -15,29 +15,48 @@
 //! order with pure f64 arithmetic; identical call sequences produce
 //! bit-identical rates.
 
-/// One in-flight transfer competing for link capacity.
-#[derive(Clone, Debug, Default)]
-struct FlowState {
+/// One live transfer competing for link capacity.
+#[derive(Debug)]
+struct LiveFlow {
+    id: u32,
     /// Bytes still to move.
     remaining: f64,
     /// Current allocated rate in bytes/sec.
     rate: f64,
     /// Link indices this flow crosses (no duplicates).
     links: Vec<u32>,
-    /// False once finished (slot kept so ids stay stable in a run).
-    active: bool,
+    /// Water-fill mark: the rate is already fixed in the convergence
+    /// under way.
+    frozen: bool,
 }
 
-/// The flow network: link capacities plus the currently active flows.
+/// The flow network: link capacities plus the currently live flows.
+///
+/// Every operation costs O(live flows), however many flows the run has
+/// started and finished: a finished flow leaves the table, and its
+/// route buffer is handed to the next flow to start. A training step
+/// starts thousands of collectives and keeps a handful in flight, so
+/// this is what makes a contended run cost about what a flat one does.
+/// Ids are still handed out in start order and never reused within a
+/// run; asking about a finished flow answers "inactive, rate 0, nothing
+/// remaining, no links".
 ///
 /// Designed for scratch reuse — [`reset`](FlowNet::reset) clears the
-/// flow table but keeps allocations, so a pooled `SimScratch` pays no
-/// steady-state allocation for the model.
+/// flow table but keeps allocations, so a pooled `SimScratch` allocates
+/// for the model only until its spare route buffers cover the most
+/// flows it ever had live at once.
 #[derive(Debug, Default)]
 pub struct FlowNet {
     /// Capacity of each link in bytes/sec.
     capacity: Vec<f64>,
-    flows: Vec<FlowState>,
+    /// Live flows in start order (ascending id). The water-fill walks
+    /// this in order, which keeps every rate bit-identical to a solver
+    /// that scans the run's whole flow history and skips the dead.
+    live: Vec<LiveFlow>,
+    /// Id the next [`start`](FlowNet::start) hands out.
+    next_id: u32,
+    /// Route buffers of finished flows, reused by later starts.
+    spare_links: Vec<Vec<u32>>,
     /// Bumped on every convergence; completion events carry the epoch
     /// they were scheduled under so stale ones can be discarded.
     epoch: u32,
@@ -46,7 +65,6 @@ pub struct FlowNet {
     // Water-filling scratch, reused across convergences.
     remaining_cap: Vec<f64>,
     unfrozen_on: Vec<u32>,
-    frozen: Vec<bool>,
 }
 
 impl FlowNet {
@@ -60,7 +78,10 @@ impl FlowNet {
     pub fn reset(&mut self, capacities: impl IntoIterator<Item = f64>) {
         self.capacity.clear();
         self.capacity.extend(capacities);
-        self.flows.clear();
+        for f in self.live.drain(..) {
+            self.spare_links.push(f.links);
+        }
+        self.next_id = 0;
         self.epoch = 0;
         self.last_update_ns = 0;
     }
@@ -81,38 +102,34 @@ impl FlowNet {
         self.capacity[link as usize]
     }
 
+    fn find(&self, flow: u32) -> Option<&LiveFlow> {
+        self.live.iter().find(|f| f.id == flow)
+    }
+
     /// Current rate of a flow in bytes/sec (0 if finished).
     pub fn rate_of(&self, flow: u32) -> f64 {
-        let f = &self.flows[flow as usize];
-        if f.active {
-            f.rate
-        } else {
-            0.0
-        }
+        self.find(flow).map_or(0.0, |f| f.rate)
     }
 
-    /// Remaining bytes of a flow (as of the last advance).
+    /// Remaining bytes of a flow (as of the last advance; 0 if
+    /// finished).
     pub fn remaining_of(&self, flow: u32) -> f64 {
-        self.flows[flow as usize].remaining
+        self.find(flow).map_or(0.0, |f| f.remaining)
     }
 
-    /// The links a flow crosses.
+    /// The links a live flow crosses (empty once it has finished).
     pub fn links_of(&self, flow: u32) -> &[u32] {
-        &self.flows[flow as usize].links
+        self.find(flow).map_or(&[], |f| &f.links)
     }
 
     /// Whether a flow is still active.
     pub fn is_active(&self, flow: u32) -> bool {
-        self.flows.get(flow as usize).is_some_and(|f| f.active)
+        self.find(flow).is_some()
     }
 
     /// Ids of all active flows, ascending.
     pub fn active_flows(&self) -> impl Iterator<Item = u32> + '_ {
-        self.flows
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.active)
-            .map(|(i, _)| i as u32)
+        self.live.iter().map(|f| f.id)
     }
 
     /// Starts a flow of `bytes` over `links` (deduplicated by the
@@ -122,12 +139,17 @@ impl FlowNet {
     pub fn start(&mut self, now_ns: u64, bytes: f64, links: &[u32]) -> u32 {
         debug_assert!(links.iter().all(|&l| (l as usize) < self.capacity.len()));
         self.advance(now_ns);
-        let id = self.flows.len() as u32;
-        self.flows.push(FlowState {
+        let id = self.next_id;
+        self.next_id += 1;
+        let mut route = self.spare_links.pop().unwrap_or_default();
+        route.clear();
+        route.extend_from_slice(links);
+        self.live.push(LiveFlow {
+            id,
             remaining: bytes.max(0.0),
             rate: 0.0,
-            links: links.to_vec(),
-            active: true,
+            links: route,
+            frozen: false,
         });
         self.converge();
         id
@@ -137,16 +159,21 @@ impl FlowNet {
     /// re-converges the survivors. Bumps the epoch.
     pub fn finish(&mut self, now_ns: u64, flow: u32) {
         self.advance(now_ns);
-        self.flows[flow as usize].active = false;
-        self.flows[flow as usize].remaining = 0.0;
+        if let Some(pos) = self.live.iter().position(|f| f.id == flow) {
+            // `remove`, not `swap_remove`: the survivors keep their
+            // start order for the water-fill.
+            self.spare_links.push(self.live.remove(pos).links);
+        }
         self.converge();
     }
 
     /// Completion time (ns) of a flow at its current rate, measured
     /// from the last advance point. Saturates instead of overflowing.
     pub fn eta_ns(&self, flow: u32) -> u64 {
-        let f = &self.flows[flow as usize];
-        if !f.active || f.remaining <= 0.0 {
+        let Some(f) = self.find(flow) else {
+            return self.last_update_ns;
+        };
+        if f.remaining <= 0.0 {
             return self.last_update_ns;
         }
         if f.rate <= 0.0 {
@@ -168,64 +195,57 @@ impl FlowNet {
             return;
         }
         let dt = (now_ns - self.last_update_ns) as f64 / 1e9;
-        for f in &mut self.flows {
-            if f.active {
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
-            }
+        for f in &mut self.live {
+            f.remaining = (f.remaining - f.rate * dt).max(0.0);
         }
         self.last_update_ns = now_ns;
     }
 
-    /// Max-min fair (water-filling) rate assignment over all active
-    /// flows. O(links² + links·flows) per convergence — topologies are
-    /// small (two links per node) and convergences only happen at flow
-    /// boundaries, so this never shows up in profiles.
+    /// Max-min fair (water-filling) rate assignment over the live
+    /// flows: O(links² + links·live) per convergence. Topologies are
+    /// small (two links per node) and only a handful of flows are live
+    /// at once, but a run converges twice per collective, so this is
+    /// the flow model's hot loop — nothing in it may grow with the
+    /// number of flows already finished.
     fn converge(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
-        let n_links = self.capacity.len();
         self.remaining_cap.clear();
         self.remaining_cap.extend_from_slice(&self.capacity);
         self.unfrozen_on.clear();
-        self.unfrozen_on.resize(n_links, 0);
-        self.frozen.clear();
-        self.frozen.resize(self.flows.len(), false);
+        self.unfrozen_on.resize(self.capacity.len(), 0);
 
-        for f in &self.flows {
-            if f.active {
-                for &l in &f.links {
-                    self.unfrozen_on[l as usize] += 1;
-                }
+        for f in &mut self.live {
+            f.frozen = false;
+            for &l in &f.links {
+                self.unfrozen_on[l as usize] += 1;
             }
         }
 
         loop {
             // The bottleneck: smallest fair share among loaded links,
             // ties to the lowest index (determinism).
-            let mut bottleneck: Option<(usize, f64)> = None;
-            for l in 0..n_links {
-                if self.unfrozen_on[l] == 0 {
+            let mut bottleneck: Option<(u32, f64)> = None;
+            for (l, (&cap, &n)) in self.remaining_cap.iter().zip(&self.unfrozen_on).enumerate() {
+                if n == 0 {
                     continue;
                 }
-                let share = (self.remaining_cap[l] / self.unfrozen_on[l] as f64).max(0.0);
+                let share = (cap / n as f64).max(0.0);
                 match bottleneck {
                     Some((_, best)) if share >= best => {}
-                    _ => bottleneck = Some((l, share)),
+                    _ => bottleneck = Some((l as u32, share)),
                 }
             }
             let Some((bl, share)) = bottleneck else { break };
 
             // Freeze every unfrozen flow crossing the bottleneck at
             // the fair share, charging its whole route.
-            for fi in 0..self.flows.len() {
-                if self.frozen[fi] || !self.flows[fi].active {
+            for f in &mut self.live {
+                if f.frozen || !f.links.contains(&bl) {
                     continue;
                 }
-                if !self.flows[fi].links.contains(&(bl as u32)) {
-                    continue;
-                }
-                self.flows[fi].rate = share;
-                self.frozen[fi] = true;
-                for &l in &self.flows[fi].links {
+                f.rate = share;
+                f.frozen = true;
+                for &l in &f.links {
                     let l = l as usize;
                     self.remaining_cap[l] = (self.remaining_cap[l] - share).max(0.0);
                     self.unfrozen_on[l] -= 1;
@@ -235,10 +255,10 @@ impl FlowNet {
 
         // Flows with an empty route (degenerate single-rank
         // collectives) never hit a bottleneck: drain them instantly.
-        for fi in 0..self.flows.len() {
-            if self.flows[fi].active && !self.frozen[fi] {
-                debug_assert!(self.flows[fi].links.is_empty());
-                self.flows[fi].rate = f64::MAX;
+        for f in &mut self.live {
+            if !f.frozen {
+                debug_assert!(f.links.is_empty());
+                f.rate = f64::MAX;
             }
         }
     }
@@ -320,6 +340,25 @@ mod tests {
         assert!((net.rate_of(a) - 15.0).abs() < 1e-9);
         assert!((net.rate_of(b) - 15.0).abs() < 1e-9);
         assert!((net.rate_of(c) - 85.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn finished_flows_leave_the_table() {
+        let mut net = FlowNet::new();
+        net.reset([100.0, 100.0]);
+        let background = net.start(0, 1e12, &[1]);
+        for i in 0..10_000u64 {
+            let f = net.start(i, 1.0, &[0, 1]);
+            assert_eq!(f as u64, i + 1, "ids follow start order");
+            net.finish(i, f);
+            assert!(!net.is_active(f));
+            assert_eq!(net.rate_of(f), 0.0);
+            assert_eq!(net.eta_ns(f), i);
+            assert!(net.live.len() <= 1, "live table grew to {}", net.live.len());
+            assert!(net.spare_links.len() <= 1, "route buffers are recycled");
+        }
+        assert_eq!(net.active_flows().collect::<Vec<_>>(), vec![background]);
+        assert_eq!(net.links_of(background), &[1]);
     }
 
     #[test]

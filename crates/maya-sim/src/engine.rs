@@ -10,12 +10,22 @@
 //! worker — amortize every allocation. The pre-optimization core is
 //! preserved in [`crate::reference`] and equivalence is enforced by
 //! test: both cores must produce byte-identical [`SimReport`]s.
+//!
+//! Per-event cost follows what is *live*, not what was ever scheduled.
+//! A host thread runs far ahead of its device, so at any instant about
+//! half the run's pumps are pending; they wait in per-rank FIFO *issue
+//! lanes* (see `SimScratch::push_issued`) and only each lane's head sits in
+//! the binary heap, which therefore holds about one entry per rank
+//! plus the in-flight completions instead of half the trace. Events
+//! still pop in exactly the `(at, seq)` total order a single heap would
+//! give. The flow model likewise keeps only in-flight flows
+//! ([`FlowNet`]), so a topology run costs about what a flat one does.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use maya_estimator::RuntimeEstimator;
-use maya_hw::ClusterSpec;
+use maya_hw::{ClusterSpec, TopologySpec};
 use maya_net::{FaultPlan, FlowNet};
 use maya_trace::{
     CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, SimTime, StreamId, WorkerTrace,
@@ -165,6 +175,12 @@ struct RankSim {
     done: bool,
     comm_busy: SimTime,
     compute_busy: SimTime,
+    /// Issue lane: this rank's pending [`EvKind::IssuePump`]s behind
+    /// the one in the heap, in `(at, seq)` order (host issue times
+    /// never decrease, so push order is pop order).
+    lane: VecDeque<HeapEv>,
+    /// Whether the lane's head currently sits in the heap.
+    lane_head_queued: bool,
 }
 
 impl RankSim {
@@ -184,6 +200,8 @@ impl RankSim {
         self.done = false;
         self.comm_busy = SimTime::ZERO;
         self.compute_busy = SimTime::ZERO;
+        self.lane.clear();
+        self.lane_head_queued = false;
 
         stream_index.clear();
         event_index.clear();
@@ -232,6 +250,10 @@ enum EvKind {
     HostDispatch { wi: usize },
     /// A stream should attempt to make progress.
     Pump { wi: usize, si: usize },
+    /// The same, scheduled by the host enqueuing an op: these travel
+    /// through rank `wi`'s issue lane, so popping one promotes the
+    /// lane's next entry into the heap.
+    IssuePump { wi: usize, si: usize },
     /// A network flow drained its bytes (flow model only). Stale if
     /// `epoch` no longer matches the flow net's convergence epoch —
     /// every flow start/finish re-schedules fresh completions.
@@ -276,8 +298,10 @@ pub struct SimObs {
     /// Cumulative heap events processed across runs (the same tally
     /// reported per run in [`SimReport::events_processed`]).
     pub events: maya_obs::Counter,
-    /// High-water mark of the pending-event heap, max over all runs —
-    /// the simulator's working-set depth.
+    /// High-water mark of the pending-event set — heap entries plus
+    /// pumps parked in the per-rank issue lanes — max over all runs.
+    /// This is how far hosts run ahead of their devices, not the heap's
+    /// size: the heap itself stays near one entry per rank.
     pub heap_depth_high_water: maya_obs::Gauge,
     /// Flow-solver invocations (max-min rate re-convergences),
     /// cumulative. Zero when no cluster topology is in play.
@@ -326,32 +350,40 @@ pub struct SimScratch {
     ranks: Vec<RankSim>,
     heap: BinaryHeap<Reverse<HeapEv>>,
     /// Network collective wait map.
-    collectives: HashMap<CollKey, Vec<(usize, usize, SimTime, CollectiveDesc)>>,
+    collectives: HashMap<CollKey, Vec<Participant>>,
     stream_index: HashMap<StreamId, u32>,
     event_index: HashMap<(u64, u32), u32>,
     seq: u64,
     now: SimTime,
     events_processed: u64,
-    /// Deepest the pending-event heap got this run (one compare per
+    /// Events scheduled and not yet popped: heap plus issue lanes.
+    pending: usize,
+    /// Most events ever pending at once this run (one compare per
     /// push — the tally is kept unconditionally; only *publishing* is
     /// gated on [`Simulator::with_obs`]).
-    heap_high_water: usize,
+    pending_high_water: usize,
     /// Flow-solver invocations (rate re-convergences) this run.
     flow_solves: u64,
     /// Shared-bandwidth flow model state (used only when the cluster
     /// spec carries a topology; otherwise untouched).
     net: FlowNet,
-    /// Per-flow bookkeeping, indexed by the net's flow id.
+    /// Bookkeeping of the in-flight flows (unordered; a handful).
     flow_meta: Vec<FlowMeta>,
     /// Reusable buffer for re-scheduling flow completions.
     flow_tmp: Vec<(u32, u64)>,
 }
 
+/// One stream waiting at a collective rendezvous: `(worker, stream,
+/// arrival time, descriptor)`.
+type Participant = (usize, usize, SimTime, CollectiveDesc);
+
 /// Simulator-side state of one in-flight collective flow.
-#[derive(Default)]
 struct FlowMeta {
-    /// Participant `(worker, stream)` pairs released on completion.
-    participants: Vec<(usize, usize)>,
+    /// The net's id for this flow.
+    flow: u32,
+    /// The rendezvous' participant list, moved here whole; its streams
+    /// are released on completion.
+    participants: Vec<Participant>,
     /// Rendezvous completion time the collective started moving bytes.
     start: SimTime,
     /// Summed propagation latency of the flow's route, paid once on
@@ -365,14 +397,61 @@ impl SimScratch {
         Self::default()
     }
 
-    fn push(&mut self, at: SimTime, kind: EvKind) {
+    /// Stamps a new pending event with the next sequence number.
+    fn stamp(&mut self, at: SimTime, kind: EvKind) -> HeapEv {
         self.seq += 1;
-        self.heap.push(Reverse(HeapEv {
+        self.pending += 1;
+        self.pending_high_water = self.pending_high_water.max(self.pending);
+        HeapEv {
             at,
             seq: self.seq,
             kind,
-        }));
-        self.heap_high_water = self.heap_high_water.max(self.heap.len());
+        }
+    }
+
+    fn push(&mut self, at: SimTime, kind: EvKind) {
+        let ev = self.stamp(at, kind);
+        self.heap.push(Reverse(ev));
+    }
+
+    /// Schedules the pump for an op the host of worker `wi` just issued.
+    ///
+    /// It goes through the rank's issue lane, not straight into the
+    /// heap. Lane invariant: entries are in `(at, seq)` order. It holds
+    /// by construction — `seq` only grows, and `at` is the later of the
+    /// host's issue time (`host_time` only moves forward: host delays,
+    /// sync waits and fault restarts all add to it) and the global
+    /// clock (events pop in time order) — so a lane never needs sorting
+    /// and only its head competes in the heap.
+    fn push_issued(&mut self, at: SimTime, wi: usize, si: usize) {
+        let ev = self.stamp(at, EvKind::IssuePump { wi, si });
+        let r = &mut self.ranks[wi];
+        debug_assert!(
+            r.lane.back().map_or(true, |prev| prev.at <= at),
+            "issue lane of worker {wi} went backwards"
+        );
+        if r.lane_head_queued {
+            r.lane.push_back(ev);
+        } else {
+            r.lane_head_queued = true;
+            self.heap.push(Reverse(ev));
+        }
+    }
+
+    /// Pops the earliest pending event. Every lane's head is in the
+    /// heap and a lane is sorted, so the heap's minimum is the global
+    /// `(at, seq)` minimum.
+    fn pop(&mut self) -> Option<HeapEv> {
+        let Reverse(ev) = self.heap.pop()?;
+        self.pending -= 1;
+        if let EvKind::IssuePump { wi, .. } = ev.kind {
+            let r = &mut self.ranks[wi];
+            match r.lane.pop_front() {
+                Some(next) => self.heap.push(Reverse(next)),
+                None => r.lane_head_queued = false,
+            }
+        }
+        Some(ev)
     }
 
     /// Resets for a new run over `job`, keeping buffer capacity.
@@ -383,7 +462,8 @@ impl SimScratch {
         self.seq = 0;
         self.now = SimTime::ZERO;
         self.events_processed = 0;
-        self.heap_high_water = 0;
+        self.pending = 0;
+        self.pending_high_water = 0;
         self.flow_solves = 0;
         self.ranks.truncate(n);
         self.ranks.resize_with(n, RankSim::default);
@@ -478,16 +558,20 @@ impl<'a> Simulator<'a> {
             }
         }
 
-        while let Some(Reverse(ev)) = st.heap.pop() {
+        while let Some(ev) = st.pop() {
             st.now = ev.at;
             st.events_processed += 1;
             match ev.kind {
                 EvKind::HostDispatch { wi } => self.host_dispatch(job, st, wi),
-                EvKind::Pump { wi, si } => self.pump(job, st, wi, si),
+                EvKind::Pump { wi, si } | EvKind::IssuePump { wi, si } => {
+                    self.pump(job, st, wi, si)
+                }
                 EvKind::FlowDone { flow, epoch } => self.flow_done(st, flow, epoch),
                 EvKind::Fault { wi, fi } => self.apply_fault(st, wi, fi),
             }
         }
+
+        debug_assert_eq!(st.pending, 0, "the heap drained with events still parked");
 
         // Publish before the deadlock check: events were processed and
         // a wall-clock interval elapsed whether or not all ranks
@@ -495,7 +579,8 @@ impl<'a> Simulator<'a> {
         // are most interesting.
         if let (Some(obs), Some(started)) = (self.obs, run_started) {
             obs.events.add(st.events_processed);
-            obs.heap_depth_high_water.raise(st.heap_high_water as i64);
+            obs.heap_depth_high_water
+                .raise(st.pending_high_water as i64);
             obs.flow_solves.add(st.flow_solves);
             obs.recorder.record("sim.run", started, started.elapsed());
         }
@@ -503,9 +588,9 @@ impl<'a> Simulator<'a> {
         let stuck: Vec<u32> = st
             .ranks
             .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.done)
-            .map(|(i, _)| job.workers[i].rank)
+            .zip(&job.workers)
+            .filter(|(r, _)| !r.done)
+            .map(|(_, w)| w.rank)
             .collect();
         if !stuck.is_empty() {
             return Err(SimError::Deadlock { stuck_ranks: stuck });
@@ -684,12 +769,13 @@ impl<'a> Simulator<'a> {
         dur
     }
 
-    /// Enqueues a stream op and pumps the stream at its issue time.
+    /// Enqueues a stream op and pumps the stream at its issue time
+    /// (through the rank's issue lane — see [`SimScratch::push_issued`]).
     fn enqueue(&self, st: &mut SimScratch, wi: usize, si: usize, ready_at: SimTime, op: StreamOp) {
         st.ranks[wi].streams[si]
             .queue
             .push_back(QueuedOp { ready_at, op });
-        st.push(ready_at.max(st.now), EvKind::Pump { wi, si });
+        st.push_issued(ready_at.max(st.now), wi, si);
     }
 
     /// Parks the host until a stream drains. Returns true if parked.
@@ -781,13 +867,9 @@ impl<'a> Simulator<'a> {
                 }
                 StreamOp::Join { key, desc } => {
                     st.ranks[wi].streams[si].blocked = Some(StreamBlock::Collective);
-                    st.collectives
-                        .entry(key)
-                        .or_default()
-                        .push((wi, si, now, desc));
-                    let required = required_participants(job, &desc);
-                    let arrived = st.collectives[&key].len();
-                    if arrived >= required {
+                    let waiting = st.collectives.entry(key).or_default();
+                    waiting.push((wi, si, now, desc));
+                    if waiting.len() >= required_participants(job, &desc) {
                         self.resolve_collective(job, st, key);
                     }
                     return;
@@ -800,11 +882,13 @@ impl<'a> Simulator<'a> {
     /// the predicted wire time (Algorithm 3).
     fn resolve_collective(&self, job: &JobTrace, st: &mut SimScratch, key: CollKey) {
         let participants = st.collectives.remove(&key).unwrap_or_default();
+        let Some(&(_, _, _, desc)) = participants.first() else {
+            return;
+        };
         let start = participants
             .iter()
             .map(|&(_, _, t, _)| t)
             .fold(SimTime::ZERO, SimTime::max);
-        let desc = participants[0].3;
         let global_ranks: Vec<u32> = match desc.kind {
             CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => {
                 match job.comm_groups.get(&desc.comm_id) {
@@ -824,8 +908,8 @@ impl<'a> Simulator<'a> {
                 .cloned()
                 .unwrap_or_default(),
         };
-        if self.cluster.topology.is_some() {
-            self.start_flow(st, &participants, start, &global_ranks);
+        if let Some(topo) = &self.cluster.topology {
+            self.start_flow(st, topo, &desc, participants, start, &global_ranks);
             return;
         }
         let dur =
@@ -852,16 +936,12 @@ impl<'a> Simulator<'a> {
     fn start_flow(
         &self,
         st: &mut SimScratch,
-        participants: &[(usize, usize, SimTime, CollectiveDesc)],
+        topo: &TopologySpec,
+        desc: &CollectiveDesc,
+        participants: Vec<Participant>,
         start: SimTime,
         global_ranks: &[u32],
     ) {
-        let topo = self
-            .cluster
-            .topology
-            .as_ref()
-            .expect("start_flow requires a topology");
-        let desc = &participants[0].3;
         let bytes = wire_bytes(desc.kind, desc.bytes, global_ranks.len());
         // Participant nodes, sorted and deduped for a deterministic
         // route; nodes outside the topology (a spec smaller than the
@@ -877,15 +957,12 @@ impl<'a> Simulator<'a> {
         let latency = SimTime::from_us(topo.route_latency_us(&route));
 
         let flow = st.net.start(start.as_ns(), bytes, &route);
-        debug_assert_eq!(flow as usize, st.flow_meta.len());
-        let mut meta = FlowMeta {
-            participants: Vec::with_capacity(participants.len()),
+        st.flow_meta.push(FlowMeta {
+            flow,
+            participants,
             start,
             latency,
-        };
-        meta.participants
-            .extend(participants.iter().map(|&(wi, si, _, _)| (wi, si)));
-        st.flow_meta.push(meta);
+        });
         self.schedule_flow_completions(st);
     }
 
@@ -893,15 +970,18 @@ impl<'a> Simulator<'a> {
     /// its participant streams after the route latency, retire the flow
     /// and re-schedule the survivors' completions at their new rates.
     fn flow_done(&self, st: &mut SimScratch, flow: u32, epoch: u32) {
-        if !st.net.is_active(flow) || st.net.epoch() != epoch {
+        if st.net.epoch() != epoch {
             return; // stale: a later convergence re-scheduled this flow
         }
+        let Some(pos) = st.flow_meta.iter().position(|m| m.flow == flow) else {
+            return; // stale: the flow already finished
+        };
+        let meta = st.flow_meta.swap_remove(pos);
         let now = st.now;
         st.net.finish(now.as_ns(), flow);
-        let meta = std::mem::take(&mut st.flow_meta[flow as usize]);
         let end = now + meta.latency;
         let dur = end.saturating_sub(meta.start);
-        for &(wi, si) in &meta.participants {
+        for &(wi, si, _, _) in &meta.participants {
             let s = &mut st.ranks[wi].streams[si];
             s.blocked = None;
             // `max`, not assignment: an injected fault may have pushed
@@ -1428,6 +1508,61 @@ mod tests {
             workers: vec![mk(0), mk(1)],
             comm_groups: groups,
         }
+    }
+
+    #[test]
+    fn issue_lanes_pop_in_at_seq_order() {
+        // Random interleaving of host-issued pumps (per-rank monotone
+        // times, many ties), plain heap events and pops, against the
+        // definition: always the smallest `(at, seq)` still pending.
+        const RANKS: usize = 5;
+        let mut st = SimScratch::new();
+        st.ranks.resize_with(RANKS, RankSim::default);
+        let mut host_time = [0u64; RANKS];
+        let mut pending: Vec<(SimTime, u64)> = Vec::new();
+        let mut rng = 0x5eed_u64;
+        let mut draw = move |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % n
+        };
+        let pop_and_check = |st: &mut SimScratch, pending: &mut Vec<(SimTime, u64)>| {
+            let want = pending.iter().copied().min();
+            let got = st.pop().map(|ev| (ev.at, ev.seq));
+            assert_eq!(got, want);
+            if let Some(key) = got {
+                pending.retain(|&k| k != key);
+                st.now = key.0;
+            }
+        };
+        for _ in 0..20_000 {
+            match draw(5) {
+                0..=2 => {
+                    let wi = draw(RANKS as u64) as usize;
+                    host_time[wi] += draw(3);
+                    let at = SimTime::from_ns(host_time[wi]).max(st.now);
+                    st.push_issued(at, wi, 0);
+                    pending.push((at, st.seq));
+                }
+                3 => {
+                    let at = st.now + SimTime::from_ns(draw(4));
+                    st.push(at, EvKind::Pump { wi: 0, si: 0 });
+                    pending.push((at, st.seq));
+                }
+                _ => pop_and_check(&mut st, &mut pending),
+            }
+            assert_eq!(st.pending, pending.len());
+        }
+        while !pending.is_empty() {
+            pop_and_check(&mut st, &mut pending);
+        }
+        assert!(st.pop().is_none());
+        assert!(st
+            .ranks
+            .iter()
+            .all(|r| r.lane.is_empty() && !r.lane_head_queued));
+        assert!(st.pending_high_water > 1000, "the lanes ran deep");
     }
 
     #[test]
