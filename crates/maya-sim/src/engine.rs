@@ -18,8 +18,11 @@
 //! the binary heap, which therefore holds about one entry per rank
 //! plus the in-flight completions instead of half the trace. Events
 //! still pop in exactly the `(at, seq)` total order a single heap would
-//! give. The flow model likewise keeps only in-flight flows
-//! ([`FlowNet`]), so a topology run costs about what a flat one does.
+//! give. What is parked — a lane entry per pending pump, a queued op
+//! per stream — is 24 bytes each, because at the high-water mark
+//! nearly every op of the trace is parked. The flow model likewise
+//! keeps only in-flight flows ([`FlowNet`]), so a topology run costs
+//! about what a flat one does.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -97,8 +100,10 @@ enum StreamOp {
     /// sentinel (`version == 0`): the wait is satisfied even if the
     /// slot never fires.
     Wait { slot: u32, zero: bool },
-    /// NCCL collective join.
-    Join { key: CollKey, desc: CollectiveDesc },
+    /// NCCL collective join: index of the worker's trace event that
+    /// holds the descriptor. Queued ops stay small this way — a host
+    /// runs far ahead, so nearly the whole trace sits in these queues.
+    Join { pc: u32 },
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -178,7 +183,7 @@ struct RankSim {
     /// Issue lane: this rank's pending [`EvKind::IssuePump`]s behind
     /// the one in the heap, in `(at, seq)` order (host issue times
     /// never decrease, so push order is pop order).
-    lane: VecDeque<HeapEv>,
+    lane: VecDeque<LaneEv>,
     /// Whether the lane's head currently sits in the heap.
     lane_head_queued: bool,
 }
@@ -267,6 +272,15 @@ struct HeapEv {
     at: SimTime,
     seq: u64,
     kind: EvKind,
+}
+
+/// An [`EvKind::IssuePump`] parked in its rank's issue lane: the heap
+/// event minus what the lane already knows (the rank).
+#[derive(Clone, Copy, Debug)]
+struct LaneEv {
+    at: SimTime,
+    seq: u64,
+    si: u32,
 }
 
 impl PartialEq for HeapEv {
@@ -431,7 +445,11 @@ impl SimScratch {
             "issue lane of worker {wi} went backwards"
         );
         if r.lane_head_queued {
-            r.lane.push_back(ev);
+            r.lane.push_back(LaneEv {
+                at,
+                seq: ev.seq,
+                si: si as u32,
+            });
         } else {
             r.lane_head_queued = true;
             self.heap.push(Reverse(ev));
@@ -447,7 +465,13 @@ impl SimScratch {
         if let EvKind::IssuePump { wi, .. } = ev.kind {
             let r = &mut self.ranks[wi];
             match r.lane.pop_front() {
-                Some(next) => self.heap.push(Reverse(next)),
+                Some(LaneEv { at, seq, si }) => {
+                    let kind = EvKind::IssuePump {
+                        wi,
+                        si: si as usize,
+                    };
+                    self.heap.push(Reverse(HeapEv { at, seq, kind }));
+                }
                 None => r.lane_head_queued = false,
             }
         }
@@ -729,9 +753,8 @@ impl<'a> Simulator<'a> {
                         return;
                     }
                 }
-                DeviceOp::Collective { desc } => {
-                    let key = CollKey::from_desc(&desc);
-                    self.enqueue(st, wi, si, issue, StreamOp::Join { key, desc });
+                DeviceOp::Collective { .. } => {
+                    self.enqueue(st, wi, si, issue, StreamOp::Join { pc: pc as u32 });
                 }
             }
         }
@@ -865,7 +888,12 @@ impl<'a> Simulator<'a> {
                         return;
                     }
                 }
-                StreamOp::Join { key, desc } => {
+                StreamOp::Join { pc } => {
+                    let op = job.workers.get(wi).and_then(|w| w.events.get(pc as usize));
+                    let Some(&DeviceOp::Collective { desc }) = op.map(|e| &e.op) else {
+                        continue; // `Join` is only queued for a collective
+                    };
+                    let key = CollKey::from_desc(&desc);
                     st.ranks[wi].streams[si].blocked = Some(StreamBlock::Collective);
                     let waiting = st.collectives.entry(key).or_default();
                     waiting.push((wi, si, now, desc));
@@ -1508,6 +1536,15 @@ mod tests {
             workers: vec![mk(0), mk(1)],
             comm_groups: groups,
         }
+    }
+
+    /// At the pending high-water mark nearly every trace op has one
+    /// entry in a lane and one in a stream queue, so their sizes are
+    /// most of a run's footprint.
+    #[test]
+    fn parked_entries_stay_small() {
+        assert_eq!(std::mem::size_of::<LaneEv>(), 24);
+        assert_eq!(std::mem::size_of::<QueuedOp>(), 24);
     }
 
     #[test]
