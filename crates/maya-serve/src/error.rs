@@ -31,7 +31,7 @@ pub enum ServeError {
     /// A service needs at least one registered target.
     NoTargets,
     /// The job was cancelled (via
-    /// [`JobHandle::cancel`](crate::JobHandle::cancel)) before
+    /// [`JobHandle::cancel`](crate::JobControl::cancel)) before
     /// completing. Only reported by the blocking
     /// [`JobHandle::wait`](crate::JobHandle::wait) shim —
     /// [`wait_outcome`](crate::JobHandle::wait_outcome) returns the

@@ -9,14 +9,29 @@
 //! Queued ──► Running ──► Done
 //!    │           │   ├──► Cancelled
 //!    │           │   ├──► Expired   (deadline hit at a wave boundary)
-//!    │           └──────► Failed    (worker panic; wait → Stopped)
+//!    │           └──────► Failed    (no verdict: panic, typed error)
 //!    ├──────────────────► Expired   (deadline elapsed while queued)
-//!    └──────────────────► Cancelled (cancelled while queued)
+//!    ├──────────────────► Cancelled (cancelled while queued)
+//!    └──────────────────► Failed    (dropped unrun: service gone)
 //! ```
 //!
-//! A handle supports non-blocking [`JobHandle::poll`], blocking
+//! Every arrow into a terminal state is one transition. A job is one
+//! lock-protected record (state, bounded progress queue, terminal
+//! slot, one condvar), generic over its terminal payload — the
+//! service's is [`JobOutcome`], the wire client's a decoded frame or a
+//! remote error. Its [`JobProducer`] half travels with the work and
+//! ends it by the consuming [`JobProducer::complete`] or by being
+//! dropped ([`JobState::Failed`]; [`JobHandle::wait`] then reports
+//! [`ServeError::Stopped`]); both reach the private `seal`, the only
+//! place a terminal state is stored, so no exit path can forget a
+//! verdict or deliver two. Its [`JobConsumer`] half reads, blocking
+//! or — [`JobConsumer::try_next`] plus an [`JobConsumer::on_wake`]
+//! hook — not, which is how one wire-server writer thread serves any
+//! number of in-flight jobs.
+//!
+//! A handle supports non-blocking [`JobControl::poll`], blocking
 //! [`JobHandle::wait`] / [`JobHandle::wait_outcome`], cooperative
-//! [`JobHandle::cancel`], and — for `Search` requests — a
+//! [`JobControl::cancel`], and — for `Search` requests — a
 //! [`JobHandle::progress`] stream of [`SearchProgress`] events emitted
 //! at the scheduler's deterministic wave boundaries.
 //!
@@ -28,13 +43,11 @@
 //! result's `trials` exactly.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 pub use maya::CancelToken;
 use maya_estimator::CacheStats;
-use maya_obs::Counter;
 use maya_search::{ConfigPoint, TrialOutcome, TrialRecord};
 
 use crate::error::ServeError;
@@ -49,7 +62,7 @@ pub enum JobState {
     Running,
     /// Finished normally; the response is (or was) redeemable.
     Done,
-    /// Stopped by [`JobHandle::cancel`]. A search cancelled mid-run
+    /// Stopped by [`JobControl::cancel`]. A search cancelled mid-run
     /// still carries its committed-prefix response.
     Cancelled,
     /// The per-request deadline elapsed. Expiry while queued sheds the
@@ -205,130 +218,284 @@ impl JobOutcome {
     }
 }
 
-const STATE_QUEUED: u8 = 0;
-const STATE_RUNNING: u8 = 1;
-const STATE_DONE: u8 = 2;
-const STATE_CANCELLED: u8 = 3;
-const STATE_EXPIRED: u8 = 4;
-const STATE_FAILED: u8 = 5;
+/// A job's terminal payload names the terminal state it brings.
+pub trait Verdict {
+    /// The terminal [`JobState`] this verdict seals the job with.
+    fn state(&self) -> JobState;
+}
 
-/// The buffered, bounded progress stream of one job.
-///
-/// Events buffer from the moment of submission so a late
-/// [`JobHandle::progress`] call loses nothing — but the buffer is
-/// *bounded*: past `high_water` pending events, each new wave is
-/// **coalesced** into the newest buffered one (trial batches
-/// concatenate in commit order, `committed`/`best` take the newer
-/// values, cache deltas sum). A client that never drains a long
-/// search's stream therefore costs at most `high_water` events of
-/// memory, and the "concatenated events == final trials" invariant
-/// holds whether or not coalescing fired. Coalesces are counted in
-/// [`ServiceStats::progress_coalesced`](crate::ServiceStats).
-struct ProgressBuffer {
+impl Verdict for JobOutcome {
+    fn state(&self) -> JobState {
+        JobOutcome::state(self)
+    }
+}
+
+/// An error in place of a verdict (the wire client's remote error
+/// frame) is [`JobState::Failed`].
+impl<T: Verdict, E> Verdict for Result<T, E> {
+    fn state(&self) -> JobState {
+        self.as_ref().map_or(JobState::Failed, Verdict::state)
+    }
+}
+
+/// See [`JobConsumer::on_wake`].
+type WakeHook = Arc<dyn Fn() + Send + Sync>;
+
+/// Everything that changes over a job's life, under one lock.
+struct Record<T> {
+    state: JobState,
+    /// The buffered progress stream, at most `high_water` events.
     events: VecDeque<SearchProgress>,
     high_water: usize,
-    closed: bool,
-    taken: bool,
+    /// Whether [`JobHandle::progress`] has handed the stream out.
+    stream_taken: bool,
+    /// The terminal slot: filled by [`JobProducer::complete`], emptied
+    /// by whoever redeems it.
+    verdict: Option<T>,
+    /// When the job became terminal (`Some` exactly on terminal jobs).
+    sealed: Option<Instant>,
+    wake: Option<WakeHook>,
 }
 
-/// State shared between a job's handle(s) and the worker executing it.
-pub(crate) struct JobCore {
-    pub(crate) id: u64,
-    state: AtomicU8,
-    pub(crate) cancel: CancelToken,
-    progress: Mutex<ProgressBuffer>,
-    progress_ready: Condvar,
-    /// Service-wide coalesce counter (see [`ProgressBuffer`]) — an
-    /// obs handle, so the same cell feeds [`crate::ServiceStats`] and
-    /// the service's scrapeable metrics snapshot.
-    coalesced: Counter,
-    /// Back-reference to the admission queue, attached at submission,
-    /// so a cancel can wake the sleeping scheduler and have a
-    /// still-queued job's verdict delivered promptly.
-    queue: OnceLock<Weak<crate::queue::AdmissionQueue>>,
+/// One job: the [`Record`] and the condvar blocking readers park on,
+/// shared by one [`JobProducer`] and any number of [`JobConsumer`]s.
+struct Job<T> {
+    record: Mutex<Record<T>>,
+    changed: Condvar,
 }
 
-impl JobCore {
-    /// Attaches the admission queue this job is (about to be) queued
-    /// on (idempotent; first attachment wins).
-    pub(crate) fn attach_queue(&self, queue: Weak<crate::queue::AdmissionQueue>) {
-        let _ = self.queue.set(queue);
+impl<T> Job<T> {
+    fn lock(&self) -> MutexGuard<'_, Record<T>> {
+        self.record.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Requests cooperative cancellation and pokes the admission queue
-    /// so a still-queued job is discarded (and its verdict delivered)
-    /// now, not at the next unrelated scheduling event.
-    pub(crate) fn request_cancel(&self) {
-        self.cancel.cancel();
-        if let Some(queue) = self.queue.get().and_then(Weak::upgrade) {
-            queue.poke();
+    fn wait<'j>(&self, rec: MutexGuard<'j, Record<T>>) -> MutexGuard<'j, Record<T>> {
+        self.changed.wait(rec).unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Announces a change, after its lock is released: blocked
+    /// readers first, then the wake hook.
+    fn publish(&self, hook: Option<WakeHook>) {
+        self.changed.notify_all();
+        if let Some(hook) = hook {
+            hook();
         }
     }
-    pub(crate) fn state(&self) -> JobState {
-        match self.state.load(Ordering::SeqCst) {
-            STATE_QUEUED => JobState::Queued,
-            STATE_RUNNING => JobState::Running,
-            STATE_DONE => JobState::Done,
-            STATE_CANCELLED => JobState::Cancelled,
-            STATE_EXPIRED => JobState::Expired,
-            _ => JobState::Failed,
+}
+
+/// Creates one job's linked halves. `high_water` (min 1) bounds the
+/// buffered progress stream, coalescing past it.
+pub fn job_channel<T: Verdict>(high_water: usize) -> (JobProducer<T>, JobConsumer<T>) {
+    let job = Arc::new(Job {
+        record: Mutex::new(Record {
+            state: JobState::Queued,
+            events: VecDeque::new(),
+            high_water: high_water.max(1),
+            stream_taken: false,
+            verdict: None,
+            sealed: None,
+            wake: None,
+        }),
+        changed: Condvar::new(),
+    });
+    (
+        JobProducer {
+            job: Arc::clone(&job),
+        },
+        JobConsumer { job },
+    )
+}
+
+/// The writing half of a job, held by whoever executes it. Consumed
+/// by [`JobProducer::complete`]; dropped without a verdict, the job is
+/// [`JobState::Failed`] — every path (panic, early return, shutdown)
+/// ends it exactly once with no cleanup code.
+pub struct JobProducer<T: Verdict> {
+    job: Arc<Job<T>>,
+}
+
+impl<T: Verdict> JobProducer<T> {
+    /// `Queued → Running`.
+    pub fn set_running(&self) {
+        self.job.lock().state = JobState::Running;
+    }
+
+    /// Buffers one progress event (its job is `Running`). Events
+    /// buffer from the moment of submission so a late reader loses
+    /// nothing — but the buffer is *bounded*: past `high_water`
+    /// pending events, each new wave is **coalesced** into the newest
+    /// buffered one (trial batches concatenate in commit order,
+    /// `committed`/`best` take the newer values, cache deltas sum). A
+    /// client that never drains a long search's stream therefore costs
+    /// at most `high_water` events of memory, and the "concatenated
+    /// events == final trials" invariant holds whether or not
+    /// coalescing fired. Returns whether it did. With no consumer left
+    /// the event is dropped unread.
+    pub fn emit_progress(&self, event: SearchProgress) -> bool {
+        if Arc::strong_count(&self.job) == 1 {
+            return false;
         }
+        let mut rec = self.job.lock();
+        rec.state = JobState::Running;
+        // Edge-triggered: a wake drains the whole backlog, so only its
+        // first event announces itself — a fast search cannot flood
+        // the hook's channel.
+        let hook = rec.events.is_empty().then(|| rec.wake.clone()).flatten();
+        let full = rec.events.len() >= rec.high_water;
+        match rec.events.back_mut() {
+            Some(last) if full => {
+                last.trials.extend(event.trials);
+                last.committed = event.committed;
+                last.best = event.best;
+                last.cache_delta.hits += event.cache_delta.hits;
+                last.cache_delta.misses += event.cache_delta.misses;
+                last.cache_delta.evictions += event.cache_delta.evictions;
+            }
+            _ => rec.events.push_back(event),
+        }
+        drop(rec);
+        self.job.publish(hook);
+        full
     }
 
-    pub(crate) fn set_running(&self) {
-        self.state.store(STATE_RUNNING, Ordering::SeqCst);
+    /// Ends the job in `verdict.state()`: blocked readers wake, the
+    /// progress stream ends once drained, the wake hook fires a last
+    /// time. A job cannot be completed twice:
+    ///
+    /// ```
+    /// use maya_serve::{job_channel, JobOutcome, JobState};
+    /// let (producer, consumer) = job_channel::<JobOutcome>(1);
+    /// producer.complete(JobOutcome::Cancelled(None));
+    /// assert_eq!(consumer.poll(), JobState::Cancelled);
+    /// ```
+    ///
+    /// ```compile_fail,E0382
+    /// use maya_serve::{job_channel, JobOutcome};
+    /// let (producer, _consumer) = job_channel::<JobOutcome>(1);
+    /// producer.complete(JobOutcome::Cancelled(None));
+    /// producer.complete(JobOutcome::Expired(None)); // use of moved value
+    /// ```
+    pub fn complete(self, verdict: T) {
+        self.seal(verdict.state(), Some(verdict));
     }
 
-    fn progress_buffer(&self) -> MutexGuard<'_, ProgressBuffer> {
-        self.progress.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Buffers one progress event, coalescing into the newest buffered
-    /// event once `high_water` events are pending (see
-    /// [`ProgressBuffer`]). A no-op on finished jobs.
-    pub(crate) fn emit_progress(&self, event: SearchProgress) {
-        let mut buf = self.progress_buffer();
-        if buf.closed {
+    /// The single place a job becomes terminal. A no-op on a job that
+    /// already is (the drop that follows every `complete`).
+    fn seal(&self, state: JobState, verdict: Option<T>) {
+        debug_assert!(state.is_terminal(), "a verdict must name a terminal state");
+        let mut rec = self.job.lock();
+        if rec.sealed.is_some() {
             return;
         }
-        if buf.events.len() >= buf.high_water {
-            let last = buf.events.back_mut().expect("high_water >= 1");
-            last.trials.extend(event.trials);
-            last.committed = event.committed;
-            last.best = event.best;
-            last.cache_delta.hits += event.cache_delta.hits;
-            last.cache_delta.misses += event.cache_delta.misses;
-            last.cache_delta.evictions += event.cache_delta.evictions;
-            self.coalesced.inc();
-        } else {
-            buf.events.push_back(event);
+        rec.state = state;
+        rec.verdict = verdict;
+        // lint:allow(wall-clock-in-output): reply-latency telemetry anchor — read by the wire server's `reply` span, never serialized
+        rec.sealed = Some(Instant::now());
+        let hook = rec.wake.take();
+        drop(rec);
+        self.job.publish(hook);
+    }
+}
+
+impl<T: Verdict> Drop for JobProducer<T> {
+    fn drop(&mut self) {
+        self.seal(JobState::Failed, None);
+    }
+}
+
+/// One step of a job, as [`JobConsumer::try_next`] yields them: every
+/// progress event, then the terminal step.
+pub enum JobStep<T> {
+    /// The next buffered progress event.
+    Progress(SearchProgress),
+    /// The job is terminal and its progress stream is drained.
+    Terminal {
+        /// `None`: died without one, or already redeemed.
+        verdict: Option<T>,
+        /// When the job became terminal.
+        sealed: Instant,
+    },
+}
+
+/// A reading view of a job. Clones observe the same record; the
+/// verdict is redeemed once, by whichever view asks first.
+pub struct JobConsumer<T: Verdict> {
+    job: Arc<Job<T>>,
+}
+
+impl<T: Verdict> Clone for JobConsumer<T> {
+    fn clone(&self) -> Self {
+        JobConsumer {
+            job: Arc::clone(&self.job),
         }
-        drop(buf);
-        self.progress_ready.notify_all();
+    }
+}
+
+impl<T: Verdict> JobConsumer<T> {
+    /// Current state, without blocking.
+    pub fn poll(&self) -> JobState {
+        self.job.lock().state
     }
 
-    /// Seals the job: records the terminal state and closes the
-    /// progress stream so readers see end-of-events (after draining
-    /// what is buffered).
-    pub(crate) fn finish(&self, state: JobState) {
-        let code = match state {
-            JobState::Done => STATE_DONE,
-            JobState::Cancelled => STATE_CANCELLED,
-            JobState::Expired => STATE_EXPIRED,
-            JobState::Failed => STATE_FAILED,
-            JobState::Queued | JobState::Running => unreachable!("finish with non-terminal state"),
-        };
-        self.state.store(code, Ordering::SeqCst);
-        self.progress_buffer().closed = true;
-        self.progress_ready.notify_all();
+    /// The next step if one is ready, without blocking: buffered
+    /// progress first, then (once terminal) the verdict. After `None`,
+    /// [`JobConsumer::on_wake`] says when to ask again.
+    pub fn try_next(&self) -> Option<JobStep<T>> {
+        let mut rec = self.job.lock();
+        if let Some(event) = rec.events.pop_front() {
+            return Some(JobStep::Progress(event));
+        }
+        let sealed = rec.sealed?;
+        Some(JobStep::Terminal {
+            verdict: rec.verdict.take(),
+            sealed,
+        })
     }
 
-    /// Seals the job as [`JobState::Failed`] — the panic path, where
-    /// no verdict exists. Pollers see a terminal state, progress
-    /// readers see end-of-events, and the waiter learns of the death
-    /// through its dropped outcome sender ([`ServeError::Stopped`]).
-    pub(crate) fn abandon(&self) {
-        self.finish(JobState::Failed);
+    /// Blocks for the next progress event; `None` once the job is
+    /// terminal and everything buffered has been drained.
+    pub fn next_progress(&self) -> Option<SearchProgress> {
+        let mut rec = self.job.lock();
+        loop {
+            if let Some(event) = rec.events.pop_front() {
+                return Some(event);
+            }
+            if rec.sealed.is_some() {
+                return None;
+            }
+            rec = self.job.wait(rec);
+        }
+    }
+
+    /// Blocks until the job is terminal and redeems the verdict.
+    /// `None` means it died without one ([`JobState::Failed`]).
+    pub fn wait_outcome(self) -> Option<T> {
+        let mut rec = self.job.lock();
+        while rec.sealed.is_none() {
+            rec = self.job.wait(rec);
+        }
+        rec.verdict.take()
+    }
+
+    /// Registers the job's wake hook (once; a second call replaces
+    /// it). It is called — outside the job's lock, by the thread that
+    /// made the change — when a progress event arrives with none
+    /// pending, after the terminal transition (which also releases
+    /// it), and at once from here if a step is already waiting: call
+    /// [`JobConsumer::try_next`] until `None` on every wake and no
+    /// step is missed. It **must not block** — a queued job is shed
+    /// under the admission queue's lock.
+    pub fn on_wake(&self, hook: impl Fn() + Send + Sync + 'static) {
+        let hook: WakeHook = Arc::new(hook);
+        let mut rec = self.job.lock();
+        let ready = !rec.events.is_empty() || rec.sealed.is_some();
+        if rec.sealed.is_none() {
+            rec.wake = Some(Arc::clone(&hook));
+        }
+        drop(rec);
+        if ready {
+            hook();
+        }
     }
 }
 
@@ -336,122 +503,71 @@ impl JobCore {
 /// when the job reaches a terminal state (or, for non-search requests,
 /// immediately — they emit no progress).
 pub struct ProgressEvents {
-    core: Option<Arc<JobCore>>,
+    job: Option<JobConsumer<JobOutcome>>,
 }
 
 impl Iterator for ProgressEvents {
     type Item = SearchProgress;
 
     fn next(&mut self) -> Option<SearchProgress> {
-        let core = self.core.as_ref()?;
-        let mut buf = core.progress_buffer();
-        loop {
-            if let Some(event) = buf.events.pop_front() {
-                return Some(event);
-            }
-            if buf.closed {
-                drop(buf);
-                self.core = None;
-                return None;
-            }
-            buf = core
-                .progress_ready
-                .wait(buf)
-                .unwrap_or_else(|p| p.into_inner());
-        }
+        self.job.as_ref()?.next_progress()
     }
 }
 
 /// A shareable controller for a job: everything a [`JobHandle`] can do
-/// except redeem the outcome. The wire server hands these to its frame
-/// reader so a remote `Cancel` can reach an in-flight job whose handle
-/// is parked in a writer.
+/// except redeem the outcome.
 #[derive(Clone)]
 pub struct JobControl {
-    core: Arc<JobCore>,
+    pub(crate) id: u64,
+    pub(crate) cancel: CancelToken,
+    /// The admission queue the job was submitted to, so a cancel can
+    /// wake the sleeping scheduler and have a still-queued job's
+    /// verdict delivered promptly.
+    pub(crate) queue: Weak<crate::queue::AdmissionQueue>,
+    pub(crate) events: JobConsumer<JobOutcome>,
 }
 
 impl JobControl {
-    /// The job's ticket id.
+    /// The job's ticket id (unique per service instance).
     pub fn id(&self) -> u64 {
-        self.core.id
+        self.id
     }
 
     /// Current state, without blocking.
     pub fn poll(&self) -> JobState {
-        self.core.state()
+        self.events.poll()
     }
 
     /// Requests cooperative cancellation (idempotent; a no-op on
     /// terminal jobs). A queued job is discarded by the scheduler
-    /// right away (its slot freed, its verdict delivered); a running
-    /// search stops at its next commit boundary.
+    /// right away (its slot freed, its verdict delivered) — the poke
+    /// makes that now, not at the next unrelated scheduling event; a
+    /// running search stops at its next commit boundary.
     pub fn cancel(&self) {
-        self.core.request_cancel();
+        self.cancel.cancel();
+        if let Some(queue) = self.queue.upgrade() {
+            queue.poke();
+        }
     }
 }
 
 /// The ticket returned by [`crate::MayaService::submit`] (see module
-/// docs).
-pub struct JobHandle {
-    pub(crate) core: Arc<JobCore>,
-    pub(crate) outcome_rx: mpsc::Receiver<JobOutcome>,
+/// docs): a [`JobControl`] — it derefs to one, for `id`, `poll` and
+/// `cancel` — plus the right to consume the job.
+pub struct JobHandle(pub(crate) JobControl);
+
+impl std::ops::Deref for JobHandle {
+    type Target = JobControl;
+
+    fn deref(&self) -> &JobControl {
+        &self.0
+    }
 }
 
 impl JobHandle {
-    /// Creates the linked (handle, core) pair plus the worker-side
-    /// outcome sender. `progress_high_water` bounds the job's buffered
-    /// progress stream (coalescing past it, counted into `coalesced`).
-    pub(crate) fn new(
-        id: u64,
-        progress_high_water: usize,
-        coalesced: Counter,
-    ) -> (Self, Arc<JobCore>, mpsc::Sender<JobOutcome>) {
-        let (outcome_tx, outcome_rx) = mpsc::channel();
-        let core = Arc::new(JobCore {
-            id,
-            state: AtomicU8::new(STATE_QUEUED),
-            cancel: CancelToken::new(),
-            progress: Mutex::new(ProgressBuffer {
-                events: VecDeque::new(),
-                high_water: progress_high_water.max(1),
-                closed: false,
-                taken: false,
-            }),
-            progress_ready: Condvar::new(),
-            coalesced,
-            queue: OnceLock::new(),
-        });
-        (
-            JobHandle {
-                core: Arc::clone(&core),
-                outcome_rx,
-            },
-            core,
-            outcome_tx,
-        )
-    }
-
-    /// The job's ticket id (unique per service instance).
-    pub fn id(&self) -> u64 {
-        self.core.id
-    }
-
-    /// Current state, without blocking.
-    pub fn poll(&self) -> JobState {
-        self.core.state()
-    }
-
-    /// Requests cooperative cancellation (see [`JobControl::cancel`]).
-    pub fn cancel(&self) {
-        self.core.request_cancel();
-    }
-
     /// A clonable controller for this job (poll + cancel).
     pub fn control(&self) -> JobControl {
-        JobControl {
-            core: Arc::clone(&self.core),
-        }
+        self.0.clone()
     }
 
     /// Takes the job's progress stream. Events buffer from the moment
@@ -461,22 +577,29 @@ impl JobHandle {
     /// rather than wave by wave. The stream can be taken once; later
     /// calls return an exhausted stream.
     pub fn progress(&self) -> ProgressEvents {
-        let mut buf = self.core.progress_buffer();
-        if buf.taken {
-            return ProgressEvents { core: None };
-        }
-        buf.taken = true;
-        drop(buf);
+        let mut rec = self.0.events.job.lock();
+        let first = !std::mem::replace(&mut rec.stream_taken, true);
+        drop(rec);
         ProgressEvents {
-            core: Some(Arc::clone(&self.core)),
+            job: first.then(|| self.0.events.clone()),
         }
+    }
+
+    /// [`JobConsumer::try_next`] on this job.
+    pub fn try_next(&self) -> Option<JobStep<JobOutcome>> {
+        self.0.events.try_next()
+    }
+
+    /// [`JobConsumer::on_wake`] on this job.
+    pub fn on_wake(&self, hook: impl Fn() + Send + Sync + 'static) {
+        self.0.events.on_wake(hook);
     }
 
     /// Blocks until the job reaches a terminal state and returns the
     /// full verdict. `Err(ServeError::Stopped)` means the service (or
     /// the worker executing the job) died first.
     pub fn wait_outcome(self) -> Result<JobOutcome, ServeError> {
-        self.outcome_rx.recv().map_err(|_| ServeError::Stopped)
+        self.0.events.wait_outcome().ok_or(ServeError::Stopped)
     }
 
     /// Blocks until done and returns the response — the pre-job-API
@@ -503,6 +626,110 @@ pub(crate) struct QueuedJob {
     pub(crate) priority: Priority,
     /// Quota/accounting tenant, if named.
     pub(crate) tenant: Option<String>,
-    pub(crate) core: Arc<JobCore>,
-    pub(crate) outcome_tx: mpsc::Sender<JobOutcome>,
+    /// The job's ticket id.
+    pub(crate) id: u64,
+    pub(crate) cancel: CancelToken,
+    pub(crate) producer: JobProducer<JobOutcome>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn event(committed: usize) -> SearchProgress {
+        SearchProgress {
+            trials: Vec::new(),
+            committed,
+            best: None,
+            cache_delta: CacheStats::default(),
+        }
+    }
+
+    fn counting_hook(consumer: &JobConsumer<JobOutcome>) -> Arc<AtomicUsize> {
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&wakes);
+        consumer.on_wake(move || {
+            count.fetch_add(1, Ordering::SeqCst);
+        });
+        wakes
+    }
+
+    #[test]
+    fn steps_come_in_order_and_a_backlog_wakes_once() {
+        let (producer, consumer) = job_channel::<JobOutcome>(8);
+        let wakes = counting_hook(&consumer);
+        assert!(consumer.try_next().is_none(), "nothing ready yet");
+        assert_eq!(wakes.load(Ordering::SeqCst), 0);
+        assert_eq!(consumer.poll(), JobState::Queued);
+
+        producer.emit_progress(event(1));
+        producer.emit_progress(event(2));
+        assert_eq!(consumer.poll(), JobState::Running);
+        producer.complete(JobOutcome::Cancelled(None));
+        assert_eq!(
+            wakes.load(Ordering::SeqCst),
+            2,
+            "the first event of the backlog + the end"
+        );
+
+        // Progress drains before the verdict, whatever the timing.
+        for want in [1, 2] {
+            let Some(JobStep::Progress(e)) = consumer.try_next() else {
+                panic!("progress first");
+            };
+            assert_eq!(e.committed, want);
+        }
+        let Some(JobStep::Terminal { verdict, .. }) = consumer.try_next() else {
+            panic!("then the terminal step");
+        };
+        assert!(matches!(verdict, Some(JobOutcome::Cancelled(None))));
+        // The slot is redeemed once.
+        assert!(consumer.wait_outcome().is_none());
+    }
+
+    #[test]
+    fn dropping_the_producer_is_the_failed_transition() {
+        let (producer, consumer) = job_channel::<JobOutcome>(8);
+        let wakes = counting_hook(&consumer);
+        producer.set_running();
+        drop(producer);
+        assert_eq!(consumer.poll(), JobState::Failed);
+        assert_eq!(wakes.load(Ordering::SeqCst), 1);
+        assert!(consumer.next_progress().is_none(), "the stream is over");
+        assert!(matches!(
+            consumer.try_next(),
+            Some(JobStep::Terminal { verdict: None, .. })
+        ));
+        assert!(consumer.wait_outcome().is_none());
+    }
+
+    #[test]
+    fn a_late_hook_fires_at_once() {
+        let (producer, consumer) = job_channel::<JobOutcome>(8);
+        producer.emit_progress(event(1));
+        assert_eq!(counting_hook(&consumer).load(Ordering::SeqCst), 1);
+        producer.complete(JobOutcome::Expired(None));
+        assert_eq!(counting_hook(&consumer).load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn an_error_verdict_lands_the_job_failed() {
+        let (producer, consumer) = job_channel::<Result<JobOutcome, String>>(8);
+        producer.complete(Err("remote said no".into()));
+        assert_eq!(consumer.poll(), JobState::Failed);
+        assert!(matches!(consumer.wait_outcome(), Some(Err(e)) if e == "remote said no"));
+    }
+
+    #[test]
+    fn progress_nobody_can_read_is_not_kept() {
+        let (producer, consumer) = job_channel::<JobOutcome>(1);
+        drop(consumer);
+        assert!(!producer.emit_progress(event(1)));
+        assert!(
+            !producer.emit_progress(event(2)),
+            "a kept second event would have coalesced at high-water 1"
+        );
+        assert!(producer.job.lock().events.is_empty());
+    }
 }

@@ -73,8 +73,8 @@ pub use error::ServeError;
 pub use maya_obs::{ObsConfig, ObsSnapshot, SpanNode};
 
 pub use job::{
-    CancelToken, JobControl, JobHandle, JobOptions, JobOutcome, JobState, Priority, ProgressEvents,
-    SearchProgress,
+    job_channel, CancelToken, JobConsumer, JobControl, JobHandle, JobOptions, JobOutcome,
+    JobProducer, JobState, JobStep, Priority, ProgressEvents, SearchProgress, Verdict,
 };
 pub use queue::TenantStats;
 pub use registry::EngineRegistry;
@@ -89,7 +89,7 @@ mod tests {
     use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
     use maya_trace::Dtype;
 
-    fn job(world: u32) -> TrainingJob {
+    pub(crate) fn job(world: u32) -> TrainingJob {
         TrainingJob {
             model: ModelSpec::gpt3_125m(),
             parallel: ParallelConfig::default(),
@@ -103,7 +103,7 @@ mod tests {
         }
     }
 
-    fn predict(target: &str, world: u32) -> Request {
+    pub(crate) fn predict(target: &str, world: u32) -> Request {
         Request::Predict {
             target: target.into(),
             jobs: vec![job(world)],
@@ -482,7 +482,7 @@ mod tests {
         ));
     }
 
-    fn search(target: &str, world: u32, budget: usize) -> Request {
+    pub(crate) fn search(target: &str, world: u32, budget: usize) -> Request {
         Request::Search {
             target: target.into(),
             template: job(world),

@@ -430,14 +430,11 @@ impl AdmissionQueue {
         let mut idx = 0;
         while idx < state.entries.len() {
             let job = &state.entries[idx].job;
-            let verdict = if job.expires.is_some_and(|d| now >= d) {
-                JobState::Expired
-            } else if job.core.cancel.is_cancelled() {
-                JobState::Cancelled
-            } else {
+            let expired = job.expires.is_some_and(|d| now >= d);
+            if !expired && !job.cancel.is_cancelled() {
                 idx += 1;
                 continue;
-            };
+            }
             let entry = state.entries.remove(idx).expect("index in bounds");
             removed = true;
             let acct = entry
@@ -447,26 +444,25 @@ impl AdmissionQueue {
                 .and_then(|t| state.tenants.get_mut(t))
                 .map(|acct| {
                     acct.queued -= 1;
-                    match verdict {
-                        JobState::Expired => acct.expired += 1,
-                        _ => acct.cancelled += 1,
+                    if expired {
+                        acct.expired += 1;
+                    } else {
+                        acct.cancelled += 1;
                     }
                     acct
                 });
             self.record_wait(acct, &entry.job);
-            entry.job.core.finish(verdict);
-            // A dropped outcome receiver just means the client lost
-            // interest.
-            match verdict {
-                JobState::Expired => {
-                    self.obs.shed_expired.inc();
-                    let _ = entry.job.outcome_tx.send(JobOutcome::Expired(None));
-                }
-                _ => {
-                    self.obs.shed_cancelled.inc();
-                    let _ = entry.job.outcome_tx.send(JobOutcome::Cancelled(None));
-                }
-            }
+            let (shed, verdict) = if expired {
+                (&self.obs.shed_expired, JobOutcome::Expired(None))
+            } else {
+                (&self.obs.shed_cancelled, JobOutcome::Cancelled(None))
+            };
+            // Counters first, so a client reading stats right after
+            // its `wait()` returns sees them. The job's wake hook runs
+            // inside `complete`, under this queue's lock — which is
+            // why its contract is "must not block".
+            shed.inc();
+            entry.job.producer.complete(verdict);
         }
         if removed {
             self.publish_depth(state);

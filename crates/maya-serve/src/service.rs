@@ -37,7 +37,10 @@ use maya_search::{
 };
 
 use crate::error::ServeError;
-use crate::job::{JobCore, JobHandle, JobOptions, JobOutcome, JobState, QueuedJob, SearchProgress};
+use crate::job::{
+    job_channel, CancelToken, JobControl, JobHandle, JobOptions, JobOutcome, JobProducer, JobState,
+    QueuedJob, SearchProgress,
+};
 use crate::queue::{AdmissionQueue, QueueConfig, QueueObs, TenantStats};
 use crate::registry::EngineRegistry;
 use crate::request::{MeasureOutcome, Payload, Request, Response, Telemetry};
@@ -525,72 +528,51 @@ fn worker_loop(idx: usize, shared: &Shared, queue: &AdmissionQueue) {
     // `pop` returns the most urgent eligible job under the QoS policy
     // (priority class promoted by age, EDF within a class, per-tenant
     // in-flight caps); `None` means the queue is closed and drained.
-    // Dead entries are purged inside the queue at every scheduling
-    // point, so the checks below only cover the race between selection
-    // and pickup.
     while let Some(work) = queue.pop() {
-        let tenant = work.tenant.clone();
-        let priority = work.priority;
-        // Deadline enforcement, part 1: a job whose budget ran out
-        // between selection and pickup is shed *here*, before any
-        // engine or pipeline work — load shedding at its cheapest
-        // point.
-        // lint:allow(wall-clock-in-output): deadline shedding — load-shedding input, never serialized
-        if work.expires.is_some_and(|d| Instant::now() >= d) {
-            shared.expired.inc();
-            work.core.finish(JobState::Expired);
-            // Counters settle before the verdict is delivered, so a
-            // client reading stats right after `wait()` sees them.
-            queue.finished(tenant.as_deref(), JobState::Expired, None);
-            let _ = work.outcome_tx.send(JobOutcome::Expired(None));
-            continue;
-        }
-        // A job cancelled while queued is likewise discarded unrun.
-        if work.core.cancel.is_cancelled() {
-            shared.cancelled.inc();
-            work.core.finish(JobState::Cancelled);
-            queue.finished(tenant.as_deref(), JobState::Cancelled, None);
-            let _ = work.outcome_tx.send(JobOutcome::Cancelled(None));
-            continue;
-        }
-        work.core.set_running();
-        // A panicking request must not kill the worker (the pool would
-        // silently shrink and later requests would hang in the queue):
-        // catch it, drop the outcome sender so the waiting client gets
-        // `ServeError::Stopped` instead of blocking forever, and keep
-        // serving.
-        let QueuedJob {
-            req,
-            enqueued,
-            expires,
-            core,
-            outcome_tx,
-            ..
-        } = work;
+        serve(idx, shared, queue, work);
+    }
+}
+
+/// Takes one popped job to its terminal state.
+fn serve(idx: usize, shared: &Shared, queue: &AdmissionQueue, work: QueuedJob) {
+    let QueuedJob {
+        req,
+        enqueued,
+        expires,
+        priority,
+        tenant,
+        id,
+        cancel,
+        producer,
+    } = work;
+    // Dead entries are purged inside the queue at every scheduling
+    // point, so the first two arms only cover the race between selection
+    // and pickup: a job whose budget ran out (deadline enforcement,
+    // part 1) or that was cancelled in that window is shed *here*, before
+    // any engine or pipeline work — load shedding at its cheapest point.
+    // lint:allow(wall-clock-in-output): deadline shedding — load-shedding input, never serialized
+    let verdict = if expires.is_some_and(|d| Instant::now() >= d) {
+        Some(JobOutcome::Expired(None))
+    } else if cancel.is_cancelled() {
+        Some(JobOutcome::Cancelled(None))
+    } else {
+        producer.set_running();
         let label = format!("{} on {:?}", req.kind(), req.target());
-        let exec_core = Arc::clone(&core);
         // lint:allow(wall-clock-in-output): span-recorder telemetry anchor — timings are telemetry, not payload
         let exec_started = Instant::now();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(idx, shared, req, enqueued, &exec_core, expires)
-        }));
-        match result {
-            // A dropped outcome receiver just means the client lost
-            // interest.
+        // A panicking request must not kill the worker (the pool would
+        // silently shrink and later requests would hang in the queue):
+        // catch it and keep serving. Neither failure arm yields a
+        // verdict, so the producer is dropped below and the waiting
+        // client gets `ServeError::Stopped` instead of blocking forever.
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(idx, shared, req, enqueued, &producer, &cancel, expires)
+        })) {
             Ok(Ok(outcome)) => {
-                let state = outcome.state();
-                let counter = match state {
-                    JobState::Done => &shared.served,
-                    JobState::Cancelled => &shared.cancelled,
-                    _ => &shared.expired,
-                };
-                counter.inc();
-                let service_time = outcome.response().map(|r| r.telemetry.service_time);
-                if let Some(st) = service_time {
-                    if shared.obs.config.metrics {
-                        shared.obs.service_by_class[usize::from(priority.level().min(2))]
-                            .record_duration(st);
-                    }
+                let telemetry = outcome.response().map(|r| &r.telemetry);
+                if let (true, Some(t)) = (shared.obs.config.metrics, telemetry) {
+                    shared.obs.service_by_class[usize::from(priority.level().min(2))]
+                        .record_duration(t.service_time);
                 }
                 if shared.obs.config.spans {
                     shared.obs.recorder.record(
@@ -598,25 +580,16 @@ fn worker_loop(idx: usize, shared: &Shared, queue: &AdmissionQueue) {
                         exec_started,
                         exec_started.elapsed(),
                     );
-                    if let Some(tree) = outcome.response().and_then(|r| r.telemetry.spans.first()) {
-                        shared.obs.job_trees.record(core.id, tree.clone());
+                    if let Some(tree) = telemetry.and_then(|t| t.spans.first()) {
+                        shared.obs.job_trees.record(id, tree.clone());
                     }
                 }
-                core.finish(state);
-                // Counters settle before the verdict is delivered, so
-                // a client reading stats right after `wait()` sees
-                // them.
-                queue.finished(tenant.as_deref(), state, service_time);
-                let _ = outcome_tx.send(outcome);
+                Some(outcome)
             }
-            // An invariant breach surfaced as a typed error: abandon
-            // the job (the waiter gets `ServeError::Stopped`) and keep
-            // the worker alive.
+            // An invariant breach surfaced as a typed error.
             Ok(Err(err)) => {
                 eprintln!("[maya-serve] worker {idx}: request {label} failed: {err}");
-                core.abandon();
-                drop(outcome_tx);
-                queue.finished(tenant.as_deref(), JobState::Failed, None);
+                None
             }
             Err(panic) => {
                 shared.panicked.inc();
@@ -626,27 +599,47 @@ fn worker_loop(idx: usize, shared: &Shared, queue: &AdmissionQueue) {
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "<non-string panic payload>".to_string());
                 eprintln!("[maya-serve] worker {idx}: request {label} panicked: {msg}");
-                core.abandon();
-                drop(outcome_tx);
-                queue.finished(tenant.as_deref(), JobState::Failed, None);
+                None
             }
         }
+    };
+    let state = verdict.as_ref().map_or(JobState::Failed, JobOutcome::state);
+    match state {
+        JobState::Done => shared.served.inc(),
+        JobState::Cancelled => shared.cancelled.inc(),
+        JobState::Expired => shared.expired.inc(),
+        _ => {}
+    }
+    let service_time = verdict
+        .as_ref()
+        .and_then(JobOutcome::response)
+        .map(|r| r.telemetry.service_time);
+    // Counters settle before the verdict is delivered, so a client
+    // reading stats right after `wait()` sees them.
+    queue.finished(tenant.as_deref(), state, service_time);
+    // The job's one terminal transition. Without a verdict the
+    // producer simply goes out of scope: that *is* `Failed`.
+    if let Some(outcome) = verdict {
+        producer.complete(outcome);
     }
 }
 
 /// Streams a running search's commits out as [`SearchProgress`] events
 /// and enforces the deadline at wave boundaries.
-struct ProgressForwarder {
-    core: Arc<JobCore>,
+struct ProgressForwarder<'a> {
+    job: &'a JobProducer<JobOutcome>,
+    cancel: &'a CancelToken,
+    /// Service-wide count of events merged under backpressure.
+    coalesced: &'a Counter,
     engine: Arc<PredictionEngine>,
     last_cache: CacheStats,
     pending: Vec<TrialRecord>,
     best: Option<(ConfigPoint, TrialOutcome)>,
     expires: Option<Instant>,
-    deadline_fired: Arc<AtomicBool>,
+    deadline_fired: &'a AtomicBool,
 }
 
-impl SearchObserver for ProgressForwarder {
+impl SearchObserver for ProgressForwarder<'_> {
     fn trial_committed(
         &mut self,
         record: &TrialRecord,
@@ -664,20 +657,22 @@ impl SearchObserver for ProgressForwarder {
             evictions: cache.evictions - self.last_cache.evictions,
         };
         self.last_cache = cache;
-        self.core.emit_progress(SearchProgress {
+        if self.job.emit_progress(SearchProgress {
             trials: std::mem::take(&mut self.pending),
             committed,
             best: self.best,
             cache_delta,
-        });
+        }) {
+            self.coalesced.inc();
+        }
         // Deadline enforcement, part 2: a search that outlives its
         // budget stops at the next commit boundary — promptly, but
         // without ever interrupting a trial mid-flight, so the partial
         // result is a deterministic prefix.
         // lint:allow(wall-clock-in-output): wave-boundary deadline enforcement — commit prefix stays deterministic
-        if self.expires.is_some_and(|d| Instant::now() >= d) && !self.core.cancel.is_cancelled() {
+        if self.expires.is_some_and(|d| Instant::now() >= d) && !self.cancel.is_cancelled() {
             self.deadline_fired.store(true, Ordering::SeqCst);
-            self.core.cancel.cancel();
+            self.cancel.cancel();
         }
     }
 }
@@ -710,14 +705,15 @@ fn job_span_tree(queue_wait: Duration, service_time: Duration, stages: &StageTim
 
 /// Runs one request against its target's engine. `Err` is the typed
 /// escape for invariant breaches (an unknown target slipping past
-/// submit validation) — the worker maps it to an abandoned job rather
+/// submit validation) — the worker maps it to a `Failed` job rather
 /// than letting a panicking index take down the request.
 fn execute(
     worker: usize,
     shared: &Shared,
     req: Request,
     enqueued: Instant,
-    core: &Arc<JobCore>,
+    job: &JobProducer<JobOutcome>,
+    cancel: &CancelToken,
     expires: Option<Instant>,
 ) -> Result<JobOutcome, ServeError> {
     // Queue wait ends the moment a worker picks the request up; the
@@ -736,10 +732,10 @@ fn execute(
     let cache_before = engine.cache_stats();
     let target = req.target().to_string();
     let kind = req.kind();
-    let deadline_fired = Arc::new(AtomicBool::new(false));
+    let deadline_fired = AtomicBool::new(false);
     let (payload, stages) = match req {
         Request::Predict { jobs, .. } => {
-            let results = engine.predict_batch_with(&jobs, Some(&core.cancel));
+            let results = engine.predict_batch_with(&jobs, Some(cancel));
             let mut stages = StageTimings::default();
             for p in results.iter().flatten() {
                 stages.emulation += p.timings.emulation;
@@ -759,18 +755,20 @@ fn execute(
         } => {
             let objective = Objective::new(&engine, template);
             let forwarder = ProgressForwarder {
-                core: Arc::clone(core),
+                job,
+                cancel,
+                coalesced: &shared.progress_coalesced,
                 engine: Arc::clone(&engine),
                 last_cache: cache_before,
                 pending: Vec::new(),
                 best: None,
                 expires,
-                deadline_fired: Arc::clone(&deadline_fired),
+                deadline_fired: &deadline_fired,
             };
             let result = TrialScheduler::new(&objective)
                 .with_space(space)
                 .with_observer(Box::new(forwarder))
-                .with_cancel(core.cancel.clone())
+                .with_cancel(cancel.clone())
                 .run_batched(algorithm, budget, seed);
             (Payload::Search(Box::new(result)), StageTimings::default())
         }
@@ -809,7 +807,7 @@ fn execute(
     };
     Ok(if deadline_fired.load(Ordering::SeqCst) {
         JobOutcome::Expired(Some(response))
-    } else if core.cancel.is_cancelled() {
+    } else if cancel.is_cancelled() {
         JobOutcome::Cancelled(Some(response))
     } else {
         JobOutcome::Done(response)
@@ -958,14 +956,14 @@ impl MayaService {
             return Err(ServeError::UnknownTarget(req.target().to_string()));
         }
         let id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-        let (handle, core, outcome_tx) = JobHandle::new(
+        let (producer, events) = job_channel(self.shared.progress_high_water);
+        let cancel = CancelToken::new();
+        let handle = JobHandle(JobControl {
             id,
-            self.shared.progress_high_water,
-            self.shared.progress_coalesced.clone(),
-        );
-        // Lets a cancel wake the scheduler so a still-queued job's
-        // verdict is delivered promptly.
-        core.attach_queue(Arc::downgrade(&self.queue));
+            cancel: cancel.clone(),
+            queue: Arc::downgrade(&self.queue),
+            events,
+        });
         // lint:allow(wall-clock-in-output): queue_wait telemetry anchor and deadline base — never in payloads
         let enqueued = Instant::now();
         let JobOptions {
@@ -981,8 +979,9 @@ impl MayaService {
                 expires: deadline.map(|d| enqueued + d),
                 priority,
                 tenant,
-                core,
-                outcome_tx,
+                id,
+                cancel,
+                producer,
             },
         ))
     }
@@ -1264,5 +1263,243 @@ mod tests {
             lower.to_string_lossy().to_lowercase(),
             "case-insensitive collision"
         );
+    }
+
+    // ---- fair termination: the job transition table -----------------
+
+    use crate::job::JobControl;
+    use crate::tests::{predict, search};
+    use maya_estimator::OracleEstimator;
+    use maya_hw::ClusterSpec;
+    use std::sync::{mpsc, Mutex};
+
+    const OK: &str = "h100-2";
+    /// The target whose estimator factory panics on first use.
+    const BOOM: &str = "a40-2";
+    const TENANT: &str = "table";
+    /// Trials no test waits out: ~1µs each once the 32-point space is
+    /// memoized, so seconds of search — every use is cancelled.
+    const ENDLESS: usize = 5_000_000;
+
+    fn table_service() -> MayaService {
+        let boom = ClusterSpec::a40(1, 2);
+        let factory = {
+            let boom = boom.clone();
+            EstimatorChoice::Factory {
+                label: "oracle-unless-boom".into(),
+                make: Arc::new(move |cluster| {
+                    assert!(*cluster != boom, "estimator factory exploded (on purpose)");
+                    Arc::new(OracleEstimator::new(cluster))
+                }),
+            }
+        };
+        MayaService::builder()
+            .target(OK, EmulationSpec::new(ClusterSpec::h100(1, 2)))
+            .target(BOOM, EmulationSpec::new(boom))
+            .estimator(factory)
+            .workers(1)
+            .build()
+            .unwrap()
+    }
+
+    /// Every observer a job has, armed before the job can move: the
+    /// wake hook (recording the state it sees each time it fires), the
+    /// progress stream and `wait_outcome` (both on a helper thread, so
+    /// a hang is a test failure rather than a stuck run).
+    struct Watch {
+        control: JobControl,
+        hook_saw: Arc<Mutex<Vec<JobState>>>,
+        done: mpsc::Receiver<Result<JobOutcome, ServeError>>,
+    }
+
+    fn watch(handle: JobHandle) -> Watch {
+        let control = handle.control();
+        let hook_saw = Arc::new(Mutex::new(Vec::new()));
+        let (ctl, saw) = (control.clone(), Arc::clone(&hook_saw));
+        handle.on_wake(move || saw.lock().unwrap().push(ctl.poll()));
+        let (tx, done) = mpsc::channel();
+        std::thread::spawn(move || {
+            handle.progress().for_each(drop);
+            let _ = tx.send(handle.wait_outcome());
+        });
+        Watch {
+            control,
+            hook_saw,
+            done,
+        }
+    }
+
+    impl Watch {
+        fn until_running(&self) {
+            while self.control.poll() == JobState::Queued {
+                std::thread::yield_now();
+            }
+        }
+
+        /// Checks the contract every terminal path owes: the progress
+        /// stream ended and `wait_outcome` returned; exactly one
+        /// terminal state was ever visible, the expected one, through
+        /// `poll`, the verdict and the hook; and the hook fired after
+        /// the transition. Returns the verdict.
+        fn ends(self, want: JobState, path: &str) -> Option<JobOutcome> {
+            let outcome = self
+                .done
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{path}: the progress stream or wait_outcome hung"));
+            assert_eq!(self.control.poll(), want, "{path}: poll");
+            let verdict = match outcome {
+                Ok(outcome) => {
+                    assert_eq!(outcome.state(), want, "{path}: verdict");
+                    Some(outcome)
+                }
+                Err(e) => {
+                    assert!(matches!(e, ServeError::Stopped), "{path}: {e}");
+                    assert_eq!(want, JobState::Failed, "{path}: only Failed has no verdict");
+                    None
+                }
+            };
+            // The hook runs on the thread that ended the job, after
+            // it has woken the blocked readers: give it a moment.
+            let patience = Instant::now() + Duration::from_secs(60);
+            let saw = loop {
+                let saw = self.hook_saw.lock().unwrap().clone();
+                if saw.last() == Some(&want) || Instant::now() > patience {
+                    break saw;
+                }
+                std::thread::yield_now();
+            };
+            assert_eq!(
+                saw.last(),
+                Some(&want),
+                "{path}: no wake after the end: {saw:?}"
+            );
+            assert!(
+                saw.iter().all(|s| !s.is_terminal() || *s == want),
+                "{path}: a second terminal state was visible: {saw:?}"
+            );
+            verdict
+        }
+    }
+
+    #[test]
+    fn every_terminal_path_is_one_fair_transition() {
+        let mut service = table_service();
+        let tenant = || JobOptions::new().with_tenant(TENANT);
+        let submit = |svc: &MayaService, req, opts| watch(svc.submit_with(req, opts).unwrap());
+        // Counters settle before a verdict is delivered, so this is
+        // race-free right after `ends`.
+        let settled = |svc: &MayaService, path: &str| {
+            let stats = svc.stats();
+            let t = stats.tenant(TENANT).expect("tenant account");
+            assert_eq!((t.queued, t.in_flight), (0, 0), "{path}: {t:?}");
+        };
+
+        // Done.
+        let verdict = submit(&service, predict(OK, 2), tenant()).ends(JobState::Done, "done");
+        assert!(matches!(verdict, Some(JobOutcome::Done(_))));
+        settled(&service, "done");
+
+        // Cancelled mid-search: stops at a commit boundary, with the
+        // committed prefix.
+        let job = submit(&service, search(OK, 2, ENDLESS), tenant());
+        job.until_running();
+        job.control.cancel();
+        let verdict = job.ends(JobState::Cancelled, "cancelled mid-search");
+        assert!(matches!(verdict, Some(JobOutcome::Cancelled(Some(_)))));
+        settled(&service, "cancelled mid-search");
+
+        // Expired at a wave boundary. (On a stalled machine the budget
+        // can run out before pickup; that is `Expired(None)` — the
+        // right verdict, another row of this table.)
+        let job = submit(
+            &service,
+            search(OK, 2, ENDLESS),
+            tenant().with_deadline(Duration::from_millis(30)),
+        );
+        if let Some(JobOutcome::Expired(Some(resp))) =
+            job.ends(JobState::Expired, "expired mid-search")
+        {
+            assert!(resp.search().unwrap().trials.len() < ENDLESS);
+        }
+        settled(&service, "expired mid-search");
+
+        // The queued rows: park the only worker on an anonymous search.
+        let blocker = submit(&service, search(OK, 2, ENDLESS), JobOptions::new());
+        blocker.until_running();
+
+        // Cancelled while queued — shed by the sweeper's purge.
+        let job = submit(&service, predict(OK, 2), tenant());
+        job.control.cancel();
+        let verdict = job.ends(JobState::Cancelled, "cancelled while queued");
+        assert!(matches!(verdict, Some(JobOutcome::Cancelled(None))));
+        settled(&service, "cancelled while queued");
+
+        // Expired while queued — the sweeper again, every worker busy.
+        let job = submit(
+            &service,
+            predict(OK, 2),
+            tenant().with_deadline(Duration::from_millis(10)),
+        );
+        let verdict = job.ends(JobState::Expired, "expired while queued");
+        assert!(matches!(verdict, Some(JobOutcome::Expired(None))));
+        settled(&service, "expired while queued");
+
+        // The pickup races: the entry dies between `pop` and the
+        // worker's look at it. Forced by being that worker — the real
+        // one is inside the blocker, so the entry comes to this pop.
+        let job = submit(&service, predict(OK, 2), tenant());
+        let work = service.queue.pop().expect("the queued entry");
+        job.control.cancel();
+        serve(7, &service.shared, &service.queue, work);
+        let verdict = job.ends(JobState::Cancelled, "cancelled at pickup");
+        assert!(matches!(verdict, Some(JobOutcome::Cancelled(None))));
+        settled(&service, "cancelled at pickup");
+
+        let job = submit(&service, predict(OK, 2), tenant());
+        let mut work = service.queue.pop().expect("the queued entry");
+        work.expires = Some(work.enqueued);
+        serve(7, &service.shared, &service.queue, work);
+        let verdict = job.ends(JobState::Expired, "expired at pickup");
+        assert!(matches!(verdict, Some(JobOutcome::Expired(None))));
+        settled(&service, "expired at pickup");
+
+        blocker.control.cancel();
+        blocker.ends(JobState::Cancelled, "blocker");
+
+        // No verdict, three ways. A request panic...
+        submit(&service, predict(BOOM, 2), tenant()).ends(JobState::Failed, "panic");
+        assert_eq!(service.stats().panicked, 1);
+        settled(&service, "panic");
+
+        // ...a typed `execute` error (an admitted job whose target is
+        // gone — unreachable short of a bug, so smuggled in)...
+        let (handle, mut job) = service.make_job(predict(OK, 2), tenant()).unwrap();
+        job.req = predict("no-such-target", 2);
+        let job_watch = watch(handle);
+        service.queue.push(job, true).unwrap();
+        job_watch.ends(JobState::Failed, "typed execute error");
+        settled(&service, "typed execute error");
+
+        // ...and an entry dropped unrun (what a torn-down queue does).
+        let (handle, job) = service.make_job(predict(OK, 2), tenant()).unwrap();
+        let job_watch = watch(handle);
+        drop(job);
+        job_watch.ends(JobState::Failed, "dropped unrun");
+
+        // The worker survived all of that; shutdown drains what was
+        // admitted before it.
+        let drained: Vec<Watch> = (0..3)
+            .map(|_| submit(&service, predict(OK, 2), tenant()))
+            .collect();
+        service.shutdown();
+        for job in drained {
+            job.ends(JobState::Done, "admitted before shutdown");
+        }
+        assert!(matches!(
+            service.submit(predict(OK, 2)),
+            Err(ServeError::Stopped)
+        ));
+        settled(&service, "shutdown");
+        assert_eq!(service.obs_snapshot().gauge("serve.queue.depth"), Some(0));
     }
 }

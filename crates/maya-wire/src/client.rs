@@ -11,12 +11,18 @@
 //! `Error` frame resolves [`WireJob::wait_outcome`] — so N jobs can be
 //! in flight on one socket while a long search streams increments.
 //!
-//! The handle mirrors the in-process `maya_serve::JobHandle`:
-//! [`WireJob::poll`], [`WireJob::cancel`] (sent as a `Cancel` frame),
-//! progress iteration, and blocking [`WireJob::wait`] /
-//! [`WireJob::wait_outcome`]; [`WireClient::submit_with`] carries a
-//! per-job deadline the server enforces (queue wait counts against
-//! it).
+//! The handle is a second view of the type behind the in-process
+//! `maya_serve::JobHandle` — the same job record (`maya_serve::job`),
+//! here with a decoded verdict frame or a remote error as its
+//! terminal payload. The demux reader holds each job's producer half:
+//! a `Progress` frame is an `emit_progress`, the terminal frame the
+//! one `complete`, and a torn connection drops the producers, which
+//! is the same `Failed` transition a dead worker makes in-process. So
+//! [`WireJob::poll`], progress iteration and blocking
+//! [`WireJob::wait`] / [`WireJob::wait_outcome`] behave exactly as
+//! they do in-process; [`WireJob::cancel`] is sent as a `Cancel`
+//! frame, and [`WireClient::submit_with`] carries a per-job deadline
+//! the server enforces (queue wait counts against it).
 //!
 //! Failure is typed end to end: a full server queue surfaces as
 //! [`WireError::Remote`] with
@@ -32,28 +38,33 @@
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use serde::{compact, Serialize};
 
-use maya_serve::{JobOptions, JobState, Request, SearchProgress};
+use maya_serve::{
+    job_channel, JobConsumer, JobOptions, JobProducer, JobState, Request, SearchProgress,
+};
 
 use crate::error::{RemoteError, RemoteErrorKind, WireError};
-use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError, ReadError};
+use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError};
 use crate::message::{WireJobOutcome, WireResponse};
 
-/// What the demux reader delivers to one job's channel.
-enum JobEvent {
-    Progress(SearchProgress),
-    Terminal(Result<WireJobOutcome, RemoteError>),
-    /// The raw body of a `Scrape` reply (terminal for its id; only
-    /// ever delivered to [`WireClient::scrape_raw`]'s waiter).
-    Scrape(String),
+/// A job's terminal payload on this side of the wire: the decoded
+/// verdict frame, or the error frame that ended it.
+type WireVerdict = Result<WireJobOutcome, RemoteError>;
+
+/// What the demux reader holds for one request id in flight.
+enum Pending {
+    /// A submitted job: the producer half of its [`WireJob`].
+    Job(JobProducer<WireVerdict>),
+    /// A `Scrape`: a one-shot waiter for the raw reply body.
+    Scrape(mpsc::Sender<Result<String, RemoteError>>),
 }
 
-type PendingMap = HashMap<u64, mpsc::Sender<JobEvent>>;
+type PendingMap = HashMap<u64, Pending>;
 
 struct ClientShared {
     writer: Mutex<TcpStream>,
@@ -65,14 +76,14 @@ struct ClientShared {
 }
 
 impl ClientShared {
+    fn pending(&self) -> MutexGuard<'_, Option<PendingMap>> {
+        self.pending.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Tears down the pending map; every waiter resolves with
-    /// `ConnectionClosed` (their senders drop here).
+    /// `ConnectionClosed` (their producers and senders drop here).
     fn poison(&self) {
-        let _ = self
-            .pending
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
+        let _ = self.pending().take();
     }
 
     /// Writes one frame on the shared connection, mapping local
@@ -91,6 +102,24 @@ impl ClientShared {
                 None => WireError::Io(e),
             }
         })
+    }
+
+    /// Sends one frame under a fresh request id, with `pending`
+    /// registered first so the reply cannot race the registration.
+    fn send(&self, kind: FrameKind, body: &str, pending: Pending) -> Result<u64, WireError> {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.pending()
+            .as_mut()
+            .ok_or(WireError::ConnectionClosed)?
+            .insert(id, pending);
+        if let Err(e) = self.write(kind, id, body) {
+            // Unregister so the map does not leak a dead entry.
+            if let Some(map) = self.pending().as_mut() {
+                map.remove(&id);
+            }
+            return Err(e);
+        }
+        Ok(id)
     }
 }
 
@@ -126,14 +155,7 @@ impl Default for Backoff {
 pub struct WireJob {
     id: u64,
     shared: Arc<ClientShared>,
-    rx: mpsc::Receiver<JobEvent>,
-    /// Terminal verdict observed while iterating progress, buffered
-    /// for the eventual `wait_outcome`.
-    terminal: Option<Result<WireJobOutcome, RemoteError>>,
-    /// Whether the connection died before a terminal frame.
-    closed: bool,
-    /// Whether any progress frame has arrived (drives `poll`).
-    progressed: bool,
+    events: JobConsumer<WireVerdict>,
 }
 
 impl WireJob {
@@ -149,20 +171,7 @@ impl WireJob {
     /// before a verdict — reads as `Failed` here; redeem
     /// [`WireJob::wait_outcome`] for the typed error.
     pub fn poll(&mut self) -> JobState {
-        while self.terminal.is_none() && !self.closed {
-            match self.rx.try_recv() {
-                Ok(event) => self.absorb(event),
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => self.closed = true,
-            }
-        }
-        match &self.terminal {
-            Some(Ok(outcome)) => outcome.state(),
-            Some(Err(_)) => JobState::Failed,
-            None if self.closed => JobState::Failed,
-            None if self.progressed => JobState::Running,
-            None => JobState::Queued,
-        }
+        self.events.poll()
     }
 
     /// Asks the server to cooperatively cancel this job. No direct
@@ -173,38 +182,11 @@ impl WireJob {
         self.shared.write(FrameKind::Cancel, self.id, "")
     }
 
-    fn absorb(&mut self, event: JobEvent) {
-        match event {
-            JobEvent::Progress(_) => self.progressed = true,
-            JobEvent::Terminal(t) => self.terminal = Some(t),
-            // Scrape replies only ever target scrape waiters' ids.
-            JobEvent::Scrape(_) => {}
-        }
-    }
-
     /// Blocks for the next `Progress` event. `None` once the job's
-    /// terminal frame (buffered for [`WireJob::wait_outcome`]) or a
+    /// terminal frame (kept for [`WireJob::wait_outcome`]) or a
     /// connection loss has been seen — the progress stream is over.
     pub fn next_progress(&mut self) -> Option<SearchProgress> {
-        if self.terminal.is_some() || self.closed {
-            return None;
-        }
-        match self.rx.recv() {
-            Ok(JobEvent::Progress(p)) => {
-                self.progressed = true;
-                Some(p)
-            }
-            Ok(JobEvent::Terminal(t)) => {
-                self.terminal = Some(t);
-                None
-            }
-            // Never routed to a job id; skip defensively.
-            Ok(JobEvent::Scrape(_)) => self.next_progress(),
-            Err(_) => {
-                self.closed = true;
-                None
-            }
-        }
+        self.events.next_progress()
     }
 
     /// A blocking iterator over the remaining progress events.
@@ -215,19 +197,11 @@ impl WireJob {
     /// Blocks until the job's terminal frame arrives and returns the
     /// full verdict. Progress events not consumed through
     /// [`WireJob::next_progress`] are discarded here.
-    pub fn wait_outcome(mut self) -> Result<WireJobOutcome, WireError> {
-        loop {
-            if let Some(terminal) = self.terminal.take() {
-                return terminal.map_err(WireError::Remote);
-            }
-            if self.closed {
-                return Err(WireError::ConnectionClosed);
-            }
-            match self.rx.recv() {
-                Ok(event) => self.absorb(event),
-                Err(_) => self.closed = true,
-            }
-        }
+    pub fn wait_outcome(self) -> Result<WireJobOutcome, WireError> {
+        self.events
+            .wait_outcome()
+            .ok_or(WireError::ConnectionClosed)?
+            .map_err(WireError::Remote)
     }
 
     /// Blocks until done and returns the response — the pre-job-API
@@ -282,8 +256,7 @@ impl WireClient {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("maya-wire-client".into())
-                .spawn(move || reader_loop(read_half, &shared))
-                .expect("spawn client reader")
+                .spawn(move || reader_loop(read_half, &shared))?
         };
         Ok(WireClient {
             shared,
@@ -313,40 +286,16 @@ impl WireClient {
         let mut w = compact::Writer::new();
         opts.serialize(&mut w);
         request.serialize(&mut w);
-        let body = w.finish();
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut pending = self
-                .shared
-                .pending
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            pending
-                .as_mut()
-                .ok_or(WireError::ConnectionClosed)?
-                .insert(id, tx);
-        }
-        if let Err(e) = self.shared.write(FrameKind::Request, id, &body) {
-            // Unregister so the map does not leak a dead sender.
-            if let Some(pending) = self
-                .shared
-                .pending
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .as_mut()
-            {
-                pending.remove(&id);
-            }
-            return Err(e);
-        }
+        // Unbounded: every progress frame the server chose to send is
+        // kept for the caller (the server bounds its own side).
+        let (producer, events) = job_channel(usize::MAX);
+        let id = self
+            .shared
+            .send(FrameKind::Request, &w.finish(), Pending::Job(producer))?;
         Ok(WireJob {
             id,
             shared: Arc::clone(&self.shared),
-            rx,
-            terminal: None,
-            closed: false,
-            progressed: false,
+            events,
         })
     }
 
@@ -371,41 +320,12 @@ impl WireClient {
     /// `MayaService::obs_snapshot()` serialization — the property the
     /// integration tests pin.
     pub fn scrape_raw(&self) -> Result<String, WireError> {
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        {
-            let mut pending = self
-                .shared
-                .pending
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            pending
-                .as_mut()
-                .ok_or(WireError::ConnectionClosed)?
-                .insert(id, tx);
-        }
-        if let Err(e) = self.shared.write(FrameKind::Scrape, id, "") {
-            if let Some(pending) = self
-                .shared
-                .pending
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .as_mut()
-            {
-                pending.remove(&id);
-            }
-            return Err(e);
-        }
-        loop {
-            match rx.recv() {
-                Ok(JobEvent::Scrape(body)) => return Ok(body),
-                Ok(JobEvent::Terminal(Err(remote))) => return Err(WireError::Remote(remote)),
-                // A server answers a scrape id with a scrape or an
-                // error frame only; ignore anything else defensively.
-                Ok(_) => {}
-                Err(_) => return Err(WireError::ConnectionClosed),
-            }
-        }
+        self.shared
+            .send(FrameKind::Scrape, "", Pending::Scrape(tx))?;
+        rx.recv()
+            .map_err(|_| WireError::ConnectionClosed)?
+            .map_err(WireError::Remote)
     }
 
     /// Submit + wait, retrying with bounded exponential backoff while
@@ -518,83 +438,68 @@ impl Drop for WireClient {
 /// Demultiplexes incoming frames to pending jobs by echoed id.
 fn reader_loop(stream: TcpStream, shared: &Arc<ClientShared>) {
     let mut r = std::io::BufReader::new(stream);
-    loop {
-        match read_frame(&mut r, shared.max_frame_len) {
-            Ok(Some(frame)) => {
-                let malformed = |e| {
-                    JobEvent::Terminal(Err(RemoteError::protocol(&ProtocolError::Malformed(e))))
-                };
-                // `Some(event)`: deliver to the job and, for terminal
-                // events, retire its pending entry. `None`: a frame
-                // kind a server never sends this way; ignore.
-                let event: Option<JobEvent> = match frame.kind {
-                    FrameKind::Response => {
-                        Some(match WireJobOutcome::decode_response_frame(&frame.body) {
-                            Ok(outcome) => JobEvent::Terminal(Ok(outcome)),
-                            Err(e) => malformed(e),
-                        })
+    // Desynced framing, EOF and io errors all end the loop.
+    while let Ok(Some(frame)) = read_frame(&mut r, shared.max_frame_len) {
+        let malformed = |e| Err(RemoteError::protocol(&ProtocolError::Malformed(e)));
+        // Everything but progress is terminal for its id.
+        let verdict: WireVerdict = match frame.kind {
+            FrameKind::Progress => match serde::from_str::<SearchProgress>(&frame.body) {
+                Ok(event) => {
+                    let pending = shared.pending();
+                    // Unknown id: a frame for a job already answered.
+                    if let Some(Pending::Job(job)) = pending.as_ref().and_then(|m| m.get(&frame.id))
+                    {
+                        job.emit_progress(event);
                     }
-                    FrameKind::Expired => {
-                        Some(match WireJobOutcome::decode_expired_frame(&frame.body) {
-                            Ok(outcome) => JobEvent::Terminal(Ok(outcome)),
-                            Err(e) => malformed(e),
-                        })
-                    }
-                    FrameKind::Scrape => Some(JobEvent::Scrape(frame.body)),
-                    FrameKind::Progress => {
-                        Some(match serde::from_str::<SearchProgress>(&frame.body) {
-                            Ok(progress) => JobEvent::Progress(progress),
-                            Err(e) => malformed(e),
-                        })
-                    }
-                    FrameKind::Error => Some(match serde::from_str::<RemoteError>(&frame.body) {
-                        Ok(remote) => JobEvent::Terminal(Err(remote)),
-                        Err(e) => malformed(e),
-                    }),
-                    // A server never sends these; the stream framing is
-                    // still intact, keep serving the rest.
-                    FrameKind::Request | FrameKind::Cancel => None,
-                };
-                match (frame.id, event) {
-                    (0, Some(JobEvent::Terminal(Err(fatal)))) => {
-                        // Connection-scoped error: deliver to everyone
-                        // still waiting, then stop reading.
-                        let waiters = shared
-                            .pending
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .take();
-                        if let Some(map) = waiters {
-                            for (_, tx) in map {
-                                let _ = tx.send(JobEvent::Terminal(Err(fatal.clone())));
-                            }
-                        }
-                        return;
-                    }
-                    (id, Some(event)) => {
-                        let terminal = !matches!(event, JobEvent::Progress(_));
-                        let mut pending = shared.pending.lock().unwrap_or_else(|p| p.into_inner());
-                        match pending.as_mut() {
-                            Some(map) if terminal => {
-                                // Unknown id: a frame for a caller that
-                                // went away (dropped WireJob); ignore.
-                                if let Some(tx) = map.remove(&id) {
-                                    let _ = tx.send(event);
-                                }
-                            }
-                            Some(map) => {
-                                if let Some(tx) = map.get(&id) {
-                                    let _ = tx.send(event);
-                                }
-                            }
-                            None => {}
-                        }
-                    }
-                    (_, None) => {}
+                    continue;
+                }
+                Err(e) => malformed(e),
+            },
+            FrameKind::Response => {
+                WireJobOutcome::decode_response_frame(&frame.body).or_else(malformed)
+            }
+            FrameKind::Expired => {
+                WireJobOutcome::decode_expired_frame(&frame.body).or_else(malformed)
+            }
+            FrameKind::Error => {
+                serde::from_str::<RemoteError>(&frame.body).map_or_else(malformed, Err)
+            }
+            FrameKind::Scrape => {
+                let waiter = shared.pending().as_mut().and_then(|m| m.remove(&frame.id));
+                if let Some(Pending::Scrape(tx)) = waiter {
+                    let _ = tx.send(Ok(frame.body));
+                }
+                continue;
+            }
+            // A server never sends these; the stream framing is still
+            // intact, keep serving the rest.
+            FrameKind::Request | FrameKind::Cancel => continue,
+        };
+        let mut pending = shared.pending();
+        let deliver = |pending: Pending, verdict: WireVerdict| match (pending, verdict) {
+            (Pending::Job(job), verdict) => job.complete(verdict),
+            (Pending::Scrape(tx), Err(remote)) => {
+                let _ = tx.send(Err(remote));
+            }
+            // A server answers a scrape id with a scrape or an error
+            // frame only; anything else drops the waiter.
+            (Pending::Scrape(_), Ok(_)) => {}
+        };
+        match (frame.id, verdict) {
+            // Connection-scoped error: deliver to everyone still
+            // waiting, then stop reading.
+            (0, Err(fatal)) => {
+                for (_, waiter) in pending.take().into_iter().flatten() {
+                    deliver(waiter, Err(fatal.clone()));
+                }
+                return;
+            }
+            // Unknown id: a frame for a job already answered.
+            (id, verdict) => {
+                if let Some(waiter) = pending.as_mut().and_then(|m| m.remove(&id)) {
+                    deliver(waiter, verdict);
                 }
             }
-            Ok(None) | Err(ReadError::Io(_)) => break,
-            Err(ReadError::Protocol(_)) => break, // desynced: give up
         }
     }
     shared.poison();

@@ -17,7 +17,7 @@ use serde::{compact, Deserialize, Serialize};
 
 use maya::Prediction;
 use maya_search::SearchResult;
-use maya_serve::{JobOptions, JobState, MeasureOutcome, Request, Telemetry};
+use maya_serve::{JobOptions, JobState, MeasureOutcome, Request, Telemetry, Verdict};
 
 use crate::error::RemoteError;
 use crate::frame::FrameKind;
@@ -158,6 +158,35 @@ impl WireResponse {
     }
 }
 
+/// Encodes a terminal verdict as its (frame kind, body) wire form
+/// (layout: see [`WireJobOutcome`]; `Done` carries its response bare,
+/// the others an `Option`). The one encoder for both views — the
+/// server's `JobOutcome` over `maya_serve::Response` and the client's
+/// [`WireJobOutcome`] over the byte-identical [`WireResponse`] — so
+/// the golden strings pinning the latter pin what the server writes.
+pub(crate) fn outcome_frame<R: Serialize>(
+    state: JobState,
+    response: Option<&R>,
+) -> (FrameKind, String) {
+    let mut w = compact::Writer::new();
+    let kind = match state {
+        JobState::Expired => FrameKind::Expired,
+        JobState::Done => {
+            w.tag("done");
+            FrameKind::Response
+        }
+        _ => {
+            w.tag("cancelled");
+            FrameKind::Response
+        }
+    };
+    match (state, response) {
+        (JobState::Done, Some(resp)) => resp.serialize(&mut w),
+        (_, resp) => resp.serialize(&mut w),
+    }
+    (kind, w.finish())
+}
+
 /// The client-side view of a job's terminal verdict — the wire twin of
 /// `maya_serve::JobOutcome`.
 ///
@@ -203,26 +232,10 @@ impl WireJobOutcome {
         }
     }
 
-    /// Encodes the verdict as its (frame kind, body) wire form — the
-    /// exact layout the server produces from a `maya_serve::JobOutcome`.
+    /// Encodes the verdict as its (frame kind, body) wire form, with
+    /// the function the server encodes a `maya_serve::JobOutcome` by.
     pub fn encode(&self) -> (FrameKind, String) {
-        let mut w = compact::Writer::new();
-        match self {
-            WireJobOutcome::Done(resp) => {
-                w.tag("done");
-                resp.serialize(&mut w);
-                (FrameKind::Response, w.finish())
-            }
-            WireJobOutcome::Cancelled(resp) => {
-                w.tag("cancelled");
-                resp.serialize(&mut w);
-                (FrameKind::Response, w.finish())
-            }
-            WireJobOutcome::Expired(resp) => {
-                resp.serialize(&mut w);
-                (FrameKind::Expired, w.finish())
-            }
-        }
+        outcome_frame(self.state(), self.response())
     }
 
     /// Decodes the body of a `Response` frame (`done` / `cancelled`).
@@ -240,6 +253,12 @@ impl WireJobOutcome {
     /// Decodes the body of an [`FrameKind::Expired`] frame.
     pub fn decode_expired_frame(body: &str) -> Result<Self, compact::Error> {
         serde::from_str(body).map(WireJobOutcome::Expired)
+    }
+}
+
+impl Verdict for WireJobOutcome {
+    fn state(&self) -> JobState {
+        WireJobOutcome::state(self)
     }
 }
 

@@ -1,25 +1,30 @@
 //! [`WireServer`]: a blocking TCP front end wrapping any
 //! [`MayaService`].
 //!
-//! One OS thread accepts connections; each connection gets a *reader*
-//! thread, a *writer* thread, and one lightweight *pump* thread per
-//! in-flight job, all over `std::net::TcpStream`:
+//! One OS thread accepts connections; each connection gets exactly two
+//! more — a *reader* and a *writer* over `std::net::TcpStream` —
+//! however many jobs it has in flight:
 //!
 //! - the *reader* parses request frames and admits them through
 //!   [`MayaService::try_submit_with`] — the service's bounded admission
 //!   queue is mapped straight onto the wire, so a full queue becomes a
 //!   typed [`RemoteErrorKind::Overloaded`](crate::RemoteErrorKind)
 //!   error frame (the connection stays up and later requests are
-//!   served), never a dropped connection. A `Cancel` frame resolves
-//!   the echoed id against the connection's in-flight jobs and fires
-//!   that job's cooperative cancel;
-//! - each admitted job's *pump* forwards its progress events as
-//!   `Progress` frames and then its terminal verdict (a `Response`,
-//!   `Expired` or `Error` frame) into the shared writer channel, so a
-//!   long search streams increments while other pipelined jobs
-//!   complete around it — frames of one job stay ordered (progress
-//!   before terminal), frames of different jobs interleave by id;
-//! - the *writer* serializes frames onto the socket in arrival order.
+//!   served), never a dropped connection. An admitted job's handle goes
+//!   into the connection's in-flight table with a wake hook that posts
+//!   the job's id to the writer's channel — one non-blocking `send`
+//!   from whichever service thread moved the job. A `Cancel` frame
+//!   resolves the echoed id against that table and fires the job's
+//!   cooperative cancel;
+//! - the *writer* is the only thread that writes the socket and the
+//!   only place a job's frames are produced: on a wake it drains that
+//!   job's buffered progress into `Progress` frames and then, once the
+//!   job is terminal, writes its verdict (a `Response`, `Expired` or
+//!   `Error` frame) and drops it from the table. So a long search
+//!   streams increments while other pipelined jobs complete around it
+//!   — frames of one job stay ordered (progress before terminal),
+//!   frames of different jobs interleave by id. Frames the reader
+//!   makes itself (errors, `Scrape` replies) travel the same channel.
 //!
 //! Malformed input degrades proportionally: an undecodable request
 //! *body* earns a per-request `protocol` error frame and the connection
@@ -32,29 +37,41 @@
 //! version. The server itself never dies on client input.
 //!
 //! [`WireServer::shutdown`] is graceful: stop accepting, half-close
-//! every connection's read side, let every job pump drain its progress
-//! and verdict, then join all threads.
+//! every connection's read side, let every writer drain its in-flight
+//! jobs' progress and verdicts, then join all threads.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use serde::{compact, Serialize};
-
-use maya_serve::{JobControl, JobHandle, JobOutcome, MayaService, ServeError, SpanNode};
+use maya_serve::{JobHandle, JobStep, MayaService, ServeError, SpanNode};
 
 use crate::error::RemoteError;
 use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError, ReadError};
-use crate::message::decode_submission;
+use crate::message::{decode_submission, outcome_frame};
 
-/// One outbound frame, queued for the connection writer.
-struct OutFrame {
-    kind: FrameKind,
-    id: u64,
-    body: String,
+/// What a connection's writer thread is told. The channel closing is
+/// the last message: every sender is gone — the reader's (end of
+/// requests) and each in-flight job's wake hook (released when the job
+/// ends) — so nothing is left to write.
+enum WriterMsg {
+    /// Write this reader-made frame (an error or a scrape reply).
+    Frame {
+        kind: FrameKind,
+        id: u64,
+        body: String,
+    },
+    /// The in-flight job under this request id has progress or its
+    /// verdict ready (posted by the job's wake hook).
+    Wake(u64),
 }
+
+/// One connection's in-flight jobs by request id: inserted by the
+/// reader at admission (which also resolves `Cancel` frames against
+/// it), drained and removed by the writer.
+type InFlight = Mutex<HashMap<u64, JobHandle>>;
 
 /// Counters for one [`WireServer`] (all cumulative).
 #[derive(Clone, Copy, Debug, Default)]
@@ -133,8 +150,7 @@ impl WireServerBuilder {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("maya-wire-accept".into())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn accept thread")
+                .spawn(move || accept_loop(&listener, &shared))?
         };
         Ok(WireServer {
             local_addr,
@@ -204,7 +220,7 @@ impl WireServer {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        // Readers stop at EOF; job pumps then drain into the writers.
+        // Readers stop at EOF; writers then drain what is in flight.
         let conns =
             std::mem::take(&mut *self.shared.conns.lock().unwrap_or_else(|p| p.into_inner()));
         for stream in conns.values() {
@@ -262,10 +278,22 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
             .unwrap_or_else(|p| p.into_inner())
             .insert(conn_id, clone);
         let shared_for_conn = Arc::clone(shared);
-        let conn = std::thread::Builder::new()
+        let Ok(conn) = std::thread::Builder::new()
             .name("maya-wire-conn".into())
             .spawn(move || connection_loop(conn_id, stream, &shared_for_conn))
-            .expect("spawn connection thread");
+        else {
+            // Thread exhaustion (a connection flood) must not end
+            // accepting for good: close this one connection — the
+            // stream died with the unspawned closure, the registered
+            // clone is shut down here — and back off like the accept
+            // error above.
+            let clone = lock(&shared.conns).remove(&conn_id);
+            if let Some(clone) = clone {
+                let _ = clone.shutdown(Shutdown::Both);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            continue;
+        };
         // Reap finished connections here rather than only at shutdown,
         // so a long-running server's handle list tracks *concurrent*
         // connections, not every connection ever served. Partition
@@ -298,267 +326,140 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     }
 }
 
-/// Encodes a job's terminal verdict as its wire frame. The layout is
-/// mirrored by `WireJobOutcome::decode_*` on the client.
-fn outcome_frame(id: u64, outcome: &JobOutcome) -> OutFrame {
-    let mut w = compact::Writer::new();
-    let kind = match outcome {
-        JobOutcome::Done(resp) => {
-            w.tag("done");
-            resp.serialize(&mut w);
-            FrameKind::Response
-        }
-        JobOutcome::Cancelled(resp) => {
-            w.tag("cancelled");
-            resp.serialize(&mut w);
-            FrameKind::Response
-        }
-        JobOutcome::Expired(resp) => {
-            resp.serialize(&mut w);
-            FrameKind::Expired
-        }
-    };
-    OutFrame {
-        kind,
-        id,
-        body: w.finish(),
-    }
+/// Locks a table whose entries are valid at every step, so a poisoned
+/// lock is still good.
+fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Streams one admitted job's progress and verdict into the writer.
-fn pump_job(
-    id: u64,
-    handle: JobHandle,
-    out: &mpsc::Sender<OutFrame>,
-    jobs: &Mutex<HashMap<u64, JobControl>>,
-    service: &MayaService,
-) {
-    // The service-side job id, under which the worker recorded the
-    // job's span tree (the frame id is the client's request id).
-    let sid = handle.id();
-    for event in handle.progress() {
-        let mut w = compact::Writer::new();
-        event.serialize(&mut w);
-        if out
-            .send(OutFrame {
-                kind: FrameKind::Progress,
-                id,
-                body: w.finish(),
-            })
-            .is_err()
-        {
-            // Writer gone (client stopped reading): stop forwarding
-            // progress but still drain the outcome below so the
-            // service-side job is fully consumed.
-            break;
-        }
-    }
-    let verdict = handle.wait_outcome();
-    // lint:allow(wall-clock-in-output): reply-latency telemetry anchor — timing is observability, not payload
-    let reply_started = std::time::Instant::now();
-    let frame = match &verdict {
-        Ok(outcome) => outcome_frame(id, outcome),
-        // The worker died mid-request (panic): typed Stopped.
-        Err(e) => OutFrame {
-            kind: FrameKind::Error,
-            id,
-            body: serde::to_string(&RemoteError::from(e)),
-        },
-    };
-    let _ = out.send(frame);
-    // Extend the worker's span tree with the reply phase (encode +
-    // hand-off to the connection writer), so a scraped tree accounts
-    // for the job's full server-side wall clock.
-    if let Ok(outcome) = &verdict {
-        if let Some(root) = outcome.response().and_then(|r| r.telemetry.spans.first()) {
-            let reply = reply_started.elapsed();
-            let mut tree = root.clone();
-            tree.children
-                .push(SpanNode::leaf("reply", tree.duration, reply));
-            tree.duration += reply;
-            service.record_job_tree(sid, tree);
-        }
-    }
-    jobs.lock().unwrap_or_else(|p| p.into_inner()).remove(&id);
-}
-
-/// Reader half of one connection; owns the writer thread and spawns a
-/// pump per admitted job.
+/// Reader half of one connection; owns the writer thread.
 fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) {
-    let Ok(write_half) = stream.try_clone() else {
-        shared
-            .conns
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&conn_id);
-        return;
-    };
-    let (tx, rx) = mpsc::channel::<OutFrame>();
-    let max_len = shared.max_frame_len;
-    // This connection's in-flight jobs, shared with the pumps (each
-    // removes its own entry at terminal) so `Cancel` frames — and the
-    // writer's orphan cleanup — can reach them.
-    let jobs: Arc<Mutex<HashMap<u64, JobControl>>> = Arc::new(Mutex::new(HashMap::new()));
-    let writer = {
-        let jobs = Arc::clone(&jobs);
+    let (tx, rx) = mpsc::channel::<WriterMsg>();
+    let jobs: Arc<InFlight> = Arc::default();
+    let writer = stream.try_clone().and_then(|write_half| {
+        let (jobs, shared) = (Arc::clone(&jobs), Arc::clone(shared));
         std::thread::Builder::new()
             .name("maya-wire-write".into())
-            .spawn(move || writer_loop(write_half, &rx, max_len, &jobs))
-            .expect("spawn connection writer")
+            .spawn(move || writer_loop(write_half, &rx, &jobs, &shared))
+    });
+    let send = |kind: FrameKind, id: u64, body: String| {
+        let _ = tx.send(WriterMsg::Frame { kind, id, body });
     };
-    let mut pumps: Vec<JoinHandle<()>> = Vec::new();
+    let send_error = |id: u64, error: &RemoteError| {
+        send(FrameKind::Error, id, serde::to_string(error));
+    };
+    let protocol_error = |id: u64, error: &ProtocolError| {
+        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        send_error(id, &RemoteError::protocol(error));
+    };
 
     let mut reader = std::io::BufReader::new(stream);
-    loop {
+    // Without a writer (fd or thread exhaustion) nothing could ever be
+    // answered: serve nothing, just close this one connection below.
+    while writer.is_ok() {
         match read_frame(&mut reader, shared.max_frame_len) {
             Ok(None) => break, // client closed its write half
-            Ok(Some(frame)) => {
-                // Id 0 is reserved for connection-scoped errors: a
-                // request carrying it could never be answered
-                // unambiguously (an id-0 error frame means "the
-                // stream is dead", and a service rejection like
-                // Overloaded would be misread as fatal). A conforming
-                // client starts at 1, so reject the stream outright.
-                if frame.id == 0 {
-                    shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(OutFrame {
-                        kind: FrameKind::Error,
-                        id: 0,
-                        body: serde::to_string(&RemoteError {
-                            kind: crate::error::RemoteErrorKind::Protocol,
-                            message: "frame id 0 is reserved for connection-scoped errors"
-                                .to_string(),
-                        }),
-                    });
-                    break;
-                }
-                match frame.kind {
-                    FrameKind::Request => match decode_submission(&frame.body) {
-                        Ok((req, opts)) => match shared.service.try_submit_with(req, opts) {
-                            Ok(handle) => {
-                                shared.admitted.fetch_add(1, Ordering::Relaxed);
-                                jobs.lock()
-                                    .unwrap_or_else(|p| p.into_inner())
-                                    .insert(frame.id, handle.control());
-                                let out = tx.clone();
-                                let jobs = Arc::clone(&jobs);
-                                let service = Arc::clone(&shared.service);
-                                let id = frame.id;
-                                // Reap finished pumps here rather than
-                                // only at connection close, so a
-                                // long-lived pipelined connection's
-                                // handle list tracks *in-flight* jobs,
-                                // not every job ever served.
-                                let mut alive = Vec::with_capacity(pumps.len() + 1);
-                                for pump in pumps.drain(..) {
-                                    if pump.is_finished() {
-                                        let _ = pump.join();
-                                    } else {
-                                        alive.push(pump);
-                                    }
-                                }
-                                pumps = alive;
-                                pumps.push(
-                                    std::thread::Builder::new()
-                                        .name("maya-wire-job".into())
-                                        .spawn(move || pump_job(id, handle, &out, &jobs, &service))
-                                        .expect("spawn job pump"),
-                                );
-                            }
-                            Err(e) => {
-                                if matches!(e, ServeError::Overloaded) {
-                                    shared.overloaded.fetch_add(1, Ordering::Relaxed);
-                                }
-                                let _ = tx.send(OutFrame {
-                                    kind: FrameKind::Error,
-                                    id: frame.id,
-                                    body: serde::to_string(&RemoteError::from(&e)),
-                                });
-                            }
-                        },
-                        Err(e) => {
-                            // The frame parsed but its body did not:
-                            // this request fails, the stream is intact.
-                            shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            let _ = tx.send(OutFrame {
-                                kind: FrameKind::Error,
-                                id: frame.id,
-                                body: serde::to_string(&RemoteError::protocol(
-                                    &ProtocolError::Malformed(e),
-                                )),
+            // Id 0 is reserved for connection-scoped errors: a request
+            // carrying it could never be answered unambiguously (an
+            // id-0 error frame means "the stream is dead", and a
+            // service rejection like Overloaded would be misread as
+            // fatal). A conforming client starts at 1, so reject the
+            // stream outright.
+            Ok(Some(frame)) if frame.id == 0 => {
+                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                send_error(
+                    0,
+                    &RemoteError {
+                        kind: crate::error::RemoteErrorKind::Protocol,
+                        message: "frame id 0 is reserved for connection-scoped errors".to_string(),
+                    },
+                );
+                break;
+            }
+            Ok(Some(frame)) => match frame.kind {
+                FrameKind::Request => match decode_submission(&frame.body) {
+                    Ok((req, opts)) => match shared.service.try_submit_with(req, opts) {
+                        Ok(handle) => {
+                            shared.admitted.fetch_add(1, Ordering::Relaxed);
+                            let (id, wake) = (frame.id, tx.clone());
+                            // Hook and insert under one table lock:
+                            // a wake the hook posts at once is acted
+                            // on only when the writer can find the job.
+                            let mut table = lock(&jobs);
+                            handle.on_wake(move || {
+                                let _ = wake.send(WriterMsg::Wake(id));
                             });
+                            // A conforming client never reuses an id
+                            // still in flight; one that does forfeits
+                            // the older job.
+                            if let Some(displaced) = table.insert(id, handle) {
+                                displaced.cancel();
+                            }
+                        }
+                        Err(e) => {
+                            if matches!(e, ServeError::Overloaded) {
+                                shared.overloaded.fetch_add(1, Ordering::Relaxed);
+                            }
+                            send_error(frame.id, &RemoteError::from(&e));
                         }
                     },
-                    FrameKind::Cancel => {
-                        // Resolve against this connection's in-flight
-                        // jobs. A miss is a benign race (the job
-                        // already reached its terminal frame) and is
-                        // ignored — the client sees the real verdict.
-                        let control = jobs
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .get(&frame.id)
-                            .cloned();
-                        if let Some(control) = control {
-                            shared.cancels.fetch_add(1, Ordering::Relaxed);
-                            control.cancel();
-                        }
-                    }
-                    FrameKind::Scrape => {
-                        // Observability pull: answer on the echoed
-                        // id with the service's deterministic
-                        // point-in-time snapshot. Request body is
-                        // ignored (empty by convention).
-                        shared.scrapes.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(OutFrame {
-                            kind: FrameKind::Scrape,
-                            id: frame.id,
-                            body: serde::to_string(&shared.service.obs_snapshot()),
-                        });
-                    }
-                    other => {
-                        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(OutFrame {
-                            kind: FrameKind::Error,
-                            id: frame.id,
-                            body: serde::to_string(&RemoteError::protocol(
-                                &ProtocolError::UnexpectedFrame(other),
-                            )),
-                        });
+                    // The frame parsed but its body did not: this
+                    // request fails, the stream is intact.
+                    Err(e) => protocol_error(frame.id, &ProtocolError::Malformed(e)),
+                },
+                // Resolve against this connection's in-flight jobs. A
+                // miss is a benign race (the job already reached its
+                // terminal frame) and is ignored — the client sees the
+                // real verdict.
+                FrameKind::Cancel => {
+                    if let Some(handle) = lock(&jobs).get(&frame.id) {
+                        shared.cancels.fetch_add(1, Ordering::Relaxed);
+                        handle.cancel();
                     }
                 }
-            }
+                // Observability pull: answer on the echoed id with the
+                // service's deterministic point-in-time snapshot.
+                // Request body is ignored (empty by convention).
+                FrameKind::Scrape => {
+                    shared.scrapes.fetch_add(1, Ordering::Relaxed);
+                    send(
+                        FrameKind::Scrape,
+                        frame.id,
+                        serde::to_string(&shared.service.obs_snapshot()),
+                    );
+                }
+                other => protocol_error(frame.id, &ProtocolError::UnexpectedFrame(other)),
+            },
+            // The framing itself broke: report once on id 0 and close
+            // this connection. Other connections — and the service —
+            // are untouched.
             Err(ReadError::Protocol(p)) => {
-                // The framing itself broke: report once on id 0 and
-                // close this connection. Other connections — and the
-                // service — are untouched.
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(OutFrame {
-                    kind: FrameKind::Error,
-                    id: 0,
-                    body: serde::to_string(&RemoteError::protocol(&p)),
-                });
+                protocol_error(0, &p);
                 break;
             }
             Err(ReadError::Io(_)) => break,
         }
     }
-    // Dropping the reader's sender (after the pumps finish and drop
-    // theirs) lets the writer drain in-flight frames and exit — this
-    // is what makes shutdown (and client close) drain rather than
-    // abort. The pumps finish on their own once the service answers
-    // their jobs; the wrapped service keeps running throughout.
-    for pump in pumps {
-        let _ = pump.join();
-    }
+    // End of requests. The writer keeps going until the jobs still in
+    // flight have been answered — this is what makes shutdown (and
+    // client close) drain rather than abort — while the wrapped
+    // service keeps running throughout.
     drop(tx);
-    let _ = writer.join();
+    if let Ok(writer) = writer {
+        let _ = writer.join();
+    }
+    // After a graceful drain the table is empty. Anything left can
+    // never be answered — the writer gave up on a gone peer (write
+    // failure) or a condemned stream (id-0 error) — so cancel it:
+    // workers stop burning on orphaned searches promptly.
+    for (_, orphan) in lock(&jobs).drain() {
+        orphan.cancel();
+    }
     // Close the socket at the OS level and deregister. The explicit
     // shutdown matters: the registry (or a client) may still hold FD
     // clones, and the peer must see EOF now, not when the last clone
     // drops.
-    let stream = reader.into_inner();
-    let _ = stream.shutdown(Shutdown::Both);
+    let _ = reader.into_inner().shutdown(Shutdown::Both);
     shared
         .conns
         .lock()
@@ -566,35 +467,84 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
         .remove(&conn_id);
 }
 
-/// Writer half: serializes queued frames onto the socket in arrival
-/// order. An id-0 error frame is connection-fatal: written, then the
-/// writer stops.
-///
-/// When the writer exits with jobs still in flight, no frame of theirs
-/// can ever reach the client — the peer is gone (write failure) or the
-/// stream is condemned (id-0 error) — so it cancels them on the way
-/// out. Workers stop burning on orphaned searches promptly, and the
-/// pumps (blocked in `wait_outcome`) unwind. A *graceful* drain — the
-/// client half-closing its writes, or [`WireServer::shutdown`] — never
-/// takes this path: the writer outlives the pumps there, and in-flight
-/// jobs deliver normally.
+/// Writer half: the only thread that writes the socket and the one
+/// place a job's frames are produced. Reader-made frames are written
+/// in arrival order; a `Wake` drains that job's ready steps. Ends when
+/// the channel closes (see [`WriterMsg`]). An id-0 error frame is
+/// connection-fatal — written, then the writer stops — and so is a
+/// failed write; either way the socket is shut down, so a reader still
+/// blocked on the peer unblocks and cancels the orphans.
 fn writer_loop(
     stream: TcpStream,
-    rx: &mpsc::Receiver<OutFrame>,
-    max_len: u32,
-    jobs: &Mutex<HashMap<u64, JobControl>>,
+    rx: &mpsc::Receiver<WriterMsg>,
+    jobs: &InFlight,
+    shared: &ServerShared,
 ) {
     let mut w = std::io::BufWriter::new(stream);
-    while let Ok(frame) = rx.recv() {
-        let fatal = frame.kind == FrameKind::Error && frame.id == 0;
-        if write_frame(&mut w, frame.kind, frame.id, &frame.body, max_len).is_err() {
-            break; // peer gone; reader will notice on its next read
-        }
-        if fatal {
-            break; // connection-fatal: stop after reporting
+    while let Ok(msg) = rx.recv() {
+        let alive = match msg {
+            WriterMsg::Frame { kind, id, body } => {
+                let fatal = kind == FrameKind::Error && id == 0;
+                write_frame(&mut w, kind, id, &body, shared.max_frame_len).is_ok() && !fatal
+            }
+            WriterMsg::Wake(id) => drain_job(&mut w, id, jobs, shared).is_ok(),
+        };
+        if !alive {
+            let _ = w.get_ref().shutdown(Shutdown::Both);
+            return;
         }
     }
-    for control in jobs.lock().unwrap_or_else(|p| p.into_inner()).values() {
-        control.cancel();
+}
+
+/// Writes every frame job `id` has ready: buffered progress as
+/// `Progress` frames, then — once it is terminal — its verdict (a
+/// `Response`, `Expired` or `Error` frame), after which the job leaves
+/// the in-flight table. One job's frames thus stay ordered however
+/// wakes interleave; a wake for an id already answered is a no-op.
+/// The table lock is never held across a socket write.
+fn drain_job(
+    w: &mut impl std::io::Write,
+    id: u64,
+    jobs: &InFlight,
+    shared: &ServerShared,
+) -> std::io::Result<()> {
+    loop {
+        // The service-side job id names the span tree the worker
+        // recorded (the frame id is the client's request id).
+        let Some((sid, Some(step))) = lock(jobs).get(&id).map(|h| (h.id(), h.try_next())) else {
+            return Ok(());
+        };
+        let (verdict, sealed) = match step {
+            JobStep::Progress(event) => {
+                let body = serde::to_string(&event);
+                write_frame(w, FrameKind::Progress, id, &body, shared.max_frame_len)?;
+                continue;
+            }
+            JobStep::Terminal { verdict, sealed } => (verdict, sealed),
+        };
+        let (kind, body) = match &verdict {
+            Some(outcome) => outcome_frame(outcome.state(), outcome.response()),
+            // The job died without a verdict (worker panic): typed
+            // Stopped.
+            None => (
+                FrameKind::Error,
+                serde::to_string(&RemoteError::from(&ServeError::Stopped)),
+            ),
+        };
+        let written = write_frame(w, kind, id, &body, shared.max_frame_len);
+        // Extend the worker's span tree with the reply phase — verdict
+        // stored to frame written — so a scraped tree accounts for the
+        // job's full server-side wall clock.
+        let spans = verdict.as_ref().and_then(|o| o.response());
+        if let Some(root) = spans.and_then(|r| r.telemetry.spans.first()) {
+            let reply = sealed.elapsed();
+            let mut tree = root.clone();
+            tree.children
+                .push(SpanNode::leaf("reply", tree.duration, reply));
+            tree.duration += reply;
+            shared.service.record_job_tree(sid, tree);
+        }
+        lock(jobs).remove(&id);
+        return written;
     }
 }

@@ -82,9 +82,15 @@ fn two_tenant_qos_over_the_wire() {
     let client = WireClient::connect(server.local_addr()).unwrap();
 
     let pipeline = |p: Priority| JobOptions::new().with_priority(p).with_tenant("pipeline");
-    // The bursting tenant parks a long search on the single worker...
+    // The bursting tenant parks a long search on the single worker.
+    // Long by budget, not by space: once the 32 points are memoized a
+    // trial costs about a microsecond (4 000 of them were over in
+    // ~12 ms, sometimes before the High job below was even submitted),
+    // and a space too big to memoize ends *sooner* — the early-stop
+    // rule fires on unique configurations. Nobody waits this out; the
+    // blocker is cancelled as soon as the queue is staged...
     let mut blocker = client
-        .submit_with(&search(4_000), pipeline(Priority::Batch))
+        .submit_with(&search(5_000_000), pipeline(Priority::Batch))
         .unwrap();
     let _ = blocker.next_progress().expect("blocker running");
     // ...and floods the queue: two Batch jobs are admitted, the third

@@ -677,6 +677,74 @@ fn dropped_client_cancels_its_orphaned_jobs() {
     assert!(resp.predictions().unwrap()[0].is_ok());
 }
 
+/// The `comm` name of every thread in this process.
+#[cfg(target_os = "linux")]
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("task list")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_string())
+        .collect()
+}
+
+/// A connection costs two server threads however many jobs it has in
+/// flight: N jobs pipelined behind a parked worker add no thread.
+#[test]
+#[cfg(target_os = "linux")]
+fn in_flight_jobs_cost_no_threads() {
+    const N: usize = 200;
+    let svc = Arc::new(
+        MayaService::builder()
+            .target(H100_TARGET, EmulationSpec::new(h100_cluster()))
+            .workers(1)
+            .queue_capacity(N + 8)
+            .build()
+            .unwrap(),
+    );
+    let server = WireServer::bind("127.0.0.1:0", Arc::clone(&svc)).unwrap();
+    let client = WireClient::connect(server.local_addr()).unwrap();
+    let predict = || Request::Predict {
+        target: H100_TARGET.into(),
+        jobs: vec![job(&h100_cluster(), ParallelConfig::default())],
+    };
+    // Other tests of this binary start and stop threads of their own
+    // while this one counts, so one clean round out of five settles
+    // it: a thread per job would add N in *every* round.
+    for round in 1..=5 {
+        // Park the only worker (the search outlasts the round: ~1µs a
+        // trial once its 32-point space is memoized), then pipeline.
+        let mut blocker = client.submit(&long_search(5_000_000)).unwrap();
+        let _ = blocker.next_progress().expect("blocker running");
+        let before = thread_names().len();
+        let jobs: Vec<_> = (0..N).map(|_| client.submit(&predict()).unwrap()).collect();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.stats().admitted < (round * (N + 1)) as u64 {
+            assert!(Instant::now() < deadline, "the pipeline was never admitted");
+            std::thread::yield_now();
+        }
+        // All N are in flight on the one connection right now.
+        let names = thread_names();
+        blocker.cancel().unwrap();
+        let _ = blocker.wait_outcome();
+        for job in jobs {
+            let resp = job.wait().expect("pipelined job served");
+            assert!(resp.predictions().unwrap()[0].is_ok());
+        }
+        assert!(
+            !names.iter().any(|name| name == "maya-wire-job"),
+            "a per-job pump thread is back: {names:?}"
+        );
+        let grew = names.len().saturating_sub(before);
+        if grew < N / 4 {
+            return;
+        }
+        assert!(
+            round < 5,
+            "{grew} more threads with {N} jobs in flight, five rounds running: {names:?}"
+        );
+    }
+}
+
 #[test]
 fn submit_with_retry_rides_out_a_one_slot_queue() {
     use maya_wire::Backoff;
