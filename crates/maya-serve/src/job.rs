@@ -252,8 +252,6 @@ struct Record<T> {
     /// The terminal slot: filled by [`JobProducer::complete`], emptied
     /// by whoever redeems it.
     verdict: Option<T>,
-    /// When the job became terminal (`Some` exactly on terminal jobs).
-    sealed: Option<Instant>,
     wake: Option<WakeHook>,
 }
 
@@ -293,7 +291,6 @@ pub fn job_channel<T: Verdict>(high_water: usize) -> (JobProducer<T>, JobConsume
             high_water: high_water.max(1),
             stream_taken: false,
             verdict: None,
-            sealed: None,
             wake: None,
         }),
         changed: Condvar::new(),
@@ -329,17 +326,13 @@ impl<T: Verdict> JobProducer<T> {
     /// client that never drains a long search's stream therefore costs
     /// at most `high_water` events of memory, and the "concatenated
     /// events == final trials" invariant holds whether or not
-    /// coalescing fired. Returns whether it did. With no consumer left
-    /// the event is dropped unread.
+    /// coalescing fired. Returns whether it did.
     pub fn emit_progress(&self, event: SearchProgress) -> bool {
-        if Arc::strong_count(&self.job) == 1 {
-            return false;
-        }
         let mut rec = self.job.lock();
         rec.state = JobState::Running;
-        // Edge-triggered: a wake drains the whole backlog, so only its
-        // first event announces itself — a fast search cannot flood
-        // the hook's channel.
+        // Edge-triggered: a woken reader works through the whole
+        // backlog, so only its first event announces itself — a fast
+        // search cannot flood the hook's channel.
         let hook = rec.events.is_empty().then(|| rec.wake.clone()).flatten();
         let full = rec.events.len() >= rec.high_water;
         match rec.events.back_mut() {
@@ -384,13 +377,11 @@ impl<T: Verdict> JobProducer<T> {
     fn seal(&self, state: JobState, verdict: Option<T>) {
         debug_assert!(state.is_terminal(), "a verdict must name a terminal state");
         let mut rec = self.job.lock();
-        if rec.sealed.is_some() {
+        if rec.state.is_terminal() {
             return;
         }
         rec.state = state;
         rec.verdict = verdict;
-        // lint:allow(wall-clock-in-output): reply-latency telemetry anchor — read by the wire server's `reply` span, never serialized
-        rec.sealed = Some(Instant::now());
         let hook = rec.wake.take();
         drop(rec);
         self.job.publish(hook);
@@ -408,13 +399,10 @@ impl<T: Verdict> Drop for JobProducer<T> {
 pub enum JobStep<T> {
     /// The next buffered progress event.
     Progress(SearchProgress),
-    /// The job is terminal and its progress stream is drained.
-    Terminal {
-        /// `None`: died without one, or already redeemed.
-        verdict: Option<T>,
-        /// When the job became terminal.
-        sealed: Instant,
-    },
+    /// The job is terminal and its progress stream is drained; the
+    /// verdict is `None` if it died without one or was already
+    /// redeemed.
+    Terminal(Option<T>),
 }
 
 /// A reading view of a job. Clones observe the same record; the
@@ -445,11 +433,9 @@ impl<T: Verdict> JobConsumer<T> {
         if let Some(event) = rec.events.pop_front() {
             return Some(JobStep::Progress(event));
         }
-        let sealed = rec.sealed?;
-        Some(JobStep::Terminal {
-            verdict: rec.verdict.take(),
-            sealed,
-        })
+        rec.state
+            .is_terminal()
+            .then(|| JobStep::Terminal(rec.verdict.take()))
     }
 
     /// Blocks for the next progress event; `None` once the job is
@@ -460,7 +446,7 @@ impl<T: Verdict> JobConsumer<T> {
             if let Some(event) = rec.events.pop_front() {
                 return Some(event);
             }
-            if rec.sealed.is_some() {
+            if rec.state.is_terminal() {
                 return None;
             }
             rec = self.job.wait(rec);
@@ -471,7 +457,7 @@ impl<T: Verdict> JobConsumer<T> {
     /// `None` means it died without one ([`JobState::Failed`]).
     pub fn wait_outcome(self) -> Option<T> {
         let mut rec = self.job.lock();
-        while rec.sealed.is_none() {
+        while !rec.state.is_terminal() {
             rec = self.job.wait(rec);
         }
         rec.verdict.take()
@@ -481,15 +467,15 @@ impl<T: Verdict> JobConsumer<T> {
     /// it). It is called — outside the job's lock, by the thread that
     /// made the change — when a progress event arrives with none
     /// pending, after the terminal transition (which also releases
-    /// it), and at once from here if a step is already waiting: call
-    /// [`JobConsumer::try_next`] until `None` on every wake and no
-    /// step is missed. It **must not block** — a queued job is shed
+    /// it), and at once from here if a step is already waiting: after
+    /// a wake, keep calling [`JobConsumer::try_next`] until it yields
+    /// `None` or the terminal step, and no step is missed. It **must not block** — a queued job is shed
     /// under the admission queue's lock.
     pub fn on_wake(&self, hook: impl Fn() + Send + Sync + 'static) {
         let hook: WakeHook = Arc::new(hook);
         let mut rec = self.job.lock();
-        let ready = !rec.events.is_empty() || rec.sealed.is_some();
-        if rec.sealed.is_none() {
+        let ready = !rec.events.is_empty() || rec.state.is_terminal();
+        if !rec.state.is_terminal() {
             rec.wake = Some(Arc::clone(&hook));
         }
         drop(rec);
@@ -680,7 +666,7 @@ mod tests {
             };
             assert_eq!(e.committed, want);
         }
-        let Some(JobStep::Terminal { verdict, .. }) = consumer.try_next() else {
+        let Some(JobStep::Terminal(verdict)) = consumer.try_next() else {
             panic!("then the terminal step");
         };
         assert!(matches!(verdict, Some(JobOutcome::Cancelled(None))));
@@ -697,10 +683,7 @@ mod tests {
         assert_eq!(consumer.poll(), JobState::Failed);
         assert_eq!(wakes.load(Ordering::SeqCst), 1);
         assert!(consumer.next_progress().is_none(), "the stream is over");
-        assert!(matches!(
-            consumer.try_next(),
-            Some(JobStep::Terminal { verdict: None, .. })
-        ));
+        assert!(matches!(consumer.try_next(), Some(JobStep::Terminal(None))));
         assert!(consumer.wait_outcome().is_none());
     }
 
@@ -719,17 +702,5 @@ mod tests {
         producer.complete(Err("remote said no".into()));
         assert_eq!(consumer.poll(), JobState::Failed);
         assert!(matches!(consumer.wait_outcome(), Some(Err(e)) if e == "remote said no"));
-    }
-
-    #[test]
-    fn progress_nobody_can_read_is_not_kept() {
-        let (producer, consumer) = job_channel::<JobOutcome>(1);
-        drop(consumer);
-        assert!(!producer.emit_progress(event(1)));
-        assert!(
-            !producer.emit_progress(event(2)),
-            "a kept second event would have coalesced at high-water 1"
-        );
-        assert!(producer.job.lock().events.is_empty());
     }
 }

@@ -17,14 +17,16 @@
 //!   resolves the echoed id against that table and fires the job's
 //!   cooperative cancel;
 //! - the *writer* is the only thread that writes the socket and the
-//!   only place a job's frames are produced: on a wake it drains that
-//!   job's buffered progress into `Progress` frames and then, once the
-//!   job is terminal, writes its verdict (a `Response`, `Expired` or
-//!   `Error` frame) and drops it from the table. So a long search
-//!   streams increments while other pipelined jobs complete around it
-//!   — frames of one job stay ordered (progress before terminal),
-//!   frames of different jobs interleave by id. Frames the reader
-//!   makes itself (errors, `Scrape` replies) travel the same channel.
+//!   only place a job's frames are produced: a wake writes that job's
+//!   next frame — a buffered progress event as a `Progress` frame or,
+//!   once the job is terminal and drained, its verdict (a `Response`,
+//!   `Expired` or `Error` frame), dropping it from the table — and a
+//!   job with more ready queues up again behind whatever arrived
+//!   meanwhile. So a long search streams increments while other
+//!   pipelined jobs complete around it, however fast it emits — frames
+//!   of one job stay ordered (progress before terminal), frames of
+//!   different jobs interleave by id. Frames the reader makes itself
+//!   (errors, `Scrape` replies) travel the same channel.
 //!
 //! Malformed input degrades proportionally: an undecodable request
 //! *body* earns a per-request `protocol` error frame and the connection
@@ -40,7 +42,7 @@
 //! every connection's read side, let every writer drain its in-flight
 //! jobs' progress and verdicts, then join all threads.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
@@ -272,11 +274,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
         let Ok(clone) = stream.try_clone() else {
             continue;
         };
-        shared
-            .conns
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(conn_id, clone);
+        lock(&shared.conns).insert(conn_id, clone);
         let shared_for_conn = Arc::clone(shared);
         let Ok(conn) = std::thread::Builder::new()
             .name("maya-wire-conn".into())
@@ -303,10 +301,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
         // guard-across-blocking-call rule forbids — a descheduled
         // exiting thread would stall every other conn_threads user.
         let finished: Vec<std::thread::JoinHandle<()>> = {
-            let mut threads = shared
-                .conn_threads
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
+            let mut threads = lock(&shared.conn_threads);
             let mut alive = Vec::with_capacity(threads.len() + 1);
             let mut done = Vec::new();
             for handle in threads.drain(..) {
@@ -460,17 +455,16 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
     // clones, and the peer must see EOF now, not when the last clone
     // drops.
     let _ = reader.into_inner().shutdown(Shutdown::Both);
-    shared
-        .conns
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .remove(&conn_id);
+    lock(&shared.conns).remove(&conn_id);
 }
 
 /// Writer half: the only thread that writes the socket and the one
 /// place a job's frames are produced. Reader-made frames are written
-/// in arrival order; a `Wake` drains that job's ready steps. Ends when
-/// the channel closes (see [`WriterMsg`]). An id-0 error frame is
+/// in arrival order; a `Wake` writes that job's next frame, and a job
+/// with more to say waits in `turns` behind everything that arrives
+/// meanwhile — a search streaming faster than the socket drains holds
+/// up nobody by more than one frame. Ends when the channel closes (see
+/// [`WriterMsg`]) with no turn pending. An id-0 error frame is
 /// connection-fatal — written, then the writer stops — and so is a
 /// failed write; either way the socket is shut down, so a reader still
 /// blocked on the peer unblocks and cancels the orphans.
@@ -481,13 +475,21 @@ fn writer_loop(
     shared: &ServerShared,
 ) {
     let mut w = std::io::BufWriter::new(stream);
-    while let Ok(msg) = rx.recv() {
+    let mut turns = VecDeque::new();
+    loop {
+        // Arrivals first, then the jobs waiting for another turn;
+        // block only when there is neither.
+        let next = rx.try_recv().ok();
+        let next = next.or_else(|| turns.pop_front().map(WriterMsg::Wake));
+        let Some(msg) = next.or_else(|| rx.recv().ok()) else {
+            return;
+        };
         let alive = match msg {
             WriterMsg::Frame { kind, id, body } => {
                 let fatal = kind == FrameKind::Error && id == 0;
                 write_frame(&mut w, kind, id, &body, shared.max_frame_len).is_ok() && !fatal
             }
-            WriterMsg::Wake(id) => drain_job(&mut w, id, jobs, shared).is_ok(),
+            WriterMsg::Wake(id) => write_step(&mut w, id, jobs, &mut turns, shared).is_ok(),
         };
         if !alive {
             let _ = w.get_ref().shutdown(Shutdown::Both);
@@ -496,55 +498,63 @@ fn writer_loop(
     }
 }
 
-/// Writes every frame job `id` has ready: buffered progress as
-/// `Progress` frames, then — once it is terminal — its verdict (a
-/// `Response`, `Expired` or `Error` frame), after which the job leaves
-/// the in-flight table. One job's frames thus stay ordered however
-/// wakes interleave; a wake for an id already answered is a no-op.
-/// The table lock is never held across a socket write.
-fn drain_job(
+/// Writes the next frame job `id` has ready: a buffered progress event
+/// as a `Progress` frame, booking the job's next turn, or — once it is
+/// terminal and drained — its verdict (a `Response`, `Expired` or
+/// `Error` frame). The job leaves the in-flight table under the lock
+/// that yielded the verdict, so its id is free for reuse before the
+/// client can see the frame. One job's frames thus stay ordered however
+/// wakes interleave; a wake for an id with nothing ready (or already
+/// answered) is a no-op. The table lock is never held across a write.
+fn write_step(
     w: &mut impl std::io::Write,
     id: u64,
     jobs: &InFlight,
+    turns: &mut VecDeque<u64>,
     shared: &ServerShared,
 ) -> std::io::Result<()> {
-    loop {
-        // The service-side job id names the span tree the worker
-        // recorded (the frame id is the client's request id).
-        let Some((sid, Some(step))) = lock(jobs).get(&id).map(|h| (h.id(), h.try_next())) else {
-            return Ok(());
-        };
-        let (verdict, sealed) = match step {
-            JobStep::Progress(event) => {
-                let body = serde::to_string(&event);
-                write_frame(w, FrameKind::Progress, id, &body, shared.max_frame_len)?;
-                continue;
+    // The service-side job id names the span tree the worker recorded
+    // (the frame id is the client's request id).
+    let mut table = lock(jobs);
+    let step = table.get(&id).and_then(|h| Some((h.id(), h.try_next()?)));
+    let (sid, verdict) = match step {
+        None => return Ok(()),
+        Some((_, JobStep::Progress(event))) => {
+            drop(table);
+            // One place in line, however many wakes the job posted.
+            if !turns.contains(&id) {
+                turns.push_back(id);
             }
-            JobStep::Terminal { verdict, sealed } => (verdict, sealed),
-        };
-        let (kind, body) = match &verdict {
-            Some(outcome) => outcome_frame(outcome.state(), outcome.response()),
-            // The job died without a verdict (worker panic): typed
-            // Stopped.
-            None => (
-                FrameKind::Error,
-                serde::to_string(&RemoteError::from(&ServeError::Stopped)),
-            ),
-        };
-        let written = write_frame(w, kind, id, &body, shared.max_frame_len);
-        // Extend the worker's span tree with the reply phase — verdict
-        // stored to frame written — so a scraped tree accounts for the
-        // job's full server-side wall clock.
-        let spans = verdict.as_ref().and_then(|o| o.response());
-        if let Some(root) = spans.and_then(|r| r.telemetry.spans.first()) {
-            let reply = sealed.elapsed();
-            let mut tree = root.clone();
-            tree.children
-                .push(SpanNode::leaf("reply", tree.duration, reply));
-            tree.duration += reply;
-            shared.service.record_job_tree(sid, tree);
+            let body = serde::to_string(&event);
+            return write_frame(w, FrameKind::Progress, id, &body, shared.max_frame_len);
         }
-        lock(jobs).remove(&id);
-        return written;
+        Some((sid, JobStep::Terminal(verdict))) => (sid, verdict),
+    };
+    table.remove(&id);
+    drop(table);
+    // lint:allow(wall-clock-in-output): reply-latency telemetry anchor — timing is observability, not payload
+    let reply_started = std::time::Instant::now();
+    let (kind, body) = match &verdict {
+        Some(outcome) => outcome_frame(outcome.state(), outcome.response()),
+        // The job died without a verdict (worker panic): typed
+        // Stopped.
+        None => (
+            FrameKind::Error,
+            serde::to_string(&RemoteError::from(&ServeError::Stopped)),
+        ),
+    };
+    let written = write_frame(w, kind, id, &body, shared.max_frame_len);
+    // Extend the worker's span tree with the reply phase — encode and
+    // socket write — so a scraped tree accounts for the job's full
+    // server-side wall clock.
+    let spans = verdict.as_ref().and_then(|o| o.response());
+    if let Some(root) = spans.and_then(|r| r.telemetry.spans.first()) {
+        let reply = reply_started.elapsed();
+        let mut tree = root.clone();
+        tree.children
+            .push(SpanNode::leaf("reply", tree.duration, reply));
+        tree.duration += reply;
+        shared.service.record_job_tree(sid, tree);
     }
+    written
 }

@@ -282,19 +282,7 @@ fn frames_below_the_version_floor_are_refused_and_only_that_connection_closes() 
         target: A40_TARGET.into(),
         jobs: vec![job(&a40_cluster(), ParallelConfig::default())],
     };
-    let mut body = serde::compact::Writer::new();
-    use serde::Serialize as _;
-    maya_serve::JobOptions::default().serialize(&mut body);
-    good.serialize(&mut body);
-    let mut frame_bytes = Vec::new();
-    frame::write_frame(
-        &mut frame_bytes,
-        frame::FrameKind::Request,
-        7,
-        &body.finish(),
-        frame::DEFAULT_MAX_FRAME_LEN,
-    )
-    .unwrap();
+    let mut frame_bytes = request_frame(7, &good);
 
     for (nth, old) in [4u16, 2].into_iter().enumerate() {
         // A perfectly valid current-version request, restamped.
@@ -675,6 +663,98 @@ fn dropped_client_cancels_its_orphaned_jobs() {
         })
         .expect("worker freed by the orphan cleanup");
     assert!(resp.predictions().unwrap()[0].is_ok());
+}
+
+/// One request frame, as a conforming client would send it.
+fn request_frame(id: u64, request: &Request) -> Vec<u8> {
+    use serde::Serialize as _;
+    let mut body = serde::compact::Writer::new();
+    maya_serve::JobOptions::default().serialize(&mut body);
+    request.serialize(&mut body);
+    let mut bytes = Vec::new();
+    let max = frame::DEFAULT_MAX_FRAME_LEN;
+    frame::write_frame(
+        &mut bytes,
+        frame::FrameKind::Request,
+        id,
+        &body.finish(),
+        max,
+    )
+    .unwrap();
+    bytes
+}
+
+/// A job whose progress backlog never empties — a memoized search
+/// commits waves faster than a slow peer takes their frames — must not
+/// hold the connection until it ends: whatever arrives meanwhile, a
+/// reader-made `Scrape` reply or another job's verdict, gets the next
+/// turn on the socket.
+#[test]
+fn a_backlogged_search_does_not_hold_the_connection() {
+    let svc = service();
+    let server = WireServer::bind("127.0.0.1:0", Arc::clone(&svc)).unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    // ~20 MB of progress frames, and nobody reading: the socket
+    // buffers fill, the writer blocks mid-stream and the rest of the
+    // search piles up behind it (its result alone fits a frame).
+    raw.write_all(&request_frame(1, &long_search(250_000)))
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while svc.stats().served == 0 {
+        assert!(Instant::now() < deadline, "the search never finished");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Two latecomers, then start reading.
+    let max = frame::DEFAULT_MAX_FRAME_LEN;
+    frame::write_frame(&mut raw, frame::FrameKind::Scrape, 2, "", max).unwrap();
+    let predict = Request::Predict {
+        target: H100_TARGET.into(),
+        jobs: vec![job(&h100_cluster(), ParallelConfig::default())],
+    };
+    raw.write_all(&request_frame(3, &predict)).unwrap();
+
+    let mut reader = std::io::BufReader::new(raw);
+    let mut answered = Vec::new();
+    while answered.len() < 3 {
+        let frame = frame::read_frame(&mut reader, max)
+            .expect("readable frame")
+            .expect("the connection stays up");
+        match frame.kind {
+            frame::FrameKind::Progress => assert_eq!(frame.id, 1),
+            frame::FrameKind::Scrape | frame::FrameKind::Response => answered.push(frame.id),
+            other => panic!("unexpected {other:?} frame on id {}", frame.id),
+        }
+    }
+    assert_eq!(
+        answered.last(),
+        Some(&1),
+        "the latecomers must be answered ahead of the search's backlog, got {answered:?}"
+    );
+}
+
+/// A client may reuse a request id as soon as it has seen that id's
+/// terminal frame: the job left the in-flight table before the frame
+/// was written, so the new job is not mistaken for the old one.
+#[test]
+fn an_answered_request_id_is_free_for_reuse() {
+    let server = WireServer::bind("127.0.0.1:0", service()).unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    // A lost job would never be answered: fail, don't hang.
+    raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let predict = Request::Predict {
+        target: H100_TARGET.into(),
+        jobs: vec![job(&h100_cluster(), ParallelConfig::default())],
+    };
+    let request = request_frame(7, &predict);
+    for round in 0..200 {
+        raw.write_all(&request).unwrap();
+        let frame = frame::read_frame(&mut raw, frame::DEFAULT_MAX_FRAME_LEN)
+            .expect("readable frame")
+            .unwrap_or_else(|| panic!("round {round}: the connection closed"));
+        assert_eq!((frame.kind, frame.id), (frame::FrameKind::Response, 7));
+    }
+    assert_eq!(server.stats().admitted, 200);
 }
 
 /// The `comm` name of every thread in this process.
