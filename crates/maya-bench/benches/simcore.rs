@@ -4,11 +4,14 @@
 //! 8-rank trace. The same three shapes `perf_report` measures, under
 //! criterion's statistics.
 
+// The frozen oracle now lives with maya-sim's tests.
+#[path = "../../maya-sim/tests/reference/mod.rs"]
+mod reference;
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use maya_collate::collate;
 use maya_estimator::OracleEstimator;
 use maya_hw::ClusterSpec;
-use maya_sim::reference::simulate_reference;
 use maya_sim::{SimScratch, Simulator};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
 use maya_trace::Dtype;
@@ -58,7 +61,7 @@ fn bench_simcore(c: &mut Criterion) {
         b.iter(|| sim.run(&trace).expect("simulates"))
     });
     g.bench_function("reference", |b| {
-        b.iter(|| simulate_reference(&trace, &cluster, &oracle).expect("simulates"))
+        b.iter(|| reference::simulate_reference(&trace, &cluster, &oracle).expect("simulates"))
     });
     g.finish();
 }

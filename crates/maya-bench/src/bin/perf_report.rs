@@ -17,6 +17,10 @@
 //! - `--check <path>`: validate an existing report file against this
 //!   binary's schema and exit; nonzero on drift.
 
+// The frozen oracle now lives with maya-sim's tests.
+#[path = "../../../maya-sim/tests/reference/mod.rs"]
+mod reference;
+
 use std::sync::Arc;
 
 use maya::{EmulationSpec, MayaBuilder};
@@ -28,7 +32,6 @@ use maya_collate::collate;
 use maya_estimator::OracleEstimator;
 use maya_hw::ClusterSpec;
 use maya_search::{AlgorithmKind, Objective, TrialScheduler};
-use maya_sim::reference::simulate_reference;
 use maya_sim::{SimObs, SimScratch, Simulator};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
 use maya_trace::Dtype;
@@ -87,7 +90,7 @@ fn sim_scenarios(smoke: bool) -> Vec<ScenarioResult> {
         sim.run(&trace).expect("simulates");
     });
     let reference = measure("sim_reference", "events/sec", iters, events, || {
-        simulate_reference(&trace, &cluster, &oracle).expect("simulates");
+        reference::simulate_reference(&trace, &cluster, &oracle).expect("simulates");
     });
 
     let contended_cluster = cluster.clone().with_default_topology();

@@ -8,8 +8,9 @@
 //! arena ([`Simulator::run_with_scratch`]) so repeated runs — a config
 //! search replaying thousands of near-identical traces, or a serving
 //! worker — amortize every allocation. The pre-optimization core is
-//! preserved in [`crate::reference`] and equivalence is enforced by
-//! test: both cores must produce byte-identical [`SimReport`]s.
+//! preserved as a test oracle in `tests/reference` and equivalence is
+//! enforced by test: both cores must produce byte-identical
+//! [`SimReport`]s.
 //!
 //! Per-event cost follows what is *live*, not what was ever scheduled.
 //! A host thread runs far ahead of its device, so at any instant about
@@ -1612,12 +1613,14 @@ mod tests {
         // every run must match a fresh-state run exactly.
         for seed in 0..6u64 {
             let job = busy_job(seed);
-            let reused = sim.run_with_scratch(&job, &mut scratch).unwrap();
+            job.validate().unwrap();
+            let reused = sim.run_prevalidated(&job, &mut scratch).unwrap();
             let fresh = sim.run(&job).unwrap();
             assert_eq!(reused, fresh, "seed {seed}");
             // And a shrunken job right after a bigger one.
             let small = job1(vec![ev(0, kernel(512), 1.0)]);
-            let reused = sim.run_with_scratch(&small, &mut scratch).unwrap();
+            small.validate().unwrap();
+            let reused = sim.run_prevalidated(&small, &mut scratch).unwrap();
             let fresh = sim.run(&small).unwrap();
             assert_eq!(reused, fresh, "small after seed {seed}");
         }
@@ -1651,13 +1654,15 @@ mod tests {
             workers: vec![w0, w1],
             comm_groups: groups,
         };
+        bad.validate().unwrap();
         assert!(matches!(
-            sim.run_with_scratch(&bad, &mut scratch),
+            sim.run_prevalidated(&bad, &mut scratch),
             Err(SimError::Deadlock { .. })
         ));
         // ...and the next run through the same arena is still exact.
         let job = busy_job(3);
-        let reused = sim.run_with_scratch(&job, &mut scratch).unwrap();
+        job.validate().unwrap();
+        let reused = sim.run_prevalidated(&job, &mut scratch).unwrap();
         let fresh = sim.run(&job).unwrap();
         assert_eq!(reused, fresh);
     }
@@ -1834,18 +1839,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_core_matches_reference_core() {
-        let c = cluster();
-        let oracle = OracleEstimator::new(&c);
-        for seed in 0..6u64 {
-            let job = busy_job(seed);
-            let dense = simulate(&job, &c, &oracle).unwrap();
-            let reference = crate::reference::simulate_reference(&job, &c, &oracle).unwrap();
-            assert_eq!(dense, reference, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn obs_hooks_publish_per_run_tallies() {
         let c = ClusterSpec::h100(1, 4).with_default_topology();
         let oracle = OracleEstimator::new(&c);
@@ -1884,45 +1877,5 @@ mod tests {
             assert_eq!(instrumented, base, "seed {seed}");
             assert_eq!(serde::to_string(&instrumented), serde::to_string(&base));
         }
-    }
-
-    #[test]
-    fn adversarial_version_zero_record_matches_reference() {
-        // event_record never emits version 0, but the simulator is a
-        // public API: a hand-built trace may record version 0 and then
-        // wait on it. Both cores must agree on what that means.
-        let c = cluster();
-        let oracle = OracleEstimator::new(&c);
-        let job = job1(vec![
-            ev(1, kernel(4096), 1.0),
-            ev(
-                1,
-                DeviceOp::EventRecord {
-                    event: 5,
-                    version: 0,
-                },
-                1.0,
-            ),
-            ev(
-                0,
-                DeviceOp::StreamWaitEvent {
-                    event: 5,
-                    version: 0,
-                },
-                1.0,
-            ),
-            ev(0, kernel(4096), 1.0),
-            ev(
-                0,
-                DeviceOp::EventSynchronize {
-                    event: 5,
-                    version: 0,
-                },
-                1.0,
-            ),
-        ]);
-        let dense = simulate(&job, &c, &oracle).unwrap();
-        let reference = crate::reference::simulate_reference(&job, &c, &oracle).unwrap();
-        assert_eq!(dense, reference);
     }
 }

@@ -18,7 +18,6 @@
 //! Durations come from a pluggable [`maya_estimator::RuntimeEstimator`].
 
 pub mod engine;
-pub mod reference;
 pub mod report;
 
 pub use engine::{simulate, SimError, SimObs, SimScratch, Simulator};

@@ -9,7 +9,7 @@
 //!    one dirtied by differently-shaped prior runs, yields reports
 //!    byte-identical to fresh-state runs.
 //! 3. **Reference equivalence** — the dense-slot core matches the
-//!    frozen pre-optimization core in [`maya_sim::reference`] exactly,
+//!    frozen pre-optimization core in `tests/reference` exactly,
 //!    including `events_processed` (same event schedule, not just the
 //!    same answer) and including error cases (deadlocks).
 //!
@@ -17,18 +17,20 @@
 //! plus a seed-drawn fault plan), which the reference core, having no
 //! flow model, cannot check.
 
+mod reference;
+
 use std::collections::BTreeMap;
 
 use maya_estimator::OracleEstimator;
 use maya_hw::ClusterSpec;
 use maya_net::FaultPlan;
 use maya_sim::engine::{simulate, SimScratch, Simulator};
-use maya_sim::reference::simulate_reference;
 use maya_trace::{
     CollectiveDesc, CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind, MemcpyKind, SimTime,
     StreamId, TraceEvent, WorkerTrace,
 };
 use proptest::prelude::*;
+use reference::simulate_reference;
 
 /// One step of the trace generator, to be lowered per rank.
 #[derive(Clone, Debug)]
@@ -311,4 +313,169 @@ proptest! {
             }
         }
     }
+}
+
+// Hand-built traces, from the engine's unit tests.
+
+fn kernel(m: u64) -> DeviceOp {
+    DeviceOp::KernelLaunch {
+        kernel: KernelKind::Gemm {
+            m,
+            n: 1024,
+            k: 1024,
+            dtype: Dtype::Fp32,
+        },
+    }
+}
+
+fn ev(stream: u32, op: DeviceOp, host_us: f64) -> TraceEvent {
+    TraceEvent {
+        stream: StreamId(stream),
+        op,
+        host_delay: SimTime::from_us(host_us),
+    }
+}
+
+fn job1(events: Vec<TraceEvent>) -> JobTrace {
+    let mut w = WorkerTrace::new(0);
+    w.events = events;
+    JobTrace {
+        nranks: 1,
+        workers: vec![w],
+        comm_groups: BTreeMap::new(),
+    }
+}
+
+fn cluster() -> ClusterSpec {
+    ClusterSpec::h100(1, 2)
+}
+
+/// A small but feature-dense trace touching every op kind the
+/// scratch arena has to reset: kernels on three streams, event
+/// record/wait/sync, sync memcpy, device sync, and a collective.
+fn busy_job(seed: u64) -> JobTrace {
+    let m = 1024 + (seed % 7) * 512;
+    let mk = |rank: u32| {
+        let mut w = WorkerTrace::new(rank);
+        w.events = vec![
+            ev(0, kernel(m), 2.0),
+            ev(
+                0,
+                DeviceOp::EventRecord {
+                    event: 1,
+                    version: 1,
+                },
+                1.0,
+            ),
+            ev(
+                1,
+                DeviceOp::StreamWaitEvent {
+                    event: 1,
+                    version: 1,
+                },
+                1.0,
+            ),
+            ev(1, kernel(2 * m), 1.0),
+            ev(
+                2,
+                DeviceOp::MemcpyAsync {
+                    bytes: 1 << 20,
+                    kind: maya_trace::MemcpyKind::HostToDevice,
+                    sync: false,
+                },
+                1.0,
+            ),
+            ev(
+                1,
+                DeviceOp::EventRecord {
+                    event: 2,
+                    version: 1,
+                },
+                1.0,
+            ),
+            ev(
+                0,
+                DeviceOp::EventSynchronize {
+                    event: 2,
+                    version: 1,
+                },
+                1.0,
+            ),
+            ev(
+                0,
+                DeviceOp::Collective {
+                    desc: CollectiveDesc {
+                        kind: CollectiveKind::AllReduce,
+                        comm_id: 7,
+                        seq: 0,
+                        bytes: 1 << 22,
+                        nranks: 2,
+                        rank_in_comm: rank,
+                    },
+                },
+                1.0,
+            ),
+            ev(0, DeviceOp::DeviceSynchronize, 1.0),
+        ];
+        w
+    };
+    let mut groups = BTreeMap::new();
+    groups.insert(7u64, vec![0, 1]);
+    JobTrace {
+        nranks: 2,
+        workers: vec![mk(0), mk(1)],
+        comm_groups: groups,
+    }
+}
+
+#[test]
+fn dense_core_matches_reference_core() {
+    let c = cluster();
+    let oracle = OracleEstimator::new(&c);
+    for seed in 0..6u64 {
+        let job = busy_job(seed);
+        let dense = simulate(&job, &c, &oracle).unwrap();
+        let reference = crate::reference::simulate_reference(&job, &c, &oracle).unwrap();
+        assert_eq!(dense, reference, "seed {seed}");
+    }
+}
+
+#[test]
+fn adversarial_version_zero_record_matches_reference() {
+    // event_record never emits version 0, but the simulator is a
+    // public API: a hand-built trace may record version 0 and then
+    // wait on it. Both cores must agree on what that means.
+    let c = cluster();
+    let oracle = OracleEstimator::new(&c);
+    let job = job1(vec![
+        ev(1, kernel(4096), 1.0),
+        ev(
+            1,
+            DeviceOp::EventRecord {
+                event: 5,
+                version: 0,
+            },
+            1.0,
+        ),
+        ev(
+            0,
+            DeviceOp::StreamWaitEvent {
+                event: 5,
+                version: 0,
+            },
+            1.0,
+        ),
+        ev(0, kernel(4096), 1.0),
+        ev(
+            0,
+            DeviceOp::EventSynchronize {
+                event: 5,
+                version: 0,
+            },
+            1.0,
+        ),
+    ]);
+    let dense = simulate(&job, &c, &oracle).unwrap();
+    let reference = crate::reference::simulate_reference(&job, &c, &oracle).unwrap();
+    assert_eq!(dense, reference);
 }

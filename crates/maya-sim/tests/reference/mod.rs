@@ -6,7 +6,7 @@
 //! through per-rank `HashMap<(u64, u32), _>` wait maps and the whole
 //! mutable state is allocated fresh on every run. It is deliberately
 //! *not* maintained for speed — its only job is to stay semantically
-//! frozen so tests can prove the optimized [`crate::engine`] produces
+//! frozen so tests can prove the optimized [`maya_sim::engine`] produces
 //! byte-identical [`SimReport`]s. Do not optimize this module; fix
 //! behavior bugs in both cores (and extend the equivalence proptests in
 //! `tests/props.rs` to cover the fix).
@@ -20,8 +20,7 @@ use maya_trace::{
     CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, SimTime, StreamId, TraceEvent,
 };
 
-use crate::engine::SimError;
-use crate::report::SimReport;
+use maya_sim::{SimError, SimReport};
 
 /// Key of a collective rendezvous in the network wait map.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -146,7 +145,7 @@ struct Reference<'a> {
 }
 
 /// Runs the pre-optimization core. Semantics must match
-/// [`crate::simulate`] exactly — see the module docs.
+/// [`maya_sim::Simulator::run`] exactly — see the module docs.
 pub fn simulate_reference(
     job: &JobTrace,
     cluster: &ClusterSpec,
