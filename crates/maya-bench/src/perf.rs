@@ -1,208 +1,12 @@
-//! The committed perf-report harness behind `BENCH_<version>.json`.
+//! A dependency-free JSON reader.
 //!
-//! `cargo run --release -p maya-bench --bin perf_report` measures the
-//! serving-path hot loops — sim events/sec, predictions/sec through
-//! `predict_batch`, search trials/sec, loopback wire round-trips/sec —
-//! and writes a schema-versioned JSON report at the repo root so perf
-//! regressions show up in review as a diff of committed numbers.
-//!
-//! This module holds everything the binary and its tests share: the
-//! report vocabulary, the timing helper, the JSON emitter, and a small
-//! strict JSON parser used to validate a report file (`perf_report
-//! --check`, run by CI against both the smoke output and the committed
-//! artifact, so schema drift fails the build rather than rotting).
-
-use std::time::Instant;
-
-/// Monotonically increasing schema version. Bump it whenever the JSON
-/// layout or the required scenario set changes, and regenerate the
-/// committed artifact under the new name (`BENCH_<version>.json`); it
-/// never decreases (see `schema_version_is_monotonic`).
-pub const SCHEMA_VERSION: u32 = 10;
-
-/// Value of the report's `schema` discriminator field.
-pub const SCHEMA_NAME: &str = "maya-perf-report";
-
-/// Scenario names every valid report must carry, one per measured hot
-/// loop (plus the frozen-core and fresh-state sim baselines that give
-/// the optimized number meaning).
-pub const REQUIRED_SCENARIOS: &[&str] = &[
-    "sim_dense_scratch",
-    "sim_dense_fresh",
-    "sim_reference",
-    "net_contended",
-    "predict_cold",
-    "predict_warm",
-    "search_sequential",
-    "search_batched",
-    "wire_loopback",
-    "obs_overhead",
-    "lint_scan",
-    "lint_interproc",
-];
-
-/// The default report path at the repo root.
-pub fn default_report_path() -> String {
-    format!("BENCH_{SCHEMA_VERSION}.json")
-}
-
-/// One measured scenario: a throughput figure plus the per-iteration
-/// latency distribution it was computed from.
-#[derive(Clone, Debug)]
-pub struct ScenarioResult {
-    /// Scenario name (see [`REQUIRED_SCENARIOS`]).
-    pub name: String,
-    /// Unit of `throughput` ("events/sec", "predictions/sec", ...).
-    pub unit: String,
-    /// Timed iterations.
-    pub iters: u64,
-    /// Elements per second: `elems_per_iter * iters / total_wall`.
-    pub throughput: f64,
-    /// Median per-iteration latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile (nearest-rank) per-iteration latency,
-    /// microseconds.
-    pub p99_us: f64,
-}
-
-/// Times `iters` calls of `f`, individually, and folds them into a
-/// [`ScenarioResult`]. `elems_per_iter` is how many unit-elements one
-/// call processes (events for the sim, predictions for a batch, ...).
-/// The caller is responsible for any warmup before measuring.
-pub fn measure(
-    name: &str,
-    unit: &str,
-    iters: u64,
-    elems_per_iter: f64,
-    mut f: impl FnMut(),
-) -> ScenarioResult {
-    assert!(iters > 0, "measure needs at least one iteration");
-    let mut lat_us: Vec<f64> = Vec::with_capacity(iters as usize);
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        lat_us.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    let total = t0.elapsed().as_secs_f64();
-    ScenarioResult {
-        name: name.to_string(),
-        unit: unit.to_string(),
-        iters,
-        throughput: elems_per_iter * iters as f64 / total.max(1e-12),
-        p50_us: crate::quantile(&mut lat_us, 0.50),
-        p99_us: crate::quantile(&mut lat_us, 0.99),
-    }
-}
-
-/// Where the numbers were taken: enough to judge whether two committed
-/// reports are comparable.
-#[derive(Clone, Debug)]
-pub struct MachineInfo {
-    /// `std::env::consts::OS`.
-    pub os: String,
-    /// `std::env::consts::ARCH`.
-    pub arch: String,
-    /// Available logical CPUs.
-    pub cpus: u64,
-    /// Git revision the binary was run against ("unknown" outside a
-    /// checkout).
-    pub git_rev: String,
-}
-
-impl MachineInfo {
-    /// Probes the current machine; `git_rev` is supplied by the caller
-    /// (the binary shells out to `git`, tests pass a fixed string).
-    pub fn probe(git_rev: String) -> MachineInfo {
-        MachineInfo {
-            os: std::env::consts::OS.to_string(),
-            arch: std::env::consts::ARCH.to_string(),
-            cpus: std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(1),
-            git_rev,
-        }
-    }
-}
-
-/// The full report, serialized to `BENCH_<version>.json`.
-#[derive(Clone, Debug)]
-pub struct PerfReport {
-    /// Whether this was a `--smoke` run (fewer iterations; numbers are
-    /// for schema checking, not comparison).
-    pub smoke: bool,
-    /// Machine + revision the numbers were taken on.
-    pub machine: MachineInfo,
-    /// All measured scenarios (superset of [`REQUIRED_SCENARIOS`]).
-    pub scenarios: Vec<ScenarioResult>,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "0".to_string()
-    }
-}
-
-impl PerfReport {
-    /// Pretty-printed JSON, stable field order, trailing newline (the
-    /// file is committed; diffs should be line-oriented).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{}\",\n", esc(SCHEMA_NAME)));
-        out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"os\": \"{}\",\n", esc(&self.machine.os)));
-        out.push_str(&format!("  \"arch\": \"{}\",\n", esc(&self.machine.arch)));
-        out.push_str(&format!("  \"cpus\": {},\n", self.machine.cpus));
-        out.push_str(&format!(
-            "  \"git_rev\": \"{}\",\n",
-            esc(&self.machine.git_rev)
-        ));
-        out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        out.push_str("  \"scenarios\": [\n");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"unit\": \"{}\", \"iters\": {}, \
-                 \"throughput\": {}, \"p50_us\": {}, \"p99_us\": {}}}{}\n",
-                esc(&s.name),
-                esc(&s.unit),
-                s.iters,
-                num(s.throughput),
-                num(s.p50_us),
-                num(s.p99_us),
-                if i + 1 < self.scenarios.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
-    }
-}
+//! The repository's benchmark (`benchmark/`, a standalone workspace;
+//! see `benchmark/README.md`) parses its own result lines and
+//! `BENCHMARK.json` through `maya_bench::perf::json`, which is why the
+//! module keeps this path.
 
 /// A small strict JSON reader — just enough to structurally validate a
-/// report file without a dependency. Numbers become `f64`; objects keep
+/// result file without a dependency. Numbers become `f64`; objects keep
 /// insertion order.
 pub mod json {
     /// A parsed JSON value.
@@ -434,165 +238,9 @@ pub mod json {
     }
 }
 
-fn require<'a>(obj: &'a json::Value, key: &str) -> Result<&'a json::Value, String> {
-    obj.get(key).ok_or_else(|| format!("missing key '{key}'"))
-}
-
-fn require_str<'a>(obj: &'a json::Value, key: &str) -> Result<&'a str, String> {
-    require(obj, key)?
-        .as_str()
-        .ok_or_else(|| format!("key '{key}' must be a string"))
-}
-
-fn require_num(obj: &json::Value, key: &str) -> Result<f64, String> {
-    require(obj, key)?
-        .as_f64()
-        .ok_or_else(|| format!("key '{key}' must be a number"))
-}
-
-/// Structurally validates a report document: the schema discriminator,
-/// an exact [`SCHEMA_VERSION`] match (a committed artifact from another
-/// version is drift — regenerate it), machine fields, and every
-/// [`REQUIRED_SCENARIOS`] entry with sane finite numbers.
-pub fn validate_report(text: &str) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    if require_str(&doc, "schema")? != SCHEMA_NAME {
-        return Err(format!("schema discriminator is not '{SCHEMA_NAME}'"));
-    }
-    let version = require_num(&doc, "schema_version")?;
-    if version.fract() != 0.0 || version < 1.0 {
-        return Err("schema_version must be a positive integer".into());
-    }
-    if version as u32 != SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version} does not match this binary's {SCHEMA_VERSION} \
-             (regenerate the report)"
-        ));
-    }
-    require_str(&doc, "os")?;
-    require_str(&doc, "arch")?;
-    require_str(&doc, "git_rev")?;
-    if require_num(&doc, "cpus")? < 1.0 {
-        return Err("cpus must be >= 1".into());
-    }
-    if !matches!(require(&doc, "smoke")?, json::Value::Bool(_)) {
-        return Err("key 'smoke' must be a bool".into());
-    }
-    let scenarios = require(&doc, "scenarios")?
-        .as_array()
-        .ok_or("key 'scenarios' must be an array")?;
-    let mut names = Vec::new();
-    for s in scenarios {
-        let name = require_str(s, "name")?.to_string();
-        require_str(s, "unit")?;
-        if require_num(s, "iters")? < 1.0 {
-            return Err(format!("scenario '{name}': iters must be >= 1"));
-        }
-        let throughput = require_num(s, "throughput")?;
-        if !throughput.is_finite() || throughput <= 0.0 {
-            return Err(format!(
-                "scenario '{name}': throughput must be finite and > 0"
-            ));
-        }
-        let p50 = require_num(s, "p50_us")?;
-        let p99 = require_num(s, "p99_us")?;
-        if !p50.is_finite() || !p99.is_finite() || p50 < 0.0 || p50 > p99 {
-            return Err(format!(
-                "scenario '{name}': need 0 <= p50_us <= p99_us, got {p50} / {p99}"
-            ));
-        }
-        names.push(name);
-    }
-    for required in REQUIRED_SCENARIOS {
-        if !names.iter().any(|n| n == required) {
-            return Err(format!("missing required scenario '{required}'"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn synthetic_report() -> PerfReport {
-        PerfReport {
-            smoke: true,
-            machine: MachineInfo::probe("deadbeef".into()),
-            scenarios: REQUIRED_SCENARIOS
-                .iter()
-                .enumerate()
-                .map(|(i, name)| ScenarioResult {
-                    name: name.to_string(),
-                    unit: "elems/sec".into(),
-                    iters: 4,
-                    throughput: 1000.0 + i as f64,
-                    p50_us: 10.0,
-                    p99_us: 25.0,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn schema_version_is_monotonic() {
-        // The floor only ever rises; lowering it would let an old
-        // committed artifact pass --check against newer code. Read the
-        // version back out of the report path so the check covers what
-        // actually hits disk.
-        let path = default_report_path();
-        let version: u32 = path
-            .strip_prefix("BENCH_")
-            .and_then(|p| p.strip_suffix(".json"))
-            .and_then(|v| v.parse().ok())
-            .expect("report path is BENCH_<version>.json");
-        assert_eq!(version, SCHEMA_VERSION);
-        assert!(version >= 6, "schema version must never decrease");
-    }
-
-    #[test]
-    fn emitted_report_validates() {
-        let report = synthetic_report();
-        let text = report.to_json();
-        validate_report(&text).expect("emitted report is schema-valid");
-    }
-
-    #[test]
-    fn measure_produces_valid_scenario() {
-        let mut n = 0u64;
-        let r = measure("spin", "spins/sec", 8, 3.0, || n += 1);
-        assert_eq!(n, 8);
-        assert_eq!(r.iters, 8);
-        assert!(r.throughput > 0.0);
-        assert!(r.p50_us <= r.p99_us);
-    }
-
-    #[test]
-    fn validation_rejects_drift() {
-        let good = synthetic_report().to_json();
-
-        // Version drift.
-        let bumped = good.replace(
-            &format!("\"schema_version\": {SCHEMA_VERSION}"),
-            &format!("\"schema_version\": {}", SCHEMA_VERSION + 1),
-        );
-        assert!(validate_report(&bumped)
-            .unwrap_err()
-            .contains("schema_version"));
-
-        // A required scenario renamed away.
-        let renamed = good.replace("sim_reference", "sim_reference_gone");
-        assert!(validate_report(&renamed)
-            .unwrap_err()
-            .contains("sim_reference"));
-
-        // A required top-level key dropped.
-        let no_rev = good.replace("\"git_rev\"", "\"git_rev_x\"");
-        assert!(validate_report(&no_rev).unwrap_err().contains("git_rev"));
-
-        // Not JSON at all.
-        assert!(validate_report("BENCH { nope").is_err());
-    }
+    use super::json;
 
     #[test]
     fn json_parser_round_trips_nesting() {

@@ -62,11 +62,6 @@ impl Key {
         Key(mix(self.0, v))
     }
 
-    /// Folds a float (by bit pattern) into the key.
-    pub fn with_f64(self, v: f64) -> Self {
-        self.with(v.to_bits())
-    }
-
     /// Final hash value.
     pub fn finish(self) -> u64 {
         splitmix64(self.0)

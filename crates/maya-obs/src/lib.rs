@@ -21,7 +21,7 @@
 //!   `chrome://tracing`.
 //! - **[`ObsConfig`]** — the zero-cost-when-off switch instrumented
 //!   code branches on. `ObsConfig::off()` keeps hot paths exactly as
-//!   uninstrumented (the perf report's `obs_overhead` scenario pins
+//!   uninstrumented (the benchmark's `obs.on_over_off` probe measures
 //!   the cost of the *on* path).
 
 pub mod chrome;

@@ -48,13 +48,6 @@ impl EngineRegistry {
         EngineRegistry::with_memo_limits(choice, None, None)
     }
 
-    /// A registry whose per-cluster memo caches are LRU-bounded to
-    /// roughly `capacity` entries per query family (see
-    /// [`CachingEstimator::with_capacity`]). `None` is unbounded.
-    pub fn with_memo_capacity(choice: EstimatorChoice, capacity: Option<usize>) -> Self {
-        EngineRegistry::with_memo_limits(choice, capacity, None)
-    }
-
     /// A registry with both memo retention bounds: the LRU entry cap
     /// and a time-to-live (see [`CachingEstimator::with_limits`]).
     pub fn with_memo_limits(

@@ -1079,24 +1079,6 @@ impl MayaService {
         }
     }
 
-    /// The observability configuration the service was built with.
-    pub fn obs_config(&self) -> ObsConfig {
-        self.shared.obs.config
-    }
-
-    /// A handle to the service's metrics registry (clones share the
-    /// instrument set). Useful for registering extra instruments next
-    /// to the built-in ones; they ride along in
-    /// [`MayaService::obs_snapshot`].
-    pub fn obs_registry(&self) -> Registry {
-        self.shared.obs.registry.clone()
-    }
-
-    /// A handle to the service's span flight recorder.
-    pub fn flight_recorder(&self) -> FlightRecorder {
-        self.shared.obs.recorder.clone()
-    }
-
     /// Records (or re-records, replacing in place) the span tree for
     /// job `id` in the recent-jobs ring. The wire server uses this to
     /// upsert a worker-recorded tree with the `reply` span appended.

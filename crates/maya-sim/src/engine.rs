@@ -1,16 +1,20 @@
 //! The discrete-event simulation engine (Algorithms 1-3).
 //!
-//! The hot loop is allocation-free and hash-free: raw [`StreamId`]s
-//! *and* CUDA-event `(event, version)` keys are interned to dense
-//! `u32` slots once at trace load, so the per-event work in
-//! `Simulator::pump` and the host dispatch loop is pure `Vec`
-//! indexing. All mutable state lives in a reusable [`SimScratch`]
-//! arena ([`Simulator::run_with_scratch`]) so repeated runs — a config
-//! search replaying thousands of near-identical traces, or a serving
-//! worker — amortize every allocation. The pre-optimization core is
-//! preserved as a test oracle in `tests/reference` and equivalence is
-//! enforced by test: both cores must produce byte-identical
-//! [`SimReport`]s.
+//! Per *kernel, memcpy or CUDA-event* op the hot loop neither
+//! allocates nor hashes: raw [`StreamId`]s *and* CUDA-event
+//! `(event, version)` keys are interned to dense `u32` slots once at
+//! trace load, so that work in `Simulator::pump` and the host dispatch
+//! loop is pure `Vec` indexing. A *collective* is dearer: each joining
+//! stream makes one hash probe (the rendezvous table is a `HashMap`
+//! keyed by communicator and sequence), and each rendezvous allocates
+//! its participant list and one small `Vec` of global ranks (plus a
+//! route on the topology path). All mutable state lives in a reusable
+//! [`SimScratch`] arena ([`Simulator::run_prevalidated`]) so repeated
+//! runs — a config search replaying thousands of near-identical
+//! traces, or a serving worker — amortize every other allocation. The
+//! pre-optimization core is kept as a test oracle in `tests/reference`
+//! and equivalence is enforced by test: both cores must produce
+//! byte-identical [`SimReport`]s.
 //!
 //! Per-event cost follows what is *live*, not what was ever scheduled.
 //! A host thread runs far ahead of its device, so at any instant about
@@ -338,28 +342,13 @@ pub struct Simulator<'a> {
     obs: Option<&'a SimObs>,
 }
 
-/// Convenience entry point.
-pub fn simulate(
-    job: &JobTrace,
-    cluster: &ClusterSpec,
-    estimator: &dyn RuntimeEstimator,
-) -> Result<SimReport, SimError> {
-    Simulator {
-        estimator,
-        cluster,
-        faults: None,
-        obs: None,
-    }
-    .run(job)
-}
-
 /// Reusable simulation arena: the heap, per-rank state, wait tables,
 /// collective rendezvous buffers, and the interner index maps.
 ///
 /// A fresh scratch and a reused one produce byte-identical
 /// [`SimReport`]s (enforced by proptest); reuse only skips the
 /// allocations. Keep one per thread (or a pooled set) and pass it to
-/// [`Simulator::run_with_scratch`] when simulating in a loop.
+/// [`Simulator::run_prevalidated`] when simulating in a loop.
 #[derive(Default)]
 pub struct SimScratch {
     ranks: Vec<RankSim>,
@@ -533,27 +522,19 @@ impl<'a> Simulator<'a> {
         self
     }
 
-    /// Runs the simulation (Algorithm 1's main loop) with a private
-    /// scratch arena.
+    /// Validates `job` ([`JobTrace::validate`]) and runs the simulation
+    /// (Algorithm 1's main loop) in a private scratch arena: the entry
+    /// for a trace of unknown provenance simulated once.
     pub fn run(&self, job: &JobTrace) -> Result<SimReport, SimError> {
-        self.run_with_scratch(job, &mut SimScratch::new())
-    }
-
-    /// Like [`Simulator::run`], but reuses `scratch`'s buffers instead
-    /// of allocating fresh state.
-    pub fn run_with_scratch(
-        &self,
-        job: &JobTrace,
-        scratch: &mut SimScratch,
-    ) -> Result<SimReport, SimError> {
         job.validate().map_err(SimError::InvalidTrace)?;
-        self.run_prevalidated(job, scratch)
+        self.run_prevalidated(job, &mut SimScratch::new())
     }
 
-    /// Like [`Simulator::run_with_scratch`], but skips
-    /// [`JobTrace::validate`]. For callers that already validated the
+    /// Runs a trusted trace in the caller's arena: no
+    /// [`JobTrace::validate`], and `scratch`'s buffers are reused
+    /// instead of allocated. For callers that already validated the
     /// trace (or constructed it from a validated one, e.g. the predict
-    /// pipeline's collate step) and simulate it repeatedly. On an
+    /// pipeline's collate step) and simulate in a loop. On an
     /// *invalid* trace this is memory-safe but may return an arbitrary
     /// report or `Deadlock` instead of `InvalidTrace`.
     pub fn run_prevalidated(
@@ -1170,6 +1151,14 @@ mod tests {
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::h100(1, 2)
+    }
+
+    fn simulate(
+        job: &JobTrace,
+        cluster: &ClusterSpec,
+        estimator: &dyn RuntimeEstimator,
+    ) -> Result<SimReport, SimError> {
+        Simulator::new(estimator, cluster).run(job)
     }
 
     #[test]

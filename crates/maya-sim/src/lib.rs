@@ -20,5 +20,5 @@
 pub mod engine;
 pub mod report;
 
-pub use engine::{simulate, SimError, SimObs, SimScratch, Simulator};
+pub use engine::{SimError, SimObs, SimScratch, Simulator};
 pub use report::SimReport;

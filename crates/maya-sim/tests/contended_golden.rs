@@ -1,6 +1,6 @@
 //! Pins the topology + fault-plan path of the sim core.
 //!
-//! `maya_sim::reference` has no flow model, so the byte-identity
+//! `tests/reference` has no flow model, so the byte-identity
 //! proptests say nothing about contended runs. This golden is the full
 //! `SimReport` of one fixed contended job with injected faults, captured
 //! before the flow solver and the event queue were reworked: any change
@@ -38,7 +38,7 @@ fn contended_faulted_report_matches_golden() {
     // The same bytes through a dirtied scratch arena.
     let mut scratch = SimScratch::new();
     let flat = common::flat_cluster();
-    let _ = Simulator::new(&oracle, &flat).run_with_scratch(&job, &mut scratch);
-    let reused = sim.run_with_scratch(&job, &mut scratch).expect("reused");
+    let _ = Simulator::new(&oracle, &flat).run_prevalidated(&job, &mut scratch);
+    let reused = sim.run_prevalidated(&job, &mut scratch).expect("reused");
     assert_eq!(render(&reused), GOLDEN);
 }

@@ -2,7 +2,7 @@
 //!
 //! Three properties over randomized multi-rank traces:
 //!
-//! 1. **Determinism** — `simulate()` twice on the same inputs yields
+//! 1. **Determinism** — `Simulator::run` twice on the same inputs yields
 //!    byte-identical `SimReport`s (compared through the serialized
 //!    wire form, not just `PartialEq`).
 //! 2. **Scratch transparency** — a reused [`SimScratch`] arena, even
@@ -21,10 +21,10 @@ mod reference;
 
 use std::collections::BTreeMap;
 
-use maya_estimator::OracleEstimator;
+use maya_estimator::{OracleEstimator, RuntimeEstimator};
 use maya_hw::ClusterSpec;
 use maya_net::FaultPlan;
-use maya_sim::engine::{simulate, SimScratch, Simulator};
+use maya_sim::{SimError, SimReport, SimScratch, Simulator};
 use maya_trace::{
     CollectiveDesc, CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind, MemcpyKind, SimTime,
     StreamId, TraceEvent, WorkerTrace,
@@ -194,8 +194,17 @@ fn job(nranks: u32, steps: &[Step]) -> JobTrace {
     }
 }
 
-fn bytes_of(r: &maya_sim::SimReport) -> String {
+fn bytes_of(r: &SimReport) -> String {
     serde::to_string(r)
+}
+
+/// The validating, fresh-arena entry on a default simulator.
+fn simulate(
+    job: &JobTrace,
+    cluster: &ClusterSpec,
+    estimator: &dyn RuntimeEstimator,
+) -> Result<SimReport, SimError> {
+    Simulator::new(estimator, cluster).run(job)
 }
 
 /// The contended twin of a flat setup: the same cluster with its
@@ -214,7 +223,7 @@ fn contended(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `simulate()` is a pure function: run twice, byte-identical.
+    /// `Simulator::run` is a pure function: run twice, byte-identical.
     #[test]
     fn simulate_is_deterministic(
         steps in proptest::collection::vec(step_strategy(), 1..40),
@@ -247,24 +256,23 @@ proptest! {
         let oracle = OracleEstimator::new(&c);
         let sim = Simulator::new(&oracle, &c);
         let mut scratch = SimScratch::new();
+        // Generated jobs are valid by construction (`run` on the fresh
+        // side re-checks `j`), so the trusted-trace entry applies.
         // Dirty the arena with a differently-shaped job first.
-        let _ = sim.run_with_scratch(&job(nranks, &steps_a), &mut scratch);
+        let _ = sim.run_prevalidated(&job(nranks, &steps_a), &mut scratch);
         let j = job(nranks, &steps_b);
-        let reused = sim.run_with_scratch(&j, &mut scratch).unwrap();
+        let reused = sim.run_prevalidated(&j, &mut scratch).unwrap();
         let fresh = sim.run(&j).unwrap();
         prop_assert_eq!(bytes_of(&reused), bytes_of(&fresh));
-        // The prevalidated fast path is the same simulation.
-        let pre = sim.run_prevalidated(&j, &mut scratch).unwrap();
-        prop_assert_eq!(bytes_of(&pre), bytes_of(&fresh));
 
         // The same arena, now dirty from flat runs, on the contended
         // path — and then back on the flat one.
         let (topo, plan) = contended(&c, nranks, fresh.total_time, fault_seed);
         let net_sim = Simulator::new(&oracle, &topo).with_faults(Some(&plan));
-        let _ = net_sim.run_with_scratch(&job(nranks, &steps_a), &mut scratch);
-        let reused = net_sim.run_with_scratch(&j, &mut scratch).unwrap();
+        let _ = net_sim.run_prevalidated(&job(nranks, &steps_a), &mut scratch);
+        let reused = net_sim.run_prevalidated(&j, &mut scratch).unwrap();
         prop_assert_eq!(bytes_of(&reused), bytes_of(&net_sim.run(&j).unwrap()));
-        let back = sim.run_with_scratch(&j, &mut scratch).unwrap();
+        let back = sim.run_prevalidated(&j, &mut scratch).unwrap();
         prop_assert_eq!(bytes_of(&back), bytes_of(&fresh));
     }
 

@@ -16,7 +16,7 @@ use crate::memory::{
 };
 use crate::models::ModelSpec;
 use crate::vision::ResNetEmitter;
-use crate::workload::{FrameworkFlavor, TrainingJob};
+use crate::workload::TrainingJob;
 
 /// Runs one worker of a pure data-parallel job (DDP / ZeRO / FSDP).
 pub fn run_dp_worker(job: &TrainingJob, rank: u32, ctx: &mut CudaContext) -> CudaResult<()> {
@@ -235,16 +235,11 @@ fn run_dp_transformer(
     Ok(())
 }
 
-/// Whether a flavor is a pure data-parallel stack (vs. Megatron's 3D
-/// parallelism).
-pub fn is_pure_dp(flavor: &FrameworkFlavor) -> bool {
-    !matches!(flavor, FrameworkFlavor::Megatron)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parallel::ParallelConfig;
+    use crate::workload::FrameworkFlavor;
     use maya_hw::GpuSpec;
 
     fn job(flavor: FrameworkFlavor, world: u32) -> TrainingJob {

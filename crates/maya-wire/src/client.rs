@@ -412,14 +412,6 @@ impl WireClient {
         // fallback covers the unreachable None without a panic path.
         Err(last.unwrap_or_else(budget_exhausted))
     }
-
-    /// Half-closes the write side: the server sees end-of-requests,
-    /// drains what is in flight, and responses already pipelined can
-    /// still be redeemed. Dropping the client closes both directions.
-    pub fn finish_writes(&self) {
-        let w = self.shared.writer.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = w.shutdown(Shutdown::Write);
-    }
 }
 
 impl Drop for WireClient {
