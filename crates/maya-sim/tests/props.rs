@@ -388,7 +388,7 @@ fn busy_job(seed: u64) -> JobTrace {
                 2,
                 DeviceOp::MemcpyAsync {
                     bytes: 1 << 20,
-                    kind: maya_trace::MemcpyKind::HostToDevice,
+                    kind: MemcpyKind::HostToDevice,
                     sync: false,
                 },
                 1.0,
