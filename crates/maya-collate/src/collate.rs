@@ -1,9 +1,31 @@
 //! Merging per-worker traces into a validated job trace.
+//!
+//! [`Collator`] is the one implementation: it takes finished worker
+//! traces in rank order and reads each exactly once. In that pass it
+//! claims the worker's `(comm, rank_in_comm)` slots, records what the
+//! worker contributes to every collective it joins, and — when folding —
+//! advances the worker's structural signature; a worker whose signature
+//! is already held is dropped on the spot and its event buffer handed
+//! back for the next rank to record into. [`collate`] and
+//! [`collate_with_known_groups`] push every worker with folding off.
+//!
+//! Nothing is checked from the traces that are kept: slot claims,
+//! payload agreement and participant counts live in per-communicator
+//! tables that every pushed worker updates, so a fault in a worker the
+//! fold drops is reported exactly as if it had been kept. Errors come
+//! out in the order the three-pass collator raised them: size and
+//! membership conflicts (at once, from `push`), then group
+//! reconstruction, structure, and collective agreement (from `finish`).
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
-use maya_trace::{CollectiveKind, DeviceOp, JobTrace, WorkerTrace};
+use maya_trace::{
+    validate_ranks, CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, TraceEvent, WorkerTrace,
+};
+
+use crate::dedup::{hash_event, signature_seed};
 
 /// Errors detected while collating traces.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -111,100 +133,374 @@ pub fn collate_with_known_groups(
     known: &BTreeMap<u64, Vec<u32>>,
 ) -> Result<JobTrace, CollateError> {
     workers.sort_by_key(|w| w.rank);
-    let mut comm_sizes: BTreeMap<u64, u32> = BTreeMap::new();
-    let mut comm_slots: BTreeMap<u64, BTreeMap<u32, u32>> = BTreeMap::new();
+    let mut collator = Collator::new(world, known, false);
+    for w in workers {
+        collator.push(w)?;
+    }
+    collator.finish()
+}
 
-    for w in &workers {
-        for e in &w.events {
-            if let DeviceOp::Collective { desc } = e.op {
-                match comm_sizes.get(&desc.comm_id) {
-                    None => {
-                        comm_sizes.insert(desc.comm_id, desc.nranks);
-                    }
-                    Some(&n) if n != desc.nranks => {
-                        return Err(CollateError::CommSizeMismatch {
-                            comm: desc.comm_id,
-                            sizes: (n, desc.nranks),
-                        });
-                    }
-                    _ => {}
-                }
-                let slots = comm_slots.entry(desc.comm_id).or_default();
-                match slots.get(&desc.rank_in_comm) {
-                    None => {
-                        slots.insert(desc.rank_in_comm, w.rank);
-                    }
-                    Some(&g) if g != w.rank => {
-                        return Err(CollateError::ConflictingCommMembership {
-                            comm: desc.comm_id,
-                            rank_in_comm: desc.rank_in_comm,
-                            first: g,
-                            second: w.rank,
-                        });
-                    }
-                    _ => {}
-                }
-            }
+/// Deterministic work counters of one [`Collator`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct CollateStats {
+    /// Workers pushed.
+    pub workers_in: u64,
+    /// Workers whose traces were kept.
+    pub workers_kept: u64,
+    /// Events read; each pushed event is read once.
+    pub events_seen: u64,
+    /// Most traces the collator held at once, counting the one being
+    /// pushed.
+    pub resident_high_water: u64,
+}
+
+/// Rendezvous pair of a full (non-p2p) collective.
+const FULL: (u32, u32) = (u32::MAX, u32::MAX);
+/// Kind class shared by `Send` and `Recv`.
+const P2P_CLASS: u8 = 255;
+
+/// What the participants of one collective must agree on, and how many
+/// have joined it.
+#[derive(Clone, Copy)]
+struct Site {
+    class: u8,
+    bytes: u64,
+    joined: u32,
+}
+
+/// Everything observed about one communicator.
+struct Comm {
+    id: u64,
+    /// Size declared by the first collective seen on it.
+    size: u32,
+    /// `rank_in_comm -> global rank` that claimed the slot.
+    slots: BTreeMap<u32, u32>,
+    /// Full collectives whose `seq` arrived in counting order, by `seq`.
+    in_order: Vec<Site>,
+    /// Every other site, keyed `(seq, pair)`: p2p transfers, and full
+    /// collectives whose `seq` skipped ahead of the table.
+    other: HashMap<(u32, (u32, u32)), Site>,
+}
+
+impl Comm {
+    /// Checks `desc`'s size against the communicator's and claims its
+    /// slot for `rank`.
+    fn claim(&mut self, rank: u32, desc: &CollectiveDesc) -> Result<(), CollateError> {
+        if self.size != desc.nranks {
+            return Err(CollateError::CommSizeMismatch {
+                comm: self.id,
+                sizes: (self.size, desc.nranks),
+            });
         }
+        match self.slots.get(&desc.rank_in_comm) {
+            None => {
+                self.slots.insert(desc.rank_in_comm, rank);
+            }
+            Some(&first) if first != rank => {
+                return Err(CollateError::ConflictingCommMembership {
+                    comm: self.id,
+                    rank_in_comm: desc.rank_in_comm,
+                    first,
+                    second: rank,
+                });
+            }
+            Some(_) => {}
+        }
+        Ok(())
     }
 
-    // Build dense member lists where complete; for partially-observed
-    // communicators (dedup), infer the missing global ranks only when the
-    // group structure is arithmetic (constant stride), which covers
-    // Megatron's tp/dp/pp groups; otherwise keep observed slots at their
-    // positions and fill gaps by extrapolation failure -> error.
-    let mut groups: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-    for (comm, slots) in &comm_slots {
-        let size = comm_sizes[comm];
-        if let Some(k) = known.get(comm) {
+    /// Joins one participant to the collective `desc` names; `Err` when
+    /// it disagrees with those already there.
+    fn join(&mut self, desc: &CollectiveDesc) -> Result<(), CollateError> {
+        let (class, pair) = match desc.kind {
+            CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => (
+                P2P_CLASS,
+                (desc.rank_in_comm.min(peer), desc.rank_in_comm.max(peer)),
+            ),
+            k => (k.id(), FULL),
+        };
+        let arrival = Site {
+            class,
+            bytes: desc.bytes,
+            joined: 1,
+        };
+        let key = (desc.seq, pair);
+        let seq = desc.seq as usize;
+        let site = if pair == FULL && seq < self.in_order.len() {
+            self.in_order.get_mut(seq)
+        } else if pair == FULL && seq == self.in_order.len() && !self.other.contains_key(&key) {
+            self.in_order.push(arrival);
+            None
+        } else {
+            match self.other.entry(key) {
+                Entry::Occupied(e) => Some(e.into_mut()),
+                Entry::Vacant(e) => {
+                    e.insert(arrival);
+                    None
+                }
+            }
+        };
+        let Some(site) = site else { return Ok(()) };
+        let detail = if site.class != class {
+            "kind mismatch between participants".into()
+        } else if site.bytes != desc.bytes {
+            format!("payload mismatch: {} vs {}", site.bytes, desc.bytes)
+        } else {
+            site.joined += 1;
+            return Ok(());
+        };
+        Err(CollateError::CollectiveMismatch {
+            comm: self.id,
+            seq: desc.seq,
+            detail,
+        })
+    }
+
+    /// Full collectives as `(seq, participants joined)`, by `seq`.
+    fn full_collectives(&self) -> Vec<(u32, u32)> {
+        let mut skipped: Vec<(u32, u32)> = self
+            .other
+            .iter()
+            .filter(|((_, pair), _)| *pair == FULL)
+            .map(|((seq, _), site)| (*seq, site.joined))
+            .collect();
+        skipped.sort_unstable();
+        let counted = self
+            .in_order
+            .iter()
+            .zip(0u32..)
+            .map(|(s, seq)| (seq, s.joined));
+        counted.chain(skipped).collect()
+    }
+
+    /// The communicator's member list: `known` if the caller supplied
+    /// one, else observed slots with the holes inferred.
+    fn members(&self, known: Option<&Vec<u32>>, world: u32) -> Result<Vec<u32>, CollateError> {
+        let (comm, size) = (self.id, self.size);
+        if let Some(k) = known {
             if k.len() != size as usize {
                 return Err(CollateError::CommSizeMismatch {
-                    comm: *comm,
+                    comm,
                     sizes: (k.len() as u32, size),
                 });
             }
-            for (&pos, &g) in slots {
+            for (&pos, &g) in &self.slots {
                 if k.get(pos as usize) != Some(&g) {
                     return Err(CollateError::ConflictingCommMembership {
-                        comm: *comm,
+                        comm,
                         rank_in_comm: pos,
                         first: k.get(pos as usize).copied().unwrap_or(u32::MAX),
                         second: g,
                     });
                 }
             }
-            groups.insert(*comm, k.clone());
-            continue;
+            return Ok(k.clone());
         }
+        // Build the dense member list where complete; for a partially
+        // observed communicator infer the missing global ranks, which
+        // works when the group is arithmetic (constant stride) — that
+        // covers Megatron's tp/dp/pp groups.
         let mut members = vec![u32::MAX; size as usize];
-        for (&pos, &g) in slots {
-            if pos >= size {
-                return Err(CollateError::Invalid(format!(
-                    "comm {comm:#x}: rank_in_comm {pos} out of size {size}"
-                )));
+        for (&pos, &g) in &self.slots {
+            match members.get_mut(pos as usize) {
+                Some(m) => *m = g,
+                None => {
+                    return Err(CollateError::Invalid(format!(
+                        "comm {comm:#x}: rank_in_comm {pos} out of size {size}"
+                    )))
+                }
             }
-            members[pos as usize] = g;
         }
         if members.contains(&u32::MAX) {
             infer_missing_members(&mut members, world).map_err(|seen| {
                 CollateError::IncompleteComm {
-                    comm: *comm,
+                    comm,
                     seen,
                     declared: size,
                 }
             })?;
         }
-        groups.insert(*comm, members);
+        Ok(members)
+    }
+}
+
+/// One communicator the worker being pushed has used.
+struct Used {
+    id: u64,
+    /// Position in `Collator::comms`.
+    slot: usize,
+    /// The `(nranks, rank_in_comm)` this worker already claimed there.
+    claimed: (u32, u32),
+}
+
+/// Streaming collation and deduplication (see the module docs).
+pub struct Collator<'k> {
+    world: u32,
+    known: &'k BTreeMap<u64, Vec<u32>>,
+    fold: bool,
+    /// Communicators in first-use order; `comm_slot` finds one by id.
+    comms: Vec<Comm>,
+    comm_slot: HashMap<u64, usize>,
+    /// Communicators the worker being pushed has used, in first-use
+    /// order — the position is the signature's communicator index, and
+    /// the entry spares every later collective a hash lookup.
+    used: Vec<Used>,
+    /// Every rank pushed, kept or not.
+    ranks: Vec<u32>,
+    kept: Vec<WorkerTrace>,
+    signatures: HashSet<u64>,
+    /// First kind or payload disagreement; reported by `finish`, after
+    /// the checks that outrank it.
+    mismatch: Option<CollateError>,
+    stats: CollateStats,
+}
+
+impl<'k> Collator<'k> {
+    /// A collator for a `world`-rank job. `known` is authoritative
+    /// membership for the communicators it lists (may be empty); with
+    /// `fold`, a worker whose signature matches a lower rank's is
+    /// dropped.
+    pub fn new(world: u32, known: &'k BTreeMap<u64, Vec<u32>>, fold: bool) -> Self {
+        Collator {
+            world,
+            known,
+            fold,
+            comms: Vec::new(),
+            comm_slot: HashMap::new(),
+            used: Vec::new(),
+            ranks: Vec::new(),
+            kept: Vec::new(),
+            signatures: HashSet::new(),
+            mismatch: None,
+            stats: CollateStats::default(),
+        }
     }
 
-    let job = JobTrace {
-        nranks: world,
-        workers,
-        comm_groups: groups,
-    };
-    job.validate().map_err(CollateError::Invalid)?;
-    validate_collectives(&job)?;
-    Ok(job)
+    /// Work counters so far.
+    pub fn stats(&self) -> CollateStats {
+        self.stats
+    }
+
+    /// Takes the next worker; ranks must not decrease from one call to
+    /// the next. Returns an event buffer the caller may record the next
+    /// rank into: the worker's own, emptied, if it was folded away, and
+    /// an unallocated one if its trace was kept.
+    pub fn push(&mut self, mut trace: WorkerTrace) -> Result<Vec<TraceEvent>, CollateError> {
+        if let Some(&last) = self.ranks.last() {
+            if trace.rank < last {
+                return Err(CollateError::Invalid(format!(
+                    "worker {} pushed after worker {last}: the collator takes ranks in order",
+                    trace.rank
+                )));
+            }
+        }
+        self.ranks.push(trace.rank);
+        self.stats.workers_in += 1;
+        self.stats.events_seen += trace.events.len() as u64;
+        self.stats.resident_high_water = self
+            .stats
+            .resident_high_water
+            .max(self.kept.len() as u64 + 1);
+
+        self.used.clear();
+        let mut key = signature_seed();
+        for e in &trace.events {
+            let mut comm_local = 0;
+            if let DeviceOp::Collective { desc } = e.op {
+                comm_local = self.collective(trace.rank, &desc)?;
+            }
+            if self.fold {
+                key = hash_event(key, e, comm_local);
+            }
+        }
+
+        if self.fold && !self.signatures.insert(key.finish()) {
+            trace.events.clear();
+            return Ok(trace.events);
+        }
+        self.stats.workers_kept += 1;
+        self.kept.push(trace);
+        Ok(Vec::new())
+    }
+
+    /// Books one collective of the worker being pushed; returns the
+    /// first-use index of its communicator within that worker.
+    fn collective(&mut self, rank: u32, desc: &CollectiveDesc) -> Result<u64, CollateError> {
+        let claim = (desc.nranks, desc.rank_in_comm);
+        let used = self
+            .used
+            .iter()
+            .zip(0u64..)
+            .find(|(u, _)| u.id == desc.comm_id);
+        let (local, slot, claimed) = match used {
+            Some((u, local)) => (local, u.slot, u.claimed == claim),
+            None => {
+                let slot = *self.comm_slot.entry(desc.comm_id).or_insert_with(|| {
+                    self.comms.push(Comm {
+                        id: desc.comm_id,
+                        size: desc.nranks,
+                        slots: BTreeMap::new(),
+                        in_order: Vec::new(),
+                        other: HashMap::new(),
+                    });
+                    self.comms.len() - 1
+                });
+                self.used.push(Used {
+                    id: desc.comm_id,
+                    slot,
+                    claimed: claim,
+                });
+                (self.used.len() as u64 - 1, slot, false)
+            }
+        };
+        let comm = &mut self.comms[slot];
+        if !claimed {
+            comm.claim(rank, desc)?;
+        }
+        if let Err(e) = comm.join(desc) {
+            self.mismatch.get_or_insert(e);
+        }
+        Ok(local)
+    }
+
+    /// Reconstructs communicator membership, runs the checks that need
+    /// every worker to have been seen, and yields the job trace of the
+    /// workers that were kept. `comm_groups` covers the full job.
+    pub fn finish(mut self) -> Result<JobTrace, CollateError> {
+        self.comms.sort_unstable_by_key(|c| c.id);
+        let mut groups = BTreeMap::new();
+        for comm in &self.comms {
+            groups.insert(comm.id, comm.members(self.known.get(&comm.id), self.world)?);
+        }
+        validate_ranks(self.world, self.ranks.iter().copied()).map_err(CollateError::Invalid)?;
+        let job = JobTrace {
+            nranks: self.world,
+            workers: self.kept,
+            comm_groups: groups,
+        };
+        job.validate().map_err(CollateError::Invalid)?;
+        if let Some(e) = self.mismatch {
+            return Err(e);
+        }
+        // A full collective must have been joined by every group member
+        // that was pushed (`ranks` is sorted: `validate_ranks` passed).
+        for (comm, members) in self.comms.iter().zip(job.comm_groups.values()) {
+            let expected = members
+                .iter()
+                .filter(|m| self.ranks.binary_search(m).is_ok())
+                .count() as u32;
+            for (seq, joined) in comm.full_collectives() {
+                if joined != expected {
+                    return Err(CollateError::CollectiveMismatch {
+                        comm: comm.id,
+                        seq,
+                        detail: format!("{joined}/{expected} present participants joined"),
+                    });
+                }
+            }
+        }
+        Ok(job)
+    }
 }
 
 /// Fills `u32::MAX` holes in a member list by arithmetic extrapolation
@@ -218,32 +514,17 @@ fn infer_missing_members(members: &mut [u32], world: u32) -> Result<(), u32> {
         .map(|(i, &m)| (i, m))
         .collect();
     let seen = known.len() as u32;
-    if known.is_empty() {
-        return Err(0);
-    }
-    if known.len() == 1 && members.len() > 1 {
-        // A single observation cannot pin the stride unless the group has
-        // stride deducible from position 0 == global rank pattern; assume
-        // contiguous ranks starting at the observed anchor.
-        let (pos, g) = known[0];
-        let base = g as i64 - pos as i64;
-        if base < 0 {
-            return Err(seen);
+    let (base, stride) = match known.as_slice() {
+        [] => return Err(0),
+        // A single observation cannot pin the stride; assume contiguous
+        // ranks around the observed anchor.
+        [(pos, g)] => (*g as i64 - *pos as i64, 1),
+        // Deduce the stride from the first two known slots.
+        [(i0, g0), (i1, g1), ..] => {
+            let stride = (*g1 as i64 - *g0 as i64) / (*i1 as i64 - *i0 as i64).max(1);
+            (*g0 as i64 - stride * *i0 as i64, stride)
         }
-        for (i, m) in members.iter_mut().enumerate() {
-            let v = base + i as i64;
-            if v < 0 || v >= world as i64 {
-                return Err(seen);
-            }
-            *m = v as u32;
-        }
-        return Ok(());
-    }
-    // Deduce stride from the first two known slots.
-    let (i0, g0) = known[0];
-    let (i1, g1) = known[1];
-    let stride = (g1 as i64 - g0 as i64) / (i1 as i64 - i0 as i64).max(1);
-    let base = g0 as i64 - stride * i0 as i64;
+    };
     for (i, slot) in members.iter_mut().enumerate() {
         let v = base + stride * i as i64;
         if v < 0 || v >= world as i64 {
@@ -254,70 +535,6 @@ fn infer_missing_members(members: &mut [u32], world: u32) -> Result<(), u32> {
             return Err(seen);
         }
         *slot = v;
-    }
-    Ok(())
-}
-
-/// Verifies that every logical collective is issued consistently by all
-/// *present* participants: same kind class, same payload, and matched
-/// send/recv pairing.
-pub fn validate_collectives(job: &JobTrace) -> Result<(), CollateError> {
-    use std::collections::HashMap;
-    /// Rendezvous identity: communicator, sequence, send/recv pair.
-    type CollSite = (u64, u32, (u32, u32));
-    /// What every participant must agree on: kind class, bytes, count.
-    type CollShape = (u8, u64, u32);
-    let mut seen: HashMap<CollSite, CollShape> = HashMap::new();
-    for w in &job.workers {
-        for e in &w.events {
-            if let DeviceOp::Collective { desc } = e.op {
-                let (class, pair) = match desc.kind {
-                    CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => (
-                        255u8,
-                        (desc.rank_in_comm.min(peer), desc.rank_in_comm.max(peer)),
-                    ),
-                    k => (k.id(), (u32::MAX, u32::MAX)),
-                };
-                let key = (desc.comm_id, desc.seq, pair);
-                match seen.get_mut(&key) {
-                    None => {
-                        seen.insert(key, (class, desc.bytes, 1));
-                    }
-                    Some((c, b, n)) => {
-                        if *c != class {
-                            return Err(CollateError::CollectiveMismatch {
-                                comm: desc.comm_id,
-                                seq: desc.seq,
-                                detail: "kind mismatch between participants".into(),
-                            });
-                        }
-                        if *b != desc.bytes {
-                            return Err(CollateError::CollectiveMismatch {
-                                comm: desc.comm_id,
-                                seq: desc.seq,
-                                detail: format!("payload mismatch: {} vs {}", b, desc.bytes),
-                            });
-                        }
-                        *n += 1;
-                    }
-                }
-            }
-        }
-    }
-    // Full collectives must be joined by every present group member.
-    for (&(comm, seq, pair), &(class, _, n)) in &seen {
-        if pair == (u32::MAX, u32::MAX) && class != 255 {
-            if let Some(members) = job.comm_groups.get(&comm) {
-                let expected = job.present_count(members);
-                if n != expected {
-                    return Err(CollateError::CollectiveMismatch {
-                        comm,
-                        seq,
-                        detail: format!("{n}/{expected} present participants joined"),
-                    });
-                }
-            }
-        }
     }
     Ok(())
 }

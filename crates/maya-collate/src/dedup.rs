@@ -2,11 +2,17 @@
 //!
 //! In data-parallel (and tensor-parallel) training, many workers execute
 //! identical operation sequences on different data shards. The paper
-//! computes rolling hashes of each worker's operations during the first
-//! iteration, terminates redundant workers, and continues with unique
-//! ranks only.
+//! hashes each worker's operations while it is emulated and keeps only
+//! the unique ranks. Here the hash is [`hash_event`], advanced once per
+//! event, and it has two drivers: [`Collator`](crate::Collator) folds it
+//! over a worker in the same pass that collates it and drops the trace
+//! when the finished signature is one it has already kept (the first
+//! iteration is the boundary: every job traces one), and [`signature`]
+//! / [`dedup_classes`] / [`reduce_job`] do the same over traces that are
+//! already in hand.
 
-use maya_trace::{DeviceOp, JobTrace, WorkerTrace};
+use maya_hw::noise::Key;
+use maya_trace::{DeviceOp, JobTrace, TraceEvent, WorkerTrace};
 
 /// One equivalence class of identical workers.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -19,6 +25,46 @@ pub struct DedupClass {
     pub signature: u64,
 }
 
+/// The signature of a worker that has issued nothing yet.
+pub(crate) fn signature_seed() -> Key {
+    Key::new(0x5749_5245)
+}
+
+/// Advances a worker's signature by one event. `comm_local` is the
+/// first-use index, within this worker, of the communicator a collective
+/// runs on (ignored for every other op).
+pub(crate) fn hash_event(key: Key, e: &TraceEvent, comm_local: u64) -> Key {
+    let key = key.with(e.stream.0 as u64);
+    match e.op {
+        DeviceOp::KernelLaunch { kernel } => key
+            .with(1)
+            .with(kernel.family_id() as u64)
+            .with(kernel.flops().to_bits())
+            .with(kernel.bytes_accessed().to_bits()),
+        DeviceOp::MemcpyAsync { bytes, kind, sync } => {
+            key.with(2).with(bytes).with(kind as u64).with(sync as u64)
+        }
+        DeviceOp::Malloc { bytes, .. } => key.with(3).with(bytes),
+        DeviceOp::Free { .. } => key.with(4),
+        DeviceOp::EventRecord { event, version } => key.with(5).with(event).with(version as u64),
+        DeviceOp::StreamWaitEvent { event, version } => {
+            key.with(6).with(event).with(version as u64)
+        }
+        DeviceOp::EventSynchronize { event, version } => {
+            key.with(7).with(event).with(version as u64)
+        }
+        DeviceOp::StreamSynchronize => key.with(8),
+        DeviceOp::DeviceSynchronize => key.with(9),
+        DeviceOp::Collective { desc } => key
+            .with(10)
+            .with(comm_local)
+            .with(desc.kind.id() as u64)
+            .with(desc.bytes)
+            .with(desc.nranks as u64)
+            .with(desc.seq as u64),
+    }
+}
+
 /// Structural rolling hash of a worker's operation sequence.
 ///
 /// Invariant to identifiers that differ between otherwise-identical
@@ -28,51 +74,20 @@ pub struct DedupClass {
 /// (local index + size + rank-in-comm is excluded, since e.g. pipeline
 /// neighbors differ only by rank) and sequence numbers.
 pub fn signature(trace: &WorkerTrace) -> u64 {
-    use maya_hw::noise::Key;
-    use std::collections::HashMap;
-    let mut comm_index: HashMap<u64, u64> = HashMap::new();
-    let mut key = Key::new(0x5749_5245);
+    let mut comms_seen: Vec<u64> = Vec::new();
+    let mut key = signature_seed();
     for e in &trace.events {
-        key = key.with(e.stream.0 as u64);
-        match e.op {
-            DeviceOp::KernelLaunch { kernel } => {
-                key = key.with(1).with(kernel.family_id() as u64);
-                key = key
-                    .with(kernel.flops().to_bits())
-                    .with(kernel.bytes_accessed().to_bits());
-            }
-            DeviceOp::MemcpyAsync { bytes, kind, sync } => {
-                key = key.with(2).with(bytes).with(kind as u64).with(sync as u64);
-            }
-            DeviceOp::Malloc { bytes, .. } => {
-                key = key.with(3).with(bytes);
-            }
-            DeviceOp::Free { .. } => {
-                key = key.with(4);
-            }
-            DeviceOp::EventRecord { event, version } => {
-                key = key.with(5).with(event).with(version as u64);
-            }
-            DeviceOp::StreamWaitEvent { event, version } => {
-                key = key.with(6).with(event).with(version as u64);
-            }
-            DeviceOp::EventSynchronize { event, version } => {
-                key = key.with(7).with(event).with(version as u64);
-            }
-            DeviceOp::StreamSynchronize => key = key.with(8),
-            DeviceOp::DeviceSynchronize => key = key.with(9),
-            DeviceOp::Collective { desc } => {
-                let next = comm_index.len() as u64;
-                let idx = *comm_index.entry(desc.comm_id).or_insert(next);
-                key = key
-                    .with(10)
-                    .with(idx)
-                    .with(desc.kind.id() as u64)
-                    .with(desc.bytes)
-                    .with(desc.nranks as u64)
-                    .with(desc.seq as u64);
-            }
+        let mut comm_local = 0;
+        if let DeviceOp::Collective { desc } = e.op {
+            comm_local = comms_seen
+                .iter()
+                .position(|&c| c == desc.comm_id)
+                .unwrap_or_else(|| {
+                    comms_seen.push(desc.comm_id);
+                    comms_seen.len() - 1
+                });
         }
+        key = hash_event(key, e, comm_local as u64);
     }
     key.finish()
 }
@@ -87,13 +102,13 @@ pub fn dedup_classes(workers: &[WorkerTrace]) -> Vec<DedupClass> {
     }
     let mut classes: Vec<DedupClass> = by_sig
         .into_iter()
-        .map(|(signature, mut members)| {
+        .filter_map(|(signature, mut members)| {
             members.sort_unstable();
-            DedupClass {
-                representative: members[0],
+            Some(DedupClass {
+                representative: *members.first()?,
                 members,
                 signature,
-            }
+            })
         })
         .collect();
     classes.sort_by_key(|c| c.representative);

@@ -97,6 +97,17 @@ impl CudaContext {
         )
     }
 
+    /// [`CudaContext::new`] that records into `events` (cleared first)
+    /// instead of a fresh buffer. A caller emulating many ranks hands
+    /// back the buffer of a trace it has discarded, so the next rank
+    /// writes over pages that are already mapped.
+    pub fn recording_into(rank: u32, gpu: GpuSpec, mut events: Vec<TraceEvent>) -> Self {
+        events.clear();
+        let mut ctx = Self::new(rank, gpu);
+        ctx.log = events;
+        ctx
+    }
+
     /// Creates a virtual device with a custom host clock.
     pub fn with_clock(rank: u32, gpu: GpuSpec, clock: Box<dyn HostClock>) -> Self {
         CudaContext {
@@ -565,6 +576,31 @@ mod tests {
         assert!(
             t.events[1].host_delay >= SimTime::from_us(100.0),
             "injected framework work is attached to the next call"
+        );
+    }
+
+    #[test]
+    fn recording_into_reuses_the_buffer_and_changes_nothing_else() {
+        let script = |c: &mut CudaContext| {
+            let p = c.malloc(4096).unwrap();
+            c.launch_kernel(KernelKind::Memset { bytes: 4096 }, CudaStream::DEFAULT)
+                .unwrap();
+            c.free(p).unwrap();
+        };
+        let mut fresh = CudaContext::new(3, GpuSpec::h100());
+        script(&mut fresh);
+        let fresh = fresh.into_trace();
+
+        let mut stale = fresh.events.clone();
+        stale.reserve(64);
+        let (ptr, cap) = (stale.as_ptr(), stale.capacity());
+        let mut reused = CudaContext::recording_into(3, GpuSpec::h100(), stale);
+        script(&mut reused);
+        let reused = reused.into_trace();
+        assert_eq!(reused, fresh, "stale contents must not leak into the trace");
+        assert_eq!(
+            (reused.events.as_ptr(), reused.events.capacity()),
+            (ptr, cap)
         );
     }
 

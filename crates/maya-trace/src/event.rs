@@ -149,29 +149,7 @@ impl JobTrace {
     /// communicator members in range, and collective descriptors that
     /// agree with the group map.
     pub fn validate(&self) -> Result<(), String> {
-        if self.workers.len() > self.nranks as usize {
-            return Err(format!(
-                "job declares {} ranks but holds {} worker traces",
-                self.nranks,
-                self.workers.len()
-            ));
-        }
-        for pair in self.workers.windows(2) {
-            if pair[0].rank >= pair[1].rank {
-                return Err(format!(
-                    "worker ranks not strictly increasing: {} then {}",
-                    pair[0].rank, pair[1].rank
-                ));
-            }
-        }
-        for w in &self.workers {
-            if w.rank >= self.nranks {
-                return Err(format!(
-                    "worker rank {} out of range {}",
-                    w.rank, self.nranks
-                ));
-            }
-        }
+        validate_ranks(self.nranks, self.workers.iter().map(|w| w.rank))?;
         for (comm, members) in &self.comm_groups {
             for &m in members {
                 if m >= self.nranks {
@@ -205,6 +183,34 @@ impl JobTrace {
         }
         Ok(())
     }
+}
+
+/// The rank half of [`JobTrace::validate`]: at most `nranks` workers,
+/// strictly increasing, all in range. The streaming collator runs it over
+/// every rank it was handed, including those whose traces it folded away.
+pub fn validate_ranks(
+    nranks: u32,
+    ranks: impl ExactSizeIterator<Item = u32> + Clone,
+) -> Result<(), String> {
+    if ranks.len() > nranks as usize {
+        return Err(format!(
+            "job declares {nranks} ranks but holds {} worker traces",
+            ranks.len()
+        ));
+    }
+    for (a, b) in ranks.clone().zip(ranks.clone().skip(1)) {
+        if a >= b {
+            return Err(format!(
+                "worker ranks not strictly increasing: {a} then {b}"
+            ));
+        }
+    }
+    for rank in ranks {
+        if rank >= nranks {
+            return Err(format!("worker rank {rank} out of range {nranks}"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ pub mod serdes;
 pub mod time;
 
 pub use dtype::Dtype;
-pub use event::{JobTrace, TraceEvent, WorkerTrace, WorkerTraceSummary};
+pub use event::{validate_ranks, JobTrace, TraceEvent, WorkerTrace, WorkerTraceSummary};
 pub use kernel::KernelKind;
 pub use ops::{CollectiveDesc, CollectiveKind, DeviceOp, MemcpyKind, StreamId};
 pub use time::SimTime;

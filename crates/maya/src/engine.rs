@@ -7,8 +7,12 @@
 //!   / memcpy / collective answers are memoized **across** predictions —
 //!   config search replays the same shapes thousands of times (Fig. 15,
 //!   Table 6), and repeated trials should not re-derive them;
-//! - the emulate → collate/dedup → estimate → simulate pipeline of
-//!   Figure 5, previously rebuilt per call by `Maya::predict_job`;
+//! - the emulate → fold → estimate → simulate pipeline of Figure 5:
+//!   every finished rank goes straight into a streaming
+//!   [`Collator`], which collates it and — when the spec
+//!   deduplicates — keeps its trace only if it opens a new class, so
+//!   the job trace that reaches the estimator is already reduced and
+//!   only classes + 1 traces were ever alive;
 //! - a scoped worker pool ([`PredictionEngine::predict_batch`]) that
 //!   fans independent predictions across `emulation_threads` OS threads.
 //!
@@ -16,28 +20,41 @@
 //! byte-identical to sequential ones — the search layer relies on this
 //! to keep speculative batched trials faithful to serial order.
 
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use maya_collate::{collate, dedup_classes, reduce_job, unique_megatron_ranks};
+use maya_collate::{collate, dedup_classes, reduce_job, unique_megatron_ranks, Collator};
 use maya_cuda::{CudaContext, CudaError};
 use maya_estimator::{CacheStats, CachingEstimator, RuntimeEstimator};
 use maya_hw::{GroundTruthExecutor, Measurement};
 use maya_sim::{SimError, SimObs, SimScratch, Simulator};
 use maya_torchlet::{FrameworkFlavor, RankTopology, TrainingJob};
-use maya_trace::{JobTrace, WorkerTrace};
+use maya_trace::{JobTrace, TraceEvent, WorkerTrace};
 
 use crate::cancel::CancelToken;
 use crate::error::MayaError;
 use crate::pipeline::{EmulationSpec, PredictOutcome, Prediction, StageTimings};
 
 /// Internal OOM verdict from emulation.
-pub(crate) struct OomInfo {
-    pub(crate) rank: u32,
-    pub(crate) peak_attempted: u64,
-    pub(crate) workers: usize,
-    pub(crate) events: usize,
+struct OomInfo {
+    rank: u32,
+    peak_attempted: u64,
+    /// Events emitted by every emulated rank.
+    events: usize,
+}
+
+/// What emulating a job produced.
+struct Emulated {
+    /// The collated job — already reduced to one worker per class when
+    /// the spec folds — or the OOM verdict.
+    outcome: Result<JobTrace, OomInfo>,
+    /// Ranks emulated.
+    ranks: usize,
+    /// Wall time spent inside the collator, the rest being emulation.
+    collation: Duration,
 }
 
 /// Reusable, thread-safe prediction pipeline (see module docs).
@@ -146,9 +163,8 @@ impl PredictionEngine {
         self.trace_workload_with(ranks, script, self.spec.emulation_threads)
     }
 
-    /// Traces a workload with an explicit thread count (batch mode runs
-    /// each member job with sequential emulation and parallelizes across
-    /// jobs instead, to avoid nested oversubscription).
+    /// Traces a workload with an explicit thread count, keeping every
+    /// trace.
     fn trace_workload_with<F>(
         &self,
         ranks: &[u32],
@@ -158,37 +174,87 @@ impl PredictionEngine {
     where
         F: Fn(u32, &mut CudaContext) -> Result<(), CudaError> + Sync,
     {
-        let gpu = self.spec.cluster.gpu;
-        let threads = threads.max(1);
-        if threads <= 1 || ranks.len() <= 1 {
-            ranks
-                .iter()
-                .map(|&r| {
-                    let mut ctx = CudaContext::new(r, gpu);
-                    let res = script(r, &mut ctx);
-                    (ctx.into_trace(), res)
-                })
-                .collect()
-        } else {
-            let mut out: Vec<Option<(WorkerTrace, Result<(), CudaError>)>> =
-                (0..ranks.len()).map(|_| None).collect();
-            let chunk = ranks.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for (slot_chunk, rank_chunk) in out.chunks_mut(chunk).zip(ranks.chunks(chunk)) {
-                    let script = &script;
-                    s.spawn(move || {
-                        for (slot, &r) in slot_chunk.iter_mut().zip(rank_chunk) {
-                            let mut ctx = CudaContext::new(r, gpu);
-                            let res = script(r, &mut ctx);
-                            *slot = Some((ctx.into_trace(), res));
-                        }
-                    });
-                }
+        let mut out = Vec::with_capacity(ranks.len());
+        let kept: Result<(), Infallible> =
+            self.emulate_each(ranks, script, threads, |trace, res| {
+                out.push((trace, res));
+                Ok(Vec::new())
             });
-            out.into_iter()
-                .map(|o| o.expect("all slots filled"))
-                .collect()
+        match kept {
+            Ok(()) => out,
+            Err(never) => match never {},
         }
+    }
+
+    /// Emulates `ranks` on up to `threads` OS threads (batch mode runs
+    /// each member job with sequential emulation and parallelizes across
+    /// jobs instead, to avoid nested oversubscription) and hands every
+    /// finished trace to `sink` on the calling thread, in `ranks` order
+    /// whatever order the threads finish in. `sink` returns an event
+    /// buffer for a later rank to record into (see
+    /// [`CudaContext::recording_into`]); its first error stops the
+    /// emulation.
+    fn emulate_each<F, S, E>(
+        &self,
+        ranks: &[u32],
+        script: F,
+        threads: usize,
+        mut sink: S,
+    ) -> Result<(), E>
+    where
+        F: Fn(u32, &mut CudaContext) -> Result<(), CudaError> + Sync,
+        S: FnMut(WorkerTrace, Result<(), CudaError>) -> Result<Vec<TraceEvent>, E>,
+    {
+        let gpu = self.spec.cluster.gpu;
+        let threads = threads.max(1).min(ranks.len());
+        if threads <= 1 {
+            let mut spare = Vec::new();
+            for &r in ranks {
+                let mut ctx = CudaContext::recording_into(r, gpu, spare);
+                let res = script(r, &mut ctx);
+                spare = sink(ctx.into_trace(), res)?;
+            }
+            return Ok(());
+        }
+        // Threads claim ranks one at a time, lowest first, so traces
+        // arrive close to rank order; the bounded channel keeps a slow
+        // sink from letting finished traces pile up behind it.
+        let next = AtomicUsize::new(0);
+        let spares: Mutex<Vec<Vec<TraceEvent>>> = Mutex::new(Vec::new());
+        let (tx, rx) = mpsc::sync_channel(threads);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                let (tx, next, spares, script) = (tx.clone(), &next, &spares, &script);
+                s.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&r) = ranks.get(i) else { break };
+                    // Only `push`/`pop` run under this lock, so it cannot
+                    // be poisoned; a missed spare costs an allocation.
+                    let spare = spares.lock().ok().and_then(|mut pool| pool.pop());
+                    let mut ctx = CudaContext::recording_into(r, gpu, spare.unwrap_or_default());
+                    let res = script(r, &mut ctx);
+                    if tx.send((i, ctx.into_trace(), res)).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+            let mut early = BTreeMap::new();
+            let mut due = 0;
+            for (i, trace, res) in rx {
+                early.insert(i, (trace, res));
+                while let Some((trace, res)) = early.remove(&due) {
+                    let spare = sink(trace, res)?;
+                    if spare.capacity() > 0 {
+                        if let Ok(mut pool) = spares.lock() {
+                            pool.push(spare);
+                        }
+                    }
+                    due += 1;
+                }
+            }
+            Ok(())
+        })
     }
 
     /// Which ranks to emulate for a job under the current spec.
@@ -201,14 +267,22 @@ impl PredictionEngine {
         }
     }
 
-    /// Emulates a training job. On OOM, collation is skipped — a
-    /// partially-OOMed job has incomplete communicator traces — and the
-    /// OOM verdict (first rank + attempted peak) is returned instead.
-    fn emulate_with(
-        &self,
-        job: &TrainingJob,
-        threads: usize,
-    ) -> Result<Result<JobTrace, OomInfo>, MayaError> {
+    /// Whether this spec folds ranks with identical traces onto one
+    /// representative — unsound once per-rank state matters: a hetero
+    /// pool scales kernels by rank and a fault plan targets specific
+    /// ranks, so both disable the reduction.
+    fn folds(&self) -> bool {
+        self.spec.dedup && self.spec.cluster.hetero.is_none() && self.spec.faults.is_none()
+    }
+
+    /// Emulates a training job, collating each rank as it finishes:
+    /// when the spec folds, only one trace per class of identical
+    /// workers is ever kept (§4.2), and a dropped trace's buffer is what
+    /// the next rank records into. On OOM, collation stops — a
+    /// partially-OOMed job has incomplete communicator traces — the
+    /// remaining ranks are still emulated for the tally, and the OOM
+    /// verdict (first rank + attempted peak) is returned instead.
+    fn emulate_with(&self, job: &TrainingJob, threads: usize) -> Result<Emulated, MayaError> {
         job.validate()?;
         if job.world != self.spec.cluster.num_gpus() {
             return Err(MayaError::WorldMismatch {
@@ -217,46 +291,65 @@ impl PredictionEngine {
             });
         }
         let ranks = self.ranks_to_emulate(job);
-        let traced =
-            self.trace_workload_with(&ranks, |rank, ctx| job.run_worker(rank, ctx), threads);
+        // Selective launch leaves most communicator slots unobserved;
+        // supply the authoritative group map from workload knowledge
+        // (§7.4's "explicit knowledge of the workload").
+        let known = if self.spec.selective_launch && matches!(job.flavor, FrameworkFlavor::Megatron)
+        {
+            maya_torchlet::engine::megatron_comm_groups(job)
+        } else {
+            BTreeMap::new()
+        };
+        let mut collator = Collator::new(job.world, &known, self.folds());
+        let mut collation = Duration::ZERO;
         let mut oom: Option<(u32, u64)> = None;
-        let mut workers = Vec::with_capacity(traced.len());
         let mut events = 0usize;
-        for (trace, res) in traced {
-            match res {
-                Ok(()) => {}
-                Err(CudaError::MemoryAllocation { requested, .. }) => {
-                    if oom.is_none() {
-                        oom = Some((
+        self.emulate_each(
+            &ranks,
+            |rank, ctx| job.run_worker(rank, ctx),
+            threads,
+            |mut trace, res| {
+                events += trace.events.len();
+                match res {
+                    Ok(()) => {}
+                    Err(CudaError::MemoryAllocation { requested, .. }) => {
+                        oom.get_or_insert((
                             trace.rank,
                             trace.summary.peak_mem_bytes.saturating_add(requested),
                         ));
                     }
+                    Err(e) => return Err(MayaError::Device(e)),
                 }
-                Err(e) => return Err(MayaError::Device(e)),
-            }
-            events += trace.events.len();
-            workers.push(trace);
-        }
-        if let Some((rank, peak_attempted)) = oom {
-            return Ok(Err(OomInfo {
+                if oom.is_some() {
+                    trace.events.clear();
+                    return Ok(trace.events);
+                }
+                // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
+                let t = Instant::now();
+                let spare = collator.push(trace);
+                collation += t.elapsed();
+                Ok(spare?)
+            },
+        )?;
+        let outcome = match oom {
+            Some((rank, peak_attempted)) => Err(OomInfo {
                 rank,
                 peak_attempted,
-                workers: workers.len(),
                 events,
-            }));
-        }
-        // Selective launch leaves most communicator slots unobserved;
-        // supply the authoritative group map from workload knowledge
-        // (§7.4's "explicit knowledge of the workload").
-        let job_trace =
-            if self.spec.selective_launch && matches!(job.flavor, FrameworkFlavor::Megatron) {
-                let known = maya_torchlet::engine::megatron_comm_groups(job);
-                maya_collate::collate_with_known_groups(workers, job.world, &known)?
-            } else {
-                collate(workers, job.world)?
-            };
-        Ok(Ok(job_trace))
+            }),
+            None => {
+                // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
+                let t = Instant::now();
+                let job_trace = collator.finish();
+                collation += t.elapsed();
+                Ok(job_trace?)
+            }
+        };
+        Ok(Emulated {
+            outcome,
+            ranks: ranks.len(),
+            collation,
+        })
     }
 
     /// Predicts the performance of a training job end-to-end.
@@ -272,22 +365,23 @@ impl PredictionEngine {
         // lint:allow(wall-clock-in-output): stage timing telemetry — predicted runtimes come from the simulator, not this clock
         let t0 = Instant::now();
         let emulated = self.emulate_with(job, emulation_threads)?;
-        let emulation = t0.elapsed();
-        match emulated {
+        let timings = StageTimings {
+            emulation: t0.elapsed().saturating_sub(emulated.collation),
+            collation: emulated.collation,
+            ..Default::default()
+        };
+        match emulated.outcome {
             Err(info) => Ok(Prediction {
                 outcome: PredictOutcome::OutOfMemory {
                     rank: info.rank,
                     peak_attempted: info.peak_attempted,
                 },
-                timings: StageTimings {
-                    emulation,
-                    ..Default::default()
-                },
-                workers_emulated: info.workers,
+                timings,
+                workers_emulated: emulated.ranks,
                 workers_simulated: 0,
                 trace_events: info.events,
             }),
-            Ok(job_trace) => self.predict_trace_inner(job_trace, emulation),
+            Ok(reduced) => self.predict_trace_inner(reduced, emulated.ranks, timings),
         }
     }
 
@@ -301,34 +395,31 @@ impl PredictionEngine {
         job_trace
             .validate()
             .map_err(|m| MayaError::from(SimError::InvalidTrace(m)))?;
-        self.predict_trace_inner(job_trace, std::time::Duration::ZERO)
+        let workers = job_trace.workers.len();
+        // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
+        let t = Instant::now();
+        let mut reduced = job_trace;
+        if self.folds() {
+            let classes = dedup_classes(&reduced.workers);
+            if classes.len() < workers {
+                reduced = reduce_job(&reduced, &classes);
+            }
+        }
+        let timings = StageTimings {
+            collation: t.elapsed(),
+            ..Default::default()
+        };
+        self.predict_trace_inner(reduced, workers, timings)
     }
 
+    /// Estimates and simulates a validated, already-reduced job trace.
+    /// `timings` carries the stages the caller has run.
     fn predict_trace_inner(
         &self,
-        job_trace: JobTrace,
-        emulation: std::time::Duration,
+        reduced: JobTrace,
+        workers_emulated: usize,
+        mut timings: StageTimings,
     ) -> Result<Prediction, MayaError> {
-        let workers_emulated = job_trace.workers.len();
-        // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
-        let t1 = Instant::now();
-        // Dedup folds ranks with identical traces onto one
-        // representative — unsound once per-rank state matters: a
-        // hetero pool scales kernels by rank and a fault plan targets
-        // specific ranks, so both disable the reduction.
-        let rank_uniform = self.spec.cluster.hetero.is_none() && self.spec.faults.is_none();
-        let reduced = if self.spec.dedup && rank_uniform {
-            let classes = dedup_classes(&job_trace.workers);
-            if classes.len() < job_trace.workers.len() {
-                reduce_job(&job_trace, &classes)
-            } else {
-                job_trace
-            }
-        } else {
-            job_trace
-        };
-        let collation = t1.elapsed();
-
         // Estimation pre-pass: warm the shared memo cache with every
         // kernel and memcpy duration the simulator is about to ask for.
         // The work is attributed to `StageTimings::estimation` (Table 6 /
@@ -354,9 +445,9 @@ impl PredictionEngine {
                 }
             }
         }
-        let estimation = t2.elapsed();
+        timings.estimation = t2.elapsed();
 
-        // Every trace reaching this point is already valid: collate
+        // Every trace reaching this point is already valid: the collator
         // validates its output, `predict_trace` validates caller input,
         // and `reduce_job` preserves validity (asserted by its tests).
         // Skipping re-validation here is what makes a search loop pay
@@ -369,16 +460,11 @@ impl PredictionEngine {
                 .with_obs(self.sim_obs.get())
                 .run_prevalidated(&reduced, scratch)
         })?;
-        let simulation = t3.elapsed();
+        timings.simulation = t3.elapsed();
 
         Ok(Prediction {
             outcome: PredictOutcome::Completed(report),
-            timings: StageTimings {
-                emulation,
-                collation,
-                estimation,
-                simulation,
-            },
+            timings,
             workers_emulated,
             workers_simulated: reduced.workers.len(),
             trace_events: reduced.total_events(),
@@ -695,6 +781,75 @@ mod tests {
             let p = maya.predict_job(&j).unwrap();
             assert_eq!(p.iteration_time(), baseline);
         }
+    }
+
+    #[test]
+    fn oom_verdict_tallies_every_rank_on_any_thread_count() {
+        // Stage 0 of a 1F1B pipeline holds the most microbatches in
+        // flight: its ranks run out of memory, the last stage's do not.
+        let cluster = ClusterSpec::h100(1, 4);
+        let parallel = ParallelConfig {
+            pp: 2,
+            microbatch_multiplier: 4,
+            ..Default::default()
+        };
+        let j = TrainingJob {
+            model: ModelSpec::gpt3_2_7b(),
+            ..job(4, parallel, 16)
+        };
+        // The verdict as the all-ranks-then-collate engine formed it.
+        let traced: Vec<_> = (0..4)
+            .map(|r| maya_torchlet::engine::trace_one_rank(&j, r, cluster.gpu))
+            .collect();
+        let ooms: Vec<bool> = traced.iter().map(|(_, res)| res.is_err()).collect();
+        assert_eq!(ooms, [true, true, false, false], "fixture drifted");
+        let expected = traced
+            .iter()
+            .find_map(|(trace, res)| match res {
+                Err(CudaError::MemoryAllocation { requested, .. }) => {
+                    Some((trace.rank, trace.summary.peak_mem_bytes + requested))
+                }
+                _ => None,
+            })
+            .unwrap();
+        let events: usize = traced.iter().map(|(t, _)| t.events.len()).sum();
+        for threads in [1, 2, 3, 8] {
+            let maya = MayaBuilder::new(cluster.clone())
+                .emulation_threads(threads)
+                .build()
+                .unwrap();
+            let p = maya.predict_job(&j).unwrap();
+            match p.outcome {
+                PredictOutcome::OutOfMemory {
+                    rank,
+                    peak_attempted,
+                } => assert_eq!((rank, peak_attempted), expected),
+                PredictOutcome::Completed(_) => panic!("expected an OOM verdict"),
+            }
+            assert_eq!(
+                (p.workers_emulated, p.workers_simulated, p.trace_events),
+                (4, 0, events),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn stage_timings_partition_the_call() {
+        // Collation runs interleaved with emulation; the two are still
+        // reported apart, and no stage is counted twice.
+        let maya = MayaBuilder::new(ClusterSpec::h100(1, 8)).build().unwrap();
+        let parallel = ParallelConfig {
+            tp: 2,
+            pp: 2,
+            ..Default::default()
+        };
+        let t = Instant::now();
+        let p = maya.predict_job(&job(8, parallel, 8)).unwrap();
+        let wall = t.elapsed();
+        assert!(p.timings.emulation > Duration::ZERO);
+        assert!(p.timings.collation > Duration::ZERO);
+        assert!(p.timings.total() <= wall, "{:?} of {wall:?}", p.timings);
     }
 
     #[test]

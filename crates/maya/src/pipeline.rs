@@ -107,9 +107,11 @@ impl EmulationSpec {
 /// Wall-clock cost of each pipeline stage (Table 6, Figure 13).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimings {
-    /// Emulation (running workers on virtual devices).
+    /// Emulation (running workers on virtual devices), without the
+    /// collation that is interleaved with it.
     pub emulation: std::time::Duration,
-    /// Collation + deduplication.
+    /// Collation + deduplication: the time spent inside the collator,
+    /// summed over the ranks it was handed.
     pub collation: std::time::Duration,
     /// Runtime prediction: the pre-pass that warms the engine's shared
     /// estimator cache with every *kernel and memcpy* duration the
