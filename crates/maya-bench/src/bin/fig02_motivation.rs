@@ -22,15 +22,13 @@ fn main() {
         };
         eprintln!("[fig02] grid-searching {} GPUs...", n);
         let maya = scenario.maya_oracle();
-        let objective = Objective::new(maya.engine(), scenario.template());
+        let objective = Objective::new(&maya, scenario.template());
         // Deterministic stride sample of the valid space (widen with
         // MAYA_BENCH_CONFIGS).
         let cap = maya_bench::config_budget(120);
         let mut sched = TrialScheduler::new(&objective);
-        for c in maya_bench::valid_configs(&scenario, cap) {
-            sched.evaluate(&c);
-        }
-        let result = sched.run(maya_search::AlgorithmKind::Random, 0, 0);
+        sched.early_stop_patience = None; // a grid reference visits every sampled config
+        let result = sched.run_configs(&maya_bench::valid_configs(&scenario, cap));
         let (cfg, outcome) = result.best.expect("feasible config exists");
         let t = outcome.time().expect("completed");
         println!(

@@ -4,7 +4,6 @@
 
 use maya_bench::{config_budget, valid_configs, Scenario};
 use maya_search::{AlgorithmKind, Objective, TrialScheduler};
-use std::time::Instant;
 
 fn main() {
     println!(
@@ -18,18 +17,11 @@ fn main() {
     for scenario in Scenario::headline() {
         eprintln!("[fig11] searching {}...", scenario.name);
         let maya = scenario.maya_oracle();
-        let objective = Objective::new(maya.engine(), scenario.template());
+        let objective = Objective::new(&maya, scenario.template());
         let cma = TrialScheduler::new(&objective).run(AlgorithmKind::CmaEs, 600, 11);
-        let grid = {
-            let mut sched = TrialScheduler::new(&objective);
-            let t0 = Instant::now();
-            for c in valid_configs(&scenario, grid_cap) {
-                sched.evaluate(&c);
-            }
-            let mut r = sched.run(AlgorithmKind::Random, 0, 0);
-            r.wall = t0.elapsed();
-            r
-        };
+        let mut sched = TrialScheduler::new(&objective);
+        sched.early_stop_patience = None; // a grid reference visits every sampled config
+        let grid = sched.run_configs(&valid_configs(&scenario, grid_cap));
         let (ct, gt) = match (cma.best_time(), grid.best_time()) {
             (Some(c), Some(g)) => (c.as_secs_f64(), g.as_secs_f64()),
             _ => {

@@ -9,7 +9,7 @@ fn main() {
     for scenario in Scenario::headline() {
         eprintln!("[fig15] searching {}...", scenario.name);
         let maya = scenario.maya_oracle();
-        let objective = Objective::new(maya.engine(), scenario.template());
+        let objective = Objective::new(&maya, scenario.template());
         let result = TrialScheduler::new(&objective).run(AlgorithmKind::CmaEs, 400, 15);
         let s = result.stats;
         let denom = (s.executed + s.skipped).max(1);

@@ -9,7 +9,7 @@ fn main() {
     let scenario = Scenario::headline()[0].clone(); // GPT3-2.7B 8xV100
     eprintln!("[fig16] setup: {}", scenario.name);
     let maya = scenario.maya_oracle();
-    let objective = Objective::new(maya.engine(), scenario.template());
+    let objective = Objective::new(&maya, scenario.template());
 
     let checkpoints = [25usize, 50, 100, 200, 300, 500];
     // Appendix C used a 2000-sample budget; default lower here for

@@ -2,6 +2,7 @@
 //! runtimes) vs. end-to-end (forest estimator), isolating the error
 //! introduced by the emulation + simulation phases.
 
+use maya::PredictionEngine;
 use maya_bench::Scenario;
 use maya_hw::ClusterSpec;
 use maya_torchlet::{ModelSpec, ParallelConfig, TrainingJob};
@@ -167,7 +168,8 @@ fn main() {
         "Model", "BS", "TP", "PP", "GA", "actual", "Oracle", "E2E"
     );
     // One forest estimator per cluster size (both are V100 clusters).
-    let mut mayas: std::collections::HashMap<u32, (maya::Maya, maya::Maya)> = Default::default();
+    let mut mayas: std::collections::HashMap<u32, (PredictionEngine, PredictionEngine)> =
+        Default::default();
     for row in rows {
         let cluster = ClusterSpec::v100(row.nodes, 8);
         let scenario = Scenario {
@@ -205,7 +207,7 @@ fn main() {
                 continue;
             }
         };
-        let err = |m: &maya::Maya| -> String {
+        let err = |m: &PredictionEngine| -> String {
             match m.predict_job(&job).ok().and_then(|p| p.iteration_time()) {
                 Some(t) => format!(
                     "{:.2}%",

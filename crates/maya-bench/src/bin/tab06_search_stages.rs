@@ -2,17 +2,17 @@
 //! spec with and without Maya's optimizations (worker deduplication +
 //! selective launch, pruning, CMA vs. grid).
 
-use maya::{Maya, MayaBuilder, StageTimings};
+use maya::{MayaBuilder, PredictionEngine, StageTimings};
 use maya_bench::Scenario;
 use maya_search::{AlgorithmKind, Objective, TrialScheduler};
 use std::time::Duration;
 
 fn accumulate(
-    maya: &Maya,
+    maya: &PredictionEngine,
     scenario: &Scenario,
     optimized: bool,
 ) -> (StageTimings, Duration, usize) {
-    let objective = Objective::new(maya.engine(), scenario.template());
+    let objective = Objective::new(maya, scenario.template());
     let mut sched = TrialScheduler::new(&objective);
     sched.pruning = optimized;
     if !optimized {
@@ -24,11 +24,7 @@ fn accumulate(
         // Grid without heuristics — capped via MAYA_BENCH_CONFIGS for
         // tractability; the paper's full grid ran >24 hours.
         let cap = maya_bench::config_budget(120);
-        let space = maya_search::ConfigSpace::default();
-        for c in space.enumerate().into_iter().take(cap) {
-            sched.evaluate(&c);
-        }
-        sched.run(AlgorithmKind::Random, 0, 0) // finalize with no extra trials
+        sched.run(AlgorithmKind::Grid, cap, 0)
     };
     // Per-trial stage timings from one representative *fitting* recipe
     // (timings are also accumulated inside each trial; this keeps the

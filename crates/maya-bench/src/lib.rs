@@ -12,7 +12,7 @@
 pub mod accuracy;
 pub mod perf;
 
-use maya::{Maya, MayaBuilder};
+use maya::{MayaBuilder, PredictionEngine};
 use maya_baselines::{Amped, BaselineModel, Calculon, Proteus};
 use maya_estimator::ProfileScale;
 use maya_hw::ClusterSpec;
@@ -93,7 +93,7 @@ impl Scenario {
 
     /// A Maya instance with the trained forest estimator for this
     /// cluster (dedup + selective launch on).
-    pub fn maya(&self, seed: u64) -> Maya {
+    pub fn maya(&self, seed: u64) -> PredictionEngine {
         self.builder()
             .forest(profile_scale(), seed)
             .build()
@@ -101,7 +101,7 @@ impl Scenario {
     }
 
     /// A Maya instance with the oracle estimator.
-    pub fn maya_oracle(&self) -> Maya {
+    pub fn maya_oracle(&self) -> PredictionEngine {
         self.builder().build().expect("scenario runtime builds")
     }
 }

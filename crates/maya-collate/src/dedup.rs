@@ -3,7 +3,7 @@
 //! In data-parallel (and tensor-parallel) training, many workers execute
 //! identical operation sequences on different data shards. The paper
 //! hashes each worker's operations while it is emulated and keeps only
-//! the unique ranks. Here the hash is [`hash_event`], advanced once per
+//! the unique ranks. Here the hash is `hash_event`, advanced once per
 //! event, and it has two drivers: [`Collator`](crate::Collator) folds it
 //! over a worker in the same pass that collates it and drops the trace
 //! when the finished signature is one it has already kept (the first

@@ -13,7 +13,7 @@
 //! like raw communicator ids and pointers, sensitive to shapes, streams
 //! and communication structure) and keeps the trace only if no lower
 //! rank hashed the same; the simulator then runs one representative per
-//! class. [`collate`], [`dedup_classes`] and [`reduce_job`] are the same
+//! class. [`collate()`], [`dedup_classes`] and [`reduce_job`] are the same
 //! machinery for traces that are already all in hand.
 
 pub mod collate;

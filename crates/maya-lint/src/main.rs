@@ -36,8 +36,6 @@ fn main() -> ExitCode {
             // --check is the default (and only) analysis mode; accept
             // it explicitly so the CI invocation reads as a gate.
             "--check" => {}
-            // Back-compat alias for `--format json`.
-            "--json" => format = Format::Json,
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,

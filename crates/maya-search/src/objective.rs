@@ -90,7 +90,7 @@ pub enum Provenance {
 /// Evaluates configurations for a fixed (model, cluster, batch) scenario.
 ///
 /// Runs directly against a [`PredictionEngine`] so any engine owner can
-/// search — a [`maya::Maya`] facade (pass [`maya::Maya::engine`]) or a
+/// search — a caller holding what `MayaBuilder::build` returned or a
 /// `maya-serve` registry entry serving a `Search` request.
 pub struct Objective<'a> {
     /// The prediction engine used for trials.
@@ -232,12 +232,12 @@ impl<'a> Objective<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maya::{Maya, MayaBuilder};
+    use maya::{MayaBuilder, PredictionEngine};
     use maya_hw::ClusterSpec;
     use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig};
     use maya_trace::Dtype;
 
-    fn objective_fixture() -> (Maya, TrainingJob) {
+    fn objective_fixture() -> (PredictionEngine, TrainingJob) {
         let cluster = ClusterSpec::h100(1, 8);
         let maya = MayaBuilder::new(cluster).build().unwrap();
         let template = TrainingJob {
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn evaluates_valid_config() {
         let (maya, template) = objective_fixture();
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         let out = obj.evaluate(&ParallelConfig {
             tp: 2,
             ..Default::default()
@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn invalid_config_flagged() {
         let (maya, template) = objective_fixture();
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         // tp=8 exceeds 125M's 12 heads divisibility.
         let out = obj.evaluate(&ParallelConfig {
             tp: 8,
@@ -296,7 +296,7 @@ mod tests {
             .build()
             .unwrap();
         let template = objective_fixture().1;
-        let obj = Objective::new(par_maya.engine(), template);
+        let obj = Objective::new(&par_maya, template);
         let configs = [
             ParallelConfig::default(),
             ParallelConfig {
@@ -329,8 +329,8 @@ mod tests {
     #[test]
     fn cost_weighted_adds_a_positive_energy_term() {
         let (maya, template) = objective_fixture();
-        let plain = Objective::new(maya.engine(), template);
-        let weighted = Objective::cost_weighted(maya.engine(), template, PowerModel::datacenter());
+        let plain = Objective::new(&maya, template);
+        let weighted = Objective::cost_weighted(&maya, template, PowerModel::datacenter());
         let config = ParallelConfig {
             tp: 2,
             ..Default::default()
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn better_config_has_lower_cost() {
         let (maya, template) = objective_fixture();
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         let a = obj.evaluate(&ParallelConfig::default());
         let b = obj.evaluate(&ParallelConfig {
             tp: 4,

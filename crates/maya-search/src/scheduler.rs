@@ -16,12 +16,15 @@ use crate::space::{ConfigPoint, ConfigSpace};
 /// The scheduler calls [`SearchObserver::trial_committed`] once per
 /// committed [`TrialRecord`] — in commit order, identical to the final
 /// [`SearchResult::trials`] — and [`SearchObserver::wave_committed`]
-/// at batch boundaries (after every speculative wave in
-/// [`TrialScheduler::run_batched`], after every trial in sequential
-/// mode, and always once more before the search returns). Observation
-/// is pull-free and synchronous: a serving layer uses it to stream
-/// progress events, and a callback may fire a [`CancelToken`] to stop
-/// the search at the next commit boundary.
+/// after every wave that committed something, and once more before the
+/// search returns if trials were committed since. A wave ends at the
+/// `width`-th candidate that needs a pipeline run, so at width 1
+/// ([`TrialScheduler::run`]) `wave_committed` fires after every
+/// pipeline run, covering that trial and the cache hits and pruned
+/// candidates proposed just before it. Observation is pull-free and
+/// synchronous: a serving layer uses it to stream progress events, and
+/// a callback may fire a [`CancelToken`] to stop the search at the
+/// next commit boundary.
 pub trait SearchObserver {
     /// One trial was committed (the same record that lands in
     /// [`SearchResult::trials`]); `best` is the best-so-far after it.
@@ -33,6 +36,10 @@ pub trait SearchObserver {
         let _ = committed;
     }
 }
+
+/// The test a twin's outcome must pass for a Table 10 tactic to hand it
+/// on (see `TrialScheduler::twins`).
+type Inherits = fn(&TrialOutcome) -> bool;
 
 /// Counters for Fig. 15's trial-status breakdown.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -122,18 +129,24 @@ impl SearchResult {
 /// Trial scheduler: wraps an objective with caching, pruning tactics and
 /// the paper's early-stopping rule.
 ///
-/// Two evaluation modes share one decision path:
+/// There is one loop. Proposed candidates are grouped into *waves*: the
+/// scheduler walks forward deciding, from what it already knows, which
+/// candidates need a pipeline run (neither cached nor answered by a
+/// pruning tactic), and cuts the wave at the `width`-th such candidate
+/// or where an answer could depend on one still in flight. The wave's
+/// pipeline runs fan across the prediction engine's worker pool, then
+/// every candidate is **committed in proposal order** through cache →
+/// pruning → pipeline result ([`TrialScheduler::evaluate`] is that
+/// commit for one config). Speculation only pre-computes the pure
+/// `objective.evaluate` results, so trial records, pruning decisions,
+/// stats and the early-stop point do not depend on the width.
 ///
-/// - sequential ([`TrialScheduler::run`] / [`TrialScheduler::evaluate`]):
-///   each candidate goes through cache → pruning → full pipeline, in
-///   proposal order;
-/// - speculative batched ([`TrialScheduler::run_batched`]): candidates
-///   are grouped into *waves* whose pipeline executions fan across the
-///   prediction engine's worker pool, then **committed in proposal
-///   order through the exact sequential decision path**. Speculation
-///   only pre-computes the pure `objective.evaluate` results, so trial
-///   records, pruning decisions, stats and the early-stop point are
-///   byte-identical to a sequential run.
+/// [`TrialScheduler::run`] and [`TrialScheduler::run_grid`] are that
+/// loop at width 1 (a wave holds one pipeline run, executed inline with
+/// the engine's whole pool); [`TrialScheduler::run_batched`],
+/// [`TrialScheduler::run_grid_batched`] and
+/// [`TrialScheduler::run_configs`] run it at width
+/// [`TrialScheduler::batch`].
 pub struct TrialScheduler<'a> {
     objective: &'a Objective<'a>,
     space: ConfigSpace,
@@ -142,8 +155,9 @@ pub struct TrialScheduler<'a> {
     /// Stop after the top-5 MFU set is unchanged for this many
     /// consecutive non-OOM configs (paper: 20). `None` disables.
     pub early_stop_patience: Option<usize>,
-    /// Speculation width for [`TrialScheduler::run_batched`]: how many
-    /// un-answered candidates may execute concurrently in one wave.
+    /// Wave width for every entry point but [`TrialScheduler::run`] and
+    /// [`TrialScheduler::run_grid`]: how many un-answered candidates
+    /// may execute concurrently in one wave.
     pub batch: usize,
     cache: HashMap<ConfigPoint, TrialOutcome>,
     stats: SearchStats,
@@ -192,7 +206,7 @@ impl<'a> TrialScheduler<'a> {
         self
     }
 
-    /// Sets the speculation width for batched runs.
+    /// Sets the wave width (min 1).
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
         self
@@ -241,111 +255,81 @@ impl<'a> TrialScheduler<'a> {
         }
     }
 
-    /// Applies the Table 10 tactics: can this config's outcome be derived
-    /// from an already-evaluated neighbor? `overlay` supplies outcomes
-    /// decided earlier in a wave that are not yet committed to the cache.
-    fn prune_with(
+    /// The Table 10 tactics as data: every twin of `c` whose outcome
+    /// would settle `c`'s, each with the test that outcome must pass to
+    /// be inherited, in the order the tactics apply. Read by the
+    /// pruning decision and by the wave cut, so the two cannot drift.
+    fn twins(&self, c: ConfigPoint) -> impl Iterator<Item = (ConfigPoint, Inherits)> + '_ {
+        let (oom, fit): (Inherits, Inherits) =
+            (|o| *o == TrialOutcome::Oom, TrialOutcome::completed);
+        let fixed = [
+            // Recomputation strictly reduces memory: if the
+            // recompute-enabled twin OOMed, this one will too.
+            (!c.activation_recompute).then_some((
+                ConfigPoint {
+                    activation_recompute: true,
+                    ..c
+                },
+                oom,
+            )),
+            // Sequence parallelism strictly reduces memory at no
+            // communication cost. Same reasoning.
+            (!c.sequence_parallel && c.tp > 1).then_some((
+                ConfigPoint {
+                    sequence_parallel: true,
+                    ..c
+                },
+                oom,
+            )),
+            // The distributed optimizer only reduces memory (same
+            // runtime to first order): if the non-sharded twin fit,
+            // reuse its runtime.
+            c.distributed_optimizer.then_some((
+                ConfigPoint {
+                    distributed_optimizer: false,
+                    ..c
+                },
+                fit,
+            )),
+        ];
+        // Without pipeline parallelism, more microbatches only lose
+        // efficiency: reuse a smaller count's runtime.
+        let fewer_microbatches = self
+            .space
+            .microbatch_multiplier
+            .iter()
+            .filter(move |&&m| {
+                c.pp == 1 && c.microbatch_multiplier > 1 && m < c.microbatch_multiplier
+            })
+            .map(move |&m| {
+                let twin = ConfigPoint {
+                    microbatch_multiplier: m,
+                    ..c
+                };
+                (twin, fit)
+            });
+        fixed
+            .into_iter()
+            .flatten()
+            .chain(fewer_microbatches)
+            .filter(|_| self.pruning)
+    }
+
+    /// Can this config's outcome be derived from an already-evaluated
+    /// twin? `overlay` supplies outcomes decided earlier in a wave that
+    /// are not yet committed to the cache.
+    fn prune(
         &self,
         c: &ConfigPoint,
         overlay: Option<&HashMap<ConfigPoint, TrialOutcome>>,
     ) -> Option<TrialOutcome> {
-        if !self.pruning {
-            return None;
-        }
-        let get = |cp: &ConfigPoint| {
+        self.twins(*c).find_map(|(twin, inherits)| {
             overlay
-                .and_then(|o| o.get(cp))
-                .or_else(|| self.cache.get(cp))
-        };
-        // Tactic 1: recomputation strictly reduces memory. If the
-        // recompute-enabled twin OOMed, this one will too.
-        if !c.activation_recompute {
-            let twin = ConfigPoint {
-                activation_recompute: true,
-                ..*c
-            };
-            if get(&twin) == Some(&TrialOutcome::Oom) {
-                return Some(TrialOutcome::Oom);
-            }
-        }
-        // Tactic 2: sequence parallelism strictly reduces memory at no
-        // communication cost. Same reasoning.
-        if !c.sequence_parallel && c.tp > 1 {
-            let twin = ConfigPoint {
-                sequence_parallel: true,
-                ..*c
-            };
-            if get(&twin) == Some(&TrialOutcome::Oom) {
-                return Some(TrialOutcome::Oom);
-            }
-        }
-        // Tactic 3: the distributed optimizer only reduces memory (same
-        // runtime to first order); if the non-sharded twin fit, reuse its
-        // runtime.
-        if c.distributed_optimizer {
-            let twin = ConfigPoint {
-                distributed_optimizer: false,
-                ..*c
-            };
-            if let Some(o @ TrialOutcome::Completed { .. }) = get(&twin) {
-                return Some(*o);
-            }
-        }
-        // Tactic 4: without pipeline parallelism, more microbatches only
-        // lose efficiency; reuse the smaller-count runtime.
-        if c.pp == 1 && c.microbatch_multiplier > 1 {
-            for smaller in self.space.microbatch_multiplier.iter().copied() {
-                if smaller < c.microbatch_multiplier {
-                    let twin = ConfigPoint {
-                        microbatch_multiplier: smaller,
-                        ..*c
-                    };
-                    if let Some(o @ TrialOutcome::Completed { .. }) = get(&twin) {
-                        return Some(*o);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Every config whose cached outcome a pruning tactic might consult
-    /// when deciding `c`. Used to cut speculative waves at outcome
-    /// dependencies; over-approximating only costs parallelism.
-    fn prune_twins(&self, c: &ConfigPoint) -> Vec<ConfigPoint> {
-        if !self.pruning {
-            return Vec::new();
-        }
-        let mut twins = Vec::new();
-        if !c.activation_recompute {
-            twins.push(ConfigPoint {
-                activation_recompute: true,
-                ..*c
-            });
-        }
-        if !c.sequence_parallel && c.tp > 1 {
-            twins.push(ConfigPoint {
-                sequence_parallel: true,
-                ..*c
-            });
-        }
-        if c.distributed_optimizer {
-            twins.push(ConfigPoint {
-                distributed_optimizer: false,
-                ..*c
-            });
-        }
-        if c.pp == 1 && c.microbatch_multiplier > 1 {
-            for smaller in self.space.microbatch_multiplier.iter().copied() {
-                if smaller < c.microbatch_multiplier {
-                    twins.push(ConfigPoint {
-                        microbatch_multiplier: smaller,
-                        ..*c
-                    });
-                }
-            }
-        }
-        twins
+                .and_then(|o| o.get(&twin))
+                .or_else(|| self.cache.get(&twin))
+                .copied()
+                .filter(inherits)
+        })
     }
 
     /// Evaluates one config through cache -> pruning -> pipeline.
@@ -353,15 +337,11 @@ impl<'a> TrialScheduler<'a> {
         self.commit(c, None)
     }
 
-    /// The sequential decision path. When `executed` holds a
-    /// speculatively pre-computed result for `c`, the pipeline run is
-    /// answered from it; the objective is a pure function, so this
-    /// cannot change the outcome, only skip redundant work.
-    fn commit(
-        &mut self,
-        c: &ConfigPoint,
-        executed: Option<&HashMap<ConfigPoint, TrialOutcome>>,
-    ) -> TrialOutcome {
+    /// The decision path every trial takes. `executed` is the wave's
+    /// pre-computed pipeline result for `c`, if it has one; the
+    /// objective is a pure function, so using it cannot change the
+    /// outcome, only skip redundant work.
+    fn commit(&mut self, c: &ConfigPoint, executed: Option<TrialOutcome>) -> TrialOutcome {
         if let Some(o) = self.cache.get(c) {
             self.stats.cached += 1;
             let o = *o;
@@ -373,15 +353,13 @@ impl<'a> TrialScheduler<'a> {
             self.notify_commit();
             return o;
         }
-        let (outcome, provenance) = match self.prune_with(c, None) {
+        let (outcome, provenance) = match self.prune(c, None) {
             Some(o) => {
                 self.stats.skipped += 1;
                 (o, Provenance::Skipped)
             }
             None => {
-                let o = executed
-                    .and_then(|m| m.get(c).copied())
-                    .unwrap_or_else(|| self.objective.evaluate(c));
+                let o = executed.unwrap_or_else(|| self.objective.evaluate(c));
                 if o == TrialOutcome::Invalid {
                     self.stats.invalid += 1;
                 } else {
@@ -427,15 +405,15 @@ impl<'a> TrialScheduler<'a> {
         outcome
     }
 
-    /// Evaluates `configs` in proposal order using speculative waves
-    /// (see the type docs). Stops committing — exactly like the
-    /// sequential loops — as soon as the early-stop rule fires; the
-    /// returned outcomes cover the committed prefix.
+    /// The loop (see the type docs): evaluates `configs` in proposal
+    /// order, [`TrialScheduler::batch`] pipeline runs to a wave. Stops
+    /// before the first commit the early-stop rule or the cancel token
+    /// forbids; the returned outcomes cover the committed prefix.
     fn evaluate_speculative(&mut self, configs: &[ConfigPoint]) -> Vec<TrialOutcome> {
         let width = self.batch.max(1);
         let mut out = Vec::with_capacity(configs.len());
         let mut i = 0usize;
-        while i < configs.len() {
+        while i < configs.len() && !self.halted() {
             // Build one wave: walk forward deciding, from current
             // knowledge, which candidates need a pipeline run. Cut when
             // a candidate's answer could depend on an outcome that is
@@ -447,10 +425,10 @@ impl<'a> TrialScheduler<'a> {
             for &c in &configs[i..] {
                 let known = overlay.contains_key(&c) || self.cache.contains_key(&c);
                 if !known {
-                    if wave.contains(&c) || self.prune_twins(&c).iter().any(|t| wave.contains(t)) {
+                    if wave.contains(&c) || self.twins(c).any(|(t, _)| wave.contains(&t)) {
                         break;
                     }
-                    if let Some(o) = self.prune_with(&c, Some(&overlay)) {
+                    if let Some(o) = self.prune(&c, Some(&overlay)) {
                         overlay.insert(c, o);
                     } else {
                         wave.push(c);
@@ -471,23 +449,16 @@ impl<'a> TrialScheduler<'a> {
                     .evaluate_batch_with(&wave, self.cancel.as_ref())
                 {
                     Some(outcomes) => wave.into_iter().zip(outcomes).collect(),
-                    None => return out, // cancelled: prior waves stand
+                    None => break, // cancelled: prior waves stand
                 }
             } else {
                 HashMap::new() // single run: let the commit path do it inline
             };
-            // Commit the span in proposal order through the sequential
-            // decision path.
-            for &c in &configs[i..i + span] {
-                if self.cancelled() {
-                    self.notify_wave();
-                    return out;
+            for c in &configs[i..i + span] {
+                if self.halted() {
+                    break;
                 }
-                out.push(self.commit(&c, Some(&executed)));
-                if self.should_stop() {
-                    self.notify_wave();
-                    return out;
-                }
+                out.push(self.commit(c, executed.get(c).copied()));
             }
             self.notify_wave();
             i += span;
@@ -503,6 +474,12 @@ impl<'a> TrialScheduler<'a> {
         }
     }
 
+    /// Whether nothing more may commit: the early-stop rule or the
+    /// cancel token fired.
+    fn halted(&self) -> bool {
+        self.should_stop() || self.cancelled()
+    }
+
     /// Fitness for the optimizer: cost (lower is better); invalid and
     /// OOM configs are pushed far away.
     fn fitness(outcome: &TrialOutcome) -> f64 {
@@ -513,94 +490,56 @@ impl<'a> TrialScheduler<'a> {
         }
     }
 
-    /// Runs a search with the given algorithm and sample budget,
-    /// evaluating candidates strictly sequentially.
+    /// Runs a search with the given algorithm and sample budget, one
+    /// pipeline run at a time: [`TrialScheduler::run_batched`] at
+    /// width 1.
     pub fn run(self, kind: AlgorithmKind, budget: usize, seed: u64) -> SearchResult {
-        self.run_inner(kind, budget, seed, false)
+        self.with_batch(1).run_batched(kind, budget, seed)
     }
 
-    /// Runs a search evaluating candidates in speculative batches of up
-    /// to [`TrialScheduler::batch`] through the engine's worker pool.
+    /// Runs a search with the given algorithm and sample budget, up to
+    /// [`TrialScheduler::batch`] pipeline runs at a time through the
+    /// engine's worker pool.
     ///
     /// The result — best config, trial records, stats, convergence,
-    /// early-stop point — is identical to [`TrialScheduler::run`] with
-    /// the same arguments; only wall-clock changes.
-    pub fn run_batched(self, kind: AlgorithmKind, budget: usize, seed: u64) -> SearchResult {
-        self.run_inner(kind, budget, seed, true)
-    }
-
-    fn run_inner(
-        mut self,
-        kind: AlgorithmKind,
-        budget: usize,
-        seed: u64,
-        batched: bool,
-    ) -> SearchResult {
-        // lint:allow(wall-clock-in-output): wall_time telemetry field only — trial selection is seed-driven
-        let t0 = Instant::now();
+    /// early-stop point — does not depend on the width; only wall-clock
+    /// does.
+    pub fn run_batched(mut self, kind: AlgorithmKind, budget: usize, seed: u64) -> SearchResult {
         if kind == AlgorithmKind::Grid {
             // Grid walks the actual discrete knob space (not a unit-cube
             // lattice), in enumeration order, up to the budget.
             let configs: Vec<ConfigPoint> =
                 self.space.enumerate().into_iter().take(budget).collect();
-            if batched {
-                // evaluate_speculative stops committing right after the
-                // early-stop rule fires — the same prefix the sequential
-                // loop evaluates.
-                self.evaluate_speculative(&configs);
-            } else {
-                for c in &configs {
-                    if self.should_stop() || self.cancelled() {
-                        break;
-                    }
-                    self.evaluate(c);
-                    self.notify_wave();
-                }
-            }
-            return self.into_result(t0);
+            return self.run_configs(&configs);
         }
+        // lint:allow(wall-clock-in-output): wall_time telemetry field only — trial selection is seed-driven
+        let t0 = Instant::now();
         let mut alg = kind.build(ConfigSpace::DIMS, seed);
         let mut samples = 0usize;
-        while samples < budget && !alg.exhausted() && !self.should_stop() && !self.cancelled() {
+        while samples < budget && !alg.exhausted() && !self.halted() {
             let asks = alg.ask();
             if asks.is_empty() {
                 break;
             }
-            let mut fitness = Vec::with_capacity(asks.len());
-            if batched {
-                let configs: Vec<ConfigPoint> =
-                    asks.iter().map(|x| self.space.from_unit(x)).collect();
-                let outcomes = self.evaluate_speculative(&configs);
-                samples += outcomes.len();
-                fitness.extend(outcomes.iter().map(Self::fitness));
-                // Early stop mid-batch: fill remaining slots so tell()
-                // shapes match, exactly like the sequential loop.
-                while fitness.len() < asks.len() {
-                    fitness.push(1e7);
-                }
-            } else {
-                for x in &asks {
-                    if self.cancelled() {
-                        while fitness.len() < asks.len() {
-                            fitness.push(1e7);
-                        }
-                        break;
-                    }
-                    let config = self.space.from_unit(x);
-                    let outcome = self.evaluate(&config);
-                    fitness.push(Self::fitness(&outcome));
-                    self.notify_wave();
-                    samples += 1;
-                    if self.should_stop() {
-                        while fitness.len() < asks.len() {
-                            fitness.push(1e7);
-                        }
-                        break;
-                    }
-                }
-            }
+            let configs: Vec<ConfigPoint> = asks.iter().map(|x| self.space.from_unit(x)).collect();
+            let outcomes = self.evaluate_speculative(&configs);
+            samples += outcomes.len();
+            // Stopped mid-batch: fill the remaining slots so tell()'s
+            // shapes match.
+            let mut fitness: Vec<f64> = outcomes.iter().map(Self::fitness).collect();
+            fitness.resize(asks.len(), 1e7);
             alg.tell(&asks, &fitness);
         }
+        self.into_result(t0)
+    }
+
+    /// Evaluates a caller-supplied list of configs in order — the loop
+    /// with nothing proposing — and seals the result. The early-stop
+    /// rule applies as configured.
+    pub fn run_configs(mut self, configs: &[ConfigPoint]) -> SearchResult {
+        // lint:allow(wall-clock-in-output): wall_time telemetry field only — evaluation order is the caller's
+        let t0 = Instant::now();
+        self.evaluate_speculative(configs);
         self.into_result(t0)
     }
 
@@ -619,42 +558,31 @@ impl<'a> TrialScheduler<'a> {
     }
 
     /// Exhaustively evaluates the whole space (the paper's grid-search
-    /// reference for Fig. 11b).
-    pub fn run_grid(mut self) -> SearchResult {
-        // lint:allow(wall-clock-in-output): wall_time telemetry field only — enumeration order is deterministic
-        let t0 = Instant::now();
-        self.early_stop_patience = None;
-        for c in self.space.enumerate() {
-            if self.cancelled() {
-                break;
-            }
-            self.evaluate(&c);
-            self.notify_wave();
-        }
-        self.into_result(t0)
+    /// reference for Fig. 11b), one pipeline run at a time.
+    pub fn run_grid(self) -> SearchResult {
+        self.with_batch(1).run_grid_batched()
     }
 
-    /// Exhaustive grid evaluation with speculative batching; result is
-    /// identical to [`TrialScheduler::run_grid`], only faster.
+    /// Exhaustively evaluates the whole space,
+    /// [`TrialScheduler::batch`] pipeline runs at a time.
     pub fn run_grid_batched(mut self) -> SearchResult {
-        // lint:allow(wall-clock-in-output): wall_time telemetry field only — enumeration order is deterministic
-        let t0 = Instant::now();
         self.early_stop_patience = None;
         let configs = self.space.enumerate();
-        self.evaluate_speculative(&configs);
-        self.into_result(t0)
+        self.run_configs(&configs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maya::{Maya, MayaBuilder};
+    use maya::{MayaBuilder, PredictionEngine};
     use maya_hw::ClusterSpec;
     use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
     use maya_trace::Dtype;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    fn fixture() -> (Maya, TrainingJob) {
+    fn fixture() -> (PredictionEngine, TrainingJob) {
         let cluster = ClusterSpec::h100(1, 4);
         let maya = MayaBuilder::new(cluster).build().unwrap();
         let template = TrainingJob {
@@ -691,7 +619,7 @@ mod tests {
         // regression here (e.g. validation deferred into the simulator)
         // shows up as estimator-cache misses.
         let (maya, template) = fixture();
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         let space = ConfigSpace {
             tp: vec![8, 16],
             pp: vec![1],
@@ -716,7 +644,7 @@ mod tests {
         assert_eq!(result.stats.executed, 0);
         assert!(result.best.is_none());
         assert_eq!(
-            maya.engine().cache_stats().misses,
+            maya.cache_stats().misses,
             0,
             "invalid configs must never reach estimation or simulation"
         );
@@ -725,7 +653,7 @@ mod tests {
     #[test]
     fn cache_avoids_reexecution() {
         let (maya, template) = fixture();
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         let mut sched = TrialScheduler::new(&obj).with_space(small_space());
         let c = ParallelConfig::default();
         sched.evaluate(&c);
@@ -737,7 +665,7 @@ mod tests {
     #[test]
     fn distributed_optimizer_tactic_skips() {
         let (maya, template) = fixture();
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         let mut sched = TrialScheduler::new(&obj).with_space(small_space());
         let base = ParallelConfig {
             tp: 2,
@@ -759,7 +687,7 @@ mod tests {
         // Make it OOM even with recompute: too-large model for 1 GPU.
         template.model = ModelSpec::gpt3_2_7b();
         template.global_batch = 256;
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         let mut sched = TrialScheduler::new(&obj).with_space(small_space());
         let recomp = ParallelConfig {
             activation_recompute: true,
@@ -775,7 +703,7 @@ mod tests {
     #[test]
     fn grid_search_finds_a_best_config() {
         let (maya, template) = fixture();
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         let sched = TrialScheduler::new(&obj).with_space(small_space());
         let result = sched.run_grid();
         let (best, outcome) = result.best.expect("some config completes");
@@ -791,7 +719,7 @@ mod tests {
     #[test]
     fn cma_search_matches_grid_within_tolerance() {
         let (maya, template) = fixture();
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         let grid = TrialScheduler::new(&obj)
             .with_space(small_space())
             .run_grid();
@@ -820,6 +748,47 @@ mod tests {
         assert_eq!(seq.convergence, par.convergence, "{label}: convergence");
     }
 
+    /// The sequential loop the wave loop replaced, kept as the oracle
+    /// the one loop is held to at every width.
+    fn sequential_oracle(
+        mut sched: TrialScheduler,
+        kind: AlgorithmKind,
+        budget: usize,
+        seed: u64,
+    ) -> SearchResult {
+        let t0 = Instant::now();
+        if kind == AlgorithmKind::Grid {
+            for c in sched.space.enumerate().into_iter().take(budget) {
+                if sched.should_stop() {
+                    break;
+                }
+                sched.evaluate(&c);
+            }
+            return sched.into_result(t0);
+        }
+        let mut alg = kind.build(ConfigSpace::DIMS, seed);
+        let mut samples = 0usize;
+        while samples < budget && !alg.exhausted() && !sched.should_stop() {
+            let asks = alg.ask();
+            if asks.is_empty() {
+                break;
+            }
+            let mut fitness = Vec::with_capacity(asks.len());
+            for x in &asks {
+                let config = sched.space.from_unit(x);
+                let outcome = sched.evaluate(&config);
+                fitness.push(TrialScheduler::fitness(&outcome));
+                samples += 1;
+                if sched.should_stop() {
+                    break;
+                }
+            }
+            fitness.resize(asks.len(), 1e7);
+            alg.tell(&asks, &fitness);
+        }
+        sched.into_result(t0)
+    }
+
     #[test]
     fn batched_search_identical_to_sequential() {
         let cluster = ClusterSpec::h100(1, 4);
@@ -829,22 +798,51 @@ mod tests {
             .build()
             .unwrap();
         let template = fixture().1;
-        for kind in [
-            AlgorithmKind::Random,
-            AlgorithmKind::CmaEs,
-            AlgorithmKind::Grid,
-        ] {
-            let seq_obj = Objective::new(seq_maya.engine(), template);
-            let seq = TrialScheduler::new(&seq_obj)
-                .with_space(small_space())
-                .run(kind, 60, 9);
-            let par_obj = Objective::new(par_maya.engine(), template);
-            let par = TrialScheduler::new(&par_obj)
-                .with_space(small_space())
-                .with_batch(8)
-                .run_batched(kind, 60, 9);
-            assert_results_identical(&seq, &par, &format!("{kind:?}"));
-            assert!(par.stats.executed > 0, "{kind:?} executed nothing");
+        let seq_obj = Objective::new(&seq_maya, template);
+        let par_obj = Objective::new(&par_maya, template);
+        for kind in AlgorithmKind::all() {
+            let oracle = sequential_oracle(
+                TrialScheduler::new(&seq_obj).with_space(small_space()),
+                kind,
+                60,
+                9,
+            );
+            assert!(oracle.stats.executed > 0, "{kind:?} executed nothing");
+            let cut_at = oracle.trials.len() / 2;
+            for width in [1usize, 2, 3, 8] {
+                let label = format!("{kind:?} at width {width}");
+                let seen = Rc::new(RefCell::new(Recorder::new()));
+                let sched = TrialScheduler::new(&par_obj)
+                    .with_space(small_space())
+                    .with_batch(width)
+                    .with_observer(Box::new(Tee(Rc::clone(&seen))));
+                // `run` is the same loop with the width forced to 1.
+                let result = if width == 1 {
+                    sched.run(kind, 60, 9)
+                } else {
+                    sched.run_batched(kind, 60, 9)
+                };
+                assert_results_identical(&oracle, &result, &label);
+                assert_eq!(seen.borrow().records, oracle.trials, "{label}: stream");
+                assert_eq!(
+                    seen.borrow().waves.last().copied(),
+                    Some(oracle.trials.len()),
+                    "{label}: the last wave notification covers every trial"
+                );
+
+                let token = CancelToken::new();
+                let cut = TrialScheduler::new(&par_obj)
+                    .with_space(small_space())
+                    .with_batch(width)
+                    .with_observer(Box::new(Recorder::cancelling_after(cut_at, token.clone())))
+                    .with_cancel(token)
+                    .run_batched(kind, 60, 9);
+                assert_eq!(
+                    cut.trials,
+                    oracle.trials[..cut_at],
+                    "{label}: cancel after {cut_at}"
+                );
+            }
         }
     }
 
@@ -857,11 +855,11 @@ mod tests {
             .build()
             .unwrap();
         let template = fixture().1;
-        let seq_obj = Objective::new(seq_maya.engine(), template);
+        let seq_obj = Objective::new(&seq_maya, template);
         let seq = TrialScheduler::new(&seq_obj)
             .with_space(small_space())
             .run_grid();
-        let par_obj = Objective::new(par_maya.engine(), template);
+        let par_obj = Objective::new(&par_maya, template);
         let par = TrialScheduler::new(&par_obj)
             .with_space(small_space())
             .with_batch(6)
@@ -878,18 +876,29 @@ mod tests {
             .build()
             .unwrap();
         let template = fixture().1;
-        let seq_obj = Objective::new(seq_maya.engine(), template);
-        let mut seq_sched = TrialScheduler::new(&seq_obj).with_space(small_space());
-        seq_sched.early_stop_patience = Some(5);
-        let seq = seq_sched.run(AlgorithmKind::Random, 10_000, 3);
-        let par_obj = Objective::new(par_maya.engine(), template);
-        let mut par_sched = TrialScheduler::new(&par_obj)
-            .with_space(small_space())
-            .with_batch(8);
-        par_sched.early_stop_patience = Some(5);
-        let par = par_sched.run_batched(AlgorithmKind::Random, 10_000, 3);
-        assert_eq!(seq.trials.len(), par.trials.len(), "stop point must match");
-        assert_results_identical(&seq, &par, "early stop");
+        let seq_obj = Objective::new(&seq_maya, template);
+        let par_obj = Objective::new(&par_maya, template);
+        // Patience 0 means "stopped before the first trial", whichever
+        // algorithm proposes it and whatever the width.
+        for (kind, patience, stops_after) in [
+            (AlgorithmKind::Random, 5, None),
+            (AlgorithmKind::Random, 0, Some(0)),
+            (AlgorithmKind::Grid, 0, Some(0)),
+        ] {
+            let mut seq_sched = TrialScheduler::new(&seq_obj).with_space(small_space());
+            seq_sched.early_stop_patience = Some(patience);
+            let seq = seq_sched.run(kind, 10_000, 3);
+            let mut par_sched = TrialScheduler::new(&par_obj)
+                .with_space(small_space())
+                .with_batch(8);
+            par_sched.early_stop_patience = Some(patience);
+            let par = par_sched.run_batched(kind, 10_000, 3);
+            assert_eq!(seq.trials.len(), par.trials.len(), "stop point must match");
+            assert_results_identical(&seq, &par, &format!("{kind:?}, patience {patience}"));
+            if let Some(n) = stops_after {
+                assert_eq!(seq.trials.len(), n, "{kind:?}, patience {patience}");
+            }
+        }
     }
 
     /// Records every observation; optionally fires a cancel token after
@@ -936,6 +945,18 @@ mod tests {
         }
     }
 
+    /// Lets a test keep reading a [`Recorder`] the scheduler owns.
+    struct Tee(Rc<RefCell<Recorder>>);
+
+    impl SearchObserver for Tee {
+        fn trial_committed(&mut self, r: &TrialRecord, b: Option<&(ConfigPoint, TrialOutcome)>) {
+            self.0.borrow_mut().trial_committed(r, b);
+        }
+        fn wave_committed(&mut self, n: usize) {
+            self.0.borrow_mut().wave_committed(n);
+        }
+    }
+
     #[test]
     fn observer_sees_every_committed_trial_in_order() {
         let cluster = ClusterSpec::h100(1, 4);
@@ -944,25 +965,12 @@ mod tests {
             .build()
             .unwrap();
         let template = fixture().1;
-        let obj = Objective::new(maya.engine(), template);
-        let observed = std::rc::Rc::new(std::cell::RefCell::new(Recorder::new()));
-        struct Tee(std::rc::Rc<std::cell::RefCell<Recorder>>);
-        impl SearchObserver for Tee {
-            fn trial_committed(
-                &mut self,
-                r: &TrialRecord,
-                b: Option<&(ConfigPoint, TrialOutcome)>,
-            ) {
-                self.0.borrow_mut().trial_committed(r, b);
-            }
-            fn wave_committed(&mut self, n: usize) {
-                self.0.borrow_mut().wave_committed(n);
-            }
-        }
+        let obj = Objective::new(&maya, template);
+        let observed = Rc::new(RefCell::new(Recorder::new()));
         let result = TrialScheduler::new(&obj)
             .with_space(small_space())
             .with_batch(4)
-            .with_observer(Box::new(Tee(std::rc::Rc::clone(&observed))))
+            .with_observer(Box::new(Tee(Rc::clone(&observed))))
             .run_batched(AlgorithmKind::Random, 40, 9);
         let observed = observed.borrow();
         assert_eq!(
@@ -987,7 +995,7 @@ mod tests {
         let template = fixture().1;
         // Reference: the full, uncancelled run.
         let ref_maya = MayaBuilder::new(cluster.clone()).build().unwrap();
-        let ref_obj = Objective::new(ref_maya.engine(), template);
+        let ref_obj = Objective::new(&ref_maya, template);
         let full = TrialScheduler::new(&ref_obj).with_space(small_space()).run(
             AlgorithmKind::Random,
             40,
@@ -1001,7 +1009,7 @@ mod tests {
                     .emulation_threads(4)
                     .build()
                     .unwrap();
-                let obj = Objective::new(maya.engine(), template);
+                let obj = Objective::new(&maya, template);
                 let token = CancelToken::new();
                 let sched = TrialScheduler::new(&obj)
                     .with_space(small_space())
@@ -1036,7 +1044,7 @@ mod tests {
     #[test]
     fn pre_cancelled_search_commits_nothing() {
         let (maya, template) = fixture();
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         let token = CancelToken::new();
         token.cancel();
         let result = TrialScheduler::new(&obj)
@@ -1050,7 +1058,7 @@ mod tests {
     #[test]
     fn early_stopping_fires_on_small_spaces() {
         let (maya, template) = fixture();
-        let obj = Objective::new(maya.engine(), template);
+        let obj = Objective::new(&maya, template);
         let mut sched = TrialScheduler::new(&obj).with_space(small_space());
         sched.early_stop_patience = Some(5);
         let result = sched.run(AlgorithmKind::Random, 10_000, 3);

@@ -70,7 +70,7 @@ pub mod service;
 pub use error::ServeError;
 /// Re-exported observability vocabulary, so service users configure
 /// and consume instrumentation without naming `maya-obs` directly.
-pub use maya_obs::{ObsConfig, ObsSnapshot, SpanNode};
+pub use maya_obs::{Counter, ObsConfig, ObsSnapshot, SpanNode};
 
 pub use job::{
     job_channel, CancelToken, JobConsumer, JobControl, JobHandle, JobOptions, JobOutcome,

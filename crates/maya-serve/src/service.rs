@@ -1079,6 +1079,14 @@ impl MayaService {
         }
     }
 
+    /// A counter a front end publishes through this service's
+    /// registry, so one scrape carries every layer: registered under
+    /// `name` when metrics are on, detached (it still counts, nothing
+    /// is registered) when they are off.
+    pub fn counter(&self, name: &str) -> Counter {
+        self.shared.obs.counter(name)
+    }
+
     /// Records (or re-records, replacing in place) the span tree for
     /// job `id` in the recent-jobs ring. The wire server uses this to
     /// upsert a worker-recorded tree with the `reply` span appended.

@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use maya_serve::{JobHandle, JobStep, MayaService, ServeError, SpanNode};
+use maya_serve::{Counter, JobHandle, JobStep, MayaService, ServeError, SpanNode};
 
 use crate::error::RemoteError;
 use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError, ReadError};
@@ -75,7 +75,10 @@ enum WriterMsg {
 /// it), drained and removed by the writer.
 type InFlight = Mutex<HashMap<u64, JobHandle>>;
 
-/// Counters for one [`WireServer`] (all cumulative).
+/// Counters for one [`WireServer`] (all cumulative). Every field but
+/// `scrapes` is a view of a `wire.*` counter in the service's registry
+/// ([`MayaService::counter`]), so a `Scrape` carries them too — and two
+/// servers fronting one service count together.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WireServerStats {
     /// Connections accepted.
@@ -108,11 +111,13 @@ struct ServerShared {
     /// removes its own entry on exit.
     conns: Mutex<HashMap<u64, TcpStream>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    connections: AtomicU64,
-    admitted: AtomicU64,
-    overloaded: AtomicU64,
-    protocol_errors: AtomicU64,
-    cancels: AtomicU64,
+    /// `wire.connections`, `wire.admitted`, `wire.overloaded`,
+    /// `wire.protocol_errors`, `wire.cancels` in the service's registry.
+    connections: Counter,
+    admitted: Counter,
+    overloaded: Counter,
+    protocol_errors: Counter,
+    cancels: Counter,
     scrapes: AtomicU64,
 }
 
@@ -136,17 +141,17 @@ impl WireServerBuilder {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(ServerShared {
+            connections: self.service.counter("wire.connections"),
+            admitted: self.service.counter("wire.admitted"),
+            overloaded: self.service.counter("wire.overloaded"),
+            protocol_errors: self.service.counter("wire.protocol_errors"),
+            cancels: self.service.counter("wire.cancels"),
+            scrapes: AtomicU64::new(0),
             service: self.service,
             max_frame_len: self.max_frame_len,
             stopping: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             conn_threads: Mutex::new(Vec::new()),
-            connections: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            overloaded: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            cancels: AtomicU64::new(0),
-            scrapes: AtomicU64::new(0),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -197,11 +202,11 @@ impl WireServer {
     /// Point-in-time counters.
     pub fn stats(&self) -> WireServerStats {
         WireServerStats {
-            connections: self.shared.connections.load(Ordering::Relaxed),
-            admitted: self.shared.admitted.load(Ordering::Relaxed),
-            overloaded: self.shared.overloaded.load(Ordering::Relaxed),
-            protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
-            cancels: self.shared.cancels.load(Ordering::Relaxed),
+            connections: self.shared.connections.get(),
+            admitted: self.shared.admitted.get(),
+            overloaded: self.shared.overloaded.get(),
+            protocol_errors: self.shared.protocol_errors.get(),
+            cancels: self.shared.cancels.get(),
             scrapes: self.shared.scrapes.load(Ordering::Relaxed),
         }
     }
@@ -248,6 +253,8 @@ impl Drop for WireServer {
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
+    // Keys `ServerShared::conns`; this thread is the only one accepting.
+    let mut conn_id = 0u64;
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -270,7 +277,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
         // by the writer's BufWriter; Nagle would add delayed-ACK
         // stalls (~40ms) to pipelined bursts.
         stream.set_nodelay(true).ok();
-        let conn_id = shared.connections.fetch_add(1, Ordering::Relaxed);
+        shared.connections.inc();
+        conn_id += 1;
         let Ok(clone) = stream.try_clone() else {
             continue;
         };
@@ -344,7 +352,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
         send(FrameKind::Error, id, serde::to_string(error));
     };
     let protocol_error = |id: u64, error: &ProtocolError| {
-        shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        shared.protocol_errors.inc();
         send_error(id, &RemoteError::protocol(error));
     };
 
@@ -361,7 +369,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
             // fatal). A conforming client starts at 1, so reject the
             // stream outright.
             Ok(Some(frame)) if frame.id == 0 => {
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                shared.protocol_errors.inc();
                 send_error(
                     0,
                     &RemoteError {
@@ -375,7 +383,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
                 FrameKind::Request => match decode_submission(&frame.body) {
                     Ok((req, opts)) => match shared.service.try_submit_with(req, opts) {
                         Ok(handle) => {
-                            shared.admitted.fetch_add(1, Ordering::Relaxed);
+                            shared.admitted.inc();
                             let (id, wake) = (frame.id, tx.clone());
                             // Hook and insert under one table lock:
                             // a wake the hook posts at once is acted
@@ -393,7 +401,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
                         }
                         Err(e) => {
                             if matches!(e, ServeError::Overloaded) {
-                                shared.overloaded.fetch_add(1, Ordering::Relaxed);
+                                shared.overloaded.inc();
                             }
                             send_error(frame.id, &RemoteError::from(&e));
                         }
@@ -408,7 +416,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
                 // real verdict.
                 FrameKind::Cancel => {
                     if let Some(handle) = lock(&jobs).get(&frame.id) {
-                        shared.cancels.fetch_add(1, Ordering::Relaxed);
+                        shared.cancels.inc();
                         handle.cancel();
                     }
                 }

@@ -1,8 +1,8 @@
-//! [`MayaBuilder`]: one front door for constructing the Maya runtime.
+//! [`MayaBuilder`]: the one way to construct a [`PredictionEngine`].
 //!
 //! Pick an estimator ([`EstimatorChoice`]), flip spec knobs,
 //! optionally point at a memo snapshot to warm-start from, then
-//! [`build`](MayaBuilder::build).
+//! [`build`](MayaBuilder::build) the engine.
 //!
 //! ```
 //! use maya::MayaBuilder;
@@ -28,7 +28,7 @@ use maya_hw::ClusterSpec;
 
 use crate::engine::PredictionEngine;
 use crate::error::MayaError;
-use crate::pipeline::{EmulationSpec, Maya};
+use crate::pipeline::EmulationSpec;
 
 /// Constructor signature of [`EstimatorChoice::Factory`].
 pub type EstimatorFactory = Arc<dyn Fn(&ClusterSpec) -> Arc<dyn RuntimeEstimator> + Send + Sync>;
@@ -124,7 +124,7 @@ impl fmt::Debug for EstimatorChoice {
     }
 }
 
-/// Builder for [`Maya`] / [`PredictionEngine`] (see module docs).
+/// Builder for [`PredictionEngine`] (see module docs).
 #[derive(Clone, Debug)]
 pub struct MayaBuilder {
     spec: EmulationSpec,
@@ -238,9 +238,9 @@ impl MayaBuilder {
 
     /// Arms memo persistence: if a snapshot exists at `path` it is
     /// restored into the engine's cache at build (warm start), and
-    /// [`Maya::persist_snapshot`] will write back to the same path. A
-    /// missing file is a normal cold start; a corrupt or mismatched one
-    /// fails [`build`](MayaBuilder::build).
+    /// [`PredictionEngine::persist_snapshot`] will write back to the
+    /// same path. A missing file is a normal cold start; a corrupt or
+    /// mismatched one fails [`build`](MayaBuilder::build).
     pub fn snapshot_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.snapshot = Some(path.into());
         self
@@ -251,7 +251,7 @@ impl MayaBuilder {
         &self.spec
     }
 
-    /// Builds the bare engine (no facade, no snapshot handling) — what
+    /// Builds the bare engine (no snapshot handling) — what
     /// `maya-serve`'s registry stamps out per cluster spec.
     pub fn build_engine(&self) -> PredictionEngine {
         let cache = maya_estimator::CachingEstimator::with_limits(
@@ -262,22 +262,22 @@ impl MayaBuilder {
         PredictionEngine::with_shared_cache(self.spec.clone(), Arc::new(cache))
     }
 
-    /// Builds the [`Maya`] runtime, restoring the snapshot if one is
-    /// configured and present. A snapshot written under a different
-    /// cluster or estimator configuration is rejected (its memoized
-    /// runtimes would silently poison every prediction).
-    pub fn build(self) -> Result<Maya, MayaError> {
-        let engine = self.build_engine();
-        let snapshot = self.snapshot.map(|path| {
+    /// Builds the engine, restoring the snapshot if one is configured
+    /// and present. A snapshot written under a different cluster or
+    /// estimator configuration is rejected (its memoized runtimes would
+    /// silently poison every prediction).
+    pub fn build(self) -> Result<PredictionEngine, MayaError> {
+        let mut engine = self.build_engine();
+        engine.snapshot = self.snapshot.map(|path| {
             let scope = self.estimator.memo_scope(&self.spec.cluster);
             (path, scope)
         });
-        if let Some((path, scope)) = &snapshot {
+        if let Some((path, scope)) = &engine.snapshot {
             if path.exists() {
                 engine.cache().load_snapshot(path, scope)?;
             }
         }
-        Ok(Maya::from_engine(engine, snapshot))
+        Ok(engine)
     }
 }
 
@@ -339,9 +339,9 @@ mod tests {
             .unwrap();
         // A real prediction derives far more than 16 distinct shapes.
         capped.predict_job(&smoke_job(1)).unwrap();
-        let cache = capped.engine().cache();
+        let cache = capped.cache();
         assert!(cache.len() <= 16, "len {} exceeds cap", cache.len());
-        assert!(capped.engine().cache_stats().evictions > 0);
+        assert!(capped.cache_stats().evictions > 0);
         // Capped answers still match an uncapped engine's exactly.
         let uncapped = MayaBuilder::new(ClusterSpec::h100(1, 1)).build().unwrap();
         assert_eq!(
@@ -351,7 +351,7 @@ mod tests {
                 .unwrap()
                 .iteration_time()
         );
-        assert_eq!(uncapped.engine().cache_stats().evictions, 0);
+        assert_eq!(uncapped.cache_stats().evictions, 0);
     }
 
     #[test]
@@ -373,7 +373,7 @@ mod tests {
             .build()
             .unwrap();
         restored.predict_job(&job).unwrap();
-        let st = restored.engine().cache_stats();
+        let st = restored.cache_stats();
         assert_eq!(st.misses, 0, "warm start must answer the repeat workload");
         assert!(st.hits > 0);
 
@@ -447,6 +447,6 @@ mod tests {
             .snapshot_path("/nonexistent/dir/never.memo")
             .build()
             .unwrap();
-        assert!(maya.engine().cache().is_empty());
+        assert!(maya.cache().is_empty());
     }
 }

@@ -13,8 +13,10 @@
 //!   deduplicates — keeps its trace only if it opens a new class, so
 //!   the job trace that reaches the estimator is already reduced and
 //!   only classes + 1 traces were ever alive;
-//! - a scoped worker pool ([`PredictionEngine::predict_batch`]) that
-//!   fans independent predictions across `emulation_threads` OS threads.
+//! - one ordered fan-out over `emulation_threads` OS threads, which
+//!   spreads either one job's ranks (`predict_job`) or a batch's
+//!   independent jobs ([`PredictionEngine::predict_batch`]) and hands
+//!   results back in index order.
 //!
 //! Every stage is deterministic, so batched predictions are
 //! byte-identical to sequential ones — the search layer relies on this
@@ -22,6 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -57,6 +60,65 @@ struct Emulated {
     collation: Duration,
 }
 
+/// Runs `work` over `items` on up to `threads` OS threads and hands
+/// every result to `sink` on the calling thread, in `items` order
+/// whatever order the threads finish in. Threads claim one index at a
+/// time, lowest first, so results arrive close to index order; the
+/// bounded channel keeps a slow sink from letting finished results pile
+/// up behind it. The first `sink` error is returned: nothing further is
+/// claimed, and work already claimed ends before this returns (every
+/// thread is joined). When one thread suffices, everything runs inline
+/// on the calling thread.
+fn fan_out<I, T, E>(
+    items: &[I],
+    threads: usize,
+    work: impl Fn(&I) -> T + Sync,
+    mut sink: impl FnMut(T) -> Result<(), E>,
+) -> Result<(), E>
+where
+    I: Sync,
+    T: Send,
+{
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.iter().try_for_each(|item| sink(work(item)));
+    }
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::sync_channel(threads);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            let (tx, next, work) = (tx.clone(), &next, &work);
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                // The receiver goes away on the sink's first error.
+                if tx.send((i, work(item))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        let mut early = BTreeMap::new();
+        let mut due = 0;
+        for (i, result) in rx {
+            early.insert(i, result);
+            while let Some(result) = early.remove(&due) {
+                sink(result)?;
+                due += 1;
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Unwraps the result of a [`fan_out`] whose sink cannot fail.
+fn infallible(done: Result<(), Infallible>) {
+    match done {
+        Ok(()) => {}
+        Err(never) => match never {},
+    }
+}
+
 /// Reusable, thread-safe prediction pipeline (see module docs).
 pub struct PredictionEngine {
     spec: EmulationSpec,
@@ -73,6 +135,10 @@ pub struct PredictionEngine {
     /// default — leaves every simulate call on the uninstrumented
     /// path, which is byte-identical to the instrumented one.
     sim_obs: OnceLock<SimObs>,
+    /// Where [`PredictionEngine::persist_snapshot`] writes the
+    /// estimator memo, and the compatibility scope it is stamped with
+    /// ([`MayaBuilder::snapshot_path`](crate::MayaBuilder::snapshot_path)).
+    pub(crate) snapshot: Option<(PathBuf, String)>,
 }
 
 impl PredictionEngine {
@@ -97,6 +163,20 @@ impl PredictionEngine {
             cache,
             scratch_pool: Mutex::new(Vec::new()),
             sim_obs: OnceLock::new(),
+            snapshot: None,
+        }
+    }
+
+    /// Writes the estimator memo to the builder-configured snapshot
+    /// path so the next process can warm-start from it. Returns `false`
+    /// when no path was configured.
+    pub fn persist_snapshot(&self) -> Result<bool, MayaError> {
+        match &self.snapshot {
+            None => Ok(false),
+            Some((path, scope)) => {
+                self.cache.write_snapshot(path, scope)?;
+                Ok(true)
+            }
         }
     }
 
@@ -151,7 +231,9 @@ impl PredictionEngine {
     }
 
     /// Transparently traces an arbitrary per-rank workload using the
-    /// spec's emulation thread count.
+    /// spec's emulation thread count: the Rust analog of running an
+    /// unmodified script under the `LD_PRELOAD` shim. `script` receives
+    /// `(rank, virtual device)` and may issue any device API calls.
     pub fn trace_workload<F>(
         &self,
         ranks: &[u32],
@@ -160,40 +242,20 @@ impl PredictionEngine {
     where
         F: Fn(u32, &mut CudaContext) -> Result<(), CudaError> + Sync,
     {
-        self.trace_workload_with(ranks, script, self.spec.emulation_threads)
-    }
-
-    /// Traces a workload with an explicit thread count, keeping every
-    /// trace.
-    fn trace_workload_with<F>(
-        &self,
-        ranks: &[u32],
-        script: F,
-        threads: usize,
-    ) -> Vec<(WorkerTrace, Result<(), CudaError>)>
-    where
-        F: Fn(u32, &mut CudaContext) -> Result<(), CudaError> + Sync,
-    {
         let mut out = Vec::with_capacity(ranks.len());
-        let kept: Result<(), Infallible> =
-            self.emulate_each(ranks, script, threads, |trace, res| {
-                out.push((trace, res));
-                Ok(Vec::new())
-            });
-        match kept {
-            Ok(()) => out,
-            Err(never) => match never {},
-        }
+        let threads = self.spec.emulation_threads;
+        infallible(self.emulate_each(ranks, script, threads, |trace, res| {
+            out.push((trace, res));
+            Ok(Vec::new())
+        }));
+        out
     }
 
-    /// Emulates `ranks` on up to `threads` OS threads (batch mode runs
-    /// each member job with sequential emulation and parallelizes across
-    /// jobs instead, to avoid nested oversubscription) and hands every
-    /// finished trace to `sink` on the calling thread, in `ranks` order
-    /// whatever order the threads finish in. `sink` returns an event
-    /// buffer for a later rank to record into (see
-    /// [`CudaContext::recording_into`]); its first error stops the
-    /// emulation.
+    /// Emulates `ranks` through [`fan_out`] on up to `threads` OS
+    /// threads, handing every finished trace to `sink` on the calling
+    /// thread in `ranks` order. `sink` returns an event buffer for a
+    /// later rank to record into (see [`CudaContext::recording_into`]);
+    /// its first error stops the emulation.
     fn emulate_each<F, S, E>(
         &self,
         ranks: &[u32],
@@ -206,55 +268,29 @@ impl PredictionEngine {
         S: FnMut(WorkerTrace, Result<(), CudaError>) -> Result<Vec<TraceEvent>, E>,
     {
         let gpu = self.spec.cluster.gpu;
-        let threads = threads.max(1).min(ranks.len());
-        if threads <= 1 {
-            let mut spare = Vec::new();
-            for &r in ranks {
-                let mut ctx = CudaContext::recording_into(r, gpu, spare);
-                let res = script(r, &mut ctx);
-                spare = sink(ctx.into_trace(), res)?;
-            }
-            return Ok(());
-        }
-        // Threads claim ranks one at a time, lowest first, so traces
-        // arrive close to rank order; the bounded channel keeps a slow
-        // sink from letting finished traces pile up behind it.
-        let next = AtomicUsize::new(0);
+        // Buffers the sink handed back. Only `push`/`pop` run under
+        // this lock, so it cannot be poisoned; a missed spare costs an
+        // allocation.
         let spares: Mutex<Vec<Vec<TraceEvent>>> = Mutex::new(Vec::new());
-        let (tx, rx) = mpsc::sync_channel(threads);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let (tx, next, spares, script) = (tx.clone(), &next, &spares, &script);
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&r) = ranks.get(i) else { break };
-                    // Only `push`/`pop` run under this lock, so it cannot
-                    // be poisoned; a missed spare costs an allocation.
-                    let spare = spares.lock().ok().and_then(|mut pool| pool.pop());
-                    let mut ctx = CudaContext::recording_into(r, gpu, spare.unwrap_or_default());
-                    let res = script(r, &mut ctx);
-                    if tx.send((i, ctx.into_trace(), res)).is_err() {
-                        break;
+        fan_out(
+            ranks,
+            threads,
+            |&r| {
+                let spare = spares.lock().ok().and_then(|mut pool| pool.pop());
+                let mut ctx = CudaContext::recording_into(r, gpu, spare.unwrap_or_default());
+                let res = script(r, &mut ctx);
+                (ctx.into_trace(), res)
+            },
+            |(trace, res)| {
+                let spare = sink(trace, res)?;
+                if spare.capacity() > 0 {
+                    if let Ok(mut pool) = spares.lock() {
+                        pool.push(spare);
                     }
-                });
-            }
-            drop(tx);
-            let mut early = BTreeMap::new();
-            let mut due = 0;
-            for (i, trace, res) in rx {
-                early.insert(i, (trace, res));
-                while let Some((trace, res)) = early.remove(&due) {
-                    let spare = sink(trace, res)?;
-                    if spare.capacity() > 0 {
-                        if let Ok(mut pool) = spares.lock() {
-                            pool.push(spare);
-                        }
-                    }
-                    due += 1;
                 }
-            }
-            Ok(())
-        })
+                Ok(())
+            },
+        )
     }
 
     /// Which ranks to emulate for a job under the current spec.
@@ -531,53 +567,31 @@ impl PredictionEngine {
         jobs: &[TrainingJob],
         cancel: Option<&CancelToken>,
     ) -> Vec<Result<Prediction, MayaError>> {
-        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-        let threads = self.spec.emulation_threads.max(1).min(jobs.len());
-        if threads <= 1 || jobs.len() <= 1 {
-            // Degenerate batch: hand each job the whole pool instead,
-            // so a singleton batch emulates as fast as predict_job.
-            return jobs
-                .iter()
-                .map(|j| {
-                    if cancelled() {
-                        Err(MayaError::Cancelled)
-                    } else {
-                        self.predict_job(j)
-                    }
-                })
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let next = &next;
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let result = if cancelled() {
-                        Err(MayaError::Cancelled)
-                    } else {
-                        self.predict_job_with(&jobs[i], 1)
-                    };
-                    // A send can only fail if the receiver was dropped,
-                    // which cannot happen while this scope is alive.
-                    let _ = tx.send((i, result));
-                });
-            }
-        });
-        drop(tx);
-        let mut out: Vec<Option<Result<Prediction, MayaError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        for (i, r) in rx {
-            out[i] = Some(r);
-        }
-        out.into_iter()
-            .map(|o| o.expect("every job slot filled"))
-            .collect()
+        // The parallelism is across jobs, each emulating sequentially
+        // to avoid nested oversubscription; a lone job gets the whole
+        // pool instead, so it emulates as fast as `predict_job`.
+        let per_job = if jobs.len() > 1 {
+            1
+        } else {
+            self.spec.emulation_threads
+        };
+        let mut out = Vec::with_capacity(jobs.len());
+        infallible(fan_out(
+            jobs,
+            self.spec.emulation_threads,
+            |job| {
+                if cancel.is_some_and(CancelToken::is_cancelled) {
+                    Err(MayaError::Cancelled)
+                } else {
+                    self.predict_job_with(job, per_job)
+                }
+            },
+            |result| {
+                out.push(result);
+                Ok(())
+            },
+        ));
+        out
     }
 }
 
@@ -600,6 +614,91 @@ mod tests {
             gpus_per_node: 8,
             precision: Dtype::Bf16,
             iterations: 1,
+        }
+    }
+
+    /// A one-way gate threads can wait on.
+    #[derive(Default)]
+    struct Gate(Mutex<bool>, std::sync::Condvar);
+
+    impl Gate {
+        fn open(&self) {
+            *self.0.lock().unwrap() = true;
+            self.1.notify_all();
+        }
+
+        fn wait(&self) {
+            let mut open = self.0.lock().unwrap();
+            while !*open {
+                open = self.1.wait(open).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_delivers_in_index_order_whatever_finishes_first() {
+        let items: Vec<usize> = (0..32).collect();
+        for threads in [0, 1, 2, 3, 8] {
+            // Index 0 finishes only once every other index has, so on
+            // two or more threads it is the last result to arrive.
+            let others_done = Gate::default();
+            let finished = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            let done: Result<(), Infallible> = fan_out(
+                &items,
+                threads,
+                |&i| {
+                    if i == 0 && threads > 1 {
+                        others_done.wait();
+                    } else if finished.fetch_add(1, Ordering::SeqCst) + 2 == items.len() {
+                        others_done.open();
+                    }
+                    i
+                },
+                |i| {
+                    seen.push(i);
+                    Ok(())
+                },
+            );
+            infallible(done);
+            assert_eq!(seen, items, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn fan_out_sink_error_stops_claims_and_joins_every_thread() {
+        let items: Vec<usize> = (0..1000).collect();
+        for threads in [1, 2, 3, 8] {
+            // Every index but 0 waits for the sink to be entered, so
+            // when it fails each other thread is in the middle of work.
+            let sink_entered = Gate::default();
+            let (claimed, finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let done = fan_out(
+                &items,
+                threads,
+                |&i| {
+                    claimed.fetch_add(1, Ordering::SeqCst);
+                    if i != 0 {
+                        sink_entered.wait();
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    i
+                },
+                |i| {
+                    sink_entered.open();
+                    Err(i)
+                },
+            );
+            assert_eq!(done, Err(0), "the first delivery is index 0");
+            // One claim per thread, plus one for every send that still
+            // went through: index 0's and what the channel can buffer.
+            let claimed = claimed.load(Ordering::SeqCst);
+            assert!(claimed <= 2 * threads + 1, "{threads} threads: {claimed}");
+            assert_eq!(
+                finished.load(Ordering::SeqCst),
+                claimed,
+                "{threads} threads: claimed work outlived the call"
+            );
         }
     }
 
@@ -671,9 +770,9 @@ mod tests {
         let maya = MayaBuilder::new(ClusterSpec::h100(1, 1)).build().unwrap();
         let j = job(1, ParallelConfig::default(), 8);
         maya.predict_job(&j).unwrap();
-        let after_first = maya.engine().cache_stats();
+        let after_first = maya.cache_stats();
         maya.predict_job(&j).unwrap();
-        let after_second = maya.engine().cache_stats();
+        let after_second = maya.cache_stats();
         assert!(after_first.misses > 0, "first run must populate the cache");
         assert_eq!(
             after_second.misses, after_first.misses,
@@ -691,7 +790,7 @@ mod tests {
         let maya = MayaBuilder::new(ClusterSpec::h100(1, 1)).build().unwrap();
         maya.predict_job(&job(1, ParallelConfig::default(), 8))
             .unwrap();
-        let st = maya.engine().cache_stats();
+        let st = maya.cache_stats();
         assert!(
             st.hits >= st.misses,
             "warm pass should pre-answer the simulator: {st:?}"
@@ -707,13 +806,13 @@ mod tests {
         let token = crate::CancelToken::new();
         token.cancel();
         let jobs = vec![job(4, ParallelConfig::default(), 8); 3];
-        let out = maya.engine().predict_batch_with(&jobs, Some(&token));
+        let out = maya.predict_batch_with(&jobs, Some(&token));
         assert_eq!(out.len(), 3);
         for r in &out {
             assert!(matches!(r, Err(MayaError::Cancelled)), "{r:?}");
         }
         assert_eq!(
-            maya.engine().cache_stats().misses,
+            maya.cache_stats().misses,
             0,
             "a pre-cancelled batch must never touch the pipeline"
         );
@@ -737,8 +836,8 @@ mod tests {
                 8,
             ),
         ];
-        let with = maya.engine().predict_batch_with(&jobs, Some(&token));
-        let without = maya.engine().predict_batch(&jobs);
+        let with = maya.predict_batch_with(&jobs, Some(&token));
+        let without = maya.predict_batch(&jobs);
         for (a, b) in with.iter().zip(&without) {
             assert_eq!(
                 a.as_ref().unwrap().iteration_time(),
@@ -758,13 +857,13 @@ mod tests {
             workers: vec![WorkerTrace::new(5)], // rank 5 out of range
             comm_groups: std::collections::BTreeMap::new(),
         };
-        let err = maya.engine().predict_trace(bad).unwrap_err();
+        let err = maya.predict_trace(bad).unwrap_err();
         assert!(
             matches!(err, MayaError::Sim(SimError::InvalidTrace(_))),
             "{err:?}"
         );
         assert_eq!(
-            maya.engine().cache_stats().misses,
+            maya.cache_stats().misses,
             0,
             "invalid trace must fail before the estimation warm pass"
         );

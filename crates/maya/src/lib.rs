@@ -15,15 +15,16 @@
 //! 4. **Simulation** — the event-driven simulator replays the annotated
 //!    trace over a cluster spec and produces a [`maya_sim::SimReport`].
 //!
-//! The pipeline is owned by a reusable [`engine::PredictionEngine`]:
-//! it wraps the estimator in a cross-prediction memo cache and fans
-//! independent predictions over a worker pool
-//! ([`Maya::predict_batch`]), which is what makes large config searches
-//! cheap — see `engine`'s module docs.
+//! The pipeline is owned by a reusable [`PredictionEngine`], the one
+//! front door: it wraps the estimator in a cross-prediction memo cache
+//! and fans independent predictions over a worker pool
+//! ([`PredictionEngine::predict_batch`]), which is what makes large
+//! config searches cheap — see `engine`'s module docs.
 //!
-//! The crate also exposes the *testbed* entry point
-//! ([`Maya::measure_actual`]) backed by the independent ground-truth
-//! executor, standing in for real-hardware measurements (DESIGN.md §2).
+//! The engine also exposes the *testbed* entry point
+//! ([`PredictionEngine::measure_actual`]) backed by the independent
+//! ground-truth executor, standing in for real-hardware measurements
+//! (DESIGN.md §2).
 //!
 //! # Examples
 //!
@@ -32,15 +33,15 @@
 //! use maya_hw::ClusterSpec;
 //! use maya_torchlet::TrainingJob;
 //!
-//! let maya = MayaBuilder::new(ClusterSpec::h100(1, 1)).build().unwrap();
+//! let engine = MayaBuilder::new(ClusterSpec::h100(1, 1)).build().unwrap();
 //! let job = TrainingJob::smoke();
-//! let prediction = maya.predict_job(&job).unwrap();
+//! let prediction = engine.predict_job(&job).unwrap();
 //! assert!(prediction.report().is_some());
 //! ```
 //!
 //! Construction goes through [`MayaBuilder`] — estimator choice
 //! ([`builder::EstimatorChoice`]), spec knobs, and an optional
-//! warm-start snapshot path.
+//! warm-start snapshot path — whose `build` returns the engine.
 //!
 //! For serving many clients against many cluster targets from one
 //! process, see the `maya-serve` crate: it multiplexes
@@ -60,4 +61,4 @@ pub use engine::PredictionEngine;
 pub use error::MayaError;
 pub use maya_net::{FaultPlan, RankFailure, StragglerWindow};
 pub use maya_sim::SimObs;
-pub use pipeline::{EmulationSpec, Maya, PredictOutcome, Prediction, StageTimings};
+pub use pipeline::{EmulationSpec, PredictOutcome, Prediction, StageTimings};

@@ -1,24 +1,15 @@
-//! The end-to-end Maya pipeline: spec and outcome types, plus the
-//! [`Maya`] facade over the [`PredictionEngine`].
+//! The end-to-end Maya pipeline's spec and outcome types.
 
-use std::sync::Arc;
-
-use maya_cuda::{CudaContext, CudaError};
-use maya_estimator::RuntimeEstimator;
-use maya_hw::{ClusterSpec, Measurement};
+use maya_hw::ClusterSpec;
 use maya_sim::SimReport;
-use maya_torchlet::TrainingJob;
-use maya_trace::{JobTrace, SimTime, WorkerTrace};
-
-use crate::engine::PredictionEngine;
-use crate::error::MayaError;
+use maya_trace::SimTime;
 
 /// How the virtual runtime is configured ("Emulation Spec" in Figure 5).
 ///
 /// Derives `Eq`/`Hash` (cluster specs compare float bit patterns) so a
 /// spec can key an engine registry: `maya-serve` multiplexes one
-/// [`PredictionEngine`] per distinct spec, and two clients submitting
-/// equal specs share one memo cache.
+/// [`PredictionEngine`](crate::PredictionEngine) per distinct spec,
+/// and two clients submitting equal specs share one memo cache.
 ///
 /// Prefer the `with_*` setters over struct-literal updates — they keep
 /// working when new knobs are added (the struct is headed for
@@ -238,113 +229,12 @@ impl Prediction {
     }
 }
 
-/// The Maya virtual runtime: a thin facade over [`PredictionEngine`].
-///
-/// Construct it with [`MayaBuilder`](crate::MayaBuilder) — estimator
-/// choice, spec knobs and an optional warm-start snapshot in one place:
-///
-/// ```
-/// use maya::MayaBuilder;
-/// use maya_hw::ClusterSpec;
-///
-/// let maya = MayaBuilder::new(ClusterSpec::h100(1, 1)).build().unwrap();
-/// assert_eq!(maya.spec().cluster.num_gpus(), 1);
-/// ```
-///
-/// The predict methods delegate to the engine; callers that want
-/// engine-level controls (cache stats, the cache handle itself) reach
-/// them through [`Maya::engine`].
-pub struct Maya {
-    engine: PredictionEngine,
-    /// Where [`Maya::persist_snapshot`] writes the estimator memo and
-    /// the compatibility scope it is stamped with, as configured by
-    /// [`MayaBuilder::snapshot_path`](crate::MayaBuilder::snapshot_path).
-    snapshot: Option<(std::path::PathBuf, String)>,
-}
-
-impl Maya {
-    pub(crate) fn from_engine(
-        engine: PredictionEngine,
-        snapshot: Option<(std::path::PathBuf, String)>,
-    ) -> Self {
-        Maya { engine, snapshot }
-    }
-
-    /// The underlying prediction engine.
-    pub fn engine(&self) -> &PredictionEngine {
-        &self.engine
-    }
-
-    /// Writes the estimator memo to the builder-configured snapshot
-    /// path so the next process can warm-start from it. Returns `false`
-    /// when no path was configured.
-    pub fn persist_snapshot(&self) -> Result<bool, MayaError> {
-        match &self.snapshot {
-            None => Ok(false),
-            Some((path, scope)) => {
-                self.engine.cache().write_snapshot(path, scope)?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// The emulation spec in use.
-    pub fn spec(&self) -> &EmulationSpec {
-        self.engine.spec()
-    }
-
-    /// The estimator in use (as provided at construction; predictions
-    /// actually query it through the engine's shared memo cache).
-    pub fn estimator(&self) -> &Arc<dyn RuntimeEstimator> {
-        self.engine.base_estimator()
-    }
-
-    /// Transparently traces an arbitrary per-rank workload: the Rust
-    /// analog of running an unmodified script under the `LD_PRELOAD`
-    /// shim. `script` receives `(rank, virtual device)` and may issue any
-    /// device API calls.
-    pub fn trace_workload<F>(
-        &self,
-        ranks: &[u32],
-        script: F,
-    ) -> Vec<(WorkerTrace, Result<(), CudaError>)>
-    where
-        F: Fn(u32, &mut CudaContext) -> Result<(), CudaError> + Sync,
-    {
-        self.engine.trace_workload(ranks, script)
-    }
-
-    /// Predicts the performance of a training job end-to-end.
-    pub fn predict_job(&self, job: &TrainingJob) -> Result<Prediction, MayaError> {
-        self.engine.predict_job(job)
-    }
-
-    /// Predicts a batch of independent jobs concurrently; results align
-    /// positionally with `jobs` and match per-job [`Maya::predict_job`]
-    /// outcomes exactly (see [`PredictionEngine::predict_batch`]).
-    pub fn predict_batch(&self, jobs: &[TrainingJob]) -> Vec<Result<Prediction, MayaError>> {
-        self.engine.predict_batch(jobs)
-    }
-
-    /// Predicts from an already-collated job trace (e.g. one produced by
-    /// [`Maya::trace_workload`] + [`maya_collate::collate()`]).
-    pub fn predict_trace(&self, job_trace: JobTrace) -> Result<Prediction, MayaError> {
-        self.engine.predict_trace(job_trace)
-    }
-
-    /// Runs the job on the ground-truth testbed (the stand-in for "actual
-    /// deployment" measurements). Emulates *all* ranks — real hardware
-    /// cannot deduplicate workers.
-    pub fn measure_actual(&self, job: &TrainingJob) -> Result<Result<Measurement, u64>, MayaError> {
-        self.engine.measure_actual(job)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::MayaBuilder;
-    use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig};
+    use crate::error::MayaError;
+    use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
     use maya_trace::Dtype;
 
     fn h100_job(world: u32, parallel: ParallelConfig) -> TrainingJob {

@@ -33,7 +33,7 @@ fn main() {
         precision: Dtype::Bf16,
         iterations: 1,
     };
-    let objective = Objective::new(maya.engine(), template);
+    let objective = Objective::new(&maya, template);
 
     // A reduced space keeps the example snappy; drop `.with_space` to
     // search the full 1920-point Table 5 space.

@@ -109,7 +109,7 @@ fn main() {
     // 3. Search the recipe space on the imperfect cluster, pricing each
     //    trial with GPU-hour dollars plus the datacenter energy bill.
     let maya = MayaBuilder::new(imperfect_cluster).build().expect("builds");
-    let objective = Objective::cost_weighted(maya.engine(), job, PowerModel::datacenter());
+    let objective = Objective::cost_weighted(&maya, job, PowerModel::datacenter());
     let space = ConfigSpace {
         tp: vec![1, 2, 4],
         pp: vec![1, 2],

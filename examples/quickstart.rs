@@ -17,7 +17,7 @@ fn main() {
     // 1. Describe the deployment: one DGX-H100 node.
     let cluster = ClusterSpec::h100(1, 8);
 
-    // 2. Build the Maya virtual runtime. The builder defaults to the
+    // 2. Build the prediction engine. The builder defaults to the
     //    oracle estimator (true per-op runtimes); chain
     //    `.forest(scale, seed)` to profile + fit the random forest
     //    instead (see the megatron_gpt3 example), or `.snapshot_path`

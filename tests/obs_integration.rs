@@ -164,6 +164,13 @@ fn loopback_scrape_is_byte_identical_to_in_process_snapshot() {
     // And the decoded form carries the full vocabulary.
     let snap = client.scrape().expect("scrape decodes");
     assert_eq!(snap.counter("serve.served"), Some(3));
+    // The wire server's own tallies are views of registry counters, so
+    // the remote scrape and `WireServer::stats` read the same cells.
+    let wire = server.stats();
+    assert_eq!((wire.connections, wire.admitted), (1, 3));
+    assert_eq!(snap.counter("wire.connections"), Some(wire.connections));
+    assert_eq!(snap.counter("wire.admitted"), Some(wire.admitted));
+    assert_eq!(snap.counter("wire.protocol_errors"), Some(0));
     assert!(snap.counter("sim.events_processed").unwrap_or(0) > 0);
     assert!(snap.gauge("sim.heap_depth_high_water").unwrap_or(0) > 0);
     assert!(snap

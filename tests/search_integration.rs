@@ -1,12 +1,12 @@
 //! Integration tests for Maya-Search over the real pipeline.
 
-use maya::{Maya, MayaBuilder};
+use maya::{MayaBuilder, PredictionEngine};
 use maya_hw::ClusterSpec;
 use maya_search::{AlgorithmKind, ConfigSpace, Objective, TrialScheduler};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
 use maya_trace::Dtype;
 
-fn fixture() -> (Maya, TrainingJob) {
+fn fixture() -> (PredictionEngine, TrainingJob) {
     let cluster = ClusterSpec::h100(1, 8);
     let maya = MayaBuilder::new(cluster)
         .selective_launch(true)
@@ -43,7 +43,7 @@ fn space() -> ConfigSpace {
 #[test]
 fn all_algorithms_land_near_grid_optimum() {
     let (maya, template) = fixture();
-    let obj = Objective::new(maya.engine(), template);
+    let obj = Objective::new(&maya, template);
     let grid = TrialScheduler::new(&obj).with_space(space()).run_grid();
     let optimum = grid.best_time().expect("grid finds optimum").as_secs_f64();
     for kind in [
@@ -72,7 +72,7 @@ fn all_algorithms_land_near_grid_optimum() {
 #[test]
 fn search_result_validates_on_testbed() {
     let (maya, template) = fixture();
-    let obj = Objective::new(maya.engine(), template);
+    let obj = Objective::new(&maya, template);
     let result = TrialScheduler::new(&obj)
         .with_space(space())
         .run(AlgorithmKind::CmaEs, 150, 5);
@@ -112,7 +112,7 @@ fn search_result_validates_on_testbed() {
 #[test]
 fn pruning_is_fidelity_preserving() {
     let (maya, template) = fixture();
-    let obj = Objective::new(maya.engine(), template);
+    let obj = Objective::new(&maya, template);
     let mut with = TrialScheduler::new(&obj).with_space(space());
     with.pruning = true;
     with.early_stop_patience = None;
