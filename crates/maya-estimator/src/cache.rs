@@ -15,8 +15,9 @@
 //! many simulations over the cache at once; the common steady-state
 //! access is a read lock on one shard.
 
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -41,10 +42,80 @@ struct Entry {
     inserted: Instant,
 }
 
+/// A key with its hash, taken once per lookup ([`Sharded::seal`]): the
+/// shard choice and the shard's map both read it. The hash is SipHash
+/// under a fixed key, so which shard a key lives in — and with a cap,
+/// what it competes with for room — repeats from run to run.
+#[derive(Clone)]
+pub(crate) struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: PartialEq> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Hashed<K> {}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Builds a shard map's hasher: a [`Hashed`] key's hash folded with a
+/// seed drawn per memo. A fixed-key hash can be computed by whoever
+/// sends the trace; the seed keeps the *bucket* it lands in theirs to
+/// guess, so served keys cannot be crafted to pile into one.
+#[derive(Clone, Copy)]
+struct Seeded(u64);
+
+impl BuildHasher for Seeded {
+    type Hasher = Folded;
+
+    fn build_hasher(&self) -> Folded {
+        Folded {
+            seed: self.0,
+            hash: 0,
+        }
+    }
+}
+
+struct Folded {
+    seed: u64,
+    hash: u64,
+}
+
+impl Hasher for Folded {
+    fn finish(&self) -> u64 {
+        // The map buckets by the low bits, which a multiply alone
+        // leaves a function of the input's low bits — the ones a
+        // shard's keys share.
+        let x = (self.hash ^ self.seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^ (x >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `Hashed` keys reach these maps, and they call `write_u64`.
+        for &b in bytes {
+            self.hash = self.hash.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.hash = hash;
+    }
+}
+
+type Shard<K> = HashMap<Hashed<K>, Entry, Seeded>;
+
 /// A hash-sharded `RwLock<HashMap>` memo with an optional LRU entry cap
 /// and an optional time-to-live.
 pub(crate) struct Sharded<K> {
-    shards: Vec<RwLock<HashMap<K, Entry>>>,
+    shards: Vec<RwLock<Shard<K>>>,
     /// Per-shard entry budget; `None` is unbounded. The user-facing cap
     /// is divided over the shards, so the effective total rounds up to
     /// a multiple of [`SHARDS`].
@@ -53,7 +124,8 @@ pub(crate) struct Sharded<K> {
     /// is lazy: an expired entry is dropped (and counted as an
     /// eviction) when a lookup finds it, not by a background sweeper.
     ttl: Option<Duration>,
-    /// Logical clock stamped onto entries at insert and on every hit.
+    /// Logical clock stamped onto entries at insert and, when the memo
+    /// is capped, on every hit — nothing reads a stamp otherwise.
     clock: AtomicU64,
     /// Entries dropped to respect the cap or the TTL. An obs counter
     /// handle shared with the owning estimator (and, through it, any
@@ -63,8 +135,11 @@ pub(crate) struct Sharded<K> {
 
 impl<K: Hash + Eq + Clone> Sharded<K> {
     fn new(capacity: Option<usize>, ttl: Option<Duration>, evictions: Counter) -> Self {
+        let seed = Seeded(RandomState::new().hash_one(0u8));
         Sharded {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(Shard::with_hasher(seed)))
+                .collect(),
             cap_per_shard: capacity.map(|c| c.div_ceil(SHARDS).max(1)),
             ttl,
             clock: AtomicU64::new(0),
@@ -92,7 +167,7 @@ impl<K: Hash + Eq + Clone> Sharded<K> {
 
     /// Drops an approximately-least-recently-used entry of `map` while
     /// it is at the cap. O(EVICTION_SAMPLE) per eviction.
-    fn evict_if_full(&self, map: &mut HashMap<K, Entry>) {
+    fn evict_if_full(&self, map: &mut Shard<K>) {
         let Some(cap) = self.cap_per_shard else {
             return;
         };
@@ -114,6 +189,10 @@ impl<K: Hash + Eq + Clone> Sharded<K> {
     /// snapshot-restore path, which must not masquerade as traffic.
     /// Respects the LRU cap like any other insert.
     pub(crate) fn insert(&self, key: K, value: SimTime) {
+        self.insert_sealed(self.seal(key), value);
+    }
+
+    fn insert_sealed(&self, key: Hashed<K>, value: SimTime) {
         let stamp = self.tick();
         let mut map = self.shard(&key).write().expect("cache shard poisoned");
         if let Some(e) = map.get_mut(&key) {
@@ -144,43 +223,56 @@ impl<K: Hash + Eq + Clone> Sharded<K> {
                     .expect("cache shard poisoned")
                     .iter()
                     .filter(|(_, e)| !self.expired(e))
-                    .map(|(k, e)| (k.clone(), e.value))
+                    .map(|(k, e)| (k.key.clone(), e.value))
                     .collect::<Vec<_>>()
             })
             .collect()
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, Entry>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) & (SHARDS - 1)]
+    /// Hashes `key`, once.
+    fn seal(&self, key: K) -> Hashed<K> {
+        let mut sealed = Hashed { hash: 0, key };
+        self.reseal(&mut sealed);
+        sealed
+    }
+
+    /// Re-hashes a sealed key whose `key` was edited in place.
+    fn reseal(&self, sealed: &mut Hashed<K>) {
+        sealed.hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(&sealed.key);
+    }
+
+    fn shard(&self, key: &Hashed<K>) -> &RwLock<Shard<K>> {
+        &self.shards[(key.hash as usize) & (SHARDS - 1)]
     }
 
     /// Returns the memoized value or computes, stores and returns it.
     fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> SimTime) -> (SimTime, bool) {
+        let key = self.seal(key);
         if let Some(t) = self.get(&key) {
             return (t, true);
         }
         let t = compute();
         // A racing writer may have inserted the same key; both computed
         // the same pure value, so last-write-wins is benign.
-        self.insert(key, t);
+        self.insert_sealed(key, t);
         (t, false)
     }
 
     /// Read-only probe by reference (no key ownership needed); a hit
-    /// refreshes the entry's LRU stamp. An entry past its TTL reads as
-    /// a miss and is dropped on the spot (counted as an eviction), so a
-    /// long-lived service re-derives stale answers instead of serving
-    /// them forever.
-    fn get(&self, key: &K) -> Option<SimTime> {
+    /// on a capped memo refreshes the entry's LRU stamp. An entry past
+    /// its TTL reads as a miss and is dropped on the spot (counted as
+    /// an eviction), so a long-lived service re-derives stale answers
+    /// instead of serving them forever.
+    fn get(&self, key: &Hashed<K>) -> Option<SimTime> {
         let shard = self.shard(key);
         {
             let map = shard.read().expect("cache shard poisoned");
             match map.get(key) {
                 None => return None,
                 Some(e) if !self.expired(e) => {
-                    e.stamp.store(self.tick(), Ordering::Relaxed);
+                    if self.cap_per_shard.is_some() {
+                        e.stamp.store(self.tick(), Ordering::Relaxed);
+                    }
                     return Some(e.value);
                 }
                 Some(_) => {} // expired: fall through to the write path
@@ -412,21 +504,25 @@ impl RuntimeEstimator for CachingEstimator {
         // reused) so the hit path never allocates. Only a miss pays the
         // `ranks.to_vec()` for the owned key it inserts.
         thread_local! {
-            static SCRATCH: std::cell::RefCell<CollectiveKey> =
-                const { std::cell::RefCell::new(CollectiveKey {
-                    kind: CollectiveKind::AllReduce,
-                    bytes: 0,
-                    ranks: Vec::new(),
-                    arch_id: 0,
-                    num_gpus: 0,
-                    gpus_per_node: 0,
-                    link_bits: [0; 6],
+            static SCRATCH: std::cell::RefCell<Hashed<CollectiveKey>> =
+                const { std::cell::RefCell::new(Hashed {
+                    hash: 0,
+                    key: CollectiveKey {
+                        kind: CollectiveKind::AllReduce,
+                        bytes: 0,
+                        ranks: Vec::new(),
+                        arch_id: 0,
+                        num_gpus: 0,
+                        gpus_per_node: 0,
+                        link_bits: [0; 6],
+                    },
                 }) };
         }
         // One construction site: the scratch key is the only place the
         // field set is assembled; a miss clones it for the insert.
         let probe = SCRATCH.with(|scratch| {
-            let mut key = scratch.borrow_mut();
+            let mut sealed = scratch.borrow_mut();
+            let key = &mut sealed.key;
             key.kind = kind;
             key.bytes = bytes;
             key.ranks.clear();
@@ -435,9 +531,10 @@ impl RuntimeEstimator for CachingEstimator {
             key.num_gpus = cluster.num_gpus();
             key.gpus_per_node = cluster.gpus_per_node;
             key.link_bits = link_bits(cluster);
-            match self.collectives.get(&key) {
+            self.collectives.reseal(&mut sealed);
+            match self.collectives.get(&sealed) {
                 Some(t) => Ok(t),
-                None => Err(key.clone()),
+                None => Err(sealed.clone()),
             }
         });
         match probe {
@@ -451,7 +548,7 @@ impl RuntimeEstimator for CachingEstimator {
                 // writer inserts the same pure value; last-write-wins
                 // is benign.
                 let t = self.inner.collective_time(kind, bytes, ranks, cluster);
-                self.collectives.insert(key, t);
+                self.collectives.insert_sealed(key, t);
                 self.count(false);
                 t
             }

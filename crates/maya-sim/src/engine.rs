@@ -1,43 +1,63 @@
 //! The discrete-event simulation engine (Algorithms 1-3).
 //!
-//! Per *kernel, memcpy or CUDA-event* op the hot loop neither
-//! allocates nor hashes: raw [`StreamId`]s *and* CUDA-event
-//! `(event, version)` keys are interned to dense `u32` slots once at
-//! trace load, so that work in `Simulator::pump` and the host dispatch
-//! loop is pure `Vec` indexing. A *collective* is dearer: each joining
-//! stream makes one hash probe (the rendezvous table is a `HashMap`
-//! keyed by communicator and sequence), and each rendezvous allocates
-//! its participant list and one small `Vec` of global ranks (plus a
-//! route on the topology path). All mutable state lives in a reusable
-//! [`SimScratch`] arena ([`Simulator::run_prevalidated`]) so repeated
-//! runs — a config search replaying thousands of near-identical
-//! traces, or a serving worker — amortize every other allocation. The
-//! pre-optimization core is kept as a test oracle in `tests/reference`
-//! and equivalence is enforced by test: both cores must produce
-//! byte-identical [`SimReport`]s.
+//! A run is *lower, then replay*. [`Simulator::lower`] reads the
+//! collated [`JobTrace`] exactly once and writes a compact **replay
+//! program** into the [`SimScratch`] arena: per worker a dense array
+//! of 40-byte ops, each carrying its host delay, its interned stream
+//! slot and a payload that is already resolved — the estimated duration
+//! of a kernel or memcpy (the run's one memo query for that event), the
+//! dense slot of a CUDA event's `(event, version)` key, or the index of
+//! a collective's call site in the worker's dense site table, which
+//! names its communicator's members and present-participant count.
+//! [`Lowered::replay`] then runs the event loop over the program alone:
+//! it never sees the trace, the estimator (except to time a collective
+//! once its participants are known) or a hash of a stream or event id.
+//! [`Simulator::run`] and [`Simulator::run_prevalidated`] are the two
+//! halves back to back; the prediction engine calls them apart to time
+//! them apart.
 //!
-//! Per-event cost follows what is *live*, not what was ever scheduled.
-//! A host thread runs far ahead of its device, so at any instant about
-//! half the run's pumps are pending; they wait in per-rank FIFO *issue
-//! lanes* (see `SimScratch::push_issued`) and only each lane's head sits in
-//! the binary heap, which therefore holds about one entry per rank
-//! plus the in-flight completions instead of half the trace. Events
-//! still pop in exactly the `(at, seq)` total order a single heap would
-//! give. What is parked — a lane entry per pending pump, a queued op
-//! per stream — is 24 bytes each, because at the high-water mark
-//! nearly every op of the trace is parked. The flow model likewise
-//! keeps only in-flight flows ([`FlowNet`]), so a topology run costs
-//! about what a flat one does.
+//! Nothing is queued twice. A host thread runs far ahead of its device
+//! — at the high-water mark nearly every op of the trace has been
+//! issued and not yet run — so what is parked must be small, and here
+//! it is nothing beyond the program: issuing an op writes its issue
+//! instant and its sequence stamp *into the op*, a stream's queue is a
+//! cursor (`StreamSim::head`) following the ops' `next` links up to
+//! the host's cursor, and a rank's *issue lane* — its pending
+//! `IssuePump`s, of which only the head sits in the binary
+//! heap — is a second cursor (`RankSim::lane_next`) over the same
+//! ops. The heap therefore holds about one entry per rank plus the
+//! in-flight completions, events still pop in exactly the `(at, seq)`
+//! total order a single heap would give, and a replay allocates only
+//! per collective rendezvous (its participant list, and a route on the
+//! topology path).
+//!
+//! **Elision invariant.** A stream's `busy_until` never decreases:
+//! every write is `now + dur`, a `max(..)` or `+ cost`. An issue pump
+//! due at `at` whose stream already has `busy_until > at` would
+//! therefore return at `pump`'s first check whenever it ran; when such
+//! a pump reaches the head of its lane it is counted
+//! (`events_processed`, `pending`) and dropped instead of entering the
+//! heap. Lanes advance *after* the popped pump is handled, so the pump
+//! that starts a kernel elides the followers that kernel covers. A
+//! stream that is *blocked* (rendezvous, event wait) but not busy says
+//! nothing about the future — its pumps are kept.
+//!
+//! The flow model keeps only in-flight flows ([`FlowNet`]), so a
+//! topology run costs about what a flat one does. All mutable state
+//! lives in the reusable [`SimScratch`]; reuse skips the arena's
+//! allocations, which on a large trace is a small share of a run (the
+//! pages are touched either way). The pre-optimization core is kept as
+//! a test oracle in `tests/reference` and equivalence is enforced by
+//! test: both cores must produce byte-identical [`SimReport`]s,
+//! `events_processed` included.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 
 use maya_estimator::RuntimeEstimator;
 use maya_hw::{ClusterSpec, TopologySpec};
 use maya_net::{FaultPlan, FlowNet};
-use maya_trace::{
-    CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, SimTime, StreamId, WorkerTrace,
-};
+use maya_trace::{CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, SimTime, StreamId};
 
 use crate::report::SimReport;
 
@@ -91,30 +111,171 @@ impl CollKey {
     }
 }
 
-/// An operation queued on a simulated stream.
-///
-/// Event markers carry the dense per-worker slot of their
-/// `(event, version)` key, not the raw key — see [`RankSim::load`].
+/// "No op": compares above every index into a worker's ops.
+const NONE: u32 = u32::MAX;
+
+/// What one lowered trace event does, with everything the replay would
+/// otherwise look up already resolved.
 #[derive(Clone, Copy, Debug)]
-enum StreamOp {
-    /// Kernel / memcpy with a pre-predicted duration.
-    Timed { dur: SimTime, is_comm: bool },
-    /// `cudaEventRecord` marker.
-    Record { slot: u32 },
-    /// `cudaStreamWaitEvent` marker. `zero` is the CUDA never-recorded
+enum OpKind {
+    /// `Malloc` / `Free`: only the host delay is replayed.
+    HostOnly,
+    /// Kernel launch with its estimated duration. Per-rank scaling
+    /// (hetero pool, straggler windows) depends on the issue instant
+    /// and is applied in place when the host issues the op.
+    Kernel {
+        dur: SimTime,
+    },
+    /// Memcpy with its estimated duration; `sync` parks the host until
+    /// the stream drains.
+    Memcpy {
+        dur: SimTime,
+        sync: bool,
+    },
+    /// `cudaEventRecord` on the dense slot of its `(event, version)`.
+    Record {
+        slot: u32,
+    },
+    /// `cudaStreamWaitEvent`. `zero` is the CUDA never-recorded
     /// sentinel (`version == 0`): the wait is satisfied even if the
     /// slot never fires.
-    Wait { slot: u32, zero: bool },
-    /// NCCL collective join: index of the worker's trace event that
-    /// holds the descriptor. Queued ops stay small this way — a host
-    /// runs far ahead, so nearly the whole trace sits in these queues.
-    Join { pc: u32 },
+    Wait {
+        slot: u32,
+        zero: bool,
+    },
+    /// `cudaEventSynchronize`, with the same `zero` rule.
+    EventSync {
+        slot: u32,
+        zero: bool,
+    },
+    StreamSync,
+    DeviceSync,
+    /// NCCL collective: index into the worker's [`RankSim::sites`].
+    Join {
+        site: u32,
+    },
 }
 
+impl OpKind {
+    /// Whether the host hands the op to its stream, scheduling an issue
+    /// pump for it; the rest only move the host.
+    fn enqueues(self) -> bool {
+        matches!(
+            self,
+            OpKind::Kernel { .. }
+                | OpKind::Memcpy { .. }
+                | OpKind::Record { .. }
+                | OpKind::Wait { .. }
+                | OpKind::Join { .. }
+        )
+    }
+}
+
+/// One op of the replay program. The program is consumed by its
+/// replay: issuing an op overwrites `t` and stamps `seq`.
 #[derive(Clone, Copy, Debug)]
-struct QueuedOp {
-    ready_at: SimTime,
-    op: StreamOp,
+struct Op {
+    /// The host delay before the op until the host issues it; from then
+    /// on the issue instant — when the op becomes ready on its stream
+    /// and when its issue pump is due.
+    t: SimTime,
+    /// Sequence stamp of the op's issue pump, set when it is issued.
+    seq: u64,
+    /// The next op this worker enqueues on the same stream.
+    next: u32,
+    /// Dense per-worker slot of the op's stream.
+    stream: u32,
+    kind: OpKind,
+}
+
+/// A collective call site of one worker.
+#[derive(Clone, Copy, Debug)]
+struct JoinSite {
+    desc: CollectiveDesc,
+    /// The communicator's index in [`Program::groups`]; [`NONE`] for a
+    /// communicator the job does not list (an unvalidated trace).
+    group: u32,
+    /// How many participants the rendezvous waits for: the present
+    /// ones, in a possibly-sparse job.
+    required: u32,
+}
+
+/// A communicator: its members as a range of [`Program::members`].
+#[derive(Clone, Copy, Debug)]
+struct Group {
+    start: usize,
+    len: usize,
+    /// Members that have a worker trace in this job.
+    present: u32,
+}
+
+/// The job-wide part of a replay program (see the module docs): the
+/// communicator map as dense tables. The ops themselves are per worker
+/// ([`RankSim::ops`]).
+#[derive(Default)]
+struct Program {
+    /// Communicator ids in the job's (sorted) order; a communicator's
+    /// position is its index in `groups`.
+    comm_ids: Vec<u64>,
+    groups: Vec<Group>,
+    members: Vec<u32>,
+    peak_mem_bytes: u64,
+}
+
+impl Program {
+    /// Global ranks of communicator `group`, indexed by rank in the
+    /// communicator; empty for [`NONE`].
+    fn members_of(&self, group: u32) -> &[u32] {
+        self.groups
+            .get(group as usize)
+            .and_then(|g| self.members.get(g.start..g.start + g.len))
+            .unwrap_or(&[])
+    }
+
+    /// Copies the job's communicator map into dense tables.
+    fn load_groups(&mut self, job: &JobTrace) {
+        self.comm_ids.clear();
+        self.groups.clear();
+        self.members.clear();
+        for (&comm, members) in &job.comm_groups {
+            self.comm_ids.push(comm);
+            self.groups.push(Group {
+                start: self.members.len(),
+                len: members.len(),
+                present: job.present_count(members),
+            });
+            self.members.extend_from_slice(members);
+        }
+    }
+
+    /// Resolves a collective call site against the communicator map.
+    fn site(&self, job: &JobTrace, desc: CollectiveDesc) -> JoinSite {
+        let group = match self.comm_ids.binary_search(&desc.comm_id) {
+            Ok(g) => g as u32,
+            Err(_) => NONE,
+        };
+        let required = match self.groups.get(group as usize) {
+            None => desc.kind.required_participants(desc.nranks),
+            Some(g) => match desc.kind {
+                CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => {
+                    let members = self.members_of(group);
+                    let ends = [desc.rank_in_comm, peer];
+                    let present = ends
+                        .iter()
+                        .filter_map(|&i| members.get(i as usize))
+                        .filter(|&&rank| job.is_present(rank));
+                    present.count() as u32
+                }
+                _ => g.present,
+            }
+            .max(1),
+        };
+        JoinSite {
+            desc,
+            group,
+            required,
+        }
+    }
 }
 
 /// Why a stream is not making progress.
@@ -124,22 +285,34 @@ enum StreamBlock {
     Collective,
 }
 
-#[derive(Default)]
+#[derive(Clone, Copy)]
 struct StreamSim {
-    queue: VecDeque<QueuedOp>,
+    /// Queue cursor: the oldest op enqueued here that has not started.
+    /// The queue is the chain of `Op::next` links from `head` up to the
+    /// host's cursor — ops at or past `RankSim::next_op` are not issued
+    /// yet.
+    head: u32,
+    /// Lowering only: the last op linked onto this stream.
+    tail: u32,
     busy_until: SimTime,
     blocked: Option<StreamBlock>,
 }
 
 impl StreamSim {
-    fn drained(&self, now: SimTime) -> bool {
-        self.queue.is_empty() && self.blocked.is_none() && self.busy_until <= now
+    const IDLE: StreamSim = StreamSim {
+        head: NONE,
+        tail: NONE,
+        busy_until: SimTime::ZERO,
+        blocked: None,
+    };
+
+    /// Whether no issued op waits here, given the host's cursor.
+    fn queue_is_empty(&self, next_op: u32) -> bool {
+        self.head >= next_op
     }
 
-    fn reset(&mut self) {
-        self.queue.clear();
-        self.busy_until = SimTime::ZERO;
-        self.blocked = None;
+    fn drained(&self, now: SimTime, next_op: u32) -> bool {
+        self.queue_is_empty(next_op) && self.blocked.is_none() && self.busy_until <= now
     }
 }
 
@@ -151,32 +324,40 @@ enum HostBlock {
     DeviceDrain { remaining: u32 },
 }
 
-/// Sentinel slot for trace events that carry no CUDA-event key.
-const NO_EVENT: u32 = u32::MAX;
-
 /// Per-rank simulation state.
 ///
 /// Streams live in a dense `Vec` indexed by per-worker *slots*: raw
-/// [`StreamId`]s are interned once at trace load (order of first
-/// appearance), and every event carries its precomputed slot in
-/// `ev_slot`. CUDA-event `(event, version)` keys get the same
-/// treatment into `ev_eslot`, turning the event wait map (`fired`) and
-/// waiter registry (`event_waiters`) into dense `Vec`s. The hot paths
-/// — host dispatch and `Simulator::pump` — then index instead of
-/// hashing, the dslab-style indexed event-core idiom.
+/// [`StreamId`]s are interned once at lowering (order of first
+/// appearance) and every op carries its slot. CUDA-event
+/// `(event, version)` keys get the same treatment, turning the event
+/// wait map (`fired`) and waiter registry (`event_waiters`) into dense
+/// `Vec`s — the dslab-style indexed event-core idiom.
 #[derive(Default)]
 struct RankSim {
-    next_op: usize,
+    /// The worker's global rank.
+    rank: u32,
+    /// The worker's lowered trace, one op per event. One array per
+    /// worker, not one per job: a job-sized block, once freed, raises
+    /// glibc's mmap and trim thresholds for the rest of the process
+    /// (+9 MB peak RSS on a search loop when tried).
+    ops: Vec<Op>,
+    /// The worker's collective call sites, in program order.
+    sites: Vec<JoinSite>,
+    /// Host cursor: the next op to dispatch.
+    next_op: u32,
+    /// Issue-lane cursor. The ops in `lane_next..next_op` that enqueue
+    /// are this rank's pending issue pumps behind the one in the heap,
+    /// already in `(at, seq)` order: `seq` only grows, and an op's
+    /// issue instant is the host's clock, which only moves forward
+    /// (host delays, sync waits and fault restarts all add to it) and
+    /// is never behind the global clock when the host runs.
+    lane_next: u32,
+    /// Whether the lane's head currently sits in the heap.
+    lane_head_queued: bool,
     host_time: SimTime,
     host_busy: SimTime,
     /// Dense stream states, one per interned stream slot.
     streams: Vec<StreamSim>,
-    /// Dense stream slot of each trace event (parallel to the worker's
-    /// `events`).
-    ev_slot: Vec<u32>,
-    /// Dense `(event, version)` slot of each trace event; [`NO_EVENT`]
-    /// for ops without a CUDA-event key.
-    ev_eslot: Vec<u32>,
     /// CUDA-event wait map by event slot: fire time once recorded.
     fired: Vec<Option<SimTime>>,
     /// Streams (by dense slot) waiting on each event slot.
@@ -185,64 +366,29 @@ struct RankSim {
     done: bool,
     comm_busy: SimTime,
     compute_busy: SimTime,
-    /// Issue lane: this rank's pending [`EvKind::IssuePump`]s behind
-    /// the one in the heap, in `(at, seq)` order (host issue times
-    /// never decrease, so push order is pop order).
-    lane: VecDeque<LaneEv>,
-    /// Whether the lane's head currently sits in the heap.
-    lane_head_queued: bool,
 }
 
 impl RankSim {
-    /// Resets this rank for a new run and interns the worker's stream
-    /// ids and CUDA-event keys into dense slots, reusing the scratch
-    /// index maps and every per-rank buffer's capacity.
-    fn load(
-        &mut self,
-        w: &WorkerTrace,
-        stream_index: &mut HashMap<StreamId, u32>,
-        event_index: &mut HashMap<(u64, u32), u32>,
-    ) {
+    /// Resets this rank for worker `rank`, keeping every buffer's
+    /// capacity.
+    fn reset(&mut self, rank: u32) {
+        self.rank = rank;
+        self.ops.clear();
+        self.sites.clear();
         self.next_op = 0;
+        self.lane_next = 0;
+        self.lane_head_queued = false;
         self.host_time = SimTime::ZERO;
         self.host_busy = SimTime::ZERO;
+        self.streams.clear();
         self.blocked = None;
         self.done = false;
         self.comm_busy = SimTime::ZERO;
         self.compute_busy = SimTime::ZERO;
-        self.lane.clear();
-        self.lane_head_queued = false;
+    }
 
-        stream_index.clear();
-        event_index.clear();
-        self.ev_slot.clear();
-        self.ev_eslot.clear();
-        self.ev_slot.reserve(w.events.len());
-        self.ev_eslot.reserve(w.events.len());
-        for e in &w.events {
-            let next = stream_index.len() as u32;
-            self.ev_slot
-                .push(*stream_index.entry(e.stream).or_insert(next));
-            let eslot = match e.op {
-                DeviceOp::EventRecord { event, version }
-                | DeviceOp::StreamWaitEvent { event, version }
-                | DeviceOp::EventSynchronize { event, version } => {
-                    let next = event_index.len() as u32;
-                    *event_index.entry((event, version)).or_insert(next)
-                }
-                _ => NO_EVENT,
-            };
-            self.ev_eslot.push(eslot);
-        }
-
-        let nstreams = stream_index.len();
-        self.streams.truncate(nstreams);
-        for s in &mut self.streams {
-            s.reset();
-        }
-        self.streams.resize_with(nstreams, StreamSim::default);
-
-        let nevents = event_index.len();
+    /// Sizes the event tables for `nevents` interned event slots.
+    fn reset_events(&mut self, nevents: usize) {
         self.fired.clear();
         self.fired.resize(nevents, None);
         self.event_waiters.truncate(nevents);
@@ -261,7 +407,7 @@ enum EvKind {
     /// A stream should attempt to make progress.
     Pump { wi: usize, si: usize },
     /// The same, scheduled by the host enqueuing an op: these travel
-    /// through rank `wi`'s issue lane, so popping one promotes the
+    /// through rank `wi`'s issue lane, so handling one promotes the
     /// lane's next entry into the heap.
     IssuePump { wi: usize, si: usize },
     /// A network flow drained its bytes (flow model only). Stale if
@@ -277,15 +423,6 @@ struct HeapEv {
     at: SimTime,
     seq: u64,
     kind: EvKind,
-}
-
-/// An [`EvKind::IssuePump`] parked in its rank's issue lane: the heap
-/// event minus what the lane already knows (the rank).
-#[derive(Clone, Copy, Debug)]
-struct LaneEv {
-    at: SimTime,
-    seq: u64,
-    si: u32,
 }
 
 impl PartialEq for HeapEv {
@@ -325,8 +462,8 @@ pub struct SimObs {
     /// Flow-solver invocations (max-min rate re-convergences),
     /// cumulative. Zero when no cluster topology is in play.
     pub flow_solves: maya_obs::Counter,
-    /// Flight recorder for the `sim.run` phase span; a disabled
-    /// recorder makes the record call a no-op.
+    /// Flight recorder for the `sim.run` phase span (lowering and
+    /// replay); a disabled recorder makes the record call a no-op.
     pub recorder: maya_obs::FlightRecorder,
 }
 
@@ -342,8 +479,9 @@ pub struct Simulator<'a> {
     obs: Option<&'a SimObs>,
 }
 
-/// Reusable simulation arena: the heap, per-rank state, wait tables,
-/// collective rendezvous buffers, and the interner index maps.
+/// Reusable simulation arena: the replay program, the heap, per-rank
+/// state, wait tables, collective rendezvous buffers, and the interner
+/// index maps.
 ///
 /// A fresh scratch and a reused one produce byte-identical
 /// [`SimReport`]s (enforced by proptest); reuse only skips the
@@ -351,6 +489,7 @@ pub struct Simulator<'a> {
 /// [`Simulator::run_prevalidated`] when simulating in a loop.
 #[derive(Default)]
 pub struct SimScratch {
+    program: Program,
     ranks: Vec<RankSim>,
     heap: BinaryHeap<Reverse<HeapEv>>,
     /// Network collective wait map.
@@ -360,10 +499,11 @@ pub struct SimScratch {
     seq: u64,
     now: SimTime,
     events_processed: u64,
-    /// Events scheduled and not yet popped: heap plus issue lanes.
+    /// Events scheduled and neither popped nor elided: heap plus issue
+    /// lanes.
     pending: usize,
     /// Most events ever pending at once this run (one compare per
-    /// push — the tally is kept unconditionally; only *publishing* is
+    /// stamp — the tally is kept unconditionally; only *publishing* is
     /// gated on [`Simulator::with_obs`]).
     pending_high_water: usize,
     /// Flow-solver invocations (rate re-convergences) this run.
@@ -378,8 +518,8 @@ pub struct SimScratch {
 }
 
 /// One stream waiting at a collective rendezvous: `(worker, stream,
-/// arrival time, descriptor)`.
-type Participant = (usize, usize, SimTime, CollectiveDesc);
+/// arrival time, the worker's call site)`.
+type Participant = (usize, usize, SimTime, u32);
 
 /// Simulator-side state of one in-flight collective flow.
 struct FlowMeta {
@@ -401,76 +541,74 @@ impl SimScratch {
         Self::default()
     }
 
-    /// Stamps a new pending event with the next sequence number.
-    fn stamp(&mut self, at: SimTime, kind: EvKind) -> HeapEv {
+    /// Counts a new pending event and returns its sequence number.
+    fn stamp(&mut self) -> u64 {
         self.seq += 1;
         self.pending += 1;
         self.pending_high_water = self.pending_high_water.max(self.pending);
-        HeapEv {
-            at,
-            seq: self.seq,
-            kind,
-        }
+        self.seq
     }
 
     fn push(&mut self, at: SimTime, kind: EvKind) {
-        let ev = self.stamp(at, kind);
-        self.heap.push(Reverse(ev));
+        let seq = self.stamp();
+        self.heap.push(Reverse(HeapEv { at, seq, kind }));
     }
 
-    /// Schedules the pump for an op the host of worker `wi` just issued.
-    ///
-    /// It goes through the rank's issue lane, not straight into the
-    /// heap. Lane invariant: entries are in `(at, seq)` order. It holds
-    /// by construction — `seq` only grows, and `at` is the later of the
-    /// host's issue time (`host_time` only moves forward: host delays,
-    /// sync waits and fault restarts all add to it) and the global
-    /// clock (events pop in time order) — so a lane never needs sorting
-    /// and only its head competes in the heap.
-    fn push_issued(&mut self, at: SimTime, wi: usize, si: usize) {
-        let ev = self.stamp(at, EvKind::IssuePump { wi, si });
+    /// The host of worker `wi` issues op `pc` at `at`: the op becomes
+    /// ready on its stream then, and its issue pump — due then too —
+    /// joins the rank's lane.
+    fn issue(&mut self, wi: usize, pc: u32, at: SimTime) {
+        debug_assert!(at >= self.now, "worker {wi} issued into the past");
+        let seq = self.stamp();
         let r = &mut self.ranks[wi];
-        debug_assert!(
-            r.lane.back().map_or(true, |prev| prev.at <= at),
-            "issue lane of worker {wi} went backwards"
-        );
-        if r.lane_head_queued {
-            r.lane.push_back(LaneEv {
-                at,
-                seq: ev.seq,
-                si: si as u32,
-            });
-        } else {
-            r.lane_head_queued = true;
-            self.heap.push(Reverse(ev));
+        let op = &mut r.ops[pc as usize];
+        op.t = at;
+        op.seq = seq;
+        if !r.lane_head_queued {
+            self.promote(wi);
         }
     }
 
-    /// Pops the earliest pending event. Every lane's head is in the
-    /// heap and a lane is sorted, so the heap's minimum is the global
-    /// `(at, seq)` minimum.
+    /// Moves rank `wi`'s next pending issue pump into the heap, first
+    /// counting off every pump before it that the elision invariant
+    /// (module docs) proves a no-op. A lane is in `(at, seq)` order and
+    /// every lane's head is in the heap, so the heap's minimum is the
+    /// global minimum.
+    fn promote(&mut self, wi: usize) {
+        let r = &mut self.ranks[wi];
+        while r.lane_next < r.next_op {
+            let op = r.ops[r.lane_next as usize];
+            r.lane_next += 1;
+            if !op.kind.enqueues() {
+                continue;
+            }
+            let si = op.stream as usize;
+            if r.streams[si].busy_until > op.t {
+                self.events_processed += 1;
+                self.pending -= 1;
+                continue;
+            }
+            let kind = EvKind::IssuePump { wi, si };
+            self.heap.push(Reverse(HeapEv {
+                at: op.t,
+                seq: op.seq,
+                kind,
+            }));
+            r.lane_head_queued = true;
+            return;
+        }
+        r.lane_head_queued = false;
+    }
+
+    /// Pops the earliest pending event.
     fn pop(&mut self) -> Option<HeapEv> {
         let Reverse(ev) = self.heap.pop()?;
         self.pending -= 1;
-        if let EvKind::IssuePump { wi, .. } = ev.kind {
-            let r = &mut self.ranks[wi];
-            match r.lane.pop_front() {
-                Some(LaneEv { at, seq, si }) => {
-                    let kind = EvKind::IssuePump {
-                        wi,
-                        si: si as usize,
-                    };
-                    self.heap.push(Reverse(HeapEv { at, seq, kind }));
-                }
-                None => r.lane_head_queued = false,
-            }
-        }
         Some(ev)
     }
 
-    /// Resets for a new run over `job`, keeping buffer capacity.
-    fn reset(&mut self, job: &JobTrace) {
-        let n = job.workers.len();
+    /// Resets the run state for `workers` ranks, keeping capacity.
+    fn reset(&mut self, workers: usize) {
         self.heap.clear();
         self.collectives.clear();
         self.seq = 0;
@@ -479,17 +617,23 @@ impl SimScratch {
         self.pending = 0;
         self.pending_high_water = 0;
         self.flow_solves = 0;
-        self.ranks.truncate(n);
-        self.ranks.resize_with(n, RankSim::default);
-        // Split borrows: each rank's loader shares the two index maps.
-        let (ranks, stream_index, event_index) = (
-            &mut self.ranks,
-            &mut self.stream_index,
-            &mut self.event_index,
-        );
-        for (r, w) in ranks.iter_mut().zip(&job.workers) {
-            r.load(w, stream_index, event_index);
-        }
+        self.ranks.truncate(workers);
+        self.ranks.resize_with(workers, RankSim::default);
+    }
+}
+
+/// A job lowered into a [`SimScratch`], ready for its one replay.
+pub struct Lowered<'s> {
+    sim: &'s Simulator<'s>,
+    st: &'s mut SimScratch,
+    /// When lowering began, if an observer wants the `sim.run` span.
+    started: Option<std::time::Instant>,
+}
+
+impl Lowered<'_> {
+    /// Runs the event loop (Algorithm 1's main loop) over the program.
+    pub fn replay(self) -> Result<SimReport, SimError> {
+        self.sim.replay(self.st, self.started)
     }
 }
 
@@ -522,15 +666,15 @@ impl<'a> Simulator<'a> {
         self
     }
 
-    /// Validates `job` ([`JobTrace::validate`]) and runs the simulation
-    /// (Algorithm 1's main loop) in a private scratch arena: the entry
-    /// for a trace of unknown provenance simulated once.
+    /// Validates `job` ([`JobTrace::validate`]) and simulates it in a
+    /// private scratch arena: the entry for a trace of unknown
+    /// provenance simulated once.
     pub fn run(&self, job: &JobTrace) -> Result<SimReport, SimError> {
         job.validate().map_err(SimError::InvalidTrace)?;
         self.run_prevalidated(job, &mut SimScratch::new())
     }
 
-    /// Runs a trusted trace in the caller's arena: no
+    /// Simulates a trusted trace in the caller's arena: no
     /// [`JobTrace::validate`], and `scratch`'s buffers are reused
     /// instead of allocated. For callers that already validated the
     /// trace (or constructed it from a validated one, e.g. the predict
@@ -542,23 +686,139 @@ impl<'a> Simulator<'a> {
         job: &JobTrace,
         scratch: &mut SimScratch,
     ) -> Result<SimReport, SimError> {
+        self.lower(job, scratch)?.replay()
+    }
+
+    /// Lowers a trusted trace (see [`Simulator::run_prevalidated`])
+    /// into `scratch` as a replay program, in one pass that makes the
+    /// run's only estimator query per kernel and memcpy. Each worker's
+    /// op array is sized once, from its event count. Fails only on a
+    /// worker too long to index.
+    pub fn lower<'s>(
+        &'s self,
+        job: &JobTrace,
+        scratch: &'s mut SimScratch,
+    ) -> Result<Lowered<'s>, SimError> {
         // lint:allow(wall-clock-in-output): obs stage timing, only taken when an observer is attached — SimReport itself is wall-clock-free
-        let run_started = self.obs.map(|_| std::time::Instant::now());
-        let st = scratch;
-        st.reset(job);
+        let started = self.obs.map(|_| std::time::Instant::now());
+        if let Some(w) = job.workers.iter().find(|w| w.events.len() >= NONE as usize) {
+            return Err(SimError::InvalidTrace(format!(
+                "rank {} has {} events, above the simulator's limit of {NONE}",
+                w.rank,
+                w.events.len()
+            )));
+        }
+        scratch.reset(job.workers.len());
+        let SimScratch {
+            program,
+            ranks,
+            stream_index,
+            event_index,
+            ..
+        } = &mut *scratch;
+        program.peak_mem_bytes = job.peak_mem_bytes();
+        program.load_groups(job);
+
+        for (r, w) in ranks.iter_mut().zip(&job.workers) {
+            r.reset(w.rank);
+            r.ops.reserve(w.events.len());
+            stream_index.clear();
+            event_index.clear();
+            // A worker issues long runs to one stream: remember the
+            // last id and hash only when it changes.
+            let mut last_stream = None;
+            for e in &w.events {
+                let stream = match last_stream {
+                    Some((id, slot)) if id == e.stream => slot,
+                    _ => {
+                        let next = stream_index.len() as u32;
+                        let slot = *stream_index.entry(e.stream).or_insert(next);
+                        if slot == next {
+                            r.streams.push(StreamSim::IDLE);
+                        }
+                        last_stream = Some((e.stream, slot));
+                        slot
+                    }
+                };
+                let mut event_slot = |event: u64, version: u32| {
+                    let next = event_index.len() as u32;
+                    *event_index.entry((event, version)).or_insert(next)
+                };
+                let kind = match e.op {
+                    DeviceOp::Malloc { .. } | DeviceOp::Free { .. } => OpKind::HostOnly,
+                    DeviceOp::KernelLaunch { kernel } => OpKind::Kernel {
+                        dur: self.estimator.kernel_time(&kernel),
+                    },
+                    DeviceOp::MemcpyAsync { bytes, kind, sync } => OpKind::Memcpy {
+                        dur: self.estimator.memcpy_time(bytes, kind),
+                        sync,
+                    },
+                    DeviceOp::EventRecord { event, version } => OpKind::Record {
+                        slot: event_slot(event, version),
+                    },
+                    DeviceOp::StreamWaitEvent { event, version } => OpKind::Wait {
+                        slot: event_slot(event, version),
+                        zero: version == 0,
+                    },
+                    DeviceOp::EventSynchronize { event, version } => OpKind::EventSync {
+                        slot: event_slot(event, version),
+                        zero: version == 0,
+                    },
+                    DeviceOp::StreamSynchronize => OpKind::StreamSync,
+                    DeviceOp::DeviceSynchronize => OpKind::DeviceSync,
+                    DeviceOp::Collective { desc } => {
+                        r.sites.push(program.site(job, desc));
+                        OpKind::Join {
+                            site: (r.sites.len() - 1) as u32,
+                        }
+                    }
+                };
+                let pc = r.ops.len() as u32;
+                if kind.enqueues() {
+                    let s = &mut r.streams[stream as usize];
+                    // `tail` is `NONE`, past every op, until the
+                    // stream's first.
+                    match r.ops.get_mut(s.tail as usize) {
+                        Some(prev) => prev.next = pc,
+                        None => s.head = pc,
+                    }
+                    s.tail = pc;
+                }
+                r.ops.push(Op {
+                    t: e.host_delay,
+                    seq: 0,
+                    next: NONE,
+                    stream,
+                    kind,
+                });
+            }
+            r.reset_events(event_index.len());
+        }
+        Ok(Lowered {
+            sim: self,
+            st: scratch,
+            started,
+        })
+    }
+
+    /// The event loop over `st`'s freshly lowered program.
+    fn replay(
+        &self,
+        st: &mut SimScratch,
+        started: Option<std::time::Instant>,
+    ) -> Result<SimReport, SimError> {
         if let Some(topo) = &self.cluster.topology {
             st.net.reset(topo.links.iter().map(|l| l.bytes_per_sec()));
             st.flow_meta.clear();
         }
-        let n = job.workers.len();
-        for wi in 0..n {
+        for wi in 0..st.ranks.len() {
             st.push(SimTime::ZERO, EvKind::HostDispatch { wi });
         }
         if let Some(plan) = self.faults {
             // Failures on ranks absent from this (possibly deduped or
             // selectively launched) job are simply never scheduled.
             for (fi, f) in plan.failures.iter().enumerate() {
-                if let Some(wi) = job.workers.iter().position(|w| w.rank == f.rank) {
+                if let Some(wi) = st.ranks.iter().position(|r| r.rank == f.rank) {
                     st.push(f.at, EvKind::Fault { wi, fi });
                 }
             }
@@ -568,9 +828,13 @@ impl<'a> Simulator<'a> {
             st.now = ev.at;
             st.events_processed += 1;
             match ev.kind {
-                EvKind::HostDispatch { wi } => self.host_dispatch(job, st, wi),
-                EvKind::Pump { wi, si } | EvKind::IssuePump { wi, si } => {
-                    self.pump(job, st, wi, si)
+                EvKind::HostDispatch { wi } => self.host_dispatch(st, wi),
+                EvKind::Pump { wi, si } => self.pump(st, wi, si),
+                EvKind::IssuePump { wi, si } => {
+                    self.pump(st, wi, si);
+                    // After the pump, so that the kernel it may have
+                    // started elides the lane entries it covers.
+                    st.promote(wi);
                 }
                 EvKind::FlowDone { flow, epoch } => self.flow_done(st, flow, epoch),
                 EvKind::Fault { wi, fi } => self.apply_fault(st, wi, fi),
@@ -583,7 +847,7 @@ impl<'a> Simulator<'a> {
         // a wall-clock interval elapsed whether or not all ranks
         // finished, and a deadlocked run is exactly when the counters
         // are most interesting.
-        if let (Some(obs), Some(started)) = (self.obs, run_started) {
+        if let (Some(obs), Some(started)) = (self.obs, started) {
             obs.events.add(st.events_processed);
             obs.heap_depth_high_water
                 .raise(st.pending_high_water as i64);
@@ -594,9 +858,8 @@ impl<'a> Simulator<'a> {
         let stuck: Vec<u32> = st
             .ranks
             .iter()
-            .zip(&job.workers)
-            .filter(|(r, _)| !r.done)
-            .map(|(_, w)| w.rank)
+            .filter(|r| !r.done)
+            .map(|r| r.rank)
             .collect();
         if !stuck.is_empty() {
             return Err(SimError::Deadlock { stuck_ranks: stuck });
@@ -632,111 +895,80 @@ impl<'a> Simulator<'a> {
                 .iter()
                 .map(|r| r.host_busy)
                 .fold(SimTime::ZERO, SimTime::max),
-            peak_mem_bytes: job.peak_mem_bytes(),
+            peak_mem_bytes: st.program.peak_mem_bytes,
             events_processed: st.events_processed,
         })
     }
 
     /// Host dispatch loop: replays recorded host delays and runs ahead,
     /// enqueuing async work onto streams, until it blocks or finishes.
-    fn host_dispatch(&self, job: &JobTrace, st: &mut SimScratch, wi: usize) {
+    fn host_dispatch(&self, st: &mut SimScratch, wi: usize) {
         if st.ranks[wi].blocked.is_some() || st.ranks[wi].done {
             return;
         }
-        let events = &job.workers[wi].events;
         loop {
-            let pc = st.ranks[wi].next_op;
-            if pc >= events.len() {
-                st.ranks[wi].done = true;
+            let r = &mut st.ranks[wi];
+            let pc = r.next_op;
+            let Some(op) = r.ops.get_mut(pc as usize) else {
+                r.done = true;
                 return;
-            }
-            let ev = &events[pc];
-            let si = st.ranks[wi].ev_slot[pc] as usize;
-            let eslot = st.ranks[wi].ev_eslot[pc];
-            st.ranks[wi].next_op += 1;
-            st.ranks[wi].host_time += ev.host_delay;
-            st.ranks[wi].host_busy += ev.host_delay;
-            let issue = st.ranks[wi].host_time;
+            };
+            r.next_op += 1;
+            r.host_time += op.t;
+            r.host_busy += op.t;
+            let issue = r.host_time;
+            let si = op.stream as usize;
 
-            match ev.op {
-                DeviceOp::Malloc { .. } | DeviceOp::Free { .. } => {}
-                DeviceOp::KernelLaunch { kernel } => {
-                    let dur = self.estimator.kernel_time(&kernel);
-                    let dur = self.scaled_kernel_time(job, wi, issue, dur);
-                    self.enqueue(
-                        st,
-                        wi,
-                        si,
-                        issue,
-                        StreamOp::Timed {
-                            dur,
-                            is_comm: false,
-                        },
-                    );
+            match op.kind {
+                OpKind::HostOnly => {}
+                OpKind::Kernel { dur } => {
+                    op.kind = OpKind::Kernel {
+                        dur: self.scaled_kernel_time(r.rank, issue, dur),
+                    };
+                    st.issue(wi, pc, issue);
                 }
-                DeviceOp::MemcpyAsync { bytes, kind, sync } => {
-                    let dur = self.estimator.memcpy_time(bytes, kind);
-                    self.enqueue(
-                        st,
-                        wi,
-                        si,
-                        issue,
-                        StreamOp::Timed {
-                            dur,
-                            is_comm: false,
-                        },
-                    );
+                OpKind::Memcpy { sync, .. } => {
+                    st.issue(wi, pc, issue);
                     if sync && self.park_host_on_drain(st, wi, si) {
                         // Blocking copy: host waits for the stream.
                         return;
                     }
                 }
-                DeviceOp::EventRecord { .. } => {
-                    self.enqueue(st, wi, si, issue, StreamOp::Record { slot: eslot });
+                OpKind::Record { .. } | OpKind::Wait { .. } | OpKind::Join { .. } => {
+                    st.issue(wi, pc, issue);
                 }
-                DeviceOp::StreamWaitEvent { version, .. } => {
-                    let zero = version == 0;
-                    self.enqueue(st, wi, si, issue, StreamOp::Wait { slot: eslot, zero });
-                }
-                DeviceOp::EventSynchronize { version, .. } => {
-                    match st.ranks[wi].fired[eslot as usize] {
-                        Some(t) => {
-                            st.ranks[wi].host_time = st.ranks[wi].host_time.max(t);
-                        }
-                        None if version == 0 => {} // never-recorded: no-op
-                        None => {
-                            st.ranks[wi].blocked = Some(HostBlock::Event { slot: eslot });
-                            return;
-                        }
+                OpKind::EventSync { slot, zero } => match r.fired[slot as usize] {
+                    Some(t) => r.host_time = r.host_time.max(t),
+                    None if zero => {} // never-recorded: no-op
+                    None => {
+                        r.blocked = Some(HostBlock::Event { slot });
+                        return;
                     }
-                }
-                DeviceOp::StreamSynchronize => {
+                },
+                OpKind::StreamSync => {
                     if self.park_host_on_drain(st, wi, si) {
                         return;
                     }
                 }
-                DeviceOp::DeviceSynchronize => {
-                    let now = st.ranks[wi].host_time;
+                OpKind::DeviceSync => {
+                    let now = r.host_time;
                     let mut latest = now;
                     let mut remaining = 0u32;
-                    for s in &st.ranks[wi].streams {
-                        if s.drained(now) {
+                    for s in &r.streams {
+                        if s.drained(now, r.next_op) {
                             continue;
                         }
-                        if s.queue.is_empty() && s.blocked.is_none() {
+                        if s.queue_is_empty(r.next_op) && s.blocked.is_none() {
                             latest = latest.max(s.busy_until);
                         } else {
                             remaining += 1;
                         }
                     }
-                    st.ranks[wi].host_time = latest;
+                    r.host_time = latest;
                     if remaining > 0 {
-                        st.ranks[wi].blocked = Some(HostBlock::DeviceDrain { remaining });
+                        r.blocked = Some(HostBlock::DeviceDrain { remaining });
                         return;
                     }
-                }
-                DeviceOp::Collective { .. } => {
-                    self.enqueue(st, wi, si, issue, StreamOp::Join { pc: pc as u32 });
                 }
             }
         }
@@ -750,17 +982,10 @@ impl<'a> Simulator<'a> {
     /// (homogeneous, no-fault) path returns `dur` untouched, bit for
     /// bit.
     #[inline]
-    fn scaled_kernel_time(
-        &self,
-        job: &JobTrace,
-        wi: usize,
-        issue: SimTime,
-        mut dur: SimTime,
-    ) -> SimTime {
+    fn scaled_kernel_time(&self, rank: u32, issue: SimTime, mut dur: SimTime) -> SimTime {
         if self.cluster.hetero.is_none() && self.faults.is_none() {
             return dur;
         }
-        let rank = job.workers[wi].rank;
         let gen_scale = self.cluster.kernel_scale(rank);
         if gen_scale != 1.0 {
             dur = dur.scale(gen_scale);
@@ -774,67 +999,52 @@ impl<'a> Simulator<'a> {
         dur
     }
 
-    /// Enqueues a stream op and pumps the stream at its issue time
-    /// (through the rank's issue lane — see [`SimScratch::push_issued`]).
-    fn enqueue(&self, st: &mut SimScratch, wi: usize, si: usize, ready_at: SimTime, op: StreamOp) {
-        st.ranks[wi].streams[si]
-            .queue
-            .push_back(QueuedOp { ready_at, op });
-        st.push_issued(ready_at.max(st.now), wi, si);
-    }
-
     /// Parks the host until a stream drains. Returns true if parked.
     fn park_host_on_drain(&self, st: &mut SimScratch, wi: usize, si: usize) -> bool {
-        let now = st.ranks[wi].host_time;
-        let s = &st.ranks[wi].streams[si];
-        if s.queue.is_empty() && s.blocked.is_none() {
-            st.ranks[wi].host_time = now.max(s.busy_until);
+        let r = &mut st.ranks[wi];
+        let s = &r.streams[si];
+        if s.queue_is_empty(r.next_op) && s.blocked.is_none() {
+            r.host_time = r.host_time.max(s.busy_until);
             false
         } else {
-            st.ranks[wi].blocked = Some(HostBlock::StreamDrain { si });
+            r.blocked = Some(HostBlock::StreamDrain { si });
             true
         }
     }
 
     /// Stream progress (Algorithm 2's scheduler tick for one stream).
-    fn pump(&self, job: &JobTrace, st: &mut SimScratch, wi: usize, si: usize) {
+    fn pump(&self, st: &mut SimScratch, wi: usize, si: usize) {
         loop {
             let now = st.now;
-            let s = &mut st.ranks[wi].streams[si];
+            let r = &mut st.ranks[wi];
+            let s = &mut r.streams[si];
             if s.blocked.is_some() || s.busy_until > now {
                 return;
             }
-            let front = match s.queue.front().copied() {
-                None => {
-                    // Drained: wake a host parked on this stream/device.
-                    self.notify_drain(st, wi, si, now);
-                    return;
-                }
-                Some(f) => f,
-            };
-            if front.ready_at > now {
-                st.push(front.ready_at, EvKind::Pump { wi, si });
+            if s.queue_is_empty(r.next_op) {
+                // Drained: wake a host parked on this stream/device.
+                self.notify_drain(st, wi, si, now);
                 return;
             }
-            s.queue.pop_front();
-            match front.op {
-                StreamOp::Timed { dur, is_comm } => {
+            let front = r.ops[s.head as usize];
+            if front.t > now {
+                st.push(front.t, EvKind::Pump { wi, si });
+                return;
+            }
+            s.head = front.next;
+            match front.kind {
+                OpKind::Kernel { dur } | OpKind::Memcpy { dur, .. } => {
                     s.busy_until = now + dur;
-                    if is_comm {
-                        st.ranks[wi].comm_busy += dur;
-                    } else {
-                        st.ranks[wi].compute_busy += dur;
-                    }
+                    r.compute_busy += dur;
                     st.push(now + dur, EvKind::Pump { wi, si });
                     return;
                 }
-                StreamOp::Record { slot } => {
-                    st.ranks[wi].fired[slot as usize] = Some(now);
+                OpKind::Record { slot } => {
+                    r.fired[slot as usize] = Some(now);
                     // Wake streams waiting on this event. Take the
                     // waiter list to appease the borrow checker, then
                     // give the (cleared) buffer back for reuse.
-                    let mut waiters =
-                        std::mem::take(&mut st.ranks[wi].event_waiters[slot as usize]);
+                    let mut waiters = std::mem::take(&mut r.event_waiters[slot as usize]);
                     for &w in &waiters {
                         let ws = &mut st.ranks[wi].streams[w];
                         if ws.blocked == Some(StreamBlock::Event { slot }) {
@@ -844,114 +1054,120 @@ impl<'a> Simulator<'a> {
                         }
                     }
                     waiters.clear();
-                    st.ranks[wi].event_waiters[slot as usize] = waiters;
+                    let r = &mut st.ranks[wi];
+                    r.event_waiters[slot as usize] = waiters;
                     // Wake a host parked on EventSynchronize.
-                    if st.ranks[wi].blocked == Some(HostBlock::Event { slot }) {
-                        st.ranks[wi].blocked = None;
-                        st.ranks[wi].host_time = st.ranks[wi].host_time.max(now);
+                    if r.blocked == Some(HostBlock::Event { slot }) {
+                        r.blocked = None;
+                        r.host_time = r.host_time.max(now);
                         st.push(now, EvKind::HostDispatch { wi });
                     }
                 }
-                StreamOp::Wait { slot, zero } => {
-                    let fired = st.ranks[wi].fired[slot as usize];
+                OpKind::Wait { slot, zero } => {
+                    let fired = r.fired[slot as usize];
                     if zero || fired.is_some() {
                         // Already fired (or never-recorded no-op): the
                         // stream ordering itself enforces the constraint.
                         let fire = fired.unwrap_or(SimTime::ZERO);
-                        let s = &mut st.ranks[wi].streams[si];
                         s.busy_until = s.busy_until.max(fire);
                         if fire > now {
                             st.push(fire, EvKind::Pump { wi, si });
                             return;
                         }
                     } else {
-                        st.ranks[wi].streams[si].blocked = Some(StreamBlock::Event { slot });
-                        st.ranks[wi].event_waiters[slot as usize].push(si);
+                        s.blocked = Some(StreamBlock::Event { slot });
+                        r.event_waiters[slot as usize].push(si);
                         return;
                     }
                 }
-                StreamOp::Join { pc } => {
-                    let op = job.workers.get(wi).and_then(|w| w.events.get(pc as usize));
-                    let Some(&DeviceOp::Collective { desc }) = op.map(|e| &e.op) else {
-                        continue; // `Join` is only queued for a collective
-                    };
+                OpKind::Join { site } => {
+                    s.blocked = Some(StreamBlock::Collective);
+                    let JoinSite { desc, required, .. } = r.sites[site as usize];
                     let key = CollKey::from_desc(&desc);
-                    st.ranks[wi].streams[si].blocked = Some(StreamBlock::Collective);
                     let waiting = st.collectives.entry(key).or_default();
-                    waiting.push((wi, si, now, desc));
-                    if waiting.len() >= required_participants(job, &desc) {
-                        self.resolve_collective(job, st, key);
+                    waiting.push((wi, si, now, site));
+                    if waiting.len() >= required as usize {
+                        self.resolve_collective(st, key);
                     }
                     return;
                 }
+                // Lowering links only ops that enqueue onto a stream.
+                OpKind::HostOnly
+                | OpKind::EventSync { .. }
+                | OpKind::StreamSync
+                | OpKind::DeviceSync => {}
             }
         }
     }
 
     /// All participants joined: release every stream in lockstep after
     /// the predicted wire time (Algorithm 3).
-    fn resolve_collective(&self, job: &JobTrace, st: &mut SimScratch, key: CollKey) {
+    fn resolve_collective(&self, st: &mut SimScratch, key: CollKey) {
         let participants = st.collectives.remove(&key).unwrap_or_default();
-        let Some(&(_, _, _, desc)) = participants.first() else {
+        let Some(&(wi, _, _, site)) = participants.first() else {
             return;
         };
+        let JoinSite { desc, group, .. } = st.ranks[wi].sites[site as usize];
         let start = participants
             .iter()
             .map(|&(_, _, t, _)| t)
             .fold(SimTime::ZERO, SimTime::max);
-        let global_ranks: Vec<u32> = match desc.kind {
+        let members = st.program.members_of(group);
+        let mut ends = [0u32; 2];
+        let global_ranks: &[u32] = match desc.kind {
             CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => {
-                match job.comm_groups.get(&desc.comm_id) {
-                    Some(members) => [desc.rank_in_comm, peer]
-                        .iter()
-                        .filter_map(|&i| members.get(i as usize).copied())
-                        .collect(),
-                    None => participants
-                        .iter()
-                        .map(|&(wi, ..)| job.workers[wi].rank)
-                        .collect(),
+                let mut n = 0;
+                for i in [desc.rank_in_comm, peer] {
+                    if let Some(&rank) = members.get(i as usize) {
+                        ends[n] = rank;
+                        n += 1;
+                    }
                 }
+                &ends[..n]
             }
-            _ => job
-                .comm_groups
-                .get(&desc.comm_id)
-                .cloned()
-                .unwrap_or_default(),
+            _ => members,
         };
         if let Some(topo) = &self.cluster.topology {
-            self.start_flow(st, topo, &desc, participants, start, &global_ranks);
+            let (bytes, route, latency) = self.flow_of(topo, &desc, global_ranks);
+            let flow = st.net.start(start.as_ns(), bytes, &route);
+            st.flow_meta.push(FlowMeta {
+                flow,
+                participants,
+                start,
+                latency,
+            });
+            // Starting the flow re-converges every active rate, so
+            // completion events for *all* flows are re-scheduled under
+            // the new epoch.
+            self.schedule_flow_completions(st);
             return;
         }
-        let dur =
-            self.estimator
-                .collective_time(desc.kind, desc.bytes, &global_ranks, self.cluster);
+        let dur = self
+            .estimator
+            .collective_time(desc.kind, desc.bytes, global_ranks, self.cluster);
         let end = start + dur;
         for (wi, si, _, _) in participants {
-            let s = &mut st.ranks[wi].streams[si];
+            let r = &mut st.ranks[wi];
+            let s = &mut r.streams[si];
             s.blocked = None;
             // `max` is the identity without faults (a stream blocked on
             // a rendezvous is never busy past it) but preserves an
             // injected restart penalty that outlives the collective.
             s.busy_until = s.busy_until.max(end);
-            st.ranks[wi].comm_busy += dur;
+            r.comm_busy += dur;
             st.push(end, EvKind::Pump { wi, si });
         }
     }
 
-    /// Flow-model path of [`Self::resolve_collective`]: the collective
-    /// becomes a flow over the links its participant nodes touch, its
-    /// byte count set by the algorithm's wire traffic. Starting the
-    /// flow re-converges every active rate, so completion events for
-    /// *all* flows are re-scheduled under the new epoch.
-    fn start_flow(
+    /// Flow-model view of a collective: it becomes a flow over the
+    /// links its participant nodes touch, its byte count set by the
+    /// algorithm's wire traffic. Returns `(bytes, route, latency)`.
+    fn flow_of(
         &self,
-        st: &mut SimScratch,
         topo: &TopologySpec,
         desc: &CollectiveDesc,
-        participants: Vec<Participant>,
-        start: SimTime,
         global_ranks: &[u32],
-    ) {
+    ) -> (f64, Vec<u32>, SimTime) {
         let bytes = wire_bytes(desc.kind, desc.bytes, global_ranks.len());
         // Participant nodes, sorted and deduped for a deterministic
         // route; nodes outside the topology (a spec smaller than the
@@ -965,15 +1181,7 @@ impl<'a> Simulator<'a> {
         nodes.dedup();
         let route = topo.collective_route(&nodes);
         let latency = SimTime::from_us(topo.route_latency_us(&route));
-
-        let flow = st.net.start(start.as_ns(), bytes, &route);
-        st.flow_meta.push(FlowMeta {
-            flow,
-            participants,
-            start,
-            latency,
-        });
-        self.schedule_flow_completions(st);
+        (bytes, route, latency)
     }
 
     /// A flow's bytes drained (if the event is still current): release
@@ -992,13 +1200,14 @@ impl<'a> Simulator<'a> {
         let end = now + meta.latency;
         let dur = end.saturating_sub(meta.start);
         for &(wi, si, _, _) in &meta.participants {
-            let s = &mut st.ranks[wi].streams[si];
+            let r = &mut st.ranks[wi];
+            let s = &mut r.streams[si];
             s.blocked = None;
             // `max`, not assignment: an injected fault may have pushed
             // the stream past the collective's own end.
             s.busy_until = s.busy_until.max(end);
             let wake = s.busy_until;
-            st.ranks[wi].comm_busy += dur;
+            r.comm_busy += dur;
             st.push(wake, EvKind::Pump { wi, si });
         }
         self.schedule_flow_completions(st);
@@ -1039,36 +1248,39 @@ impl<'a> Simulator<'a> {
         // `pump` returns without rescheduling when `busy_until` is in
         // the future, so every extension needs its own wake-up event.
         for si in 0..st.ranks[wi].streams.len() {
-            let s = &mut st.ranks[wi].streams[si];
-            if s.drained(now) {
+            let r = &mut st.ranks[wi];
+            let s = &mut r.streams[si];
+            if s.drained(now, r.next_op) {
                 continue;
             }
             s.busy_until = s.busy_until.max(now) + cost;
             let wake = s.busy_until;
             st.push(wake, EvKind::Pump { wi, si });
         }
-        if !st.ranks[wi].done && st.ranks[wi].blocked.is_none() {
-            let at = st.ranks[wi].host_time;
+        let r = &st.ranks[wi];
+        if !r.done && r.blocked.is_none() {
+            let at = r.host_time;
             st.push(at, EvKind::HostDispatch { wi });
         }
     }
 
     /// A stream drained; wake hosts blocked on it.
     fn notify_drain(&self, st: &mut SimScratch, wi: usize, si: usize, now: SimTime) {
-        match st.ranks[wi].blocked {
+        let r = &mut st.ranks[wi];
+        match r.blocked {
             Some(HostBlock::StreamDrain { si: want }) if want == si => {
-                st.ranks[wi].blocked = None;
-                st.ranks[wi].host_time = st.ranks[wi].host_time.max(now);
+                r.blocked = None;
+                r.host_time = r.host_time.max(now);
                 st.push(now, EvKind::HostDispatch { wi });
             }
             Some(HostBlock::DeviceDrain { remaining }) => {
                 let left = remaining.saturating_sub(1);
-                st.ranks[wi].host_time = st.ranks[wi].host_time.max(now);
+                r.host_time = r.host_time.max(now);
                 if left == 0 {
-                    st.ranks[wi].blocked = None;
+                    r.blocked = None;
                     st.push(now, EvKind::HostDispatch { wi });
                 } else {
-                    st.ranks[wi].blocked = Some(HostBlock::DeviceDrain { remaining: left });
+                    r.blocked = Some(HostBlock::DeviceDrain { remaining: left });
                 }
             }
             _ => {}
@@ -1088,28 +1300,6 @@ fn wire_bytes(kind: CollectiveKind, bytes: u64, n: usize) -> f64 {
         CollectiveKind::AllReduce => 2.0 * b * (n - 1.0) / n,
         CollectiveKind::AllGather | CollectiveKind::ReduceScatter => b * (n - 1.0) / n,
         _ => b,
-    }
-}
-
-/// Present-participant count for a collective in a possibly-sparse job.
-fn required_participants(job: &JobTrace, desc: &CollectiveDesc) -> usize {
-    let members = match job.comm_groups.get(&desc.comm_id) {
-        Some(m) => m,
-        None => return desc.kind.required_participants(desc.nranks) as usize,
-    };
-    match desc.kind {
-        CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => {
-            let mut req = 0usize;
-            for idx in [desc.rank_in_comm, peer] {
-                if let Some(&g) = members.get(idx as usize) {
-                    if job.is_present(g) {
-                        req += 1;
-                    }
-                }
-            }
-            req.max(1)
-        }
-        _ => (job.present_count(members) as usize).max(1),
     }
 }
 
@@ -1528,13 +1718,12 @@ mod tests {
         }
     }
 
-    /// At the pending high-water mark nearly every trace op has one
-    /// entry in a lane and one in a stream queue, so their sizes are
-    /// most of a run's footprint.
+    /// At the pending high-water mark nearly every op of the trace is
+    /// issued and not yet run, and the op is all that is parked for it:
+    /// its size is most of a run's footprint.
     #[test]
     fn parked_entries_stay_small() {
-        assert_eq!(std::mem::size_of::<LaneEv>(), 24);
-        assert_eq!(std::mem::size_of::<QueuedOp>(), 24);
+        assert_eq!(std::mem::size_of::<Op>(), 40);
     }
 
     #[test]
@@ -1542,9 +1731,27 @@ mod tests {
         // Random interleaving of host-issued pumps (per-rank monotone
         // times, many ties), plain heap events and pops, against the
         // definition: always the smallest `(at, seq)` still pending.
+        // Every third op only moves the host, so the lane cursor has
+        // ops to step over; no stream is ever busy, so none is elided.
         const RANKS: usize = 5;
+        const OPS_PER_RANK: usize = 20_000;
         let mut st = SimScratch::new();
-        st.ranks.resize_with(RANKS, RankSim::default);
+        st.reset(RANKS);
+        for (rank, r) in st.ranks.iter_mut().enumerate() {
+            r.reset(rank as u32);
+            r.streams.push(StreamSim::IDLE);
+            r.ops.extend((0..OPS_PER_RANK).map(|i| Op {
+                t: SimTime::ZERO,
+                seq: 0,
+                next: NONE,
+                stream: 0,
+                kind: if i % 3 == 2 {
+                    OpKind::HostOnly
+                } else {
+                    OpKind::Kernel { dur: SimTime::ZERO }
+                },
+            }));
+        }
         let mut host_time = [0u64; RANKS];
         let mut pending: Vec<(SimTime, u64)> = Vec::new();
         let mut rng = 0x5eed_u64;
@@ -1554,13 +1761,17 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (rng >> 33) % n
         };
+        // The event loop's pop: an issue pump promotes its lane's next.
         let pop_and_check = |st: &mut SimScratch, pending: &mut Vec<(SimTime, u64)>| {
             let want = pending.iter().copied().min();
-            let got = st.pop().map(|ev| (ev.at, ev.seq));
-            assert_eq!(got, want);
-            if let Some(key) = got {
-                pending.retain(|&k| k != key);
-                st.now = key.0;
+            let got = st.pop();
+            assert_eq!(got.map(|ev| (ev.at, ev.seq)), want);
+            if let Some(ev) = got {
+                pending.retain(|&k| k != (ev.at, ev.seq));
+                st.now = ev.at;
+                if let EvKind::IssuePump { wi, .. } = ev.kind {
+                    st.promote(wi);
+                }
             }
         };
         for _ in 0..20_000 {
@@ -1569,7 +1780,14 @@ mod tests {
                     let wi = draw(RANKS as u64) as usize;
                     host_time[wi] += draw(3);
                     let at = SimTime::from_ns(host_time[wi]).max(st.now);
-                    st.push_issued(at, wi, 0);
+                    host_time[wi] = at.as_ns();
+                    let r = &mut st.ranks[wi];
+                    while !r.ops[r.next_op as usize].kind.enqueues() {
+                        r.next_op += 1;
+                    }
+                    let pc = r.next_op;
+                    r.next_op += 1;
+                    st.issue(wi, pc, at);
                     pending.push((at, st.seq));
                 }
                 3 => {
@@ -1588,8 +1806,78 @@ mod tests {
         assert!(st
             .ranks
             .iter()
-            .all(|r| r.lane.is_empty() && !r.lane_head_queued));
+            .all(|r| r.lane_next == r.next_op && !r.lane_head_queued));
         assert!(st.pending_high_water > 1000, "the lanes ran deep");
+    }
+
+    /// The elision rule itself: a pending issue pump is counted off
+    /// when its stream is busy past the pump's due time, and only then
+    /// — a stream that is blocked (rendezvous, event wait) but idle
+    /// keeps its pumps, and busy *until* the due time is not past it.
+    #[test]
+    fn promotion_elides_pumps_of_busy_streams_only() {
+        let us = SimTime::from_us;
+        let mut st = SimScratch::new();
+        st.reset(1);
+        let r = &mut st.ranks[0];
+        r.reset(0);
+        r.streams.extend([StreamSim::IDLE; 2]);
+        r.streams[0].busy_until = us(100.0);
+        r.streams[1].blocked = Some(StreamBlock::Collective);
+        let issues = [(0, us(50.0)), (1, us(60.0)), (0, us(100.0))];
+        r.ops.extend(issues.map(|(stream, _)| Op {
+            t: SimTime::ZERO,
+            seq: 0,
+            next: NONE,
+            stream,
+            kind: OpKind::Kernel { dur: SimTime::ZERO },
+        }));
+        for (pc, (_, at)) in issues.into_iter().enumerate() {
+            st.ranks[0].next_op += 1;
+            st.issue(0, pc as u32, at);
+        }
+        // Stream 0 is busy past 50 us: that pump is gone, and counted.
+        assert_eq!((st.events_processed, st.pending), (1, 2));
+        // Stream 1 is blocked, not busy: its pump is the lane's head.
+        let head = st.pop().expect("the blocked stream's pump is pending");
+        assert_eq!((head.at, head.seq), (us(60.0), 2));
+        assert!(matches!(head.kind, EvKind::IssuePump { wi: 0, si: 1 }));
+        assert!(st.heap.is_empty(), "the third pump is still parked");
+        // Busy until exactly the due time: the pump would run.
+        st.promote(0);
+        let last = st.pop().expect("a pump due as its stream frees up stays");
+        assert_eq!((last.at, last.seq), (us(100.0), 3));
+        assert_eq!((st.events_processed, st.pending), (1, 0));
+        st.promote(0);
+        assert!(st.heap.is_empty() && !st.ranks[0].lane_head_queued);
+    }
+
+    /// Capacity of every buffer the arena owns.
+    fn capacities(st: &SimScratch) -> Vec<usize> {
+        let p = &st.program;
+        let mut caps = vec![
+            p.comm_ids.capacity(),
+            p.groups.capacity(),
+            p.members.capacity(),
+            st.ranks.capacity(),
+            st.heap.capacity(),
+            st.collectives.capacity(),
+            st.stream_index.capacity(),
+            st.event_index.capacity(),
+            st.flow_meta.capacity(),
+            st.flow_tmp.capacity(),
+        ];
+        for r in &st.ranks {
+            caps.extend([
+                r.ops.capacity(),
+                r.sites.capacity(),
+                r.streams.capacity(),
+                r.fired.capacity(),
+                r.event_waiters.capacity(),
+            ]);
+            caps.extend(r.event_waiters.iter().map(Vec::capacity));
+        }
+        caps
     }
 
     #[test]
@@ -1606,6 +1894,11 @@ mod tests {
             let reused = sim.run_prevalidated(&job, &mut scratch).unwrap();
             let fresh = sim.run(&job).unwrap();
             assert_eq!(reused, fresh, "seed {seed}");
+            // The same job again finds every buffer already sized.
+            let sized = capacities(&scratch);
+            let again = sim.run_prevalidated(&job, &mut scratch).unwrap();
+            assert_eq!(again, fresh, "seed {seed}, second run");
+            assert_eq!(capacities(&scratch), sized, "seed {seed}: the arena grew");
             // And a shrunken job right after a bigger one.
             let small = job1(vec![ev(0, kernel(512), 1.0)]);
             small.validate().unwrap();

@@ -16,9 +16,24 @@
 //!   completion skew), whose cost shows up as Table 3's oracle gap.
 //!
 //! Durations come from a pluggable [`maya_estimator::RuntimeEstimator`].
+//!
+//! A run is two passes (see [`engine`]). [`Simulator::lower`] reads the
+//! trace once into a **replay program** in the [`SimScratch`] arena —
+//! per worker a dense array of small ops whose stream, CUDA-event and
+//! communicator ids are interned and whose kernel and memcpy durations
+//! are already estimated, one estimator query per event — and
+//! [`Lowered::replay`] runs the event loop over that program alone.
+//! The program is also the only per-op state: a stream's queue and a
+//! rank's lane of pending issue pumps are cursors over it. The replay
+//! relies on one invariant, that a stream's `busy_until` never
+//! decreases: an issue pump due while its stream is already busy past
+//! that instant can only be a no-op, so it is counted in
+//! [`SimReport::events_processed`] and never enters the heap.
+//! [`Simulator::run`] and [`Simulator::run_prevalidated`] do both
+//! passes.
 
 pub mod engine;
 pub mod report;
 
-pub use engine::{SimError, SimObs, SimScratch, Simulator};
+pub use engine::{Lowered, SimError, SimObs, SimScratch, Simulator};
 pub use report::SimReport;

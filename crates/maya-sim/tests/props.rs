@@ -13,18 +13,25 @@
 //!    including `events_processed` (same event schedule, not just the
 //!    same answer) and including error cases (deadlocks).
 //!
-//! Properties 1 and 2 also run on the contended path (link topology
-//! plus a seed-drawn fault plan), which the reference core, having no
-//! flow model, cannot check.
+//! Properties 1 and 2 also run on the imperfect-cluster path (link
+//! topology × seed-drawn fault plan × seed-drawn hetero pool), which
+//! the reference core, having no flow, fault or hetero model, cannot
+//! check; there `events_processed` — popped events plus elided issue
+//! pumps — must repeat exactly and equal what the observer is told.
+//!
+//! The hand-built traces at the end include the elision proof's two
+//! cases: pumps of a stream that is blocked but idle (kept — held to
+//! the reference core) and pumps overtaken by a fault's extension of
+//! `busy_until` (elided — held to a hand-counted schedule).
 
 mod reference;
 
 use std::collections::BTreeMap;
 
 use maya_estimator::{OracleEstimator, RuntimeEstimator};
-use maya_hw::ClusterSpec;
-use maya_net::FaultPlan;
-use maya_sim::{SimError, SimReport, SimScratch, Simulator};
+use maya_hw::{ClusterSpec, GpuSpec, HeteroPool, RankClass};
+use maya_net::{FaultPlan, RankFailure};
+use maya_sim::{SimError, SimObs, SimReport, SimScratch, Simulator};
 use maya_trace::{
     CollectiveDesc, CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind, MemcpyKind, SimTime,
     StreamId, TraceEvent, WorkerTrace,
@@ -207,9 +214,10 @@ fn simulate(
     Simulator::new(estimator, cluster).run(job)
 }
 
-/// The contended twin of a flat setup: the same cluster with its
-/// default link topology, and a fault plan drawn from `seed` over the
-/// clean run's `horizon`.
+/// The imperfect twin of a flat setup: the same cluster with its
+/// default link topology, a fault plan drawn from `seed` over the
+/// clean run's `horizon` and, on odd seeds, an older GPU generation
+/// under the first `seed`-drawn ranks.
 fn contended(
     flat: &ClusterSpec,
     nranks: u32,
@@ -217,7 +225,14 @@ fn contended(
     seed: u64,
 ) -> (ClusterSpec, FaultPlan) {
     let plan = FaultPlan::generate(seed, nranks, horizon);
-    (flat.clone().with_default_topology(), plan)
+    let mut cluster = flat.clone().with_default_topology();
+    if seed % 2 == 1 {
+        cluster = cluster.with_hetero(HeteroPool::new(vec![RankClass {
+            gpu: GpuSpec::v100(),
+            count: 1 + (seed >> 1) as u32 % nranks,
+        }]));
+    }
+    (cluster, plan)
 }
 
 proptest! {
@@ -238,9 +253,12 @@ proptest! {
         prop_assert_eq!(bytes_of(&a), bytes_of(&b));
 
         let (topo, plan) = contended(&c, nranks, a.total_time, fault_seed);
+        let obs = SimObs::default();
         let sim = Simulator::new(&oracle, &topo).with_faults(Some(&plan));
         let a = sim.run(&j).unwrap();
-        let b = sim.run(&j).unwrap();
+        let b = sim.with_obs(Some(&obs)).run(&j).unwrap();
+        prop_assert_eq!(a.events_processed, b.events_processed);
+        prop_assert_eq!(obs.events.get(), b.events_processed);
         prop_assert_eq!(bytes_of(&a), bytes_of(&b));
     }
 
@@ -271,7 +289,9 @@ proptest! {
         let net_sim = Simulator::new(&oracle, &topo).with_faults(Some(&plan));
         let _ = net_sim.run_prevalidated(&job(nranks, &steps_a), &mut scratch);
         let reused = net_sim.run_prevalidated(&j, &mut scratch).unwrap();
-        prop_assert_eq!(bytes_of(&reused), bytes_of(&net_sim.run(&j).unwrap()));
+        let net_fresh = net_sim.run(&j).unwrap();
+        prop_assert_eq!(reused.events_processed, net_fresh.events_processed);
+        prop_assert_eq!(bytes_of(&reused), bytes_of(&net_fresh));
         let back = sim.run_prevalidated(&j, &mut scratch).unwrap();
         prop_assert_eq!(bytes_of(&back), bytes_of(&fresh));
     }
@@ -288,6 +308,7 @@ proptest! {
         let j = job(nranks, &steps);
         match (simulate(&j, &c, &oracle), simulate_reference(&j, &c, &oracle)) {
             (Ok(dense), Ok(reference)) => {
+                prop_assert_eq!(dense.events_processed, reference.events_processed);
                 prop_assert_eq!(bytes_of(&dense), bytes_of(&reference));
             }
             (dense, reference) => prop_assert_eq!(dense, reference),
@@ -486,4 +507,151 @@ fn adversarial_version_zero_record_matches_reference() {
     let dense = simulate(&job, &c, &oracle).unwrap();
     let reference = crate::reference::simulate_reference(&job, &c, &oracle).unwrap();
     assert_eq!(dense, reference);
+}
+
+// The elision proof. An issue pump is dropped only when its stream is
+// busy past the pump's due time; the two tests below are the cases that
+// rule leans on.
+
+/// An all-reduce of a two-rank communicator.
+fn pair_all_reduce(rank_in_comm: u32) -> DeviceOp {
+    DeviceOp::Collective {
+        desc: CollectiveDesc {
+            kind: CollectiveKind::AllReduce,
+            comm_id: 9,
+            seq: 0,
+            bytes: 1 << 22,
+            nranks: 2,
+            rank_in_comm,
+        },
+    }
+}
+
+#[test]
+fn blocked_but_idle_streams_keep_their_pumps() {
+    let c = cluster();
+    let oracle = OracleEstimator::new(&c);
+
+    // Event wait: stream 1 blocks on an event stream 0 records only
+    // after a long kernel, while the host keeps issuing to stream 1.
+    // Those issue pumps come due with the stream blocked and idle; the
+    // record's wake-up, not they, restarts it.
+    let (event, version) = (3, 1);
+    let waiting = job1(vec![
+        ev(0, kernel(8192), 1.0),
+        ev(0, DeviceOp::EventRecord { event, version }, 1.0),
+        ev(1, DeviceOp::StreamWaitEvent { event, version }, 1.0),
+        ev(1, kernel(512), 1.0),
+        ev(1, kernel(512), 1.0),
+        ev(1, kernel(512), 1.0),
+        ev(0, DeviceOp::DeviceSynchronize, 1.0),
+    ]);
+
+    // Rendezvous: rank 0 joins at once and queues kernels behind the
+    // collective; rank 1 computes first, so rank 0's stream sits
+    // blocked and idle while those kernels' pumps come due.
+    let mut early = WorkerTrace::new(0);
+    early.events = vec![
+        ev(0, pair_all_reduce(0), 1.0),
+        ev(0, kernel(512), 1.0),
+        ev(0, kernel(512), 1.0),
+        ev(0, DeviceOp::StreamSynchronize, 1.0),
+    ];
+    let mut late = WorkerTrace::new(1);
+    late.events = vec![
+        ev(0, kernel(8192), 1.0),
+        ev(0, pair_all_reduce(1), 1.0),
+        ev(0, DeviceOp::StreamSynchronize, 1.0),
+    ];
+    let rendezvous = JobTrace {
+        nranks: 2,
+        workers: vec![early, late],
+        comm_groups: BTreeMap::from([(9, vec![0, 1])]),
+    };
+
+    for (name, job) in [("event wait", waiting), ("rendezvous", rendezvous)] {
+        let dense = simulate(&job, &c, &oracle).unwrap();
+        let reference = simulate_reference(&job, &c, &oracle).unwrap();
+        assert_eq!(dense.events_processed, reference.events_processed, "{name}");
+        assert_eq!(dense, reference, "{name}");
+    }
+}
+
+/// Every kernel takes 100 µs: durations a schedule can be counted with.
+struct Fixed;
+
+impl RuntimeEstimator for Fixed {
+    fn kernel_time(&self, _: &KernelKind) -> SimTime {
+        SimTime::from_us(100.0)
+    }
+    fn memcpy_time(&self, _: u64, _: MemcpyKind) -> SimTime {
+        SimTime::from_us(10.0)
+    }
+    fn collective_time(&self, _: CollectiveKind, _: u64, _: &[u32], _: &ClusterSpec) -> SimTime {
+        SimTime::from_us(50.0)
+    }
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+}
+
+/// A fault extends `busy_until` while an issue pump for that stream is
+/// still parked in the lane; the pump is then judged — and dropped —
+/// against the extended horizon. The reference core has no fault model,
+/// so the oracle is the schedule, counted by hand (times in µs; the
+/// host issues everything inside the first event, then parks on the
+/// device sync with its clock at 1002):
+///
+/// ```text
+///  1  host dispatch @0     issues s0 kernel @1, s1 kernel @1000,
+///                          s0 kernel @1001; parks on both streams
+///  2  issue pump s0 @1     first kernel runs until 101
+///  3  pump s0 @101         next op is not ready: re-pump @1001
+///  4  fault @500           cost 2000: host clock 3002, both streams
+///                          (each has a queued op) busy until 2500
+///  5  issue pump s1 @1000  in the heap since event 2; stream busy
+///  6  issue pump s0 @1001  parked until event 5, when s0 is already
+///                          busy until 2500 > 1001: elided, counted
+///  7  pump s0 @1001        stream busy
+///  8  pump s0 @2500        second s0 kernel runs until 2600
+///  9  pump s1 @2500        s1 kernel runs until 2600
+/// 10  pump s0 @2600        drained: one stream left for the host
+/// 11  pump s1 @2600        drained: host wakes
+/// 12  host dispatch @2600  trace done; host clock still 3002
+/// ```
+#[test]
+fn fault_extension_elides_a_parked_pump() {
+    let us = SimTime::from_us;
+    let c = cluster();
+    let job = job1(vec![
+        ev(0, kernel(1024), 1.0),
+        ev(1, kernel(1024), 999.0),
+        ev(0, kernel(1024), 1.0),
+        ev(0, DeviceOp::DeviceSynchronize, 1.0),
+    ]);
+    let plan = FaultPlan {
+        seed: 0,
+        stragglers: vec![],
+        failures: vec![RankFailure {
+            rank: 0,
+            at: us(500.0),
+            restart_cost: us(2000.0),
+        }],
+    };
+    let report = Simulator::new(&Fixed, &c)
+        .with_faults(Some(&plan))
+        .run(&job)
+        .unwrap();
+    assert_eq!(
+        report,
+        SimReport {
+            total_time: us(3002.0),
+            rank_end_times: vec![us(3002.0)],
+            comm_time: SimTime::ZERO,
+            compute_time: us(300.0),
+            host_time: us(3002.0),
+            peak_mem_bytes: 0,
+            events_processed: 12,
+        }
+    );
 }

@@ -12,7 +12,10 @@
 //!   [`Collator`], which collates it and — when the spec
 //!   deduplicates — keeps its trace only if it opens a new class, so
 //!   the job trace that reaches the estimator is already reduced and
-//!   only classes + 1 traces were ever alive;
+//!   only classes + 1 traces were ever alive; estimation is the
+//!   simulator's lowering pass (one read of the trace, one memo query
+//!   per kernel and memcpy) and simulation the replay of what it
+//!   lowered;
 //! - one ordered fan-out over `emulation_threads` OS threads, which
 //!   spreads either one job's ranks (`predict_job`) or a batch's
 //!   independent jobs ([`PredictionEngine::predict_batch`]) and hands
@@ -417,15 +420,15 @@ impl PredictionEngine {
                 workers_simulated: 0,
                 trace_events: info.events,
             }),
-            Ok(reduced) => self.predict_trace_inner(reduced, emulated.ranks, timings),
+            Ok(reduced) => self.simulate(reduced, emulated.ranks, timings),
         }
     }
 
     /// Predicts from an already-collated job trace.
     ///
     /// The trace is validated exactly once, here at the boundary; the
-    /// rest of the pipeline (dedup, estimation warm pass, simulation)
-    /// runs on the prevalidated fast path, so an invalid trace fails
+    /// rest of the pipeline (dedup, lowering, replay) runs on the
+    /// prevalidated fast path, so an invalid trace fails
     /// fast before any stage spends time on it.
     pub fn predict_trace(&self, job_trace: JobTrace) -> Result<Prediction, MayaError> {
         job_trace
@@ -445,58 +448,44 @@ impl PredictionEngine {
             collation: t.elapsed(),
             ..Default::default()
         };
-        self.predict_trace_inner(reduced, workers, timings)
+        self.simulate(reduced, workers, timings)
     }
 
-    /// Estimates and simulates a validated, already-reduced job trace.
+    /// Lowers and replays a validated, already-reduced job trace.
     /// `timings` carries the stages the caller has run.
-    fn predict_trace_inner(
+    fn simulate(
         &self,
         reduced: JobTrace,
         workers_emulated: usize,
         mut timings: StageTimings,
     ) -> Result<Prediction, MayaError> {
-        // Estimation pre-pass: warm the shared memo cache with every
-        // kernel and memcpy duration the simulator is about to ask for.
-        // The work is attributed to `StageTimings::estimation` (Table 6 /
-        // Fig. 13); the simulator's kernel/memcpy queries then hit the
-        // cache. Collective queries resolve during simulation (their
-        // participant sets are only known during replay) but are
-        // memoized there too. Across trials the cache persists — a warm
-        // search loop pays estimation cost only for shapes it has never
-        // seen.
-        // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
-        let t2 = Instant::now();
-        let est: &dyn RuntimeEstimator = self.cache.as_ref();
-        for w in &reduced.workers {
-            for e in w.events.iter() {
-                match e.op {
-                    maya_trace::DeviceOp::KernelLaunch { kernel } => {
-                        let _ = est.kernel_time(&kernel);
-                    }
-                    maya_trace::DeviceOp::MemcpyAsync { bytes, kind, .. } => {
-                        let _ = est.memcpy_time(bytes, kind);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        timings.estimation = t2.elapsed();
-
         // Every trace reaching this point is already valid: the collator
         // validates its output, `predict_trace` validates caller input,
         // and `reduce_job` preserves validity (asserted by its tests).
         // Skipping re-validation here is what makes a search loop pay
         // the O(events) structural check once instead of per trial.
-        // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
-        let t3 = Instant::now();
+        let est: &dyn RuntimeEstimator = self.cache.as_ref();
         let report = self.with_sim_scratch(|scratch| {
-            Simulator::new(est, &self.spec.cluster)
+            let sim = Simulator::new(est, &self.spec.cluster)
                 .with_faults(self.spec.faults.as_ref())
-                .with_obs(self.sim_obs.get())
-                .run_prevalidated(&reduced, scratch)
+                .with_obs(self.sim_obs.get());
+            // Estimation is the lowering pass: the one read of the
+            // trace, asking the shared memo once per kernel and memcpy
+            // (Table 6 / Fig. 13's estimation stage). Collective
+            // queries resolve during the replay — their participant
+            // sets are only known then — and are memoized there too.
+            // Across trials the memo persists: a warm search loop pays
+            // estimation cost only for shapes it has never seen.
+            // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
+            let t2 = Instant::now();
+            let lowered = sim.lower(&reduced, scratch)?;
+            timings.estimation = t2.elapsed();
+            // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
+            let t3 = Instant::now();
+            let report = lowered.replay();
+            timings.simulation = t3.elapsed();
+            report
         })?;
-        timings.simulation = t3.elapsed();
 
         Ok(Prediction {
             outcome: PredictOutcome::Completed(report),
@@ -782,22 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_pass_makes_simulation_queries_hits() {
-        // After predict_job, every kernel the simulator asked for was
-        // already in the memo: hits >= misses on the very first run
-        // (each unique shape missed once in the warm pass, then hit at
-        // least once when simulated).
-        let maya = MayaBuilder::new(ClusterSpec::h100(1, 1)).build().unwrap();
-        maya.predict_job(&job(1, ParallelConfig::default(), 8))
-            .unwrap();
-        let st = maya.cache_stats();
-        assert!(
-            st.hits >= st.misses,
-            "warm pass should pre-answer the simulator: {st:?}"
-        );
-    }
-
-    #[test]
     fn pre_cancelled_batch_runs_nothing() {
         let maya = MayaBuilder::new(ClusterSpec::h100(1, 4))
             .emulation_threads(2)
@@ -865,7 +838,7 @@ mod tests {
         assert_eq!(
             maya.cache_stats().misses,
             0,
-            "invalid trace must fail before the estimation warm pass"
+            "invalid trace must fail before the estimation stage"
         );
     }
 

@@ -104,14 +104,16 @@ pub struct StageTimings {
     /// Collation + deduplication: the time spent inside the collator,
     /// summed over the ranks it was handed.
     pub collation: std::time::Duration,
-    /// Runtime prediction: the pre-pass that warms the engine's shared
-    /// estimator cache with every *kernel and memcpy* duration the
-    /// simulator will ask for. On a cache-warm engine this approaches
-    /// zero — the cost was paid by an earlier prediction.
+    /// Runtime prediction: the simulator's lowering pass, which reads
+    /// the trace once and asks the engine's shared estimator cache for
+    /// every *kernel and memcpy* duration. On a cache-warm engine the
+    /// estimator itself costs nothing — an earlier prediction paid —
+    /// and what remains is one memo lookup per event.
     pub estimation: std::time::Duration,
-    /// Discrete-event simulation. Collective durations resolve here
-    /// (their participant sets are only known during replay), though
-    /// they too are memoized across predictions.
+    /// Discrete-event simulation: the replay of what was lowered.
+    /// Collective durations resolve here (their participant sets are
+    /// only known during replay), though they too are memoized across
+    /// predictions.
     pub simulation: std::time::Duration,
 }
 

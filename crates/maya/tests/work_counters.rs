@@ -1,20 +1,23 @@
-//! Work-counter ratchet for the collate stage, beside
+//! Work-counter ratchet for the collate and estimation stages, beside
 //! `maya-sim/tests/work_counters.rs`.
 //!
 //! The counters are deterministic functions of the job, so they are
 //! pinned by exact equality. They are the memory evidence for folding
 //! ranks as they finish: a 64-rank job whose ranks fall into two classes
 //! never has more than three traces alive — the two kept and the one
-//! being examined — and every event is read once.
+//! being examined — and every event is read once. And they are the
+//! evidence that a prediction asks the estimator memo once per
+//! simulated kernel, memcpy and collective rendezvous, not once per
+//! pipeline stage that wants the answer.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use maya::MayaBuilder;
 use maya_collate::{CollateStats, Collator};
 use maya_cuda::CudaContext;
 use maya_hw::ClusterSpec;
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
-use maya_trace::Dtype;
+use maya_trace::{CollectiveKind, DeviceOp, Dtype, JobTrace};
 
 /// 64 ranks, tp 4 · pp 2 · dp 8.
 fn pinned_job() -> TrainingJob {
@@ -40,7 +43,7 @@ fn pinned_job() -> TrainingJob {
 
 /// The engine's sequential loop from its public parts: each rank records
 /// into the buffer the collator handed back for the previous one.
-fn fold_all_ranks(job: &TrainingJob, cluster: &ClusterSpec) -> (CollateStats, usize, usize) {
+fn fold_all_ranks(job: &TrainingJob, cluster: &ClusterSpec) -> (CollateStats, usize, JobTrace) {
     let known = BTreeMap::new();
     let mut collator = Collator::new(job.world, &known, true);
     let (mut spare, mut emitted) = (Vec::new(), 0);
@@ -52,15 +55,14 @@ fn fold_all_ranks(job: &TrainingJob, cluster: &ClusterSpec) -> (CollateStats, us
         spare = collator.push(trace).expect("rank collates");
     }
     let stats = collator.stats();
-    let kept_events = collator.finish().expect("job collates").total_events();
-    (stats, emitted, kept_events)
+    (stats, emitted, collator.finish().expect("job collates"))
 }
 
 #[test]
 fn folded_job_counters_are_pinned() {
     let cluster = ClusterSpec::h100(8, 8);
     let job = pinned_job();
-    let (stats, emitted, kept_events) = fold_all_ranks(&job, &cluster);
+    let (stats, emitted, kept) = fold_all_ranks(&job, &cluster);
     assert_eq!(
         stats,
         CollateStats {
@@ -83,6 +85,43 @@ fn folded_job_counters_are_pinned() {
         .unwrap();
     assert_eq!(
         (p.workers_emulated, p.workers_simulated, p.trace_events),
-        (64, 2, kept_events)
+        (64, 2, kept.total_events())
     );
+}
+
+#[test]
+fn one_memo_query_per_simulated_event() {
+    let cluster = ClusterSpec::h100(8, 8);
+    let job = pinned_job();
+    let (_, _, kept) = fold_all_ranks(&job, &cluster);
+    // What the simulator times: every kernel and memcpy of the kept
+    // workers, and every rendezvous they take part in, once however
+    // many of them join it.
+    let (mut timed, mut rendezvous) = (0u64, BTreeSet::new());
+    for e in kept.workers.iter().flat_map(|w| &w.events) {
+        match e.op {
+            DeviceOp::KernelLaunch { .. } | DeviceOp::MemcpyAsync { .. } => timed += 1,
+            DeviceOp::Collective { desc } => {
+                let pair = match desc.kind {
+                    CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => {
+                        Some((desc.rank_in_comm.min(peer), desc.rank_in_comm.max(peer)))
+                    }
+                    _ => None,
+                };
+                rendezvous.insert((desc.comm_id, desc.seq, pair));
+            }
+            _ => {}
+        }
+    }
+    assert_eq!((timed, rendezvous.len()), (1_844, 401));
+
+    let maya = MayaBuilder::new(cluster).build().unwrap();
+    maya.predict_job(&job).unwrap();
+    let memo = maya.cache_stats();
+    assert_eq!(memo.hits + memo.misses, timed + rendezvous.len() as u64);
+    // A second prediction asks the same questions and derives nothing.
+    maya.predict_job(&job).unwrap();
+    let warm = maya.cache_stats();
+    assert_eq!(warm.misses, memo.misses);
+    assert_eq!(warm.hits + warm.misses, 2 * (memo.hits + memo.misses));
 }
