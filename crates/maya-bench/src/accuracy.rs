@@ -1,31 +1,13 @@
 //! Shared evaluation harness for the accuracy experiments (Figs. 7-9).
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
+use maya_estimator::ProfileScale;
+use maya_search::ConfigPoint;
 use maya_trace::SimTime;
 
-use crate::{baselines, valid_configs, Scenario};
-use maya_search::ConfigPoint;
-use maya_torchlet::TrainingJob;
-
-/// What one system said about one configuration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SystemVerdict {
-    /// Predicted iteration time.
-    Time(SimTime),
-    /// Predicted out-of-memory.
-    Oom,
-    /// Configuration outside the system's modeling domain.
-    Unsupported,
-}
-
-impl SystemVerdict {
-    /// Time if predicted.
-    pub fn time(&self) -> Option<SimTime> {
-        match self {
-            SystemVerdict::Time(t) => Some(*t),
-            _ => None,
-        }
-    }
-}
+use crate::{baselines, valid_configs, Budget, ReproError, Scenario};
 
 /// Full evaluation record for one configuration.
 #[derive(Clone, Debug)]
@@ -34,81 +16,92 @@ pub struct ConfigEval {
     pub config: ConfigPoint,
     /// Testbed measurement (None = actually OOMs).
     pub actual: Option<SimTime>,
-    /// Maya's verdict.
-    pub maya: SystemVerdict,
-    /// Baseline verdicts, in `baselines()` order.
-    pub baselines: Vec<(&'static str, SystemVerdict)>,
+    /// Each system's predicted time, in [`SYSTEMS`] order (None =
+    /// predicted OOM, or outside the system's modeling domain).
+    pub predicted: Vec<(&'static str, Option<SimTime>)>,
+}
+
+impl ConfigEval {
+    /// The time `system` (one of [`SYSTEMS`]) predicted.
+    pub fn predicted_by(&self, system: &str) -> Option<SimTime> {
+        self.predicted.iter().find(|(n, _)| *n == system)?.1
+    }
+}
+
+/// The compared systems: Maya, then `baselines()` by name.
+pub const SYSTEMS: [&str; 4] = ["Maya", "Proteus", "Calculon", "AMPeD"];
+
+/// Configurations Figs. 7-9 evaluate per setup unless `--configs`
+/// says otherwise.
+const HEADLINE_CONFIGS: usize = 36;
+
+/// The evaluation of a headline setup under `budget`, computed once
+/// per process: Figs. 7, 8 and 9 read the same records, whichever of
+/// them runs first pays. `index` is the setup's position in
+/// [`Scenario::headline`]; it picks the forest's seed.
+pub fn headline_evals(
+    index: usize,
+    scenario: &Scenario,
+    budget: &Budget,
+) -> Result<Arc<Vec<ConfigEval>>, ReproError> {
+    type Key = (usize, usize, bool);
+    static DONE: Mutex<BTreeMap<Key, Arc<Vec<ConfigEval>>>> = Mutex::new(BTreeMap::new());
+    let n_configs = budget.configs_or(HEADLINE_CONFIGS);
+    let key = (index, n_configs, budget.scale == ProfileScale::Full);
+    // Held across the evaluation so two callers never train the same
+    // forest side by side; every update is a whole insert, so a
+    // poisoned lock still guards a valid map.
+    let mut done = DONE.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(evals) = done.get(&key) {
+        return Ok(Arc::clone(evals));
+    }
+    let seed = 1000 + index as u64;
+    let evals = Arc::new(evaluate_scenario(scenario, n_configs, budget.scale, seed)?);
+    done.insert(key, Arc::clone(&evals));
+    Ok(evals)
 }
 
 /// Evaluates up to `n_configs` valid configurations of a scenario with
 /// the testbed, Maya (forest estimator) and all baselines.
-pub fn evaluate_scenario(scenario: &Scenario, n_configs: usize, seed: u64) -> Vec<ConfigEval> {
-    let maya = scenario.maya(seed);
+pub fn evaluate_scenario(
+    scenario: &Scenario,
+    n_configs: usize,
+    scale: ProfileScale,
+    seed: u64,
+) -> Result<Vec<ConfigEval>, ReproError> {
+    let maya = scenario.maya(scale, seed)?;
     let systems = baselines();
-    let template = scenario.template();
     let configs = valid_configs(scenario, n_configs);
     let mut out = Vec::with_capacity(configs.len());
     for config in configs {
-        let job = TrainingJob {
-            parallel: config,
-            ..template
-        };
-        let actual = match maya.measure_actual(&job) {
-            Ok(Ok(m)) => Some(m.iteration_time),
-            Ok(Err(_)) => None,
-            Err(e) => panic!("testbed failed on {config}: {e}"),
-        };
-        let maya_verdict = match maya.predict_job(&job) {
-            Ok(p) => match p.iteration_time() {
-                Some(t) => SystemVerdict::Time(t),
-                None => SystemVerdict::Oom,
-            },
-            Err(_) => SystemVerdict::Unsupported,
-        };
-        let baseline_verdicts = systems
+        let job = scenario.job(config);
+        let by_maya = maya.predict_job(&job).ok().and_then(|p| p.iteration_time());
+        let by_baselines = systems
             .iter()
-            .map(|b| {
-                let v = match b.predict(&job, &scenario.cluster) {
-                    maya_baselines::BaselinePrediction::Time(t) => SystemVerdict::Time(t),
-                    maya_baselines::BaselinePrediction::OutOfMemory => SystemVerdict::Oom,
-                    maya_baselines::BaselinePrediction::Unsupported => SystemVerdict::Unsupported,
-                };
-                (b.name(), v)
-            })
-            .collect();
+            .map(|b| (b.name(), b.predict(&job, &scenario.cluster).time()));
         out.push(ConfigEval {
             config,
-            actual,
-            maya: maya_verdict,
-            baselines: baseline_verdicts,
+            actual: maya.measure_actual(&job)?.ok().map(|m| m.iteration_time),
+            predicted: std::iter::once(("Maya", by_maya))
+                .chain(by_baselines)
+                .collect(),
         });
     }
-    out
+    Ok(out)
 }
 
 /// Keeps the evaluations that actually completed, ranked fastest-first
 /// by measured time (the paper's "top N valid configurations").
 pub fn ranked_completions(evals: &[ConfigEval]) -> Vec<&ConfigEval> {
     let mut v: Vec<&ConfigEval> = evals.iter().filter(|e| e.actual.is_some()).collect();
-    v.sort_by_key(|e| e.actual.expect("filtered"));
+    v.sort_by_key(|e| e.actual);
     v
 }
 
 /// Absolute-percentage errors of one system over completed configs.
-pub fn system_errors(evals: &[&ConfigEval], system: Option<&'static str>) -> Vec<f64> {
+pub fn system_errors(evals: &[&ConfigEval], system: &str) -> Vec<f64> {
     evals
         .iter()
-        .filter_map(|e| {
-            let actual = e.actual?;
-            let pred = match system {
-                None => e.maya.time(),
-                Some(name) => e
-                    .baselines
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .and_then(|(_, v)| v.time()),
-            }?;
-            Some(crate::ape(pred, actual))
-        })
+        .filter_map(|e| Some(crate::ape(e.predicted_by(system)?, e.actual?)))
         .collect()
 }

@@ -20,7 +20,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
 
 use maya_hw::ClusterSpec;
 use maya_obs::Counter;
@@ -38,8 +37,6 @@ const SHARDS: usize = 16;
 struct Entry {
     value: SimTime,
     stamp: AtomicU64,
-    /// When the entry was (re)inserted — the TTL reference point.
-    inserted: Instant,
 }
 
 /// A key with its hash, taken once per lookup ([`Sharded::seal`]): the
@@ -112,44 +109,33 @@ impl Hasher for Folded {
 
 type Shard<K> = HashMap<Hashed<K>, Entry, Seeded>;
 
-/// A hash-sharded `RwLock<HashMap>` memo with an optional LRU entry cap
-/// and an optional time-to-live.
+/// A hash-sharded `RwLock<HashMap>` memo with an optional LRU entry cap.
 pub(crate) struct Sharded<K> {
     shards: Vec<RwLock<Shard<K>>>,
     /// Per-shard entry budget; `None` is unbounded. The user-facing cap
     /// is divided over the shards, so the effective total rounds up to
     /// a multiple of [`SHARDS`].
     cap_per_shard: Option<usize>,
-    /// Maximum entry age since insertion; `None` lives forever. Expiry
-    /// is lazy: an expired entry is dropped (and counted as an
-    /// eviction) when a lookup finds it, not by a background sweeper.
-    ttl: Option<Duration>,
     /// Logical clock stamped onto entries at insert and, when the memo
     /// is capped, on every hit — nothing reads a stamp otherwise.
     clock: AtomicU64,
-    /// Entries dropped to respect the cap or the TTL. An obs counter
+    /// Entries dropped to respect the cap. An obs counter
     /// handle shared with the owning estimator (and, through it, any
     /// metrics registry that mirrors it), not a private atomic.
     evictions: Counter,
 }
 
 impl<K: Hash + Eq + Clone> Sharded<K> {
-    fn new(capacity: Option<usize>, ttl: Option<Duration>, evictions: Counter) -> Self {
+    fn new(capacity: Option<usize>, evictions: Counter) -> Self {
         let seed = Seeded(RandomState::new().hash_one(0u8));
         Sharded {
             shards: (0..SHARDS)
                 .map(|_| RwLock::new(Shard::with_hasher(seed)))
                 .collect(),
             cap_per_shard: capacity.map(|c| c.div_ceil(SHARDS).max(1)),
-            ttl,
             clock: AtomicU64::new(0),
             evictions,
         }
-    }
-
-    /// Whether `e` has outlived the TTL.
-    fn expired(&self, e: &Entry) -> bool {
-        self.ttl.is_some_and(|ttl| e.inserted.elapsed() > ttl)
     }
 
     fn tick(&self) -> u64 {
@@ -198,8 +184,6 @@ impl<K: Hash + Eq + Clone> Sharded<K> {
         if let Some(e) = map.get_mut(&key) {
             e.value = value;
             e.stamp.store(stamp, Ordering::Relaxed);
-            // lint:allow(wall-clock-in-output): TTL bookkeeping only — insertion stamps never reach predictions or serialized output
-            e.inserted = Instant::now();
             return;
         }
         self.evict_if_full(&mut map);
@@ -208,13 +192,11 @@ impl<K: Hash + Eq + Clone> Sharded<K> {
             Entry {
                 value,
                 stamp: AtomicU64::new(stamp),
-                // lint:allow(wall-clock-in-output): TTL bookkeeping only — never serialized
-                inserted: Instant::now(),
             },
         );
     }
 
-    /// Every live (non-expired) memoized entry (unordered).
+    /// Every memoized entry (unordered).
     pub(crate) fn entries(&self) -> Vec<(K, SimTime)> {
         self.shards
             .iter()
@@ -222,7 +204,6 @@ impl<K: Hash + Eq + Clone> Sharded<K> {
                 s.read()
                     .expect("cache shard poisoned")
                     .iter()
-                    .filter(|(_, e)| !self.expired(e))
                     .map(|(k, e)| (k.key.clone(), e.value))
                     .collect::<Vec<_>>()
             })
@@ -259,33 +240,14 @@ impl<K: Hash + Eq + Clone> Sharded<K> {
     }
 
     /// Read-only probe by reference (no key ownership needed); a hit
-    /// on a capped memo refreshes the entry's LRU stamp. An entry past
-    /// its TTL reads as a miss and is dropped on the spot (counted as
-    /// an eviction), so a long-lived service re-derives stale answers
-    /// instead of serving them forever.
+    /// on a capped memo refreshes the entry's LRU stamp.
     fn get(&self, key: &Hashed<K>) -> Option<SimTime> {
-        let shard = self.shard(key);
-        {
-            let map = shard.read().expect("cache shard poisoned");
-            match map.get(key) {
-                None => return None,
-                Some(e) if !self.expired(e) => {
-                    if self.cap_per_shard.is_some() {
-                        e.stamp.store(self.tick(), Ordering::Relaxed);
-                    }
-                    return Some(e.value);
-                }
-                Some(_) => {} // expired: fall through to the write path
-            }
+        let map = self.shard(key).read().expect("cache shard poisoned");
+        let e = map.get(key)?;
+        if self.cap_per_shard.is_some() {
+            e.stamp.store(self.tick(), Ordering::Relaxed);
         }
-        let mut map = shard.write().expect("cache shard poisoned");
-        // Re-check under the write lock: a racing insert may have
-        // refreshed the entry between the two locks.
-        if map.get(key).is_some_and(|e| self.expired(e)) {
-            map.remove(key);
-            self.evictions.inc();
-        }
-        None
+        Some(e.value)
     }
 
     fn len(&self) -> usize {
@@ -376,7 +338,7 @@ pub struct CachingEstimator {
 impl CachingEstimator {
     /// Wraps an inner estimator with an unbounded memo.
     pub fn new(inner: Arc<dyn RuntimeEstimator>) -> Self {
-        CachingEstimator::with_limits(inner, None, None)
+        CachingEstimator::with_capacity(inner, None)
     }
 
     /// Wraps an inner estimator, bounding each memo family (kernel /
@@ -391,32 +353,14 @@ impl CachingEstimator {
     /// runs; long-running services should set a cap so an adversarial
     /// or merely diverse workload cannot grow the memo without limit).
     pub fn with_capacity(inner: Arc<dyn RuntimeEstimator>, capacity: Option<usize>) -> Self {
-        CachingEstimator::with_limits(inner, capacity, None)
-    }
-
-    /// Wraps an inner estimator with both retention bounds: the LRU
-    /// entry cap of [`CachingEstimator::with_capacity`] *and* a
-    /// time-to-live. An entry older than `ttl` (measured from its last
-    /// insertion) reads as a miss, is dropped lazily at that lookup,
-    /// and counts into [`CacheStats::evictions`] exactly like an LRU
-    /// eviction. Estimator answers are pure, so aging an entry out can
-    /// only cost a recomputation, never change a result — the TTL is a
-    /// memory bound for long-lived services, letting entries a workload
-    /// stopped asking for age away even when the LRU cap is never hit.
-    /// `None` disables the respective bound.
-    pub fn with_limits(
-        inner: Arc<dyn RuntimeEstimator>,
-        capacity: Option<usize>,
-        ttl: Option<Duration>,
-    ) -> Self {
         // All three families report into one eviction counter, which
         // is what `CacheStats::evictions` always surfaced.
         let evictions = Counter::detached();
         CachingEstimator {
             inner,
-            kernels: Sharded::new(capacity, ttl, evictions.clone()),
-            memcpys: Sharded::new(capacity, ttl, evictions.clone()),
-            collectives: Sharded::new(capacity, ttl, evictions.clone()),
+            kernels: Sharded::new(capacity, evictions.clone()),
+            memcpys: Sharded::new(capacity, evictions.clone()),
+            collectives: Sharded::new(capacity, evictions.clone()),
             hits: Counter::detached(),
             misses: Counter::detached(),
             evictions,
@@ -765,66 +709,12 @@ mod tests {
     }
 
     #[test]
-    fn ttl_ages_entries_out_and_counts_evictions() {
-        let cluster = ClusterSpec::h100(1, 8);
-        let ttl = Duration::from_millis(25);
-        let aged = CachingEstimator::with_limits(
-            Arc::new(OracleEstimator::new(&cluster)),
-            None,
-            Some(ttl),
-        );
-        let k = gemm(1);
-        let first = aged.kernel_time(&k);
-        assert_eq!(
-            aged.stats(),
-            CacheStats {
-                hits: 0,
-                misses: 1,
-                evictions: 0
-            }
-        );
-        // Within the TTL: a plain hit.
-        assert_eq!(aged.kernel_time(&k), first);
-        assert_eq!(aged.stats().hits, 1);
-        // Past the TTL: the stale entry reads as a miss, is dropped and
-        // counted as an eviction, and the recomputed answer is
-        // identical (pure function).
-        std::thread::sleep(ttl + Duration::from_millis(15));
-        assert_eq!(aged.kernel_time(&k), first);
-        let st = aged.stats();
-        assert_eq!(st.misses, 2, "expired entry must re-derive");
-        assert_eq!(st.evictions, 1, "TTL expiry counts as an eviction");
-        // The re-insert refreshed the age: hit again.
-        assert_eq!(aged.kernel_time(&k), first);
-        assert_eq!(aged.stats().hits, 2);
-    }
-
-    #[test]
-    fn ttl_expired_entries_leave_the_snapshot_view() {
-        let cluster = ClusterSpec::h100(1, 8);
-        let ttl = Duration::from_millis(20);
-        let aged = CachingEstimator::with_limits(
-            Arc::new(OracleEstimator::new(&cluster)),
-            None,
-            Some(ttl),
-        );
-        aged.kernel_time(&gemm(1));
-        aged.kernel_time(&gemm(2));
-        assert_eq!(aged.kernels.entries().len(), 2);
-        std::thread::sleep(ttl + Duration::from_millis(15));
-        aged.kernel_time(&gemm(3));
-        assert_eq!(
-            aged.kernels.entries().len(),
-            1,
-            "expired entries must not be persisted as warm state"
-        );
-    }
-
-    #[test]
     fn no_ttl_means_no_aging() {
+        // Answers are pure, so an entry is never stale: time alone
+        // does not drop one.
         let (_, cached, _) = oracle_pair();
         cached.kernel_time(&gemm(1));
-        std::thread::sleep(Duration::from_millis(30));
+        std::thread::sleep(std::time::Duration::from_millis(30));
         cached.kernel_time(&gemm(1));
         assert_eq!(cached.stats().hits, 1);
         assert_eq!(cached.stats().evictions, 0);

@@ -1,9 +1,8 @@
 //! Phase-1 workspace item index: functions (with their enclosing
 //! `impl`/`trait` type), struct fields (lock-typed ones specially
-//! marked), lock-typed function parameters, and `VERSION`-family
-//! constants. This is the symbol layer the interprocedural rules in
-//! [`crate::callgraph`], [`crate::interproc`] and
-//! [`crate::codec_check`] resolve names against.
+//! marked) and lock-typed function parameters. This is the symbol
+//! layer the interprocedural rules in [`crate::callgraph`] and
+//! [`crate::interproc`] resolve names against.
 //!
 //! Built on the same flat token streams as the per-file rules — the
 //! workspace is registry-free, so there is no `syn`. Parsing is
@@ -113,20 +112,6 @@ impl FnItem {
     }
 }
 
-/// `const <NAME containing VERSION>: u16 = <N>;` — wire/codec version
-/// constants cross-checked by the codec-drift rule.
-#[derive(Clone, Debug)]
-pub struct VersionConst {
-    /// Index of the declaring file.
-    pub file: usize,
-    /// 1-based line.
-    pub line: u32,
-    /// Constant name.
-    pub name: String,
-    /// Literal value.
-    pub value: u64,
-}
-
 /// The workspace-wide symbol index (phase-1 output).
 #[derive(Debug, Default)]
 pub struct ItemIndex {
@@ -134,8 +119,6 @@ pub struct ItemIndex {
     pub fns: Vec<FnItem>,
     /// Every struct field.
     pub fields: Vec<Field>,
-    /// Version constants (u16-typed, name contains `VERSION`).
-    pub version_consts: Vec<VersionConst>,
     /// Function name → indices into `fns`.
     pub by_name: BTreeMap<String, Vec<usize>>,
 }
@@ -269,12 +252,6 @@ fn index_unit(file: usize, unit: &SourceUnit, index: &mut ItemIndex) {
                     index.fns.push(item);
                     i = next;
                     continue;
-                }
-                i += 1;
-            }
-            "const" => {
-                if let Some(c) = parse_version_const(file, tokens, i) {
-                    index.version_consts.push(c);
                 }
                 i += 1;
             }
@@ -484,38 +461,6 @@ fn lock_params(tokens: &[Token], params: (usize, usize)) -> Vec<String> {
     out
 }
 
-/// Parses `const NAME: u16 = N;` where `NAME` contains `VERSION`.
-/// Restricting to `u16` keeps unrelated constants (perf schema
-/// versions and the like) out of the wire cross-check.
-fn parse_version_const(file: usize, tokens: &[Token], i: usize) -> Option<VersionConst> {
-    let name = tokens.get(i + 1).filter(|t| t.kind == TokKind::Ident)?;
-    if !name.text.contains("VERSION") {
-        return None;
-    }
-    if !tokens.get(i + 2).is_some_and(|t| t.is_punct(':')) {
-        return None;
-    }
-    if !tokens.get(i + 3).is_some_and(|t| t.is_ident("u16")) {
-        return None;
-    }
-    if !tokens.get(i + 4).is_some_and(|t| t.is_punct('=')) {
-        return None;
-    }
-    let num = tokens.get(i + 5).filter(|t| t.kind == TokKind::Num)?;
-    let digits: String = num
-        .text
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    let value = digits.parse::<u64>().ok()?;
-    Some(VersionConst {
-        file,
-        line: name.line,
-        name: name.text.clone(),
-        value,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,19 +529,5 @@ mod tests {
         );
         assert!(idx.free_fns("helper").is_empty(), "test fns filtered");
         assert_eq!(idx.free_fns("prod").len(), 1);
-    }
-
-    #[test]
-    fn version_consts_are_u16_only() {
-        let idx = index_of(
-            "
-            pub const VERSION: u16 = 5;
-            pub const MIN_VERSION: u16 = 2;
-            pub const SCHEMA_VERSION: u32 = 9;
-            ",
-        );
-        let names: Vec<&str> = idx.version_consts.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["VERSION", "MIN_VERSION"]);
-        assert_eq!(idx.version_consts.first().map(|c| c.value), Some(5));
     }
 }

@@ -15,8 +15,7 @@
 //! by the engine rather than silently honored.
 
 /// What a token is. The scanner keeps literal *content* for strings
-/// and numbers (the codec-drift rule compares wire tags and version
-/// literals) but drops it for chars and lifetimes — no rule looks
+/// and numbers but drops it for chars and lifetimes — no rule looks
 /// inside those.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokKind {

@@ -16,9 +16,8 @@
 //!    index ([`items`]) and a conservative name-resolved call graph
 //!    ([`callgraph`]), over which the interprocedural rules run:
 //!    lock-order cycle detection and transitive
-//!    guard-across-blocking-call ([`interproc`]), and wire-codec
-//!    drift checking ([`codec_check`]). Vendored code is scanned in
-//!    phase 1 but excluded from phase 2.
+//!    guard-across-blocking-call ([`interproc`]). Vendored code is
+//!    scanned in phase 1 but excluded from phase 2.
 //!
 //! The workspace is registry-free, so no `syn`. The trade is
 //! precision for zero dependencies: rules are heuristic, tuned to the
@@ -30,7 +29,6 @@
 //! (`cargo run -p maya-lint -- --check`).
 
 pub mod callgraph;
-pub mod codec_check;
 pub mod config;
 pub mod interproc;
 pub mod items;
@@ -280,8 +278,7 @@ pub fn run_sources(sources: &[(String, String)], cfg: &Config, interproc: bool) 
     if interproc {
         let index = ItemIndex::build(&units);
         let graph = CallGraph::build(&units, &index);
-        let mut phase2 = interproc::check(&units, &index, &graph);
-        phase2.extend(codec_check::check(&units, &index));
+        let phase2 = interproc::check(&units, &index, &graph);
         let by_path: BTreeMap<&str, usize> = units
             .iter()
             .enumerate()

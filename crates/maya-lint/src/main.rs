@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run -p maya-lint -- --check                  # gate: exit 1 on any finding
 //! cargo run -p maya-lint -- --check --format json    # machine-readable report
-//! cargo run -p maya-lint -- --check --format sarif   # SARIF 2.1.0 for code scanning
 //! cargo run -p maya-lint -- --write-budget           # regenerate lint-budget.toml
 //! ```
 //!
@@ -17,13 +16,12 @@ use std::process::ExitCode;
 use maya_lint::config::Config;
 
 const USAGE: &str =
-    "usage: maya-lint [--check] [--format text|json|sarif] [--write-budget] [--root PATH]";
+    "usage: maya-lint [--check] [--format text|json] [--write-budget] [--root PATH]";
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
     Text,
     Json,
-    Sarif,
 }
 
 fn main() -> ExitCode {
@@ -39,7 +37,6 @@ fn main() -> ExitCode {
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
                 _ => {
                     eprintln!("{USAGE}");
                     return ExitCode::from(2);
@@ -105,7 +102,6 @@ fn main() -> ExitCode {
     match format {
         Format::Text => print!("{}", report.render_text()),
         Format::Json => print!("{}", report.render_json()),
-        Format::Sarif => print!("{}", report.render_sarif()),
     }
     if report.failed() {
         ExitCode::from(1)

@@ -1,15 +1,14 @@
-//! Rendering: human `file:line rule message` lines, the
-//! machine-readable JSON report, and a SARIF 2.1.0 export for code
-//! scanning UIs.
+//! Rendering: human `file:line rule message` lines and the
+//! machine-readable JSON report.
 //!
-//! All three are hand-rolled (the linter is pure std) and
+//! Both are hand-rolled (the linter is pure std) and
 //! deterministic: findings arrive pre-sorted from the engine, budgets
 //! and suppression tallies are emitted in sorted order.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::rules::{Finding, PanicCounts, ALL_RULES};
+use crate::rules::{Finding, PanicCounts};
 
 /// One crate's panic tally against its committed cap.
 #[derive(Clone, Debug)]
@@ -203,76 +202,6 @@ impl Report {
         );
         out
     }
-
-    /// SARIF 2.1.0 rendering (one run, every rule declared, budget
-    /// violations reported against `lint-budget.toml`).
-    pub fn render_sarif(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-        out.push_str("  \"version\": \"2.1.0\",\n");
-        out.push_str("  \"runs\": [{\n");
-        out.push_str("    \"tool\": {\"driver\": {\"name\": \"maya-lint\", \"rules\": [");
-        for (i, rule) in ALL_RULES.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}{{\"id\": {}}}", json_str(rule));
-        }
-        out.push_str("]}},\n");
-        out.push_str("    \"results\": [");
-        let mut first = true;
-        for f in &self.findings {
-            let sep = if first { "\n" } else { ",\n" };
-            first = false;
-            let _ = write!(
-                out,
-                "{sep}      {}",
-                sarif_result(f.rule, &f.message, &f.file, f.line),
-            );
-        }
-        for b in &self.budgets {
-            if !b.violation() {
-                continue;
-            }
-            let sep = if first { "\n" } else { ",\n" };
-            first = false;
-            let message = match b.cap {
-                Some(cap) => format!(
-                    "{}: panic-budget exceeded: {} sites > cap {}",
-                    b.krate,
-                    b.counts.total(),
-                    cap,
-                ),
-                None => format!(
-                    "{}: panic-budget missing: {} sites but no cap",
-                    b.krate,
-                    b.counts.total(),
-                ),
-            };
-            let _ = write!(
-                out,
-                "{sep}      {}",
-                sarif_result(crate::rules::PANIC_RULE, &message, "lint-budget.toml", 1),
-            );
-        }
-        if !first {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n  }]\n}\n");
-        out
-    }
-}
-
-/// One SARIF `result` object.
-fn sarif_result(rule: &str, message: &str, file: &str, line: u32) -> String {
-    format!(
-        "{{\"ruleId\": {}, \"level\": \"error\", \"message\": {{\"text\": {}}}, \
-         \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
-         {{\"uri\": {}}}, \"region\": {{\"startLine\": {}}}}}}}]}}",
-        json_str(rule),
-        json_str(message),
-        json_str(file),
-        line,
-    )
 }
 
 /// Minimal JSON string escaping.
@@ -339,42 +268,5 @@ mod tests {
         assert!(json.contains("\\n"));
         assert!(json.contains("\"failed\": true"));
         assert!(json.contains("\"suppressed_by_rule\": {\"wall-clock-in-output\": 1}"));
-    }
-
-    #[test]
-    fn sarif_lists_rules_findings_and_budget_violations() {
-        let mut r = Report::default();
-        r.findings.push(Finding {
-            file: "crates/maya-x/src/lib.rs".to_string(),
-            line: 12,
-            rule: crate::rules::LOCK_ORDER_RULE,
-            message: "cycle".to_string(),
-        });
-        r.budgets.push(BudgetLine {
-            krate: "maya-x".to_string(),
-            counts: PanicCounts {
-                unwrap: 5,
-                ..PanicCounts::default()
-            },
-            cap: Some(2),
-        });
-        let sarif = r.render_sarif();
-        assert!(sarif.contains("\"version\": \"2.1.0\""));
-        // Every rule is declared in the driver, even rules with no hits.
-        for rule in ALL_RULES {
-            assert!(sarif.contains(&format!("{{\"id\": \"{rule}\"}}")), "{rule}");
-        }
-        assert!(sarif.contains("\"ruleId\": \"lock-order-cycle\""));
-        assert!(sarif.contains("\"startLine\": 12"));
-        // The budget overflow is a result anchored at the budget file.
-        assert!(sarif.contains("\"uri\": \"lint-budget.toml\""));
-        assert!(sarif.contains("exceeded: 5 sites > cap 2"));
-    }
-
-    #[test]
-    fn sarif_with_no_results_is_still_a_run() {
-        let sarif = Report::default().render_sarif();
-        assert!(sarif.contains("\"results\": []"));
-        assert!(sarif.contains("\"name\": \"maya-lint\""));
     }
 }

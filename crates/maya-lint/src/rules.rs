@@ -51,9 +51,6 @@ pub const SUPPRESSION_RULE: &str = "bad-suppression";
 /// Interprocedural: a cycle in the workspace lock-order graph (see
 /// [`crate::interproc`]).
 pub const LOCK_ORDER_RULE: &str = "lock-order-cycle";
-/// Interprocedural: encoder/decoder asymmetry in a serdes module (see
-/// [`crate::codec_check`]).
-pub const CODEC_RULE: &str = "wire-codec-drift";
 
 /// Every rule name, for validation and docs.
 pub const ALL_RULES: &[&str] = &[
@@ -64,7 +61,6 @@ pub const ALL_RULES: &[&str] = &[
     PANIC_RULE,
     SUPPRESSION_RULE,
     LOCK_ORDER_RULE,
-    CODEC_RULE,
 ];
 
 /// One rule hit at a source location.

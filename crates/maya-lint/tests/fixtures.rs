@@ -152,22 +152,6 @@ fn guard_transitive_clean_is_silent() {
 }
 
 #[test]
-fn codec_bad_finds_tag_field_and_gate_drift() {
-    let hits = phase2_findings(&["codec_bad.rs"], rules::CODEC_RULE);
-    assert_eq!(
-        hits.len(),
-        3,
-        "tag drift + dropped field + non-tail gate: {hits:?}"
-    );
-}
-
-#[test]
-fn codec_clean_is_silent() {
-    let hits = phase2_findings(&["codec_clean.rs"], rules::CODEC_RULE);
-    assert!(hits.is_empty(), "{hits:?}");
-}
-
-#[test]
 fn cross_crate_cycle_resolves_across_fixture_files() {
     // The two halves are clean in isolation; the cycle only exists
     // once the call graph links them.

@@ -1190,40 +1190,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_ttl_ages_service_caches_and_reports_evictions() {
-        use std::time::Duration;
-        let service = MayaService::builder()
-            .target("h100-1", EmulationSpec::new(ClusterSpec::h100(1, 1)))
-            .memo_ttl(Duration::from_millis(30))
-            .build()
-            .unwrap();
-        let first = service.call(predict("h100-1", 1)).unwrap();
-        assert!(first.telemetry.cache_delta.misses > 0);
-        std::thread::sleep(Duration::from_millis(60));
-        let second = service.call(predict("h100-1", 1)).unwrap();
-        assert!(
-            second.telemetry.cache_delta.misses > 0,
-            "aged-out entries must re-derive"
-        );
-        assert!(
-            second.telemetry.cache_delta.evictions > 0,
-            "TTL expiries must surface as evictions: {:?}",
-            second.telemetry.cache_delta
-        );
-        // Purity: answers unchanged by the aging.
-        assert_eq!(
-            first.predictions().unwrap()[0]
-                .as_ref()
-                .unwrap()
-                .iteration_time(),
-            second.predictions().unwrap()[0]
-                .as_ref()
-                .unwrap()
-                .iteration_time()
-        );
-    }
-
-    #[test]
     fn telemetry_reports_queue_wait_and_stage_timings() {
         let service = MayaService::builder()
             .target("h100-1", EmulationSpec::new(ClusterSpec::h100(1, 1)))

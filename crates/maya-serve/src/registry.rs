@@ -30,7 +30,6 @@ use maya_hw::ClusterSpec;
 pub struct EngineRegistry {
     choice: EstimatorChoice,
     memo_capacity: Option<usize>,
-    memo_ttl: Option<std::time::Duration>,
     engines: Mutex<HashMap<EmulationSpec, Arc<OnceLock<Arc<PredictionEngine>>>>>,
     caches: Mutex<HashMap<ClusterSpec, Arc<OnceLock<Arc<CachingEstimator>>>>>,
     engine_builds: AtomicUsize,
@@ -45,20 +44,16 @@ impl EngineRegistry {
     /// A registry that instantiates `choice` per distinct cluster, with
     /// unbounded memo caches.
     pub fn new(choice: EstimatorChoice) -> Self {
-        EngineRegistry::with_memo_limits(choice, None, None)
+        EngineRegistry::with_memo_capacity(choice, None)
     }
 
-    /// A registry with both memo retention bounds: the LRU entry cap
-    /// and a time-to-live (see [`CachingEstimator::with_limits`]).
-    pub fn with_memo_limits(
-        choice: EstimatorChoice,
-        capacity: Option<usize>,
-        ttl: Option<std::time::Duration>,
-    ) -> Self {
+    /// A registry whose memo caches are LRU-bounded to `capacity`
+    /// entries per query family (see
+    /// [`CachingEstimator::with_capacity`]).
+    pub fn with_memo_capacity(choice: EstimatorChoice, capacity: Option<usize>) -> Self {
         EngineRegistry {
             choice,
             memo_capacity: capacity,
-            memo_ttl: ttl,
             engines: Mutex::new(HashMap::new()),
             caches: Mutex::new(HashMap::new()),
             engine_builds: AtomicUsize::new(0),
@@ -90,10 +85,9 @@ impl EngineRegistry {
         };
         Arc::clone(cell.get_or_init(|| {
             self.estimator_builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(CachingEstimator::with_limits(
+            Arc::new(CachingEstimator::with_capacity(
                 self.choice.build(cluster),
                 self.memo_capacity,
-                self.memo_ttl,
             ))
         }))
     }

@@ -142,7 +142,6 @@ pub struct ServiceBuilder {
     progress_high_water: usize,
     snapshot_dir: Option<PathBuf>,
     memo_capacity: Option<usize>,
-    memo_ttl: Option<Duration>,
     observability: ObsConfig,
 }
 
@@ -161,7 +160,6 @@ impl Default for ServiceBuilder {
             progress_high_water: 256,
             snapshot_dir: None,
             memo_capacity: None,
-            memo_ttl: None,
             observability: ObsConfig::default(),
         }
     }
@@ -269,18 +267,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Ages memo entries out `ttl` after insertion (see
-    /// [`maya_estimator::CachingEstimator::with_limits`]). Disabled by
-    /// default. Complements [`ServiceBuilder::memo_capacity`] for
-    /// long-lived services: entries a tenant stopped asking for age
-    /// away instead of occupying the memo forever. Expiries count into
-    /// [`maya_estimator::CacheStats::evictions`] and therefore into
-    /// [`Telemetry`] cache deltas.
-    pub fn memo_ttl(mut self, ttl: Duration) -> Self {
-        self.memo_ttl = Some(ttl);
-        self
-    }
-
     /// Sets the observability channels ([`ObsConfig::on`] by default):
     /// `metrics` gates the scrapeable registry (queue depth, shed
     /// counters, wait/service histograms per tenant and priority
@@ -312,8 +298,7 @@ impl ServiceBuilder {
             }
         }
         let obs = ServiceObs::new(self.observability);
-        let mut registry =
-            EngineRegistry::with_memo_limits(self.estimator, self.memo_capacity, self.memo_ttl);
+        let mut registry = EngineRegistry::with_memo_capacity(self.estimator, self.memo_capacity);
         if obs.config.metrics {
             // Every engine the registry ever builds publishes its sim
             // tallies into these shared registry-backed cells; the

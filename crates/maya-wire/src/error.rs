@@ -267,6 +267,9 @@ impl From<crate::frame::ReadError> for WireError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maya::MayaError;
+    use maya_estimator::SnapshotError;
+    use maya_serve::ServeError;
 
     #[test]
     fn kind_codes_round_trip() {
@@ -288,22 +291,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serve_errors_decode_as_remote_errors() {
-        use maya_serve::ServeError;
-        for e in [
-            ServeError::UnknownTarget("eu/h100".into()),
-            ServeError::Overloaded,
-            ServeError::QuotaExceeded {
+    /// Walks every `ServeError` variant in declaration order. The match
+    /// has no wildcard, so a variant added to the enum does not compile
+    /// until it is a step of the walk — and the tests below then demand
+    /// a `RemoteErrorKind` for it, instead of the `expect` in
+    /// `RemoteError::from` firing on a server.
+    fn serve_error_after(prev: Option<&ServeError>) -> Option<ServeError> {
+        use ServeError as E;
+        Some(match prev {
+            None => E::UnknownTarget("eu/h100".into()),
+            Some(E::UnknownTarget(_)) => E::Overloaded,
+            Some(E::Overloaded) => E::QuotaExceeded {
                 tenant: "burst".into(),
             },
-            ServeError::Stopped,
-            ServeError::DuplicateTarget("x".into()),
-            ServeError::NoTargets,
-            ServeError::Cancelled,
-            ServeError::Expired,
-            ServeError::CustomEstimatorSpansClusters,
-        ] {
+            Some(E::QuotaExceeded { .. }) => E::Stopped,
+            Some(E::Stopped) => E::DuplicateTarget("x".into()),
+            Some(E::DuplicateTarget(_)) => E::NoTargets,
+            Some(E::NoTargets) => E::Cancelled,
+            Some(E::Cancelled) => E::Expired,
+            Some(E::Expired) => E::CustomEstimatorSpansClusters,
+            Some(E::CustomEstimatorSpansClusters) => E::Snapshot(SnapshotError::NotASnapshot),
+            Some(E::Snapshot(_)) => return None,
+        })
+    }
+
+    /// The same walk over `MayaError`.
+    fn maya_error_after(prev: Option<&MayaError>) -> Option<MayaError> {
+        use MayaError as E;
+        Some(match prev {
+            None => E::Config(maya_torchlet::ConfigError::WorldNotDivisible {
+                world: 8,
+                model_parallel: 3,
+            }),
+            Some(E::Config(_)) => E::Device(maya_cuda::CudaError::InvalidValue),
+            Some(E::Device(_)) => E::Collate(maya_collate::CollateError::Invalid("c".into())),
+            Some(E::Collate(_)) => E::Sim(maya_sim::SimError::InvalidTrace("s".into())),
+            Some(E::Sim(_)) => E::Exec(maya_hw::ExecError::InvalidTrace("x".into())),
+            Some(E::Exec(_)) => E::WorldMismatch { job: 8, cluster: 2 },
+            Some(E::WorldMismatch { .. }) => E::Snapshot(SnapshotError::Version(99)),
+            Some(E::Snapshot(_)) => E::Cancelled,
+            Some(E::Cancelled) => return None,
+        })
+    }
+
+    fn walk<E>(after: fn(Option<&E>) -> Option<E>) -> Vec<E> {
+        let mut all = Vec::new();
+        while let Some(next) = after(all.last()) {
+            all.push(next);
+        }
+        all
+    }
+
+    #[test]
+    fn every_serve_error_code_is_a_remote_error_kind() {
+        let all = walk(serve_error_after);
+        assert_eq!(all.len(), 10);
+        for e in &all {
+            let code = maya_serve::serdes::error_code(e);
+            assert!(RemoteErrorKind::from_code(code).is_some(), "{code}");
+        }
+    }
+
+    #[test]
+    fn every_maya_error_code_is_a_remote_error_kind() {
+        let all = walk(maya_error_after);
+        assert_eq!(all.len(), 8);
+        for e in &all {
+            let code = maya::serdes::error_code(e);
+            assert!(RemoteErrorKind::from_code(code).is_some(), "{code}");
+        }
+    }
+
+    #[test]
+    fn serve_errors_decode_as_remote_errors() {
+        for e in walk(serve_error_after) {
             let text = serde::to_string(&e);
             let remote: RemoteError = serde::from_str(&text).expect("decode");
             assert_eq!(remote, RemoteError::from(&e), "{e}");
@@ -312,11 +373,11 @@ mod tests {
 
     #[test]
     fn maya_errors_decode_as_remote_errors() {
-        let e = maya::MayaError::WorldMismatch { job: 8, cluster: 2 };
-        let remote: RemoteError = serde::from_str(&serde::to_string(&e)).unwrap();
-        assert_eq!(remote.kind, RemoteErrorKind::WorldMismatch);
-        assert_eq!(remote.message, e.to_string());
-        assert_eq!(remote, RemoteError::from(&e));
+        for e in walk(maya_error_after) {
+            let remote: RemoteError = serde::from_str(&serde::to_string(&e)).unwrap();
+            assert_eq!(remote.message, e.to_string());
+            assert_eq!(remote, RemoteError::from(&e), "{e}");
+        }
     }
 
     #[test]

@@ -131,7 +131,6 @@ pub struct MayaBuilder {
     estimator: EstimatorChoice,
     snapshot: Option<PathBuf>,
     memo_capacity: Option<usize>,
-    memo_ttl: Option<std::time::Duration>,
 }
 
 impl MayaBuilder {
@@ -143,7 +142,6 @@ impl MayaBuilder {
             estimator: EstimatorChoice::Oracle,
             snapshot: None,
             memo_capacity: None,
-            memo_ttl: None,
         }
     }
 
@@ -224,18 +222,6 @@ impl MayaBuilder {
         self
     }
 
-    /// Ages memo entries out after `ttl` (measured from insertion; see
-    /// [`maya_estimator::CachingEstimator::with_limits`]). Disabled by
-    /// default. The complement of [`MayaBuilder::memo_capacity`] for
-    /// long-lived engines: the cap bounds *how many* entries stay, the
-    /// TTL bounds *how long* a stale one can linger after the workload
-    /// stopped asking for it. Expiries count into
-    /// [`maya_estimator::CacheStats::evictions`].
-    pub fn memo_ttl(mut self, ttl: std::time::Duration) -> Self {
-        self.memo_ttl = Some(ttl);
-        self
-    }
-
     /// Arms memo persistence: if a snapshot exists at `path` it is
     /// restored into the engine's cache at build (warm start), and
     /// [`PredictionEngine::persist_snapshot`] will write back to the
@@ -254,10 +240,9 @@ impl MayaBuilder {
     /// Builds the bare engine (no snapshot handling) — what
     /// `maya-serve`'s registry stamps out per cluster spec.
     pub fn build_engine(&self) -> PredictionEngine {
-        let cache = maya_estimator::CachingEstimator::with_limits(
+        let cache = maya_estimator::CachingEstimator::with_capacity(
             self.estimator.build(&self.spec.cluster),
             self.memo_capacity,
-            self.memo_ttl,
         );
         PredictionEngine::with_shared_cache(self.spec.clone(), Arc::new(cache))
     }

@@ -74,8 +74,6 @@ fn main() {
             .workers(2)
             .queue_capacity(2)
             .memo_capacity(65_536)
-            // Long-lived deployments also age stale memo entries out.
-            .memo_ttl(Duration::from_secs(3600))
             .build()
             .expect("service builds"),
     );
