@@ -1,13 +1,17 @@
 //! Merging per-worker traces into a validated job trace.
 //!
 //! [`Collator`] is the one implementation: it takes finished worker
-//! traces in rank order and reads each exactly once. In that pass it
-//! claims the worker's `(comm, rank_in_comm)` slots, records what the
-//! worker contributes to every collective it joins, and — when folding —
-//! advances the worker's structural signature; a worker whose signature
-//! is already held is dropped on the spot and its event buffer handed
-//! back for the next rank to record into. [`collate`] and
-//! [`collate_with_known_groups`] push every worker with folding off.
+//! traces in rank order, each with the [`TraceMeta`] its recorder built
+//! while writing it, and reads only the events that metadata points at —
+//! the collectives. From them it claims the worker's `(comm,
+//! rank_in_comm)` slots and records what the worker contributes to every
+//! collective it joins; when folding, a worker whose carried signature
+//! is already held is dropped on the spot and its buffers handed back
+//! for the next rank to record into. A push costs O(collectives), not
+//! O(events), folding or not. [`collate`] and
+//! [`collate_with_known_groups`] take traces that came from no recorder:
+//! they scan each for the same metadata ([`TraceMeta::scan`]) and push
+//! it with folding off.
 //!
 //! Nothing is checked from the traces that are kept: slot claims,
 //! payload agreement and participant counts live in per-communicator
@@ -22,10 +26,9 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use maya_trace::{
-    validate_ranks, CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, TraceEvent, WorkerTrace,
+    validate_ranks, CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, TraceBuffers, TraceMeta,
+    WorkerTrace,
 };
-
-use crate::dedup::{hash_event, signature_seed};
 
 /// Errors detected while collating traces.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -135,7 +138,8 @@ pub fn collate_with_known_groups(
     workers.sort_by_key(|w| w.rank);
     let mut collator = Collator::new(world, known, false);
     for w in workers {
-        collator.push(w)?;
+        let meta = TraceMeta::scan(&w.events, false);
+        collator.push(w, meta)?;
     }
     collator.finish()
 }
@@ -147,7 +151,7 @@ pub struct CollateStats {
     pub workers_in: u64,
     /// Workers whose traces were kept.
     pub workers_kept: u64,
-    /// Events read; each pushed event is read once.
+    /// Events read: the collectives of every pushed worker, once each.
     pub events_seen: u64,
     /// Most traces the collator held at once, counting the one being
     /// pushed.
@@ -341,9 +345,8 @@ pub struct Collator<'k> {
     /// Communicators in first-use order; `comm_slot` finds one by id.
     comms: Vec<Comm>,
     comm_slot: HashMap<u64, usize>,
-    /// Communicators the worker being pushed has used, in first-use
-    /// order — the position is the signature's communicator index, and
-    /// the entry spares every later collective a hash lookup.
+    /// Communicators the worker being pushed has used; the entry spares
+    /// every later collective on one a hash lookup.
     used: Vec<Used>,
     /// Every rank pushed, kept or not.
     ranks: Vec<u32>,
@@ -381,11 +384,18 @@ impl<'k> Collator<'k> {
         self.stats
     }
 
-    /// Takes the next worker; ranks must not decrease from one call to
-    /// the next. Returns an event buffer the caller may record the next
-    /// rank into: the worker's own, emptied, if it was folded away, and
-    /// an unallocated one if its trace was kept.
-    pub fn push(&mut self, mut trace: WorkerTrace) -> Result<Vec<TraceEvent>, CollateError> {
+    /// Takes the next worker and the metadata recorded with it; ranks
+    /// must not decrease from one call to the next. Only the events
+    /// `meta.collectives` names are read, and a folding collator keeps
+    /// or drops the trace by `meta.signature`, which it then requires.
+    /// Returns buffers the caller may record the next rank into: the
+    /// index buffer always, the worker's event buffer if it was folded
+    /// away (an unallocated one if its trace was kept), all emptied.
+    pub fn push(
+        &mut self,
+        mut trace: WorkerTrace,
+        meta: TraceMeta,
+    ) -> Result<TraceBuffers, CollateError> {
         if let Some(&last) = self.ranks.last() {
             if trace.rank < last {
                 return Err(CollateError::Invalid(format!(
@@ -396,44 +406,54 @@ impl<'k> Collator<'k> {
         }
         self.ranks.push(trace.rank);
         self.stats.workers_in += 1;
-        self.stats.events_seen += trace.events.len() as u64;
+        self.stats.events_seen += meta.collectives.len() as u64;
         self.stats.resident_high_water = self
             .stats
             .resident_high_water
             .max(self.kept.len() as u64 + 1);
 
         self.used.clear();
-        let mut key = signature_seed();
-        for e in &trace.events {
-            let mut comm_local = 0;
-            if let DeviceOp::Collective { desc } = e.op {
-                comm_local = self.collective(trace.rank, &desc)?;
-            }
-            if self.fold {
-                key = hash_event(key, e, comm_local);
+        for &at in &meta.collectives {
+            match trace.events.get(at).map(|e| &e.op) {
+                Some(DeviceOp::Collective { desc }) => self.collective(trace.rank, desc)?,
+                _ => {
+                    return Err(CollateError::Invalid(format!(
+                        "worker {}: event {at} is indexed as a collective and is not one",
+                        trace.rank
+                    )))
+                }
             }
         }
 
-        if self.fold && !self.signatures.insert(key.finish()) {
-            trace.events.clear();
-            return Ok(trace.events);
+        let mut spare = TraceBuffers {
+            events: Vec::new(),
+            collectives: meta.collectives,
+        };
+        spare.collectives.clear();
+        if self.fold {
+            let signature = meta.signature.ok_or_else(|| {
+                CollateError::Invalid(format!(
+                    "worker {} reached a folding collator unsigned",
+                    trace.rank
+                ))
+            })?;
+            if !self.signatures.insert(signature) {
+                trace.events.clear();
+                spare.events = trace.events;
+                return Ok(spare);
+            }
         }
         self.stats.workers_kept += 1;
         self.kept.push(trace);
-        Ok(Vec::new())
+        Ok(spare)
     }
 
-    /// Books one collective of the worker being pushed; returns the
-    /// first-use index of its communicator within that worker.
-    fn collective(&mut self, rank: u32, desc: &CollectiveDesc) -> Result<u64, CollateError> {
+    /// Books one collective of the worker being pushed.
+    fn collective(&mut self, rank: u32, desc: &CollectiveDesc) -> Result<(), CollateError> {
         let claim = (desc.nranks, desc.rank_in_comm);
-        let used = self
-            .used
-            .iter()
-            .zip(0u64..)
-            .find(|(u, _)| u.id == desc.comm_id);
-        let (local, slot, claimed) = match used {
-            Some((u, local)) => (local, u.slot, u.claimed == claim),
+        let used = self.used.iter().find(|u| u.id == desc.comm_id);
+        let (slot, claimed) = match used {
+            Some(u) => (u.slot, u.claimed == claim),
             None => {
                 let slot = *self.comm_slot.entry(desc.comm_id).or_insert_with(|| {
                     self.comms.push(Comm {
@@ -450,7 +470,7 @@ impl<'k> Collator<'k> {
                     slot,
                     claimed: claim,
                 });
-                (self.used.len() as u64 - 1, slot, false)
+                (slot, false)
             }
         };
         let comm = &mut self.comms[slot];
@@ -460,7 +480,7 @@ impl<'k> Collator<'k> {
         if let Err(e) = comm.join(desc) {
             self.mismatch.get_or_insert(e);
         }
-        Ok(local)
+        Ok(())
     }
 
     /// Reconstructs communicator membership, runs the checks that need

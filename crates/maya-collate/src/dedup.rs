@@ -3,16 +3,16 @@
 //! In data-parallel (and tensor-parallel) training, many workers execute
 //! identical operation sequences on different data shards. The paper
 //! hashes each worker's operations while it is emulated and keeps only
-//! the unique ranks. Here the hash is `hash_event`, advanced once per
-//! event, and it has two drivers: [`Collator`](crate::Collator) folds it
-//! over a worker in the same pass that collates it and drops the trace
-//! when the finished signature is one it has already kept (the first
-//! iteration is the boundary: every job traces one), and [`signature`]
-//! / [`dedup_classes`] / [`reduce_job`] do the same over traces that are
-//! already in hand.
+//! the unique ranks. The hash is `maya_trace::Signer::note`, and the
+//! emulator's recorder advances it as each call is issued: a finished
+//! rank arrives at [`Collator`](crate::Collator) already signed, and the
+//! collator drops the trace when that signature is one it has already
+//! kept (the first iteration is the boundary: every job traces one).
+//! [`signature`] / [`dedup_classes`] / [`reduce_job`] do the same over
+//! traces that are already in hand, by scanning them with the same
+//! `note`.
 
-use maya_hw::noise::Key;
-use maya_trace::{DeviceOp, JobTrace, TraceEvent, WorkerTrace};
+use maya_trace::{signature_of, JobTrace, WorkerTrace};
 
 /// One equivalence class of identical workers.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -25,71 +25,11 @@ pub struct DedupClass {
     pub signature: u64,
 }
 
-/// The signature of a worker that has issued nothing yet.
-pub(crate) fn signature_seed() -> Key {
-    Key::new(0x5749_5245)
-}
-
-/// Advances a worker's signature by one event. `comm_local` is the
-/// first-use index, within this worker, of the communicator a collective
-/// runs on (ignored for every other op).
-pub(crate) fn hash_event(key: Key, e: &TraceEvent, comm_local: u64) -> Key {
-    let key = key.with(e.stream.0 as u64);
-    match e.op {
-        DeviceOp::KernelLaunch { kernel } => key
-            .with(1)
-            .with(kernel.family_id() as u64)
-            .with(kernel.flops().to_bits())
-            .with(kernel.bytes_accessed().to_bits()),
-        DeviceOp::MemcpyAsync { bytes, kind, sync } => {
-            key.with(2).with(bytes).with(kind as u64).with(sync as u64)
-        }
-        DeviceOp::Malloc { bytes, .. } => key.with(3).with(bytes),
-        DeviceOp::Free { .. } => key.with(4),
-        DeviceOp::EventRecord { event, version } => key.with(5).with(event).with(version as u64),
-        DeviceOp::StreamWaitEvent { event, version } => {
-            key.with(6).with(event).with(version as u64)
-        }
-        DeviceOp::EventSynchronize { event, version } => {
-            key.with(7).with(event).with(version as u64)
-        }
-        DeviceOp::StreamSynchronize => key.with(8),
-        DeviceOp::DeviceSynchronize => key.with(9),
-        DeviceOp::Collective { desc } => key
-            .with(10)
-            .with(comm_local)
-            .with(desc.kind.id() as u64)
-            .with(desc.bytes)
-            .with(desc.nranks as u64)
-            .with(desc.seq as u64),
-    }
-}
-
-/// Structural rolling hash of a worker's operation sequence.
-///
-/// Invariant to identifiers that differ between otherwise-identical
-/// workers (raw communicator ids, device pointers, host-delay jitter);
-/// sensitive to everything that defines the workload structure: op kinds,
-/// kernel shapes, payload sizes, stream assignment, communicator *roles*
-/// (local index + size + rank-in-comm is excluded, since e.g. pipeline
-/// neighbors differ only by rank) and sequence numbers.
+/// Structural rolling hash of a worker's operation sequence — what the
+/// recorder would have carried in `TraceMeta::signature`, which documents
+/// what it is and is not sensitive to.
 pub fn signature(trace: &WorkerTrace) -> u64 {
-    let mut comms_seen: Vec<u64> = Vec::new();
-    let mut key = signature_seed();
-    for e in &trace.events {
-        let mut comm_local = 0;
-        if let DeviceOp::Collective { desc } = e.op {
-            comm_local = comms_seen
-                .iter()
-                .position(|&c| c == desc.comm_id)
-                .unwrap_or_else(|| {
-                    comms_seen.push(desc.comm_id);
-                    comms_seen.len() - 1
-                });
-        }
-        key = hash_event(key, e, comm_local as u64);
-    }
-    key.finish()
+    signature_of(&trace.events)
 }
 
 /// Groups workers into equivalence classes by signature. The lowest rank
@@ -144,7 +84,7 @@ pub fn unique_megatron_ranks(tp: u32, dp: u32, pp: u32) -> Vec<u32> {
 mod tests {
     use super::*;
     use maya_trace::{
-        CollectiveDesc, CollectiveKind, Dtype, KernelKind, SimTime, StreamId, TraceEvent,
+        CollectiveDesc, CollectiveKind, DeviceOp, Dtype, KernelKind, SimTime, StreamId, TraceEvent,
     };
 
     fn kernel_event(m: u64, host_us: f64) -> TraceEvent {

@@ -10,7 +10,9 @@ use maya_collate::{
     collate, dedup_classes, reduce_job, signature, CollateError, CollateStats, Collator,
 };
 use maya_trace::CollectiveKind::{self, AllGather, AllReduce};
-use maya_trace::{CollectiveDesc, DeviceOp, JobTrace, SimTime, StreamId, TraceEvent, WorkerTrace};
+use maya_trace::{
+    CollectiveDesc, DeviceOp, JobTrace, SimTime, StreamId, TraceEvent, TraceMeta, WorkerTrace,
+};
 
 fn coll_event(kind: CollectiveKind, comm: u64, seq: u32, bytes: u64, n: u32, r: u32) -> TraceEvent {
     TraceEvent {
@@ -35,12 +37,13 @@ fn worker(rank: u32, events: Vec<TraceEvent>) -> WorkerTrace {
     w
 }
 
-/// Pushes `workers` (already in rank order) through a collator.
+/// Pushes `workers` (already in rank order) through a collator, each
+/// with the metadata a scan of it gives.
 fn stream(workers: &[WorkerTrace], world: u32, fold: bool) -> Result<JobTrace, CollateError> {
     let known = BTreeMap::new();
     let mut collator = Collator::new(world, &known, fold);
     for w in workers {
-        collator.push(w.clone())?;
+        collator.push(w.clone(), TraceMeta::scan(&w.events, fold))?;
     }
     collator.finish()
 }
@@ -202,6 +205,7 @@ fn several_faults_report_in_batch_precedence() {
         matches!(err, CollateError::CommSizeMismatch { .. }),
         "{err}"
     );
+    assert_eq!(collate(workers.clone(), 4).unwrap_err(), err);
     assert_eq!(reference::collate(workers, 4).unwrap_err(), err);
     // Payload mismatch and a duplicated rank: structure outranks
     // collective agreement.
@@ -212,6 +216,7 @@ fn several_faults_report_in_batch_precedence() {
         matches!(&err, CollateError::Invalid(m) if m.contains("not strictly increasing")),
         "{err}"
     );
+    assert_eq!(collate(workers.clone(), 4).unwrap_err(), err);
     assert_eq!(reference::collate(workers, 4).unwrap_err(), err);
     // Payload mismatch and a missing participant: the mismatch was
     // found while walking the events, the count after.
@@ -224,6 +229,7 @@ fn several_faults_report_in_batch_precedence() {
         matches!(&err, CollateError::CollectiveMismatch { seq: 0, .. }),
         "{err}"
     );
+    assert_eq!(collate(workers.clone(), 4).unwrap_err(), err);
     assert_eq!(reference::collate(workers, 4).unwrap_err(), err);
 }
 
@@ -231,9 +237,48 @@ fn several_faults_report_in_batch_precedence() {
 fn push_takes_ranks_in_order() {
     let known = BTreeMap::new();
     let mut collator = Collator::new(4, &known, true);
-    collator.push(worker(2, vec![])).unwrap();
-    let err = collator.push(worker(1, vec![])).unwrap_err();
+    let signed = || TraceMeta::scan(&[], true);
+    collator.push(worker(2, vec![]), signed()).unwrap();
+    let err = collator.push(worker(1, vec![]), signed()).unwrap_err();
     assert!(matches!(err, CollateError::Invalid(_)), "{err}");
+}
+
+#[test]
+fn metadata_that_does_not_fit_the_trace_is_refused() {
+    let known = BTreeMap::new();
+    let events = vec![
+        coll_event(AllReduce, 5, 0, 64, 1, 0),
+        TraceEvent {
+            op: DeviceOp::DeviceSynchronize,
+            ..coll_event(AllReduce, 5, 0, 64, 1, 0)
+        },
+    ];
+    // An index entry that names a non-collective, or no event at all.
+    for at in [1, 2] {
+        let meta = TraceMeta {
+            signature: None,
+            collectives: vec![0, at],
+        };
+        let err = Collator::new(1, &known, false)
+            .push(worker(0, events.clone()), meta)
+            .unwrap_err();
+        assert!(
+            matches!(&err, CollateError::Invalid(m) if m.contains("not one")),
+            "{err}"
+        );
+    }
+    // Folding needs the recorder's signature; not folding ignores it.
+    let unsigned = || TraceMeta::scan(&events, false);
+    let err = Collator::new(1, &known, true)
+        .push(worker(0, events.clone()), unsigned())
+        .unwrap_err();
+    assert!(
+        matches!(&err, CollateError::Invalid(m) if m.contains("unsigned")),
+        "{err}"
+    );
+    let mut flat = Collator::new(1, &known, false);
+    flat.push(worker(0, events.clone()), unsigned()).unwrap();
+    assert_eq!(flat.finish().unwrap().workers, [worker(0, events)]);
 }
 
 #[test]
@@ -257,7 +302,14 @@ fn sequence_numbers_that_skip_ahead_are_counted_once() {
 
 #[test]
 fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
-    let ar = |comm, bytes, r| vec![coll_event(AllReduce, comm, 0, bytes, 2, r)];
+    let ar = |comm, bytes, r| {
+        let collective = coll_event(AllReduce, comm, 0, bytes, 2, r);
+        let sync = TraceEvent {
+            op: DeviceOp::DeviceSynchronize,
+            ..collective
+        };
+        vec![sync, collective]
+    };
     let workers = ranked(vec![
         ar(5, 64, 0),
         ar(6, 128, 0),
@@ -266,16 +318,27 @@ fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
     ]);
     let known = BTreeMap::new();
     let mut collator = Collator::new(4, &known, true);
-    let spare: Vec<usize> = workers
+    let spare: Vec<(usize, bool)> = workers
         .iter()
-        .map(|w| collator.push(w.clone()).unwrap().capacity())
+        .map(|w| {
+            let spare = collator
+                .push(w.clone(), TraceMeta::scan(&w.events, true))
+                .unwrap();
+            assert!(spare.events.is_empty() && spare.collectives.is_empty());
+            (spare.events.capacity(), spare.collectives.capacity() > 0)
+        })
         .collect();
-    assert_eq!(spare, vec![0, 0, 1, 1], "only dropped traces free a buffer");
+    assert_eq!(
+        spare,
+        vec![(0, true), (0, true), (2, true), (2, true)],
+        "only dropped traces free an event buffer; the index always comes back"
+    );
     assert_eq!(
         collator.stats(),
         CollateStats {
             workers_in: 4,
             workers_kept: 2,
+            // The four collectives of eight events.
             events_seen: 4,
             resident_high_water: 3,
         }

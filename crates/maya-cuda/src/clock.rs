@@ -48,7 +48,8 @@ pub struct ModelClock {
     pub cpu_speed: f64,
     /// Jitter amplitude (deterministic, hash-based).
     pub jitter: f64,
-    seed: u64,
+    /// `Key::new(seed)`: every charge extends this chain.
+    key: Key,
     calls: u64,
 }
 
@@ -58,7 +59,7 @@ impl ModelClock {
         ModelClock {
             cpu_speed: 1.0,
             jitter: 0.10,
-            seed,
+            key: Key::new(seed),
             calls: 0,
         }
     }
@@ -86,10 +87,7 @@ impl HostClock for ModelClock {
     fn charge(&mut self, class: HostOpClass) -> SimTime {
         self.calls += 1;
         let f = centered_factor(
-            Key::new(self.seed)
-                .with(self.calls)
-                .with(class as u64)
-                .finish(),
+            self.key.with(self.calls).with(class as u64).finish(),
             self.jitter,
         );
         SimTime::from_us(Self::base_us(class) * self.cpu_speed * f)

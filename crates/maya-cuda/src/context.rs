@@ -1,9 +1,24 @@
 //! The per-rank virtual device: CUDA runtime API + emulator state.
+//!
+//! Every API call funnels into `CudaContext::record`, which is also
+//! where the paper's "hash while emulating" (§4.2) happens: the call
+//! advances the worker's structural signature and, if it is a
+//! collective, notes its position, before the event is written. The
+//! finished context hands out the trace together with that
+//! [`TraceMeta`], so the collator reads collectives only and never
+//! re-derives the signature. A context whose trace will not be folded is
+//! built not to sign ([`CudaContext::recording_into`]).
+//!
+//! Handles are small sequential ids the context mints itself, so the
+//! registries behind them are dense tables, not hash maps.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use maya_hw::GpuSpec;
-use maya_trace::{DeviceOp, KernelKind, MemcpyKind, SimTime, StreamId, TraceEvent, WorkerTrace};
+use maya_trace::{
+    DeviceOp, KernelKind, MemcpyKind, Signer, SimTime, StreamId, TraceBuffers, TraceEvent,
+    TraceMeta, WorkerTrace,
+};
 
 use crate::clock::{HostClock, HostOpClass, ModelClock};
 use crate::cublas::CublasState;
@@ -40,6 +55,45 @@ impl DevicePtr {
     }
 }
 
+/// A registry of live resources keyed by the sequential ids the context
+/// mints: a dense table, `None` where an id was never this kind of
+/// resource or has been destroyed.
+#[derive(Debug)]
+pub(crate) struct Table<T>(Vec<Option<T>>);
+
+impl<T> Table<T> {
+    pub(crate) fn new() -> Self {
+        Table(Vec::new())
+    }
+
+    fn at(id: u64) -> Option<usize> {
+        usize::try_from(id).ok()
+    }
+
+    /// Registers `value` under a freshly minted `id`.
+    pub(crate) fn insert(&mut self, id: u64, value: T) {
+        let Some(at) = Self::at(id) else { return };
+        if self.0.len() <= at {
+            self.0.resize_with(at + 1, || None);
+        }
+        if let Some(slot) = self.0.get_mut(at) {
+            *slot = Some(value);
+        }
+    }
+
+    pub(crate) fn get(&self, id: u64) -> Option<&T> {
+        self.0.get(Self::at(id)?)?.as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+        self.0.get_mut(Self::at(id)?)?.as_mut()
+    }
+
+    pub(crate) fn remove(&mut self, id: u64) -> Option<T> {
+        self.0.get_mut(Self::at(id)?)?.take()
+    }
+}
+
 /// Bytes the emulator reserves for the CUDA context itself, mirroring the
 /// context/cuBLAS workspace overhead a real process pays before the first
 /// user allocation.
@@ -65,22 +119,23 @@ pub struct CudaContext {
     num_allocs: u64,
     oom: bool,
 
-    // Stream / event registries.
-    streams: HashSet<u64>,
+    // Stream / event registries; an event's entry is its re-use version.
+    streams: Table<()>,
     next_stream: u64,
-    events: HashMap<u64, u32>,
+    events: Table<u32>,
     next_event: u64,
 
     // Library handle registries (populated by the cublas/cudnn/nccl
     // modules in this crate).
-    pub(crate) cublas: HashMap<u64, CublasState>,
-    pub(crate) cudnn: HashMap<u64, CudnnState>,
-    pub(crate) conv_descs: HashMap<u64, ConvDescState>,
-    pub(crate) comms: HashMap<u64, CommState>,
+    pub(crate) cublas: Table<CublasState>,
+    pub(crate) cudnn: Table<CudnnState>,
+    pub(crate) conv_descs: Table<ConvDescState>,
+    pub(crate) comms: Table<CommState>,
     pub(crate) next_handle: u64,
 
     // Trace.
     log: Vec<TraceEvent>,
+    signer: Signer,
     num_kernels: u64,
     num_collectives: u64,
     pending_host: SimTime,
@@ -97,14 +152,21 @@ impl CudaContext {
         )
     }
 
-    /// [`CudaContext::new`] that records into `events` (cleared first)
-    /// instead of a fresh buffer. A caller emulating many ranks hands
-    /// back the buffer of a trace it has discarded, so the next rank
-    /// writes over pages that are already mapped.
-    pub fn recording_into(rank: u32, gpu: GpuSpec, mut events: Vec<TraceEvent>) -> Self {
+    /// [`CudaContext::new`] that records into `buffers` (cleared first)
+    /// instead of fresh ones, and signs the trace only if `sign`. A
+    /// caller emulating many ranks hands back the buffers of a trace it
+    /// has discarded, so the next rank writes over pages that are
+    /// already mapped; one that will not fold the trace spares every
+    /// call the hash.
+    pub fn recording_into(rank: u32, gpu: GpuSpec, buffers: TraceBuffers, sign: bool) -> Self {
+        let TraceBuffers {
+            mut events,
+            collectives,
+        } = buffers;
         events.clear();
         let mut ctx = Self::new(rank, gpu);
         ctx.log = events;
+        ctx.signer = Signer::new(sign, collectives);
         ctx
     }
 
@@ -121,16 +183,17 @@ impl CudaContext {
             next_ptr: 0x7f00_0000_0000,
             num_allocs: 0,
             oom: false,
-            streams: HashSet::new(),
+            streams: Table::new(),
             next_stream: 1,
-            events: HashMap::new(),
+            events: Table::new(),
             next_event: 1,
-            cublas: HashMap::new(),
-            cudnn: HashMap::new(),
-            conv_descs: HashMap::new(),
-            comms: HashMap::new(),
+            cublas: Table::new(),
+            cudnn: Table::new(),
+            conv_descs: Table::new(),
+            comms: Table::new(),
             next_handle: 1,
             log: Vec::new(),
+            signer: Signer::new(true, Vec::new()),
             num_kernels: 0,
             num_collectives: 0,
             pending_host: SimTime::ZERO,
@@ -163,9 +226,11 @@ impl CudaContext {
         self.pending_host += t;
     }
 
-    /// Records one trace event, charging host time for it.
+    /// Records one trace event, charging host time for it and advancing
+    /// the trace's signature and collective index.
     pub(crate) fn record(&mut self, stream: StreamId, op: DeviceOp, class: HostOpClass) {
         let host = self.clock.charge(class) + std::mem::take(&mut self.pending_host);
+        self.signer.note(self.log.len(), stream, &op);
         match op {
             DeviceOp::KernelLaunch { .. } | DeviceOp::MemcpyAsync { .. } => self.num_kernels += 1,
             DeviceOp::Collective { .. } => self.num_collectives += 1,
@@ -180,7 +245,7 @@ impl CudaContext {
 
     /// Validates a stream handle.
     pub(crate) fn check_stream(&self, stream: CudaStream) -> CudaResult<StreamId> {
-        if stream.0 == 0 || self.streams.contains(&stream.0) {
+        if stream.0 == 0 || self.streams.get(stream.0).is_some() {
             Ok(StreamId(stream.0 as u32))
         } else {
             Err(CudaError::InvalidResourceHandle)
@@ -311,18 +376,16 @@ impl CudaContext {
     pub fn stream_create(&mut self) -> CudaStream {
         let s = self.next_stream;
         self.next_stream += 1;
-        self.streams.insert(s);
+        self.streams.insert(s, ());
         let _ = self.clock.charge(HostOpClass::Sync);
         CudaStream(s)
     }
 
     /// `cudaStreamDestroy`.
     pub fn stream_destroy(&mut self, stream: CudaStream) -> CudaResult<()> {
-        if self.streams.remove(&stream.0) {
-            Ok(())
-        } else {
-            Err(CudaError::InvalidResourceHandle)
-        }
+        self.streams
+            .remove(stream.0)
+            .ok_or(CudaError::InvalidResourceHandle)
     }
 
     /// `cudaEventCreate`.
@@ -336,11 +399,10 @@ impl CudaContext {
 
     /// `cudaEventDestroy`.
     pub fn event_destroy(&mut self, event: CudaEvent) -> CudaResult<()> {
-        if self.events.remove(&event.0).is_some() {
-            Ok(())
-        } else {
-            Err(CudaError::InvalidResourceHandle)
-        }
+        self.events
+            .remove(event.0)
+            .map(|_| ())
+            .ok_or(CudaError::InvalidResourceHandle)
     }
 
     /// `cudaEventRecord`: bumps the event's re-use version and records it
@@ -349,7 +411,7 @@ impl CudaContext {
         let s = self.check_stream(stream)?;
         let v = self
             .events
-            .get_mut(&event.0)
+            .get_mut(event.0)
             .ok_or(CudaError::InvalidResourceHandle)?;
         *v += 1;
         let version = *v;
@@ -371,7 +433,7 @@ impl CudaContext {
         let s = self.check_stream(stream)?;
         let version = *self
             .events
-            .get(&event.0)
+            .get(event.0)
             .ok_or(CudaError::InvalidResourceHandle)?;
         self.record(
             s,
@@ -388,7 +450,7 @@ impl CudaContext {
     pub fn event_synchronize(&mut self, event: CudaEvent) -> CudaResult<()> {
         let version = *self
             .events
-            .get(&event.0)
+            .get(event.0)
             .ok_or(CudaError::InvalidResourceHandle)?;
         self.record(
             StreamId::DEFAULT,
@@ -434,6 +496,13 @@ impl CudaContext {
 
     /// Finishes emulation, yielding the recorded worker trace.
     pub fn into_trace(self) -> WorkerTrace {
+        self.into_recorded().0
+    }
+
+    /// Finishes emulation, yielding the recorded worker trace and what
+    /// the recorder learned writing it: the signature (if this context
+    /// signs) and where the collectives are.
+    pub fn into_recorded(self) -> (WorkerTrace, TraceMeta) {
         let mut w = WorkerTrace::new(self.rank);
         w.summary.peak_mem_bytes = self.peak;
         w.summary.final_mem_bytes = self.used;
@@ -442,7 +511,7 @@ impl CudaContext {
         w.summary.num_collectives = self.num_collectives;
         w.summary.oom = self.oom;
         w.events = self.log;
-        w
+        (w, self.signer.finish())
     }
 }
 
@@ -585,22 +654,111 @@ mod tests {
             let p = c.malloc(4096).unwrap();
             c.launch_kernel(KernelKind::Memset { bytes: 4096 }, CudaStream::DEFAULT)
                 .unwrap();
+            let comm = c.nccl_comm_init_rank(crate::NcclUniqueId(9), 2, 1).unwrap();
+            c.nccl_all_reduce(comm, 4096, CudaStream::DEFAULT).unwrap();
             c.free(p).unwrap();
         };
         let mut fresh = CudaContext::new(3, GpuSpec::h100());
         script(&mut fresh);
-        let fresh = fresh.into_trace();
+        let (fresh, fresh_meta) = fresh.into_recorded();
+        assert_eq!(fresh_meta, TraceMeta::scan(&fresh.events, true));
+        assert_eq!(fresh_meta.collectives, vec![2]);
 
-        let mut stale = fresh.events.clone();
-        stale.reserve(64);
-        let (ptr, cap) = (stale.as_ptr(), stale.capacity());
-        let mut reused = CudaContext::recording_into(3, GpuSpec::h100(), stale);
+        // Buffers a longer, different rank left behind.
+        let mut stale = TraceBuffers {
+            events: [fresh.events.clone(), fresh.events.clone()].concat(),
+            collectives: vec![2, 6],
+        };
+        stale.events.reserve(64);
+        let (ptr, cap) = (stale.events.as_ptr(), stale.events.capacity());
+        let index = stale.collectives.as_ptr();
+        let mut reused = CudaContext::recording_into(3, GpuSpec::h100(), stale, true);
         script(&mut reused);
-        let reused = reused.into_trace();
+        let (reused, reused_meta) = reused.into_recorded();
         assert_eq!(reused, fresh, "stale contents must not leak into the trace");
+        assert_eq!(reused_meta, fresh_meta, "... nor into its metadata");
         assert_eq!(
             (reused.events.as_ptr(), reused.events.capacity()),
             (ptr, cap)
+        );
+        assert_eq!(reused_meta.collectives.as_ptr(), index);
+
+        // Told not to sign, the recorder still indexes.
+        let mut unsigned =
+            CudaContext::recording_into(3, GpuSpec::h100(), TraceBuffers::default(), false);
+        script(&mut unsigned);
+        let (unsigned, unsigned_meta) = unsigned.into_recorded();
+        assert_eq!(unsigned, fresh);
+        assert_eq!(unsigned_meta, TraceMeta::scan(&fresh.events, false));
+        assert_eq!(unsigned_meta.signature, None);
+    }
+
+    #[test]
+    fn unknown_and_destroyed_handles_get_the_driver_answers() {
+        let mut c = ctx();
+        // Ids the context never minted, far past any table.
+        let (far, never) = (u64::MAX, 999);
+        for id in [far, never] {
+            assert_eq!(
+                c.stream_destroy(CudaStream(id)),
+                Err(CudaError::InvalidResourceHandle)
+            );
+            assert_eq!(
+                c.event_record(CudaEvent(id), CudaStream::DEFAULT),
+                Err(CudaError::InvalidResourceHandle)
+            );
+            assert_eq!(
+                c.event_destroy(CudaEvent(id)),
+                Err(CudaError::InvalidResourceHandle)
+            );
+            assert_eq!(
+                c.cublas_sgemm(crate::CublasHandle(id), 8, 8, 8),
+                Err(CudaError::NotInitialized)
+            );
+            assert_eq!(
+                c.cudnn_destroy(crate::CudnnHandle(id)),
+                Err(CudaError::NotInitialized)
+            );
+            assert_eq!(
+                c.cudnn_destroy_conv_descriptor(crate::CudnnConvDesc(id)),
+                Err(CudaError::InvalidResourceHandle)
+            );
+            assert_eq!(
+                c.nccl_all_reduce(crate::NcclComm(id), 64, CudaStream::DEFAULT),
+                Err(CudaError::NcclInvalidUsage)
+            );
+        }
+        // Handles share one id space: a live id of another kind is
+        // still unknown to this kind's calls.
+        let blas = c.cublas_create();
+        let comm = c.nccl_comm_init_rank(crate::NcclUniqueId(1), 1, 0).unwrap();
+        assert_eq!(
+            c.nccl_comm_count(crate::NcclComm(blas.0)),
+            Err(CudaError::NcclInvalidUsage)
+        );
+        assert_eq!(
+            c.cublas_destroy(crate::CublasHandle(comm.0)),
+            Err(CudaError::NotInitialized)
+        );
+        // Destroyed: once fine, twice refused, and unusable after.
+        let e = c.event_create();
+        c.event_destroy(e).unwrap();
+        assert_eq!(c.event_destroy(e), Err(CudaError::InvalidResourceHandle));
+        assert_eq!(
+            c.event_synchronize(e),
+            Err(CudaError::InvalidResourceHandle)
+        );
+        c.cublas_destroy(blas).unwrap();
+        assert_eq!(c.cublas_destroy(blas), Err(CudaError::NotInitialized));
+        assert_eq!(
+            c.cublas_sgemm(blas, 8, 8, 8),
+            Err(CudaError::NotInitialized)
+        );
+        c.nccl_comm_destroy(comm).unwrap();
+        assert_eq!(c.nccl_comm_destroy(comm), Err(CudaError::NcclInvalidUsage));
+        assert!(
+            c.into_trace().events.is_empty(),
+            "refused calls record nothing"
         );
     }
 

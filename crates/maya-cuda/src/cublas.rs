@@ -41,7 +41,7 @@ impl CudaContext {
     /// `cublasDestroy`.
     pub fn cublas_destroy(&mut self, handle: CublasHandle) -> CudaResult<()> {
         self.cublas
-            .remove(&handle.0)
+            .remove(handle.0)
             .map(|_| ())
             .ok_or(CudaError::NotInitialized)
     }
@@ -55,7 +55,7 @@ impl CudaContext {
         self.check_stream(stream)?;
         let st = self
             .cublas
-            .get_mut(&handle.0)
+            .get_mut(handle.0)
             .ok_or(CudaError::NotInitialized)?;
         st.stream = stream;
         Ok(())
@@ -65,7 +65,7 @@ impl CudaContext {
     pub fn cublas_set_math_mode(&mut self, handle: CublasHandle, tf32: bool) -> CudaResult<()> {
         let st = self
             .cublas
-            .get_mut(&handle.0)
+            .get_mut(handle.0)
             .ok_or(CudaError::NotInitialized)?;
         st.tf32 = tf32;
         Ok(())
@@ -80,10 +80,7 @@ impl CudaContext {
         elem_size: u64,
         handle: CublasHandle,
     ) -> CudaResult<()> {
-        let state = *self
-            .cublas
-            .get(&handle.0)
-            .ok_or(CudaError::NotInitialized)?;
+        let state = *self.cublas.get(handle.0).ok_or(CudaError::NotInitialized)?;
         let s = self.check_stream(state.stream)?;
         self.record(
             s,
@@ -99,10 +96,7 @@ impl CudaContext {
 
     /// Shared GEMM recording path.
     fn gemm_common(&mut self, handle: CublasHandle, kernel: KernelKind) -> CudaResult<()> {
-        let state = *self
-            .cublas
-            .get(&handle.0)
-            .ok_or(CudaError::NotInitialized)?;
+        let state = *self.cublas.get(handle.0).ok_or(CudaError::NotInitialized)?;
         let s = self.check_stream(state.stream)?;
         self.record(s, DeviceOp::KernelLaunch { kernel }, HostOpClass::Library);
         Ok(())
@@ -115,7 +109,7 @@ impl CudaContext {
         }
         let tf32 = self
             .cublas
-            .get(&handle.0)
+            .get(handle.0)
             .ok_or(CudaError::NotInitialized)?
             .tf32;
         let dtype = if tf32 { Dtype::Tf32 } else { Dtype::Fp32 };

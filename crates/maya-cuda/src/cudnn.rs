@@ -63,7 +63,7 @@ impl CudaContext {
     /// `cudnnDestroy`.
     pub fn cudnn_destroy(&mut self, handle: CudnnHandle) -> CudaResult<()> {
         self.cudnn
-            .remove(&handle.0)
+            .remove(handle.0)
             .map(|_| ())
             .ok_or(CudaError::NotInitialized)
     }
@@ -73,7 +73,7 @@ impl CudaContext {
         self.check_stream(stream)?;
         let st = self
             .cudnn
-            .get_mut(&handle.0)
+            .get_mut(handle.0)
             .ok_or(CudaError::NotInitialized)?;
         st.stream = stream;
         Ok(())
@@ -116,7 +116,7 @@ impl CudaContext {
     /// Destroys a convolution descriptor.
     pub fn cudnn_destroy_conv_descriptor(&mut self, desc: CudnnConvDesc) -> CudaResult<()> {
         self.conv_descs
-            .remove(&desc.0)
+            .remove(desc.0)
             .map(|_| ())
             .ok_or(CudaError::InvalidResourceHandle)
     }
@@ -127,10 +127,10 @@ impl CudaContext {
         desc: CudnnConvDesc,
         build: impl Fn(&ConvDescState) -> KernelKind,
     ) -> CudaResult<()> {
-        let state = *self.cudnn.get(&handle.0).ok_or(CudaError::NotInitialized)?;
+        let state = *self.cudnn.get(handle.0).ok_or(CudaError::NotInitialized)?;
         let d = *self
             .conv_descs
-            .get(&desc.0)
+            .get(desc.0)
             .ok_or(CudaError::InvalidResourceHandle)?;
         let s = self.check_stream(state.stream)?;
         self.record(
@@ -203,7 +203,7 @@ impl CudaContext {
         channels: u64,
         forward: bool,
     ) -> CudaResult<()> {
-        let state = *self.cudnn.get(&handle.0).ok_or(CudaError::NotInitialized)?;
+        let state = *self.cudnn.get(handle.0).ok_or(CudaError::NotInitialized)?;
         let s = self.check_stream(state.stream)?;
         self.record(
             s,
@@ -227,7 +227,7 @@ impl CudaContext {
         window: u64,
         forward: bool,
     ) -> CudaResult<()> {
-        let state = *self.cudnn.get(&handle.0).ok_or(CudaError::NotInitialized)?;
+        let state = *self.cudnn.get(handle.0).ok_or(CudaError::NotInitialized)?;
         let s = self.check_stream(state.stream)?;
         self.record(
             s,

@@ -76,14 +76,13 @@ impl CudaContext {
                 seq: 0,
             },
         );
-        let _ = self.comms.len();
         Ok(NcclComm(handle))
     }
 
     /// `ncclCommDestroy`.
     pub fn nccl_comm_destroy(&mut self, comm: NcclComm) -> CudaResult<()> {
         self.comms
-            .remove(&comm.0)
+            .remove(comm.0)
             .map(|_| ())
             .ok_or(CudaError::NcclInvalidUsage)
     }
@@ -91,7 +90,7 @@ impl CudaContext {
     /// Size of a communicator.
     pub fn nccl_comm_count(&self, comm: NcclComm) -> CudaResult<u32> {
         self.comms
-            .get(&comm.0)
+            .get(comm.0)
             .map(|c| c.nranks)
             .ok_or(CudaError::NcclInvalidUsage)
     }
@@ -99,7 +98,7 @@ impl CudaContext {
     /// This rank's position within the communicator.
     pub fn nccl_comm_user_rank(&self, comm: NcclComm) -> CudaResult<u32> {
         self.comms
-            .get(&comm.0)
+            .get(comm.0)
             .map(|c| c.rank)
             .ok_or(CudaError::NcclInvalidUsage)
     }
@@ -124,7 +123,7 @@ impl CudaContext {
         let s = self.check_stream(stream)?;
         let state = self
             .comms
-            .get_mut(&comm.0)
+            .get_mut(comm.0)
             .ok_or(CudaError::NcclInvalidUsage)?;
         if let CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } = kind {
             if peer >= state.nranks {

@@ -6,19 +6,9 @@
 //! not capture. We generate that texture with splitmix64-seeded
 //! perturbations, so the whole testbed is reproducible from a seed.
 
-/// One round of the splitmix64 mixing function.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Combines hash state with another word.
-pub fn mix(seed: u64, v: u64) -> u64 {
-    splitmix64(seed ^ v.wrapping_mul(0xA24B_AED4_963E_E407))
-}
+// The mixing function and the key chain are the trace signature's too,
+// so they live with it.
+pub use maya_trace::signature::{mix, splitmix64, Key};
 
 /// Uniform value in `[0, 1)` derived from a hash.
 pub fn unit(hash: u64) -> f64 {
@@ -45,27 +35,6 @@ pub fn gaussian_factor(hash: u64, sigma: f64) -> f64 {
     // Irwin-Hall(4): mean 2.0, variance 4/12; normalize to ~N(0,1).
     let z = (acc - 2.0) / (4.0f64 / 12.0).sqrt();
     (1.0 + sigma * z).max(0.05)
-}
-
-/// A tiny accumulating hasher for building perturbation keys.
-#[derive(Clone, Copy, Debug)]
-pub struct Key(pub u64);
-
-impl Key {
-    /// Starts a key chain from a seed.
-    pub fn new(seed: u64) -> Self {
-        Key(splitmix64(seed))
-    }
-
-    /// Folds a word into the key.
-    pub fn with(self, v: u64) -> Self {
-        Key(mix(self.0, v))
-    }
-
-    /// Final hash value.
-    pub fn finish(self) -> u64 {
-        splitmix64(self.0)
-    }
 }
 
 #[cfg(test)]

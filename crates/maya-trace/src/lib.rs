@@ -4,8 +4,9 @@
 //! pipeline: the kinds of device operations a training workload issues
 //! ([`DeviceOp`]), the metadata captured for compute kernels
 //! ([`KernelKind`]), per-worker traces recorded by the emulator
-//! ([`WorkerTrace`]), and the collated job-level trace consumed by the
-//! simulator ([`JobTrace`]).
+//! ([`WorkerTrace`]), the structural signature and collective index the
+//! emulator computes while recording ([`TraceMeta`]), and the collated
+//! job-level trace consumed by the simulator ([`JobTrace`]).
 //!
 //! The paper's emulator records "compute kernels, memory operations, and
 //! synchronization events" together with "essential metadata including
@@ -18,10 +19,12 @@ pub mod json;
 pub mod kernel;
 pub mod ops;
 pub mod serdes;
+pub mod signature;
 pub mod time;
 
 pub use dtype::Dtype;
 pub use event::{validate_ranks, JobTrace, TraceEvent, WorkerTrace, WorkerTraceSummary};
 pub use kernel::KernelKind;
 pub use ops::{CollectiveDesc, CollectiveKind, DeviceOp, MemcpyKind, StreamId};
+pub use signature::{signature_of, Signer, TraceBuffers, TraceMeta};
 pub use time::SimTime;

@@ -8,11 +8,14 @@
 //!   config search replays the same shapes thousands of times (Fig. 15,
 //!   Table 6), and repeated trials should not re-derive them;
 //! - the emulate → fold → estimate → simulate pipeline of Figure 5:
-//!   every finished rank goes straight into a streaming
-//!   [`Collator`], which collates it and — when the spec
-//!   deduplicates — keeps its trace only if it opens a new class, so
-//!   the job trace that reaches the estimator is already reduced and
-//!   only classes + 1 traces were ever alive; estimation is the
+//!   a rank's recorder signs its trace and indexes its collectives as
+//!   the calls are issued (only when the spec folds does it sign), and
+//!   every finished rank goes straight into a streaming [`Collator`],
+//!   which books the indexed collectives and keeps the trace only if
+//!   its signature opens a new class, so the job trace that reaches
+//!   the estimator is already reduced and only classes + 1 traces were
+//!   ever alive — the serial sink between the emulating threads reads
+//!   collectives, not events; estimation is the
 //!   simulator's lowering pass (one read of the trace, one memo query
 //!   per kernel and memcpy) and simulation the replay of what it
 //!   lowered;
@@ -38,7 +41,7 @@ use maya_estimator::{CacheStats, CachingEstimator, RuntimeEstimator};
 use maya_hw::{GroundTruthExecutor, Measurement};
 use maya_sim::{SimError, SimObs, SimScratch, Simulator};
 use maya_torchlet::{FrameworkFlavor, RankTopology, TrainingJob};
-use maya_trace::{JobTrace, TraceEvent, WorkerTrace};
+use maya_trace::{JobTrace, TraceBuffers, TraceMeta, WorkerTrace};
 
 use crate::cancel::CancelToken;
 use crate::error::MayaError;
@@ -247,46 +250,50 @@ impl PredictionEngine {
     {
         let mut out = Vec::with_capacity(ranks.len());
         let threads = self.spec.emulation_threads;
-        infallible(self.emulate_each(ranks, script, threads, |trace, res| {
-            out.push((trace, res));
-            Ok(Vec::new())
-        }));
+        infallible(
+            self.emulate_each(ranks, script, threads, false, |trace, _, res| {
+                out.push((trace, res));
+                Ok(TraceBuffers::default())
+            }),
+        );
         out
     }
 
     /// Emulates `ranks` through [`fan_out`] on up to `threads` OS
-    /// threads, handing every finished trace to `sink` on the calling
-    /// thread in `ranks` order. `sink` returns an event buffer for a
-    /// later rank to record into (see [`CudaContext::recording_into`]);
-    /// its first error stops the emulation.
+    /// threads, handing every finished trace and its recorder's
+    /// metadata (signed only if `sign`) to `sink` on the calling thread
+    /// in `ranks` order. `sink` returns buffers for a later rank to
+    /// record into (see [`CudaContext::recording_into`]); its first
+    /// error stops the emulation.
     fn emulate_each<F, S, E>(
         &self,
         ranks: &[u32],
         script: F,
         threads: usize,
+        sign: bool,
         mut sink: S,
     ) -> Result<(), E>
     where
         F: Fn(u32, &mut CudaContext) -> Result<(), CudaError> + Sync,
-        S: FnMut(WorkerTrace, Result<(), CudaError>) -> Result<Vec<TraceEvent>, E>,
+        S: FnMut(WorkerTrace, TraceMeta, Result<(), CudaError>) -> Result<TraceBuffers, E>,
     {
         let gpu = self.spec.cluster.gpu;
         // Buffers the sink handed back. Only `push`/`pop` run under
         // this lock, so it cannot be poisoned; a missed spare costs an
         // allocation.
-        let spares: Mutex<Vec<Vec<TraceEvent>>> = Mutex::new(Vec::new());
+        let spares: Mutex<Vec<TraceBuffers>> = Mutex::new(Vec::new());
         fan_out(
             ranks,
             threads,
             |&r| {
                 let spare = spares.lock().ok().and_then(|mut pool| pool.pop());
-                let mut ctx = CudaContext::recording_into(r, gpu, spare.unwrap_or_default());
+                let mut ctx = CudaContext::recording_into(r, gpu, spare.unwrap_or_default(), sign);
                 let res = script(r, &mut ctx);
-                (ctx.into_trace(), res)
+                (ctx.into_recorded(), res)
             },
-            |(trace, res)| {
-                let spare = sink(trace, res)?;
-                if spare.capacity() > 0 {
+            |((trace, meta), res)| {
+                let spare = sink(trace, meta, res)?;
+                if spare.events.capacity() + spare.collectives.capacity() > 0 {
                     if let Ok(mut pool) = spares.lock() {
                         pool.push(spare);
                     }
@@ -315,9 +322,10 @@ impl PredictionEngine {
     }
 
     /// Emulates a training job, collating each rank as it finishes:
-    /// when the spec folds, only one trace per class of identical
-    /// workers is ever kept (§4.2), and a dropped trace's buffer is what
-    /// the next rank records into. On OOM, collation stops — a
+    /// when the spec folds, every rank signs its trace while recording
+    /// it, only one trace per class of identical workers is ever kept
+    /// (§4.2), and a dropped trace's buffers are what the next rank
+    /// records into. On OOM, collation stops — a
     /// partially-OOMed job has incomplete communicator traces — the
     /// remaining ranks are still emulated for the tally, and the OOM
     /// verdict (first rank + attempted peak) is returned instead.
@@ -339,7 +347,8 @@ impl PredictionEngine {
         } else {
             BTreeMap::new()
         };
-        let mut collator = Collator::new(job.world, &known, self.folds());
+        let fold = self.folds();
+        let mut collator = Collator::new(job.world, &known, fold);
         let mut collation = Duration::ZERO;
         let mut oom: Option<(u32, u64)> = None;
         let mut events = 0usize;
@@ -347,7 +356,9 @@ impl PredictionEngine {
             &ranks,
             |rank, ctx| job.run_worker(rank, ctx),
             threads,
-            |mut trace, res| {
+            fold,
+            |trace, meta, res| {
+                debug_assert_eq!(meta.signature.is_some(), fold, "a rank signs iff it folds");
                 events += trace.events.len();
                 match res {
                     Ok(()) => {}
@@ -360,12 +371,14 @@ impl PredictionEngine {
                     Err(e) => return Err(MayaError::Device(e)),
                 }
                 if oom.is_some() {
-                    trace.events.clear();
-                    return Ok(trace.events);
+                    return Ok(TraceBuffers {
+                        events: trace.events,
+                        collectives: meta.collectives,
+                    });
                 }
                 // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
                 let t = Instant::now();
-                let spare = collator.push(trace);
+                let spare = collator.push(trace, meta);
                 collation += t.elapsed();
                 Ok(spare?)
             },
@@ -903,6 +916,37 @@ mod tests {
                 (4, 0, events),
                 "{threads} threads"
             );
+        }
+    }
+
+    #[test]
+    fn only_a_spec_that_folds_signs_its_ranks() {
+        let cluster = ClusterSpec::h100(1, 4);
+        let faults = maya_net::FaultPlan::generate(1, 4, maya_trace::SimTime::from_secs(1.0));
+        let builder = || MayaBuilder::new(cluster.clone()).emulation_threads(2);
+        let j = job(4, ParallelConfig::default(), 8);
+        for (maya, folds) in [
+            (builder(), true),
+            (builder().dedup(false), false),
+            (builder().faults(faults), false),
+        ] {
+            let maya = maya.build().unwrap();
+            assert_eq!(maya.folds(), folds);
+            let mut signed = Vec::new();
+            infallible(maya.emulate_each(
+                &[0, 1, 2, 3],
+                |rank, ctx| j.run_worker(rank, ctx),
+                2,
+                maya.folds(),
+                |_, meta, _| {
+                    signed.push(meta.signature.is_some());
+                    Ok(TraceBuffers::default())
+                },
+            ));
+            assert_eq!(signed, [folds; 4]);
+            // `emulate_with` asserts the same of every rank it sinks.
+            let p = maya.predict_job(&j).unwrap();
+            assert_eq!(p.workers_simulated, if folds { 1 } else { 4 });
         }
     }
 

@@ -18,7 +18,7 @@ use maya_estimator::OracleEstimator;
 use maya_hw::ClusterSpec;
 use maya_torchlet::engine::{megatron_comm_groups, trace_one_rank};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, RankTopology, TrainingJob};
-use maya_trace::{Dtype, JobTrace, WorkerTrace};
+use maya_trace::{Dtype, JobTrace, TraceMeta, WorkerTrace};
 
 /// xorshift64*: the draw order is part of the test, so no shared RNG.
 struct Draw(u64);
@@ -128,7 +128,8 @@ fn stream(
 ) -> JobTrace {
     let mut collator = Collator::new(world, known, fold);
     for w in workers {
-        collator.push(w.clone()).expect("push");
+        let meta = TraceMeta::scan(&w.events, fold);
+        collator.push(w.clone(), meta).expect("push");
     }
     collator.finish().expect("finish")
 }
