@@ -35,27 +35,27 @@ pub trait BaselineModel: Send + Sync {
 
 /// Tunable constants of the shared analytical core.
 #[derive(Clone, Copy, Debug)]
-pub struct AnalyticalKnobs {
+pub(crate) struct AnalyticalKnobs {
     /// Assumed fraction of peak math throughput.
-    pub compute_efficiency: f64,
+    pub(crate) compute_efficiency: f64,
     /// Assumed fraction of peak link bandwidth.
-    pub network_efficiency: f64,
+    pub(crate) network_efficiency: f64,
     /// Fraction of data-parallel gradient communication hidden by
     /// overlap (1.0 = fully hidden).
-    pub dp_overlap: f64,
+    pub(crate) dp_overlap: f64,
     /// Per-microbatch fixed overhead in microseconds (sync, scheduling).
-    pub per_microbatch_overhead_us: f64,
+    pub(crate) per_microbatch_overhead_us: f64,
     /// Whether collective latency terms are modeled at all.
-    pub model_latency: bool,
+    pub(crate) model_latency: bool,
     /// Multiplier on the memory-capacity estimate (for OOM prediction).
-    pub memory_model_factor: f64,
+    pub(crate) memory_model_factor: f64,
     /// Whether the logits/loss workspace is accounted in memory.
-    pub count_logits_memory: bool,
+    pub(crate) count_logits_memory: bool,
 }
 
 /// The shared analytical iteration-time model: Megatron-style 3D
 /// parallel transformer training described purely by its configuration.
-pub fn analytical_time(
+pub(crate) fn analytical_time(
     job: &TrainingJob,
     cfg: &TransformerConfig,
     cluster: &ClusterSpec,
@@ -169,7 +169,7 @@ pub fn analytical_time(
 
 /// True when the job is a Megatron-flavored GPT-family transformer (the
 /// only workload Calculon and AMPeD natively model, §7.1).
-pub fn is_megatron_gpt(job: &TrainingJob) -> bool {
+pub(crate) fn is_megatron_gpt(job: &TrainingJob) -> bool {
     matches!(job.flavor, FrameworkFlavor::Megatron)
         && matches!(job.model, maya_torchlet::ModelSpec::Gpt(_))
 }

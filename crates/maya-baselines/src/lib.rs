@@ -23,10 +23,10 @@
 //!   Volta, so on Hopper its per-shape extrapolation is badly
 //!   miscalibrated (the order-of-magnitude deviations of Fig. 7).
 
-pub mod amped;
-pub mod analytical;
-pub mod calculon;
-pub mod proteus;
+mod amped;
+mod analytical;
+mod calculon;
+mod proteus;
 
 pub use amped::Amped;
 pub use analytical::{BaselineModel, BaselinePrediction};

@@ -2,10 +2,10 @@
 //!
 //! The paper measures "wall-clock deltas between API calls during
 //! emulation" and replays them as blocking host work in the simulator
-//! (§4.2). That is faithful but non-deterministic; for reproducible tests
-//! and benches the default here is a *model* clock that charges a
-//! per-call-class dispatch cost plus deterministic jitter. A wall-clock
-//! implementation is provided for parity with the paper.
+//! (§4.2). A measured delta is different on every run, and every digest,
+//! golden string and dedup class in this repo needs the same trace from
+//! the same job, so the one clock here is a *model*: a per-call-class
+//! dispatch cost plus deterministic jitter.
 
 use maya_hw::noise::{centered_factor, Key};
 use maya_trace::SimTime;
@@ -26,13 +26,6 @@ pub enum HostOpClass {
     /// Framework-level host work injected by the application between API
     /// calls (Python dispatch, optimizer bookkeeping, ...).
     Framework,
-}
-
-/// Source of host-delay measurements for the emulator.
-pub trait HostClock: Send {
-    /// Time to charge for an API call of class `class`; called once per
-    /// recorded operation, in program order.
-    fn charge(&mut self, class: HostOpClass) -> SimTime;
 }
 
 /// Deterministic host-cost model.
@@ -75,53 +68,23 @@ impl ModelClock {
             HostOpClass::Framework => 12.0,
         }
     }
-}
 
-impl Default for ModelClock {
-    fn default() -> Self {
-        ModelClock::new(0x4D43_4C4B)
-    }
-}
-
-impl HostClock for ModelClock {
-    fn charge(&mut self, class: HostOpClass) -> SimTime {
+    /// Time to charge for an API call of class `class`; called once per
+    /// recorded operation, in program order.
+    ///
+    /// A direct call, deliberately not an inlined one: with this body
+    /// (f64 jitter math ending in libm's `round`) folded into
+    /// `CudaContext::record`, a rank's emulation measured 15–25 %
+    /// slower (min of 3 000 single-rank emulations, ≈ 165 → 195–210 µs);
+    /// out of line it matches the virtual call it replaced.
+    #[inline(never)]
+    pub fn charge(&mut self, class: HostOpClass) -> SimTime {
         self.calls += 1;
         let f = centered_factor(
             self.key.with(self.calls).with(class as u64).finish(),
             self.jitter,
         );
         SimTime::from_us(Self::base_us(class) * self.cpu_speed * f)
-    }
-}
-
-/// Wall-clock host timing (the paper's approach): measures real elapsed
-/// time between successive API calls.
-#[derive(Debug)]
-pub struct WallClock {
-    last: std::time::Instant,
-}
-
-impl WallClock {
-    /// Starts the clock now.
-    pub fn new() -> Self {
-        WallClock {
-            last: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock::new()
-    }
-}
-
-impl HostClock for WallClock {
-    fn charge(&mut self, _class: HostOpClass) -> SimTime {
-        let now = std::time::Instant::now();
-        let dt = now.duration_since(self.last);
-        self.last = now;
-        SimTime::from_ns(dt.as_nanos().min(u128::from(u64::MAX)) as u64)
     }
 }
 
@@ -160,15 +123,5 @@ mod tests {
         let lib = c.charge(HostOpClass::Library);
         let sync = c.charge(HostOpClass::Sync);
         assert!(lib > sync);
-    }
-
-    #[test]
-    fn wall_clock_monotonic() {
-        let mut w = WallClock::new();
-        let a = w.charge(HostOpClass::KernelLaunch);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let b = w.charge(HostOpClass::KernelLaunch);
-        assert!(b >= a);
-        assert!(b.as_ms() >= 1.0);
     }
 }

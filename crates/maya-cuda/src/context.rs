@@ -20,7 +20,7 @@ use maya_trace::{
     TraceMeta, WorkerTrace,
 };
 
-use crate::clock::{HostClock, HostOpClass, ModelClock};
+use crate::clock::{HostOpClass, ModelClock};
 use crate::cublas::CublasState;
 use crate::cudnn::{ConvDescState, CudnnState};
 use crate::error::{CudaError, CudaResult};
@@ -108,7 +108,7 @@ pub struct CudaContext {
     /// Global rank of the worker owning this device.
     pub rank: u32,
     gpu: GpuSpec,
-    clock: Box<dyn HostClock>,
+    clock: ModelClock,
 
     // Memory allocator state.
     capacity: u64,
@@ -142,16 +142,6 @@ pub struct CudaContext {
 }
 
 impl CudaContext {
-    /// Creates a virtual device of the given spec for `rank`, with the
-    /// default deterministic host clock (seeded by rank).
-    pub fn new(rank: u32, gpu: GpuSpec) -> Self {
-        Self::with_clock(
-            rank,
-            gpu,
-            Box::new(ModelClock::new(0x636C_6F63 ^ rank as u64)),
-        )
-    }
-
     /// [`CudaContext::new`] that records into `buffers` (cleared first)
     /// instead of fresh ones, and signs the trace only if `sign`. A
     /// caller emulating many ranks hands back the buffers of a trace it
@@ -170,12 +160,13 @@ impl CudaContext {
         ctx
     }
 
-    /// Creates a virtual device with a custom host clock.
-    pub fn with_clock(rank: u32, gpu: GpuSpec, clock: Box<dyn HostClock>) -> Self {
+    /// Creates a virtual device of the given spec for `rank`; its host
+    /// clock is the deterministic model clock, seeded by rank.
+    pub fn new(rank: u32, gpu: GpuSpec) -> Self {
         CudaContext {
             rank,
             gpu,
-            clock,
+            clock: ModelClock::new(0x636C_6F63 ^ rank as u64),
             capacity: gpu.mem_bytes().saturating_sub(CONTEXT_RESERVED_BYTES),
             used: 0,
             peak: 0,

@@ -13,9 +13,10 @@
 //!   up the stream bound to their handle, cuDNN convolutions read their
 //!   descriptor objects, NCCL collectives carry communicator identity and
 //!   per-communicator sequence numbers;
-//! - charges host-side dispatch time to every call through a pluggable
-//!   [`HostClock`] (deterministic model clock by default, wall clock
-//!   optionally), mirroring the paper's wall-clock-delta measurements.
+//! - charges host-side dispatch time to every call from a [`ModelClock`]:
+//!   §4.2 measures wall-clock deltas between calls, which differ run to
+//!   run, and a deterministic per-class cost keeps traces, dedup classes
+//!   and digests reproducible.
 //!
 //! Training code written against [`CudaContext`] is "unmodified user
 //! code" in the sense of the paper: it would behave identically against a
@@ -28,7 +29,7 @@ pub mod cudnn;
 pub mod error;
 pub mod nccl;
 
-pub use clock::{HostClock, HostOpClass, ModelClock, WallClock};
+pub use clock::{HostOpClass, ModelClock};
 pub use context::{CudaContext, CudaEvent, CudaStream, DevicePtr};
 pub use cublas::CublasHandle;
 pub use cudnn::{CudnnConvDesc, CudnnHandle};

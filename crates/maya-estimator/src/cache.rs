@@ -317,6 +317,28 @@ impl CacheStats {
     }
 }
 
+/// What happened between two readings of one cache's counters
+/// (`later - earlier`; the counters only grow).
+impl std::ops::Sub for CacheStats {
+    type Output = CacheStats;
+
+    fn sub(self, earlier: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            evictions: self.evictions - earlier.evictions,
+        }
+    }
+}
+
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, more: CacheStats) {
+        self.hits += more.hits;
+        self.misses += more.misses;
+        self.evictions += more.evictions;
+    }
+}
+
 /// Memoizing [`RuntimeEstimator`] decorator (see module docs).
 ///
 /// Transparent by construction: estimators are pure, so a cached answer

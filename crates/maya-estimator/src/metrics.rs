@@ -57,21 +57,6 @@ impl MapeReport {
     pub fn for_kernel(&self, name: &str) -> Option<f64> {
         self.per_kernel.get(name).map(|&(_, m)| m)
     }
-
-    /// Renders the report as an aligned text table.
-    pub fn to_table(&self) -> String {
-        let mut s = format!("{:<44} {:>8} {:>9}\n", "Kernel", "Samples", "MAPE");
-        for (name, (n, m)) in &self.per_kernel {
-            s.push_str(&format!("{:<44} {:>8} {:>8.2}%\n", name, n, m * 100.0));
-        }
-        s.push_str(&format!(
-            "{:<44} {:>8} {:>8.2}%\n",
-            "OVERALL",
-            "",
-            self.overall() * 100.0
-        ));
-        s
-    }
 }
 
 #[cfg(test)]
@@ -99,8 +84,5 @@ mod tests {
         assert!((r.for_kernel("a").unwrap() - 0.10).abs() < 1e-9);
         assert!((r.for_kernel("b").unwrap() - 1.0).abs() < 1e-9);
         assert!((r.overall() - (0.1 * 2.0 + 1.0) / 3.0).abs() < 1e-9);
-        let table = r.to_table();
-        assert!(table.contains("OVERALL"));
-        assert!(table.contains('a') && table.contains('b'));
     }
 }

@@ -54,11 +54,6 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// A gauge not attached to any registry.
-    pub fn detached() -> Gauge {
-        Gauge::default()
-    }
-
     /// Overwrites the value.
     #[inline]
     pub fn set(&self, v: i64) {
@@ -236,6 +231,8 @@ impl HistogramSnapshot {
 
 #[derive(Default)]
 struct RegistryInner {
+    /// Set by [`Registry::detached`]: nothing is ever registered.
+    detached: bool,
     counters: Mutex<Vec<(String, Counter)>>,
     gauges: Mutex<Vec<(String, Gauge)>>,
     histograms: Mutex<Vec<(String, Histogram)>>,
@@ -248,14 +245,19 @@ pub struct Registry {
     inner: Arc<RegistryInner>,
 }
 
-fn intern<T: Clone + Default>(list: &Mutex<Vec<(String, T)>>, name: &str) -> T {
-    let mut list = list.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some((_, handle)) = list.iter().find(|(n, _)| n == name) {
-        return handle.clone();
+impl RegistryInner {
+    fn intern<T: Clone + Default>(&self, list: &Mutex<Vec<(String, T)>>, name: &str) -> T {
+        if self.detached {
+            return T::default();
+        }
+        let mut list = list.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some((_, handle)) = list.iter().find(|(n, _)| n == name) {
+            return handle.clone();
+        }
+        let handle = T::default();
+        list.push((name.to_string(), handle.clone()));
+        handle
     }
-    let handle = T::default();
-    list.push((name.to_string(), handle.clone()));
-    handle
 }
 
 impl Registry {
@@ -264,20 +266,33 @@ impl Registry {
         Registry::default()
     }
 
+    /// A registry that registers nothing: every handle it gives out is
+    /// a fresh detached cell (it still counts for whoever holds it) and
+    /// its snapshot stays empty. What a service with metrics off hands
+    /// its layers, so none of them has to ask whether metrics are on.
+    pub fn detached() -> Registry {
+        Registry {
+            inner: Arc::new(RegistryInner {
+                detached: true,
+                ..Default::default()
+            }),
+        }
+    }
+
     /// The counter registered under `name`, creating it on first use.
     /// Repeated calls return handles to the same cell.
     pub fn counter(&self, name: &str) -> Counter {
-        intern(&self.inner.counters, name)
+        self.inner.intern(&self.inner.counters, name)
     }
 
     /// The gauge registered under `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        intern(&self.inner.gauges, name)
+        self.inner.intern(&self.inner.gauges, name)
     }
 
     /// The histogram registered under `name`, creating it on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        intern(&self.inner.histograms, name)
+        self.inner.intern(&self.inner.histograms, name)
     }
 
     /// A deterministic point-in-time snapshot: every instrument, sorted
@@ -285,7 +300,7 @@ impl Registry {
     /// also keep a flight recorder fill them in (see
     /// [`ObsSnapshot::recent_jobs`]).
     pub fn snapshot(&self) -> ObsSnapshot {
-        fn collect<T, V: Ord>(
+        fn collect<T, V>(
             list: &Mutex<Vec<(String, T)>>,
             read: impl Fn(&T) -> V,
         ) -> Vec<(String, V)> {
@@ -298,19 +313,7 @@ impl Registry {
         ObsSnapshot {
             counters: collect(&self.inner.counters, Counter::get),
             gauges: collect(&self.inner.gauges, Gauge::get),
-            histograms: {
-                let list = self
-                    .inner
-                    .histograms
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner());
-                let mut out: Vec<(String, HistogramSnapshot)> = list
-                    .iter()
-                    .map(|(n, h)| (n.clone(), h.snapshot()))
-                    .collect();
-                out.sort_by(|a, b| a.0.cmp(&b.0));
-                out
-            },
+            histograms: collect(&self.inner.histograms, Histogram::snapshot),
             recent_jobs: Vec::new(),
         }
     }

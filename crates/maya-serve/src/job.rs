@@ -340,9 +340,7 @@ impl<T: Verdict> JobProducer<T> {
                 last.trials.extend(event.trials);
                 last.committed = event.committed;
                 last.best = event.best;
-                last.cache_delta.hits += event.cache_delta.hits;
-                last.cache_delta.misses += event.cache_delta.misses;
-                last.cache_delta.evictions += event.cache_delta.evictions;
+                last.cache_delta += event.cache_delta;
             }
             _ => rec.events.push_back(event),
         }
@@ -605,6 +603,8 @@ impl JobHandle {
 /// What the admission queue carries to a worker.
 pub(crate) struct QueuedJob {
     pub(crate) req: crate::request::Request,
+    /// The engine slot `req`'s target resolved to at submit.
+    pub(crate) slot: Arc<crate::registry::EngineSlot>,
     pub(crate) enqueued: Instant,
     /// Absolute expiry instant (admission time + the option's budget).
     pub(crate) expires: Option<Instant>,

@@ -11,13 +11,15 @@
 //!
 //! Internally:
 //!
-//! - an [`EngineRegistry`] lazily builds and multiplexes **one
+//! - an engine table, laid out once by [`ServiceBuilder::build`] and
+//!   immutable after it, holds **one lazily built
 //!   [`maya::PredictionEngine`] per distinct [`maya::EmulationSpec`],
 //!   one estimator + memo cache per distinct cluster** — concurrent
 //!   clients targeting the same cluster share a single estimator memo
 //!   (even when their pipeline knobs differ), so one tenant's trials
 //!   warm every tenant's cache, and the expensive estimator build runs
-//!   once per cluster;
+//!   once per cluster; a submission resolves its target name there
+//!   once and the queued job carries the slot it found;
 //! - a **bounded QoS admission queue** schedules requests over one
 //!   shared pool of worker threads (instead of a pool per engine):
 //!   jobs carry a [`Priority`] class and an optional tenant
@@ -62,7 +64,7 @@
 pub mod error;
 pub mod job;
 pub mod queue;
-pub mod registry;
+mod registry;
 pub mod request;
 pub mod serdes;
 pub mod service;
@@ -77,7 +79,6 @@ pub use job::{
     JobProducer, JobState, JobStep, Priority, ProgressEvents, SearchProgress, Verdict,
 };
 pub use queue::TenantStats;
-pub use registry::EngineRegistry;
 pub use request::{MeasureOutcome, Payload, Request, Response, Telemetry};
 pub use service::{MayaService, RestoreOutcome, ServiceBuilder, ServiceStats, SnapshotRestore};
 
@@ -187,7 +188,9 @@ mod tests {
             .unwrap();
         let via_service = resp.predictions().unwrap()[0].as_ref().unwrap();
 
-        let direct_engine = maya::MayaBuilder::new(ClusterSpec::h100(1, 4)).build_engine();
+        let direct_engine = maya::MayaBuilder::new(ClusterSpec::h100(1, 4))
+            .build()
+            .unwrap();
         let direct = direct_engine.predict_job(&job(4)).unwrap();
         assert_eq!(via_service.iteration_time(), direct.iteration_time());
         assert_eq!(via_service.workers_simulated, direct.workers_simulated);
@@ -242,7 +245,9 @@ mod tests {
         let engine = service.engine("h100-1").unwrap();
         assert!(engine.cache().len() <= 16, "cap exceeded");
         // Answers are unaffected by eviction (pure recomputation).
-        let direct = maya::MayaBuilder::new(ClusterSpec::h100(1, 1)).build_engine();
+        let direct = maya::MayaBuilder::new(ClusterSpec::h100(1, 1))
+            .build()
+            .unwrap();
         let via = resp.predictions().unwrap()[0].as_ref().unwrap();
         assert_eq!(
             via.iteration_time(),
@@ -599,6 +604,23 @@ mod tests {
         let _ = blocker.wait_outcome();
         let stats = service.stats();
         assert_eq!(stats.expired, 1, "telemetry must count the shed job");
+    }
+
+    #[test]
+    fn a_deadline_too_large_to_represent_is_no_deadline() {
+        // `admission instant + Duration::MAX` overflows `Instant`; the
+        // options arrive off the wire, so that must not be a panic.
+        let service = MayaService::builder()
+            .target("h100-2", EmulationSpec::new(ClusterSpec::h100(1, 2)))
+            .build()
+            .unwrap();
+        let forever = JobOptions::new().with_deadline(std::time::Duration::MAX);
+        for submit in [MayaService::submit_with, MayaService::try_submit_with] {
+            let handle = submit(&service, predict("h100-2", 2), forever.clone()).unwrap();
+            let outcome = handle.wait_outcome().unwrap();
+            assert!(matches!(outcome, JobOutcome::Done(_)), "{outcome:?}");
+        }
+        assert_eq!(service.stats().expired, 0);
     }
 
     #[test]

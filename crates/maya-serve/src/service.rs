@@ -4,10 +4,12 @@
 //! bounded QoS admission queue (priority classes, EDF within a class,
 //! a starvation guard and per-tenant quotas — see [`crate::queue`]'s
 //! module docs) schedules them over one shared pool of worker threads.
-//! Each worker resolves the target's [`EmulationSpec`] through
-//! the [`EngineRegistry`], so concurrent clients of the same cluster
-//! shape share a single prediction engine — and its estimator memo —
-//! instead of each owning a pool and a cold cache.
+//! The target set is fixed at [`ServiceBuilder::build`], which lays out
+//! one engine slot per distinct [`EmulationSpec`] (`registry.rs`); a
+//! submission resolves its target name to that slot once and the queued
+//! job carries it, so concurrent clients of the same cluster shape
+//! share a single prediction engine — and its estimator memo — and a
+//! worker never looks a target up.
 //!
 //! Every pipeline stage is deterministic and the memo caches pure
 //! functions, so a response is byte-identical to calling the engine
@@ -19,7 +21,6 @@
 //! writes the current memos back — the restart story for a long-running
 //! deployment.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,8 +30,8 @@ use std::time::{Duration, Instant};
 use maya::{EmulationSpec, EstimatorChoice, PredictionEngine, StageTimings};
 use maya_estimator::{CacheStats, SnapshotError};
 use maya_obs::{
-    chrome_trace_json, Counter, FlightRecorder, Gauge, Histogram, JobTreeRing, ObsConfig,
-    ObsSnapshot, Registry, SpanNode,
+    chrome_trace_json, Counter, FlightRecorder, Histogram, JobTreeRing, ObsConfig, ObsSnapshot,
+    Registry, SpanNode,
 };
 use maya_search::{
     ConfigPoint, Objective, SearchObserver, TrialOutcome, TrialRecord, TrialScheduler,
@@ -42,16 +43,16 @@ use crate::job::{
     QueuedJob, SearchProgress,
 };
 use crate::queue::{AdmissionQueue, QueueConfig, QueueObs, TenantStats};
-use crate::registry::EngineRegistry;
+use crate::registry::{EngineTable, Recipe};
 use crate::request::{MeasureOutcome, Payload, Request, Response, Telemetry};
 
 /// The service's observability surface: one [`Registry`] every layer
 /// publishes into, the flight recorder, and the ring of recent job
 /// span trees. Built from the [`ObsConfig`] the
-/// [`ServiceBuilder::observability`] chose — with metrics off, handles
-/// are detached (they still count, since [`ServiceStats`] reads them,
-/// but nothing is registered for scraping); with spans off, no trees
-/// are built at all.
+/// [`ServiceBuilder::observability`] chose — with metrics off the
+/// registry is a detached one (its handles still count, since
+/// [`ServiceStats`] reads them, but nothing is registered for
+/// scraping); with spans off, no trees are built at all.
 struct ServiceObs {
     config: ObsConfig,
     registry: Registry,
@@ -64,60 +65,30 @@ struct ServiceObs {
 
 impl ServiceObs {
     fn new(config: ObsConfig) -> ServiceObs {
-        let registry = Registry::new();
+        let registry = if config.metrics {
+            Registry::new()
+        } else {
+            Registry::detached()
+        };
         let recorder = FlightRecorder::default();
         recorder.set_enabled(config.spans);
-        let service_by_class = if config.metrics {
-            [
+        ServiceObs {
+            config,
+            service_by_class: [
                 registry.histogram("serve.service_time_us.high"),
                 registry.histogram("serve.service_time_us.normal"),
                 registry.histogram("serve.service_time_us.batch"),
-            ]
-        } else {
-            Default::default()
-        };
-        ServiceObs {
-            config,
+            ],
             registry,
             recorder,
             job_trees: JobTreeRing::default(),
-            service_by_class,
-        }
-    }
-
-    /// A counter under `name` when metrics are on, detached otherwise.
-    fn counter(&self, name: &str) -> Counter {
-        if self.config.metrics {
-            self.registry.counter(name)
-        } else {
-            Counter::detached()
-        }
-    }
-
-    /// A gauge under `name` when metrics are on, detached otherwise.
-    fn gauge(&self, name: &str) -> Gauge {
-        if self.config.metrics {
-            self.registry.gauge(name)
-        } else {
-            Gauge::detached()
-        }
-    }
-
-    /// A histogram under `name` when metrics are on, detached
-    /// otherwise.
-    fn histogram(&self, name: &str) -> Histogram {
-        if self.config.metrics {
-            self.registry.histogram(name)
-        } else {
-            Histogram::detached()
         }
     }
 }
 
 /// State shared by the service handle and its workers.
 struct Shared {
-    registry: EngineRegistry,
-    targets: HashMap<String, EmulationSpec>,
+    table: EngineTable,
     next_job_id: AtomicU64,
     served: Counter,
     cancelled: Counter,
@@ -284,42 +255,30 @@ impl ServiceBuilder {
         if self.targets.is_empty() {
             return Err(ServeError::NoTargets);
         }
-        let mut targets = HashMap::new();
-        for (name, spec) in self.targets {
-            if targets.insert(name.clone(), spec).is_some() {
-                return Err(ServeError::DuplicateTarget(name));
-            }
-        }
-        if !self.estimator.is_cluster_aware() {
-            let distinct: std::collections::HashSet<_> =
-                targets.values().map(|s| s.cluster.clone()).collect();
-            if distinct.len() > 1 {
-                return Err(ServeError::CustomEstimatorSpansClusters);
-            }
-        }
         let obs = ServiceObs::new(self.observability);
-        let mut registry = EngineRegistry::with_memo_capacity(self.estimator, self.memo_capacity);
-        if obs.config.metrics {
-            // Every engine the registry ever builds publishes its sim
-            // tallies into these shared registry-backed cells; the
-            // recorder is the service-wide one, so `sim.run` spans land
-            // next to the job-lifecycle spans.
-            registry = registry.with_sim_obs(maya::SimObs {
-                events: obs.counter("sim.events_processed"),
-                heap_depth_high_water: obs.gauge("sim.heap_depth_high_water"),
-                flow_solves: obs.counter("sim.flow_solves"),
-                recorder: obs.recorder.clone(),
-            });
-        }
+        let reg = &obs.registry;
+        // Every engine the table ever builds publishes its sim tallies
+        // into these shared registry-backed cells; the recorder is the
+        // service-wide one, so `sim.run` spans land next to the
+        // job-lifecycle spans.
+        let sim_obs = obs.config.metrics.then(|| maya::SimObs {
+            events: reg.counter("sim.events_processed"),
+            heap_depth_high_water: reg.gauge("sim.heap_depth_high_water"),
+            flow_solves: reg.counter("sim.flow_solves"),
+            recorder: obs.recorder.clone(),
+        });
+        let table = EngineTable::new(
+            self.targets,
+            Recipe {
+                estimator: self.estimator,
+                memo_capacity: self.memo_capacity,
+                sim_obs,
+            },
+        )?;
         let mut restores = Vec::new();
         if let Some(dir) = &self.snapshot_dir {
-            // Deterministic restore order (and report order).
-            let mut names: Vec<&String> = targets.keys().collect();
-            names.sort();
-            for name in names {
-                let Some(spec) = targets.get(name) else {
-                    continue; // names came from this map's own keys
-                };
+            // Name order: a deterministic restore (and report) order.
+            for (name, slot) in table.targets() {
                 let path = snapshot_file(dir, name);
                 if !path.exists() {
                     continue;
@@ -333,10 +292,9 @@ impl ServiceBuilder {
                 // change into a manual snapshot cleanup). Unreadable
                 // or corrupt files still fail the build — they mean
                 // the snapshot directory itself is broken.
-                let scope = registry.estimator_choice().memo_scope(&spec.cluster);
-                let engine = registry.engine(spec);
+                let engine = slot.engine();
                 let evictions_before = engine.cache_stats().evictions;
-                match engine.cache().load_snapshot(&path, &scope) {
+                match engine.cache().load_snapshot(&path, &slot.memo_scope()) {
                     Ok(entries) => {
                         // With a memo cap smaller than the snapshot,
                         // part of the restore is evicted on the spot —
@@ -373,26 +331,25 @@ impl ServiceBuilder {
             }
         }
         let queue_obs = QueueObs {
-            depth: obs.gauge("serve.queue.depth"),
-            depth_high_water: obs.gauge("serve.queue.depth_high_water"),
+            depth: reg.gauge("serve.queue.depth"),
+            depth_high_water: reg.gauge("serve.queue.depth_high_water"),
             wait_by_class: [
-                obs.histogram("serve.queue_wait_us.high"),
-                obs.histogram("serve.queue_wait_us.normal"),
-                obs.histogram("serve.queue_wait_us.batch"),
+                reg.histogram("serve.queue_wait_us.high"),
+                reg.histogram("serve.queue_wait_us.normal"),
+                reg.histogram("serve.queue_wait_us.batch"),
             ],
-            shed_expired: obs.counter("serve.queue.shed_expired"),
-            shed_cancelled: obs.counter("serve.queue.shed_cancelled"),
-            quota_shed: obs.counter("serve.queue.quota_shed"),
+            shed_expired: reg.counter("serve.queue.shed_expired"),
+            shed_cancelled: reg.counter("serve.queue.shed_cancelled"),
+            quota_shed: reg.counter("serve.queue.quota_shed"),
         };
         let shared = Arc::new(Shared {
-            registry,
-            targets,
+            table,
             next_job_id: AtomicU64::new(1),
-            served: obs.counter("serve.served"),
-            cancelled: obs.counter("serve.cancelled"),
-            expired: obs.counter("serve.expired"),
-            panicked: obs.counter("serve.panicked"),
-            progress_coalesced: obs.counter("serve.progress_coalesced"),
+            served: reg.counter("serve.served"),
+            cancelled: reg.counter("serve.cancelled"),
+            expired: reg.counter("serve.expired"),
+            panicked: reg.counter("serve.panicked"),
+            progress_coalesced: reg.counter("serve.progress_coalesced"),
             progress_high_water: self.progress_high_water,
             obs,
         });
@@ -520,43 +477,31 @@ fn worker_loop(idx: usize, shared: &Shared, queue: &AdmissionQueue) {
 
 /// Takes one popped job to its terminal state.
 fn serve(idx: usize, shared: &Shared, queue: &AdmissionQueue, work: QueuedJob) {
-    let QueuedJob {
-        req,
-        enqueued,
-        expires,
-        priority,
-        tenant,
-        id,
-        cancel,
-        producer,
-    } = work;
     // Dead entries are purged inside the queue at every scheduling
     // point, so the first two arms only cover the race between selection
     // and pickup: a job whose budget ran out (deadline enforcement,
     // part 1) or that was cancelled in that window is shed *here*, before
     // any engine or pipeline work — load shedding at its cheapest point.
     // lint:allow(wall-clock-in-output): deadline shedding — load-shedding input, never serialized
-    let verdict = if expires.is_some_and(|d| Instant::now() >= d) {
+    let verdict = if work.expires.is_some_and(|d| Instant::now() >= d) {
         Some(JobOutcome::Expired(None))
-    } else if cancel.is_cancelled() {
+    } else if work.cancel.is_cancelled() {
         Some(JobOutcome::Cancelled(None))
     } else {
-        producer.set_running();
-        let label = format!("{} on {:?}", req.kind(), req.target());
+        work.producer.set_running();
         // lint:allow(wall-clock-in-output): span-recorder telemetry anchor — timings are telemetry, not payload
         let exec_started = Instant::now();
         // A panicking request must not kill the worker (the pool would
         // silently shrink and later requests would hang in the queue):
-        // catch it and keep serving. Neither failure arm yields a
-        // verdict, so the producer is dropped below and the waiting
-        // client gets `ServeError::Stopped` instead of blocking forever.
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(idx, shared, req, enqueued, &producer, &cancel, expires)
-        })) {
-            Ok(Ok(outcome)) => {
+        // catch it and keep serving. A panic yields no verdict, so the
+        // producer is dropped below and the waiting client gets
+        // `ServeError::Stopped` instead of blocking forever.
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(idx, shared, &work)))
+        {
+            Ok(outcome) => {
                 let telemetry = outcome.response().map(|r| &r.telemetry);
-                if let (true, Some(t)) = (shared.obs.config.metrics, telemetry) {
-                    shared.obs.service_by_class[usize::from(priority.level().min(2))]
+                if let Some(t) = telemetry {
+                    shared.obs.service_by_class[usize::from(work.priority.level().min(2))]
                         .record_duration(t.service_time);
                 }
                 if shared.obs.config.spans {
@@ -566,18 +511,14 @@ fn serve(idx: usize, shared: &Shared, queue: &AdmissionQueue, work: QueuedJob) {
                         exec_started.elapsed(),
                     );
                     if let Some(tree) = telemetry.and_then(|t| t.spans.first()) {
-                        shared.obs.job_trees.record(id, tree.clone());
+                        shared.obs.job_trees.record(work.id, tree.clone());
                     }
                 }
                 Some(outcome)
             }
-            // An invariant breach surfaced as a typed error.
-            Ok(Err(err)) => {
-                eprintln!("[maya-serve] worker {idx}: request {label} failed: {err}");
-                None
-            }
             Err(panic) => {
                 shared.panicked.inc();
+                let label = format!("{} on {:?}", work.req.kind(), work.req.target());
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_string())
@@ -601,11 +542,11 @@ fn serve(idx: usize, shared: &Shared, queue: &AdmissionQueue, work: QueuedJob) {
         .map(|r| r.telemetry.service_time);
     // Counters settle before the verdict is delivered, so a client
     // reading stats right after `wait()` sees them.
-    queue.finished(tenant.as_deref(), state, service_time);
+    queue.finished(work.tenant.as_deref(), state, service_time);
     // The job's one terminal transition. Without a verdict the
     // producer simply goes out of scope: that *is* `Failed`.
     if let Some(outcome) = verdict {
-        producer.complete(outcome);
+        work.producer.complete(outcome);
     }
 }
 
@@ -616,7 +557,7 @@ struct ProgressForwarder<'a> {
     cancel: &'a CancelToken,
     /// Service-wide count of events merged under backpressure.
     coalesced: &'a Counter,
-    engine: Arc<PredictionEngine>,
+    engine: &'a PredictionEngine,
     last_cache: CacheStats,
     pending: Vec<TrialRecord>,
     best: Option<(ConfigPoint, TrialOutcome)>,
@@ -636,11 +577,7 @@ impl SearchObserver for ProgressForwarder<'_> {
 
     fn wave_committed(&mut self, committed: usize) {
         let cache = self.engine.cache_stats();
-        let cache_delta = CacheStats {
-            hits: cache.hits - self.last_cache.hits,
-            misses: cache.misses - self.last_cache.misses,
-            evictions: cache.evictions - self.last_cache.evictions,
-        };
+        let cache_delta = cache - self.last_cache;
         self.last_cache = cache;
         if self.job.emit_progress(SearchProgress {
             trials: std::mem::take(&mut self.pending),
@@ -688,39 +625,22 @@ fn job_span_tree(queue_wait: Duration, service_time: Duration, stages: &StageTim
         .with_child(execute)
 }
 
-/// Runs one request against its target's engine. `Err` is the typed
-/// escape for invariant breaches (an unknown target slipping past
-/// submit validation) — the worker maps it to a `Failed` job rather
-/// than letting a panicking index take down the request.
-fn execute(
-    worker: usize,
-    shared: &Shared,
-    req: Request,
-    enqueued: Instant,
-    job: &JobProducer<JobOutcome>,
-    cancel: &CancelToken,
-    expires: Option<Instant>,
-) -> Result<JobOutcome, ServeError> {
+/// Runs one admitted request against the engine of the slot it was
+/// routed to at submit.
+fn execute(worker: usize, shared: &Shared, work: &QueuedJob) -> JobOutcome {
     // Queue wait ends the moment a worker picks the request up; the
     // (possibly expensive, first-use) lazy engine build that follows
     // is counted as service time, not congestion.
-    let queue_wait = enqueued.elapsed();
+    let queue_wait = work.enqueued.elapsed();
     // lint:allow(wall-clock-in-output): service_time telemetry anchor — reported in Telemetry, not in predictions
     let started = Instant::now();
-    // Target existence was validated at submit; the map is immutable
-    // after build, so this miss is unreachable short of a bug — which
-    // is exactly when a typed error beats a worker panic.
-    let Some(spec) = shared.targets.get(req.target()) else {
-        return Err(ServeError::UnknownTarget(req.target().to_string()));
-    };
-    let engine = shared.registry.engine(spec);
+    let engine: &PredictionEngine = work.slot.engine();
+    let cancel = &work.cancel;
     let cache_before = engine.cache_stats();
-    let target = req.target().to_string();
-    let kind = req.kind();
     let deadline_fired = AtomicBool::new(false);
-    let (payload, stages) = match req {
+    let (payload, stages) = match &work.req {
         Request::Predict { jobs, .. } => {
-            let results = engine.predict_batch_with(&jobs, Some(cancel));
+            let results = engine.predict_batch_with(jobs, Some(cancel));
             let mut stages = StageTimings::default();
             for p in results.iter().flatten() {
                 stages.emulation += p.timings.emulation;
@@ -738,27 +658,27 @@ fn execute(
             seed,
             ..
         } => {
-            let objective = Objective::new(&engine, template);
+            let objective = Objective::new(engine, *template);
             let forwarder = ProgressForwarder {
-                job,
+                job: &work.producer,
                 cancel,
                 coalesced: &shared.progress_coalesced,
-                engine: Arc::clone(&engine),
+                engine,
                 last_cache: cache_before,
                 pending: Vec::new(),
                 best: None,
-                expires,
+                expires: work.expires,
                 deadline_fired: &deadline_fired,
             };
             let result = TrialScheduler::new(&objective)
-                .with_space(space)
+                .with_space(space.clone())
                 .with_observer(Box::new(forwarder))
                 .with_cancel(cancel.clone())
-                .run_batched(algorithm, budget, seed);
+                .run_batched(*algorithm, *budget, *seed);
             (Payload::Search(Box::new(result)), StageTimings::default())
         }
         Request::Measure { job, .. } => {
-            let outcome = engine.measure_actual(&job).map(|inner| match inner {
+            let outcome = engine.measure_actual(job).map(|inner| match inner {
                 Ok(m) => MeasureOutcome::Completed(m),
                 Err(peak_bytes) => MeasureOutcome::OutOfMemory { peak_bytes },
             });
@@ -773,30 +693,26 @@ fn execute(
         Vec::new()
     };
     let response = Response {
-        target,
-        kind,
+        target: work.req.target().to_string(),
+        kind: work.req.kind(),
         telemetry: Telemetry {
             queue_wait,
             service_time,
             worker,
             cache,
-            cache_delta: CacheStats {
-                hits: cache.hits - cache_before.hits,
-                misses: cache.misses - cache_before.misses,
-                evictions: cache.evictions - cache_before.evictions,
-            },
+            cache_delta: cache - cache_before,
             stages,
             spans,
         },
         payload,
     };
-    Ok(if deadline_fired.load(Ordering::SeqCst) {
+    if deadline_fired.load(Ordering::SeqCst) {
         JobOutcome::Expired(Some(response))
     } else if cancel.is_cancelled() {
         JobOutcome::Cancelled(Some(response))
     } else {
         JobOutcome::Done(response)
-    })
+    }
 }
 
 /// Point-in-time service counters.
@@ -931,15 +847,14 @@ impl MayaService {
         ServiceBuilder::new()
     }
 
-    /// Builds the linked handle/queue-entry pair for one admission.
+    /// Builds the linked handle/queue-entry pair for one admission,
+    /// routing the request to its target's engine slot.
     fn make_job(
         &self,
         req: Request,
         opts: JobOptions,
     ) -> Result<(JobHandle, QueuedJob), ServeError> {
-        if !self.shared.targets.contains_key(req.target()) {
-            return Err(ServeError::UnknownTarget(req.target().to_string()));
-        }
+        let slot = Arc::clone(self.shared.table.slot(req.target())?);
         let id = self.shared.next_job_id.fetch_add(1, Ordering::Relaxed);
         let (producer, events) = job_channel(self.shared.progress_high_water);
         let cancel = CancelToken::new();
@@ -960,8 +875,10 @@ impl MayaService {
             handle,
             QueuedJob {
                 req,
+                slot,
                 enqueued,
-                expires: deadline.map(|d| enqueued + d),
+                // A budget too large to represent never runs out.
+                expires: deadline.and_then(|d| enqueued.checked_add(d)),
                 priority,
                 tenant,
                 id,
@@ -1010,37 +927,30 @@ impl MayaService {
 
     /// Registered target names (sorted).
     pub fn targets(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.shared.targets.keys().cloned().collect();
-        names.sort();
-        names
+        self.shared
+            .table
+            .targets()
+            .map(|(n, _)| n.clone())
+            .collect()
     }
 
     /// The spec a target resolves to.
     pub fn target_spec(&self, target: &str) -> Result<EmulationSpec, ServeError> {
-        self.shared
-            .targets
-            .get(target)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownTarget(target.to_string()))
+        Ok(self.shared.table.slot(target)?.spec().clone())
     }
 
     /// The engine serving `target`, building it if needed. Useful for
     /// out-of-band inspection (cache stats, direct predictions in
     /// tests); requests go through [`MayaService::submit`].
     pub fn engine(&self, target: &str) -> Result<Arc<PredictionEngine>, ServeError> {
-        Ok(self.shared.registry.engine(&self.target_spec(target)?))
+        Ok(Arc::clone(self.shared.table.slot(target)?.engine()))
     }
 
     /// Memo-cache counters of `target`'s engine ([`CacheStats::default`]
     /// when the engine has not been built yet).
     pub fn cache_stats(&self, target: &str) -> Result<CacheStats, ServeError> {
-        let spec = self.target_spec(target)?;
-        Ok(self
-            .shared
-            .registry
-            .built_engine(&spec)
-            .map(|e| e.cache_stats())
-            .unwrap_or_default())
+        let built = self.shared.table.slot(target)?.built();
+        Ok(built.map(|e| e.cache_stats()).unwrap_or_default())
     }
 
     /// Service counters. Queue-shed verdicts (deadline blown or
@@ -1057,7 +967,7 @@ impl MayaService {
             queue_shed_cancelled: self.queue.shed_cancelled(),
             panicked: self.shared.panicked.get(),
             progress_coalesced: self.shared.progress_coalesced.get(),
-            engines_built: self.shared.registry.engines_built(),
+            engines_built: self.shared.table.built().count(),
             workers: self.workers.len(),
             queue_capacity: self.queue_capacity,
             tenants: self.queue.tenant_stats(),
@@ -1069,7 +979,7 @@ impl MayaService {
     /// `name` when metrics are on, detached (it still counts, nothing
     /// is registered) when they are off.
     pub fn counter(&self, name: &str) -> Counter {
-        self.shared.obs.counter(name)
+        self.shared.obs.registry.counter(name)
     }
 
     /// Records (or re-records, replacing in place) the span tree for
@@ -1094,23 +1004,14 @@ impl MayaService {
             // registry so a scrape carries them. Targets sharing a
             // cluster share one cache; dedup by cache identity so a
             // shared memo is not double-counted.
-            let mut caches: Vec<Arc<maya_estimator::CachingEstimator>> = Vec::new();
-            for spec in self.shared.registry.built_specs() {
-                if let Some(engine) = self.shared.registry.built_engine(&spec) {
-                    let cache = Arc::clone(engine.cache());
-                    if !caches.iter().any(|c| Arc::ptr_eq(c, &cache)) {
-                        caches.push(cache);
-                    }
+            let mut caches: Vec<&Arc<maya_estimator::CachingEstimator>> = Vec::new();
+            let mut total = CacheStats::default();
+            for engine in self.shared.table.built() {
+                if !caches.iter().any(|c| Arc::ptr_eq(c, engine.cache())) {
+                    caches.push(engine.cache());
+                    total += engine.cache_stats();
                 }
             }
-            let total = caches.iter().fold(CacheStats::default(), |acc, c| {
-                let s = c.stats();
-                CacheStats {
-                    hits: acc.hits + s.hits,
-                    misses: acc.misses + s.misses,
-                    evictions: acc.evictions + s.evictions,
-                }
-            });
             let reg = &self.shared.obs.registry;
             reg.counter("serve.cache.hits").store(total.hits);
             reg.counter("serve.cache.misses").store(total.misses);
@@ -1159,24 +1060,13 @@ impl MayaService {
             return Ok(0);
         };
         let mut written = 0;
-        // Walk targets in name order: HashMap iteration order would
-        // make the write sequence (and any partial-failure prefix)
-        // differ run to run.
-        let mut names: Vec<&String> = self.shared.targets.keys().collect();
-        names.sort_unstable();
-        for name in names {
-            let Some(spec) = self.shared.targets.get(name) else {
-                continue;
-            };
-            if let Some(engine) = self.shared.registry.built_engine(spec) {
-                let scope = self
-                    .shared
-                    .registry
-                    .estimator_choice()
-                    .memo_scope(&spec.cluster);
+        // Name order, so the write sequence (and any partial-failure
+        // prefix) is the same run to run.
+        for (name, slot) in self.shared.table.targets() {
+            if let Some(engine) = slot.built() {
                 engine
                     .cache()
-                    .write_snapshot(&snapshot_file(dir, name), &scope)?;
+                    .write_snapshot(&snapshot_file(dir, name), &slot.memo_scope())?;
                 written += 1;
             }
         }
@@ -1441,19 +1331,12 @@ mod tests {
         blocker.control.cancel();
         blocker.ends(JobState::Cancelled, "blocker");
 
-        // No verdict, three ways. A request panic...
+        // No verdict, two ways (an admitted job carries its engine
+        // slot, so there is no unknown target left to fail on). A
+        // request panic...
         submit(&service, predict(BOOM, 2), tenant()).ends(JobState::Failed, "panic");
         assert_eq!(service.stats().panicked, 1);
         settled(&service, "panic");
-
-        // ...a typed `execute` error (an admitted job whose target is
-        // gone — unreachable short of a bug, so smuggled in)...
-        let (handle, mut job) = service.make_job(predict(OK, 2), tenant()).unwrap();
-        job.req = predict("no-such-target", 2);
-        let job_watch = watch(handle);
-        service.queue.push(job, true).unwrap();
-        job_watch.ends(JobState::Failed, "typed execute error");
-        settled(&service, "typed execute error");
 
         // ...and an entry dropped unrun (what a torn-down queue does).
         let (handle, job) = service.make_job(predict(OK, 2), tenant()).unwrap();

@@ -23,6 +23,7 @@ use crate::schedule::{block_of, build_schedule, owner_of, StepKind};
 use crate::workload::TrainingJob;
 
 /// Per-worker runtime handles.
+#[derive(Default)]
 struct Comms {
     tp: Option<NcclComm>,
     dp: Option<NcclComm>,
@@ -64,6 +65,38 @@ struct Events {
     dp_done: CudaEvent,
 }
 
+/// A communicator of a Megatron job, named by what it is for. The one
+/// derivation of communicator identity: the worker that joins a
+/// communicator and [`megatron_comm_groups`], which lists them without
+/// running anybody, both ask [`Role::comm`].
+enum Role {
+    Tp,
+    Dp,
+    /// First and last pipeline stage (tied embedding gradients).
+    Embedding,
+    /// A directed p2p link — sender stage, receiver stage, and whether
+    /// it carries activations forward (else gradients back).
+    Link(u32, u32, bool),
+}
+
+impl Role {
+    /// The id and member list of the communicator of this role that
+    /// `rank` belongs to. A link's members are its sender, then its
+    /// receiver, at `rank`'s tensor- and data-parallel coordinates.
+    fn comm(self, topo: &RankTopology, rank: u32) -> (NcclUniqueId, Vec<u32>) {
+        let (t, d) = (topo.tp_rank(rank), topo.dp_rank(rank));
+        let link = |from, to| vec![topo.global_rank(t, d, from), topo.global_rank(t, d, to)];
+        let (tag, members) = match self {
+            Role::Tp => (0x74_70, topo.tp_group(rank)),
+            Role::Dp => (0x64_70, topo.dp_group(rank)),
+            Role::Embedding => (0x65_6D, topo.embedding_group(rank)),
+            Role::Link(from, to, true) => (0x0061_6374, link(from, to)),
+            Role::Link(from, to, false) => (0x0067_7264, link(from, to)),
+        };
+        (NcclUniqueId::from_members_tagged(&members, tag), members)
+    }
+}
+
 /// Bucket size for data-parallel gradient all-reduce (Megatron default
 /// is on the order of 100-200 MB).
 const DP_BUCKET_BYTES: u64 = 128 * 1024 * 1024;
@@ -100,27 +133,19 @@ pub fn run_megatron_worker(job: &TrainingJob, rank: u32, ctx: &mut CudaContext) 
     };
 
     // --- Communicators ---
-    let mut comms = Comms {
-        tp: None,
-        dp: None,
-        embedding: None,
-        links: HashMap::new(),
-    };
+    let mut comms = Comms::default();
     if par.tp > 1 {
-        let members = topo.tp_group(rank);
-        let uid = NcclUniqueId::from_members_tagged(&members, 0x74_70);
+        let (uid, _) = Role::Tp.comm(&topo, rank);
         comms.tp = Some(ctx.nccl_comm_init_rank(uid, par.tp, tpr)?);
     }
     if topo.dp > 1 {
-        let members = topo.dp_group(rank);
-        let uid = NcclUniqueId::from_members_tagged(&members, 0x64_70);
+        let (uid, _) = Role::Dp.comm(&topo, rank);
         comms.dp = Some(ctx.nccl_comm_init_rank(uid, topo.dp, dpr)?);
     }
     let owns_first = owner_of(0, par.pp) == ppr;
     let owns_last = owner_of(total_blocks - 1, par.pp) == ppr;
     if par.pp > 1 && (owns_first || owns_last) {
-        let members = topo.embedding_group(rank);
-        let uid = NcclUniqueId::from_members_tagged(&members, 0x65_6D);
+        let (uid, _) = Role::Embedding.comm(&topo, rank);
         let my = if ppr == 0 { 0 } else { 1 };
         comms.embedding = Some(ctx.nccl_comm_init_rank(uid, 2, my)?);
     }
@@ -130,13 +155,13 @@ pub fn run_megatron_worker(job: &TrainingJob, rank: u32, ctx: &mut CudaContext) 
             let block = block_of(ppr, chunk, par.pp);
             if block > 0 {
                 let from = owner_of(block - 1, par.pp);
-                link(ctx, &topo, rank, &mut comms, from, ppr, true, false)?; // act in
-                link(ctx, &topo, rank, &mut comms, ppr, from, false, true)?; // grad out
+                link(ctx, &topo, rank, &mut comms, from, ppr, true)?; // act in
+                link(ctx, &topo, rank, &mut comms, ppr, from, false)?; // grad out
             }
             if block + 1 < total_blocks {
                 let to = owner_of(block + 1, par.pp);
-                link(ctx, &topo, rank, &mut comms, ppr, to, true, true)?; // act out
-                link(ctx, &topo, rank, &mut comms, to, ppr, false, false)?; // grad in
+                link(ctx, &topo, rank, &mut comms, ppr, to, true)?; // act out
+                link(ctx, &topo, rank, &mut comms, to, ppr, false)?; // grad in
             }
         }
     }
@@ -351,30 +376,24 @@ pub fn run_megatron_worker(job: &TrainingJob, rank: u32, ctx: &mut CudaContext) 
     Ok(())
 }
 
-/// Ensures a directed p2p link communicator exists; `i_send` tells this
-/// rank's role on the link.
-#[allow(clippy::too_many_arguments)]
+/// Ensures the directed p2p link communicator `from` → `to` exists on
+/// this rank, which sits on one of the two stages: it sends iff it is
+/// on `from`.
 fn link(
     ctx: &mut CudaContext,
     topo: &RankTopology,
     rank: u32,
     comms: &mut Comms,
-    from_stage: u32,
-    to_stage: u32,
+    from: u32,
+    to: u32,
     forward: bool,
-    i_send: bool,
 ) -> CudaResult<()> {
-    let key = (if i_send { to_stage } else { from_stage }, forward, i_send);
+    let i_send = topo.pp_rank(rank) == from;
+    let key = (if i_send { to } else { from }, forward, i_send);
     if comms.links.contains_key(&key) {
         return Ok(());
     }
-    let (t, d) = (topo.tp_rank(rank), topo.dp_rank(rank));
-    let members = [
-        topo.global_rank(t, d, from_stage),
-        topo.global_rank(t, d, to_stage),
-    ];
-    let tag = if forward { 0x0061_6374 } else { 0x0067_7264 };
-    let uid = NcclUniqueId::from_members_tagged(&members, tag);
+    let (uid, _) = Role::Link(from, to, forward).comm(topo, rank);
     let my = if i_send { 0 } else { 1 };
     let comm = ctx.nccl_comm_init_rank(uid, 2, my)?;
     comms.links.insert(key, comm);
@@ -418,7 +437,8 @@ fn send_boundary(
 
 /// Builds the complete communicator-group map a Megatron job creates:
 /// `comm_id -> members` for every tp/dp/embedding/p2p-link communicator,
-/// using the same unique-id derivation as `run_megatron_worker`.
+/// each derived by the `Role::comm` a `run_megatron_worker` joins it
+/// through, asked of one member rank.
 ///
 /// Used by selective launch (§7.4): when only unique ranks are emulated,
 /// the collator cannot reconstruct group membership from observation and
@@ -429,40 +449,32 @@ pub fn megatron_comm_groups(job: &TrainingJob) -> std::collections::BTreeMap<u64
     let topo = RankTopology::new(par, job.world);
     let chunks = par.virtual_stages;
     let total_blocks = par.pp * chunks;
-    let mut insert = |members: Vec<u32>, tag: u64| {
-        let uid = NcclUniqueId::from_members_tagged(&members, tag);
+    let mut insert = |role: Role, member: u32| {
+        let (uid, members) = role.comm(&topo, member);
         groups.insert(uid.0, members);
     };
     for p in 0..par.pp {
         for d in 0..topo.dp {
             if par.tp > 1 {
-                let members: Vec<u32> = (0..par.tp).map(|t| topo.global_rank(t, d, p)).collect();
-                insert(members, 0x74_70);
+                insert(Role::Tp, topo.global_rank(0, d, p));
             }
         }
         for t in 0..par.tp {
             if topo.dp > 1 {
-                let members: Vec<u32> = (0..topo.dp).map(|d| topo.global_rank(t, d, p)).collect();
-                insert(members, 0x64_70);
+                insert(Role::Dp, topo.global_rank(t, 0, p));
             }
         }
     }
     if par.pp > 1 {
         for t in 0..par.tp {
             for d in 0..topo.dp {
-                insert(
-                    vec![
-                        topo.global_rank(t, d, 0),
-                        topo.global_rank(t, d, par.pp - 1),
-                    ],
-                    0x65_6D,
-                );
+                // Any stage's rank at (t, d) names the same pipeline.
+                let rank = topo.global_rank(t, d, 0);
+                insert(Role::Embedding, rank);
                 for block in 1..total_blocks {
-                    let from = owner_of(block - 1, par.pp);
-                    let to = owner_of(block, par.pp);
-                    let (gf, gt) = (topo.global_rank(t, d, from), topo.global_rank(t, d, to));
-                    insert(vec![gf, gt], 0x0061_6374); // activations, from -> to
-                    insert(vec![gt, gf], 0x0067_7264); // gradients, to -> from
+                    let (from, to) = (owner_of(block - 1, par.pp), owner_of(block, par.pp));
+                    insert(Role::Link(from, to, true), rank); // activations
+                    insert(Role::Link(to, from, false), rank); // gradients
                 }
             }
         }

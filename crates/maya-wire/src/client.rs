@@ -40,7 +40,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::{compact, Serialize};
 
@@ -363,8 +363,9 @@ impl WireClient {
                 message: "job deadline expired before the service admitted the request".to_string(),
             })
         }
+        // A budget too large to represent is no deadline at all.
         // lint:allow(wall-clock-in-output): client-side retry budget deadline — local scheduling, never serialized
-        let expires = opts.deadline.map(|d| std::time::Instant::now() + d);
+        let expires = opts.deadline.and_then(|d| Instant::now().checked_add(d));
         let attempts = backoff.attempts.max(1);
         let mut delay = backoff.initial;
         let mut last = None;
@@ -377,7 +378,7 @@ impl WireClient {
                     // already gone ends the loop with the typed
                     // expired verdict.
                     // lint:allow(wall-clock-in-output): retry budget bookkeeping — caps the backoff sleep
-                    let remaining = expires.saturating_duration_since(std::time::Instant::now());
+                    let remaining = expires.saturating_duration_since(Instant::now());
                     if remaining.is_zero() {
                         return Err(budget_exhausted());
                     }
@@ -391,7 +392,7 @@ impl WireClient {
             let attempt_opts = match expires {
                 Some(expires) => {
                     // lint:allow(wall-clock-in-output): remaining deadline forwarded to the server — deadlines are wall-clock by contract
-                    let remaining = expires.saturating_duration_since(std::time::Instant::now());
+                    let remaining = expires.saturating_duration_since(Instant::now());
                     if remaining.is_zero() {
                         return Err(budget_exhausted());
                     }

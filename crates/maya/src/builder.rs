@@ -16,8 +16,11 @@
 //! assert_eq!(maya.spec().emulation_threads, 2);
 //! ```
 //!
-//! `maya-serve` uses the same [`EstimatorChoice`] to stamp out one
-//! engine per registered cluster target.
+//! [`build`](MayaBuilder::build) is the only constructor here.
+//! `maya-serve` replays the same [`EstimatorChoice`] once per distinct
+//! cluster and hands the memo to
+//! [`PredictionEngine::with_shared_cache`], so its engines on one
+//! cluster share a warm cache.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -237,26 +240,20 @@ impl MayaBuilder {
         &self.spec
     }
 
-    /// Builds the bare engine (no snapshot handling) — what
-    /// `maya-serve`'s registry stamps out per cluster spec.
-    pub fn build_engine(&self) -> PredictionEngine {
-        let cache = maya_estimator::CachingEstimator::with_capacity(
-            self.estimator.build(&self.spec.cluster),
-            self.memo_capacity,
-        );
-        PredictionEngine::with_shared_cache(self.spec.clone(), Arc::new(cache))
-    }
-
     /// Builds the engine, restoring the snapshot if one is configured
     /// and present. A snapshot written under a different cluster or
     /// estimator configuration is rejected (its memoized runtimes would
     /// silently poison every prediction).
     pub fn build(self) -> Result<PredictionEngine, MayaError> {
-        let mut engine = self.build_engine();
-        engine.snapshot = self.snapshot.map(|path| {
-            let scope = self.estimator.memo_scope(&self.spec.cluster);
-            (path, scope)
-        });
+        let cache = maya_estimator::CachingEstimator::with_capacity(
+            self.estimator.build(&self.spec.cluster),
+            self.memo_capacity,
+        );
+        let snapshot = self
+            .snapshot
+            .map(|path| (path, self.estimator.memo_scope(&self.spec.cluster)));
+        let mut engine = PredictionEngine::with_shared_cache(self.spec, Arc::new(cache));
+        engine.snapshot = snapshot;
         if let Some((path, scope)) = &engine.snapshot {
             if path.exists() {
                 engine.cache().load_snapshot(path, scope)?;

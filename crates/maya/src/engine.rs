@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use maya_collate::{collate, dedup_classes, reduce_job, unique_megatron_ranks, Collator};
@@ -128,7 +128,6 @@ fn infallible(done: Result<(), Infallible>) {
 /// Reusable, thread-safe prediction pipeline (see module docs).
 pub struct PredictionEngine {
     spec: EmulationSpec,
-    base: Arc<dyn RuntimeEstimator>,
     cache: Arc<CachingEstimator>,
     /// Pool of reusable simulator arenas. Every simulate call checks
     /// one out (or starts fresh) and returns it afterwards, so repeated
@@ -136,11 +135,11 @@ pub struct PredictionEngine {
     /// `predict_batch` fan-out — amortize the sim's allocations. The
     /// pool never exceeds the engine's peak simulate concurrency.
     scratch_pool: Mutex<Vec<SimScratch>>,
-    /// Simulator observability sinks, installed at most once (the
-    /// serving layer wires them to its metrics registry). Unset — the
-    /// default — leaves every simulate call on the uninstrumented
-    /// path, which is byte-identical to the instrumented one.
-    sim_obs: OnceLock<SimObs>,
+    /// Simulator observability sinks ([`PredictionEngine::with_sim_obs`]).
+    /// `None` — the default — leaves every simulate call on the
+    /// uninstrumented path, which is byte-identical to the
+    /// instrumented one.
+    sim_obs: Option<SimObs>,
     /// Where [`PredictionEngine::persist_snapshot`] writes the
     /// estimator memo, and the compatibility scope it is stamped with
     /// ([`MayaBuilder::snapshot_path`](crate::MayaBuilder::snapshot_path)).
@@ -165,12 +164,20 @@ impl PredictionEngine {
     pub fn with_shared_cache(spec: EmulationSpec, cache: Arc<CachingEstimator>) -> Self {
         PredictionEngine {
             spec,
-            base: Arc::clone(cache.inner()),
             cache,
             scratch_pool: Mutex::new(Vec::new()),
-            sim_obs: OnceLock::new(),
+            sim_obs: None,
             snapshot: None,
         }
+    }
+
+    /// Publishes every simulate call's per-run tallies (event counters,
+    /// heap high-water gauge, flow-solver counter, flight recorder)
+    /// into `obs`. A step of construction: it takes the engine by value,
+    /// so the sinks are fixed before the engine can be shared.
+    pub fn with_sim_obs(mut self, obs: SimObs) -> Self {
+        self.sim_obs = Some(obs);
+        self
     }
 
     /// Writes the estimator memo to the builder-configured snapshot
@@ -184,20 +191,6 @@ impl PredictionEngine {
                 Ok(true)
             }
         }
-    }
-
-    /// Installs simulator observability sinks (event counters, heap
-    /// high-water gauge, flow-solver counter, flight recorder). First
-    /// install wins; later calls return the rejected sinks back so the
-    /// caller can tell nothing happened. All simulate calls from then
-    /// on publish their per-run tallies into the installed sinks.
-    pub fn install_sim_obs(&self, obs: SimObs) -> Result<(), SimObs> {
-        self.sim_obs.set(obs)
-    }
-
-    /// The installed simulator observability sinks, if any.
-    pub fn sim_obs(&self) -> Option<&SimObs> {
-        self.sim_obs.get()
     }
 
     /// Runs `f` with a pooled simulator arena checked out for the call.
@@ -219,11 +212,6 @@ impl PredictionEngine {
     /// The emulation spec in use.
     pub fn spec(&self) -> &EmulationSpec {
         &self.spec
-    }
-
-    /// The estimator the engine was built with (unwrapped).
-    pub fn base_estimator(&self) -> &Arc<dyn RuntimeEstimator> {
-        &self.base
     }
 
     /// The shared memo cache sitting in front of the estimator.
@@ -303,13 +291,21 @@ impl PredictionEngine {
         )
     }
 
-    /// Which ranks to emulate for a job under the current spec.
-    fn ranks_to_emulate(&self, job: &TrainingJob) -> Vec<u32> {
+    /// Which ranks to emulate for a job under the current spec, and the
+    /// communicator groups known without observing them. Selective
+    /// launch leaves most communicator slots unobserved, so it supplies
+    /// the authoritative group map from workload knowledge (§7.4's
+    /// "explicit knowledge of the workload"); every other job emulates
+    /// all ranks and lets the collator observe its groups.
+    fn launch_plan(&self, job: &TrainingJob) -> (Vec<u32>, BTreeMap<u64, Vec<u32>>) {
         if self.spec.selective_launch && matches!(job.flavor, FrameworkFlavor::Megatron) {
             let topo = RankTopology::new(&job.parallel, job.world);
-            unique_megatron_ranks(topo.tp, topo.dp, topo.pp)
+            (
+                unique_megatron_ranks(topo.tp, topo.dp, topo.pp),
+                maya_torchlet::engine::megatron_comm_groups(job),
+            )
         } else {
-            (0..job.world).collect()
+            ((0..job.world).collect(), BTreeMap::new())
         }
     }
 
@@ -337,16 +333,7 @@ impl PredictionEngine {
                 cluster: self.spec.cluster.num_gpus(),
             });
         }
-        let ranks = self.ranks_to_emulate(job);
-        // Selective launch leaves most communicator slots unobserved;
-        // supply the authoritative group map from workload knowledge
-        // (§7.4's "explicit knowledge of the workload").
-        let known = if self.spec.selective_launch && matches!(job.flavor, FrameworkFlavor::Megatron)
-        {
-            maya_torchlet::engine::megatron_comm_groups(job)
-        } else {
-            BTreeMap::new()
-        };
+        let (ranks, known) = self.launch_plan(job);
         let fold = self.folds();
         let mut collator = Collator::new(job.world, &known, fold);
         let mut collation = Duration::ZERO;
@@ -481,7 +468,7 @@ impl PredictionEngine {
         let report = self.with_sim_scratch(|scratch| {
             let sim = Simulator::new(est, &self.spec.cluster)
                 .with_faults(self.spec.faults.as_ref())
-                .with_obs(self.sim_obs.get());
+                .with_obs(self.sim_obs.as_ref());
             // Estimation is the lowering pass: the one read of the
             // trace, asking the shared memo once per kernel and memcpy
             // (Table 6 / Fig. 13's estimation stage). Collective

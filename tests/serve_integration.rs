@@ -123,8 +123,8 @@ fn concurrent_mixed_requests_match_direct_engine_calls() {
     // Reference: direct PredictionEngine / TrialScheduler runs, one
     // fresh engine per cluster (cold caches cannot change values, only
     // telemetry — every stage is deterministic).
-    let h100_engine = MayaBuilder::new(h100.clone()).build_engine();
-    let a40_engine = MayaBuilder::new(a40.clone()).build_engine();
+    let h100_engine = MayaBuilder::new(h100.clone()).build().unwrap();
+    let a40_engine = MayaBuilder::new(a40.clone()).build().unwrap();
 
     // Every prediction completed; the real value-level comparisons
     // against direct engine runs follow below, job by job.
@@ -215,7 +215,8 @@ fn measure_requests_match_direct_testbed_runs() {
         other => panic!("unexpected outcome {other:?}"),
     };
     let direct = MayaBuilder::new(a40.clone())
-        .build_engine()
+        .build()
+        .unwrap()
         .measure_actual(&j)
         .unwrap()
         .expect("fits");
@@ -280,7 +281,7 @@ fn snapshot_from_one_service_warm_starts_the_next() {
     }
 
     // And the warm answers are identical to the cold ones.
-    let direct = MayaBuilder::new(h100.clone()).build_engine();
+    let direct = MayaBuilder::new(h100.clone()).build().unwrap();
     let reference = direct
         .predict_job(&job(&h100, ParallelConfig::default()))
         .unwrap();
