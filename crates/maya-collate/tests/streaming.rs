@@ -7,11 +7,13 @@ mod reference;
 use std::collections::BTreeMap;
 
 use maya_collate::{
-    collate, dedup_classes, reduce_job, signature, CollateError, CollateStats, Collator,
+    collate, dedup_classes, reduce_job, signature, CollateError, CollateStats, Collator, DedupClass,
 };
+use maya_hw::{GpuSpec, GroundTruthKernelModel};
 use maya_trace::CollectiveKind::{self, AllGather, AllReduce};
 use maya_trace::{
-    CollectiveDesc, DeviceOp, JobTrace, SimTime, StreamId, TraceEvent, TraceMeta, WorkerTrace,
+    CollectiveDesc, DeviceOp, Dtype, JobTrace, KernelKind, SimTime, StreamId, TraceEvent,
+    TraceMeta, WorkerTrace,
 };
 
 fn coll_event(kind: CollectiveKind, comm: u64, seq: u32, bytes: u64, n: u32, r: u32) -> TraceEvent {
@@ -351,6 +353,58 @@ fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
     let classes = reference::dedup_classes(&all.workers);
     assert_eq!(job, reference::reduce_job(&all, &classes));
     assert_eq!(collate(workers, 4).unwrap(), all);
-    assert_eq!(dedup_classes(&all.workers), classes);
-    assert_eq!(reduce_job(&all, &classes), job);
+    // The oracle chains every word, so its signature values are not the
+    // library's; the classes and who represents them are.
+    let partition = |classes: &[DedupClass]| -> Vec<(u32, Vec<u32>)> {
+        let members = |c: &DedupClass| (c.representative, c.members.clone());
+        classes.iter().map(members).collect()
+    };
+    let scanned = dedup_classes(&all.workers);
+    assert_eq!(partition(&scanned), partition(&classes));
+    assert_eq!(partition(&scanned), [(0, vec![0, 2]), (1, vec![1, 3])]);
+    assert_eq!(reduce_job(&all, &scanned), job);
+}
+
+#[test]
+fn ranks_that_differ_only_by_a_transposed_gemm_are_not_folded() {
+    let gemm = |m, n| KernelKind::Gemm {
+        m,
+        n,
+        k: 512,
+        dtype: Dtype::Bf16,
+    };
+    let (tall, wide) = (gemm(4096, 1024), gemm(1024, 4096));
+    // What the signature used to hash cannot tell them apart ...
+    assert_eq!(tall.flops().to_bits(), wide.flops().to_bits());
+    assert_eq!(
+        tall.bytes_accessed().to_bits(),
+        wide.bytes_accessed().to_bits()
+    );
+    // ... and the hardware can: folding one into the other would
+    // simulate the wrong kernel.
+    let model = GroundTruthKernelModel::default();
+    let gpu = GpuSpec::h100();
+    assert_ne!(
+        model.kernel_time(&tall, &gpu),
+        model.kernel_time(&wide, &gpu)
+    );
+
+    let rank = |r, kernel| {
+        let launch = TraceEvent {
+            op: DeviceOp::KernelLaunch { kernel },
+            ..coll_event(AllReduce, 5, 0, 64, 2, r)
+        };
+        worker(r, vec![launch, coll_event(AllReduce, 5, 0, 64, 2, r)])
+    };
+    let workers = [rank(0, tall), rank(1, wide)];
+    assert_eq!(
+        reference::signature(&workers[0]),
+        reference::signature(&workers[1]),
+        "the frozen oracle folds them"
+    );
+    assert_ne!(signature(&workers[0]), signature(&workers[1]));
+    assert_eq!(stream(&workers, 2, true).unwrap().workers, workers);
+    // Two ranks launching the same shape still fold.
+    let twins = [rank(0, tall), rank(1, tall)];
+    assert_eq!(stream(&twins, 2, true).unwrap().workers, twins[..1]);
 }

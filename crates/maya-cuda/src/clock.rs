@@ -73,10 +73,12 @@ impl ModelClock {
     /// recorded operation, in program order.
     ///
     /// A direct call, deliberately not an inlined one: with this body
-    /// (f64 jitter math ending in libm's `round`) folded into
-    /// `CudaContext::record`, a rank's emulation measured 15–25 %
+    /// (f64 jitter math, which then ended in libm's `round`) folded
+    /// into `CudaContext::record`, a rank's emulation measured 15–25 %
     /// slower (min of 3 000 single-rank emulations, ≈ 165 → 195–210 µs);
     /// out of line it matches the virtual call it replaced.
+    /// `SimTime::from_us` has rounded without libm since, and inlined
+    /// or not now measures the same (≈ 119 µs a signed rank either way).
     #[inline(never)]
     pub fn charge(&mut self, class: HostOpClass) -> SimTime {
         self.calls += 1;

@@ -541,17 +541,19 @@ mod tests {
 
     #[test]
     fn cancel_mid_search_returns_the_deterministic_committed_prefix() {
-        let spec = EmulationSpec::new(ClusterSpec::h100(1, 2));
+        // Eight ranks a trial: the waves after the first must outlast
+        // the cancel's trip from this thread by a wide margin.
+        let spec = EmulationSpec::new(ClusterSpec::h100(1, 8));
         // Reference: the same search, uncancelled, on a fresh service.
         let reference = MayaService::builder()
             .target("t", spec.clone())
             .build()
             .unwrap();
-        let full = reference.call(search("t", 2, 30)).unwrap();
+        let full = reference.call(search("t", 8, 60)).unwrap();
         let full = full.search().unwrap();
 
         let service = MayaService::builder().target("t", spec).build().unwrap();
-        let handle = service.submit(search("t", 2, 30)).unwrap();
+        let handle = service.submit(search("t", 8, 60)).unwrap();
         let mut progress = handle.progress();
         let first = progress.next().expect("at least one wave before cancel");
         handle.cancel();

@@ -5,10 +5,15 @@
 //! program** into the [`SimScratch`] arena: per worker a dense array
 //! of 40-byte ops, each carrying its host delay, its interned stream
 //! slot and a payload that is already resolved — the estimated duration
-//! of a kernel or memcpy (the run's one memo query for that event), the
-//! dense slot of a CUDA event's `(event, version)` key, or the index of
-//! a collective's call site in the worker's dense site table, which
-//! names its communicator's members and present-participant count.
+//! of a kernel or memcpy, the dense slot of a CUDA event's `(event,
+//! version)` key, or the index of a collective's call site in the
+//! worker's dense site table, which names its communicator's members
+//! and present-participant count. A kernel's duration is a fact about
+//! its shape, and a job launches thousands of kernels over tens of
+//! shapes: lowering keeps the job's shapes in a small table in the
+//! arena (fixed size, keyed by [`maya_trace::shape_digest`], see
+//! [`SimScratch`]) and asks the estimator once per distinct shape, not
+//! once per launch.
 //! [`Lowered::replay`] then runs the event loop over the program alone:
 //! it never sees the trace, the estimator (except to time a collective
 //! once its participants are known) or a hash of a stream or event id.
@@ -57,7 +62,9 @@ use std::collections::{BinaryHeap, HashMap};
 use maya_estimator::RuntimeEstimator;
 use maya_hw::{ClusterSpec, TopologySpec};
 use maya_net::{FaultPlan, FlowNet};
-use maya_trace::{CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, SimTime, StreamId};
+use maya_trace::{
+    shape_digest, CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, KernelKind, SimTime, StreamId,
+};
 
 use crate::report::SimReport;
 
@@ -479,9 +486,78 @@ pub struct Simulator<'a> {
     obs: Option<&'a SimObs>,
 }
 
+/// One distinct kernel shape of the job being lowered.
+struct Shape {
+    digest: u64,
+    kernel: KernelKind,
+    dur: SimTime,
+}
+
+/// The estimated duration of every distinct kernel shape of one job,
+/// so that [`Simulator::lower`] asks the estimator about a shape once.
+///
+/// Open addressing over a fixed number of slots with a bounded probe
+/// run, keyed by [`shape_digest`] and confirmed by `==` on the whole
+/// [`KernelKind`]. A shape whose probe run is full is not remembered:
+/// each of its launches asks the estimator, which is what every launch
+/// did before the table, so a trace of colliding or unboundedly many
+/// shapes costs what it cost then and no more. Per-rank scaling is
+/// applied at replay, so one table serves every rank of the job.
+#[derive(Default)]
+struct ShapeTable {
+    /// Per slot, one past the shape's position in `shapes`; 0 is empty.
+    slots: Vec<u16>,
+    shapes: Vec<Shape>,
+}
+
+impl ShapeTable {
+    /// A power of two; every occupied slot holds a position below it.
+    const SLOTS: usize = 512;
+    /// Slots examined before a shape is declared not to fit.
+    const PROBE: usize = 8;
+
+    /// Empties the table: durations are one estimator's answers and
+    /// must not outlive the `lower` that asked.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.slots.resize(Self::SLOTS, 0);
+        self.shapes.clear();
+    }
+
+    /// The duration of `kernel`: remembered, or `ask`ed for — and
+    /// remembered if its probe run has room.
+    #[inline]
+    fn time(&mut self, kernel: &KernelKind, ask: impl FnOnce() -> SimTime) -> SimTime {
+        let digest = shape_digest(kernel);
+        for probe in 0..Self::PROBE {
+            let at = (digest as usize).wrapping_add(probe) & (Self::SLOTS - 1);
+            let Some(slot) = self.slots.get_mut(at) else {
+                break;
+            };
+            let Some(known) = self.shapes.get(usize::from(*slot).wrapping_sub(1)) else {
+                let dur = ask();
+                self.shapes.push(Shape {
+                    digest,
+                    kernel: *kernel,
+                    dur,
+                });
+                *slot = self.shapes.len() as u16;
+                return dur;
+            };
+            if known.digest == digest && known.kernel == *kernel {
+                return known.dur;
+            }
+        }
+        ask()
+    }
+}
+
 /// Reusable simulation arena: the replay program, the heap, per-rank
-/// state, wait tables, collective rendezvous buffers, and the interner
-/// index maps.
+/// state, wait tables, collective rendezvous buffers, the interner
+/// index maps and the job's shape table — the estimated duration of
+/// each distinct kernel shape, at most 512 of them (1 KB of slots and
+/// 80 bytes a shape), emptied by every [`Simulator::lower`] so that no
+/// estimator's answer outlives the prediction that asked for it.
 ///
 /// A fresh scratch and a reused one produce byte-identical
 /// [`SimReport`]s (enforced by proptest); reuse only skips the
@@ -496,6 +572,8 @@ pub struct SimScratch {
     collectives: HashMap<CollKey, Vec<Participant>>,
     stream_index: HashMap<StreamId, u32>,
     event_index: HashMap<(u64, u32), u32>,
+    /// Kernel durations of the job being lowered, by shape.
+    shapes: ShapeTable,
     seq: u64,
     now: SimTime,
     events_processed: u64,
@@ -691,9 +769,10 @@ impl<'a> Simulator<'a> {
 
     /// Lowers a trusted trace (see [`Simulator::run_prevalidated`])
     /// into `scratch` as a replay program, in one pass that makes the
-    /// run's only estimator query per kernel and memcpy. Each worker's
-    /// op array is sized once, from its event count. Fails only on a
-    /// worker too long to index.
+    /// run's only estimator query per distinct kernel shape (a shape
+    /// the arena's shape table has no room for is asked about per
+    /// launch) and per memcpy. Each worker's op array is sized once,
+    /// from its event count. Fails only on a worker too long to index.
     pub fn lower<'s>(
         &'s self,
         job: &JobTrace,
@@ -714,8 +793,10 @@ impl<'a> Simulator<'a> {
             ranks,
             stream_index,
             event_index,
+            shapes,
             ..
         } = &mut *scratch;
+        shapes.clear();
         program.peak_mem_bytes = job.peak_mem_bytes();
         program.load_groups(job);
 
@@ -747,7 +828,7 @@ impl<'a> Simulator<'a> {
                 let kind = match e.op {
                     DeviceOp::Malloc { .. } | DeviceOp::Free { .. } => OpKind::HostOnly,
                     DeviceOp::KernelLaunch { kernel } => OpKind::Kernel {
-                        dur: self.estimator.kernel_time(&kernel),
+                        dur: shapes.time(&kernel, || self.estimator.kernel_time(&kernel)),
                     },
                     DeviceOp::MemcpyAsync { bytes, kind, sync } => OpKind::Memcpy {
                         dur: self.estimator.memcpy_time(bytes, kind),

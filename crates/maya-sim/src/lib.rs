@@ -21,7 +21,8 @@
 //! trace once into a **replay program** in the [`SimScratch`] arena —
 //! per worker a dense array of small ops whose stream, CUDA-event and
 //! communicator ids are interned and whose kernel and memcpy durations
-//! are already estimated, one estimator query per event — and
+//! are already estimated, one estimator query per distinct kernel
+//! shape of the job and one per memcpy — and
 //! [`Lowered::replay`] runs the event loop over that program alone.
 //! The program is also the only per-op state: a stream's queue and a
 //! rank's lane of pending issue pumps are cursors over it. The replay

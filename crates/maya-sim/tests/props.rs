@@ -22,7 +22,10 @@
 //! The hand-built traces at the end include the elision proof's two
 //! cases: pumps of a stream that is blocked but idle (kept — held to
 //! the reference core) and pumps overtaken by a fault's extension of
-//! `busy_until` (elided — held to a hand-counted schedule).
+//! `busy_until` (elided — held to a hand-counted schedule) — and the
+//! bounds of the per-job shape table lowering keeps in front of the
+//! estimator: more shapes than it holds, shapes that all start at one
+//! slot, and an arena handed from one estimator to another.
 
 mod reference;
 
@@ -33,8 +36,8 @@ use maya_hw::{ClusterSpec, GpuSpec, HeteroPool, RankClass};
 use maya_net::{FaultPlan, RankFailure};
 use maya_sim::{SimError, SimObs, SimReport, SimScratch, Simulator};
 use maya_trace::{
-    CollectiveDesc, CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind, MemcpyKind, SimTime,
-    StreamId, TraceEvent, WorkerTrace,
+    shape_digest, CollectiveDesc, CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind,
+    MemcpyKind, SimTime, StreamId, TraceEvent, WorkerTrace,
 };
 use proptest::prelude::*;
 use reference::simulate_reference;
@@ -654,4 +657,114 @@ fn fault_extension_elides_a_parked_pump() {
             events_processed: 12,
         }
     );
+}
+
+/// The oracle, counting the kernel queries that reach it.
+struct Counting {
+    oracle: OracleEstimator,
+    kernels: std::sync::atomic::AtomicU64,
+}
+
+impl RuntimeEstimator for Counting {
+    fn kernel_time(&self, kernel: &KernelKind) -> SimTime {
+        self.kernels
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.oracle.kernel_time(kernel)
+    }
+    fn memcpy_time(&self, bytes: u64, kind: MemcpyKind) -> SimTime {
+        self.oracle.memcpy_time(bytes, kind)
+    }
+    fn collective_time(&self, k: CollectiveKind, b: u64, r: &[u32], c: &ClusterSpec) -> SimTime {
+        self.oracle.collective_time(k, b, r, c)
+    }
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+}
+
+/// The GEMMs of `ms`, launched in that order `rounds` times over, then
+/// a device sync.
+fn launches(ms: &[u64], rounds: usize) -> JobTrace {
+    let mut events = Vec::new();
+    for _ in 0..rounds {
+        events.extend(ms.iter().map(|&m| ev(0, kernel(m), 1.0)));
+    }
+    events.push(ev(0, DeviceOp::DeviceSynchronize, 1.0));
+    job1(events)
+}
+
+/// Lowers 1, 2 and 3 rounds of `ms` (all distinct), holds each report
+/// to the reference core's, and returns how many of the shapes the
+/// table had room for. A shape that fit is asked about once however
+/// often it is launched, a shape that did not is asked about once per
+/// launch and never more: the queries grow by the same number — the
+/// shapes without room — with every round.
+fn shapes_that_fit(ms: &[u64]) -> u64 {
+    let c = cluster();
+    let oracle = OracleEstimator::new(&c);
+    let mut scratch = SimScratch::new();
+    let queries: Vec<u64> = (1..=3)
+        .map(|rounds| {
+            let job = launches(ms, rounds);
+            let counting = Counting {
+                oracle,
+                kernels: Default::default(),
+            };
+            let dense = Simulator::new(&counting, &c).run_prevalidated(&job, &mut scratch);
+            assert_eq!(
+                dense,
+                simulate_reference(&job, &c, &oracle),
+                "{rounds} rounds"
+            );
+            counting.kernels.into_inner()
+        })
+        .collect();
+    let shapes = ms.len() as u64;
+    assert_eq!(queries[0], shapes, "one launch of each shape");
+    let without_room = queries[1] - queries[0];
+    assert_eq!(queries[2] - queries[1], without_room);
+    shapes - without_room
+}
+
+#[test]
+fn shapes_beyond_the_tables_slots_ask_the_estimator_per_launch() {
+    let ms: Vec<u64> = (1..=3000).collect();
+    let fit = shapes_that_fit(&ms);
+    assert!(0 < fit && fit < 3000, "{fit} of 3000 shapes fit");
+    // A job's worth of shapes all fit.
+    assert_eq!(shapes_that_fit(&ms[..40]), 40);
+}
+
+#[test]
+fn shapes_that_start_at_one_slot_fill_one_bounded_probe_run() {
+    // The table indexes a power-of-two number of slots (far fewer than
+    // 2^16) by the digest's low bits, so these all probe from one slot.
+    // Were it indexed otherwise they would all fit, and this would say.
+    let gemm = |m| match kernel(m) {
+        DeviceOp::KernelLaunch { kernel } => kernel,
+        _ => unreachable!(),
+    };
+    let low = |m| shape_digest(&gemm(m)) & 0xFFFF;
+    let ms: Vec<u64> = (2..).filter(|&m| low(m) == low(1)).take(24).collect();
+    let fit = shapes_that_fit(&ms);
+    assert!(0 < fit && fit < 24, "{fit} of 24 colliding shapes fit");
+}
+
+#[test]
+fn a_reused_arena_keeps_no_duration_of_the_previous_estimator() {
+    let c = cluster();
+    let oracle = OracleEstimator::new(&c);
+    let job = launches(&[64, 128, 64, 4096], 2);
+    let mut scratch = SimScratch::new();
+    let mut run = |est: &dyn RuntimeEstimator| {
+        Simulator::new(est, &c)
+            .run_prevalidated(&job, &mut scratch)
+            .unwrap()
+    };
+    let fixed = run(&Fixed);
+    let modelled = run(&oracle);
+    assert_eq!(fixed.compute_time, SimTime::from_us(800.0));
+    assert_ne!(modelled.compute_time, fixed.compute_time);
+    assert_eq!(modelled, simulate(&job, &c, &oracle).unwrap());
+    assert_eq!(run(&Fixed), fixed);
 }

@@ -26,5 +26,5 @@ pub use dtype::Dtype;
 pub use event::{validate_ranks, JobTrace, TraceEvent, WorkerTrace, WorkerTraceSummary};
 pub use kernel::KernelKind;
 pub use ops::{CollectiveDesc, CollectiveKind, DeviceOp, MemcpyKind, StreamId};
-pub use signature::{signature_of, Signer, TraceBuffers, TraceMeta};
+pub use signature::{shape_digest, signature_of, Signer, TraceBuffers, TraceMeta};
 pub use time::SimTime;

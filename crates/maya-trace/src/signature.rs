@@ -10,8 +10,24 @@
 //! collectives, the only events collation needs — and
 //! [`TraceMeta::scan`] builds the same metadata for a trace that did not
 //! come from a recorder.
+//!
+//! An event costs the signature one chained round. Its words — op tag,
+//! stream, the op's fields — are folded into one digest by multiplies
+//! that do not wait for each other or for the previous event, and only
+//! that digest enters the [`Key`] chain, the one dependency carried
+//! from event to event. A kernel's word is [`shape_digest`], the one
+//! definition of when two launches are the same shape: every field of
+//! the raw [`KernelKind`], no derived quantity. The simulator keys its
+//! per-job table of estimated durations by the same function, so what
+//! the fold calls one kernel is what the estimator is asked about once.
+//! Signature *values* are private to a process (they are in no trace,
+//! wire message or snapshot); the contract is the partition of ranks
+//! they induce.
+
+use std::hash::{Hash, Hasher};
 
 use crate::event::TraceEvent;
+use crate::kernel::KernelKind;
 use crate::ops::{DeviceOp, StreamId};
 
 /// One round of the splitmix64 mixing function.
@@ -55,6 +71,106 @@ impl Key {
     }
 }
 
+/// A sum of per-word folded multiplies: word `i` is xored with the
+/// `i`-th step of an additive constant sequence, multiplied to 128 bits
+/// and folded to 64, and the results are added. No multiply reads
+/// another's result, so a digest's latency is one multiply plus an add
+/// per word; each word passes through its own non-linear map, so
+/// exchanging two fields (a transposed GEMM) or moving a difference
+/// from one field to another changes the sum.
+struct Fold {
+    sum: u64,
+    step: u64,
+}
+
+impl Fold {
+    const STEP: u64 = 0x9E37_79B9_7F4A_7C15;
+    const MUL: u64 = 0xD6E8_FEB8_6659_FD93;
+
+    #[inline]
+    fn new() -> Self {
+        Fold {
+            sum: 0,
+            step: Self::STEP,
+        }
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        let wide = u128::from(w ^ self.step) * u128::from(Self::MUL ^ self.step.rotate_left(32));
+        self.sum = self.sum.wrapping_add(wide as u64 ^ (wide >> 64) as u64);
+        self.step = self.step.wrapping_add(Self::STEP);
+    }
+
+    #[inline]
+    fn of<const N: usize>(words: [u64; N]) -> u64 {
+        let mut fold = Fold::new();
+        for w in words {
+            fold.word(w);
+        }
+        fold.sum
+    }
+}
+
+/// `Hasher` methods that take one integer and fold it as one word.
+macro_rules! words {
+    ($($write:ident: $int:ty),* $(,)?) => {$(
+        #[inline]
+        fn $write(&mut self, i: $int) {
+            self.word(i as u64);
+        }
+    )*};
+}
+
+/// Every integer a derived `Hash` writes is one word; nothing reaches
+/// the byte-slice default and nothing allocates.
+impl Hasher for Fold {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.sum
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            for (w, b) in word.iter_mut().zip(chunk) {
+                *w = *b;
+            }
+            self.word(u64::from_le_bytes(word));
+        }
+        self.word(bytes.len() as u64);
+    }
+
+    words! {
+        write_u8: u8, write_u16: u16, write_u32: u32, write_u64: u64, write_usize: usize,
+        write_i8: i8, write_i16: i16, write_i32: i32, write_i64: i64, write_isize: isize,
+    }
+
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.word(i as u64);
+        self.word((i >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_i128(&mut self, i: i128) {
+        self.write_u128(i as u128);
+    }
+}
+
+/// The identity of a kernel launch's shape: a digest of the variant and
+/// every field of the raw [`KernelKind`], as its derived `Hash` lists
+/// them. Equal kernels have equal digests; the worker signature treats
+/// the converse as true, and the simulator's shape table confirms it
+/// with `==`.
+#[inline]
+pub fn shape_digest(kernel: &KernelKind) -> u64 {
+    let mut fold = Fold::new();
+    kernel.hash(&mut fold);
+    fold.finish()
+}
+
 /// What a recorder knows about a trace when it finishes writing it.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct TraceMeta {
@@ -64,8 +180,10 @@ pub struct TraceMeta {
     /// Invariant to identifiers that differ between otherwise-identical
     /// workers (raw communicator ids, device pointers, host-delay
     /// jitter); sensitive to everything that defines the workload
-    /// structure: op kinds, kernel shapes, payload sizes, stream
-    /// assignment, communicator *roles* (first-use index + size;
+    /// structure: op kinds, kernel shapes — every field of
+    /// [`KernelKind`] ([`shape_digest`]), so a GEMM and its transpose
+    /// differ although their FLOPs and bytes agree — payload sizes,
+    /// stream assignment, communicator *roles* (first-use index + size;
     /// rank-in-comm is excluded, since e.g. pipeline neighbors differ
     /// only by rank) and sequence numbers.
     pub signature: Option<u64>,
@@ -138,43 +256,42 @@ impl Signer {
         if !self.sign {
             return;
         }
-        let key = self.key.with(stream.0 as u64);
-        self.key = match *op {
-            DeviceOp::KernelLaunch { kernel } => key
-                .with(1)
-                .with(kernel.family_id() as u64)
-                .with(kernel.flops().to_bits())
-                .with(kernel.bytes_accessed().to_bits()),
+        let head = |tag: u64| tag << 32 | u64::from(stream.0);
+        let digest = match *op {
+            DeviceOp::KernelLaunch { kernel } => Fold::of([head(1), shape_digest(&kernel)]),
             DeviceOp::MemcpyAsync { bytes, kind, sync } => {
-                key.with(2).with(bytes).with(kind as u64).with(sync as u64)
+                Fold::of([head(2), bytes, kind as u64, sync as u64])
             }
-            DeviceOp::Malloc { bytes, .. } => key.with(3).with(bytes),
-            DeviceOp::Free { .. } => key.with(4),
+            DeviceOp::Malloc { bytes, .. } => Fold::of([head(3), bytes]),
+            DeviceOp::Free { .. } => Fold::of([head(4)]),
             DeviceOp::EventRecord { event, version } => {
-                key.with(5).with(event).with(version as u64)
+                Fold::of([head(5), event, u64::from(version)])
             }
             DeviceOp::StreamWaitEvent { event, version } => {
-                key.with(6).with(event).with(version as u64)
+                Fold::of([head(6), event, u64::from(version)])
             }
             DeviceOp::EventSynchronize { event, version } => {
-                key.with(7).with(event).with(version as u64)
+                Fold::of([head(7), event, u64::from(version)])
             }
-            DeviceOp::StreamSynchronize => key.with(8),
-            DeviceOp::DeviceSynchronize => key.with(9),
+            DeviceOp::StreamSynchronize => Fold::of([head(8)]),
+            DeviceOp::DeviceSynchronize => Fold::of([head(9)]),
             DeviceOp::Collective { desc } => {
                 let seen = self.comms.iter().position(|&c| c == desc.comm_id);
                 let comm_local = seen.unwrap_or_else(|| {
                     self.comms.push(desc.comm_id);
                     self.comms.len() - 1
                 });
-                key.with(10)
-                    .with(comm_local as u64)
-                    .with(desc.kind.id() as u64)
-                    .with(desc.bytes)
-                    .with(desc.nranks as u64)
-                    .with(desc.seq as u64)
+                Fold::of([
+                    head(10),
+                    comm_local as u64,
+                    u64::from(desc.kind.id()),
+                    desc.bytes,
+                    u64::from(desc.nranks),
+                    u64::from(desc.seq),
+                ])
             }
         };
+        self.key = self.key.with(digest);
     }
 
     /// The metadata of everything noted.
@@ -236,6 +353,53 @@ mod tests {
         let c = [collective(7, 1), collective(9, 1), collective(9, 1)];
         assert_eq!(signature_of(&a), signature_of(&b));
         assert_ne!(signature_of(&b), signature_of(&c));
+    }
+
+    #[test]
+    fn every_field_of_a_shape_reaches_its_digest() {
+        use crate::dtype::Dtype;
+        let gemm = |m, n, k, dtype| KernelKind::Gemm { m, n, k, dtype };
+        let base = gemm(4096, 1024, 512, Dtype::Bf16);
+        assert_eq!(
+            shape_digest(&base),
+            shape_digest(&gemm(4096, 1024, 512, Dtype::Bf16))
+        );
+        let others = [
+            // Same FLOPs, same bytes: only the raw shape tells them apart.
+            gemm(1024, 4096, 512, Dtype::Bf16),
+            gemm(4096, 512, 1024, Dtype::Bf16),
+            gemm(4096, 1024, 512, Dtype::Fp16),
+            KernelKind::LtMatmul {
+                m: 4096,
+                n: 1024,
+                k: 512,
+                dtype: Dtype::Bf16,
+            },
+        ];
+        for other in others {
+            assert_ne!(shape_digest(&base), shape_digest(&other), "{other:?}");
+            let launch = |kernel| [event(DeviceOp::KernelLaunch { kernel })];
+            assert_ne!(signature_of(&launch(base)), signature_of(&launch(other)));
+        }
+    }
+
+    #[test]
+    fn a_digest_is_sensitive_to_which_word_holds_a_value() {
+        assert_ne!(Fold::of([1, 2]), Fold::of([2, 1]));
+        assert_ne!(Fold::of([0, 1]), Fold::of([1, 0]));
+        assert_ne!(Fold::of([7]), Fold::of([7, 0]));
+        // The byte-slice path, which no trace type takes, still folds
+        // every byte and the length.
+        let bytes = |b: &[u8]| {
+            let mut fold = Fold::new();
+            fold.write(b);
+            fold.finish()
+        };
+        assert_ne!(
+            bytes(&[1, 0, 0, 0, 0, 0, 0, 0, 2]),
+            bytes(&[1, 0, 0, 0, 0, 0, 0, 0, 3])
+        );
+        assert_ne!(bytes(&[0]), bytes(&[0, 0]));
     }
 
     #[test]

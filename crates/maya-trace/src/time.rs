@@ -35,18 +35,21 @@ impl SimTime {
     }
 
     /// Builds a time from fractional microseconds.
+    #[inline]
     pub fn from_us(us: f64) -> Self {
-        SimTime((us * 1e3).max(0.0).round() as u64)
+        SimTime(round_ns(us * 1e3))
     }
 
     /// Builds a time from fractional milliseconds.
+    #[inline]
     pub fn from_ms(ms: f64) -> Self {
-        SimTime((ms * 1e6).max(0.0).round() as u64)
+        SimTime(round_ns(ms * 1e6))
     }
 
     /// Builds a time from fractional seconds.
+    #[inline]
     pub fn from_secs(s: f64) -> Self {
-        SimTime((s * 1e9).max(0.0).round() as u64)
+        SimTime(round_ns(s * 1e9))
     }
 
     /// Raw nanosecond count.
@@ -75,8 +78,9 @@ impl SimTime {
     }
 
     /// Scales the time by a dimensionless factor, rounding to nanoseconds.
+    #[inline]
     pub fn scale(self, factor: f64) -> SimTime {
-        SimTime((self.0 as f64 * factor).max(0.0).round() as u64)
+        SimTime(round_ns(self.0 as f64 * factor))
     }
 
     /// The larger of two times.
@@ -96,6 +100,18 @@ impl SimTime {
             other
         }
     }
+}
+
+/// `ns.max(0.0).round() as u64` — negatives and NaN to zero, halves
+/// away from zero, saturating — without `f64::round`, which baseline
+/// x86-64 has no instruction for and calls libm once per recorded event
+/// (`ModelClock::charge`). The cast truncates and saturates; what it
+/// dropped is exact in `f64` wherever it is not zero.
+#[inline]
+fn round_ns(ns: f64) -> u64 {
+    let ns = ns.max(0.0);
+    let whole = ns as u64;
+    whole.saturating_add(u64::from(ns - whole as f64 >= 0.5))
 }
 
 impl Add for SimTime {
@@ -174,6 +190,57 @@ mod tests {
         assert_eq!(SimTime::from_ms(1.0).as_ns(), 1_000_000);
         assert_eq!(SimTime::from_secs(1.0).as_ns(), 1_000_000_000);
         assert!((SimTime::from_ms(2.5).as_ms() - 2.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rounding_is_f64_round_everywhere() {
+        let libm = |x: f64| x.max(0.0).round() as u64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.499_999_999_999_999_94,
+            0.5,
+            -0.5,
+            -1.5,
+            -1e300,
+            (1u64 << 52) as f64 - 1.0,
+            (1u64 << 52) as f64 - 0.5,
+            (1u64 << 52) as f64 + 1.0,
+            (1u64 << 53) as f64,
+            (1u64 << 63) as f64,
+            u64::MAX as f64,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+        ];
+        for k in 0..4096u32 {
+            let half = f64::from(k) + 0.5;
+            let bits = half.to_bits();
+            cases.extend([half, f64::from_bits(bits - 1), f64::from_bits(bits + 1)]);
+        }
+        // 10⁶ seeded values over every magnitude a time can have.
+        let mut x = 0x5EED_u64;
+        for _ in 0..1_000_000 {
+            x = crate::signature::splitmix64(x);
+            let mantissa = (x >> 11) as f64 / (1u64 << 53) as f64;
+            cases.push(mantissa * 2f64.powi((x & 63) as i32 + 1));
+        }
+        for x in cases {
+            assert_eq!(round_ns(x), libm(x), "{x:e}");
+            // The constructors are the same function after an exact scaling.
+            assert_eq!(SimTime::from_ns(1).scale(x), SimTime(libm(x)), "{x:e}");
+        }
+        assert_eq!(SimTime::from_us(2.0004999), SimTime(2_000));
+        assert_eq!(
+            SimTime::from_us(2.0005),
+            SimTime((2.0005f64 * 1e3).round() as u64)
+        );
+        assert_eq!(SimTime::from_ms(-3.0), SimTime::ZERO);
+        assert_eq!(SimTime::from_secs(f64::NAN), SimTime::ZERO);
+        assert_eq!(SimTime::from_secs(f64::INFINITY), SimTime::MAX);
     }
 
     #[test]

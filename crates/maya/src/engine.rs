@@ -17,8 +17,8 @@
 //!   ever alive — the serial sink between the emulating threads reads
 //!   collectives, not events; estimation is the
 //!   simulator's lowering pass (one read of the trace, one memo query
-//!   per kernel and memcpy) and simulation the replay of what it
-//!   lowered;
+//!   per distinct kernel shape of the job and per memcpy) and
+//!   simulation the replay of what it lowered;
 //! - one ordered fan-out over `emulation_threads` OS threads, which
 //!   spreads either one job's ranks (`predict_job`) or a batch's
 //!   independent jobs ([`PredictionEngine::predict_batch`]) and hands
@@ -470,8 +470,9 @@ impl PredictionEngine {
                 .with_faults(self.spec.faults.as_ref())
                 .with_obs(self.sim_obs.as_ref());
             // Estimation is the lowering pass: the one read of the
-            // trace, asking the shared memo once per kernel and memcpy
-            // (Table 6 / Fig. 13's estimation stage). Collective
+            // trace, asking the shared memo once per distinct kernel
+            // shape and once per memcpy (Table 6 / Fig. 13's
+            // estimation stage). Collective
             // queries resolve during the replay — their participant
             // sets are only known then — and are memoized there too.
             // Across trials the memo persists: a warm search loop pays

@@ -108,7 +108,8 @@ pub struct StageTimings {
     /// the trace once and asks the engine's shared estimator cache for
     /// every *kernel and memcpy* duration. On a cache-warm engine the
     /// estimator itself costs nothing — an earlier prediction paid —
-    /// and what remains is one memo lookup per event.
+    /// and what remains is the read of the trace and one memo lookup
+    /// per distinct kernel shape and per memcpy.
     pub estimation: std::time::Duration,
     /// Discrete-event simulation: the replay of what was lowered.
     /// Collective durations resolve here (their participant sets are

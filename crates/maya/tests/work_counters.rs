@@ -8,10 +8,13 @@
 //! being examined — and the collator reads a rank's collectives only,
 //! because the recorder signed the trace and indexed them while writing
 //! it. They are the evidence that what the recorder hands over is what
-//! a scan of the finished trace (and the frozen three-pass oracle)
-//! computes. And they are the evidence that a prediction asks the
-//! estimator memo once per simulated kernel, memcpy and collective
-//! rendezvous, not once per pipeline stage that wants the answer.
+//! a scan of the finished trace computes, and that it sorts a job's
+//! ranks into the classes the frozen three-pass oracle's signature
+//! does — the values differ (the oracle chains every word and hashes a
+//! kernel by FLOPs and bytes), the partition is the contract. And they
+//! are the evidence that a prediction asks the estimator memo once per
+//! distinct kernel shape, memcpy and collective rendezvous, not once
+//! per launch or per pipeline stage that wants the answer.
 
 #[path = "../../maya-collate/tests/reference/mod.rs"]
 mod reference;
@@ -23,7 +26,9 @@ use maya_collate::{signature, CollateStats, Collator};
 use maya_cuda::{CudaContext, CudaError};
 use maya_hw::{ClusterSpec, GpuSpec};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
-use maya_trace::{CollectiveKind, DeviceOp, Dtype, JobTrace, TraceBuffers, TraceMeta, WorkerTrace};
+use maya_trace::{
+    CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind, TraceBuffers, TraceMeta, WorkerTrace,
+};
 
 /// 64 ranks, tp 4 · pp 2 · dp 8.
 fn pinned_job() -> TrainingJob {
@@ -58,17 +63,18 @@ struct Folded {
 /// The engine's sequential loop from its public parts: each rank records
 /// into the buffers the collator handed back for the previous one, and
 /// hands the collator what its recorder signed and indexed. Every rank's
-/// metadata is held against a scan of its finished trace and against the
-/// frozen oracle's signature.
+/// metadata is held against a scan of its finished trace, and the job's
+/// classes against the frozen oracle's.
 fn fold_all_ranks(job: &TrainingJob, cluster: &ClusterSpec) -> Folded {
     let known = BTreeMap::new();
     let mut collator = Collator::new(job.world, &known, true);
     let (mut spare, mut emitted) = (TraceBuffers::default(), (0, 0));
+    let mut classes = Classes::default();
     for rank in 0..job.world {
         let mut ctx = CudaContext::recording_into(rank, cluster.gpu, spare, true);
         job.run_worker(rank, &mut ctx).expect("rank emulates");
         let (trace, meta) = ctx.into_recorded();
-        assert_recorded_as_scanned(&trace, &meta);
+        assert_recorded_as_scanned(&trace, &meta, &mut classes);
         emitted.0 += trace.events.len();
         emitted.1 += trace.summary.num_collectives;
         spare = collator.push(trace, meta).expect("rank collates");
@@ -80,13 +86,35 @@ fn fold_all_ranks(job: &TrainingJob, cluster: &ClusterSpec) -> Folded {
     }
 }
 
-/// The recorder's metadata is the scan's, the scan's signature is the
-/// oracle's, and the index is where the collectives are.
-fn assert_recorded_as_scanned(trace: &WorkerTrace, meta: &TraceMeta) {
+/// The lowest rank seen so far of every class, by the recorder's
+/// signature and by the frozen oracle's. Ranks arrive in ascending
+/// order, so two signatures sort a job into the same classes with the
+/// same kept representatives exactly when every rank meets the same
+/// first rank under both.
+#[derive(Default)]
+struct Classes {
+    recorded: BTreeMap<u64, u32>,
+    oracle: BTreeMap<u64, u32>,
+}
+
+impl Classes {
+    fn push(&mut self, rank: u32, recorded: u64, oracle: u64) {
+        assert_eq!(
+            *self.recorded.entry(recorded).or_insert(rank),
+            *self.oracle.entry(oracle).or_insert(rank),
+            "rank {rank}: representative by the recorder's signature, by the oracle's"
+        );
+    }
+}
+
+/// The recorder's metadata is the scan's, its signature puts the rank
+/// in the class the oracle's does, and the index is where the
+/// collectives are.
+fn assert_recorded_as_scanned(trace: &WorkerTrace, meta: &TraceMeta, classes: &mut Classes) {
     let what = format!("rank {}", trace.rank);
     assert_eq!(meta, &TraceMeta::scan(&trace.events, true), "{what}");
     assert_eq!(meta.signature, Some(signature(trace)), "{what}");
-    assert_eq!(meta.signature, Some(reference::signature(trace)), "{what}");
+    classes.push(trace.rank, signature(trace), reference::signature(trace));
     let collectives: Vec<usize> = (0..trace.events.len())
         .filter(|&at| matches!(trace.events[at].op, DeviceOp::Collective { .. }))
         .collect();
@@ -135,17 +163,24 @@ fn folded_job_counters_are_pinned() {
 }
 
 #[test]
-fn one_memo_query_per_simulated_event() {
+fn one_memo_query_per_distinct_shape() {
     let cluster = ClusterSpec::h100(8, 8);
     let job = pinned_job();
     let kept = fold_all_ranks(&job, &cluster).kept;
-    // What the simulator times: every kernel and memcpy of the kept
-    // workers, and every rendezvous they take part in, once however
-    // many of them join it.
-    let (mut timed, mut rendezvous) = (0u64, BTreeSet::new());
+    // What the simulator asks about: every distinct kernel shape of the
+    // kept workers once for the job, every memcpy, and every rendezvous
+    // they take part in, once however many of them join it.
+    let (mut launches, mut memcpys) = (0u64, 0u64);
+    let (mut shapes, mut rendezvous) = (Vec::<KernelKind>::new(), BTreeSet::new());
     for e in kept.workers.iter().flat_map(|w| &w.events) {
         match e.op {
-            DeviceOp::KernelLaunch { .. } | DeviceOp::MemcpyAsync { .. } => timed += 1,
+            DeviceOp::KernelLaunch { kernel } => {
+                launches += 1;
+                if !shapes.contains(&kernel) {
+                    shapes.push(kernel);
+                }
+            }
+            DeviceOp::MemcpyAsync { .. } => memcpys += 1,
             DeviceOp::Collective { desc } => {
                 let pair = match desc.kind {
                     CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => {
@@ -158,12 +193,20 @@ fn one_memo_query_per_simulated_event() {
             _ => {}
         }
     }
-    assert_eq!((timed, rendezvous.len()), (1_844, 401));
+    assert_eq!(
+        (launches + memcpys, shapes.len(), memcpys, rendezvous.len()),
+        (1_844, 38, 6, 401)
+    );
 
     let maya = MayaBuilder::new(cluster).build().unwrap();
     maya.predict_job(&job).unwrap();
     let memo = maya.cache_stats();
-    assert_eq!(memo.hits + memo.misses, timed + rendezvous.len() as u64);
+    assert_eq!(
+        memo.hits + memo.misses,
+        shapes.len() as u64 + memcpys + rendezvous.len() as u64
+    );
+    // What is derived is what was derived when every launch asked.
+    assert_eq!(memo.misses, 52, "{memo:?}");
     // A second prediction asks the same questions and derives nothing.
     maya.predict_job(&job).unwrap();
     let warm = maya.cache_stats();
@@ -220,11 +263,12 @@ fn recorder_metadata_is_the_scan_of_the_finished_trace() {
         job.validate().expect("fixture");
         // Every rank records over what the one before left behind.
         let mut spare = TraceBuffers::default();
+        let mut classes = Classes::default();
         for rank in 0..job.world {
             let ((trace, meta), res) = record(job, rank, gpu, spare, true);
             res.unwrap_or_else(|e| panic!("{} rank {rank}: {e}", job.describe()));
             assert!(!meta.collectives.is_empty(), "{}", job.describe());
-            assert_recorded_as_scanned(&trace, &meta);
+            assert_recorded_as_scanned(&trace, &meta, &mut classes);
             spare = TraceBuffers {
                 events: trace.events,
                 collectives: meta.collectives,
@@ -260,7 +304,12 @@ fn a_rank_that_runs_out_of_memory_is_signed_up_to_where_it_stopped() {
         "{res:?}"
     );
     assert!(cut.summary.oom && !cut.events.is_empty());
-    assert_recorded_as_scanned(&cut, &cut_meta);
+    // The cut rank and the whole one are two classes to both signatures.
+    let mut classes = Classes::default();
+    assert_recorded_as_scanned(&cut, &cut_meta, &mut classes);
+    let ((whole, whole_meta), _) = record(&job, 3, gpu, TraceBuffers::default(), true);
+    assert_recorded_as_scanned(&whole, &whole_meta, &mut classes);
+    assert_eq!(classes.recorded.len(), 2);
     // Nothing of rank 3 leaked through the recycled buffers.
     let ((fresh, fresh_meta), _) = record(&job, 0, gpu, TraceBuffers::default(), true);
     assert_eq!((cut, cut_meta), (fresh, fresh_meta));

@@ -12,13 +12,16 @@ use std::sync::Arc;
 
 use maya::{EmulationSpec, PredictOutcome, Prediction, PredictionEngine};
 use maya_collate::{
-    collate, collate_with_known_groups, dedup_classes, reduce_job, unique_megatron_ranks, Collator,
+    collate, collate_with_known_groups, dedup_classes, reduce_job, signature,
+    unique_megatron_ranks, Collator, DedupClass,
 };
 use maya_estimator::OracleEstimator;
 use maya_hw::ClusterSpec;
 use maya_torchlet::engine::{megatron_comm_groups, trace_one_rank};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, RankTopology, TrainingJob};
-use maya_trace::{Dtype, JobTrace, TraceMeta, WorkerTrace};
+use maya_trace::{
+    shape_digest, DeviceOp, Dtype, JobTrace, KernelKind, TraceEvent, TraceMeta, WorkerTrace,
+};
 
 /// xorshift64*: the draw order is part of the test, so no shared RNG.
 struct Draw(u64);
@@ -134,6 +137,16 @@ fn stream(
     collator.finish().expect("finish")
 }
 
+/// Who is folded into whom. The frozen oracle's signature values are
+/// not the library's (it chains every word of an event); the classes
+/// they sort a job's ranks into are the contract.
+fn partition(classes: &[DedupClass]) -> Vec<(u32, &[u32])> {
+    classes
+        .iter()
+        .map(|c| (c.representative, &c.members[..]))
+        .collect()
+}
+
 /// The frozen pipeline: collate everything, then reduce.
 fn reduced_by_reference(all: &JobTrace) -> JobTrace {
     reference::reduce_job(all, &reference::dedup_classes(&all.workers))
@@ -157,7 +170,11 @@ fn streaming_output_equals_collate_then_reduce() {
             "{what}"
         );
         let classes = dedup_classes(&all.workers);
-        assert_eq!(classes, reference::dedup_classes(&all.workers), "{what}");
+        assert_eq!(
+            partition(&classes),
+            partition(&reference::dedup_classes(&all.workers)),
+            "{what}"
+        );
         assert_eq!(reduce_job(&all, &classes), reduced, "{what}");
 
         if matches!(job.flavor, FrameworkFlavor::Megatron) {
@@ -183,6 +200,50 @@ fn streaming_output_equals_collate_then_reduce() {
             );
         }
     }
+}
+
+/// A rank's events without what the signature must not see: host-delay
+/// jitter, raw communicator ids (replaced by first-use order) and the
+/// rank's position in each communicator.
+fn structure(trace: &WorkerTrace) -> Vec<TraceEvent> {
+    let mut comms = Vec::new();
+    let blind = |e: &TraceEvent| {
+        let mut e = *e;
+        e.host_delay = Default::default();
+        if let DeviceOp::Collective { desc } = &mut e.op {
+            let seen = comms.iter().position(|&c| c == desc.comm_id);
+            desc.comm_id = seen.unwrap_or_else(|| {
+                comms.push(desc.comm_id);
+                comms.len() - 1
+            }) as u64;
+            desc.rank_in_comm = 0;
+        }
+        e
+    };
+    trace.events.iter().map(blind).collect()
+}
+
+#[test]
+fn signatures_and_shape_digests_do_not_collide_on_generated_jobs() {
+    let mut shapes: BTreeMap<u64, KernelKind> = BTreeMap::new();
+    for job in generated_jobs() {
+        let what = format!("{} {} world {}", job.flavor.name(), job.parallel, job.world);
+        // Ranks share a signature exactly when they issue one sequence.
+        let mut classes: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
+        for w in emulate(&job, 0..job.world) {
+            let seen = classes
+                .entry(signature(&w))
+                .or_insert_with(|| structure(&w));
+            assert!(*seen == structure(&w), "{what}: rank {} collides", w.rank);
+            for e in &w.events {
+                if let DeviceOp::KernelLaunch { kernel } = e.op {
+                    let seen = shapes.entry(shape_digest(&kernel)).or_insert(kernel);
+                    assert_eq!(*seen, kernel, "{what}");
+                }
+            }
+        }
+    }
+    assert!(shapes.len() > 100, "only {} shapes", shapes.len());
 }
 
 /// Everything of a prediction but its wall-clock stage timings.

@@ -557,13 +557,22 @@ fn streamed_progress_over_the_wire_reconstructs_the_search_byte_for_byte() {
 
 #[test]
 fn cancel_over_the_wire_returns_the_deterministic_committed_prefix() {
+    // A 2.7B model, about three times `long_search`'s events a trial:
+    // the waves after the first must outlast the cancel frame's trip
+    // through two sockets on a machine busy with the other tests (with
+    // the 125M template this test lost that race in 2–3 of 40 runs of
+    // the file).
+    let mut search = long_search(60);
+    if let Request::Search { template, .. } = &mut search {
+        template.model = ModelSpec::gpt3_2_7b();
+    }
     // Reference: the same search, uncancelled.
-    let full = service().call(reissue(&long_search(60))).unwrap();
+    let full = service().call(reissue(&search)).unwrap();
     let full = full.search().unwrap().clone();
 
     let server = WireServer::bind("127.0.0.1:0", service()).unwrap();
     let client = WireClient::connect(server.local_addr()).unwrap();
-    let mut pending = client.submit(&long_search(60)).expect("submit");
+    let mut pending = client.submit(&search).expect("submit");
     let first = pending.next_progress().expect("first wave before cancel");
     pending.cancel().expect("cancel frame sent");
     let outcome = pending.wait_outcome().expect("terminal frame");
