@@ -7,10 +7,11 @@ use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::collectives::CollectiveTable;
-use crate::features::kernel_features;
+use crate::features::{kernel_features, NUM_FEATURES};
 use crate::forest::{ForestParams, RandomForest};
 use crate::metrics::MapeReport;
 use crate::profiler::{ProfileScale, Profiler};
+use crate::tree::Columns;
 
 /// A source of per-operation runtime predictions for the simulator.
 ///
@@ -117,6 +118,11 @@ fn naive_memcpy(bytes: u64, kind: MemcpyKind, gpu: &maya_hw::GpuSpec) -> f64 {
     (bytes as f64 / bw).max(2.0e-6)
 }
 
+/// The memcpy forest's feature row.
+fn memcpy_features(bytes: u64, kind: MemcpyKind) -> [f64; 2] {
+    [(bytes as f64).max(1.0).log2(), kind as u8 as f64]
+}
+
 impl ForestEstimator {
     /// Profiles the cluster and trains the estimator, returning the
     /// held-out per-kernel MAPE report (Tables 7-9).
@@ -129,7 +135,10 @@ impl ForestEstimator {
         let (train, test) = data.split_at(split);
 
         let gpu = cluster.gpu;
-        let x: Vec<Vec<f64>> = train.iter().map(|(k, _)| kernel_features(k)).collect();
+        let mut x = Columns::new(NUM_FEATURES);
+        for (k, _) in train {
+            x.push_row(&kernel_features(k));
+        }
         let y: Vec<f64> = train
             .iter()
             .map(|(k, t)| (t.as_secs_f64().max(1e-9) / naive_roofline(k, &gpu)).ln())
@@ -138,7 +147,7 @@ impl ForestEstimator {
             seed: seed ^ 0x6672,
             ..Default::default()
         };
-        let kernels = RandomForest::fit(&x, &y, &forest_params);
+        let kernels = RandomForest::fit_columns(&x, &y, &forest_params);
 
         // Held-out evaluation against the measured test split.
         let samples: Vec<(&'static str, SimTime, SimTime)> = test
@@ -152,15 +161,15 @@ impl ForestEstimator {
         let report = MapeReport::from_samples(&samples);
 
         let mc = profiler.memcpy_dataset(scale);
-        let mx: Vec<Vec<f64>> = mc
-            .iter()
-            .map(|((b, kind), _)| vec![(*b as f64).max(1.0).log2(), *kind as u8 as f64])
-            .collect();
+        let mut mx = Columns::new(2);
+        for ((b, kind), _) in &mc {
+            mx.push_row(&memcpy_features(*b, *kind));
+        }
         let my: Vec<f64> = mc
             .iter()
             .map(|((b, kind), t)| (t.as_secs_f64().max(1e-9) / naive_memcpy(*b, *kind, &gpu)).ln())
             .collect();
-        let memcpy = RandomForest::fit(
+        let memcpy = RandomForest::fit_columns(
             &mx,
             &my,
             &ForestParams {
@@ -191,8 +200,7 @@ impl RuntimeEstimator for ForestEstimator {
     }
 
     fn memcpy_time(&self, bytes: u64, kind: MemcpyKind) -> SimTime {
-        let row = vec![(bytes as f64).max(1.0).log2(), kind as u8 as f64];
-        let ratio = self.memcpy.predict(&row).exp();
+        let ratio = self.memcpy.predict(&memcpy_features(bytes, kind)).exp();
         SimTime::from_secs(naive_memcpy(bytes, kind, &self.gpu) * ratio)
     }
 
@@ -259,6 +267,49 @@ mod tests {
         let mean = errs.iter().sum::<f64>() / errs.len() as f64;
         assert!(mean < 0.35, "mean big-gemm error {mean}");
         assert!(report.overall() > 0.0, "report should show nonzero error");
+    }
+
+    /// `train` writes feature rows straight into columns; the forests are
+    /// the ones the public row-major `fit` grows from the same rows.
+    #[test]
+    fn train_grows_the_forests_fit_grows_from_the_same_rows() {
+        let (cluster, seed) = (ClusterSpec::v100(1, 8), 4);
+        let (est, _) = ForestEstimator::train(&cluster, ProfileScale::Test, seed);
+        let gpu = cluster.gpu;
+        let profiler = Profiler::new(gpu, seed);
+
+        let mut data = profiler.kernel_dataset(ProfileScale::Test);
+        data.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x7370_6C69));
+        data.truncate(data.len() * 8 / 10);
+        let (x, y): (Vec<Vec<f64>>, Vec<f64>) = data
+            .iter()
+            .map(|(k, t)| {
+                let y = (t.as_secs_f64().max(1e-9) / naive_roofline(k, &gpu)).ln();
+                (kernel_features(k).to_vec(), y)
+            })
+            .unzip();
+        let params = ForestParams {
+            seed: seed ^ 0x6672,
+            ..Default::default()
+        };
+        let kernels = RandomForest::fit(&x, &y, &params);
+        assert_eq!(format!("{:?}", est.kernels), format!("{kernels:?}"));
+
+        let (x, y): (Vec<Vec<f64>>, Vec<f64>) = profiler
+            .memcpy_dataset(ProfileScale::Test)
+            .iter()
+            .map(|((b, kind), t)| {
+                let y = (t.as_secs_f64().max(1e-9) / naive_memcpy(*b, *kind, &gpu)).ln();
+                (memcpy_features(*b, *kind).to_vec(), y)
+            })
+            .unzip();
+        let params = ForestParams {
+            n_trees: 8,
+            seed: seed ^ 0x6D63,
+            ..Default::default()
+        };
+        let memcpy = RandomForest::fit(&x, &y, &params);
+        assert_eq!(format!("{:?}", est.memcpy), format!("{memcpy:?}"));
     }
 
     #[test]

@@ -17,8 +17,8 @@ fn lg(x: f64) -> f64 {
 }
 
 /// Extracts the fixed-length feature vector for a kernel.
-pub fn kernel_features(k: &KernelKind) -> Vec<f64> {
-    let mut f = vec![0.0; NUM_FEATURES];
+pub fn kernel_features(k: &KernelKind) -> [f64; NUM_FEATURES] {
+    let mut f = [0.0; NUM_FEATURES];
     f[0] = lg(k.flops());
     f[1] = lg(k.bytes_accessed());
     f[2] = k.dtype().map(|d| d.id() as f64).unwrap_or(-1.0);

@@ -1,10 +1,23 @@
 //! Random-forest regression (bagged CART trees), the paper's default
 //! kernel runtime predictor.
+//!
+//! The rows are transposed once into a column-major matrix every tree
+//! reads; a tree's bag is the list of row numbers its bootstrap drew, in
+//! draw order, not a copy of those rows. That list is what the frozen
+//! row-cloning fit (`tests/reference/`) numbered `0..n` after cloning,
+//! so every per-node sum adds the same values in the same order and the
+//! forests are equal bit for bit (see [`crate::tree`] for the rest of
+//! the argument).
+//!
+//! Trees are not fitted in parallel: one `StdRng` stream runs through
+//! all of them — a tree's *n* bootstrap draws, then one shuffle per node
+//! that searches for a split — so where a tree's draws start depends on
+//! the shape of every tree before it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{Columns, RegressionTree, Scratch, TreeParams};
 
 /// Forest hyper-parameters.
 #[derive(Clone, Copy, Debug)]
@@ -42,19 +55,25 @@ impl RandomForest {
     /// Fits the forest on rows `x` with targets `y`.
     ///
     /// # Panics
-    /// Panics if the dataset is empty.
+    /// Panics if the dataset is empty, if `params.n_trees` is zero (the
+    /// mean over no trees is NaN, which rounds to a zero duration), if
+    /// row lengths differ or if there is not one target per row.
     pub fn fit(x: &[Vec<f64>], y: &[f64], params: &ForestParams) -> Self {
-        assert!(!x.is_empty(), "cannot fit a forest on an empty dataset");
+        Self::fit_columns(&Columns::from_rows(x), y, params)
+    }
+
+    /// [`RandomForest::fit`] on rows already stored column by column.
+    pub(crate) fn fit_columns(x: &Columns, y: &[f64], params: &ForestParams) -> Self {
+        let n = x.rows();
+        assert!(n > 0, "cannot fit a forest on an empty dataset");
+        assert!(params.n_trees > 0, "cannot fit a forest of zero trees");
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let n = x.len();
+        let mut scratch = Scratch::default();
         let trees = (0..params.n_trees)
             .map(|_| {
                 // Bootstrap sample.
-
-                let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                let bx: Vec<Vec<f64>> = idx.iter().map(|&i| x[i].clone()).collect();
-                let by: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
-                RegressionTree::fit(&bx, &by, &params.tree, &mut rng)
+                let bag = (0..n).map(|_| rng.gen_range(0..n) as u32).collect();
+                RegressionTree::grow(x, y, bag, &params.tree, &mut rng, &mut scratch)
             })
             .collect();
         RandomForest { trees }
@@ -137,8 +156,31 @@ mod tests {
         };
         let a = RandomForest::fit(&x, &y, &p);
         let b = RandomForest::fit(&x, &y, &p);
-        assert_eq!(a.predict(&x[0]), b.predict(&x[0]));
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "every node of every tree"
+        );
         assert_eq!(a.len(), 4);
         assert!(!a.is_empty());
+        let other = RandomForest::fit(&x, &y, &ForestParams { seed: 1, ..p });
+        assert_ne!(format!("{a:?}"), format!("{other:?}"), "the seed matters");
+    }
+
+    #[test]
+    #[should_panic(expected = "zero trees")]
+    fn a_forest_of_zero_trees_is_rejected() {
+        let (x, y) = dataset();
+        let p = ForestParams {
+            n_trees: 0,
+            ..Default::default()
+        };
+        RandomForest::fit(&x, &y, &p);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty dataset")]
+    fn an_empty_dataset_is_rejected() {
+        RandomForest::fit(&[], &[], &ForestParams::default());
     }
 }
