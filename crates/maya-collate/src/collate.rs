@@ -8,7 +8,10 @@
 //! collective it joins; when folding, a worker whose carried signature
 //! is already held is dropped on the spot and its buffers handed back
 //! for the next rank to record into. A push costs O(collectives), not
-//! O(events), folding or not. [`collate`] and
+//! O(events), folding or not. The signature set has one owner, here:
+//! a caller that would rather not finish a trace about to be dropped
+//! (the engine computes a rank's host time only for a kept trace) asks
+//! [`Collator::holds`] first, and `push` still decides. [`collate`] and
 //! [`collate_with_known_groups`] take traces that came from no recorder:
 //! they scan each for the same metadata ([`TraceMeta::scan`]) and push
 //! it with folding off.
@@ -384,13 +387,23 @@ impl<'k> Collator<'k> {
         self.stats
     }
 
+    /// Whether a worker carrying `signature` would be folded away:
+    /// a lower rank's trace with it is already kept. What
+    /// [`Collator::push`] will decide, asked ahead of it by a caller
+    /// with work to spare on a trace that is about to be dropped.
+    pub fn holds(&self, signature: u64) -> bool {
+        self.signatures.contains(&signature)
+    }
+
     /// Takes the next worker and the metadata recorded with it; ranks
     /// must not decrease from one call to the next. Only the events
     /// `meta.collectives` names are read, and a folding collator keeps
     /// or drops the trace by `meta.signature`, which it then requires.
     /// Returns buffers the caller may record the next rank into: the
     /// index buffer always, the worker's event buffer if it was folded
-    /// away (an unallocated one if its trace was kept), all emptied.
+    /// away (an unallocated one if its trace was kept), all emptied;
+    /// the host-note buffer never reaches the collator and comes back
+    /// unallocated.
     pub fn push(
         &mut self,
         mut trace: WorkerTrace,
@@ -428,6 +441,7 @@ impl<'k> Collator<'k> {
         let mut spare = TraceBuffers {
             events: Vec::new(),
             collectives: meta.collectives,
+            host_notes: Vec::new(),
         };
         spare.collectives.clear();
         if self.fold {

@@ -9,6 +9,16 @@
 //! re-derives the signature. A context whose trace will not be folded is
 //! built not to sign ([`CudaContext::recording_into`]).
 //!
+//! Host time follows the same split. A context that does not sign
+//! charges every call as it records it; one that signs, whose trace is
+//! dropped unread more often than not, writes only the framework work
+//! injected before the call and notes the call's number and class in
+//! its [`HostCharges`]. [`CudaContext::into_trace`] and
+//! [`CudaContext::into_recorded`] settle those charges before they
+//! return; [`CudaContext::into_unsettled`] hands them out beside the
+//! trace, for the engine to settle once the collator is known to keep
+//! it.
+//!
 //! Handles are small sequential ids the context mints itself, so the
 //! registries behind them are dense tables, not hash maps.
 
@@ -20,7 +30,7 @@ use maya_trace::{
     TraceMeta, WorkerTrace,
 };
 
-use crate::clock::{HostOpClass, ModelClock};
+use crate::clock::{HostCharges, HostOpClass, ModelClock};
 use crate::cublas::CublasState;
 use crate::cudnn::{ConvDescState, CudnnState};
 use crate::error::{CudaError, CudaResult};
@@ -108,7 +118,7 @@ pub struct CudaContext {
     /// Global rank of the worker owning this device.
     pub rank: u32,
     gpu: GpuSpec,
-    clock: ModelClock,
+    host: HostCharges,
 
     // Memory allocator state.
     capacity: u64,
@@ -152,21 +162,13 @@ impl CudaContext {
         let TraceBuffers {
             mut events,
             collectives,
+            host_notes,
         } = buffers;
         events.clear();
-        let mut ctx = Self::new(rank, gpu);
-        ctx.log = events;
-        ctx.signer = Signer::new(sign, collectives);
-        ctx
-    }
-
-    /// Creates a virtual device of the given spec for `rank`; its host
-    /// clock is the deterministic model clock, seeded by rank.
-    pub fn new(rank: u32, gpu: GpuSpec) -> Self {
         CudaContext {
             rank,
             gpu,
-            clock: ModelClock::new(0x636C_6F63 ^ rank as u64),
+            host: HostCharges::new(ModelClock::new(0x636C_6F63 ^ rank as u64), sign, host_notes),
             capacity: gpu.mem_bytes().saturating_sub(CONTEXT_RESERVED_BYTES),
             used: 0,
             peak: 0,
@@ -183,12 +185,19 @@ impl CudaContext {
             conv_descs: Table::new(),
             comms: Table::new(),
             next_handle: 1,
-            log: Vec::new(),
-            signer: Signer::new(true, Vec::new()),
+            log: events,
+            signer: Signer::new(sign, collectives),
             num_kernels: 0,
             num_collectives: 0,
             pending_host: SimTime::ZERO,
         }
+    }
+
+    /// Creates a virtual device of the given spec for `rank`, recording
+    /// into fresh buffers and signing; its host clock is the
+    /// deterministic model clock, seeded by rank.
+    pub fn new(rank: u32, gpu: GpuSpec) -> Self {
+        Self::recording_into(rank, gpu, TraceBuffers::default(), true)
     }
 
     /// The GPU this context emulates.
@@ -217,10 +226,10 @@ impl CudaContext {
         self.pending_host += t;
     }
 
-    /// Records one trace event, charging host time for it and advancing
-    /// the trace's signature and collective index.
+    /// Records one trace event, charging or noting host time for it and
+    /// advancing the trace's signature and collective index.
     pub(crate) fn record(&mut self, stream: StreamId, op: DeviceOp, class: HostOpClass) {
-        let host = self.clock.charge(class) + std::mem::take(&mut self.pending_host);
+        let host = self.host.charge(class) + std::mem::take(&mut self.pending_host);
         self.signer.note(self.log.len(), stream, &op);
         match op {
             DeviceOp::KernelLaunch { .. } | DeviceOp::MemcpyAsync { .. } => self.num_kernels += 1,
@@ -255,7 +264,7 @@ impl CudaContext {
     /// `cudaMemGetInfo`: (free, total) bytes, mimicking device behavior
     /// so frameworks can make allocator decisions (§4.1).
     pub fn mem_get_info(&mut self) -> (u64, u64) {
-        let _ = self.clock.charge(HostOpClass::Memory);
+        self.host.pass();
         (self.capacity - self.used, self.gpu.mem_bytes())
     }
 
@@ -264,15 +273,21 @@ impl CudaContext {
         if bytes == 0 {
             return Err(CudaError::InvalidValue);
         }
-        // Real allocators round to 512-byte granules.
-        let rounded = bytes.div_ceil(512) * 512;
-        if self.used + rounded > self.capacity {
+        // Real allocators round to 512-byte granules. A size whose
+        // rounding or sum does not fit in a `u64` does not fit on the
+        // device either.
+        let rounded = bytes.div_ceil(512).checked_mul(512);
+        let fits = |r: &u64| {
+            let total = self.used.checked_add(*r);
+            total.is_some_and(|total| total <= self.capacity)
+        };
+        let Some(rounded) = rounded.filter(fits) else {
             self.oom = true;
             return Err(CudaError::MemoryAllocation {
-                requested: rounded,
+                requested: rounded.unwrap_or(bytes),
                 free: self.capacity - self.used,
             });
-        }
+        };
         let ptr = self.next_ptr;
         self.next_ptr += rounded;
         self.used += rounded;
@@ -368,7 +383,7 @@ impl CudaContext {
         let s = self.next_stream;
         self.next_stream += 1;
         self.streams.insert(s, ());
-        let _ = self.clock.charge(HostOpClass::Sync);
+        self.host.pass();
         CudaStream(s)
     }
 
@@ -384,7 +399,7 @@ impl CudaContext {
         let e = self.next_event;
         self.next_event += 1;
         self.events.insert(e, 0);
-        let _ = self.clock.charge(HostOpClass::Sync);
+        self.host.pass();
         CudaEvent(e)
     }
 
@@ -494,6 +509,16 @@ impl CudaContext {
     /// the recorder learned writing it: the signature (if this context
     /// signs) and where the collectives are.
     pub fn into_recorded(self) -> (WorkerTrace, TraceMeta) {
+        let (mut trace, meta, charges) = self.into_unsettled();
+        let _ = charges.settle(&mut trace);
+        (trace, meta)
+    }
+
+    /// [`CudaContext::into_recorded`] before the host time a signing
+    /// context deferred is computed: the trace's `host_delay`s are short
+    /// by what `charges` holds until [`HostCharges::settle`] adds it.
+    /// For a caller that drops most traces by their signature, unread.
+    pub fn into_unsettled(self) -> (WorkerTrace, TraceMeta, HostCharges) {
         let mut w = WorkerTrace::new(self.rank);
         w.summary.peak_mem_bytes = self.peak;
         w.summary.final_mem_bytes = self.used;
@@ -502,7 +527,7 @@ impl CudaContext {
         w.summary.num_collectives = self.num_collectives;
         w.summary.oom = self.oom;
         w.events = self.log;
-        (w, self.signer.finish())
+        (w, self.signer.finish(), self.host)
     }
 }
 
@@ -558,6 +583,29 @@ mod tests {
         // Smaller allocations still succeed after an OOM report.
         assert!(c.malloc(1024).is_ok());
         assert!(c.oom(), "oom flag is sticky for the trace summary");
+    }
+
+    #[test]
+    fn a_size_that_cannot_be_rounded_or_summed_is_out_of_memory() {
+        let mut c = ctx();
+        c.malloc(4096).unwrap();
+        let free = c.mem_get_info().0;
+        // The rounding overflows, then the sum with what is in use.
+        for (bytes, requested) in [
+            (u64::MAX - 100, u64::MAX - 100),
+            (u64::MAX - 1023, u64::MAX - 1023),
+        ] {
+            assert_eq!(
+                c.malloc(bytes),
+                Err(CudaError::MemoryAllocation { requested, free })
+            );
+        }
+        assert!(c.oom());
+        assert_eq!(c.mem_used(), 4096);
+        assert!(c.malloc(1024).is_ok(), "a request that fits still does");
+        let t = c.into_trace();
+        assert_eq!(t.events.len(), 2, "a refused request records nothing");
+        assert!(t.summary.oom);
     }
 
     #[test]
@@ -659,6 +707,7 @@ mod tests {
         let mut stale = TraceBuffers {
             events: [fresh.events.clone(), fresh.events.clone()].concat(),
             collectives: vec![2, 6],
+            host_notes: vec![u64::MAX; 3],
         };
         stale.events.reserve(64);
         let (ptr, cap) = (stale.events.as_ptr(), stale.events.capacity());
@@ -682,6 +731,63 @@ mod tests {
         assert_eq!(unsigned, fresh);
         assert_eq!(unsigned_meta, TraceMeta::scan(&fresh.events, false));
         assert_eq!(unsigned_meta.signature, None);
+    }
+
+    #[test]
+    fn noted_host_time_settles_to_what_charging_each_call_writes() {
+        let us = SimTime::from_us;
+        // Calls that cost host time and record nothing (`mem_get_info`,
+        // `stream_create`, `event_create`) between ones that record, and
+        // framework work waiting for the next recorded call.
+        let script = |c: &mut CudaContext| {
+            c.mem_get_info();
+            let p = c.malloc(4096).unwrap();
+            let s = c.stream_create();
+            c.host_work(us(30.0));
+            c.launch_kernel(KernelKind::Memset { bytes: 4096 }, s)
+                .unwrap();
+            let e = c.event_create();
+            c.event_record(e, s).unwrap();
+            c.mem_get_info();
+            c.host_work(us(2.0));
+            c.event_create();
+            c.host_work(us(5.0));
+            c.stream_wait_event(CudaStream::DEFAULT, e).unwrap();
+            let blas = c.cublas_create();
+            c.cublas_sgemm(blas, 64, 64, 64).unwrap();
+            let comm = c.nccl_comm_init_rank(crate::NcclUniqueId(9), 2, 1).unwrap();
+            c.stream_create();
+            c.nccl_all_reduce(comm, 4096, s).unwrap();
+            c.free(p).unwrap();
+            c.host_work(us(1.0));
+        };
+        let record = |sign| {
+            let mut c =
+                CudaContext::recording_into(5, GpuSpec::h100(), TraceBuffers::default(), sign);
+            script(&mut c);
+            c.into_unsettled()
+        };
+        let (charged, _, nothing) = record(false);
+        assert_eq!(nothing.owed(), 0, "charged call by call as it recorded");
+        let _ = nothing.forgo();
+
+        let (mut noted, _, charges) = record(true);
+        assert_eq!(charges.owed(), noted.events.len());
+        // Until it is settled a signed trace carries the injected
+        // framework work and nothing else.
+        let injected: Vec<SimTime> = noted.events.iter().map(|e| e.host_delay).collect();
+        let z = SimTime::ZERO;
+        assert_eq!(injected, [z, us(30.0), z, us(7.0), z, z, z]);
+        let _ = charges.settle(&mut noted);
+        assert_eq!(noted, charged);
+        for e in &charged.events {
+            assert!(e.host_delay > z);
+        }
+
+        // The public finishers settle before they return.
+        let mut c = CudaContext::new(5, GpuSpec::h100());
+        script(&mut c);
+        assert_eq!(c.into_trace(), charged);
     }
 
     #[test]

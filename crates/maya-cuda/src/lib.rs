@@ -29,7 +29,7 @@ pub mod cudnn;
 pub mod error;
 pub mod nccl;
 
-pub use clock::{HostOpClass, ModelClock};
+pub use clock::{HostCharges, HostOpClass, ModelClock};
 pub use context::{CudaContext, CudaEvent, CudaStream, DevicePtr};
 pub use cublas::CublasHandle;
 pub use cudnn::{CudnnConvDesc, CudnnHandle};

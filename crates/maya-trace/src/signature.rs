@@ -214,13 +214,19 @@ fn scanned(events: &[TraceEvent], sign: bool) -> Signer {
 }
 
 /// The buffers one recording fills, handed from a trace that was dropped
-/// to the next rank's recorder so it writes over pages already mapped.
+/// to the next rank's recorder so it writes over pages already mapped:
+/// the events, the collective index, and the host-time notes a signing
+/// recorder keeps in place of computing a host clock nobody may read.
 #[derive(Debug, Default)]
 pub struct TraceBuffers {
     /// Becomes `WorkerTrace::events`.
     pub events: Vec<TraceEvent>,
     /// Becomes [`TraceMeta::collectives`].
     pub collectives: Vec<usize>,
+    /// Where a signing recorder notes the host time each event is owed
+    /// (one word an event, the recorder's encoding) until the trace is
+    /// known to be kept.
+    pub host_notes: Vec<u64>,
 }
 
 /// [`TraceMeta`] under construction: advanced once per recorded call.

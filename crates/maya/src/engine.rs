@@ -15,7 +15,11 @@
 //!   its signature opens a new class, so the job trace that reaches
 //!   the estimator is already reduced and only classes + 1 traces were
 //!   ever alive — the serial sink between the emulating threads reads
-//!   collectives, not events; estimation is the
+//!   collectives, not events. A signing recorder does not run the host
+//!   clock either: it notes each call, and the sink settles the notes
+//!   ([`HostCharges::settle`]) only for a trace whose signature the
+//!   collator does not hold yet, so host time is computed per kept
+//!   trace, not per rank; estimation is the
 //!   simulator's lowering pass (one read of the trace, one memo query
 //!   per distinct kernel shape of the job and per memcpy) and
 //!   simulation the replay of what it lowered;
@@ -31,12 +35,12 @@
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use maya_collate::{collate, dedup_classes, reduce_job, unique_megatron_ranks, Collator};
-use maya_cuda::{CudaContext, CudaError};
+use maya_cuda::{CudaContext, CudaError, HostCharges};
 use maya_estimator::{CacheStats, CachingEstimator, RuntimeEstimator};
 use maya_hw::{GroundTruthExecutor, Measurement};
 use maya_sim::{SimError, SimObs, SimScratch, Simulator};
@@ -117,6 +121,16 @@ where
     })
 }
 
+/// The buffers of a rank that is dropped whole, nothing it is owed
+/// computed, for a later rank to record into.
+fn discard(trace: WorkerTrace, meta: TraceMeta, charges: HostCharges) -> TraceBuffers {
+    TraceBuffers {
+        events: trace.events,
+        collectives: meta.collectives,
+        host_notes: charges.forgo(),
+    }
+}
+
 /// Unwraps the result of a [`fan_out`] whose sink cannot fail.
 fn infallible(done: Result<(), Infallible>) {
     match done {
@@ -140,6 +154,9 @@ pub struct PredictionEngine {
     /// uninstrumented path, which is byte-identical to the
     /// instrumented one.
     sim_obs: Option<SimObs>,
+    /// Trace events whose host time this engine's predictions computed
+    /// ([`PredictionEngine::host_charges`]).
+    host_charges: AtomicU64,
     /// Where [`PredictionEngine::persist_snapshot`] writes the
     /// estimator memo, and the compatibility scope it is stamped with
     /// ([`MayaBuilder::snapshot_path`](crate::MayaBuilder::snapshot_path)).
@@ -167,6 +184,7 @@ impl PredictionEngine {
             cache,
             scratch_pool: Mutex::new(Vec::new()),
             sim_obs: None,
+            host_charges: AtomicU64::new(0),
             snapshot: None,
         }
     }
@@ -224,6 +242,17 @@ impl PredictionEngine {
         self.cache.stats()
     }
 
+    /// Cumulative count of trace events whose host time
+    /// [`PredictionEngine::predict_job`] computed: every event of a
+    /// rank that charges while recording (the spec does not fold), and
+    /// of a folding spec's ranks the events of the traces it kept — a
+    /// folded rank's host clock is never read, so it is never run. A
+    /// deterministic function of the jobs predicted, like
+    /// [`Prediction::workers_emulated`].
+    pub fn host_charges(&self) -> u64 {
+        self.host_charges.load(Ordering::Relaxed)
+    }
+
     /// Transparently traces an arbitrary per-rank workload using the
     /// spec's emulation thread count: the Rust analog of running an
     /// unmodified script under the `LD_PRELOAD` shim. `script` receives
@@ -239,20 +268,30 @@ impl PredictionEngine {
         let mut out = Vec::with_capacity(ranks.len());
         let threads = self.spec.emulation_threads;
         infallible(
-            self.emulate_each(ranks, script, threads, false, |trace, _, res| {
-                out.push((trace, res));
-                Ok(TraceBuffers::default())
-            }),
+            // Not signing, every rank charged as it recorded: nothing
+            // was deferred, so this settles nothing.
+            self.emulate_each(
+                ranks,
+                script,
+                threads,
+                false,
+                |mut trace, _, charges, res| {
+                    let _ = charges.settle(&mut trace);
+                    out.push((trace, res));
+                    Ok(TraceBuffers::default())
+                },
+            ),
         );
         out
     }
 
     /// Emulates `ranks` through [`fan_out`] on up to `threads` OS
-    /// threads, handing every finished trace and its recorder's
-    /// metadata (signed only if `sign`) to `sink` on the calling thread
-    /// in `ranks` order. `sink` returns buffers for a later rank to
-    /// record into (see [`CudaContext::recording_into`]); its first
-    /// error stops the emulation.
+    /// threads, handing every finished trace, its recorder's metadata
+    /// (signed only if `sign`) and the host time it is still owed
+    /// (something only if `sign`) to `sink` on the calling thread in
+    /// `ranks` order. `sink` returns buffers for a later rank to record
+    /// into (see [`CudaContext::recording_into`]); its first error
+    /// stops the emulation.
     fn emulate_each<F, S, E>(
         &self,
         ranks: &[u32],
@@ -263,7 +302,12 @@ impl PredictionEngine {
     ) -> Result<(), E>
     where
         F: Fn(u32, &mut CudaContext) -> Result<(), CudaError> + Sync,
-        S: FnMut(WorkerTrace, TraceMeta, Result<(), CudaError>) -> Result<TraceBuffers, E>,
+        S: FnMut(
+            WorkerTrace,
+            TraceMeta,
+            HostCharges,
+            Result<(), CudaError>,
+        ) -> Result<TraceBuffers, E>,
     {
         let gpu = self.spec.cluster.gpu;
         // Buffers the sink handed back. Only `push`/`pop` run under
@@ -277,11 +321,12 @@ impl PredictionEngine {
                 let spare = spares.lock().ok().and_then(|mut pool| pool.pop());
                 let mut ctx = CudaContext::recording_into(r, gpu, spare.unwrap_or_default(), sign);
                 let res = script(r, &mut ctx);
-                (ctx.into_recorded(), res)
+                (ctx.into_unsettled(), res)
             },
-            |((trace, meta), res)| {
-                let spare = sink(trace, meta, res)?;
-                if spare.events.capacity() + spare.collectives.capacity() > 0 {
+            |((trace, meta, charges), res)| {
+                let spare = sink(trace, meta, charges, res)?;
+                let held = spare.events.capacity() + spare.collectives.capacity();
+                if held + spare.host_notes.capacity() > 0 {
                     if let Ok(mut pool) = spares.lock() {
                         pool.push(spare);
                     }
@@ -338,15 +383,16 @@ impl PredictionEngine {
         let mut collator = Collator::new(job.world, &known, fold);
         let mut collation = Duration::ZERO;
         let mut oom: Option<(u32, u64)> = None;
-        let mut events = 0usize;
+        let (mut events, mut charged) = (0usize, 0usize);
         self.emulate_each(
             &ranks,
             |rank, ctx| job.run_worker(rank, ctx),
             threads,
             fold,
-            |trace, meta, res| {
+            |mut trace, meta, charges, res| {
                 debug_assert_eq!(meta.signature.is_some(), fold, "a rank signs iff it folds");
                 events += trace.events.len();
+                charged += trace.events.len() - charges.owed();
                 match res {
                     Ok(()) => {}
                     Err(CudaError::MemoryAllocation { requested, .. }) => {
@@ -357,19 +403,32 @@ impl PredictionEngine {
                     }
                     Err(e) => return Err(MayaError::Device(e)),
                 }
+                // The verdict reads summaries and event counts: what
+                // an OOMed job's traces are owed is never computed.
                 if oom.is_some() {
-                    return Ok(TraceBuffers {
-                        events: trace.events,
-                        collectives: meta.collectives,
-                    });
+                    return Ok(discard(trace, meta, charges));
                 }
+                // A trace the collator will fold away is dropped unread
+                // (`push` reads collectives, the signature excludes host
+                // time), so only one it will keep is settled.
+                let host_notes = if meta.signature.is_some_and(|s| collator.holds(s)) {
+                    charges.forgo()
+                } else {
+                    charged += charges.owed();
+                    charges.settle(&mut trace)
+                };
                 // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
                 let t = Instant::now();
                 let spare = collator.push(trace, meta);
                 collation += t.elapsed();
-                Ok(spare?)
+                Ok(TraceBuffers {
+                    host_notes,
+                    ..spare?
+                })
             },
         )?;
+        self.host_charges
+            .fetch_add(charged as u64, Ordering::Relaxed);
         let outcome = match oom {
             Some((rank, peak_attempted)) => Err(OomInfo {
                 rank,
@@ -904,7 +963,60 @@ mod tests {
                 (4, 0, events),
                 "{threads} threads"
             );
+            // Rank 0 is the first to run out: every trace is dropped
+            // with what it was owed.
+            assert_eq!(maya.host_charges(), 0, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn a_discarded_rank_hands_back_all_three_buffers_uncharged() {
+        let j = job(4, ParallelConfig::default(), 8);
+        let mut ctx = CudaContext::recording_into(
+            0,
+            ClusterSpec::h100(1, 4).gpu,
+            TraceBuffers::default(),
+            true,
+        );
+        j.run_worker(0, &mut ctx).unwrap();
+        let (trace, meta, charges) = ctx.into_unsettled();
+        assert_eq!(charges.owed(), trace.events.len());
+        assert!(!meta.collectives.is_empty());
+        let held = (
+            trace.events.as_ptr(),
+            meta.collectives.as_ptr(),
+            trace.events.len(),
+        );
+        let spare = discard(trace, meta, charges);
+        assert_eq!(
+            (
+                spare.events.as_ptr(),
+                spare.collectives.as_ptr(),
+                spare.events.len()
+            ),
+            held,
+            "the verdict has read what it needs: nothing is touched"
+        );
+        assert!(spare.host_notes.capacity() >= held.2);
+        assert!(spare.host_notes.is_empty());
+    }
+
+    #[test]
+    fn trace_workload_owes_nothing_and_reads_as_a_settled_recording() {
+        let cluster = ClusterSpec::h100(1, 4);
+        let j = job(4, ParallelConfig::default(), 8);
+        let maya = MayaBuilder::new(cluster.clone())
+            .emulation_threads(2)
+            .build()
+            .unwrap();
+        let traced = maya.trace_workload(&[0, 1, 2, 3], |rank, ctx| j.run_worker(rank, ctx));
+        for (rank, (trace, res)) in (0..).zip(&traced) {
+            res.as_ref().expect("rank emulates");
+            // `trace_one_rank` signs, defers and settles.
+            let (settled, _) = maya_torchlet::engine::trace_one_rank(&j, rank, cluster.gpu);
+            assert_eq!(trace, &settled, "rank {rank}");
+        }
+        assert_eq!(maya.host_charges(), 0, "tracing is not predicting");
     }
 
     #[test]
@@ -920,21 +1032,29 @@ mod tests {
         ] {
             let maya = maya.build().unwrap();
             assert_eq!(maya.folds(), folds);
-            let mut signed = Vec::new();
+            let (mut signed, mut events) = (Vec::new(), 0);
             infallible(maya.emulate_each(
                 &[0, 1, 2, 3],
                 |rank, ctx| j.run_worker(rank, ctx),
                 2,
                 maya.folds(),
-                |_, meta, _| {
+                |trace, meta, charges, _| {
                     signed.push(meta.signature.is_some());
-                    Ok(TraceBuffers::default())
+                    // A rank that signs may be folded away, so it only
+                    // notes its host time; one that does not, charges.
+                    let owed = if folds { trace.events.len() } else { 0 };
+                    assert_eq!(charges.owed(), owed);
+                    events += trace.events.len();
+                    Ok(discard(trace, meta, charges))
                 },
             ));
             assert_eq!(signed, [folds; 4]);
             // `emulate_with` asserts the same of every rank it sinks.
             let p = maya.predict_job(&j).unwrap();
             assert_eq!(p.workers_simulated, if folds { 1 } else { 4 });
+            // Host time is computed for the traces that are kept.
+            let kept = if folds { events / 4 } else { events };
+            assert_eq!((maya.host_charges(), p.trace_events), (kept as u64, kept));
         }
     }
 

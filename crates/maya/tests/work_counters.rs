@@ -7,8 +7,10 @@
 //! never has more than three traces alive — the two kept and the one
 //! being examined — and the collator reads a rank's collectives only,
 //! because the recorder signed the trace and indexed them while writing
-//! it. They are the evidence that what the recorder hands over is what
-//! a scan of the finished trace computes, and that it sorts a job's
+//! it — and a folded rank's host clock is never run, because nobody
+//! reads it: host time is computed for the events of the traces that
+//! are kept. They are the evidence that what the recorder hands over is
+//! what a scan of the finished trace computes, and that it sorts a job's
 //! ranks into the classes the frozen three-pass oracle's signature
 //! does — the values differ (the oracle chains every word and hashes a
 //! kernel by FLOPs and bytes), the partition is the contract. And they
@@ -21,7 +23,7 @@ mod reference;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use maya::MayaBuilder;
+use maya::{EmulationSpec, MayaBuilder, PredictionEngine};
 use maya_collate::{signature, CollateStats, Collator};
 use maya_cuda::{CudaContext, CudaError};
 use maya_hw::{ClusterSpec, GpuSpec};
@@ -57,31 +59,47 @@ struct Folded {
     stats: CollateStats,
     /// Events and collectives the ranks emitted.
     emitted: (usize, u64),
+    /// Events whose host time was computed.
+    charged: usize,
     kept: JobTrace,
 }
 
 /// The engine's sequential loop from its public parts: each rank records
 /// into the buffers the collator handed back for the previous one, and
-/// hands the collator what its recorder signed and indexed. Every rank's
-/// metadata is held against a scan of its finished trace, and the job's
-/// classes against the frozen oracle's.
+/// hands the collator what its recorder signed and indexed, settling the
+/// host time it noted only if the collator does not hold its signature
+/// yet. Every rank's metadata is held against a scan of its finished
+/// trace, and the job's classes against the frozen oracle's.
 fn fold_all_ranks(job: &TrainingJob, cluster: &ClusterSpec) -> Folded {
     let known = BTreeMap::new();
     let mut collator = Collator::new(job.world, &known, true);
-    let (mut spare, mut emitted) = (TraceBuffers::default(), (0, 0));
+    let (mut spare, mut emitted, mut charged) = (TraceBuffers::default(), (0, 0), 0);
     let mut classes = Classes::default();
     for rank in 0..job.world {
         let mut ctx = CudaContext::recording_into(rank, cluster.gpu, spare, true);
         job.run_worker(rank, &mut ctx).expect("rank emulates");
-        let (trace, meta) = ctx.into_recorded();
+        let (mut trace, meta, charges) = ctx.into_unsettled();
+        assert_eq!(charges.owed(), trace.events.len(), "rank {rank}");
+        let host_notes = if collator.holds(meta.signature.expect("signed")) {
+            charges.forgo()
+        } else {
+            charged += charges.owed();
+            charges.settle(&mut trace)
+        };
+        // Settled or not: neither the signature nor the index reads
+        // host time.
         assert_recorded_as_scanned(&trace, &meta, &mut classes);
         emitted.0 += trace.events.len();
         emitted.1 += trace.summary.num_collectives;
-        spare = collator.push(trace, meta).expect("rank collates");
+        spare = TraceBuffers {
+            host_notes,
+            ..collator.push(trace, meta).expect("rank collates")
+        };
     }
     Folded {
         stats: collator.stats(),
         emitted,
+        charged,
         kept: collator.finish().expect("job collates"),
     }
 }
@@ -133,6 +151,7 @@ fn folded_job_counters_are_pinned() {
     let Folded {
         stats,
         emitted,
+        charged,
         kept,
     } = fold_all_ranks(&job, &cluster);
     assert_eq!(
@@ -150,15 +169,43 @@ fn folded_job_counters_are_pinned() {
         "the collator reads the collectives and nothing else"
     );
 
-    // The engine reports the same fold.
-    let p = MayaBuilder::new(cluster)
-        .build()
-        .unwrap()
-        .predict_job(&job)
-        .unwrap();
     assert_eq!(
-        (p.workers_emulated, p.workers_simulated, p.trace_events),
-        (64, 2, kept.total_events())
+        (charged, kept.total_events()),
+        (2_334, 2_334),
+        "host time is computed for the two traces that are kept, not for 64 ranks"
+    );
+    // Settled, the kept traces are the ones an eager recorder writes.
+    for w in &kept.workers {
+        let ((eager, _), _) = record(&job, w.rank, cluster.gpu, TraceBuffers::default(), false);
+        assert_eq!(w, &eager, "rank {}", w.rank);
+    }
+
+    // The engine reports the same fold and the same charges, whatever
+    // the thread count: settling happens on the sink, in rank order.
+    let predict = |threads| {
+        let maya = MayaBuilder::new(cluster.clone())
+            .emulation_threads(threads)
+            .build()
+            .unwrap();
+        let p = maya.predict_job(&job).unwrap();
+        assert_eq!(
+            (p.workers_emulated, p.workers_simulated, p.trace_events),
+            (64, 2, kept.total_events())
+        );
+        assert_eq!(maya.host_charges(), charged as u64, "{threads} threads");
+        p.report().cloned().expect("the job fits")
+    };
+    assert_eq!(predict(1), predict(2));
+
+    // A spec that does not fold charges every event, as it records it.
+    let unfolded = PredictionEngine::new(
+        EmulationSpec::without_optimizations(cluster.clone()),
+        std::sync::Arc::new(maya_estimator::OracleEstimator::new(&cluster)),
+    );
+    let p = unfolded.predict_job(&job).unwrap();
+    assert_eq!(
+        (p.workers_simulated, p.trace_events, unfolded.host_charges()),
+        (64, emitted.0, emitted.0 as u64)
     );
 }
 
@@ -227,9 +274,8 @@ fn record(
     (ctx.into_recorded(), res)
 }
 
-#[test]
-fn recorder_metadata_is_the_scan_of_the_finished_trace() {
-    let gpu = GpuSpec::h100();
+/// One job per framework flavor and model family the recorder serves.
+fn recorder_jobs() -> [TrainingJob; 7] {
     let dp = |flavor, model, world| TrainingJob {
         model,
         parallel: ParallelConfig::default(),
@@ -242,7 +288,7 @@ fn recorder_metadata_is_the_scan_of_the_finished_trace() {
         stage,
         activation_offload,
     };
-    let jobs = [
+    [
         TrainingJob {
             world: 16,
             global_batch: 16,
@@ -258,8 +304,13 @@ fn recorder_metadata_is_the_scan_of_the_finished_trace() {
             precision: Dtype::Fp32,
             ..dp(FrameworkFlavor::Ddp, ModelSpec::resnet152(), 2)
         },
-    ];
-    for job in &jobs {
+    ]
+}
+
+#[test]
+fn recorder_metadata_is_the_scan_of_the_finished_trace() {
+    let gpu = GpuSpec::h100();
+    for job in &recorder_jobs() {
         job.validate().expect("fixture");
         // Every rank records over what the one before left behind.
         let mut spare = TraceBuffers::default();
@@ -272,15 +323,15 @@ fn recorder_metadata_is_the_scan_of_the_finished_trace() {
             spare = TraceBuffers {
                 events: trace.events,
                 collectives: meta.collectives,
+                ..Default::default()
             };
         }
     }
 }
 
-#[test]
-fn a_rank_that_runs_out_of_memory_is_signed_up_to_where_it_stopped() {
-    // Stage 0 of this pipeline cannot hold its microbatches in flight.
-    let job = TrainingJob {
+/// Stage 0 of this pipeline cannot hold its microbatches in flight.
+fn oom_job() -> TrainingJob {
+    TrainingJob {
         model: ModelSpec::gpt3_2_7b(),
         parallel: ParallelConfig {
             pp: 2,
@@ -290,13 +341,65 @@ fn a_rank_that_runs_out_of_memory_is_signed_up_to_where_it_stopped() {
         global_batch: 64,
         world: 4,
         ..pinned_job()
-    };
+    }
+}
+
+/// Records `rank` twice — signing into `spare`, so its host time is
+/// noted and settled here, and not signing, so every call is charged as
+/// it is recorded — and holds the two traces equal, `host_delay`s
+/// included. Returns the signing recorder's buffers.
+fn assert_settled_as_charged(
+    job: &TrainingJob,
+    rank: u32,
+    gpu: GpuSpec,
+    spare: TraceBuffers,
+) -> TraceBuffers {
+    let what = format!("{} rank {rank}", job.describe());
+    let mut ctx = CudaContext::recording_into(rank, gpu, spare, true);
+    let res = job.run_worker(rank, &mut ctx);
+    let (mut settled, meta, charges) = ctx.into_unsettled();
+    assert_eq!(charges.owed(), settled.events.len(), "{what}");
+    let host_notes = charges.settle(&mut settled);
+    let ((charged, _), charged_res) = record(job, rank, gpu, TraceBuffers::default(), false);
+    assert_eq!(res, charged_res, "{what}");
+    assert_eq!(settled.events.len(), charged.events.len(), "{what}");
+    for (at, (s, c)) in settled.events.iter().zip(&charged.events).enumerate() {
+        assert_eq!(s, c, "{what}, event {at}");
+    }
+    assert_eq!(settled.summary, charged.summary, "{what}");
+    TraceBuffers {
+        events: settled.events,
+        collectives: meta.collectives,
+        host_notes,
+    }
+}
+
+#[test]
+fn deferred_host_time_settles_to_what_an_eager_recorder_charges() {
+    let gpu = GpuSpec::h100();
+    for job in &recorder_jobs() {
+        // Every rank notes over what the one before left behind.
+        let mut spare = TraceBuffers::default();
+        for rank in 0..job.world {
+            spare = assert_settled_as_charged(job, rank, gpu, spare);
+        }
+    }
+    // A rank cut short by OOM owes exactly the events it got to.
+    let whole = assert_settled_as_charged(&oom_job(), 3, gpu, TraceBuffers::default());
+    let cut = assert_settled_as_charged(&oom_job(), 0, gpu, whole);
+    assert!(!cut.events.is_empty());
+}
+
+#[test]
+fn a_rank_that_runs_out_of_memory_is_signed_up_to_where_it_stopped() {
+    let job = oom_job();
     let gpu = GpuSpec::h100();
     let ((whole, whole_meta), res) = record(&job, 3, gpu, TraceBuffers::default(), true);
     res.expect("the last stage fits");
     let stale = TraceBuffers {
         events: whole.events,
         collectives: whole_meta.collectives,
+        host_notes: vec![u64::MAX; 7],
     };
     let ((cut, cut_meta), res) = record(&job, 0, gpu, stale, true);
     assert!(
@@ -372,8 +475,10 @@ fn recorder_and_scan_agree_on_the_512_rank_job() {
     let Folded {
         stats,
         emitted,
+        charged,
         kept,
     } = fold_all_ranks(&job, &cluster);
+    assert_eq!(charged, kept.total_events());
     assert_eq!(
         stats,
         CollateStats {
@@ -384,8 +489,21 @@ fn recorder_and_scan_agree_on_the_512_rank_job() {
         }
     );
     assert_eq!(emitted, (2_788_864, 498_176));
+    // Every rank: signed, noted and settled, against charged as recorded.
+    let mut spare = TraceBuffers::default();
     let all: Vec<WorkerTrace> = (0..job.world)
-        .map(|r| maya_torchlet::engine::trace_one_rank(&job, r, cluster.gpu).0)
+        .map(|r| {
+            let settled = maya_torchlet::engine::trace_one_rank(&job, r, cluster.gpu).0;
+            let ((charged, meta), _) =
+                record(&job, r, cluster.gpu, std::mem::take(&mut spare), false);
+            assert_eq!(settled, charged, "rank {r}");
+            spare = TraceBuffers {
+                events: charged.events,
+                collectives: meta.collectives,
+                ..Default::default()
+            };
+            settled
+        })
         .collect();
     let all = reference::collate(all, job.world).expect("oracle collates");
     let classes = reference::dedup_classes(&all.workers);
