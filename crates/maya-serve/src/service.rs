@@ -263,6 +263,7 @@ impl ServiceBuilder {
         // job-lifecycle spans.
         let sim_obs = obs.config.metrics.then(|| maya::SimObs {
             events: reg.counter("sim.events_processed"),
+            heap_pops: reg.counter("sim.heap_pops"),
             heap_depth_high_water: reg.gauge("sim.heap_depth_high_water"),
             flow_solves: reg.counter("sim.flow_solves"),
             recorder: obs.recorder.clone(),

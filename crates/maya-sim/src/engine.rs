@@ -16,7 +16,9 @@
 //! once per launch.
 //! [`Lowered::replay`] then runs the event loop over the program alone:
 //! it never sees the trace, the estimator (except to time a collective
-//! once its participants are known) or a hash of a stream or event id.
+//! the first time a rendezvous of its shape completes; each
+//! communicator remembers its shapes) or a hash of a stream, event or
+//! rendezvous id.
 //! [`Simulator::run`] and [`Simulator::run_prevalidated`] are the two
 //! halves back to back; the prediction engine calls them apart to time
 //! them apart.
@@ -31,10 +33,11 @@
 //! `IssuePump`s, of which only the head sits in the binary
 //! heap — is a second cursor (`RankSim::lane_next`) over the same
 //! ops. The heap therefore holds about one entry per rank plus the
-//! in-flight completions, events still pop in exactly the `(at, seq)`
-//! total order a single heap would give, and a replay allocates only
-//! per collective rendezvous (its participant list, and a route on the
-//! topology path).
+//! in-flight completions, and events still pop in exactly the `(at,
+//! seq)` total order a single heap would give. A rendezvous takes its
+//! participant list from a pool of emptied ones, so a flat replay
+//! allocates nothing once the arena is warm; the topology path still
+//! allocates a route per collective.
 //!
 //! **Elision invariant.** A stream's `busy_until` never decreases:
 //! every write is `now + dur`, a `max(..)` or `+ cost`. An issue pump
@@ -43,9 +46,28 @@
 //! a pump reaches the head of its lane it is counted
 //! (`events_processed`, `pending`) and dropped instead of entering the
 //! heap. Lanes advance *after* the popped pump is handled, so the pump
-//! that starts a kernel elides the followers that kernel covers. A
-//! stream that is *blocked* (rendezvous, event wait) but not busy says
-//! nothing about the future — its pumps are kept.
+//! that starts a kernel elides the followers that kernel covers.
+//!
+//! **Parking.** A stream that is *blocked* (rendezvous, event wait) but
+//! not busy says nothing about when it will be free, but it does say
+//! that every pump due before its release is a no-op. So when a lane
+//! reaches a pump of a blocked stream, the pump is *parked* on the
+//! stream's sub-lane instead of entering the heap: a third cursor
+//! (`StreamSim::lane`) over the stream's own `next` chain, holding
+//! every pump of the stream the rank's lane has passed since the first
+//! one parked — later pumps of the stream park behind it, blocked or
+//! not, so the sub-lane is a contiguous run of the chain and needs no
+//! mark on the op. A stream is unblocked in exactly three places: a
+//! `Record` waking its waiters, a flat rendezvous resolving and a flow
+//! finishing. Each releases the sub-lane: a parked pump due before the
+//! releasing event in `(at, seq)` order, or before the stream's new
+//! `busy_until`, is counted and dropped, and the next enters the heap
+//! at its own `(at, seq)`. As in a rank's lane only the head is in the
+//! heap, and handling it promotes the next — unless the stream is
+//! blocked again, when the rest wait for the next release. Pumps still
+//! parked when the heap drains are counted there. Every issued pump is
+//! thus counted once, popped or not, and `events_processed` is what a
+//! core without lanes pops.
 //!
 //! The flow model keeps only in-flight flows ([`FlowNet`]), so a
 //! topology run costs about what a flat one does. All mutable state
@@ -94,8 +116,8 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Key of a collective rendezvous in the network wait map.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// Key of a collective rendezvous.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct CollKey {
     comm: u64,
     seq: u32,
@@ -193,6 +215,19 @@ struct Op {
     /// Dense per-worker slot of the op's stream.
     stream: u32,
     kind: OpKind,
+}
+
+impl Op {
+    /// The op parked behind this one on its stream's sub-lane, given
+    /// the rank's lane cursor: the stream's next op if the lane has
+    /// passed it (module docs, "Parking"), else [`NONE`].
+    fn parked_after(&self, lane_next: u32) -> u32 {
+        if self.next < lane_next {
+            self.next
+        } else {
+            NONE
+        }
+    }
 }
 
 /// A collective call site of one worker.
@@ -303,6 +338,14 @@ struct StreamSim {
     tail: u32,
     busy_until: SimTime,
     blocked: Option<StreamBlock>,
+    /// Sub-lane cursor: the oldest op here whose issue pump is parked
+    /// (module docs, "Parking"), or [`NONE`]. The sub-lane is the chain
+    /// of `Op::next` links from `lane` through the ops the rank's lane
+    /// has passed (below `RankSim::lane_next`): once a stream has a
+    /// parked pump, every later pump of the stream parks behind it.
+    lane: u32,
+    /// Whether the sub-lane's head sits in the heap.
+    lane_queued: bool,
 }
 
 impl StreamSim {
@@ -311,6 +354,8 @@ impl StreamSim {
         tail: NONE,
         busy_until: SimTime::ZERO,
         blocked: None,
+        lane: NONE,
+        lane_queued: false,
     };
 
     /// Whether no issued op waits here, given the host's cursor.
@@ -417,6 +462,9 @@ enum EvKind {
     /// through rank `wi`'s issue lane, so handling one promotes the
     /// lane's next entry into the heap.
     IssuePump { wi: usize, si: usize },
+    /// An issue pump released from stream `si`'s sub-lane: handling
+    /// one promotes the sub-lane's next entry.
+    ParkedPump { wi: usize, si: usize },
     /// A network flow drained its bytes (flow model only). Stale if
     /// `epoch` no longer matches the flow net's convergence epoch —
     /// every flow start/finish re-schedules fresh completions.
@@ -432,9 +480,16 @@ struct HeapEv {
     kind: EvKind,
 }
 
+impl HeapEv {
+    /// `(at, seq)` as one integer: compared without a branch on `at`.
+    fn key(&self) -> u128 {
+        u128::from(self.at.as_ns()) << 64 | u128::from(self.seq)
+    }
+}
+
 impl PartialEq for HeapEv {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for HeapEv {}
@@ -442,10 +497,15 @@ impl PartialOrd for HeapEv {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+    /// The heap's sifts compare with `<=` alone; spelled out, it stays
+    /// one integer comparison instead of going through an `Ordering`.
+    fn le(&self, other: &Self) -> bool {
+        self.key() <= other.key()
+    }
 }
 impl Ord for HeapEv {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -461,8 +521,12 @@ pub struct SimObs {
     /// Cumulative heap events processed across runs (the same tally
     /// reported per run in [`SimReport::events_processed`]).
     pub events: maya_obs::Counter,
+    /// Cumulative heap pops across runs: `events` less the issue pumps
+    /// counted off without entering the heap (elided or parked).
+    pub heap_pops: maya_obs::Counter,
     /// High-water mark of the pending-event set — heap entries plus
-    /// pumps parked in the per-rank issue lanes — max over all runs.
+    /// pumps waiting in the per-rank issue lanes and per-stream
+    /// sub-lanes — max over all runs.
     /// This is how far hosts run ahead of their devices, not the heap's
     /// size: the heap itself stays near one entry per rank.
     pub heap_depth_high_water: maya_obs::Gauge,
@@ -552,12 +616,59 @@ impl ShapeTable {
     }
 }
 
+/// What the estimator is asked about a rendezvous of a communicator on
+/// the flat path, read off its first joiner's site: rendezvous of one
+/// shape take one time.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct CollShape {
+    kind: CollectiveKind,
+    bytes: u64,
+    /// A point-to-point op's own end, which with `kind`'s peer names
+    /// the two ranks timed; [`NONE`] for a collective, timed over the
+    /// whole communicator.
+    end: u32,
+}
+
+impl CollShape {
+    fn of(desc: &CollectiveDesc) -> Self {
+        let end = match desc.kind {
+            CollectiveKind::Send { .. } | CollectiveKind::Recv { .. } => desc.rank_in_comm,
+            _ => NONE,
+        };
+        CollShape {
+            kind: desc.kind,
+            bytes: desc.bytes,
+            end,
+        }
+    }
+}
+
+/// A communicator's replay state.
+#[derive(Default)]
+struct Comm {
+    /// Rendezvous some of whose participants have joined. A stream
+    /// blocks at its join until the rendezvous resolves, so there is at
+    /// most one per member stream: a scan finds one sooner than a hash.
+    open: Vec<Rendezvous>,
+    /// Flat-path durations of the shapes its collectives took this job.
+    times: Vec<(CollShape, SimTime)>,
+}
+
+impl Comm {
+    /// Shapes remembered per communicator and job; a rendezvous of any
+    /// further shape asks the estimator itself, as every rendezvous
+    /// once did.
+    const SHAPES: usize = 64;
+}
+
 /// Reusable simulation arena: the replay program, the heap, per-rank
 /// state, wait tables, collective rendezvous buffers, the interner
-/// index maps and the job's shape table — the estimated duration of
+/// index maps and the job's shape tables — the estimated duration of
 /// each distinct kernel shape, at most 512 of them (1 KB of slots and
-/// 80 bytes a shape), emptied by every [`Simulator::lower`] so that no
-/// estimator's answer outlives the prediction that asked for it.
+/// 80 bytes a shape), and of each communicator's distinct collective
+/// shapes, at most [`Comm::SHAPES`] — emptied by every
+/// [`Simulator::lower`] so that no estimator's answer outlives the
+/// prediction that asked for it.
 ///
 /// A fresh scratch and a reused one produce byte-identical
 /// [`SimReport`]s (enforced by proptest); reuse only skips the
@@ -568,17 +679,25 @@ pub struct SimScratch {
     program: Program,
     ranks: Vec<RankSim>,
     heap: BinaryHeap<Reverse<HeapEv>>,
-    /// Network collective wait map.
-    collectives: HashMap<CollKey, Vec<Participant>>,
+    /// Communicators in [`Program::groups`] order, and a last one for
+    /// those the job does not list.
+    comms: Vec<Comm>,
+    /// Emptied participant lists, handed to the next rendezvous.
+    spare: Vec<Vec<Participant>>,
     stream_index: HashMap<StreamId, u32>,
     event_index: HashMap<(u64, u32), u32>,
     /// Kernel durations of the job being lowered, by shape.
     shapes: ShapeTable,
     seq: u64,
     now: SimTime,
+    /// Sequence stamp of the event being handled: with `now`, its place
+    /// in the `(at, seq)` order.
+    now_seq: u64,
     events_processed: u64,
-    /// Events scheduled and neither popped nor elided: heap plus issue
-    /// lanes.
+    /// Events popped off the heap.
+    heap_pops: u64,
+    /// Events scheduled and neither popped nor counted off: heap, issue
+    /// lanes and sub-lanes.
     pending: usize,
     /// Most events ever pending at once this run (one compare per
     /// stamp — the tally is kept unconditionally; only *publishing* is
@@ -598,6 +717,12 @@ pub struct SimScratch {
 /// One stream waiting at a collective rendezvous: `(worker, stream,
 /// arrival time, the worker's call site)`.
 type Participant = (usize, usize, SimTime, u32);
+
+/// A rendezvous some of whose participants have joined.
+struct Rendezvous {
+    key: CollKey,
+    participants: Vec<Participant>,
+}
 
 /// Simulator-side state of one in-flight collective flow.
 struct FlowMeta {
@@ -649,21 +774,37 @@ impl SimScratch {
 
     /// Moves rank `wi`'s next pending issue pump into the heap, first
     /// counting off every pump before it that the elision invariant
-    /// (module docs) proves a no-op. A lane is in `(at, seq)` order and
-    /// every lane's head is in the heap, so the heap's minimum is the
-    /// global minimum.
+    /// proves a no-op and parking every pump of a blocked stream (module
+    /// docs). A lane is in `(at, seq)` order and every lane's head is
+    /// in the heap, so the heap's minimum is the global minimum.
     fn promote(&mut self, wi: usize) {
-        let r = &mut self.ranks[wi];
+        let Some(r) = self.ranks.get_mut(wi) else {
+            return;
+        };
         while r.lane_next < r.next_op {
-            let op = r.ops[r.lane_next as usize];
+            let pc = r.lane_next;
             r.lane_next += 1;
+            let Some(&op) = r.ops.get(pc as usize) else {
+                break;
+            };
             if !op.kind.enqueues() {
                 continue;
             }
             let si = op.stream as usize;
-            if r.streams[si].busy_until > op.t {
+            let Some(s) = r.streams.get_mut(si) else {
+                continue;
+            };
+            if s.lane != NONE {
+                // Behind a parked pump: the sub-lane's chain reaches it.
+                continue;
+            }
+            if s.busy_until > op.t {
                 self.events_processed += 1;
                 self.pending -= 1;
+                continue;
+            }
+            if s.blocked.is_some() {
+                s.lane = pc;
                 continue;
             }
             let kind = EvKind::IssuePump { wi, si };
@@ -678,20 +819,143 @@ impl SimScratch {
         r.lane_head_queued = false;
     }
 
+    /// Moves stream `si`'s next parked pump into the heap if the stream
+    /// is free to run it, first counting off every parked pump that
+    /// would have run as a no-op: due before the event being handled
+    /// (the stream was blocked until now), or before the stream's
+    /// `busy_until` (the elision invariant). A sub-lane is in `(at,
+    /// seq)` order and its head is in the heap whenever its stream is
+    /// not blocked, so the heap's minimum stays the global minimum.
+    fn unpark(&mut self, wi: usize, si: usize) {
+        let handled = (self.now, self.now_seq);
+        let Some(r) = self.ranks.get_mut(wi) else {
+            return;
+        };
+        let Some(s) = r.streams.get_mut(si) else {
+            return;
+        };
+        if s.lane_queued || s.blocked.is_some() {
+            return;
+        }
+        while let Some(&op) = r.ops.get(s.lane as usize) {
+            if (op.t, op.seq) < handled || s.busy_until > op.t {
+                self.events_processed += 1;
+                self.pending -= 1;
+                s.lane = op.parked_after(r.lane_next);
+                continue;
+            }
+            let kind = EvKind::ParkedPump { wi, si };
+            self.heap.push(Reverse(HeapEv {
+                at: op.t,
+                seq: op.seq,
+                kind,
+            }));
+            s.lane_queued = true;
+            return;
+        }
+    }
+
+    /// Stream `si`'s sub-lane head was handled: the next parked pump
+    /// becomes the head.
+    fn advance(&mut self, wi: usize, si: usize) {
+        let Some(r) = self.ranks.get_mut(wi) else {
+            return;
+        };
+        let Some(s) = r.streams.get_mut(si) else {
+            return;
+        };
+        s.lane = r
+            .ops
+            .get(s.lane as usize)
+            .map_or(NONE, |op| op.parked_after(r.lane_next));
+        s.lane_queued = false;
+        self.unpark(wi, si);
+    }
+
+    /// Unblocks stream `si` of worker `wi`, busy until at least `until`,
+    /// and releases its sub-lane. Returns the stream's `busy_until`.
+    fn release(&mut self, wi: usize, si: usize, until: SimTime) -> SimTime {
+        let Some(s) = self.ranks.get_mut(wi).and_then(|r| r.streams.get_mut(si)) else {
+            return until;
+        };
+        s.blocked = None;
+        s.busy_until = s.busy_until.max(until);
+        let busy_until = s.busy_until;
+        self.unpark(wi, si);
+        busy_until
+    }
+
+    /// The heap drained: counts off the pumps still parked, each of
+    /// which would have popped as a no-op on its blocked stream.
+    fn count_parked(&mut self) {
+        let mut parked = 0;
+        for r in &self.ranks {
+            for s in &r.streams {
+                let mut at = s.lane;
+                while let Some(op) = r.ops.get(at as usize) {
+                    parked += 1;
+                    at = op.parked_after(r.lane_next);
+                }
+            }
+        }
+        self.events_processed += parked as u64;
+        self.pending -= parked;
+    }
+
+    /// Where communicator `group` is in `comms`; [`NONE`] is the last.
+    fn comm_slot(&self, group: u32) -> usize {
+        (group as usize).min(self.comms.len().saturating_sub(1))
+    }
+
+    /// `joiner` joins rendezvous `key` of communicator `group`, opening
+    /// it if it is the first. Returns the rendezvous' place in the
+    /// communicator's list and how many have joined it.
+    fn join(&mut self, group: u32, key: CollKey, joiner: Participant) -> (usize, usize) {
+        let slot = self.comm_slot(group);
+        let Some(comm) = self.comms.get_mut(slot) else {
+            return (0, 0);
+        };
+        let at = match comm.open.iter().position(|r| r.key == key) {
+            Some(at) => at,
+            None => {
+                let participants = self.spare.pop().unwrap_or_default();
+                comm.open.push(Rendezvous { key, participants });
+                comm.open.len() - 1
+            }
+        };
+        let Some(r) = comm.open.get_mut(at) else {
+            return (at, 0);
+        };
+        r.participants.push(joiner);
+        (at, r.participants.len())
+    }
+
     /// Pops the earliest pending event.
     fn pop(&mut self) -> Option<HeapEv> {
         let Reverse(ev) = self.heap.pop()?;
         self.pending -= 1;
+        self.heap_pops += 1;
         Some(ev)
     }
 
     /// Resets the run state for `workers` ranks, keeping capacity.
     fn reset(&mut self, workers: usize) {
         self.heap.clear();
-        self.collectives.clear();
+        for comm in &mut self.comms {
+            for Rendezvous {
+                mut participants, ..
+            } in comm.open.drain(..)
+            {
+                participants.clear();
+                self.spare.push(participants);
+            }
+            comm.times.clear();
+        }
         self.seq = 0;
         self.now = SimTime::ZERO;
+        self.now_seq = 0;
         self.events_processed = 0;
+        self.heap_pops = 0;
         self.pending = 0;
         self.pending_high_water = 0;
         self.flow_solves = 0;
@@ -794,11 +1058,13 @@ impl<'a> Simulator<'a> {
             stream_index,
             event_index,
             shapes,
+            comms,
             ..
         } = &mut *scratch;
         shapes.clear();
         program.peak_mem_bytes = job.peak_mem_bytes();
         program.load_groups(job);
+        comms.resize_with(program.groups.len() + 1, Comm::default);
 
         for (r, w) in ranks.iter_mut().zip(&job.workers) {
             r.reset(w.rank);
@@ -907,6 +1173,7 @@ impl<'a> Simulator<'a> {
 
         while let Some(ev) = st.pop() {
             st.now = ev.at;
+            st.now_seq = ev.seq;
             st.events_processed += 1;
             match ev.kind {
                 EvKind::HostDispatch { wi } => self.host_dispatch(st, wi),
@@ -917,10 +1184,15 @@ impl<'a> Simulator<'a> {
                     // started elides the lane entries it covers.
                     st.promote(wi);
                 }
+                EvKind::ParkedPump { wi, si } => {
+                    self.pump(st, wi, si);
+                    st.advance(wi, si);
+                }
                 EvKind::FlowDone { flow, epoch } => self.flow_done(st, flow, epoch),
                 EvKind::Fault { wi, fi } => self.apply_fault(st, wi, fi),
             }
         }
+        st.count_parked();
 
         debug_assert_eq!(st.pending, 0, "the heap drained with events still parked");
 
@@ -930,6 +1202,7 @@ impl<'a> Simulator<'a> {
         // are most interesting.
         if let (Some(obs), Some(started)) = (self.obs, started) {
             obs.events.add(st.events_processed);
+            obs.heap_pops.add(st.heap_pops);
             obs.heap_depth_high_water
                 .raise(st.pending_high_water as i64);
             obs.flow_solves.add(st.flow_solves);
@@ -1127,10 +1400,9 @@ impl<'a> Simulator<'a> {
                     // give the (cleared) buffer back for reuse.
                     let mut waiters = std::mem::take(&mut r.event_waiters[slot as usize]);
                     for &w in &waiters {
-                        let ws = &mut st.ranks[wi].streams[w];
-                        if ws.blocked == Some(StreamBlock::Event { slot }) {
-                            ws.blocked = None;
-                            ws.busy_until = ws.busy_until.max(now);
+                        let ws = st.ranks.get(wi).and_then(|r| r.streams.get(w));
+                        if ws.is_some_and(|ws| ws.blocked == Some(StreamBlock::Event { slot })) {
+                            st.release(wi, w, now);
                             st.push(now, EvKind::Pump { wi, si: w });
                         }
                     }
@@ -1163,12 +1435,15 @@ impl<'a> Simulator<'a> {
                 }
                 OpKind::Join { site } => {
                     s.blocked = Some(StreamBlock::Collective);
-                    let JoinSite { desc, required, .. } = r.sites[site as usize];
+                    let JoinSite {
+                        desc,
+                        group,
+                        required,
+                    } = r.sites[site as usize];
                     let key = CollKey::from_desc(&desc);
-                    let waiting = st.collectives.entry(key).or_default();
-                    waiting.push((wi, si, now, site));
-                    if waiting.len() >= required as usize {
-                        self.resolve_collective(st, key);
+                    let (at, joined) = st.join(group, key, (wi, si, now, site));
+                    if joined >= required as usize {
+                        self.resolve_collective(st, group, at);
                     }
                     return;
                 }
@@ -1183,12 +1458,19 @@ impl<'a> Simulator<'a> {
 
     /// All participants joined: release every stream in lockstep after
     /// the predicted wire time (Algorithm 3).
-    fn resolve_collective(&self, st: &mut SimScratch, key: CollKey) {
-        let participants = st.collectives.remove(&key).unwrap_or_default();
-        let Some(&(wi, _, _, site)) = participants.first() else {
+    fn resolve_collective(&self, st: &mut SimScratch, group: u32, at: usize) {
+        let slot = st.comm_slot(group);
+        let Some(comm) = st.comms.get_mut(slot).filter(|c| at < c.open.len()) else {
             return;
         };
-        let JoinSite { desc, group, .. } = st.ranks[wi].sites[site as usize];
+        let mut participants = comm.open.swap_remove(at).participants;
+        let first = participants.first();
+        let Some(&site) =
+            first.and_then(|&(wi, _, _, site)| st.ranks.get(wi)?.sites.get(site as usize))
+        else {
+            return;
+        };
+        let desc = site.desc;
         let start = participants
             .iter()
             .map(|&(_, _, t, _)| t)
@@ -1223,21 +1505,39 @@ impl<'a> Simulator<'a> {
             self.schedule_flow_completions(st);
             return;
         }
-        let dur = self
-            .estimator
-            .collective_time(desc.kind, desc.bytes, global_ranks, self.cluster);
+        let shape = CollShape::of(&desc);
+        let comm = st.comms.get_mut(slot);
+        let dur = match comm
+            .as_ref()
+            .and_then(|c| c.times.iter().find(|(s, _)| *s == shape))
+        {
+            Some(&(_, dur)) => dur,
+            None => {
+                let dur = self.estimator.collective_time(
+                    desc.kind,
+                    desc.bytes,
+                    global_ranks,
+                    self.cluster,
+                );
+                if let Some(c) = comm.filter(|c| c.times.len() < Comm::SHAPES) {
+                    c.times.push((shape, dur));
+                }
+                dur
+            }
+        };
         let end = start + dur;
-        for (wi, si, _, _) in participants {
-            let r = &mut st.ranks[wi];
-            let s = &mut r.streams[si];
-            s.blocked = None;
+        for &(wi, si, _, _) in &participants {
             // `max` is the identity without faults (a stream blocked on
             // a rendezvous is never busy past it) but preserves an
             // injected restart penalty that outlives the collective.
-            s.busy_until = s.busy_until.max(end);
-            r.comm_busy += dur;
+            st.release(wi, si, end);
+            if let Some(r) = st.ranks.get_mut(wi) {
+                r.comm_busy += dur;
+            }
             st.push(end, EvKind::Pump { wi, si });
         }
+        participants.clear();
+        st.spare.push(participants);
     }
 
     /// Flow-model view of a collective: it becomes a flow over the
@@ -1275,22 +1575,22 @@ impl<'a> Simulator<'a> {
         let Some(pos) = st.flow_meta.iter().position(|m| m.flow == flow) else {
             return; // stale: the flow already finished
         };
-        let meta = st.flow_meta.swap_remove(pos);
+        let mut meta = st.flow_meta.swap_remove(pos);
         let now = st.now;
         st.net.finish(now.as_ns(), flow);
         let end = now + meta.latency;
         let dur = end.saturating_sub(meta.start);
         for &(wi, si, _, _) in &meta.participants {
-            let r = &mut st.ranks[wi];
-            let s = &mut r.streams[si];
-            s.blocked = None;
             // `max`, not assignment: an injected fault may have pushed
             // the stream past the collective's own end.
-            s.busy_until = s.busy_until.max(end);
-            let wake = s.busy_until;
-            r.comm_busy += dur;
+            let wake = st.release(wi, si, end);
+            if let Some(r) = st.ranks.get_mut(wi) {
+                r.comm_busy += dur;
+            }
             st.push(wake, EvKind::Pump { wi, si });
         }
+        meta.participants.clear();
+        st.spare.push(meta.participants);
         self.schedule_flow_completions(st);
     }
 
@@ -1891,46 +2191,328 @@ mod tests {
         assert!(st.pending_high_water > 1000, "the lanes ran deep");
     }
 
-    /// The elision rule itself: a pending issue pump is counted off
-    /// when its stream is busy past the pump's due time, and only then
-    /// — a stream that is blocked (rendezvous, event wait) but idle
-    /// keeps its pumps, and busy *until* the due time is not past it.
-    #[test]
-    fn promotion_elides_pumps_of_busy_streams_only() {
-        let us = SimTime::from_us;
+    /// Rank 0 of a fresh arena: `streams` idle streams and one
+    /// zero-length kernel per `(stream, _)` of `ops`, each linked onto
+    /// its stream's queue as lowering links them; none issued yet.
+    fn one_rank(streams: usize, ops: &[(u32, SimTime)]) -> SimScratch {
         let mut st = SimScratch::new();
         st.reset(1);
         let r = &mut st.ranks[0];
         r.reset(0);
-        r.streams.extend([StreamSim::IDLE; 2]);
-        r.streams[0].busy_until = us(100.0);
-        r.streams[1].blocked = Some(StreamBlock::Collective);
-        let issues = [(0, us(50.0)), (1, us(60.0)), (0, us(100.0))];
-        r.ops.extend(issues.map(|(stream, _)| Op {
-            t: SimTime::ZERO,
-            seq: 0,
-            next: NONE,
-            stream,
-            kind: OpKind::Kernel { dur: SimTime::ZERO },
-        }));
-        for (pc, (_, at)) in issues.into_iter().enumerate() {
-            st.ranks[0].next_op += 1;
-            st.issue(0, pc as u32, at);
+        r.streams.extend(vec![StreamSim::IDLE; streams]);
+        for (pc, &(stream, _)) in ops.iter().enumerate() {
+            let s = &mut r.streams[stream as usize];
+            match r.ops.get_mut(s.tail as usize) {
+                Some(prev) => prev.next = pc as u32,
+                None => s.head = pc as u32,
+            }
+            s.tail = pc as u32;
+            r.ops.push(Op {
+                t: SimTime::ZERO,
+                seq: 0,
+                next: NONE,
+                stream,
+                kind: OpKind::Kernel { dur: SimTime::ZERO },
+            });
+        }
+        st
+    }
+
+    /// The host of rank 0 issues its next op at `at`.
+    fn issue_next(st: &mut SimScratch, at: SimTime) {
+        let pc = st.ranks[0].next_op;
+        st.ranks[0].next_op += 1;
+        st.issue(0, pc, at);
+    }
+
+    /// The promotion rule: a pending issue pump is counted off when its
+    /// stream is busy past the pump's due time; a stream that is
+    /// blocked (rendezvous, event wait) but idle parks it on its
+    /// sub-lane, and so does a stream that already has a parked pump;
+    /// busy *until* the due time is not past it, and the pump is queued.
+    #[test]
+    fn promotion_elides_pumps_of_busy_streams_only() {
+        let us = SimTime::from_us;
+        let ops = [(0, us(50.0)), (1, us(60.0)), (0, us(100.0)), (1, us(110.0))];
+        let mut st = one_rank(2, &ops);
+        st.ranks[0].streams[0].busy_until = us(100.0);
+        st.ranks[0].streams[1].blocked = Some(StreamBlock::Collective);
+        for (_, at) in ops {
+            issue_next(&mut st, at);
         }
         // Stream 0 is busy past 50 us: that pump is gone, and counted.
-        assert_eq!((st.events_processed, st.pending), (1, 2));
-        // Stream 1 is blocked, not busy: its pump is the lane's head.
-        let head = st.pop().expect("the blocked stream's pump is pending");
-        assert_eq!((head.at, head.seq), (us(60.0), 2));
-        assert!(matches!(head.kind, EvKind::IssuePump { wi: 0, si: 1 }));
-        assert!(st.heap.is_empty(), "the third pump is still parked");
+        assert_eq!((st.events_processed, st.pending), (1, 3));
+        // Stream 1 is blocked, not busy: its pump is parked, not queued.
+        let s1 = st.ranks[0].streams[1];
+        assert_eq!((s1.lane, s1.lane_queued), (1, false));
         // Busy until exactly the due time: the pump would run.
-        st.promote(0);
-        let last = st.pop().expect("a pump due as its stream frees up stays");
-        assert_eq!((last.at, last.seq), (us(100.0), 3));
-        assert_eq!((st.events_processed, st.pending), (1, 0));
+        let head = st
+            .pop()
+            .expect("a pump due as its stream frees up is queued");
+        assert_eq!((head.at, head.seq), (us(100.0), 3));
+        assert!(matches!(head.kind, EvKind::IssuePump { wi: 0, si: 0 }));
+        // The fourth parks behind the second; the lane is spent.
         st.promote(0);
         assert!(st.heap.is_empty() && !st.ranks[0].lane_head_queued);
+        assert_eq!((st.events_processed, st.pending), (1, 2));
+        // Were the heap to drain now, both would be counted there.
+        st.count_parked();
+        assert_eq!((st.events_processed, st.pending), (3, 0));
+    }
+
+    /// A parked pump released before it is due re-enters the heap at
+    /// its own `(at, seq)`, and only a sub-lane's head is ever in the
+    /// heap — a pump issued while the head is queued parks behind it.
+    #[test]
+    fn a_released_pump_keeps_its_place_in_the_order() {
+        let us = SimTime::from_us;
+        let ops = [(1, us(60.0)), (1, us(80.0)), (1, us(90.0))];
+        let mut st = one_rank(2, &ops);
+        st.ranks[0].streams[1].blocked = Some(StreamBlock::Event { slot: 0 });
+        // The event that will record at 30 us is already scheduled.
+        st.push(us(30.0), EvKind::Pump { wi: 0, si: 0 });
+        issue_next(&mut st, us(60.0));
+        issue_next(&mut st, us(80.0));
+        assert_eq!(st.heap.len(), 1, "both pumps are parked");
+        let fire = st.pop().expect("the recording pump");
+        (st.now, st.now_seq) = (fire.at, fire.seq);
+        assert_eq!(st.release(0, 1, st.now), us(30.0));
+        issue_next(&mut st, us(90.0));
+        let mut order = Vec::new();
+        while let Some(ev) = st.pop() {
+            assert!(matches!(ev.kind, EvKind::ParkedPump { wi: 0, si: 1 }));
+            assert!(st.heap.is_empty(), "one head in the heap at a time");
+            order.push((ev.at, ev.seq));
+            (st.now, st.now_seq) = (ev.at, ev.seq);
+            st.advance(0, 1);
+        }
+        assert_eq!(order, [(us(60.0), 2), (us(80.0), 3), (us(90.0), 4)]);
+        assert_eq!((st.events_processed, st.pending), (0, 0));
+        assert_eq!(st.ranks[0].streams[1].lane, NONE);
+    }
+
+    /// Kernels take 100 µs, copies 10 µs and collectives `coll_us`:
+    /// durations a schedule can be counted with.
+    struct Fixed {
+        coll_us: f64,
+    }
+
+    impl RuntimeEstimator for Fixed {
+        fn kernel_time(&self, _: &KernelKind) -> SimTime {
+            SimTime::from_us(100.0)
+        }
+        fn memcpy_time(&self, _: u64, _: maya_trace::MemcpyKind) -> SimTime {
+            SimTime::from_us(10.0)
+        }
+        fn collective_time(
+            &self,
+            _: CollectiveKind,
+            _: u64,
+            _: &[u32],
+            _: &ClusterSpec,
+        ) -> SimTime {
+            SimTime::from_us(self.coll_us)
+        }
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+    }
+
+    /// `(report, heap pops)` of one run of `job` under `Fixed`.
+    fn counted(job: &JobTrace, coll_us: f64, faults: Option<&FaultPlan>) -> (SimReport, u64) {
+        let c = cluster();
+        let obs = SimObs::default();
+        let report = Simulator::new(&Fixed { coll_us }, &c)
+            .with_faults(faults)
+            .with_obs(Some(&obs))
+            .run(job)
+            .expect("the job finishes");
+        assert_eq!(obs.events.get(), report.events_processed);
+        (report, obs.heap_pops.get())
+    }
+
+    /// Two workers over communicator 11, one op list each.
+    fn job2(w0: Vec<TraceEvent>, w1: Vec<TraceEvent>) -> JobTrace {
+        let (mut a, mut b) = (WorkerTrace::new(0), WorkerTrace::new(1));
+        (a.events, b.events) = (w0, w1);
+        JobTrace {
+            nranks: 2,
+            workers: vec![a, b],
+            comm_groups: BTreeMap::from([(11, vec![0, 1])]),
+        }
+    }
+
+    fn all_reduce(rank_in_comm: u32) -> DeviceOp {
+        pair_collective(11, rank_in_comm, 64)
+    }
+
+    /// A zero-length rendezvous releases a stream at the very instant
+    /// a pump parked on it is due: the pump runs iff it comes after the
+    /// releasing event in `(at, seq)` order. Times in µs; each host
+    /// dispatches all its ops in its first event.
+    ///
+    /// ```text
+    /// early parks:  w0 joins @1, issues a kernel @2 (seq 4): parked
+    ///               w1 joins @2 (seq 5): resolves @2, after the kernel's
+    ///               pump — dropped, counted; 9 pops + 1 = 10 events
+    /// late parks:   w0 joins @2 (seq 3); w1 joins @1, issues a kernel @2
+    ///               (seq 5): parked; w0's join resolves @2 before it —
+    ///               it re-enters the heap and starts the kernel; 10 pops
+    /// ```
+    #[test]
+    fn a_zero_length_rendezvous_releases_parked_pumps_in_at_seq_order() {
+        let tail = |join: DeviceOp, host_us: f64, launch: bool| {
+            let mut evs = vec![ev(0, join, host_us)];
+            if launch {
+                evs.push(ev(0, kernel(1024), 1.0));
+            }
+            evs.push(ev(0, DeviceOp::StreamSynchronize, 1.0));
+            evs
+        };
+        let us = SimTime::from_us;
+        let early = job2(
+            tail(all_reduce(0), 1.0, true),
+            tail(all_reduce(1), 2.0, false),
+        );
+        let (report, pops) = counted(&early, 0.0, None);
+        assert_eq!((report.events_processed, pops), (10, 9));
+        assert_eq!(report.rank_end_times, [us(102.0), us(3.0)]);
+        let late = job2(
+            tail(all_reduce(0), 2.0, false),
+            tail(all_reduce(1), 1.0, true),
+        );
+        let (report, pops) = counted(&late, 0.0, None);
+        assert_eq!((report.events_processed, pops), (10, 10));
+        assert_eq!(report.rank_end_times, [us(3.0), us(102.0)]);
+    }
+
+    /// A fault extends a blocked stream's `busy_until` while two pumps
+    /// sit parked on it; the release judges them against the extended
+    /// horizon. Times in µs:
+    ///
+    /// ```text
+    /// w0: joins @1, kernels issued @201, @202 park behind the join
+    /// w1: kernel @1..101, joins @2 (that pump elided: busy to 101)
+    /// fault @50 on w0, cost 1000: w0's stream busy until 1050
+    /// @101 the rendezvous resolves, 50 long: the two parked pumps are
+    ///      due after it but before 1050 — elided, counted
+    /// w0's kernels run 1050..1150..1250; 13 pops + 3 = 16 events
+    /// ```
+    #[test]
+    fn a_fault_extends_a_stream_while_its_pumps_are_parked() {
+        let us = SimTime::from_us;
+        let job = job2(
+            vec![
+                ev(0, all_reduce(0), 1.0),
+                ev(0, kernel(1024), 200.0),
+                ev(0, kernel(1024), 1.0),
+                ev(0, DeviceOp::StreamSynchronize, 1.0),
+            ],
+            vec![
+                ev(0, kernel(1024), 1.0),
+                ev(0, all_reduce(1), 1.0),
+                ev(0, DeviceOp::StreamSynchronize, 1.0),
+            ],
+        );
+        let plan = FaultPlan {
+            seed: 0,
+            stragglers: vec![],
+            failures: vec![maya_net::RankFailure {
+                rank: 0,
+                at: us(50.0),
+                restart_cost: us(1000.0),
+            }],
+        };
+        let (report, pops) = counted(&job, 50.0, Some(&plan));
+        assert_eq!(
+            report,
+            SimReport {
+                total_time: us(1250.0),
+                rank_end_times: vec![us(1250.0), us(151.0)],
+                comm_time: us(50.0),
+                compute_time: us(200.0),
+                host_time: us(1203.0),
+                peak_mem_bytes: 0,
+                events_processed: 16,
+            }
+        );
+        assert_eq!(pops, 13);
+    }
+
+    /// A stream released with a parked pump due later is blocked again
+    /// — by an op the release's own pump reaches — before that pump,
+    /// now its sub-lane's queued head, pops. The head pops as a no-op
+    /// and the pump behind it stays parked until the next release.
+    /// Times in µs, one worker:
+    ///
+    /// ```text
+    /// s0: kernel @1..101, record A @101, kernel @101..201, record B @201
+    /// s1: wait A @5 blocks; wait B @50, kernels @160, @170 park
+    /// @101 A releases s1: wait B's pump is stale (dropped), @160's is
+    ///      queued; the release's pump reaches wait B: blocked again
+    /// @160 the head pops as a no-op; @170's stays parked
+    /// @201 B releases s1: @170's is stale (dropped); kernels run
+    ///      201..301..401; 11 pops + 3 elided on s0 + 2 = 16 events
+    /// ```
+    #[test]
+    fn a_stream_blocked_again_under_a_queued_head_keeps_parking() {
+        let us = SimTime::from_us;
+        let record = |event| DeviceOp::EventRecord { event, version: 1 };
+        let wait = |event| DeviceOp::StreamWaitEvent { event, version: 1 };
+        let job = job1(vec![
+            ev(0, kernel(1024), 1.0),
+            ev(0, record(1), 1.0),
+            ev(0, kernel(1024), 1.0),
+            ev(0, record(2), 1.0),
+            ev(1, wait(1), 1.0),
+            ev(1, wait(2), 45.0),
+            ev(1, kernel(1024), 110.0),
+            ev(1, kernel(1024), 10.0),
+            ev(0, DeviceOp::DeviceSynchronize, 1.0),
+        ]);
+        let (report, pops) = counted(&job, 0.0, None);
+        assert_eq!(
+            (report.total_time, report.compute_time, report.host_time),
+            (us(401.0), us(400.0), us(171.0))
+        );
+        assert_eq!((report.events_processed, pops), (16, 11));
+    }
+
+    /// Pumps still parked when the heap drains are counted there, so a
+    /// deadlocked run ends with nothing pending. Rank 0 joins a
+    /// rendezvous rank 1 never joins and waits on an event never
+    /// recorded, with two kernels parked behind each: 6 pops + 4 = 10
+    /// events, what the reference core pops (held in `tests/props.rs`).
+    #[test]
+    fn a_deadlock_counts_the_pumps_still_parked() {
+        let c = cluster();
+        let obs = SimObs::default();
+        let sim = Simulator::new(&Fixed { coll_us: 0.0 }, &c).with_obs(Some(&obs));
+        let wait = DeviceOp::StreamWaitEvent {
+            event: 5,
+            version: 1,
+        };
+        let job = job2(
+            vec![
+                ev(0, all_reduce(0), 1.0),
+                ev(0, kernel(1024), 1.0),
+                ev(0, kernel(1024), 1.0),
+                ev(1, wait, 1.0),
+                ev(1, kernel(1024), 1.0),
+                ev(1, kernel(1024), 1.0),
+                ev(0, DeviceOp::DeviceSynchronize, 1.0),
+            ],
+            vec![ev(0, kernel(1024), 1.0)],
+        );
+        let mut st = SimScratch::new();
+        assert_eq!(
+            sim.run_prevalidated(&job, &mut st),
+            Err(SimError::Deadlock {
+                stuck_ranks: vec![0]
+            })
+        );
+        assert_eq!(st.pending, 0);
+        assert_eq!((obs.events.get(), obs.heap_pops.get()), (10, 6));
     }
 
     /// Capacity of every buffer the arena owns.
@@ -1942,7 +2524,8 @@ mod tests {
             p.members.capacity(),
             st.ranks.capacity(),
             st.heap.capacity(),
-            st.collectives.capacity(),
+            st.comms.capacity(),
+            st.spare.capacity(),
             st.stream_index.capacity(),
             st.event_index.capacity(),
             st.flow_meta.capacity(),

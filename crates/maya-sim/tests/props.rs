@@ -19,9 +19,10 @@
 //! check; there `events_processed` — popped events plus elided issue
 //! pumps — must repeat exactly and equal what the observer is told.
 //!
-//! The hand-built traces at the end include the elision proof's two
-//! cases: pumps of a stream that is blocked but idle (kept — held to
-//! the reference core) and pumps overtaken by a fault's extension of
+//! The hand-built traces at the end include the elision proof's three
+//! cases: pumps of a stream that is blocked but idle (parked until the
+//! release — held to the reference core, and so is a deadlock that
+//! leaves pumps parked) and pumps overtaken by a fault's extension of
 //! `busy_until` (elided — held to a hand-counted schedule) — and the
 //! bounds of the per-job shape table lowering keeps in front of the
 //! estimator: more shapes than it holds, shapes that all start at one
@@ -40,7 +41,7 @@ use maya_trace::{
     MemcpyKind, SimTime, StreamId, TraceEvent, WorkerTrace,
 };
 use proptest::prelude::*;
-use reference::simulate_reference;
+use reference::{simulate_reference, simulate_reference_counted};
 
 /// One step of the trace generator, to be lowered per rank.
 #[derive(Clone, Debug)]
@@ -538,7 +539,8 @@ fn blocked_but_idle_streams_keep_their_pumps() {
     // Event wait: stream 1 blocks on an event stream 0 records only
     // after a long kernel, while the host keeps issuing to stream 1.
     // Those issue pumps come due with the stream blocked and idle; the
-    // record's wake-up, not they, restarts it.
+    // record's wake-up, not they, restarts it. They are parked, and
+    // counted when the record releases the stream.
     let (event, version) = (3, 1);
     let waiting = job1(vec![
         ev(0, kernel(8192), 1.0),
@@ -578,6 +580,46 @@ fn blocked_but_idle_streams_keep_their_pumps() {
         assert_eq!(dense.events_processed, reference.events_processed, "{name}");
         assert_eq!(dense, reference, "{name}");
     }
+}
+
+/// A deadlock that leaves issue pumps parked on a stream blocked on a
+/// rendezvous that never completes and on one blocked on an event that
+/// never fires: the engine counts them when its heap drains, and tells
+/// its observer what the reference core popped.
+#[test]
+fn a_deadlock_with_parked_pumps_counts_what_the_reference_pops() {
+    let c = cluster();
+    let oracle = OracleEstimator::new(&c);
+    let wait = DeviceOp::StreamWaitEvent {
+        event: 5,
+        version: 1,
+    };
+    let mut stuck = WorkerTrace::new(0);
+    stuck.events = vec![
+        ev(0, pair_all_reduce(0), 1.0),
+        ev(0, kernel(512), 1.0),
+        ev(0, kernel(512), 1.0),
+        ev(1, wait, 1.0),
+        ev(1, kernel(512), 1.0),
+        ev(1, kernel(512), 1.0),
+        ev(0, DeviceOp::DeviceSynchronize, 1.0),
+    ];
+    let mut done = WorkerTrace::new(1);
+    done.events = vec![ev(0, kernel(512), 1.0)];
+    let job = JobTrace {
+        nranks: 2,
+        workers: vec![stuck, done],
+        comm_groups: BTreeMap::from([(9, vec![0, 1])]),
+    };
+    let obs = SimObs::default();
+    let dense = Simulator::new(&oracle, &c).with_obs(Some(&obs)).run(&job);
+    let (reference, events) = simulate_reference_counted(&job, &c, &oracle);
+    let deadlock = Err(SimError::Deadlock {
+        stuck_ranks: vec![0],
+    });
+    assert_eq!((&dense, &reference), (&deadlock, &deadlock));
+    assert_eq!(obs.events.get(), events);
+    assert!(obs.heap_pops.get() + 4 <= events, "four pumps parked");
 }
 
 /// Every kernel takes 100 µs: durations a schedule can be counted with.
@@ -659,10 +701,21 @@ fn fault_extension_elides_a_parked_pump() {
     );
 }
 
-/// The oracle, counting the kernel queries that reach it.
+/// The oracle, counting the kernel and collective queries that reach it.
 struct Counting {
     oracle: OracleEstimator,
     kernels: std::sync::atomic::AtomicU64,
+    collectives: std::sync::atomic::AtomicU64,
+}
+
+impl Counting {
+    fn new(oracle: OracleEstimator) -> Self {
+        Counting {
+            oracle,
+            kernels: Default::default(),
+            collectives: Default::default(),
+        }
+    }
 }
 
 impl RuntimeEstimator for Counting {
@@ -675,6 +728,8 @@ impl RuntimeEstimator for Counting {
         self.oracle.memcpy_time(bytes, kind)
     }
     fn collective_time(&self, k: CollectiveKind, b: u64, r: &[u32], c: &ClusterSpec) -> SimTime {
+        self.collectives
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.oracle.collective_time(k, b, r, c)
     }
     fn name(&self) -> &'static str {
@@ -706,10 +761,7 @@ fn shapes_that_fit(ms: &[u64]) -> u64 {
     let queries: Vec<u64> = (1..=3)
         .map(|rounds| {
             let job = launches(ms, rounds);
-            let counting = Counting {
-                oracle,
-                kernels: Default::default(),
-            };
+            let counting = Counting::new(oracle);
             let dense = Simulator::new(&counting, &c).run_prevalidated(&job, &mut scratch);
             assert_eq!(
                 dense,
@@ -767,4 +819,67 @@ fn a_reused_arena_keeps_no_duration_of_the_previous_estimator() {
     assert_ne!(modelled.compute_time, fixed.compute_time);
     assert_eq!(modelled, simulate(&job, &c, &oracle).unwrap());
     assert_eq!(run(&Fixed), fixed);
+}
+
+/// Collective durations are remembered per shape: kind, bytes,
+/// communicator and a point-to-point op's own end. Two senders to one
+/// receiver send the same kind and bytes over one communicator, one
+/// within a node and one across nodes; each pair meets twice. Four
+/// rendezvous, two questions, and the reference core's answer.
+#[test]
+fn rendezvous_of_one_shape_ask_the_estimator_once() {
+    let c = ClusterSpec::h100(2, 2);
+    let oracle = OracleEstimator::new(&c);
+    let p2p = |kind, rank_in_comm| DeviceOp::Collective {
+        desc: CollectiveDesc {
+            kind,
+            comm_id: 9,
+            seq: 0,
+            bytes: 1 << 24,
+            nranks: 3,
+            rank_in_comm,
+        },
+    };
+    let send = |from| p2p(CollectiveKind::Send { peer: 1 }, from);
+    let recv = |from| p2p(CollectiveKind::Recv { peer: from }, 1);
+    let worker = |rank, events| {
+        let mut w = WorkerTrace::new(rank);
+        w.events = events;
+        w
+    };
+    let sync = || ev(0, DeviceOp::StreamSynchronize, 1.0);
+    // The senders join first, so theirs are the sites each shape is
+    // read from.
+    let job = JobTrace {
+        nranks: 3,
+        workers: vec![
+            worker(
+                0,
+                vec![ev(0, send(0), 1.0), sync(), ev(0, send(0), 1.0), sync()],
+            ),
+            worker(
+                1,
+                vec![
+                    ev(0, recv(0), 5.0),
+                    ev(0, recv(2), 5.0),
+                    sync(),
+                    ev(0, recv(0), 5.0),
+                    ev(0, recv(2), 5.0),
+                    sync(),
+                ],
+            ),
+            worker(
+                2,
+                vec![ev(0, send(2), 1.0), sync(), ev(0, send(2), 1.0), sync()],
+            ),
+        ],
+        comm_groups: BTreeMap::from([(9, vec![0, 1, 2])]),
+    };
+    let counting = Counting::new(oracle);
+    let dense = Simulator::new(&counting, &c).run(&job).unwrap();
+    assert_eq!(dense, simulate_reference(&job, &c, &oracle).unwrap());
+    assert_eq!(counting.collectives.into_inner(), 2);
+    let across = oracle.collective_time(CollectiveKind::Send { peer: 1 }, 1 << 24, &[2, 1], &c);
+    let within = oracle.collective_time(CollectiveKind::Send { peer: 1 }, 1 << 24, &[0, 1], &c);
+    assert_ne!(across, within, "the two ends are timed apart");
 }

@@ -151,6 +151,16 @@ pub fn simulate_reference(
     cluster: &ClusterSpec,
     estimator: &dyn RuntimeEstimator,
 ) -> Result<SimReport, SimError> {
+    simulate_reference_counted(job, cluster, estimator).0
+}
+
+/// [`simulate_reference`] with the events the run processed, which a
+/// deadlocked run's error does not carry (0 for an invalid trace).
+pub fn simulate_reference_counted(
+    job: &JobTrace,
+    cluster: &ClusterSpec,
+    estimator: &dyn RuntimeEstimator,
+) -> (Result<SimReport, SimError>, u64) {
     Reference { estimator, cluster }.run(job)
 }
 
@@ -177,8 +187,10 @@ impl State {
 }
 
 impl<'a> Reference<'a> {
-    fn run(&self, job: &JobTrace) -> Result<SimReport, SimError> {
-        job.validate().map_err(SimError::InvalidTrace)?;
+    fn run(&self, job: &JobTrace) -> (Result<SimReport, SimError>, u64) {
+        if let Err(e) = job.validate() {
+            return (Err(SimError::InvalidTrace(e)), 0);
+        }
         let n = job.workers.len();
         let mut st = State {
             ranks: job
@@ -228,7 +240,10 @@ impl<'a> Reference<'a> {
             .map(|(i, _)| job.workers[i].rank)
             .collect();
         if !stuck.is_empty() {
-            return Err(SimError::Deadlock { stuck_ranks: stuck });
+            return (
+                Err(SimError::Deadlock { stuck_ranks: stuck }),
+                st.events_processed,
+            );
         }
 
         let rank_end: Vec<SimTime> = st
@@ -243,7 +258,7 @@ impl<'a> Reference<'a> {
                 r.host_time.max(s)
             })
             .collect();
-        Ok(SimReport {
+        let report = SimReport {
             total_time: rank_end.iter().copied().fold(SimTime::ZERO, SimTime::max),
             rank_end_times: rank_end,
             comm_time: st
@@ -263,7 +278,8 @@ impl<'a> Reference<'a> {
                 .fold(SimTime::ZERO, SimTime::max),
             peak_mem_bytes: job.peak_mem_bytes(),
             events_processed: st.events_processed,
-        })
+        };
+        (Ok(report), st.events_processed)
     }
 
     fn host_dispatch(&self, job: &JobTrace, st: &mut State, wi: usize) {

@@ -5,8 +5,12 @@
 //! pinned by exact equality: a change that alters which events exist,
 //! how many flow solves run, or how deep the pending-event set gets
 //! must update these numbers on purpose. `heap_depth_high_water` counts
-//! *pending events* — heap entries plus entries parked in the per-rank
-//! issue lanes — so it reads the same whether or not lanes exist.
+//! *pending events* — heap entries plus the issue pumps waiting in the
+//! per-rank issue lanes and the per-stream sub-lanes — so it reads the
+//! same whether or not lanes exist, but a pump parked on a blocked
+//! stream stays pending until the stream is released, where it once
+//! popped at its due time. `heap_pops` is what the heap actually did:
+//! `events_processed` less the issue pumps counted off without it.
 
 mod common;
 
@@ -15,8 +19,9 @@ use maya_hw::ClusterSpec;
 use maya_net::FaultPlan;
 use maya_sim::{SimObs, Simulator};
 
-/// `(events_processed, flow_solves, heap_depth_high_water)` of one run.
-fn counters(cluster: &ClusterSpec, faults: Option<&FaultPlan>) -> (u64, u64, i64) {
+/// `(events_processed, heap_pops, flow_solves, heap_depth_high_water)`
+/// of one run.
+fn counters(cluster: &ClusterSpec, faults: Option<&FaultPlan>) -> (u64, u64, u64, i64) {
     let oracle = OracleEstimator::new(cluster);
     let obs = SimObs::default();
     let report = Simulator::new(&oracle, cluster)
@@ -27,21 +32,27 @@ fn counters(cluster: &ClusterSpec, faults: Option<&FaultPlan>) -> (u64, u64, i64
     assert_eq!(obs.events.get(), report.events_processed);
     (
         report.events_processed,
+        obs.heap_pops.get(),
         obs.flow_solves.get(),
         obs.heap_depth_high_water.get(),
     )
 }
 
+// Heap pops were 537 and 1 518 before pumps of blocked streams parked.
+
 #[test]
 fn flat_job_counters_are_pinned() {
-    assert_eq!(counters(&common::flat_cluster(), None), (776, 0, 136));
+    assert_eq!(counters(&common::flat_cluster(), None), (776, 455, 0, 136));
 }
 
+/// The high water was 141 before parking: a pump parked on a blocked
+/// stream stays pending until the release, where it once popped — as a
+/// no-op — at its own due time, so more pumps are pending at once.
 #[test]
 fn contended_faulted_job_counters_are_pinned() {
     let faults = common::pinned_faults();
     assert_eq!(
         counters(&common::contended_cluster(), Some(&faults)),
-        (1644, 150, 141)
+        (1644, 1324, 150, 149)
     );
 }

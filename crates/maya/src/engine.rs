@@ -532,8 +532,9 @@ impl PredictionEngine {
             // trace, asking the shared memo once per distinct kernel
             // shape and once per memcpy (Table 6 / Fig. 13's
             // estimation stage). Collective
-            // queries resolve during the replay — their participant
-            // sets are only known then — and are memoized there too.
+            // queries resolve during the replay — their first joiner is
+            // only known then — once per collective shape of each
+            // communicator, through the same memo.
             // Across trials the memo persists: a warm search loop pays
             // estimation cost only for shapes it has never seen.
             // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator

@@ -215,10 +215,16 @@ fn one_memo_query_per_distinct_shape() {
     let job = pinned_job();
     let kept = fold_all_ranks(&job, &cluster).kept;
     // What the simulator asks about: every distinct kernel shape of the
-    // kept workers once for the job, every memcpy, and every rendezvous
-    // they take part in, once however many of them join it.
+    // kept workers once for the job, every memcpy, and every distinct
+    // collective shape — kind, bytes and communicator — once however
+    // many rendezvous take it and however many workers join each (it
+    // asked once per rendezvous, 445 questions in all, until the flat
+    // path kept a table). A send and its receive are one shape: the end
+    // that joins first is asked, and here that is the same end at every
+    // step of a pipeline pair.
     let (mut launches, mut memcpys) = (0u64, 0u64);
     let (mut shapes, mut rendezvous) = (Vec::<KernelKind>::new(), BTreeSet::new());
+    let mut collective_shapes = Vec::new();
     for e in kept.workers.iter().flat_map(|w| &w.events) {
         match e.op {
             DeviceOp::KernelLaunch { kernel } => {
@@ -236,6 +242,11 @@ fn one_memo_query_per_distinct_shape() {
                     _ => None,
                 };
                 rendezvous.insert((desc.comm_id, desc.seq, pair));
+                let kind = pair.is_none().then_some(desc.kind);
+                let shape = (desc.comm_id, desc.bytes, kind, pair);
+                if !collective_shapes.contains(&shape) {
+                    collective_shapes.push(shape);
+                }
             }
             _ => {}
         }
@@ -244,13 +255,14 @@ fn one_memo_query_per_distinct_shape() {
         (launches + memcpys, shapes.len(), memcpys, rendezvous.len()),
         (1_844, 38, 6, 401)
     );
+    assert_eq!(collective_shapes.len(), 12);
 
     let maya = MayaBuilder::new(cluster).build().unwrap();
     maya.predict_job(&job).unwrap();
     let memo = maya.cache_stats();
     assert_eq!(
         memo.hits + memo.misses,
-        shapes.len() as u64 + memcpys + rendezvous.len() as u64
+        shapes.len() as u64 + memcpys + collective_shapes.len() as u64
     );
     // What is derived is what was derived when every launch asked.
     assert_eq!(memo.misses, 52, "{memo:?}");
