@@ -9,17 +9,19 @@
 //! on the same engine — including predictions running concurrently on
 //! different threads.
 //!
-//! [`CachingEstimator`] wraps an inner estimator with a sharded
-//! `RwLock` memo per query family (kernel / memcpy / collective).
-//! Sharding keeps reader contention negligible when a worker pool fans
-//! many simulations over the cache at once; the common steady-state
-//! access is a read lock on one shard.
+//! [`CachingEstimator`] keeps all three query families (kernel / memcpy
+//! / collective) in one `Mutex<HashMap>`. One lock suffices because the
+//! simulator asks few questions: `Simulator::lower` asks once per
+//! distinct kernel shape of a job and each communicator times a
+//! collective shape once, so a traced seed-1 benchmark run counts, per
+//! cold prediction, 56 queries on `emulate_dedup_512`, 710 on
+//! `sim_flat_128`, 197 on `sim_contended_32` and 53 on
+//! `serve_predict_2c`, and 2 213 over `search_32`'s whole grid search.
+//! The inner estimator is always called outside the lock, so a miss
+//! never holds up another thread's hit.
 
-use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use maya_hw::ClusterSpec;
 use maya_obs::Counter;
@@ -27,240 +29,80 @@ use maya_trace::{CollectiveKind, KernelKind, MemcpyKind, SimTime};
 
 use crate::estimator::RuntimeEstimator;
 
-/// Number of lock shards per memo map (power of two).
-const SHARDS: usize = 16;
+/// One memoized question, from any of the three families. The
+/// collective key is boxed so that kernel entries, most of the memo,
+/// are not sized to the largest key.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) enum Query {
+    Kernel(KernelKind),
+    Memcpy(u64, MemcpyKind),
+    Collective(Box<CollectiveKey>),
+}
 
 /// One memoized answer plus its last-access stamp (for LRU eviction).
-///
-/// The stamp is atomic so the hot hit path can refresh recency under a
-/// *read* lock; only inserts and evictions take the write lock.
 struct Entry {
     value: SimTime,
-    stamp: AtomicU64,
+    stamp: u64,
 }
 
-/// A key with its hash, taken once per lookup ([`Sharded::seal`]): the
-/// shard choice and the shard's map both read it. The hash is SipHash
-/// under a fixed key, so which shard a key lives in — and with a cap,
-/// what it competes with for room — repeats from run to run.
-#[derive(Clone)]
-pub(crate) struct Hashed<K> {
-    hash: u64,
-    key: K,
+/// Every memoized answer and the logical clock its stamps read. The map
+/// hashes with std's `RandomState`, so keys that arrive over the wire
+/// cannot be crafted to pile into one bucket.
+#[derive(Default)]
+struct Memo {
+    entries: HashMap<Query, Entry>,
+    clock: u64,
 }
 
-impl<K: PartialEq> PartialEq for Hashed<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.key == other.key
-    }
-}
-
-impl<K: Eq> Eq for Hashed<K> {}
-
-impl<K> Hash for Hashed<K> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// Builds a shard map's hasher: a [`Hashed`] key's hash folded with a
-/// seed drawn per memo. A fixed-key hash can be computed by whoever
-/// sends the trace; the seed keeps the *bucket* it lands in theirs to
-/// guess, so served keys cannot be crafted to pile into one.
-#[derive(Clone, Copy)]
-struct Seeded(u64);
-
-impl BuildHasher for Seeded {
-    type Hasher = Folded;
-
-    fn build_hasher(&self) -> Folded {
-        Folded {
-            seed: self.0,
-            hash: 0,
-        }
-    }
-}
-
-struct Folded {
-    seed: u64,
-    hash: u64,
-}
-
-impl Hasher for Folded {
-    fn finish(&self) -> u64 {
-        // The map buckets by the low bits, which a multiply alone
-        // leaves a function of the input's low bits — the ones a
-        // shard's keys share.
-        let x = (self.hash ^ self.seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        x ^ (x >> 32)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only `Hashed` keys reach these maps, and they call `write_u64`.
-        for &b in bytes {
-            self.hash = self.hash.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.hash = hash;
-    }
-}
-
-type Shard<K> = HashMap<Hashed<K>, Entry, Seeded>;
-
-/// A hash-sharded `RwLock<HashMap>` memo with an optional LRU entry cap.
-pub(crate) struct Sharded<K> {
-    shards: Vec<RwLock<Shard<K>>>,
-    /// Per-shard entry budget; `None` is unbounded. The user-facing cap
-    /// is divided over the shards, so the effective total rounds up to
-    /// a multiple of [`SHARDS`].
-    cap_per_shard: Option<usize>,
-    /// Logical clock stamped onto entries at insert and, when the memo
-    /// is capped, on every hit — nothing reads a stamp otherwise.
-    clock: AtomicU64,
-    /// Entries dropped to respect the cap. An obs counter
-    /// handle shared with the owning estimator (and, through it, any
-    /// metrics registry that mirrors it), not a private atomic.
-    evictions: Counter,
-}
-
-impl<K: Hash + Eq + Clone> Sharded<K> {
-    fn new(capacity: Option<usize>, evictions: Counter) -> Self {
-        let seed = Seeded(RandomState::new().hash_one(0u8));
-        Sharded {
-            shards: (0..SHARDS)
-                .map(|_| RwLock::new(Shard::with_hasher(seed)))
-                .collect(),
-            cap_per_shard: capacity.map(|c| c.div_ceil(SHARDS).max(1)),
-            clock: AtomicU64::new(0),
-            evictions,
-        }
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
+impl Memo {
     /// Entries examined per eviction. Sampled LRU: the victim is the
     /// oldest stamp among a small prefix of the map's (arbitrary)
-    /// iteration order, not a full scan — at steady state a capped
-    /// cache is full on *every* miss, and an O(shard) scan under the
-    /// write lock would stall all concurrent readers of the shard.
-    /// Shards at or below the sample size (cap ≤ 16·8) still get exact
-    /// LRU.
+    /// iteration order, not a full scan — at steady state a capped memo
+    /// is full on *every* miss. Memos at or below the sample size still
+    /// get exact LRU.
     const EVICTION_SAMPLE: usize = 8;
 
-    /// Drops an approximately-least-recently-used entry of `map` while
-    /// it is at the cap. O(EVICTION_SAMPLE) per eviction.
-    fn evict_if_full(&self, map: &mut Shard<K>) {
-        let Some(cap) = self.cap_per_shard else {
-            return;
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The memoized answer to `query`, whose stamp it refreshes.
+    fn get(&mut self, query: &Query) -> Option<SimTime> {
+        let stamp = self.tick();
+        let entry = self.entries.get_mut(query)?;
+        entry.stamp = stamp;
+        Some(entry.value)
+    }
+
+    /// Stores an answer, keeping at most `capacity` entries (none at 0).
+    /// Returns whether an entry was evicted to make room.
+    fn insert(&mut self, query: Query, value: SimTime, capacity: usize) -> bool {
+        let entry = Entry {
+            value,
+            stamp: self.tick(),
         };
-        while map.len() >= cap {
-            let Some(victim) = map
+        if let Some(e) = self.entries.get_mut(&query) {
+            *e = entry;
+            return false;
+        }
+        if capacity == 0 {
+            return false;
+        }
+        let full = self.entries.len() >= capacity;
+        if full {
+            let victim = self
+                .entries
                 .iter()
                 .take(Self::EVICTION_SAMPLE)
-                .min_by_key(|(_, e)| e.stamp.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone())
-            else {
-                return;
-            };
-            map.remove(&victim);
-            self.evictions.inc();
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(q, _)| q.clone());
+            if let Some(victim) = victim {
+                self.entries.remove(&victim);
+            }
         }
-    }
-
-    /// Inserts an entry directly, bypassing the hit/miss counters — the
-    /// snapshot-restore path, which must not masquerade as traffic.
-    /// Respects the LRU cap like any other insert.
-    pub(crate) fn insert(&self, key: K, value: SimTime) {
-        self.insert_sealed(self.seal(key), value);
-    }
-
-    fn insert_sealed(&self, key: Hashed<K>, value: SimTime) {
-        let stamp = self.tick();
-        let mut map = self.shard(&key).write().expect("cache shard poisoned");
-        if let Some(e) = map.get_mut(&key) {
-            e.value = value;
-            e.stamp.store(stamp, Ordering::Relaxed);
-            return;
-        }
-        self.evict_if_full(&mut map);
-        map.insert(
-            key,
-            Entry {
-                value,
-                stamp: AtomicU64::new(stamp),
-            },
-        );
-    }
-
-    /// Every memoized entry (unordered).
-    pub(crate) fn entries(&self) -> Vec<(K, SimTime)> {
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("cache shard poisoned")
-                    .iter()
-                    .map(|(k, e)| (k.key.clone(), e.value))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
-    /// Hashes `key`, once.
-    fn seal(&self, key: K) -> Hashed<K> {
-        let mut sealed = Hashed { hash: 0, key };
-        self.reseal(&mut sealed);
-        sealed
-    }
-
-    /// Re-hashes a sealed key whose `key` was edited in place.
-    fn reseal(&self, sealed: &mut Hashed<K>) {
-        sealed.hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(&sealed.key);
-    }
-
-    fn shard(&self, key: &Hashed<K>) -> &RwLock<Shard<K>> {
-        &self.shards[(key.hash as usize) & (SHARDS - 1)]
-    }
-
-    /// Returns the memoized value or computes, stores and returns it.
-    fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> SimTime) -> (SimTime, bool) {
-        let key = self.seal(key);
-        if let Some(t) = self.get(&key) {
-            return (t, true);
-        }
-        let t = compute();
-        // A racing writer may have inserted the same key; both computed
-        // the same pure value, so last-write-wins is benign.
-        self.insert_sealed(key, t);
-        (t, false)
-    }
-
-    /// Read-only probe by reference (no key ownership needed); a hit
-    /// on a capped memo refreshes the entry's LRU stamp.
-    fn get(&self, key: &Hashed<K>) -> Option<SimTime> {
-        let map = self.shard(key).read().expect("cache shard poisoned");
-        let e = map.get(key)?;
-        if self.cap_per_shard.is_some() {
-            e.stamp.store(self.tick(), Ordering::Relaxed);
-        }
-        Some(e.value)
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache shard poisoned").len())
-            .sum()
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            s.write().expect("cache shard poisoned").clear();
-        }
+        self.entries.insert(query, entry);
+        full
     }
 }
 
@@ -346,12 +188,9 @@ impl std::ops::AddAssign for CacheStats {
 /// surrounding `Arc`.
 pub struct CachingEstimator {
     inner: Arc<dyn RuntimeEstimator>,
-    pub(crate) kernels: Sharded<KernelKind>,
-    pub(crate) memcpys: Sharded<(u64, MemcpyKind)>,
-    pub(crate) collectives: Sharded<CollectiveKey>,
-    // Obs counter handles, not private atomics: `obs_counters` hands
-    // the same cells to a metrics registry, so a scrape reads live
-    // values instead of a second bespoke stats surface.
+    memo: Mutex<Memo>,
+    /// Entry bound over all three families; `usize::MAX` is unbounded.
+    capacity: usize,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -363,29 +202,23 @@ impl CachingEstimator {
         CachingEstimator::with_capacity(inner, None)
     }
 
-    /// Wraps an inner estimator, bounding each memo family (kernel /
-    /// memcpy / collective) to roughly `capacity` entries with sampled
-    /// least-recently-used eviction — exact LRU within small shards,
-    /// approximate beyond, never an O(shard) scan on the hot path.
+    /// Wraps an inner estimator, keeping at most `capacity` entries in
+    /// all (kernel, memcpy and collective together; 0 keeps nothing)
+    /// with sampled least-recently-used eviction — exact LRU up to 8
+    /// entries, approximate beyond, never a scan of the whole memo.
     ///
-    /// The cap is approximate: it is divided over the 16 lock shards,
-    /// so the effective per-family bound rounds up to a multiple of 16.
     /// Eviction counts surface through [`CacheStats::evictions`].
     /// `None` keeps the memo unbounded (the default — right for batch
     /// runs; long-running services should set a cap so an adversarial
     /// or merely diverse workload cannot grow the memo without limit).
     pub fn with_capacity(inner: Arc<dyn RuntimeEstimator>, capacity: Option<usize>) -> Self {
-        // All three families report into one eviction counter, which
-        // is what `CacheStats::evictions` always surfaced.
-        let evictions = Counter::detached();
         CachingEstimator {
             inner,
-            kernels: Sharded::new(capacity, evictions.clone()),
-            memcpys: Sharded::new(capacity, evictions.clone()),
-            collectives: Sharded::new(capacity, evictions.clone()),
+            memo: Mutex::default(),
+            capacity: capacity.unwrap_or(usize::MAX),
             hits: Counter::detached(),
             misses: Counter::detached(),
-            evictions,
+            evictions: Counter::detached(),
         }
     }
 
@@ -403,21 +236,9 @@ impl CachingEstimator {
         }
     }
 
-    /// Live handles to the `(hits, misses, evictions)` cells —
-    /// the very counters [`CachingEstimator::stats`] reads — so a
-    /// service can surface them in its `maya_obs` snapshot without a
-    /// parallel plumbing path.
-    pub fn obs_counters(&self) -> (Counter, Counter, Counter) {
-        (
-            self.hits.clone(),
-            self.misses.clone(),
-            self.evictions.clone(),
-        )
-    }
-
     /// Total memoized entries across all query families.
     pub fn len(&self) -> usize {
-        self.kernels.len() + self.memcpys.len() + self.collectives.len()
+        self.memo().entries.len()
     }
 
     /// Whether the memo is empty.
@@ -425,37 +246,56 @@ impl CachingEstimator {
         self.len() == 0
     }
 
-    /// Drops every memoized entry (counters are kept).
-    pub fn clear(&self) {
-        self.kernels.clear();
-        self.memcpys.clear();
-        self.collectives.clear();
+    /// The memo. A thread that panicked holding the lock cannot have
+    /// left a wrong answer behind — every entry is a pure value — so a
+    /// poisoned lock is still good.
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn count(&self, hit: bool) {
-        if hit {
-            self.hits.inc();
-        } else {
-            self.misses.inc();
+    /// Every memoized entry (unordered).
+    pub(crate) fn entries(&self) -> Vec<(Query, SimTime)> {
+        self.memo()
+            .entries
+            .iter()
+            .map(|(q, e)| (q.clone(), e.value))
+            .collect()
+    }
+
+    /// Stores an answer without touching the hit/miss counters (a miss
+    /// and the snapshot-restore path both land here), evicting to stay
+    /// within the capacity.
+    pub(crate) fn insert(&self, query: Query, value: SimTime) {
+        if self.memo().insert(query, value, self.capacity) {
+            self.evictions.inc();
         }
+    }
+
+    /// Returns the memoized answer or computes and stores it. `compute`
+    /// runs outside the lock; a racing miss on the same query computes
+    /// the same pure value, so last-write-wins is benign.
+    fn memoize(&self, query: Query, compute: impl FnOnce() -> SimTime) -> SimTime {
+        let hit = self.memo().get(&query);
+        if let Some(t) = hit {
+            self.hits.inc();
+            return t;
+        }
+        let t = compute();
+        self.misses.inc();
+        self.insert(query, t);
+        t
     }
 }
 
 impl RuntimeEstimator for CachingEstimator {
     fn kernel_time(&self, kernel: &KernelKind) -> SimTime {
-        let (t, hit) = self
-            .kernels
-            .get_or_insert_with(*kernel, || self.inner.kernel_time(kernel));
-        self.count(hit);
-        t
+        self.memoize(Query::Kernel(*kernel), || self.inner.kernel_time(kernel))
     }
 
     fn memcpy_time(&self, bytes: u64, kind: MemcpyKind) -> SimTime {
-        let (t, hit) = self
-            .memcpys
-            .get_or_insert_with((bytes, kind), || self.inner.memcpy_time(bytes, kind));
-        self.count(hit);
-        t
+        self.memoize(Query::Memcpy(bytes, kind), || {
+            self.inner.memcpy_time(bytes, kind)
+        })
     }
 
     fn collective_time(
@@ -465,60 +305,18 @@ impl RuntimeEstimator for CachingEstimator {
         ranks: &[u32],
         cluster: &ClusterSpec,
     ) -> SimTime {
-        // A warm simulation resolves hundreds of collectives per trial;
-        // probe with a thread-local scratch key (its ranks buffer is
-        // reused) so the hit path never allocates. Only a miss pays the
-        // `ranks.to_vec()` for the owned key it inserts.
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<Hashed<CollectiveKey>> =
-                const { std::cell::RefCell::new(Hashed {
-                    hash: 0,
-                    key: CollectiveKey {
-                        kind: CollectiveKind::AllReduce,
-                        bytes: 0,
-                        ranks: Vec::new(),
-                        arch_id: 0,
-                        num_gpus: 0,
-                        gpus_per_node: 0,
-                        link_bits: [0; 6],
-                    },
-                }) };
-        }
-        // One construction site: the scratch key is the only place the
-        // field set is assembled; a miss clones it for the insert.
-        let probe = SCRATCH.with(|scratch| {
-            let mut sealed = scratch.borrow_mut();
-            let key = &mut sealed.key;
-            key.kind = kind;
-            key.bytes = bytes;
-            key.ranks.clear();
-            key.ranks.extend_from_slice(ranks);
-            key.arch_id = cluster.gpu.arch.id();
-            key.num_gpus = cluster.num_gpus();
-            key.gpus_per_node = cluster.gpus_per_node;
-            key.link_bits = link_bits(cluster);
-            self.collectives.reseal(&mut sealed);
-            match self.collectives.get(&sealed) {
-                Some(t) => Ok(t),
-                None => Err(sealed.clone()),
-            }
-        });
-        match probe {
-            Ok(t) => {
-                self.count(true);
-                t
-            }
-            Err(key) => {
-                // Scratch borrow is released before calling the inner
-                // estimator (which may be arbitrarily nested). A racing
-                // writer inserts the same pure value; last-write-wins
-                // is benign.
-                let t = self.inner.collective_time(kind, bytes, ranks, cluster);
-                self.collectives.insert_sealed(key, t);
-                self.count(false);
-                t
-            }
-        }
+        let key = CollectiveKey {
+            kind,
+            bytes,
+            ranks: ranks.to_vec(),
+            arch_id: cluster.gpu.arch.id(),
+            num_gpus: cluster.num_gpus(),
+            gpus_per_node: cluster.gpus_per_node,
+            link_bits: link_bits(cluster),
+        };
+        self.memoize(Query::Collective(Box::new(key)), || {
+            self.inner.collective_time(kind, bytes, ranks, cluster)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -667,15 +465,6 @@ mod tests {
         assert_eq!(st.hits + st.misses, 4 * 64);
     }
 
-    #[test]
-    fn clear_empties_the_memo() {
-        let (_, cached, _) = oracle_pair();
-        cached.kernel_time(&KernelKind::Memset { bytes: 64 });
-        assert!(!cached.is_empty());
-        cached.clear();
-        assert!(cached.is_empty());
-    }
-
     fn gemm(i: u64) -> KernelKind {
         KernelKind::Gemm {
             m: 64 + i,
@@ -694,8 +483,6 @@ mod tests {
             capped.kernel_time(&gemm(i));
         }
         let st = capped.stats();
-        // The cap is per-shard approximate: 32 entries over 16 shards
-        // is 2 per shard, so the family can never exceed 32.
         assert!(capped.len() <= 32, "len {} exceeds cap", capped.len());
         assert_eq!(st.misses, 200);
         assert_eq!(
@@ -706,16 +493,69 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_capacity_memo_keeps_nothing() {
+        let cluster = ClusterSpec::h100(1, 8);
+        let oracle = OracleEstimator::new(&cluster);
+        let none = CachingEstimator::with_capacity(Arc::new(oracle), Some(0));
+        let ranks: Vec<u32> = (0..8).collect();
+        for _ in 0..3 {
+            assert_eq!(none.kernel_time(&gemm(1)), oracle.kernel_time(&gemm(1)));
+            assert_eq!(
+                none.memcpy_time(1 << 20, MemcpyKind::HostToDevice),
+                oracle.memcpy_time(1 << 20, MemcpyKind::HostToDevice)
+            );
+            assert_eq!(
+                none.collective_time(CollectiveKind::AllReduce, 1 << 24, &ranks, &cluster),
+                oracle.collective_time(CollectiveKind::AllReduce, 1 << 24, &ranks, &cluster)
+            );
+        }
+        assert!(none.is_empty());
+        assert_eq!(
+            none.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 9,
+                evictions: 0
+            }
+        );
+    }
+
+    #[test]
+    fn a_capped_memo_never_exceeds_its_bound_under_concurrent_queries() {
+        let cluster = ClusterSpec::h100(1, 8);
+        let oracle = OracleEstimator::new(&cluster);
+        let capped = CachingEstimator::with_capacity(Arc::new(oracle), Some(32));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for thread in 0..4u64 {
+                let (capped, start) = (&capped, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..200 {
+                        let shape = gemm(thread * 200 + i);
+                        assert_eq!(capped.kernel_time(&shape), oracle.kernel_time(&shape));
+                        assert!(capped.len() <= 32, "len {} exceeds cap", capped.len());
+                    }
+                });
+            }
+        });
+        assert_eq!(capped.len(), 32);
+        let st = capped.stats();
+        assert_eq!(st.misses, 800);
+        assert_eq!(st.evictions, 800 - 32);
+    }
+
+    #[test]
     fn eviction_prefers_the_least_recently_used_entry() {
         let cluster = ClusterSpec::h100(1, 8);
-        // Two entries per shard: enough room that the freshest-stamped
-        // key in a shard is never the eviction victim.
+        // Room for more than one entry, so the freshest-stamped key is
+        // never the eviction victim.
         let capped =
             CachingEstimator::with_capacity(Arc::new(OracleEstimator::new(&cluster)), Some(32));
         let hot = gemm(0);
         capped.kernel_time(&hot);
         // Flood with cold shapes, re-touching the hot one between
-        // batches so its stamp stays newest in its shard.
+        // batches so its stamp stays newest.
         for i in 1..100 {
             capped.kernel_time(&gemm(i));
             capped.kernel_time(&hot);

@@ -16,9 +16,10 @@
 //!   "oracle" of Table 3 that isolates simulation-phase error;
 //! - [`metrics`]: per-kernel MAPE reports on held-out splits, recreating
 //!   Tables 7-9;
-//! - [`cache::CachingEstimator`]: a sharded memoizing decorator that
-//!   shares kernel / memcpy / collective answers across predictions —
-//!   config search re-queries the same shapes thousands of times, so the
+//! - [`cache::CachingEstimator`]: a memoizing decorator that shares
+//!   kernel / memcpy / collective answers across predictions, holding
+//!   at most `entries` in all when capped (0 keeps nothing) — config
+//!   search re-queries the same shapes thousands of times, so the
 //!   prediction engine wraps its estimator in one of these;
 //! - [`snapshot`]: memo persistence — `CachingEstimator::snapshot()` /
 //!   `restore()` serialize the full memo so a service can warm-start

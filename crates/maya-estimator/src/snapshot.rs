@@ -30,7 +30,7 @@ use std::path::Path;
 use maya_trace::SimTime;
 use serde::{compact, Deserialize, Serialize};
 
-use crate::cache::{CachingEstimator, CollectiveKey};
+use crate::cache::{CachingEstimator, CollectiveKey, Query};
 
 /// On-disk format version; bump when the token layout changes.
 const VERSION: u64 = 1;
@@ -151,9 +151,17 @@ impl CachingEstimator {
         scope.serialize(&mut header);
         out.push_str(&header.finish());
         out.push('\n');
-        family(&mut out, "kernels", self.kernels.entries());
-        family(&mut out, "memcpys", self.memcpys.entries());
-        family(&mut out, "collectives", self.collectives.entries());
+        let (mut kernels, mut memcpys, mut collectives) = (Vec::new(), Vec::new(), Vec::new());
+        for (query, value) in self.entries() {
+            match query {
+                Query::Kernel(k) => kernels.push((k, value)),
+                Query::Memcpy(bytes, kind) => memcpys.push(((bytes, kind), value)),
+                Query::Collective(c) => collectives.push((*c, value)),
+            }
+        }
+        family(&mut out, "kernels", kernels);
+        family(&mut out, "memcpys", memcpys);
+        family(&mut out, "collectives", collectives);
         out
     }
 
@@ -191,19 +199,19 @@ impl CachingEstimator {
         r.expect_tag("kernels")?;
         for _ in 0..u64::deserialize(&mut r)? {
             let (k, v) = Deserialize::deserialize(&mut r)?;
-            self.kernels.insert(k, v);
+            self.insert(Query::Kernel(k), v);
             loaded += 1;
         }
         r.expect_tag("memcpys")?;
         for _ in 0..u64::deserialize(&mut r)? {
-            let (k, v) = Deserialize::deserialize(&mut r)?;
-            self.memcpys.insert(k, v);
+            let ((bytes, kind), v) = Deserialize::deserialize(&mut r)?;
+            self.insert(Query::Memcpy(bytes, kind), v);
             loaded += 1;
         }
         r.expect_tag("collectives")?;
         for _ in 0..u64::deserialize(&mut r)? {
-            let (k, v): (CollectiveKey, SimTime) = Deserialize::deserialize(&mut r)?;
-            self.collectives.insert(k, v);
+            let (k, v) = Deserialize::deserialize(&mut r)?;
+            self.insert(Query::Collective(Box::new(k)), v);
             loaded += 1;
         }
         r.end()?;

@@ -41,7 +41,8 @@ pub trait SearchObserver {
 /// on (see `TrialScheduler::twins`).
 type Inherits = fn(&TrialOutcome) -> bool;
 
-/// Counters for Fig. 15's trial-status breakdown.
+/// Counters for Fig. 15's trial-status breakdown, counted off
+/// [`SearchResult::trials`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Trials that ran the full pipeline.
@@ -160,7 +161,6 @@ pub struct TrialScheduler<'a> {
     /// may execute concurrently in one wave.
     pub batch: usize,
     cache: HashMap<ConfigPoint, TrialOutcome>,
-    stats: SearchStats,
     trials: Vec<TrialRecord>,
     convergence: Vec<f64>,
     top5: Vec<f64>,
@@ -188,7 +188,6 @@ impl<'a> TrialScheduler<'a> {
             early_stop_patience: Some(20),
             batch: pool * 2,
             cache: HashMap::new(),
-            stats: SearchStats::default(),
             trials: Vec::new(),
             convergence: Vec::new(),
             top5: Vec::new(),
@@ -343,7 +342,6 @@ impl<'a> TrialScheduler<'a> {
     /// outcome, only skip redundant work.
     fn commit(&mut self, c: &ConfigPoint, executed: Option<TrialOutcome>) -> TrialOutcome {
         if let Some(o) = self.cache.get(c) {
-            self.stats.cached += 1;
             let o = *o;
             self.trials.push(TrialRecord {
                 config: *c,
@@ -354,19 +352,11 @@ impl<'a> TrialScheduler<'a> {
             return o;
         }
         let (outcome, provenance) = match self.prune(c, None) {
-            Some(o) => {
-                self.stats.skipped += 1;
-                (o, Provenance::Skipped)
-            }
-            None => {
-                let o = executed.unwrap_or_else(|| self.objective.evaluate(c));
-                if o == TrialOutcome::Invalid {
-                    self.stats.invalid += 1;
-                } else {
-                    self.stats.executed += 1;
-                }
-                (o, Provenance::Executed)
-            }
+            Some(o) => (o, Provenance::Skipped),
+            None => (
+                executed.unwrap_or_else(|| self.objective.evaluate(c)),
+                Provenance::Executed,
+            ),
         };
         self.cache.insert(*c, outcome);
         self.trials.push(TrialRecord {
@@ -466,6 +456,21 @@ impl<'a> TrialScheduler<'a> {
         out
     }
 
+    /// The trial-status breakdown of the trials committed so far.
+    fn stats(&self) -> SearchStats {
+        self.trials
+            .iter()
+            .fold(SearchStats::default(), |mut stats, t| {
+                match (t.provenance, t.outcome) {
+                    (Provenance::Cached, _) => stats.cached += 1,
+                    (Provenance::Skipped, _) => stats.skipped += 1,
+                    (Provenance::Executed, TrialOutcome::Invalid) => stats.invalid += 1,
+                    (Provenance::Executed, _) => stats.executed += 1,
+                }
+                stats
+            })
+    }
+
     /// Whether the early-stopping rule fired.
     pub fn should_stop(&self) -> bool {
         match self.early_stop_patience {
@@ -548,10 +553,11 @@ impl<'a> TrialScheduler<'a> {
         // boundary are reported before the result is sealed, so an
         // observer's cumulative view always equals `trials`.
         self.notify_wave();
+        let stats = self.stats();
         SearchResult {
             best: self.best,
             trials: self.trials,
-            stats: self.stats,
+            stats,
             wall: t0.elapsed(),
             convergence: self.convergence,
         }
@@ -658,8 +664,8 @@ mod tests {
         let c = ParallelConfig::default();
         sched.evaluate(&c);
         sched.evaluate(&c);
-        assert_eq!(sched.stats.executed, 1);
-        assert_eq!(sched.stats.cached, 1);
+        assert_eq!(sched.stats().executed, 1);
+        assert_eq!(sched.stats().cached, 1);
     }
 
     #[test]
@@ -677,7 +683,7 @@ mod tests {
         };
         let a = sched.evaluate(&base);
         let b = sched.evaluate(&with_dopt);
-        assert_eq!(sched.stats.skipped, 1);
+        assert_eq!(sched.stats().skipped, 1);
         assert_eq!(a.time(), b.time(), "tactic copies the runtime");
     }
 
@@ -696,8 +702,60 @@ mod tests {
         let no_recomp = ParallelConfig::default();
         assert_eq!(sched.evaluate(&recomp), TrialOutcome::Oom);
         assert_eq!(sched.evaluate(&no_recomp), TrialOutcome::Oom);
-        assert_eq!(sched.stats.skipped, 1, "second one inferred, not executed");
-        assert_eq!(sched.stats.executed, 1);
+        assert_eq!(
+            sched.stats().skipped,
+            1,
+            "second one inferred, not executed"
+        );
+        assert_eq!(sched.stats().executed, 1);
+    }
+
+    #[test]
+    fn stats_are_a_count_of_the_trial_records() {
+        let (maya, template) = fixture();
+        let obj = Objective::new(&maya, template);
+        let base = ParallelConfig::default();
+        let tp2 = ParallelConfig { tp: 2, ..base };
+        let configs = [
+            ParallelConfig { tp: 8, ..base },
+            base,
+            base,
+            tp2,
+            ParallelConfig {
+                distributed_optimizer: true,
+                ..tp2
+            },
+        ];
+        let result = TrialScheduler::new(&obj)
+            .with_space(small_space())
+            .run_configs(&configs);
+        let count = |provenance: Provenance, invalid: Option<bool>| {
+            result
+                .trials
+                .iter()
+                .filter(|t| t.provenance == provenance)
+                .filter(|t| invalid.map_or(true, |i| (t.outcome == TrialOutcome::Invalid) == i))
+                .count()
+        };
+        assert_eq!(
+            result.stats,
+            SearchStats {
+                executed: count(Provenance::Executed, Some(false)),
+                cached: count(Provenance::Cached, None),
+                skipped: count(Provenance::Skipped, None),
+                invalid: count(Provenance::Executed, Some(true)),
+            }
+        );
+        assert_eq!(
+            result.stats,
+            SearchStats {
+                executed: 2,
+                cached: 1,
+                skipped: 1,
+                invalid: 1
+            },
+            "the search has every kind of trial"
+        );
     }
 
     #[test]

@@ -224,8 +224,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Bounds every per-cluster estimator memo to roughly `entries` per
-    /// query family with LRU eviction (see
+    /// Bounds every per-cluster estimator memo to at most `entries` in
+    /// all; 0 keeps nothing. Eviction is least-recently-used (see
     /// [`maya_estimator::CachingEstimator::with_capacity`]). Unbounded
     /// by default. A service that accepts requests over the network
     /// should set a cap: each distinct kernel shape a client submits

@@ -212,9 +212,9 @@ impl MayaBuilder {
         self
     }
 
-    /// Bounds the engine's estimator memo to roughly `entries` per
-    /// query family (kernel / memcpy / collective) with
-    /// least-recently-used eviction; see
+    /// Bounds the engine's estimator memo to at most `entries` in all
+    /// (kernel, memcpy and collective answers together); 0 keeps
+    /// nothing. Eviction is least-recently-used; see
     /// [`maya_estimator::CachingEstimator::with_capacity`]. Unbounded
     /// by default — set a cap for long-running engines (a network
     /// service, a days-long search) so a diverse workload cannot grow
