@@ -7,8 +7,9 @@
 //! - `self.field.m(...)` → methods `m` of any type named in `field`'s
 //!   declared type (so `self.queue.pop()` resolves through an
 //!   `Arc<AdmissionQueue>` field);
-//! - `Type::m(...)` → methods `m` of `Type`, falling back to free
-//!   functions `m` for `module::m(...)` paths;
+//! - `Type::m(...)` → methods `m` of `Type` (`Self` is the enclosing
+//!   impl's type); only a lowercase `module::m(...)` path resolves to
+//!   free functions `m`;
 //! - bare `m(...)` → free functions named `m`;
 //! - `other.m(...)` with an unknown receiver → the single workspace
 //!   method named `m` when exactly one exists, *unless* `m` is a
@@ -243,7 +244,7 @@ fn collect_calls(units: &[SourceUnit], index: &ItemIndex, f: &FnItem) -> Vec<Cal
                 .get(j.wrapping_sub(3))
                 .filter(|q| q.kind == TokKind::Ident)
                 .map(|q| q.text.as_str());
-            resolve_qualified(index, qual, &t.text)
+            resolve_qualified(index, f, qual, &t.text)
         } else {
             index.free_fns(&t.text)
         };
@@ -311,16 +312,20 @@ fn resolve_method(
     }
 }
 
-/// Resolves `Qual::name(...)`.
-fn resolve_qualified(index: &ItemIndex, qual: Option<&str>, name: &str) -> Vec<usize> {
-    if let Some(q) = qual {
-        let methods = index.methods_of(q, name);
-        if !methods.is_empty() {
-            return methods;
-        }
+/// Resolves `Qual::name(...)` inside `f`. A type qualifier (uppercase)
+/// names methods of that type only: a type with no workspace impl is
+/// std or a dependency, not a licence to match free functions.
+fn resolve_qualified(index: &ItemIndex, f: &FnItem, qual: Option<&str>, name: &str) -> Vec<usize> {
+    match qual {
+        Some("Self") => f
+            .impl_type
+            .as_deref()
+            .map(|ty| index.methods_of(ty, name))
+            .unwrap_or_default(),
+        Some(q) if q.starts_with(|c: char| c.is_ascii_uppercase()) => index.methods_of(q, name),
+        // `module::name(...)` (or a qualifier the lexer could not pin).
+        _ => index.free_fns(name),
     }
-    // `module::name(...)` or an unmatched type: free functions only.
-    index.free_fns(name)
 }
 
 #[cfg(test)]
@@ -404,5 +409,40 @@ mod tests {
         );
         assert_eq!(targets_of(&index, &graph, "caller", "make").len(), 1);
         assert_eq!(targets_of(&index, &graph, "caller", "helper").len(), 2);
+    }
+
+    #[test]
+    fn a_type_qualifier_never_falls_back_to_free_functions() {
+        // `Error` has no workspace impl: `Error::parse` is a
+        // dependency's constructor, not the free `parse` below.
+        let (index, graph) = graph_for(
+            "
+            fn parse(s: &str) -> u32 { 0 }
+            fn caller() { Error::parse(msg); json::parse(text); }
+            ",
+        );
+        assert_eq!(targets_of(&index, &graph, "caller", "parse").len(), 1);
+    }
+
+    #[test]
+    fn self_qualified_calls_resolve_through_the_enclosing_impl() {
+        let (index, graph) = graph_for(
+            "
+            struct A;
+            struct B;
+            impl A { fn go() { Self::step(); } fn step() {} }
+            impl B { fn step() {} }
+            ",
+        );
+        let go = index.fns.iter().position(|f| f.name == "go").expect("go");
+        let targets: Vec<&str> = graph
+            .calls
+            .get(go)
+            .into_iter()
+            .flatten()
+            .flat_map(|c| c.targets.iter())
+            .filter_map(|&t| index.fns.get(t).and_then(|f| f.impl_type.as_deref()))
+            .collect();
+        assert_eq!(targets, ["A"]);
     }
 }

@@ -1,13 +1,19 @@
-//! Phase-2 interprocedural rules over the call graph.
+//! Phase-2 rules over the call graph.
 //!
-//! Two analyses share one bottom-up facts pass:
+//! One walk per function body tracks the live guards (`{`/`}` scopes,
+//! `drop(x)`, `let` and `for` guard bindings) and checks every call
+//! made under them. Two analyses share one bottom-up facts pass:
 //!
 //! - **blocks\*** — a function blocks if its body contains a direct
-//!   blocking call (same list as the per-file guard rule) or it calls
-//!   a function that blocks, at any depth. Guard-across-blocking-call
-//!   v2 then flags a call made while a guard is live whenever any
-//!   resolved target blocks, closing the per-file rule's blind spot
-//!   around helper functions.
+//!   blocking call (`recv`, `wait*`, `join()`, `read_exact`,
+//!   `write_all`, `accept()`, `sleep`) or it calls a function that
+//!   blocks, at any depth. **guard-across-blocking-call** flags a call
+//!   made while a guard is live when the call itself blocks or any
+//!   resolved target does — `recv` two helpers deep is the same bug
+//!   as `recv` inline: one stalled peer wedges every thread behind the
+//!   mutex. A call *on* the guard itself (the mutex
+//!   serializes that resource) or *passed* the guard (condvar idiom,
+//!   `cond.wait(g)`) is the correct pattern and exempt.
 //! - **acquires\*** — the set of lock keys (`Struct.field` for lock
 //!   fields, `param.<name>` for lock-typed parameters) a function may
 //!   acquire during execution, directly or through callees. Holding
@@ -121,7 +127,7 @@ fn direct_blocking(units: &[SourceUnit], f: &FnItem) -> Option<String> {
     let (open, end) = f.body;
     let mut i = open + 1;
     while i + 1 < end {
-        if let Some((name, _)) = blocking_call_at(&unit.tokens, i) {
+        if let Some(name) = blocking_call_at(&unit.tokens, i) {
             let line = unit.tokens.get(i).map(|t| t.line).unwrap_or(0);
             return Some(format!("`.{name}()` ({}:{line})", unit.path));
         }
@@ -397,8 +403,8 @@ fn scan_fn(
                 record_edges(unit, f, line, &[key], &scopes, edges);
             }
         }
-        // A resolved call while guards are live: transitive blocking
-        // and transitive acquisitions.
+        // A call while guards are live: blocking (direct or through a
+        // callee) and transitive acquisitions.
         if let Some(site) = sites.get(site_cursor).filter(|s| s.tok == i) {
             let live: Vec<&IGuard> = scopes.iter().flatten().collect();
             if !live.is_empty() {
@@ -411,8 +417,8 @@ fn scan_fn(
     }
 }
 
-/// Recognizes a guard-producing `let` at `i`: either the per-file
-/// rule's `.lock()/.read()/.write()` tail, or a call to a function
+/// Recognizes a guard-producing `let` at `i`: either a
+/// `.lock()/.read()/.write()` tail, or a call to a function
 /// whose return type is a guard. Returns the guard and the index past
 /// the statement.
 #[allow(clippy::too_many_arguments)]
@@ -538,10 +544,20 @@ fn process_call_site(
     edges: &mut BTreeMap<(String, String), Witness>,
 ) {
     let tokens = &unit.tokens;
-    // Direct blocking calls are the per-file rule's territory; the
-    // interprocedural rule only adds calls that block further down.
-    let directly_blocking = blocking_call_at(tokens, site.tok.wrapping_sub(1)).is_some()
-        || blocking_call_at(tokens, site.tok).is_some();
+    // What the call blocks on, if anything: itself (`.recv(` is matched
+    // at its `.`, `thread::sleep(` at its name) or a callee chain.
+    let blocks = match blocking_call_at(tokens, site.tok.wrapping_sub(1))
+        .or_else(|| blocking_call_at(tokens, site.tok))
+    {
+        Some(callee) => Some(format!(
+            "blocking `.{callee}()` — narrow the guard's scope or pass it to the wait"
+        )),
+        None => site
+            .targets
+            .iter()
+            .find_map(|&t| facts.blocks.get(t).cloned().flatten())
+            .map(|chain| format!("`{}()`, which blocks: {chain}", site.name)),
+    };
     // Transitive acquisitions: order edges regardless of the condvar
     // arg idiom (passing a guard into a callee does not stop the
     // callee from acquiring more locks underneath it).
@@ -576,9 +592,6 @@ fn process_call_site(
                     });
             }
         }
-        if directly_blocking {
-            continue;
-        }
         // Guard consumed/passed by the call (condvar idiom and
         // helpers that take the guard) — the callee owns it now.
         let in_args = g.name.as_deref().is_some_and(|n| {
@@ -591,25 +604,20 @@ fn process_call_site(
         if in_args {
             continue;
         }
-        let chain = site
-            .targets
-            .iter()
-            .find_map(|&t| facts.blocks.get(t).cloned().flatten());
-        if let Some(chain) = chain {
-            let held = match g.name.as_deref() {
-                Some(n) => format!("guard `{n}`"),
-                None => "a temporary guard".to_string(),
-            };
-            findings.push(Finding {
-                file: unit.path.clone(),
-                line: site.line,
-                rule: rules::GUARD_RULE,
-                message: format!(
-                    "{held} (.{}() at line {}) is held across `{}()`, which blocks: {chain}",
-                    g.kind, g.line, site.name
-                ),
-            });
-        }
+        let Some(blocks) = &blocks else { continue };
+        let held = match g.name.as_deref() {
+            Some(n) => format!("guard `{n}`"),
+            None => "a temporary guard".to_string(),
+        };
+        findings.push(Finding {
+            file: unit.path.clone(),
+            line: site.line,
+            rule: rules::GUARD_RULE,
+            message: format!(
+                "{held} (.{}() at line {}) is held across {blocks}",
+                g.kind, g.line
+            ),
+        });
     }
 }
 
@@ -769,6 +777,34 @@ mod tests {
             .collect();
         assert_eq!(guards.len(), 1, "{findings:?}");
         assert!(guards.first().is_some_and(|f| f.message.contains("helper")));
+    }
+
+    #[test]
+    fn a_direct_blocking_call_is_reported_once() {
+        // `thread::sleep` also resolves to the blocking free `sleep`
+        // below: the direct report stands for both.
+        let findings = check_src(&[(
+            "crates/demo/src/lib.rs",
+            "
+            struct S { m: Mutex<u32>, rx: Receiver<u32> }
+            impl S {
+                fn f(&self) {
+                    let g = self.m.lock().unwrap();
+                    let a = self.rx.recv();
+                    let n = (0..2).map(|_| self.rx.recv()).count();
+                    thread::sleep(PAUSE);
+                }
+            }
+            fn sleep(rx: &Receiver<u32>) { let _ = rx.recv(); }
+            ",
+        )]);
+        let guards: Vec<&str> = findings
+            .iter()
+            .filter(|f| f.rule == rules::GUARD_RULE)
+            .map(|f| f.message.as_str())
+            .collect();
+        assert_eq!(guards.len(), 3, "{guards:?}");
+        assert!(guards.iter().all(|m| m.contains("held across blocking")));
     }
 
     #[test]

@@ -101,17 +101,6 @@ pub struct FnItem {
     pub lock_params: Vec<String>,
 }
 
-impl FnItem {
-    /// Whether the function has a parameter with this exact name.
-    pub fn has_param(&self, unit: &SourceUnit, name: &str) -> bool {
-        unit.tokens
-            .get(self.params.0..self.params.1)
-            .unwrap_or(&[])
-            .iter()
-            .any(|t| t.is_ident(name))
-    }
-}
-
 /// The workspace-wide symbol index (phase-1 output).
 #[derive(Debug, Default)]
 pub struct ItemIndex {

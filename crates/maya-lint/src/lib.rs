@@ -5,18 +5,19 @@
 //! (the PR-5 bug class), no hash-ordered iteration in serialization
 //! paths, no wall-clock or ambient entropy in deterministic outputs,
 //! and a panic budget per crate that only ratchets down. See
-//! [`rules`] for the rule list, [`config`] for `lint-budget.toml`,
-//! and the README "Static analysis" section for the allow syntax.
+//! [`rules`] and [`interproc`] for the rule list, [`config`] for
+//! `lint-budget.toml`, and the README "Static analysis" section for
+//! the allow syntax.
 //!
 //! The analyzer runs in two phases:
 //!
 //! 1. **per-file** — the hand-rolled comment/string-aware lexer
-//!    ([`lexer`]) feeds the original token-local rules;
+//!    ([`lexer`]) feeds the token-local rules;
 //! 2. **workspace** — the same token streams are parsed into an item
 //!    index ([`items`]) and a conservative name-resolved call graph
-//!    ([`callgraph`]), over which the interprocedural rules run:
-//!    lock-order cycle detection and transitive
-//!    guard-across-blocking-call ([`interproc`]). Vendored code is
+//!    ([`callgraph`]), over which the call-graph rules run:
+//!    guard-across-blocking-call, for direct and transitive calls, and
+//!    lock-order cycle detection ([`interproc`]). Vendored code is
 //!    scanned in phase 1 but excluded from phase 2.
 //!
 //! The workspace is registry-free, so no `syn`. The trade is
@@ -131,15 +132,17 @@ pub struct FileScan {
 
 /// Scans one file's source against the per-file rules.
 pub fn scan_file(rel: &str, source: &str, cfg: &Config) -> FileScan {
-    scan_lexed(rel, &lex(source), cfg)
+    let lexed = lex(source);
+    let tests = rules::test_ranges(&lexed.tokens);
+    scan_lexed(rel, &lexed, &tests, cfg)
 }
 
-/// Phase-1 core: runs the per-file rules over an already-lexed file.
-fn scan_lexed(rel: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
-    let mut exempt = rules::test_ranges(&lexed.tokens);
-
-    // Lines covered by a panic-budget allow are exempt from counting;
-    // extend the exempt ranges with their token spans.
+/// Phase-1 core: runs the per-file rules over an already-lexed file
+/// whose test-code ranges are `tests`.
+fn scan_lexed(rel: &str, lexed: &Lexed, tests: &[(usize, usize)], cfg: &Config) -> FileScan {
+    // Lines covered by a panic-budget allow are exempt from counting
+    // (and from nothing else): the panic count alone reads these spans.
+    let mut panic_exempt = tests.to_vec();
     let panic_allow_lines: Vec<&Allow> = lexed
         .allows
         .iter()
@@ -175,19 +178,18 @@ fn scan_lexed(rel: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
                     reason: a.reason.clone(),
                 });
             }
-            exempt.push((s, e));
+            panic_exempt.push((s, e));
         }
     }
-    exempt.sort_unstable();
+    panic_exempt.sort_unstable();
 
     let ctx = FileCtx {
         path: rel,
         tokens: &lexed.tokens,
-        exempt: &exempt,
+        exempt: tests,
     };
 
     let mut raw: Vec<Finding> = Vec::new();
-    raw.extend(rules::guard_across_blocking(&ctx));
     raw.extend(rules::nondeterministic_iteration(&ctx));
     raw.extend(rules::wall_clock(&ctx, &cfg.wall_clock_allow));
     raw.extend(rules::unseeded_randomness(&ctx));
@@ -236,18 +238,20 @@ fn scan_lexed(rel: &str, lexed: &Lexed, cfg: &Config) -> FileScan {
     FileScan {
         findings,
         suppressed,
-        counts: rules::panic_counts(&ctx),
+        counts: rules::panic_counts(&FileCtx {
+            exempt: &panic_exempt,
+            ..ctx
+        }),
         lines: u64::from(lexed.lines),
     }
 }
 
 /// Scans a set of in-memory sources (`(workspace-relative path,
 /// content)` pairs). Phase 1 runs the per-file rules on every file;
-/// when `interproc` is set, phase 2 builds the workspace item index
-/// and call graph over the non-vendored files and runs the
-/// interprocedural rules. Phase-2 findings honor the same
-/// `lint:allow` comments as phase 1.
-pub fn run_sources(sources: &[(String, String)], cfg: &Config, interproc: bool) -> Report {
+/// phase 2 builds the workspace item index and call graph over the
+/// non-vendored files and runs the call-graph rules. Phase-2 findings
+/// honor the same `lint:allow` comments as phase 1.
+pub fn run_sources(sources: &[(String, String)], cfg: &Config) -> Report {
     let mut report = Report::default();
     let mut per_crate: BTreeMap<String, PanicCounts> = BTreeMap::new();
     let mut units: Vec<SourceUnit> = Vec::new();
@@ -258,14 +262,14 @@ pub fn run_sources(sources: &[(String, String)], cfg: &Config, interproc: bool) 
             None => continue,
         };
         let lexed = lex(source);
-        let scan = scan_lexed(rel, &lexed, cfg);
+        let exempt = rules::test_ranges(&lexed.tokens);
+        let scan = scan_lexed(rel, &lexed, &exempt, cfg);
         report.findings.extend(scan.findings);
         report.suppressed.extend(scan.suppressed);
         report.lines += scan.lines;
         report.files += 1;
         per_crate.entry(krate).or_default().add(&scan.counts);
-        if interproc && !rel.starts_with("vendor/") {
-            let exempt = rules::test_ranges(&lexed.tokens);
+        if !rel.starts_with("vendor/") {
             units.push(SourceUnit {
                 path: rel.clone(),
                 tokens: lexed.tokens,
@@ -275,31 +279,29 @@ pub fn run_sources(sources: &[(String, String)], cfg: &Config, interproc: bool) 
         }
     }
 
-    if interproc {
-        let index = ItemIndex::build(&units);
-        let graph = CallGraph::build(&units, &index);
-        let phase2 = interproc::check(&units, &index, &graph);
-        let by_path: BTreeMap<&str, usize> = units
-            .iter()
-            .enumerate()
-            .map(|(i, u)| (u.path.as_str(), i))
-            .collect();
-        for f in phase2 {
-            let allow = by_path
-                .get(f.file.as_str())
-                .and_then(|&i| unit_allows.get(i))
-                .into_iter()
-                .flatten()
-                .find(|a| a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line));
-            match allow {
-                Some(a) => report.suppressed.push(Suppressed {
-                    file: f.file,
-                    line: f.line,
-                    rule: f.rule,
-                    reason: a.reason.clone(),
-                }),
-                None => report.findings.push(f),
-            }
+    let index = ItemIndex::build(&units);
+    let graph = CallGraph::build(&units, &index);
+    let phase2 = interproc::check(&units, &index, &graph);
+    let by_path: BTreeMap<&str, usize> = units
+        .iter()
+        .enumerate()
+        .map(|(i, u)| (u.path.as_str(), i))
+        .collect();
+    for f in phase2 {
+        let allow = by_path
+            .get(f.file.as_str())
+            .and_then(|&i| unit_allows.get(i))
+            .into_iter()
+            .flatten()
+            .find(|a| a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line));
+        match allow {
+            Some(a) => report.suppressed.push(Suppressed {
+                file: f.file,
+                line: f.line,
+                rule: f.rule,
+                reason: a.reason.clone(),
+            }),
+            None => report.findings.push(f),
         }
     }
 
@@ -334,16 +336,9 @@ fn read_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
 }
 
 /// Scans the whole workspace rooted at `root` against `cfg`: both the
-/// per-file rules and the interprocedural phase.
+/// per-file rules and the workspace phase.
 pub fn run_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
-    Ok(run_sources(&read_sources(root)?, cfg, true))
-}
-
-/// Phase 1 only: the per-file rules, without the workspace item
-/// index or call graph. The perf harness benchmarks this separately
-/// from the full [`run_workspace`] scan.
-pub fn run_workspace_phase1(root: &Path, cfg: &Config) -> std::io::Result<Report> {
-    Ok(run_sources(&read_sources(root)?, cfg, false))
+    Ok(run_sources(&read_sources(root)?, cfg))
 }
 
 /// Recomputes the budget table from actual counts (the ratchet write
@@ -443,6 +438,23 @@ fn f(v: &[u8]) -> u8 {
         let scan = scan_file("x.rs", src, &cfg);
         assert_eq!(scan.counts.index, 1, "only the unallowed v[0] counts");
         assert_eq!(scan.suppressed.len(), 1);
+    }
+
+    #[test]
+    fn a_panic_budget_allow_hides_no_other_rule() {
+        let cfg = Config::default();
+        let src = "
+fn f(v: &[u8]) -> u8 {
+    // lint:allow(panic-budget): bounds checked by caller contract
+    let t = Instant::now(); let r = thread_rng(); v[1]
+}
+";
+        let scan = scan_file("x.rs", src, &cfg);
+        assert_eq!(scan.counts.index, 0);
+        let suppressed: Vec<&str> = scan.suppressed.iter().map(|s| s.rule).collect();
+        let findings: Vec<&str> = scan.findings.iter().map(|f| f.rule).collect();
+        assert_eq!(suppressed, [rules::PANIC_RULE]);
+        assert_eq!(findings, [rules::WALL_CLOCK_RULE, rules::RNG_RULE]);
     }
 
     #[test]

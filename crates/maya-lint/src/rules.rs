@@ -1,16 +1,10 @@
-//! The five workspace rules, each a pass over one file's token stream.
+//! The per-file rules, each a pass over one file's token stream, and
+//! the guard shapes the workspace phase shares.
 //!
 //! Every rule is heuristic by design — this is a token scanner, not a
 //! type checker — and each one is tuned so that the committed tree is
 //! clean without weakening the property it guards:
 //!
-//! - **guard-across-blocking-call** — a `let g = ….lock()/.read()/.write()`
-//!   binding whose scope contains a blocking call (`recv`, `wait`,
-//!   `join`, `read_exact`, `write_all`, `accept`, …) is the PR-5 bug
-//!   class: one stalled peer wedges every thread behind the mutex. A
-//!   blocking call *on* the guard itself (the mutex exists to serialize
-//!   that resource) or *consuming* the guard (condvar idiom,
-//!   `cond.wait(g)`) is the correct pattern and exempt.
 //! - **nondeterministic-iteration** — iterating a `HashMap`/`HashSet`
 //!   inside a serialization-shaped function (`snapshot`, `to_json`,
 //!   `emit`, `serialize`, or anything in a `serdes` module) without a
@@ -25,6 +19,12 @@
 //!   indexing per non-test crate, capped by `lint-budget.toml` (which
 //!   may only ratchet down).
 //!
+//! **guard-across-blocking-call** runs once, in the workspace phase
+//! ([`crate::interproc`]), over direct and transitive calls alike; this
+//! module keeps the shapes it matches: guard bindings
+//! (`parse_guard_let`, `parse_guard_for`), lock acquisitions
+//! (`lock_method_at`) and blocking calls (`blocking_call_at`).
+//!
 //! Limits worth knowing when reading findings: guard bindings are
 //! recognized from `let` statements and `for`-loop headers (not
 //! `if let`/`match` arms), and collection types are resolved per file
@@ -37,7 +37,7 @@ use crate::lexer::{TokKind, Token};
 /// Rule identifiers, as they appear in findings, suppressions and the
 /// JSON report.
 pub const GUARD_RULE: &str = "guard-across-blocking-call";
-/// See [`GUARD_RULE`] (module docs list all five).
+/// See [`GUARD_RULE`] (the module docs list every rule).
 pub const ITER_RULE: &str = "nondeterministic-iteration";
 /// See [`GUARD_RULE`].
 pub const WALL_CLOCK_RULE: &str = "wall-clock-in-output";
@@ -221,13 +221,13 @@ pub(crate) fn match_delim(tokens: &[Token], open_idx: usize, open: char, close: 
 }
 
 // ---------------------------------------------------------------------
-// Rule 1: guard-across-blocking-call
+// Guard and blocking-call shapes (the rule itself: crate::interproc)
 // ---------------------------------------------------------------------
 
 /// Method names treated as blocking when called with a guard live.
 /// `join` and `accept` only count with an empty argument list
 /// (`Path::join(arg)` and iterator adapters stay clean).
-pub(crate) const BLOCKING: &[&str] = &[
+const BLOCKING: &[&str] = &[
     "recv",
     "recv_timeout",
     "recv_deadline",
@@ -244,134 +244,6 @@ pub(crate) const BLOCKING: &[&str] = &[
 
 /// Blocking names that only count when called with no arguments.
 const BLOCKING_NEEDS_EMPTY_ARGS: &[&str] = &["join", "accept"];
-
-struct Guard {
-    name: Option<String>,
-    acquired: &'static str,
-    line: u32,
-}
-
-/// Runs the guard-across-blocking-call rule.
-pub fn guard_across_blocking(ctx: &FileCtx) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    // One frame per `{`; each holds the guards declared inside it.
-    let mut scopes: Vec<Vec<Guard>> = vec![Vec::new()];
-    let mut i = 0usize;
-    while i < ctx.tokens.len() {
-        if ctx.is_exempt(i) {
-            i += 1;
-            continue;
-        }
-        let t = match ctx.tok(i) {
-            Some(t) => t,
-            None => break,
-        };
-        if t.is_punct('{') {
-            scopes.push(Vec::new());
-            i += 1;
-            continue;
-        }
-        if t.is_punct('}') {
-            if scopes.len() > 1 {
-                scopes.pop();
-            }
-            i += 1;
-            continue;
-        }
-        // `drop(name)` releases a guard early.
-        if t.is_ident("drop")
-            && matches!(ctx.tok(i + 1), Some(t) if t.is_punct('('))
-            && matches!(ctx.tok(i + 3), Some(t) if t.is_punct(')'))
-        {
-            if let Some(arg) = ctx.tok(i + 2) {
-                if arg.kind == TokKind::Ident {
-                    for frame in scopes.iter_mut() {
-                        frame.retain(|g| g.name.as_deref() != Some(arg.text.as_str()));
-                    }
-                }
-            }
-            i += 4;
-            continue;
-        }
-        // `let [mut] NAME = <expr ending in .lock()/.read()/.write()>;`
-        if t.is_ident("let") {
-            if let Some(g) = parse_guard_let(ctx.tokens, i) {
-                if let Some(frame) = scopes.last_mut() {
-                    frame.push(Guard {
-                        name: Some(g.name),
-                        acquired: g.kind,
-                        line: g.line,
-                    });
-                }
-                i = g.next;
-                continue;
-            }
-        }
-        // `for PAT in <expr containing .lock()/.read()/.write()> {` —
-        // the guard is an unnamed temporary living for the loop body.
-        if t.is_ident("for") {
-            if let Some((kind, line, body_open)) = parse_guard_for(ctx.tokens, i) {
-                // Findings inside the body can never name the guard, so
-                // receiver/argument exemptions do not apply.
-                scopes.push(vec![Guard {
-                    name: None,
-                    acquired: kind,
-                    line,
-                }]);
-                // The body's `{` would push another frame; skip past it
-                // so our frame IS the body frame.
-                i = body_open + 1;
-                continue;
-            }
-        }
-        // A blocking call while guards are live?
-        if let Some((callee, args_open)) = blocking_call_at(ctx.tokens, i) {
-            let live: Vec<&Guard> = scopes.iter().flatten().collect();
-            if !live.is_empty() {
-                let args_end = match_delim(ctx.tokens, args_open, '(', ')');
-                let receiver = ctx
-                    .tok(i.wrapping_sub(1))
-                    .filter(|t| t.kind == TokKind::Ident)
-                    .map(|t| t.text.clone());
-                for g in live {
-                    let name = g.name.as_deref();
-                    // Called on the guard itself: the lock exists to
-                    // serialize this resource.
-                    if name.is_some() && receiver.as_deref() == name {
-                        continue;
-                    }
-                    // Guard consumed/passed by the call (condvar
-                    // `cond.wait(guard)` idiom).
-                    let in_args = name.is_some_and(|n| {
-                        ctx.tokens[args_open..args_end]
-                            .iter()
-                            .any(|t| t.is_ident(n))
-                    });
-                    if in_args {
-                        continue;
-                    }
-                    let held = match name {
-                        Some(n) => format!("guard `{n}`"),
-                        None => "a temporary guard".to_string(),
-                    };
-                    findings.push(ctx.finding(
-                        i,
-                        GUARD_RULE,
-                        format!(
-                            "{held} (.{}() at line {}) is held across blocking `.{callee}()` — \
-                             narrow the guard's scope or pass it to the wait",
-                            g.acquired, g.line
-                        ),
-                    ));
-                }
-            }
-            i = args_open;
-            continue;
-        }
-        i += 1;
-    }
-    findings
-}
 
 /// A recognized `let`-bound guard acquisition.
 pub(crate) struct GuardLet {
@@ -542,8 +414,8 @@ pub(crate) fn parse_guard_for(tokens: &[Token], i: usize) -> Option<(&'static st
 }
 
 /// If `i` points at the `.` (or `::`-tail ident) of a blocking call,
-/// returns `(method name, index of its '(')`.
-pub(crate) fn blocking_call_at(tokens: &[Token], i: usize) -> Option<(String, usize)> {
+/// returns the method name.
+pub(crate) fn blocking_call_at(tokens: &[Token], i: usize) -> Option<&str> {
     let t = tokens.get(i)?;
     // `.recv(` — method-call style.
     if t.is_punct('.') {
@@ -556,7 +428,7 @@ pub(crate) fn blocking_call_at(tokens: &[Token], i: usize) -> Option<(String, us
                 {
                     return None;
                 }
-                return Some((m.text.clone(), open));
+                return Some(&m.text);
             }
         }
         return None;
@@ -567,7 +439,7 @@ pub(crate) fn blocking_call_at(tokens: &[Token], i: usize) -> Option<(String, us
         && matches!(tokens.get(i.wrapping_sub(1)), Some(p) if p.is_punct(':'))
         && matches!(tokens.get(i + 1), Some(t) if t.is_punct('('))
     {
-        return Some(("sleep".to_string(), i + 1));
+        return Some("sleep");
     }
     None
 }
@@ -898,6 +770,7 @@ pub fn panic_counts(ctx: &FileCtx) -> PanicCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
     use crate::lexer::lex;
 
     fn ctx_findings(src: &str, rule: &str) -> Vec<Finding> {
@@ -909,7 +782,16 @@ mod tests {
             exempt: &exempt,
         };
         match rule {
-            GUARD_RULE => guard_across_blocking(&ctx),
+            // The guard rule runs in the workspace phase only.
+            GUARD_RULE => {
+                let sources = [("crates/demo/src/lib.rs".to_string(), src.to_string())];
+                let report = crate::run_sources(&sources, &Config::default());
+                report
+                    .findings
+                    .into_iter()
+                    .filter(|f| f.rule == rule)
+                    .collect()
+            }
             ITER_RULE => nondeterministic_iteration(&ctx),
             WALL_CLOCK_RULE => wall_clock(&ctx, &[]),
             RNG_RULE => unseeded_randomness(&ctx),

@@ -3,6 +3,7 @@
 //! expected findings; clean fixtures must produce none.
 
 use maya_lint::config::Config;
+use maya_lint::report::Report;
 use maya_lint::rules;
 use maya_lint::{run_sources, scan_file};
 
@@ -16,16 +17,19 @@ fn fixture(name: &str) -> String {
 
 /// Runs the full two-phase analyzer over a set of fixtures, each
 /// mounted at a synthetic crate path so the workspace phase treats
-/// them as first-party code, and returns the finding lines for
-/// `rule`.
-fn phase2_findings(fixtures: &[&str], rule: &str) -> Vec<(String, u32)> {
+/// them as first-party code.
+fn run_fixtures(fixtures: &[&str]) -> Report {
     let sources: Vec<(String, String)> = fixtures
         .iter()
         .enumerate()
         .map(|(i, name)| (format!("crates/fix{i}/src/lib.rs"), fixture(name)))
         .collect();
-    let report = run_sources(&sources, &Config::default(), true);
-    report
+    run_sources(&sources, &Config::default())
+}
+
+/// The finding locations [`run_fixtures`] reports for `rule`.
+fn phase2_findings(fixtures: &[&str], rule: &str) -> Vec<(String, u32)> {
+    run_fixtures(fixtures)
         .findings
         .iter()
         .filter(|f| f.rule == rule)
@@ -44,18 +48,14 @@ fn findings_for(name: &str, rule: &str) -> Vec<u32> {
 
 #[test]
 fn guard_bad_fires_three_times() {
-    let lines = findings_for("guard_bad.rs", rules::GUARD_RULE);
-    assert_eq!(lines.len(), 3, "recv, join, accept: {lines:?}");
+    let hits = phase2_findings(&["guard_bad.rs"], rules::GUARD_RULE);
+    assert_eq!(hits.len(), 3, "recv, join, accept: {hits:?}");
 }
 
 #[test]
 fn guard_clean_is_silent() {
-    let scan = scan_file(
-        "guard_clean.rs",
-        &fixture("guard_clean.rs"),
-        &Config::default(),
-    );
-    assert!(scan.findings.is_empty(), "{:?}", scan.findings);
+    let findings = run_fixtures(&["guard_clean.rs"]).findings;
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
@@ -176,8 +176,8 @@ fn bad_fixtures_fail_a_check_and_clean_ones_pass() {
         "wallclock_bad.rs",
         "rng_bad.rs",
     ] {
-        let scan = scan_file(name, &fixture(name), &Config::default());
-        assert!(!scan.findings.is_empty(), "{name} must produce findings");
+        let report = run_fixtures(&[name]);
+        assert!(!report.findings.is_empty(), "{name} must produce findings");
     }
     for name in [
         "guard_clean.rs",
@@ -186,7 +186,7 @@ fn bad_fixtures_fail_a_check_and_clean_ones_pass() {
         "rng_clean.rs",
         "panic_clean.rs",
     ] {
-        let scan = scan_file(name, &fixture(name), &Config::default());
-        assert!(scan.findings.is_empty(), "{name} must be clean");
+        let report = run_fixtures(&[name]);
+        assert!(report.findings.is_empty(), "{name} must be clean");
     }
 }

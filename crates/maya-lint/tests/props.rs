@@ -21,7 +21,7 @@ use proptest::prelude::*;
 /// Full two-phase scan; the property is simply "returns".
 fn scan(src: &str) {
     let sources = vec![("crates/fuzz/src/lib.rs".to_string(), src.to_string())];
-    let report = run_sources(&sources, &Config::default(), true);
+    let report = run_sources(&sources, &Config::default());
     // Touch the outputs so the scan cannot be optimized away.
     let _ = (report.findings.len(), report.suppressed.len());
 }

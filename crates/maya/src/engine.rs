@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use maya_collate::{collate, dedup_classes, reduce_job, unique_megatron_ranks, Collator};
@@ -216,13 +216,13 @@ impl PredictionEngine {
         let mut scratch = self
             .scratch_pool
             .lock()
-            .expect("scratch pool lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .pop()
             .unwrap_or_default();
         let out = f(&mut scratch);
         self.scratch_pool
             .lock()
-            .expect("scratch pool lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(scratch);
         out
     }
