@@ -11,10 +11,13 @@
 //! O(events), folding or not. The signature set has one owner, here:
 //! a caller that would rather not finish a trace about to be dropped
 //! (the engine computes a rank's host time only for a kept trace) asks
-//! [`Collator::holds`] first, and `push` still decides. [`collate`] and
-//! [`collate_with_known_groups`] take traces that came from no recorder:
-//! they scan each for the same metadata ([`TraceMeta::scan`]) and push
-//! it with folding off.
+//! [`Collator::holds`] first, and `push` still decides. A trace that
+//! came from no recorder is pushed with the metadata
+//! [`TraceMeta::scan`] computes from it, as the engine's
+//! `predict_trace` does. [`collate`] and [`collate_with_known_groups`]
+//! do that for a whole set with folding off; they serve only the
+//! benchmark's replay and the tests, and leave once that replay goes
+//! through the collator (ROADMAP.md, item 2(a)).
 //!
 //! Nothing is checked from the traces that are kept: slot claims,
 //! payload agreement and participant counts live in per-communicator

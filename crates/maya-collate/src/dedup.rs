@@ -8,9 +8,12 @@
 //! rank arrives at [`Collator`](crate::Collator) already signed, and the
 //! collator drops the trace when that signature is one it has already
 //! kept (the first iteration is the boundary: every job traces one).
-//! [`signature`] / [`dedup_classes`] / [`reduce_job`] do the same over
-//! traces that are already in hand, by scanning them with the same
-//! `note`.
+//! A trace already in hand folds the same way: pushed with the metadata
+//! `TraceMeta::scan` computes from it, which signs it with the same
+//! `note`. [`signature`] / [`dedup_classes`] / [`reduce_job`] are the
+//! scanning copy of the mechanism; they serve only the benchmark's
+//! replay and the tests, and leave once that replay goes through the
+//! collator (ROADMAP.md, item 2(a)).
 
 use maya_trace::{signature_of, JobTrace, WorkerTrace};
 

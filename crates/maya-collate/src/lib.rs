@@ -14,10 +14,15 @@
 //! communicator ids and pointers, sensitive to shapes, streams and
 //! communication structure). The collator keeps the trace only if no
 //! lower rank carried the same hash; the simulator then runs one
-//! representative per class. [`collate()`], [`dedup_classes`] and
-//! [`reduce_job`] are the same machinery for traces that are already
-//! all in hand: they scan for the metadata a recorder would have
-//! handed over.
+//! representative per class. The collator is the product's one
+//! collation path: the engine feeds it ranks as they are recorded, and
+//! a caller's finished traces each with the metadata a recorder would
+//! have handed over (`TraceMeta::scan`).
+//!
+//! [`collate()`], [`collate_with_known_groups`], [`dedup_classes`] and
+//! [`reduce_job`] do the same over traces that are all in hand. They
+//! now serve only the benchmark's replay and the tests, and leave once
+//! that replay goes through the collator (ROADMAP.md, item 2(a)).
 
 pub mod collate;
 pub mod dedup;

@@ -108,7 +108,6 @@ impl Serialize for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::TenantStats;
     use maya_search::{AlgorithmKind, ConfigSpace};
     use maya_torchlet::TrainingJob;
 
@@ -195,115 +194,6 @@ mod tests {
         let anon = JobOptions::new();
         let back: JobOptions = serde::from_str(&serde::to_string(&anon)).unwrap();
         assert_eq!(back, anon);
-    }
-
-    fn service_stats_fixture() -> crate::service::ServiceStats {
-        use std::time::Duration;
-        crate::service::ServiceStats {
-            served: 42,
-            cancelled: 3,
-            expired: 1,
-            quota_shed: 7,
-            queue_shed_expired: 1,
-            queue_shed_cancelled: 2,
-            panicked: 0,
-            progress_coalesced: 12,
-            engines_built: 2,
-            workers: 4,
-            queue_capacity: 64,
-            tenants: vec![
-                TenantStats {
-                    tenant: "alpha".into(),
-                    queued: 1,
-                    in_flight: 1,
-                    admitted: 30,
-                    served: 28,
-                    quota_shed: 0,
-                    expired: 0,
-                    cancelled: 1,
-                    wait_samples: 30,
-                    queue_wait_p50: Duration::from_micros(150),
-                    queue_wait_p99: Duration::from_micros(9_500),
-                },
-                TenantStats {
-                    tenant: "beta \"quoted\"".into(),
-                    queued: 0,
-                    in_flight: 0,
-                    admitted: 12,
-                    served: 12,
-                    quota_shed: 7,
-                    expired: 1,
-                    cancelled: 2,
-                    wait_samples: 12,
-                    queue_wait_p50: Duration::from_micros(90),
-                    queue_wait_p99: Duration::from_millis(2),
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn service_stats_json_carries_tenant_percentiles() {
-        let stats = service_stats_fixture();
-        let json = stats.to_json();
-        // Structurally balanced (JSON-syntax smoke test: the only
-        // braces/brackets outside strings are the ones we emit).
-        let mut depth = 0i32;
-        let mut in_str = false;
-        let mut esc = false;
-        for c in json.chars() {
-            match c {
-                _ if esc => esc = false,
-                '\\' if in_str => esc = true,
-                '"' => in_str = !in_str,
-                '{' | '[' if !in_str => depth += 1,
-                '}' | ']' if !in_str => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0, "unbalanced in {json}");
-        }
-        assert_eq!(depth, 0, "unbalanced in {json}");
-        // The percentile fields survive, in microseconds.
-        assert!(json.contains("\"queue_wait_p50_us\":150"), "{json}");
-        assert!(json.contains("\"queue_wait_p99_us\":9500"), "{json}");
-        assert!(json.contains("\"queue_wait_p99_us\":2000"), "{json}");
-        assert!(json.contains("\"tenant\":\"alpha\""), "{json}");
-        // The quoted tenant name is escaped.
-        assert!(json.contains("beta \\\"quoted\\\""), "{json}");
-        assert!(json.contains("\"served\":42"), "{json}");
-    }
-
-    /// Every [`crate::service::ServiceStats`] counter (and every
-    /// [`TenantStats`] counter) must appear in the JSON rendering —
-    /// `to_json` destructures both structs exhaustively, so adding a
-    /// field without emitting it breaks the compile, and this test
-    /// pins the emitted key names.
-    #[test]
-    fn service_stats_json_emits_every_field() {
-        let json = service_stats_fixture().to_json();
-        for key in [
-            "\"served\":",
-            "\"cancelled\":",
-            "\"expired\":",
-            "\"quota_shed\":7",
-            "\"queue_shed_expired\":1",
-            "\"queue_shed_cancelled\":2",
-            "\"panicked\":",
-            "\"progress_coalesced\":",
-            "\"engines_built\":",
-            "\"workers\":",
-            "\"queue_capacity\":",
-            "\"tenants\":[",
-            "\"tenant\":",
-            "\"queued\":",
-            "\"in_flight\":",
-            "\"admitted\":",
-            "\"wait_samples\":",
-            "\"queue_wait_p50_us\":",
-            "\"queue_wait_p99_us\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 
     #[test]

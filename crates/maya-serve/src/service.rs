@@ -763,72 +763,6 @@ impl ServiceStats {
     pub fn tenant(&self, name: &str) -> Option<&TenantStats> {
         self.tenants.iter().find(|t| t.tenant == name)
     }
-
-    /// Renders the counters as a JSON object — *every* [`ServiceStats`]
-    /// field (the exhaustive destructuring below means a new field
-    /// fails the compile here until it is emitted), plus a `tenants`
-    /// array carrying each tenant's queue-wait percentiles (µs) — so
-    /// operators can scrape stats without a JSON dependency.
-    pub fn to_json(&self) -> String {
-        use maya_trace::json::json_string;
-        use std::fmt::Write as _;
-        // No `..`: adding a ServiceStats field without deciding its
-        // JSON shape must not compile.
-        let ServiceStats {
-            served,
-            cancelled,
-            expired,
-            quota_shed,
-            queue_shed_expired,
-            queue_shed_cancelled,
-            panicked,
-            progress_coalesced,
-            engines_built,
-            workers,
-            queue_capacity,
-            tenants,
-        } = self;
-        let mut out = String::with_capacity(256 + 256 * tenants.len());
-        let _ = write!(
-            out,
-            "{{\"served\":{served},\"cancelled\":{cancelled},\"expired\":{expired},\
-             \"quota_shed\":{quota_shed},\"queue_shed_expired\":{queue_shed_expired},\
-             \"queue_shed_cancelled\":{queue_shed_cancelled},\"panicked\":{panicked},\
-             \"progress_coalesced\":{progress_coalesced},\"engines_built\":{engines_built},\
-             \"workers\":{workers},\"queue_capacity\":{queue_capacity},\"tenants\":[",
-        );
-        for (i, t) in tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let TenantStats {
-                tenant,
-                queued,
-                in_flight,
-                admitted,
-                served,
-                quota_shed,
-                expired,
-                cancelled,
-                wait_samples,
-                queue_wait_p50,
-                queue_wait_p99,
-            } = t;
-            let _ = write!(
-                out,
-                "{{\"tenant\":{},\"queued\":{queued},\"in_flight\":{in_flight},\
-                 \"admitted\":{admitted},\"served\":{served},\"quota_shed\":{quota_shed},\
-                 \"expired\":{expired},\"cancelled\":{cancelled},\
-                 \"wait_samples\":{wait_samples},\"queue_wait_p50_us\":{},\
-                 \"queue_wait_p99_us\":{}}}",
-                json_string(tenant),
-                queue_wait_p50.as_micros(),
-                queue_wait_p99.as_micros(),
-            );
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// The multi-tenant prediction service (see module docs).

@@ -13,8 +13,11 @@ use crate::ops::DeviceOp;
 
 /// Escapes a string for inclusion in a JSON document. Public so the
 /// downstream `to_json` exporters (predictions in `maya`, search
-/// results in `maya-search`, wire responses in `maya-wire`) share one
-/// correct escaper instead of five.
+/// results in `maya-search`, wire responses in `maya-wire`) share it.
+/// Two crates keep their own copy: `maya-obs` (its Chrome-trace export)
+/// and `maya-lint` (its report). Neither depends on `maya-trace`, and
+/// adding that edge would rewrite both the workspace's and the
+/// benchmark's lock files.
 pub fn escape(s: &str, out: &mut String) {
     for ch in s.chars() {
         match ch {

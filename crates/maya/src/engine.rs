@@ -22,7 +22,12 @@
 //!   trace, not per rank; estimation is the
 //!   simulator's lowering pass (one read of the trace, one memo query
 //!   per distinct kernel shape of the job and per memcpy) and
-//!   simulation the replay of what it lowered;
+//!   simulation the replay of what it lowered. The collator is the one
+//!   collation path: [`PredictionEngine::measure_actual`] emulates
+//!   through the same loop under a plan that runs every rank and folds
+//!   none, and [`PredictionEngine::predict_trace`] pushes a caller's
+//!   finished traces into it, each scanned for the metadata a recorder
+//!   would have handed over;
 //! - one ordered fan-out over `emulation_threads` OS threads, which
 //!   spreads either one job's ranks (`predict_job`) or a batch's
 //!   independent jobs ([`PredictionEngine::predict_batch`]) and hands
@@ -39,7 +44,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use maya_collate::{collate, dedup_classes, reduce_job, unique_megatron_ranks, Collator};
+use maya_collate::{unique_megatron_ranks, Collator};
 use maya_cuda::{CudaContext, CudaError, HostCharges};
 use maya_estimator::{CacheStats, CachingEstimator, RuntimeEstimator};
 use maya_hw::{GroundTruthExecutor, Measurement};
@@ -54,6 +59,9 @@ use crate::pipeline::{EmulationSpec, PredictOutcome, Prediction, StageTimings};
 /// Internal OOM verdict from emulation.
 struct OomInfo {
     rank: u32,
+    /// Device memory the rank held when its allocation failed.
+    held: u64,
+    /// `held` plus the allocation that failed.
     peak_attempted: u64,
     /// Events emitted by every emulated rank.
     events: usize,
@@ -62,12 +70,35 @@ struct OomInfo {
 /// What emulating a job produced.
 struct Emulated {
     /// The collated job — already reduced to one worker per class when
-    /// the spec folds — or the OOM verdict.
+    /// the plan folds — or the OOM verdict.
     outcome: Result<JobTrace, OomInfo>,
     /// Ranks emulated.
     ranks: usize,
+    /// Trace events whose host time was computed.
+    charged: usize,
     /// Wall time spent inside the collator, the rest being emulation.
     collation: Duration,
+}
+
+/// Which ranks of a job to emulate, the communicator groups known
+/// without observing them, and whether ranks with identical traces fold
+/// onto one representative.
+struct LaunchPlan {
+    ranks: Vec<u32>,
+    known: BTreeMap<u64, Vec<u32>>,
+    fold: bool,
+}
+
+impl LaunchPlan {
+    /// Every rank, its groups observed, nothing folded: the job as real
+    /// hardware runs it.
+    fn every_rank(job: &TrainingJob) -> Self {
+        LaunchPlan {
+            ranks: (0..job.world).collect(),
+            known: BTreeMap::new(),
+            fold: false,
+        }
+    }
 }
 
 /// Runs `work` over `items` on up to `threads` OS threads and hands
@@ -336,21 +367,25 @@ impl PredictionEngine {
         )
     }
 
-    /// Which ranks to emulate for a job under the current spec, and the
-    /// communicator groups known without observing them. Selective
-    /// launch leaves most communicator slots unobserved, so it supplies
-    /// the authoritative group map from workload knowledge (§7.4's
+    /// How the current spec predicts a job. Selective launch leaves
+    /// most communicator slots unobserved, so it supplies the
+    /// authoritative group map from workload knowledge (§7.4's
     /// "explicit knowledge of the workload"); every other job emulates
     /// all ranks and lets the collator observe its groups.
-    fn launch_plan(&self, job: &TrainingJob) -> (Vec<u32>, BTreeMap<u64, Vec<u32>>) {
+    fn launch_plan(&self, job: &TrainingJob) -> LaunchPlan {
+        let fold = self.folds();
         if self.spec.selective_launch && matches!(job.flavor, FrameworkFlavor::Megatron) {
             let topo = RankTopology::new(&job.parallel, job.world);
-            (
-                unique_megatron_ranks(topo.tp, topo.dp, topo.pp),
-                maya_torchlet::engine::megatron_comm_groups(job),
-            )
+            LaunchPlan {
+                ranks: unique_megatron_ranks(topo.tp, topo.dp, topo.pp),
+                known: maya_torchlet::engine::megatron_comm_groups(job),
+                fold,
+            }
         } else {
-            ((0..job.world).collect(), BTreeMap::new())
+            LaunchPlan {
+                fold,
+                ..LaunchPlan::every_rank(job)
+            }
         }
     }
 
@@ -362,15 +397,21 @@ impl PredictionEngine {
         self.spec.dedup && self.spec.cluster.hetero.is_none() && self.spec.faults.is_none()
     }
 
-    /// Emulates a training job, collating each rank as it finishes:
-    /// when the spec folds, every rank signs its trace while recording
-    /// it, only one trace per class of identical workers is ever kept
-    /// (§4.2), and a dropped trace's buffers are what the next rank
-    /// records into. On OOM, collation stops — a
-    /// partially-OOMed job has incomplete communicator traces — the
-    /// remaining ranks are still emulated for the tally, and the OOM
-    /// verdict (first rank + attempted peak) is returned instead.
-    fn emulate_with(&self, job: &TrainingJob, threads: usize) -> Result<Emulated, MayaError> {
+    /// Emulates a training job under the launch plan `plan` draws for
+    /// it, collating each rank as it finishes: when the plan folds,
+    /// every rank signs its trace while recording it, only one trace
+    /// per class of identical workers is ever kept (§4.2), and a
+    /// dropped trace's buffers are what the next rank records into. On
+    /// OOM, collation stops — a partially-OOMed job has incomplete
+    /// communicator traces — the remaining ranks are still emulated for
+    /// the tally, and the OOM verdict of the first rank to run out is
+    /// returned instead.
+    fn emulate_with(
+        &self,
+        job: &TrainingJob,
+        plan: impl FnOnce(&TrainingJob) -> LaunchPlan,
+        threads: usize,
+    ) -> Result<Emulated, MayaError> {
         job.validate()?;
         if job.world != self.spec.cluster.num_gpus() {
             return Err(MayaError::WorldMismatch {
@@ -378,11 +419,12 @@ impl PredictionEngine {
                 cluster: self.spec.cluster.num_gpus(),
             });
         }
-        let (ranks, known) = self.launch_plan(job);
-        let fold = self.folds();
+        let LaunchPlan { ranks, known, fold } = plan(job);
         let mut collator = Collator::new(job.world, &known, fold);
         let mut collation = Duration::ZERO;
-        let mut oom: Option<(u32, u64)> = None;
+        // The first rank to run out: its rank, the memory it held and
+        // the allocation that failed.
+        let mut oom: Option<(u32, u64, u64)> = None;
         let (mut events, mut charged) = (0usize, 0usize);
         self.emulate_each(
             &ranks,
@@ -396,10 +438,7 @@ impl PredictionEngine {
                 match res {
                     Ok(()) => {}
                     Err(CudaError::MemoryAllocation { requested, .. }) => {
-                        oom.get_or_insert((
-                            trace.rank,
-                            trace.summary.peak_mem_bytes.saturating_add(requested),
-                        ));
+                        oom.get_or_insert((trace.rank, trace.summary.peak_mem_bytes, requested));
                     }
                     Err(e) => return Err(MayaError::Device(e)),
                 }
@@ -427,12 +466,11 @@ impl PredictionEngine {
                 })
             },
         )?;
-        self.host_charges
-            .fetch_add(charged as u64, Ordering::Relaxed);
         let outcome = match oom {
-            Some((rank, peak_attempted)) => Err(OomInfo {
+            Some((rank, held, requested)) => Err(OomInfo {
                 rank,
-                peak_attempted,
+                held,
+                peak_attempted: held.saturating_add(requested),
                 events,
             }),
             None => {
@@ -446,6 +484,7 @@ impl PredictionEngine {
         Ok(Emulated {
             outcome,
             ranks: ranks.len(),
+            charged,
             collation,
         })
     }
@@ -462,7 +501,9 @@ impl PredictionEngine {
     ) -> Result<Prediction, MayaError> {
         // lint:allow(wall-clock-in-output): stage timing telemetry — predicted runtimes come from the simulator, not this clock
         let t0 = Instant::now();
-        let emulated = self.emulate_with(job, emulation_threads)?;
+        let emulated = self.emulate_with(job, |job| self.launch_plan(job), emulation_threads)?;
+        self.host_charges
+            .fetch_add(emulated.charged as u64, Ordering::Relaxed);
         let timings = StageTimings {
             emulation: t0.elapsed().saturating_sub(emulated.collation),
             collation: emulated.collation,
@@ -486,28 +527,31 @@ impl PredictionEngine {
     /// Predicts from an already-collated job trace.
     ///
     /// The trace is validated exactly once, here at the boundary; the
-    /// rest of the pipeline (dedup, lowering, replay) runs on the
-    /// prevalidated fast path, so an invalid trace fails
-    /// fast before any stage spends time on it.
+    /// rest of the pipeline (lowering, replay) runs on the prevalidated
+    /// fast path, so an invalid trace fails fast before any stage
+    /// spends time on it. Its workers then go through the collator
+    /// `predict_job` feeds, with the trace's groups as the known ones:
+    /// each is scanned for the metadata a recorder would have handed
+    /// over, and when the spec folds only one per class is kept.
     pub fn predict_trace(&self, job_trace: JobTrace) -> Result<Prediction, MayaError> {
         job_trace
             .validate()
             .map_err(|m| MayaError::from(SimError::InvalidTrace(m)))?;
-        let workers = job_trace.workers.len();
+        let emulated = job_trace.workers.len();
+        let fold = self.folds();
         // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
         let t = Instant::now();
-        let mut reduced = job_trace;
-        if self.folds() {
-            let classes = dedup_classes(&reduced.workers);
-            if classes.len() < workers {
-                reduced = reduce_job(&reduced, &classes);
-            }
+        let mut collator = Collator::new(job_trace.nranks, &job_trace.comm_groups, fold);
+        for trace in job_trace.workers {
+            let meta = TraceMeta::scan(&trace.events, fold);
+            collator.push(trace, meta)?;
         }
+        let reduced = collator.finish()?;
         let timings = StageTimings {
             collation: t.elapsed(),
             ..Default::default()
         };
-        self.simulate(reduced, workers, timings)
+        self.simulate(reduced, emulated, timings)
     }
 
     /// Lowers and replays a validated, already-reduced job trace.
@@ -518,11 +562,11 @@ impl PredictionEngine {
         workers_emulated: usize,
         mut timings: StageTimings,
     ) -> Result<Prediction, MayaError> {
-        // Every trace reaching this point is already valid: the collator
-        // validates its output, `predict_trace` validates caller input,
-        // and `reduce_job` preserves validity (asserted by its tests).
-        // Skipping re-validation here is what makes a search loop pay
-        // the O(events) structural check once instead of per trial.
+        // Every trace reaching this point is already valid: both callers
+        // hand over what the collator finished, and it validates its
+        // output. Skipping re-validation here is what makes a search
+        // loop pay the O(events) structural check once instead of per
+        // trial.
         let est: &dyn RuntimeEstimator = self.cache.as_ref();
         let report = self.with_sim_scratch(|scratch| {
             let sim = Simulator::new(est, &self.spec.cluster)
@@ -558,34 +602,22 @@ impl PredictionEngine {
     }
 
     /// Runs the job on the ground-truth testbed (the stand-in for "actual
-    /// deployment" measurements). Emulates *all* ranks — real hardware
-    /// cannot deduplicate workers. The outer `Result` carries pipeline
-    /// errors; the inner `Err(peak_bytes)` reports an actual OOM.
+    /// deployment" measurements). Emulates *all* ranks, whatever the
+    /// spec — real hardware cannot deduplicate workers or skip ranks —
+    /// and adds nothing to [`PredictionEngine::host_charges`].
+    /// The outer `Result` carries pipeline errors; the inner
+    /// `Err(peak_bytes)` reports an actual OOM: the memory the first
+    /// rank to run out held.
     pub fn measure_actual(&self, job: &TrainingJob) -> Result<Result<Measurement, u64>, MayaError> {
-        job.validate()?;
-        if job.world != self.spec.cluster.num_gpus() {
-            return Err(MayaError::WorldMismatch {
-                job: job.world,
-                cluster: self.spec.cluster.num_gpus(),
-            });
-        }
-        let ranks: Vec<u32> = (0..job.world).collect();
-        let traced = self.trace_workload(&ranks, |rank, ctx| job.run_worker(rank, ctx));
-        let mut workers = Vec::with_capacity(traced.len());
-        for (trace, res) in traced {
-            match res {
-                Ok(()) => workers.push(trace),
-                Err(CudaError::MemoryAllocation { .. }) => {
-                    let peak = trace.summary.peak_mem_bytes;
-                    return Ok(Err(peak));
-                }
-                Err(e) => return Err(MayaError::Device(e)),
+        let threads = self.spec.emulation_threads;
+        let emulated = self.emulate_with(job, LaunchPlan::every_rank, threads)?;
+        match emulated.outcome {
+            Err(oom) => Ok(Err(oom.held)),
+            Ok(job_trace) => {
+                let executor = GroundTruthExecutor::default();
+                Ok(Ok(executor.run(&job_trace, &self.spec.cluster)?))
             }
         }
-        let job_trace = collate(workers, job.world)?;
-        let executor = GroundTruthExecutor::default();
-        let m = executor.run(&job_trace, &self.spec.cluster)?;
-        Ok(Ok(m))
     }
 
     /// Predicts a batch of independent jobs, fanning across the spec's

@@ -1,8 +1,9 @@
 //! The streaming collator against the frozen three-pass one on generated
 //! jobs: what `Collator` keeps while ranks are still being emulated must
 //! be, as a whole `JobTrace`, what collating every rank and reducing
-//! afterwards gave — and a prediction must not depend on how many
-//! threads emulated the ranks.
+//! afterwards gave — a prediction must not depend on how many threads
+//! emulated the ranks, and one from a collated trace must equal one from
+//! the job.
 
 #[path = "../crates/maya-collate/tests/reference/mod.rs"]
 mod reference;
@@ -10,7 +11,7 @@ mod reference;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use maya::{EmulationSpec, PredictOutcome, Prediction, PredictionEngine};
+use maya::{EmulationSpec, FaultPlan, PredictOutcome, Prediction, PredictionEngine};
 use maya_collate::{
     collate, collate_with_known_groups, dedup_classes, reduce_job, signature,
     unique_megatron_ranks, Collator, DedupClass,
@@ -20,7 +21,8 @@ use maya_hw::ClusterSpec;
 use maya_torchlet::engine::{megatron_comm_groups, trace_one_rank};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, RankTopology, TrainingJob};
 use maya_trace::{
-    shape_digest, DeviceOp, Dtype, JobTrace, KernelKind, TraceEvent, TraceMeta, WorkerTrace,
+    shape_digest, DeviceOp, Dtype, JobTrace, KernelKind, SimTime, TraceEvent, TraceMeta,
+    WorkerTrace,
 };
 
 /// xorshift64*: the draw order is part of the test, so no shared RNG.
@@ -304,4 +306,35 @@ fn predictions_do_not_depend_on_emulation_threads() {
         }
     }
     assert!(folded >= 10, "only {folded} jobs folded");
+}
+
+#[test]
+fn predict_trace_folds_through_the_collator() {
+    // The trace a caller hands over is every rank collated by the frozen
+    // oracle; the engine folds it the way it folds ranks it emulated.
+    let mut folded = 0;
+    for (i, job) in generated_jobs().into_iter().enumerate() {
+        let cluster = cluster_for(&job);
+        let what = format!("{} {} world {}", job.flavor.name(), job.parallel, job.world);
+        let all = reference::collate(emulate(&job, 0..job.world), job.world).expect(&what);
+        let faults = FaultPlan::generate(i as u64, job.world, SimTime::from_ms(50.0));
+        for (name, spec) in [
+            ("folding", EmulationSpec::new(cluster.clone())),
+            (
+                "no optimizations",
+                EmulationSpec::without_optimizations(cluster.clone()),
+            ),
+            (
+                "fault plan",
+                EmulationSpec::new(cluster.clone()).with_faults(Some(faults)),
+            ),
+        ] {
+            let engine = PredictionEngine::new(spec, Arc::new(OracleEstimator::new(&cluster)));
+            let traced = engine.predict_trace(all.clone()).expect(&what);
+            let predicted = engine.predict_job(&job).expect(&what);
+            assert_eq!(verdict(&traced), verdict(&predicted), "{name}: {what}");
+            folded += usize::from(traced.workers_simulated < traced.workers_emulated);
+        }
+    }
+    assert!(folded >= 10, "only {folded} traces folded");
 }
