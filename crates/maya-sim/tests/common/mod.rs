@@ -9,13 +9,18 @@
 //! topology the intra-node pairs share their node's fabric link and the
 //! cross-node traffic shares the uplinks, so flows start and finish
 //! while others are in flight.
+//!
+//! `drawn` builds the same kind of job from a seed instead: rank and
+//! node counts, step list, sizes, host delays, fault plan and hetero
+//! pool all follow from it, so a table of seeds pins the contended
+//! path over many schedules at once.
 
 // Each test binary uses a different subset.
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
 
-use maya_hw::ClusterSpec;
+use maya_hw::{ClusterSpec, GpuSpec, HeteroPool, RankClass};
 use maya_net::{FaultPlan, RankFailure, StragglerWindow};
 use maya_trace::{
     CollectiveDesc, CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind, SimTime, StreamId,
@@ -173,4 +178,216 @@ pub fn pinned_faults() -> FaultPlan {
             },
         ],
     }
+}
+
+/// splitmix64: the deterministic stream `drawn` takes its choices from.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One step of a drawn job, lowered identically on every rank.
+#[derive(Clone, Copy)]
+enum Step {
+    Kernel {
+        stream: u32,
+        m: u64,
+    },
+    /// All-reduce inside the rank's pair (ranks `2p`, `2p + 1`) on
+    /// stream 0; a rank without a pair skips it.
+    PairAllReduce {
+        bytes: u64,
+    },
+    /// Stream 1 waits for stream 0, then all-reduces with the rank half
+    /// a world away (across nodes when there are two).
+    CrossAllReduce {
+        bytes: u64,
+    },
+    /// Send from the lower half to the upper on stream 2.
+    CrossSendRecv {
+        bytes: u64,
+    },
+    /// World all-gather on stream 0.
+    WorldAllGather {
+        bytes: u64,
+    },
+    Memcpy {
+        bytes: u64,
+        sync: bool,
+    },
+    StreamSync {
+        stream: u32,
+    },
+}
+
+fn draw_step(state: &mut u64) -> Step {
+    let mib = |state: &mut u64, lo: u64, hi: u64| (lo + next(state) % (hi - lo)) << 20;
+    match next(state) % 10 {
+        0..=2 => Step::Kernel {
+            stream: (next(state) % 3) as u32,
+            m: 512 + 256 * (next(state) % 16),
+        },
+        3 => Step::PairAllReduce {
+            bytes: mib(state, 1, 32),
+        },
+        4 => Step::CrossAllReduce {
+            bytes: mib(state, 4, 64),
+        },
+        5 => Step::CrossSendRecv {
+            bytes: mib(state, 1, 16),
+        },
+        6 => Step::WorldAllGather {
+            bytes: mib(state, 1, 24),
+        },
+        7 => Step::Memcpy {
+            bytes: mib(state, 1, 8),
+            sync: next(state) % 4 == 0,
+        },
+        _ => Step::StreamSync {
+            stream: (next(state) % 3) as u32,
+        },
+    }
+}
+
+/// Communicator ids of a drawn job, besides [`WORLD`].
+const PAIR: u64 = 10;
+const CROSS: u64 = 20;
+
+/// One rank's events for the shared step list. Every communicator is
+/// used from one stream, every member issues its collectives in step
+/// order, and stream 1 only ever waits on stream 0, so a drawn job
+/// never deadlocks.
+fn drawn_worker(rank: u32, nranks: u32, steps: &[Step], delays: &[u32]) -> WorkerTrace {
+    let half = nranks / 2;
+    let pair = (rank / 2 < half).then_some((PAIR + (rank / 2) as u64, rank % 2));
+    let cross = if rank < half {
+        Some((CROSS + rank as u64, 0))
+    } else if rank < 2 * half {
+        Some((CROSS + (rank - half) as u64, 1))
+    } else {
+        None
+    };
+    let mut seq = BTreeMap::<u64, u32>::new();
+    let mut take = |comm: u64| {
+        let s = seq.entry(comm).or_default();
+        *s += 1;
+        *s - 1
+    };
+    let mut w = WorkerTrace::new(rank);
+    let mut push = |stream: u32, op: DeviceOp| {
+        let delay = delays[w.events.len() % delays.len()];
+        w.events.push(TraceEvent {
+            stream: StreamId(stream),
+            op,
+            host_delay: SimTime::from_us(f64::from(delay)),
+        });
+    };
+    for (i, &step) in steps.iter().enumerate() {
+        match step {
+            Step::Kernel { stream, m } => push(stream, kernel(m + 128 * rank as u64)),
+            Step::PairAllReduce { bytes } => {
+                if let Some((comm, me)) = pair {
+                    let s = take(comm);
+                    push(0, coll(CollectiveKind::AllReduce, comm, s, bytes, 2, me));
+                }
+            }
+            Step::CrossAllReduce { bytes } => {
+                let version = i as u32 + 1;
+                push(0, DeviceOp::EventRecord { event: 3, version });
+                push(1, DeviceOp::StreamWaitEvent { event: 3, version });
+                if let Some((comm, me)) = cross {
+                    let s = take(comm);
+                    push(1, coll(CollectiveKind::AllReduce, comm, s, bytes, 2, me));
+                }
+            }
+            Step::CrossSendRecv { bytes } => {
+                if let Some((comm, me)) = cross {
+                    let kind = if me == 0 {
+                        CollectiveKind::Send { peer: 1 }
+                    } else {
+                        CollectiveKind::Recv { peer: 0 }
+                    };
+                    let s = take(comm);
+                    push(2, coll(kind, comm, s, bytes, 2, me));
+                }
+            }
+            Step::WorldAllGather { bytes } => {
+                let s = take(WORLD);
+                push(
+                    0,
+                    coll(CollectiveKind::AllGather, WORLD, s, bytes, nranks, rank),
+                );
+            }
+            Step::Memcpy { bytes, sync } => push(
+                2,
+                DeviceOp::MemcpyAsync {
+                    bytes,
+                    kind: maya_trace::MemcpyKind::HostToDevice,
+                    sync,
+                },
+            ),
+            Step::StreamSync { stream } => push(stream, DeviceOp::StreamSynchronize),
+        }
+    }
+    push(0, DeviceOp::DeviceSynchronize);
+    w
+}
+
+/// A seed-drawn job and its flat cluster: 2–8 ranks on 1–2 nodes and
+/// 12–40 steps of kernels on three streams, pair, cross and world
+/// collectives, point-to-point sends, copies and syncs.
+pub fn drawn(seed: u64) -> (JobTrace, ClusterSpec) {
+    let mut state = seed;
+    let nranks = 2 + (next(&mut state) % 7) as u32;
+    let nodes = 1 + (next(&mut state) % 2) as u32;
+    let steps: Vec<Step> = (0..12 + next(&mut state) % 29)
+        .map(|_| draw_step(&mut state))
+        .collect();
+    let delays: Vec<u32> = (0..7).map(|_| 1 + (next(&mut state) % 5) as u32).collect();
+    let half = nranks / 2;
+    let mut comm_groups = BTreeMap::new();
+    comm_groups.insert(WORLD, (0..nranks).collect());
+    for p in 0..half {
+        comm_groups.insert(PAIR + p as u64, vec![2 * p, 2 * p + 1]);
+        comm_groups.insert(CROSS + p as u64, vec![p, p + half]);
+    }
+    let job = JobTrace {
+        nranks,
+        workers: (0..nranks)
+            .map(|r| drawn_worker(r, nranks, &steps, &delays))
+            .collect(),
+        comm_groups,
+    };
+    (job, ClusterSpec::h100(nodes, nranks.div_ceil(nodes)))
+}
+
+/// The imperfect twin of a drawn setup, as `props.rs` builds it: the
+/// flat cluster with its default link topology, a fault plan drawn from
+/// `seed` over the clean run's `horizon` and, on odd seeds, an older
+/// GPU generation under the first `seed`-drawn ranks.
+pub fn drawn_contended(
+    flat: &ClusterSpec,
+    nranks: u32,
+    horizon: SimTime,
+    seed: u64,
+) -> (ClusterSpec, FaultPlan) {
+    let plan = FaultPlan::generate(seed, nranks, horizon);
+    let mut cluster = flat.clone().with_default_topology();
+    if seed % 2 == 1 {
+        cluster = cluster.with_hetero(HeteroPool::new(vec![RankClass {
+            gpu: GpuSpec::v100(),
+            count: 1 + (seed >> 1) as u32 % nranks,
+        }]));
+    }
+    (cluster, plan)
+}
+
+/// 64-bit FNV-1a of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
