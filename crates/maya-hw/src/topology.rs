@@ -99,21 +99,16 @@ impl TopologySpec {
         2 * node + 1
     }
 
-    /// The links a collective over `nodes` crosses. `nodes` must be
-    /// sorted and deduplicated (the caller derives it from participant
-    /// ranks); the returned route is then deterministic: intra links in
-    /// node order, followed by every uplink when the set spans nodes.
-    pub fn collective_route(&self, nodes: &[u32]) -> Vec<u32> {
-        let mut route = Vec::with_capacity(2 * nodes.len());
-        for &n in nodes {
-            route.push(Self::intra_index(n));
-        }
+    /// Appends to `route` the links a collective over `nodes` crosses.
+    /// `nodes` must be sorted and deduplicated (the caller derives it
+    /// from participant ranks); the route is then deterministic: intra
+    /// links in node order, followed by every uplink when the set spans
+    /// nodes. Appending lets a caller keep many routes in one buffer.
+    pub fn collective_route(&self, nodes: &[u32], route: &mut Vec<u32>) {
+        route.extend(nodes.iter().map(|&n| Self::intra_index(n)));
         if nodes.len() > 1 {
-            for &n in nodes {
-                route.push(Self::uplink_index(n));
-            }
+            route.extend(nodes.iter().map(|&n| Self::uplink_index(n)));
         }
-        route
     }
 
     /// Summed propagation latency (µs) along a route of link indices.
@@ -206,17 +201,24 @@ mod tests {
         assert_eq!(t.links[TopologySpec::uplink_index(1) as usize], link(50.0));
     }
 
+    fn route(t: &TopologySpec, nodes: &[u32]) -> Vec<u32> {
+        let mut route = vec![9];
+        t.collective_route(nodes, &mut route);
+        assert_eq!(route.remove(0), 9, "the route is appended");
+        route
+    }
+
     #[test]
     fn single_node_route_is_intra_only() {
         let t = TopologySpec::symmetric(2, link(450.0), link(50.0));
-        assert_eq!(t.collective_route(&[0]), vec![0]);
-        assert_eq!(t.collective_route(&[1]), vec![2]);
+        assert_eq!(route(&t, &[0]), vec![0]);
+        assert_eq!(route(&t, &[1]), vec![2]);
     }
 
     #[test]
     fn multi_node_route_adds_uplinks() {
         let t = TopologySpec::symmetric(2, link(450.0), link(50.0));
-        assert_eq!(t.collective_route(&[0, 1]), vec![0, 2, 1, 3]);
+        assert_eq!(route(&t, &[0, 1]), vec![0, 2, 1, 3]);
         assert!((t.route_latency_us(&[0, 2, 1, 3]) - 8.0).abs() < 1e-12);
     }
 

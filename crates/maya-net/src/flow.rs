@@ -6,10 +6,12 @@
 //! link, freeze every flow crossing it at that link's fair share, and
 //! recurse on what's left. Rates only change when the flow population
 //! changes, so the model is exact between events: the simulator
-//! advances remaining bytes at the old rates to the event time,
-//! re-converges, and re-schedules one completion event per active flow
-//! tagged with a convergence [`epoch`](FlowNet::epoch) — stale events
-//! from earlier epochs are ignored on pop.
+//! advances remaining bytes at the old rates to the event time and
+//! re-converges. A start or a finish changes every rate, so a
+//! completion time holds only until the next one: the simulator asks
+//! for the [first flow to finish](FlowNet::first_to_finish) after each
+//! convergence and keeps that one completion pending, since no other
+//! can fire before the net re-converges again.
 //!
 //! Determinism: the fill visits links and flows in ascending index
 //! order with pure f64 arithmetic; identical call sequences produce
@@ -57,9 +59,6 @@ pub struct FlowNet {
     next_id: u32,
     /// Route buffers of finished flows, reused by later starts.
     spare_links: Vec<Vec<u32>>,
-    /// Bumped on every convergence; completion events carry the epoch
-    /// they were scheduled under so stale ones can be discarded.
-    epoch: u32,
     /// Simulated time (ns) the flow table was last advanced to.
     last_update_ns: u64,
     // Water-filling scratch, reused across convergences.
@@ -82,14 +81,7 @@ impl FlowNet {
             self.spare_links.push(f.links);
         }
         self.next_id = 0;
-        self.epoch = 0;
         self.last_update_ns = 0;
-    }
-
-    /// The current convergence epoch. Completion events scheduled now
-    /// are valid only while no further flow starts or finishes.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// Number of links.
@@ -97,9 +89,10 @@ impl FlowNet {
         self.capacity.len()
     }
 
-    /// Capacity of a link in bytes/sec.
+    /// Capacity of a link in bytes/sec (0 for a link the net does not
+    /// have).
     pub fn capacity_of(&self, link: u32) -> f64 {
-        self.capacity[link as usize]
+        self.capacity.get(link as usize).copied().unwrap_or(0.0)
     }
 
     fn find(&self, flow: u32) -> Option<&LiveFlow> {
@@ -134,8 +127,7 @@ impl FlowNet {
 
     /// Starts a flow of `bytes` over `links` (deduplicated by the
     /// caller) at time `now_ns`, re-converges every rate, and returns
-    /// the flow id. Bumps the epoch: all previously scheduled
-    /// completion events are now stale.
+    /// the flow id. Every completion time computed before is void.
     pub fn start(&mut self, now_ns: u64, bytes: f64, links: &[u32]) -> u32 {
         debug_assert!(links.iter().all(|&l| (l as usize) < self.capacity.len()));
         self.advance(now_ns);
@@ -156,7 +148,8 @@ impl FlowNet {
     }
 
     /// Finishes a flow at `now_ns` (its completion event fired) and
-    /// re-converges the survivors. Bumps the epoch.
+    /// re-converges the survivors. Every completion time computed
+    /// before is void.
     pub fn finish(&mut self, now_ns: u64, flow: u32) {
         self.advance(now_ns);
         if let Some(pos) = self.live.iter().position(|f| f.id == flow) {
@@ -170,9 +163,25 @@ impl FlowNet {
     /// Completion time (ns) of a flow at its current rate, measured
     /// from the last advance point. Saturates instead of overflowing.
     pub fn eta_ns(&self, flow: u32) -> u64 {
-        let Some(f) = self.find(flow) else {
-            return self.last_update_ns;
-        };
+        self.find(flow).map_or(self.last_update_ns, |f| self.eta(f))
+    }
+
+    /// The live flow that drains first at the current rates and its
+    /// [`eta_ns`](FlowNet::eta_ns); of flows due at the same instant,
+    /// the one started first. `None` when no flow is live.
+    pub fn first_to_finish(&self) -> Option<(u32, u64)> {
+        let mut first: Option<(u32, u64)> = None;
+        for f in &self.live {
+            let eta = self.eta(f);
+            match first {
+                Some((_, due)) if eta >= due => {}
+                _ => first = Some((f.id, eta)),
+            }
+        }
+        first
+    }
+
+    fn eta(&self, f: &LiveFlow) -> u64 {
         if f.remaining <= 0.0 {
             return self.last_update_ns;
         }
@@ -208,16 +217,19 @@ impl FlowNet {
     /// the flow model's hot loop — nothing in it may grow with the
     /// number of flows already finished.
     fn converge(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
         self.remaining_cap.clear();
         self.remaining_cap.extend_from_slice(&self.capacity);
         self.unfrozen_on.clear();
         self.unfrozen_on.resize(self.capacity.len(), 0);
 
+        // Routes only name links the net has (`start` checks): the
+        // `get`s below always find theirs.
         for f in &mut self.live {
             f.frozen = false;
             for &l in &f.links {
-                self.unfrozen_on[l as usize] += 1;
+                if let Some(n) = self.unfrozen_on.get_mut(l as usize) {
+                    *n += 1;
+                }
             }
         }
 
@@ -247,8 +259,12 @@ impl FlowNet {
                 f.frozen = true;
                 for &l in &f.links {
                     let l = l as usize;
-                    self.remaining_cap[l] = (self.remaining_cap[l] - share).max(0.0);
-                    self.unfrozen_on[l] -= 1;
+                    if let (Some(cap), Some(n)) =
+                        (self.remaining_cap.get_mut(l), self.unfrozen_on.get_mut(l))
+                    {
+                        *cap = (*cap - share).max(0.0);
+                        *n -= 1;
+                    }
                 }
             }
         }
@@ -293,14 +309,25 @@ mod tests {
         net.reset([100.0]);
         let a = net.start(0, 1000.0, &[0]);
         let b = net.start(0, 500.0, &[0]);
-        let e1 = net.epoch();
         // b finishes first (same rate, fewer bytes).
         let eta_b = net.eta_ns(b);
+        assert_eq!(net.first_to_finish(), Some((b, eta_b)));
         net.finish(eta_b, b);
-        assert!(net.epoch() != e1, "finish bumps the epoch");
         assert!((net.rate_of(a) - 100.0).abs() < 1e-9, "a reclaims the link");
         // a moved 500 bytes in the shared phase, 500 remain at 100 B/s.
         assert_eq!(net.eta_ns(a), eta_b + 5_000_000_000);
+    }
+
+    #[test]
+    fn first_to_finish_ties_go_to_the_first_started() {
+        let mut net = FlowNet::new();
+        net.reset([100.0, 100.0]);
+        let a = net.start(0, 1000.0, &[0]);
+        let b = net.start(0, 1000.0, &[1]);
+        assert_eq!(net.eta_ns(a), net.eta_ns(b));
+        assert_eq!(net.first_to_finish(), Some((a, net.eta_ns(a))));
+        net.finish(net.eta_ns(a), a);
+        assert_eq!(net.first_to_finish(), Some((b, net.eta_ns(b))));
     }
 
     #[test]
@@ -369,6 +396,6 @@ mod tests {
         net.reset([50.0, 50.0]);
         assert_eq!(net.num_links(), 2);
         assert_eq!(net.active_flows().count(), 0);
-        assert_eq!(net.epoch(), 0);
+        assert_eq!(net.first_to_finish(), None);
     }
 }

@@ -34,9 +34,6 @@ pub struct NaiveFlowNet {
     /// Capacity of each link in bytes/sec.
     capacity: Vec<f64>,
     flows: Vec<FlowState>,
-    /// Bumped on every convergence; completion events carry the epoch
-    /// they were scheduled under so stale ones can be discarded.
-    epoch: u32,
     /// Simulated time (ns) the flow table was last advanced to.
     last_update_ns: u64,
     // Water-filling scratch, reused across convergences.
@@ -57,14 +54,7 @@ impl NaiveFlowNet {
         self.capacity.clear();
         self.capacity.extend(capacities);
         self.flows.clear();
-        self.epoch = 0;
         self.last_update_ns = 0;
-    }
-
-    /// The current convergence epoch. Completion events scheduled now
-    /// are valid only while no further flow starts or finishes.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// Number of links.
@@ -113,8 +103,7 @@ impl NaiveFlowNet {
 
     /// Starts a flow of `bytes` over `links` (deduplicated by the
     /// caller) at time `now_ns`, re-converges every rate, and returns
-    /// the flow id. Bumps the epoch: all previously scheduled
-    /// completion events are now stale.
+    /// the flow id.
     pub fn start(&mut self, now_ns: u64, bytes: f64, links: &[u32]) -> u32 {
         debug_assert!(links.iter().all(|&l| (l as usize) < self.capacity.len()));
         self.advance(now_ns);
@@ -130,7 +119,7 @@ impl NaiveFlowNet {
     }
 
     /// Finishes a flow at `now_ns` (its completion event fired) and
-    /// re-converges the survivors. Bumps the epoch.
+    /// re-converges the survivors.
     pub fn finish(&mut self, now_ns: u64, flow: u32) {
         self.advance(now_ns);
         self.flows[flow as usize].active = false;
@@ -177,7 +166,6 @@ impl NaiveFlowNet {
     /// small (two links per node) and convergences only happen at flow
     /// boundaries, so this never shows up in profiles.
     fn converge(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
         let n_links = self.capacity.len();
         self.remaining_cap.clear();
         self.remaining_cap.extend_from_slice(&self.capacity);

@@ -5,8 +5,10 @@
 //! solver spent its time and where a live-set bug (a stale entry, a
 //! reordered water-fill, a recycled buffer leaking links) would hide.
 //! After every op the two must agree bit for bit on everything the
-//! simulator reads: `epoch`, the `active_flows` order, and `rate_of` /
-//! `remaining_of` / `eta_ns` / `is_active` of every flow ever started.
+//! simulator reads: the `active_flows` order, `rate_of` /
+//! `remaining_of` / `eta_ns` / `is_active` of every flow ever started,
+//! and `first_to_finish` — the earliest eta among the oracle's live
+//! flows, ties to the first started.
 
 mod naive;
 
@@ -77,11 +79,15 @@ proptest! {
                     slow.finish(now, id);
                 }
             }
-            prop_assert_eq!(fast.epoch(), slow.epoch());
             prop_assert_eq!(
                 fast.active_flows().collect::<Vec<_>>(),
                 slow.active_flows().collect::<Vec<_>>()
             );
+            let first = slow
+                .active_flows()
+                .map(|f| (f, slow.eta_ns(f)))
+                .min_by_key(|&(f, eta)| (eta, f));
+            prop_assert_eq!(fast.first_to_finish(), first);
             for f in 0..started {
                 prop_assert_eq!(fast.is_active(f), slow.is_active(f), "flow {}", f);
                 prop_assert_eq!(

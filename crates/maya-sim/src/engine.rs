@@ -35,9 +35,8 @@
 //! ops. The heap therefore holds about one entry per rank plus the
 //! in-flight completions, and events still pop in exactly the `(at,
 //! seq)` total order a single heap would give. A rendezvous takes its
-//! participant list from a pool of emptied ones, so a flat replay
-//! allocates nothing once the arena is warm; the topology path still
-//! allocates a route per collective.
+//! participant list from a pool of emptied ones, so a replay
+//! allocates nothing once the arena is warm.
 //!
 //! **Elision invariant.** A stream's `busy_until` never decreases:
 //! every write is `now + dur`, a `max(..)` or `+ cost`. An issue pump
@@ -69,8 +68,20 @@
 //! thus counted once, popped or not, and `events_processed` is what a
 //! core without lanes pops.
 //!
-//! The flow model keeps only in-flight flows ([`FlowNet`]), so a
-//! topology run costs about what a flat one does. All mutable state
+//! **Flow completions.** On a topology every rendezvous becomes a flow
+//! ([`FlowNet`]), and every flow start or finish re-converges the net
+//! and moves every live flow's completion time. A completion that
+//! fires finishes its flow, so of the completions one convergence
+//! schedules — one per live flow — only the `(at, seq)`-earliest can
+//! fire, and only if nothing re-converges first. That one waits in a
+//! slot beside the heap (`SimScratch::flow_due`) and `pop` takes it
+//! when it is due before the heap's top; the others, and the slot's
+//! occupant when a convergence supersedes it, are counted off then,
+//! each of which would have popped as a no-op. Each communicator
+//! remembers its collective shapes' wire bytes, route and latency,
+//! and the routes live in one arena buffer. The flow model keeps only
+//! in-flight flows, so a topology run costs about what a flat one
+//! does. All mutable state
 //! lives in the reusable [`SimScratch`]; reuse skips the arena's
 //! allocations, which on a large trace is a small share of a run (the
 //! pages are touched either way). The pre-optimization core is kept as
@@ -465,10 +476,10 @@ enum EvKind {
     /// An issue pump released from stream `si`'s sub-lane: handling
     /// one promotes the sub-lane's next entry.
     ParkedPump { wi: usize, si: usize },
-    /// A network flow drained its bytes (flow model only). Stale if
-    /// `epoch` no longer matches the flow net's convergence epoch —
-    /// every flow start/finish re-schedules fresh completions.
-    FlowDone { flow: u32, epoch: u32 },
+    /// A network flow drained its bytes (flow model only). Never in
+    /// the heap: the one that can fire waits in
+    /// [`SimScratch::flow_due`].
+    FlowDone { flow: u32 },
     /// Injected rank failure `fi` of the fault plan strikes worker `wi`.
     Fault { wi: usize, fi: usize },
 }
@@ -521,12 +532,15 @@ pub struct SimObs {
     /// Cumulative heap events processed across runs (the same tally
     /// reported per run in [`SimReport::events_processed`]).
     pub events: maya_obs::Counter,
-    /// Cumulative heap pops across runs: `events` less the issue pumps
-    /// counted off without entering the heap (elided or parked).
+    /// Cumulative pops of the event queue — the heap and the flow
+    /// completion beside it — across runs: `events` less the events
+    /// counted off without being popped, namely issue pumps elided or
+    /// parked and flow completions a convergence superseded or never
+    /// scheduled.
     pub heap_pops: maya_obs::Counter,
-    /// High-water mark of the pending-event set — heap entries plus
-    /// pumps waiting in the per-rank issue lanes and per-stream
-    /// sub-lanes — max over all runs.
+    /// High-water mark of the pending-event set — heap entries, the
+    /// pending flow completion and pumps waiting in the per-rank issue
+    /// lanes and per-stream sub-lanes — max over all runs.
     /// This is how far hosts run ahead of their devices, not the heap's
     /// size: the heap itself stays near one entry per rank.
     pub heap_depth_high_water: maya_obs::Gauge,
@@ -643,6 +657,17 @@ impl CollShape {
     }
 }
 
+/// The topology path's view of a collective shape: the bytes its flow
+/// moves and the route it takes, a range of [`SimScratch::routes`].
+#[derive(Clone, Copy)]
+struct FlowShape {
+    bytes: f64,
+    /// Summed propagation latency of the route.
+    latency: SimTime,
+    start: u32,
+    end: u32,
+}
+
 /// A communicator's replay state.
 #[derive(Default)]
 struct Comm {
@@ -652,6 +677,8 @@ struct Comm {
     open: Vec<Rendezvous>,
     /// Flat-path durations of the shapes its collectives took this job.
     times: Vec<(CollShape, SimTime)>,
+    /// Topology-path flows of the same shapes.
+    flows: Vec<(CollShape, FlowShape)>,
 }
 
 impl Comm {
@@ -662,11 +689,12 @@ impl Comm {
 }
 
 /// Reusable simulation arena: the replay program, the heap, per-rank
-/// state, wait tables, collective rendezvous buffers, the interner
-/// index maps and the job's shape tables — the estimated duration of
-/// each distinct kernel shape, at most 512 of them (1 KB of slots and
-/// 80 bytes a shape), and of each communicator's distinct collective
-/// shapes, at most [`Comm::SHAPES`] — emptied by every
+/// state, wait tables, collective rendezvous buffers, flow routes, the
+/// interner index maps and the job's shape tables — the estimated
+/// duration of each distinct kernel shape, at most 512 of them (1 KB of
+/// slots and 80 bytes a shape), and of each communicator's distinct
+/// collective shapes (or their flows), at most [`Comm::SHAPES`] —
+/// emptied by every
 /// [`Simulator::lower`] so that no estimator's answer outlives the
 /// prediction that asked for it.
 ///
@@ -696,8 +724,8 @@ pub struct SimScratch {
     events_processed: u64,
     /// Events popped off the heap.
     heap_pops: u64,
-    /// Events scheduled and neither popped nor counted off: heap, issue
-    /// lanes and sub-lanes.
+    /// Events scheduled and neither popped nor counted off: heap, flow
+    /// completion slot, issue lanes and sub-lanes.
     pending: usize,
     /// Most events ever pending at once this run (one compare per
     /// stamp — the tally is kept unconditionally; only *publishing* is
@@ -710,8 +738,15 @@ pub struct SimScratch {
     net: FlowNet,
     /// Bookkeeping of the in-flight flows (unordered; a handful).
     flow_meta: Vec<FlowMeta>,
-    /// Reusable buffer for re-scheduling flow completions.
-    flow_tmp: Vec<(u32, u64)>,
+    /// The one flow completion that can fire before the net next
+    /// re-converges (module docs, "Flow completions"): the earliest in
+    /// `(at, seq)` order of the last convergence, popped beside the
+    /// heap.
+    flow_due: Option<HeapEv>,
+    /// The routes of every communicator's [`FlowShape`]s, back to back.
+    routes: Vec<u32>,
+    /// Participant nodes of the route being built.
+    route_nodes: Vec<u32>,
 }
 
 /// One stream waiting at a collective rendezvous: `(worker, stream,
@@ -930,17 +965,53 @@ impl SimScratch {
         (at, r.participants.len())
     }
 
-    /// Pops the earliest pending event.
+    /// Pops the earliest pending event: the heap's top or the pending
+    /// flow completion, whichever is first in `(at, seq)` order.
     fn pop(&mut self) -> Option<HeapEv> {
-        let Reverse(ev) = self.heap.pop()?;
+        let ev = match self.flow_due {
+            Some(due)
+                if self
+                    .heap
+                    .peek()
+                    .map_or(true, |Reverse(top)| due.key() < top.key()) =>
+            {
+                self.flow_due = None;
+                due
+            }
+            _ => self.heap.pop()?.0,
+        };
         self.pending -= 1;
         self.heap_pops += 1;
         Some(ev)
     }
 
+    /// The net re-converged: schedules the one completion that can fire
+    /// before it re-converges again — the first flow to finish, stamped
+    /// as the first of the completions one per live flow that it stands
+    /// for — and counts off the rest, and the completion it supersedes,
+    /// each of which would have popped as a no-op.
+    fn schedule_flow_done(&mut self) {
+        self.flow_solves += 1;
+        if self.flow_due.take().is_some() {
+            self.events_processed += 1;
+            self.pending -= 1;
+        }
+        let Some((flow, eta)) = self.net.first_to_finish() else {
+            return;
+        };
+        self.events_processed += self.net.active_flows().count() as u64 - 1;
+        let seq = self.stamp();
+        self.flow_due = Some(HeapEv {
+            at: SimTime::from_ns(eta),
+            seq,
+            kind: EvKind::FlowDone { flow },
+        });
+    }
+
     /// Resets the run state for `workers` ranks, keeping capacity.
     fn reset(&mut self, workers: usize) {
         self.heap.clear();
+        self.flow_due = None;
         for comm in &mut self.comms {
             for Rendezvous {
                 mut participants, ..
@@ -950,7 +1021,9 @@ impl SimScratch {
                 self.spare.push(participants);
             }
             comm.times.clear();
+            comm.flows.clear();
         }
+        self.routes.clear();
         self.seq = 0;
         self.now = SimTime::ZERO;
         self.now_seq = 0;
@@ -1188,7 +1261,7 @@ impl<'a> Simulator<'a> {
                     self.pump(st, wi, si);
                     st.advance(wi, si);
                 }
-                EvKind::FlowDone { flow, epoch } => self.flow_done(st, flow, epoch),
+                EvKind::FlowDone { flow } => self.flow_done(st, flow),
                 EvKind::Fault { wi, fi } => self.apply_fault(st, wi, fi),
             }
         }
@@ -1490,22 +1563,42 @@ impl<'a> Simulator<'a> {
             }
             _ => members,
         };
+        let shape = CollShape::of(&desc);
         if let Some(topo) = &self.cluster.topology {
-            let (bytes, route, latency) = self.flow_of(topo, &desc, global_ranks);
-            let flow = st.net.start(start.as_ns(), bytes, &route);
+            let known = st
+                .comms
+                .get(slot)
+                .and_then(|c| c.flows.iter().find(|(s, _)| *s == shape))
+                .map(|&(_, f)| f);
+            let f = known.unwrap_or_else(|| {
+                let (nodes, routes) = (&mut st.route_nodes, &mut st.routes);
+                self.flow_of(topo, &desc, global_ranks, nodes, routes)
+            });
+            let route = st
+                .routes
+                .get(f.start as usize..f.end as usize)
+                .unwrap_or(&[]);
+            let flow = st.net.start(start.as_ns(), f.bytes, route);
+            if known.is_none() {
+                match st
+                    .comms
+                    .get_mut(slot)
+                    .filter(|c| c.flows.len() < Comm::SHAPES)
+                {
+                    Some(c) => c.flows.push((shape, f)),
+                    // Not remembered: its route goes with it.
+                    None => st.routes.truncate(f.start as usize),
+                }
+            }
             st.flow_meta.push(FlowMeta {
                 flow,
                 participants,
                 start,
-                latency,
+                latency: f.latency,
             });
-            // Starting the flow re-converges every active rate, so
-            // completion events for *all* flows are re-scheduled under
-            // the new epoch.
-            self.schedule_flow_completions(st);
+            st.schedule_flow_done();
             return;
         }
-        let shape = CollShape::of(&desc);
         let comm = st.comms.get_mut(slot);
         let dur = match comm
             .as_ref()
@@ -1542,38 +1635,47 @@ impl<'a> Simulator<'a> {
 
     /// Flow-model view of a collective: it becomes a flow over the
     /// links its participant nodes touch, its byte count set by the
-    /// algorithm's wire traffic. Returns `(bytes, route, latency)`.
+    /// algorithm's wire traffic. The route is appended to `routes`;
+    /// `nodes` is scratch.
     fn flow_of(
         &self,
         topo: &TopologySpec,
         desc: &CollectiveDesc,
         global_ranks: &[u32],
-    ) -> (f64, Vec<u32>, SimTime) {
+        nodes: &mut Vec<u32>,
+        routes: &mut Vec<u32>,
+    ) -> FlowShape {
         let bytes = wire_bytes(desc.kind, desc.bytes, global_ranks.len());
         // Participant nodes, sorted and deduped for a deterministic
         // route; nodes outside the topology (a spec smaller than the
         // job) contribute no links rather than faulting.
-        let mut nodes: Vec<u32> = global_ranks
-            .iter()
-            .map(|&r| self.cluster.node_of(r))
-            .filter(|&n| n < topo.num_nodes())
-            .collect();
+        nodes.clear();
+        nodes.extend(
+            global_ranks
+                .iter()
+                .map(|&r| self.cluster.node_of(r))
+                .filter(|&n| n < topo.num_nodes()),
+        );
         nodes.sort_unstable();
         nodes.dedup();
-        let route = topo.collective_route(&nodes);
-        let latency = SimTime::from_us(topo.route_latency_us(&route));
-        (bytes, route, latency)
+        let start = routes.len();
+        topo.collective_route(nodes, routes);
+        let route = routes.get(start..).unwrap_or(&[]);
+        FlowShape {
+            bytes,
+            latency: SimTime::from_us(topo.route_latency_us(route)),
+            start: start as u32,
+            end: routes.len() as u32,
+        }
     }
 
-    /// A flow's bytes drained (if the event is still current): release
-    /// its participant streams after the route latency, retire the flow
-    /// and re-schedule the survivors' completions at their new rates.
-    fn flow_done(&self, st: &mut SimScratch, flow: u32, epoch: u32) {
-        if st.net.epoch() != epoch {
-            return; // stale: a later convergence re-scheduled this flow
-        }
+    /// A flow's bytes drained: release its participant streams after
+    /// the route latency, retire the flow and schedule the next
+    /// completion at the survivors' new rates.
+    fn flow_done(&self, st: &mut SimScratch, flow: u32) {
+        // Only a live flow's completion is ever scheduled.
         let Some(pos) = st.flow_meta.iter().position(|m| m.flow == flow) else {
-            return; // stale: the flow already finished
+            return;
         };
         let mut meta = st.flow_meta.swap_remove(pos);
         let now = st.now;
@@ -1591,21 +1693,7 @@ impl<'a> Simulator<'a> {
         }
         meta.participants.clear();
         st.spare.push(meta.participants);
-        self.schedule_flow_completions(st);
-    }
-
-    /// Re-schedules one completion event per active flow, tagged with
-    /// the current convergence epoch (older events become stale).
-    fn schedule_flow_completions(&self, st: &mut SimScratch) {
-        st.flow_solves += 1;
-        let epoch = st.net.epoch();
-        let mut tmp = std::mem::take(&mut st.flow_tmp);
-        tmp.clear();
-        tmp.extend(st.net.active_flows().map(|f| (f, st.net.eta_ns(f))));
-        for &(flow, eta) in &tmp {
-            st.push(SimTime::from_ns(eta), EvKind::FlowDone { flow, epoch });
-        }
-        st.flow_tmp = tmp;
+        st.schedule_flow_done();
     }
 
     /// An injected rank failure strikes: the rank pays the
@@ -1683,6 +1771,11 @@ fn wire_bytes(kind: CollectiveKind, bytes: u64, n: usize) -> f64 {
         _ => b,
     }
 }
+
+/// The integration tests' fixed jobs, for the arena checks below.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
@@ -2529,8 +2622,12 @@ mod tests {
             st.stream_index.capacity(),
             st.event_index.capacity(),
             st.flow_meta.capacity(),
-            st.flow_tmp.capacity(),
+            st.routes.capacity(),
+            st.route_nodes.capacity(),
         ];
+        for c in &st.comms {
+            caps.extend([c.open.capacity(), c.times.capacity(), c.flows.capacity()]);
+        }
         for r in &st.ranks {
             caps.extend([
                 r.ops.capacity(),
@@ -2570,6 +2667,126 @@ mod tests {
             let fresh = sim.run(&small).unwrap();
             assert_eq!(reused, fresh, "small after seed {seed}");
         }
+        // The topology path through the same arena: a warm replay finds
+        // its routes, flow table and participant lists already sized.
+        let contended = common::contended_cluster();
+        let oracle = OracleEstimator::new(&contended);
+        let faults = common::pinned_faults();
+        let sim = Simulator::new(&oracle, &contended).with_faults(Some(&faults));
+        let job = common::pinned_job();
+        let fresh = sim.run(&job).unwrap();
+        assert_eq!(sim.run_prevalidated(&job, &mut scratch).unwrap(), fresh);
+        let sized = capacities(&scratch);
+        assert_eq!(sim.run_prevalidated(&job, &mut scratch).unwrap(), fresh);
+        assert_eq!(capacities(&scratch), sized, "contended: the arena grew");
+    }
+
+    /// Three pairs all-reduce the same bytes over one node's fabric
+    /// link, which all three flows cross: pairs A and B join at 1 µs,
+    /// pair C at 10 µs while A and B are in flight. A and B finish
+    /// together, A first (started first), then C. Each rank pops four
+    /// events: its dispatch, its join's issue pump, the pump its
+    /// release schedules and the dispatch that ends it. The six
+    /// convergences stand for one completion per live flow each, of
+    /// which only the first to finish is scheduled:
+    ///
+    /// ```text
+    /// start A   live A         A due
+    /// start B   live A B       A's superseded; A due, B counted off
+    /// start C   live A B C     A's superseded; A due, B C counted off
+    /// A fires   live B C       B due, C counted off
+    /// B fires   live C         C due
+    /// C fires   live -
+    /// ```
+    ///
+    /// 24 + 9 = 33 events; 9 completions, 3 fired and 6 counted off
+    /// without reaching the heap: 27 pops. Pushing one completion per
+    /// live flow popped all 33.
+    #[test]
+    fn only_the_first_flow_to_finish_is_scheduled() {
+        let c = ClusterSpec::h100(1, 6).with_default_topology();
+        let mut workers = Vec::new();
+        let mut comm_groups = BTreeMap::new();
+        for (pair, join_us) in [1.0, 1.0, 10.0].into_iter().enumerate() {
+            let comm = 100 + pair as u64;
+            let ranks = [2 * pair as u32, 2 * pair as u32 + 1];
+            comm_groups.insert(comm, ranks.to_vec());
+            for (me, rank) in ranks.into_iter().enumerate() {
+                let mut w = WorkerTrace::new(rank);
+                w.events = vec![
+                    ev(0, pair_collective(comm, me as u32, 1 << 26), join_us),
+                    ev(0, DeviceOp::StreamSynchronize, 1.0),
+                ];
+                workers.push(w);
+            }
+        }
+        let job = JobTrace {
+            nranks: 6,
+            workers,
+            comm_groups,
+        };
+        let obs = SimObs::default();
+        let report = Simulator::new(&Fixed { coll_us: 0.0 }, &c)
+            .with_obs(Some(&obs))
+            .run(&job)
+            .unwrap();
+        assert_eq!(
+            (
+                report.events_processed,
+                obs.heap_pops.get(),
+                obs.flow_solves.get()
+            ),
+            (33, 27, 6),
+            "a superseded completion reached the heap"
+        );
+        let end = &report.rank_end_times;
+        assert!(end[0] == end[3] && end[3] < end[4], "{end:?}");
+    }
+
+    /// A communicator remembers the flows of [`Comm::SHAPES`] shapes; a
+    /// rendezvous of any further shape builds its route, uses it and
+    /// drops it. 70 all-reduces of distinct sizes over one cross-node
+    /// pair time exactly as the same 70 each on a communicator of its
+    /// own, where every shape is remembered, and the arena keeps 64
+    /// routes of 4 links.
+    #[test]
+    fn flows_beyond_the_shape_cap_drop_their_routes() {
+        const COLLECTIVES: u32 = 70;
+        let c = ClusterSpec::h100(2, 1).with_default_topology();
+        let job = |own_comm: bool| {
+            let mut comm_groups = BTreeMap::new();
+            let mut workers = Vec::new();
+            for rank in 0..2 {
+                let mut w = WorkerTrace::new(rank);
+                for i in 0..COLLECTIVES {
+                    let comm = 100 + if own_comm { u64::from(i) } else { 0 };
+                    comm_groups.insert(comm, vec![0, 1]);
+                    let desc = CollectiveDesc {
+                        kind: CollectiveKind::AllReduce,
+                        comm_id: comm,
+                        seq: if own_comm { 0 } else { i },
+                        bytes: u64::from(i + 1) << 20,
+                        nranks: 2,
+                        rank_in_comm: rank,
+                    };
+                    w.events.push(ev(0, DeviceOp::Collective { desc }, 1.0));
+                }
+                w.events.push(ev(0, DeviceOp::DeviceSynchronize, 1.0));
+                workers.push(w);
+            }
+            JobTrace {
+                nranks: 2,
+                workers,
+                comm_groups,
+            }
+        };
+        let sim = Simulator::new(&Fixed { coll_us: 0.0 }, &c);
+        let mut st = SimScratch::new();
+        let shared = job(false);
+        shared.validate().unwrap();
+        let shared = sim.run_prevalidated(&shared, &mut st).unwrap();
+        assert_eq!(st.routes.len(), Comm::SHAPES * 4);
+        assert_eq!(shared, sim.run(&job(true)).unwrap());
     }
 
     #[test]
