@@ -10,8 +10,9 @@
 //! re-converges. A start or a finish changes every rate, so a
 //! completion time holds only until the next one: the simulator asks
 //! for the [first flow to finish](FlowNet::first_to_finish) after each
-//! convergence and keeps that one completion pending, since no other
-//! can fire before the net re-converges again.
+//! convergence and keeps only that completion pending: the first to
+//! fire finishes its flow, which re-converges the net and voids the
+//! others.
 //!
 //! Determinism: the fill visits links and flows in ascending index
 //! order with pure f64 arithmetic; identical call sequences produce
@@ -87,12 +88,6 @@ impl FlowNet {
     /// Number of links.
     pub fn num_links(&self) -> usize {
         self.capacity.len()
-    }
-
-    /// Capacity of a link in bytes/sec (0 for a link the net does not
-    /// have).
-    pub fn capacity_of(&self, link: u32) -> f64 {
-        self.capacity.get(link as usize).copied().unwrap_or(0.0)
     }
 
     fn find(&self, flow: u32) -> Option<&LiveFlow> {

@@ -985,11 +985,13 @@ impl SimScratch {
         Some(ev)
     }
 
-    /// The net re-converged: schedules the one completion that can fire
-    /// before it re-converges again — the first flow to finish, stamped
-    /// as the first of the completions one per live flow that it stands
-    /// for — and counts off the rest, and the completion it supersedes,
-    /// each of which would have popped as a no-op.
+    /// The net re-converged, voiding every completion time scheduled
+    /// before. Schedules the only completion that can fire before the
+    /// next convergence, the first flow to finish, and counts off the
+    /// completion it supersedes and the rest of the one per live flow
+    /// this convergence stands for: each would have popped as a no-op.
+    /// Its one stamp orders it against every other event as the first
+    /// of one stamp per live flow would.
     fn schedule_flow_done(&mut self) {
         self.flow_solves += 1;
         if self.flow_due.take().is_some() {

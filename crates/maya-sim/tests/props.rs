@@ -16,8 +16,9 @@
 //! Properties 1 and 2 also run on the imperfect-cluster path (link
 //! topology × seed-drawn fault plan × seed-drawn hetero pool), which
 //! the reference core, having no flow, fault or hetero model, cannot
-//! check; there `events_processed` — popped events plus elided issue
-//! pumps — must repeat exactly and equal what the observer is told.
+//! check; there `events_processed` — popped events plus the issue
+//! pumps and flow completions counted off unpopped — must repeat
+//! exactly and equal what the observer is told.
 //!
 //! The hand-built traces at the end include the elision proof's three
 //! cases: pumps of a stream that is blocked but idle (parked until the

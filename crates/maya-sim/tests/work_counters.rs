@@ -5,11 +5,11 @@
 //! pinned by exact equality: a change that alters which events exist,
 //! how many flow solves run, or how deep the pending-event set gets
 //! must update these numbers on purpose. `heap_depth_high_water` counts
-//! *pending events* — heap entries plus the issue pumps waiting in the
-//! per-rank issue lanes and the per-stream sub-lanes — so it reads the
-//! same whether or not lanes exist, but a pump parked on a blocked
-//! stream stays pending until the stream is released, where it once
-//! popped at its due time. `heap_pops` is what the heap actually did:
+//! *pending events* — heap entries, the pending flow completion and the
+//! issue pumps waiting in the per-rank issue lanes and the per-stream
+//! sub-lanes — so it reads the same whether or not lanes exist, but a
+//! pump parked on a blocked stream stays pending until the stream is
+//! released, where it once popped at its due time. `heap_pops` is what the heap actually did:
 //! `events_processed` less the events counted off without it — issue
 //! pumps elided or parked, and flow completions a convergence
 //! superseded or never scheduled.
