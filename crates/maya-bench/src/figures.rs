@@ -1,7 +1,5 @@
 //! Row functions for the paper's figures (§7).
 
-use std::time::Instant;
-
 use maya::MayaBuilder;
 use maya_hw::{mfu, ClusterSpec};
 use maya_search::{AlgorithmKind, Objective, SearchResult, TrialScheduler};
@@ -410,10 +408,8 @@ pub fn fig14(budget: &Budget) -> Result<Data, ReproError> {
         let scenario = Scenario::new(label, cluster, ModelSpec::gpt3_2_7b(), batch, precision);
         let job = scenario.job(parallel);
         let timed = |builder: MayaBuilder| -> Result<_, ReproError> {
-            let maya = builder.build()?;
-            let start = Instant::now();
-            let p = maya.predict_job(&job)?;
-            let wall = start.elapsed().as_secs_f64();
+            let p = builder.build()?.predict_job(&job)?;
+            let wall = p.timings.total().as_secs_f64();
             let time = p.iteration_time().ok_or(budget.starved("fig14"))?;
             Ok((wall, time.as_secs_f64(), p.workers_simulated))
         };

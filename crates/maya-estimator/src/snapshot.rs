@@ -133,6 +133,15 @@ fn family<K: Serialize>(out: &mut String, tag: &'static str, entries: Vec<(K, Si
     }
 }
 
+/// Reads a family's count line (`<tag> <n>`).
+fn family_len(line: &str, tag: &'static str) -> Result<u64, compact::Error> {
+    let mut r = compact::Reader::new(line);
+    r.expect_tag(tag)?;
+    let n = u64::deserialize(&mut r)?;
+    r.end()?;
+    Ok(n)
+}
+
 impl CachingEstimator {
     /// Serializes the entire memo — kernel, memcpy and collective
     /// families — to the compact snapshot format.
@@ -173,7 +182,9 @@ impl CachingEstimator {
     /// are pure-function results, so this is value-preserving whenever
     /// the estimator name *and* scope match — both are enforced).
     pub fn restore(&self, text: &str, scope: &str) -> Result<usize, SnapshotError> {
-        let mut r = compact::Reader::new(text);
+        // One compact value per line, each line ended by a newline.
+        let mut lines = text.split('\n');
+        let mut r = compact::Reader::new(lines.next().unwrap_or_default());
         if r.raw_token().map_err(|_| SnapshotError::NotASnapshot)? != MAGIC {
             return Err(SnapshotError::NotASnapshot);
         }
@@ -195,27 +206,33 @@ impl CachingEstimator {
                 engine: scope.to_string(),
             });
         }
+        r.end()?;
+        let mut line = || lines.next().ok_or(compact::Error::Eof);
         let mut loaded = 0usize;
-        r.expect_tag("kernels")?;
-        for _ in 0..u64::deserialize(&mut r)? {
-            let (k, v) = Deserialize::deserialize(&mut r)?;
+        for _ in 0..family_len(line()?, "kernels")? {
+            let (k, v) = serde::from_str(line()?)?;
             self.insert(Query::Kernel(k), v);
             loaded += 1;
         }
-        r.expect_tag("memcpys")?;
-        for _ in 0..u64::deserialize(&mut r)? {
-            let ((bytes, kind), v) = Deserialize::deserialize(&mut r)?;
+        for _ in 0..family_len(line()?, "memcpys")? {
+            let ((bytes, kind), v) = serde::from_str(line()?)?;
             self.insert(Query::Memcpy(bytes, kind), v);
             loaded += 1;
         }
-        r.expect_tag("collectives")?;
-        for _ in 0..u64::deserialize(&mut r)? {
-            let (k, v) = Deserialize::deserialize(&mut r)?;
+        for _ in 0..family_len(line()?, "collectives")? {
+            let (k, v) = serde::from_str(line()?)?;
             self.insert(Query::Collective(Box::new(k)), v);
             loaded += 1;
         }
-        r.end()?;
-        Ok(loaded)
+        // The last newline leaves one empty piece, and nothing follows.
+        match (lines.next(), lines.next()) {
+            (Some(""), None) => Ok(loaded),
+            (None, _) => Err(compact::Error::Eof.into()),
+            (Some(extra), _) => Err(compact::Error::Trailing {
+                token: extra.chars().take(64).collect(),
+            }
+            .into()),
+        }
     }
 
     /// Writes a snapshot to `path`, creating parent directories.
@@ -389,6 +406,16 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         assert!(warm.restore(&truncated, "s").is_err());
+        // Only the bytes `snapshot` writes restore: one value per line,
+        // every line ended by one newline.
+        let snap = warm.snapshot("s");
+        for bent in [
+            format!("{snap}\n"),
+            snap.trim_end().to_string(),
+            snap.replacen('\n', " ", 1),
+        ] {
+            assert!(warm.restore(&bent, "s").is_err(), "{bent:?}");
+        }
     }
 
     #[test]

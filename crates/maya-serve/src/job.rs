@@ -18,8 +18,8 @@
 //! Every arrow into a terminal state is one transition. A job is one
 //! lock-protected record (state, bounded progress queue, terminal
 //! slot, one condvar), generic over its terminal payload — the
-//! service's is [`JobOutcome`], the wire client's a decoded frame or a
-//! remote error. Its [`JobProducer`] half travels with the work and
+//! service's is [`JobOutcome`], the wire client's the same verdict over
+//! its decoded response, or a remote error. Its [`JobProducer`] half travels with the work and
 //! ends it by the consuming [`JobProducer::complete`] or by being
 //! dropped ([`JobState::Failed`]; [`JobHandle::wait`] then reports
 //! [`ServeError::Stopped`]); both reach the private `seal`, the only
@@ -176,22 +176,23 @@ pub struct SearchProgress {
     pub cache_delta: CacheStats,
 }
 
-/// Terminal verdict of one job.
+/// Terminal verdict of one job. `R` is the response it carries: the
+/// service's [`Response`], or a transport's view of one.
 #[derive(Debug)]
-pub enum JobOutcome {
+pub enum JobOutcome<R = Response> {
     /// Ran to completion.
-    Done(Response),
+    Done(R),
     /// Cancelled. `Some` carries the deterministic committed prefix a
     /// mid-run cancellation produced; `None` means the job was
     /// cancelled before it started executing.
-    Cancelled(Option<Response>),
+    Cancelled(Option<R>),
     /// The deadline elapsed. `None` means the job was shed while still
     /// queued (it never touched a worker); `Some` carries the committed
     /// prefix of a search whose budget ran out at a wave boundary.
-    Expired(Option<Response>),
+    Expired(Option<R>),
 }
 
-impl JobOutcome {
+impl<R> JobOutcome<R> {
     /// The state this outcome lands the job in.
     pub fn state(&self) -> JobState {
         match self {
@@ -202,7 +203,7 @@ impl JobOutcome {
     }
 
     /// The response, for outcomes that carry one.
-    pub fn response(&self) -> Option<&Response> {
+    pub fn response(&self) -> Option<&R> {
         match self {
             JobOutcome::Done(r) => Some(r),
             JobOutcome::Cancelled(r) | JobOutcome::Expired(r) => r.as_ref(),
@@ -210,10 +211,19 @@ impl JobOutcome {
     }
 
     /// Consumes the outcome, yielding the response if it carries one.
-    pub fn into_response(self) -> Option<Response> {
+    pub fn into_response(self) -> Option<R> {
         match self {
             JobOutcome::Done(r) => Some(r),
             JobOutcome::Cancelled(r) | JobOutcome::Expired(r) => r,
+        }
+    }
+
+    /// The same verdict with its response mapped through `f`.
+    pub fn map<S>(self, f: impl FnOnce(R) -> S) -> JobOutcome<S> {
+        match self {
+            JobOutcome::Done(r) => JobOutcome::Done(f(r)),
+            JobOutcome::Cancelled(r) => JobOutcome::Cancelled(r.map(f)),
+            JobOutcome::Expired(r) => JobOutcome::Expired(r.map(f)),
         }
     }
 }
@@ -224,7 +234,7 @@ pub trait Verdict {
     fn state(&self) -> JobState;
 }
 
-impl Verdict for JobOutcome {
+impl<R> Verdict for JobOutcome<R> {
     fn state(&self) -> JobState {
         JobOutcome::state(self)
     }

@@ -195,7 +195,7 @@ mod tests {
         assert_eq!(via_service.iteration_time(), direct.iteration_time());
         assert_eq!(via_service.workers_simulated, direct.workers_simulated);
         assert_eq!(via_service.trace_events, direct.trace_events);
-        assert_eq!(resp.kind, "predict");
+        assert_eq!(resp.kind(), "predict");
         assert_eq!(resp.target, "h100-4");
     }
 

@@ -82,16 +82,18 @@ pub enum MeasureOutcome {
     },
 }
 
-/// The result body of a [`Response`], by request kind.
+/// The result body of a [`Response`], by request kind. `E` fills the
+/// error slots: the service's own [`MayaError`], or whatever a
+/// transport carries in its place.
 #[derive(Debug)]
-pub enum Payload {
+pub enum Payload<E = MayaError> {
     /// Per-job outcomes of a `Predict`, positionally aligned with the
     /// request's `jobs`.
-    Predict(Vec<Result<Prediction, MayaError>>),
+    Predict(Vec<Result<Prediction, E>>),
     /// Outcome of a `Search`.
     Search(Box<SearchResult>),
     /// Outcome of a `Measure`.
-    Measure(Result<MeasureOutcome, MayaError>),
+    Measure(Result<MeasureOutcome, E>),
 }
 
 /// Per-request service telemetry.
@@ -123,22 +125,30 @@ pub struct Telemetry {
     pub spans: Vec<SpanNode>,
 }
 
-/// A served request: payload plus telemetry.
+/// A served request: payload plus telemetry, with error slots of type
+/// `E` (see [`Payload`]).
 #[derive(Debug)]
-pub struct Response {
+pub struct Response<E = MayaError> {
     /// The cluster target that served the request.
     pub target: String,
-    /// Request kind label ("predict" / "search" / "measure").
-    pub kind: &'static str,
     /// Service telemetry.
     pub telemetry: Telemetry,
     /// The result body.
-    pub payload: Payload,
+    pub payload: Payload<E>,
 }
 
-impl Response {
+impl<E> Response<E> {
+    /// Request kind label ("predict" / "search" / "measure").
+    pub fn kind(&self) -> &'static str {
+        match self.payload {
+            Payload::Predict(_) => "predict",
+            Payload::Search(_) => "search",
+            Payload::Measure(_) => "measure",
+        }
+    }
+
     /// The predict results, when this response answers a `Predict`.
-    pub fn predictions(&self) -> Option<&[Result<Prediction, MayaError>]> {
+    pub fn predictions(&self) -> Option<&[Result<Prediction, E>]> {
         match &self.payload {
             Payload::Predict(p) => Some(p),
             _ => None,
@@ -154,10 +164,26 @@ impl Response {
     }
 
     /// The measurement outcome, when this response answers a `Measure`.
-    pub fn measurement(&self) -> Option<&Result<MeasureOutcome, MayaError>> {
+    pub fn measurement(&self) -> Option<&Result<MeasureOutcome, E>> {
         match &self.payload {
             Payload::Measure(m) => Some(m),
             _ => None,
+        }
+    }
+
+    /// The same response with every error slot mapped through `f`.
+    pub fn map_err<F>(self, mut f: impl FnMut(E) -> F) -> Response<F> {
+        let payload = match self.payload {
+            Payload::Predict(results) => {
+                Payload::Predict(results.into_iter().map(|r| r.map_err(&mut f)).collect())
+            }
+            Payload::Search(s) => Payload::Search(s),
+            Payload::Measure(m) => Payload::Measure(m.map_err(f)),
+        };
+        Response {
+            target: self.target,
+            telemetry: self.telemetry,
+            payload,
         }
     }
 }

@@ -3,21 +3,16 @@
 //!
 //! These are what `maya-wire` frames carry: a [`Request`] round-trips
 //! exactly (a remote client's job lands on the service bit-for-bit),
-//! and a [`Response`] serializes completely — target, [`Telemetry`],
-//! and the payload with every prediction/search/measure result.
+//! and so does a [`Response`] — target, [`Telemetry`], and the payload
+//! with every prediction/search/measure result.
 //!
-//! Error slots are serialize-only. [`maya::MayaError`] and
-//! [`ServeError`] wrap things a remote process cannot reconstruct
-//! (`std::io::Error`, estimator internals), so the wire carries a
-//! stable *kind code* plus the rendered message for each (the same
-//! scheme as `maya::serdes::error_code`); `maya-wire` decodes them into
-//! its own typed remote-error value rather than a rebuilt original.
-//! The response *encoding* is nevertheless total: every variant of
-//! every payload has a defined wire form.
+//! [`Payload`] and [`Response`] are generic over their error slots and
+//! encode whenever the slot type does. [`maya::MayaError`] does not: it
+//! wraps things a remote process cannot reconstruct (`std::io::Error`,
+//! estimator internals). `maya-wire` maps each slot to its typed remote
+//! error — a kind code plus the rendered message, from the one code
+//! table it owns — and encodes and decodes that same response type.
 
-use serde::{compact, Serialize};
-
-use crate::error::ServeError;
 use crate::job::{JobOptions, Priority, SearchProgress};
 use crate::request::{MeasureOutcome, Payload, Request, Response, Telemetry};
 
@@ -44,65 +39,15 @@ serde::codec! {
         "completed" => Completed(measurement),
         "oom" => OutOfMemory { peak_bytes },
     }
-}
 
-// Hand-written because it is serialize-only (see module docs): the
-// error slots encode as kind code + message via `maya::serdes`, and
-// `maya-wire` decodes the same bytes as its own `WirePayload`.
-impl Serialize for Payload {
-    fn serialize(&self, w: &mut compact::Writer) {
-        match self {
-            Payload::Predict(results) => {
-                w.tag("predict");
-                results.serialize(w);
-            }
-            Payload::Search(result) => {
-                w.tag("search");
-                result.serialize(w);
-            }
-            Payload::Measure(outcome) => {
-                w.tag("measure");
-                outcome.serialize(w);
-            }
-        }
+    enum<E> Payload<E>: "payload kind" {
+        "predict" => Predict(results),
+        "search" => Search(result),
+        "measure" => Measure(outcome),
     }
-}
 
-// Hand-written because it is serialize-only, and `kind` is implied
-// by the payload tag rather than written.
-impl Serialize for Response {
-    fn serialize(&self, w: &mut compact::Writer) {
-        self.target.serialize(w);
-        self.telemetry.serialize(w);
-        self.payload.serialize(w);
-    }
-}
-
-/// Stable wire code naming a [`ServeError`] variant; the shared
-/// error-code namespace with `maya::serdes::error_code` (the codes are
-/// disjoint). Part of the wire format.
-pub fn error_code(e: &ServeError) -> &'static str {
-    match e {
-        ServeError::UnknownTarget(_) => "unknown_target",
-        ServeError::Overloaded => "overloaded",
-        ServeError::QuotaExceeded { .. } => "quota_exceeded",
-        ServeError::Stopped => "stopped",
-        ServeError::DuplicateTarget(_) => "duplicate_target",
-        ServeError::NoTargets => "no_targets",
-        ServeError::Cancelled => "cancelled",
-        ServeError::Expired => "expired",
-        ServeError::CustomEstimatorSpansClusters => "custom_estimator_spans_clusters",
-        ServeError::Snapshot(_) => "snapshot",
-    }
-}
-
-// Hand-written because it is serialize-only (see module docs): a
-// stable kind code plus the rendered message.
-impl Serialize for ServeError {
-    fn serialize(&self, w: &mut compact::Writer) {
-        w.tag(error_code(self));
-        w.str_token(&self.to_string());
-    }
+    // The kind is the payload's tag, not a field of its own.
+    struct<E> Response<E> { target, telemetry, payload }
 }
 
 #[cfg(test)]
@@ -194,35 +139,5 @@ mod tests {
         let anon = JobOptions::new();
         let back: JobOptions = serde::from_str(&serde::to_string(&anon)).unwrap();
         assert_eq!(back, anon);
-    }
-
-    #[test]
-    fn serve_error_codes_are_stable() {
-        let cases: Vec<(ServeError, &str)> = vec![
-            (ServeError::UnknownTarget("x".into()), "unknown_target"),
-            (ServeError::Overloaded, "overloaded"),
-            (
-                ServeError::QuotaExceeded {
-                    tenant: "burst".into(),
-                },
-                "quota_exceeded",
-            ),
-            (ServeError::Stopped, "stopped"),
-            (ServeError::DuplicateTarget("x".into()), "duplicate_target"),
-            (ServeError::NoTargets, "no_targets"),
-            (
-                ServeError::CustomEstimatorSpansClusters,
-                "custom_estimator_spans_clusters",
-            ),
-        ];
-        for (e, code) in cases {
-            assert_eq!(error_code(&e), code);
-            let text = serde::to_string(&e);
-            let mut r = compact::Reader::new(&text);
-            assert_eq!(r.raw_token().unwrap(), code);
-            let msg = r.str_token().unwrap();
-            assert_eq!(msg, e.to_string());
-            r.end().unwrap();
-        }
     }
 }

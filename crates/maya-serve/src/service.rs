@@ -695,7 +695,6 @@ fn execute(worker: usize, shared: &Shared, work: &QueuedJob) -> JobOutcome {
     };
     let response = Response {
         target: work.req.target().to_string(),
-        kind: work.req.kind(),
         telemetry: Telemetry {
             queue_wait,
             service_time,

@@ -46,11 +46,12 @@ use serde::{compact, Serialize};
 
 use maya_serve::{
     job_channel, JobConsumer, JobOptions, JobProducer, JobState, Request, SearchProgress,
+    ServeError,
 };
 
 use crate::error::{RemoteError, RemoteErrorKind, WireError};
 use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError};
-use crate::message::{WireJobOutcome, WireResponse};
+use crate::message::{decode_expired_frame, decode_response_frame, WireJobOutcome, WireResponse};
 
 /// A job's terminal payload on this side of the wire: the decoded
 /// verdict frame, or the error frame that ended it.
@@ -213,14 +214,8 @@ impl WireJob {
     pub fn wait(self) -> Result<WireResponse, WireError> {
         match self.wait_outcome()? {
             WireJobOutcome::Done(resp) => Ok(resp),
-            WireJobOutcome::Cancelled(_) => Err(WireError::Remote(RemoteError {
-                kind: RemoteErrorKind::Cancelled,
-                message: "job cancelled".to_string(),
-            })),
-            WireJobOutcome::Expired(_) => Err(WireError::Remote(RemoteError {
-                kind: RemoteErrorKind::Expired,
-                message: "job deadline expired".to_string(),
-            })),
+            WireJobOutcome::Cancelled(_) => Err(WireError::Remote((&ServeError::Cancelled).into())),
+            WireJobOutcome::Expired(_) => Err(WireError::Remote((&ServeError::Expired).into())),
         }
     }
 }
@@ -448,12 +443,8 @@ fn reader_loop(stream: TcpStream, shared: &Arc<ClientShared>) {
                 }
                 Err(e) => malformed(e),
             },
-            FrameKind::Response => {
-                WireJobOutcome::decode_response_frame(&frame.body).or_else(malformed)
-            }
-            FrameKind::Expired => {
-                WireJobOutcome::decode_expired_frame(&frame.body).or_else(malformed)
-            }
+            FrameKind::Response => decode_response_frame(&frame.body).or_else(malformed),
+            FrameKind::Expired => decode_expired_frame(&frame.body).or_else(malformed),
             FrameKind::Error => {
                 serde::from_str::<RemoteError>(&frame.body).map_or_else(malformed, Err)
             }

@@ -11,6 +11,11 @@
 //! (retry on [`RemoteErrorKind::Overloaded`], fix the request on
 //! [`RemoteErrorKind::UnknownTarget`]) and log the rest.
 //!
+//! [`RemoteErrorKind::code`] is the one error-code table: neither
+//! `ServeError` nor `MayaError` has a codec of its own. Each converts to
+//! a `RemoteError` by an exhaustive `match` below, so a variant added to
+//! either does not compile until it names its kind.
+//!
 //! [`WireError`] is the client-facing sum: local I/O, local protocol
 //! violations, a typed remote error, or a connection that died with the
 //! request in flight.
@@ -19,9 +24,9 @@ use serde::{compact, Deserialize, Serialize};
 
 use crate::frame::ProtocolError;
 
-/// Stable category of a [`RemoteError`]. The wire codes line up with
-/// `maya_serve::serdes::error_code` and `maya::serdes::error_code`; the
-/// two namespaces are disjoint and `protocol` is wire-only.
+/// Stable category of a [`RemoteError`]: one kind per `ServeError`
+/// and `MayaError` variant (their `Cancelled` and `Snapshot` variants
+/// share one each), plus the wire-only `Protocol`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RemoteErrorKind {
     /// `ServeError::UnknownTarget`: the request named an unregistered
@@ -75,7 +80,8 @@ pub enum RemoteErrorKind {
 }
 
 impl RemoteErrorKind {
-    /// The stable wire code.
+    /// The stable wire code. Part of the wire format: renaming one is a
+    /// protocol change.
     pub fn code(self) -> &'static str {
         match self {
             RemoteErrorKind::UnknownTarget => "unknown_target",
@@ -159,9 +165,22 @@ impl std::error::Error for RemoteError {}
 
 impl From<&maya_serve::ServeError> for RemoteError {
     fn from(e: &maya_serve::ServeError) -> Self {
+        use maya_serve::ServeError as E;
+        use RemoteErrorKind as K;
+        let kind = match e {
+            E::UnknownTarget(_) => K::UnknownTarget,
+            E::Overloaded => K::Overloaded,
+            E::QuotaExceeded { .. } => K::QuotaExceeded,
+            E::Stopped => K::Stopped,
+            E::DuplicateTarget(_) => K::DuplicateTarget,
+            E::NoTargets => K::NoTargets,
+            E::Cancelled => K::Cancelled,
+            E::Expired => K::Expired,
+            E::CustomEstimatorSpansClusters => K::CustomEstimatorSpansClusters,
+            E::Snapshot(_) => K::Snapshot,
+        };
         RemoteError {
-            kind: RemoteErrorKind::from_code(maya_serve::serdes::error_code(e))
-                .expect("every ServeError code is a RemoteErrorKind"),
+            kind,
             message: e.to_string(),
         }
     }
@@ -169,18 +188,28 @@ impl From<&maya_serve::ServeError> for RemoteError {
 
 impl From<&maya::MayaError> for RemoteError {
     fn from(e: &maya::MayaError) -> Self {
+        use maya::MayaError as E;
+        use RemoteErrorKind as K;
+        let kind = match e {
+            E::Config(_) => K::Config,
+            E::Device(_) => K::Device,
+            E::Collate(_) => K::Collate,
+            E::Sim(_) => K::Sim,
+            E::Exec(_) => K::Exec,
+            E::WorldMismatch { .. } => K::WorldMismatch,
+            E::Snapshot(_) => K::Snapshot,
+            E::Cancelled => K::Cancelled,
+        };
         RemoteError {
-            kind: RemoteErrorKind::from_code(maya::serdes::error_code(e))
-                .expect("every MayaError code is a RemoteErrorKind"),
+            kind,
             message: e.to_string(),
         }
     }
 }
 
 // Hand-written because the tag table already exists as `code()`, which
-// `Display`, the JSON rendering and the `ServeError`/`MayaError`
-// conversions need as a `&'static str`; a `codec!` enum would be a
-// second copy of it.
+// `Display` and the JSON rendering need as a `&'static str`; a `codec!`
+// enum would be a second copy of it.
 impl Serialize for RemoteErrorKind {
     fn serialize(&self, w: &mut compact::Writer) {
         w.tag(self.code());
@@ -194,7 +223,7 @@ impl<'de> Deserialize<'de> for RemoteErrorKind {
     }
 }
 
-// Same layout `ServeError`/`MayaError` serialize with: code + message.
+// A kind code, then the rendered message.
 serde::codec! {
     struct RemoteError { kind, message }
 }
@@ -293,9 +322,8 @@ mod tests {
 
     /// Walks every `ServeError` variant in declaration order. The match
     /// has no wildcard, so a variant added to the enum does not compile
-    /// until it is a step of the walk — and the tests below then demand
-    /// a `RemoteErrorKind` for it, instead of the `expect` in
-    /// `RemoteError::from` firing on a server.
+    /// until it is a step of the walk — and the pinned table below then
+    /// demands its code and message.
     fn serve_error_after(prev: Option<&ServeError>) -> Option<ServeError> {
         use ServeError as E;
         Some(match prev {
@@ -342,41 +370,73 @@ mod tests {
         all
     }
 
+    /// Every variant's wire code, in walk order, and its rendered
+    /// message: the codes are the wire format, so a rename fails here
+    /// before it reaches a peer.
     #[test]
-    fn every_serve_error_code_is_a_remote_error_kind() {
-        let all = walk(serve_error_after);
-        assert_eq!(all.len(), 10);
-        for e in &all {
-            let code = maya_serve::serdes::error_code(e);
-            assert!(RemoteErrorKind::from_code(code).is_some(), "{code}");
+    fn every_error_variant_has_its_pinned_code_and_message() {
+        let mut got: Vec<(RemoteError, String)> = Vec::new();
+        got.extend(
+            walk(serve_error_after)
+                .iter()
+                .map(|e| (e.into(), e.to_string())),
+        );
+        got.extend(
+            walk(maya_error_after)
+                .iter()
+                .map(|e| (e.into(), e.to_string())),
+        );
+        let codes: Vec<&str> = got.iter().map(|(r, _)| r.kind.code()).collect();
+        assert_eq!(
+            codes,
+            [
+                "unknown_target",
+                "overloaded",
+                "quota_exceeded",
+                "stopped",
+                "duplicate_target",
+                "no_targets",
+                "cancelled",
+                "expired",
+                "custom_estimator_spans_clusters",
+                "snapshot",
+                "config",
+                "device",
+                "collate",
+                "sim",
+                "exec",
+                "world_mismatch",
+                "snapshot",
+                "cancelled",
+            ]
+        );
+        for (remote, shown) in &got {
+            assert_eq!(&remote.message, shown);
         }
     }
 
-    #[test]
-    fn every_maya_error_code_is_a_remote_error_kind() {
-        let all = walk(maya_error_after);
-        assert_eq!(all.len(), 8);
-        for e in &all {
-            let code = maya::serdes::error_code(e);
-            assert!(RemoteErrorKind::from_code(code).is_some(), "{code}");
-        }
+    /// A server writes an error as the encoding of its `RemoteError`:
+    /// the kind code, then the message as one token.
+    fn encodes_as_code_then_message(e: &impl std::fmt::Display, remote: RemoteError) {
+        let text = serde::to_string(&remote);
+        let mut r = compact::Reader::new(&text);
+        assert_eq!(r.raw_token().unwrap(), remote.kind.code());
+        assert_eq!(r.str_token().unwrap(), e.to_string());
+        r.end().unwrap();
+        assert_eq!(serde::from_str::<RemoteError>(&text), Ok(remote), "{e}");
     }
 
     #[test]
     fn serve_errors_decode_as_remote_errors() {
         for e in walk(serve_error_after) {
-            let text = serde::to_string(&e);
-            let remote: RemoteError = serde::from_str(&text).expect("decode");
-            assert_eq!(remote, RemoteError::from(&e), "{e}");
+            encodes_as_code_then_message(&e, RemoteError::from(&e));
         }
     }
 
     #[test]
     fn maya_errors_decode_as_remote_errors() {
         for e in walk(maya_error_after) {
-            let remote: RemoteError = serde::from_str(&serde::to_string(&e)).unwrap();
-            assert_eq!(remote.message, e.to_string());
-            assert_eq!(remote, RemoteError::from(&e), "{e}");
+            encodes_as_code_then_message(&e, RemoteError::from(&e));
         }
     }
 

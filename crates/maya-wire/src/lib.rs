@@ -22,6 +22,12 @@
 //!   [`maya_serve::Telemetry`] and payloads byte-identical to a direct
 //!   in-process `MayaService` call.
 //!
+//! Both ends speak the service's own types: [`WireResponse`] is
+//! `maya_serve::Response` and [`WireJobOutcome`] is
+//! `maya_serve::JobOutcome`, each with a [`RemoteError`] in its error
+//! slots ([`message`]). [`RemoteErrorKind::code`] is the one table of
+//! error codes on the wire.
+//!
 //! ```no_run
 //! use std::sync::Arc;
 //! use maya::EmulationSpec;

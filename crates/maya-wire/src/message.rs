@@ -1,26 +1,39 @@
-//! The client-side view of a served response.
+//! The service's response types, as the wire carries them.
 //!
-//! A server encodes a `maya_serve::Response` straight onto the wire
-//! (via its `Serialize` impl); the client decodes the same bytes into a
-//! [`WireResponse`]. The two differ in exactly one way: error slots.
-//! `Response` holds real [`maya::MayaError`] trees, which cannot cross
-//! a process boundary, so the wire carries their kind code + message
-//! and the client sees a typed [`RemoteError`] in each error slot.
-//! Everything else — [`Telemetry`], [`maya::Prediction`]s,
-//! [`maya_search::SearchResult`]s, [`MeasureOutcome`]s — round-trips
-//! exactly, and [`WireResponse`]'s own `Serialize` re-produces the
-//! server's bytes verbatim (property-tested), which is what makes
-//! "byte-identical to a direct `MayaService` call" checkable end to
-//! end.
+//! There is no second copy of the vocabulary: [`WireResponse`],
+//! [`WirePayload`] and [`WireJobOutcome`] are `maya_serve`'s own
+//! generic [`Response`], [`Payload`] and [`JobOutcome`] with a
+//! [`RemoteError`] in each error slot. A service-side response holds
+//! real [`maya::MayaError`] trees, which cannot cross a process
+//! boundary; the server maps each to its typed remote error once
+//! ([`to_wire`]) and encodes that. Client and server therefore encode
+//! and decode the same type with the same codec, and a decoded response
+//! re-encodes to the server's bytes verbatim (property-tested), which is
+//! what makes "byte-identical to a direct `MayaService` call" checkable
+//! end to end.
 
 use serde::{compact, Deserialize, Serialize};
 
-use maya::Prediction;
-use maya_search::SearchResult;
-use maya_serve::{JobOptions, JobState, MeasureOutcome, Request, Telemetry, Verdict};
+use maya_serve::{JobOptions, JobOutcome, MeasureOutcome, Payload, Request, Response};
 
 use crate::error::RemoteError;
 use crate::frame::FrameKind;
+
+/// The result body of a [`WireResponse`].
+pub type WirePayload = Payload<RemoteError>;
+
+/// A served request as a wire client sees it: payload plus telemetry,
+/// with typed remote errors in the error slots.
+pub type WireResponse = Response<RemoteError>;
+
+/// A job's terminal verdict as a wire client sees it.
+///
+/// `Done` and `Cancelled` travel in a `Response` frame (distinguished
+/// by a leading tag), `Expired` in its own [`FrameKind::Expired`]
+/// frame. The optional responses of the non-`Done` verdicts carry the
+/// deterministic committed prefix a search produced before it was
+/// stopped.
+pub type WireJobOutcome = JobOutcome<WireResponse>;
 
 /// Decodes a request frame body: the leading [`JobOptions`] envelope
 /// followed by the [`Request`].
@@ -29,247 +42,122 @@ pub fn decode_submission(body: &str) -> Result<(Request, JobOptions), compact::E
     Ok((req, opts))
 }
 
-/// The result body of a [`WireResponse`], mirroring
-/// `maya_serve::Payload` with wire-safe error slots.
-#[derive(Debug)]
-pub enum WirePayload {
-    /// Per-job outcomes of a `Predict`, positionally aligned with the
-    /// request's `jobs`.
-    Predict(Vec<Result<Prediction, RemoteError>>),
-    /// Outcome of a `Search`.
-    Search(Box<SearchResult>),
-    /// Outcome of a `Measure`.
-    Measure(Result<MeasureOutcome, RemoteError>),
+/// The wire form of a service response: every error slot mapped to its
+/// typed [`RemoteError`]. The server encodes what this returns.
+pub fn to_wire(response: Response) -> WireResponse {
+    response.map_err(|e| RemoteError::from(&e))
 }
 
-/// A served request as seen by a wire client: payload plus telemetry.
-#[derive(Debug)]
-pub struct WireResponse {
-    /// The cluster target that served the request.
-    pub target: String,
-    /// Service telemetry (queue wait, cache deltas, stage timings),
-    /// measured on the server.
-    pub telemetry: Telemetry,
-    /// The result body.
-    pub payload: WirePayload,
-}
-
-impl WireResponse {
-    /// Request kind label ("predict" / "search" / "measure").
-    pub fn kind(&self) -> &'static str {
-        match self.payload {
-            WirePayload::Predict(_) => "predict",
-            WirePayload::Search(_) => "search",
-            WirePayload::Measure(_) => "measure",
-        }
-    }
-
-    /// The predict results, when this response answers a `Predict`.
-    pub fn predictions(&self) -> Option<&[Result<Prediction, RemoteError>]> {
-        match &self.payload {
-            WirePayload::Predict(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The search result, when this response answers a `Search`.
-    pub fn search(&self) -> Option<&SearchResult> {
-        match &self.payload {
-            WirePayload::Search(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The measurement outcome, when this response answers a `Measure`.
-    pub fn measurement(&self) -> Option<&Result<MeasureOutcome, RemoteError>> {
-        match &self.payload {
-            WirePayload::Measure(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Renders the response as a human-readable JSON object (riding on
-    /// `Prediction::to_json` / `SearchResult::to_json`) so wire clients
-    /// can dump results without a JSON dependency.
-    pub fn to_json(&self) -> String {
-        use maya_trace::json::json_string;
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"target\":{},\"kind\":{},\"telemetry\":{{\"queue_wait_us\":{},\
-             \"service_time_us\":{},\"worker\":{},\"cache\":{{\"hits\":{},\"misses\":{},\
-             \"evictions\":{}}},\"cache_delta\":{{\"hits\":{},\"misses\":{},\
-             \"evictions\":{}}}}},\"payload\":",
-            json_string(&self.target),
-            json_string(self.kind()),
-            self.telemetry.queue_wait.as_micros(),
-            self.telemetry.service_time.as_micros(),
-            self.telemetry.worker,
-            self.telemetry.cache.hits,
-            self.telemetry.cache.misses,
-            self.telemetry.cache.evictions,
-            self.telemetry.cache_delta.hits,
-            self.telemetry.cache_delta.misses,
-            self.telemetry.cache_delta.evictions,
-        );
-        fn error_json(e: &RemoteError) -> String {
-            format!(
-                "{{\"error\":{},\"message\":{}}}",
-                maya_trace::json::json_string(e.kind.code()),
-                maya_trace::json::json_string(&e.message)
-            )
-        }
-        match &self.payload {
-            WirePayload::Predict(results) => {
-                out.push('[');
-                for (i, r) in results.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    match r {
-                        Ok(p) => out.push_str(&p.to_json()),
-                        Err(e) => out.push_str(&error_json(e)),
-                    }
-                }
-                out.push(']');
-            }
-            WirePayload::Search(s) => out.push_str(&s.to_json()),
-            WirePayload::Measure(m) => match m {
-                Ok(MeasureOutcome::Completed(meas)) => {
-                    let _ = write!(
-                        out,
-                        "{{\"iteration_time_ns\":{},\"comm_time_ns\":{},\
-                         \"compute_time_ns\":{},\"peak_mem_bytes\":{}}}",
-                        meas.iteration_time.as_ns(),
-                        meas.comm_time.as_ns(),
-                        meas.compute_time.as_ns(),
-                        meas.peak_mem_bytes,
-                    );
-                }
-                Ok(MeasureOutcome::OutOfMemory { peak_bytes }) => {
-                    let _ = write!(out, "{{\"oom\":{{\"peak_bytes\":{peak_bytes}}}}}");
-                }
-                Err(e) => out.push_str(&error_json(e)),
-            },
-        }
-        out.push('}');
-        out
-    }
-}
-
-/// Encodes a terminal verdict as its (frame kind, body) wire form
-/// (layout: see [`WireJobOutcome`]; `Done` carries its response bare,
-/// the others an `Option`). The one encoder for both views — the
-/// server's `JobOutcome` over `maya_serve::Response` and the client's
-/// [`WireJobOutcome`] over the byte-identical [`WireResponse`] — so
-/// the golden strings pinning the latter pin what the server writes.
-pub(crate) fn outcome_frame<R: Serialize>(
-    state: JobState,
-    response: Option<&R>,
-) -> (FrameKind, String) {
+/// Encodes a terminal verdict as its (frame kind, body) wire form:
+/// `Done` carries its response bare after a `done` tag, `Cancelled` an
+/// `Option` after a `cancelled` tag, `Expired` an untagged `Option` in
+/// its own frame kind.
+pub fn outcome_frame(outcome: &WireJobOutcome) -> (FrameKind, String) {
     let mut w = compact::Writer::new();
-    let kind = match state {
-        JobState::Expired => FrameKind::Expired,
-        JobState::Done => {
+    let kind = match outcome {
+        JobOutcome::Done(resp) => {
             w.tag("done");
+            resp.serialize(&mut w);
             FrameKind::Response
         }
-        _ => {
+        JobOutcome::Cancelled(resp) => {
             w.tag("cancelled");
+            resp.serialize(&mut w);
             FrameKind::Response
+        }
+        JobOutcome::Expired(resp) => {
+            resp.serialize(&mut w);
+            FrameKind::Expired
         }
     };
-    match (state, response) {
-        (JobState::Done, Some(resp)) => resp.serialize(&mut w),
-        (_, resp) => resp.serialize(&mut w),
-    }
     (kind, w.finish())
 }
 
-/// The client-side view of a job's terminal verdict — the wire twin of
-/// `maya_serve::JobOutcome`.
-///
-/// `Done` and `Cancelled` travel in a `Response` frame (distinguished
-/// by a leading tag), `Expired` in its own
-/// [`FrameKind::Expired`] frame. The optional responses of the
-/// non-`Done` verdicts carry the deterministic committed prefix a
-/// search produced before it was stopped.
-#[derive(Debug)]
-pub enum WireJobOutcome {
-    /// Ran to completion.
-    Done(WireResponse),
-    /// Cancelled; `Some` carries a mid-run search's committed prefix.
-    Cancelled(Option<WireResponse>),
-    /// Deadline elapsed; `None` = shed while queued, `Some` = stopped
-    /// at a wave boundary with the committed prefix.
-    Expired(Option<WireResponse>),
+/// Decodes the body of a `Response` frame (`done` / `cancelled`).
+pub fn decode_response_frame(body: &str) -> Result<WireJobOutcome, compact::Error> {
+    let mut r = compact::Reader::new(body);
+    let out = match r.raw_token()? {
+        "done" => JobOutcome::Done(Deserialize::deserialize(&mut r)?),
+        "cancelled" => JobOutcome::Cancelled(Deserialize::deserialize(&mut r)?),
+        t => return Err(compact::Error::parse(t, "job outcome tag (done|cancelled)")),
+    };
+    r.end()?;
+    Ok(out)
 }
 
-impl WireJobOutcome {
-    /// The terminal [`JobState`] this verdict lands the job in.
-    pub fn state(&self) -> JobState {
-        match self {
-            WireJobOutcome::Done(_) => JobState::Done,
-            WireJobOutcome::Cancelled(_) => JobState::Cancelled,
-            WireJobOutcome::Expired(_) => JobState::Expired,
-        }
-    }
-
-    /// The response, for verdicts that carry one.
-    pub fn response(&self) -> Option<&WireResponse> {
-        match self {
-            WireJobOutcome::Done(r) => Some(r),
-            WireJobOutcome::Cancelled(r) | WireJobOutcome::Expired(r) => r.as_ref(),
-        }
-    }
-
-    /// Consumes the verdict, yielding the response if it carries one.
-    pub fn into_response(self) -> Option<WireResponse> {
-        match self {
-            WireJobOutcome::Done(r) => Some(r),
-            WireJobOutcome::Cancelled(r) | WireJobOutcome::Expired(r) => r,
-        }
-    }
-
-    /// Encodes the verdict as its (frame kind, body) wire form, with
-    /// the function the server encodes a `maya_serve::JobOutcome` by.
-    pub fn encode(&self) -> (FrameKind, String) {
-        outcome_frame(self.state(), self.response())
-    }
-
-    /// Decodes the body of a `Response` frame (`done` / `cancelled`).
-    pub fn decode_response_frame(body: &str) -> Result<Self, compact::Error> {
-        let mut r = compact::Reader::new(body);
-        let out = match r.raw_token()? {
-            "done" => WireJobOutcome::Done(Deserialize::deserialize(&mut r)?),
-            "cancelled" => WireJobOutcome::Cancelled(Deserialize::deserialize(&mut r)?),
-            t => return Err(compact::Error::parse(t, "job outcome tag (done|cancelled)")),
-        };
-        r.end()?;
-        Ok(out)
-    }
-
-    /// Decodes the body of an [`FrameKind::Expired`] frame.
-    pub fn decode_expired_frame(body: &str) -> Result<Self, compact::Error> {
-        serde::from_str(body).map(WireJobOutcome::Expired)
-    }
+/// Decodes the body of an [`FrameKind::Expired`] frame.
+pub fn decode_expired_frame(body: &str) -> Result<WireJobOutcome, compact::Error> {
+    serde::from_str(body).map(JobOutcome::Expired)
 }
 
-impl Verdict for WireJobOutcome {
-    fn state(&self) -> JobState {
-        WireJobOutcome::state(self)
+/// Renders a response as a human-readable JSON object (riding on
+/// `Prediction::to_json` / `SearchResult::to_json`) so wire clients can
+/// dump results without a JSON dependency.
+pub fn to_json(response: &WireResponse) -> String {
+    use maya_trace::json::json_string;
+    use std::fmt::Write as _;
+    let telemetry = &response.telemetry;
+    let mut out = String::with_capacity(512);
+    let _ = write!(
+        out,
+        "{{\"target\":{},\"kind\":{},\"telemetry\":{{\"queue_wait_us\":{},\
+         \"service_time_us\":{},\"worker\":{},\"cache\":{{\"hits\":{},\"misses\":{},\
+         \"evictions\":{}}},\"cache_delta\":{{\"hits\":{},\"misses\":{},\
+         \"evictions\":{}}}}},\"payload\":",
+        json_string(&response.target),
+        json_string(response.kind()),
+        telemetry.queue_wait.as_micros(),
+        telemetry.service_time.as_micros(),
+        telemetry.worker,
+        telemetry.cache.hits,
+        telemetry.cache.misses,
+        telemetry.cache.evictions,
+        telemetry.cache_delta.hits,
+        telemetry.cache_delta.misses,
+        telemetry.cache_delta.evictions,
+    );
+    fn error_json(e: &RemoteError) -> String {
+        format!(
+            "{{\"error\":{},\"message\":{}}}",
+            json_string(e.kind.code()),
+            json_string(&e.message)
+        )
     }
-}
-
-serde::codec! {
-    enum WirePayload: "payload kind" {
-        "predict" => Predict(results),
-        "search" => Search(result),
-        "measure" => Measure(outcome),
+    match &response.payload {
+        Payload::Predict(results) => {
+            out.push('[');
+            for (i, r) in results.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                match r {
+                    Ok(p) => out.push_str(&p.to_json()),
+                    Err(e) => out.push_str(&error_json(e)),
+                }
+            }
+            out.push(']');
+        }
+        Payload::Search(s) => out.push_str(&s.to_json()),
+        Payload::Measure(m) => match m {
+            Ok(MeasureOutcome::Completed(meas)) => {
+                let _ = write!(
+                    out,
+                    "{{\"iteration_time_ns\":{},\"comm_time_ns\":{},\
+                     \"compute_time_ns\":{},\"peak_mem_bytes\":{}}}",
+                    meas.iteration_time.as_ns(),
+                    meas.comm_time.as_ns(),
+                    meas.compute_time.as_ns(),
+                    meas.peak_mem_bytes,
+                );
+            }
+            Ok(MeasureOutcome::OutOfMemory { peak_bytes }) => {
+                let _ = write!(out, "{{\"oom\":{{\"peak_bytes\":{peak_bytes}}}}}");
+            }
+            Err(e) => out.push_str(&error_json(e)),
+        },
     }
-
-    struct WireResponse { target, telemetry, payload }
+    out.push('}');
+    out
 }
 
 #[cfg(test)]
@@ -293,7 +181,7 @@ mod tests {
                 jobs: vec![TrainingJob::smoke()],
             })
             .unwrap();
-        let bytes = serde::to_string(&resp);
+        let bytes = serde::to_string(&to_wire(resp));
         let wire: WireResponse = serde::from_str(&bytes).expect("decode server bytes");
         assert_eq!(wire.target, "h100-1");
         assert_eq!(wire.kind(), "predict");
@@ -322,8 +210,8 @@ mod tests {
                 jobs: vec![TrainingJob::smoke()],
             })
             .unwrap();
-        let wire: WireResponse = serde::from_str(&serde::to_string(&resp)).unwrap();
-        let json = wire.to_json();
+        let wire: WireResponse = serde::from_str(&serde::to_string(&to_wire(resp))).unwrap();
+        let json = to_json(&wire);
         for key in [
             "\"target\":\"h100-1\"",
             "\"kind\":\"predict\"",
@@ -359,7 +247,7 @@ mod tests {
                 jobs: vec![bad],
             })
             .unwrap();
-        let wire: WireResponse = serde::from_str(&serde::to_string(&resp)).unwrap();
+        let wire: WireResponse = serde::from_str(&serde::to_string(&to_wire(resp))).unwrap();
         let err = wire.predictions().unwrap()[0].as_ref().unwrap_err();
         assert_eq!(err.kind, crate::RemoteErrorKind::WorldMismatch);
         assert!(err.message.contains("4 ranks"), "{}", err.message);

@@ -52,7 +52,7 @@ use maya_serve::{Counter, JobHandle, JobStep, MayaService, ServeError, SpanNode}
 
 use crate::error::RemoteError;
 use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError, ReadError};
-use crate::message::{decode_submission, outcome_frame};
+use crate::message::{decode_submission, outcome_frame, to_wire};
 
 /// What a connection's writer thread is told. The channel closing is
 /// the last message: every sender is gone — the reader's (end of
@@ -542,8 +542,9 @@ fn write_step(
     drop(table);
     // lint:allow(wall-clock-in-output): reply-latency telemetry anchor — timing is observability, not payload
     let reply_started = std::time::Instant::now();
+    let verdict = verdict.map(|outcome| outcome.map(to_wire));
     let (kind, body) = match &verdict {
-        Some(outcome) => outcome_frame(outcome.state(), outcome.response()),
+        Some(outcome) => outcome_frame(outcome),
         // The job died without a verdict (worker panic): typed
         // Stopped.
         None => (
@@ -552,8 +553,8 @@ fn write_step(
         ),
     };
     let written = write_frame(w, kind, id, &body, shared.max_frame_len);
-    // Extend the worker's span tree with the reply phase — encode and
-    // socket write — so a scraped tree accounts for the job's full
+    // Extend the worker's span tree with the reply phase — error-slot
+    // mapping, encode and socket write — so a scraped tree accounts for the job's full
     // server-side wall clock.
     let spans = verdict.as_ref().and_then(|o| o.response());
     if let Some(root) = spans.and_then(|r| r.telemetry.spans.first()) {

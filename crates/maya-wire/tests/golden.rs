@@ -22,13 +22,15 @@ use maya_search::{
     AlgorithmKind, ConfigSpace, Provenance, SearchResult, SearchStats, TrialOutcome, TrialRecord,
 };
 use maya_serve::{
-    JobOptions, MeasureOutcome, Payload, Priority, Request, Response, SearchProgress, Telemetry,
+    JobOptions, JobOutcome, MeasureOutcome, Payload, Priority, Request, Response, SearchProgress,
+    Telemetry,
 };
 use maya_sim::SimReport;
 use maya_torchlet::{
     FrameworkFlavor, ModelSpec, ParallelConfig, ResNetConfig, TrainingJob, TransformerConfig,
 };
 use maya_trace::{CollectiveKind, Dtype, KernelKind, MemcpyKind, SimTime};
+use maya_wire::message::{decode_expired_frame, decode_response_frame, outcome_frame, to_wire};
 use maya_wire::{
     FrameKind, RemoteError, RemoteErrorKind, WireJobOutcome, WirePayload, WireResponse,
 };
@@ -650,7 +652,7 @@ fn actual() -> Vec<(&'static str, String)> {
             FrameKind::Expired,
         ),
     ] {
-        let (got_kind, body) = outcome.encode();
+        let (got_kind, body) = outcome_frame(&outcome);
         assert_eq!(got_kind, kind, "{name}: frame kind");
         out.push((name, body));
     }
@@ -739,15 +741,22 @@ fn encodings_are_byte_identical_to_the_committed_golden_strings() {
     }
 }
 
-/// The server encodes `maya_serve::Response`; the client decodes the
-/// same bytes as `WireResponse`. The golden strings pin the client-side
-/// encoder, so pin the server-side one to them too.
+fn golden(name: &str) -> &'static str {
+    GOLDEN
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no golden entry {name}"))
+        .1
+}
+
+/// The server maps a `maya_serve::Response`'s error slots to remote
+/// errors and encodes the result with the one outcome encoder; pin that
+/// path to the committed `done` frame too.
 #[test]
 fn server_side_response_encoding_matches_the_golden_response() {
     let [completed, oom] = predictions();
     let resp = Response {
         target: "h100 quad/eu".into(),
-        kind: "predict",
         telemetry: telemetry(),
         payload: Payload::Predict(vec![
             Ok(completed),
@@ -755,28 +764,25 @@ fn server_side_response_encoding_matches_the_golden_response() {
             Ok(oom),
         ]),
     };
+    let mut wire = to_wire(resp);
     // Only the rendered error message differs from the fixture's
     // `RemoteError`; swap it in so the rest compares byte for byte.
-    let mut wire = wire_response("predict");
-    if let WirePayload::Predict(slots) = &mut wire.payload {
-        slots[1] = Err(RemoteError::from(&maya::MayaError::WorldMismatch {
-            job: 8,
-            cluster: 4,
-        }));
-    }
-    assert_eq!(serde::to_string(&resp), serde::to_string(&wire));
+    let Payload::Predict(slots) = &mut wire.payload else {
+        panic!("a predict response maps to a predict payload");
+    };
+    let Err(slot) = &mut slots[1] else {
+        panic!("an error slot maps to an error slot");
+    };
+    assert_eq!(slot.kind, RemoteErrorKind::WorldMismatch);
+    slot.message = remote_error().message;
+    let (kind, body) = outcome_frame(&JobOutcome::Done(wire));
+    assert_eq!(kind, FrameKind::Response);
+    assert_eq!(body, golden("response.done"));
 }
 
 /// The pinned bytes decode, and re-encode to themselves.
 #[test]
 fn golden_strings_decode_and_reencode_identically() {
-    let golden = |name: &str| {
-        GOLDEN
-            .iter()
-            .find(|(n, _)| *n == name)
-            .unwrap_or_else(|| panic!("no golden entry {name}"))
-            .1
-    };
     for name in ["request.predict", "request.search", "request.measure"] {
         let mut r = compact::Reader::new(golden(name));
         let opts = JobOptions::deserialize(&mut r).expect("options");
@@ -821,4 +827,63 @@ fn golden_strings_decode_and_reencode_identically() {
         cold.snapshot("h100x8/golden scope"),
         golden("estimator_snapshot")
     );
+}
+
+/// Decodes one mutant of the corpus entry `name` with the decoder a
+/// client runs on that frame body, and re-encodes what it decoded.
+fn decode_as(name: &str, body: &str) -> Result<String, serde::Error> {
+    match name.split('.').next() {
+        Some("payload") => serde::from_str::<WirePayload>(body).map(|p| serde::to_string(&p)),
+        Some("response") => decode_response_frame(body).map(|o| outcome_frame(&o).1),
+        Some("expired") => decode_expired_frame(body).map(|o| outcome_frame(&o).1),
+        _ => unreachable!("no decoder for {name}"),
+    }
+}
+
+/// Every truncation and a seeded one-byte flip at every position of the
+/// committed response-side bodies. A mutant must not panic the decoder;
+/// it decodes to an error, or to a value that re-encodes to the mutant
+/// itself (a body cut inside its last number is still a valid body).
+#[test]
+fn mutated_golden_response_bodies_decode_to_an_error_or_themselves() {
+    let mut state = 0x6d61_7961_7769_7265_u64;
+    let mut mask = || {
+        // splitmix64, reduced to a non-zero ASCII-preserving mask.
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) as u8 % 0x7f + 1
+    };
+    let (mut tried, mut corpus_bytes) = (0, 0);
+    for (name, body) in GOLDEN {
+        if !["payload.", "response.", "expired."]
+            .iter()
+            .any(|p| name.starts_with(p))
+        {
+            continue;
+        }
+        corpus_bytes += body.len();
+        let mut mutants: Vec<String> = (0..body.len())
+            .filter(|&at| body.is_char_boundary(at))
+            .map(|at| body[..at].to_string())
+            .collect();
+        for at in 0..body.len() {
+            let mut bytes = body.as_bytes().to_vec();
+            bytes[at] ^= mask();
+            // A body that is not UTF-8 never reaches a decoder: the
+            // frame reader rejects it first.
+            mutants.extend(String::from_utf8(bytes));
+        }
+        for mutant in mutants {
+            let decoded = std::panic::catch_unwind(|| decode_as(name, &mutant))
+                .unwrap_or_else(|_| panic!("{name}: decoder panicked on {mutant:?}"));
+            if let Ok(again) = decoded {
+                assert_eq!(again, mutant, "{name}: a mutant decoded to another value");
+            }
+            tried += 1;
+        }
+    }
+    // The corpus is ASCII: every cut and every flip was decoded.
+    assert_eq!(tried, 2 * corpus_bytes);
 }

@@ -18,6 +18,7 @@ use maya_serve::{JobOptions, MeasureOutcome, Priority, Request, SearchProgress, 
 use maya_sim::SimReport;
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
 use maya_trace::{Dtype, KernelKind, SimTime};
+use maya_wire::message::{decode_expired_frame, decode_response_frame, outcome_frame};
 use maya_wire::{
     frame, RemoteError, RemoteErrorKind, WireJobOutcome, WirePayload, WireResponse,
     DEFAULT_MAX_FRAME_LEN,
@@ -512,15 +513,15 @@ proptest! {
     #[test]
     fn job_outcome_frames_round_trip(seed in any::<u64>()) {
         let outcome = Gen(seed).job_outcome();
-        let (kind, body) = outcome.encode();
+        let (kind, body) = outcome_frame(&outcome);
         let back = match kind {
-            frame::FrameKind::Response => WireJobOutcome::decode_response_frame(&body),
-            frame::FrameKind::Expired => WireJobOutcome::decode_expired_frame(&body),
+            frame::FrameKind::Response => decode_response_frame(&body),
+            frame::FrameKind::Expired => decode_expired_frame(&body),
             other => panic!("unexpected outcome frame kind {other:?}"),
         }
         .expect("decode job outcome frame");
         prop_assert_eq!(back.state(), outcome.state());
-        let (back_kind, back_body) = back.encode();
+        let (back_kind, back_body) = outcome_frame(&back);
         prop_assert_eq!(back_kind, kind);
         prop_assert_eq!(back_body, body, "re-encode must reproduce the frame body");
     }

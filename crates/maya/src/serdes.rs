@@ -4,15 +4,12 @@
 //! [`Prediction`] (and everything inside it — [`PredictOutcome`],
 //! [`maya_sim::SimReport`], [`StageTimings`]) round-trips exactly, so a
 //! `maya-wire` client receives predictions byte-identical to a direct
-//! engine call. [`MayaError`] is serialize-only: the inner error trees
-//! hold things a remote process cannot reconstruct (`std::io::Error`,
-//! borrowed diagnostics), so the wire carries a stable *kind code* plus
-//! the rendered message, and the client surfaces them as a typed remote
-//! error rather than a rebuilt `MayaError`.
+//! engine call. [`crate::MayaError`] has no codec: its inner error
+//! trees hold things a remote process cannot reconstruct
+//! (`std::io::Error`, borrowed diagnostics), so `maya-wire` carries each
+//! as its typed remote error — a kind code from the one code table it
+//! owns, plus the rendered message.
 
-use serde::{compact, Serialize};
-
-use crate::error::MayaError;
 use crate::pipeline::{PredictOutcome, Prediction, StageTimings};
 
 serde::codec! {
@@ -24,31 +21,6 @@ serde::codec! {
     }
 
     struct Prediction { outcome, timings, workers_emulated, workers_simulated, trace_events }
-}
-
-/// Stable wire code naming a [`MayaError`] variant. Part of the wire
-/// format: `maya-wire` decodes these codes into its typed remote-error
-/// kinds, so renaming one is a protocol change.
-pub fn error_code(e: &MayaError) -> &'static str {
-    match e {
-        MayaError::Config(_) => "config",
-        MayaError::Device(_) => "device",
-        MayaError::Collate(_) => "collate",
-        MayaError::Sim(_) => "sim",
-        MayaError::Exec(_) => "exec",
-        MayaError::WorldMismatch { .. } => "world_mismatch",
-        MayaError::Snapshot(_) => "snapshot",
-        MayaError::Cancelled => "cancelled",
-    }
-}
-
-// Hand-written because it is serialize-only (see module docs): a
-// stable kind code plus the rendered message.
-impl Serialize for MayaError {
-    fn serialize(&self, w: &mut compact::Writer) {
-        w.tag(error_code(self));
-        w.str_token(&self.to_string());
-    }
 }
 
 #[cfg(test)]
@@ -97,17 +69,5 @@ mod tests {
             let back: Prediction = serde::from_str(&text).expect("decode");
             assert_eq!(serde::to_string(&back), text, "re-encode mismatch");
         }
-    }
-
-    #[test]
-    fn error_codes_are_stable_and_messages_survive() {
-        let e = MayaError::WorldMismatch { job: 8, cluster: 4 };
-        assert_eq!(error_code(&e), "world_mismatch");
-        let text = serde::to_string(&e);
-        let mut r = compact::Reader::new(&text);
-        r.expect_tag("world_mismatch").unwrap();
-        let msg = r.str_token().unwrap();
-        assert!(msg.contains("8 ranks"), "{msg}");
-        r.end().unwrap();
     }
 }

@@ -103,7 +103,7 @@ fn main() {
         let t = &resp.telemetry;
         println!(
             "{:<10} {:>9} {:>12.3?} {:>12.3?} {:>10} {:>10}",
-            resp.kind,
+            resp.kind(),
             t.worker,
             t.queue_wait,
             t.service_time,

@@ -16,6 +16,7 @@ use maya_hw::ClusterSpec;
 use maya_serve::{MayaService, Request};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
 use maya_trace::Dtype;
+use maya_wire::message::to_json;
 use maya_wire::{AlgorithmKind, ConfigSpace, WireClient, WireServer};
 
 fn job(cluster: &ClusterSpec, parallel: ParallelConfig) -> TrainingJob {
@@ -81,9 +82,9 @@ fn main() {
                 })
                 .expect("submit measure");
             let predict = p1.wait().expect("predict response");
-            println!("predict: {}", predict.to_json());
+            println!("predict: {}", to_json(&predict));
             let measure = p2.wait().expect("measure response");
-            println!("measure: {}", measure.to_json());
+            println!("measure: {}", to_json(&measure));
         });
         s.spawn(|| {
             let client = WireClient::connect(addr).expect("connect");
@@ -105,7 +106,7 @@ fn main() {
                     seed: 42,
                 })
                 .expect("search response");
-            println!("search: {}", search.to_json());
+            println!("search: {}", to_json(&search));
             let best = search
                 .search()
                 .and_then(|s| s.best_time())

@@ -129,7 +129,7 @@ fn concurrent_mixed_requests_match_direct_engine_calls() {
     // Every prediction completed; the real value-level comparisons
     // against direct engine runs follow below, job by job.
     for resp in &responses {
-        match resp.kind {
+        match resp.kind() {
             "predict" => {
                 for served in resp.predictions().expect("predict payload") {
                     let served = served.as_ref().expect("prediction succeeds");
@@ -157,7 +157,7 @@ fn concurrent_mixed_requests_match_direct_engine_calls() {
         let direct = engine.predict_job(&job(cluster, parallel)).unwrap();
         let served = responses
             .iter()
-            .filter(|r| r.kind == "predict" && r.target == target)
+            .filter(|r| r.kind() == "predict" && r.target == target)
             .flat_map(|r| r.predictions().unwrap())
             .map(|p| p.as_ref().unwrap())
             .find(|p| {

@@ -367,7 +367,7 @@ fn malformed_frames_yield_typed_protocol_errors_and_the_server_survives() {
             .expect("response frame");
         assert_eq!(reply.kind, frame::FrameKind::Response);
         assert_eq!(reply.id, 10);
-        let outcome = WireJobOutcome::decode_response_frame(&reply.body).unwrap();
+        let outcome = maya_wire::message::decode_response_frame(&reply.body).unwrap();
         let resp = outcome.into_response().expect("done carries the response");
         assert!(resp.predictions().unwrap()[0].is_ok());
     }
