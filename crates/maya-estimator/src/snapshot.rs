@@ -17,8 +17,8 @@
 //! the same `KernelKind` has different true runtimes on an H100 and an
 //! A40 — so the caller must fold everything the estimator's answers
 //! depend on (cluster spec, forest training seed, ...) into the scope.
-//! `maya::MayaBuilder` and `maya-serve` derive it from the cluster and
-//! estimator choice; see `EstimatorChoice::memo_scope`.
+//! `maya-serve` derives it from the cluster and estimator choice; see
+//! `maya::EstimatorChoice::memo_scope`.
 //!
 //! The entry order within each family is sorted on the serialized form,
 //! so equal memo contents produce byte-identical snapshots.

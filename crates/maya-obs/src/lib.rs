@@ -19,10 +19,11 @@
 //!   telemetry. Both export as Chrome-trace JSON via
 //!   [`chrome::chrome_trace_json`] — load the file at
 //!   `chrome://tracing`.
-//! - **[`ObsConfig`]** — the zero-cost-when-off switch instrumented
-//!   code branches on. `ObsConfig::off()` keeps hot paths exactly as
-//!   uninstrumented (the benchmark's `obs.on_over_off` probe measures
-//!   the cost of the *on* path).
+//! - **[`ObsConfig`]** — the one zero-cost-when-off switch
+//!   instrumented code branches on, for metrics and spans alike.
+//!   `ObsConfig::off()` keeps hot paths exactly as uninstrumented (the
+//!   benchmark's `obs.on_over_off` probe measures the cost of the *on*
+//!   path).
 
 pub mod chrome;
 pub mod metrics;
@@ -36,36 +37,29 @@ pub use metrics::{
 };
 pub use span::{FlightRecorder, JobTreeRing, SpanGuard, SpanNode, SpanRecord};
 
-/// Instrumentation switches: what instrumented code records.
+/// The instrumentation switch: whether instrumented code publishes
+/// metrics and records spans. Both channels move together — a service
+/// is observed or it is not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Publish counters/gauges/histograms.
-    pub metrics: bool,
-    /// Record spans into the flight recorder.
-    pub spans: bool,
+    enabled: bool,
 }
 
 impl ObsConfig {
-    /// Everything on.
+    /// Metrics and spans on.
     pub fn on() -> ObsConfig {
-        ObsConfig {
-            metrics: true,
-            spans: true,
-        }
+        ObsConfig { enabled: true }
     }
 
     /// Everything off: instrumented code must cost the same as before
     /// it was instrumented.
     pub fn off() -> ObsConfig {
-        ObsConfig {
-            metrics: false,
-            spans: false,
-        }
+        ObsConfig { enabled: false }
     }
 
-    /// Whether any channel is on.
+    /// Whether instrumentation is on.
     pub fn enabled(&self) -> bool {
-        self.metrics || self.spans
+        self.enabled
     }
 }
 
@@ -86,7 +80,7 @@ mod tests {
     #[test]
     fn config_toggles() {
         assert!(ObsConfig::default().enabled());
-        assert!(ObsConfig::on().metrics && ObsConfig::on().spans);
+        assert_eq!(ObsConfig::default(), ObsConfig::on());
         assert!(!ObsConfig::off().enabled());
     }
 }

@@ -373,6 +373,28 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A stale snapshot is skipped, but one that is not a snapshot at
+    /// all means the directory itself is broken: the build fails.
+    #[test]
+    fn corrupt_snapshot_fails_the_service_build() {
+        use maya_estimator::SnapshotError;
+
+        let dir = std::env::temp_dir().join(format!("maya-serve-corrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("node.memo"), "definitely not a snapshot").unwrap();
+        let err = MayaService::builder()
+            .target("node", EmulationSpec::new(ClusterSpec::h100(1, 1)))
+            .snapshot_dir(&dir)
+            .build()
+            .err()
+            .expect("a corrupt snapshot must fail the build");
+        assert!(
+            matches!(err, ServeError::Snapshot(SnapshotError::NotASnapshot)),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn fixed_custom_estimator_cannot_span_clusters() {
         use maya::EstimatorChoice;

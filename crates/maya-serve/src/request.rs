@@ -117,8 +117,8 @@ pub struct Telemetry {
     /// individually surfaced).
     pub stages: StageTimings,
     /// The job-lifecycle span tree (`job` → `queued`/`execute` →
-    /// stages), built when the service's
-    /// [`maya_obs::ObsConfig::spans`] channel is on; empty otherwise.
+    /// stages), built when the service's [`maya_obs::ObsConfig`] is
+    /// on; empty otherwise.
     /// At most one root. The wire server appends a `reply` span before
     /// recording the tree in its flight ring; the wire carries the
     /// tree to clients.

@@ -49,10 +49,10 @@ use crate::request::{MeasureOutcome, Payload, Request, Response, Telemetry};
 /// The service's observability surface: one [`Registry`] every layer
 /// publishes into, the flight recorder, and the ring of recent job
 /// span trees. Built from the [`ObsConfig`] the
-/// [`ServiceBuilder::observability`] chose — with metrics off the
-/// registry is a detached one (its handles still count, since
-/// [`ServiceStats`] reads them, but nothing is registered for
-/// scraping); with spans off, no trees are built at all.
+/// [`ServiceBuilder::observability`] chose — with it off the registry
+/// is a detached one (its handles still count, since [`ServiceStats`]
+/// reads them, but nothing is registered for scraping), and no spans
+/// or trees are recorded at all.
 struct ServiceObs {
     config: ObsConfig,
     registry: Registry,
@@ -65,13 +65,13 @@ struct ServiceObs {
 
 impl ServiceObs {
     fn new(config: ObsConfig) -> ServiceObs {
-        let registry = if config.metrics {
+        let registry = if config.enabled() {
             Registry::new()
         } else {
             Registry::detached()
         };
         let recorder = FlightRecorder::default();
-        recorder.set_enabled(config.spans);
+        recorder.set_enabled(config.enabled());
         ServiceObs {
             config,
             service_by_class: [
@@ -225,7 +225,7 @@ impl ServiceBuilder {
     }
 
     /// Bounds every per-cluster estimator memo to at most `entries` in
-    /// all; 0 keeps nothing. Eviction is least-recently-used (see
+    /// all; 0 keeps nothing. Eviction is a sampled LRU (see
     /// [`maya_estimator::CachingEstimator::with_capacity`]). Unbounded
     /// by default. A service that accepts requests over the network
     /// should set a cap: each distinct kernel shape a client submits
@@ -238,13 +238,13 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the observability channels ([`ObsConfig::on`] by default):
-    /// `metrics` gates the scrapeable registry (queue depth, shed
-    /// counters, wait/service histograms per tenant and priority
-    /// class), `spans` gates the per-job lifecycle tree on
-    /// [`Telemetry::spans`] and the flight recorder.
-    /// [`ObsConfig::off`] restores the uninstrumented cost profile;
-    /// [`ServiceStats`] keeps working either way.
+    /// Sets the observability switch ([`ObsConfig::on`] by default).
+    /// On, the service keeps the scrapeable registry (queue depth,
+    /// shed counters, wait/service histograms per tenant and priority
+    /// class), the per-job lifecycle tree on [`Telemetry::spans`] and
+    /// the flight recorder. [`ObsConfig::off`] restores the
+    /// uninstrumented cost profile; [`ServiceStats`] keeps working
+    /// either way.
     pub fn observability(mut self, config: ObsConfig) -> Self {
         self.observability = config;
         self
@@ -261,7 +261,7 @@ impl ServiceBuilder {
         // into these shared registry-backed cells; the recorder is the
         // service-wide one, so `sim.run` spans land next to the
         // job-lifecycle spans.
-        let sim_obs = obs.config.metrics.then(|| maya::SimObs {
+        let sim_obs = obs.config.enabled().then(|| maya::SimObs {
             events: reg.counter("sim.events_processed"),
             heap_pops: reg.counter("sim.heap_pops"),
             heap_depth_high_water: reg.gauge("sim.heap_depth_high_water"),
@@ -505,7 +505,7 @@ fn serve(idx: usize, shared: &Shared, queue: &AdmissionQueue, work: QueuedJob) {
                     shared.obs.service_by_class[usize::from(work.priority.level().min(2))]
                         .record_duration(t.service_time);
                 }
-                if shared.obs.config.spans {
+                if shared.obs.config.enabled() {
                     shared.obs.recorder.record(
                         "serve.execute",
                         exec_started,
@@ -688,7 +688,7 @@ fn execute(worker: usize, shared: &Shared, work: &QueuedJob) -> JobOutcome {
     };
     let service_time = started.elapsed();
     let cache = engine.cache_stats();
-    let spans = if shared.obs.config.spans {
+    let spans = if shared.obs.config.enabled() {
         vec![job_span_tree(queue_wait, service_time, &stages)]
     } else {
         Vec::new()
@@ -920,7 +920,7 @@ impl MayaService {
     /// job `id` in the recent-jobs ring. The wire server uses this to
     /// upsert a worker-recorded tree with the `reply` span appended.
     pub fn record_job_tree(&self, id: u64, tree: SpanNode) {
-        if self.shared.obs.config.spans {
+        if self.shared.obs.config.enabled() {
             self.shared.obs.job_trees.record(id, tree);
         }
     }
@@ -933,7 +933,7 @@ impl MayaService {
     /// recent job span trees. Deterministic for a quiesced service:
     /// instruments are sorted by name, trees are oldest first.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
-        if self.shared.obs.config.metrics {
+        if self.shared.obs.config.enabled() {
             // Mirror the engines' memo-cache counters into the
             // registry so a scrape carries them. Targets sharing a
             // cluster share one cache; dedup by cache identity so a
@@ -952,7 +952,7 @@ impl MayaService {
             reg.counter("serve.cache.evictions").store(total.evictions);
         }
         let mut snap = self.shared.obs.registry.snapshot();
-        if self.shared.obs.config.metrics {
+        if self.shared.obs.config.enabled() {
             for (tenant, waits, service) in self.queue.tenant_histograms() {
                 snap.histograms
                     .push((format!("serve.queue_wait_us.tenant.{tenant}"), waits));
@@ -960,8 +960,6 @@ impl MayaService {
                     .push((format!("serve.service_time_us.tenant.{tenant}"), service));
             }
             snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        }
-        if self.shared.obs.config.spans {
             snap.recent_jobs = self.shared.obs.job_trees.trees();
         }
         snap

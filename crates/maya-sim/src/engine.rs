@@ -693,7 +693,7 @@ impl Comm {
 /// interner index maps and the job's shape tables — the estimated
 /// duration of each distinct kernel shape, at most 512 of them (1 KB of
 /// slots and 80 bytes a shape), and of each communicator's distinct
-/// collective shapes (or their flows), at most [`Comm::SHAPES`] —
+/// collective shapes (or their flows), at most 64 (`Comm::SHAPES`) —
 /// emptied by every
 /// [`Simulator::lower`] so that no estimator's answer outlives the
 /// prediction that asked for it.

@@ -50,7 +50,7 @@ use maya_serve::{
 };
 
 use crate::error::{RemoteError, RemoteErrorKind, WireError};
-use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError};
+use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError, DEFAULT_MAX_FRAME_LEN};
 use crate::message::{decode_expired_frame, decode_response_frame, WireJobOutcome, WireResponse};
 
 /// A job's terminal payload on this side of the wire: the decoded
@@ -73,7 +73,6 @@ struct ClientShared {
     /// [`WireError::ConnectionClosed`] instead of hanging.
     pending: Mutex<Option<PendingMap>>,
     next_id: AtomicU64,
-    max_frame_len: u32,
 }
 
 impl ClientShared {
@@ -92,7 +91,7 @@ impl ClientShared {
     fn write(&self, kind: FrameKind, id: u64, body: &str) -> Result<(), WireError> {
         let result = {
             let mut w = self.writer.lock().unwrap_or_else(|p| p.into_inner());
-            write_frame(&mut *w, kind, id, body, self.max_frame_len)
+            write_frame(&mut *w, kind, id, body, DEFAULT_MAX_FRAME_LEN)
         };
         result.map_err(|e| {
             match e
@@ -228,15 +227,9 @@ pub struct WireClient {
 }
 
 impl WireClient {
-    /// Connects with the default max-frame guard.
+    /// Connects to a [`WireServer`](crate::WireServer). Frames longer
+    /// than [`DEFAULT_MAX_FRAME_LEN`] are refused in either direction.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        WireClient::connect_with(addr, crate::frame::DEFAULT_MAX_FRAME_LEN)
-    }
-
-    /// Connects with an explicit max-frame guard (must admit the
-    /// largest response the workload can produce; the server's guard
-    /// governs requests).
-    pub fn connect_with(addr: impl ToSocketAddrs, max_frame_len: u32) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let local_addr = stream.local_addr().ok();
@@ -245,7 +238,6 @@ impl WireClient {
             writer: Mutex::new(stream),
             pending: Mutex::new(Some(HashMap::new())),
             next_id: AtomicU64::new(1),
-            max_frame_len,
         });
         let reader = {
             let shared = Arc::clone(&shared);
@@ -427,7 +419,7 @@ impl Drop for WireClient {
 fn reader_loop(stream: TcpStream, shared: &Arc<ClientShared>) {
     let mut r = std::io::BufReader::new(stream);
     // Desynced framing, EOF and io errors all end the loop.
-    while let Ok(Some(frame)) = read_frame(&mut r, shared.max_frame_len) {
+    while let Ok(Some(frame)) = read_frame(&mut r, DEFAULT_MAX_FRAME_LEN) {
         let malformed = |e| Err(RemoteError::protocol(&ProtocolError::Malformed(e)));
         // Everything but progress is terminal for its id.
         let verdict: WireVerdict = match frame.kind {

@@ -25,8 +25,8 @@ use serde::{compact, Deserialize, Serialize};
 use crate::frame::ProtocolError;
 
 /// Stable category of a [`RemoteError`]: one kind per `ServeError`
-/// and `MayaError` variant (their `Cancelled` and `Snapshot` variants
-/// share one each), plus the wire-only `Protocol`.
+/// and `MayaError` variant (their `Cancelled` variants share one),
+/// plus the wire-only `Protocol`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RemoteErrorKind {
     /// `ServeError::UnknownTarget`: the request named an unregistered
@@ -56,8 +56,8 @@ pub enum RemoteErrorKind {
     Expired,
     /// `ServeError::CustomEstimatorSpansClusters` (build-time).
     CustomEstimatorSpansClusters,
-    /// A memo-snapshot failure (`ServeError::Snapshot` /
-    /// `MayaError::Snapshot`).
+    /// `ServeError::Snapshot`: a memo snapshot could not be read or
+    /// written.
     Snapshot,
     /// `MayaError::Config`: the job violates divisibility/topology
     /// rules.
@@ -197,7 +197,6 @@ impl From<&maya::MayaError> for RemoteError {
             E::Sim(_) => K::Sim,
             E::Exec(_) => K::Exec,
             E::WorldMismatch { .. } => K::WorldMismatch,
-            E::Snapshot(_) => K::Snapshot,
             E::Cancelled => K::Cancelled,
         };
         RemoteError {
@@ -356,8 +355,7 @@ mod tests {
             Some(E::Collate(_)) => E::Sim(maya_sim::SimError::InvalidTrace("s".into())),
             Some(E::Sim(_)) => E::Exec(maya_hw::ExecError::InvalidTrace("x".into())),
             Some(E::Exec(_)) => E::WorldMismatch { job: 8, cluster: 2 },
-            Some(E::WorldMismatch { .. }) => E::Snapshot(SnapshotError::Version(99)),
-            Some(E::Snapshot(_)) => E::Cancelled,
+            Some(E::WorldMismatch { .. }) => E::Cancelled,
             Some(E::Cancelled) => return None,
         })
     }
@@ -406,7 +404,6 @@ mod tests {
                 "sim",
                 "exec",
                 "world_mismatch",
-                "snapshot",
                 "cancelled",
             ]
         );

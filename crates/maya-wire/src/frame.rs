@@ -57,11 +57,13 @@ pub const MIN_VERSION: u16 = VERSION;
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 20;
 
-/// Default max-frame guard: 32 MiB.
+/// The max-frame guard: 32 MiB.
 ///
-/// Both sides refuse to *read* a frame longer than their guard (the
-/// length is attacker-controlled input — it must bound allocation) and
-/// refuse to *write* one (the peer would just drop it).
+/// [`WireServer`](crate::WireServer) and
+/// [`WireClient`](crate::WireClient) both refuse to *read* a frame
+/// longer than this (the length is attacker-controlled input — it must
+/// bound allocation) and refuse to *write* one (the peer would just
+/// drop it).
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 32 << 20;
 
 /// What a frame carries.

@@ -68,7 +68,7 @@ pub use client::{Backoff, WireClient, WireJob};
 pub use error::{RemoteError, RemoteErrorKind, WireError};
 pub use frame::{Frame, FrameKind, ProtocolError, DEFAULT_MAX_FRAME_LEN, MIN_VERSION, VERSION};
 pub use message::{decode_submission, WireJobOutcome, WirePayload, WireResponse};
-pub use server::{WireServer, WireServerBuilder, WireServerStats};
+pub use server::{WireServer, WireServerStats};
 
 // Client-side request-construction vocabulary, re-exported so remote
 // callers need only this crate.

@@ -30,8 +30,8 @@
 //!
 //! Malformed input degrades proportionally: an undecodable request
 //! *body* earns a per-request `protocol` error frame and the connection
-//! keeps serving; a corrupt frame *header* (bad magic, oversized
-//! length, or a protocol version other than the one
+//! keeps serving; a corrupt frame *header* (bad magic, a length over
+//! [`DEFAULT_MAX_FRAME_LEN`], or a protocol version other than the one
 //! [`VERSION`](crate::frame::VERSION) this build speaks) means the
 //! stream itself can no longer be trusted, so the server sends a
 //! connection-scoped error frame (id 0) and closes that one
@@ -51,7 +51,9 @@ use std::thread::JoinHandle;
 use maya_serve::{Counter, JobHandle, JobStep, MayaService, ServeError, SpanNode};
 
 use crate::error::RemoteError;
-use crate::frame::{read_frame, write_frame, FrameKind, ProtocolError, ReadError};
+use crate::frame::{
+    read_frame, write_frame, FrameKind, ProtocolError, ReadError, DEFAULT_MAX_FRAME_LEN,
+};
 use crate::message::{decode_submission, outcome_frame, to_wire};
 
 /// What a connection's writer thread is told. The channel closing is
@@ -104,7 +106,6 @@ pub struct WireServerStats {
 
 struct ServerShared {
     service: Arc<MayaService>,
-    max_frame_len: u32,
     stopping: AtomicBool,
     /// Live connections' stream clones (keyed by connection id), used
     /// to half-close readers at shutdown; each connection thread
@@ -121,34 +122,27 @@ struct ServerShared {
     scrapes: AtomicU64,
 }
 
-/// Configures a [`WireServer`] before binding.
-pub struct WireServerBuilder {
-    service: Arc<MayaService>,
-    max_frame_len: u32,
+/// The blocking TCP serving front end (see module docs).
+pub struct WireServer {
+    local_addr: SocketAddr,
+    shared: Arc<ServerShared>,
+    accept: Option<JoinHandle<()>>,
 }
 
-impl WireServerBuilder {
-    /// Overrides the max-frame guard (default
-    /// [`crate::frame::DEFAULT_MAX_FRAME_LEN`]). Frames longer than
-    /// this — in either direction — are refused.
-    pub fn max_frame_len(mut self, bytes: u32) -> Self {
-        self.max_frame_len = bytes;
-        self
-    }
-
-    /// Binds the listener and starts the accept thread.
-    pub fn bind(self, addr: impl ToSocketAddrs) -> std::io::Result<WireServer> {
+impl WireServer {
+    /// Binds the listener over `service` and starts the accept thread.
+    /// Bind to port 0 to let the OS pick (see [`WireServer::local_addr`]).
+    pub fn bind(addr: impl ToSocketAddrs, service: Arc<MayaService>) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(ServerShared {
-            connections: self.service.counter("wire.connections"),
-            admitted: self.service.counter("wire.admitted"),
-            overloaded: self.service.counter("wire.overloaded"),
-            protocol_errors: self.service.counter("wire.protocol_errors"),
-            cancels: self.service.counter("wire.cancels"),
+            connections: service.counter("wire.connections"),
+            admitted: service.counter("wire.admitted"),
+            overloaded: service.counter("wire.overloaded"),
+            protocol_errors: service.counter("wire.protocol_errors"),
+            cancels: service.counter("wire.cancels"),
             scrapes: AtomicU64::new(0),
-            service: self.service,
-            max_frame_len: self.max_frame_len,
+            service,
             stopping: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             conn_threads: Mutex::new(Vec::new()),
@@ -164,29 +158,6 @@ impl WireServerBuilder {
             shared,
             accept: Some(accept),
         })
-    }
-}
-
-/// The blocking TCP serving front end (see module docs).
-pub struct WireServer {
-    local_addr: SocketAddr,
-    shared: Arc<ServerShared>,
-    accept: Option<JoinHandle<()>>,
-}
-
-impl WireServer {
-    /// Starts configuring a server over `service`.
-    pub fn builder(service: Arc<MayaService>) -> WireServerBuilder {
-        WireServerBuilder {
-            service,
-            max_frame_len: crate::frame::DEFAULT_MAX_FRAME_LEN,
-        }
-    }
-
-    /// Binds with defaults: `WireServer::builder(service).bind(addr)`.
-    /// Bind to port 0 to let the OS pick (see [`WireServer::local_addr`]).
-    pub fn bind(addr: impl ToSocketAddrs, service: Arc<MayaService>) -> std::io::Result<Self> {
-        WireServer::builder(service).bind(addr)
     }
 
     /// The bound address (the actual port when bound to port 0).
@@ -360,7 +331,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
     // Without a writer (fd or thread exhaustion) nothing could ever be
     // answered: serve nothing, just close this one connection below.
     while writer.is_ok() {
-        match read_frame(&mut reader, shared.max_frame_len) {
+        match read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN) {
             Ok(None) => break, // client closed its write half
             // Id 0 is reserved for connection-scoped errors: a request
             // carrying it could never be answered unambiguously (an
@@ -495,7 +466,7 @@ fn writer_loop(
         let alive = match msg {
             WriterMsg::Frame { kind, id, body } => {
                 let fatal = kind == FrameKind::Error && id == 0;
-                write_frame(&mut w, kind, id, &body, shared.max_frame_len).is_ok() && !fatal
+                write_frame(&mut w, kind, id, &body, DEFAULT_MAX_FRAME_LEN).is_ok() && !fatal
             }
             WriterMsg::Wake(id) => write_step(&mut w, id, jobs, &mut turns, shared).is_ok(),
         };
@@ -534,7 +505,7 @@ fn write_step(
                 turns.push_back(id);
             }
             let body = serde::to_string(&event);
-            return write_frame(w, FrameKind::Progress, id, &body, shared.max_frame_len);
+            return write_frame(w, FrameKind::Progress, id, &body, DEFAULT_MAX_FRAME_LEN);
         }
         Some((sid, JobStep::Terminal(verdict))) => (sid, verdict),
     };
@@ -552,7 +523,7 @@ fn write_step(
             serde::to_string(&RemoteError::from(&ServeError::Stopped)),
         ),
     };
-    let written = write_frame(w, kind, id, &body, shared.max_frame_len);
+    let written = write_frame(w, kind, id, &body, DEFAULT_MAX_FRAME_LEN);
     // Extend the worker's span tree with the reply phase — error-slot
     // mapping, encode and socket write — so a scraped tree accounts for the job's full
     // server-side wall clock.

@@ -1,7 +1,6 @@
 //! [`MayaBuilder`]: the one way to construct a [`PredictionEngine`].
 //!
-//! Pick an estimator ([`EstimatorChoice`]), flip spec knobs,
-//! optionally point at a memo snapshot to warm-start from, then
+//! Pick an estimator, flip spec knobs, then
 //! [`build`](MayaBuilder::build) the engine.
 //!
 //! ```
@@ -17,13 +16,15 @@
 //! ```
 //!
 //! [`build`](MayaBuilder::build) is the only constructor here.
-//! `maya-serve` replays the same [`EstimatorChoice`] once per distinct
+//! `maya-serve` replays an [`EstimatorChoice`] once per distinct
 //! cluster and hands the memo to
 //! [`PredictionEngine::with_shared_cache`], so its engines on one
-//! cluster share a warm cache.
+//! cluster share a warm cache; it also bounds that memo and persists
+//! it across restarts, the one memo-persistence path. A library user
+//! reaches the same snapshot calls through
+//! [`PredictionEngine::cache`].
 
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use maya_estimator::{ForestEstimator, OracleEstimator, ProfileScale, RuntimeEstimator};
@@ -132,8 +133,6 @@ impl fmt::Debug for EstimatorChoice {
 pub struct MayaBuilder {
     spec: EmulationSpec,
     estimator: EstimatorChoice,
-    snapshot: Option<PathBuf>,
-    memo_capacity: Option<usize>,
 }
 
 impl MayaBuilder {
@@ -143,8 +142,6 @@ impl MayaBuilder {
         MayaBuilder {
             spec: EmulationSpec::new(cluster),
             estimator: EstimatorChoice::Oracle,
-            snapshot: None,
-            memo_capacity: None,
         }
     }
 
@@ -188,12 +185,6 @@ impl MayaBuilder {
         self
     }
 
-    /// Uses the oracle estimator (the default).
-    pub fn oracle(mut self) -> Self {
-        self.estimator = EstimatorChoice::Oracle;
-        self
-    }
-
     /// Profiles and trains the random-forest estimator at build time.
     pub fn forest(mut self, scale: ProfileScale, seed: u64) -> Self {
         self.estimator = EstimatorChoice::Forest { scale, seed };
@@ -206,60 +197,16 @@ impl MayaBuilder {
         self
     }
 
-    /// Sets the estimator by [`EstimatorChoice`].
-    pub fn estimator_choice(mut self, choice: EstimatorChoice) -> Self {
-        self.estimator = choice;
-        self
-    }
-
-    /// Bounds the engine's estimator memo to at most `entries` in all
-    /// (kernel, memcpy and collective answers together); 0 keeps
-    /// nothing. Eviction is least-recently-used; see
-    /// [`maya_estimator::CachingEstimator::with_capacity`]. Unbounded
-    /// by default — set a cap for long-running engines (a network
-    /// service, a days-long search) so a diverse workload cannot grow
-    /// the memo without limit. Evictions are counted in
-    /// [`maya_estimator::CacheStats::evictions`].
-    pub fn memo_capacity(mut self, entries: usize) -> Self {
-        self.memo_capacity = Some(entries);
-        self
-    }
-
-    /// Arms memo persistence: if a snapshot exists at `path` it is
-    /// restored into the engine's cache at build (warm start), and
-    /// [`PredictionEngine::persist_snapshot`] will write back to the
-    /// same path. A missing file is a normal cold start; a corrupt or
-    /// mismatched one fails [`build`](MayaBuilder::build).
-    pub fn snapshot_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.snapshot = Some(path.into());
-        self
-    }
-
     /// The spec as currently configured.
     pub fn spec(&self) -> &EmulationSpec {
         &self.spec
     }
 
-    /// Builds the engine, restoring the snapshot if one is configured
-    /// and present. A snapshot written under a different cluster or
-    /// estimator configuration is rejected (its memoized runtimes would
-    /// silently poison every prediction).
+    /// Builds the engine: the chosen estimator for the spec's
+    /// cluster, behind an unbounded memo.
     pub fn build(self) -> Result<PredictionEngine, MayaError> {
-        let cache = maya_estimator::CachingEstimator::with_capacity(
-            self.estimator.build(&self.spec.cluster),
-            self.memo_capacity,
-        );
-        let snapshot = self
-            .snapshot
-            .map(|path| (path, self.estimator.memo_scope(&self.spec.cluster)));
-        let mut engine = PredictionEngine::with_shared_cache(self.spec, Arc::new(cache));
-        engine.snapshot = snapshot;
-        if let Some((path, scope)) = &engine.snapshot {
-            if path.exists() {
-                engine.cache().load_snapshot(path, scope)?;
-            }
-        }
-        Ok(engine)
+        let estimator = self.estimator.build(&self.spec.cluster);
+        Ok(PredictionEngine::new(self.spec, estimator))
     }
 }
 
@@ -313,122 +260,32 @@ mod tests {
         assert_eq!(spec.emulation_threads, 3);
     }
 
+    /// A memo snapshot is only sound under the configuration that
+    /// wrote it, so every cluster and every estimator configuration
+    /// needs a scope of its own, and a rebuilt equal configuration
+    /// must find its old scope again.
     #[test]
-    fn memo_capacity_bounds_the_engine_cache() {
-        let capped = MayaBuilder::new(ClusterSpec::h100(1, 1))
-            .memo_capacity(16)
-            .build()
-            .unwrap();
-        // A real prediction derives far more than 16 distinct shapes.
-        capped.predict_job(&smoke_job(1)).unwrap();
-        let cache = capped.cache();
-        assert!(cache.len() <= 16, "len {} exceeds cap", cache.len());
-        assert!(capped.cache_stats().evictions > 0);
-        // Capped answers still match an uncapped engine's exactly.
-        let uncapped = MayaBuilder::new(ClusterSpec::h100(1, 1)).build().unwrap();
+    fn memo_scopes_tell_configurations_apart() {
+        let h100 = ClusterSpec::h100(1, 1);
+        let forest = |seed| EstimatorChoice::Forest {
+            scale: ProfileScale::Test,
+            seed,
+        };
+        let scopes = [
+            EstimatorChoice::Oracle.memo_scope(&h100),
+            EstimatorChoice::Oracle.memo_scope(&ClusterSpec::a40(1, 1)),
+            forest(1).memo_scope(&h100),
+            forest(2).memo_scope(&h100),
+        ];
+        for (i, a) in scopes.iter().enumerate() {
+            for b in &scopes[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
         assert_eq!(
-            capped.predict_job(&smoke_job(1)).unwrap().iteration_time(),
-            uncapped
-                .predict_job(&smoke_job(1))
-                .unwrap()
-                .iteration_time()
+            EstimatorChoice::Oracle.memo_scope(&ClusterSpec::h100(1, 1)),
+            scopes[0]
         );
-        assert_eq!(uncapped.cache_stats().evictions, 0);
-    }
-
-    #[test]
-    fn snapshot_path_round_trips_through_build() {
-        let dir = std::env::temp_dir().join(format!("maya-builder-test-{}", std::process::id()));
-        let path = dir.join("h100-1.memo");
-        let _ = std::fs::remove_file(&path);
-
-        let warm = MayaBuilder::new(ClusterSpec::h100(1, 1))
-            .snapshot_path(&path)
-            .build()
-            .unwrap();
-        let job = smoke_job(1);
-        warm.predict_job(&job).unwrap();
-        assert!(warm.persist_snapshot().unwrap(), "path configured");
-
-        let restored = MayaBuilder::new(ClusterSpec::h100(1, 1))
-            .snapshot_path(&path)
-            .build()
-            .unwrap();
-        restored.predict_job(&job).unwrap();
-        let st = restored.cache_stats();
-        assert_eq!(st.misses, 0, "warm start must answer the repeat workload");
-        assert!(st.hits > 0);
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn snapshot_for_another_cluster_is_rejected() {
-        // Kernel/memcpy memo keys carry no cluster identity and every
-        // oracle is named "oracle" — the scope check is the only thing
-        // standing between an H100 memo and an A40 engine. Restoring it
-        // silently would make the A40 engine serve H100 kernel times.
-        let dir = std::env::temp_dir().join(format!("maya-builder-scope-{}", std::process::id()));
-        let path = dir.join("cluster.memo");
-        let _ = std::fs::remove_file(&path);
-
-        let h100 = MayaBuilder::new(ClusterSpec::h100(1, 1))
-            .snapshot_path(&path)
-            .build()
-            .unwrap();
-        h100.predict_job(&smoke_job(1)).unwrap();
-        h100.persist_snapshot().unwrap();
-
-        let err = MayaBuilder::new(ClusterSpec::a40(1, 1))
-            .snapshot_path(&path)
-            .build()
-            .err()
-            .expect("cross-cluster snapshot must be rejected");
-        assert!(
-            matches!(
-                &err,
-                MayaError::Snapshot(maya_estimator::SnapshotError::ScopeMismatch { .. })
-            ),
-            "{err}"
-        );
-
-        // Same cluster but a different estimator configuration is
-        // rejected too (a forest memo is not an oracle memo).
-        let err = MayaBuilder::new(ClusterSpec::h100(1, 1))
-            .forest(maya_estimator::ProfileScale::Test, 1)
-            .snapshot_path(&path)
-            .build()
-            .err()
-            .expect("cross-estimator snapshot must be rejected");
-        assert!(matches!(err, MayaError::Snapshot(_)), "{err}");
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn corrupt_snapshot_fails_build() {
-        let dir = std::env::temp_dir().join(format!("maya-builder-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.memo");
-        std::fs::write(&path, "definitely not a snapshot").unwrap();
-        let err = MayaBuilder::new(ClusterSpec::h100(1, 1))
-            .snapshot_path(&path)
-            .build()
-            .err()
-            .expect("corrupt snapshot must fail the build");
-        assert!(matches!(err, MayaError::Snapshot(_)), "{err}");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn missing_snapshot_is_a_cold_start() {
-        let maya = MayaBuilder::new(ClusterSpec::h100(1, 1))
-            .snapshot_path("/nonexistent/dir/never.memo")
-            .build()
-            .unwrap();
-        assert!(maya.cache().is_empty());
+        assert_eq!(forest(2).memo_scope(&ClusterSpec::h100(1, 1)), scopes[3]);
     }
 }

@@ -6,7 +6,10 @@
 //! - the caller's estimator, wrapped in a [`CachingEstimator`] so kernel
 //!   / memcpy / collective answers are memoized **across** predictions —
 //!   config search replays the same shapes thousands of times (Fig. 15,
-//!   Table 6), and repeated trials should not re-derive them;
+//!   Table 6), and repeated trials should not re-derive them. The memo
+//!   lives as long as the engine; `maya-serve` snapshots it across
+//!   restarts, and [`PredictionEngine::cache`] reaches the same
+//!   snapshot calls for a library caller;
 //! - the emulate → fold → estimate → simulate pipeline of Figure 5:
 //!   a rank's recorder signs its trace and indexes its collectives as
 //!   the calls are issued (only when the spec folds does it sign), and
@@ -39,7 +42,6 @@
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -188,10 +190,6 @@ pub struct PredictionEngine {
     /// Trace events whose host time this engine's predictions computed
     /// ([`PredictionEngine::host_charges`]).
     host_charges: AtomicU64,
-    /// Where [`PredictionEngine::persist_snapshot`] writes the
-    /// estimator memo, and the compatibility scope it is stamped with
-    /// ([`MayaBuilder::snapshot_path`](crate::MayaBuilder::snapshot_path)).
-    pub(crate) snapshot: Option<(PathBuf, String)>,
 }
 
 impl PredictionEngine {
@@ -216,7 +214,6 @@ impl PredictionEngine {
             scratch_pool: Mutex::new(Vec::new()),
             sim_obs: None,
             host_charges: AtomicU64::new(0),
-            snapshot: None,
         }
     }
 
@@ -227,19 +224,6 @@ impl PredictionEngine {
     pub fn with_sim_obs(mut self, obs: SimObs) -> Self {
         self.sim_obs = Some(obs);
         self
-    }
-
-    /// Writes the estimator memo to the builder-configured snapshot
-    /// path so the next process can warm-start from it. Returns `false`
-    /// when no path was configured.
-    pub fn persist_snapshot(&self) -> Result<bool, MayaError> {
-        match &self.snapshot {
-            None => Ok(false),
-            Some((path, scope)) => {
-                self.cache.write_snapshot(path, scope)?;
-                Ok(true)
-            }
-        }
     }
 
     /// Runs `f` with a pooled simulator arena checked out for the call.

@@ -23,8 +23,6 @@ pub enum MayaError {
         /// GPUs the cluster has.
         cluster: u32,
     },
-    /// Reading or writing an estimator memo snapshot failed.
-    Snapshot(maya_estimator::SnapshotError),
     /// The work was cancelled (via [`crate::CancelToken`]) before this
     /// piece of it ran. Only ever reported for work that never started:
     /// results produced before the cancellation are real and final.
@@ -42,7 +40,6 @@ impl fmt::Display for MayaError {
             MayaError::WorldMismatch { job, cluster } => {
                 write!(f, "job wants {job} ranks but cluster has {cluster} GPUs")
             }
-            MayaError::Snapshot(e) => write!(f, "snapshot error: {e}"),
             MayaError::Cancelled => write!(f, "cancelled before execution"),
         }
     }
@@ -71,12 +68,6 @@ impl From<maya_sim::SimError> for MayaError {
 impl From<maya_hw::ExecError> for MayaError {
     fn from(e: maya_hw::ExecError) -> Self {
         MayaError::Exec(e)
-    }
-}
-
-impl From<maya_estimator::SnapshotError> for MayaError {
-    fn from(e: maya_estimator::SnapshotError) -> Self {
-        MayaError::Snapshot(e)
     }
 }
 

@@ -39,9 +39,8 @@
 //! assert!(prediction.report().is_some());
 //! ```
 //!
-//! Construction goes through [`MayaBuilder`] — estimator choice
-//! ([`builder::EstimatorChoice`]), spec knobs, and an optional
-//! warm-start snapshot path — whose `build` returns the engine.
+//! Construction goes through [`MayaBuilder`] — an estimator and the
+//! spec knobs — whose `build` returns the engine.
 //!
 //! For serving many clients against many cluster targets from one
 //! process, see the `maya-serve` crate: it multiplexes

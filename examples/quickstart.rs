@@ -20,8 +20,9 @@ fn main() {
     // 2. Build the prediction engine. The builder defaults to the
     //    oracle estimator (true per-op runtimes); chain
     //    `.forest(scale, seed)` to profile + fit the random forest
-    //    instead (see the megatron_gpt3 example), or `.snapshot_path`
-    //    to warm-start the estimator memo from a previous run.
+    //    instead (see the megatron_gpt3 example). Warm-starting the
+    //    estimator memo from a previous run is the service's
+    //    `snapshot_dir` (see the service example).
     let maya = MayaBuilder::new(cluster.clone()).build().expect("builds");
 
     // 3. The user workload: unmodified training code. Here, torchlet's

@@ -405,11 +405,8 @@ fn malformed_frames_yield_typed_protocol_errors_and_the_server_survives() {
 
 #[test]
 fn oversized_frames_are_refused_without_reading_the_body() {
-    let small = WireServer::builder(service())
-        .max_frame_len(256)
-        .bind("127.0.0.1:0")
-        .unwrap();
-    let mut raw = TcpStream::connect(small.local_addr()).unwrap();
+    let server = WireServer::bind("127.0.0.1:0", service()).unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     // A header declaring a body far over the guard; the body is never
     // sent — the server must reject on the header alone.
     let mut header = Vec::new();
