@@ -60,7 +60,7 @@ fn walk_tree(out: &mut String, node: &SpanNode, origin: Duration, tid: u32, firs
     }
 }
 
-/// Renders flat flight-recorder spans plus job span trees as one
+/// Renders flat spans plus job span trees as one
 /// Chrome-trace JSON array. Flat spans keep their recording thread as
 /// `tid`; each job tree gets its own synthetic `tid` starting above
 /// the flat ones, laid out end to end so overlapping jobs stay

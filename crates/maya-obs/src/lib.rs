@@ -1,5 +1,5 @@
 //! Maya-Obs: the unified observability layer — one metrics registry,
-//! one span vocabulary, one flight recorder — threaded through every
+//! one span mechanism, the job span tree — threaded through every
 //! stage of the stack (simulator, estimator cache, admission queue,
 //! service, wire protocol) in place of the per-layer counters that
 //! grew up around them.
@@ -12,12 +12,11 @@
 //!   single relaxed atomic. [`Registry::snapshot`] is deterministic
 //!   (sorted names) and the resulting [`ObsSnapshot`] has a compact
 //!   wire codec, which is what a `Scrape` frame carries.
-//! - **Span tracing** — [`FlightRecorder::span`] records flat timed
-//!   spans into bounded per-thread rings (the flight recorder), and
-//!   [`SpanNode`] is the explicit job-lifecycle tree
+//! - **Span trees** — [`SpanNode`] is the explicit job-lifecycle tree
 //!   (queued → execute → stages → reply) that rides on service
-//!   telemetry. Both export as Chrome-trace JSON via
-//!   [`chrome::chrome_trace_json`] — load the file at
+//!   telemetry, and [`JobTreeRing`] keeps the recent ones. They export
+//!   as Chrome-trace JSON via [`chrome::chrome_trace_json`], beside
+//!   any flat [`SpanRecord`]s a caller keeps itself — load the file at
 //!   `chrome://tracing`.
 //! - **[`ObsConfig`]** — the one zero-cost-when-off switch
 //!   instrumented code branches on, for metrics and spans alike.
@@ -35,7 +34,7 @@ pub use metrics::{
     bucket_index, bucket_lower_bound, Counter, Gauge, Histogram, HistogramSnapshot, ObsSnapshot,
     Registry, HISTOGRAM_BUCKETS,
 };
-pub use span::{FlightRecorder, JobTreeRing, SpanGuard, SpanNode, SpanRecord};
+pub use span::{JobTreeRing, SpanNode, SpanRecord};
 
 /// The instrumentation switch: whether instrumented code publishes
 /// metrics and records spans. Both channels move together — a service

@@ -297,7 +297,7 @@ impl Registry {
 
     /// A deterministic point-in-time snapshot: every instrument, sorted
     /// by name within its kind. The span slots are empty; callers that
-    /// also keep a flight recorder fill them in (see
+    /// also keep a [`crate::JobTreeRing`] fill them in (see
     /// [`ObsSnapshot::recent_jobs`]).
     pub fn snapshot(&self) -> ObsSnapshot {
         fn collect<T, V>(
@@ -320,7 +320,7 @@ impl Registry {
 }
 
 /// The full observability snapshot a `Scrape` returns: every metric
-/// plus the flight recorder's recent job span trees.
+/// plus the recent job span trees of a [`crate::JobTreeRing`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ObsSnapshot {
     /// `(name, value)` counters, sorted by name.

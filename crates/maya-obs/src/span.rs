@@ -1,25 +1,16 @@
-//! Span tracing: a scoped-guard `Span` API over a bounded per-thread
-//! ring-buffer **flight recorder**, plus the [`SpanNode`] tree that
-//! rides on service telemetry.
+//! Span tracing: the [`SpanNode`] tree of a job's phases, the bounded
+//! [`JobTreeRing`] of recent trees, and [`SpanRecord`], the flat span a
+//! caller with its own recorder hands to [`crate::chrome`].
 //!
-//! Two span representations serve two needs:
-//!
-//! - [`FlightRecorder`] + [`FlightRecorder::span`] record *flat* timed
-//!   spans (name, start, duration, thread) into fixed-size per-thread
-//!   rings — wait-free against other threads, bounded memory, oldest
-//!   entries overwritten. The recorder drains to Chrome-trace JSON
-//!   (see [`crate::chrome`]).
-//! - [`SpanNode`] is an explicit tree of named intervals (offsets from
-//!   a common origin) built by code that already knows its phase
-//!   structure — the job lifecycle tree on `Telemetry`
-//!   (queued → execute → stages → reply).
+//! A tree is built by code that already knows its phase structure —
+//! the job lifecycle on `Telemetry` (queued → execute → stages →
+//! reply) — as named intervals offset from a common origin. It is the
+//! service's one span mechanism.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// One completed flat span in the flight recorder.
+/// One completed flat span, as a caller's own recorder keeps it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Static span name.
@@ -28,159 +19,8 @@ pub struct SpanRecord {
     pub start_us: u64,
     /// Duration, microseconds.
     pub dur_us: u64,
-    /// Recording thread, as a small dense id assigned per recorder.
+    /// Recording thread, as a small dense id the recorder assigns.
     pub thread: u32,
-}
-
-struct ThreadRing {
-    thread: u32,
-    /// Ring storage; `seq` counts total pushes, so the live window is
-    /// the last `min(seq, cap)` entries ending at `seq % cap`.
-    buf: Mutex<(Vec<SpanRecord>, u64)>,
-}
-
-struct RecorderInner {
-    id: u64,
-    epoch: Instant,
-    enabled: AtomicBool,
-    capacity: usize,
-    threads: Mutex<Vec<Arc<ThreadRing>>>,
-}
-
-static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Cache of this thread's ring per recorder id, so the steady-state
-    /// span path is one `RefCell` borrow + one uncontended mutex.
-    static LOCAL_RINGS: RefCell<Vec<(u64, Arc<ThreadRing>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The bounded flight recorder (see module docs). Clones share state.
-#[derive(Clone)]
-pub struct FlightRecorder {
-    inner: Arc<RecorderInner>,
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder::new(4096)
-    }
-}
-
-impl FlightRecorder {
-    /// A recorder keeping at most `capacity_per_thread` recent spans
-    /// per recording thread.
-    pub fn new(capacity_per_thread: usize) -> FlightRecorder {
-        FlightRecorder {
-            inner: Arc::new(RecorderInner {
-                id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
-                epoch: Instant::now(),
-                enabled: AtomicBool::new(true),
-                capacity: capacity_per_thread.max(1),
-                threads: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// Runtime toggle. While disabled, [`FlightRecorder::span`] returns
-    /// an inert guard whose drop does nothing — the off-path cost is
-    /// one relaxed atomic load.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether spans are currently being recorded.
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// The recorder's time origin (spans are stamped relative to it).
-    pub fn epoch(&self) -> Instant {
-        self.inner.epoch
-    }
-
-    /// Opens a span; it records itself when the guard drops.
-    #[inline]
-    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        if !self.enabled() {
-            return SpanGuard(None);
-        }
-        SpanGuard(Some((self, name, Instant::now())))
-    }
-
-    /// Records an already-measured interval.
-    pub fn record(&self, name: &'static str, start: Instant, dur: Duration) {
-        if !self.enabled() {
-            return;
-        }
-        let start_us = start
-            .saturating_duration_since(self.inner.epoch)
-            .as_micros() as u64;
-        let rec = SpanRecord {
-            name,
-            start_us,
-            dur_us: dur.as_micros() as u64,
-            thread: 0, // patched by the ring below
-        };
-        self.push(rec);
-    }
-
-    fn ring(&self) -> Arc<ThreadRing> {
-        LOCAL_RINGS.with(|cell| {
-            let mut rings = cell.borrow_mut();
-            if let Some((_, ring)) = rings.iter().find(|(id, _)| *id == self.inner.id) {
-                return Arc::clone(ring);
-            }
-            let mut threads = self.inner.threads.lock().unwrap_or_else(|p| p.into_inner());
-            let ring = Arc::new(ThreadRing {
-                thread: threads.len() as u32,
-                buf: Mutex::new((Vec::with_capacity(self.inner.capacity.min(64)), 0)),
-            });
-            threads.push(Arc::clone(&ring));
-            drop(threads);
-            rings.push((self.inner.id, Arc::clone(&ring)));
-            ring
-        })
-    }
-
-    fn push(&self, mut rec: SpanRecord) {
-        let ring = self.ring();
-        rec.thread = ring.thread;
-        let mut buf = ring.buf.lock().unwrap_or_else(|p| p.into_inner());
-        let (store, seq) = &mut *buf;
-        let cap = self.inner.capacity;
-        if store.len() < cap {
-            store.push(rec);
-        } else {
-            store[(*seq % cap as u64) as usize] = rec;
-        }
-        *seq += 1;
-    }
-
-    /// All retained spans, across threads, sorted by start time (ties
-    /// by thread then name) — deterministic for a quiesced recorder.
-    pub fn drain_sorted(&self) -> Vec<SpanRecord> {
-        let threads = self.inner.threads.lock().unwrap_or_else(|p| p.into_inner());
-        let mut out = Vec::new();
-        for ring in threads.iter() {
-            let buf = ring.buf.lock().unwrap_or_else(|p| p.into_inner());
-            out.extend(buf.0.iter().cloned());
-        }
-        drop(threads);
-        out.sort_by(|a, b| (a.start_us, a.thread, a.name).cmp(&(b.start_us, b.thread, b.name)));
-        out
-    }
-}
-
-/// RAII guard from [`FlightRecorder::span`]; records on drop.
-pub struct SpanGuard<'a>(Option<(&'a FlightRecorder, &'static str, Instant)>);
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        if let Some((recorder, name, start)) = self.0.take() {
-            recorder.record(name, start, start.elapsed());
-        }
-    }
 }
 
 /// One node of an explicit span tree: a named interval, offset from
@@ -284,16 +124,6 @@ impl JobTreeRing {
         inner.0.push_back((id, tree));
     }
 
-    /// The retained tree for job `id`, if still in the ring.
-    pub fn tree(&self, id: u64) -> Option<SpanNode> {
-        let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner
-            .0
-            .iter()
-            .find(|(k, _)| *k == id)
-            .map(|(_, t)| t.clone())
-    }
-
     /// The retained trees, oldest first.
     pub fn trees(&self) -> Vec<SpanNode> {
         let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
@@ -304,62 +134,6 @@ impl JobTreeRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spans_record_and_sort() {
-        let rec = FlightRecorder::new(8);
-        {
-            let _outer = rec.span("outer");
-            let _inner = rec.span("inner");
-        }
-        let spans = rec.drain_sorted();
-        assert_eq!(spans.len(), 2);
-        // Inner drops first but started later (or at the same
-        // microsecond); both must be present.
-        assert!(spans.iter().any(|s| s.name == "outer"));
-        assert!(spans.iter().any(|s| s.name == "inner"));
-    }
-
-    #[test]
-    fn ring_overwrites_oldest() {
-        let rec = FlightRecorder::new(4);
-        for _ in 0..10 {
-            drop(rec.span("s"));
-        }
-        assert_eq!(rec.drain_sorted().len(), 4);
-    }
-
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let rec = FlightRecorder::new(8);
-        rec.set_enabled(false);
-        drop(rec.span("skipped"));
-        rec.record("skipped", Instant::now(), Duration::from_millis(1));
-        assert!(rec.drain_sorted().is_empty());
-        rec.set_enabled(true);
-        drop(rec.span("kept"));
-        assert_eq!(rec.drain_sorted().len(), 1);
-    }
-
-    #[test]
-    fn per_thread_rings_do_not_interleave_capacity() {
-        let rec = FlightRecorder::new(4);
-        let threads: Vec<_> = (0..3)
-            .map(|_| {
-                let rec = rec.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..6 {
-                        drop(rec.span("t"));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        // Each thread keeps its own 4 most recent spans.
-        assert_eq!(rec.drain_sorted().len(), 12);
-    }
 
     #[test]
     fn span_tree_finds_and_measures() {
@@ -407,8 +181,8 @@ mod tests {
         );
         let trees = ring.trees();
         assert_eq!(trees.len(), 2, "upsert must not duplicate");
-        assert_eq!(ring.tree(7).unwrap().find("reply").unwrap().duration, ms(1));
-        assert_eq!(ring.tree(8).unwrap().duration, ms(3));
-        assert!(ring.tree(9).is_none());
+        // The upsert replaces id 7 in place, ahead of id 8.
+        assert_eq!(trees[0].find("reply").unwrap().duration, ms(1));
+        assert_eq!(trees[1].duration, ms(3));
     }
 }

@@ -1,6 +1,8 @@
 //! Trial evaluation: one configuration through the full Maya pipeline.
 
-use maya::{PredictOutcome, PredictionEngine};
+use std::sync::Mutex;
+
+use maya::{PredictOutcome, PredictionEngine, StageTimings};
 use maya_hw::{mfu, PowerModel};
 use maya_torchlet::TrainingJob;
 use maya_trace::SimTime;
@@ -98,6 +100,8 @@ pub struct Objective<'a> {
     /// Job template; `parallel` is replaced per trial.
     pub template: TrainingJob,
     kind: ObjectiveKind,
+    /// Stage timings summed over every prediction run so far.
+    timings: Mutex<StageTimings>,
 }
 
 impl<'a> Objective<'a> {
@@ -107,6 +111,7 @@ impl<'a> Objective<'a> {
             engine,
             template,
             kind: ObjectiveKind::IterationTime,
+            timings: Mutex::default(),
         }
     }
 
@@ -122,6 +127,7 @@ impl<'a> Objective<'a> {
             engine,
             template,
             kind: ObjectiveKind::CostWeighted { power },
+            timings: Mutex::default(),
         }
     }
 
@@ -187,12 +193,22 @@ impl<'a> Objective<'a> {
         Some(out)
     }
 
-    /// Maps a pipeline result to a trial outcome.
+    /// The pipeline stage timings summed over every prediction this
+    /// objective has run — the executed trials' share of a search.
+    pub fn timings(&self) -> StageTimings {
+        *self.timings.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Maps a pipeline result to a trial outcome, adding its stage
+    /// timings to [`Objective::timings`].
     fn outcome_of(
         &self,
         job: &TrainingJob,
         pred: Result<maya::Prediction, maya::MayaError>,
     ) -> TrialOutcome {
+        if let Ok(done) = &pred {
+            *self.timings.lock().unwrap_or_else(|p| p.into_inner()) += done.timings;
+        }
         match pred {
             Err(_) => TrialOutcome::Invalid,
             Ok(pred) => match pred.outcome {
@@ -274,6 +290,10 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        assert!(
+            !obj.timings().simulation.is_zero(),
+            "the trial's simulation is kept"
+        );
     }
 
     #[test]
@@ -286,6 +306,7 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(out, TrialOutcome::Invalid);
+        assert!(obj.timings().total().is_zero(), "no pipeline ran");
     }
 
     #[test]

@@ -113,15 +113,14 @@ pub struct Telemetry {
     /// engine).
     pub cache_delta: CacheStats,
     /// Summed pipeline stage timings over the request's successful
-    /// predictions (zero for `Search`, whose per-trial timings are not
-    /// individually surfaced).
+    /// predictions — for a `Search`, over the trials it executed.
     pub stages: StageTimings,
     /// The job-lifecycle span tree (`job` → `queued`/`execute` →
     /// stages), built when the service's [`maya_obs::ObsConfig`] is
     /// on; empty otherwise.
     /// At most one root. The wire server appends a `reply` span before
-    /// recording the tree in its flight ring; the wire carries the
-    /// tree to clients.
+    /// recording the tree in the service's job-tree ring; the wire
+    /// carries the tree to clients.
     pub spans: Vec<SpanNode>,
 }
 

@@ -30,8 +30,7 @@ use std::time::{Duration, Instant};
 use maya::{EmulationSpec, EstimatorChoice, PredictionEngine, StageTimings};
 use maya_estimator::{CacheStats, SnapshotError};
 use maya_obs::{
-    chrome_trace_json, Counter, FlightRecorder, Histogram, JobTreeRing, ObsConfig, ObsSnapshot,
-    Registry, SpanNode,
+    chrome_trace_json, Counter, Histogram, JobTreeRing, ObsConfig, ObsSnapshot, Registry, SpanNode,
 };
 use maya_search::{
     ConfigPoint, Objective, SearchObserver, TrialOutcome, TrialRecord, TrialScheduler,
@@ -47,8 +46,7 @@ use crate::registry::{EngineTable, Recipe};
 use crate::request::{MeasureOutcome, Payload, Request, Response, Telemetry};
 
 /// The service's observability surface: one [`Registry`] every layer
-/// publishes into, the flight recorder, and the ring of recent job
-/// span trees. Built from the [`ObsConfig`] the
+/// publishes into and the ring of recent job span trees. Built from the [`ObsConfig`] the
 /// [`ServiceBuilder::observability`] chose — with it off the registry
 /// is a detached one (its handles still count, since [`ServiceStats`]
 /// reads them, but nothing is registered for scraping), and no spans
@@ -56,7 +54,6 @@ use crate::request::{MeasureOutcome, Payload, Request, Response, Telemetry};
 struct ServiceObs {
     config: ObsConfig,
     registry: Registry,
-    recorder: FlightRecorder,
     job_trees: JobTreeRing,
     /// Service times by priority class, microseconds, indexed by
     /// `Priority::level` ("serve.service_time_us.{high,normal,batch}").
@@ -70,8 +67,6 @@ impl ServiceObs {
         } else {
             Registry::detached()
         };
-        let recorder = FlightRecorder::default();
-        recorder.set_enabled(config.enabled());
         ServiceObs {
             config,
             service_by_class: [
@@ -80,7 +75,6 @@ impl ServiceObs {
                 registry.histogram("serve.service_time_us.batch"),
             ],
             registry,
-            recorder,
             job_trees: JobTreeRing::default(),
         }
     }
@@ -242,7 +236,8 @@ impl ServiceBuilder {
     /// On, the service keeps the scrapeable registry (queue depth,
     /// shed counters, wait/service histograms per tenant and priority
     /// class), the per-job lifecycle tree on [`Telemetry::spans`] and
-    /// the flight recorder. [`ObsConfig::off`] restores the
+    /// the ring of recent trees [`MayaService::chrome_trace`] renders.
+    /// [`ObsConfig::off`] restores the
     /// uninstrumented cost profile; [`ServiceStats`] keeps working
     /// either way.
     pub fn observability(mut self, config: ObsConfig) -> Self {
@@ -258,15 +253,12 @@ impl ServiceBuilder {
         let obs = ServiceObs::new(self.observability);
         let reg = &obs.registry;
         // Every engine the table ever builds publishes its sim tallies
-        // into these shared registry-backed cells; the recorder is the
-        // service-wide one, so `sim.run` spans land next to the
-        // job-lifecycle spans.
+        // into these shared registry-backed cells.
         let sim_obs = obs.config.enabled().then(|| maya::SimObs {
             events: reg.counter("sim.events_processed"),
             heap_pops: reg.counter("sim.heap_pops"),
             heap_depth_high_water: reg.gauge("sim.heap_depth_high_water"),
             flow_solves: reg.counter("sim.flow_solves"),
-            recorder: obs.recorder.clone(),
         });
         let table = EngineTable::new(
             self.targets,
@@ -490,8 +482,6 @@ fn serve(idx: usize, shared: &Shared, queue: &AdmissionQueue, work: QueuedJob) {
         Some(JobOutcome::Cancelled(None))
     } else {
         work.producer.set_running();
-        // lint:allow(wall-clock-in-output): span-recorder telemetry anchor — timings are telemetry, not payload
-        let exec_started = Instant::now();
         // A panicking request must not kill the worker (the pool would
         // silently shrink and later requests would hang in the queue):
         // catch it and keep serving. A panic yields no verdict, so the
@@ -506,11 +496,6 @@ fn serve(idx: usize, shared: &Shared, queue: &AdmissionQueue, work: QueuedJob) {
                         .record_duration(t.service_time);
                 }
                 if shared.obs.config.enabled() {
-                    shared.obs.recorder.record(
-                        "serve.execute",
-                        exec_started,
-                        exec_started.elapsed(),
-                    );
                     if let Some(tree) = telemetry.and_then(|t| t.spans.first()) {
                         shared.obs.job_trees.record(work.id, tree.clone());
                     }
@@ -605,7 +590,8 @@ impl SearchObserver for ProgressForwarder<'_> {
 /// `execute` children, and the non-zero pipeline stage timings laid
 /// end to end under `execute`. Stage children are *summed* wall times
 /// over the request's predictions (they can overrun `execute` for
-/// multi-job batches); `queued`/`execute` are exact, which is what the
+/// multi-job batches and for a search that runs its trials in parallel
+/// waves); `queued`/`execute` are exact, which is what the
 /// wall-clock coverage accounting relies on.
 fn job_span_tree(queue_wait: Duration, service_time: Duration, stages: &StageTimings) -> SpanNode {
     let mut execute = SpanNode::leaf("execute", queue_wait, service_time);
@@ -644,10 +630,7 @@ fn execute(worker: usize, shared: &Shared, work: &QueuedJob) -> JobOutcome {
             let results = engine.predict_batch_with(jobs, Some(cancel));
             let mut stages = StageTimings::default();
             for p in results.iter().flatten() {
-                stages.emulation += p.timings.emulation;
-                stages.collation += p.timings.collation;
-                stages.estimation += p.timings.estimation;
-                stages.simulation += p.timings.simulation;
+                stages += p.timings;
             }
             (Payload::Predict(results), stages)
         }
@@ -676,7 +659,7 @@ fn execute(worker: usize, shared: &Shared, work: &QueuedJob) -> JobOutcome {
                 .with_observer(Box::new(forwarder))
                 .with_cancel(cancel.clone())
                 .run_batched(*algorithm, *budget, *seed);
-            (Payload::Search(Box::new(result)), StageTimings::default())
+            (Payload::Search(Box::new(result)), objective.timings())
         }
         Request::Measure { job, .. } => {
             let outcome = engine.measure_actual(job).map(|inner| match inner {
@@ -965,13 +948,10 @@ impl MayaService {
         snap
     }
 
-    /// Renders the flight recorder's flat spans plus the recent job
-    /// span trees as Chrome-trace JSON (load at `chrome://tracing`).
+    /// Renders the recent job span trees as Chrome-trace JSON (load at
+    /// `chrome://tracing`); empty with observability off.
     pub fn chrome_trace(&self) -> String {
-        chrome_trace_json(
-            &self.shared.obs.recorder.drain_sorted(),
-            &self.shared.obs.job_trees.trees(),
-        )
+        chrome_trace_json(&[], &self.shared.obs.job_trees.trees())
     }
 
     /// What happened to each target's memo snapshot at build time, in

@@ -547,9 +547,6 @@ pub struct SimObs {
     /// Flow-solver invocations (max-min rate re-convergences),
     /// cumulative. Zero when no cluster topology is in play.
     pub flow_solves: maya_obs::Counter,
-    /// Flight recorder for the `sim.run` phase span (lowering and
-    /// replay); a disabled recorder makes the record call a no-op.
-    pub recorder: maya_obs::FlightRecorder,
 }
 
 /// The event-driven simulator.
@@ -560,7 +557,7 @@ pub struct Simulator<'a> {
     /// happy path. Set via [`Simulator::with_faults`].
     faults: Option<&'a FaultPlan>,
     /// Post-run observability hooks; `None` (the default) publishes
-    /// nothing and skips even the wall-clock read.
+    /// nothing.
     obs: Option<&'a SimObs>,
 }
 
@@ -1043,14 +1040,12 @@ impl SimScratch {
 pub struct Lowered<'s> {
     sim: &'s Simulator<'s>,
     st: &'s mut SimScratch,
-    /// When lowering began, if an observer wants the `sim.run` span.
-    started: Option<std::time::Instant>,
 }
 
 impl Lowered<'_> {
     /// Runs the event loop (Algorithm 1's main loop) over the program.
     pub fn replay(self) -> Result<SimReport, SimError> {
-        self.sim.replay(self.st, self.started)
+        self.sim.replay(self.st)
     }
 }
 
@@ -1077,7 +1072,8 @@ impl<'a> Simulator<'a> {
     /// untouched either way — per-run tallies live in [`SimScratch`]
     /// and are published in one shot after the loop drains, so a
     /// `None` (the default) run is byte-identical to an instrumented
-    /// one and never even reads the wall clock.
+    /// one. The simulator reads no clock: a run's wall time is the
+    /// caller's to measure (the engine's `simulation` stage).
     pub fn with_obs(mut self, obs: Option<&'a SimObs>) -> Self {
         self.obs = obs;
         self
@@ -1117,8 +1113,6 @@ impl<'a> Simulator<'a> {
         job: &JobTrace,
         scratch: &'s mut SimScratch,
     ) -> Result<Lowered<'s>, SimError> {
-        // lint:allow(wall-clock-in-output): obs stage timing, only taken when an observer is attached — SimReport itself is wall-clock-free
-        let started = self.obs.map(|_| std::time::Instant::now());
         if let Some(w) = job.workers.iter().find(|w| w.events.len() >= NONE as usize) {
             return Err(SimError::InvalidTrace(format!(
                 "rank {} has {} events, above the simulator's limit of {NONE}",
@@ -1219,16 +1213,11 @@ impl<'a> Simulator<'a> {
         Ok(Lowered {
             sim: self,
             st: scratch,
-            started,
         })
     }
 
     /// The event loop over `st`'s freshly lowered program.
-    fn replay(
-        &self,
-        st: &mut SimScratch,
-        started: Option<std::time::Instant>,
-    ) -> Result<SimReport, SimError> {
+    fn replay(&self, st: &mut SimScratch) -> Result<SimReport, SimError> {
         if let Some(topo) = &self.cluster.topology {
             st.net.reset(topo.links.iter().map(|l| l.bytes_per_sec()));
             st.flow_meta.clear();
@@ -1271,17 +1260,15 @@ impl<'a> Simulator<'a> {
 
         debug_assert_eq!(st.pending, 0, "the heap drained with events still parked");
 
-        // Publish before the deadlock check: events were processed and
-        // a wall-clock interval elapsed whether or not all ranks
-        // finished, and a deadlocked run is exactly when the counters
-        // are most interesting.
-        if let (Some(obs), Some(started)) = (self.obs, started) {
+        // Publish before the deadlock check: events were processed
+        // whether or not all ranks finished, and a deadlocked run is
+        // exactly when the counters are most interesting.
+        if let Some(obs) = self.obs {
             obs.events.add(st.events_processed);
             obs.heap_pops.add(st.heap_pops);
             obs.heap_depth_high_water
                 .raise(st.pending_high_water as i64);
             obs.flow_solves.add(st.flow_solves);
-            obs.recorder.record("sim.run", started, started.elapsed());
         }
 
         let stuck: Vec<u32> = st
@@ -3017,9 +3004,6 @@ mod tests {
             "a topology run must re-converge flow rates at least once"
         );
         assert!(obs.heap_depth_high_water.get() > 0);
-        let spans = obs.recorder.drain_sorted();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "sim.run");
         // Counters accumulate across runs; the gauge is a high-water.
         let prev_hw = obs.heap_depth_high_water.get();
         sim.run(&job).unwrap();

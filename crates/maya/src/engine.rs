@@ -218,8 +218,7 @@ impl PredictionEngine {
     }
 
     /// Publishes every simulate call's per-run tallies (event counters,
-    /// heap high-water gauge, flow-solver counter, flight recorder)
-    /// into `obs`. A step of construction: it takes the engine by value,
+    /// heap high-water gauge, flow-solver counter) into `obs`. A step of construction: it takes the engine by value,
     /// so the sinks are fixed before the engine can be shared.
     pub fn with_sim_obs(mut self, obs: SimObs) -> Self {
         self.sim_obs = Some(obs);

@@ -125,6 +125,16 @@ impl StageTimings {
     }
 }
 
+impl std::ops::AddAssign for StageTimings {
+    /// Adds each stage of `rhs`, as a sum over predictions does.
+    fn add_assign(&mut self, rhs: StageTimings) {
+        self.emulation += rhs.emulation;
+        self.collation += rhs.collation;
+        self.estimation += rhs.estimation;
+        self.simulation += rhs.simulation;
+    }
+}
+
 /// Outcome of a prediction: a report, or a (predicted!) out-of-memory.
 #[derive(Clone, Debug)]
 pub enum PredictOutcome {

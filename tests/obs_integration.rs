@@ -1,7 +1,8 @@
 //! End-to-end exercise of the observability subsystem: metrics
 //! consistency under concurrent load, the loopback-TCP `Scrape`
-//! round trip pinned byte-identical to the in-process snapshot, and
-//! the span trees' wall-clock accounting for a real search job.
+//! round trip pinned byte-identical to the in-process snapshot, the
+//! span trees' wall-clock accounting for a real search job, and their
+//! Chrome-trace rendering.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -238,6 +239,48 @@ fn scraped_span_tree_covers_job_wall_clock() {
         tree.duration
     );
     server.shutdown();
+}
+
+/// `MayaService::chrome_trace` renders one `job` event per retained
+/// tree, and a search's tree names the simulation its trials ran; with
+/// observability off it renders an empty array.
+#[test]
+fn chrome_trace_renders_the_retained_job_trees() {
+    let service = service();
+    service.call(predict(8)).expect("predict served");
+    let searched = service.call(search()).expect("search served");
+    let execute = searched.telemetry.spans[0]
+        .find("execute")
+        .expect("execute span");
+    assert!(
+        execute.children.iter().any(|c| c.name == "simulation"),
+        "a search's execute span must carry its trials' simulation: {execute:?}"
+    );
+
+    let trace = service.chrome_trace();
+    let depth = trace.chars().try_fold(0i64, |d, c| {
+        let d = match c {
+            '{' | '[' => d + 1,
+            '}' | ']' => d - 1,
+            _ => d,
+        };
+        (d >= 0).then_some(d)
+    });
+    assert_eq!(depth, Some(0), "unbalanced JSON: {trace}");
+    let trees = service.obs_snapshot().recent_jobs.len();
+    assert_eq!(trees, 2);
+    assert_eq!(trace.matches("\"name\": \"job\"").count(), trees);
+    assert_eq!(trace.matches("\"name\": \"simulation\"").count(), 2);
+
+    let off = MayaService::builder()
+        .target(TARGET, EmulationSpec::new(ClusterSpec::h100(1, 2)))
+        .workers(1)
+        .observability(ObsConfig::off())
+        .build()
+        .expect("service builds");
+    off.call(predict(8)).expect("predict served");
+    let empty: String = off.chrome_trace().split_whitespace().collect();
+    assert_eq!(empty, "[]");
 }
 
 /// `ObsConfig::off` registers nothing and records nothing, while the
