@@ -364,10 +364,8 @@ pub fn drawn(seed: u64) -> (JobTrace, ClusterSpec) {
     (job, ClusterSpec::h100(nodes, nranks.div_ceil(nodes)))
 }
 
-/// The imperfect twin of a drawn setup, as `props.rs` builds it: the
-/// flat cluster with its default link topology, a fault plan drawn from
-/// `seed` over the clean run's `horizon` and, on odd seeds, an older
-/// GPU generation under the first `seed`-drawn ranks.
+/// The imperfect twin of a drawn setup: [`drawn_topology`] under a
+/// fault plan drawn from `seed` over the clean run's `horizon`.
 pub fn drawn_contended(
     flat: &ClusterSpec,
     nranks: u32,
@@ -375,14 +373,20 @@ pub fn drawn_contended(
     seed: u64,
 ) -> (ClusterSpec, FaultPlan) {
     let plan = FaultPlan::generate(seed, nranks, horizon);
-    let mut cluster = flat.clone().with_default_topology();
-    if seed % 2 == 1 {
-        cluster = cluster.with_hetero(HeteroPool::new(vec![RankClass {
-            gpu: GpuSpec::v100(),
-            count: 1 + (seed >> 1) as u32 % nranks,
-        }]));
+    (drawn_topology(flat, nranks, seed), plan)
+}
+
+/// The flat cluster with its default link topology and, on odd seeds,
+/// an older GPU generation under the first `seed`-drawn ranks.
+pub fn drawn_topology(flat: &ClusterSpec, nranks: u32, seed: u64) -> ClusterSpec {
+    let cluster = flat.clone().with_default_topology();
+    if seed % 2 == 0 {
+        return cluster;
     }
-    (cluster, plan)
+    cluster.with_hetero(HeteroPool::new(vec![RankClass {
+        gpu: GpuSpec::v100(),
+        count: 1 + (seed >> 1) as u32 % nranks,
+    }]))
 }
 
 /// 64-bit FNV-1a of `bytes`.

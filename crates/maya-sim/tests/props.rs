@@ -29,12 +29,13 @@
 //! estimator: more shapes than it holds, shapes that all start at one
 //! slot, and an arena handed from one estimator to another.
 
+mod common;
 mod reference;
 
 use std::collections::BTreeMap;
 
 use maya_estimator::{OracleEstimator, RuntimeEstimator};
-use maya_hw::{ClusterSpec, GpuSpec, HeteroPool, RankClass};
+use maya_hw::ClusterSpec;
 use maya_net::{FaultPlan, RankFailure};
 use maya_sim::{SimError, SimObs, SimReport, SimScratch, Simulator};
 use maya_trace::{
@@ -219,27 +220,6 @@ fn simulate(
     Simulator::new(estimator, cluster).run(job)
 }
 
-/// The imperfect twin of a flat setup: the same cluster with its
-/// default link topology, a fault plan drawn from `seed` over the
-/// clean run's `horizon` and, on odd seeds, an older GPU generation
-/// under the first `seed`-drawn ranks.
-fn contended(
-    flat: &ClusterSpec,
-    nranks: u32,
-    horizon: SimTime,
-    seed: u64,
-) -> (ClusterSpec, FaultPlan) {
-    let plan = FaultPlan::generate(seed, nranks, horizon);
-    let mut cluster = flat.clone().with_default_topology();
-    if seed % 2 == 1 {
-        cluster = cluster.with_hetero(HeteroPool::new(vec![RankClass {
-            gpu: GpuSpec::v100(),
-            count: 1 + (seed >> 1) as u32 % nranks,
-        }]));
-    }
-    (cluster, plan)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -257,7 +237,7 @@ proptest! {
         let b = simulate(&j, &c, &oracle).unwrap();
         prop_assert_eq!(bytes_of(&a), bytes_of(&b));
 
-        let (topo, plan) = contended(&c, nranks, a.total_time, fault_seed);
+        let (topo, plan) = common::drawn_contended(&c, nranks, a.total_time, fault_seed);
         let obs = SimObs::default();
         let sim = Simulator::new(&oracle, &topo).with_faults(Some(&plan));
         let a = sim.run(&j).unwrap();
@@ -290,7 +270,7 @@ proptest! {
 
         // The same arena, now dirty from flat runs, on the contended
         // path — and then back on the flat one.
-        let (topo, plan) = contended(&c, nranks, fresh.total_time, fault_seed);
+        let (topo, plan) = common::drawn_contended(&c, nranks, fresh.total_time, fault_seed);
         let net_sim = Simulator::new(&oracle, &topo).with_faults(Some(&plan));
         let _ = net_sim.run_prevalidated(&job(nranks, &steps_a), &mut scratch);
         let reused = net_sim.run_prevalidated(&j, &mut scratch).unwrap();
@@ -345,6 +325,29 @@ proptest! {
                 prop_assert_eq!(none, Err(e.clone()));
                 prop_assert_eq!(empty_plan, Err(e));
             }
+        }
+    }
+}
+
+/// The seed-drawn jobs of `common::drawn` on their flat clusters: two
+/// thousand schedules of three streams, pair, cross and world
+/// collectives, copies and syncs, each held to the reference core,
+/// `events_processed` included. The generated jobs above are smaller
+/// and fewer; these reach schedules where a host wakes while its
+/// device still has a long run of kernels queued.
+#[test]
+fn drawn_flat_jobs_match_the_reference() {
+    for seed in 0..2000 {
+        let (job, flat) = common::drawn(seed);
+        let oracle = OracleEstimator::new(&flat);
+        let dense = simulate(&job, &flat, &oracle);
+        let reference = simulate_reference(&job, &flat, &oracle);
+        match (&dense, &reference) {
+            (Ok(d), Ok(r)) => {
+                assert_eq!(d.events_processed, r.events_processed, "seed {seed}");
+                assert_eq!(bytes_of(d), bytes_of(r), "seed {seed}");
+            }
+            _ => assert_eq!(dense, reference, "seed {seed}"),
         }
     }
 }
@@ -621,6 +624,51 @@ fn a_deadlock_with_parked_pumps_counts_what_the_reference_pops() {
     assert_eq!((&dense, &reference), (&deadlock, &deadlock));
     assert_eq!(obs.events.get(), events);
     assert!(obs.heap_pops.get() + 4 <= events, "four pumps parked");
+}
+
+/// A host woken by a record on one stream while another stream still
+/// runs a chain of kernels it issued earlier. Stream 0 gets three long
+/// kernels, stream 1 a short one and a record; the host waits for the
+/// record, then syncs on stream 0. When the record wakes it, stream 0
+/// has started its second kernel and its third is still queued, so
+/// each sync must park the host until stream 0 drains, even one made
+/// long after the chain's end by the host's own clock. Held to the
+/// reference core; 12 events each.
+///
+/// Heap pops: 9 before stream run-ahead, 7 with it. Stream 0's three
+/// kernels are one chain, already issued when the first starts, so the
+/// completions of the first two are counted off instead of popped.
+#[test]
+fn a_host_woken_mid_chain_sees_the_chain_queued() {
+    let c = cluster();
+    let oracle = OracleEstimator::new(&c);
+    let (event, version) = (5, 1);
+    let job = |sync: DeviceOp, host_us: f64| {
+        job1(vec![
+            ev(0, kernel(8192), 1.0),
+            ev(0, kernel(8192), 1.0),
+            ev(0, kernel(8192), 1.0),
+            ev(1, kernel(4096), 1.0),
+            ev(1, DeviceOp::EventRecord { event, version }, 1.0),
+            ev(0, DeviceOp::EventSynchronize { event, version }, 1.0),
+            ev(0, sync, host_us),
+        ])
+    };
+    for (name, job) in [
+        ("stream sync", job(DeviceOp::StreamSynchronize, 1.0)),
+        ("device sync", job(DeviceOp::DeviceSynchronize, 1.0)),
+        (
+            "late device sync",
+            job(DeviceOp::DeviceSynchronize, 10_000.0),
+        ),
+    ] {
+        let obs = SimObs::default();
+        let dense = Simulator::new(&oracle, &c).with_obs(Some(&obs)).run(&job);
+        let reference = simulate_reference(&job, &c, &oracle);
+        assert_eq!(dense, reference, "{name}");
+        let events = dense.map(|r| r.events_processed);
+        assert_eq!((events, obs.heap_pops.get()), (Ok(12), 9), "{name}");
+    }
 }
 
 /// Every kernel takes 100 µs: durations a schedule can be counted with.
