@@ -348,6 +348,20 @@ struct StreamSim {
     /// Lowering only: the last op linked onto this stream.
     tail: u32,
     busy_until: SimTime,
+    /// The instant the last kernel of the stream's latest run-ahead
+    /// chain starts (module docs, "Run-ahead"): until the clock passes
+    /// it, the chained kernels starting later are still queued to a
+    /// host.
+    ahead: SimTime,
+    /// The instant that chain started, and its first kernel.
+    chain_from: SimTime,
+    chain_op: u32,
+    /// Whether no other pump of the stream has come due at one of the
+    /// chain's [`chain_starts`] (module docs, "Run-ahead").
+    chain_clean: bool,
+    /// The `(worker, stream)` of the chain built just before this one
+    /// if that chain has the same starts and end.
+    twin_of: Option<(usize, usize)>,
     blocked: Option<StreamBlock>,
     /// Sub-lane cursor: the oldest op here whose issue pump is parked
     /// (module docs, "Parking"), or [`NONE`]. The sub-lane is the chain
@@ -364,19 +378,59 @@ impl StreamSim {
         head: NONE,
         tail: NONE,
         busy_until: SimTime::ZERO,
+        ahead: SimTime::ZERO,
+        chain_from: SimTime::ZERO,
+        chain_op: NONE,
+        chain_clean: false,
+        twin_of: None,
         blocked: None,
         lane: NONE,
         lane_queued: false,
     };
 
-    /// Whether no issued op waits here, given the host's cursor.
-    fn queue_is_empty(&self, next_op: u32) -> bool {
-        self.head >= next_op
+    /// Whether no issued op waits here at the clock's `now`, given the
+    /// host's cursor. A run-ahead kernel starting after `now` still
+    /// waits: it is past `head`, but the core without run-ahead has
+    /// not started it yet.
+    fn queue_is_empty(&self, next_op: u32, now: SimTime) -> bool {
+        self.head >= next_op && self.ahead <= now
     }
 
-    fn drained(&self, now: SimTime, next_op: u32) -> bool {
-        self.queue_is_empty(next_op) && self.blocked.is_none() && self.busy_until <= now
+    /// Whether the stream is idle by `until`, as seen at the clock's
+    /// `now`.
+    fn drained(&self, until: SimTime, now: SimTime, next_op: u32) -> bool {
+        self.queue_is_empty(next_op, now) && self.blocked.is_none() && self.busy_until <= until
     }
+
+    /// A pump of this stream came due at `at` and found it busy: if
+    /// `at` is one of its chain's starts, a core without run-ahead may
+    /// have started that kernel from this pump instead of from the
+    /// completion before it.
+    fn note_pump(&mut self, ops: &[Op], at: SimTime) {
+        if self.chain_clean
+            && self.chain_from < at
+            && at <= self.ahead
+            && chain_starts(ops, self).any(|start| start == at)
+        {
+            self.chain_clean = false;
+        }
+    }
+}
+
+/// The start instants of the second through last kernels of stream
+/// `s`'s run-ahead chain: the instants a core without run-ahead pops a
+/// completion of the chain at.
+fn chain_starts<'a>(ops: &'a [Op], s: &StreamSim) -> impl Iterator<Item = SimTime> + 'a {
+    let (last, mut at, mut pc) = (s.ahead, s.chain_from, s.chain_op);
+    std::iter::from_fn(move || {
+        let op = ops.get(pc as usize).filter(|_| at < last)?;
+        let OpKind::Kernel { dur } = op.kind else {
+            return None;
+        };
+        at += dur;
+        pc = op.next;
+        Some(at)
+    })
 }
 
 /// Why a host thread is parked.
@@ -469,6 +523,8 @@ enum EvKind {
     HostDispatch { wi: usize },
     /// A stream should attempt to make progress.
     Pump { wi: usize, si: usize },
+    /// The same, at the end of a run-ahead chain (module docs).
+    ChainEnd { wi: usize, si: usize },
     /// The same, scheduled by the host enqueuing an op: these travel
     /// through rank `wi`'s issue lane, so handling one promotes the
     /// lane's next entry into the heap.
@@ -744,6 +800,14 @@ pub struct SimScratch {
     routes: Vec<u32>,
     /// Participant nodes of the route being built.
     route_nodes: Vec<u32>,
+    /// Whether the replay runs ahead (module docs, "Run-ahead").
+    run_ahead: bool,
+    /// The `(worker, stream)` of the last chain built.
+    last_chain: Option<(usize, usize)>,
+    /// Each instant the clock has reached and the last sequence stamp
+    /// taken before it: the instant an event was stamped at, for the
+    /// ties a chain end meets.
+    instants: Vec<(SimTime, u64)>,
 }
 
 /// One stream waiting at a collective rendezvous: `(worker, stream,
@@ -833,6 +897,7 @@ impl SimScratch {
             if s.busy_until > op.t {
                 self.events_processed += 1;
                 self.pending -= 1;
+                s.note_pump(&r.ops, op.t);
                 continue;
             }
             if s.blocked.is_some() {
@@ -873,6 +938,7 @@ impl SimScratch {
             if (op.t, op.seq) < handled || s.busy_until > op.t {
                 self.events_processed += 1;
                 self.pending -= 1;
+                s.note_pump(&r.ops, op.t);
                 s.lane = op.parked_after(r.lane_next);
                 continue;
             }
@@ -932,6 +998,70 @@ impl SimScratch {
         }
         self.events_processed += parked as u64;
         self.pending -= parked;
+    }
+
+    /// Stream `si` of worker `wi` built a chain: it is the twin of the
+    /// chain built just before it if that one starts now, ends with it
+    /// and has the same starts. Twins start in one instant's pops, so
+    /// the comparison finds both chains' ops still in cache.
+    fn note_chain(&mut self, wi: usize, si: usize) {
+        let twin = self.last_chain.filter(|&(w, s)| {
+            let (Some(a), Some(b)) = (self.stream(w, s), self.stream(wi, si)) else {
+                return false;
+            };
+            (a.1.chain_from, a.1.busy_until) == (b.1.chain_from, b.1.busy_until)
+                && chain_starts(&a.0.ops, a.1).eq(chain_starts(&b.0.ops, b.1))
+        });
+        self.last_chain = Some((wi, si));
+        if let Some(s) = self.ranks.get_mut(wi).and_then(|r| r.streams.get_mut(si)) {
+            s.twin_of = twin;
+        }
+    }
+
+    /// Worker `wi` and its stream `si`.
+    fn stream(&self, wi: usize, si: usize) -> Option<(&RankSim, &StreamSim)> {
+        let r = self.ranks.get(wi)?;
+        Some((r, r.streams.get(si)?))
+    }
+
+    /// The instant the event stamped `seq` was stamped at.
+    fn stamped_at(&self, seq: u64) -> SimTime {
+        let i = self.instants.partition_point(|&(_, before)| before < seq);
+        self.instants
+            .get(i.wrapping_sub(1))
+            .map_or(SimTime::ZERO, |&(at, _)| at)
+    }
+
+    /// Whether the chain end of stream `si` of worker `wi`, just popped,
+    /// comes before the next pending event at its instant in the order
+    /// a core without run-ahead pops them (module docs, "Run-ahead").
+    fn chain_end_in_order(&self, wi: usize, si: usize) -> bool {
+        let next = match (self.heap.peek(), self.flow_due) {
+            (Some(Reverse(top)), Some(due)) if top.key() < due.key() => *top,
+            (_, Some(due)) => due,
+            (Some(Reverse(top)), None) => *top,
+            (None, None) => return true,
+        };
+        if next.at != self.now {
+            return true;
+        }
+        let Some((r, s)) = self.stream(wi, si) else {
+            return false;
+        };
+        match next.kind {
+            EvKind::ChainEnd { wi: w2, si: s2 } => {
+                let Some((r2, d)) = self.stream(w2, s2) else {
+                    return false;
+                };
+                s.ahead < d.ahead
+                    || s.ahead == d.ahead
+                        && d.chain_clean
+                        && (d.twin_of == Some((wi, si))
+                            || s.chain_from == d.chain_from
+                                && chain_starts(&r.ops, s).eq(chain_starts(&r2.ops, d)))
+            }
+            _ => self.stamped_at(next.seq) > s.ahead,
+        }
     }
 
     /// Where communicator `group` is in `comms`; [`NONE`] is the last.
@@ -1031,6 +1161,9 @@ impl SimScratch {
         self.pending = 0;
         self.pending_high_water = 0;
         self.flow_solves = 0;
+        self.instants.clear();
+        self.instants.push((SimTime::ZERO, 0));
+        self.last_chain = None;
         self.ranks.truncate(workers);
         self.ranks.resize_with(workers, RankSim::default);
     }
@@ -1039,13 +1172,25 @@ impl SimScratch {
 /// A job lowered into a [`SimScratch`], ready for its one replay.
 pub struct Lowered<'s> {
     sim: &'s Simulator<'s>,
+    job: &'s JobTrace,
     st: &'s mut SimScratch,
 }
 
 impl Lowered<'_> {
     /// Runs the event loop (Algorithm 1's main loop) over the program.
     pub fn replay(self) -> Result<SimReport, SimError> {
-        self.sim.replay(self.st)
+        let Lowered { sim, job, st } = self;
+        loop {
+            if let Some(report) = sim.replay(st) {
+                return report;
+            }
+            // A chain end met a tie that run-ahead cannot order as a
+            // core without it would (module docs, "Run-ahead"): the
+            // program was consumed, so lower it again and replay
+            // without run-ahead, which always finishes.
+            sim.lower_into(job, st)?;
+            st.run_ahead = false;
+        }
     }
 }
 
@@ -1110,9 +1255,20 @@ impl<'a> Simulator<'a> {
     /// from its event count. Fails only on a worker too long to index.
     pub fn lower<'s>(
         &'s self,
-        job: &JobTrace,
+        job: &'s JobTrace,
         scratch: &'s mut SimScratch,
     ) -> Result<Lowered<'s>, SimError> {
+        self.lower_into(job, scratch)?;
+        scratch.run_ahead = self.faults.is_none();
+        Ok(Lowered {
+            sim: self,
+            job,
+            st: scratch,
+        })
+    }
+
+    /// [`Simulator::lower`]'s pass, into `scratch`.
+    fn lower_into(&self, job: &JobTrace, scratch: &mut SimScratch) -> Result<(), SimError> {
         if let Some(w) = job.workers.iter().find(|w| w.events.len() >= NONE as usize) {
             return Err(SimError::InvalidTrace(format!(
                 "rank {} has {} events, above the simulator's limit of {NONE}",
@@ -1210,14 +1366,12 @@ impl<'a> Simulator<'a> {
             }
             r.reset_events(event_index.len());
         }
-        Ok(Lowered {
-            sim: self,
-            st: scratch,
-        })
+        Ok(())
     }
 
-    /// The event loop over `st`'s freshly lowered program.
-    fn replay(&self, st: &mut SimScratch) -> Result<SimReport, SimError> {
+    /// The event loop over `st`'s freshly lowered program; `None` if a
+    /// run-ahead chain end met a tie it cannot order (module docs).
+    fn replay(&self, st: &mut SimScratch) -> Option<Result<SimReport, SimError>> {
         if let Some(topo) = &self.cluster.topology {
             st.net.reset(topo.links.iter().map(|l| l.bytes_per_sec()));
             st.flow_meta.clear();
@@ -1236,12 +1390,21 @@ impl<'a> Simulator<'a> {
         }
 
         while let Some(ev) = st.pop() {
+            if ev.at != st.now {
+                st.instants.push((ev.at, st.seq));
+            }
             st.now = ev.at;
             st.now_seq = ev.seq;
             st.events_processed += 1;
             match ev.kind {
                 EvKind::HostDispatch { wi } => self.host_dispatch(st, wi),
                 EvKind::Pump { wi, si } => self.pump(st, wi, si),
+                EvKind::ChainEnd { wi, si } => {
+                    if !st.chain_end_in_order(wi, si) {
+                        return None;
+                    }
+                    self.pump(st, wi, si);
+                }
                 EvKind::IssuePump { wi, si } => {
                     self.pump(st, wi, si);
                     // After the pump, so that the kernel it may have
@@ -1278,7 +1441,7 @@ impl<'a> Simulator<'a> {
             .map(|r| r.rank)
             .collect();
         if !stuck.is_empty() {
-            return Err(SimError::Deadlock { stuck_ranks: stuck });
+            return Some(Err(SimError::Deadlock { stuck_ranks: stuck }));
         }
 
         let rank_end: Vec<SimTime> = st
@@ -1293,7 +1456,7 @@ impl<'a> Simulator<'a> {
                 r.host_time.max(s)
             })
             .collect();
-        Ok(SimReport {
+        Some(Ok(SimReport {
             total_time: rank_end.iter().copied().fold(SimTime::ZERO, SimTime::max),
             rank_end_times: rank_end,
             comm_time: st
@@ -1313,7 +1476,7 @@ impl<'a> Simulator<'a> {
                 .fold(SimTime::ZERO, SimTime::max),
             peak_mem_bytes: st.program.peak_mem_bytes,
             events_processed: st.events_processed,
-        })
+        }))
     }
 
     /// Host dispatch loop: replays recorded host delays and runs ahead,
@@ -1367,14 +1530,14 @@ impl<'a> Simulator<'a> {
                     }
                 }
                 OpKind::DeviceSync => {
-                    let now = r.host_time;
-                    let mut latest = now;
+                    let (host, now) = (r.host_time, st.now);
+                    let mut latest = host;
                     let mut remaining = 0u32;
                     for s in &r.streams {
-                        if s.drained(now, r.next_op) {
+                        if s.drained(host, now, r.next_op) {
                             continue;
                         }
-                        if s.queue_is_empty(r.next_op) && s.blocked.is_none() {
+                        if s.queue_is_empty(r.next_op, now) && s.blocked.is_none() {
                             latest = latest.max(s.busy_until);
                         } else {
                             remaining += 1;
@@ -1419,7 +1582,7 @@ impl<'a> Simulator<'a> {
     fn park_host_on_drain(&self, st: &mut SimScratch, wi: usize, si: usize) -> bool {
         let r = &mut st.ranks[wi];
         let s = &r.streams[si];
-        if s.queue_is_empty(r.next_op) && s.blocked.is_none() {
+        if s.queue_is_empty(r.next_op, st.now) && s.blocked.is_none() {
             r.host_time = r.host_time.max(s.busy_until);
             false
         } else {
@@ -1435,20 +1598,58 @@ impl<'a> Simulator<'a> {
             let r = &mut st.ranks[wi];
             let s = &mut r.streams[si];
             if s.blocked.is_some() || s.busy_until > now {
+                s.note_pump(&r.ops, now);
                 return;
             }
-            if s.queue_is_empty(r.next_op) {
+            if s.queue_is_empty(r.next_op, now) {
                 // Drained: wake a host parked on this stream/device.
                 self.notify_drain(st, wi, si, now);
                 return;
             }
-            let front = r.ops[s.head as usize];
+            let pc = s.head;
+            let front = r.ops[pc as usize];
             if front.t > now {
                 st.push(front.t, EvKind::Pump { wi, si });
                 return;
             }
             s.head = front.next;
             match front.kind {
+                OpKind::Kernel { mut dur } if st.run_ahead => {
+                    // Run ahead (module docs): start the issued kernels
+                    // behind this one back to back, counting off each
+                    // completion in between.
+                    let mut end = now + dur;
+                    r.compute_busy += dur;
+                    (s.chain_from, s.chain_op, s.chain_clean) = (now, pc, true);
+                    let mut kind = EvKind::Pump { wi, si };
+                    while dur > SimTime::ZERO && s.head < r.next_op {
+                        let Some(&Op {
+                            t,
+                            next,
+                            kind: OpKind::Kernel { dur: d },
+                            ..
+                        }) = r.ops.get(s.head as usize)
+                        else {
+                            break;
+                        };
+                        if t > end {
+                            break;
+                        }
+                        s.head = next;
+                        s.ahead = end;
+                        dur = d;
+                        end += d;
+                        r.compute_busy += d;
+                        st.events_processed += 1;
+                        kind = EvKind::ChainEnd { wi, si };
+                    }
+                    s.busy_until = end;
+                    st.push(end, kind);
+                    if let EvKind::ChainEnd { .. } = kind {
+                        st.note_chain(wi, si);
+                    }
+                    return;
+                }
                 OpKind::Kernel { dur } | OpKind::Memcpy { dur, .. } => {
                     s.busy_until = now + dur;
                     r.compute_busy += dur;
@@ -1708,7 +1909,7 @@ impl<'a> Simulator<'a> {
         for si in 0..st.ranks[wi].streams.len() {
             let r = &mut st.ranks[wi];
             let s = &mut r.streams[si];
-            if s.drained(now, r.next_op) {
+            if s.drained(now, now, r.next_op) {
                 continue;
             }
             s.busy_until = s.busy_until.max(now) + cost;
@@ -2557,7 +2758,7 @@ mod tests {
             (report.total_time, report.compute_time, report.host_time),
             (us(401.0), us(400.0), us(171.0))
         );
-        assert_eq!((report.events_processed, pops), (16, 11));
+        assert_eq!((report.events_processed, pops), (16, 10));
     }
 
     /// Pumps still parked when the heap drains are counted there, so a

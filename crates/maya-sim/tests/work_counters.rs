@@ -44,7 +44,7 @@ fn counters(cluster: &ClusterSpec, faults: Option<&FaultPlan>) -> (u64, u64, u64
 
 #[test]
 fn flat_job_counters_are_pinned() {
-    assert_eq!(counters(&common::flat_cluster(), None), (776, 455, 0, 136));
+    assert_eq!(counters(&common::flat_cluster(), None), (776, 431, 0, 136));
 }
 
 /// The high water was 141 before parking: a pump parked on a blocked
