@@ -68,6 +68,58 @@
 //! thus counted once, popped or not, and `events_processed` is what a
 //! core without lanes pops.
 //!
+//! **Run-ahead.** A kernel's completion pops only to start the next op
+//! on its stream, so when that op is a kernel the host has already
+//! issued, nothing else observes the completion. `pump` therefore
+//! starts a *chain*: the kernel it starts and the kernels behind it
+//! back to back, one after another while the next op is an
+//! `OpKind::Kernel`, is issued (below `RankSim::next_op`) and is due by
+//! the chain's running end, and the kernel before it lasts longer than
+//! zero (a zero-length completion pops after the other events of its
+//! instant). Any other op ends the chain. Each kernel's time goes to
+//! `busy_until` and `compute_busy` as it would one by one, each skipped
+//! completion is counted into `events_processed`, and one `ChainEnd`
+//! pump is pushed at the chain's end. Under a fault plan there is no
+//! run-ahead: a rank failure pushes dispatches at future instants and
+//! extends a busy stream mid-chain. A hetero pool scales kernels at
+//! issue, so it keeps run-ahead.
+//! *Hosts see the queue of a core without run-ahead.*
+//! `StreamSim::ahead` is the start of the chain's last kernel, and
+//! every host-side read of a stream's queue (`park_host_on_drain`,
+//! `DeviceSync`) counts a chained kernel starting after the clock as
+//! still queued. This is exact: a host resumes only through an event
+//! pushed at its own instant, and the completion that starts a chained
+//! kernel at that instant was pushed at an earlier one, so it pops
+//! first.
+//! *The `(at, seq)` order.* The chain end is stamped when the chain
+//! starts. A core without run-ahead stamps the last completion later:
+//! at the last kernel's start `L`, in the first of the stream's pumps
+//! popped then. Events at other instants keep their order, so only a
+//! tie with another event at the chain's end instant can pop in the
+//! other order. When a chain end pops, it is held against the next
+//! pending event at its instant (`SimScratch::tie`). An event stamped
+//! before `L` pops first, and one stamped after it pops after. A chain
+//! end whose last kernel starts earlier pops first, and one whose last
+//! kernel starts later pops after. A *twin* chain started in the same
+//! instant with the same starts. For a twin,
+//! `SimScratch::twins_in_order` replays the two chains' stamps start by
+//! start. Each start's completion is stamped by the first of the
+//! stream's pumps due there. That is either the completion before it,
+//! itself stamped at the previous start, or another pump that came due
+//! at the start (`StreamSim::pumped`). The other pump comes first if it
+//! was stamped at an earlier instant. A chain end that must pop later
+//! goes back into the heap right behind the event that comes first.
+//! Stamps step by `STAMP`, which leaves room there. A tie none of this
+//! orders abandons the replay. The program is lowered again and
+//! replayed without run-ahead, which costs only time. Checking the next
+//! event suffices. Anything pushed later carries a larger stamp in both
+//! orders, and a chain end only ever moves behind an event that comes
+//! before it. So an event handled out of the reference order would
+//! leave an adjacent pair out of order, with a chain end as its first
+//! member, which is caught when it pops. Unlike dslab's
+//! `ordered_events` queue, a chain needs no queue beside the heap:
+//! nobody reads the middle of a chain.
+//!
 //! **Flow completions.** On a topology every rendezvous becomes a flow
 //! ([`FlowNet`]), and every flow start or finish re-converges the net
 //! and moves every live flow's completion time. A completion that
@@ -153,6 +205,11 @@ impl CollKey {
 
 /// "No op": compares above every index into a worker's ops.
 const NONE: u32 = u32::MAX;
+
+/// The step between consecutive sequence stamps: the room behind each
+/// event for the run-ahead chain ends moved there (module docs,
+/// "Run-ahead").
+const STAMP: u64 = 1 << 16;
 
 /// What one lowered trace event does, with everything the replay would
 /// otherwise look up already resolved.
@@ -353,12 +410,14 @@ struct StreamSim {
     /// it, the chained kernels starting later are still queued to a
     /// host.
     ahead: SimTime,
-    /// The instant that chain started, and its first kernel.
+    /// The instant that chain started, its first kernel and the stamp
+    /// its end was pushed with.
     chain_from: SimTime,
     chain_op: u32,
-    /// Whether no other pump of the stream has come due at one of the
-    /// chain's [`chain_starts`] (module docs, "Run-ahead").
-    chain_clean: bool,
+    chain_seq: u64,
+    /// Other pumps of the stream that came due at the chain's
+    /// [`chain_starts`].
+    pumped: Pumped,
     /// The `(worker, stream)` of the chain built just before this one
     /// if that chain has the same starts and end.
     twin_of: Option<(usize, usize)>,
@@ -381,7 +440,8 @@ impl StreamSim {
         ahead: SimTime::ZERO,
         chain_from: SimTime::ZERO,
         chain_op: NONE,
-        chain_clean: false,
+        chain_seq: 0,
+        pumped: Pumped::None,
         twin_of: None,
         blocked: None,
         lane: NONE,
@@ -402,19 +462,62 @@ impl StreamSim {
         self.queue_is_empty(next_op, now) && self.blocked.is_none() && self.busy_until <= until
     }
 
-    /// A pump of this stream came due at `at` and found it busy: if
-    /// `at` is one of its chain's starts, a core without run-ahead may
-    /// have started that kernel from this pump instead of from the
-    /// completion before it.
-    fn note_pump(&mut self, ops: &[Op], at: SimTime) {
-        if self.chain_clean
+    /// A pump of this stream stamped `seq` came due at `at` and found it
+    /// busy: if `at` is one of its chain's starts, a core without
+    /// run-ahead may have started that kernel from this pump instead of
+    /// from the completion before it.
+    fn note_pump(&mut self, ops: &[Op], at: SimTime, seq: u64) {
+        if self.pumped != Pumped::Many
             && self.chain_from < at
             && at <= self.ahead
             && chain_starts(ops, self).any(|start| start == at)
         {
-            self.chain_clean = false;
+            self.pumped = match self.pumped {
+                Pumped::None => Pumped::At(at, seq),
+                Pumped::At(first, earliest) if first == at => Pumped::At(at, earliest.min(seq)),
+                _ => Pumped::Many,
+            };
         }
     }
+
+    /// The stamp of the first other pump due at chain start `at`, if any.
+    fn pumped_at(&self, at: SimTime) -> Option<u64> {
+        match self.pumped {
+            Pumped::At(first, seq) if first == at => Some(seq),
+            _ => None,
+        }
+    }
+}
+
+/// Pumps of a stream, besides its chain's own completions, that came
+/// due at one of the chain's starts (module docs, "Run-ahead").
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Pumped {
+    None,
+    /// All at one start; the stamp of the earliest.
+    At(SimTime, u64),
+    /// At more than one start.
+    Many,
+}
+
+/// Where a popped run-ahead chain end stands against the next pending
+/// event at its instant (module docs, "Run-ahead").
+enum Tie {
+    /// It pops first.
+    First,
+    /// The event stamped this pops first: the chain end goes behind it.
+    Behind(u64),
+    /// The replay cannot tell.
+    Open,
+}
+
+/// A stamp in the replay of a pair of twin chains: a real event's, or
+/// the virtual completion of chain `a` (`true`) or `b` (`false`)
+/// stamped at the previous start.
+#[derive(Clone, Copy)]
+enum Stamp {
+    Real(u64),
+    Virtual(bool),
 }
 
 /// The start instants of the second through last kernels of stream
@@ -591,8 +694,8 @@ pub struct SimObs {
     /// Cumulative pops of the event queue — the heap and the flow
     /// completion beside it — across runs: `events` less the events
     /// counted off without being popped, namely issue pumps elided or
-    /// parked and flow completions a convergence superseded or never
-    /// scheduled.
+    /// parked, the completions inside a run-ahead chain of kernels and
+    /// flow completions a convergence superseded or never scheduled.
     pub heap_pops: maya_obs::Counter,
     /// High-water mark of the pending-event set — heap entries, the
     /// pending flow completion and pumps waiting in the per-rank issue
@@ -802,8 +905,12 @@ pub struct SimScratch {
     route_nodes: Vec<u32>,
     /// Whether the replay runs ahead (module docs, "Run-ahead").
     run_ahead: bool,
-    /// The `(worker, stream)` of the last chain built.
-    last_chain: Option<(usize, usize)>,
+    /// The starts and end of the chain being built, and of the last
+    /// one built, with its `(worker, stream)` and the instant it
+    /// started.
+    starts: Vec<SimTime>,
+    last_starts: Vec<SimTime>,
+    last_chain: Option<(usize, usize, SimTime)>,
     /// Each instant the clock has reached and the last sequence stamp
     /// taken before it: the instant an event was stamped at, for the
     /// ties a chain end meets.
@@ -842,7 +949,7 @@ impl SimScratch {
 
     /// Counts a new pending event and returns its sequence number.
     fn stamp(&mut self) -> u64 {
-        self.seq += 1;
+        self.seq += STAMP;
         self.pending += 1;
         self.pending_high_water = self.pending_high_water.max(self.pending);
         self.seq
@@ -897,7 +1004,7 @@ impl SimScratch {
             if s.busy_until > op.t {
                 self.events_processed += 1;
                 self.pending -= 1;
-                s.note_pump(&r.ops, op.t);
+                s.note_pump(&r.ops, op.t, op.seq);
                 continue;
             }
             if s.blocked.is_some() {
@@ -938,7 +1045,7 @@ impl SimScratch {
             if (op.t, op.seq) < handled || s.busy_until > op.t {
                 self.events_processed += 1;
                 self.pending -= 1;
-                s.note_pump(&r.ops, op.t);
+                s.note_pump(&r.ops, op.t, op.seq);
                 s.lane = op.parked_after(r.lane_next);
                 continue;
             }
@@ -1000,21 +1107,20 @@ impl SimScratch {
         self.pending -= parked;
     }
 
-    /// Stream `si` of worker `wi` built a chain: it is the twin of the
-    /// chain built just before it if that one starts now, ends with it
-    /// and has the same starts. Twins start in one instant's pops, so
-    /// the comparison finds both chains' ops still in cache.
+    /// Stream `si` of worker `wi` built a chain at the clock's instant,
+    /// its starts and end in `starts`: it is the twin of the chain built
+    /// just before it if that one started then too, with the same
+    /// starts and end.
     fn note_chain(&mut self, wi: usize, si: usize) {
-        let twin = self.last_chain.filter(|&(w, s)| {
-            let (Some(a), Some(b)) = (self.stream(w, s), self.stream(wi, si)) else {
-                return false;
-            };
-            (a.1.chain_from, a.1.busy_until) == (b.1.chain_from, b.1.busy_until)
-                && chain_starts(&a.0.ops, a.1).eq(chain_starts(&b.0.ops, b.1))
-        });
-        self.last_chain = Some((wi, si));
+        let twin = self
+            .last_chain
+            .filter(|&(_, _, from)| from == self.now && self.starts == self.last_starts)
+            .map(|(w, s, _)| (w, s));
+        std::mem::swap(&mut self.starts, &mut self.last_starts);
+        self.last_chain = Some((wi, si, self.now));
+        let seq = self.seq;
         if let Some(s) = self.ranks.get_mut(wi).and_then(|r| r.streams.get_mut(si)) {
-            s.twin_of = twin;
+            (s.twin_of, s.chain_seq) = (twin, seq);
         }
     }
 
@@ -1032,36 +1138,92 @@ impl SimScratch {
             .map_or(SimTime::ZERO, |&(at, _)| at)
     }
 
-    /// Whether the chain end of stream `si` of worker `wi`, just popped,
-    /// comes before the next pending event at its instant in the order
-    /// a core without run-ahead pops them (module docs, "Run-ahead").
-    fn chain_end_in_order(&self, wi: usize, si: usize) -> bool {
+    /// Where the chain end of stream `si` of worker `wi`, just popped,
+    /// stands against the next pending event at its instant in the
+    /// order a core without run-ahead pops them (module docs,
+    /// "Run-ahead").
+    fn tie(&self, wi: usize, si: usize) -> Tie {
         let next = match (self.heap.peek(), self.flow_due) {
             (Some(Reverse(top)), Some(due)) if top.key() < due.key() => *top,
             (_, Some(due)) => due,
             (Some(Reverse(top)), None) => *top,
-            (None, None) => return true,
+            (None, None) => return Tie::First,
         };
         if next.at != self.now {
-            return true;
+            return Tie::First;
         }
         let Some((r, s)) = self.stream(wi, si) else {
-            return false;
+            return Tie::Open;
         };
-        match next.kind {
+        let first = match next.kind {
             EvKind::ChainEnd { wi: w2, si: s2 } => {
                 let Some((r2, d)) = self.stream(w2, s2) else {
-                    return false;
+                    return Tie::Open;
                 };
-                s.ahead < d.ahead
-                    || s.ahead == d.ahead
-                        && d.chain_clean
-                        && (d.twin_of == Some((wi, si))
-                            || s.chain_from == d.chain_from
-                                && chain_starts(&r.ops, s).eq(chain_starts(&r2.ops, d)))
+                let twins = d.twin_of == Some((wi, si))
+                    || s.chain_from == d.chain_from
+                        && chain_starts(&r.ops, s).eq(chain_starts(&r2.ops, d));
+                match s.ahead.cmp(&d.ahead) {
+                    std::cmp::Ordering::Equal if twins => {
+                        self.twins_in_order(&r.ops, (s, s.chain_seq), (d, d.chain_seq))
+                    }
+                    std::cmp::Ordering::Equal => None,
+                    order => Some(order.is_lt()),
+                }
             }
-            _ => self.stamped_at(next.seq) > s.ahead,
+            _ => {
+                let stamped = self.stamped_at(next.seq);
+                (stamped != s.ahead).then_some(stamped > s.ahead)
+            }
+        };
+        match first {
+            Some(true) => Tie::First,
+            Some(false) => Tie::Behind(next.seq),
+            None => Tie::Open,
         }
+    }
+
+    /// Whether a core without run-ahead stamps the end of twin chain `a`
+    /// before that of `b`, each with the stamp its chain started under
+    /// (module docs, "Run-ahead"); `None` if the other pumps at their
+    /// starts leave it open. Start by start, each chain's next
+    /// completion is stamped by the first of its stream's pumps due
+    /// there: the virtual completion, stamped at the previous start, or
+    /// another pump, which comes before it if stamped at an earlier
+    /// instant and after it if stamped at a later one.
+    fn twins_in_order(
+        &self,
+        ops: &[Op],
+        (a, sa): (&StreamSim, u64),
+        (b, sb): (&StreamSim, u64),
+    ) -> Option<bool> {
+        if a.pumped == Pumped::Many || b.pumped == Pumped::Many {
+            return None;
+        }
+        let (mut va, mut vb) = (Stamp::Real(sa), Stamp::Real(sb));
+        let (mut a_first, mut prev) = (sa < sb, a.chain_from);
+        for at in chain_starts(ops, a) {
+            let earlier = |x: Stamp, y: Stamp| match (x, y) {
+                (Stamp::Real(x), Stamp::Real(y)) => Some(x < y),
+                (Stamp::Virtual(x), Stamp::Virtual(_)) => Some(x == a_first),
+                (Stamp::Real(x), Stamp::Virtual(_)) => {
+                    let stamped = self.stamped_at(x);
+                    (stamped != prev).then_some(stamped < prev)
+                }
+                (Stamp::Virtual(_), Stamp::Real(y)) => {
+                    let stamped = self.stamped_at(y);
+                    (stamped != prev).then_some(stamped > prev)
+                }
+            };
+            let first = |v: Stamp, pumped: Option<u64>| match pumped {
+                Some(y) if earlier(Stamp::Real(y), v)? => Some(Stamp::Real(y)),
+                _ => Some(v),
+            };
+            let (ka, kb) = (first(va, a.pumped_at(at))?, first(vb, b.pumped_at(at))?);
+            a_first = earlier(ka, kb)?;
+            (va, vb, prev) = (Stamp::Virtual(true), Stamp::Virtual(false), at);
+        }
+        Some(a_first)
     }
 
     /// Where communicator `group` is in `comms`; [`NONE`] is the last.
@@ -1392,19 +1554,24 @@ impl<'a> Simulator<'a> {
         while let Some(ev) = st.pop() {
             if ev.at != st.now {
                 st.instants.push((ev.at, st.seq));
+                st.now = ev.at;
             }
-            st.now = ev.at;
+            if let EvKind::ChainEnd { wi, si } = ev.kind {
+                match st.tie(wi, si) {
+                    Tie::First => {}
+                    Tie::Behind(seq) => {
+                        st.pending += 1;
+                        st.heap.push(Reverse(HeapEv { seq: seq + 1, ..ev }));
+                        continue;
+                    }
+                    Tie::Open => return None,
+                }
+            }
             st.now_seq = ev.seq;
             st.events_processed += 1;
             match ev.kind {
                 EvKind::HostDispatch { wi } => self.host_dispatch(st, wi),
-                EvKind::Pump { wi, si } => self.pump(st, wi, si),
-                EvKind::ChainEnd { wi, si } => {
-                    if !st.chain_end_in_order(wi, si) {
-                        return None;
-                    }
-                    self.pump(st, wi, si);
-                }
+                EvKind::Pump { wi, si } | EvKind::ChainEnd { wi, si } => self.pump(st, wi, si),
                 EvKind::IssuePump { wi, si } => {
                     self.pump(st, wi, si);
                     // After the pump, so that the kernel it may have
@@ -1594,11 +1761,11 @@ impl<'a> Simulator<'a> {
     /// Stream progress (Algorithm 2's scheduler tick for one stream).
     fn pump(&self, st: &mut SimScratch, wi: usize, si: usize) {
         loop {
-            let now = st.now;
+            let (now, now_seq) = (st.now, st.now_seq);
             let r = &mut st.ranks[wi];
             let s = &mut r.streams[si];
             if s.blocked.is_some() || s.busy_until > now {
-                s.note_pump(&r.ops, now);
+                s.note_pump(&r.ops, now, now_seq);
                 return;
             }
             if s.queue_is_empty(r.next_op, now) {
@@ -1620,8 +1787,9 @@ impl<'a> Simulator<'a> {
                     // completion in between.
                     let mut end = now + dur;
                     r.compute_busy += dur;
-                    (s.chain_from, s.chain_op, s.chain_clean) = (now, pc, true);
+                    (s.chain_from, s.chain_op, s.pumped) = (now, pc, Pumped::None);
                     let mut kind = EvKind::Pump { wi, si };
+                    st.starts.clear();
                     while dur > SimTime::ZERO && s.head < r.next_op {
                         let Some(&Op {
                             t,
@@ -1637,6 +1805,7 @@ impl<'a> Simulator<'a> {
                         }
                         s.head = next;
                         s.ahead = end;
+                        st.starts.push(end);
                         dur = d;
                         end += d;
                         r.compute_busy += d;
@@ -1644,6 +1813,7 @@ impl<'a> Simulator<'a> {
                         kind = EvKind::ChainEnd { wi, si };
                     }
                     s.busy_until = end;
+                    st.starts.push(end);
                     st.push(end, kind);
                     if let EvKind::ChainEnd { .. } = kind {
                         st.note_chain(wi, si);
@@ -2532,7 +2702,7 @@ mod tests {
         let head = st
             .pop()
             .expect("a pump due as its stream frees up is queued");
-        assert_eq!((head.at, head.seq), (us(100.0), 3));
+        assert_eq!((head.at, head.seq), (us(100.0), 3 * STAMP));
         assert!(matches!(head.kind, EvKind::IssuePump { wi: 0, si: 0 }));
         // The fourth parks behind the second; the lane is spent.
         st.promote(0);
@@ -2569,7 +2739,14 @@ mod tests {
             (st.now, st.now_seq) = (ev.at, ev.seq);
             st.advance(0, 1);
         }
-        assert_eq!(order, [(us(60.0), 2), (us(80.0), 3), (us(90.0), 4)]);
+        assert_eq!(
+            order,
+            [
+                (us(60.0), 2 * STAMP),
+                (us(80.0), 3 * STAMP),
+                (us(90.0), 4 * STAMP)
+            ]
+        );
         assert_eq!((st.events_processed, st.pending), (0, 0));
         assert_eq!(st.ranks[0].streams[1].lane, NONE);
     }
@@ -2735,8 +2912,12 @@ mod tests {
     ///      queued; the release's pump reaches wait B: blocked again
     /// @160 the head pops as a no-op; @170's stays parked
     /// @201 B releases s1: @170's is stale (dropped); kernels run
-    ///      201..301..401; 11 pops + 3 elided on s0 + 2 = 16 events
+    ///      201..301..401 as one run-ahead chain, the completion @301
+    ///      counted off; 10 pops + 3 elided on s0 + 2 + 1 = 16 events
     /// ```
+    ///
+    /// Heap pops were 11 before run-ahead: the completion at 301 popped
+    /// only to start the second kernel.
     #[test]
     fn a_stream_blocked_again_under_a_queued_head_keeps_parking() {
         let us = SimTime::from_us;

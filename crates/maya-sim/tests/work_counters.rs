@@ -11,8 +11,9 @@
 //! pump parked on a blocked stream stays pending until the stream is
 //! released, where it once popped at its due time. `heap_pops` is what the heap actually did:
 //! `events_processed` less the events counted off without it — issue
-//! pumps elided or parked, and flow completions a convergence
-//! superseded or never scheduled.
+//! pumps elided or parked, the kernel completions inside a run-ahead
+//! chain, and flow completions a convergence superseded or never
+//! scheduled.
 
 mod common;
 
@@ -40,8 +41,14 @@ fn counters(cluster: &ClusterSpec, faults: Option<&FaultPlan>) -> (u64, u64, u64
     )
 }
 
-// Heap pops were 537 and 1 518 before pumps of blocked streams parked.
-
+/// Heap pops were 537 and 1 518 before pumps of blocked streams parked,
+/// and 455 before stream run-ahead. Each rank's stream 0 ends an even
+/// iteration with a kernel its host issued long before, followed by the
+/// next iteration's first kernel (odd iterations end with a world
+/// all-gather instead): iterations 0, 2 and 4 on 8 ranks make 24 chains
+/// of two, each of whose first completion is counted off. The contended
+/// run below has a fault plan, so it has no run-ahead and keeps its
+/// pops.
 #[test]
 fn flat_job_counters_are_pinned() {
     assert_eq!(counters(&common::flat_cluster(), None), (776, 431, 0, 136));
