@@ -1197,8 +1197,10 @@ impl SimScratch {
         (a, sa): (&StreamSim, u64),
         (b, sb): (&StreamSim, u64),
     ) -> Option<bool> {
-        if a.pumped == Pumped::Many || b.pumped == Pumped::Many {
-            return None;
+        match (a.pumped, b.pumped) {
+            (Pumped::None, Pumped::None) => return Some(sa < sb),
+            (Pumped::Many, _) | (_, Pumped::Many) => return None,
+            _ => {}
         }
         let (mut va, mut vb) = (Stamp::Real(sa), Stamp::Real(sb));
         let (mut a_first, mut prev) = (sa < sb, a.chain_from);
