@@ -913,7 +913,7 @@ pub struct SimScratch {
     last_chain: Option<(usize, usize, SimTime)>,
     /// Each instant the clock has reached and the last sequence stamp
     /// taken before it: the instant an event was stamped at, for the
-    /// ties a chain end meets.
+    /// ties a chain end meets. Only a replay that runs ahead keeps it.
     instants: Vec<(SimTime, u64)>,
 }
 
@@ -942,6 +942,10 @@ struct FlowMeta {
 }
 
 impl SimScratch {
+    /// Instant-log entries kept before [`SimScratch::log_instant`] folds
+    /// the old ones.
+    const INSTANTS: usize = 4096;
+
     /// Creates an empty scratch arena.
     pub fn new() -> Self {
         Self::default()
@@ -1128,6 +1132,25 @@ impl SimScratch {
     fn stream(&self, wi: usize, si: usize) -> Option<(&RankSim, &StreamSim)> {
         let r = self.ranks.get(wi)?;
         Some((r, r.streams.get(si)?))
+    }
+
+    /// The clock reaches `at`. Entries from before the start of every
+    /// chain still in flight fold into the first: an instant is only
+    /// ever compared with such a chain's starts.
+    fn log_instant(&mut self, at: SimTime) {
+        self.instants.push((at, self.seq));
+        if self.instants.len() < Self::INSTANTS {
+            return;
+        }
+        let oldest = self.ranks.iter().flat_map(|r| &r.streams);
+        let oldest = oldest
+            .filter(|s| s.busy_until >= at)
+            .map(|s| s.chain_from)
+            .fold(at, SimTime::min);
+        let before = self.instants.partition_point(|&(t, _)| t < oldest);
+        if before > 1 {
+            self.instants.drain(1..before);
+        }
     }
 
     /// The instant the event stamped `seq` was stamped at.
@@ -1555,7 +1578,9 @@ impl<'a> Simulator<'a> {
 
         while let Some(ev) = st.pop() {
             if ev.at != st.now {
-                st.instants.push((ev.at, st.seq));
+                if st.run_ahead {
+                    st.log_instant(ev.at);
+                }
                 st.now = ev.at;
             }
             if let EvKind::ChainEnd { wi, si } = ev.kind {

@@ -802,16 +802,9 @@ fn a_tie_at_a_chain_end_pops_in_the_references_order() {
     assert_eq!(dense.events_processed, 16);
 }
 
-/// Identical ranks released by one rendezvous start identical chains
-/// in one instant, and every chain end ties with its twins'. Under
-/// `Fixed` each rank runs three kernels, a second all-reduce and three
-/// more, all issued before the first rendezvous resolves: per rank two
-/// chains of three, four completions counted off. The twins pop in
-/// their stamps' order, as the reference core's do, with no replay
-/// abandoned: 80 events, 48 heap pops without run-ahead and 32 with it.
-#[test]
-fn twin_chains_of_identical_ranks_pop_in_the_references_order() {
-    let c = ClusterSpec::h100(1, 4);
+/// Four ranks over one communicator: each round, an all-reduce and
+/// three kernels, the host waiting `delay(rank)` µs before each call.
+fn rounds_of_kernels(rounds: u32, delay: impl Fn(u32) -> f64) -> JobTrace {
     let worker = |rank| {
         let mut w = WorkerTrace::new(rank);
         let all_reduce = |seq| DeviceOp::Collective {
@@ -824,25 +817,46 @@ fn twin_chains_of_identical_ranks_pop_in_the_references_order() {
                 rank_in_comm: rank,
             },
         };
-        w.events = vec![ev(0, all_reduce(0), 1.0)];
-        for seq in 1..3 {
-            w.events.extend((0..3).map(|_| ev(0, kernel(1024), 1.0)));
-            w.events.push(ev(0, all_reduce(seq), 1.0));
+        let us = delay(rank);
+        w.events = vec![ev(0, all_reduce(0), us)];
+        for seq in 1..=rounds {
+            w.events.extend((0..3).map(|_| ev(0, kernel(1024), us)));
+            w.events.push(ev(0, all_reduce(seq), us));
         }
-        w.events.push(ev(0, DeviceOp::DeviceSynchronize, 1.0));
+        w.events.push(ev(0, DeviceOp::DeviceSynchronize, us));
         w
     };
-    let job = JobTrace {
+    JobTrace {
         nranks: 4,
         workers: (0..4).map(worker).collect(),
         comm_groups: BTreeMap::from([(9, vec![0, 1, 2, 3])]),
-    };
+    }
+}
+
+/// Identical ranks released by one rendezvous start identical chains
+/// in one instant, and every chain end ties with its twins'. Under
+/// `Fixed`, two rounds: per rank two chains of three, four completions
+/// counted off. The twins pop in their stamps' order, as the reference
+/// core's do, with no replay abandoned: 80 events, 48 heap pops
+/// without run-ahead and 32 with it. Then 4 000 rounds, two ranks
+/// issuing at another pace: more instants than the replay keeps in its
+/// instant log, so the log folds while chains tie.
+#[test]
+fn twin_chains_of_identical_ranks_pop_in_the_references_order() {
+    let c = ClusterSpec::h100(1, 4);
+    let job = rounds_of_kernels(2, |_| 1.0);
     let obs = SimObs::default();
     let dense = Simulator::new(&Fixed, &c).with_obs(Some(&obs)).run(&job);
     let (reference, events) = simulate_reference_counted(&job, &c, &Fixed);
     assert_eq!(dense, reference);
     assert_eq!(dense.map(|r| r.events_processed), Ok(events));
     assert_eq!((events, obs.heap_pops.get()), (80, 32));
+
+    let job = rounds_of_kernels(4_000, |rank| if rank < 2 { 1.3 } else { 29.7 });
+    let dense = simulate(&job, &c, &Fixed);
+    let (reference, events) = simulate_reference_counted(&job, &c, &Fixed);
+    assert_eq!(dense, reference);
+    assert_eq!(dense.map(|r| r.events_processed), Ok(events));
 }
 
 /// The oracle, counting the kernel and collective queries that reach it.
