@@ -43,10 +43,11 @@ fn counters(cluster: &ClusterSpec, faults: Option<&FaultPlan>) -> (u64, u64, u64
 
 /// Heap pops were 537 and 1 518 before pumps of blocked streams parked,
 /// and 455 before stream run-ahead. Each rank's stream 0 ends an even
-/// iteration with a kernel its host issued long before, followed by the
-/// next iteration's first kernel (odd iterations end with a world
-/// all-gather instead): iterations 0, 2 and 4 on 8 ranks make 24 chains
-/// of two, each of whose first completion is counted off. The contended
+/// iteration with a kernel followed by the next iteration's first
+/// kernel, both issued by the time the first starts (odd iterations end
+/// with a world all-gather instead): iterations 0, 2 and 4 on 8 ranks
+/// make 24 chains of two, each of whose first completion is counted
+/// off. The contended
 /// run below has a fault plan, so it has no run-ahead and keeps its
 /// pops.
 #[test]
