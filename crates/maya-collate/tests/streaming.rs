@@ -408,3 +408,132 @@ fn ranks_that_differ_only_by_a_transposed_gemm_are_not_folded() {
     let twins = [rank(0, tall), rank(1, tall)];
     assert_eq!(stream(&twins, 2, true).unwrap().workers, twins[..1]);
 }
+
+/// splitmix64: the worker-set generator's stream.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
+
+    fn one_in(&mut self, n: u64) -> bool {
+        self.below(n) == 0
+    }
+}
+
+/// One drawn worker set: up to eight ranks of a `world`-rank job over
+/// up to four communicators of drawn members, each member issuing its
+/// communicators' collectives in order, with a drawn subset of the
+/// ranks present and a drawn share of the descriptors mutated (size,
+/// slot, sequence number, payload, kind or communicator id). Half the
+/// sets come with the communicator map as known groups, itself
+/// sometimes mutated (a member dropped or out of range).
+fn drawn_set(seed: u64) -> (Vec<WorkerTrace>, u32, BTreeMap<u64, Vec<u32>>) {
+    let mut d = Draw(seed);
+    let world = 1 + d.below(8) as u32;
+    let mut comms: Vec<(u64, Vec<u32>)> = Vec::new();
+    for c in 0..1 + d.below(4) {
+        let mut members: Vec<u32> = (0..world).filter(|_| !d.one_in(3)).collect();
+        if members.is_empty() {
+            members.push(d.below(world.into()) as u32);
+        }
+        if d.one_in(4) {
+            members.reverse();
+        }
+        comms.push((10 + c, members));
+    }
+    let calls = 1 + d.below(6) as u32;
+    let kinds = [AllReduce, AllGather, CollectiveKind::Broadcast];
+    let mut workers = Vec::new();
+    for rank in 0..world {
+        if world > 1 && d.one_in(4) {
+            continue;
+        }
+        let mut events = Vec::new();
+        for seq in 0..calls {
+            for (c, (comm, members)) in comms.iter().enumerate() {
+                let Some(slot) = members.iter().position(|&m| m == rank) else {
+                    continue;
+                };
+                let kind = kinds[(seq as usize + c) % kinds.len()];
+                let bytes = 64 << (seq % 3);
+                let n = members.len() as u32;
+                let mut e = coll_event(kind, *comm, seq, bytes, n, slot as u32);
+                if d.one_in(12) {
+                    let DeviceOp::Collective { desc } = &mut e.op else {
+                        unreachable!("built as a collective")
+                    };
+                    match d.below(6) {
+                        0 => desc.nranks = 1 + d.below(8) as u32,
+                        1 => desc.rank_in_comm = d.below(9) as u32,
+                        2 => desc.seq += 1,
+                        3 => desc.bytes += 1,
+                        4 => desc.kind = kinds[d.below(3) as usize],
+                        _ => desc.comm_id = 10 + d.below(6),
+                    }
+                }
+                events.push(e);
+            }
+        }
+        workers.push(worker(rank, events));
+    }
+    let mut known = BTreeMap::new();
+    if d.one_in(2) {
+        for (comm, mut members) in comms {
+            if d.one_in(8) {
+                members.pop();
+            } else if d.one_in(8) {
+                members.push(world + d.below(2) as u32);
+            }
+            known.insert(comm, members);
+        }
+    }
+    (workers, world, known)
+}
+
+/// `finish` no longer walks the kept traces' events: whenever the
+/// collator accepts a worker set, the job it yields passes
+/// `JobTrace::validate` all the same, because every collective a push
+/// books was size-checked against a communicator the map then holds.
+/// Held over drawn worker sets, mutated descriptors included, against
+/// the frozen collator, which did validate: the two accept the same
+/// sets and yield the same jobs.
+#[test]
+fn every_collated_job_validates() {
+    let (mut accepted, mut refused) = (0, 0);
+    for seed in 0..4000 {
+        let (workers, world, known) = drawn_set(seed);
+        let streamed = maya_collate::collate_with_known_groups(workers.clone(), world, &known);
+        let frozen = reference::collate_with_known_groups(workers.clone(), world, &known);
+        match streamed {
+            Ok(job) => {
+                assert_eq!(Ok(&job), frozen.as_ref(), "seed {seed}");
+                accepted += 1;
+                assert_eq!(job.validate(), Ok(()), "seed {seed}");
+                if known.is_empty() {
+                    let folded = stream(&workers, world, true).expect("folds what it collates");
+                    assert_eq!(folded.validate(), Ok(()), "seed {seed}");
+                }
+            }
+            // The frozen collator counts participants in hash order,
+            // so of several such faults it may name another.
+            Err(e) => {
+                assert!(frozen.is_err(), "seed {seed}: {e}");
+                refused += 1;
+            }
+        }
+    }
+    assert!(
+        accepted > 1000 && refused > 1000,
+        "{accepted} accepted, {refused} refused"
+    );
+}

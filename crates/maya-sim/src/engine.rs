@@ -706,6 +706,11 @@ pub struct SimObs {
     /// Flow-solver invocations (max-min rate re-convergences),
     /// cumulative. Zero when no cluster topology is in play.
     pub flow_solves: maya_obs::Counter,
+    /// Replays abandoned at a run-ahead chain end's tie that the
+    /// replay cannot order (module docs, "Run-ahead"), cumulative. Each
+    /// is followed by a replay without run-ahead; the counters above
+    /// tally only the replay that finished.
+    pub abandoned_replays: maya_obs::Counter,
 }
 
 /// The event-driven simulator.
@@ -1591,7 +1596,12 @@ impl<'a> Simulator<'a> {
                         st.heap.push(Reverse(HeapEv { seq: seq + 1, ..ev }));
                         continue;
                     }
-                    Tie::Open => return None,
+                    Tie::Open => {
+                        if let Some(obs) = self.obs {
+                            obs.abandoned_replays.inc();
+                        }
+                        return None;
+                    }
                 }
             }
             st.now_seq = ev.seq;

@@ -851,12 +851,79 @@ fn twin_chains_of_identical_ranks_pop_in_the_references_order() {
     assert_eq!(dense, reference);
     assert_eq!(dense.map(|r| r.events_processed), Ok(events));
     assert_eq!((events, obs.heap_pops.get()), (80, 32));
+    assert_eq!(obs.abandoned_replays.get(), 0);
 
     let job = rounds_of_kernels(4_000, |rank| if rank < 2 { 1.3 } else { 29.7 });
     let dense = simulate(&job, &c, &Fixed);
     let (reference, events) = simulate_reference_counted(&job, &c, &Fixed);
     assert_eq!(dense, reference);
     assert_eq!(dense.map(|r| r.events_processed), Ok(events));
+}
+
+/// A GEMM of `m` rows takes `m` µs: chains of kernels whose starts
+/// can be placed by hand.
+struct RowsInUs;
+
+impl RuntimeEstimator for RowsInUs {
+    fn kernel_time(&self, kernel: &KernelKind) -> SimTime {
+        match kernel {
+            KernelKind::Gemm { m, .. } => SimTime::from_us(*m as f64),
+            _ => SimTime::from_us(1.0),
+        }
+    }
+    fn memcpy_time(&self, _: u64, _: MemcpyKind) -> SimTime {
+        SimTime::from_us(1.0)
+    }
+    fn collective_time(&self, _: CollectiveKind, _: u64, _: &[u32], _: &ClusterSpec) -> SimTime {
+        SimTime::from_us(1.0)
+    }
+    fn name(&self) -> &'static str {
+        "rows in µs"
+    }
+}
+
+/// Two chains that end in one instant with their last kernels started
+/// in one instant, but started apart, so neither is the other's twin.
+/// Times in µs:
+///
+/// ```text
+/// s0: kernel 10 @1..11, kernel 20 @11..31   one chain from 1
+/// s1: kernel 5 @6..11,  kernel 20 @11..31   one chain from 6
+/// host: issues @1, 2, 6, 7, then waits on the device from 8
+/// ```
+///
+/// Without run-ahead both last completions are stamped at 11, in an
+/// order run-ahead does not record, so the chain end that pops first
+/// at 31 abandons the replay, and the rerun without run-ahead gives
+/// the reference core's report, `events_processed` included.
+#[test]
+fn chain_ends_that_tie_unordered_abandon_one_replay() {
+    let c = cluster();
+    let job = job1(vec![
+        ev(0, kernel(10), 1.0),
+        ev(0, kernel(20), 1.0),
+        ev(1, kernel(5), 4.0),
+        ev(1, kernel(20), 1.0),
+        ev(0, DeviceOp::DeviceSynchronize, 1.0),
+    ]);
+    let (reference, events) = simulate_reference_counted(&job, &c, &RowsInUs);
+    let reference = reference.unwrap();
+    assert_eq!(reference.events_processed, events);
+    assert_eq!(reference.total_time, SimTime::from_us(31.0));
+    let obs = SimObs::default();
+    let sim = Simulator::new(&RowsInUs, &c).with_obs(Some(&obs));
+    assert_eq!(sim.run(&job), Ok(reference.clone()));
+    assert_eq!(obs.abandoned_replays.get(), 1);
+    assert_eq!(obs.events.get(), events, "only the finished replay counts");
+    // A reused arena, dirtied by the abandoned replay, does the same.
+    let mut scratch = SimScratch::new();
+    for _ in 0..2 {
+        assert_eq!(
+            sim.run_prevalidated(&job, &mut scratch),
+            Ok(reference.clone())
+        );
+    }
+    assert_eq!(obs.abandoned_replays.get(), 3);
 }
 
 /// The oracle, counting the kernel and collective queries that reach it.
