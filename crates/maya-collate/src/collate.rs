@@ -8,21 +8,29 @@
 //! collective it joins; when folding, a worker whose carried signature
 //! is already held is dropped on the spot and its buffers handed back
 //! for the next rank to record into. A push costs O(collectives), not
-//! O(events), folding or not. The signature set has one owner, here:
-//! a caller that would rather not finish a trace about to be dropped
-//! (the engine computes a rank's host time only for a kept trace) asks
-//! [`Collator::holds`] first, and `push` still decides. A trace that
-//! came from no recorder is pushed with the metadata
-//! [`TraceMeta::scan`] computes from it, as the engine's
-//! `predict_trace` does. [`collate`] and [`collate_with_known_groups`]
-//! do that for a whole set with folding off; they serve only the
-//! benchmark's replay and the tests, and leave once that replay goes
-//! through the collator (ROADMAP.md, item 2(a)).
+//! O(events), folding or not. The collator holds no trace: one it keeps
+//! goes straight back to the caller ([`Pushed::kept`]), who may lower it
+//! and recycle its buffer before the next rank arrives, and
+//! [`Collator::finish`] yields the job's communicator map. The
+//! signature set has one owner, here: a caller that would rather not
+//! finish a trace about to be dropped (the engine computes a rank's
+//! host time only for a kept trace) asks [`Collator::holds`] first, and
+//! `push` still decides. A trace that came from no recorder is pushed
+//! with the metadata [`TraceMeta::scan`] computes from it, as the
+//! engine's `predict_trace` does. [`collate`] and
+//! [`collate_with_known_groups`] do that for a whole set with folding
+//! off, keeping every trace; they serve only the benchmark's replay and
+//! the tests, and leave once that replay goes through the collator
+//! (ROADMAP.md, item 2(a)).
 //!
 //! Nothing is checked from the traces that are kept: slot claims,
 //! payload agreement and participant counts live in per-communicator
 //! tables that every pushed worker updates, so a fault in a worker the
-//! fold drops is reported exactly as if it had been kept. Errors come
+//! fold drops is reported exactly as if it had been kept. Nor is a kept
+//! trace read again at the end: every collective a push books has had
+//! its size checked against its communicator's, and every booked
+//! communicator is in the map `finish` builds, so the job passes
+//! [`JobTrace::validate`]'s per-event loop by construction. Errors come
 //! out in the order the three-pass collator raised them: size and
 //! membership conflicts (at once, from `push`), then group
 //! reconstruction, structure, and collective agreement (from `finish`).
@@ -143,11 +151,16 @@ pub fn collate_with_known_groups(
 ) -> Result<JobTrace, CollateError> {
     workers.sort_by_key(|w| w.rank);
     let mut collator = Collator::new(world, known, false);
+    let mut kept = Vec::with_capacity(workers.len());
     for w in workers {
         let meta = TraceMeta::scan(&w.events, false);
-        collator.push(w, meta)?;
+        kept.extend(collator.push(w, meta)?.kept);
     }
-    collator.finish()
+    Ok(JobTrace {
+        nranks: world,
+        workers: kept,
+        comm_groups: collator.finish()?,
+    })
 }
 
 /// Deterministic work counters of one [`Collator`].
@@ -159,9 +172,19 @@ pub struct CollateStats {
     pub workers_kept: u64,
     /// Events read: the collectives of every pushed worker, once each.
     pub events_seen: u64,
-    /// Most traces the collator held at once, counting the one being
-    /// pushed.
-    pub resident_high_water: u64,
+}
+
+/// What [`Collator::push`] hands back for one worker.
+#[derive(Debug)]
+pub struct Pushed {
+    /// The worker's trace if it was kept — it opened a new class, or the
+    /// collator does not fold. The caller holds it from here on.
+    pub kept: Option<WorkerTrace>,
+    /// Buffers the caller may record the next rank into: the index
+    /// buffer always, the worker's event buffer if it was folded away
+    /// (an unallocated one if it was kept), all emptied; the host-note
+    /// buffer never reaches the collator and comes back unallocated.
+    pub spare: TraceBuffers,
 }
 
 /// Rendezvous pair of a full (non-p2p) collective.
@@ -356,7 +379,6 @@ pub struct Collator<'k> {
     used: Vec<Used>,
     /// Every rank pushed, kept or not.
     ranks: Vec<u32>,
-    kept: Vec<WorkerTrace>,
     signatures: HashSet<u64>,
     /// First kind or payload disagreement; reported by `finish`, after
     /// the checks that outrank it.
@@ -378,7 +400,6 @@ impl<'k> Collator<'k> {
             comm_slot: HashMap::new(),
             used: Vec::new(),
             ranks: Vec::new(),
-            kept: Vec::new(),
             signatures: HashSet::new(),
             mismatch: None,
             stats: CollateStats::default(),
@@ -402,16 +423,11 @@ impl<'k> Collator<'k> {
     /// must not decrease from one call to the next. Only the events
     /// `meta.collectives` names are read, and a folding collator keeps
     /// or drops the trace by `meta.signature`, which it then requires.
-    /// Returns buffers the caller may record the next rank into: the
-    /// index buffer always, the worker's event buffer if it was folded
-    /// away (an unallocated one if its trace was kept), all emptied;
-    /// the host-note buffer never reaches the collator and comes back
-    /// unallocated.
     pub fn push(
         &mut self,
         mut trace: WorkerTrace,
         meta: TraceMeta,
-    ) -> Result<TraceBuffers, CollateError> {
+    ) -> Result<Pushed, CollateError> {
         if let Some(&last) = self.ranks.last() {
             if trace.rank < last {
                 return Err(CollateError::Invalid(format!(
@@ -423,10 +439,6 @@ impl<'k> Collator<'k> {
         self.ranks.push(trace.rank);
         self.stats.workers_in += 1;
         self.stats.events_seen += meta.collectives.len() as u64;
-        self.stats.resident_high_water = self
-            .stats
-            .resident_high_water
-            .max(self.kept.len() as u64 + 1);
 
         self.used.clear();
         for &at in &meta.collectives {
@@ -457,12 +469,14 @@ impl<'k> Collator<'k> {
             if !self.signatures.insert(signature) {
                 trace.events.clear();
                 spare.events = trace.events;
-                return Ok(spare);
+                return Ok(Pushed { kept: None, spare });
             }
         }
         self.stats.workers_kept += 1;
-        self.kept.push(trace);
-        Ok(spare)
+        Ok(Pushed {
+            kept: Some(trace),
+            spare,
+        })
     }
 
     /// Books one collective of the worker being pushed.
@@ -500,28 +514,30 @@ impl<'k> Collator<'k> {
         Ok(())
     }
 
-    /// Reconstructs communicator membership, runs the checks that need
-    /// every worker to have been seen, and yields the job trace of the
-    /// workers that were kept. `comm_groups` covers the full job.
-    pub fn finish(mut self) -> Result<JobTrace, CollateError> {
+    /// Reconstructs communicator membership and runs the checks that
+    /// need every worker to have been seen; yields the job's
+    /// communicator map ([`JobTrace::comm_groups`], covering the full
+    /// job) for the traces `push` kept.
+    pub fn finish(mut self) -> Result<BTreeMap<u64, Vec<u32>>, CollateError> {
         self.comms.sort_unstable_by_key(|c| c.id);
         let mut groups = BTreeMap::new();
         for comm in &self.comms {
             groups.insert(comm.id, comm.members(self.known.get(&comm.id), self.world)?);
         }
         validate_ranks(self.world, self.ranks.iter().copied()).map_err(CollateError::Invalid)?;
-        let job = JobTrace {
-            nranks: self.world,
-            workers: self.kept,
-            comm_groups: groups,
-        };
-        job.validate().map_err(CollateError::Invalid)?;
+        for (comm, members) in &groups {
+            if let Some(m) = members.iter().find(|&&m| m >= self.world) {
+                return Err(CollateError::Invalid(format!(
+                    "comm {comm:#x} references out-of-range rank {m}"
+                )));
+            }
+        }
         if let Some(e) = self.mismatch {
             return Err(e);
         }
         // A full collective must have been joined by every group member
         // that was pushed (`ranks` is sorted: `validate_ranks` passed).
-        for (comm, members) in self.comms.iter().zip(job.comm_groups.values()) {
+        for (comm, members) in self.comms.iter().zip(groups.values()) {
             let expected = members
                 .iter()
                 .filter(|m| self.ranks.binary_search(m).is_ok())
@@ -536,7 +552,7 @@ impl<'k> Collator<'k> {
                 }
             }
         }
-        Ok(job)
+        Ok(groups)
     }
 }
 

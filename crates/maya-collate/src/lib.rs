@@ -13,7 +13,8 @@
 //! operation sequence (invariant to rank-specific identifiers like raw
 //! communicator ids and pointers, sensitive to shapes, streams and
 //! communication structure). The collator keeps the trace only if no
-//! lower rank carried the same hash; the simulator then runs one
+//! lower rank carried the same hash, and hands a kept trace straight
+//! back rather than holding it; the simulator then runs one
 //! representative per class. The collator is the product's one
 //! collation path: the engine feeds it ranks as they are recorded, and
 //! a caller's finished traces each with the metadata a recorder would
@@ -27,5 +28,7 @@
 pub mod collate;
 pub mod dedup;
 
-pub use collate::{collate, collate_with_known_groups, CollateError, CollateStats, Collator};
+pub use collate::{
+    collate, collate_with_known_groups, CollateError, CollateStats, Collator, Pushed,
+};
 pub use dedup::{dedup_classes, reduce_job, signature, unique_megatron_ranks, DedupClass};

@@ -40,14 +40,23 @@ fn worker(rank: u32, events: Vec<TraceEvent>) -> WorkerTrace {
 }
 
 /// Pushes `workers` (already in rank order) through a collator, each
-/// with the metadata a scan of it gives.
+/// with the metadata a scan of it gives, and keeps what it hands back.
 fn stream(workers: &[WorkerTrace], world: u32, fold: bool) -> Result<JobTrace, CollateError> {
     let known = BTreeMap::new();
     let mut collator = Collator::new(world, &known, fold);
+    let mut kept = Vec::new();
     for w in workers {
-        collator.push(w.clone(), TraceMeta::scan(&w.events, fold))?;
+        kept.extend(
+            collator
+                .push(w.clone(), TraceMeta::scan(&w.events, fold))?
+                .kept,
+        );
     }
-    collator.finish()
+    Ok(JobTrace {
+        nranks: world,
+        workers: kept,
+        comm_groups: collator.finish()?,
+    })
 }
 
 /// One error fixture: the good workers of communicator 5, the
@@ -279,8 +288,9 @@ fn metadata_that_does_not_fit_the_trace_is_refused() {
         "{err}"
     );
     let mut flat = Collator::new(1, &known, false);
-    flat.push(worker(0, events.clone()), unsigned()).unwrap();
-    assert_eq!(flat.finish().unwrap().workers, [worker(0, events)]);
+    let pushed = flat.push(worker(0, events.clone()), unsigned()).unwrap();
+    assert_eq!(pushed.kept, Some(worker(0, events)));
+    assert_eq!(flat.finish().unwrap(), BTreeMap::from([(5, vec![0])]));
 }
 
 #[test]
@@ -320,13 +330,16 @@ fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
     ]);
     let known = BTreeMap::new();
     let mut collator = Collator::new(4, &known, true);
+    let mut kept = Vec::new();
     let spare: Vec<(usize, bool)> = workers
         .iter()
         .map(|w| {
-            let spare = collator
+            let pushed = collator
                 .push(w.clone(), TraceMeta::scan(&w.events, true))
                 .unwrap();
+            let spare = pushed.spare;
             assert!(spare.events.is_empty() && spare.collectives.is_empty());
+            kept.extend(pushed.kept);
             (spare.events.capacity(), spare.collectives.capacity() > 0)
         })
         .collect();
@@ -335,6 +348,10 @@ fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
         vec![(0, true), (0, true), (2, true), (2, true)],
         "only dropped traces free an event buffer; the index always comes back"
     );
+    // The collator holds no trace: a kept one goes back to the caller
+    // with the push that kept it, so it counts no traces alive (it
+    // pinned 3 here, the two kept and the one pushed, while it held
+    // them).
     assert_eq!(
         collator.stats(),
         CollateStats {
@@ -342,10 +359,13 @@ fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
             workers_kept: 2,
             // The four collectives of eight events.
             events_seen: 4,
-            resident_high_water: 3,
         }
     );
-    let job = collator.finish().unwrap();
+    let job = JobTrace {
+        nranks: 4,
+        workers: kept,
+        comm_groups: collator.finish().unwrap(),
+    };
     assert_eq!(job.workers, workers[..2]);
     assert_eq!(job.comm_groups[&5], vec![0, 2]);
     assert_eq!(job.comm_groups[&6], vec![1, 3]);

@@ -142,13 +142,15 @@
 //! `events_processed` included.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use maya_estimator::RuntimeEstimator;
 use maya_hw::{ClusterSpec, TopologySpec};
 use maya_net::{FaultPlan, FlowNet};
+
 use maya_trace::{
-    shape_digest, CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, KernelKind, SimTime, StreamId,
+    shape_digest, validate_site, CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, KernelKind,
+    SimTime, StreamId, WorkerTrace,
 };
 
 use crate::report::SimReport;
@@ -298,12 +300,13 @@ impl Op {
     }
 }
 
-/// A collective call site of one worker.
+/// A collective call site of one worker. Lowering a worker records the
+/// descriptor; `group` and `required` wait for the communicator map
+/// and are filled in by [`Lowering::resolve`].
 #[derive(Clone, Copy, Debug)]
 struct JoinSite {
     desc: CollectiveDesc,
-    /// The communicator's index in [`Program::groups`]; [`NONE`] for a
-    /// communicator the job does not list (an unvalidated trace).
+    /// The communicator's index in [`Program::groups`].
     group: u32,
     /// How many participants the rendezvous waits for: the present
     /// ones, in a possibly-sparse job.
@@ -329,12 +332,14 @@ struct Program {
     comm_ids: Vec<u64>,
     groups: Vec<Group>,
     members: Vec<u32>,
+    /// The ranks of the workers lowered, in their (ascending) order.
+    present: Vec<u32>,
     peak_mem_bytes: u64,
 }
 
 impl Program {
     /// Global ranks of communicator `group`, indexed by rank in the
-    /// communicator; empty for [`NONE`].
+    /// communicator.
     fn members_of(&self, group: u32) -> &[u32] {
         self.groups
             .get(group as usize)
@@ -342,49 +347,53 @@ impl Program {
             .unwrap_or(&[])
     }
 
-    /// Copies the job's communicator map into dense tables.
-    fn load_groups(&mut self, job: &JobTrace) {
+    /// Whether `rank` has a worker in the job.
+    fn is_present(&self, rank: u32) -> bool {
+        self.present.binary_search(&rank).is_ok()
+    }
+
+    /// Copies the job's communicator map into dense tables, counting
+    /// each communicator's members among `present`'s ranks.
+    fn load_groups(&mut self, comm_groups: &BTreeMap<u64, Vec<u32>>) {
         self.comm_ids.clear();
         self.groups.clear();
         self.members.clear();
-        for (&comm, members) in &job.comm_groups {
+        for (&comm, members) in comm_groups {
             self.comm_ids.push(comm);
             self.groups.push(Group {
                 start: self.members.len(),
                 len: members.len(),
-                present: job.present_count(members),
+                present: members.iter().filter(|&&m| self.is_present(m)).count() as u32,
             });
             self.members.extend_from_slice(members);
         }
     }
 
-    /// Resolves a collective call site against the communicator map.
-    fn site(&self, job: &JobTrace, desc: CollectiveDesc) -> JoinSite {
-        let group = match self.comm_ids.binary_search(&desc.comm_id) {
-            Ok(g) => g as u32,
-            Err(_) => NONE,
-        };
-        let required = match self.groups.get(group as usize) {
-            None => desc.kind.required_participants(desc.nranks),
-            Some(g) => match desc.kind {
-                CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => {
-                    let members = self.members_of(group);
-                    let ends = [desc.rank_in_comm, peer];
-                    let present = ends
-                        .iter()
-                        .filter_map(|&i| members.get(i as usize))
-                        .filter(|&&rank| job.is_present(rank));
-                    present.count() as u32
-                }
-                _ => g.present,
+    /// Resolves a collective call site of worker `rank` against the
+    /// communicator map; `Err` in [`JobTrace::validate`]'s words if the
+    /// map does not list the communicator or gives it another size.
+    fn site(&self, rank: u32, desc: CollectiveDesc) -> Result<JoinSite, SimError> {
+        let group = self.comm_ids.binary_search(&desc.comm_id);
+        let members = group.ok().map(|g| self.members_of(g as u32));
+        validate_site(rank, &desc, members).map_err(SimError::InvalidTrace)?;
+        let group = group.unwrap_or_default() as u32;
+        let required = match desc.kind {
+            CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => {
+                let members = self.members_of(group);
+                let ends = [desc.rank_in_comm, peer];
+                let present = ends
+                    .iter()
+                    .filter_map(|&i| members.get(i as usize))
+                    .filter(|&&rank| self.is_present(rank));
+                present.count() as u32
             }
-            .max(1),
+            _ => self.groups.get(group as usize).map_or(0, |g| g.present),
         };
-        JoinSite {
+        Ok(JoinSite {
             desc,
             group,
-            required,
-        }
+            required: required.max(1),
+        })
     }
 }
 
@@ -866,10 +875,12 @@ impl Comm {
 #[derive(Default)]
 pub struct SimScratch {
     program: Program,
+    /// One per worker lowered (the first `lowered` while a lowering is
+    /// under way; the rest keep their buffers for the next worker).
     ranks: Vec<RankSim>,
+    lowered: usize,
     heap: BinaryHeap<Reverse<HeapEv>>,
-    /// Communicators in [`Program::groups`] order, and a last one for
-    /// those the job does not list.
+    /// Communicators in [`Program::groups`] order.
     comms: Vec<Comm>,
     /// Emptied participant lists, handed to the next rendezvous.
     spare: Vec<Vec<Participant>>,
@@ -1256,17 +1267,11 @@ impl SimScratch {
         Some(a_first)
     }
 
-    /// Where communicator `group` is in `comms`; [`NONE`] is the last.
-    fn comm_slot(&self, group: u32) -> usize {
-        (group as usize).min(self.comms.len().saturating_sub(1))
-    }
-
     /// `joiner` joins rendezvous `key` of communicator `group`, opening
     /// it if it is the first. Returns the rendezvous' place in the
     /// communicator's list and how many have joined it.
     fn join(&mut self, group: u32, key: CollKey, joiner: Participant) -> (usize, usize) {
-        let slot = self.comm_slot(group);
-        let Some(comm) = self.comms.get_mut(slot) else {
+        let Some(comm) = self.comms.get_mut(group as usize) else {
             return (0, 0);
         };
         let at = match comm.open.iter().position(|r| r.key == key) {
@@ -1329,8 +1334,8 @@ impl SimScratch {
         });
     }
 
-    /// Resets the run state for `workers` ranks, keeping capacity.
-    fn reset(&mut self, workers: usize) {
+    /// Resets the run state, keeping capacity; no worker is lowered.
+    fn reset(&mut self) {
         self.heap.clear();
         self.flow_due = None;
         for comm in &mut self.comms {
@@ -1356,32 +1361,98 @@ impl SimScratch {
         self.instants.clear();
         self.instants.push((SimTime::ZERO, 0));
         self.last_chain = None;
-        self.ranks.truncate(workers);
-        self.ranks.resize_with(workers, RankSim::default);
+        self.lowered = 0;
+    }
+}
+
+/// A job being lowered into a [`SimScratch`] one worker at a time
+/// ([`Simulator::lowering`]): [`Lowering::worker`] for each worker in
+/// rank order, then [`Lowering::resolve`] once the communicator map is
+/// known.
+pub struct Lowering<'s> {
+    sim: &'s Simulator<'s>,
+    st: &'s mut SimScratch,
+}
+
+impl<'s> Lowering<'s> {
+    /// Lowers `worker`, the next worker of the job (ranks ascending),
+    /// into its replay program: streams and CUDA events interned, the
+    /// run's only estimator query per distinct kernel shape (a shape
+    /// the arena's shape table has no room for is asked about per
+    /// launch) and per memcpy, the op array sized once from its event
+    /// count. The trace is not read again: the caller may recycle its
+    /// buffers. Fails only on a worker too long to index.
+    pub fn worker(&mut self, worker: &WorkerTrace) -> Result<(), SimError> {
+        self.sim.lower_worker(self.st, worker)
+    }
+
+    /// Resolves the call sites of every worker lowered against the
+    /// job's communicator map — each site's communicator and how many
+    /// participants its rendezvous waits for — in one pass over the
+    /// sites. Fails, in [`JobTrace::validate`]'s words, on a site whose
+    /// communicator the map does not list or gives another size: the
+    /// first such site in rank and program order, the one `validate`
+    /// reports.
+    pub fn resolve(self, comm_groups: &BTreeMap<u64, Vec<u32>>) -> Result<Lowered<'s>, SimError> {
+        let Lowering { sim, st } = self;
+        st.ranks.truncate(st.lowered);
+        let SimScratch {
+            program,
+            ranks,
+            comms,
+            ..
+        } = &mut *st;
+        program.present.clear();
+        program.present.extend(ranks.iter().map(|r| r.rank));
+        program.load_groups(comm_groups);
+        comms.resize_with(program.groups.len(), Comm::default);
+        for r in ranks.iter_mut() {
+            for site in &mut r.sites {
+                *site = program.site(r.rank, site.desc)?;
+            }
+        }
+        Ok(Lowered { sim, st })
+    }
+
+    /// Lowers every worker of `job` and resolves their sites:
+    /// [`Simulator::lower`]'s steps, on this lowering.
+    pub fn job(mut self, job: &JobTrace) -> Result<Lowered<'s>, SimError> {
+        for w in &job.workers {
+            self.worker(w)?;
+        }
+        self.resolve(&job.comm_groups)
     }
 }
 
 /// A job lowered into a [`SimScratch`], ready for its one replay.
 pub struct Lowered<'s> {
     sim: &'s Simulator<'s>,
-    job: &'s JobTrace,
     st: &'s mut SimScratch,
 }
 
-impl Lowered<'_> {
+/// What one replay of a lowered job came to.
+pub enum Replay<'s> {
+    /// The replay finished: the report, or the deadlock it ran into.
+    Done(Result<SimReport, SimError>),
+    /// A run-ahead chain end met a tie the replay cannot order as a
+    /// core without run-ahead would (module docs, "Run-ahead"). The
+    /// program was consumed; this is an empty lowering of the same
+    /// arena with run-ahead off. Feed it the job's workers again and
+    /// replay that: it always finishes.
+    Abandoned(Lowering<'s>),
+}
+
+impl<'s> Lowered<'s> {
     /// Runs the event loop (Algorithm 1's main loop) over the program.
-    pub fn replay(self) -> Result<SimReport, SimError> {
-        let Lowered { sim, job, st } = self;
-        loop {
-            if let Some(report) = sim.replay(st) {
-                return report;
+    pub fn replay(self) -> Replay<'s> {
+        let Lowered { sim, st } = self;
+        match sim.replay(st) {
+            Some(report) => Replay::Done(report),
+            None => {
+                let again = sim.lowering(st);
+                again.st.run_ahead = false;
+                Replay::Abandoned(again)
             }
-            // A chain end met a tie that run-ahead cannot order as a
-            // core without it would (module docs, "Run-ahead"): the
-            // program was consumed, so lower it again and replay
-            // without run-ahead, which always finishes.
-            sim.lower_into(job, st)?;
-            st.run_ahead = false;
         }
     }
 }
@@ -1425,139 +1496,156 @@ impl<'a> Simulator<'a> {
     }
 
     /// Simulates a trusted trace in the caller's arena: no
-    /// [`JobTrace::validate`], and `scratch`'s buffers are reused
-    /// instead of allocated. For callers that already validated the
-    /// trace (or constructed it from a validated one, e.g. the predict
-    /// pipeline's collate step) and simulate in a loop. On an
-    /// *invalid* trace this is memory-safe but may return an arbitrary
-    /// report or `Deadlock` instead of `InvalidTrace`.
+    /// [`JobTrace::validate`] beyond what lowering checks, and
+    /// `scratch`'s buffers are reused instead of allocated. For callers
+    /// that already validated the trace (or constructed it from a
+    /// validated one) and simulate in a loop. On an *invalid* trace
+    /// this is memory-safe but may return an arbitrary report or
+    /// `Deadlock` instead of `InvalidTrace`; a collective site that does
+    /// not fit the communicator map is still `InvalidTrace`
+    /// ([`Lowering::resolve`]).
     pub fn run_prevalidated(
         &self,
         job: &JobTrace,
         scratch: &mut SimScratch,
     ) -> Result<SimReport, SimError> {
-        self.lower(job, scratch)?.replay()
+        let mut lowered = self.lower(job, scratch)?;
+        loop {
+            match lowered.replay() {
+                Replay::Done(report) => return report,
+                Replay::Abandoned(again) => lowered = again.job(job)?,
+            }
+        }
     }
 
     /// Lowers a trusted trace (see [`Simulator::run_prevalidated`])
-    /// into `scratch` as a replay program, in one pass that makes the
-    /// run's only estimator query per distinct kernel shape (a shape
-    /// the arena's shape table has no room for is asked about per
-    /// launch) and per memcpy. Each worker's op array is sized once,
-    /// from its event count. Fails only on a worker too long to index.
+    /// into `scratch` as a replay program: [`Simulator::lowering`], each
+    /// worker through [`Lowering::worker`], then
+    /// [`Lowering::resolve`].
     pub fn lower<'s>(
         &'s self,
-        job: &'s JobTrace,
+        job: &JobTrace,
         scratch: &'s mut SimScratch,
     ) -> Result<Lowered<'s>, SimError> {
-        self.lower_into(job, scratch)?;
-        scratch.run_ahead = self.faults.is_none();
-        Ok(Lowered {
-            sim: self,
-            job,
-            st: scratch,
-        })
+        self.lowering(scratch).job(job)
     }
 
-    /// [`Simulator::lower`]'s pass, into `scratch`.
-    fn lower_into(&self, job: &JobTrace, scratch: &mut SimScratch) -> Result<(), SimError> {
-        if let Some(w) = job.workers.iter().find(|w| w.events.len() >= NONE as usize) {
+    /// Starts lowering a job into `scratch`, emptying it: the arena's
+    /// shape tables keep no estimator's answer from an earlier job.
+    pub fn lowering<'s>(&'s self, scratch: &'s mut SimScratch) -> Lowering<'s> {
+        scratch.reset();
+        scratch.shapes.clear();
+        scratch.program.peak_mem_bytes = 0;
+        scratch.run_ahead = self.faults.is_none();
+        Lowering {
+            sim: self,
+            st: scratch,
+        }
+    }
+
+    /// [`Lowering::worker`]'s step, into `st`.
+    fn lower_worker(&self, st: &mut SimScratch, w: &WorkerTrace) -> Result<(), SimError> {
+        if w.events.len() >= NONE as usize {
             return Err(SimError::InvalidTrace(format!(
                 "rank {} has {} events, above the simulator's limit of {NONE}",
                 w.rank,
                 w.events.len()
             )));
         }
-        scratch.reset(job.workers.len());
+        if st.ranks.len() == st.lowered {
+            st.ranks.push(RankSim::default());
+        }
         let SimScratch {
             program,
             ranks,
+            lowered,
             stream_index,
             event_index,
             shapes,
-            comms,
             ..
-        } = &mut *scratch;
-        shapes.clear();
-        program.peak_mem_bytes = job.peak_mem_bytes();
-        program.load_groups(job);
-        comms.resize_with(program.groups.len() + 1, Comm::default);
-
-        for (r, w) in ranks.iter_mut().zip(&job.workers) {
-            r.reset(w.rank);
-            r.ops.reserve(w.events.len());
-            stream_index.clear();
-            event_index.clear();
-            // A worker issues long runs to one stream: remember the
-            // last id and hash only when it changes.
-            let mut last_stream = None;
-            for e in &w.events {
-                let stream = match last_stream {
-                    Some((id, slot)) if id == e.stream => slot,
-                    _ => {
-                        let next = stream_index.len() as u32;
-                        let slot = *stream_index.entry(e.stream).or_insert(next);
-                        if slot == next {
-                            r.streams.push(StreamSim::IDLE);
-                        }
-                        last_stream = Some((e.stream, slot));
-                        slot
+        } = st;
+        let Some(r) = ranks.get_mut(*lowered) else {
+            return Ok(());
+        };
+        *lowered += 1;
+        program.peak_mem_bytes = program.peak_mem_bytes.max(w.summary.peak_mem_bytes);
+        r.reset(w.rank);
+        r.ops.reserve(w.events.len());
+        stream_index.clear();
+        event_index.clear();
+        // A worker issues long runs to one stream: remember the last id
+        // and hash only when it changes.
+        let mut last_stream = None;
+        for e in &w.events {
+            let stream = match last_stream {
+                Some((id, slot)) if id == e.stream => slot,
+                _ => {
+                    let next = stream_index.len() as u32;
+                    let slot = *stream_index.entry(e.stream).or_insert(next);
+                    if slot == next {
+                        r.streams.push(StreamSim::IDLE);
                     }
-                };
-                let mut event_slot = |event: u64, version: u32| {
-                    let next = event_index.len() as u32;
-                    *event_index.entry((event, version)).or_insert(next)
-                };
-                let kind = match e.op {
-                    DeviceOp::Malloc { .. } | DeviceOp::Free { .. } => OpKind::HostOnly,
-                    DeviceOp::KernelLaunch { kernel } => OpKind::Kernel {
-                        dur: shapes.time(&kernel, || self.estimator.kernel_time(&kernel)),
-                    },
-                    DeviceOp::MemcpyAsync { bytes, kind, sync } => OpKind::Memcpy {
-                        dur: self.estimator.memcpy_time(bytes, kind),
-                        sync,
-                    },
-                    DeviceOp::EventRecord { event, version } => OpKind::Record {
-                        slot: event_slot(event, version),
-                    },
-                    DeviceOp::StreamWaitEvent { event, version } => OpKind::Wait {
-                        slot: event_slot(event, version),
-                        zero: version == 0,
-                    },
-                    DeviceOp::EventSynchronize { event, version } => OpKind::EventSync {
-                        slot: event_slot(event, version),
-                        zero: version == 0,
-                    },
-                    DeviceOp::StreamSynchronize => OpKind::StreamSync,
-                    DeviceOp::DeviceSynchronize => OpKind::DeviceSync,
-                    DeviceOp::Collective { desc } => {
-                        r.sites.push(program.site(job, desc));
-                        OpKind::Join {
-                            site: (r.sites.len() - 1) as u32,
-                        }
-                    }
-                };
-                let pc = r.ops.len() as u32;
-                if kind.enqueues() {
-                    let s = &mut r.streams[stream as usize];
-                    // `tail` is `NONE`, past every op, until the
-                    // stream's first.
-                    match r.ops.get_mut(s.tail as usize) {
-                        Some(prev) => prev.next = pc,
-                        None => s.head = pc,
-                    }
-                    s.tail = pc;
+                    last_stream = Some((e.stream, slot));
+                    slot
                 }
-                r.ops.push(Op {
-                    t: e.host_delay,
-                    seq: 0,
-                    next: NONE,
-                    stream,
-                    kind,
-                });
+            };
+            let mut event_slot = |event: u64, version: u32| {
+                let next = event_index.len() as u32;
+                *event_index.entry((event, version)).or_insert(next)
+            };
+            let kind = match e.op {
+                DeviceOp::Malloc { .. } | DeviceOp::Free { .. } => OpKind::HostOnly,
+                DeviceOp::KernelLaunch { kernel } => OpKind::Kernel {
+                    dur: shapes.time(&kernel, || self.estimator.kernel_time(&kernel)),
+                },
+                DeviceOp::MemcpyAsync { bytes, kind, sync } => OpKind::Memcpy {
+                    dur: self.estimator.memcpy_time(bytes, kind),
+                    sync,
+                },
+                DeviceOp::EventRecord { event, version } => OpKind::Record {
+                    slot: event_slot(event, version),
+                },
+                DeviceOp::StreamWaitEvent { event, version } => OpKind::Wait {
+                    slot: event_slot(event, version),
+                    zero: version == 0,
+                },
+                DeviceOp::EventSynchronize { event, version } => OpKind::EventSync {
+                    slot: event_slot(event, version),
+                    zero: version == 0,
+                },
+                DeviceOp::StreamSynchronize => OpKind::StreamSync,
+                DeviceOp::DeviceSynchronize => OpKind::DeviceSync,
+                DeviceOp::Collective { desc } => {
+                    r.sites.push(JoinSite {
+                        desc,
+                        group: NONE,
+                        required: 0,
+                    });
+                    OpKind::Join {
+                        site: (r.sites.len() - 1) as u32,
+                    }
+                }
+            };
+            let pc = r.ops.len() as u32;
+            if kind.enqueues() {
+                let s = &mut r.streams[stream as usize];
+                // `tail` is `NONE`, past every op, until the stream's
+                // first.
+                match r.ops.get_mut(s.tail as usize) {
+                    Some(prev) => prev.next = pc,
+                    None => s.head = pc,
+                }
+                s.tail = pc;
             }
-            r.reset_events(event_index.len());
+            r.ops.push(Op {
+                t: e.host_delay,
+                seq: 0,
+                next: NONE,
+                stream,
+                kind,
+            });
         }
+        r.reset_events(event_index.len());
         Ok(())
     }
 
@@ -1929,7 +2017,7 @@ impl<'a> Simulator<'a> {
     /// All participants joined: release every stream in lockstep after
     /// the predicted wire time (Algorithm 3).
     fn resolve_collective(&self, st: &mut SimScratch, group: u32, at: usize) {
-        let slot = st.comm_slot(group);
+        let slot = group as usize;
         let Some(comm) = st.comms.get_mut(slot).filter(|c| at < c.open.len()) else {
             return;
         };
@@ -2607,7 +2695,8 @@ mod tests {
         const RANKS: usize = 5;
         const OPS_PER_RANK: usize = 20_000;
         let mut st = SimScratch::new();
-        st.reset(RANKS);
+        st.reset();
+        st.ranks.resize_with(RANKS, RankSim::default);
         for (rank, r) in st.ranks.iter_mut().enumerate() {
             r.reset(rank as u32);
             r.streams.push(StreamSim::IDLE);
@@ -2686,7 +2775,8 @@ mod tests {
     /// its stream's queue as lowering links them; none issued yet.
     fn one_rank(streams: usize, ops: &[(u32, SimTime)]) -> SimScratch {
         let mut st = SimScratch::new();
-        st.reset(1);
+        st.reset();
+        st.ranks.push(RankSim::default());
         let r = &mut st.ranks[0];
         r.reset(0);
         r.streams.extend(vec![StreamSim::IDLE; streams]);

@@ -36,5 +36,5 @@
 pub mod engine;
 pub mod report;
 
-pub use engine::{Lowered, SimError, SimObs, SimScratch, Simulator};
+pub use engine::{Lowered, Lowering, Replay, SimError, SimObs, SimScratch, Simulator};
 pub use report::SimReport;

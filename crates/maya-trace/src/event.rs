@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::ops::{DeviceOp, StreamId};
+use crate::ops::{CollectiveDesc, DeviceOp, StreamId};
 use crate::time::SimTime;
 
 /// One entry in a worker's emulation trace.
@@ -159,30 +159,41 @@ impl JobTrace {
         }
         for w in &self.workers {
             for e in &w.events {
-                if let DeviceOp::Collective { desc } = e.op {
-                    match self.comm_groups.get(&desc.comm_id) {
-                        None => {
-                            return Err(format!(
-                                "rank {} uses unknown communicator {:#x}",
-                                w.rank, desc.comm_id
-                            ))
-                        }
-                        Some(members) => {
-                            if members.len() != desc.nranks as usize {
-                                return Err(format!(
-                                    "comm {:#x} has {} members but desc says {}",
-                                    desc.comm_id,
-                                    members.len(),
-                                    desc.nranks
-                                ));
-                            }
-                        }
-                    }
+                if let DeviceOp::Collective { desc } = &e.op {
+                    let members = self.comm_groups.get(&desc.comm_id);
+                    validate_site(w.rank, desc, members.map(Vec::as_slice))?;
                 }
             }
         }
         Ok(())
     }
+}
+
+/// The per-event half of [`JobTrace::validate`]: a collective `desc`
+/// issued by `rank` names a communicator of the job's map — whose
+/// `members` are `None` if the map does not list it — and declares its
+/// size. The simulator runs it once per call site while it resolves
+/// them.
+pub fn validate_site(
+    rank: u32,
+    desc: &CollectiveDesc,
+    members: Option<&[u32]>,
+) -> Result<(), String> {
+    let Some(members) = members else {
+        return Err(format!(
+            "rank {rank} uses unknown communicator {:#x}",
+            desc.comm_id
+        ));
+    };
+    if members.len() != desc.nranks as usize {
+        return Err(format!(
+            "comm {:#x} has {} members but desc says {}",
+            desc.comm_id,
+            members.len(),
+            desc.nranks
+        ));
+    }
+    Ok(())
 }
 
 /// The rank half of [`JobTrace::validate`]: at most `nranks` workers,

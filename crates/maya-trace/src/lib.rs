@@ -23,7 +23,9 @@ pub mod signature;
 pub mod time;
 
 pub use dtype::Dtype;
-pub use event::{validate_ranks, JobTrace, TraceEvent, WorkerTrace, WorkerTraceSummary};
+pub use event::{
+    validate_ranks, validate_site, JobTrace, TraceEvent, WorkerTrace, WorkerTraceSummary,
+};
 pub use kernel::KernelKind;
 pub use ops::{CollectiveDesc, CollectiveKind, DeviceOp, MemcpyKind, StreamId};
 pub use signature::{shape_digest, signature_of, Signer, TraceBuffers, TraceMeta};

@@ -46,13 +46,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use maya_collate::{unique_megatron_ranks, Collator};
+use maya_collate::{unique_megatron_ranks, Collator, Pushed};
 use maya_cuda::{CudaContext, CudaError, HostCharges};
 use maya_estimator::{CacheStats, CachingEstimator, RuntimeEstimator};
 use maya_hw::{GroundTruthExecutor, Measurement};
-use maya_sim::{SimError, SimObs, SimScratch, Simulator};
+use maya_sim::{Replay, SimError, SimObs, SimScratch, Simulator};
 use maya_torchlet::{FrameworkFlavor, RankTopology, TrainingJob};
-use maya_trace::{JobTrace, TraceBuffers, TraceMeta, WorkerTrace};
+use maya_trace::{JobTrace, TraceBuffers, TraceEvent, TraceMeta, WorkerTrace};
 
 use crate::cancel::CancelToken;
 use crate::error::MayaError;
@@ -71,14 +71,18 @@ struct OomInfo {
 
 /// What emulating a job produced.
 struct Emulated {
-    /// The collated job — already reduced to one worker per class when
-    /// the plan folds — or the OOM verdict.
-    outcome: Result<JobTrace, OomInfo>,
+    /// The job's communicator map — the traces the collator kept, one
+    /// per class when the plan folds, went to the caller as they came —
+    /// or the OOM verdict.
+    outcome: Result<BTreeMap<u64, Vec<u32>>, OomInfo>,
     /// Ranks emulated.
     ranks: usize,
+    /// Traces kept, and their events.
+    kept: usize,
+    kept_events: usize,
     /// Trace events whose host time was computed.
     charged: usize,
-    /// Wall time spent inside the collator, the rest being emulation.
+    /// Wall time spent inside the collator.
     collation: Duration,
 }
 
@@ -384,16 +388,19 @@ impl PredictionEngine {
     /// it, collating each rank as it finishes: when the plan folds,
     /// every rank signs its trace while recording it, only one trace
     /// per class of identical workers is ever kept (§4.2), and a
-    /// dropped trace's buffers are what the next rank records into. On
-    /// OOM, collation stops — a partially-OOMed job has incomplete
-    /// communicator traces — the remaining ranks are still emulated for
-    /// the tally, and the OOM verdict of the first rank to run out is
-    /// returned instead.
+    /// dropped trace's buffers are what the next rank records into. A
+    /// kept trace goes to `keep` at once, which hands back its event
+    /// buffer for a later rank (an unallocated one if it keeps the
+    /// trace). On OOM, collation stops — a partially-OOMed job has
+    /// incomplete communicator traces — the remaining ranks are still
+    /// emulated for the tally, and the OOM verdict of the first rank to
+    /// run out is returned instead.
     fn emulate_with(
         &self,
         job: &TrainingJob,
         plan: impl FnOnce(&TrainingJob) -> LaunchPlan,
         threads: usize,
+        mut keep: impl FnMut(WorkerTrace) -> Result<Vec<TraceEvent>, MayaError>,
     ) -> Result<Emulated, MayaError> {
         job.validate()?;
         if job.world != self.spec.cluster.num_gpus() {
@@ -408,7 +415,7 @@ impl PredictionEngine {
         // The first rank to run out: its rank, the memory it held and
         // the allocation that failed.
         let mut oom: Option<(u32, u64, u64)> = None;
-        let (mut events, mut charged) = (0usize, 0usize);
+        let (mut events, mut charged, mut kept, mut kept_events) = (0usize, 0usize, 0usize, 0usize);
         self.emulate_each(
             &ranks,
             |rank, ctx| job.run_worker(rank, ctx),
@@ -441,11 +448,21 @@ impl PredictionEngine {
                 };
                 // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
                 let t = Instant::now();
-                let spare = collator.push(trace, meta);
+                let pushed = collator.push(trace, meta);
                 collation += t.elapsed();
+                let Pushed {
+                    kept: trace,
+                    mut spare,
+                } = pushed?;
+                if let Some(trace) = trace {
+                    kept += 1;
+                    kept_events += trace.events.len();
+                    spare.events = keep(trace)?;
+                    spare.events.clear();
+                }
                 Ok(TraceBuffers {
                     host_notes,
-                    ..spare?
+                    ..spare
                 })
             },
         )?;
@@ -459,17 +476,27 @@ impl PredictionEngine {
             None => {
                 // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
                 let t = Instant::now();
-                let job_trace = collator.finish();
+                let groups = collator.finish();
                 collation += t.elapsed();
-                Ok(job_trace?)
+                Ok(groups?)
             }
         };
         Ok(Emulated {
             outcome,
             ranks: ranks.len(),
+            kept,
+            kept_events,
             charged,
             collation,
         })
+    }
+
+    /// The simulator over the shared memo, with the spec's fault plan
+    /// and the engine's observability sinks.
+    fn simulator(&self) -> Simulator<'_> {
+        Simulator::new(self.cache.as_ref(), &self.spec.cluster)
+            .with_faults(self.spec.faults.as_ref())
+            .with_obs(self.sim_obs.as_ref())
     }
 
     /// Predicts the performance of a training job end-to-end.
@@ -477,34 +504,91 @@ impl PredictionEngine {
         self.predict_job_with(job, self.spec.emulation_threads)
     }
 
+    /// Emulates `job` and lowers each trace the collator keeps into a
+    /// pooled simulator arena the moment the collator hands it back,
+    /// recycling its buffer for a later rank: a prediction holds the
+    /// trace being recorded or examined, never the kept ones. Lowering
+    /// is the estimation stage — the one read of a kept trace, one memo
+    /// query per distinct kernel shape of the job and per memcpy
+    /// (Table 6 / Fig. 13's estimation stage) — and runs on the
+    /// calling thread, overlapping the emulating threads when there are
+    /// several; collective queries resolve during the replay, once per
+    /// collective shape of each communicator. Across trials the memo
+    /// persists: a warm search loop pays estimation only for shapes it
+    /// has never seen.
     fn predict_job_with(
         &self,
         job: &TrainingJob,
         emulation_threads: usize,
     ) -> Result<Prediction, MayaError> {
-        // lint:allow(wall-clock-in-output): stage timing telemetry — predicted runtimes come from the simulator, not this clock
-        let t0 = Instant::now();
-        let emulated = self.emulate_with(job, |job| self.launch_plan(job), emulation_threads)?;
-        self.host_charges
-            .fetch_add(emulated.charged as u64, Ordering::Relaxed);
-        let timings = StageTimings {
-            emulation: t0.elapsed().saturating_sub(emulated.collation),
-            collation: emulated.collation,
-            ..Default::default()
-        };
-        match emulated.outcome {
-            Err(info) => Ok(Prediction {
-                outcome: PredictOutcome::OutOfMemory {
-                    rank: info.rank,
-                    peak_attempted: info.peak_attempted,
-                },
-                timings,
-                workers_emulated: emulated.ranks,
-                workers_simulated: 0,
-                trace_events: info.events,
-            }),
-            Ok(reduced) => self.simulate(reduced, emulated.ranks, timings),
-        }
+        self.with_sim_scratch(|scratch| {
+            let sim = self.simulator();
+            let mut timings = StageTimings::default();
+            let mut lowering = sim.lowering(scratch);
+            let mut rerun = false;
+            loop {
+                // lint:allow(wall-clock-in-output): stage timing telemetry — predicted runtimes come from the simulator, not this clock
+                let t0 = Instant::now();
+                let mut lowered = Duration::ZERO;
+                let emulated = self.emulate_with(
+                    job,
+                    |job| self.launch_plan(job),
+                    emulation_threads,
+                    |trace| {
+                        // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
+                        let t = Instant::now();
+                        lowering.worker(&trace)?;
+                        lowered += t.elapsed();
+                        Ok(trace.events)
+                    },
+                )?;
+                timings.emulation += t0.elapsed().saturating_sub(emulated.collation + lowered);
+                timings.collation += emulated.collation;
+                timings.estimation += lowered;
+                if !rerun {
+                    self.host_charges
+                        .fetch_add(emulated.charged as u64, Ordering::Relaxed);
+                }
+                let groups = match emulated.outcome {
+                    Ok(groups) => groups,
+                    Err(info) => {
+                        return Ok(Prediction {
+                            outcome: PredictOutcome::OutOfMemory {
+                                rank: info.rank,
+                                peak_attempted: info.peak_attempted,
+                            },
+                            timings,
+                            workers_emulated: emulated.ranks,
+                            workers_simulated: 0,
+                            trace_events: info.events,
+                        })
+                    }
+                };
+                // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
+                let t = Instant::now();
+                let program = lowering.resolve(&groups)?;
+                timings.estimation += t.elapsed();
+                // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
+                let t = Instant::now();
+                let replayed = program.replay();
+                timings.simulation += t.elapsed();
+                match replayed {
+                    Replay::Done(report) => {
+                        return Ok(Prediction {
+                            outcome: PredictOutcome::Completed(report?),
+                            timings,
+                            workers_emulated: emulated.ranks,
+                            workers_simulated: emulated.kept,
+                            trace_events: emulated.kept_events,
+                        })
+                    }
+                    // Emulation is deterministic: emulating the job
+                    // again feeds the lowering, now without run-ahead,
+                    // the same traces.
+                    Replay::Abandoned(again) => (lowering, rerun) = (again, true),
+                }
+            }
+        })
     }
 
     /// Predicts from an already-collated job trace.
@@ -515,72 +599,65 @@ impl PredictionEngine {
     /// spends time on it. Its workers then go through the collator
     /// `predict_job` feeds, with the trace's groups as the known ones:
     /// each is scanned for the metadata a recorder would have handed
-    /// over, and when the spec folds only one per class is kept.
+    /// over, when the spec folds only one per class is kept, and a kept
+    /// one is lowered as the collator hands it back.
     pub fn predict_trace(&self, job_trace: JobTrace) -> Result<Prediction, MayaError> {
         job_trace
             .validate()
             .map_err(|m| MayaError::from(SimError::InvalidTrace(m)))?;
         let emulated = job_trace.workers.len();
         let fold = self.folds();
-        // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
-        let t = Instant::now();
-        let mut collator = Collator::new(job_trace.nranks, &job_trace.comm_groups, fold);
-        for trace in job_trace.workers {
-            let meta = TraceMeta::scan(&trace.events, fold);
-            collator.push(trace, meta)?;
-        }
-        let reduced = collator.finish()?;
-        let timings = StageTimings {
-            collation: t.elapsed(),
-            ..Default::default()
-        };
-        self.simulate(reduced, emulated, timings)
-    }
-
-    /// Lowers and replays a validated, already-reduced job trace.
-    /// `timings` carries the stages the caller has run.
-    fn simulate(
-        &self,
-        reduced: JobTrace,
-        workers_emulated: usize,
-        mut timings: StageTimings,
-    ) -> Result<Prediction, MayaError> {
-        // Every trace reaching this point is already valid: both callers
-        // hand over what the collator finished, and it validates its
-        // output. Skipping re-validation here is what makes a search
-        // loop pay the O(events) structural check once instead of per
-        // trial.
-        let est: &dyn RuntimeEstimator = self.cache.as_ref();
-        let report = self.with_sim_scratch(|scratch| {
-            let sim = Simulator::new(est, &self.spec.cluster)
-                .with_faults(self.spec.faults.as_ref())
-                .with_obs(self.sim_obs.as_ref());
-            // Estimation is the lowering pass: the one read of the
-            // trace, asking the shared memo once per distinct kernel
-            // shape and once per memcpy (Table 6 / Fig. 13's
-            // estimation stage). Collective
-            // queries resolve during the replay — their first joiner is
-            // only known then — once per collective shape of each
-            // communicator, through the same memo.
-            // Across trials the memo persists: a warm search loop pays
-            // estimation cost only for shapes it has never seen.
+        self.with_sim_scratch(|scratch| {
+            let sim = self.simulator();
+            let mut timings = StageTimings::default();
+            let mut lowering = sim.lowering(scratch);
+            let mut collator = Collator::new(job_trace.nranks, &job_trace.comm_groups, fold);
+            let mut kept = Vec::new();
+            for trace in job_trace.workers {
+                // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
+                let t = Instant::now();
+                let meta = TraceMeta::scan(&trace.events, fold);
+                let pushed = collator.push(trace, meta)?;
+                timings.collation += t.elapsed();
+                if let Some(trace) = pushed.kept {
+                    // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
+                    let t = Instant::now();
+                    lowering.worker(&trace)?;
+                    timings.estimation += t.elapsed();
+                    kept.push(trace);
+                }
+            }
+            // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
+            let t = Instant::now();
+            let reduced = JobTrace {
+                nranks: job_trace.nranks,
+                workers: kept,
+                comm_groups: collator.finish()?,
+            };
+            timings.collation += t.elapsed();
             // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
-            let t2 = Instant::now();
-            let lowered = sim.lower(&reduced, scratch)?;
-            timings.estimation = t2.elapsed();
-            // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
-            let t3 = Instant::now();
-            let report = lowered.replay();
-            timings.simulation = t3.elapsed();
-            report
-        })?;
-
-        Ok(Prediction {
-            outcome: PredictOutcome::Completed(report),
-            timings,
-            workers_emulated,
-            workers_simulated: reduced.workers.len(),
-            trace_events: reduced.total_events(),
+            let t = Instant::now();
+            let mut program = lowering.resolve(&reduced.comm_groups)?;
+            timings.estimation += t.elapsed();
+            loop {
+                // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
+                let t = Instant::now();
+                let replayed = program.replay();
+                timings.simulation += t.elapsed();
+                match replayed {
+                    Replay::Done(report) => {
+                        return Ok(Prediction {
+                            outcome: PredictOutcome::Completed(report?),
+                            timings,
+                            workers_emulated: emulated,
+                            workers_simulated: reduced.workers.len(),
+                            trace_events: reduced.total_events(),
+                        })
+                    }
+                    // The caller's traces are in hand: feed them again.
+                    Replay::Abandoned(again) => program = again.job(&reduced)?,
+                }
+            }
         })
     }
 
@@ -593,10 +670,20 @@ impl PredictionEngine {
     /// rank to run out held.
     pub fn measure_actual(&self, job: &TrainingJob) -> Result<Result<Measurement, u64>, MayaError> {
         let threads = self.spec.emulation_threads;
-        let emulated = self.emulate_with(job, LaunchPlan::every_rank, threads)?;
+        // The executor takes the job trace whole: every trace is kept.
+        let mut workers = Vec::new();
+        let emulated = self.emulate_with(job, LaunchPlan::every_rank, threads, |trace| {
+            workers.push(trace);
+            Ok(Vec::new())
+        })?;
         match emulated.outcome {
             Err(oom) => Ok(Err(oom.held)),
-            Ok(job_trace) => {
+            Ok(comm_groups) => {
+                let job_trace = JobTrace {
+                    nranks: job.world,
+                    workers,
+                    comm_groups,
+                };
                 let executor = GroundTruthExecutor::default();
                 Ok(Ok(executor.run(&job_trace, &self.spec.cluster)?))
             }

@@ -16,7 +16,7 @@ use maya_collate::{collate_with_known_groups, dedup_classes, reduce_job, unique_
 use maya_cuda::CudaError;
 use maya_estimator::OracleEstimator;
 use maya_hw::{ClusterSpec, GpuSpec, HeteroPool, RankClass};
-use maya_sim::{SimReport, Simulator};
+use maya_sim::{SimReport, SimScratch, Simulator};
 use maya_torchlet::engine::{megatron_comm_groups, trace_one_rank};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, RankTopology, TrainingJob};
 use maya_trace::{Dtype, SimTime};
@@ -265,7 +265,10 @@ fn joins(rank: u32, comm: u64, nranks: u32) -> maya_trace::WorkerTrace {
 /// The two collective-site errors `JobTrace::validate` raises, with the
 /// text it raises them in: a communicator the map does not list, and
 /// a descriptor whose size is not the communicator's. Both entries
-/// that take a caller's trace say so in those words.
+/// that take a caller's trace say so in those words, and so does the
+/// simulator's site resolution, which is all that checks a trusted
+/// trace's sites now that the collator no longer re-reads the traces
+/// it kept.
 #[test]
 fn a_bad_collective_site_is_reported_in_validates_words() {
     let cluster = ClusterSpec::h100(1, 2);
@@ -287,6 +290,19 @@ fn a_bad_collective_site_is_reported_in_validates_words() {
         let invalid = maya_sim::SimError::InvalidTrace(text.to_string());
         let sim = Simulator::new(&est, &cluster);
         assert_eq!(sim.run(&bad), Err(invalid.clone()));
+        let mut scratch = SimScratch::new();
+        assert_eq!(
+            sim.run_prevalidated(&bad, &mut scratch),
+            Err(invalid.clone())
+        );
+        let mut lowering = sim.lowering(&mut scratch);
+        for w in &bad.workers {
+            lowering.worker(w).expect("lowering a worker reads no map");
+        }
+        assert_eq!(
+            lowering.resolve(&bad.comm_groups).err(),
+            Some(invalid.clone())
+        );
         let engine = PredictionEngine::new(
             EmulationSpec::new(cluster.clone()),
             Arc::new(OracleEstimator::new(&cluster)),

@@ -4,8 +4,9 @@
 //! The counters are deterministic functions of the job, so they are
 //! pinned by exact equality. They are the memory evidence for folding
 //! ranks as they finish: a 64-rank job whose ranks fall into two classes
-//! never has more than three traces alive — the two kept and the one
-//! being examined — and the collator reads a rank's collectives only,
+//! keeps two traces, the collator holding none of them — it hands a
+//! kept trace back with the push that keeps it, and the engine lowers
+//! it then — and the collator reads a rank's collectives only,
 //! because the recorder signed the trace and indexed them while writing
 //! it — and a folded rank's host clock is never run, because nobody
 //! reads it: host time is computed for the events of the traces that
@@ -74,6 +75,7 @@ fn fold_all_ranks(job: &TrainingJob, cluster: &ClusterSpec) -> Folded {
     let known = BTreeMap::new();
     let mut collator = Collator::new(job.world, &known, true);
     let (mut spare, mut emitted, mut charged) = (TraceBuffers::default(), (0, 0), 0);
+    let mut kept = Vec::new();
     let mut classes = Classes::default();
     for rank in 0..job.world {
         let mut ctx = CudaContext::recording_into(rank, cluster.gpu, spare, true);
@@ -91,16 +93,22 @@ fn fold_all_ranks(job: &TrainingJob, cluster: &ClusterSpec) -> Folded {
         assert_recorded_as_scanned(&trace, &meta, &mut classes);
         emitted.0 += trace.events.len();
         emitted.1 += trace.summary.num_collectives;
+        let pushed = collator.push(trace, meta).expect("rank collates");
+        kept.extend(pushed.kept);
         spare = TraceBuffers {
             host_notes,
-            ..collator.push(trace, meta).expect("rank collates")
+            ..pushed.spare
         };
     }
     Folded {
         stats: collator.stats(),
         emitted,
         charged,
-        kept: collator.finish().expect("job collates"),
+        kept: JobTrace {
+            nranks: job.world,
+            workers: kept,
+            comm_groups: collator.finish().expect("job collates"),
+        },
     }
 }
 
@@ -154,13 +162,17 @@ fn folded_job_counters_are_pinned() {
         charged,
         kept,
     } = fold_all_ranks(&job, &cluster);
+    // `resident_high_water` pinned 3 here — the two kept traces and the
+    // one pushed — while the collator held what it kept. It holds
+    // nothing now, and the field is gone: `predict_job` lowers a kept
+    // trace as the collator hands it back and records the next rank
+    // into its buffer, so one trace is alive at a time.
     assert_eq!(
         stats,
         CollateStats {
             workers_in: 64,
             workers_kept: 2,
             events_seen: 13_120,
-            resident_high_water: 3,
         }
     );
     assert_eq!(
@@ -437,17 +449,24 @@ fn a_recorder_that_will_not_fold_computes_no_signature() {
     let known = BTreeMap::new();
     let mut collator = Collator::new(job.world, &known, false);
     let mut spare = TraceBuffers::default();
+    let mut workers = Vec::new();
     for rank in 0..job.world {
         let ((trace, meta), res) = record(&job, rank, cluster.gpu, spare, false);
         res.expect("rank emulates");
         assert_eq!(meta, TraceMeta::scan(&trace.events, false));
         assert_eq!(meta.signature, None);
-        spare = collator.push(trace, meta).expect("rank collates");
+        let pushed = collator.push(trace, meta).expect("rank collates");
+        spare = pushed.spare;
         assert_eq!(spare.events.capacity(), 0, "every trace is kept");
+        workers.extend(pushed.kept);
     }
     let stats = collator.stats();
     assert_eq!((stats.workers_in, stats.workers_kept), (64, 64));
-    let all = collator.finish().expect("job collates");
+    let all = JobTrace {
+        nranks: job.world,
+        workers,
+        comm_groups: collator.finish().expect("job collates"),
+    };
     assert_eq!(stats.events_seen, {
         let per_rank = all.workers.iter().map(|w| w.summary.num_collectives);
         per_rank.sum::<u64>()
@@ -491,13 +510,14 @@ fn recorder_and_scan_agree_on_the_512_rank_job() {
         kept,
     } = fold_all_ranks(&job, &cluster);
     assert_eq!(charged, kept.total_events());
+    // No `resident_high_water` (it pinned 3): see
+    // `folded_job_counters_are_pinned`.
     assert_eq!(
         stats,
         CollateStats {
             workers_in: 512,
             workers_kept: 2,
             events_seen: 498_176,
-            resident_high_water: 3,
         }
     );
     assert_eq!(emitted, (2_788_864, 498_176));

@@ -132,11 +132,16 @@ fn stream(
     fold: bool,
 ) -> JobTrace {
     let mut collator = Collator::new(world, known, fold);
+    let mut kept = Vec::new();
     for w in workers {
         let meta = TraceMeta::scan(&w.events, fold);
-        collator.push(w.clone(), meta).expect("push");
+        kept.extend(collator.push(w.clone(), meta).expect("push").kept);
     }
-    collator.finish().expect("finish")
+    JobTrace {
+        nranks: world,
+        workers: kept,
+        comm_groups: collator.finish().expect("finish"),
+    }
 }
 
 /// Who is folded into whom. The frozen oracle's signature values are
