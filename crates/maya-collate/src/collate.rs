@@ -40,8 +40,8 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use maya_trace::{
-    validate_ranks, CollectiveDesc, CollectiveKind, DeviceOp, JobTrace, TraceBuffers, TraceMeta,
-    WorkerTrace,
+    validate_groups, validate_ranks, CollectiveDesc, CollectiveKind, DeviceOp, JobTrace,
+    TraceBuffers, TraceMeta, WorkerTrace,
 };
 
 /// Errors detected while collating traces.
@@ -525,13 +525,7 @@ impl<'k> Collator<'k> {
             groups.insert(comm.id, comm.members(self.known.get(&comm.id), self.world)?);
         }
         validate_ranks(self.world, self.ranks.iter().copied()).map_err(CollateError::Invalid)?;
-        for (comm, members) in &groups {
-            if let Some(m) = members.iter().find(|&&m| m >= self.world) {
-                return Err(CollateError::Invalid(format!(
-                    "comm {comm:#x} references out-of-range rank {m}"
-                )));
-            }
-        }
+        validate_groups(self.world, &groups).map_err(CollateError::Invalid)?;
         if let Some(e) = self.mismatch {
             return Err(e);
         }

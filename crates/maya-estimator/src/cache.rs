@@ -11,7 +11,7 @@
 //!
 //! [`CachingEstimator`] keeps all three query families (kernel / memcpy
 //! / collective) in one `Mutex<HashMap>`. One lock suffices because the
-//! simulator asks few questions: `Simulator::lower` asks once per
+//! simulator asks few questions: lowering a job asks once per
 //! distinct kernel shape of a job and each communicator times a
 //! collective shape once, so a traced seed-1 benchmark run counts, per
 //! cold prediction, 56 queries on `emulate_dedup_512`, 710 on

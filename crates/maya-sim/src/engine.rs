@@ -1,14 +1,22 @@
 //! The discrete-event simulation engine (Algorithms 1-3).
 //!
-//! A run is *lower, then replay*. [`Simulator::lower`] reads the
-//! collated [`JobTrace`] exactly once and writes a compact **replay
-//! program** into the [`SimScratch`] arena: per worker a dense array
-//! of 40-byte ops, each carrying its host delay, its interned stream
-//! slot and a payload that is already resolved — the estimated duration
-//! of a kernel or memcpy, the dense slot of a CUDA event's `(event,
-//! version)` key, or the index of a collective's call site in the
-//! worker's dense site table, which names its communicator's members
-//! and present-participant count. A kernel's duration is a fact about
+//! A run is *lower, then replay*. Lowering reads each worker's trace
+//! exactly once and writes a compact **replay program** into the
+//! [`SimScratch`] arena: per worker a dense array of 40-byte ops, each
+//! carrying its host delay, its interned stream slot and a payload that
+//! is already resolved — the estimated duration of a kernel or memcpy,
+//! the dense slot of a CUDA event's `(event, version)` key, or the
+//! index of a collective's call site in the worker's dense site table,
+//! which names its communicator's members and present-participant
+//! count. It goes worker by worker ([`Lowering::worker`], in rank
+//! order), so a worker's trace can be dropped as soon as it is lowered:
+//! the prediction engine lowers each trace the collator keeps as it is
+//! kept. A call site is recorded with its descriptor only; once every
+//! worker is lowered, [`Lowering::resolve`] makes one pass over the
+//! sites against the job's communicator map, which the caller may only
+//! then know, and raises [`JobTrace::validate`]'s two site errors in its
+//! words. [`Simulator::lower`] runs these steps over a [`JobTrace`] in
+//! hand. A kernel's duration is a fact about
 //! its shape, and a job launches thousands of kernels over tens of
 //! shapes: lowering keeps the job's shapes in a small table in the
 //! arena (fixed size, keyed by [`maya_trace::shape_digest`], see
@@ -110,8 +118,13 @@
 //! was stamped at an earlier instant. A chain end that must pop later
 //! goes back into the heap right behind the event that comes first.
 //! Stamps step by `STAMP`, which leaves room there. A tie none of this
-//! orders abandons the replay. The program is lowered again and
-//! replayed without run-ahead, which costs only time. Checking the next
+//! orders abandons the replay ([`Replay::Abandoned`], counted in
+//! [`SimObs::abandoned_replays`]). The program was consumed and the
+//! replay holds no trace, so it hands back an empty lowering without
+//! run-ahead, and whoever fed the first lowering feeds it again:
+//! [`Simulator::run_prevalidated`] from the trace in hand, the
+//! prediction engine by emulating the job again. That costs only time.
+//! Checking the next
 //! event suffices. Anything pushed later carries a larger stamp in both
 //! orders, and a chain end only ever moves behind an event that comes
 //! before it. So an event handled out of the reference order would
@@ -742,7 +755,7 @@ struct Shape {
 }
 
 /// The estimated duration of every distinct kernel shape of one job,
-/// so that [`Simulator::lower`] asks the estimator about a shape once.
+/// so that lowering asks the estimator about a shape once.
 ///
 /// Open addressing over a fixed number of slots with a bounded probe
 /// run, keyed by [`shape_digest`] and confirmed by `==` on the whole
@@ -765,7 +778,7 @@ impl ShapeTable {
     const PROBE: usize = 8;
 
     /// Empties the table: durations are one estimator's answers and
-    /// must not outlive the `lower` that asked.
+    /// must not outlive the lowering that asked.
     fn clear(&mut self) {
         self.slots.clear();
         self.slots.resize(Self::SLOTS, 0);
@@ -864,9 +877,8 @@ impl Comm {
 /// duration of each distinct kernel shape, at most 512 of them (1 KB of
 /// slots and 80 bytes a shape), and of each communicator's distinct
 /// collective shapes (or their flows), at most 64 (`Comm::SHAPES`) —
-/// emptied by every
-/// [`Simulator::lower`] so that no estimator's answer outlives the
-/// prediction that asked for it.
+/// emptied by every [`Simulator::lowering`] so that no estimator's
+/// answer outlives the prediction that asked for it.
 ///
 /// A fresh scratch and a reused one produce byte-identical
 /// [`SimReport`]s (enforced by proptest); reuse only skips the
@@ -1334,8 +1346,11 @@ impl SimScratch {
         });
     }
 
-    /// Resets the run state, keeping capacity; no worker is lowered.
+    /// Empties the arena for a new job, keeping capacity: no worker is
+    /// lowered and no kernel shape is timed.
     fn reset(&mut self) {
+        self.shapes.clear();
+        self.program.peak_mem_bytes = 0;
         self.heap.clear();
         self.flow_due = None;
         for comm in &mut self.comms {
@@ -1534,8 +1549,6 @@ impl<'a> Simulator<'a> {
     /// shape tables keep no estimator's answer from an earlier job.
     pub fn lowering<'s>(&'s self, scratch: &'s mut SimScratch) -> Lowering<'s> {
         scratch.reset();
-        scratch.shapes.clear();
-        scratch.program.peak_mem_bytes = 0;
         scratch.run_ahead = self.faults.is_none();
         Lowering {
             sim: self,
@@ -1564,6 +1577,7 @@ impl<'a> Simulator<'a> {
             shapes,
             ..
         } = st;
+        // Never `None`: a rank was pushed above if none was spare.
         let Some(r) = ranks.get_mut(*lowered) else {
             return Ok(());
         };

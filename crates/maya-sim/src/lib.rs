@@ -17,13 +17,20 @@
 //!
 //! Durations come from a pluggable [`maya_estimator::RuntimeEstimator`].
 //!
-//! A run is two passes (see [`engine`]). [`Simulator::lower`] reads the
-//! trace once into a **replay program** in the [`SimScratch`] arena —
-//! per worker a dense array of small ops whose stream, CUDA-event and
-//! communicator ids are interned and whose kernel and memcpy durations
-//! are already estimated, one estimator query per distinct kernel
-//! shape of the job and one per memcpy — and
-//! [`Lowered::replay`] runs the event loop over that program alone.
+//! A run is two passes (see [`engine`]). Lowering reads the trace once
+//! into a **replay program** in the [`SimScratch`] arena — per worker a
+//! dense array of small ops whose stream, CUDA-event and communicator
+//! ids are interned and whose kernel and memcpy durations are already
+//! estimated, one estimator query per distinct kernel shape of the job
+//! and one per memcpy — and [`Lowered::replay`] runs the event loop
+//! over that program alone. Lowering goes worker by worker
+//! ([`Lowering::worker`]), so a caller that produces traces one at a
+//! time lowers each as it arrives and drops it; one pass over the
+//! collective sites ([`Lowering::resolve`]) then resolves them against
+//! the communicator map. [`Simulator::lower`] does both steps over a
+//! trace in hand. A replay that cannot order a run-ahead tie hands
+//! back an empty lowering without run-ahead ([`Replay::Abandoned`]),
+//! which whoever fed the first one feeds again.
 //! The program is also the only per-op state: a stream's queue and a
 //! rank's lane of pending issue pumps are cursors over it. The replay
 //! relies on one invariant, that a stream's `busy_until` never

@@ -27,7 +27,9 @@
 //! `busy_until` (elided — held to a hand-counted schedule) — and the
 //! bounds of the per-job shape table lowering keeps in front of the
 //! estimator: more shapes than it holds, shapes that all start at one
-//! slot, and an arena handed from one estimator to another.
+//! slot, and an arena handed from one estimator to another. One job
+//! abandons its run-ahead replay at a tie it cannot order and is fed
+//! again without run-ahead, still byte-identical to the reference.
 
 mod common;
 mod reference;

@@ -150,13 +150,7 @@ impl JobTrace {
     /// agree with the group map.
     pub fn validate(&self) -> Result<(), String> {
         validate_ranks(self.nranks, self.workers.iter().map(|w| w.rank))?;
-        for (comm, members) in &self.comm_groups {
-            for &m in members {
-                if m >= self.nranks {
-                    return Err(format!("comm {comm:#x} references out-of-range rank {m}"));
-                }
-            }
-        }
+        validate_groups(self.nranks, &self.comm_groups)?;
         for w in &self.workers {
             for e in &w.events {
                 if let DeviceOp::Collective { desc } = &e.op {
@@ -167,6 +161,18 @@ impl JobTrace {
         }
         Ok(())
     }
+}
+
+/// The communicator-map part of [`JobTrace::validate`]: every member of
+/// every group is a rank of the `nranks`-rank job. The streaming
+/// collator runs it over the map it builds.
+pub fn validate_groups(nranks: u32, groups: &BTreeMap<u64, Vec<u32>>) -> Result<(), String> {
+    for (comm, members) in groups {
+        if let Some(m) = members.iter().find(|&&m| m >= nranks) {
+            return Err(format!("comm {comm:#x} references out-of-range rank {m}"));
+        }
+    }
+    Ok(())
 }
 
 /// The per-event half of [`JobTrace::validate`]: a collective `desc`

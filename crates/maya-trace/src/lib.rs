@@ -24,7 +24,8 @@ pub mod time;
 
 pub use dtype::Dtype;
 pub use event::{
-    validate_ranks, validate_site, JobTrace, TraceEvent, WorkerTrace, WorkerTraceSummary,
+    validate_groups, validate_ranks, validate_site, JobTrace, TraceEvent, WorkerTrace,
+    WorkerTraceSummary,
 };
 pub use kernel::KernelKind;
 pub use ops::{CollectiveDesc, CollectiveKind, DeviceOp, MemcpyKind, StreamId};

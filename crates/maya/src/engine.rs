@@ -10,27 +10,33 @@
 //!   lives as long as the engine; `maya-serve` snapshots it across
 //!   restarts, and [`PredictionEngine::cache`] reaches the same
 //!   snapshot calls for a library caller;
-//! - the emulate → fold → estimate → simulate pipeline of Figure 5:
-//!   a rank's recorder signs its trace and indexes its collectives as
-//!   the calls are issued (only when the spec folds does it sign), and
-//!   every finished rank goes straight into a streaming [`Collator`],
-//!   which books the indexed collectives and keeps the trace only if
-//!   its signature opens a new class, so the job trace that reaches
-//!   the estimator is already reduced and only classes + 1 traces were
-//!   ever alive — the serial sink between the emulating threads reads
-//!   collectives, not events. A signing recorder does not run the host
-//!   clock either: it notes each call, and the sink settles the notes
+//! - the emulate → fold → estimate → simulate pipeline of Figure 5,
+//!   streamed: a rank's recorder signs its trace and indexes its
+//!   collectives as the calls are issued (only when the spec folds does
+//!   it sign), and every finished rank goes straight into a streaming
+//!   [`Collator`], which books the indexed collectives and hands the
+//!   trace back only if its signature opens a new class. The serial
+//!   sink between the emulating threads lowers a trace handed back into
+//!   the simulator's arena at once ([`maya_sim::Lowering::worker`]) and
+//!   records a later rank into its buffer, so a prediction holds one
+//!   trace at a time, not every kept one, and reads a kept trace's
+//!   events once. A signing recorder does not run the host clock
+//!   either: it notes each call, and the sink settles the notes
 //!   ([`HostCharges::settle`]) only for a trace whose signature the
 //!   collator does not hold yet, so host time is computed per kept
-//!   trace, not per rank; estimation is the
-//!   simulator's lowering pass (one read of the trace, one memo query
-//!   per distinct kernel shape of the job and per memcpy) and
-//!   simulation the replay of what it lowered. The collator is the one
-//!   collation path: [`PredictionEngine::measure_actual`] emulates
+//!   trace, not per rank. Estimation is that lowering (one memo query
+//!   per distinct kernel shape of the job and per memcpy) plus one pass
+//!   over the collective sites once the collator has the communicator
+//!   map; simulation is the replay of what was lowered. A replay that
+//!   run-ahead cannot order (`maya_sim`'s module docs, "Run-ahead")
+//!   hands back an empty lowering, and the engine emulates the job
+//!   again to feed it: emulation is deterministic. The collator is the
+//!   one collation path: [`PredictionEngine::measure_actual`] emulates
 //!   through the same loop under a plan that runs every rank and folds
-//!   none, and [`PredictionEngine::predict_trace`] pushes a caller's
-//!   finished traces into it, each scanned for the metadata a recorder
-//!   would have handed over;
+//!   none, keeping every trace for the testbed, and
+//!   [`PredictionEngine::predict_trace`] pushes a caller's finished
+//!   traces into it, each scanned for the metadata a recorder would
+//!   have handed over and lowered as it is kept;
 //! - one ordered fan-out over `emulation_threads` OS threads, which
 //!   spreads either one job's ranks (`predict_job`) or a batch's
 //!   independent jobs ([`PredictionEngine::predict_batch`]) and hands
@@ -77,9 +83,6 @@ struct Emulated {
     outcome: Result<BTreeMap<u64, Vec<u32>>, OomInfo>,
     /// Ranks emulated.
     ranks: usize,
-    /// Traces kept, and their events.
-    kept: usize,
-    kept_events: usize,
     /// Trace events whose host time was computed.
     charged: usize,
     /// Wall time spent inside the collator.
@@ -415,7 +418,7 @@ impl PredictionEngine {
         // The first rank to run out: its rank, the memory it held and
         // the allocation that failed.
         let mut oom: Option<(u32, u64, u64)> = None;
-        let (mut events, mut charged, mut kept, mut kept_events) = (0usize, 0usize, 0usize, 0usize);
+        let (mut events, mut charged) = (0usize, 0usize);
         self.emulate_each(
             &ranks,
             |rank, ctx| job.run_worker(rank, ctx),
@@ -455,8 +458,6 @@ impl PredictionEngine {
                     mut spare,
                 } = pushed?;
                 if let Some(trace) = trace {
-                    kept += 1;
-                    kept_events += trace.events.len();
                     spare.events = keep(trace)?;
                     spare.events.clear();
                 }
@@ -484,8 +485,6 @@ impl PredictionEngine {
         Ok(Emulated {
             outcome,
             ranks: ranks.len(),
-            kept,
-            kept_events,
             charged,
             collation,
         })
@@ -529,7 +528,7 @@ impl PredictionEngine {
             loop {
                 // lint:allow(wall-clock-in-output): stage timing telemetry — predicted runtimes come from the simulator, not this clock
                 let t0 = Instant::now();
-                let mut lowered = Duration::ZERO;
+                let (mut lowered, mut kept, mut kept_events) = (Duration::ZERO, 0, 0);
                 let emulated = self.emulate_with(
                     job,
                     |job| self.launch_plan(job),
@@ -539,6 +538,7 @@ impl PredictionEngine {
                         let t = Instant::now();
                         lowering.worker(&trace)?;
                         lowered += t.elapsed();
+                        (kept, kept_events) = (kept + 1, kept_events + trace.events.len());
                         Ok(trace.events)
                     },
                 )?;
@@ -578,8 +578,8 @@ impl PredictionEngine {
                             outcome: PredictOutcome::Completed(report?),
                             timings,
                             workers_emulated: emulated.ranks,
-                            workers_simulated: emulated.kept,
-                            trace_events: emulated.kept_events,
+                            workers_simulated: kept,
+                            trace_events: kept_events,
                         })
                     }
                     // Emulation is deterministic: emulating the job

@@ -313,3 +313,75 @@ fn a_bad_collective_site_is_reported_in_validates_words() {
         }
     }
 }
+
+/// A GEMM of `m` rows takes `m` µs.
+struct RowsInUs;
+
+impl maya_estimator::RuntimeEstimator for RowsInUs {
+    fn kernel_time(&self, kernel: &maya_trace::KernelKind) -> SimTime {
+        match kernel {
+            maya_trace::KernelKind::Gemm { m, .. } => SimTime::from_us(*m as f64),
+            _ => SimTime::from_us(1.0),
+        }
+    }
+    fn memcpy_time(&self, _: u64, _: maya_trace::MemcpyKind) -> SimTime {
+        SimTime::from_us(1.0)
+    }
+    fn collective_time(
+        &self,
+        _: maya_trace::CollectiveKind,
+        _: u64,
+        _: &[u32],
+        _: &ClusterSpec,
+    ) -> SimTime {
+        SimTime::from_us(1.0)
+    }
+    fn name(&self) -> &'static str {
+        "rows in µs"
+    }
+}
+
+/// `maya-sim/tests/props.rs`' job whose run-ahead replay is abandoned
+/// at a tie it cannot order: two streams' chains end at 31 µs, their
+/// last kernels started at 11 µs, the chains themselves at 1 and 6 µs.
+/// `predict_trace` holds the kept traces it lowered, feeds them again
+/// without run-ahead and reports what `Simulator::run` reports.
+#[test]
+fn predict_trace_feeds_an_abandoned_replay_again() {
+    use maya_trace::{DeviceOp, KernelKind, StreamId, TraceEvent, WorkerTrace};
+    let ev = |stream, op, host_us| TraceEvent {
+        stream: StreamId(stream),
+        op,
+        host_delay: SimTime::from_us(host_us),
+    };
+    let gemm = |m| DeviceOp::KernelLaunch {
+        kernel: KernelKind::Gemm {
+            m,
+            n: 1024,
+            k: 1024,
+            dtype: Dtype::Fp32,
+        },
+    };
+    let mut w = WorkerTrace::new(0);
+    w.events = vec![
+        ev(0, gemm(10), 1.0),
+        ev(0, gemm(20), 1.0),
+        ev(1, gemm(5), 4.0),
+        ev(1, gemm(20), 1.0),
+        ev(0, DeviceOp::DeviceSynchronize, 1.0),
+    ];
+    let job = maya_trace::JobTrace {
+        nranks: 1,
+        workers: vec![w],
+        comm_groups: BTreeMap::new(),
+    };
+    let cluster = ClusterSpec::h100(1, 1);
+    let expected = Simulator::new(&RowsInUs, &cluster).run(&job).unwrap();
+    let obs = maya::SimObs::default();
+    let engine = PredictionEngine::new(EmulationSpec::new(cluster), Arc::new(RowsInUs))
+        .with_sim_obs(obs.clone());
+    let p = engine.predict_trace(job).unwrap();
+    assert_eq!(p.report(), Some(&expected));
+    assert_eq!(obs.abandoned_replays.get(), 1);
+    assert_eq!(obs.events.get(), expected.events_processed);
+}
