@@ -312,6 +312,11 @@ fn sequence_numbers_that_skip_ahead_are_counted_once() {
     );
 }
 
+/// Folding keeps the lowest rank of each class and hands it back to
+/// the caller with the push that keeps it; a folded rank's buffers come
+/// back for the next rank. The collator holds no trace, so its
+/// counters no longer include `resident_high_water` (pinned at 3, the
+/// two kept and the one pushed, while it held them).
 #[test]
 fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
     let ar = |comm, bytes, r| {
@@ -348,10 +353,6 @@ fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
         vec![(0, true), (0, true), (2, true), (2, true)],
         "only dropped traces free an event buffer; the index always comes back"
     );
-    // The collator holds no trace: a kept one goes back to the caller
-    // with the push that kept it, so it counts no traces alive (it
-    // pinned 3 here, the two kept and the one pushed, while it held
-    // them).
     assert_eq!(
         collator.stats(),
         CollateStats {

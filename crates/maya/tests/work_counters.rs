@@ -152,6 +152,15 @@ fn assert_recorded_as_scanned(trace: &WorkerTrace, meta: &TraceMeta, classes: &m
     );
 }
 
+/// The 64-rank job's collate counters, host charges and kept traces.
+///
+/// `CollateStats::resident_high_water` was pinned at 3 here — the two
+/// kept traces and the one being pushed — while the collator held what
+/// it kept. The collator holds no trace now, so the field is retired:
+/// `predict_job` lowers a kept trace the moment the collator hands it
+/// back and records the next rank into its buffer, so a single-threaded
+/// prediction has one trace alive at a time. No other pinned number
+/// moved.
 #[test]
 fn folded_job_counters_are_pinned() {
     let cluster = ClusterSpec::h100(8, 8);
@@ -162,11 +171,6 @@ fn folded_job_counters_are_pinned() {
         charged,
         kept,
     } = fold_all_ranks(&job, &cluster);
-    // `resident_high_water` pinned 3 here — the two kept traces and the
-    // one pushed — while the collator held what it kept. It holds
-    // nothing now, and the field is gone: `predict_job` lowers a kept
-    // trace as the collator hands it back and records the next rank
-    // into its buffer, so one trace is alive at a time.
     assert_eq!(
         stats,
         CollateStats {
@@ -511,7 +515,7 @@ fn recorder_and_scan_agree_on_the_512_rank_job() {
     } = fold_all_ranks(&job, &cluster);
     assert_eq!(charged, kept.total_events());
     // No `resident_high_water` (it pinned 3): see
-    // `folded_job_counters_are_pinned`.
+    // `folded_job_counters_are_pinned`'s doc.
     assert_eq!(
         stats,
         CollateStats {
