@@ -457,7 +457,8 @@ impl Draw {
 /// ranks present and a drawn share of the descriptors mutated (size,
 /// slot, sequence number, payload, kind or communicator id). Half the
 /// sets come with the communicator map as known groups, itself
-/// sometimes mutated (a member dropped or out of range).
+/// sometimes mutated (a member dropped, or one replaced by a rank out
+/// of range).
 fn drawn_set(seed: u64) -> (Vec<WorkerTrace>, u32, BTreeMap<u64, Vec<u32>>) {
     let mut d = Draw(seed);
     let world = 1 + d.below(8) as u32;
@@ -512,8 +513,9 @@ fn drawn_set(seed: u64) -> (Vec<WorkerTrace>, u32, BTreeMap<u64, Vec<u32>>) {
         for (comm, mut members) in comms {
             if d.one_in(8) {
                 members.pop();
-            } else if d.one_in(8) {
-                members.push(world + d.below(2) as u32);
+            } else if d.one_in(6) {
+                let at = d.below(members.len() as u64) as usize;
+                members[at] = world + d.below(2) as u32;
             }
             known.insert(comm, members);
         }
