@@ -2,13 +2,13 @@
 //!
 //! A run is *lower, then replay*. Lowering reads each worker's trace
 //! exactly once and writes a compact **replay program** into the
-//! [`SimScratch`] arena: per worker a dense array of 40-byte ops, each
-//! carrying its host delay, its interned stream slot and a payload that
-//! is already resolved — the estimated duration of a kernel or memcpy,
-//! the dense slot of a CUDA event's `(event, version)` key, or the
-//! index of a collective's call site in the worker's dense site table,
-//! which names its communicator's members and present-participant
-//! count. It goes worker by worker ([`Lowering::worker`], in rank
+//! [`SimScratch`] arena: per worker a dense array of 40-byte ops and a
+//! column of their host delays, each op carrying its interned stream
+//! slot and a payload that is already resolved — the estimated duration
+//! of a kernel or memcpy, the dense slot of a CUDA event's `(event,
+//! version)` key, or the index of a collective's call site in the
+//! worker's dense site table, which names its communicator's members
+//! and present-participant count. It goes worker by worker ([`Lowering::worker`], in rank
 //! order), so a worker's trace can be dropped as soon as it is lowered:
 //! the prediction engine lowers each trace the collator keeps as it is
 //! kept. A call site is recorded with its descriptor only; once every
@@ -29,7 +29,10 @@
 //! rendezvous id.
 //! [`Simulator::run`] and [`Simulator::run_prevalidated`] are the two
 //! halves back to back; the prediction engine calls them apart to time
-//! them apart.
+//! them apart. A replay never writes what lowering wrote — an op's host
+//! delay, link and payload, a stream's first op, the sites — and
+//! rewinds its own state before it starts, so one program replays any
+//! number of times with the same report.
 //!
 //! Nothing is queued twice. A host thread runs far ahead of its device
 //! — at the high-water mark nearly every op of the trace has been
@@ -89,8 +92,9 @@
 //! completion is counted into `events_processed`, and one `ChainEnd`
 //! pump is pushed at the chain's end. Under a fault plan there is no
 //! run-ahead: a rank failure pushes dispatches at future instants and
-//! extends a busy stream mid-chain. A hetero pool scales kernels at
-//! issue, so it keeps run-ahead.
+//! extends a busy stream mid-chain. A hetero pool's scale is a rank's,
+//! applied as lowering reads a kernel's estimate, so it keeps
+//! run-ahead.
 //! *Hosts see the queue of a core without run-ahead.*
 //! `StreamSim::ahead` is the start of the chain's last kernel, and
 //! every host-side read of a stream's queue (`park_host_on_drain`,
@@ -118,13 +122,11 @@
 //! was stamped at an earlier instant. A chain end that must pop later
 //! goes back into the heap right behind the event that comes first.
 //! Stamps step by `STAMP`, which leaves room there. A tie none of this
-//! orders abandons the replay ([`Replay::Abandoned`], counted in
-//! [`SimObs::abandoned_replays`]). The program was consumed and the
-//! replay holds no trace, so it hands back an empty lowering without
-//! run-ahead, and whoever fed the first lowering feeds it again:
-//! [`Simulator::run_prevalidated`] from the trace in hand, the
-//! prediction engine by emulating the job again. That costs only time.
-//! Checking the next
+//! orders abandons the replay, counted in
+//! [`SimObs::abandoned_replays`]: [`Lowered::replay`] rewinds and
+//! replays the same program without run-ahead, which always finishes.
+//! No replay writes what lowering wrote, so the program is intact for
+//! it. That costs only time. Checking the next
 //! event suffices. Anything pushed later carries a larger stamp in both
 //! orders, and a chain end only ever moves behind an event that comes
 //! before it. So an event handled out of the reference order would
@@ -232,9 +234,9 @@ const STAMP: u64 = 1 << 16;
 enum OpKind {
     /// `Malloc` / `Free`: only the host delay is replayed.
     HostOnly,
-    /// Kernel launch with its estimated duration. Per-rank scaling
-    /// (hetero pool, straggler windows) depends on the issue instant
-    /// and is applied in place when the host issues the op.
+    /// Kernel launch with its estimated duration, scaled by the rank's
+    /// GPU generation in a hetero pool. A straggler window depends on
+    /// the issue instant and scales the kernel as it starts.
     Kernel {
         dur: SimTime,
     },
@@ -283,14 +285,16 @@ impl OpKind {
     }
 }
 
-/// One op of the replay program. The program is consumed by its
-/// replay: issuing an op overwrites `t` and stamps `seq`.
+/// One op of the replay program. Lowering writes `next`, `stream` and
+/// `kind`, and the op's host delay beside it ([`RankSim::delays`]),
+/// which no replay changes; a replay writes `at` and `seq` when it
+/// issues the op and reads them only after that, so a program replays
+/// any number of times.
 #[derive(Clone, Copy, Debug)]
 struct Op {
-    /// The host delay before the op until the host issues it; from then
-    /// on the issue instant — when the op becomes ready on its stream
-    /// and when its issue pump is due.
-    t: SimTime,
+    /// The issue instant, set when the host issues the op: when it
+    /// becomes ready on its stream and when its issue pump is due.
+    at: SimTime,
     /// Sequence stamp of the op's issue pump, set when it is issued.
     seq: u64,
     /// The next op this worker enqueues on the same stream.
@@ -417,15 +421,19 @@ enum StreamBlock {
     Collective,
 }
 
+/// One stream of a worker: `first` is lowering's, and `tail` while it
+/// lowers; the rest is a replay's and [`StreamSim::rewind`] resets it.
 #[derive(Clone, Copy)]
 struct StreamSim {
+    /// The first op linked onto this stream.
+    first: u32,
+    /// Lowering only: the last op linked onto this stream.
+    tail: u32,
     /// Queue cursor: the oldest op enqueued here that has not started.
     /// The queue is the chain of `Op::next` links from `head` up to the
     /// host's cursor — ops at or past `RankSim::next_op` are not issued
     /// yet.
     head: u32,
-    /// Lowering only: the last op linked onto this stream.
-    tail: u32,
     busy_until: SimTime,
     /// The instant the last kernel of the stream's latest run-ahead
     /// chain starts (module docs, "Run-ahead"): until the clock passes
@@ -456,8 +464,9 @@ struct StreamSim {
 
 impl StreamSim {
     const IDLE: StreamSim = StreamSim {
-        head: NONE,
+        first: NONE,
         tail: NONE,
+        head: NONE,
         busy_until: SimTime::ZERO,
         ahead: SimTime::ZERO,
         chain_from: SimTime::ZERO,
@@ -469,6 +478,15 @@ impl StreamSim {
         lane: NONE,
         lane_queued: false,
     };
+
+    /// The stream as a replay starts: idle, its queue at its first op.
+    fn rewind(&mut self) {
+        *self = StreamSim {
+            first: self.first,
+            head: self.first,
+            ..StreamSim::IDLE
+        };
+    }
 
     /// Whether no issued op waits here at the clock's `now`, given the
     /// host's cursor. A run-ahead kernel starting after `now` still
@@ -574,6 +592,10 @@ enum HostBlock {
 /// `(event, version)` keys get the same treatment, turning the event
 /// wait map (`fired`) and waiter registry (`event_waiters`) into dense
 /// `Vec`s — the dslab-style indexed event-core idiom.
+///
+/// `rank`, `ops`, `delays`, `sites`, the streams' first ops and the
+/// sizes of the event tables are lowering's; the rest is a replay's, and
+/// [`RankSim::rewind`] resets it.
 #[derive(Default)]
 struct RankSim {
     /// The worker's global rank.
@@ -583,6 +605,12 @@ struct RankSim {
     /// glibc's mmap and trim thresholds for the rest of the process
     /// (+9 MB peak RSS on a search loop when tried).
     ops: Vec<Op>,
+    /// The host delay before each op. A column of its own, read only
+    /// as the host dispatches: in the op it would cost every issue,
+    /// promotion and pump 8 more bytes, and a 48-byte op measured
+    /// `sim_flat_128`'s p50 15 % slower than a 40-byte one (10 paired
+    /// runs on a 2-core Xeon).
+    delays: Vec<SimTime>,
     /// The worker's collective call sites, in program order.
     sites: Vec<JoinSite>,
     /// Host cursor: the next op to dispatch.
@@ -611,33 +639,31 @@ struct RankSim {
 }
 
 impl RankSim {
-    /// Resets this rank for worker `rank`, keeping every buffer's
-    /// capacity.
+    /// Empties this rank for lowering worker `rank`, keeping every
+    /// buffer's capacity.
     fn reset(&mut self, rank: u32) {
         self.rank = rank;
         self.ops.clear();
+        self.delays.clear();
         self.sites.clear();
+        self.streams.clear();
+    }
+
+    /// The rank as a replay starts: its host before its first op, its
+    /// streams idle, no CUDA event fired.
+    fn rewind(&mut self) {
         self.next_op = 0;
         self.lane_next = 0;
         self.lane_head_queued = false;
         self.host_time = SimTime::ZERO;
         self.host_busy = SimTime::ZERO;
-        self.streams.clear();
+        self.streams.iter_mut().for_each(StreamSim::rewind);
+        self.fired.fill(None);
+        self.event_waiters.iter_mut().for_each(Vec::clear);
         self.blocked = None;
         self.done = false;
         self.comm_busy = SimTime::ZERO;
         self.compute_busy = SimTime::ZERO;
-    }
-
-    /// Sizes the event tables for `nevents` interned event slots.
-    fn reset_events(&mut self, nevents: usize) {
-        self.fired.clear();
-        self.fired.resize(nevents, None);
-        self.event_waiters.truncate(nevents);
-        for v in &mut self.event_waiters {
-            v.clear();
-        }
-        self.event_waiters.resize_with(nevents, Vec::new);
     }
 }
 
@@ -762,8 +788,8 @@ struct Shape {
 /// [`KernelKind`]. A shape whose probe run is full is not remembered:
 /// each of its launches asks the estimator, which is what every launch
 /// did before the table, so a trace of colliding or unboundedly many
-/// shapes costs what it cost then and no more. Per-rank scaling is
-/// applied at replay, so one table serves every rank of the job.
+/// shapes costs what it cost then and no more. A rank's scale is
+/// applied after the table, so one table serves every rank of the job.
 #[derive(Default)]
 struct ShapeTable {
     /// Per slot, one past the shape's position in `shapes`; 0 is empty.
@@ -1000,7 +1026,7 @@ impl SimScratch {
         let seq = self.stamp();
         let r = &mut self.ranks[wi];
         let op = &mut r.ops[pc as usize];
-        op.t = at;
+        op.at = at;
         op.seq = seq;
         if !r.lane_head_queued {
             self.promote(wi);
@@ -1033,10 +1059,10 @@ impl SimScratch {
                 // Behind a parked pump: the sub-lane's chain reaches it.
                 continue;
             }
-            if s.busy_until > op.t {
+            if s.busy_until > op.at {
                 self.events_processed += 1;
                 self.pending -= 1;
-                s.note_pump(&r.ops, op.t, op.seq);
+                s.note_pump(&r.ops, op.at, op.seq);
                 continue;
             }
             if s.blocked.is_some() {
@@ -1045,7 +1071,7 @@ impl SimScratch {
             }
             let kind = EvKind::IssuePump { wi, si };
             self.heap.push(Reverse(HeapEv {
-                at: op.t,
+                at: op.at,
                 seq: op.seq,
                 kind,
             }));
@@ -1074,16 +1100,16 @@ impl SimScratch {
             return;
         }
         while let Some(&op) = r.ops.get(s.lane as usize) {
-            if (op.t, op.seq) < handled || s.busy_until > op.t {
+            if (op.at, op.seq) < handled || s.busy_until > op.at {
                 self.events_processed += 1;
                 self.pending -= 1;
-                s.note_pump(&r.ops, op.t, op.seq);
+                s.note_pump(&r.ops, op.at, op.seq);
                 s.lane = op.parked_after(r.lane_next);
                 continue;
             }
             let kind = EvKind::ParkedPump { wi, si };
             self.heap.push(Reverse(HeapEv {
-                at: op.t,
+                at: op.at,
                 seq: op.seq,
                 kind,
             }));
@@ -1347,12 +1373,27 @@ impl SimScratch {
     }
 
     /// Empties the arena for a new job, keeping capacity: no worker is
-    /// lowered and no kernel shape is timed.
+    /// lowered and no kernel or collective shape is timed.
     fn reset(&mut self) {
         self.shapes.clear();
         self.program.peak_mem_bytes = 0;
+        for comm in &mut self.comms {
+            comm.times.clear();
+            comm.flows.clear();
+        }
+        self.routes.clear();
+        self.lowered = 0;
+    }
+
+    /// Rewinds the replay state for a replay of the program lowered,
+    /// running ahead or not: the heap, the clock, the stamps and the
+    /// tallies, every rank, stream and CUDA event, the open rendezvous,
+    /// the flows in flight and the run-ahead logs. What the program
+    /// holds, and the collective shapes a replay has timed, stay.
+    fn rewind(&mut self, run_ahead: bool) {
         self.heap.clear();
         self.flow_due = None;
+        self.flow_meta.clear();
         for comm in &mut self.comms {
             for Rendezvous {
                 mut participants, ..
@@ -1361,10 +1402,8 @@ impl SimScratch {
                 participants.clear();
                 self.spare.push(participants);
             }
-            comm.times.clear();
-            comm.flows.clear();
         }
-        self.routes.clear();
+        self.ranks.iter_mut().for_each(RankSim::rewind);
         self.seq = 0;
         self.now = SimTime::ZERO;
         self.now_seq = 0;
@@ -1373,10 +1412,10 @@ impl SimScratch {
         self.pending = 0;
         self.pending_high_water = 0;
         self.flow_solves = 0;
+        self.run_ahead = run_ahead;
         self.instants.clear();
         self.instants.push((SimTime::ZERO, 0));
         self.last_chain = None;
-        self.lowered = 0;
     }
 }
 
@@ -1428,45 +1467,27 @@ impl<'s> Lowering<'s> {
         }
         Ok(Lowered { sim, st })
     }
-
-    /// Lowers every worker of `job` and resolves their sites:
-    /// [`Simulator::lower`]'s steps, on this lowering.
-    pub fn job(mut self, job: &JobTrace) -> Result<Lowered<'s>, SimError> {
-        for w in &job.workers {
-            self.worker(w)?;
-        }
-        self.resolve(&job.comm_groups)
-    }
 }
 
-/// A job lowered into a [`SimScratch`], ready for its one replay.
+/// A job lowered into a [`SimScratch`]: a replay program that replays
+/// any number of times, each replay giving the same report.
 pub struct Lowered<'s> {
     sim: &'s Simulator<'s>,
     st: &'s mut SimScratch,
 }
 
-/// What one replay of a lowered job came to.
-pub enum Replay<'s> {
-    /// The replay finished: the report, or the deadlock it ran into.
-    Done(Result<SimReport, SimError>),
-    /// A run-ahead chain end met a tie the replay cannot order as a
-    /// core without run-ahead would (module docs, "Run-ahead"). The
-    /// program was consumed; this is an empty lowering of the same
-    /// arena with run-ahead off. Feed it the job's workers again and
-    /// replay that: it always finishes.
-    Abandoned(Lowering<'s>),
-}
-
-impl<'s> Lowered<'s> {
-    /// Runs the event loop (Algorithm 1's main loop) over the program.
-    pub fn replay(self) -> Replay<'s> {
-        let Lowered { sim, st } = self;
-        match sim.replay(st) {
-            Some(report) => Replay::Done(report),
-            None => {
-                let again = sim.lowering(st);
-                again.st.run_ahead = false;
-                Replay::Abandoned(again)
+impl Lowered<'_> {
+    /// Runs the event loop (Algorithm 1's main loop) over the program:
+    /// the report, or the deadlock the replay ran into. A replay whose
+    /// run-ahead meets a tie it cannot order (module docs, "Run-ahead")
+    /// is abandoned and replayed without run-ahead, which always
+    /// finishes; [`SimObs::abandoned_replays`] counts it.
+    pub fn replay(&mut self) -> Result<SimReport, SimError> {
+        let mut run_ahead = self.sim.faults.is_none();
+        loop {
+            match self.sim.replay(self.st, run_ahead) {
+                Some(report) => return report,
+                None => run_ahead = false,
             }
         }
     }
@@ -1524,13 +1545,7 @@ impl<'a> Simulator<'a> {
         job: &JobTrace,
         scratch: &mut SimScratch,
     ) -> Result<SimReport, SimError> {
-        let mut lowered = self.lower(job, scratch)?;
-        loop {
-            match lowered.replay() {
-                Replay::Done(report) => return report,
-                Replay::Abandoned(again) => lowered = again.job(job)?,
-            }
-        }
+        self.lower(job, scratch)?.replay()
     }
 
     /// Lowers a trusted trace (see [`Simulator::run_prevalidated`])
@@ -1542,14 +1557,17 @@ impl<'a> Simulator<'a> {
         job: &JobTrace,
         scratch: &'s mut SimScratch,
     ) -> Result<Lowered<'s>, SimError> {
-        self.lowering(scratch).job(job)
+        let mut lowering = self.lowering(scratch);
+        for w in &job.workers {
+            lowering.worker(w)?;
+        }
+        lowering.resolve(&job.comm_groups)
     }
 
     /// Starts lowering a job into `scratch`, emptying it: the arena's
     /// shape tables keep no estimator's answer from an earlier job.
     pub fn lowering<'s>(&'s self, scratch: &'s mut SimScratch) -> Lowering<'s> {
         scratch.reset();
-        scratch.run_ahead = self.faults.is_none();
         Lowering {
             sim: self,
             st: scratch,
@@ -1585,6 +1603,8 @@ impl<'a> Simulator<'a> {
         program.peak_mem_bytes = program.peak_mem_bytes.max(w.summary.peak_mem_bytes);
         r.reset(w.rank);
         r.ops.reserve(w.events.len());
+        r.delays.reserve(w.events.len());
+        let generation = self.cluster.kernel_scale(w.rank);
         stream_index.clear();
         event_index.clear();
         // A worker issues long runs to one stream: remember the last id
@@ -1609,9 +1629,12 @@ impl<'a> Simulator<'a> {
             };
             let kind = match e.op {
                 DeviceOp::Malloc { .. } | DeviceOp::Free { .. } => OpKind::HostOnly,
-                DeviceOp::KernelLaunch { kernel } => OpKind::Kernel {
-                    dur: shapes.time(&kernel, || self.estimator.kernel_time(&kernel)),
-                },
+                DeviceOp::KernelLaunch { kernel } => {
+                    let dur = shapes.time(&kernel, || self.estimator.kernel_time(&kernel));
+                    OpKind::Kernel {
+                        dur: scaled(dur, generation),
+                    }
+                }
                 DeviceOp::MemcpyAsync { bytes, kind, sync } => OpKind::Memcpy {
                     dur: self.estimator.memcpy_time(bytes, kind),
                     sync,
@@ -1647,28 +1670,31 @@ impl<'a> Simulator<'a> {
                 // first.
                 match r.ops.get_mut(s.tail as usize) {
                     Some(prev) => prev.next = pc,
-                    None => s.head = pc,
+                    None => s.first = pc,
                 }
                 s.tail = pc;
             }
+            r.delays.push(e.host_delay);
             r.ops.push(Op {
-                t: e.host_delay,
+                at: SimTime::ZERO,
                 seq: 0,
                 next: NONE,
                 stream,
                 kind,
             });
         }
-        r.reset_events(event_index.len());
+        r.fired.resize(event_index.len(), None);
+        r.event_waiters.resize_with(event_index.len(), Vec::new);
         Ok(())
     }
 
-    /// The event loop over `st`'s freshly lowered program; `None` if a
-    /// run-ahead chain end met a tie it cannot order (module docs).
-    fn replay(&self, st: &mut SimScratch) -> Option<Result<SimReport, SimError>> {
+    /// The event loop over `st`'s program, rewound first, running ahead
+    /// or not; `None` if a run-ahead chain end met a tie it cannot
+    /// order (module docs).
+    fn replay(&self, st: &mut SimScratch, run_ahead: bool) -> Option<Result<SimReport, SimError>> {
+        st.rewind(run_ahead);
         if let Some(topo) = &self.cluster.topology {
             st.net.reset(topo.links.iter().map(|l| l.bytes_per_sec()));
-            st.flow_meta.clear();
         }
         for wi in 0..st.ranks.len() {
             st.push(SimTime::ZERO, EvKind::HostDispatch { wi });
@@ -1794,24 +1820,19 @@ impl<'a> Simulator<'a> {
         loop {
             let r = &mut st.ranks[wi];
             let pc = r.next_op;
-            let Some(op) = r.ops.get_mut(pc as usize) else {
+            let (Some(&op), Some(&delay)) = (r.ops.get(pc as usize), r.delays.get(pc as usize))
+            else {
                 r.done = true;
                 return;
             };
             r.next_op += 1;
-            r.host_time += op.t;
-            r.host_busy += op.t;
+            r.host_time += delay;
+            r.host_busy += delay;
             let issue = r.host_time;
             let si = op.stream as usize;
 
             match op.kind {
                 OpKind::HostOnly => {}
-                OpKind::Kernel { dur } => {
-                    op.kind = OpKind::Kernel {
-                        dur: self.scaled_kernel_time(r.rank, issue, dur),
-                    };
-                    st.issue(wi, pc, issue);
-                }
                 OpKind::Memcpy { sync, .. } => {
                     st.issue(wi, pc, issue);
                     if sync && self.park_host_on_drain(st, wi, si) {
@@ -1819,7 +1840,10 @@ impl<'a> Simulator<'a> {
                         return;
                     }
                 }
-                OpKind::Record { .. } | OpKind::Wait { .. } | OpKind::Join { .. } => {
+                OpKind::Kernel { .. }
+                | OpKind::Record { .. }
+                | OpKind::Wait { .. }
+                | OpKind::Join { .. } => {
                     st.issue(wi, pc, issue);
                 }
                 OpKind::EventSync { slot, zero } => match r.fired[slot as usize] {
@@ -1859,31 +1883,6 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Applies per-rank condition state to an estimated kernel time:
-    /// heterogeneous-pool generation scaling and straggler windows
-    /// covering the issue instant. The estimator's shared memo stays
-    /// rank-agnostic — scaling happens after the cache, per issue.
-    /// Every scale is gated on `factor != 1.0` so the default
-    /// (homogeneous, no-fault) path returns `dur` untouched, bit for
-    /// bit.
-    #[inline]
-    fn scaled_kernel_time(&self, rank: u32, issue: SimTime, mut dur: SimTime) -> SimTime {
-        if self.cluster.hetero.is_none() && self.faults.is_none() {
-            return dur;
-        }
-        let gen_scale = self.cluster.kernel_scale(rank);
-        if gen_scale != 1.0 {
-            dur = dur.scale(gen_scale);
-        }
-        if let Some(plan) = self.faults {
-            let slow = plan.slowdown(rank, issue);
-            if slow != 1.0 {
-                dur = dur.scale(slow);
-            }
-        }
-        dur
-    }
-
     /// Parks the host until a stream drains. Returns true if parked.
     fn park_host_on_drain(&self, st: &mut SimScratch, wi: usize, si: usize) -> bool {
         let r = &mut st.ranks[wi];
@@ -1914,8 +1913,8 @@ impl<'a> Simulator<'a> {
             }
             let pc = s.head;
             let front = r.ops[pc as usize];
-            if front.t > now {
-                st.push(front.t, EvKind::Pump { wi, si });
+            if front.at > now {
+                st.push(front.at, EvKind::Pump { wi, si });
                 return;
             }
             s.head = front.next;
@@ -1931,7 +1930,7 @@ impl<'a> Simulator<'a> {
                     st.starts.clear();
                     while dur > SimTime::ZERO && s.head < r.next_op {
                         let Some(&Op {
-                            t,
+                            at,
                             next,
                             kind: OpKind::Kernel { dur: d },
                             ..
@@ -1939,7 +1938,7 @@ impl<'a> Simulator<'a> {
                         else {
                             break;
                         };
-                        if t > end {
+                        if at > end {
                             break;
                         }
                         s.head = next;
@@ -1960,6 +1959,17 @@ impl<'a> Simulator<'a> {
                     return;
                 }
                 OpKind::Kernel { dur } | OpKind::Memcpy { dur, .. } => {
+                    // A kernel's lowered duration carries its GPU
+                    // generation's scale; the straggler windows of a
+                    // fault plan covering its issue instant slow it too.
+                    // A replay under a fault plan never runs ahead, so a
+                    // chain reads its kernels' lowered durations.
+                    let dur = match (front.kind, self.faults) {
+                        (OpKind::Kernel { .. }, Some(plan)) => {
+                            scaled(dur, plan.slowdown(r.rank, front.at))
+                        }
+                        _ => dur,
+                    };
                     s.busy_until = now + dur;
                     r.compute_busy += dur;
                     st.push(now + dur, EvKind::Pump { wi, si });
@@ -2253,6 +2263,18 @@ impl<'a> Simulator<'a> {
             }
             _ => {}
         }
+    }
+}
+
+/// `dur` scaled by `factor`. The scales of a hetero pool and a
+/// straggler window apply only when they are not 1, so that the
+/// default (homogeneous, no-fault) path keeps every estimate bit for
+/// bit; the estimator's shared memo stays rank-agnostic.
+fn scaled(dur: SimTime, factor: f64) -> SimTime {
+    if factor == 1.0 {
+        dur
+    } else {
+        dur.scale(factor)
     }
 }
 
@@ -2709,13 +2731,12 @@ mod tests {
         const RANKS: usize = 5;
         const OPS_PER_RANK: usize = 20_000;
         let mut st = SimScratch::new();
-        st.reset();
         st.ranks.resize_with(RANKS, RankSim::default);
         for (rank, r) in st.ranks.iter_mut().enumerate() {
             r.reset(rank as u32);
             r.streams.push(StreamSim::IDLE);
             r.ops.extend((0..OPS_PER_RANK).map(|i| Op {
-                t: SimTime::ZERO,
+                at: SimTime::ZERO,
                 seq: 0,
                 next: NONE,
                 stream: 0,
@@ -2726,6 +2747,7 @@ mod tests {
                 },
             }));
         }
+        st.rewind(false);
         let mut host_time = [0u64; RANKS];
         let mut pending: Vec<(SimTime, u64)> = Vec::new();
         let mut rng = 0x5eed_u64;
@@ -2789,7 +2811,6 @@ mod tests {
     /// its stream's queue as lowering links them; none issued yet.
     fn one_rank(streams: usize, ops: &[(u32, SimTime)]) -> SimScratch {
         let mut st = SimScratch::new();
-        st.reset();
         st.ranks.push(RankSim::default());
         let r = &mut st.ranks[0];
         r.reset(0);
@@ -2798,17 +2819,18 @@ mod tests {
             let s = &mut r.streams[stream as usize];
             match r.ops.get_mut(s.tail as usize) {
                 Some(prev) => prev.next = pc as u32,
-                None => s.head = pc as u32,
+                None => s.first = pc as u32,
             }
             s.tail = pc as u32;
             r.ops.push(Op {
-                t: SimTime::ZERO,
+                at: SimTime::ZERO,
                 seq: 0,
                 next: NONE,
                 stream,
                 kind: OpKind::Kernel { dur: SimTime::ZERO },
             });
         }
+        st.rewind(false);
         st
     }
 
@@ -3143,6 +3165,7 @@ mod tests {
         for r in &st.ranks {
             caps.extend([
                 r.ops.capacity(),
+                r.delays.capacity(),
                 r.sites.capacity(),
                 r.streams.capacity(),
                 r.fired.capacity(),

@@ -28,9 +28,9 @@
 //! time lowers each as it arrives and drops it; one pass over the
 //! collective sites ([`Lowering::resolve`]) then resolves them against
 //! the communicator map. [`Simulator::lower`] does both steps over a
-//! trace in hand. A replay that cannot order a run-ahead tie hands
-//! back an empty lowering without run-ahead ([`Replay::Abandoned`]),
-//! which whoever fed the first one feeds again.
+//! trace in hand. A replay leaves the program as lowering wrote it, so
+//! a [`Lowered`] job replays any number of times; one that cannot
+//! order a run-ahead tie starts over without run-ahead by itself.
 //! The program is also the only per-op state: a stream's queue and a
 //! rank's lane of pending issue pumps are cursors over it. The replay
 //! relies on one invariant, that a stream's `busy_until` never
@@ -43,5 +43,5 @@
 pub mod engine;
 pub mod report;
 
-pub use engine::{Lowered, Lowering, Replay, SimError, SimObs, SimScratch, Simulator};
+pub use engine::{Lowered, Lowering, SimError, SimObs, SimScratch, Simulator};
 pub use report::SimReport;

@@ -8,9 +8,10 @@
 //! so a change to which flows run concurrently, when a completion fires
 //! or how a route is built shows up on whichever schedules it touches.
 //! Every report is also produced through one arena shared by all the
-//! jobs, which must not change a byte. After a deliberate model change,
-//! replace `golden/contended_table.txt` or `golden/topology_table.txt`
-//! with the text the failure prints.
+//! jobs, each job lowered once and replayed twice, which must not
+//! change a byte. After a deliberate model change, replace
+//! `golden/contended_table.txt` or `golden/topology_table.txt` with the
+//! text the failure prints.
 
 mod common;
 
@@ -26,7 +27,8 @@ const SEEDS: u64 = 48;
 
 /// The report of `job` on `cluster` under `plan`, timed by the oracle
 /// of the job's flat cluster and checked to come out byte-identical
-/// through `scratch`, and its serialized form.
+/// from both of two replays of one lowering into `scratch`, and its
+/// serialized form.
 fn report(
     job: &JobTrace,
     (oracle, cluster): (&OracleEstimator, &ClusterSpec),
@@ -38,11 +40,18 @@ fn report(
     let report = sim
         .run(job)
         .unwrap_or_else(|e| panic!("seed {seed}: topology run failed: {e}"));
-    let reused = sim
-        .run_prevalidated(job, scratch)
-        .expect("a validated job simulates in a reused arena");
     let bytes = serde::to_string(&report);
-    assert_eq!(serde::to_string(&reused), bytes, "seed {seed}: arena reuse");
+    let mut lowered = sim
+        .lower(job, scratch)
+        .expect("a validated job lowers in a reused arena");
+    for replay in ["first", "second"] {
+        let reused = lowered.replay().expect("a lowered job replays");
+        assert_eq!(
+            serde::to_string(&reused),
+            bytes,
+            "seed {seed}: {replay} replay"
+        );
+    }
     (report, bytes)
 }
 
@@ -94,8 +103,9 @@ fn drawn_topology_reports_match_the_table() {
     );
 }
 
-/// The second table's setup over 16 384 seeds, every serialized report
-/// folded into one FNV-1a digest. A release-mode run takes seconds.
+/// The second table's setup over 16 384 seeds, every lowering replayed
+/// twice to the same report and every serialized report folded into
+/// one FNV-1a digest. A release-mode run takes seconds.
 #[test]
 #[ignore = "16 384 jobs; run with --release -- --ignored"]
 fn drawn_topology_reports_fold_to_the_digest() {

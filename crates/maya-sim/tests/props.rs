@@ -28,8 +28,10 @@
 //! bounds of the per-job shape table lowering keeps in front of the
 //! estimator: more shapes than it holds, shapes that all start at one
 //! slot, and an arena handed from one estimator to another. One job
-//! abandons its run-ahead replay at a tie it cannot order and is fed
-//! again without run-ahead, still byte-identical to the reference.
+//! abandons its run-ahead replay at a tie it cannot order and replays
+//! its program again without run-ahead, still byte-identical to the
+//! reference, on a rank whose kernels a hetero pool scales too; and
+//! every lowering, drawn or hand-built, replays twice to one report.
 
 mod common;
 mod reference;
@@ -768,13 +770,21 @@ fn fault_extension_elides_a_parked_pump() {
 #[test]
 fn a_tie_at_a_chain_end_pops_in_the_references_order() {
     let c = cluster();
+    let job = tie_behind_a_later_stamp();
+    let dense = simulate(&job, &c, &Fixed).unwrap();
+    assert_eq!(Ok(&dense), simulate_reference(&job, &c, &Fixed).as_ref());
+    assert_eq!(dense.events_processed, 16);
+}
+
+/// The job of [`a_tie_at_a_chain_end_pops_in_the_references_order`].
+fn tie_behind_a_later_stamp() -> JobTrace {
     let record = |event| DeviceOp::EventRecord { event, version: 1 };
     let copy = DeviceOp::MemcpyAsync {
         bytes: 1,
         kind: MemcpyKind::HostToDevice,
         sync: false,
     };
-    let job = job1(vec![
+    job1(vec![
         ev(0, kernel(1024), 1.0),
         ev(0, kernel(1024), 1.0),
         ev(2, copy, 1.0),
@@ -798,10 +808,7 @@ fn a_tie_at_a_chain_end_pops_in_the_references_order() {
         ),
         ev(1, kernel(1024), 1.0),
         ev(0, DeviceOp::DeviceSynchronize, 1.0),
-    ]);
-    let dense = simulate(&job, &c, &Fixed).unwrap();
-    assert_eq!(Ok(&dense), simulate_reference(&job, &c, &Fixed).as_ref());
-    assert_eq!(dense.events_processed, 16);
+    ])
 }
 
 /// Four ranks over one communicator: each round, an all-reduce and
@@ -901,13 +908,7 @@ impl RuntimeEstimator for RowsInUs {
 #[test]
 fn chain_ends_that_tie_unordered_abandon_one_replay() {
     let c = cluster();
-    let job = job1(vec![
-        ev(0, kernel(10), 1.0),
-        ev(0, kernel(20), 1.0),
-        ev(1, kernel(5), 4.0),
-        ev(1, kernel(20), 1.0),
-        ev(0, DeviceOp::DeviceSynchronize, 1.0),
-    ]);
+    let job = unordered_tie(&[10, 20], &[5, 20], 4.0);
     let (reference, events) = simulate_reference_counted(&job, &c, &RowsInUs);
     let reference = reference.unwrap();
     assert_eq!(reference.events_processed, events);
@@ -926,6 +927,178 @@ fn chain_ends_that_tie_unordered_abandon_one_replay() {
         );
     }
     assert_eq!(obs.abandoned_replays.get(), 3);
+}
+
+/// One worker, two streams: GEMMs of `rows0` rows on stream 0 issued
+/// from 1 µs, 1 µs apart, then those of `rows1` on stream 1, the first
+/// `gap` µs after stream 0's last; the host then waits on the device.
+fn unordered_tie(rows0: &[u64], rows1: &[u64], gap: f64) -> JobTrace {
+    let on = |stream, rows: &[u64], first_us| {
+        let delays = std::iter::once(first_us).chain(std::iter::repeat(1.0));
+        let evs = rows.iter().zip(delays);
+        evs.map(|(&m, us)| ev(stream, kernel(m), us))
+            .collect::<Vec<_>>()
+    };
+    let mut events = on(0, rows0, 1.0);
+    events.extend(on(1, rows1, gap));
+    events.push(ev(0, DeviceOp::DeviceSynchronize, 1.0));
+    job1(events)
+}
+
+/// [`RowsInUs`] on a GPU at half speed: a GEMM of `m` rows takes
+/// `2m` µs.
+struct HalfSpeedRows;
+
+impl RuntimeEstimator for HalfSpeedRows {
+    fn kernel_time(&self, kernel: &KernelKind) -> SimTime {
+        RowsInUs.kernel_time(kernel).scale(2.0)
+    }
+    fn memcpy_time(&self, bytes: u64, kind: MemcpyKind) -> SimTime {
+        RowsInUs.memcpy_time(bytes, kind)
+    }
+    fn collective_time(&self, k: CollectiveKind, b: u64, r: &[u32], c: &ClusterSpec) -> SimTime {
+        RowsInUs.collective_time(k, b, r, c)
+    }
+    fn name(&self) -> &'static str {
+        "rows in µs, half speed"
+    }
+}
+
+/// A cluster whose only rank runs on a GPU of half the base GPU's
+/// tensor throughput: its kernels take twice the estimate.
+fn half_speed_rank() -> ClusterSpec {
+    let base = cluster();
+    let gpu = maya_hw::GpuSpec {
+        tensor_tflops: base.gpu.tensor_tflops / 2.0,
+        ..base.gpu
+    };
+    base.with_hetero(maya_hw::HeteroPool::new(vec![maya_hw::RankClass {
+        gpu,
+        count: 1,
+    }]))
+}
+
+/// The unordered tie on a rank whose kernels the hetero pool scales by
+/// 2. Times in µs:
+///
+/// ```text
+/// s0: kernel 20 @1..21, kernel 40 @21..61   one chain from 1
+/// s1: kernel 14 @7..21, kernel 40 @21..61   one chain from 7
+/// host: issues @1, 2, 7, 8, then waits on the device from 9
+/// ```
+///
+/// The first replay abandons at 61, and the replay after it reads the
+/// same program: a kernel scaled twice would end the run at 121. It
+/// gives the reference core's report with every kernel timed at twice
+/// its rows, `events_processed` included.
+#[test]
+fn a_tie_on_a_scaled_rank_is_scaled_once() {
+    let job = unordered_tie(&[10, 20], &[7, 20], 5.0);
+    let (reference, events) = simulate_reference_counted(&job, &cluster(), &HalfSpeedRows);
+    let reference = reference.unwrap();
+    assert_eq!(reference.total_time, SimTime::from_us(61.0));
+    let slow = half_speed_rank();
+    assert_eq!(slow.kernel_scale(0), 2.0);
+    let obs = SimObs::default();
+    let sim = Simulator::new(&RowsInUs, &slow).with_obs(Some(&obs));
+    assert_eq!(sim.run(&job), Ok(reference));
+    assert_eq!(obs.abandoned_replays.get(), 1);
+    assert_eq!(obs.events.get(), events);
+}
+
+/// The prediction engine's path through an abandon: the unordered
+/// tie's job lowered worker by worker, each trace dropped once it is
+/// lowered, then its sites resolved and one replay. The abandoned
+/// replay starts over on the program, with no trace left to feed it,
+/// and gives the reference core's report, `events_processed` included.
+#[test]
+fn an_abandoned_replay_starts_over_with_every_trace_dropped() {
+    let c = cluster();
+    let job = unordered_tie(&[10, 20], &[5, 20], 4.0);
+    let (reference, events) = simulate_reference_counted(&job, &c, &RowsInUs);
+    let obs = SimObs::default();
+    let sim = Simulator::new(&RowsInUs, &c).with_obs(Some(&obs));
+    let mut scratch = SimScratch::new();
+    let mut lowering = sim.lowering(&mut scratch);
+    for worker in job.workers {
+        lowering.worker(&worker).expect("a worker lowers");
+    }
+    let mut lowered = lowering.resolve(&job.comm_groups).expect("no site");
+    let report = lowered.replay();
+    assert_eq!(report, reference);
+    assert_eq!(report.map(|r| r.events_processed), Ok(events));
+    assert_eq!(obs.abandoned_replays.get(), 1);
+}
+
+/// Lowers `job` once and replays it twice. Each replay gives what
+/// `Simulator::run` gives in a fresh arena, byte for byte, and tells
+/// the observer the same: each adds the same events, heap pops, flow
+/// solves and abandoned replays, and the second raises no high water.
+/// Returns the abandoned replays of one replay.
+fn replays_twice(
+    job: &JobTrace,
+    cluster: &ClusterSpec,
+    estimator: &dyn RuntimeEstimator,
+    faults: Option<&FaultPlan>,
+    name: &str,
+) -> u64 {
+    let sim = Simulator::new(estimator, cluster).with_faults(faults);
+    let fresh = sim.run(job).map(|r| bytes_of(&r));
+    let obs = SimObs::default();
+    let sim = sim.with_obs(Some(&obs));
+    let tally = || {
+        [
+            obs.events.get(),
+            obs.heap_pops.get(),
+            obs.flow_solves.get(),
+            obs.abandoned_replays.get(),
+        ]
+    };
+    let mut scratch = SimScratch::new();
+    let mut lowered = sim.lower(job, &mut scratch).expect("a valid job lowers");
+    let first = lowered.replay().map(|r| bytes_of(&r));
+    let (once, high_water) = (tally(), obs.heap_depth_high_water.get());
+    let second = lowered.replay().map(|r| bytes_of(&r));
+    assert_eq!(first, fresh, "{name}: first replay");
+    assert_eq!(second, fresh, "{name}: second replay");
+    assert_eq!(tally(), once.map(|n| 2 * n), "{name}: per-replay tallies");
+    assert_eq!(obs.heap_depth_high_water.get(), high_water, "{name}");
+    once[3]
+}
+
+/// One lowering replays any number of times: over the drawn jobs on
+/// their flat clusters, on their topologies (a hetero pool on odd
+/// seeds) and under their fault plans (stragglers scale kernels as
+/// they start), and over the hand-built ties, two of which abandon
+/// their run-ahead replay each time.
+#[test]
+fn a_lowering_replays_to_the_same_report() {
+    for seed in 0..64 {
+        let (job, flat) = common::drawn(seed);
+        let oracle = OracleEstimator::new(&flat);
+        let clean = Simulator::new(&oracle, &flat).run(&job).expect("flat run");
+        let topology = common::drawn_topology(&flat, job.nranks, seed);
+        let (contended, plan) = common::drawn_contended(&flat, job.nranks, clean.total_time, seed);
+        for (name, cluster, faults) in [
+            ("flat", &flat, None),
+            ("topology", &topology, None),
+            ("contended", &contended, Some(&plan)),
+        ] {
+            let name = format!("seed {seed} {name}");
+            replays_twice(&job, cluster, &oracle, faults, &name);
+        }
+    }
+    let c = cluster();
+    let unordered = unordered_tie(&[10, 20], &[5, 20], 4.0);
+    assert_eq!(replays_twice(&unordered, &c, &RowsInUs, None, "tie"), 1);
+    let scaled = unordered_tie(&[10, 20], &[7, 20], 5.0);
+    let slow = half_speed_rank();
+    assert_eq!(replays_twice(&scaled, &slow, &RowsInUs, None, "scaled"), 1);
+    let later = tie_behind_a_later_stamp();
+    assert_eq!(replays_twice(&later, &c, &Fixed, None, "later"), 0);
+    let twins = rounds_of_kernels(2, |_| 1.0);
+    let four = ClusterSpec::h100(1, 4);
+    assert_eq!(replays_twice(&twins, &four, &Fixed, None, "twins"), 0);
 }
 
 /// The oracle, counting the kernel and collective queries that reach it.

@@ -27,10 +27,11 @@
 //!   trace, not per rank. Estimation is that lowering (one memo query
 //!   per distinct kernel shape of the job and per memcpy) plus one pass
 //!   over the collective sites once the collator has the communicator
-//!   map; simulation is the replay of what was lowered. A replay that
+//!   map; simulation is the replay of what was lowered. Emulation,
+//!   collation and estimation run once per prediction: a replay that
 //!   run-ahead cannot order (`maya_sim`'s module docs, "Run-ahead")
-//!   hands back an empty lowering, and the engine emulates the job
-//!   again to feed it: emulation is deterministic. The collator is the
+//!   starts over inside the simulator, on the program already lowered,
+//!   and no trace is kept for it. The collator is the
 //!   one collation path: [`PredictionEngine::measure_actual`] emulates
 //!   through the same loop under a plan that runs every rank and folds
 //!   none, keeping every trace for the testbed, and
@@ -56,7 +57,7 @@ use maya_collate::{unique_megatron_ranks, Collator, Pushed};
 use maya_cuda::{CudaContext, CudaError, HostCharges};
 use maya_estimator::{CacheStats, CachingEstimator, RuntimeEstimator};
 use maya_hw::{GroundTruthExecutor, Measurement};
-use maya_sim::{Replay, SimError, SimObs, SimScratch, Simulator};
+use maya_sim::{SimError, SimObs, SimScratch, Simulator};
 use maya_torchlet::{FrameworkFlavor, RankTopology, TrainingJob};
 use maya_trace::{JobTrace, TraceBuffers, TraceEvent, TraceMeta, WorkerTrace};
 
@@ -524,70 +525,57 @@ impl PredictionEngine {
             let sim = self.simulator();
             let mut timings = StageTimings::default();
             let mut lowering = sim.lowering(scratch);
-            let mut rerun = false;
-            loop {
-                // lint:allow(wall-clock-in-output): stage timing telemetry — predicted runtimes come from the simulator, not this clock
-                let t0 = Instant::now();
-                let (mut lowered, mut kept, mut kept_events) = (Duration::ZERO, 0, 0);
-                let emulated = self.emulate_with(
-                    job,
-                    |job| self.launch_plan(job),
-                    emulation_threads,
-                    |trace| {
-                        // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
-                        let t = Instant::now();
-                        lowering.worker(&trace)?;
-                        lowered += t.elapsed();
-                        (kept, kept_events) = (kept + 1, kept_events + trace.events.len());
-                        Ok(trace.events)
-                    },
-                )?;
-                timings.emulation += t0.elapsed().saturating_sub(emulated.collation + lowered);
-                timings.collation += emulated.collation;
-                timings.estimation += lowered;
-                if !rerun {
-                    self.host_charges
-                        .fetch_add(emulated.charged as u64, Ordering::Relaxed);
+            // lint:allow(wall-clock-in-output): stage timing telemetry — predicted runtimes come from the simulator, not this clock
+            let t0 = Instant::now();
+            let (mut lowered, mut kept, mut kept_events) = (Duration::ZERO, 0, 0);
+            let emulated = self.emulate_with(
+                job,
+                |job| self.launch_plan(job),
+                emulation_threads,
+                |trace| {
+                    // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
+                    let t = Instant::now();
+                    lowering.worker(&trace)?;
+                    lowered += t.elapsed();
+                    (kept, kept_events) = (kept + 1, kept_events + trace.events.len());
+                    Ok(trace.events)
+                },
+            )?;
+            timings.emulation = t0.elapsed().saturating_sub(emulated.collation + lowered);
+            timings.collation = emulated.collation;
+            timings.estimation = lowered;
+            self.host_charges
+                .fetch_add(emulated.charged as u64, Ordering::Relaxed);
+            let groups = match emulated.outcome {
+                Ok(groups) => groups,
+                Err(info) => {
+                    return Ok(Prediction {
+                        outcome: PredictOutcome::OutOfMemory {
+                            rank: info.rank,
+                            peak_attempted: info.peak_attempted,
+                        },
+                        timings,
+                        workers_emulated: emulated.ranks,
+                        workers_simulated: 0,
+                        trace_events: info.events,
+                    })
                 }
-                let groups = match emulated.outcome {
-                    Ok(groups) => groups,
-                    Err(info) => {
-                        return Ok(Prediction {
-                            outcome: PredictOutcome::OutOfMemory {
-                                rank: info.rank,
-                                peak_attempted: info.peak_attempted,
-                            },
-                            timings,
-                            workers_emulated: emulated.ranks,
-                            workers_simulated: 0,
-                            trace_events: info.events,
-                        })
-                    }
-                };
-                // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
-                let t = Instant::now();
-                let program = lowering.resolve(&groups)?;
-                timings.estimation += t.elapsed();
-                // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
-                let t = Instant::now();
-                let replayed = program.replay();
-                timings.simulation += t.elapsed();
-                match replayed {
-                    Replay::Done(report) => {
-                        return Ok(Prediction {
-                            outcome: PredictOutcome::Completed(report?),
-                            timings,
-                            workers_emulated: emulated.ranks,
-                            workers_simulated: kept,
-                            trace_events: kept_events,
-                        })
-                    }
-                    // Emulation is deterministic: emulating the job
-                    // again feeds the lowering, now without run-ahead,
-                    // the same traces.
-                    Replay::Abandoned(again) => (lowering, rerun) = (again, true),
-                }
-            }
+            };
+            // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
+            let t = Instant::now();
+            let mut program = lowering.resolve(&groups)?;
+            timings.estimation += t.elapsed();
+            // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
+            let t = Instant::now();
+            let report = program.replay();
+            timings.simulation = t.elapsed();
+            Ok(Prediction {
+                outcome: PredictOutcome::Completed(report?),
+                timings,
+                workers_emulated: emulated.ranks,
+                workers_simulated: kept,
+                trace_events: kept_events,
+            })
         })
     }
 
@@ -600,7 +588,8 @@ impl PredictionEngine {
     /// `predict_job` feeds, with the trace's groups as the known ones:
     /// each is scanned for the metadata a recorder would have handed
     /// over, when the spec folds only one per class is kept, and a kept
-    /// one is lowered as the collator hands it back.
+    /// one is lowered as the collator hands it back and dropped: no
+    /// trace outlives its lowering.
     pub fn predict_trace(&self, job_trace: JobTrace) -> Result<Prediction, MayaError> {
         job_trace
             .validate()
@@ -612,7 +601,7 @@ impl PredictionEngine {
             let mut timings = StageTimings::default();
             let mut lowering = sim.lowering(scratch);
             let mut collator = Collator::new(job_trace.nranks, &job_trace.comm_groups, fold);
-            let mut kept = Vec::new();
+            let (mut kept, mut kept_events) = (0, 0);
             for trace in job_trace.workers {
                 // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
                 let t = Instant::now();
@@ -624,40 +613,28 @@ impl PredictionEngine {
                     let t = Instant::now();
                     lowering.worker(&trace)?;
                     timings.estimation += t.elapsed();
-                    kept.push(trace);
+                    (kept, kept_events) = (kept + 1, kept_events + trace.events.len());
                 }
             }
             // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
             let t = Instant::now();
-            let reduced = JobTrace {
-                nranks: job_trace.nranks,
-                workers: kept,
-                comm_groups: collator.finish()?,
-            };
+            let groups = collator.finish()?;
             timings.collation += t.elapsed();
             // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
             let t = Instant::now();
-            let mut program = lowering.resolve(&reduced.comm_groups)?;
+            let mut program = lowering.resolve(&groups)?;
             timings.estimation += t.elapsed();
-            loop {
-                // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
-                let t = Instant::now();
-                let replayed = program.replay();
-                timings.simulation += t.elapsed();
-                match replayed {
-                    Replay::Done(report) => {
-                        return Ok(Prediction {
-                            outcome: PredictOutcome::Completed(report?),
-                            timings,
-                            workers_emulated: emulated,
-                            workers_simulated: reduced.workers.len(),
-                            trace_events: reduced.total_events(),
-                        })
-                    }
-                    // The caller's traces are in hand: feed them again.
-                    Replay::Abandoned(again) => program = again.job(&reduced)?,
-                }
-            }
+            // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
+            let t = Instant::now();
+            let report = program.replay();
+            timings.simulation = t.elapsed();
+            Ok(Prediction {
+                outcome: PredictOutcome::Completed(report?),
+                timings,
+                workers_emulated: emulated,
+                workers_simulated: kept,
+                trace_events: kept_events,
+            })
         })
     }
 

@@ -344,10 +344,11 @@ impl maya_estimator::RuntimeEstimator for RowsInUs {
 /// `maya-sim/tests/props.rs`' job whose run-ahead replay is abandoned
 /// at a tie it cannot order: two streams' chains end at 31 µs, their
 /// last kernels started at 11 µs, the chains themselves at 1 and 6 µs.
-/// `predict_trace` holds the kept traces it lowered, feeds them again
-/// without run-ahead and reports what `Simulator::run` reports.
+/// `predict_trace` drops each trace once it is lowered; the abandoned
+/// replay starts over on the lowered program, without run-ahead, and
+/// the prediction reports what `Simulator::run` reports.
 #[test]
-fn predict_trace_feeds_an_abandoned_replay_again() {
+fn predict_trace_keeps_no_trace_for_an_abandoned_replay() {
     use maya_trace::{DeviceOp, KernelKind, StreamId, TraceEvent, WorkerTrace};
     let ev = |stream, op, host_us| TraceEvent {
         stream: StreamId(stream),
