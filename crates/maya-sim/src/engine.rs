@@ -90,11 +90,26 @@
 //! instant). Any other op ends the chain. Each kernel's time goes to
 //! `busy_until` and `compute_busy` as it would one by one, each skipped
 //! completion is counted into `events_processed`, and one `ChainEnd`
-//! pump is pushed at the chain's end. Under a fault plan there is no
-//! run-ahead: a rank failure pushes dispatches at future instants and
-//! extends a busy stream mid-chain. A hetero pool's scale is a rank's,
-//! applied as lowering reads a kernel's estimate, so it keeps
-//! run-ahead.
+//! pump is pushed at the chain's end. A hetero pool's scale is a
+//! rank's, applied as lowering reads a kernel's estimate, so it keeps
+//! run-ahead. A fault plan adds two rules, and with them a replay
+//! under a fault plan runs ahead too.
+//! *Straggler windows.* A kernel whose straggler scale
+//! (`FaultPlan::slowdown` at its issue instant) is not 1 neither starts
+//! nor joins a chain: it runs alone and scaled, as in a core without
+//! run-ahead. A chain's kernels thus take their lowered durations,
+//! which is what `chain_starts` recomputes their starts from for the
+//! ties below.
+//! *Failures.* A kernel joins a chain only if it starts strictly before
+//! its rank's next failure after the clock. A `Fault` is stamped as the
+//! replay starts, so it pops before every pump at its instant: a kernel
+//! due to start at or after a failure is started, as in a core without
+//! run-ahead, by a pump that sees the stream the failure extended. A
+//! failure therefore lands only inside a chain's last kernel, which
+//! has started in both cores by then. `apply_fault` moves the stream's
+//! `busy_until` from the chain's end to that end plus the restart
+//! cost, as it moves a lone kernel's end, and the chain end pops at
+//! the old end as a no-op, as that kernel's completion does.
 //! *Hosts see the queue of a core without run-ahead.*
 //! `StreamSim::ahead` is the start of the chain's last kernel, and
 //! every host-side read of a stream's queue (`park_host_on_drain`,
@@ -1478,12 +1493,13 @@ pub struct Lowered<'s> {
 
 impl Lowered<'_> {
     /// Runs the event loop (Algorithm 1's main loop) over the program:
-    /// the report, or the deadlock the replay ran into. A replay whose
-    /// run-ahead meets a tie it cannot order (module docs, "Run-ahead")
-    /// is abandoned and replayed without run-ahead, which always
-    /// finishes; [`SimObs::abandoned_replays`] counts it.
+    /// the report, or the deadlock the replay ran into. Every replay
+    /// runs ahead, under a fault plan too (module docs, "Run-ahead"). A
+    /// replay whose run-ahead meets a tie it cannot order is abandoned
+    /// and replayed without run-ahead, which always finishes;
+    /// [`SimObs::abandoned_replays`] counts it.
     pub fn replay(&mut self) -> Result<SimReport, SimError> {
-        let mut run_ahead = self.sim.faults.is_none();
+        let mut run_ahead = true;
         loop {
             match self.sim.replay(self.st, run_ahead) {
                 Some(report) => return report,
@@ -1919,10 +1935,14 @@ impl<'a> Simulator<'a> {
             }
             s.head = front.next;
             match front.kind {
-                OpKind::Kernel { mut dur } if st.run_ahead => {
+                OpKind::Kernel { mut dur }
+                    if st.run_ahead && self.slowdown(r.rank, front.at) == 1.0 =>
+                {
                     // Run ahead (module docs): start the issued kernels
                     // behind this one back to back, counting off each
-                    // completion in between.
+                    // completion in between, up to the rank's next
+                    // failure and outside straggler windows.
+                    let failure = self.next_failure(r.rank, now);
                     let mut end = now + dur;
                     r.compute_busy += dur;
                     (s.chain_from, s.chain_op, s.pumped) = (now, pc, Pumped::None);
@@ -1938,7 +1958,7 @@ impl<'a> Simulator<'a> {
                         else {
                             break;
                         };
-                        if at > end {
+                        if at > end || end >= failure || self.slowdown(r.rank, at) != 1.0 {
                             break;
                         }
                         s.head = next;
@@ -1962,12 +1982,10 @@ impl<'a> Simulator<'a> {
                     // A kernel's lowered duration carries its GPU
                     // generation's scale; the straggler windows of a
                     // fault plan covering its issue instant slow it too.
-                    // A replay under a fault plan never runs ahead, so a
-                    // chain reads its kernels' lowered durations.
-                    let dur = match (front.kind, self.faults) {
-                        (OpKind::Kernel { .. }, Some(plan)) => {
-                            scaled(dur, plan.slowdown(r.rank, front.at))
-                        }
+                    // A scaled kernel runs alone, so a chain reads its
+                    // kernels' lowered durations.
+                    let dur = match front.kind {
+                        OpKind::Kernel { .. } => scaled(dur, self.slowdown(r.rank, front.at)),
                         _ => dur,
                     };
                     s.busy_until = now + dur;
@@ -2240,6 +2258,24 @@ impl<'a> Simulator<'a> {
             let at = r.host_time;
             st.push(at, EvKind::HostDispatch { wi });
         }
+    }
+
+    /// The straggler scale of a kernel `rank` issued at `at`: 1 outside
+    /// every window of the fault plan.
+    fn slowdown(&self, rank: u32, at: SimTime) -> f64 {
+        self.faults.map_or(1.0, |plan| plan.slowdown(rank, at))
+    }
+
+    /// The first failure of `rank` after `now`, or [`SimTime::MAX`]: a
+    /// run-ahead chain takes no kernel starting then or later (module
+    /// docs, "Run-ahead").
+    fn next_failure(&self, rank: u32, now: SimTime) -> SimTime {
+        self.faults
+            .iter()
+            .flat_map(|plan| &plan.failures)
+            .filter(|f| f.rank == rank && f.at > now)
+            .map(|f| f.at)
+            .fold(SimTime::MAX, SimTime::min)
     }
 
     /// A stream drained; wake hosts blocked on it.
@@ -3019,8 +3055,12 @@ mod tests {
     /// fault @50 on w0, cost 1000: w0's stream busy until 1050
     /// @101 the rendezvous resolves, 50 long: the two parked pumps are
     ///      due after it but before 1050 — elided, counted
-    /// w0's kernels run 1050..1150..1250; 13 pops + 3 = 16 events
+    /// w0's kernels run 1050..1150..1250 as one run-ahead chain, the
+    ///      completion @1150 counted off; 12 pops + 4 = 16 events
     /// ```
+    ///
+    /// Heap pops were 13 before run-ahead under a fault plan: the
+    /// completion at 1150 popped only to start the second kernel.
     #[test]
     fn a_fault_extends_a_stream_while_its_pumps_are_parked() {
         let us = SimTime::from_us;
@@ -3059,7 +3099,7 @@ mod tests {
                 events_processed: 16,
             }
         );
-        assert_eq!(pops, 13);
+        assert_eq!(pops, 12);
     }
 
     /// A stream released with a parked pump due later is blocked again
@@ -3140,6 +3180,217 @@ mod tests {
         );
         assert_eq!(st.pending, 0);
         assert_eq!((obs.events.get(), obs.heap_pops.get()), (10, 6));
+    }
+
+    /// A plan of one failure of `rank` at `at_us`, restarting in
+    /// `cost_us`.
+    fn failure(rank: u32, at_us: f64, cost_us: f64) -> FaultPlan {
+        FaultPlan {
+            seed: 0,
+            stragglers: vec![],
+            failures: vec![maya_net::RankFailure {
+                rank,
+                at: SimTime::from_us(at_us),
+                restart_cost: SimTime::from_us(cost_us),
+            }],
+        }
+    }
+
+    /// A failure strikes at the very instant an issued kernel would
+    /// start back to back, while the host waits on another stream that
+    /// drains then; the woken host reads the first stream's queue at
+    /// that instant. Times in µs, one worker:
+    ///
+    /// ```text
+    /// s0: kernel @1..101, kernel issued @2 (that pump elided: busy to 101)
+    /// s1: kernel @1..101; the host syncs on s1 @3 and parks
+    /// fault @101, cost 1000: it pops first at 101. s0's second kernel
+    ///     has not started, so s0 is busy until 1101; s1 is drained and
+    ///     keeps 101; the parked host's clock moves to 1101
+    /// @101 s0's completion is a no-op; s1's wakes the host, which syncs
+    ///      on s0 @1102 and parks: the second kernel is still queued
+    /// s0's second kernel runs 1101..1201; its completion wakes the
+    /// host; 10 pops + 1 = 11 events
+    /// ```
+    ///
+    /// The second kernel cannot join the first's chain: it would start
+    /// at the failure, not before it. Had it joined, it would have left
+    /// the queue at 1, and the woken host would find s0's queue empty
+    /// and not park: 10 events. No chain forms, so the pops are what
+    /// they were before run-ahead under a fault plan.
+    #[test]
+    fn a_failure_where_a_kernel_would_start_back_to_back_ends_the_chain() {
+        let us = SimTime::from_us;
+        let job = job1(vec![
+            ev(0, kernel(1024), 1.0),
+            ev(1, kernel(1024), 0.0),
+            ev(0, kernel(1024), 1.0),
+            ev(1, DeviceOp::StreamSynchronize, 1.0),
+            ev(0, DeviceOp::StreamSynchronize, 1.0),
+        ]);
+        let (report, pops) = counted(&job, 0.0, Some(&failure(0, 101.0, 1000.0)));
+        assert_eq!(
+            report,
+            SimReport {
+                total_time: us(1201.0),
+                rank_end_times: vec![us(1201.0)],
+                comm_time: SimTime::ZERO,
+                compute_time: us(300.0),
+                host_time: us(1004.0),
+                peak_mem_bytes: 0,
+                events_processed: 11,
+            }
+        );
+        assert_eq!(pops, 10);
+    }
+
+    /// A failure lands inside a kernel that follows another back to
+    /// back, with a third issued behind them, and the host reads the
+    /// stream's queue after the failure. Times in µs, one worker:
+    ///
+    /// ```text
+    /// s0: kernels issued @1, @2, @3 (the pumps @2 and @3 elided); the
+    ///     first two run 1..101..201 as one chain, busy to 201, the
+    ///     completion @101 counted off
+    /// s1: kernel @60..160; the host syncs on s1 @61 and parks
+    /// fault @150, cost 1000: s0 is busy until 201 + 1000 = 1201, s1
+    ///     until 160 + 1000 = 1160, the parked host's clock 1150
+    /// @160, @201 the completions are no-ops
+    /// @1160 s1 drains and wakes the host, which syncs on s0 @1161 and
+    ///       parks: the third kernel is still queued
+    /// the third kernel runs 1201..1301; its completion wakes the host;
+    /// 11 pops + 3 = 14 events
+    /// ```
+    ///
+    /// The third kernel would start after the failure, so it does not
+    /// join the chain. Had it joined, the woken host would find s0's
+    /// queue empty at 1160 and not park: 13 events. Heap pops were 12
+    /// before run-ahead under a fault plan.
+    #[test]
+    fn a_failure_inside_a_chain_leaves_the_rest_queued() {
+        let us = SimTime::from_us;
+        let job = job1(vec![
+            ev(0, kernel(1024), 1.0),
+            ev(0, kernel(1024), 1.0),
+            ev(0, kernel(1024), 1.0),
+            ev(1, kernel(1024), 57.0),
+            ev(1, DeviceOp::StreamSynchronize, 1.0),
+            ev(0, DeviceOp::StreamSynchronize, 1.0),
+        ]);
+        let (report, pops) = counted(&job, 0.0, Some(&failure(0, 150.0, 1000.0)));
+        assert_eq!(
+            report,
+            SimReport {
+                total_time: us(1301.0),
+                rank_end_times: vec![us(1301.0)],
+                comm_time: SimTime::ZERO,
+                compute_time: us(400.0),
+                host_time: us(1062.0),
+                peak_mem_bytes: 0,
+                events_processed: 14,
+            }
+        );
+        assert_eq!(pops, 11);
+    }
+
+    /// A straggler window, 2x over [3, 10), opens between the issue
+    /// instants of two kernels on one stream. The slowdown is judged at
+    /// each kernel's issue instant. Times in µs, one worker:
+    ///
+    /// ```text
+    /// s0: kernels issued @1, @5 (in the window), @11, @12; the host
+    ///     syncs @13 and parks (the pumps @5, @11, @12 elided)
+    /// they run 1..101, 101..301 (scaled), then 301..401..501 as one
+    /// chain, the completion @401 counted off; the last completion wakes
+    /// the host; 6 pops + 4 = 10 events
+    /// ```
+    ///
+    /// The scaled kernel neither joins the first kernel's chain nor
+    /// starts one of its own. Heap pops were 7 before run-ahead under a
+    /// fault plan.
+    #[test]
+    fn a_straggler_window_opening_between_two_kernels_scales_the_second() {
+        let us = SimTime::from_us;
+        let job = job1(vec![
+            ev(0, kernel(1024), 1.0),
+            ev(0, kernel(1024), 4.0),
+            ev(0, kernel(1024), 6.0),
+            ev(0, kernel(1024), 1.0),
+            ev(0, DeviceOp::StreamSynchronize, 1.0),
+        ]);
+        let plan = FaultPlan {
+            seed: 0,
+            stragglers: vec![maya_net::StragglerWindow {
+                rank: 0,
+                start: us(3.0),
+                end: us(10.0),
+                slowdown: 2.0,
+            }],
+            failures: vec![],
+        };
+        let (report, pops) = counted(&job, 0.0, Some(&plan));
+        assert_eq!(
+            report,
+            SimReport {
+                total_time: us(501.0),
+                rank_end_times: vec![us(501.0)],
+                comm_time: SimTime::ZERO,
+                compute_time: us(500.0),
+                host_time: us(13.0),
+                peak_mem_bytes: 0,
+                events_processed: 10,
+            }
+        );
+        assert_eq!(pops, 6);
+    }
+
+    /// A failure on one rank of a pair while the other runs three
+    /// kernels back to back, then both all-reduce, 50 µs long. Times in
+    /// µs; each worker issues three kernels @1, @2, @3 and the
+    /// all-reduce @4 (those pumps elided: busy to 101), syncs @5 and
+    /// parks:
+    ///
+    /// ```text
+    /// w0: kernels 1..101..201..301 as one chain, joins @301
+    /// w1: kernels 1..101..201 as one chain; fault @150, cost 1000: busy
+    ///     until 1201, the parked host's clock 1150; the chain end @201
+    ///     is a no-op
+    /// w1: third kernel 1201..1301, joins @1301: the all-reduce runs
+    ///     1301..1351 on both; each drained stream wakes its host;
+    ///     13 pops + 6 elided + 3 counted off = 22 events
+    /// ```
+    ///
+    /// w1's failure does not end w0's chain; w1's chain ends before
+    /// the kernel that would start after its failure. Heap pops were 16
+    /// before run-ahead under a fault plan: w0's completions @101 and
+    /// @201 and w1's @101 each popped only to start the next kernel.
+    #[test]
+    fn a_failure_on_one_rank_stalls_its_peer_at_the_all_reduce() {
+        let us = SimTime::from_us;
+        let worker = |rank_in_comm| {
+            vec![
+                ev(0, kernel(1024), 1.0),
+                ev(0, kernel(1024), 1.0),
+                ev(0, kernel(1024), 1.0),
+                ev(0, all_reduce(rank_in_comm), 1.0),
+                ev(0, DeviceOp::StreamSynchronize, 1.0),
+            ]
+        };
+        let job = job2(worker(0), worker(1));
+        let (report, pops) = counted(&job, 50.0, Some(&failure(1, 150.0, 1000.0)));
+        assert_eq!(
+            report,
+            SimReport {
+                total_time: us(1351.0),
+                rank_end_times: vec![us(1351.0), us(1351.0)],
+                comm_time: us(50.0),
+                compute_time: us(300.0),
+                host_time: us(1005.0),
+                peak_mem_bytes: 0,
+                events_processed: 22,
+            }
+        );
+        assert_eq!(pops, 13);
     }
 
     /// Capacity of every buffer the arena owns.

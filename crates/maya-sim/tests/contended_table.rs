@@ -1,17 +1,20 @@
-//! Pins the topology path of the sim core over many schedules: the
-//! FNV-1a of the serialized `SimReport` of each of 48 seed-drawn jobs
-//! (`common::drawn`), one line each, on its cluster's default link
-//! topology with, on odd seeds, a hetero pool. The first table runs
-//! each job under a seed-drawn fault plan; the second runs it with no
-//! plan, the path stream run-ahead takes on a topology.
+//! Pins the fault and topology paths of the sim core over many
+//! schedules: the FNV-1a of the serialized `SimReport` of each of 48
+//! seed-drawn jobs (`common::drawn`), one line each. The first table
+//! runs each job on its cluster's default link topology with, on odd
+//! seeds, a hetero pool (`common::drawn_topology`), under a seed-drawn
+//! fault plan; the second runs it on its flat cluster under the same
+//! plan; the third runs it on the topology with no plan. Stream
+//! run-ahead is on in all three.
 //! `contended_golden.rs` holds one job in full; these tables hold many,
-//! so a change to which flows run concurrently, when a completion fires
-//! or how a route is built shows up on whichever schedules it touches.
+//! so a change to which flows run concurrently, when a completion fires,
+//! where a failure or straggler window lands or how a route is built
+//! shows up on whichever schedules it touches.
 //! Every report is also produced through one arena shared by all the
 //! jobs, each job lowered once and replayed twice, which must not
 //! change a byte. After a deliberate model change, replace
-//! `golden/contended_table.txt` or `golden/topology_table.txt` with the
-//! text the failure prints.
+//! `golden/contended_table.txt`, `golden/faulted_flat_table.txt` or
+//! `golden/topology_table.txt` with the text the failure prints.
 
 mod common;
 
@@ -22,6 +25,7 @@ use maya_sim::{SimReport, SimScratch, Simulator};
 use maya_trace::JobTrace;
 
 const TABLE: &str = include_str!("golden/contended_table.txt");
+const FAULTED_FLAT_TABLE: &str = include_str!("golden/faulted_flat_table.txt");
 const TOPOLOGY_TABLE: &str = include_str!("golden/topology_table.txt");
 const SEEDS: u64 = 48;
 
@@ -65,17 +69,26 @@ fn line(seed: u64, bytes: &str, job: &JobTrace, cluster: &ClusterSpec, events: u
     )
 }
 
+/// Seed `seed`'s drawn job, its flat cluster and the fault plan drawn
+/// from the seed over the job's clean run there: the plan both faulted
+/// setups run under, as `common::drawn_contended` draws it.
+fn drawn_faulted(seed: u64) -> (JobTrace, ClusterSpec, FaultPlan) {
+    let (job, flat) = common::drawn(seed);
+    let clean = Simulator::new(&OracleEstimator::new(&flat), &flat)
+        .run(&job)
+        .unwrap_or_else(|e| panic!("seed {seed}: flat run failed: {e}"));
+    let plan = FaultPlan::generate(seed, job.nranks, clean.total_time);
+    (job, flat, plan)
+}
+
 #[test]
 fn drawn_contended_reports_match_the_table() {
     let mut scratch = SimScratch::new();
     let mut table = String::new();
     for seed in 0..SEEDS {
-        let (job, flat) = common::drawn(seed);
+        let (job, flat, plan) = drawn_faulted(seed);
         let oracle = OracleEstimator::new(&flat);
-        let clean = Simulator::new(&oracle, &flat)
-            .run(&job)
-            .unwrap_or_else(|e| panic!("seed {seed}: flat run failed: {e}"));
-        let (cluster, plan) = common::drawn_contended(&flat, job.nranks, clean.total_time, seed);
+        let cluster = common::drawn_topology(&flat, job.nranks, seed);
         let on = (&oracle, &cluster);
         let (report, bytes) = report(&job, on, Some(&plan), &mut scratch, seed);
         table += &line(seed, &bytes, &job, &cluster, report.events_processed);
@@ -83,6 +96,22 @@ fn drawn_contended_reports_match_the_table() {
     assert!(
         table == TABLE,
         "contended reports drifted from the table; now:\n{table}"
+    );
+}
+
+#[test]
+fn drawn_faulted_flat_reports_match_the_table() {
+    let mut scratch = SimScratch::new();
+    let mut table = String::new();
+    for seed in 0..SEEDS {
+        let (job, flat, plan) = drawn_faulted(seed);
+        let oracle = OracleEstimator::new(&flat);
+        let (report, bytes) = report(&job, (&oracle, &flat), Some(&plan), &mut scratch, seed);
+        table += &line(seed, &bytes, &job, &flat, report.events_processed);
+    }
+    assert!(
+        table == FAULTED_FLAT_TABLE,
+        "faulted flat reports drifted from the table; now:\n{table}"
     );
 }
 
@@ -103,7 +132,7 @@ fn drawn_topology_reports_match_the_table() {
     );
 }
 
-/// The second table's setup over 16 384 seeds, every lowering replayed
+/// The third table's setup over 16 384 seeds, every lowering replayed
 /// twice to the same report and every serialized report folded into
 /// one FNV-1a digest. A release-mode run takes seconds.
 #[test]
@@ -123,5 +152,31 @@ fn drawn_topology_reports_fold_to_the_digest() {
     assert!(
         digest == DIGEST,
         "topology reports drifted from the digest; now {digest:#018x}"
+    );
+}
+
+/// The first two tables' setups over 16 384 seeds each, folded as
+/// above into one digest per setup: flat, then contended.
+#[test]
+#[ignore = "2 x 16 384 jobs; run with --release -- --ignored"]
+fn drawn_faulted_reports_fold_to_the_digests() {
+    const DIGESTS: [u64; 2] = [0x0374_2617_f7ed_98a1, 0xd53d_8e2f_14e7_6ea1];
+    let mut scratch = SimScratch::new();
+    let mut folded = [String::new(), String::new()];
+    for seed in 0..16_384 {
+        let (job, flat, plan) = drawn_faulted(seed);
+        let oracle = OracleEstimator::new(&flat);
+        let contended = common::drawn_topology(&flat, job.nranks, seed);
+        for (folded, cluster) in folded.iter_mut().zip([&flat, &contended]) {
+            let (_, bytes) = report(&job, (&oracle, cluster), Some(&plan), &mut scratch, seed);
+            *folded += &format!("{:016x}", common::fnv1a(bytes.as_bytes()));
+        }
+    }
+    let digests = folded.map(|f| common::fnv1a(f.as_bytes()));
+    assert!(
+        digests == DIGESTS,
+        "faulted reports drifted from the digests; now {:#018x} (flat), {:#018x} (contended)",
+        digests[0],
+        digests[1],
     );
 }
