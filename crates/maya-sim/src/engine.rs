@@ -2,15 +2,16 @@
 //!
 //! A run is *lower, then replay*. Lowering reads each worker's trace
 //! exactly once and writes a compact **replay program** into the
-//! [`SimScratch`] arena: per worker a dense array of 40-byte ops and a
-//! column of their host delays, each op carrying its interned stream
-//! slot and a payload that is already resolved — the estimated duration
-//! of a kernel or memcpy, the dense slot of a CUDA event's `(event,
-//! version)` key, or the index of a collective's call site in the
-//! worker's dense site table, which names its communicator's members
-//! and present-participant count. It goes worker by worker ([`Lowering::worker`], in rank
-//! order), so a worker's trace can be dropped as soon as it is lowered:
-//! the prediction engine lowers each trace the collator keeps as it is
+//! [`SimScratch`] arena: per worker a dense array of 32-byte ops, half
+//! a cache line each, and a column of their host delays, each op
+//! carrying its interned stream slot and a payload that is already
+//! resolved — the estimated duration of a kernel or memcpy, the dense
+//! slot of a CUDA event's `(event, version)` key, or the index of a
+//! collective's call site in the worker's dense site table, which
+//! names its communicator's members and present-participant count. It
+//! goes worker by worker ([`Lowering::worker`], in rank order), so a
+//! worker's trace can be dropped as soon as it is lowered: the
+//! prediction engine lowers each trace the collator keeps as it is
 //! kept. A call site is recorded with its descriptor only; once every
 //! worker is lowered, [`Lowering::resolve`] makes one pass over the
 //! sites against the job's communicator map, which the caller may only
@@ -172,7 +173,7 @@
 //! `events_processed` included.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 use maya_estimator::RuntimeEstimator;
 use maya_hw::{ClusterSpec, TopologySpec};
@@ -245,7 +246,7 @@ const STAMP: u64 = 1 << 16;
 
 /// What one lowered trace event does, with everything the replay would
 /// otherwise look up already resolved.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum OpKind {
     /// `Malloc` / `Free`: only the host delay is replayed.
     HostOnly,
@@ -300,26 +301,105 @@ impl OpKind {
     }
 }
 
+/// [`OpKind`]'s variant, as an [`Op`] holds it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tag {
+    HostOnly,
+    Kernel,
+    Memcpy,
+    Record,
+    Wait,
+    EventSync,
+    StreamSync,
+    DeviceSync,
+    Join,
+}
+
 /// One op of the replay program. Lowering writes `next`, `stream` and
-/// `kind`, and the op's host delay beside it ([`RankSim::delays`]),
+/// the kind, and the op's host delay beside it ([`RankSim::delays`]),
 /// which no replay changes; a replay writes `at` and `seq` when it
 /// issues the op and reads them only after that, so a program replays
 /// any number of times.
+///
+/// 32 bytes, half a cache line, and aligned to 32, so no op straddles
+/// two lines (half of a 40-byte op array's ops do). An [`OpKind`]
+/// takes 16 bytes, its one-byte tag padded to its 8-byte duration, so
+/// the op holds it packed: [`Op::new`] encodes it into `tag`, `flag`
+/// and `arg`, and [`Op::kind`] decodes the `OpKind` every `match`
+/// reads. No payload is narrowed: a duration keeps all 64 bits in
+/// `arg`. Only the stream slot is, to `u16`, and lowering refuses a
+/// worker with more streams than that holds. What the size is worth:
+/// [`RankSim::delays`].
 #[derive(Clone, Copy, Debug)]
+#[repr(align(32))]
 struct Op {
     /// The issue instant, set when the host issues the op: when it
     /// becomes ready on its stream and when its issue pump is due.
     at: SimTime,
     /// Sequence stamp of the op's issue pump, set when it is issued.
     seq: u64,
+    /// The kind's payload: a kernel's or memcpy's duration in ns, an
+    /// event slot or a site index.
+    arg: u64,
     /// The next op this worker enqueues on the same stream.
     next: u32,
     /// Dense per-worker slot of the op's stream.
-    stream: u32,
-    kind: OpKind,
+    stream: u16,
+    tag: Tag,
+    /// A memcpy's `sync`, a wait's or event sync's `zero`.
+    flag: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<Op>() == 32 && std::mem::align_of::<Op>() == 32);
+
 impl Op {
+    /// A lowered op on stream slot `stream`, not yet issued or linked.
+    fn new(stream: u16, kind: OpKind) -> Op {
+        let (tag, flag, arg) = match kind {
+            OpKind::HostOnly => (Tag::HostOnly, false, 0),
+            OpKind::Kernel { dur } => (Tag::Kernel, false, dur.as_ns()),
+            OpKind::Memcpy { dur, sync } => (Tag::Memcpy, sync, dur.as_ns()),
+            OpKind::Record { slot } => (Tag::Record, false, slot.into()),
+            OpKind::Wait { slot, zero } => (Tag::Wait, zero, slot.into()),
+            OpKind::EventSync { slot, zero } => (Tag::EventSync, zero, slot.into()),
+            OpKind::StreamSync => (Tag::StreamSync, false, 0),
+            OpKind::DeviceSync => (Tag::DeviceSync, false, 0),
+            OpKind::Join { site } => (Tag::Join, false, site.into()),
+        };
+        Op {
+            at: SimTime::ZERO,
+            seq: 0,
+            arg,
+            next: NONE,
+            stream,
+            tag,
+            flag,
+        }
+    }
+
+    /// What the op does: the [`OpKind`] [`Op::new`] encoded.
+    #[inline]
+    fn kind(&self) -> OpKind {
+        // A slot or site was a `u32` when encoded.
+        let (flag, arg, slot) = (self.flag, self.arg, self.arg as u32);
+        match self.tag {
+            Tag::HostOnly => OpKind::HostOnly,
+            Tag::Kernel => OpKind::Kernel {
+                dur: SimTime::from_ns(arg),
+            },
+            Tag::Memcpy => OpKind::Memcpy {
+                dur: SimTime::from_ns(arg),
+                sync: flag,
+            },
+            Tag::Record => OpKind::Record { slot },
+            Tag::Wait => OpKind::Wait { slot, zero: flag },
+            Tag::EventSync => OpKind::EventSync { slot, zero: flag },
+            Tag::StreamSync => OpKind::StreamSync,
+            Tag::DeviceSync => OpKind::DeviceSync,
+            Tag::Join => OpKind::Join { site: slot },
+        }
+    }
+
     /// The op parked behind this one on its stream's sub-lane, given
     /// the rank's lane cursor: the stream's next op if the lane has
     /// passed it (module docs, "Parking"), else [`NONE`].
@@ -582,7 +662,7 @@ fn chain_starts<'a>(ops: &'a [Op], s: &StreamSim) -> impl Iterator<Item = SimTim
     let (last, mut at, mut pc) = (s.ahead, s.chain_from, s.chain_op);
     std::iter::from_fn(move || {
         let op = ops.get(pc as usize).filter(|_| at < last)?;
-        let OpKind::Kernel { dur } = op.kind else {
+        let OpKind::Kernel { dur } = op.kind() else {
             return None;
         };
         at += dur;
@@ -622,9 +702,11 @@ struct RankSim {
     ops: Vec<Op>,
     /// The host delay before each op. A column of its own, read only
     /// as the host dispatches: in the op it would cost every issue,
-    /// promotion and pump 8 more bytes, and a 48-byte op measured
-    /// `sim_flat_128`'s p50 15 % slower than a 40-byte one (10 paired
-    /// runs on a 2-core Xeon).
+    /// promotion and pump 8 more bytes. The op's size is the replay's
+    /// lever (10 paired runs of `sim_flat_128` each, on a 2-core
+    /// Xeon): a 48-byte op measured p50 15 % slower than a 40-byte one,
+    /// and the 32-byte [`Op`] p50 9.7 % faster, `peak_rss_mb` 7.4 %
+    /// lower.
     delays: Vec<SimTime>,
     /// The worker's collective call sites, in program order.
     sites: Vec<JoinSite>,
@@ -937,7 +1019,7 @@ pub struct SimScratch {
     comms: Vec<Comm>,
     /// Emptied participant lists, handed to the next rendezvous.
     spare: Vec<Vec<Participant>>,
-    stream_index: HashMap<StreamId, u32>,
+    stream_index: HashMap<StreamId, u16>,
     event_index: HashMap<(u64, u32), u32>,
     /// Kernel durations of the job being lowered, by shape.
     shapes: ShapeTable,
@@ -1063,7 +1145,7 @@ impl SimScratch {
             let Some(&op) = r.ops.get(pc as usize) else {
                 break;
             };
-            if !op.kind.enqueues() {
+            if !op.kind().enqueues() {
                 continue;
             }
             let si = op.stream as usize;
@@ -1630,9 +1712,18 @@ impl<'a> Simulator<'a> {
             let stream = match last_stream {
                 Some((id, slot)) if id == e.stream => slot,
                 _ => {
-                    let next = stream_index.len() as u32;
+                    let next = u16::try_from(stream_index.len()).unwrap_or(u16::MAX);
                     let slot = *stream_index.entry(e.stream).or_insert(next);
                     if slot == next {
+                        if next == u16::MAX {
+                            let streams = w.events.iter().map(|e| e.stream);
+                            return Err(SimError::InvalidTrace(format!(
+                                "rank {} has {} streams, above the simulator's limit of {}",
+                                w.rank,
+                                streams.collect::<HashSet<_>>().len(),
+                                u16::MAX
+                            )));
+                        }
                         r.streams.push(StreamSim::IDLE);
                     }
                     last_stream = Some((e.stream, slot));
@@ -1691,13 +1782,7 @@ impl<'a> Simulator<'a> {
                 s.tail = pc;
             }
             r.delays.push(e.host_delay);
-            r.ops.push(Op {
-                at: SimTime::ZERO,
-                seq: 0,
-                next: NONE,
-                stream,
-                kind,
-            });
+            r.ops.push(Op::new(stream, kind));
         }
         r.fired.resize(event_index.len(), None);
         r.event_waiters.resize_with(event_index.len(), Vec::new);
@@ -1847,7 +1932,7 @@ impl<'a> Simulator<'a> {
             let issue = r.host_time;
             let si = op.stream as usize;
 
-            match op.kind {
+            match op.kind() {
                 OpKind::HostOnly => {}
                 OpKind::Memcpy { sync, .. } => {
                     st.issue(wi, pc, issue);
@@ -1934,7 +2019,7 @@ impl<'a> Simulator<'a> {
                 return;
             }
             s.head = front.next;
-            match front.kind {
+            match front.kind() {
                 OpKind::Kernel { mut dur }
                     if st.run_ahead && self.slowdown(r.rank, front.at) == 1.0 =>
                 {
@@ -1949,19 +2034,16 @@ impl<'a> Simulator<'a> {
                     let mut kind = EvKind::Pump { wi, si };
                     st.starts.clear();
                     while dur > SimTime::ZERO && s.head < r.next_op {
-                        let Some(&Op {
-                            at,
-                            next,
-                            kind: OpKind::Kernel { dur: d },
-                            ..
-                        }) = r.ops.get(s.head as usize)
-                        else {
+                        let Some(op) = r.ops.get(s.head as usize) else {
                             break;
                         };
-                        if at > end || end >= failure || self.slowdown(r.rank, at) != 1.0 {
+                        let OpKind::Kernel { dur: d } = op.kind() else {
+                            break;
+                        };
+                        if op.at > end || end >= failure || self.slowdown(r.rank, op.at) != 1.0 {
                             break;
                         }
-                        s.head = next;
+                        s.head = op.next;
                         s.ahead = end;
                         st.starts.push(end);
                         dur = d;
@@ -1984,7 +2066,7 @@ impl<'a> Simulator<'a> {
                     // fault plan covering its issue instant slow it too.
                     // A scaled kernel runs alone, so a chain reads its
                     // kernels' lowered durations.
-                    let dur = match front.kind {
+                    let dur = match front.kind() {
                         OpKind::Kernel { .. } => scaled(dur, self.slowdown(r.rank, front.at)),
                         _ => dur,
                     };
@@ -2751,10 +2833,60 @@ mod tests {
 
     /// At the pending high-water mark nearly every op of the trace is
     /// issued and not yet run, and the op is all that is parked for it:
-    /// its size is most of a run's footprint.
+    /// its size is most of a run's footprint. It is half a cache line
+    /// and aligned to its size, so no op straddles two lines.
     #[test]
-    fn parked_entries_stay_small() {
-        assert_eq!(std::mem::size_of::<Op>(), 40);
+    fn an_op_is_half_a_cache_line() {
+        let op = (std::mem::size_of::<Op>(), std::mem::align_of::<Op>());
+        assert_eq!(op, (32, 32));
+    }
+
+    /// Every kind decodes to what was encoded, at the extremes of its
+    /// payload: no duration, slot or site is narrowed to fit the op.
+    #[test]
+    fn a_packed_op_decodes_to_its_kind() {
+        let durs = [SimTime::ZERO, SimTime::from_ns((1 << 32) + 1), SimTime::MAX];
+        let mut kinds = vec![OpKind::HostOnly, OpKind::StreamSync, OpKind::DeviceSync];
+        for dur in durs {
+            kinds.push(OpKind::Kernel { dur });
+            for sync in [false, true] {
+                kinds.push(OpKind::Memcpy { dur, sync });
+            }
+        }
+        for slot in [0, u32::MAX - 1] {
+            kinds.push(OpKind::Record { slot });
+            kinds.push(OpKind::Join { site: slot });
+            for zero in [false, true] {
+                kinds.push(OpKind::Wait { slot, zero });
+                kinds.push(OpKind::EventSync { slot, zero });
+            }
+        }
+        for stream in [0, u16::MAX - 1] {
+            for &kind in &kinds {
+                let op = Op::new(stream, kind);
+                let lowered = (op.kind(), op.stream, op.next, op.at, op.seq);
+                assert_eq!(lowered, (kind, stream, NONE, SimTime::ZERO, 0));
+            }
+        }
+    }
+
+    /// A stream slot is a `u16`: a worker with 65 535 streams lowers,
+    /// its last in slot 65 534, and one with a stream more is refused
+    /// by rank and count instead of having a slot truncated.
+    #[test]
+    fn lowering_refuses_more_streams_than_a_slot_holds() {
+        let c = cluster();
+        let oracle = OracleEstimator::new(&c);
+        let sim = Simulator::new(&oracle, &c);
+        let mut st = SimScratch::new();
+        let streams = |n: u32| job1((0..n).map(|s| ev(s, kernel(64), 0.0)).collect());
+        let limit = u32::from(u16::MAX);
+        assert_eq!(sim.lower(&streams(limit), &mut st).map(|_| ()), Ok(()));
+        let last = st.ranks[0].ops.last().map(|op| op.stream);
+        assert_eq!(last, Some(u16::MAX - 1));
+        let refused = sim.lower(&streams(limit + 1), &mut st).map(|_| ());
+        let why = "rank 0 has 65536 streams, above the simulator's limit of 65535";
+        assert_eq!(refused, Err(SimError::InvalidTrace(why.into())));
     }
 
     #[test]
@@ -2771,17 +2903,11 @@ mod tests {
         for (rank, r) in st.ranks.iter_mut().enumerate() {
             r.reset(rank as u32);
             r.streams.push(StreamSim::IDLE);
-            r.ops.extend((0..OPS_PER_RANK).map(|i| Op {
-                at: SimTime::ZERO,
-                seq: 0,
-                next: NONE,
-                stream: 0,
-                kind: if i % 3 == 2 {
-                    OpKind::HostOnly
-                } else {
-                    OpKind::Kernel { dur: SimTime::ZERO }
-                },
-            }));
+            let kernel = OpKind::Kernel { dur: SimTime::ZERO };
+            r.ops.extend(
+                (0..OPS_PER_RANK)
+                    .map(|i| Op::new(0, if i % 3 == 2 { OpKind::HostOnly } else { kernel })),
+            );
         }
         st.rewind(false);
         let mut host_time = [0u64; RANKS];
@@ -2814,7 +2940,7 @@ mod tests {
                     let at = SimTime::from_ns(host_time[wi]).max(st.now);
                     host_time[wi] = at.as_ns();
                     let r = &mut st.ranks[wi];
-                    while !r.ops[r.next_op as usize].kind.enqueues() {
+                    while !r.ops[r.next_op as usize].kind().enqueues() {
                         r.next_op += 1;
                     }
                     let pc = r.next_op;
@@ -2845,7 +2971,7 @@ mod tests {
     /// Rank 0 of a fresh arena: `streams` idle streams and one
     /// zero-length kernel per `(stream, _)` of `ops`, each linked onto
     /// its stream's queue as lowering links them; none issued yet.
-    fn one_rank(streams: usize, ops: &[(u32, SimTime)]) -> SimScratch {
+    fn one_rank(streams: usize, ops: &[(u16, SimTime)]) -> SimScratch {
         let mut st = SimScratch::new();
         st.ranks.push(RankSim::default());
         let r = &mut st.ranks[0];
@@ -2858,13 +2984,8 @@ mod tests {
                 None => s.first = pc as u32,
             }
             s.tail = pc as u32;
-            r.ops.push(Op {
-                at: SimTime::ZERO,
-                seq: 0,
-                next: NONE,
-                stream,
-                kind: OpKind::Kernel { dur: SimTime::ZERO },
-            });
+            r.ops
+                .push(Op::new(stream, OpKind::Kernel { dur: SimTime::ZERO }));
         }
         st.rewind(false);
         st

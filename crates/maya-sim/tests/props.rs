@@ -30,8 +30,9 @@
 //! slot, and an arena handed from one estimator to another. One job
 //! abandons its run-ahead replay at a tie it cannot order and replays
 //! its program again without run-ahead, still byte-identical to the
-//! reference, on a rank whose kernels a hetero pool scales too; and
-//! every lowering, drawn or hand-built, replays twice to one report.
+//! reference, on a rank whose kernels a hetero pool scales too; every
+//! lowering, drawn or hand-built, replays twice to one report; and
+//! kernels longer than 32 bits of nanoseconds keep their durations.
 
 mod common;
 mod reference;
@@ -1004,6 +1005,37 @@ fn a_tie_on_a_scaled_rank_is_scaled_once() {
     assert_eq!(sim.run(&job), Ok(reference));
     assert_eq!(obs.abandoned_replays.get(), 1);
     assert_eq!(obs.events.get(), events);
+}
+
+/// Kernels longer than 2³² ns (≈ 4.3 s) under `RowsInUs`, on both ranks
+/// of a flat job: a chain of two, an all-reduce, then one more. The
+/// report is the reference core's, `events_processed` included, so no
+/// duration loses its high bits on the way through a lowered op.
+#[test]
+fn kernels_longer_than_32_bits_of_ns_match_the_reference() {
+    let long = 5_000_000;
+    let worker = |rank: u32| {
+        let mut w = WorkerTrace::new(rank);
+        w.events = vec![
+            ev(0, kernel(long + u64::from(rank)), 1.0),
+            ev(0, kernel(long), 1.0),
+            ev(0, pair_all_reduce(rank), 1.0),
+            ev(0, kernel(long), 1.0),
+            ev(0, DeviceOp::DeviceSynchronize, 1.0),
+        ];
+        w
+    };
+    let job = JobTrace {
+        nranks: 2,
+        workers: vec![worker(0), worker(1)],
+        comm_groups: BTreeMap::from([(9, vec![0, 1])]),
+    };
+    let c = cluster();
+    let (reference, events) = simulate_reference_counted(&job, &c, &RowsInUs);
+    let reference = reference.unwrap();
+    assert!(reference.total_time > SimTime::from_us(15_000_000.0));
+    assert_eq!(reference.events_processed, events);
+    assert_eq!(simulate(&job, &c, &RowsInUs), Ok(reference));
 }
 
 /// The prediction engine's path through an abandon: the unordered

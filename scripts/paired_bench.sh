@@ -19,7 +19,11 @@
 # pairs (ties count for neither) with the medians further apart than
 # the parent's inter-quartile spread; a loss is the same the other way
 # round; a REGRESSION is a worse median beyond the metric's bound in
-# BENCHMARK.json. No pair to judge is an error.
+# BENCHMARK.json. No pair to judge is an error. Each run's minor page
+# faults (the child's `ru_minflt`) go into its JSONL line, and under the
+# table each side's median faults per attempted operation, per workload:
+# a p50 shift with a shift in faults may be the allocator's mode, not
+# the code's speed.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -31,7 +35,7 @@ while (($#)); do
         --seconds) seconds="$2"; shift 2 ;;
         --first-seed) first_seed="$2"; shift 2 ;;
         --out) out="$2"; shift 2 ;;
-        -h | --help) sed -n '2,22p' "${BASH_SOURCE[0]}"; exit 0 ;;
+        -h | --help) sed -n '2,27p' "${BASH_SOURCE[0]}"; exit 0 ;;
         -*) echo "paired_bench: unknown option $1" >&2; exit 2 ;;
         *) if ((${#bins[@]} < 2)); then bins+=("$1"); else workloads+=("$1"); fi; shift ;;
     esac
@@ -50,14 +54,20 @@ print(*(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]), sep="\n")
 ' "$repo/BENCHMARK.json")
 fi
 
-# One run: prints the result line with its provenance folded in.
+# One run: prints the result line with its provenance and the run's
+# minor page faults (the child's `ru_minflt`) folded in.
 run() { # side binary workload seed order
-    local line
-    line="$(MAYA_BENCHMARK_DIR="$repo/benchmark" "$2" --workload "$3" --seed "$4" \
-        --seconds "$seconds" --trace 0 | tail -n 1)"
-    python3 -c '
-import json, sys
-side, workload, seed, order, line = sys.argv[1:]
+    MAYA_BENCHMARK_DIR="$repo/benchmark" python3 -c '
+import json, resource, subprocess, sys
+side, binary, workload, seed, order, seconds = sys.argv[1:]
+faults = lambda: resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+before = faults()
+proc = subprocess.run([binary, "--workload", workload, "--seed", seed, "--seconds", seconds,
+                       "--trace", "0"], stdout=subprocess.PIPE, text=True)
+minflt = faults() - before
+if proc.returncode != 0:
+    sys.exit(f"paired_bench: {side} {workload} seed {seed}: exit code {proc.returncode}")
+line = (proc.stdout.splitlines() or [""])[-1]
 try:
     result = json.loads(line)
 except ValueError:
@@ -67,8 +77,8 @@ if result.get("correct") is not True or result.get("failed") != 0:
     sys.exit(f"paired_bench: {side} {workload} seed {seed}: refused, {verdict}")
 metrics = {name: m["value"] for name, m in result["metrics"].items()}
 print(json.dumps({"side": side, "workload": workload, "seed": int(seed), "ran": order,
-                  "attempted": result["attempted"], "metrics": metrics}))
-' "$1" "$3" "$4" "$5" "$line"
+                  "attempted": result["attempted"], "minflt": minflt, "metrics": metrics}))
+' "$1" "$2" "$3" "$4" "$5" "$seconds"
 }
 
 start_line=$(($( [[ -f "$out" ]] && wc -l < "$out" || echo 0) + 1))
@@ -96,7 +106,7 @@ contract = json.load(open(sys.argv[1]))
 runs = {}
 for line in sys.stdin:
     r = json.loads(line)
-    runs.setdefault(r["workload"], {}).setdefault(r["seed"], {})[r["side"]] = r["metrics"]
+    runs.setdefault(r["workload"], {}).setdefault(r["seed"], {})[r["side"]] = r
 if not runs:
     sys.exit("paired_bench: no runs to judge")
 
@@ -114,8 +124,8 @@ for workload, by_seed in runs.items():
     for metric in contract["end_to_end"]:
         name, unit, goal = metric["name"], metric["unit"], metric["better"]
         lower = goal == "lower"
-        parent = [p["parent"][name] for p in pairs]
-        change = [p["change"][name] for p in pairs]
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         losses = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
@@ -133,4 +143,12 @@ for workload, by_seed in runs.items():
         print(f"{workload} {name} {unit} {goal} | "
               f"{pm:.4g} [{p1:.4g} .. {p3:.4g}] | {cm:.4g} [{c1:.4g} .. {c3:.4g}] | "
               f"{pct:+.1f}% | {wins}/{len(pairs)} | {verdict}")
+
+print()
+print("workload | parent | change: median minor page faults per attempted operation")
+for workload, by_seed in runs.items():
+    medians = [statistics.median(p[side]["minflt"] / max(p[side]["attempted"], 1)
+                                 for p in by_seed.values() if side in p)
+               for side in ("parent", "change")]
+    print(workload, *(f"{m:.4g}" for m in medians), sep=" | ")
 ' "$repo/BENCHMARK.json"
