@@ -395,3 +395,109 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
+
+/// A seed-drawn job of long run-ahead chains and its flat cluster: 2–4
+/// ranks on one node, 2–5 rounds. A round is a world all-reduce on
+/// stream 0 that records an event, on which streams 1 and 2 both wait
+/// before each runs the same 32–256 kernels, issued alternately or one
+/// run after the other. Then one of the two records a second event and
+/// the other waits on it: the order in which their chains end decides
+/// whether the wait blocks, one event more or less. Every other round
+/// ends in a device sync. Host delays of 0.25–1 µs keep the host far
+/// ahead of its kernels, so each run is issued before it starts and
+/// runs as one chain.
+///
+/// A kernel's GEMM has `u` rows, `u` drawn from 2–9, or on seeds with
+/// bit 1 set `512 u`: whole microseconds under an estimator that times
+/// `m` rows as `m` µs, so pumps land on chain starts, and the oracle's
+/// durations on the others. Each rank's two runs start twin chains, and
+/// every rank runs the same kernels, so the ranks one rendezvous
+/// releases start twins too. On even seeds the ranks are identical; on
+/// odd seeds rank `r` takes its host delays from the palette rotated by
+/// `r`, so other pumps land on one twin's chain starts and not on the
+/// other's.
+pub fn long_chains(seed: u64) -> (JobTrace, ClusterSpec) {
+    let mut state = seed ^ 0x10c4_a115;
+    let nranks = 2 + (next(&mut state) % 3) as u32;
+    let scale = if seed & 2 == 0 { 1 } else { 512 };
+    let delays: Vec<u64> = (0..5).map(|_| 250 << (next(&mut state) % 3)).collect();
+    let rounds: Vec<Round> = (0..2 + next(&mut state) % 4)
+        .map(|round| Round {
+            units: (0..32 + next(&mut state) % 225)
+                .map(|_| 2 + next(&mut state) % 8)
+                .collect(),
+            alternate: next(&mut state) % 2 == 0,
+            recorder: 1 + (next(&mut state) % 2) as u32,
+            bytes: (1 + next(&mut state) % 16) << 20,
+            sync: round % 2 == 1,
+        })
+        .collect();
+    let worker = |rank: u32| {
+        let skew = (seed % 2) as usize * rank as usize;
+        let mut w = WorkerTrace::new(rank);
+        let mut push = |stream: u32, op: DeviceOp| {
+            let delay = delays[(w.events.len() + skew) % delays.len()];
+            w.events.push(TraceEvent {
+                stream: StreamId(stream),
+                op,
+                host_delay: SimTime::from_ns(delay),
+            });
+        };
+        for (seq, round) in (0u32..).zip(&rounds) {
+            let version = seq + 1;
+            let all_reduce = coll(
+                CollectiveKind::AllReduce,
+                WORLD,
+                seq,
+                round.bytes,
+                nranks,
+                rank,
+            );
+            push(0, all_reduce);
+            push(0, DeviceOp::EventRecord { event: 1, version });
+            for stream in [1, 2] {
+                push(stream, DeviceOp::StreamWaitEvent { event: 1, version });
+            }
+            let kernels = round.units.iter().map(|&u| kernel(scale * u));
+            if round.alternate {
+                for k in kernels {
+                    push(1, k);
+                    push(2, k);
+                }
+            } else {
+                for stream in [1, 2] {
+                    kernels.clone().for_each(|k| push(stream, k));
+                }
+            }
+            push(round.recorder, DeviceOp::EventRecord { event: 2, version });
+            push(
+                3 - round.recorder,
+                DeviceOp::StreamWaitEvent { event: 2, version },
+            );
+            if round.sync {
+                push(0, DeviceOp::DeviceSynchronize);
+            }
+        }
+        push(0, DeviceOp::DeviceSynchronize);
+        w
+    };
+    let job = JobTrace {
+        nranks,
+        workers: (0..nranks).map(worker).collect(),
+        comm_groups: BTreeMap::from([(WORLD, (0..nranks).collect())]),
+    };
+    (job, ClusterSpec::h100(1, nranks))
+}
+
+/// One round of a [`long_chains`] job.
+struct Round {
+    /// The kernels of each of the two runs, in units of rows.
+    units: Vec<u64>,
+    /// Whether the host issues the two runs' kernels alternately.
+    alternate: bool,
+    /// The stream that records the round's second event; the other
+    /// waits on it.
+    recorder: u32,
+    bytes: u64,
+    sync: bool,
+}

@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 
 use maya_estimator::{OracleEstimator, RuntimeEstimator};
 use maya_hw::ClusterSpec;
-use maya_net::{FaultPlan, RankFailure};
+use maya_net::{FaultPlan, RankFailure, StragglerWindow};
 use maya_sim::{SimError, SimObs, SimReport, SimScratch, Simulator};
 use maya_trace::{
     shape_digest, CollectiveDesc, CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind,
@@ -355,6 +355,67 @@ fn drawn_flat_jobs_match_the_reference() {
             _ => assert_eq!(dense, reference, "seed {seed}"),
         }
     }
+}
+
+/// The long-chain jobs of `common::long_chains`: every run of 32–256
+/// kernels is one run-ahead chain, pumps land on chain starts where
+/// kernels take whole microseconds, and on even seeds identical ranks
+/// start twin chains that tie at their ends. On their flat clusters,
+/// 512 seeds held to the reference core, `events_processed` included.
+/// The reference core has no fault model, so under the fault plan drawn
+/// over each clean run's horizon (as `contended_table.rs` draws it) 48
+/// seeds are held to the same replay unable to run ahead:
+/// [`without_run_ahead`].
+#[test]
+fn long_chains_match_the_reference() {
+    for seed in 0..512 {
+        let (job, flat) = common::long_chains(seed);
+        let oracle = OracleEstimator::new(&flat);
+        let estimator: &dyn RuntimeEstimator = if seed & 2 == 0 { &RowsInUs } else { &oracle };
+        let (reference, events) = simulate_reference_counted(&job, &flat, estimator);
+        let reference = reference.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let dense = simulate(&job, &flat, estimator);
+        assert_eq!(dense.as_ref(), Ok(&reference), "seed {seed}");
+        assert_eq!(reference.events_processed, events, "seed {seed}");
+        if seed < 48 {
+            let plan = FaultPlan::generate(seed, job.nranks, reference.total_time);
+            let alone = without_run_ahead(&plan, job.nranks);
+            let run = |plan| Simulator::new(estimator, &flat).with_faults(plan).run(&job);
+            assert_eq!(run(Some(&plan)), run(Some(&alone)), "seed {seed} faulted");
+        }
+    }
+}
+
+/// `plan` with a straggler window of slowdown 1 + 2⁻⁴⁰ over every
+/// instant where a rank has none: a kernel whose rank's straggler scale
+/// is not 1 never runs ahead, and `m` ns scaled by 1 + 2⁻⁴⁰ round back to
+/// `m` below 2³⁹ ns. The plan replays as without run-ahead, to the
+/// nanosecond.
+fn without_run_ahead(plan: &FaultPlan, nranks: u32) -> FaultPlan {
+    let mut plan = plan.clone();
+    for rank in 0..nranks {
+        let mut slow: Vec<_> = plan
+            .stragglers
+            .iter()
+            .filter(|w| w.rank == rank && w.slowdown > 1.0)
+            .map(|w| (w.start, w.end))
+            .collect();
+        slow.sort();
+        slow.push((SimTime::MAX, SimTime::MAX));
+        let mut from = SimTime::ZERO;
+        for (start, end) in slow {
+            if from < start {
+                plan.stragglers.push(StragglerWindow {
+                    rank,
+                    start: from,
+                    end: start,
+                    slowdown: 1.0 + f64::powi(2.0, -40),
+                });
+            }
+            from = from.max(end);
+        }
+    }
+    plan
 }
 
 // Hand-built traces, from the engine's unit tests.
