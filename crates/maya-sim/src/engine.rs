@@ -98,9 +98,15 @@
 //! *Straggler windows.* A kernel whose straggler scale
 //! (`FaultPlan::slowdown` at its issue instant) is not 1 neither starts
 //! nor joins a chain: it runs alone and scaled, as in a core without
-//! run-ahead. A chain's kernels thus take their lowered durations,
-//! which is what `chain_starts` recomputes their starts from for the
-//! ties below.
+//! run-ahead. A chain's kernels thus take their lowered durations.
+//! *The chain's record.* What only the ties below read sits beside the
+//! streams, in the rank's side table (`RankSim::chains`, one `Chain`
+//! per stream slot, its latest): the instant the chain started, its
+//! stamp, the other pumps due at its starts and its starts themselves,
+//! written as `pump` builds the chain. A kernel joins only behind one
+//! that lasts longer than zero, so the starts strictly increase and a
+//! pump's instant is found among them by binary search
+//! (`Chain::note_pump`).
 //! *Failures.* A kernel joins a chain only if it starts strictly before
 //! its rank's next failure after the clock. A `Fault` is stamped as the
 //! replay starts, so it pops before every pump at its instant: a kernel
@@ -129,12 +135,17 @@
 //! before `L` pops first, and one stamped after it pops after. A chain
 //! end whose last kernel starts earlier pops first, and one whose last
 //! kernel starts later pops after. A *twin* chain started in the same
-//! instant with the same starts. For a twin,
+//! instant with the same starts. `SimScratch::note_chain` compares a
+//! new chain's starts with those stored for the chain built just before
+//! it, not with a copy, and stays exact: it is a twin only if that
+//! chain started in the same instant, and that chain's stream is then
+//! busy past the instant (its first kernel lasts longer than zero), so
+//! it cannot start another chain over its record in it. For a twin,
 //! `SimScratch::twins_in_order` replays the two chains' stamps start by
 //! start. Each start's completion is stamped by the first of the
 //! stream's pumps due there. That is either the completion before it,
 //! itself stamped at the previous start, or another pump that came due
-//! at the start (`StreamSim::pumped`). The other pump comes first if it
+//! at the start (`Chain::pumped`). The other pump comes first if it
 //! was stamped at an earlier instant. A chain end that must pop later
 //! goes back into the heap right behind the event that comes first.
 //! Stamps step by `STAMP`, which leaves room there. A tie none of this
@@ -518,6 +529,9 @@ enum StreamBlock {
 
 /// One stream of a worker: `first` is lowering's, and `tail` while it
 /// lowers; the rest is a replay's and [`StreamSim::rewind`] resets it.
+/// Only what issuing, elision, parking and `pump` read on every event
+/// is here; its latest run-ahead chain's record, which only the ties at
+/// a chain's end read, is the stream's [`Chain`].
 #[derive(Clone, Copy)]
 struct StreamSim {
     /// The first op linked onto this stream.
@@ -535,17 +549,6 @@ struct StreamSim {
     /// it, the chained kernels starting later are still queued to a
     /// host.
     ahead: SimTime,
-    /// The instant that chain started, its first kernel and the stamp
-    /// its end was pushed with.
-    chain_from: SimTime,
-    chain_op: u32,
-    chain_seq: u64,
-    /// Other pumps of the stream that came due at the chain's
-    /// [`chain_starts`].
-    pumped: Pumped,
-    /// The `(worker, stream)` of the chain built just before this one
-    /// if that chain has the same starts and end.
-    twin_of: Option<(usize, usize)>,
     blocked: Option<StreamBlock>,
     /// Sub-lane cursor: the oldest op here whose issue pump is parked
     /// (module docs, "Parking"), or [`NONE`]. The sub-lane is the chain
@@ -564,11 +567,6 @@ impl StreamSim {
         head: NONE,
         busy_until: SimTime::ZERO,
         ahead: SimTime::ZERO,
-        chain_from: SimTime::ZERO,
-        chain_op: NONE,
-        chain_seq: 0,
-        pumped: Pumped::None,
-        twin_of: None,
         blocked: None,
         lane: NONE,
         lane_queued: false,
@@ -596,16 +594,55 @@ impl StreamSim {
     fn drained(&self, until: SimTime, now: SimTime, next_op: u32) -> bool {
         self.queue_is_empty(next_op, now) && self.blocked.is_none() && self.busy_until <= until
     }
+}
 
-    /// A pump of this stream stamped `seq` came due at `at` and found it
-    /// busy: if `at` is one of its chain's starts, a core without
-    /// run-ahead may have started that kernel from this pump instead of
-    /// from the completion before it.
-    fn note_pump(&mut self, ops: &[Op], at: SimTime, seq: u64) {
-        if self.pumped != Pumped::Many
-            && self.chain_from < at
-            && at <= self.ahead
-            && chain_starts(ops, self).any(|start| start == at)
+/// The pump loop reads a stream on every event: six words, not the
+/// fourteen it took with its chain's record inside.
+const _: () = assert!(std::mem::size_of::<StreamSim>() <= 48);
+
+/// A stream's latest run-ahead chain (module docs, "Run-ahead"): what
+/// only the ordering of its end's ties reads. [`Chain::rewind`] resets
+/// it and keeps the capacity of `starts`.
+#[derive(Clone, Default)]
+struct Chain {
+    /// The instant the chain started.
+    from: SimTime,
+    /// The stamp its end was pushed with.
+    seq: u64,
+    /// Other pumps of the stream that came due at its starts.
+    pumped: Pumped,
+    /// The `(worker, stream)` of the chain built just before this one
+    /// if that chain has the same starts and end.
+    twin_of: Option<(usize, usize)>,
+    /// The starts of its second through last kernels, the instants a
+    /// core without run-ahead pops a completion of the chain at, then
+    /// its end; after a lone run-ahead kernel, its end alone.
+    starts: Vec<SimTime>,
+}
+
+impl Chain {
+    /// No chain: as a replay starts.
+    fn rewind(&mut self) {
+        (self.from, self.seq, self.pumped, self.twin_of) = (SimTime::ZERO, 0, Pumped::None, None);
+        self.starts.clear();
+    }
+
+    /// The starts of the chain's second through last kernels.
+    fn kernel_starts(&self) -> &[SimTime] {
+        self.starts.split_last().map_or(&[], |(_, starts)| starts)
+    }
+
+    /// A pump of the stream stamped `seq` came due at `at` and found it
+    /// busy, its last chained kernel starting at `ahead`: if `at` is one
+    /// of the chain's starts, a core without run-ahead may have started
+    /// that kernel from this pump instead of from the completion before
+    /// it. The starts up to `ahead` strictly increase, and the end is
+    /// not before `ahead`, so a binary search finds `at`.
+    fn note_pump(&mut self, ahead: SimTime, at: SimTime, seq: u64) {
+        if at <= ahead
+            && self.from < at
+            && self.pumped != Pumped::Many
+            && self.starts.binary_search(&at).is_ok()
         {
             self.pumped = match self.pumped {
                 Pumped::None => Pumped::At(at, seq),
@@ -626,8 +663,9 @@ impl StreamSim {
 
 /// Pumps of a stream, besides its chain's own completions, that came
 /// due at one of the chain's starts (module docs, "Run-ahead").
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 enum Pumped {
+    #[default]
     None,
     /// All at one start; the stamp of the earliest.
     At(SimTime, u64),
@@ -653,22 +691,6 @@ enum Tie {
 enum Stamp {
     Real(u64),
     Virtual(bool),
-}
-
-/// The start instants of the second through last kernels of stream
-/// `s`'s run-ahead chain: the instants a core without run-ahead pops a
-/// completion of the chain at.
-fn chain_starts<'a>(ops: &'a [Op], s: &StreamSim) -> impl Iterator<Item = SimTime> + 'a {
-    let (last, mut at, mut pc) = (s.ahead, s.chain_from, s.chain_op);
-    std::iter::from_fn(move || {
-        let op = ops.get(pc as usize).filter(|_| at < last)?;
-        let OpKind::Kernel { dur } = op.kind() else {
-            return None;
-        };
-        at += dur;
-        pc = op.next;
-        Some(at)
-    })
 }
 
 /// Why a host thread is parked.
@@ -725,6 +747,10 @@ struct RankSim {
     host_busy: SimTime,
     /// Dense stream states, one per interned stream slot.
     streams: Vec<StreamSim>,
+    /// Each stream's latest run-ahead chain, by stream slot: at least
+    /// one per stream, grown and never shrunk, so a chain's starts keep
+    /// their capacity from one job to the next.
+    chains: Vec<Chain>,
     /// CUDA-event wait map by event slot: fire time once recorded.
     fired: Vec<Option<SimTime>>,
     /// Streams (by dense slot) waiting on each event slot.
@@ -755,6 +781,10 @@ impl RankSim {
         self.host_time = SimTime::ZERO;
         self.host_busy = SimTime::ZERO;
         self.streams.iter_mut().for_each(StreamSim::rewind);
+        if self.chains.len() < self.streams.len() {
+            self.chains.resize_with(self.streams.len(), Chain::default);
+        }
+        self.chains.iter_mut().for_each(Chain::rewind);
         self.fired.fill(None);
         self.event_waiters.iter_mut().for_each(Vec::clear);
         self.blocked = None;
@@ -1056,11 +1086,8 @@ pub struct SimScratch {
     route_nodes: Vec<u32>,
     /// Whether the replay runs ahead (module docs, "Run-ahead").
     run_ahead: bool,
-    /// The starts and end of the chain being built, and of the last
-    /// one built, with its `(worker, stream)` and the instant it
-    /// started.
-    starts: Vec<SimTime>,
-    last_starts: Vec<SimTime>,
+    /// The `(worker, stream)` of the last chain built and the instant
+    /// it started.
     last_chain: Option<(usize, usize, SimTime)>,
     /// Each instant the clock has reached and the last sequence stamp
     /// taken before it: the instant an event was stamped at, for the
@@ -1159,7 +1186,9 @@ impl SimScratch {
             if s.busy_until > op.at {
                 self.events_processed += 1;
                 self.pending -= 1;
-                s.note_pump(&r.ops, op.at, op.seq);
+                if let Some(c) = r.chains.get_mut(si) {
+                    c.note_pump(s.ahead, op.at, op.seq);
+                }
                 continue;
             }
             if s.blocked.is_some() {
@@ -1200,7 +1229,9 @@ impl SimScratch {
             if (op.at, op.seq) < handled || s.busy_until > op.at {
                 self.events_processed += 1;
                 self.pending -= 1;
-                s.note_pump(&r.ops, op.at, op.seq);
+                if let Some(c) = r.chains.get_mut(si) {
+                    c.note_pump(s.ahead, op.at, op.seq);
+                }
                 s.lane = op.parked_after(r.lane_next);
                 continue;
             }
@@ -1263,26 +1294,26 @@ impl SimScratch {
     }
 
     /// Stream `si` of worker `wi` built a chain at the clock's instant,
-    /// its starts and end in `starts`: it is the twin of the chain built
-    /// just before it if that one started then too, with the same
-    /// starts and end.
+    /// its end pushed with the last stamp: it is the twin of the chain
+    /// built just before it if that one started then too, with the same
+    /// starts and end (module docs, "Run-ahead").
     fn note_chain(&mut self, wi: usize, si: usize) {
+        let starts = |(w, s)| self.stream(w, s).map(|(_, c)| &c.starts);
         let twin = self
             .last_chain
-            .filter(|&(_, _, from)| from == self.now && self.starts == self.last_starts)
+            .filter(|&(w, s, from)| from == self.now && starts((w, s)) == starts((wi, si)))
             .map(|(w, s, _)| (w, s));
-        std::mem::swap(&mut self.starts, &mut self.last_starts);
         self.last_chain = Some((wi, si, self.now));
         let seq = self.seq;
-        if let Some(s) = self.ranks.get_mut(wi).and_then(|r| r.streams.get_mut(si)) {
-            (s.twin_of, s.chain_seq) = (twin, seq);
+        if let Some(c) = self.ranks.get_mut(wi).and_then(|r| r.chains.get_mut(si)) {
+            (c.twin_of, c.seq) = (twin, seq);
         }
     }
 
-    /// Worker `wi` and its stream `si`.
-    fn stream(&self, wi: usize, si: usize) -> Option<(&RankSim, &StreamSim)> {
+    /// Stream `si` of worker `wi` and its latest chain.
+    fn stream(&self, wi: usize, si: usize) -> Option<(&StreamSim, &Chain)> {
         let r = self.ranks.get(wi)?;
-        Some((r, r.streams.get(si)?))
+        Some((r.streams.get(si)?, r.chains.get(si)?))
     }
 
     /// The clock reaches `at`. Entries from before the start of every
@@ -1293,10 +1324,13 @@ impl SimScratch {
         if self.instants.len() < Self::INSTANTS {
             return;
         }
-        let oldest = self.ranks.iter().flat_map(|r| &r.streams);
+        let oldest = self
+            .ranks
+            .iter()
+            .flat_map(|r| r.streams.iter().zip(&r.chains));
         let oldest = oldest
-            .filter(|s| s.busy_until >= at)
-            .map(|s| s.chain_from)
+            .filter(|(s, _)| s.busy_until >= at)
+            .map(|(_, c)| c.from)
             .fold(at, SimTime::min);
         let before = self.instants.partition_point(|&(t, _)| t < oldest);
         if before > 1 {
@@ -1326,21 +1360,18 @@ impl SimScratch {
         if next.at != self.now {
             return Tie::First;
         }
-        let Some((r, s)) = self.stream(wi, si) else {
+        let Some((s, a)) = self.stream(wi, si) else {
             return Tie::Open;
         };
         let first = match next.kind {
             EvKind::ChainEnd { wi: w2, si: s2 } => {
-                let Some((r2, d)) = self.stream(w2, s2) else {
+                let Some((d, b)) = self.stream(w2, s2) else {
                     return Tie::Open;
                 };
-                let twins = d.twin_of == Some((wi, si))
-                    || s.chain_from == d.chain_from
-                        && chain_starts(&r.ops, s).eq(chain_starts(&r2.ops, d));
+                let twins = b.twin_of == Some((wi, si))
+                    || a.from == b.from && a.kernel_starts() == b.kernel_starts();
                 match s.ahead.cmp(&d.ahead) {
-                    std::cmp::Ordering::Equal if twins => {
-                        self.twins_in_order(&r.ops, (s, s.chain_seq), (d, d.chain_seq))
-                    }
+                    std::cmp::Ordering::Equal if twins => self.twins_in_order(a, b),
                     std::cmp::Ordering::Equal => None,
                     order => Some(order.is_lt()),
                 }
@@ -1358,27 +1389,23 @@ impl SimScratch {
     }
 
     /// Whether a core without run-ahead stamps the end of twin chain `a`
-    /// before that of `b`, each with the stamp its chain started under
-    /// (module docs, "Run-ahead"); `None` if the other pumps at their
+    /// before that of `b`, each with the stamp its chain's end was pushed
+    /// with (module docs, "Run-ahead"); `None` if the other pumps at their
     /// starts leave it open. Start by start, each chain's next
     /// completion is stamped by the first of its stream's pumps due
     /// there: the virtual completion, stamped at the previous start, or
     /// another pump, which comes before it if stamped at an earlier
     /// instant and after it if stamped at a later one.
-    fn twins_in_order(
-        &self,
-        ops: &[Op],
-        (a, sa): (&StreamSim, u64),
-        (b, sb): (&StreamSim, u64),
-    ) -> Option<bool> {
+    fn twins_in_order(&self, a: &Chain, b: &Chain) -> Option<bool> {
+        let (sa, sb) = (a.seq, b.seq);
         match (a.pumped, b.pumped) {
             (Pumped::None, Pumped::None) => return Some(sa < sb),
             (Pumped::Many, _) | (_, Pumped::Many) => return None,
             _ => {}
         }
         let (mut va, mut vb) = (Stamp::Real(sa), Stamp::Real(sb));
-        let (mut a_first, mut prev) = (sa < sb, a.chain_from);
-        for at in chain_starts(ops, a) {
+        let (mut a_first, mut prev) = (sa < sb, a.from);
+        for &at in a.kernel_starts() {
             let earlier = |x: Stamp, y: Stamp| match (x, y) {
                 (Stamp::Real(x), Stamp::Real(y)) => Some(x < y),
                 (Stamp::Virtual(x), Stamp::Virtual(_)) => Some(x == a_first),
@@ -2002,9 +2029,11 @@ impl<'a> Simulator<'a> {
         loop {
             let (now, now_seq) = (st.now, st.now_seq);
             let r = &mut st.ranks[wi];
-            let s = &mut r.streams[si];
+            let (Some(s), Some(chain)) = (r.streams.get_mut(si), r.chains.get_mut(si)) else {
+                return;
+            };
             if s.blocked.is_some() || s.busy_until > now {
-                s.note_pump(&r.ops, now, now_seq);
+                chain.note_pump(s.ahead, now, now_seq);
                 return;
             }
             if s.queue_is_empty(r.next_op, now) {
@@ -2030,9 +2059,9 @@ impl<'a> Simulator<'a> {
                     let failure = self.next_failure(r.rank, now);
                     let mut end = now + dur;
                     r.compute_busy += dur;
-                    (s.chain_from, s.chain_op, s.pumped) = (now, pc, Pumped::None);
+                    (chain.from, chain.pumped) = (now, Pumped::None);
+                    chain.starts.clear();
                     let mut kind = EvKind::Pump { wi, si };
-                    st.starts.clear();
                     while dur > SimTime::ZERO && s.head < r.next_op {
                         let Some(op) = r.ops.get(s.head as usize) else {
                             break;
@@ -2045,7 +2074,7 @@ impl<'a> Simulator<'a> {
                         }
                         s.head = op.next;
                         s.ahead = end;
-                        st.starts.push(end);
+                        chain.starts.push(end);
                         dur = d;
                         end += d;
                         r.compute_busy += d;
@@ -2053,7 +2082,7 @@ impl<'a> Simulator<'a> {
                         kind = EvKind::ChainEnd { wi, si };
                     }
                     s.busy_until = end;
-                    st.starts.push(end);
+                    chain.starts.push(end);
                     st.push(end, kind);
                     if let EvKind::ChainEnd { .. } = kind {
                         st.note_chain(wi, si);
@@ -3530,6 +3559,7 @@ mod tests {
             st.flow_meta.capacity(),
             st.routes.capacity(),
             st.route_nodes.capacity(),
+            st.instants.capacity(),
         ];
         for c in &st.comms {
             caps.extend([c.open.capacity(), c.times.capacity(), c.flows.capacity()]);
@@ -3542,8 +3572,10 @@ mod tests {
                 r.streams.capacity(),
                 r.fired.capacity(),
                 r.event_waiters.capacity(),
+                r.chains.capacity(),
             ]);
             caps.extend(r.event_waiters.iter().map(Vec::capacity));
+            caps.extend(r.chains.iter().map(|c| c.starts.capacity()));
         }
         caps
     }
