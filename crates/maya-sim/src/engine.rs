@@ -362,6 +362,11 @@ struct Op {
 }
 
 const _: () = assert!(std::mem::size_of::<Op>() == 32 && std::mem::align_of::<Op>() == 32);
+/// Issuing, elision, parking and `pump` read a [`StreamSim`] on every
+/// event, so it holds only what they read: six words. Its run-ahead
+/// chain's record, which only the ties at a chain's end read, is kept
+/// out of it.
+const _: () = assert!(std::mem::size_of::<StreamSim>() <= 48);
 
 impl Op {
     /// A lowered op on stream slot `stream`, not yet issued or linked.
@@ -595,10 +600,6 @@ impl StreamSim {
         self.queue_is_empty(next_op, now) && self.blocked.is_none() && self.busy_until <= until
     }
 }
-
-/// The pump loop reads a stream on every event: six words, not the
-/// fourteen it took with its chain's record inside.
-const _: () = assert!(std::mem::size_of::<StreamSim>() <= 48);
 
 /// A stream's latest run-ahead chain (module docs, "Run-ahead"): what
 /// only the ordering of its end's ties reads. [`Chain::rewind`] resets

@@ -33,6 +33,9 @@
 //! reference, on a rank whose kernels a hetero pool scales too; every
 //! lowering, drawn or hand-built, replays twice to one report; and
 //! kernels longer than 32 bits of nanoseconds keep their durations.
+//! Seed-drawn jobs of runs of 32–256 kernels build long run-ahead
+//! chains, twins among them, whose ties are held to the reference core
+//! and, under a fault plan, to the same replay unable to run ahead.
 
 mod common;
 mod reference;
