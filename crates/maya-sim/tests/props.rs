@@ -35,7 +35,9 @@
 //! kernels longer than 32 bits of nanoseconds keep their durations.
 //! Seed-drawn jobs of runs of 32–256 kernels build long run-ahead
 //! chains, twins among them, whose ties are held to the reference core
-//! and, under a fault plan, to the same replay unable to run ahead.
+//! and, under a fault plan, to a digest of replays without run-ahead.
+//! A point-to-point pair whose ends' chains tie shows why those ties
+//! are ordered: the first joiner's descriptor times the pair.
 
 mod common;
 mod reference;
@@ -366,11 +368,14 @@ fn drawn_flat_jobs_match_the_reference() {
 /// start twin chains that tie at their ends. On their flat clusters,
 /// 512 seeds held to the reference core, `events_processed` included.
 /// The reference core has no fault model, so under the fault plan drawn
-/// over each clean run's horizon (as `contended_table.rs` draws it) 48
-/// seeds are held to the same replay unable to run ahead:
-/// [`without_run_ahead`].
+/// over each clean run's horizon (as `contended_table.rs` draws it)
+/// every serialized report folds into one FNV-1a digest, computed by
+/// replays without run-ahead ([`without_run_ahead`]); 48 seeds are also
+/// held to those replays directly.
 #[test]
 fn long_chains_match_the_reference() {
+    const FAULTED: u64 = 0x9a05_a972_b36a_b25a;
+    let mut folded = String::new();
     for seed in 0..512 {
         let (job, flat) = common::long_chains(seed);
         let oracle = OracleEstimator::new(&flat);
@@ -380,13 +385,20 @@ fn long_chains_match_the_reference() {
         let dense = simulate(&job, &flat, estimator);
         assert_eq!(dense.as_ref(), Ok(&reference), "seed {seed}");
         assert_eq!(reference.events_processed, events, "seed {seed}");
+        let plan = FaultPlan::generate(seed, job.nranks, reference.total_time);
+        let run = |plan| Simulator::new(estimator, &flat).with_faults(plan).run(&job);
+        let faulted = run(Some(&plan)).unwrap_or_else(|e| panic!("seed {seed} faulted: {e}"));
+        folded += &format!("{:016x}", common::fnv1a(bytes_of(&faulted).as_bytes()));
         if seed < 48 {
-            let plan = FaultPlan::generate(seed, job.nranks, reference.total_time);
             let alone = without_run_ahead(&plan, job.nranks);
-            let run = |plan| Simulator::new(estimator, &flat).with_faults(plan).run(&job);
-            assert_eq!(run(Some(&plan)), run(Some(&alone)), "seed {seed} faulted");
+            assert_eq!(Ok(faulted), run(Some(&alone)), "seed {seed} faulted");
         }
     }
+    let digest = common::fnv1a(folded.as_bytes());
+    assert!(
+        digest == FAULTED,
+        "faulted long-chain reports drifted from the digest; now {digest:#018x}"
+    );
 }
 
 /// `plan` with a straggler window of slowdown 1 + 2⁻⁴⁰ over every
@@ -1008,6 +1020,91 @@ fn unordered_tie(rows0: &[u64], rows1: &[u64], gap: f64) -> JobTrace {
     events.extend(on(1, rows1, gap));
     events.push(ev(0, DeviceOp::DeviceSynchronize, 1.0));
     job1(events)
+}
+
+/// Rank 0 sends to rank 1 behind a chain of two kernels on each rank;
+/// both chains end in one instant, and [`SendRecvRows`] times a Send 1
+/// µs and a Recv 2 µs. Times in µs, one stream per rank:
+///
+/// ```text
+/// w0: kernel 5 @6..11,  kernel 20 @11..31, then the Send   one chain from 6
+/// w1: kernel 15 @1..16, kernel 15 @16..31, then the Recv   one chain from 1
+/// ```
+///
+/// A point-to-point rendezvous is timed by its first joiner's
+/// descriptor. Without run-ahead w0's last completion is stamped at 11
+/// and w1's at 16, so w0 pops first at 31, its Send joins first and the
+/// pair runs 31..32. w1's chain end, stamped at 1, would pop first
+/// unordered, and its Recv would time the pair 31..33: the order of a
+/// tie moves a report's times, not only `events_processed`.
+#[test]
+fn a_point_to_point_tie_at_chain_ends_keeps_the_references_descriptor() {
+    let p2p = |kind, rank_in_comm| {
+        let desc = CollectiveDesc {
+            kind,
+            comm_id: 9,
+            seq: 0,
+            bytes: 1 << 20,
+            nranks: 2,
+            rank_in_comm,
+        };
+        DeviceOp::Collective { desc }
+    };
+    let worker = |rank, events| {
+        let mut w = WorkerTrace::new(rank);
+        w.events = events;
+        w
+    };
+    let job = JobTrace {
+        nranks: 2,
+        workers: vec![
+            worker(
+                0,
+                vec![
+                    ev(0, kernel(5), 6.0),
+                    ev(0, kernel(20), 1.0),
+                    ev(0, p2p(CollectiveKind::Send { peer: 1 }, 0), 1.0),
+                ],
+            ),
+            worker(
+                1,
+                vec![
+                    ev(0, kernel(15), 1.0),
+                    ev(0, kernel(15), 1.0),
+                    ev(0, p2p(CollectiveKind::Recv { peer: 0 }, 1), 1.0),
+                ],
+            ),
+        ],
+        comm_groups: BTreeMap::from([(9, vec![0, 1])]),
+    };
+    let c = cluster();
+    let dense = simulate(&job, &c, &SendRecvRows).unwrap();
+    assert_eq!(
+        Ok(&dense),
+        simulate_reference(&job, &c, &SendRecvRows).as_ref()
+    );
+    assert_eq!(dense.total_time, SimTime::from_us(32.0));
+}
+
+/// [`RowsInUs`] with a Send taking 1 µs and a Recv 2 µs.
+struct SendRecvRows;
+
+impl RuntimeEstimator for SendRecvRows {
+    fn kernel_time(&self, kernel: &KernelKind) -> SimTime {
+        RowsInUs.kernel_time(kernel)
+    }
+    fn memcpy_time(&self, bytes: u64, kind: MemcpyKind) -> SimTime {
+        RowsInUs.memcpy_time(bytes, kind)
+    }
+    fn collective_time(&self, kind: CollectiveKind, _: u64, _: &[u32], _: &ClusterSpec) -> SimTime {
+        match kind {
+            CollectiveKind::Recv { .. } => SimTime::from_us(2.0),
+            _ => SimTime::from_us(1.0),
+        }
+    }
+    fn name(&self) -> &'static str {
+        "rows in µs, a Recv 2 µs"
+    }
 }
 
 /// [`RowsInUs`] on a GPU at half speed: a GEMM of `m` rows takes
