@@ -92,13 +92,10 @@
 //! `busy_until` and `compute_busy` as it would one by one, each skipped
 //! completion is counted into `events_processed`, and one `ChainEnd`
 //! pump is pushed at the chain's end. A hetero pool's scale is a
-//! rank's, applied as lowering reads a kernel's estimate, so it keeps
-//! run-ahead. A fault plan adds two rules, and with them a replay
-//! under a fault plan runs ahead too.
-//! *Straggler windows.* A kernel whose straggler scale
-//! (`FaultPlan::slowdown` at its issue instant) is not 1 neither starts
-//! nor joins a chain: it runs alone and scaled, as in a core without
-//! run-ahead. A chain's kernels thus take their lowered durations.
+//! rank's, applied as lowering reads a kernel's estimate, and a
+//! straggler window's (`FaultPlan::slowdown` at a kernel's issue
+//! instant) is applied as `pump` writes the chain, so a straggling
+//! kernel chains like any other.
 //! *The chain's record.* What only the ties below read sits beside the
 //! streams, in the rank's side table (`RankSim::chains`, one `Chain`
 //! per stream slot, its latest): the instant the chain started, its
@@ -107,13 +104,13 @@
 //! that lasts longer than zero, so the starts strictly increase and a
 //! pump's instant is found among them by binary search
 //! (`Chain::note_pump`).
-//! *Failures.* A kernel joins a chain only if it starts strictly before
-//! its rank's next failure after the clock. A `Fault` is stamped as the
-//! replay starts, so it pops before every pump at its instant: a kernel
-//! due to start at or after a failure is started, as in a core without
-//! run-ahead, by a pump that sees the stream the failure extended. A
-//! failure therefore lands only inside a chain's last kernel, which
-//! has started in both cores by then. `apply_fault` moves the stream's
+//! *Failures.* Under a fault plan a kernel joins a chain only if it
+//! starts strictly before its rank's next failure after the clock. A
+//! `Fault` is stamped as the replay starts, so it pops before every
+//! pump at its instant: a kernel due to start at or after a failure is
+//! started, as in a core without run-ahead, by a pump that sees the
+//! stream the failure extended. A failure therefore lands only inside a
+//! chain's last kernel, which has started in both cores by then. `apply_fault` moves the stream's
 //! `busy_until` from the chain's end to that end plus the restart
 //! cost, as it moves a lone kernel's end, and the chain end pops at
 //! the old end as a no-op, as that kernel's completion does.
@@ -130,17 +127,15 @@
 //! at the last kernel's start `L`, in the first of the stream's pumps
 //! popped then. Events at other instants keep their order, so only a
 //! tie with another event at the chain's end instant can pop in the
-//! other order. When a chain end pops, it is held against the next
-//! pending event at its instant (`SimScratch::tie`). An event stamped
-//! before `L` pops first, and one stamped after it pops after. A chain
-//! end whose last kernel starts earlier pops first, and one whose last
-//! kernel starts later pops after. A *twin* chain started in the same
-//! instant with the same starts. `SimScratch::note_chain` compares a
-//! new chain's starts with those stored for the chain built just before
-//! it, not with a copy, and stays exact: it is a twin only if that
-//! chain started in the same instant, and that chain's stream is then
-//! busy past the instant (its first kernel lasts longer than zero), so
-//! it cannot start another chain over its record in it. For a twin,
+//! other order. That order shows in reports: a point-to-point
+//! rendezvous is timed by its first joiner's descriptor, so a chain end
+//! that pops out of the reference order can change a report's times.
+//! When a chain end pops, it is held against the next pending event at
+//! its instant (`SimScratch::tie`). An event stamped before `L` pops
+//! first, and one stamped after it pops after. A chain end whose last
+//! kernel starts earlier pops first, and one whose last kernel starts
+//! later pops after. A *twin* chain started in the same instant with
+//! the same starts, as the two chains' records tell. For a twin,
 //! `SimScratch::twins_in_order` replays the two chains' stamps start by
 //! start. Each start's completion is stamped by the first of the
 //! stream's pumps due there. That is either the completion before it,
@@ -612,9 +607,6 @@ struct Chain {
     seq: u64,
     /// Other pumps of the stream that came due at its starts.
     pumped: Pumped,
-    /// The `(worker, stream)` of the chain built just before this one
-    /// if that chain has the same starts and end.
-    twin_of: Option<(usize, usize)>,
     /// The starts of its second through last kernels, the instants a
     /// core without run-ahead pops a completion of the chain at, then
     /// its end; after a lone run-ahead kernel, its end alone.
@@ -624,7 +616,7 @@ struct Chain {
 impl Chain {
     /// No chain: as a replay starts.
     fn rewind(&mut self) {
-        (self.from, self.seq, self.pumped, self.twin_of) = (SimTime::ZERO, 0, Pumped::None, None);
+        (self.from, self.seq, self.pumped) = (SimTime::ZERO, 0, Pumped::None);
         self.starts.clear();
     }
 
@@ -1087,9 +1079,6 @@ pub struct SimScratch {
     route_nodes: Vec<u32>,
     /// Whether the replay runs ahead (module docs, "Run-ahead").
     run_ahead: bool,
-    /// The `(worker, stream)` of the last chain built and the instant
-    /// it started.
-    last_chain: Option<(usize, usize, SimTime)>,
     /// Each instant the clock has reached and the last sequence stamp
     /// taken before it: the instant an event was stamped at, for the
     /// ties a chain end meets. Only a replay that runs ahead keeps it.
@@ -1138,9 +1127,11 @@ impl SimScratch {
         self.seq
     }
 
-    fn push(&mut self, at: SimTime, kind: EvKind) {
+    /// Pushes an event and returns its sequence number.
+    fn push(&mut self, at: SimTime, kind: EvKind) -> u64 {
         let seq = self.stamp();
         self.heap.push(Reverse(HeapEv { at, seq, kind }));
+        seq
     }
 
     /// The host of worker `wi` issues op `pc` at `at`: the op becomes
@@ -1294,23 +1285,6 @@ impl SimScratch {
         self.pending -= parked;
     }
 
-    /// Stream `si` of worker `wi` built a chain at the clock's instant,
-    /// its end pushed with the last stamp: it is the twin of the chain
-    /// built just before it if that one started then too, with the same
-    /// starts and end (module docs, "Run-ahead").
-    fn note_chain(&mut self, wi: usize, si: usize) {
-        let starts = |(w, s)| self.stream(w, s).map(|(_, c)| &c.starts);
-        let twin = self
-            .last_chain
-            .filter(|&(w, s, from)| from == self.now && starts((w, s)) == starts((wi, si)))
-            .map(|(w, s, _)| (w, s));
-        self.last_chain = Some((wi, si, self.now));
-        let seq = self.seq;
-        if let Some(c) = self.ranks.get_mut(wi).and_then(|r| r.chains.get_mut(si)) {
-            (c.twin_of, c.seq) = (twin, seq);
-        }
-    }
-
     /// Stream `si` of worker `wi` and its latest chain.
     fn stream(&self, wi: usize, si: usize) -> Option<(&StreamSim, &Chain)> {
         let r = self.ranks.get(wi)?;
@@ -1369,11 +1343,8 @@ impl SimScratch {
                 let Some((d, b)) = self.stream(w2, s2) else {
                     return Tie::Open;
                 };
-                let twins = b.twin_of == Some((wi, si))
-                    || a.from == b.from && a.kernel_starts() == b.kernel_starts();
                 match s.ahead.cmp(&d.ahead) {
-                    std::cmp::Ordering::Equal if twins => self.twins_in_order(a, b),
-                    std::cmp::Ordering::Equal => None,
+                    std::cmp::Ordering::Equal => self.twins_in_order(a, b),
                     order => Some(order.is_lt()),
                 }
             }
@@ -1389,15 +1360,19 @@ impl SimScratch {
         }
     }
 
-    /// Whether a core without run-ahead stamps the end of twin chain `a`
-    /// before that of `b`, each with the stamp its chain's end was pushed
-    /// with (module docs, "Run-ahead"); `None` if the other pumps at their
-    /// starts leave it open. Start by start, each chain's next
+    /// Whether a core without run-ahead stamps the end of chain `a` before
+    /// that of `b`, each with the stamp its chain's end was pushed with,
+    /// if they are twins (module docs, "Run-ahead"); `None` if they are
+    /// not, or if the other pumps at their starts leave it open. Start by
+    /// start, each chain's next
     /// completion is stamped by the first of its stream's pumps due
     /// there: the virtual completion, stamped at the previous start, or
     /// another pump, which comes before it if stamped at an earlier
     /// instant and after it if stamped at a later one.
     fn twins_in_order(&self, a: &Chain, b: &Chain) -> Option<bool> {
+        if a.from != b.from || a.kernel_starts() != b.kernel_starts() {
+            return None;
+        }
         let (sa, sb) = (a.seq, b.seq);
         match (a.pumped, b.pumped) {
             (Pumped::None, Pumped::None) => return Some(sa < sb),
@@ -1540,7 +1515,6 @@ impl SimScratch {
         self.run_ahead = run_ahead;
         self.instants.clear();
         self.instants.push((SimTime::ZERO, 0));
-        self.last_chain = None;
     }
 }
 
@@ -2050,13 +2024,12 @@ impl<'a> Simulator<'a> {
             }
             s.head = front.next;
             match front.kind() {
-                OpKind::Kernel { mut dur }
-                    if st.run_ahead && self.slowdown(r.rank, front.at) == 1.0 =>
-                {
+                OpKind::Kernel { dur } if st.run_ahead => {
                     // Run ahead (module docs): start the issued kernels
-                    // behind this one back to back, counting off each
-                    // completion in between, up to the rank's next
-                    // failure and outside straggler windows.
+                    // behind this one back to back, each scaled by its
+                    // straggler windows, counting off each completion in
+                    // between, up to the rank's next failure.
+                    let mut dur = scaled(dur, self.slowdown(r.rank, front.at));
                     let failure = self.next_failure(r.rank, now);
                     let mut end = now + dur;
                     r.compute_busy += dur;
@@ -2070,23 +2043,23 @@ impl<'a> Simulator<'a> {
                         let OpKind::Kernel { dur: d } = op.kind() else {
                             break;
                         };
-                        if op.at > end || end >= failure || self.slowdown(r.rank, op.at) != 1.0 {
+                        if op.at > end || end >= failure {
                             break;
                         }
                         s.head = op.next;
                         s.ahead = end;
                         chain.starts.push(end);
-                        dur = d;
-                        end += d;
-                        r.compute_busy += d;
+                        dur = scaled(d, self.slowdown(r.rank, op.at));
+                        end += dur;
+                        r.compute_busy += dur;
                         st.events_processed += 1;
                         kind = EvKind::ChainEnd { wi, si };
                     }
                     s.busy_until = end;
                     chain.starts.push(end);
-                    st.push(end, kind);
-                    if let EvKind::ChainEnd { .. } = kind {
-                        st.note_chain(wi, si);
+                    let seq = st.push(end, kind);
+                    if let Some(chain) = st.ranks.get_mut(wi).and_then(|r| r.chains.get_mut(si)) {
+                        chain.seq = seq;
                     }
                     return;
                 }
@@ -2094,8 +2067,6 @@ impl<'a> Simulator<'a> {
                     // A kernel's lowered duration carries its GPU
                     // generation's scale; the straggler windows of a
                     // fault plan covering its issue instant slow it too.
-                    // A scaled kernel runs alone, so a chain reads its
-                    // kernels' lowered durations.
                     let dur = match front.kind() {
                         OpKind::Kernel { .. } => scaled(dur, self.slowdown(r.rank, front.at)),
                         _ => dur,
@@ -3451,14 +3422,14 @@ mod tests {
     /// ```text
     /// s0: kernels issued @1, @5 (in the window), @11, @12; the host
     ///     syncs @13 and parks (the pumps @5, @11, @12 elided)
-    /// they run 1..101, 101..301 (scaled), then 301..401..501 as one
-    /// chain, the completion @401 counted off; the last completion wakes
-    /// the host; 6 pops + 4 = 10 events
+    /// they run 1..101..301 (scaled)..401..501 as one chain, the
+    /// completions @101, @301 and @401 counted off; the last completion
+    /// wakes the host; 4 pops + 6 = 10 events
     /// ```
     ///
-    /// The scaled kernel neither joins the first kernel's chain nor
-    /// starts one of its own. Heap pops were 7 before run-ahead under a
-    /// fault plan.
+    /// The scaled kernel joins the first kernel's chain. Heap pops were 7
+    /// before run-ahead under a fault plan, and 6 while a scaled kernel
+    /// ran alone.
     #[test]
     fn a_straggler_window_opening_between_two_kernels_scales_the_second() {
         let us = SimTime::from_us;
@@ -3492,7 +3463,7 @@ mod tests {
                 events_processed: 10,
             }
         );
-        assert_eq!(pops, 6);
+        assert_eq!(pops, 4);
     }
 
     /// A failure on one rank of a pair while the other runs three

@@ -64,18 +64,19 @@ fn flat_job_counters_are_pinned() {
 /// and the rest are counted off at the convergence, so events and flow
 /// solves are unchanged.
 ///
-/// Heap pops were 538 before run-ahead under a fault plan. Of the flat
-/// run's 24 chains of two, 22 form here: rank 3 and rank 6 issue both
-/// kernels of their iteration-0 pair (at 14 and 18 µs) inside their
-/// straggler windows, so each of those kernels runs alone, scaled.
-/// Neither failure ends a chain: rank 5 restarts from 30 to 280 µs,
-/// before its iteration-0 pair starts, and rank 0 fails at 1.5 ms,
-/// between its iteration-0 and iteration-2 pairs.
+/// Heap pops were 538 before run-ahead under a fault plan, and 516
+/// while a kernel in a straggler window ran alone. All of the flat
+/// run's 24 chains of two form here, each first completion counted off:
+/// rank 3 and rank 6 issue both kernels of their iteration-0 pair (at 14
+/// and 18 µs) inside their straggler windows, so that pair chains
+/// scaled. Neither failure ends a chain: rank 5 restarts from 30 to
+/// 280 µs, before its iteration-0 pair starts, and rank 0 fails at
+/// 1.5 ms, between its iteration-0 and iteration-2 pairs.
 #[test]
 fn contended_faulted_job_counters_are_pinned() {
     let faults = common::pinned_faults();
     assert_eq!(
         counters(&common::contended_cluster(), Some(&faults)),
-        (1644, 516, 150, 138)
+        (1644, 514, 150, 138)
     );
 }
