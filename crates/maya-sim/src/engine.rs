@@ -110,10 +110,11 @@
 //! pump at its instant: a kernel due to start at or after a failure is
 //! started, as in a core without run-ahead, by a pump that sees the
 //! stream the failure extended. A failure therefore lands only inside a
-//! chain's last kernel, which has started in both cores by then. `apply_fault` moves the stream's
-//! `busy_until` from the chain's end to that end plus the restart
-//! cost, as it moves a lone kernel's end, and the chain end pops at
-//! the old end as a no-op, as that kernel's completion does.
+//! chain's last kernel, which has started in both cores by then.
+//! `apply_fault` moves the stream's `busy_until` from the chain's end to
+//! that end plus the restart cost, as it moves a lone kernel's end, and
+//! the chain end pops at the old end as a no-op, as that kernel's
+//! completion does.
 //! *Hosts see the queue of a core without run-ahead.*
 //! `StreamSim::ahead` is the start of the chain's last kernel, and
 //! every host-side read of a stream's queue (`park_host_on_drain`,
@@ -1364,11 +1365,10 @@ impl SimScratch {
     /// that of `b`, each with the stamp its chain's end was pushed with,
     /// if they are twins (module docs, "Run-ahead"); `None` if they are
     /// not, or if the other pumps at their starts leave it open. Start by
-    /// start, each chain's next
-    /// completion is stamped by the first of its stream's pumps due
-    /// there: the virtual completion, stamped at the previous start, or
-    /// another pump, which comes before it if stamped at an earlier
-    /// instant and after it if stamped at a later one.
+    /// start, each chain's next completion is stamped by the first of its
+    /// stream's pumps due there: the virtual completion, stamped at the
+    /// previous start, or another pump, which comes before it if stamped
+    /// at an earlier instant and after it if stamped at a later one.
     fn twins_in_order(&self, a: &Chain, b: &Chain) -> Option<bool> {
         if a.from != b.from || a.kernel_starts() != b.kernel_starts() {
             return None;

@@ -385,8 +385,10 @@ fn long_chains_match_the_reference() {
         assert_eq!(dense.as_ref(), Ok(&reference), "seed {seed}");
         assert_eq!(reference.events_processed, events, "seed {seed}");
         let plan = FaultPlan::generate(seed, job.nranks, reference.total_time);
-        let run = |plan| Simulator::new(estimator, &flat).with_faults(plan).run(&job);
-        let faulted = run(Some(&plan)).unwrap_or_else(|e| panic!("seed {seed} faulted: {e}"));
+        let sim = Simulator::new(estimator, &flat).with_faults(Some(&plan));
+        let faulted = sim
+            .run(&job)
+            .unwrap_or_else(|e| panic!("seed {seed} faulted: {e}"));
         folded += &format!("{:016x}", common::fnv1a(bytes_of(&faulted).as_bytes()));
     }
     let digest = common::fnv1a(folded.as_bytes());
