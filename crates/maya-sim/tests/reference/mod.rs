@@ -10,6 +10,11 @@
 //! byte-identical [`SimReport`]s. Do not optimize this module; fix
 //! behavior bugs in both cores (and extend the equivalence proptests in
 //! `tests/props.rs` to cover the fix).
+//!
+//! Events of one instant pop first in, first out.
+//! [`simulate_reference_shuffled`] breaks those ties by a seeded hash
+//! instead, so that tests can ask whether a report depends on the order
+//! of an instant's events.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -117,13 +122,15 @@ enum EvKind {
 #[derive(Clone, Copy, Debug)]
 struct HeapEv {
     at: SimTime,
+    /// Orders events of one instant: 0 unless the run is shuffled.
+    tie: u64,
     seq: u64,
     kind: EvKind,
 }
 
 impl PartialEq for HeapEv {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.tie == other.tie && self.seq == other.seq
     }
 }
 impl Eq for HeapEv {}
@@ -134,7 +141,7 @@ impl PartialOrd for HeapEv {
 }
 impl Ord for HeapEv {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        (self.at, self.tie, self.seq).cmp(&(other.at, other.tie, other.seq))
     }
 }
 
@@ -142,6 +149,8 @@ impl Ord for HeapEv {
 struct Reference<'a> {
     estimator: &'a dyn RuntimeEstimator,
     cluster: &'a ClusterSpec,
+    /// Key of the same-instant tie-break; `None` pops ties in order.
+    shuffle: Option<u64>,
 }
 
 /// Runs the pre-optimization core. Semantics must match
@@ -161,12 +170,34 @@ pub fn simulate_reference_counted(
     cluster: &ClusterSpec,
     estimator: &dyn RuntimeEstimator,
 ) -> (Result<SimReport, SimError>, u64) {
-    Reference { estimator, cluster }.run(job)
+    Reference {
+        estimator,
+        cluster,
+        shuffle: None,
+    }
+    .run(job)
+}
+
+/// [`simulate_reference_counted`] with the events of each instant
+/// popped in an order drawn from `seed` instead of first in, first out.
+pub fn simulate_reference_shuffled(
+    job: &JobTrace,
+    cluster: &ClusterSpec,
+    estimator: &dyn RuntimeEstimator,
+    seed: u64,
+) -> (Result<SimReport, SimError>, u64) {
+    Reference {
+        estimator,
+        cluster,
+        shuffle: Some(splitmix64(seed)),
+    }
+    .run(job)
 }
 
 struct State {
     ranks: Vec<RankSim>,
     heap: BinaryHeap<Reverse<HeapEv>>,
+    shuffle: Option<u64>,
     seq: u64,
     now: SimTime,
     events_processed: u64,
@@ -178,12 +209,22 @@ struct State {
 impl State {
     fn push(&mut self, at: SimTime, kind: EvKind) {
         self.seq += 1;
+        let tie = self.shuffle.map_or(0, |key| splitmix64(key ^ self.seq));
         self.heap.push(Reverse(HeapEv {
             at,
+            tie,
             seq: self.seq,
             kind,
         }));
     }
+}
+
+/// splitmix64's output function: a seeded same-instant tie-break.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 impl<'a> Reference<'a> {
@@ -212,6 +253,7 @@ impl<'a> Reference<'a> {
                 })
                 .collect(),
             heap: BinaryHeap::new(),
+            shuffle: self.shuffle,
             seq: 0,
             now: SimTime::ZERO,
             events_processed: 0,
