@@ -378,21 +378,35 @@ fn drawn_flat_jobs_match_the_reference() {
 /// over each clean run's horizon (as `contended_table.rs` draws it)
 /// every serialized report folds into one FNV-1a digest, computed by
 /// replays without run-ahead before straggling kernels ran ahead.
+///
+/// The heap pops and abandoned replays of each setup, summed over its
+/// whole-microsecond seeds and over its oracle-timed ones, are pinned
+/// too: a change that stops chains from forming, or that abandons more
+/// replays, raises them. An abandoned replay's pops are not counted,
+/// only those of the replay without run-ahead that follows it.
 #[test]
 fn long_chains_match_the_reference() {
     const FAULTED: u64 = 0x9a05_a972_b36a_b25a;
+    const POPS_AND_ABANDONS: [[(u64, u64); 2]; 2] =
+        [[(927_966, 256), (23_867, 0)], [(889_911, 242), (24_739, 0)]];
+    let obs: [[SimObs; 2]; 2] = Default::default();
     let mut folded = String::new();
     for seed in 0..512 {
         let (job, flat) = common::long_chains(seed);
         let oracle = OracleEstimator::new(&flat);
-        let estimator: &dyn RuntimeEstimator = if seed & 2 == 0 { &RowsInUs } else { &oracle };
+        let whole_us = seed & 2 == 0;
+        let estimator: &dyn RuntimeEstimator = if whole_us { &RowsInUs } else { &oracle };
+        let [flat_obs, faulted_obs] = obs.each_ref().map(|o| &o[usize::from(!whole_us)]);
         let (reference, events) = simulate_reference_counted(&job, &flat, estimator);
         let reference = reference.unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let dense = simulate(&job, &flat, estimator);
+        let sim = Simulator::new(estimator, &flat).with_obs(Some(flat_obs));
+        let dense = sim.run(&job);
         assert_eq!(dense.as_ref(), Ok(&reference), "seed {seed}");
         assert_eq!(reference.events_processed, events, "seed {seed}");
         let plan = FaultPlan::generate(seed, job.nranks, reference.total_time);
-        let sim = Simulator::new(estimator, &flat).with_faults(Some(&plan));
+        let sim = Simulator::new(estimator, &flat)
+            .with_faults(Some(&plan))
+            .with_obs(Some(faulted_obs));
         let faulted = sim
             .run(&job)
             .unwrap_or_else(|e| panic!("seed {seed} faulted: {e}"));
@@ -402,6 +416,12 @@ fn long_chains_match_the_reference() {
     assert!(
         digest == FAULTED,
         "faulted long-chain reports drifted from the digest; now {digest:#018x}"
+    );
+    let tally = |o: &SimObs| (o.heap_pops.get(), o.abandoned_replays.get());
+    let tallies = obs.each_ref().map(|o| o.each_ref().map(tally));
+    assert_eq!(
+        tallies, POPS_AND_ABANDONS,
+        "[flat, faulted] x [whole-µs, oracle] (heap pops, abandoned replays)"
     );
 }
 
