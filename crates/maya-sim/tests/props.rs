@@ -1122,8 +1122,8 @@ fn under_shuffles(
 ///
 /// Every time field agrees; `events_processed` does not. The block
 /// begins at 101 and is released at 201, so counting no wake-up for a
-/// block released in the instant it began (ROADMAP item 3(b)) leaves it
-/// open. The optimized core, its two kernels one run-ahead chain,
+/// block released in the instant it began (rule (ii) of ROADMAP item 3)
+/// leaves it open. The optimized core, its two kernels one run-ahead chain,
 /// counts what first in, first out counts.
 #[test]
 fn a_host_woken_in_an_instant_reads_queues_its_instant_has_not_run() {
@@ -1179,7 +1179,8 @@ fn a_host_woken_in_an_instant_reads_queues_its_instant_has_not_run() {
 /// ```
 ///
 /// The second job is the fault in a shuffled order, and it moves
-/// report times, which neither rule of ROADMAP item 3(b) touches.
+/// report times, which neither rule (i) nor rule (ii) of ROADMAP item 3
+/// touches.
 #[test]
 fn a_drained_streams_second_pump_counts_a_device_sync_down() {
     let us = SimTime::from_us;
@@ -1247,7 +1248,7 @@ fn shuffles_that_move(
 /// change to the reference core's model. A release-mode run takes
 /// about ten seconds.
 #[test]
-#[ignore = "2 500 jobs under 17 orders each; run with --release -- --ignored"]
+#[ignore = "2 517 jobs under 17 orders each; run with --release -- --ignored"]
 fn same_instant_orders_of_the_reference_are_counted() {
     let mut moved = [0; 3];
     for seed in 0..2000 {
