@@ -258,6 +258,11 @@ impl CollKey {
 /// "No op": compares above every index into a worker's ops.
 const NONE: u32 = u32::MAX;
 
+/// The class bit of a host dispatch's sequence stamp: above every
+/// stamp, so that a host dispatch pops after every other event due in
+/// its instant (module docs, "The order of an instant").
+const HOST: u64 = 1 << 63;
+
 /// The step between consecutive sequence stamps: the room behind each
 /// event for the run-ahead chain ends moved there (module docs,
 /// "Run-ahead").
@@ -759,9 +764,12 @@ struct RankSim {
     chains: Vec<Chain>,
     /// CUDA-event wait map by event slot: fire time once recorded.
     fired: Vec<Option<SimTime>>,
-    /// Streams (by dense slot) waiting on each event slot.
-    event_waiters: Vec<Vec<usize>>,
+    /// Streams (by dense slot) waiting on each event slot, each with the
+    /// instant it began to wait.
+    event_waiters: Vec<Vec<(usize, SimTime)>>,
     blocked: Option<HostBlock>,
+    /// The instant the host last parked.
+    blocked_at: SimTime,
     done: bool,
     comm_busy: SimTime,
     compute_busy: SimTime,
@@ -794,9 +802,16 @@ impl RankSim {
         self.fired.fill(None);
         self.event_waiters.iter_mut().for_each(Vec::clear);
         self.blocked = None;
+        self.blocked_at = SimTime::ZERO;
         self.done = false;
         self.comm_busy = SimTime::ZERO;
         self.compute_busy = SimTime::ZERO;
+    }
+
+    /// Parks the host on `block` in the clock's instant `now`.
+    fn park(&mut self, block: HostBlock, now: SimTime) {
+        self.blocked = Some(block);
+        self.blocked_at = now;
     }
 }
 
@@ -1140,11 +1155,26 @@ impl SimScratch {
         self.seq
     }
 
-    /// Pushes an event and returns its sequence number.
+    /// Pushes an event and returns its sequence number, which carries
+    /// [`HOST`] on a host dispatch.
     fn push(&mut self, at: SimTime, kind: EvKind) -> u64 {
-        let seq = self.stamp();
+        let mut seq = self.stamp();
+        if let EvKind::HostDispatch { .. } = kind {
+            seq |= HOST;
+        }
         self.heap.push(Reverse(HeapEv { at, seq, kind }));
         seq
+    }
+
+    /// Pushes the wake-up of a stream or host blocked since `since`. A
+    /// block released in the instant it began counts no wake-up (module
+    /// docs, "The order of an instant"): its pop's count is taken back
+    /// here.
+    fn wake(&mut self, at: SimTime, since: SimTime, kind: EvKind) {
+        self.push(at, kind);
+        if at == since {
+            self.events_processed -= 1;
+        }
     }
 
     /// The host of worker `wi` issues op `pc` at `at`: the op becomes
@@ -1352,6 +1382,7 @@ impl SimScratch {
             return Tie::Open;
         };
         let first = match next.kind {
+            EvKind::HostDispatch { .. } => Some(true),
             EvKind::ChainEnd { wi: w2, si: s2 } => {
                 let Some((d, b)) = self.stream(w2, s2) else {
                     return Tie::Open;
@@ -1965,7 +1996,7 @@ impl<'a> Simulator<'a> {
                     Some(t) => r.host_time = r.host_time.max(t),
                     None if zero => {} // never-recorded: no-op
                     None => {
-                        r.blocked = Some(HostBlock::Event { slot });
+                        r.park(HostBlock::Event { slot }, st.now);
                         return;
                     }
                 },
@@ -1990,7 +2021,7 @@ impl<'a> Simulator<'a> {
                     }
                     r.host_time = latest;
                     if remaining > 0 {
-                        r.blocked = Some(HostBlock::DeviceDrain { remaining });
+                        r.park(HostBlock::DeviceDrain { remaining }, now);
                         return;
                     }
                 }
@@ -2006,7 +2037,7 @@ impl<'a> Simulator<'a> {
             r.host_time = r.host_time.max(s.busy_until);
             false
         } else {
-            r.blocked = Some(HostBlock::StreamDrain { si });
+            r.park(HostBlock::StreamDrain { si }, st.now);
             true
         }
     }
@@ -2094,11 +2125,11 @@ impl<'a> Simulator<'a> {
                     // waiter list to appease the borrow checker, then
                     // give the (cleared) buffer back for reuse.
                     let mut waiters = std::mem::take(&mut r.event_waiters[slot as usize]);
-                    for &w in &waiters {
+                    for &(w, since) in &waiters {
                         let ws = st.ranks.get(wi).and_then(|r| r.streams.get(w));
                         if ws.is_some_and(|ws| ws.blocked == Some(StreamBlock::Event { slot })) {
                             st.release(wi, w, now);
-                            st.push(now, EvKind::Pump { wi, si: w });
+                            st.wake(now, since, EvKind::Pump { wi, si: w });
                         }
                     }
                     waiters.clear();
@@ -2108,7 +2139,8 @@ impl<'a> Simulator<'a> {
                     if r.blocked == Some(HostBlock::Event { slot }) {
                         r.blocked = None;
                         r.host_time = r.host_time.max(now);
-                        st.push(now, EvKind::HostDispatch { wi });
+                        let since = r.blocked_at;
+                        st.wake(now, since, EvKind::HostDispatch { wi });
                     }
                 }
                 OpKind::Wait { slot, zero } => {
@@ -2124,7 +2156,7 @@ impl<'a> Simulator<'a> {
                         }
                     } else {
                         s.blocked = Some(StreamBlock::Event { slot });
-                        r.event_waiters[slot as usize].push(si);
+                        r.event_waiters[slot as usize].push((si, now));
                         return;
                     }
                 }
@@ -2159,7 +2191,10 @@ impl<'a> Simulator<'a> {
             return;
         };
         let mut participants = comm.open.swap_remove(at).participants;
-        let first = participants.first();
+        // The earliest arrival's descriptor, the lower rank's on a tie
+        // (module docs, "The order of an instant"; workers are lowered
+        // in rank order).
+        let first = participants.iter().min_by_key(|&&(wi, _, t, _)| (t, wi));
         let Some(&site) =
             first.and_then(|&(wi, _, _, site)| st.ranks.get(wi)?.sites.get(site as usize))
         else {
@@ -2241,7 +2276,7 @@ impl<'a> Simulator<'a> {
             }
         };
         let end = start + dur;
-        for &(wi, si, _, _) in &participants {
+        for &(wi, si, joined, _) in &participants {
             // `max` is the identity without faults (a stream blocked on
             // a rendezvous is never busy past it) but preserves an
             // injected restart penalty that outlives the collective.
@@ -2249,7 +2284,7 @@ impl<'a> Simulator<'a> {
             if let Some(r) = st.ranks.get_mut(wi) {
                 r.comm_busy += dur;
             }
-            st.push(end, EvKind::Pump { wi, si });
+            st.wake(end, joined, EvKind::Pump { wi, si });
         }
         participants.clear();
         st.spare.push(participants);
@@ -2304,14 +2339,14 @@ impl<'a> Simulator<'a> {
         st.net.finish(now.as_ns(), flow);
         let end = now + meta.latency;
         let dur = end.saturating_sub(meta.start);
-        for &(wi, si, _, _) in &meta.participants {
+        for &(wi, si, joined, _) in &meta.participants {
             // `max`, not assignment: an injected fault may have pushed
             // the stream past the collective's own end.
             let wake = st.release(wi, si, end);
             if let Some(r) = st.ranks.get_mut(wi) {
                 r.comm_busy += dur;
             }
-            st.push(wake, EvKind::Pump { wi, si });
+            st.wake(wake, joined, EvKind::Pump { wi, si });
         }
         meta.participants.clear();
         st.spare.push(meta.participants);
@@ -2380,14 +2415,16 @@ impl<'a> Simulator<'a> {
             Some(HostBlock::StreamDrain { si: want }) if want == si => {
                 r.blocked = None;
                 r.host_time = r.host_time.max(now);
-                st.push(now, EvKind::HostDispatch { wi });
+                let since = r.blocked_at;
+                st.wake(now, since, EvKind::HostDispatch { wi });
             }
             Some(HostBlock::DeviceDrain { remaining }) => {
                 let left = remaining.saturating_sub(1);
                 r.host_time = r.host_time.max(now);
                 if left == 0 {
                     r.blocked = None;
-                    st.push(now, EvKind::HostDispatch { wi });
+                    let since = r.blocked_at;
+                    st.wake(now, since, EvKind::HostDispatch { wi });
                 } else {
                     r.blocked = Some(HostBlock::DeviceDrain { remaining: left });
                 }

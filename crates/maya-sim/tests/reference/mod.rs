@@ -11,10 +11,23 @@
 //! behavior bugs in both cores (and extend the equivalence proptests in
 //! `tests/props.rs` to cover the fix).
 //!
-//! Events of one instant pop first in, first out.
-//! [`simulate_reference_shuffled`] breaks those ties by a seeded hash
-//! instead, so that tests can ask whether a report depends on the order
-//! of an instant's events.
+//! Three rules make a report independent of the order in which the
+//! events of one instant pop:
+//! - (i) a rendezvous is timed by the descriptor of its earliest
+//!   arrival, a tie going to the lower rank, so a point-to-point pair is
+//!   timed by the same end whichever joins first;
+//! - (ii) a stream or host block released in the instant it began counts
+//!   no wake-up, so a stream that blocks on an event recorded in the
+//!   same instant counts what it counts when the record pops first;
+//! - (iv) a host dispatch pops after every other event due in its
+//!   instant, so a woken host reads its streams' queues once the
+//!   instant's completions have run.
+//!
+//! Within each class, host dispatches and the rest, events of one
+//! instant pop first in, first out. [`simulate_reference_shuffled`]
+//! breaks those ties by a seeded hash instead, so that tests can ask
+//! whether a report depends on the order of an instant's events: under
+//! the rules it does not.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -76,6 +89,8 @@ struct StreamSim {
     queue: VecDeque<QueuedOp>,
     busy_until: SimTime,
     blocked: Option<StreamBlock>,
+    /// The instant `blocked` was last set.
+    blocked_at: SimTime,
 }
 
 impl StreamSim {
@@ -98,6 +113,8 @@ struct RankSim {
     streams: Vec<StreamSim>,
     ev_slot: Vec<u32>,
     blocked: Option<HostBlock>,
+    /// The instant `blocked` was last set.
+    blocked_at: SimTime,
     done: bool,
     comm_busy: SimTime,
     compute_busy: SimTime,
@@ -122,7 +139,8 @@ enum EvKind {
 #[derive(Clone, Copy, Debug)]
 struct HeapEv {
     at: SimTime,
-    /// Orders events of one instant: 0 unless the run is shuffled.
+    /// Orders events of one instant: its top bit is set on a host
+    /// dispatch (rule (iv)), the rest are 0 unless the run is shuffled.
     tie: u64,
     seq: u64,
     kind: EvKind,
@@ -209,13 +227,25 @@ struct State {
 impl State {
     fn push(&mut self, at: SimTime, kind: EvKind) {
         self.seq += 1;
-        let tie = self.shuffle.map_or(0, |key| splitmix64(key ^ self.seq));
+        let shuffled = self.shuffle.map_or(0, |key| splitmix64(key ^ self.seq) >> 1);
+        let host = matches!(kind, EvKind::HostDispatch { .. });
+        let tie = u64::from(host) << 63 | shuffled;
         self.heap.push(Reverse(HeapEv {
             at,
             tie,
             seq: self.seq,
             kind,
         }));
+    }
+
+    /// Pushes the wake-up of a stream or host blocked since `since`. A
+    /// block released in the instant it began counts no wake-up (rule
+    /// (ii)): its pop's count is taken back here.
+    fn wake(&mut self, at: SimTime, since: SimTime, kind: EvKind) {
+        self.push(at, kind);
+        if at == since {
+            self.events_processed -= 1;
+        }
     }
 }
 
@@ -246,6 +276,7 @@ impl<'a> Reference<'a> {
                         streams: (0..nstreams).map(|_| StreamSim::default()).collect(),
                         ev_slot,
                         blocked: None,
+                        blocked_at: SimTime::ZERO,
                         done: false,
                         comm_busy: SimTime::ZERO,
                         compute_busy: SimTime::ZERO,
@@ -387,6 +418,7 @@ impl<'a> Reference<'a> {
                         None if version == 0 => {}
                         None => {
                             st.ranks[wi].blocked = Some(HostBlock::Event { event, version });
+                            st.ranks[wi].blocked_at = st.now;
                             return;
                         }
                     }
@@ -413,6 +445,7 @@ impl<'a> Reference<'a> {
                     st.ranks[wi].host_time = latest;
                     if remaining > 0 {
                         st.ranks[wi].blocked = Some(HostBlock::DeviceDrain { remaining });
+                        st.ranks[wi].blocked_at = st.now;
                         return;
                     }
                 }
@@ -439,6 +472,7 @@ impl<'a> Reference<'a> {
             false
         } else {
             st.ranks[wi].blocked = Some(HostBlock::StreamDrain { si });
+            st.ranks[wi].blocked_at = st.now;
             true
         }
     }
@@ -481,14 +515,16 @@ impl<'a> Reference<'a> {
                             if ws.blocked == Some(StreamBlock::Event { event, version }) {
                                 ws.blocked = None;
                                 ws.busy_until = ws.busy_until.max(now);
-                                st.push(now, EvKind::Pump { wi, si: w });
+                                let since = ws.blocked_at;
+                                st.wake(now, since, EvKind::Pump { wi, si: w });
                             }
                         }
                     }
                     if st.ranks[wi].blocked == Some(HostBlock::Event { event, version }) {
                         st.ranks[wi].blocked = None;
                         st.ranks[wi].host_time = st.ranks[wi].host_time.max(now);
-                        st.push(now, EvKind::HostDispatch { wi });
+                        let since = st.ranks[wi].blocked_at;
+                        st.wake(now, since, EvKind::HostDispatch { wi });
                     }
                 }
                 StreamOp::Wait { event, version } => {
@@ -504,8 +540,9 @@ impl<'a> Reference<'a> {
                             return;
                         }
                     } else {
-                        st.ranks[wi].streams[si].blocked =
-                            Some(StreamBlock::Event { event, version });
+                        let s = &mut st.ranks[wi].streams[si];
+                        s.blocked = Some(StreamBlock::Event { event, version });
+                        s.blocked_at = now;
                         st.event_stream_waiters[wi]
                             .entry((event, version))
                             .or_default()
@@ -514,7 +551,9 @@ impl<'a> Reference<'a> {
                     }
                 }
                 StreamOp::Join { key, desc } => {
-                    st.ranks[wi].streams[si].blocked = Some(StreamBlock::Collective);
+                    let s = &mut st.ranks[wi].streams[si];
+                    s.blocked = Some(StreamBlock::Collective);
+                    s.blocked_at = now;
                     st.collectives
                         .entry(key)
                         .or_default()
@@ -536,7 +575,10 @@ impl<'a> Reference<'a> {
             .iter()
             .map(|&(_, _, t, _)| t)
             .fold(SimTime::ZERO, SimTime::max);
-        let desc = participants[0].3;
+        // Rule (i): the earliest arrival's descriptor, the lower rank's
+        // on a tie (workers are in rank order).
+        let first = participants.iter().min_by_key(|&&(wi, _, t, _)| (t, wi));
+        let desc = first.expect("a rendezvous has a participant").3;
         let global_ranks: Vec<u32> = match desc.kind {
             CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } => {
                 match job.comm_groups.get(&desc.comm_id) {
@@ -560,12 +602,12 @@ impl<'a> Reference<'a> {
             self.estimator
                 .collective_time(desc.kind, desc.bytes, &global_ranks, self.cluster);
         let end = start + dur;
-        for (wi, si, _, _) in participants {
+        for (wi, si, joined, _) in participants {
             let s = &mut st.ranks[wi].streams[si];
             s.blocked = None;
             s.busy_until = end;
             st.ranks[wi].comm_busy += dur;
-            st.push(end, EvKind::Pump { wi, si });
+            st.wake(end, joined, EvKind::Pump { wi, si });
         }
     }
 
@@ -574,14 +616,16 @@ impl<'a> Reference<'a> {
             Some(HostBlock::StreamDrain { si: want }) if want == si => {
                 st.ranks[wi].blocked = None;
                 st.ranks[wi].host_time = st.ranks[wi].host_time.max(now);
-                st.push(now, EvKind::HostDispatch { wi });
+                let since = st.ranks[wi].blocked_at;
+                st.wake(now, since, EvKind::HostDispatch { wi });
             }
             Some(HostBlock::DeviceDrain { remaining }) => {
                 let left = remaining.saturating_sub(1);
                 st.ranks[wi].host_time = st.ranks[wi].host_time.max(now);
                 if left == 0 {
                     st.ranks[wi].blocked = None;
-                    st.push(now, EvKind::HostDispatch { wi });
+                    let since = st.ranks[wi].blocked_at;
+                    st.wake(now, since, EvKind::HostDispatch { wi });
                 } else {
                     st.ranks[wi].blocked = Some(HostBlock::DeviceDrain { remaining: left });
                 }
