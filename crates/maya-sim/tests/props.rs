@@ -386,7 +386,7 @@ fn drawn_flat_jobs_match_the_reference() {
 /// only those of the replay without run-ahead that follows it.
 #[test]
 fn long_chains_match_the_reference() {
-    const FAULTED: u64 = 0x9a05_a972_b36a_b25a;
+    const FAULTED: u64 = 0xda5c_2747_69d6_61de;
     const POPS_AND_ABANDONS: [[(u64, u64); 2]; 2] =
         [[(927_966, 256), (23_867, 0)], [(889_911, 242), (24_739, 0)]];
     let obs: [[SimObs; 2]; 2] = Default::default();
