@@ -40,11 +40,14 @@
 //! are ordered: the first joiner's descriptor times the pair.
 //!
 //! The reference core can also pop each instant's events in a seeded
-//! shuffled order. Three hand-built jobs pin where that order moves a
-//! report: the point-to-point pair, a woken host reading queues its
-//! instant has not run, and a drained stream's second pump counting a
-//! device sync down. An ignored sweep counts the shuffled runs that
-//! move over the seed-drawn jobs.
+//! shuffled order. The shuffle law: any order within each class, host
+//! dispatches and the rest, gives one report, on the hand-built jobs
+//! and a prefix of the seed-drawn ones, and in an ignored sweep on all
+//! of them. Three hand-built jobs pin the mechanisms by which the order
+//! moved a report before the three rules of `engine.rs`'s module docs:
+//! the point-to-point pair, a woken host reading queues its instant has
+//! not run, and a drained stream's second pump counting a device sync
+//! down.
 
 mod common;
 mod reference;
@@ -1025,13 +1028,13 @@ fn unordered_tie(rows0: &[u64], rows1: &[u64], gap: f64) -> JobTrace {
 /// w1: kernel 15 @1..16, kernel 15 @16..31, then the Recv   one chain from 1
 /// ```
 ///
-/// A point-to-point rendezvous is timed by its first joiner's
-/// descriptor. Without run-ahead w0's last completion is stamped at 11
-/// and w1's at 16, so w0 pops first at 31, its Send joins first and the
-/// pair runs 31..32. w1's chain end, stamped at 1, would pop first
-/// unordered, and its Recv would time the pair 31..33: the order of a
-/// tie moves a report's times, not only `events_processed`. The
-/// reference core's own shuffled orders read both.
+/// Both ends arrive at 31. A point-to-point rendezvous is timed by its
+/// earliest arrival's descriptor, the lower rank's on a tie: w0's Send,
+/// so the pair runs 31..32 in every order. While a rendezvous was timed
+/// by its first joiner's descriptor, the order of the tie moved the
+/// report's times: the reference core's shuffled orders read 32 or 33
+/// µs, w1's Recv timing the pair 31..33 when its chain end popped
+/// first.
 #[test]
 fn a_point_to_point_tie_at_chain_ends_keeps_the_references_descriptor() {
     let job = point_to_point_tie();
@@ -1042,9 +1045,7 @@ fn a_point_to_point_tie_at_chain_ends_keeps_the_references_descriptor() {
         simulate_reference(&job, &c, &SendRecvRows).as_ref()
     );
     assert_eq!(dense.total_time, SimTime::from_us(32.0));
-    let totals = under_shuffles(&job, &c, &SendRecvRows);
-    let totals = totals.iter().map(|r| r.total_time).collect::<Vec<_>>();
-    assert_eq!(totals, [SimTime::from_us(32.0), SimTime::from_us(33.0)]);
+    assert_eq!(under_shuffles(&job, &c, &SendRecvRows), [dense]);
 }
 
 /// The job of [`a_point_to_point_tie_at_chain_ends_keeps_the_references_descriptor`].
@@ -1108,47 +1109,41 @@ fn under_shuffles(
     reports
 }
 
-/// A host woken in an instant reads its streams' queues as the events
-/// of that instant popped before it left them, so their order decides
-/// whether it parks. Times in µs, every kernel 100, one worker:
+/// A host woken in an instant reads its streams' queues once every
+/// other event of that instant has run: its dispatch pops after them.
+/// Times in µs, every kernel 100, one worker:
 ///
 /// ```text
 /// s0: kernel @1..101, a second issued @2 and queued behind it
 /// s1: kernel @1..101; the host syncs on s1 @3 and parks
-/// @101 s1 drains and wakes the host, which syncs on s0:
-///      after s0's completion started the second kernel, it reads s0
-///      busy until 201 and does not park (first in, first out: 8 events);
-///      before it, it finds the kernel queued, parks and is woken at
-///      201 (9 events)
+/// @101 s1 drains and wakes the host, which syncs on s0 after s0's
+///      completion started the second kernel: it reads s0 busy until
+///      201 and does not park; 8 events
 /// ```
 ///
-/// Every time field agrees; `events_processed` does not. The block
-/// begins at 101 and is released at 201, so counting no wake-up for a
-/// block released in the instant it began (rule (ii) of ROADMAP item 3)
-/// leaves it open. The optimized core, its two kernels one run-ahead chain,
-/// counts what first in, first out counts.
+/// While a host's dispatch could pop before s0's completion, it found
+/// the kernel queued, parked and was woken at 201: the reference core's
+/// shuffled orders read 8 or 9 events, every time field equal. The
+/// optimized core, its two kernels one run-ahead chain, counts the 8.
 #[test]
 fn a_host_woken_in_an_instant_reads_queues_its_instant_has_not_run() {
-    let job = job1(vec![
+    let job = host_woken_at_a_completion();
+    let c = cluster();
+    let reports = under_shuffles(&job, &c, &Fixed);
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].events_processed, 8);
+    assert_eq!(simulate(&job, &c, &Fixed).as_ref(), Ok(&reports[0]));
+}
+
+/// The job of [`a_host_woken_in_an_instant_reads_queues_its_instant_has_not_run`].
+fn host_woken_at_a_completion() -> JobTrace {
+    job1(vec![
         ev(0, kernel(1024), 1.0),
         ev(1, kernel(1024), 0.0),
         ev(0, kernel(1024), 1.0),
         ev(1, DeviceOp::StreamSynchronize, 1.0),
         ev(0, DeviceOp::StreamSynchronize, 0.0),
-    ]);
-    let c = cluster();
-    let reports = under_shuffles(&job, &c, &Fixed);
-    let events = reports
-        .iter()
-        .map(|r| r.events_processed)
-        .collect::<Vec<_>>();
-    assert_eq!(events, [8, 9]);
-    let times = |r: &SimReport| SimReport {
-        events_processed: 0,
-        ..r.clone()
-    };
-    assert_eq!(times(&reports[0]), times(&reports[1]));
-    assert_eq!(simulate(&job, &c, &Fixed).as_ref(), Ok(&reports[0]));
+    ])
 }
 
 /// A device sync counts its streams down on every drain notice, and a
@@ -1169,23 +1164,39 @@ fn a_host_woken_in_an_instant_reads_queues_its_instant_has_not_run() {
 /// host: kernel on s0 @24..124, device sync; total 124, where a sync
 ///     that waited for s1 would issue that kernel @102 and end at 202
 ///
-/// in either order:
+/// in every order:
 /// s0: copy @1..11; its completion pumps again @20, for a record
 ///     issued @20; the host syncs on s0 @21 and parks
-/// @20 the record's issue pump drains s0 and wakes the host
-/// host: kernel on s1 @22..122, then a device sync @23
-///     - the second pump pops first, the host is not blocked yet; the
-///       sync waits for s1: kernel on s0 @123..223 (first in, first out)
-///     - the host pops first and parks on s1; the second pump counts
-///       it down: kernel on s0 @24..124
+/// @20 the record's issue pump drains s0 and wakes the host, whose
+///     dispatch pops after the second pump: the host is not blocked
+///     yet when that pump finds s0 drained
+/// host: kernel on s1 @22..122, then a device sync @23 that waits for
+///     s1: kernel on s0 @123..223
 /// ```
 ///
-/// The second job is the fault in a shuffled order, and it moves
-/// report times, which neither rule (i) nor rule (ii) of ROADMAP item 3
-/// touches.
+/// The second job read 223 or 124 µs under the reference core's
+/// shuffled orders while a host's dispatch could pop before the second
+/// pump: parked on s1, the host was counted down by it and ran its
+/// kernel on s0 @24..124. The first job's 124 µs is the fault, in the
+/// order the rules leave.
 #[test]
 fn a_drained_streams_second_pump_counts_a_device_sync_down() {
     let us = SimTime::from_us;
+    let c = cluster();
+    let [early, order] = device_syncs_after_a_second_pump();
+    let reports = under_shuffles(&early, &c, &Fixed);
+    let totals = reports.iter().map(|r| r.total_time).collect::<Vec<_>>();
+    assert_eq!(totals, [us(124.0)]);
+    assert_eq!(simulate(&early, &c, &Fixed).as_ref(), Ok(&reports[0]));
+
+    let reports = under_shuffles(&order, &c, &Fixed);
+    let totals = reports.iter().map(|r| r.total_time).collect::<Vec<_>>();
+    assert_eq!(totals, [us(223.0)]);
+    assert_eq!(simulate(&order, &c, &Fixed).as_ref(), Ok(&reports[0]));
+}
+
+/// The two jobs of [`a_drained_streams_second_pump_counts_a_device_sync_down`].
+fn device_syncs_after_a_second_pump() -> [JobTrace; 2] {
     let record = DeviceOp::EventRecord {
         event: 1,
         version: 1,
@@ -1195,7 +1206,6 @@ fn a_drained_streams_second_pump_counts_a_device_sync_down() {
         kind: MemcpyKind::HostToDevice,
         sync: false,
     };
-    let c = cluster();
     let early = job1(vec![
         ev(1, kernel(1024), 1.0),
         ev(0, copy, 1.0),
@@ -1204,11 +1214,6 @@ fn a_drained_streams_second_pump_counts_a_device_sync_down() {
         ev(0, kernel(1024), 1.0),
         ev(0, DeviceOp::DeviceSynchronize, 1.0),
     ]);
-    let reports = under_shuffles(&early, &c, &Fixed);
-    let totals = reports.iter().map(|r| r.total_time).collect::<Vec<_>>();
-    assert_eq!(totals, [us(124.0)]);
-    assert_eq!(simulate(&early, &c, &Fixed).as_ref(), Ok(&reports[0]));
-
     let order = job1(vec![
         ev(0, copy, 1.0),
         ev(0, record, 19.0),
@@ -1218,10 +1223,7 @@ fn a_drained_streams_second_pump_counts_a_device_sync_down() {
         ev(0, kernel(1024), 1.0),
         ev(0, DeviceOp::DeviceSynchronize, 1.0),
     ]);
-    let reports = under_shuffles(&order, &c, &Fixed);
-    let totals = reports.iter().map(|r| r.total_time).collect::<Vec<_>>();
-    assert_eq!(totals, [us(223.0), us(124.0)]);
-    assert_eq!(simulate(&order, &c, &Fixed).as_ref(), Ok(&reports[0]));
+    [early, order]
 }
 
 /// The runs of `job` under 16 seeded same-instant orders of the
@@ -1238,46 +1240,67 @@ fn shuffles_that_move(
     moved.count() as u64
 }
 
-/// The reference core under 16 seeded same-instant orders per job: the
-/// runs whose report is not the first-in-first-out one, over the 2 000
-/// `drawn` jobs, the 512 `long_chains` jobs and the hand-built ties. It
-/// is not zero: a point-to-point pair is timed by its first joiner's
-/// descriptor, a block released in the instant it began adds a wake-up,
-/// a woken host reads queues its instant has not run, and a drained
-/// stream's second pump counts a device sync down (the tests above).
-/// These counts reach 0 only when the model stops depending on the
-/// order of an instant (ROADMAP item 3); any other change to them is a
-/// change to the reference core's model. A release-mode run takes
-/// about ten seconds.
-#[test]
-#[ignore = "2 517 jobs under 17 orders each; run with --release -- --ignored"]
-fn same_instant_orders_of_the_reference_are_counted() {
+/// Runs of the reference core under 16 seeded same-instant orders whose
+/// report is not the first-in-first-out one, over the first `drawn`
+/// `drawn` jobs, the first `long_chains` `long_chains` jobs and the
+/// hand-built jobs: the five ties and the three mechanisms' jobs above.
+fn moved_runs(drawn: u64, long_chains: u64) -> [u64; 3] {
     let mut moved = [0; 3];
-    for seed in 0..2000 {
+    for seed in 0..drawn {
         let (job, flat) = common::drawn(seed);
         moved[0] += shuffles_that_move(&job, &flat, &OracleEstimator::new(&flat));
     }
-    for seed in 0..512 {
+    for seed in 0..long_chains {
         let (job, flat) = common::long_chains(seed);
         let oracle = OracleEstimator::new(&flat);
         let estimator: &dyn RuntimeEstimator = if seed & 2 == 0 { &RowsInUs } else { &oracle };
         moved[1] += shuffles_that_move(&job, &flat, estimator);
     }
     let (c, four) = (cluster(), ClusterSpec::h100(1, 4));
-    let ties: [(JobTrace, &ClusterSpec, &dyn RuntimeEstimator); 5] = [
+    let [early, order] = device_syncs_after_a_second_pump();
+    let hand_built: [(JobTrace, &ClusterSpec, &dyn RuntimeEstimator); 8] = [
         (tie_behind_a_later_stamp(), &c, &Fixed),
         (rounds_of_kernels(2, |_| 1.0), &four, &Fixed),
         (unordered_tie(&[10, 20], &[5, 20], 4.0), &c, &RowsInUs),
         (unordered_tie(&[10, 20], &[7, 20], 5.0), &c, &HalfSpeedRows),
         (point_to_point_tie(), &c, &SendRecvRows),
+        (host_woken_at_a_completion(), &c, &Fixed),
+        (early, &c, &Fixed),
+        (order, &c, &Fixed),
     ];
-    for (job, cluster, estimator) in &ties {
+    for (job, cluster, estimator) in &hand_built {
         moved[2] += shuffles_that_move(job, cluster, *estimator);
     }
+    moved
+}
+
+/// The shuffle law: any order of an instant's events within each class
+/// (host dispatches, and the rest) gives the reference core one report,
+/// `events_processed` included, on the hand-built jobs and the first
+/// 256 `drawn` and 64 `long_chains` jobs. The ignored sweep below holds it
+/// over every seed.
+#[test]
+fn any_order_within_each_class_gives_one_report() {
     assert_eq!(
-        moved,
-        [18_552, 6_286, 18],
-        "drawn, long_chains, hand-built ties"
+        moved_runs(256, 64),
+        [0; 3],
+        "drawn, long_chains, hand-built"
+    );
+}
+
+/// The shuffle law over the 2 000 `drawn` jobs, the 512 `long_chains`
+/// jobs and the hand-built ones: no run moves. Before the three rules
+/// of the module docs of `engine.rs`, 18 552, 6 286 and 18 runs moved
+/// (the five hand-built ties then); any change to these counts is a
+/// change to the reference core's model. A release-mode run takes about
+/// ten seconds.
+#[test]
+#[ignore = "2 520 jobs under 17 orders each; run with --release -- --ignored"]
+fn same_instant_orders_of_the_reference_are_counted() {
+    assert_eq!(
+        moved_runs(2000, 512),
+        [0; 3],
+        "drawn, long_chains, hand-built"
     );
 }
 

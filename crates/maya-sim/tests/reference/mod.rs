@@ -227,7 +227,9 @@ struct State {
 impl State {
     fn push(&mut self, at: SimTime, kind: EvKind) {
         self.seq += 1;
-        let shuffled = self.shuffle.map_or(0, |key| splitmix64(key ^ self.seq) >> 1);
+        let shuffled = self
+            .shuffle
+            .map_or(0, |key| splitmix64(key ^ self.seq) >> 1);
         let host = matches!(kind, EvKind::HostDispatch { .. });
         let tie = u64::from(host) << 63 | shuffled;
         self.heap.push(Reverse(HeapEv {
