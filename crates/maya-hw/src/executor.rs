@@ -564,7 +564,15 @@ impl GroundTruthExecutor {
             .iter()
             .map(|a| a.time)
             .fold(SimTime::ZERO, SimTime::max);
-        let desc = arrivals[0].desc;
+        // The earliest arrival's descriptor, the lower rank's on a tie,
+        // as the simulator times a point-to-point pair.
+        let Some(desc) = arrivals
+            .iter()
+            .min_by_key(|a| (a.time, a.rank))
+            .map(|a| a.desc)
+        else {
+            return;
+        };
         let n = desc.nranks.max(1);
         let setup = SimTime::from_us(self.nccl_setup_us * (1.0 + (n as f64).log2().max(0.0) / 8.0));
         let start = last + setup;
@@ -850,6 +858,56 @@ mod tests {
         let m = exec.run(&job, &cluster).unwrap();
         assert!(m.iteration_time > SimTime::ZERO);
         assert!(m.comm_time > SimTime::ZERO);
+    }
+
+    /// A point-to-point pair is timed by its earliest arrival's
+    /// descriptor, the lower rank's on a tie, as the simulator times it.
+    /// Rank 1's Recv arrives at 1 µs, rank 0's Send at 50 µs, and the
+    /// Recv declares far more bytes: the pair takes the Recv's wire
+    /// time, not the Send's.
+    #[test]
+    fn a_pair_whose_recv_arrives_first_is_timed_by_the_recv() {
+        let exec = GroundTruthExecutor::default();
+        let cluster = ClusterSpec::h100(1, 2);
+        let p2p = |kind, bytes, rank_in_comm| DeviceOp::Collective {
+            desc: CollectiveDesc {
+                kind,
+                comm_id: 9,
+                seq: 0,
+                bytes,
+                nranks: 2,
+                rank_in_comm,
+            },
+        };
+        let (send, recv) = (
+            CollectiveKind::Send { peer: 1 },
+            CollectiveKind::Recv { peer: 0 },
+        );
+        let mut w0 = WorkerTrace::new(0);
+        w0.events = vec![
+            ev(2, p2p(send, 1 << 10, 0), 50.0),
+            ev(2, DeviceOp::StreamSynchronize, 1.0),
+        ];
+        let mut w1 = WorkerTrace::new(1);
+        w1.events = vec![
+            ev(2, p2p(recv, 1 << 28, 1), 1.0),
+            ev(2, DeviceOp::StreamSynchronize, 1.0),
+        ];
+        let job = JobTrace {
+            nranks: 2,
+            workers: vec![w0, w1],
+            comm_groups: BTreeMap::from([(9, vec![0, 1])]),
+        };
+        let m = exec.run(&job, &cluster).unwrap();
+        let wire = exec
+            .net_model
+            .collective_time(recv, 1 << 28, &[1, 0], &cluster);
+        assert!(
+            m.iteration_time >= wire.scale(0.9),
+            "{} vs the Recv's {}",
+            m.iteration_time,
+            wire
+        );
     }
 
     #[test]
