@@ -259,7 +259,6 @@ impl ServiceBuilder {
             heap_pops: reg.counter("sim.heap_pops"),
             heap_depth_high_water: reg.gauge("sim.heap_depth_high_water"),
             flow_solves: reg.counter("sim.flow_solves"),
-            abandoned_replays: reg.counter("sim.abandoned_replays"),
         });
         let table = EngineTable::new(
             self.targets,

@@ -95,20 +95,12 @@
 //! zero (a zero-length completion pops after the other events of its
 //! instant). Any other op ends the chain. Each kernel's time goes to
 //! `busy_until` and `compute_busy` as it would one by one, each skipped
-//! completion is counted into `events_processed`, and one `ChainEnd`
-//! pump is pushed at the chain's end. A hetero pool's scale is a
+//! completion is counted into `events_processed`, and one pump is
+//! pushed at the chain's end. A hetero pool's scale is a
 //! rank's, applied as lowering reads a kernel's estimate, and a
 //! straggler window's (`FaultPlan::slowdown` at a kernel's issue
 //! instant) is applied as `pump` writes the chain, so a straggling
 //! kernel chains like any other.
-//! *The chain's record.* What only the ties below read sits beside the
-//! streams, in the rank's side table (`RankSim::chains`, one `Chain`
-//! per stream slot, its latest): the instant the chain started, its
-//! stamp, the other pumps due at its starts and its starts themselves,
-//! written as `pump` builds the chain. A kernel joins only behind one
-//! that lasts longer than zero, so the starts strictly increase and a
-//! pump's instant is found among them by binary search
-//! (`Chain::note_pump`).
 //! *Failures.* Under a fault plan a kernel joins a chain only if it
 //! starts strictly before its rank's next failure after the clock. A
 //! `Fault` is stamped as the replay starts, so it pops before every
@@ -124,51 +116,37 @@
 //! `StreamSim::ahead` is the start of the chain's last kernel, and
 //! every host-side read of a stream's queue (`park_host_on_drain`,
 //! `DeviceSync`) counts a chained kernel starting after the clock as
-//! still queued. This is exact: a host resumes only through an event
-//! pushed at its own instant, and the completion that starts a chained
-//! kernel at that instant was pushed at an earlier one, so it pops
-//! first.
-//! *The `(at, seq)` order.* The chain end is stamped when the chain
-//! starts. A core without run-ahead stamps the last completion later:
-//! at the last kernel's start `L`, in the first of the stream's pumps
-//! popped then. Events at other instants keep their order, so only a
-//! tie with another event at the chain's end instant can pop in the
-//! other order. That order shows in reports: a point-to-point
-//! rendezvous is timed by its first joiner's descriptor, a host woken
-//! in an instant reads its streams' queues as the events popped before
-//! it left them, a block released in the instant it began adds a
-//! wake-up, and a device sync counts down on every drain notice of a
-//! stream, a second pump's included. So a chain end that pops out of
-//! the reference order can change a report's times and its
-//! `events_processed`. `tests/props.rs` pins the point-to-point, woken
-//! host and device sync cases under the reference core's seeded
-//! same-instant orders.
-//! When a chain end pops, it is held against the next pending event at
-//! its instant (`SimScratch::tie`). An event stamped before `L` pops
-//! first, and one stamped after it pops after. A chain end whose last
-//! kernel starts earlier pops first, and one whose last kernel starts
-//! later pops after. A *twin* chain started in the same instant with
-//! the same starts, as the two chains' records tell. For a twin,
-//! `SimScratch::twins_in_order` replays the two chains' stamps start by
-//! start. Each start's completion is stamped by the first of the
-//! stream's pumps due there. That is either the completion before it,
-//! itself stamped at the previous start, or another pump that came due
-//! at the start (`Chain::pumped`). The other pump comes first if it
-//! was stamped at an earlier instant. A chain end that must pop later
-//! goes back into the heap right behind the event that comes first.
-//! Stamps step by `STAMP`, which leaves room there. A tie none of this
-//! orders abandons the replay, counted in
-//! [`SimObs::abandoned_replays`]: [`Lowered::replay`] rewinds and
-//! replays the same program without run-ahead, which always finishes.
-//! No replay writes what lowering wrote, so the program is intact for
-//! it. That costs only time. Checking the next
-//! event suffices. Anything pushed later carries a larger stamp in both
-//! orders, and a chain end only ever moves behind an event that comes
-//! before it. So an event handled out of the reference order would
-//! leave an adjacent pair out of order, with a chain end as its first
-//! member, which is caught when it pops. Unlike dslab's
-//! `ordered_events` queue, a chain needs no queue beside the heap:
-//! nobody reads the middle of a chain.
+//! still queued. This is exact: a host dispatch pops after every other
+//! event due in its instant (below), the completion that starts a
+//! chained kernel then included.
+//! Unlike dslab's `ordered_events` queue, a chain needs no queue beside
+//! the heap: nobody reads the middle of a chain.
+//!
+//! **The order of an instant.** A run-ahead chain's end is stamped when
+//! the chain starts, where a core without run-ahead stamps the last
+//! completion at the last kernel's start, so the two cores can pop the
+//! events due in one instant in different orders. Three rules, kept by
+//! this core and by the reference core alike, make that order
+//! irrelevant:
+//! - (i) a rendezvous is timed by the descriptor of its earliest
+//!   arrival, the lower rank's on a tie, so a point-to-point pair is
+//!   timed by the same end whichever joins first;
+//! - (ii) a stream or host block released in the instant it began
+//!   counts no wake-up (`SimScratch::wake`), so a stream that blocks on
+//!   an event recorded later in its instant counts what it counts when
+//!   the record pops first;
+//! - (iv) a host dispatch pops after every other event due in its
+//!   instant: its stamp carries `HOST`, a class bit above every other
+//!   stamp, so the heap's key stays one integer compare. A woken host
+//!   reads its streams' queues, and a device sync counts its streams
+//!   down, once the instant's completions have run.
+//!
+//! The law: any order of an instant's events within each class, host
+//! dispatches and the rest, gives the same report, `events_processed`
+//! included. `tests/props.rs` holds the reference core to it under
+//! seeded within-class orders. (A rule (iii), counting a device sync
+//! down once per stream it waits on, would mend a fault that the order
+//! does not move, and is not part of the model.)
 //!
 //! **Flow completions.** On a topology every rendezvous becomes a flow
 //! ([`FlowNet`]), and every flow start or finish re-converges the net
@@ -262,11 +240,6 @@ const NONE: u32 = u32::MAX;
 /// stamp, so that a host dispatch pops after every other event due in
 /// its instant (module docs, "The order of an instant").
 const HOST: u64 = 1 << 63;
-
-/// The step between consecutive sequence stamps: the room behind each
-/// event for the run-ahead chain ends moved there (module docs,
-/// "Run-ahead").
-const STAMP: u64 = 1 << 16;
 
 /// What one lowered trace event does, with everything the replay would
 /// otherwise look up already resolved.
@@ -376,9 +349,7 @@ struct Op {
 
 const _: () = assert!(std::mem::size_of::<Op>() == 32 && std::mem::align_of::<Op>() == 32);
 /// Issuing, elision, parking and `pump` read a [`StreamSim`] on every
-/// event, so it holds only what they read: six words. Its run-ahead
-/// chain's record, which only the ties at a chain's end read, is kept
-/// out of it.
+/// event, so it holds only what they read: six words.
 const _: () = assert!(std::mem::size_of::<StreamSim>() <= 48);
 
 impl Op {
@@ -547,9 +518,6 @@ enum StreamBlock {
 
 /// One stream of a worker: `first` is lowering's, and `tail` while it
 /// lowers; the rest is a replay's and [`StreamSim::rewind`] resets it.
-/// Only what issuing, elision, parking and `pump` read on every event
-/// is here; its latest run-ahead chain's record, which only the ties at
-/// a chain's end read, is the stream's [`Chain`].
 #[derive(Clone, Copy)]
 struct StreamSim {
     /// The first op linked onto this stream.
@@ -614,96 +582,6 @@ impl StreamSim {
     }
 }
 
-/// A stream's latest run-ahead chain (module docs, "Run-ahead"): what
-/// only the ordering of its end's ties reads. [`Chain::rewind`] resets
-/// it and keeps the capacity of `starts`.
-#[derive(Clone, Default)]
-struct Chain {
-    /// The instant the chain started.
-    from: SimTime,
-    /// The stamp its end was pushed with.
-    seq: u64,
-    /// Other pumps of the stream that came due at its starts.
-    pumped: Pumped,
-    /// The starts of its second through last kernels, the instants a
-    /// core without run-ahead pops a completion of the chain at, then
-    /// its end; after a lone run-ahead kernel, its end alone.
-    starts: Vec<SimTime>,
-}
-
-impl Chain {
-    /// No chain: as a replay starts.
-    fn rewind(&mut self) {
-        (self.from, self.seq, self.pumped) = (SimTime::ZERO, 0, Pumped::None);
-        self.starts.clear();
-    }
-
-    /// The starts of the chain's second through last kernels.
-    fn kernel_starts(&self) -> &[SimTime] {
-        self.starts.split_last().map_or(&[], |(_, starts)| starts)
-    }
-
-    /// A pump of the stream stamped `seq` came due at `at` and found it
-    /// busy, its last chained kernel starting at `ahead`: if `at` is one
-    /// of the chain's starts, a core without run-ahead may have started
-    /// that kernel from this pump instead of from the completion before
-    /// it. The starts up to `ahead` strictly increase, and the end is
-    /// not before `ahead`, so a binary search finds `at`.
-    fn note_pump(&mut self, ahead: SimTime, at: SimTime, seq: u64) {
-        if at <= ahead
-            && self.from < at
-            && self.pumped != Pumped::Many
-            && self.starts.binary_search(&at).is_ok()
-        {
-            self.pumped = match self.pumped {
-                Pumped::None => Pumped::At(at, seq),
-                Pumped::At(first, earliest) if first == at => Pumped::At(at, earliest.min(seq)),
-                _ => Pumped::Many,
-            };
-        }
-    }
-
-    /// The stamp of the first other pump due at chain start `at`, if any.
-    fn pumped_at(&self, at: SimTime) -> Option<u64> {
-        match self.pumped {
-            Pumped::At(first, seq) if first == at => Some(seq),
-            _ => None,
-        }
-    }
-}
-
-/// Pumps of a stream, besides its chain's own completions, that came
-/// due at one of the chain's starts (module docs, "Run-ahead").
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-enum Pumped {
-    #[default]
-    None,
-    /// All at one start; the stamp of the earliest.
-    At(SimTime, u64),
-    /// At more than one start.
-    Many,
-}
-
-/// Where a popped run-ahead chain end stands against the next pending
-/// event at its instant (module docs, "Run-ahead").
-enum Tie {
-    /// It pops first.
-    First,
-    /// The event stamped this pops first: the chain end goes behind it.
-    Behind(u64),
-    /// The replay cannot tell.
-    Open,
-}
-
-/// A stamp in the replay of a pair of twin chains: a real event's, or
-/// the virtual completion of chain `a` (`true`) or `b` (`false`)
-/// stamped at the previous start.
-#[derive(Clone, Copy)]
-enum Stamp {
-    Real(u64),
-    Virtual(bool),
-}
-
 /// Why a host thread is parked.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum HostBlock {
@@ -758,10 +636,6 @@ struct RankSim {
     host_busy: SimTime,
     /// Dense stream states, one per interned stream slot.
     streams: Vec<StreamSim>,
-    /// Each stream's latest run-ahead chain, by stream slot: at least
-    /// one per stream, grown and never shrunk, so a chain's starts keep
-    /// their capacity from one job to the next.
-    chains: Vec<Chain>,
     /// CUDA-event wait map by event slot: fire time once recorded.
     fired: Vec<Option<SimTime>>,
     /// Streams (by dense slot) waiting on each event slot, each with the
@@ -795,10 +669,6 @@ impl RankSim {
         self.host_time = SimTime::ZERO;
         self.host_busy = SimTime::ZERO;
         self.streams.iter_mut().for_each(StreamSim::rewind);
-        if self.chains.len() < self.streams.len() {
-            self.chains.resize_with(self.streams.len(), Chain::default);
-        }
-        self.chains.iter_mut().for_each(Chain::rewind);
         self.fired.fill(None);
         self.event_waiters.iter_mut().for_each(Vec::clear);
         self.blocked = None;
@@ -822,8 +692,6 @@ enum EvKind {
     HostDispatch { wi: usize },
     /// A stream should attempt to make progress.
     Pump { wi: usize, si: usize },
-    /// The same, at the end of a run-ahead chain (module docs).
-    ChainEnd { wi: usize, si: usize },
     /// The same, scheduled by the host enqueuing an op: these travel
     /// through rank `wi`'s issue lane, so handling one promotes the
     /// lane's next entry into the heap.
@@ -902,11 +770,6 @@ pub struct SimObs {
     /// Flow-solver invocations (max-min rate re-convergences),
     /// cumulative. Zero when no cluster topology is in play.
     pub flow_solves: maya_obs::Counter,
-    /// Replays abandoned at a run-ahead chain end's tie that the
-    /// replay cannot order (module docs, "Run-ahead"), cumulative. Each
-    /// is followed by a replay without run-ahead; the counters above
-    /// tally only the replay that finished.
-    pub abandoned_replays: maya_obs::Counter,
 }
 
 /// The event-driven simulator.
@@ -1105,12 +968,6 @@ pub struct SimScratch {
     routes: Vec<u32>,
     /// Participant nodes of the route being built.
     route_nodes: Vec<u32>,
-    /// Whether the replay runs ahead (module docs, "Run-ahead").
-    run_ahead: bool,
-    /// Each instant the clock has reached and the last sequence stamp
-    /// taken before it: the instant an event was stamped at, for the
-    /// ties a chain end meets. Only a replay that runs ahead keeps it.
-    instants: Vec<(SimTime, u64)>,
 }
 
 /// One stream waiting at a collective rendezvous: `(worker, stream,
@@ -1138,10 +995,6 @@ struct FlowMeta {
 }
 
 impl SimScratch {
-    /// Instant-log entries kept before [`SimScratch::log_instant`] folds
-    /// the old ones.
-    const INSTANTS: usize = 4096;
-
     /// Creates an empty scratch arena.
     pub fn new() -> Self {
         Self::default()
@@ -1149,21 +1002,20 @@ impl SimScratch {
 
     /// Counts a new pending event and returns its sequence number.
     fn stamp(&mut self) -> u64 {
-        self.seq += STAMP;
+        self.seq += 1;
         self.pending += 1;
         self.pending_high_water = self.pending_high_water.max(self.pending);
         self.seq
     }
 
-    /// Pushes an event and returns its sequence number, which carries
-    /// [`HOST`] on a host dispatch.
-    fn push(&mut self, at: SimTime, kind: EvKind) -> u64 {
+    /// Pushes an event, its sequence stamp carrying [`HOST`] on a host
+    /// dispatch.
+    fn push(&mut self, at: SimTime, kind: EvKind) {
         let mut seq = self.stamp();
         if let EvKind::HostDispatch { .. } = kind {
             seq |= HOST;
         }
         self.heap.push(Reverse(HeapEv { at, seq, kind }));
-        seq
     }
 
     /// Pushes the wake-up of a stream or host blocked since `since`. A
@@ -1221,9 +1073,6 @@ impl SimScratch {
             if s.busy_until > op.at {
                 self.events_processed += 1;
                 self.pending -= 1;
-                if let Some(c) = r.chains.get_mut(si) {
-                    c.note_pump(s.ahead, op.at, op.seq);
-                }
                 continue;
             }
             if s.blocked.is_some() {
@@ -1264,9 +1113,6 @@ impl SimScratch {
             if (op.at, op.seq) < handled || s.busy_until > op.at {
                 self.events_processed += 1;
                 self.pending -= 1;
-                if let Some(c) = r.chains.get_mut(si) {
-                    c.note_pump(s.ahead, op.at, op.seq);
-                }
                 s.lane = op.parked_after(r.lane_next);
                 continue;
             }
@@ -1326,126 +1172,6 @@ impl SimScratch {
         }
         self.events_processed += parked as u64;
         self.pending -= parked;
-    }
-
-    /// Stream `si` of worker `wi` and its latest chain.
-    fn stream(&self, wi: usize, si: usize) -> Option<(&StreamSim, &Chain)> {
-        let r = self.ranks.get(wi)?;
-        Some((r.streams.get(si)?, r.chains.get(si)?))
-    }
-
-    /// The clock reaches `at`. Entries from before the start of every
-    /// chain still in flight fold into the first: an instant is only
-    /// ever compared with such a chain's starts.
-    fn log_instant(&mut self, at: SimTime) {
-        self.instants.push((at, self.seq));
-        if self.instants.len() < Self::INSTANTS {
-            return;
-        }
-        let oldest = self
-            .ranks
-            .iter()
-            .flat_map(|r| r.streams.iter().zip(&r.chains));
-        let oldest = oldest
-            .filter(|(s, _)| s.busy_until >= at)
-            .map(|(_, c)| c.from)
-            .fold(at, SimTime::min);
-        let before = self.instants.partition_point(|&(t, _)| t < oldest);
-        if before > 1 {
-            self.instants.drain(1..before);
-        }
-    }
-
-    /// The instant the event stamped `seq` was stamped at.
-    fn stamped_at(&self, seq: u64) -> SimTime {
-        let i = self.instants.partition_point(|&(_, before)| before < seq);
-        self.instants
-            .get(i.wrapping_sub(1))
-            .map_or(SimTime::ZERO, |&(at, _)| at)
-    }
-
-    /// Where the chain end of stream `si` of worker `wi`, just popped,
-    /// stands against the next pending event at its instant in the
-    /// order a core without run-ahead pops them (module docs,
-    /// "Run-ahead").
-    fn tie(&self, wi: usize, si: usize) -> Tie {
-        let next = match (self.heap.peek(), self.flow_due) {
-            (Some(Reverse(top)), Some(due)) if top.key() < due.key() => *top,
-            (_, Some(due)) => due,
-            (Some(Reverse(top)), None) => *top,
-            (None, None) => return Tie::First,
-        };
-        if next.at != self.now {
-            return Tie::First;
-        }
-        let Some((s, a)) = self.stream(wi, si) else {
-            return Tie::Open;
-        };
-        let first = match next.kind {
-            EvKind::HostDispatch { .. } => Some(true),
-            EvKind::ChainEnd { wi: w2, si: s2 } => {
-                let Some((d, b)) = self.stream(w2, s2) else {
-                    return Tie::Open;
-                };
-                match s.ahead.cmp(&d.ahead) {
-                    std::cmp::Ordering::Equal => self.twins_in_order(a, b),
-                    order => Some(order.is_lt()),
-                }
-            }
-            _ => {
-                let stamped = self.stamped_at(next.seq);
-                (stamped != s.ahead).then_some(stamped > s.ahead)
-            }
-        };
-        match first {
-            Some(true) => Tie::First,
-            Some(false) => Tie::Behind(next.seq),
-            None => Tie::Open,
-        }
-    }
-
-    /// Whether a core without run-ahead stamps the end of chain `a` before
-    /// that of `b`, each with the stamp its chain's end was pushed with,
-    /// if they are twins (module docs, "Run-ahead"); `None` if they are
-    /// not, or if the other pumps at their starts leave it open. Start by
-    /// start, each chain's next completion is stamped by the first of its
-    /// stream's pumps due there: the virtual completion, stamped at the
-    /// previous start, or another pump, which comes before it if stamped
-    /// at an earlier instant and after it if stamped at a later one.
-    fn twins_in_order(&self, a: &Chain, b: &Chain) -> Option<bool> {
-        if a.from != b.from || a.kernel_starts() != b.kernel_starts() {
-            return None;
-        }
-        let (sa, sb) = (a.seq, b.seq);
-        match (a.pumped, b.pumped) {
-            (Pumped::None, Pumped::None) => return Some(sa < sb),
-            (Pumped::Many, _) | (_, Pumped::Many) => return None,
-            _ => {}
-        }
-        let (mut va, mut vb) = (Stamp::Real(sa), Stamp::Real(sb));
-        let (mut a_first, mut prev) = (sa < sb, a.from);
-        for &at in a.kernel_starts() {
-            let earlier = |x: Stamp, y: Stamp| match (x, y) {
-                (Stamp::Real(x), Stamp::Real(y)) => Some(x < y),
-                (Stamp::Virtual(x), Stamp::Virtual(_)) => Some(x == a_first),
-                (Stamp::Real(x), Stamp::Virtual(_)) => {
-                    let stamped = self.stamped_at(x);
-                    (stamped != prev).then_some(stamped < prev)
-                }
-                (Stamp::Virtual(_), Stamp::Real(y)) => {
-                    let stamped = self.stamped_at(y);
-                    (stamped != prev).then_some(stamped > prev)
-                }
-            };
-            let first = |v: Stamp, pumped: Option<u64>| match pumped {
-                Some(y) if earlier(Stamp::Real(y), v)? => Some(Stamp::Real(y)),
-                _ => Some(v),
-            };
-            let (ka, kb) = (first(va, a.pumped_at(at))?, first(vb, b.pumped_at(at))?);
-            a_first = earlier(ka, kb)?;
-            (va, vb, prev) = (Stamp::Virtual(true), Stamp::Virtual(false), at);
-        }
-        Some(a_first)
     }
 
     /// `joiner` joins rendezvous `key` of communicator `group`, opening
@@ -1528,12 +1254,12 @@ impl SimScratch {
         self.lowered = 0;
     }
 
-    /// Rewinds the replay state for a replay of the program lowered,
-    /// running ahead or not: the heap, the clock, the stamps and the
-    /// tallies, every rank, stream and CUDA event, the open rendezvous,
-    /// the flows in flight and the run-ahead logs. What the program
-    /// holds, and the collective shapes a replay has timed, stay.
-    fn rewind(&mut self, run_ahead: bool) {
+    /// Rewinds the replay state for a replay of the program lowered:
+    /// the heap, the clock, the stamps and the tallies, every rank,
+    /// stream and CUDA event, the open rendezvous and the flows in
+    /// flight. What the program holds, and the collective shapes a
+    /// replay has timed, stay.
+    fn rewind(&mut self) {
         self.heap.clear();
         self.flow_due = None;
         self.flow_meta.clear();
@@ -1555,9 +1281,6 @@ impl SimScratch {
         self.pending = 0;
         self.pending_high_water = 0;
         self.flow_solves = 0;
-        self.run_ahead = run_ahead;
-        self.instants.clear();
-        self.instants.push((SimTime::ZERO, 0));
     }
 }
 
@@ -1621,18 +1344,9 @@ pub struct Lowered<'s> {
 impl Lowered<'_> {
     /// Runs the event loop (Algorithm 1's main loop) over the program:
     /// the report, or the deadlock the replay ran into. Every replay
-    /// runs ahead, under a fault plan too (module docs, "Run-ahead"). A
-    /// replay whose run-ahead meets a tie it cannot order is abandoned
-    /// and replayed without run-ahead, which always finishes;
-    /// [`SimObs::abandoned_replays`] counts it.
+    /// runs ahead, under a fault plan too (module docs, "Run-ahead").
     pub fn replay(&mut self) -> Result<SimReport, SimError> {
-        let mut run_ahead = true;
-        loop {
-            match self.sim.replay(self.st, run_ahead) {
-                Some(report) => return report,
-                None => run_ahead = false,
-            }
-        }
+        self.sim.replay(self.st)
     }
 }
 
@@ -1834,11 +1548,9 @@ impl<'a> Simulator<'a> {
         Ok(())
     }
 
-    /// The event loop over `st`'s program, rewound first, running ahead
-    /// or not; `None` if a run-ahead chain end met a tie it cannot
-    /// order (module docs).
-    fn replay(&self, st: &mut SimScratch, run_ahead: bool) -> Option<Result<SimReport, SimError>> {
-        st.rewind(run_ahead);
+    /// The event loop over `st`'s program, rewound first.
+    fn replay(&self, st: &mut SimScratch) -> Result<SimReport, SimError> {
+        st.rewind();
         if let Some(topo) = &self.cluster.topology {
             st.net.reset(topo.links.iter().map(|l| l.bytes_per_sec()));
         }
@@ -1856,33 +1568,11 @@ impl<'a> Simulator<'a> {
         }
 
         while let Some(ev) = st.pop() {
-            if ev.at != st.now {
-                if st.run_ahead {
-                    st.log_instant(ev.at);
-                }
-                st.now = ev.at;
-            }
-            if let EvKind::ChainEnd { wi, si } = ev.kind {
-                match st.tie(wi, si) {
-                    Tie::First => {}
-                    Tie::Behind(seq) => {
-                        st.pending += 1;
-                        st.heap.push(Reverse(HeapEv { seq: seq + 1, ..ev }));
-                        continue;
-                    }
-                    Tie::Open => {
-                        if let Some(obs) = self.obs {
-                            obs.abandoned_replays.inc();
-                        }
-                        return None;
-                    }
-                }
-            }
-            st.now_seq = ev.seq;
+            (st.now, st.now_seq) = (ev.at, ev.seq);
             st.events_processed += 1;
             match ev.kind {
                 EvKind::HostDispatch { wi } => self.host_dispatch(st, wi),
-                EvKind::Pump { wi, si } | EvKind::ChainEnd { wi, si } => self.pump(st, wi, si),
+                EvKind::Pump { wi, si } => self.pump(st, wi, si),
                 EvKind::IssuePump { wi, si } => {
                     self.pump(st, wi, si);
                     // After the pump, so that the kernel it may have
@@ -1919,7 +1609,7 @@ impl<'a> Simulator<'a> {
             .map(|r| r.rank)
             .collect();
         if !stuck.is_empty() {
-            return Some(Err(SimError::Deadlock { stuck_ranks: stuck }));
+            return Err(SimError::Deadlock { stuck_ranks: stuck });
         }
 
         let rank_end: Vec<SimTime> = st
@@ -1934,7 +1624,7 @@ impl<'a> Simulator<'a> {
                 r.host_time.max(s)
             })
             .collect();
-        Some(Ok(SimReport {
+        Ok(SimReport {
             total_time: rank_end.iter().copied().fold(SimTime::ZERO, SimTime::max),
             rank_end_times: rank_end,
             comm_time: st
@@ -1954,7 +1644,7 @@ impl<'a> Simulator<'a> {
                 .fold(SimTime::ZERO, SimTime::max),
             peak_mem_bytes: st.program.peak_mem_bytes,
             events_processed: st.events_processed,
-        }))
+        })
     }
 
     /// Host dispatch loop: replays recorded host delays and runs ahead,
@@ -2045,13 +1735,12 @@ impl<'a> Simulator<'a> {
     /// Stream progress (Algorithm 2's scheduler tick for one stream).
     fn pump(&self, st: &mut SimScratch, wi: usize, si: usize) {
         loop {
-            let (now, now_seq) = (st.now, st.now_seq);
+            let now = st.now;
             let r = &mut st.ranks[wi];
-            let (Some(s), Some(chain)) = (r.streams.get_mut(si), r.chains.get_mut(si)) else {
+            let Some(s) = r.streams.get_mut(si) else {
                 return;
             };
             if s.blocked.is_some() || s.busy_until > now {
-                chain.note_pump(s.ahead, now, now_seq);
                 return;
             }
             if s.queue_is_empty(r.next_op, now) {
@@ -2067,18 +1756,17 @@ impl<'a> Simulator<'a> {
             }
             s.head = front.next;
             match front.kind() {
-                OpKind::Kernel { dur } if st.run_ahead => {
+                OpKind::Kernel { dur } => {
                     // Run ahead (module docs): start the issued kernels
-                    // behind this one back to back, each scaled by its
-                    // straggler windows, counting off each completion in
-                    // between, up to the rank's next failure.
+                    // behind this one back to back, each scaled by the
+                    // straggler windows of its issue instant (its lowered
+                    // duration carries its GPU generation's scale),
+                    // counting off each completion in between, up to the
+                    // rank's next failure.
                     let mut dur = scaled(dur, self.slowdown(r.rank, front.at));
                     let failure = self.next_failure(r.rank, now);
                     let mut end = now + dur;
                     r.compute_busy += dur;
-                    (chain.from, chain.pumped) = (now, Pumped::None);
-                    chain.starts.clear();
-                    let mut kind = EvKind::Pump { wi, si };
                     while dur > SimTime::ZERO && s.head < r.next_op {
                         let Some(op) = r.ops.get(s.head as usize) else {
                             break;
@@ -2091,29 +1779,16 @@ impl<'a> Simulator<'a> {
                         }
                         s.head = op.next;
                         s.ahead = end;
-                        chain.starts.push(end);
                         dur = scaled(d, self.slowdown(r.rank, op.at));
                         end += dur;
                         r.compute_busy += dur;
                         st.events_processed += 1;
-                        kind = EvKind::ChainEnd { wi, si };
                     }
                     s.busy_until = end;
-                    chain.starts.push(end);
-                    let seq = st.push(end, kind);
-                    if let Some(chain) = st.ranks.get_mut(wi).and_then(|r| r.chains.get_mut(si)) {
-                        chain.seq = seq;
-                    }
+                    st.push(end, EvKind::Pump { wi, si });
                     return;
                 }
-                OpKind::Kernel { dur } | OpKind::Memcpy { dur, .. } => {
-                    // A kernel's lowered duration carries its GPU
-                    // generation's scale; the straggler windows of a
-                    // fault plan covering its issue instant slow it too.
-                    let dur = match front.kind() {
-                        OpKind::Kernel { .. } => scaled(dur, self.slowdown(r.rank, front.at)),
-                        _ => dur,
-                    };
+                OpKind::Memcpy { dur, .. } => {
                     s.busy_until = now + dur;
                     r.compute_busy += dur;
                     st.push(now + dur, EvKind::Pump { wi, si });
@@ -2959,7 +2634,7 @@ mod tests {
                     .map(|i| Op::new(0, if i % 3 == 2 { OpKind::HostOnly } else { kernel })),
             );
         }
-        st.rewind(false);
+        st.rewind();
         let mut host_time = [0u64; RANKS];
         let mut pending: Vec<(SimTime, u64)> = Vec::new();
         let mut rng = 0x5eed_u64;
@@ -3037,7 +2712,7 @@ mod tests {
             r.ops
                 .push(Op::new(stream, OpKind::Kernel { dur: SimTime::ZERO }));
         }
-        st.rewind(false);
+        st.rewind();
         st
     }
 
@@ -3072,7 +2747,7 @@ mod tests {
         let head = st
             .pop()
             .expect("a pump due as its stream frees up is queued");
-        assert_eq!((head.at, head.seq), (us(100.0), 3 * STAMP));
+        assert_eq!((head.at, head.seq), (us(100.0), 3));
         assert!(matches!(head.kind, EvKind::IssuePump { wi: 0, si: 0 }));
         // The fourth parks behind the second; the lane is spent.
         st.promote(0);
@@ -3109,14 +2784,7 @@ mod tests {
             (st.now, st.now_seq) = (ev.at, ev.seq);
             st.advance(0, 1);
         }
-        assert_eq!(
-            order,
-            [
-                (us(60.0), 2 * STAMP),
-                (us(80.0), 3 * STAMP),
-                (us(90.0), 4 * STAMP)
-            ]
-        );
+        assert_eq!(order, [(us(60.0), 2), (us(80.0), 3), (us(90.0), 4)]);
         assert_eq!((st.events_processed, st.pending), (0, 0));
         assert_eq!(st.ranks[0].streams[1].lane, NONE);
     }
@@ -3586,7 +3254,6 @@ mod tests {
             st.flow_meta.capacity(),
             st.routes.capacity(),
             st.route_nodes.capacity(),
-            st.instants.capacity(),
         ];
         for c in &st.comms {
             caps.extend([c.open.capacity(), c.times.capacity(), c.flows.capacity()]);
@@ -3599,10 +3266,8 @@ mod tests {
                 r.streams.capacity(),
                 r.fired.capacity(),
                 r.event_waiters.capacity(),
-                r.chains.capacity(),
             ]);
             caps.extend(r.event_waiters.iter().map(Vec::capacity));
-            caps.extend(r.chains.iter().map(|c| c.starts.capacity()));
         }
         caps
     }

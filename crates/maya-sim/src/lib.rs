@@ -29,8 +29,7 @@
 //! collective sites ([`Lowering::resolve`]) then resolves them against
 //! the communicator map. [`Simulator::lower`] does both steps over a
 //! trace in hand. A replay leaves the program as lowering wrote it, so
-//! a [`Lowered`] job replays any number of times; one that cannot
-//! order a run-ahead tie starts over without run-ahead by itself.
+//! a [`Lowered`] job replays any number of times.
 //! The program is also the only per-op state: a stream's queue and a
 //! rank's lane of pending issue pumps are cursors over it. The replay
 //! relies on one invariant, that a stream's `busy_until` never

@@ -27,17 +27,16 @@
 //! `busy_until` (elided — held to a hand-counted schedule) — and the
 //! bounds of the per-job shape table lowering keeps in front of the
 //! estimator: more shapes than it holds, shapes that all start at one
-//! slot, and an arena handed from one estimator to another. One job
-//! abandons its run-ahead replay at a tie it cannot order and replays
-//! its program again without run-ahead, still byte-identical to the
-//! reference, on a rank whose kernels a hetero pool scales too; every
-//! lowering, drawn or hand-built, replays twice to one report; and
-//! kernels longer than 32 bits of nanoseconds keep their durations.
-//! Seed-drawn jobs of runs of 32–256 kernels build long run-ahead
-//! chains, twins among them, whose ties are held to the reference core
-//! and, under a fault plan, to a digest of replays without run-ahead.
-//! A point-to-point pair whose ends' chains tie shows why those ties
-//! are ordered: the first joiner's descriptor times the pair.
+//! slot, and an arena handed from one estimator to another. Run-ahead
+//! chains that end in one instant, twins or started apart, give the
+//! reference core's report, on a rank whose kernels a hetero pool
+//! scales too; every lowering, drawn or hand-built, replays twice to
+//! one report; and kernels longer than 32 bits of nanoseconds keep
+//! their durations. Seed-drawn jobs of runs of 32–256 kernels build
+//! long run-ahead chains, twins among them, whose ties are held to the
+//! reference core and, under a fault plan, to a digest. A
+//! point-to-point pair whose ends' chains tie is timed by its earliest
+//! arrival, the lower rank on a tie.
 //!
 //! The reference core can also pop each instant's events in a seeded
 //! shuffled order. The shuffle law: any order within each class, host
@@ -379,19 +378,20 @@ fn drawn_flat_jobs_match_the_reference() {
 /// 512 seeds held to the reference core, `events_processed` included.
 /// The reference core has no fault model, so under the fault plan drawn
 /// over each clean run's horizon (as `contended_table.rs` draws it)
-/// every serialized report folds into one FNV-1a digest, computed by
-/// replays without run-ahead before straggling kernels ran ahead.
+/// every serialized report folds into one FNV-1a digest.
 ///
-/// The heap pops and abandoned replays of each setup, summed over its
-/// whole-microsecond seeds and over its oracle-timed ones, are pinned
-/// too: a change that stops chains from forming, or that abandons more
-/// replays, raises them. An abandoned replay's pops are not counted,
-/// only those of the replay without run-ahead that follows it.
+/// The heap pops of each setup, summed over its whole-microsecond seeds
+/// and over its oracle-timed ones, are pinned too: a change that stops
+/// chains from forming raises them. While a tie between chain ends was
+/// ordered to the reference core's first-in-first-out order, every flat
+/// whole-microsecond replay and 242 of the 256 faulted ones met a tie
+/// that ordering could not settle and replayed again without run-ahead,
+/// and a chain end ordered behind another event was pushed again: the
+/// pins read 927 966, 23 867, 889 911 and 24 739 pops then.
 #[test]
 fn long_chains_match_the_reference() {
     const FAULTED: u64 = 0xda5c_2747_69d6_61de;
-    const POPS_AND_ABANDONS: [[(u64, u64); 2]; 2] =
-        [[(927_966, 256), (23_867, 0)], [(889_911, 242), (24_739, 0)]];
+    const POPS: [[u64; 2]; 2] = [[27_256, 23_841], [27_734, 24_715]];
     let obs: [[SimObs; 2]; 2] = Default::default();
     let mut folded = String::new();
     for seed in 0..512 {
@@ -420,11 +420,12 @@ fn long_chains_match_the_reference() {
         digest == FAULTED,
         "faulted long-chain reports drifted from the digest; now {digest:#018x}"
     );
-    let tally = |o: &SimObs| (o.heap_pops.get(), o.abandoned_replays.get());
-    let tallies = obs.each_ref().map(|o| o.each_ref().map(tally));
+    let pops = obs
+        .each_ref()
+        .map(|o| o.each_ref().map(|o| o.heap_pops.get()));
     assert_eq!(
-        tallies, POPS_AND_ABANDONS,
-        "[flat, faulted] x [whole-µs, oracle] (heap pops, abandoned replays)"
+        pops, POPS,
+        "heap pops, [flat, faulted] x [whole-µs, oracle]"
     );
 }
 
@@ -919,13 +920,12 @@ fn rounds_of_kernels(rounds: u32, delay: impl Fn(u32) -> f64) -> JobTrace {
 /// Identical ranks released by one rendezvous start identical chains
 /// in one instant, and every chain end ties with its twins'. Under
 /// `Fixed`, two rounds: per rank two chains of three, four completions
-/// counted off. The twins pop in their stamps' order, as the reference
-/// core's do, with no replay abandoned: 80 events, 48 heap pops
-/// without run-ahead and 32 with it. Then 4 000 rounds, two ranks
-/// issuing at another pace: more instants than the replay keeps in its
-/// instant log, so the log folds while chains tie.
+/// counted off: 80 events, 48 heap pops without run-ahead and 32 with
+/// it, the reference core's report in whichever order the twins pop.
+/// Then 4 000 rounds, two ranks issuing at another pace, so that chains
+/// tie over thousands of instants.
 #[test]
-fn twin_chains_of_identical_ranks_pop_in_the_references_order() {
+fn twin_chains_of_identical_ranks_match_the_reference() {
     let c = ClusterSpec::h100(1, 4);
     let job = rounds_of_kernels(2, |_| 1.0);
     let obs = SimObs::default();
@@ -934,7 +934,6 @@ fn twin_chains_of_identical_ranks_pop_in_the_references_order() {
     assert_eq!(dense, reference);
     assert_eq!(dense.map(|r| r.events_processed), Ok(events));
     assert_eq!((events, obs.heap_pops.get()), (80, 32));
-    assert_eq!(obs.abandoned_replays.get(), 0);
 
     let job = rounds_of_kernels(4_000, |rank| if rank < 2 { 1.3 } else { 29.7 });
     let dense = simulate(&job, &c, &Fixed);
@@ -975,12 +974,12 @@ impl RuntimeEstimator for RowsInUs {
 /// host: issues @1, 2, 6, 7, then waits on the device from 8
 /// ```
 ///
-/// Without run-ahead both last completions are stamped at 11, in an
-/// order run-ahead does not record, so the chain end that pops first
-/// at 31 abandons the replay, and the rerun without run-ahead gives
-/// the reference core's report, `events_processed` included.
+/// Without run-ahead both last completions are stamped at 11; with it,
+/// each chain end is stamped as its chain starts. Either order of the
+/// tie at 31 gives the reference core's report, `events_processed`
+/// included, in a fresh arena and in a reused one.
 #[test]
-fn chain_ends_that_tie_unordered_abandon_one_replay() {
+fn chain_ends_that_tie_unordered_match_the_reference() {
     let c = cluster();
     let job = unordered_tie(&[10, 20], &[5, 20], 4.0);
     let (reference, events) = simulate_reference_counted(&job, &c, &RowsInUs);
@@ -990,9 +989,7 @@ fn chain_ends_that_tie_unordered_abandon_one_replay() {
     let obs = SimObs::default();
     let sim = Simulator::new(&RowsInUs, &c).with_obs(Some(&obs));
     assert_eq!(sim.run(&job), Ok(reference.clone()));
-    assert_eq!(obs.abandoned_replays.get(), 1);
-    assert_eq!(obs.events.get(), events, "only the finished replay counts");
-    // A reused arena, dirtied by the abandoned replay, does the same.
+    assert_eq!(obs.events.get(), events);
     let mut scratch = SimScratch::new();
     for _ in 0..2 {
         assert_eq!(
@@ -1000,7 +997,6 @@ fn chain_ends_that_tie_unordered_abandon_one_replay() {
             Ok(reference.clone())
         );
     }
-    assert_eq!(obs.abandoned_replays.get(), 3);
 }
 
 /// One worker, two streams: GEMMs of `rows0` rows on stream 0 issued
@@ -1367,12 +1363,11 @@ fn half_speed_rank() -> ClusterSpec {
 /// host: issues @1, 2, 7, 8, then waits on the device from 9
 /// ```
 ///
-/// The first replay abandons at 61, and the replay after it reads the
-/// same program: a kernel scaled twice would end the run at 121. It
-/// gives the reference core's report with every kernel timed at twice
-/// its rows, `events_processed` included.
+/// The replay gives the reference core's report with every kernel
+/// timed at twice its rows, `events_processed` included: a kernel
+/// scaled twice would end the run at 121.
 #[test]
-fn a_tie_on_a_scaled_rank_is_scaled_once() {
+fn chain_ends_that_tie_on_a_scaled_rank_match_the_reference() {
     let job = unordered_tie(&[10, 20], &[7, 20], 5.0);
     let (reference, events) = simulate_reference_counted(&job, &cluster(), &HalfSpeedRows);
     let reference = reference.unwrap();
@@ -1382,7 +1377,6 @@ fn a_tie_on_a_scaled_rank_is_scaled_once() {
     let obs = SimObs::default();
     let sim = Simulator::new(&RowsInUs, &slow).with_obs(Some(&obs));
     assert_eq!(sim.run(&job), Ok(reference));
-    assert_eq!(obs.abandoned_replays.get(), 1);
     assert_eq!(obs.events.get(), events);
 }
 
@@ -1417,13 +1411,12 @@ fn kernels_longer_than_32_bits_of_ns_match_the_reference() {
     assert_eq!(simulate(&job, &c, &RowsInUs), Ok(reference));
 }
 
-/// The prediction engine's path through an abandon: the unordered
-/// tie's job lowered worker by worker, each trace dropped once it is
-/// lowered, then its sites resolved and one replay. The abandoned
-/// replay starts over on the program, with no trace left to feed it,
-/// and gives the reference core's report, `events_processed` included.
+/// The prediction engine's path: the unordered tie's job lowered
+/// worker by worker, each trace dropped once it is lowered, then its
+/// sites resolved and one replay, with no trace left, which gives the
+/// reference core's report, `events_processed` included.
 #[test]
-fn an_abandoned_replay_starts_over_with_every_trace_dropped() {
+fn a_tie_with_every_trace_dropped_matches_the_reference() {
     let c = cluster();
     let job = unordered_tie(&[10, 20], &[5, 20], 4.0);
     let (reference, events) = simulate_reference_counted(&job, &c, &RowsInUs);
@@ -1438,33 +1431,25 @@ fn an_abandoned_replay_starts_over_with_every_trace_dropped() {
     let report = lowered.replay();
     assert_eq!(report, reference);
     assert_eq!(report.map(|r| r.events_processed), Ok(events));
-    assert_eq!(obs.abandoned_replays.get(), 1);
+    assert_eq!(obs.events.get(), events);
 }
 
 /// Lowers `job` once and replays it twice. Each replay gives what
 /// `Simulator::run` gives in a fresh arena, byte for byte, and tells
-/// the observer the same: each adds the same events, heap pops, flow
-/// solves and abandoned replays, and the second raises no high water.
-/// Returns the abandoned replays of one replay.
-fn replays_twice(
+/// the observer the same: each adds the same events, heap pops and flow
+/// solves, and the second raises no high water.
+fn replays_alike(
     job: &JobTrace,
     cluster: &ClusterSpec,
     estimator: &dyn RuntimeEstimator,
     faults: Option<&FaultPlan>,
     name: &str,
-) -> u64 {
+) {
     let sim = Simulator::new(estimator, cluster).with_faults(faults);
     let fresh = sim.run(job).map(|r| bytes_of(&r));
     let obs = SimObs::default();
     let sim = sim.with_obs(Some(&obs));
-    let tally = || {
-        [
-            obs.events.get(),
-            obs.heap_pops.get(),
-            obs.flow_solves.get(),
-            obs.abandoned_replays.get(),
-        ]
-    };
+    let tally = || [obs.events.get(), obs.heap_pops.get(), obs.flow_solves.get()];
     let mut scratch = SimScratch::new();
     let mut lowered = sim.lower(job, &mut scratch).expect("a valid job lowers");
     let first = lowered.replay().map(|r| bytes_of(&r));
@@ -1474,14 +1459,12 @@ fn replays_twice(
     assert_eq!(second, fresh, "{name}: second replay");
     assert_eq!(tally(), once.map(|n| 2 * n), "{name}: per-replay tallies");
     assert_eq!(obs.heap_depth_high_water.get(), high_water, "{name}");
-    once[3]
 }
 
 /// One lowering replays any number of times: over the drawn jobs on
 /// their flat clusters, on their topologies (a hetero pool on odd
 /// seeds) and under their fault plans (stragglers scale kernels as
-/// they start), and over the hand-built ties, two of which abandon
-/// their run-ahead replay each time.
+/// they start), and over the hand-built ties.
 #[test]
 fn a_lowering_replays_to_the_same_report() {
     for seed in 0..64 {
@@ -1496,20 +1479,18 @@ fn a_lowering_replays_to_the_same_report() {
             ("contended", &contended, Some(&plan)),
         ] {
             let name = format!("seed {seed} {name}");
-            replays_twice(&job, cluster, &oracle, faults, &name);
+            replays_alike(&job, cluster, &oracle, faults, &name);
         }
     }
     let c = cluster();
     let unordered = unordered_tie(&[10, 20], &[5, 20], 4.0);
-    assert_eq!(replays_twice(&unordered, &c, &RowsInUs, None, "tie"), 1);
+    replays_alike(&unordered, &c, &RowsInUs, None, "tie");
     let scaled = unordered_tie(&[10, 20], &[7, 20], 5.0);
-    let slow = half_speed_rank();
-    assert_eq!(replays_twice(&scaled, &slow, &RowsInUs, None, "scaled"), 1);
+    replays_alike(&scaled, &half_speed_rank(), &RowsInUs, None, "scaled");
     let later = tie_behind_a_later_stamp();
-    assert_eq!(replays_twice(&later, &c, &Fixed, None, "later"), 0);
+    replays_alike(&later, &c, &Fixed, None, "later");
     let twins = rounds_of_kernels(2, |_| 1.0);
-    let four = ClusterSpec::h100(1, 4);
-    assert_eq!(replays_twice(&twins, &four, &Fixed, None, "twins"), 0);
+    replays_alike(&twins, &ClusterSpec::h100(1, 4), &Fixed, None, "twins");
 }
 
 /// The oracle, counting the kernel and collective queries that reach it.

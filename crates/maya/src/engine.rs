@@ -28,10 +28,7 @@
 //!   per distinct kernel shape of the job and per memcpy) plus one pass
 //!   over the collective sites once the collator has the communicator
 //!   map; simulation is the replay of what was lowered. Emulation,
-//!   collation and estimation run once per prediction: a replay that
-//!   run-ahead cannot order (`maya_sim`'s module docs, "Run-ahead")
-//!   starts over inside the simulator, on the program already lowered,
-//!   and no trace is kept for it. The collator is the
+//!   collation and estimation run once per prediction. The collator is the
 //!   one collation path: [`PredictionEngine::measure_actual`] emulates
 //!   through the same loop under a plan that runs every rank and folds
 //!   none, keeping every trace for the testbed, and
