@@ -402,10 +402,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// before each runs the same 32–256 kernels, issued alternately or one
 /// run after the other. Then one of the two records a second event and
 /// the other waits on it: the order in which their chains end decides
-/// whether the wait blocks, one event more or less. Every other round
-/// ends in a device sync. Host delays of 0.25–1 µs keep the host far
-/// ahead of its kernels, so each run is issued before it starts and
-/// runs as one chain.
+/// whether the wait blocks, and when both end in one instant a block
+/// released then counts no wake-up, so the count is the same either
+/// way (`engine.rs`'s module docs, "The order of an instant"). Every
+/// other round ends in a device sync. Host delays of 0.25–1 µs keep the
+/// host far ahead of its kernels, so each run is issued before it
+/// starts and runs as one chain.
 ///
 /// A kernel's GEMM has `u` rows, `u` drawn from 2–9, or on seeds with
 /// bit 1 set `512 u`: whole microseconds under an estimator that times
