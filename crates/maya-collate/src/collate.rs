@@ -745,7 +745,7 @@ mod tests {
         );
         let job = collate(vec![w0], 8).unwrap();
         assert_eq!(job.comm_groups[&5], vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        assert!(!job.is_dense());
+        assert_ne!(job.workers.len(), job.nranks as usize);
     }
 
     #[test]

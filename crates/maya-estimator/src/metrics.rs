@@ -52,11 +52,6 @@ impl MapeReport {
             acc / n as f64
         }
     }
-
-    /// MAPE of one kernel family, if present.
-    pub fn for_kernel(&self, name: &str) -> Option<f64> {
-        self.per_kernel.get(name).map(|&(_, m)| m)
-    }
 }
 
 #[cfg(test)]
@@ -81,8 +76,8 @@ mod tests {
             ("b", SimTime::from_us(20.0), SimTime::from_us(10.0)),
         ];
         let r = MapeReport::from_samples(&samples);
-        assert!((r.for_kernel("a").unwrap() - 0.10).abs() < 1e-9);
-        assert!((r.for_kernel("b").unwrap() - 1.0).abs() < 1e-9);
+        assert!((r.per_kernel["a"].1 - 0.10).abs() < 1e-9);
+        assert!((r.per_kernel["b"].1 - 1.0).abs() < 1e-9);
         assert!((r.overall() - (0.1 * 2.0 + 1.0) / 3.0).abs() < 1e-9);
     }
 }

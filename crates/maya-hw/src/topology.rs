@@ -147,11 +147,6 @@ impl HeteroPool {
         HeteroPool { classes }
     }
 
-    /// Total ranks covered by the pool's classes.
-    pub fn total_ranks(&self) -> u32 {
-        self.classes.iter().map(|c| c.count).sum()
-    }
-
     /// Index of the class holding `rank`, if the pool covers it.
     pub fn class_of(&self, rank: u32) -> Option<usize> {
         let mut base = 0u32;
@@ -234,7 +229,7 @@ mod tests {
                 count: 2,
             },
         ]);
-        assert_eq!(pool.total_ranks(), 4);
+        assert_eq!(pool.classes.iter().map(|c| c.count).sum::<u32>(), 4);
         assert_eq!(pool.class_of(0), Some(0));
         assert_eq!(pool.class_of(1), Some(0));
         assert_eq!(pool.class_of(2), Some(1));

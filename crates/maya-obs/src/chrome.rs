@@ -131,6 +131,25 @@ mod tests {
     }
 
     #[test]
+    fn span_names_are_escaped() {
+        let name = "a\"b\\c\nd\te\u{1}f";
+        let job = SpanNode::leaf(name, Duration::ZERO, Duration::from_millis(1));
+        let json = chrome_trace_json(&[], &[job]);
+        assert!(json.contains(r#""name": "a\"b\\c\nd\te\u0001f""#), "{json}");
+        assert!(
+            !json.contains(['\t', '\u{1}']),
+            "raw control characters: {json}"
+        );
+        assert_eq!(json.lines().count(), 3, "one event line: {json}");
+        let depth = json.chars().fold(0i64, |d, c| match c {
+            '{' | '[' => d + 1,
+            '}' | ']' => d - 1,
+            _ => d,
+        });
+        assert_eq!(depth, 0, "unbalanced JSON: {json}");
+    }
+
+    #[test]
     fn empty_export_is_an_empty_array() {
         let json = chrome_trace_json(&[], &[]);
         assert!(json.starts_with('[') && json.trim_end().ends_with(']'));

@@ -156,16 +156,12 @@ impl<'a> Objective<'a> {
     /// per-config [`Objective::evaluate`] results: the prediction
     /// pipeline is deterministic and invalid configs are rejected before
     /// ever reaching it.
-    pub fn evaluate_batch(&self, configs: &[ConfigPoint]) -> Vec<TrialOutcome> {
-        self.evaluate_batch_with(configs, None)
-            .expect("no token, no cancellation")
-    }
-
-    /// [`Objective::evaluate_batch`] with cooperative cancellation.
-    /// Returns `None` when the token fired before every member
-    /// prediction ran — an all-or-nothing verdict, so a caller never
-    /// sees a half-evaluated wave (the scheduler relies on this to keep
-    /// cancelled searches byte-identical to uncancelled prefixes).
+    ///
+    /// Cancellation is cooperative: returns `None` when the token fired
+    /// before every member prediction ran — an all-or-nothing verdict,
+    /// so a caller never sees a half-evaluated wave (the scheduler relies
+    /// on this to keep cancelled searches byte-identical to uncancelled
+    /// prefixes).
     pub fn evaluate_batch_with(
         &self,
         configs: &[ConfigPoint],
@@ -338,7 +334,7 @@ mod tests {
                 ..Default::default()
             }, // duplicate
         ];
-        let batch = obj.evaluate_batch(&configs);
+        let batch = obj.evaluate_batch_with(&configs, None).unwrap();
         assert_eq!(batch.len(), configs.len());
         for (c, got) in configs.iter().zip(&batch) {
             assert_eq!(*got, obj.evaluate(c), "config {c:?}");

@@ -75,56 +75,6 @@ impl SearchResult {
     pub fn best_time(&self) -> Option<SimTime> {
         self.best.as_ref().and_then(|(_, o)| o.time())
     }
-
-    /// Renders the search outcome as a human-readable JSON object — the
-    /// inspectable twin of the compact wire codec (`crate::serdes`).
-    /// Trial records are summarized by their status counters; the best
-    /// configuration and the convergence curve are emitted in full.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"best\":");
-        match &self.best {
-            None => out.push_str("null"),
-            Some((config, outcome)) => {
-                let _ = write!(
-                    out,
-                    "{{\"config\":{},\"iteration_time_ns\":",
-                    maya_trace::json::json_string(&config.to_string())
-                );
-                match outcome.time() {
-                    Some(t) => {
-                        let _ = write!(out, "{}", t.as_ns());
-                    }
-                    None => out.push_str("null"),
-                }
-                let _ = write!(
-                    out,
-                    ",\"mfu\":{}}}",
-                    outcome.mfu().map_or("null".to_string(), |m| format!("{m}"))
-                );
-            }
-        }
-        let _ = write!(
-            out,
-            ",\"trials\":{},\"stats\":{{\"executed\":{},\"cached\":{},\"skipped\":{},\
-             \"invalid\":{}}},\"wall_us\":{},\"convergence\":[",
-            self.trials.len(),
-            self.stats.executed,
-            self.stats.cached,
-            self.stats.skipped,
-            self.stats.invalid,
-            self.wall.as_micros(),
-        );
-        for (i, m) in self.convergence.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{m}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Trial scheduler: wraps an objective with caching, pruning tactics and

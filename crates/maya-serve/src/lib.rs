@@ -85,10 +85,12 @@ pub use service::{MayaService, RestoreOutcome, ServiceBuilder, ServiceStats, Sna
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maya::EmulationSpec;
+    use maya::{EmulationSpec, EstimatorChoice};
+    use maya_estimator::{OracleEstimator, RuntimeEstimator};
     use maya_hw::ClusterSpec;
     use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
-    use maya_trace::Dtype;
+    use maya_trace::{CollectiveKind, Dtype, KernelKind, MemcpyKind, SimTime};
+    use std::sync::{Arc, Condvar, Mutex};
 
     pub(crate) fn job(world: u32) -> TrainingJob {
         TrainingJob {
@@ -684,12 +686,139 @@ mod tests {
         assert_eq!(service.stats().expired, 1);
     }
 
-    /// Runs the blocker search until its first progress event proves a
-    /// worker picked it up (so later submissions really queue).
-    fn occupy_worker(service: &MayaService, target: &str) -> JobHandle {
-        let blocker = service.submit(search(target, 2, 4_000)).unwrap();
-        let _ = blocker.progress().next().expect("blocker running");
-        blocker
+    /// A shut-or-open latch that [`Gated`] estimator calls pass through.
+    #[derive(Default)]
+    struct Gate {
+        shut: Mutex<bool>,
+        turned: Condvar,
+    }
+
+    impl Gate {
+        fn set_shut(&self, shut: bool) {
+            *self.shut.lock().unwrap() = shut;
+            self.turned.notify_all();
+        }
+
+        fn pass(&self) {
+            let mut shut = self.shut.lock().unwrap();
+            while *shut {
+                shut = self.turned.wait(shut).unwrap();
+            }
+        }
+    }
+
+    /// The oracle, with every call parked while its gate is shut. Only
+    /// memo misses reach an engine's estimator, so a search whose first
+    /// wave was predicted before the gate shut commits that wave (its
+    /// first progress event) and then parks at its first new shape.
+    struct Gated {
+        oracle: OracleEstimator,
+        gate: Arc<Gate>,
+    }
+
+    impl RuntimeEstimator for Gated {
+        fn kernel_time(&self, kernel: &KernelKind) -> SimTime {
+            self.gate.pass();
+            self.oracle.kernel_time(kernel)
+        }
+
+        fn memcpy_time(&self, bytes: u64, kind: MemcpyKind) -> SimTime {
+            self.gate.pass();
+            self.oracle.memcpy_time(bytes, kind)
+        }
+
+        fn collective_time(
+            &self,
+            kind: CollectiveKind,
+            bytes: u64,
+            ranks: &[u32],
+            cluster: &ClusterSpec,
+        ) -> SimTime {
+            self.gate.pass();
+            self.oracle.collective_time(kind, bytes, ranks, cluster)
+        }
+
+        fn name(&self) -> &'static str {
+            "gated-oracle"
+        }
+    }
+
+    /// The oracle as a service's estimator, with each of `gates`'
+    /// clusters behind its gate.
+    fn gated(gates: &[(ClusterSpec, Arc<Gate>)]) -> EstimatorChoice {
+        let gates = gates.to_vec();
+        EstimatorChoice::Factory {
+            label: "gated-oracle".into(),
+            make: Arc::new(move |cluster| {
+                let oracle = OracleEstimator::new(cluster);
+                match gates.iter().find(|(c, _)| c == cluster) {
+                    Some((_, gate)) => Arc::new(Gated {
+                        oracle,
+                        gate: Arc::clone(gate),
+                    }),
+                    None => Arc::new(oracle),
+                }
+            }),
+        }
+    }
+
+    /// A service builder with target `"t"` on an H100 pair behind `gate`.
+    fn gated_t(gate: &Arc<Gate>) -> ServiceBuilder {
+        let cluster = ClusterSpec::h100(1, 2);
+        MayaService::builder()
+            .target("t", EmulationSpec::new(cluster.clone()))
+            .estimator(gated(&[(cluster, Arc::clone(gate))]))
+    }
+
+    /// Predicts the first wave of `search(target, 2, _)` straight on the
+    /// target's engine, out of sight of the service's counters.
+    fn warm_first_wave(service: &MayaService, target: &str) {
+        let Request::Search {
+            template,
+            space,
+            algorithm,
+            seed,
+            ..
+        } = search(target, 2, 1)
+        else {
+            unreachable!("search() builds a search")
+        };
+        let engine = service.engine(target).unwrap();
+        let objective = maya_search::Objective::new(&engine, template);
+        maya_search::TrialScheduler::new(&objective)
+            .with_space(space)
+            .run_batched(algorithm, 1, seed);
+    }
+
+    /// A worker held by a search parked behind a gate.
+    struct Blocker {
+        search: JobHandle,
+        gate: Arc<Gate>,
+    }
+
+    impl Blocker {
+        /// Cancels the search, opens its gate and waits for its verdict.
+        fn release(self) {
+            self.search.cancel();
+            self.gate.set_shut(false);
+            let _ = self.search.wait_outcome();
+        }
+    }
+
+    /// Occupies a worker of a [`gated_t`] service until
+    /// [`Blocker::release`] (so later submissions really queue): starts
+    /// a search with its first wave warm and `gate` shut, and returns
+    /// once its first progress event proves a worker picked it up. The
+    /// search then parks at its next memo miss.
+    fn occupy_worker(service: &MayaService, gate: &Arc<Gate>) -> Blocker {
+        warm_first_wave(service, "t");
+        gate.set_shut(true);
+        let search = service.submit(search("t", 2, 4_000)).unwrap();
+        let _ = search.progress().next().expect("blocker running");
+        Blocker {
+            search,
+            gate: Arc::clone(gate),
+        }
     }
 
     /// A predict whose job shape no other submission in these tests
@@ -712,13 +841,13 @@ mod tests {
         // class order alone, and a scheduling stall on a loaded
         // machine must not age the earlier-admitted Batch jobs into
         // the High class (aging has its own test below).
-        let service = MayaService::builder()
-            .target("t", EmulationSpec::new(ClusterSpec::h100(1, 2)))
+        let gate = Arc::new(Gate::default());
+        let service = gated_t(&gate)
             .workers(1)
             .starvation_guard(std::time::Duration::from_secs(3600))
             .build()
             .unwrap();
-        let blocker = occupy_worker(&service, "t");
+        let blocker = occupy_worker(&service, &gate);
         let batch: Vec<JobHandle> = (0..3)
             .map(|_| {
                 service
@@ -735,8 +864,7 @@ mod tests {
                 JobOptions::new().with_priority(Priority::High),
             )
             .unwrap();
-        blocker.cancel();
-        let _ = blocker.wait_outcome();
+        blocker.release();
         // All four requests are the same previously-unseen shape, so
         // whichever executed first paid the cold misses. It must be
         // the High job, though it was submitted last.
@@ -754,14 +882,14 @@ mod tests {
 
     #[test]
     fn over_quota_tenant_is_shed_while_other_tenants_proceed() {
-        let service = MayaService::builder()
-            .target("t", EmulationSpec::new(ClusterSpec::h100(1, 2)))
+        let gate = Arc::new(Gate::default());
+        let service = gated_t(&gate)
             .workers(1)
             .queue_capacity(16)
             .tenant_max_queued(2)
             .build()
             .unwrap();
-        let blocker = occupy_worker(&service, "t");
+        let blocker = occupy_worker(&service, &gate);
         let burst = |p: Priority| JobOptions::new().with_priority(p).with_tenant("burst");
         let b1 = service
             .submit_with(predict("t", 2), burst(Priority::Batch))
@@ -785,8 +913,7 @@ mod tests {
         let quiet = service
             .submit_with(predict("t", 2), JobOptions::new().with_tenant("quiet"))
             .unwrap();
-        blocker.cancel();
-        let _ = blocker.wait_outcome();
+        blocker.release();
         quiet.wait().unwrap();
         b1.wait().unwrap();
         b2.wait().unwrap();
@@ -805,20 +932,16 @@ mod tests {
 
     #[test]
     fn tenant_queue_wait_percentiles_are_reported() {
-        let service = MayaService::builder()
-            .target("t", EmulationSpec::new(ClusterSpec::h100(1, 2)))
-            .workers(1)
-            .build()
-            .unwrap();
+        let gate = Arc::new(Gate::default());
+        let service = gated_t(&gate).workers(1).build().unwrap();
         // Hold the only worker so the tenant's jobs accrue real queue
         // wait before dispatch.
-        let blocker = occupy_worker(&service, "t");
+        let blocker = occupy_worker(&service, &gate);
         let opts = || JobOptions::new().with_tenant("acme");
         let handles: Vec<JobHandle> = (0..4)
             .map(|_| service.submit_with(predict("t", 2), opts()).unwrap())
             .collect();
-        blocker.cancel();
-        let _ = blocker.wait_outcome();
+        blocker.release();
         for h in handles {
             h.wait().unwrap();
         }
@@ -845,13 +968,13 @@ mod tests {
         // executed before the High flood (first-executed of identical
         // cold shapes pays the misses), 0 means it was served after.
         let run = |guard: Duration, wait: Duration| -> u64 {
-            let service = MayaService::builder()
-                .target("t", EmulationSpec::new(ClusterSpec::h100(1, 2)))
+            let gate = Arc::new(Gate::default());
+            let service = gated_t(&gate)
                 .workers(1)
                 .starvation_guard(guard)
                 .build()
                 .unwrap();
-            let blocker = occupy_worker(&service, "t");
+            let blocker = occupy_worker(&service, &gate);
             let batch = service
                 .submit_with(
                     cold_predict("t"),
@@ -873,8 +996,7 @@ mod tests {
                         .unwrap()
                 })
                 .collect();
-            blocker.cancel();
-            let _ = blocker.wait_outcome();
+            blocker.release();
             let batch_misses = batch.wait().unwrap().telemetry.cache_delta.misses;
             for h in highs {
                 h.wait().unwrap();
@@ -899,26 +1021,43 @@ mod tests {
 
     #[test]
     fn tenant_in_flight_cap_limits_concurrency_without_shedding() {
+        // Tenant a's two searches run on clusters of their own, each
+        // behind a gate that shuts once the search's first wave is warm:
+        // each search commits that wave and then stays in flight, parked
+        // at its next memo miss, until the test opens its gate. Tenant b
+        // predicts on a third cluster, which has no gate.
+        let gates = [Arc::new(Gate::default()), Arc::new(Gate::default())];
+        let (h100, a100) = (ClusterSpec::h100(1, 2), ClusterSpec::a100(1, 2));
         let service = MayaService::builder()
-            .target("t", EmulationSpec::new(ClusterSpec::h100(1, 2)))
+            .target("a1", EmulationSpec::new(h100.clone()))
+            .target("a2", EmulationSpec::new(a100.clone()))
+            .target("b", EmulationSpec::new(ClusterSpec::a40(1, 2)))
+            .estimator(gated(&[
+                (h100, Arc::clone(&gates[0])),
+                (a100, Arc::clone(&gates[1])),
+            ]))
             .workers(2)
             .tenant_max_in_flight(1)
             .build()
             .unwrap();
+        for (target, gate) in ["a1", "a2"].into_iter().zip(&gates) {
+            warm_first_wave(&service, target);
+            gate.set_shut(true);
+        }
         let a_opts = || JobOptions::new().with_tenant("a");
         let a1 = service
-            .submit_with(search("t", 2, 4_000), a_opts())
+            .submit_with(search("a1", 2, 4_000), a_opts())
             .unwrap();
         let _ = a1.progress().next().expect("a1 running");
         // a2 is admitted (no quota on queueing here) but must not be
         // dispatched while a1 runs, even with a worker idle.
         let a2 = service
-            .submit_with(search("t", 2, 4_000), a_opts())
+            .submit_with(search("a2", 2, 4_000), a_opts())
             .unwrap();
         // Another tenant schedules straight past the capped one onto
         // the idle worker.
         let b = service
-            .submit_with(predict("t", 2), JobOptions::new().with_tenant("b"))
+            .submit_with(predict("b", 2), JobOptions::new().with_tenant("b"))
             .unwrap();
         b.wait().unwrap();
         assert_eq!(a2.poll(), JobState::Queued, "in-flight cap must hold a2");
@@ -927,9 +1066,11 @@ mod tests {
         assert_eq!((a_stats.in_flight, a_stats.queued), (1, 1));
         // Finishing a1 releases the slot and a2 proceeds.
         a1.cancel();
+        gates[0].set_shut(false);
         let _ = a1.wait_outcome();
         let _ = a2.progress().next().expect("a2 dispatched after a1");
         a2.cancel();
+        gates[1].set_shut(false);
         let _ = a2.wait_outcome();
         let stats = service.stats();
         let a_stats = stats.tenant("a").unwrap();
@@ -1090,13 +1231,9 @@ mod tests {
     #[test]
     fn dead_queued_jobs_release_their_slots_without_a_worker() {
         use std::time::Duration;
-        let service = MayaService::builder()
-            .target("t", EmulationSpec::new(ClusterSpec::h100(1, 2)))
-            .workers(1)
-            .queue_capacity(2)
-            .build()
-            .unwrap();
-        let blocker = occupy_worker(&service, "t");
+        let gate = Arc::new(Gate::default());
+        let service = gated_t(&gate).workers(1).queue_capacity(2).build().unwrap();
+        let blocker = occupy_worker(&service, &gate);
         // Fill the whole queue with jobs whose budget is already gone.
         let doomed: Vec<JobHandle> = (0..2)
             .map(|_| {
@@ -1124,8 +1261,7 @@ mod tests {
         }
         assert_eq!(service.stats().expired, 2, "expiry counted immediately");
         assert_eq!(service.stats().served, 0, "nothing has executed yet");
-        blocker.cancel();
-        let _ = blocker.wait_outcome();
+        blocker.release();
         live.wait().unwrap();
     }
 

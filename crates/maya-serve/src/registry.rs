@@ -50,10 +50,6 @@ pub(crate) struct EngineSlot {
 }
 
 impl EngineSlot {
-    pub(crate) fn spec(&self) -> &EmulationSpec {
-        &self.spec
-    }
-
     /// The slot's engine, built on first use over the cluster's memo.
     pub(crate) fn engine(&self) -> &Arc<PredictionEngine> {
         self.engine.get_or_init(|| {

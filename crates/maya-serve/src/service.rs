@@ -851,11 +851,6 @@ impl MayaService {
             .collect()
     }
 
-    /// The spec a target resolves to.
-    pub fn target_spec(&self, target: &str) -> Result<EmulationSpec, ServeError> {
-        Ok(self.shared.table.slot(target)?.spec().clone())
-    }
-
     /// The engine serving `target`, building it if needed. Useful for
     /// out-of-band inspection (cache stats, direct predictions in
     /// tests); requests go through [`MayaService::submit`].

@@ -22,23 +22,6 @@ pub struct SimReport {
     pub events_processed: u64,
 }
 
-impl SimReport {
-    /// Peak memory in GiB.
-    pub fn peak_mem_gib(&self) -> f64 {
-        self.peak_mem_bytes as f64 / (1024.0 * 1024.0 * 1024.0)
-    }
-
-    /// Fraction of the batch spent with communication in flight on the
-    /// busiest rank (coarse overlap indicator).
-    pub fn comm_fraction(&self) -> f64 {
-        if self.total_time == SimTime::ZERO {
-            0.0
-        } else {
-            self.comm_time.as_secs_f64() / self.total_time.as_secs_f64()
-        }
-    }
-}
-
 serde::codec! {
     struct SimReport {
         total_time,
@@ -72,20 +55,5 @@ mod tests {
         assert_eq!(back.total_time, r.total_time);
         assert_eq!(back.rank_end_times, r.rank_end_times);
         assert_eq!(back.events_processed, r.events_processed);
-    }
-
-    #[test]
-    fn derived_metrics() {
-        let r = SimReport {
-            total_time: SimTime::from_ms(100.0),
-            rank_end_times: vec![SimTime::from_ms(100.0)],
-            comm_time: SimTime::from_ms(25.0),
-            compute_time: SimTime::from_ms(70.0),
-            host_time: SimTime::from_ms(5.0),
-            peak_mem_bytes: 38 * 1024 * 1024 * 1024,
-            events_processed: 1000,
-        };
-        assert!((r.comm_fraction() - 0.25).abs() < 1e-9);
-        assert!((r.peak_mem_gib() - 38.0).abs() < 1e-9);
     }
 }

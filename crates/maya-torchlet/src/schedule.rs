@@ -36,11 +36,6 @@ pub fn owner_of(block: u32, pp: u32) -> u32 {
     block % pp
 }
 
-/// Chunk index of a block on its owner.
-pub fn chunk_of(block: u32, pp: u32) -> u32 {
-    block / pp
-}
-
 /// Classic non-interleaved 1F1B for one stage.
 pub fn schedule_1f1b(pp: u32, stage: u32, num_mb: u32) -> Vec<PipelineStep> {
     let warmup = num_mb.min(pp - stage - 1);
@@ -265,9 +260,8 @@ mod tests {
         assert_eq!(block_of(2, 0, pp), 2);
         assert_eq!(block_of(2, 1, pp), 6);
         assert_eq!(owner_of(6, pp), 2);
-        assert_eq!(chunk_of(6, pp), 1);
         for b in 0..12 {
-            assert_eq!(block_of(owner_of(b, pp), chunk_of(b, pp), pp), b);
+            assert_eq!(block_of(owner_of(b, pp), b / pp, pp), b);
         }
     }
 

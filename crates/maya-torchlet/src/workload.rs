@@ -118,12 +118,6 @@ impl TrainingJob {
         )
     }
 
-    /// Microbatch size implied by the configuration.
-    pub fn micro_batch_size(&self) -> u32 {
-        let dp = self.parallel.dp(self.world).max(1);
-        self.global_batch / (dp * self.parallel.num_microbatches())
-    }
-
     /// Validates the job against divisibility and topology rules.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let p = &self.parallel;
@@ -327,7 +321,9 @@ mod tests {
         j.parallel.pp = 2;
         j.parallel.microbatch_multiplier = 2;
         // dp = 2, microbatches = 4, so micro_bs = 64 / 8 = 8.
-        assert_eq!(j.micro_batch_size(), 8);
+        let dp = j.parallel.dp(j.world);
+        assert_eq!((dp, j.parallel.num_microbatches()), (2, 4));
+        assert_eq!(j.global_batch / (dp * j.parallel.num_microbatches()), 8);
     }
 
     #[test]

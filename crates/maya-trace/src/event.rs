@@ -60,24 +60,11 @@ impl WorkerTrace {
         }
     }
 
-    /// Total host-side time recorded across all events.
-    pub fn total_host_time(&self) -> SimTime {
-        self.events.iter().map(|e| e.host_delay).sum()
-    }
-
     /// Iterator over kernel launches only.
     pub fn kernels(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events
             .iter()
             .filter(|e| matches!(e.op, DeviceOp::KernelLaunch { .. }))
-    }
-
-    /// Distinct stream ids used by this worker.
-    pub fn streams_used(&self) -> Vec<StreamId> {
-        let mut s: Vec<StreamId> = self.events.iter().map(|e| e.stream).collect();
-        s.sort_unstable();
-        s.dedup();
-        s
     }
 }
 
@@ -101,11 +88,6 @@ pub struct JobTrace {
 }
 
 impl JobTrace {
-    /// Total kernel launches across the job.
-    pub fn total_kernels(&self) -> u64 {
-        self.workers.iter().map(|w| w.summary.num_kernels).sum()
-    }
-
     /// Total events across the job.
     pub fn total_events(&self) -> usize {
         self.workers.iter().map(|w| w.events.len()).sum()
@@ -118,11 +100,6 @@ impl JobTrace {
             .map(|w| w.summary.peak_mem_bytes)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Whether any rank hit an out-of-memory condition during emulation.
-    pub fn any_oom(&self) -> bool {
-        self.workers.iter().any(|w| w.summary.oom)
     }
 
     /// Index of the worker trace for `rank`, if it is present.
@@ -138,11 +115,6 @@ impl JobTrace {
     /// How many of `members` are present in this (possibly sparse) job.
     pub fn present_count(&self, members: &[u32]) -> u32 {
         members.iter().filter(|&&m| self.is_present(m)).count() as u32
-    }
-
-    /// Whether every rank of the job was emulated.
-    pub fn is_dense(&self) -> bool {
-        self.workers.len() == self.nranks as usize
     }
 
     /// Validates internal consistency: sorted unique ranks in range,
@@ -262,9 +234,13 @@ mod tests {
             host_delay: SimTime::from_us(2.0),
         });
         assert_eq!(w.rank, 3);
-        assert_eq!(w.total_host_time(), SimTime::from_us(3.0));
+        let host_time: SimTime = w.events.iter().map(|e| e.host_delay).sum();
+        assert_eq!(host_time, SimTime::from_us(3.0));
         assert_eq!(w.kernels().count(), 1);
-        assert_eq!(w.streams_used(), vec![StreamId(0), StreamId(2)]);
+        let mut streams: Vec<StreamId> = w.events.iter().map(|e| e.stream).collect();
+        streams.sort_unstable();
+        streams.dedup();
+        assert_eq!(streams, vec![StreamId(0), StreamId(2)]);
     }
 
     #[test]
@@ -276,7 +252,7 @@ mod tests {
             comm_groups: BTreeMap::new(),
         };
         assert!(sparse.validate().is_ok());
-        assert!(!sparse.is_dense());
+        assert_ne!(sparse.workers.len(), sparse.nranks as usize);
         assert!(sparse.is_present(0) && !sparse.is_present(1));
         assert_eq!(sparse.present_count(&[0, 1]), 1);
         // ...but out-of-range or duplicate ranks are not.
@@ -333,8 +309,9 @@ mod tests {
             comm_groups: groups,
         };
         assert!(job.validate().is_ok());
-        assert_eq!(job.total_kernels(), 1);
+        let kernels: u64 = job.workers.iter().map(|w| w.summary.num_kernels).sum();
+        assert_eq!(kernels, 1);
         assert_eq!(job.total_events(), 1);
-        assert!(!job.any_oom());
+        assert!(!job.workers.iter().any(|w| w.summary.oom));
     }
 }

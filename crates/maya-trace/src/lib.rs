@@ -15,7 +15,6 @@
 
 pub mod dtype;
 pub mod event;
-pub mod json;
 pub mod kernel;
 pub mod ops;
 pub mod serdes;

@@ -215,17 +215,6 @@ impl DeviceOp {
         }
     }
 
-    /// Whether this op occupies device execution resources (has a duration
-    /// on a stream), as opposed to being pure bookkeeping.
-    pub fn is_timed(&self) -> bool {
-        matches!(
-            self,
-            DeviceOp::KernelLaunch { .. }
-                | DeviceOp::MemcpyAsync { .. }
-                | DeviceOp::Collective { .. }
-        )
-    }
-
     /// Kernel metadata if this is a compute launch.
     pub fn as_kernel(&self) -> Option<&KernelKind> {
         match self {
@@ -269,18 +258,6 @@ mod tests {
             .name(),
             "MemcpyHtoD"
         );
-    }
-
-    #[test]
-    fn timed_classification() {
-        assert!(DeviceOp::MemcpyAsync {
-            bytes: 1,
-            kind: MemcpyKind::DeviceToHost,
-            sync: true
-        }
-        .is_timed());
-        assert!(!DeviceOp::Malloc { bytes: 1, ptr: 0 }.is_timed());
-        assert!(!DeviceOp::StreamSynchronize.is_timed());
     }
 
     #[test]

@@ -207,8 +207,8 @@ impl From<&maya::MayaError> for RemoteError {
 }
 
 // Hand-written because the tag table already exists as `code()`, which
-// `Display` and the JSON rendering need as a `&'static str`; a `codec!`
-// enum would be a second copy of it.
+// `Display` needs as a `&'static str`; a `codec!` enum would be a second
+// copy of it.
 impl Serialize for RemoteErrorKind {
     fn serialize(&self, w: &mut compact::Writer) {
         w.tag(self.code());

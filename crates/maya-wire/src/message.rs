@@ -14,7 +14,7 @@
 
 use serde::{compact, Deserialize, Serialize};
 
-use maya_serve::{JobOptions, JobOutcome, MeasureOutcome, Payload, Request, Response};
+use maya_serve::{JobOptions, JobOutcome, Payload, Request, Response};
 
 use crate::error::RemoteError;
 use crate::frame::FrameKind;
@@ -90,76 +90,6 @@ pub fn decode_expired_frame(body: &str) -> Result<WireJobOutcome, compact::Error
     serde::from_str(body).map(JobOutcome::Expired)
 }
 
-/// Renders a response as a human-readable JSON object (riding on
-/// `Prediction::to_json` / `SearchResult::to_json`) so wire clients can
-/// dump results without a JSON dependency.
-pub fn to_json(response: &WireResponse) -> String {
-    use maya_trace::json::json_string;
-    use std::fmt::Write as _;
-    let telemetry = &response.telemetry;
-    let mut out = String::with_capacity(512);
-    let _ = write!(
-        out,
-        "{{\"target\":{},\"kind\":{},\"telemetry\":{{\"queue_wait_us\":{},\
-         \"service_time_us\":{},\"worker\":{},\"cache\":{{\"hits\":{},\"misses\":{},\
-         \"evictions\":{}}},\"cache_delta\":{{\"hits\":{},\"misses\":{},\
-         \"evictions\":{}}}}},\"payload\":",
-        json_string(&response.target),
-        json_string(response.kind()),
-        telemetry.queue_wait.as_micros(),
-        telemetry.service_time.as_micros(),
-        telemetry.worker,
-        telemetry.cache.hits,
-        telemetry.cache.misses,
-        telemetry.cache.evictions,
-        telemetry.cache_delta.hits,
-        telemetry.cache_delta.misses,
-        telemetry.cache_delta.evictions,
-    );
-    fn error_json(e: &RemoteError) -> String {
-        format!(
-            "{{\"error\":{},\"message\":{}}}",
-            json_string(e.kind.code()),
-            json_string(&e.message)
-        )
-    }
-    match &response.payload {
-        Payload::Predict(results) => {
-            out.push('[');
-            for (i, r) in results.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                match r {
-                    Ok(p) => out.push_str(&p.to_json()),
-                    Err(e) => out.push_str(&error_json(e)),
-                }
-            }
-            out.push(']');
-        }
-        Payload::Search(s) => out.push_str(&s.to_json()),
-        Payload::Measure(m) => match m {
-            Ok(MeasureOutcome::Completed(meas)) => {
-                let _ = write!(
-                    out,
-                    "{{\"iteration_time_ns\":{},\"comm_time_ns\":{},\
-                     \"compute_time_ns\":{},\"peak_mem_bytes\":{}}}",
-                    meas.iteration_time.as_ns(),
-                    meas.comm_time.as_ns(),
-                    meas.compute_time.as_ns(),
-                    meas.peak_mem_bytes,
-                );
-            }
-            Ok(MeasureOutcome::OutOfMemory { peak_bytes }) => {
-                let _ = write!(out, "{{\"oom\":{{\"peak_bytes\":{peak_bytes}}}}}");
-            }
-            Err(e) => out.push_str(&error_json(e)),
-        },
-    }
-    out.push('}');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,41 +122,6 @@ mod tests {
         );
         let direct = wire.predictions().unwrap()[0].as_ref().unwrap();
         assert!(direct.report().is_some());
-    }
-
-    #[test]
-    fn to_json_is_balanced_and_carries_the_result() {
-        use maya::EmulationSpec;
-        use maya_hw::ClusterSpec;
-        use maya_torchlet::TrainingJob;
-
-        let service = MayaService::builder()
-            .target("h100-1", EmulationSpec::new(ClusterSpec::h100(1, 1)))
-            .build()
-            .unwrap();
-        let resp = service
-            .call(Request::Predict {
-                target: "h100-1".into(),
-                jobs: vec![TrainingJob::smoke()],
-            })
-            .unwrap();
-        let wire: WireResponse = serde::from_str(&serde::to_string(&to_wire(resp))).unwrap();
-        let json = to_json(&wire);
-        for key in [
-            "\"target\":\"h100-1\"",
-            "\"kind\":\"predict\"",
-            "\"total_time_ns\":",
-            "\"cache_delta\"",
-            "\"evictions\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        let depth = json.chars().fold(0i64, |d, c| match c {
-            '{' | '[' => d + 1,
-            '}' | ']' => d - 1,
-            _ => d,
-        });
-        assert_eq!(depth, 0, "unbalanced JSON: {json}");
     }
 
     #[test]

@@ -387,8 +387,10 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: &Arc<ServerShared>) 
                 // real verdict.
                 FrameKind::Cancel => {
                     if let Some(handle) = lock(&jobs).get(&frame.id) {
-                        shared.cancels.inc();
+                        // Counted after the token is set: whoever reads
+                        // the count finds the job already cancelled.
                         handle.cancel();
+                        shared.cancels.inc();
                     }
                 }
                 // Observability pull: answer on the echoed id with the

@@ -183,63 +183,6 @@ impl Prediction {
     pub fn oom(&self) -> bool {
         matches!(self.outcome, PredictOutcome::OutOfMemory { .. })
     }
-
-    /// Renders the prediction as a human-readable JSON object — the
-    /// inspectable twin of the compact wire codec (`maya::serdes`).
-    /// Wire clients and bench bins dump results with this; it is a
-    /// *report* format, not a parse-back format (times in nanoseconds,
-    /// stage costs in microseconds).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"outcome\":");
-        match &self.outcome {
-            PredictOutcome::Completed(r) => {
-                let _ = write!(
-                    out,
-                    "{{\"completed\":{{\"total_time_ns\":{},\"comm_time_ns\":{},\
-                     \"compute_time_ns\":{},\"host_time_ns\":{},\"peak_mem_bytes\":{},\
-                     \"events_processed\":{},\"rank_end_times_ns\":[",
-                    r.total_time.as_ns(),
-                    r.comm_time.as_ns(),
-                    r.compute_time.as_ns(),
-                    r.host_time.as_ns(),
-                    r.peak_mem_bytes,
-                    r.events_processed,
-                );
-                for (i, t) in r.rank_end_times.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{}", t.as_ns());
-                }
-                out.push_str("]}}");
-            }
-            PredictOutcome::OutOfMemory {
-                rank,
-                peak_attempted,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"oom\":{{\"rank\":{rank},\"peak_attempted_bytes\":{peak_attempted}}}}}"
-                );
-            }
-        }
-        let _ = write!(
-            out,
-            ",\"timings_us\":{{\"emulation\":{},\"collation\":{},\"estimation\":{},\
-             \"simulation\":{}}},\"workers_emulated\":{},\"workers_simulated\":{},\
-             \"trace_events\":{}}}",
-            self.timings.emulation.as_micros(),
-            self.timings.collation.as_micros(),
-            self.timings.estimation.as_micros(),
-            self.timings.simulation.as_micros(),
-            self.workers_emulated,
-            self.workers_simulated,
-            self.trace_events,
-        );
-        out
-    }
 }
 
 #[cfg(test)]

@@ -51,7 +51,10 @@ fn main() {
         Some(report) => {
             println!("predicted batch time   : {}", report.total_time);
             println!("communication time     : {}", report.comm_time);
-            println!("peak memory usage      : {:.1} GiB", report.peak_mem_gib());
+            println!(
+                "peak memory usage      : {:.1} GiB",
+                report.peak_mem_bytes as f64 / (1u64 << 30) as f64
+            );
             println!(
                 "workers emulated/simulated: {}/{} (worker dedup)",
                 prediction.workers_emulated, prediction.workers_simulated

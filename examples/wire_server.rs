@@ -13,10 +13,9 @@ use std::sync::Arc;
 
 use maya::EmulationSpec;
 use maya_hw::ClusterSpec;
-use maya_serve::{MayaService, Request};
+use maya_serve::{MayaService, MeasureOutcome, Request};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
 use maya_trace::Dtype;
-use maya_wire::message::to_json;
 use maya_wire::{AlgorithmKind, ConfigSpace, WireClient, WireServer};
 
 fn job(cluster: &ClusterSpec, parallel: ParallelConfig) -> TrainingJob {
@@ -82,9 +81,20 @@ fn main() {
                 })
                 .expect("submit measure");
             let predict = p1.wait().expect("predict response");
-            println!("predict: {}", to_json(&predict));
+            for (i, p) in predict.predictions().unwrap().iter().enumerate() {
+                match p {
+                    Ok(p) => println!("predict[{i}]: {:?}", p.iteration_time()),
+                    Err(e) => println!("predict[{i}]: {e}"),
+                }
+            }
             let measure = p2.wait().expect("measure response");
-            println!("measure: {}", to_json(&measure));
+            match measure.measurement().unwrap() {
+                Ok(MeasureOutcome::Completed(m)) => println!(
+                    "measure: {:?} ({:?} communicating, peak {} bytes)",
+                    m.iteration_time, m.comm_time, m.peak_mem_bytes
+                ),
+                other => println!("measure: {other:?}"),
+            }
         });
         s.spawn(|| {
             let client = WireClient::connect(addr).expect("connect");
@@ -106,11 +116,14 @@ fn main() {
                     seed: 42,
                 })
                 .expect("search response");
-            println!("search: {}", to_json(&search));
-            let best = search
-                .search()
-                .and_then(|s| s.best_time())
-                .expect("search found a config");
+            let result = search.search().unwrap();
+            println!(
+                "search: {} trials, {:?}, best {:?}",
+                result.trials.len(),
+                result.stats,
+                result.best.as_ref().map(|(config, _)| config.to_string())
+            );
+            let best = result.best_time().expect("search found a config");
             println!(
                 "search best iteration time: {:.3} ms (queue wait {:?})",
                 best.as_secs_f64() * 1e3,
@@ -160,10 +173,10 @@ fn main() {
         })
         .expect("service survives the front end");
     println!(
-        "after shutdown, direct in-process call still served: {}",
+        "after shutdown, direct in-process call still served: {:?}",
         direct.predictions().unwrap()[0]
             .as_ref()
-            .map(|p| p.to_json())
+            .map(|p| p.iteration_time())
             .unwrap()
     );
 }

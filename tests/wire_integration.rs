@@ -5,15 +5,16 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use maya::{EmulationSpec, Prediction, StageTimings};
+use maya::{EmulationSpec, EstimatorChoice, Prediction, StageTimings};
+use maya_estimator::{OracleEstimator, RuntimeEstimator};
 use maya_hw::ClusterSpec;
 use maya_search::{AlgorithmKind, ConfigSpace};
 use maya_serve::{MayaService, Payload, Request};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
-use maya_trace::Dtype;
+use maya_trace::{CollectiveKind, Dtype, KernelKind, MemcpyKind, SimTime};
 use maya_wire::{
     frame, RemoteError, RemoteErrorKind, WireClient, WireError, WireJobOutcome, WirePayload,
     WireResponse, WireServer,
@@ -552,26 +553,96 @@ fn streamed_progress_over_the_wire_reconstructs_the_search_byte_for_byte() {
     );
 }
 
+/// A shut-or-open latch that [`Gated`] estimator calls pass through.
+#[derive(Default)]
+struct Gate {
+    shut: Mutex<bool>,
+    turned: Condvar,
+}
+
+impl Gate {
+    fn set_shut(&self, shut: bool) {
+        *self.shut.lock().unwrap() = shut;
+        self.turned.notify_all();
+    }
+
+    fn pass(&self) {
+        let mut shut = self.shut.lock().unwrap();
+        while *shut {
+            shut = self.turned.wait(shut).unwrap();
+        }
+    }
+}
+
+/// The oracle, with every call parked while its gate is shut. Only
+/// memo misses reach an engine's estimator, so a search whose first
+/// wave was predicted before the gate shut commits that wave (its first
+/// progress event) and then parks at its first new shape.
+struct Gated {
+    oracle: OracleEstimator,
+    gate: Arc<Gate>,
+}
+
+impl RuntimeEstimator for Gated {
+    fn kernel_time(&self, kernel: &KernelKind) -> SimTime {
+        self.gate.pass();
+        self.oracle.kernel_time(kernel)
+    }
+
+    fn memcpy_time(&self, bytes: u64, kind: MemcpyKind) -> SimTime {
+        self.gate.pass();
+        self.oracle.memcpy_time(bytes, kind)
+    }
+
+    fn collective_time(
+        &self,
+        kind: CollectiveKind,
+        bytes: u64,
+        ranks: &[u32],
+        cluster: &ClusterSpec,
+    ) -> SimTime {
+        self.gate.pass();
+        self.oracle.collective_time(kind, bytes, ranks, cluster)
+    }
+
+    fn name(&self) -> &'static str {
+        "gated-oracle"
+    }
+}
+
 #[test]
 fn cancel_over_the_wire_returns_the_deterministic_committed_prefix() {
-    // A 2.7B model, about three times `long_search`'s events a trial:
-    // the waves after the first must outlast the cancel frame's trip
-    // through two sockets on a machine busy with the other tests (with
-    // the 125M template this test lost that race in 2–3 of 40 runs of
-    // the file).
-    let mut search = long_search(60);
-    if let Request::Search { template, .. } = &mut search {
-        template.model = ModelSpec::gpt3_2_7b();
-    }
+    let search = long_search(60);
     // Reference: the same search, uncancelled.
     let full = service().call(reissue(&search)).unwrap();
     let full = full.search().unwrap().clone();
 
-    let server = WireServer::bind("127.0.0.1:0", service()).unwrap();
+    // The served search parks between its first and second wave until
+    // the server has taken the cancel: a one-trial warm-up predicts the
+    // first wave, then the gate shuts.
+    let gate = Arc::new(Gate::default());
+    let held = Arc::clone(&gate);
+    let gated = Arc::new(
+        MayaService::builder()
+            .target(H100_TARGET, EmulationSpec::new(h100_cluster()))
+            .estimator(EstimatorChoice::Custom(Arc::new(Gated {
+                oracle: OracleEstimator::new(&h100_cluster()),
+                gate: held,
+            })))
+            .build()
+            .unwrap(),
+    );
+    gated.call(long_search(1)).unwrap();
+    gate.set_shut(true);
+    let server = WireServer::bind("127.0.0.1:0", gated).unwrap();
     let client = WireClient::connect(server.local_addr()).unwrap();
     let mut pending = client.submit(&search).expect("submit");
     let first = pending.next_progress().expect("first wave before cancel");
     pending.cancel().expect("cancel frame sent");
+    while server.stats().cancels == 0 {
+        std::thread::yield_now();
+    }
+    gate.set_shut(false);
     let outcome = pending.wait_outcome().expect("terminal frame");
     let WireJobOutcome::Cancelled(Some(resp)) = outcome else {
         panic!("expected Cancelled with a prefix, got {outcome:?}");
