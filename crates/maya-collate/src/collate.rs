@@ -2,22 +2,27 @@
 //!
 //! [`Collator`] is the one implementation: it takes finished worker
 //! traces in rank order, each with the [`TraceMeta`] its recorder built
-//! while writing it, and reads only the events that metadata points at —
-//! the collectives. From them it claims the worker's `(comm,
+//! while writing it, and reads only the collective descriptors that
+//! metadata carries. From them it claims the worker's `(comm,
 //! rank_in_comm)` slots and records what the worker contributes to every
-//! collective it joins; when folding, a worker whose carried signature
-//! is already held is dropped on the spot and its buffers handed back
-//! for the next rank to record into. A push costs O(collectives), not
-//! O(events), folding or not. The collator holds no trace: one it keeps
-//! goes straight back to the caller ([`Pushed::kept`]), who may lower it
-//! and recycle its buffer before the next rank arrives, and
-//! [`Collator::finish`] yields the job's communicator map. The
-//! signature set has one owner, here: a caller that would rather not
-//! finish a trace about to be dropped (the engine computes a rank's
-//! host time only for a kept trace) asks [`Collator::holds`] first, and
-//! `push` still decides. A trace that came from no recorder is pushed
-//! with the metadata [`TraceMeta::scan`] computes from it, as the
-//! engine's `predict_trace` does. [`collate`] and
+//! collective it joins, whether or not the worker's events were written.
+//! When folding, it keeps each kept class's first trace as a template
+//! ([`Templates`], which [`Collator::templates`] hands to the recorders
+//! of later ranks, and where the caller reads a kept trace,
+//! [`Pushed::template`]): a worker whose recorder matched a template
+//! whole arrives with no events and is dropped on the spot, and one
+//! whose events were written is compared in full against the templates
+//! its recorder did not see — those kept after it started, when several
+//! threads emulate, or all of them for a trace that came from no
+//! recorder — and dropped if it equals one, else kept as the next
+//! template. A dropped worker's buffers go back for the next rank to
+//! record into. A push costs O(collectives), and O(events) for a trace
+//! it compares. A collator that does not fold holds no trace: one it
+//! keeps goes straight back to the caller ([`Pushed::kept`]), who may
+//! lower it and recycle its buffer before the next rank arrives.
+//! [`Collator::finish`] yields the job's communicator map. A trace that came from no
+//! recorder is pushed with the metadata [`TraceMeta::scan`] computes
+//! from it, as the engine's `predict_trace` does. [`collate`] and
 //! [`collate_with_known_groups`] do that for a whole set with folding
 //! off, keeping every trace; they serve only the benchmark's replay and
 //! the tests, and leave once that replay goes through the collator
@@ -36,11 +41,11 @@
 //! reconstruction, structure, and collective agreement (from `finish`).
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use maya_trace::{
-    validate_groups, validate_ranks, CollectiveDesc, CollectiveKind, DeviceOp, JobTrace,
+    validate_groups, validate_ranks, CollectiveDesc, CollectiveKind, JobTrace, Templates,
     TraceBuffers, TraceMeta, WorkerTrace,
 };
 
@@ -153,7 +158,7 @@ pub fn collate_with_known_groups(
     let mut collator = Collator::new(world, known, false);
     let mut kept = Vec::with_capacity(workers.len());
     for w in workers {
-        let meta = TraceMeta::scan(&w.events, false);
+        let meta = TraceMeta::scan(&w.events);
         kept.extend(collator.push(w, meta)?.kept);
     }
     Ok(JobTrace {
@@ -177,13 +182,18 @@ pub struct CollateStats {
 /// What [`Collator::push`] hands back for one worker.
 #[derive(Debug)]
 pub struct Pushed {
-    /// The worker's trace if it was kept — it opened a new class, or the
-    /// collator does not fold. The caller holds it from here on.
+    /// The worker's trace if the collator does not fold, which keeps
+    /// every trace. The caller holds it from here on.
     pub kept: Option<WorkerTrace>,
-    /// Buffers the caller may record the next rank into: the index
-    /// buffer always, the worker's event buffer if it was folded away
-    /// (an unallocated one if it was kept), all emptied; the host-note
-    /// buffer never reaches the collator and comes back unallocated.
+    /// When folding, the template the worker's trace became if it opened
+    /// a new class: [`Collator::templates`] holds it until the collator
+    /// is gone, and the caller reads it there.
+    pub template: Option<usize>,
+    /// Buffers the caller may record the next rank into: the collective
+    /// and residue buffers always, the worker's event buffer if it was
+    /// folded away (an unallocated one if it was kept), all emptied; the
+    /// host-note buffer never reaches the collator and comes back
+    /// unallocated.
     pub spare: TraceBuffers,
 }
 
@@ -379,7 +389,8 @@ pub struct Collator<'k> {
     used: Vec<Used>,
     /// Every rank pushed, kept or not.
     ranks: Vec<u32>,
-    signatures: HashSet<u64>,
+    /// The first trace of every class kept, when folding.
+    templates: Templates,
     /// First kind or payload disagreement; reported by `finish`, after
     /// the checks that outrank it.
     mismatch: Option<CollateError>,
@@ -389,8 +400,7 @@ pub struct Collator<'k> {
 impl<'k> Collator<'k> {
     /// A collator for a `world`-rank job. `known` is authoritative
     /// membership for the communicators it lists (may be empty); with
-    /// `fold`, a worker whose signature matches a lower rank's is
-    /// dropped.
+    /// `fold`, a worker whose calls equal a lower rank's is dropped.
     pub fn new(world: u32, known: &'k BTreeMap<u64, Vec<u32>>, fold: bool) -> Self {
         Collator {
             world,
@@ -400,7 +410,7 @@ impl<'k> Collator<'k> {
             comm_slot: HashMap::new(),
             used: Vec::new(),
             ranks: Vec::new(),
-            signatures: HashSet::new(),
+            templates: Templates::default(),
             mismatch: None,
             stats: CollateStats::default(),
         }
@@ -411,18 +421,18 @@ impl<'k> Collator<'k> {
         self.stats
     }
 
-    /// Whether a worker carrying `signature` would be folded away:
-    /// a lower rank's trace with it is already kept. What
-    /// [`Collator::push`] will decide, asked ahead of it by a caller
-    /// with work to spare on a trace that is about to be dropped.
-    pub fn holds(&self, signature: u64) -> bool {
-        self.signatures.contains(&signature)
+    /// The classes kept so far, for the recorder of a later rank to
+    /// compare its calls against: a snapshot, which does not see classes
+    /// kept after it is taken. Once the collator is gone, the last
+    /// snapshot owns the templates' buffers.
+    pub fn templates(&self) -> Templates {
+        self.templates.clone()
     }
 
     /// Takes the next worker and the metadata recorded with it; ranks
-    /// must not decrease from one call to the next. Only the events
-    /// `meta.collectives` names are read, and a folding collator keeps
-    /// or drops the trace by `meta.signature`, which it then requires.
+    /// must not decrease from one call to the next. Only the collective
+    /// descriptors `meta` carries are read, and, when folding, the
+    /// events of a trace whose recorder did not match a template whole.
     pub fn push(
         &mut self,
         mut trace: WorkerTrace,
@@ -436,45 +446,68 @@ impl<'k> Collator<'k> {
                 )));
             }
         }
+        let misfit = |what: String| CollateError::Invalid(format!("worker {}: {what}", trace.rank));
+        let held = self.templates.len();
+        match meta.matched {
+            Some(t) if !self.fold || t >= held => {
+                return Err(misfit(format!("matched template {t} of {held} held")))
+            }
+            None if meta.calls != trace.events.len() || meta.seen > held => {
+                return Err(misfit(format!(
+                    "{} calls against {} of {held} templates, {} events written",
+                    meta.calls,
+                    meta.seen,
+                    trace.events.len()
+                )))
+            }
+            _ => {}
+        }
         self.ranks.push(trace.rank);
         self.stats.workers_in += 1;
         self.stats.events_seen += meta.collectives.len() as u64;
 
         self.used.clear();
-        for &at in &meta.collectives {
-            match trace.events.get(at).map(|e| &e.op) {
-                Some(DeviceOp::Collective { desc }) => self.collective(trace.rank, desc)?,
-                _ => {
-                    return Err(CollateError::Invalid(format!(
-                        "worker {}: event {at} is indexed as a collective and is not one",
-                        trace.rank
-                    )))
-                }
-            }
+        for desc in &meta.collectives {
+            self.collective(trace.rank, desc)?;
         }
 
+        let TraceMeta {
+            mut collectives,
+            mut residue,
+            matched,
+            seen,
+            ..
+        } = meta;
+        collectives.clear();
+        residue.clear();
         let mut spare = TraceBuffers {
-            events: Vec::new(),
-            collectives: meta.collectives,
-            host_notes: Vec::new(),
+            collectives,
+            residue,
+            ..TraceBuffers::default()
         };
-        spare.collectives.clear();
-        if self.fold {
-            let signature = meta.signature.ok_or_else(|| {
-                CollateError::Invalid(format!(
-                    "worker {} reached a folding collator unsigned",
-                    trace.rank
-                ))
-            })?;
-            if !self.signatures.insert(signature) {
-                trace.events.clear();
-                spare.events = trace.events;
-                return Ok(Pushed { kept: None, spare });
-            }
+        if !self.fold {
+            self.stats.workers_kept += 1;
+            return Ok(Pushed {
+                kept: Some(trace),
+                template: None,
+                spare,
+            });
+        }
+        if matched.is_some() || self.templates.find(&trace.events, seen).is_some() {
+            trace.events.clear();
+            spare.events = trace.events;
+            return Ok(Pushed {
+                kept: None,
+                template: None,
+                spare,
+            });
         }
         self.stats.workers_kept += 1;
+        let template = Some(self.templates.len());
+        self.templates = self.templates.kept(trace);
         Ok(Pushed {
-            kept: Some(trace),
+            kept: None,
+            template,
             spare,
         })
     }
@@ -589,7 +622,7 @@ fn infer_missing_members(members: &mut [u32], world: u32) -> Result<(), u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maya_trace::{CollectiveDesc, SimTime, StreamId, TraceEvent};
+    use maya_trace::{CollectiveDesc, DeviceOp, SimTime, StreamId, TraceEvent};
 
     fn coll_event(
         kind: CollectiveKind,

@@ -3,19 +3,21 @@
 //! In data-parallel (and tensor-parallel) training, many workers execute
 //! identical operation sequences on different data shards. The paper
 //! hashes each worker's operations while it is emulated and keeps only
-//! the unique ranks. The hash is `maya_trace::Signer::note`, and the
-//! emulator's recorder advances it as each call is issued: a finished
-//! rank arrives at [`Collator`](crate::Collator) already signed, and the
-//! collator drops the trace when that signature is one it has already
-//! kept (the first iteration is the boundary: every job traces one).
-//! A trace already in hand folds the same way: pushed with the metadata
-//! `TraceMeta::scan` computes from it, which signs it with the same
-//! `note`. [`signature`] / [`dedup_classes`] / [`reduce_job`] are the
-//! scanning copy of the mechanism; they serve only the benchmark's
-//! replay and the tests, and leave once that replay goes through the
-//! collator (ROADMAP.md, item 2(a)).
+//! the unique ranks. This repo compares the operations instead, with the
+//! partition the hash induces and without its collisions: two workers
+//! are alike exactly when their calls (as `maya_trace::same_calls`
+//! and `Template::is` compare them, one definition) are equal, one for
+//! one. The emulator's recorder compares
+//! each call against the templates of the classes kept so far as it is
+//! issued, so a rank that repeats a kept class arrives at
+//! [`Collator`](crate::Collator) with no events written and is dropped
+//! (the first iteration is the boundary: every job traces one).
+//! [`dedup_classes`] / [`reduce_job`] are the same comparison over
+//! traces that are all in hand; they serve only the benchmark's replay
+//! and the tests, and leave once that replay goes through the collator
+//! (ROADMAP.md, item 2(a)).
 
-use maya_trace::{signature_of, JobTrace, WorkerTrace};
+use maya_trace::{same_calls, JobTrace, WorkerTrace};
 
 /// One equivalence class of identical workers.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -24,33 +26,29 @@ pub struct DedupClass {
     pub representative: u32,
     /// All member ranks (including the representative).
     pub members: Vec<u32>,
-    /// The class signature.
-    pub signature: u64,
 }
 
-/// Structural rolling hash of a worker's operation sequence — what the
-/// recorder would have carried in `TraceMeta::signature`, which documents
-/// what it is and is not sensitive to.
-pub fn signature(trace: &WorkerTrace) -> u64 {
-    signature_of(&trace.events)
-}
-
-/// Groups workers into equivalence classes by signature. The lowest rank
-/// of each class becomes its representative.
+/// Groups workers into equivalence classes of equal calls, compared as
+/// the collator compares them. The lowest rank of each class becomes
+/// its representative.
 pub fn dedup_classes(workers: &[WorkerTrace]) -> Vec<DedupClass> {
-    use std::collections::BTreeMap;
-    let mut by_sig: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+    let mut classes: Vec<(&WorkerTrace, Vec<u32>)> = Vec::new();
     for w in workers {
-        by_sig.entry(signature(w)).or_default().push(w.rank);
+        match classes
+            .iter_mut()
+            .find(|(first, _)| same_calls(&first.events, &w.events))
+        {
+            Some((_, members)) => members.push(w.rank),
+            None => classes.push((w, vec![w.rank])),
+        }
     }
-    let mut classes: Vec<DedupClass> = by_sig
+    let mut classes: Vec<DedupClass> = classes
         .into_iter()
-        .filter_map(|(signature, mut members)| {
+        .filter_map(|(_, mut members)| {
             members.sort_unstable();
             Some(DedupClass {
                 representative: *members.first()?,
                 members,
-                signature,
             })
         })
         .collect();
@@ -128,20 +126,25 @@ mod tests {
         w
     }
 
+    /// How many classes `workers` fall into.
+    fn classes(workers: &[WorkerTrace]) -> usize {
+        dedup_classes(workers).len()
+    }
+
     #[test]
     fn identical_work_same_signature_despite_jitter() {
         // Same ops, different host delays and different comm ids (as two
-        // dp peers in different tp groups would have).
+        // dp peers in different tp groups would have): one class.
         let a = worker(0, vec![kernel_event(128, 3.0), coll_event(111, 0)]);
         let b = worker(1, vec![kernel_event(128, 7.5), coll_event(222, 0)]);
-        assert_eq!(signature(&a), signature(&b));
+        assert_eq!(classes(&[a, b]), 1);
     }
 
     #[test]
     fn different_shapes_different_signature() {
         let a = worker(0, vec![kernel_event(128, 1.0)]);
         let b = worker(1, vec![kernel_event(256, 1.0)]);
-        assert_ne!(signature(&a), signature(&b));
+        assert_eq!(classes(&[a, b]), 2);
     }
 
     #[test]
@@ -149,7 +152,7 @@ mod tests {
         // Same kernel work but one rank also all-reduces.
         let a = worker(0, vec![kernel_event(128, 1.0)]);
         let b = worker(1, vec![kernel_event(128, 1.0), coll_event(5, 0)]);
-        assert_ne!(signature(&a), signature(&b));
+        assert_eq!(classes(&[a, b]), 2);
     }
 
     #[test]
@@ -175,9 +178,8 @@ mod tests {
             worker(1, vec![coll_event(5, 1)]),
         ];
         let job = crate::collate(ws, 2).unwrap();
-        // Force both into one class signature-wise? They differ by
-        // rank_in_comm exclusion: signatures ignore rank_in_comm, so both
-        // hash identically.
+        // They differ only by rank_in_comm, which is not part of a call,
+        // so they are one class.
         let classes = dedup_classes(&job.workers);
         assert_eq!(classes.len(), 1);
         let reduced = reduce_job(&job, &classes);

@@ -3,14 +3,28 @@
 //! worker, `JobTrace::validate` + `validate_collectives` over every
 //! worker again, then `signature` over every worker a third time. Test
 //! oracle only — function bodies are verbatim, so a difference between
-//! this and the library is a behaviour change.
+//! this and the library is a behaviour change. The library compares
+//! calls where this hashes them and its classes carry no signature, so
+//! the class type is frozen here too; the contract between the two is
+//! the partition.
 
 #![allow(dead_code)]
 
 use std::collections::BTreeMap;
 
-use maya_collate::{CollateError, DedupClass};
+use maya_collate::CollateError;
 use maya_trace::{CollectiveKind, DeviceOp, JobTrace, WorkerTrace};
+
+/// One equivalence class of identical workers.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct DedupClass {
+    /// The rank whose trace represents the class.
+    pub representative: u32,
+    /// All member ranks (including the representative).
+    pub members: Vec<u32>,
+    /// The class signature.
+    pub signature: u64,
+}
 
 /// Merges worker traces into a job trace for a `world`-rank job.
 ///

@@ -6,9 +6,7 @@ mod reference;
 
 use std::collections::BTreeMap;
 
-use maya_collate::{
-    collate, dedup_classes, reduce_job, signature, CollateError, CollateStats, Collator, DedupClass,
-};
+use maya_collate::{collate, dedup_classes, reduce_job, CollateError, CollateStats, Collator};
 use maya_hw::{GpuSpec, GroundTruthKernelModel};
 use maya_trace::CollectiveKind::{self, AllGather, AllReduce};
 use maya_trace::{
@@ -46,17 +44,21 @@ fn stream(workers: &[WorkerTrace], world: u32, fold: bool) -> Result<JobTrace, C
     let mut collator = Collator::new(world, &known, fold);
     let mut kept = Vec::new();
     for w in workers {
-        kept.extend(
-            collator
-                .push(w.clone(), TraceMeta::scan(&w.events, fold))?
-                .kept,
-        );
+        kept.extend(collator.push(w.clone(), TraceMeta::scan(&w.events))?.kept);
     }
+    kept.extend(templates(&collator));
     Ok(JobTrace {
         nranks: world,
         workers: kept,
         comm_groups: collator.finish()?,
     })
+}
+
+/// The traces a folding collator kept, as templates, in rank order.
+fn templates(collator: &Collator<'_>) -> Vec<WorkerTrace> {
+    let kept = collator.templates();
+    let each = (0..kept.len()).filter_map(|t| Some(kept.get(t)?.trace().clone()));
+    each.collect()
 }
 
 /// One error fixture: the good workers of communicator 5, the
@@ -158,13 +160,9 @@ fn every_fault_is_reported_wherever_the_offender_sits() {
             assert_eq!(collate(workers, 8).expect_err(&what), batch, "{what}");
         }
         // The third placement really is one the fold drops: a lower
-        // rank has the offender's signature.
-        assert_eq!(
-            signature(&worker(0, twins[0].clone())),
-            signature(&worker(1, bad)),
-            "{}",
-            f.name
-        );
+        // rank's calls are the offender's.
+        let pair = [worker(0, twins[0].clone()), worker(1, bad)];
+        assert_eq!(dedup_classes(&pair).len(), 1, "{}", f.name);
         // ... and the twins alone are a healthy job.
         stream(&ranked(twins), 8, true).expect(f.name);
     }
@@ -174,7 +172,7 @@ fn every_fault_is_reported_wherever_the_offender_sits() {
 fn rank_faults_are_reported_when_the_offender_is_folded_away() {
     let member = |r| vec![coll_event(AllReduce, 5, 0, 64, 2, r)];
     // Rank 0 twice, the copy first or last of the two; rank 5 of a
-    // 2-rank job. All three offenders are signature duplicates.
+    // 2-rank job. All three offenders repeat a kept class.
     let duplicate = vec![
         worker(0, member(0)),
         worker(0, member(0)),
@@ -248,9 +246,9 @@ fn several_faults_report_in_batch_precedence() {
 fn push_takes_ranks_in_order() {
     let known = BTreeMap::new();
     let mut collator = Collator::new(4, &known, true);
-    let signed = || TraceMeta::scan(&[], true);
-    collator.push(worker(2, vec![]), signed()).unwrap();
-    let err = collator.push(worker(1, vec![]), signed()).unwrap_err();
+    let empty = || TraceMeta::scan(&[]);
+    collator.push(worker(2, vec![]), empty()).unwrap();
+    let err = collator.push(worker(1, vec![]), empty()).unwrap_err();
     assert!(matches!(err, CollateError::Invalid(_)), "{err}");
 }
 
@@ -264,33 +262,65 @@ fn metadata_that_does_not_fit_the_trace_is_refused() {
             ..coll_event(AllReduce, 5, 0, 64, 1, 0)
         },
     ];
-    // An index entry that names a non-collective, or no event at all.
-    for at in [1, 2] {
-        let meta = TraceMeta {
-            signature: None,
-            collectives: vec![0, at],
-        };
-        let err = Collator::new(1, &known, false)
+    let scanned = || TraceMeta::scan(&events);
+    // A call count the events do not have, templates the collator does
+    // not hold, or a match — which leaves the events unwritten — on a
+    // collator that holds no template or does not fold.
+    for (fold, meta) in [
+        (
+            false,
+            TraceMeta {
+                calls: 3,
+                ..scanned()
+            },
+        ),
+        (
+            true,
+            TraceMeta {
+                calls: 1,
+                ..scanned()
+            },
+        ),
+        (
+            true,
+            TraceMeta {
+                seen: 1,
+                ..scanned()
+            },
+        ),
+        (
+            true,
+            TraceMeta {
+                matched: Some(0),
+                ..scanned()
+            },
+        ),
+        (
+            false,
+            TraceMeta {
+                matched: Some(0),
+                ..scanned()
+            },
+        ),
+    ] {
+        let what = format!("{meta:?}, folding: {fold}");
+        let err = Collator::new(1, &known, fold)
             .push(worker(0, events.clone()), meta)
-            .unwrap_err();
+            .expect_err(&what);
         assert!(
-            matches!(&err, CollateError::Invalid(m) if m.contains("not one")),
-            "{err}"
+            matches!(&err, CollateError::Invalid(m) if m.starts_with("worker 0: ")),
+            "{what}: {err}"
         );
     }
-    // Folding needs the recorder's signature; not folding ignores it.
-    let unsigned = || TraceMeta::scan(&events, false);
-    let err = Collator::new(1, &known, true)
-        .push(worker(0, events.clone()), unsigned())
-        .unwrap_err();
-    assert!(
-        matches!(&err, CollateError::Invalid(m) if m.contains("unsigned")),
-        "{err}"
-    );
-    let mut flat = Collator::new(1, &known, false);
-    let pushed = flat.push(worker(0, events.clone()), unsigned()).unwrap();
-    assert_eq!(pushed.kept, Some(worker(0, events)));
-    assert_eq!(flat.finish().unwrap(), BTreeMap::from([(5, vec![0])]));
+    // What a recorder hands over for such a trace, folding or not.
+    for fold in [false, true] {
+        let mut collator = Collator::new(1, &known, fold);
+        let pushed = collator.push(worker(0, events.clone()), scanned()).unwrap();
+        let kept = pushed.kept.into_iter().chain(templates(&collator));
+        assert_eq!(kept.collect::<Vec<_>>(), [worker(0, events.clone())]);
+        assert_eq!(pushed.template, fold.then_some(0));
+        assert_eq!(collator.finish().unwrap(), BTreeMap::from([(5, vec![0])]));
+    }
 }
 
 #[test]
@@ -340,18 +370,23 @@ fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
         .iter()
         .map(|w| {
             let pushed = collator
-                .push(w.clone(), TraceMeta::scan(&w.events, true))
+                .push(w.clone(), TraceMeta::scan(&w.events))
                 .unwrap();
             let spare = pushed.spare;
             assert!(spare.events.is_empty() && spare.collectives.is_empty());
-            kept.extend(pushed.kept);
+            assert!(
+                pushed.kept.is_none(),
+                "a folding collator holds what it keeps"
+            );
             (spare.events.capacity(), spare.collectives.capacity() > 0)
         })
         .collect();
+    kept.extend(templates(&collator));
     assert_eq!(
         spare,
         vec![(0, true), (0, true), (2, true), (2, true)],
-        "only dropped traces free an event buffer; the index always comes back"
+        "only dropped traces free an event buffer (a kept one's is its template's); \
+         the collectives always come back"
     );
     assert_eq!(
         collator.stats(),
@@ -374,15 +409,19 @@ fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
     let classes = reference::dedup_classes(&all.workers);
     assert_eq!(job, reference::reduce_job(&all, &classes));
     assert_eq!(collate(workers, 4).unwrap(), all);
-    // The oracle chains every word, so its signature values are not the
-    // library's; the classes and who represents them are.
-    let partition = |classes: &[DedupClass]| -> Vec<(u32, Vec<u32>)> {
-        let members = |c: &DedupClass| (c.representative, c.members.clone());
-        classes.iter().map(members).collect()
-    };
+    // The oracle hashes where the library compares; the classes and who
+    // represents them are the same.
+    let oracle: Vec<(u32, Vec<u32>)> = classes
+        .iter()
+        .map(|c| (c.representative, c.members.clone()))
+        .collect();
     let scanned = dedup_classes(&all.workers);
-    assert_eq!(partition(&scanned), partition(&classes));
-    assert_eq!(partition(&scanned), [(0, vec![0, 2]), (1, vec![1, 3])]);
+    let compared: Vec<(u32, Vec<u32>)> = scanned
+        .iter()
+        .map(|c| (c.representative, c.members.clone()))
+        .collect();
+    assert_eq!(compared, oracle);
+    assert_eq!(compared, [(0, vec![0, 2]), (1, vec![1, 3])]);
     assert_eq!(reduce_job(&all, &scanned), job);
 }
 
@@ -395,7 +434,8 @@ fn ranks_that_differ_only_by_a_transposed_gemm_are_not_folded() {
         dtype: Dtype::Bf16,
     };
     let (tall, wide) = (gemm(4096, 1024), gemm(1024, 4096));
-    // What the signature used to hash cannot tell them apart ...
+    // What the frozen oracle's signature hashes cannot tell them
+    // apart ...
     assert_eq!(tall.flops().to_bits(), wide.flops().to_bits());
     assert_eq!(
         tall.bytes_accessed().to_bits(),
@@ -423,7 +463,7 @@ fn ranks_that_differ_only_by_a_transposed_gemm_are_not_folded() {
         reference::signature(&workers[1]),
         "the frozen oracle folds them"
     );
-    assert_ne!(signature(&workers[0]), signature(&workers[1]));
+    assert_eq!(dedup_classes(&workers).len(), 2);
     assert_eq!(stream(&workers, 2, true).unwrap().workers, workers);
     // Two ranks launching the same shape still fold.
     let twins = [rank(0, tall), rank(1, tall)];

@@ -11,8 +11,9 @@
 //! ([`ModelClock::cost`]), so it need not be computed when the call is
 //! issued. A recorder whose trace is always kept charges as it records
 //! ([`ModelClock::charge`]); one whose trace may be folded away — nobody
-//! reads a folded rank's host time: the signature excludes it, the
-//! collator reads collectives, the next rank overwrites the events —
+//! reads a folded rank's host time: folding compares calls without it,
+//! the collator reads collectives, a matched call's event is not even
+//! written —
 //! only numbers the call and notes `(call, class)` beside the event, and
 //! the [`HostCharges`] it finishes with computes the costs if and when
 //! the trace turns out to be kept. Settled, such a trace is bit for bit
@@ -102,12 +103,12 @@ impl ModelClock {
     ///
     /// Out of line on purpose, for the sake of the path that does not
     /// call it: `CudaContext::record` holds this call beside the branch
-    /// that only notes, and with the body inlined there a signing
-    /// rank's recording measures ≈ 5 % slower (512-rank sweeps, min of
+    /// that only notes, and with the body inlined there a noting
+    /// rank's recording measured ≈ 5 % slower (512-rank sweeps, min of
     /// 12, five alternating processes a side: 39.9–40.8 ms against
     /// 37.2–38.6). The eager path itself would rather have it inlined,
-    /// by less: 86.1–86.9 µs an unsigned rank against 87.7–88.4 (min of
-    /// 3 000, six alternating processes a side). The 15–25 % PR 21 read
+    /// by less: 86.1–86.9 µs an eagerly charged rank against 87.7–88.4
+    /// (min of 3 000, six alternating processes a side). The 15–25 % PR 21 read
     /// against inlining went with libm's `round` in PR 22.
     #[inline(never)]
     pub fn charge(&mut self, class: HostOpClass) -> SimTime {
@@ -141,9 +142,9 @@ fn unpack(note: u64) -> Option<(u64, HostOpClass)> {
 
 /// The host-time ledger of one recording. While the
 /// [`CudaContext`](crate::CudaContext) records, it prices each call —
-/// at once, or, when the trace may be folded away unread (a signing
-/// context), as a one-word note beside the event. Finished, it is what
-/// the trace is still owed: [`HostCharges::settle`] computes the noted
+/// at once, or, when the trace may be folded away unread (a context
+/// recording against templates), as a one-word note a call. Finished,
+/// it is what the trace is still owed: [`HostCharges::settle`] computes the noted
 /// costs for a trace that is kept, [`HostCharges::forgo`] drops them
 /// with a trace that is not; both consume the ledger and return the
 /// note buffer for the next rank to record into.
@@ -152,7 +153,7 @@ fn unpack(note: u64) -> Option<(u64, HostOpClass)> {
 pub struct HostCharges {
     clock: ModelClock,
     defer: bool,
-    /// When deferring, one word per recorded event.
+    /// When deferring, one word per recorded call.
     notes: Vec<u64>,
 }
 

@@ -1,19 +1,25 @@
 //! The per-rank virtual device: CUDA runtime API + emulator state.
 //!
 //! Every API call funnels into `CudaContext::record`, which is also
-//! where the paper's "hash while emulating" (§4.2) happens: the call
-//! advances the worker's structural signature and, if it is a
-//! collective, notes its position, before the event is written. The
-//! finished context hands out the trace together with that
-//! [`TraceMeta`], so the collator reads collectives only and never
-//! re-derives the signature. A context whose trace will not be folded is
-//! built not to sign ([`CudaContext::recording_into`]).
+//! where the paper's "fold while emulating" (§4.2) happens. The paper
+//! hashes each call; this repo compares it, with the same partition of
+//! ranks: a context whose trace may be folded records against the
+//! [`Templates`] of the classes kept so far (`recording.rs`). While its
+//! calls still equal some template's it writes only their collective
+//! descriptors and what the template cannot reproduce; once they differ
+//! from every template it writes out the matched prefix and records on.
+//! The finished context hands out the trace — no event at all if it
+//! matched a template whole — together with its [`TraceMeta`], so the
+//! collator reads collective descriptors only and never re-reads an
+//! event to fold a rank the recorder already matched. A context whose
+//! trace will not be folded is given no templates
+//! ([`CudaContext::recording_into`]).
 //!
-//! Host time follows the same split. A context that does not sign
-//! charges every call as it records it; one that signs, whose trace is
-//! dropped unread more often than not, writes only the framework work
-//! injected before the call and notes the call's number and class in
-//! its [`HostCharges`]. [`CudaContext::into_trace`] and
+//! Host time follows the same split. A context whose trace will not be
+//! folded charges every call as it records it; one whose trace may be,
+//! and is dropped unread more often than not, writes only the framework
+//! work injected before the call and notes the call's number and class
+//! in its [`HostCharges`]. [`CudaContext::into_trace`] and
 //! [`CudaContext::into_recorded`] settle those charges before they
 //! return; [`CudaContext::into_unsettled`] hands them out beside the
 //! trace, for the engine to settle once the collator is known to keep
@@ -26,7 +32,7 @@ use std::collections::HashMap;
 
 use maya_hw::GpuSpec;
 use maya_trace::{
-    DeviceOp, KernelKind, MemcpyKind, Signer, SimTime, StreamId, TraceBuffers, TraceEvent,
+    DeviceOp, KernelKind, MemcpyKind, SimTime, StreamId, Templates, TraceBuffers, TraceEvent,
     TraceMeta, WorkerTrace,
 };
 
@@ -35,6 +41,7 @@ use crate::cublas::CublasState;
 use crate::cudnn::{ConvDescState, CudnnState};
 use crate::error::{CudaError, CudaResult};
 use crate::nccl::CommState;
+use crate::recording::Recording;
 
 /// An opaque CUDA stream handle. Stream 0 is the default stream.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -144,8 +151,7 @@ pub struct CudaContext {
     pub(crate) next_handle: u64,
 
     // Trace.
-    log: Vec<TraceEvent>,
-    signer: Signer,
+    trace: Recording,
     num_kernels: u64,
     num_collectives: u64,
     pending_host: SimTime,
@@ -153,22 +159,24 @@ pub struct CudaContext {
 
 impl CudaContext {
     /// [`CudaContext::new`] that records into `buffers` (cleared first)
-    /// instead of fresh ones, and signs the trace only if `sign`. A
-    /// caller emulating many ranks hands back the buffers of a trace it
-    /// has discarded, so the next rank writes over pages that are
-    /// already mapped; one that will not fold the trace spares every
-    /// call the hash.
-    pub fn recording_into(rank: u32, gpu: GpuSpec, buffers: TraceBuffers, sign: bool) -> Self {
-        let TraceBuffers {
-            mut events,
-            collectives,
-            host_notes,
-        } = buffers;
-        events.clear();
+    /// instead of fresh ones, against the classes in `against` if the
+    /// trace may be folded (`None` if it will not be). A caller
+    /// emulating many ranks hands back the buffers of a trace it has
+    /// discarded, so the next rank writes over pages that are already
+    /// mapped; one that will not fold the trace spares every call the
+    /// comparison and charges its host time as it goes.
+    pub fn recording_into(
+        rank: u32,
+        gpu: GpuSpec,
+        mut buffers: TraceBuffers,
+        against: Option<Templates>,
+    ) -> Self {
+        let host_notes = std::mem::take(&mut buffers.host_notes);
+        let clock = ModelClock::new(0x636C_6F63 ^ rank as u64);
         CudaContext {
             rank,
             gpu,
-            host: HostCharges::new(ModelClock::new(0x636C_6F63 ^ rank as u64), sign, host_notes),
+            host: HostCharges::new(clock, against.is_some(), host_notes),
             capacity: gpu.mem_bytes().saturating_sub(CONTEXT_RESERVED_BYTES),
             used: 0,
             peak: 0,
@@ -185,8 +193,7 @@ impl CudaContext {
             conv_descs: Table::new(),
             comms: Table::new(),
             next_handle: 1,
-            log: events,
-            signer: Signer::new(sign, collectives),
+            trace: Recording::new(buffers, against.unwrap_or_default()),
             num_kernels: 0,
             num_collectives: 0,
             pending_host: SimTime::ZERO,
@@ -194,10 +201,10 @@ impl CudaContext {
     }
 
     /// Creates a virtual device of the given spec for `rank`, recording
-    /// into fresh buffers and signing; its host clock is the
+    /// every call into fresh buffers; its host clock is the
     /// deterministic model clock, seeded by rank.
     pub fn new(rank: u32, gpu: GpuSpec) -> Self {
-        Self::recording_into(rank, gpu, TraceBuffers::default(), true)
+        Self::recording_into(rank, gpu, TraceBuffers::default(), None)
     }
 
     /// The GPU this context emulates.
@@ -226,17 +233,16 @@ impl CudaContext {
         self.pending_host += t;
     }
 
-    /// Records one trace event, charging or noting host time for it and
-    /// advancing the trace's signature and collective index.
+    /// Records one call, charging or noting host time for it, into the
+    /// recording, which compares it against the templates it follows.
     pub(crate) fn record(&mut self, stream: StreamId, op: DeviceOp, class: HostOpClass) {
         let host = self.host.charge(class) + std::mem::take(&mut self.pending_host);
-        self.signer.note(self.log.len(), stream, &op);
         match op {
             DeviceOp::KernelLaunch { .. } | DeviceOp::MemcpyAsync { .. } => self.num_kernels += 1,
             DeviceOp::Collective { .. } => self.num_collectives += 1,
             _ => {}
         }
-        self.log.push(TraceEvent {
+        self.trace.push(TraceEvent {
             stream,
             op,
             host_delay: host,
@@ -506,18 +512,23 @@ impl CudaContext {
     }
 
     /// Finishes emulation, yielding the recorded worker trace and what
-    /// the recorder learned writing it: the signature (if this context
-    /// signs) and where the collectives are.
+    /// the recorder learned writing it: the collective descriptors, and
+    /// the template the calls equal if they matched one whole — then
+    /// the trace holds no event, and owes no host time.
     pub fn into_recorded(self) -> (WorkerTrace, TraceMeta) {
         let (mut trace, meta, charges) = self.into_unsettled();
-        let _ = charges.settle(&mut trace);
+        let _ = match meta.matched {
+            Some(_) => charges.forgo(),
+            None => charges.settle(&mut trace),
+        };
         (trace, meta)
     }
 
-    /// [`CudaContext::into_recorded`] before the host time a signing
-    /// context deferred is computed: the trace's `host_delay`s are short
-    /// by what `charges` holds until [`HostCharges::settle`] adds it.
-    /// For a caller that drops most traces by their signature, unread.
+    /// [`CudaContext::into_recorded`] before the host time a context
+    /// that may be folded deferred is computed: the trace's
+    /// `host_delay`s are short by what `charges` holds until
+    /// [`HostCharges::settle`] adds it. For a caller that drops most
+    /// traces unread.
     pub fn into_unsettled(self) -> (WorkerTrace, TraceMeta, HostCharges) {
         let mut w = WorkerTrace::new(self.rank);
         w.summary.peak_mem_bytes = self.peak;
@@ -526,8 +537,9 @@ impl CudaContext {
         w.summary.num_kernels = self.num_kernels;
         w.summary.num_collectives = self.num_collectives;
         w.summary.oom = self.oom;
-        w.events = self.log;
-        (w, self.signer.finish(), self.host)
+        let (events, meta) = self.trace.finish();
+        w.events = events;
+        (w, meta, self.host)
     }
 }
 
@@ -687,6 +699,12 @@ mod tests {
         );
     }
 
+    /// Templates of the given traces, kept in order.
+    fn templates(traces: &[&WorkerTrace]) -> Templates {
+        let each = traces.iter().map(|&t| t.clone());
+        each.fold(Templates::default(), |kept, trace| kept.kept(trace))
+    }
+
     #[test]
     fn recording_into_reuses_the_buffer_and_changes_nothing_else() {
         let script = |c: &mut CudaContext| {
@@ -700,19 +718,25 @@ mod tests {
         let mut fresh = CudaContext::new(3, GpuSpec::h100());
         script(&mut fresh);
         let (fresh, fresh_meta) = fresh.into_recorded();
-        assert_eq!(fresh_meta, TraceMeta::scan(&fresh.events, true));
-        assert_eq!(fresh_meta.collectives, vec![2]);
+        assert_eq!(fresh_meta, TraceMeta::scan(&fresh.events));
+        assert_eq!(fresh_meta.collectives.len(), 1);
 
         // Buffers a longer, different rank left behind.
         let mut stale = TraceBuffers {
             events: [fresh.events.clone(), fresh.events.clone()].concat(),
-            collectives: vec![2, 6],
+            collectives: [
+                fresh_meta.collectives.clone(),
+                fresh_meta.collectives.clone(),
+            ]
+            .concat(),
+            residue: Vec::new(),
             host_notes: vec![u64::MAX; 3],
         };
         stale.events.reserve(64);
         let (ptr, cap) = (stale.events.as_ptr(), stale.events.capacity());
         let index = stale.collectives.as_ptr();
-        let mut reused = CudaContext::recording_into(3, GpuSpec::h100(), stale, true);
+        let against = Some(Templates::default());
+        let mut reused = CudaContext::recording_into(3, GpuSpec::h100(), stale, against);
         script(&mut reused);
         let (reused, reused_meta) = reused.into_recorded();
         assert_eq!(reused, fresh, "stale contents must not leak into the trace");
@@ -723,14 +747,73 @@ mod tests {
         );
         assert_eq!(reused_meta.collectives.as_ptr(), index);
 
-        // Told not to sign, the recorder still indexes.
-        let mut unsigned =
-            CudaContext::recording_into(3, GpuSpec::h100(), TraceBuffers::default(), false);
-        script(&mut unsigned);
-        let (unsigned, unsigned_meta) = unsigned.into_recorded();
-        assert_eq!(unsigned, fresh);
-        assert_eq!(unsigned_meta, TraceMeta::scan(&fresh.events, false));
-        assert_eq!(unsigned_meta.signature, None);
+        // Against its own class, a rank writes no event: another rank's
+        // pointers, communicator and host clock are not part of a call.
+        let mut twin = CudaContext::recording_into(
+            7,
+            GpuSpec::h100(),
+            TraceBuffers::default(),
+            Some(templates(&[&fresh])),
+        );
+        script(&mut twin);
+        let (twin, twin_meta) = twin.into_recorded();
+        assert!(twin.events.is_empty());
+        assert_eq!(twin.summary, fresh.summary);
+        assert_eq!(
+            (twin_meta.matched, twin_meta.calls),
+            (Some(0), fresh.events.len())
+        );
+        assert_eq!(twin_meta.collectives, fresh_meta.collectives);
+    }
+
+    #[test]
+    fn a_rank_that_diverges_after_k_calls_settles_to_what_charging_each_call_writes() {
+        const STEPS: usize = 12;
+        // Every step records one call (two for a malloc and its free)
+        // sized by `bytes`, which is off at step `k` only.
+        let script = |c: &mut CudaContext, k: usize| {
+            let s = c.stream_create();
+            let comm = c.nccl_comm_init_rank(crate::NcclUniqueId(4), 2, 0).unwrap();
+            for step in 0..STEPS {
+                let bytes = if step == k { 1024 } else { 4096 };
+                c.host_work(SimTime::from_us(step as f64));
+                match step % 3 {
+                    0 => c.launch_kernel(KernelKind::Memset { bytes }, s).unwrap(),
+                    1 => c.nccl_all_reduce(comm, bytes, s).unwrap(),
+                    _ => {
+                        let p = c.malloc(bytes).unwrap();
+                        c.free(p).unwrap();
+                    }
+                }
+            }
+        };
+        let record = |rank, k, against| {
+            let mut c = CudaContext::recording_into(
+                rank,
+                GpuSpec::h100(),
+                TraceBuffers::default(),
+                against,
+            );
+            script(&mut c, k);
+            c.into_recorded()
+        };
+        let (class, _) = record(4, STEPS, None);
+        let against = templates(&[&class]);
+        for k in 0..STEPS {
+            let (alone, alone_meta) = record(5, k, None);
+            let (written, meta) = record(5, k, Some(against.clone()));
+            // Events, settled host time and summary, bit for bit.
+            assert_eq!(written, alone, "k = {k}");
+            assert_eq!((meta.matched, meta.seen), (None, 1), "k = {k}");
+            assert_eq!(
+                (meta.collectives, meta.calls),
+                (alone_meta.collectives, alone_meta.calls),
+                "k = {k}"
+            );
+        }
+        let (folded, meta) = record(5, STEPS, Some(against));
+        assert!(folded.events.is_empty());
+        assert_eq!((meta.matched, meta.calls), (Some(0), class.events.len()));
     }
 
     #[test]
@@ -761,20 +844,20 @@ mod tests {
             c.free(p).unwrap();
             c.host_work(us(1.0));
         };
-        let record = |sign| {
+        let record = |against| {
             let mut c =
-                CudaContext::recording_into(5, GpuSpec::h100(), TraceBuffers::default(), sign);
+                CudaContext::recording_into(5, GpuSpec::h100(), TraceBuffers::default(), against);
             script(&mut c);
             c.into_unsettled()
         };
-        let (charged, _, nothing) = record(false);
+        let (charged, _, nothing) = record(None);
         assert_eq!(nothing.owed(), 0, "charged call by call as it recorded");
         let _ = nothing.forgo();
 
-        let (mut noted, _, charges) = record(true);
+        let (mut noted, _, charges) = record(Some(Templates::default()));
         assert_eq!(charges.owed(), noted.events.len());
-        // Until it is settled a signed trace carries the injected
-        // framework work and nothing else.
+        // Until it is settled a trace that may be folded carries the
+        // injected framework work and nothing else.
         let injected: Vec<SimTime> = noted.events.iter().map(|e| e.host_delay).collect();
         let z = SimTime::ZERO;
         assert_eq!(injected, [z, us(30.0), z, us(7.0), z, z, z]);

@@ -28,6 +28,7 @@ pub mod cublas;
 pub mod cudnn;
 pub mod error;
 pub mod nccl;
+mod recording;
 
 pub use clock::{HostCharges, HostOpClass, ModelClock};
 pub use context::{CudaContext, CudaEvent, CudaStream, DevicePtr};

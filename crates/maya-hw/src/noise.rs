@@ -6,8 +6,8 @@
 //! not capture. We generate that texture with splitmix64-seeded
 //! perturbations, so the whole testbed is reproducible from a seed.
 
-// The mixing function and the key chain are the trace signature's too,
-// so they live with it.
+// The mixing function and the key chain are the kernel shape digest's
+// and the host clock's too, so they live with the digest.
 pub use maya_trace::signature::{mix, splitmix64, Key};
 
 /// Uniform value in `[0, 1)` derived from a hash.

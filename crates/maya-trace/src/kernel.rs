@@ -493,8 +493,8 @@ impl KernelKind {
         }
     }
 
-    /// Stable small id for the kernel *family* (used for model features
-    /// and rolling-hash worker signatures).
+    /// Stable small id for the kernel *family* (used for model
+    /// features).
     pub fn family_id(&self) -> u8 {
         match self {
             KernelKind::Gemm { .. } => 0,

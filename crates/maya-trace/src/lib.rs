@@ -4,8 +4,9 @@
 //! pipeline: the kinds of device operations a training workload issues
 //! ([`DeviceOp`]), the metadata captured for compute kernels
 //! ([`KernelKind`]), per-worker traces recorded by the emulator
-//! ([`WorkerTrace`]), the structural signature and collective index the
-//! emulator computes while recording ([`TraceMeta`]), and the collated
+//! ([`WorkerTrace`]), what makes two workers' calls the same ([`Template::is`])
+//! and the metadata the emulator leaves with a trace ([`TraceMeta`]),
+//! and the collated
 //! job-level trace consumed by the simulator ([`JobTrace`]).
 //!
 //! The paper's emulator records "compute kernels, memory operations, and
@@ -28,5 +29,7 @@ pub use event::{
 };
 pub use kernel::KernelKind;
 pub use ops::{CollectiveDesc, CollectiveKind, DeviceOp, MemcpyKind, StreamId};
-pub use signature::{shape_digest, signature_of, Signer, TraceBuffers, TraceMeta};
+pub use signature::{
+    same_calls, shape_digest, Residue, Template, Templates, TraceBuffers, TraceMeta,
+};
 pub use time::SimTime;

@@ -94,7 +94,9 @@ impl CollectiveKind {
         }
     }
 
-    /// Stable small id used in worker signatures.
+    /// Stable small id: what folding compares of a kind, a Send/Recv
+    /// peer left out, and the class a collective's participants must
+    /// agree on.
     pub const fn id(self) -> u8 {
         match self {
             CollectiveKind::AllReduce => 0,

@@ -11,20 +11,29 @@
 //!   restarts, and [`PredictionEngine::cache`] reaches the same
 //!   snapshot calls for a library caller;
 //! - the emulate → fold → estimate → simulate pipeline of Figure 5,
-//!   streamed: a rank's recorder signs its trace and indexes its
-//!   collectives as the calls are issued (only when the spec folds does
-//!   it sign), and every finished rank goes straight into a streaming
-//!   [`Collator`], which books the indexed collectives and hands the
-//!   trace back only if its signature opens a new class. The serial
-//!   sink between the emulating threads lowers a trace handed back into
-//!   the simulator's arena at once ([`maya_sim::Lowering::worker`]) and
-//!   records a later rank into its buffer, so a prediction holds one
-//!   trace at a time, not every kept one, and reads a kept trace's
-//!   events once. A signing recorder does not run the host clock
+//!   streamed: a rank's recorder notes its collective descriptors as
+//!   the calls are issued and, when the spec folds, compares each call
+//!   against the templates of the classes the [`Collator`] has kept so
+//!   far — the paper hashes, this repo compares, with the same
+//!   partition. While the calls still equal some template's, nothing
+//!   else is written; a rank that matched a template whole leaves no
+//!   events. Every finished rank goes straight into the streaming
+//!   collator, which books the collectives. A collator that folds keeps
+//!   the first trace of each class as its template — the recorders of
+//!   later ranks are handed the templates, and the serial sink between
+//!   the emulating threads lowers the trace in place into the
+//!   simulator's arena ([`maya_sim::Lowering::worker`]) — so a folding
+//!   prediction holds one trace per kept class and no copy of one;
+//!   when it ends, the templates' event buffers go to the engine's
+//!   spare pool for later ranks to record into. A collator that does
+//!   not fold hands each trace back, the sink lowers it at once and
+//!   records a later rank into its buffer, so that prediction holds
+//!   one trace at a time. Either way a kept trace's events are read
+//!   once. A recorder that may be folded does not run the host clock
 //!   either: it notes each call, and the sink settles the notes
-//!   ([`HostCharges::settle`]) only for a trace whose signature the
-//!   collator does not hold yet, so host time is computed per kept
-//!   trace, not per rank. Estimation is that lowering (one memo query
+//!   ([`HostCharges::settle`]) only for a trace the collator will keep,
+//!   so host time is computed per kept trace,
+//!   not per rank. Estimation is that lowering (one memo query
 //!   per distinct kernel shape of the job and per memcpy) plus one pass
 //!   over the collective sites once the collator has the communicator
 //!   map; simulation is the replay of what was lowered. Emulation,
@@ -44,6 +53,7 @@
 //! byte-identical to sequential ones — the search layer relies on this
 //! to keep speculative batched trials faithful to serial order.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -56,7 +66,7 @@ use maya_estimator::{CacheStats, CachingEstimator, RuntimeEstimator};
 use maya_hw::{GroundTruthExecutor, Measurement};
 use maya_sim::{SimError, SimObs, SimScratch, Simulator};
 use maya_torchlet::{FrameworkFlavor, RankTopology, TrainingJob};
-use maya_trace::{JobTrace, TraceBuffers, TraceEvent, TraceMeta, WorkerTrace};
+use maya_trace::{JobTrace, Templates, TraceBuffers, TraceEvent, TraceMeta, WorkerTrace};
 
 use crate::cancel::CancelToken;
 use crate::error::MayaError;
@@ -69,7 +79,7 @@ struct OomInfo {
     held: u64,
     /// `held` plus the allocation that failed.
     peak_attempted: u64,
-    /// Events emitted by every emulated rank.
+    /// Calls recorded by every emulated rank, written as events or not.
     events: usize,
 }
 
@@ -165,6 +175,7 @@ fn discard(trace: WorkerTrace, meta: TraceMeta, charges: HostCharges) -> TraceBu
     TraceBuffers {
         events: trace.events,
         collectives: meta.collectives,
+        residue: meta.residue,
         host_notes: charges.forgo(),
     }
 }
@@ -195,6 +206,9 @@ pub struct PredictionEngine {
     /// Trace events whose host time this engine's predictions computed
     /// ([`PredictionEngine::host_charges`]).
     host_charges: AtomicU64,
+    /// Event buffers of the templates of predictions that have ended,
+    /// for the ranks of later predictions to record into.
+    event_pool: Mutex<Vec<Vec<TraceEvent>>>,
 }
 
 impl PredictionEngine {
@@ -219,6 +233,7 @@ impl PredictionEngine {
             scratch_pool: Mutex::new(Vec::new()),
             sim_obs: None,
             host_charges: AtomicU64::new(0),
+            event_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -287,13 +302,13 @@ impl PredictionEngine {
         let mut out = Vec::with_capacity(ranks.len());
         let threads = self.spec.emulation_threads;
         infallible(
-            // Not signing, every rank charged as it recorded: nothing
-            // was deferred, so this settles nothing.
+            // Against no template, every rank charged as it recorded:
+            // nothing was deferred, so this settles nothing.
             self.emulate_each(
                 ranks,
                 script,
                 threads,
-                false,
+                || None,
                 |mut trace, _, charges, res| {
                     let _ = charges.settle(&mut trace);
                     out.push((trace, res));
@@ -306,9 +321,11 @@ impl PredictionEngine {
 
     /// Emulates `ranks` through [`fan_out`] on up to `threads` OS
     /// threads, handing every finished trace, its recorder's metadata
-    /// (signed only if `sign`) and the host time it is still owed
-    /// (something only if `sign`) to `sink` on the calling thread in
-    /// `ranks` order. `sink` returns buffers for a later rank to record
+    /// and the host time it is still owed to `sink` on the calling
+    /// thread in `ranks` order. Each rank records against what
+    /// `against` returns as it starts — the templates of the classes
+    /// kept so far, or `None` if its trace will not be folded, when it
+    /// owes nothing. `sink` returns buffers for a later rank to record
     /// into (see [`CudaContext::recording_into`]); its first error
     /// stops the emulation.
     fn emulate_each<F, S, E>(
@@ -316,7 +333,7 @@ impl PredictionEngine {
         ranks: &[u32],
         script: F,
         threads: usize,
-        sign: bool,
+        against: impl Fn() -> Option<Templates> + Sync,
         mut sink: S,
     ) -> Result<(), E>
     where
@@ -329,20 +346,38 @@ impl PredictionEngine {
         ) -> Result<TraceBuffers, E>,
     {
         let gpu = self.spec.cluster.gpu;
-        // Buffers the sink handed back. Only `push`/`pop` run under
-        // this lock, so it cannot be poisoned; a missed spare costs an
-        // allocation.
-        let spares: Mutex<Vec<TraceBuffers>> = Mutex::new(Vec::new());
+        // Buffers the sink handed back, and those of ended predictions'
+        // templates. Only `push`/`pop` run under this lock, so it cannot
+        // be poisoned; a missed spare costs an allocation.
+        let pooled = self.event_pool.lock().map(|mut p| std::mem::take(&mut *p));
+        let pooled = pooled
+            .unwrap_or_default()
+            .into_iter()
+            .map(|events| TraceBuffers {
+                events,
+                ..TraceBuffers::default()
+            });
+        let spares = Mutex::new(pooled.collect::<Vec<_>>());
+        let calls = AtomicUsize::new(0);
         fan_out(
             ranks,
             threads,
             |&r| {
-                let spare = spares.lock().ok().and_then(|mut pool| pool.pop());
-                let mut ctx = CudaContext::recording_into(r, gpu, spare.unwrap_or_default(), sign);
+                // The spare with the most room for events: a folded
+                // rank hands back buffers but writes no event.
+                let spare = spares.lock().ok().and_then(|mut pool| {
+                    let room = pool.iter().map(|b| b.events.capacity()).enumerate();
+                    let most = room.max_by_key(|&(_, room)| room)?.0;
+                    Some(pool.swap_remove(most))
+                });
+                let mut buffers = spare.unwrap_or_default();
+                buffers.events.reserve(calls.load(Ordering::Relaxed));
+                let mut ctx = CudaContext::recording_into(r, gpu, buffers, against());
                 let res = script(r, &mut ctx);
                 (ctx.into_unsettled(), res)
             },
             |((trace, meta, charges), res)| {
+                calls.fetch_max(meta.calls, Ordering::Relaxed);
                 let spare = sink(trace, meta, charges, res)?;
                 let held = spare.events.capacity() + spare.collectives.capacity();
                 if held + spare.host_notes.capacity() > 0 {
@@ -387,21 +422,22 @@ impl PredictionEngine {
 
     /// Emulates a training job under the launch plan `plan` draws for
     /// it, collating each rank as it finishes: when the plan folds,
-    /// every rank signs its trace while recording it, only one trace
-    /// per class of identical workers is ever kept (§4.2), and a
-    /// dropped trace's buffers are what the next rank records into. A
-    /// kept trace goes to `keep` at once, which hands back its event
-    /// buffer for a later rank (an unallocated one if it keeps the
-    /// trace). On OOM, collation stops — a partially-OOMed job has
-    /// incomplete communicator traces — the remaining ranks are still
-    /// emulated for the tally, and the OOM verdict of the first rank to
-    /// run out is returned instead.
+    /// every rank is recorded against the templates of the classes kept
+    /// before it started, only one trace per class of identical workers
+    /// is ever kept (§4.2) — as a template, which `keep` reads in place
+    /// — and a dropped trace's buffers are what the next rank records
+    /// into. When it does not fold, every trace goes to `keep`, which
+    /// hands back its event buffer for a later rank (an unallocated one
+    /// if it keeps the trace). On OOM, collation stops — a
+    /// partially-OOMed job has incomplete communicator traces — the
+    /// remaining ranks are still emulated for the tally, and the OOM
+    /// verdict of the first rank to run out is returned instead.
     fn emulate_with(
         &self,
         job: &TrainingJob,
         plan: impl FnOnce(&TrainingJob) -> LaunchPlan,
         threads: usize,
-        mut keep: impl FnMut(WorkerTrace) -> Result<Vec<TraceEvent>, MayaError>,
+        mut keep: impl FnMut(Cow<'_, WorkerTrace>) -> Result<Vec<TraceEvent>, MayaError>,
     ) -> Result<Emulated, MayaError> {
         job.validate()?;
         if job.world != self.spec.cluster.num_gpus() {
@@ -412,20 +448,24 @@ impl PredictionEngine {
         }
         let LaunchPlan { ranks, known, fold } = plan(job);
         let mut collator = Collator::new(job.world, &known, fold);
+        // The templates a rank starting now records against. Only
+        // `clone` and assignment run under this lock, so it cannot be
+        // poisoned.
+        let current = Mutex::new(Templates::default());
+        let against = || fold.then(|| current.lock().map(|t| t.clone()).unwrap_or_default());
         let mut collation = Duration::ZERO;
         // The first rank to run out: its rank, the memory it held and
         // the allocation that failed.
         let mut oom: Option<(u32, u64, u64)> = None;
         let (mut events, mut charged) = (0usize, 0usize);
-        self.emulate_each(
+        let emulated = self.emulate_each(
             &ranks,
             |rank, ctx| job.run_worker(rank, ctx),
             threads,
-            fold,
+            against,
             |mut trace, meta, charges, res| {
-                debug_assert_eq!(meta.signature.is_some(), fold, "a rank signs iff it folds");
-                events += trace.events.len();
-                charged += trace.events.len() - charges.owed();
+                events += meta.calls;
+                charged += meta.calls - charges.owed();
                 match res {
                     Ok(()) => {}
                     Err(CudaError::MemoryAllocation { requested, .. }) => {
@@ -433,15 +473,22 @@ impl PredictionEngine {
                     }
                     Err(e) => return Err(MayaError::Device(e)),
                 }
-                // The verdict reads summaries and event counts: what
-                // an OOMed job's traces are owed is never computed.
+                // The verdict reads summaries and call counts: what an
+                // OOMed job's traces are owed is never computed.
                 if oom.is_some() {
                     return Ok(discard(trace, meta, charges));
                 }
                 // A trace the collator will fold away is dropped unread
-                // (`push` reads collectives, the signature excludes host
-                // time), so only one it will keep is settled.
-                let host_notes = if meta.signature.is_some_and(|s| collator.holds(s)) {
+                // (`push` reads collectives, folding compares calls
+                // without host time), so only one it will keep is
+                // settled — before the push, which may make it a
+                // template.
+                let folds = meta.matched.is_some()
+                    || collator
+                        .templates()
+                        .find(&trace.events, meta.seen)
+                        .is_some();
+                let host_notes = if fold && folds {
                     charges.forgo()
                 } else {
                     charged += charges.owed();
@@ -452,26 +499,40 @@ impl PredictionEngine {
                 let pushed = collator.push(trace, meta);
                 collation += t.elapsed();
                 let Pushed {
-                    kept: trace,
+                    kept,
+                    template,
                     mut spare,
                 } = pushed?;
-                if let Some(trace) = trace {
-                    spare.events = keep(trace)?;
+                spare.host_notes = host_notes;
+                if let Some(trace) = kept {
+                    spare.events = keep(Cow::Owned(trace))?;
                     spare.events.clear();
                 }
-                Ok(TraceBuffers {
-                    host_notes,
-                    ..spare
-                })
+                if let Some(t) = template {
+                    let templates = collator.templates();
+                    if let Some(template) = templates.get(t) {
+                        keep(Cow::Borrowed(template.trace()))?;
+                    }
+                    if let Ok(mut now) = current.lock() {
+                        *now = templates;
+                    }
+                }
+                Ok(spare)
             },
-        )?;
+        );
+        drop(current);
+        emulated?;
+        let templates = collator.templates();
         let outcome = match oom {
-            Some((rank, held, requested)) => Err(OomInfo {
-                rank,
-                held,
-                peak_attempted: held.saturating_add(requested),
-                events,
-            }),
+            Some((rank, held, requested)) => {
+                drop(collator);
+                Err(OomInfo {
+                    rank,
+                    held,
+                    peak_attempted: held.saturating_add(requested),
+                    events,
+                })
+            }
             None => {
                 // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
                 let t = Instant::now();
@@ -480,12 +541,22 @@ impl PredictionEngine {
                 Ok(groups?)
             }
         };
+        // The collator is gone: the last snapshot owns the templates.
+        self.recycle(templates);
         Ok(Emulated {
             outcome,
             ranks: ranks.len(),
             charged,
             collation,
         })
+    }
+
+    /// Hands the event buffers of `templates`, a collator's last
+    /// snapshot, to the pool once nothing else holds them.
+    fn recycle(&self, templates: Templates) {
+        if let Ok(mut pool) = self.event_pool.lock() {
+            pool.extend(templates.into_buffers());
+        }
     }
 
     /// The simulator over the shared memo, with the spec's fault plan
@@ -535,7 +606,10 @@ impl PredictionEngine {
                     lowering.worker(&trace)?;
                     lowered += t.elapsed();
                     (kept, kept_events) = (kept + 1, kept_events + trace.events.len());
-                    Ok(trace.events)
+                    Ok(match trace {
+                        Cow::Owned(trace) => trace.events,
+                        Cow::Borrowed(_) => Vec::new(),
+                    })
                 },
             )?;
             timings.emulation = t0.elapsed().saturating_sub(emulated.collation + lowered);
@@ -584,9 +658,10 @@ impl PredictionEngine {
     /// spends time on it. Its workers then go through the collator
     /// `predict_job` feeds, with the trace's groups as the known ones:
     /// each is scanned for the metadata a recorder would have handed
-    /// over, when the spec folds only one per class is kept, and a kept
-    /// one is lowered as the collator hands it back and dropped: no
-    /// trace outlives its lowering.
+    /// over, when the spec folds only one per class is kept — the
+    /// collator compares each trace in full against the templates it
+    /// holds, and a kept one becomes a template — and a kept one is
+    /// lowered as the collator keeps it.
     pub fn predict_trace(&self, job_trace: JobTrace) -> Result<Prediction, MayaError> {
         job_trace
             .validate()
@@ -602,21 +677,26 @@ impl PredictionEngine {
             for trace in job_trace.workers {
                 // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
                 let t = Instant::now();
-                let meta = TraceMeta::scan(&trace.events, fold);
+                let meta = TraceMeta::scan(&trace.events);
                 let pushed = collator.push(trace, meta)?;
                 timings.collation += t.elapsed();
-                if let Some(trace) = pushed.kept {
+                let templates = collator.templates();
+                let template = pushed.template.and_then(|t| templates.get(t));
+                let trace = pushed.kept.as_ref().or(template.map(|t| t.trace()));
+                if let Some(trace) = trace {
                     // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
                     let t = Instant::now();
-                    lowering.worker(&trace)?;
+                    lowering.worker(trace)?;
                     timings.estimation += t.elapsed();
                     (kept, kept_events) = (kept + 1, kept_events + trace.events.len());
                 }
             }
+            let templates = collator.templates();
             // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
             let t = Instant::now();
             let groups = collator.finish()?;
             timings.collation += t.elapsed();
+            self.recycle(templates);
             // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
             let t = Instant::now();
             let mut program = lowering.resolve(&groups)?;
@@ -647,7 +727,7 @@ impl PredictionEngine {
         // The executor takes the job trace whole: every trace is kept.
         let mut workers = Vec::new();
         let emulated = self.emulate_with(job, LaunchPlan::every_rank, threads, |trace| {
-            workers.push(trace);
+            workers.push(trace.into_owned());
             Ok(Vec::new())
         })?;
         match emulated.outcome {
@@ -1053,7 +1133,7 @@ mod tests {
             0,
             ClusterSpec::h100(1, 4).gpu,
             TraceBuffers::default(),
-            true,
+            Some(Templates::default()),
         );
         j.run_worker(0, &mut ctx).unwrap();
         let (trace, meta, charges) = ctx.into_unsettled();
@@ -1089,13 +1169,15 @@ mod tests {
         let traced = maya.trace_workload(&[0, 1, 2, 3], |rank, ctx| j.run_worker(rank, ctx));
         for (rank, (trace, res)) in (0..).zip(&traced) {
             res.as_ref().expect("rank emulates");
-            // `trace_one_rank` signs, defers and settles.
             let (settled, _) = maya_torchlet::engine::trace_one_rank(&j, rank, cluster.gpu);
             assert_eq!(trace, &settled, "rank {rank}");
         }
         assert_eq!(maya.host_charges(), 0, "tracing is not predicting");
     }
 
+    /// A spec that folds records every rank against the kept classes'
+    /// templates and defers its host time; one that does not compares
+    /// nothing and charges as it records.
     #[test]
     fn only_a_spec_that_folds_signs_its_ranks() {
         let cluster = ClusterSpec::h100(1, 4);
@@ -1109,30 +1191,70 @@ mod tests {
         ] {
             let maya = maya.build().unwrap();
             assert_eq!(maya.folds(), folds);
-            let (mut signed, mut events) = (Vec::new(), 0);
+            let (mut deferred, mut events) = (Vec::new(), 0);
             infallible(maya.emulate_each(
                 &[0, 1, 2, 3],
                 |rank, ctx| j.run_worker(rank, ctx),
                 2,
-                maya.folds(),
+                || maya.folds().then(Templates::default),
                 |trace, meta, charges, _| {
-                    signed.push(meta.signature.is_some());
-                    // A rank that signs may be folded away, so it only
-                    // notes its host time; one that does not, charges.
+                    deferred.push(charges.owed() > 0);
+                    // A rank that may be folded only notes its host
+                    // time; one that may not, charges.
                     let owed = if folds { trace.events.len() } else { 0 };
                     assert_eq!(charges.owed(), owed);
                     events += trace.events.len();
                     Ok(discard(trace, meta, charges))
                 },
             ));
-            assert_eq!(signed, [folds; 4]);
-            // `emulate_with` asserts the same of every rank it sinks.
+            assert_eq!(deferred, [folds; 4]);
             let p = maya.predict_job(&j).unwrap();
             assert_eq!(p.workers_simulated, if folds { 1 } else { 4 });
             // Host time is computed for the traces that are kept.
             let kept = if folds { events / 4 } else { events };
             assert_eq!((maya.host_charges(), p.trace_events), (kept as u64, kept));
         }
+    }
+
+    #[test]
+    fn a_prediction_hands_its_templates_to_the_next() {
+        let maya = MayaBuilder::new(ClusterSpec::h100(1, 8)).build().unwrap();
+        let parallel = ParallelConfig {
+            pp: 2,
+            ..Default::default()
+        };
+        let j = job(8, parallel, 8);
+        // The pool's buffers, by address, and what they hold room for.
+        let pooled = |maya: &PredictionEngine| {
+            let pool = maya.event_pool.lock().unwrap();
+            let mut at: Vec<usize> = pool.iter().map(|b| b.as_ptr() as usize).collect();
+            at.sort_unstable();
+            (at, pool.iter().map(Vec::capacity).sum::<usize>())
+        };
+        let first = maya.predict_job(&j).unwrap();
+        assert_eq!(first.workers_simulated, 2);
+        let (buffers, capacity) = pooled(&maya);
+        assert_eq!(buffers.len(), 2, "one buffer a kept class");
+        assert!(capacity >= first.trace_events);
+        // The next prediction's ranks record into them, and its two
+        // templates are them again: nothing is allocated, nothing lost.
+        let second = maya.predict_job(&j).unwrap();
+        assert_eq!(second.report(), first.report());
+        assert_eq!(pooled(&maya), (buffers, capacity));
+        // A trace pushed whole folds the same way; its kept traces'
+        // buffers join the pool.
+        let traced =
+            maya.trace_workload(&(0..8).collect::<Vec<_>>(), |r, ctx| j.run_worker(r, ctx));
+        let comm_groups = maya_torchlet::engine::megatron_comm_groups(&j);
+        let workers = traced.into_iter().map(|(t, _)| t).collect();
+        let whole = JobTrace {
+            nranks: 8,
+            workers,
+            comm_groups,
+        };
+        let third = maya.predict_trace(whole).unwrap();
+        assert_eq!(third.report(), first.report());
+        assert_eq!(pooled(&maya).0.len(), 2);
     }
 
     #[test]

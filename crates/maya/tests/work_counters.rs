@@ -3,21 +3,24 @@
 //!
 //! The counters are deterministic functions of the job, so they are
 //! pinned by exact equality. They are the memory evidence for folding
-//! ranks as they finish: a 64-rank job whose ranks fall into two classes
-//! keeps two traces, the collator holding none of them — it hands a
-//! kept trace back with the push that keeps it, and the engine lowers
-//! it then — and the collator reads a rank's collectives only,
-//! because the recorder signed the trace and indexed them while writing
-//! it — and a folded rank's host clock is never run, because nobody
-//! reads it: host time is computed for the events of the traces that
-//! are kept. They are the evidence that what the recorder hands over is
-//! what a scan of the finished trace computes, and that it sorts a job's
-//! ranks into the classes the frozen three-pass oracle's signature
-//! does — the values differ (the oracle chains every word and hashes a
-//! kernel by FLOPs and bytes), the partition is the contract. And they
-//! are the evidence that a prediction asks the estimator memo once per
-//! distinct kernel shape, memcpy and collective rendezvous, not once
-//! per launch or per pipeline stage that wants the answer.
+//! ranks as they are recorded: a 64-rank job whose ranks fall into two
+//! classes keeps two traces, the collator holding them as its templates
+//! (the engine lowers each there, no copy is made) and nothing else —
+//! and it is the evidence of the work folding skips.
+//! The collator reads a rank's collective descriptors only; a recorder
+//! compares each call against the templates of the classes kept so far
+//! and, while the calls match, writes none of them, so events are
+//! written for the kept traces only; and a folded rank's host clock is
+//! never run, because nobody reads it: host time is computed for the
+//! events of the traces that are kept. They are the evidence that what
+//! the recorder hands over is what a recording against no template
+//! writes, and that it sorts a job's ranks into the classes the frozen
+//! three-pass oracle's signature does — the oracle hashes (every word
+//! chained, a kernel by FLOPs and bytes) where the library compares, so
+//! the partition is the contract. And they are the evidence that a
+//! prediction asks the estimator memo once per distinct kernel shape,
+//! memcpy and collective rendezvous, not once per launch or per
+//! pipeline stage that wants the answer.
 
 #[path = "../../maya-collate/tests/reference/mod.rs"]
 mod reference;
@@ -25,12 +28,13 @@ mod reference;
 use std::collections::{BTreeMap, BTreeSet};
 
 use maya::{EmulationSpec, MayaBuilder, PredictionEngine};
-use maya_collate::{signature, CollateStats, Collator};
+use maya_collate::{CollateStats, Collator};
 use maya_cuda::{CudaContext, CudaError};
 use maya_hw::{ClusterSpec, GpuSpec};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
 use maya_trace::{
-    CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind, TraceBuffers, TraceMeta, WorkerTrace,
+    CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind, Templates, TraceBuffers, TraceMeta,
+    WorkerTrace,
 };
 
 /// 64 ranks, tp 4 · pp 2 · dp 8.
@@ -58,109 +62,156 @@ fn pinned_job() -> TrainingJob {
 /// What `fold_all_ranks` saw go by.
 struct Folded {
     stats: CollateStats,
-    /// Events and collectives the ranks emitted.
+    /// Calls and collectives the ranks recorded.
     emitted: (usize, u64),
+    /// Events recorders wrote into trace buffers.
+    written: usize,
+    /// Ranks whose recorder matched a kept class's template whole.
+    folded_while_recording: usize,
     /// Events whose host time was computed.
     charged: usize,
     kept: JobTrace,
+    /// Every rank as a recorder against no template writes it.
+    all: Vec<WorkerTrace>,
 }
 
 /// The engine's sequential loop from its public parts: each rank records
-/// into the buffers the collator handed back for the previous one, and
-/// hands the collator what its recorder signed and indexed, settling the
-/// host time it noted only if the collator does not hold its signature
-/// yet. Every rank's metadata is held against a scan of its finished
-/// trace, and the job's classes against the frozen oracle's.
-fn fold_all_ranks(job: &TrainingJob, cluster: &ClusterSpec) -> Folded {
+/// into the buffers the collator handed back for the previous one,
+/// against the templates of the classes the collator has kept, and
+/// hands the collator what it wrote and its metadata, its noted host
+/// time settled first only if the collator will keep the trace (as a
+/// template, where the kept traces are read at the end). Every rank is also
+/// recorded against no template; what the folding recorder handed over
+/// is held against that recording, and the job's classes against the
+/// frozen oracle's.
+fn fold_all_ranks(job: &TrainingJob, gpu: GpuSpec) -> Folded {
     let known = BTreeMap::new();
     let mut collator = Collator::new(job.world, &known, true);
-    let (mut spare, mut emitted, mut charged) = (TraceBuffers::default(), (0, 0), 0);
-    let mut kept = Vec::new();
+    let mut spare = TraceBuffers::default();
+    let (mut emitted, mut written, mut folded_while_recording, mut charged) = ((0, 0), 0, 0, 0);
+    let (mut kept, mut all) = (Vec::new(), Vec::new());
     let mut classes = Classes::default();
     for rank in 0..job.world {
-        let mut ctx = CudaContext::recording_into(rank, cluster.gpu, spare, true);
+        let what = format!("{} rank {rank}", job.describe());
+        let against = Some(collator.templates());
+        let mut ctx = CudaContext::recording_into(rank, gpu, spare, against);
         job.run_worker(rank, &mut ctx).expect("rank emulates");
         let (mut trace, meta, charges) = ctx.into_unsettled();
-        assert_eq!(charges.owed(), trace.events.len(), "rank {rank}");
-        let host_notes = if collator.holds(meta.signature.expect("signed")) {
+        assert_eq!(charges.owed(), meta.calls, "{what}");
+        let ((alone, alone_meta), res) = record(job, rank, gpu, TraceBuffers::default(), None);
+        res.expect("rank emulates");
+        assert_recorded_as_alone(&trace, &meta, &alone, &alone_meta);
+        // Ranks arrive in order: a rank that wrote its events opens the
+        // class numbered by the templates it saw.
+        classes.push(
+            rank,
+            meta.matched.unwrap_or(meta.seen),
+            reference::signature(&alone),
+        );
+        emitted.0 += meta.calls;
+        emitted.1 += trace.summary.num_collectives;
+        written += trace.events.len();
+        folded_while_recording += usize::from(meta.matched.is_some());
+        let matched = meta.matched.is_some();
+        let host_notes = if matched {
             charges.forgo()
         } else {
             charged += charges.owed();
-            charges.settle(&mut trace)
+            let notes = charges.settle(&mut trace);
+            assert_eq!(
+                trace, alone,
+                "{what}: settled, the kept trace is the eager one"
+            );
+            notes
         };
-        // Settled or not: neither the signature nor the index reads
-        // host time.
-        assert_recorded_as_scanned(&trace, &meta, &mut classes);
-        emitted.0 += trace.events.len();
-        emitted.1 += trace.summary.num_collectives;
         let pushed = collator.push(trace, meta).expect("rank collates");
-        kept.extend(pushed.kept);
+        assert!(
+            pushed.kept.is_none(),
+            "{what}: a folding collator holds what it keeps"
+        );
+        assert_eq!(pushed.template.is_some(), !matched, "{what}");
+        all.push(alone);
         spare = TraceBuffers {
             host_notes,
             ..pushed.spare
         };
     }
+    let templates = collator.templates();
+    kept.extend((0..templates.len()).filter_map(|t| Some(templates.get(t)?.trace().clone())));
     Folded {
         stats: collator.stats(),
         emitted,
+        written,
+        folded_while_recording,
         charged,
         kept: JobTrace {
             nranks: job.world,
             workers: kept,
             comm_groups: collator.finish().expect("job collates"),
         },
+        all,
     }
 }
 
 /// The lowest rank seen so far of every class, by the recorder's
-/// signature and by the frozen oracle's. Ranks arrive in ascending
-/// order, so two signatures sort a job into the same classes with the
-/// same kept representatives exactly when every rank meets the same
+/// template and by the frozen oracle's signature. Ranks arrive in
+/// ascending order, so the two sort a job into the same classes with
+/// the same kept representatives exactly when every rank meets the same
 /// first rank under both.
 #[derive(Default)]
 struct Classes {
-    recorded: BTreeMap<u64, u32>,
+    recorded: BTreeMap<usize, u32>,
     oracle: BTreeMap<u64, u32>,
 }
 
 impl Classes {
-    fn push(&mut self, rank: u32, recorded: u64, oracle: u64) {
+    fn push(&mut self, rank: u32, template: usize, oracle: u64) {
         assert_eq!(
-            *self.recorded.entry(recorded).or_insert(rank),
+            *self.recorded.entry(template).or_insert(rank),
             *self.oracle.entry(oracle).or_insert(rank),
-            "rank {rank}: representative by the recorder's signature, by the oracle's"
+            "rank {rank}: representative by the recorder's template, by the oracle's signature"
         );
     }
 }
 
-/// The recorder's metadata is the scan's, its signature puts the rank
-/// in the class the oracle's does, and the index is where the
-/// collectives are.
-fn assert_recorded_as_scanned(trace: &WorkerTrace, meta: &TraceMeta, classes: &mut Classes) {
+/// What a recorder against templates handed over is what one against
+/// none wrote: the same collectives and calls, and the same events —
+/// up to the host time it still owes — or none at all if it matched a
+/// template whole; and the collective descriptors are the trace's.
+fn assert_recorded_as_alone(
+    trace: &WorkerTrace,
+    meta: &TraceMeta,
+    alone: &WorkerTrace,
+    alone_meta: &TraceMeta,
+) {
     let what = format!("rank {}", trace.rank);
-    assert_eq!(meta, &TraceMeta::scan(&trace.events, true), "{what}");
-    assert_eq!(meta.signature, Some(signature(trace)), "{what}");
-    classes.push(trace.rank, signature(trace), reference::signature(trace));
-    let collectives: Vec<usize> = (0..trace.events.len())
-        .filter(|&at| matches!(trace.events[at].op, DeviceOp::Collective { .. }))
-        .collect();
-    assert_eq!(meta.collectives, collectives, "{what}");
+    assert_eq!(alone_meta, &TraceMeta::scan(&alone.events), "{what}");
+    assert_eq!(meta.collectives, alone_meta.collectives, "{what}");
+    assert_eq!(meta.calls, alone.events.len(), "{what}");
+    assert_eq!(trace.summary, alone.summary, "{what}");
+    match meta.matched {
+        Some(_) => assert!(trace.events.is_empty(), "{what}"),
+        None => {
+            assert_eq!(trace.events.len(), alone.events.len(), "{what}");
+            let alone_class = Templates::default().kept(alone.clone());
+            assert_eq!(alone_class.find(&trace.events, 0), Some(0), "{what}");
+        }
+    }
     assert_eq!(
-        collectives.len() as u64,
-        trace.summary.num_collectives,
+        alone_meta.collectives.len() as u64,
+        alone.summary.num_collectives,
         "{what}"
     );
 }
 
-/// The 64-rank job's collate counters, host charges and kept traces.
+/// The 64-rank job's collate counters, host charges, written events and
+/// kept traces.
 ///
 /// `CollateStats::resident_high_water` was pinned at 3 here — the two
 /// kept traces and the one being pushed — while the collator held what
-/// it kept. The collator holds no trace now, so the field is retired:
-/// `predict_job` lowers a kept trace the moment the collator hands it
-/// back and records the next rank into its buffer, so a single-threaded
-/// prediction has one trace alive at a time. No other pinned number
-/// moved.
+/// it kept; the field is retired. A folding collator holds its kept
+/// traces again, as the templates later ranks are compared against —
+/// the two here — and a folded rank writes no event to hold.
 #[test]
 fn folded_job_counters_are_pinned() {
     let cluster = ClusterSpec::h100(8, 8);
@@ -168,9 +219,12 @@ fn folded_job_counters_are_pinned() {
     let Folded {
         stats,
         emitted,
+        written,
+        folded_while_recording,
         charged,
         kept,
-    } = fold_all_ranks(&job, &cluster);
+        ..
+    } = fold_all_ranks(&job, cluster.gpu);
     assert_eq!(
         stats,
         CollateStats {
@@ -184,17 +238,17 @@ fn folded_job_counters_are_pinned() {
         (74_688, emitted.1),
         "the collator reads the collectives and nothing else"
     );
+    assert_eq!(
+        (written, folded_while_recording),
+        (2_334, 62),
+        "events are written for the two kept traces; 62 ranks match a template whole"
+    );
 
     assert_eq!(
         (charged, kept.total_events()),
         (2_334, 2_334),
         "host time is computed for the two traces that are kept, not for 64 ranks"
     );
-    // Settled, the kept traces are the ones an eager recorder writes.
-    for w in &kept.workers {
-        let ((eager, _), _) = record(&job, w.rank, cluster.gpu, TraceBuffers::default(), false);
-        assert_eq!(w, &eager, "rank {}", w.rank);
-    }
 
     // The engine reports the same fold and the same charges, whatever
     // the thread count: settling happens on the sink, in rank order.
@@ -211,7 +265,9 @@ fn folded_job_counters_are_pinned() {
         assert_eq!(maya.host_charges(), charged as u64, "{threads} threads");
         p.report().cloned().expect("the job fits")
     };
-    assert_eq!(predict(1), predict(2));
+    let one = predict(1);
+    assert_eq!(predict(2), one);
+    assert_eq!(predict(4), one);
 
     // A spec that does not fold charges every event, as it records it.
     let unfolded = PredictionEngine::new(
@@ -229,7 +285,7 @@ fn folded_job_counters_are_pinned() {
 fn one_memo_query_per_distinct_shape() {
     let cluster = ClusterSpec::h100(8, 8);
     let job = pinned_job();
-    let kept = fold_all_ranks(&job, &cluster).kept;
+    let kept = fold_all_ranks(&job, cluster.gpu).kept;
     // What the simulator asks about: every distinct kernel shape of the
     // kept workers once for the job, every memcpy, and every distinct
     // collective shape — kind, bytes and communicator — once however
@@ -293,15 +349,16 @@ fn one_memo_query_per_distinct_shape() {
     assert_eq!(warm.hits + warm.misses, 2 * (memo.hits + memo.misses));
 }
 
-/// One rank's recording, with the script's verdict.
+/// One rank's recording against `against` (`None`: not to be folded),
+/// settled, with the script's verdict.
 fn record(
     job: &TrainingJob,
     rank: u32,
     gpu: GpuSpec,
     buffers: TraceBuffers,
-    sign: bool,
+    against: Option<Templates>,
 ) -> ((WorkerTrace, TraceMeta), Result<(), CudaError>) {
-    let mut ctx = CudaContext::recording_into(rank, gpu, buffers, sign);
+    let mut ctx = CudaContext::recording_into(rank, gpu, buffers, against);
     let res = job.run_worker(rank, &mut ctx);
     (ctx.into_recorded(), res)
 }
@@ -344,20 +401,22 @@ fn recorder_metadata_is_the_scan_of_the_finished_trace() {
     let gpu = GpuSpec::h100();
     for job in &recorder_jobs() {
         job.validate().expect("fixture");
-        // Every rank records over what the one before left behind.
+        // Every rank records over what the one before left behind ...
         let mut spare = TraceBuffers::default();
-        let mut classes = Classes::default();
         for rank in 0..job.world {
-            let ((trace, meta), res) = record(job, rank, gpu, spare, true);
+            let ((trace, meta), res) = record(job, rank, gpu, spare, None);
             res.unwrap_or_else(|e| panic!("{} rank {rank}: {e}", job.describe()));
             assert!(!meta.collectives.is_empty(), "{}", job.describe());
-            assert_recorded_as_scanned(&trace, &meta, &mut classes);
+            assert_eq!(meta, TraceMeta::scan(&trace.events), "{}", job.describe());
             spare = TraceBuffers {
                 events: trace.events,
                 collectives: meta.collectives,
                 ..Default::default()
             };
         }
+        // ... and against the classes kept before it, as it folds.
+        let folded = fold_all_ranks(job, gpu);
+        assert_eq!(folded.written, folded.kept.total_events());
     }
 }
 
@@ -376,10 +435,11 @@ fn oom_job() -> TrainingJob {
     }
 }
 
-/// Records `rank` twice — signing into `spare`, so its host time is
-/// noted and settled here, and not signing, so every call is charged as
-/// it is recorded — and holds the two traces equal, `host_delay`s
-/// included. Returns the signing recorder's buffers.
+/// Records `rank` twice — into `spare`, as a rank that may be folded,
+/// so its host time is noted and settled here, and as one that will
+/// not be, so every call is charged as it is recorded — and holds the
+/// two traces equal, `host_delay`s included. Returns the noting
+/// recorder's buffers.
 fn assert_settled_as_charged(
     job: &TrainingJob,
     rank: u32,
@@ -387,12 +447,13 @@ fn assert_settled_as_charged(
     spare: TraceBuffers,
 ) -> TraceBuffers {
     let what = format!("{} rank {rank}", job.describe());
-    let mut ctx = CudaContext::recording_into(rank, gpu, spare, true);
+    let against = Some(Templates::default());
+    let mut ctx = CudaContext::recording_into(rank, gpu, spare, against);
     let res = job.run_worker(rank, &mut ctx);
     let (mut settled, meta, charges) = ctx.into_unsettled();
     assert_eq!(charges.owed(), settled.events.len(), "{what}");
     let host_notes = charges.settle(&mut settled);
-    let ((charged, _), charged_res) = record(job, rank, gpu, TraceBuffers::default(), false);
+    let ((charged, _), charged_res) = record(job, rank, gpu, TraceBuffers::default(), None);
     assert_eq!(res, charged_res, "{what}");
     assert_eq!(settled.events.len(), charged.events.len(), "{what}");
     for (at, (s, c)) in settled.events.iter().zip(&charged.events).enumerate() {
@@ -402,6 +463,7 @@ fn assert_settled_as_charged(
     TraceBuffers {
         events: settled.events,
         collectives: meta.collectives,
+        residue: meta.residue,
         host_notes,
     }
 }
@@ -422,32 +484,43 @@ fn deferred_host_time_settles_to_what_an_eager_recorder_charges() {
     assert!(!cut.events.is_empty());
 }
 
+/// A rank that runs out of memory partway through a template — the
+/// class of the same rank on a device with room for it — writes out
+/// what it matched and is the rank a recorder against no template
+/// writes, cut where it stopped.
 #[test]
 fn a_rank_that_runs_out_of_memory_is_signed_up_to_where_it_stopped() {
     let job = oom_job();
     let gpu = GpuSpec::h100();
-    let ((whole, whole_meta), res) = record(&job, 3, gpu, TraceBuffers::default(), true);
-    res.expect("the last stage fits");
+    let roomy = GpuSpec {
+        mem_gib: 4.0 * gpu.mem_gib,
+        ..gpu
+    };
+    let ((whole, whole_meta), res) = record(&job, 0, roomy, TraceBuffers::default(), None);
+    res.expect("a device with room fits stage 0");
+    let class = Templates::default().kept(whole.clone());
     let stale = TraceBuffers {
-        events: whole.events,
+        events: whole.events.clone(),
         collectives: whole_meta.collectives,
+        residue: Vec::new(),
         host_notes: vec![u64::MAX; 7],
     };
-    let ((cut, cut_meta), res) = record(&job, 0, gpu, stale, true);
+    let ((cut, cut_meta), res) = record(&job, 0, gpu, stale, Some(class));
     assert!(
         matches!(res, Err(CudaError::MemoryAllocation { .. })),
         "{res:?}"
     );
     assert!(cut.summary.oom && !cut.events.is_empty());
-    // The cut rank and the whole one are two classes to both signatures.
-    let mut classes = Classes::default();
-    assert_recorded_as_scanned(&cut, &cut_meta, &mut classes);
-    let ((whole, whole_meta), _) = record(&job, 3, gpu, TraceBuffers::default(), true);
-    assert_recorded_as_scanned(&whole, &whole_meta, &mut classes);
-    assert_eq!(classes.recorded.len(), 2);
-    // Nothing of rank 3 leaked through the recycled buffers.
-    let ((fresh, fresh_meta), _) = record(&job, 0, gpu, TraceBuffers::default(), true);
-    assert_eq!((cut, cut_meta), (fresh, fresh_meta));
+    assert!(cut.events.len() < whole.events.len());
+    assert_eq!(cut.events[..], whole.events[..cut.events.len()]);
+    assert_eq!((cut_meta.matched, cut_meta.seen), (None, 1));
+    // Nothing of the template or the recycled buffers leaked through.
+    let ((fresh, fresh_meta), _) = record(&job, 0, gpu, TraceBuffers::default(), None);
+    assert_eq!(cut, fresh);
+    assert_eq!(
+        (cut_meta.collectives, cut_meta.calls),
+        (fresh_meta.collectives, fresh_meta.calls)
+    );
 }
 
 #[test]
@@ -459,15 +532,16 @@ fn a_recorder_that_will_not_fold_computes_no_signature() {
     let mut spare = TraceBuffers::default();
     let mut workers = Vec::new();
     for rank in 0..job.world {
-        let ((trace, meta), res) = record(&job, rank, cluster.gpu, spare, false);
+        let ((trace, meta), res) = record(&job, rank, cluster.gpu, spare, None);
         res.expect("rank emulates");
-        assert_eq!(meta, TraceMeta::scan(&trace.events, false));
-        assert_eq!(meta.signature, None);
+        assert_eq!(meta, TraceMeta::scan(&trace.events));
+        assert_eq!((meta.matched, meta.seen), (None, 0));
         let pushed = collator.push(trace, meta).expect("rank collates");
         spare = pushed.spare;
         assert_eq!(spare.events.capacity(), 0, "every trace is kept");
         workers.extend(pushed.kept);
     }
+    assert!(collator.templates().is_empty(), "nor keeps a template");
     let stats = collator.stats();
     assert_eq!((stats.workers_in, stats.workers_kept), (64, 64));
     let all = JobTrace {
@@ -492,11 +566,11 @@ fn a_recorder_that_will_not_fold_computes_no_signature() {
     );
 }
 
-/// `emulate_dedup_512`'s job: every rank's recorded metadata against a
-/// scan and the oracle, and the fold against the oracle's. The oracle
-/// wants all 512 traces at once (≈ 220 MB) and the ranks are emulated
-/// twice, so it stays out of the default run; CI runs it with
-/// `--release -- --ignored`.
+/// `emulate_dedup_512`'s job: every rank recorded against the kept
+/// classes' templates, held against its recording alone, and the fold
+/// against the frozen oracle's. The oracle wants all 512 traces at once
+/// and every rank is emulated three times, so it stays out of the
+/// default run; CI runs it with `--release -- --ignored`.
 #[test]
 #[ignore = "512 ranks, ≈ 220 MB: run with --release -- --ignored"]
 fn recorder_and_scan_agree_on_the_512_rank_job() {
@@ -514,10 +588,14 @@ fn recorder_and_scan_agree_on_the_512_rank_job() {
     let Folded {
         stats,
         emitted,
+        written,
+        folded_while_recording,
         charged,
         kept,
-    } = fold_all_ranks(&job, &cluster);
+        all,
+    } = fold_all_ranks(&job, cluster.gpu);
     assert_eq!(charged, kept.total_events());
+    assert_eq!((written, folded_while_recording), (charged, 510));
     // No `resident_high_water` (it pinned 3): see
     // `folded_job_counters_are_pinned`'s doc.
     assert_eq!(
@@ -529,22 +607,11 @@ fn recorder_and_scan_agree_on_the_512_rank_job() {
         }
     );
     assert_eq!(emitted, (2_788_864, 498_176));
-    // Every rank: signed, noted and settled, against charged as recorded.
+    // Every rank: noted and settled, against charged as recorded.
     let mut spare = TraceBuffers::default();
-    let all: Vec<WorkerTrace> = (0..job.world)
-        .map(|r| {
-            let settled = maya_torchlet::engine::trace_one_rank(&job, r, cluster.gpu).0;
-            let ((charged, meta), _) =
-                record(&job, r, cluster.gpu, std::mem::take(&mut spare), false);
-            assert_eq!(settled, charged, "rank {r}");
-            spare = TraceBuffers {
-                events: charged.events,
-                collectives: meta.collectives,
-                ..Default::default()
-            };
-            settled
-        })
-        .collect();
+    for r in 0..job.world {
+        spare = assert_settled_as_charged(&job, r, cluster.gpu, spare);
+    }
     let all = reference::collate(all, job.world).expect("oracle collates");
     let classes = reference::dedup_classes(&all.workers);
     assert_eq!(kept, reference::reduce_job(&all, &classes));

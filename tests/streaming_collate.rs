@@ -13,16 +13,16 @@ use std::sync::Arc;
 
 use maya::{EmulationSpec, FaultPlan, PredictOutcome, Prediction, PredictionEngine};
 use maya_collate::{
-    collate, collate_with_known_groups, dedup_classes, reduce_job, signature,
-    unique_megatron_ranks, Collator, DedupClass,
+    collate, collate_with_known_groups, dedup_classes, reduce_job, unique_megatron_ranks, Collator,
+    DedupClass,
 };
 use maya_estimator::OracleEstimator;
 use maya_hw::ClusterSpec;
 use maya_torchlet::engine::{megatron_comm_groups, trace_one_rank};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, RankTopology, TrainingJob};
 use maya_trace::{
-    shape_digest, DeviceOp, Dtype, JobTrace, KernelKind, SimTime, TraceEvent, TraceMeta,
-    WorkerTrace,
+    shape_digest, CollectiveKind, DeviceOp, Dtype, JobTrace, KernelKind, SimTime, TraceEvent,
+    TraceMeta, WorkerTrace,
 };
 
 /// xorshift64*: the draw order is part of the test, so no shared RNG.
@@ -134,9 +134,12 @@ fn stream(
     let mut collator = Collator::new(world, known, fold);
     let mut kept = Vec::new();
     for w in workers {
-        let meta = TraceMeta::scan(&w.events, fold);
+        let meta = TraceMeta::scan(&w.events);
         kept.extend(collator.push(w.clone(), meta).expect("push").kept);
     }
+    // A folding collator keeps its traces as templates.
+    let templates = collator.templates();
+    kept.extend((0..templates.len()).filter_map(|t| Some(templates.get(t)?.trace().clone())));
     JobTrace {
         nranks: world,
         workers: kept,
@@ -144,10 +147,17 @@ fn stream(
     }
 }
 
-/// Who is folded into whom. The frozen oracle's signature values are
-/// not the library's (it chains every word of an event); the classes
-/// they sort a job's ranks into are the contract.
+/// Who is folded into whom. The frozen oracle hashes where the library
+/// compares; the classes they sort a job's ranks into are the contract.
 fn partition(classes: &[DedupClass]) -> Vec<(u32, &[u32])> {
+    classes
+        .iter()
+        .map(|c| (c.representative, &c.members[..]))
+        .collect()
+}
+
+/// [`partition`] of the oracle's classes.
+fn oracle_partition(classes: &[reference::DedupClass]) -> Vec<(u32, &[u32])> {
     classes
         .iter()
         .map(|c| (c.representative, &c.members[..]))
@@ -179,7 +189,7 @@ fn streaming_output_equals_collate_then_reduce() {
         let classes = dedup_classes(&all.workers);
         assert_eq!(
             partition(&classes),
-            partition(&reference::dedup_classes(&all.workers)),
+            oracle_partition(&reference::dedup_classes(&all.workers)),
             "{what}"
         );
         assert_eq!(reduce_job(&all, &classes), reduced, "{what}");
@@ -209,21 +219,31 @@ fn streaming_output_equals_collate_then_reduce() {
     }
 }
 
-/// A rank's events without what the signature must not see: host-delay
-/// jitter, raw communicator ids (replaced by first-use order) and the
-/// rank's position in each communicator.
+/// A rank's events without what folding must not see: host-delay
+/// jitter, pointers, raw communicator ids (replaced by first-use order),
+/// the rank's position in each communicator and its Send/Recv peers —
+/// written here independently of `maya_trace::Call`.
 fn structure(trace: &WorkerTrace) -> Vec<TraceEvent> {
     let mut comms = Vec::new();
     let blind = |e: &TraceEvent| {
         let mut e = *e;
         e.host_delay = Default::default();
-        if let DeviceOp::Collective { desc } = &mut e.op {
-            let seen = comms.iter().position(|&c| c == desc.comm_id);
-            desc.comm_id = seen.unwrap_or_else(|| {
-                comms.push(desc.comm_id);
-                comms.len() - 1
-            }) as u64;
-            desc.rank_in_comm = 0;
+        match &mut e.op {
+            DeviceOp::Collective { desc } => {
+                let seen = comms.iter().position(|&c| c == desc.comm_id);
+                desc.comm_id = seen.unwrap_or_else(|| {
+                    comms.push(desc.comm_id);
+                    comms.len() - 1
+                }) as u64;
+                desc.rank_in_comm = 0;
+                if let CollectiveKind::Send { peer } | CollectiveKind::Recv { peer } =
+                    &mut desc.kind
+                {
+                    *peer = 0;
+                }
+            }
+            DeviceOp::Malloc { ptr, .. } | DeviceOp::Free { ptr } => *ptr = 0,
+            _ => {}
         }
         e
     };
@@ -235,13 +255,20 @@ fn signatures_and_shape_digests_do_not_collide_on_generated_jobs() {
     let mut shapes: BTreeMap<u64, KernelKind> = BTreeMap::new();
     for job in generated_jobs() {
         let what = format!("{} {} world {}", job.flavor.name(), job.parallel, job.world);
-        // Ranks share a signature exactly when they issue one sequence.
-        let mut classes: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
-        for w in emulate(&job, 0..job.world) {
-            let seen = classes
-                .entry(signature(&w))
-                .or_insert_with(|| structure(&w));
-            assert!(*seen == structure(&w), "{what}: rank {} collides", w.rank);
+        // Ranks share a class exactly when they issue one sequence.
+        let workers = emulate(&job, 0..job.world);
+        let classes = dedup_classes(&workers);
+        let of = |rank: u32| structure(&workers[rank as usize]);
+        for (i, class) in classes.iter().enumerate() {
+            let shape = of(class.representative);
+            for &m in &class.members {
+                assert!(of(m) == shape, "{what}: rank {m} collides");
+            }
+            for other in &classes[..i] {
+                assert!(of(other.representative) != shape, "{what}: split");
+            }
+        }
+        for w in &workers {
             for e in &w.events {
                 if let DeviceOp::KernelLaunch { kernel } = e.op {
                     let seen = shapes.entry(shape_digest(&kernel)).or_insert(kernel);
@@ -300,7 +327,7 @@ fn predictions_do_not_depend_on_emulation_threads() {
             }
         });
         folded += usize::from(sequential.workers_simulated < sequential.workers_emulated);
-        for threads in [2, 3, 8] {
+        for threads in [2, 3, 4, 8] {
             assert_eq!(
                 verdict(&predict(threads)),
                 verdict(&sequential),
