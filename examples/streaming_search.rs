@@ -11,7 +11,11 @@
 //!    exactly;
 //! 2. **cancel**: a second identical search is cancelled after the
 //!    first progress frame and comes back `Cancelled` with the
-//!    deterministic committed prefix of run 1;
+//!    deterministic committed prefix of run 1. It runs on a second
+//!    service whose estimator is gated: the service's memo has seen only
+//!    the search's first trial, so the search parks at its first new
+//!    shape until the server has taken the cancel — by construction,
+//!    not by timing;
 //! 3. **deadline**: a job submitted behind a busy worker with a
 //!    zero budget is shed as `Expired` without ever executing;
 //! 4. **retry**: a burst against a 1-slot queue rides out the typed
@@ -19,19 +23,75 @@
 //!
 //! Run with `cargo run --release --example streaming_search`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use maya::EmulationSpec;
+use maya::{EmulationSpec, EstimatorChoice};
+use maya_estimator::{OracleEstimator, RuntimeEstimator};
 use maya_hw::ClusterSpec;
 use maya_serve::{MayaService, Request};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
-use maya_trace::Dtype;
+use maya_trace::{CollectiveKind, Dtype, KernelKind, MemcpyKind, SimTime};
 use maya_wire::{
     AlgorithmKind, Backoff, ConfigSpace, JobOptions, WireClient, WireJobOutcome, WireServer,
 };
 
 const TARGET: &str = "h100-quad";
+
+/// A shut-or-open latch that [`Gated`] estimator calls pass through.
+#[derive(Default)]
+struct Gate {
+    shut: Mutex<bool>,
+    turned: Condvar,
+}
+
+impl Gate {
+    fn set_shut(&self, shut: bool) {
+        *self.shut.lock().unwrap() = shut;
+        self.turned.notify_all();
+    }
+
+    fn pass(&self) {
+        let mut shut = self.shut.lock().unwrap();
+        while *shut {
+            shut = self.turned.wait(shut).unwrap();
+        }
+    }
+}
+
+/// The oracle, with every call parked while its gate is shut. Only memo
+/// misses reach an engine's estimator.
+struct Gated {
+    oracle: OracleEstimator,
+    gate: Arc<Gate>,
+}
+
+impl RuntimeEstimator for Gated {
+    fn kernel_time(&self, kernel: &KernelKind) -> SimTime {
+        self.gate.pass();
+        self.oracle.kernel_time(kernel)
+    }
+
+    fn memcpy_time(&self, bytes: u64, kind: MemcpyKind) -> SimTime {
+        self.gate.pass();
+        self.oracle.memcpy_time(bytes, kind)
+    }
+
+    fn collective_time(
+        &self,
+        kind: CollectiveKind,
+        bytes: u64,
+        ranks: &[u32],
+        cluster: &ClusterSpec,
+    ) -> SimTime {
+        self.gate.pass();
+        self.oracle.collective_time(kind, bytes, ranks, cluster)
+    }
+
+    fn name(&self) -> &'static str {
+        "gated-oracle"
+    }
+}
 
 fn job(cluster: &ClusterSpec) -> TrainingJob {
     TrainingJob {
@@ -120,10 +180,35 @@ fn main() {
 
     // 2) Cancel the same search mid-flight: the partial result is an
     //    exact prefix of the run above (deterministic pipeline +
-    //    commit-boundary cancellation).
-    let mut doomed = client.submit(&search(&h100, 40)).expect("submit search");
+    //    commit-boundary cancellation). The search runs on a service
+    //    whose memo has seen only its first trial, and whose estimator
+    //    then parks every miss: the search commits that trial (its
+    //    first progress frame) and parks at its first new shape until
+    //    the server has taken the cancel.
+    let gate = Arc::new(Gate::default());
+    let held = Arc::new(
+        MayaService::builder()
+            .target(TARGET, EmulationSpec::new(h100.clone()))
+            .estimator(EstimatorChoice::Custom(Arc::new(Gated {
+                oracle: OracleEstimator::new(&h100),
+                gate: Arc::clone(&gate),
+            })))
+            .build()
+            .expect("service builds"),
+    );
+    held.call(search(&h100, 1)).expect("first trial");
+    gate.set_shut(true);
+    let mut held_server = WireServer::bind("127.0.0.1:0", held).expect("bind");
+    let held_client = WireClient::connect(held_server.local_addr()).expect("connect");
+    let mut doomed = held_client
+        .submit(&search(&h100, 40))
+        .expect("submit search");
     let first = doomed.next_progress().expect("one wave before cancel");
     doomed.cancel().expect("send cancel frame");
+    while held_server.stats().cancels == 0 {
+        std::thread::yield_now();
+    }
+    gate.set_shut(false);
     println!(
         "cancelled after the first progress frame ({} trials committed)...",
         first.committed
@@ -131,6 +216,7 @@ fn main() {
     match doomed.wait_outcome().expect("terminal frame") {
         WireJobOutcome::Cancelled(Some(resp)) => {
             let partial = resp.search().unwrap();
+            assert!(partial.trials.len() < full.trials.len());
             assert_eq!(
                 serde::to_string(&partial.trials),
                 serde::to_string(&full.trials[..partial.trials.len()].to_vec()),
@@ -143,6 +229,7 @@ fn main() {
         }
         other => panic!("expected Cancelled with a prefix, got {other:?}"),
     }
+    held_server.shutdown();
 
     // 3) Deadlines shed queued work before it costs anything: park a
     //    long search on the worker pool, then submit a job whose
