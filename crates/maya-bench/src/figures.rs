@@ -1,6 +1,6 @@
 //! Row functions for the paper's figures (§7).
 
-use maya::MayaBuilder;
+use maya::{EmulationSpec, MayaBuilder};
 use maya_hw::{mfu, ClusterSpec};
 use maya_search::{AlgorithmKind, Objective, SearchResult, TrialScheduler};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
@@ -353,7 +353,8 @@ pub fn fig13(_: &Budget) -> Result<Data, ReproError> {
         // the full-simulation cost the paper's Fig. 13 is dominated by.
         let full = (job.world <= 1024)
             .then(|| {
-                let no_opt = MayaBuilder::new(scenario.cluster.clone()).without_optimizations();
+                let spec = EmulationSpec::without_optimizations(scenario.cluster.clone());
+                let no_opt = MayaBuilder::new(scenario.cluster.clone()).with_spec(spec);
                 Some(no_opt.build().ok()?.predict_job(&job).ok()?.timings.total())
             })
             .flatten();
@@ -413,7 +414,8 @@ pub fn fig14(budget: &Budget) -> Result<Data, ReproError> {
             let time = p.iteration_time().ok_or(budget.starved("fig14"))?;
             Ok((wall, time.as_secs_f64(), p.workers_simulated))
         };
-        let full = MayaBuilder::new(scenario.cluster.clone()).without_optimizations();
+        let spec = EmulationSpec::without_optimizations(scenario.cluster.clone());
+        let full = MayaBuilder::new(scenario.cluster.clone()).with_spec(spec);
         let (without, t_no, workers_no) = timed(full)?;
         let (with, t_yes, workers_yes) = timed(scenario.builder())?;
         series.rows.push(vec![

@@ -21,7 +21,7 @@ pub mod tables;
 use std::fmt;
 
 pub use data::{Block, Cell, Data, Table};
-use maya::{MayaBuilder, MayaError, PredictionEngine};
+use maya::{EmulationSpec, MayaBuilder, MayaError, PredictionEngine};
 use maya_baselines::{Amped, BaselineModel, Calculon, Proteus};
 use maya_estimator::ProfileScale;
 use maya_hw::ClusterSpec;
@@ -282,7 +282,8 @@ impl Scenario {
     /// Builder pre-configured for this scenario (dedup + selective
     /// launch on).
     pub fn builder(&self) -> MayaBuilder {
-        MayaBuilder::new(self.cluster.clone()).selective_launch(true)
+        let spec = EmulationSpec::new(self.cluster.clone()).with_selective_launch(true);
+        MayaBuilder::new(self.cluster.clone()).with_spec(spec)
     }
 
     /// A Maya instance with the forest estimator trained for this

@@ -3,7 +3,7 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::time::Duration;
 
-use maya::{MayaBuilder, MayaError, PredictionEngine, StageTimings};
+use maya::{EmulationSpec, MayaBuilder, MayaError, PredictionEngine, StageTimings};
 use maya_baselines::BaselinePrediction;
 use maya_estimator::ForestEstimator;
 use maya_hw::ClusterSpec;
@@ -363,8 +363,9 @@ fn search_column(
 pub fn tab06(budget: &Budget) -> Result<Data, ReproError> {
     let [_, _, scenario, _] = Scenario::headline(); // 32xH100
     let (opt, opt_wall, opt_exec) = search_column(&scenario.maya_oracle()?, &scenario, None);
+    let spec = EmulationSpec::without_optimizations(scenario.cluster.clone());
     let unoptimized = MayaBuilder::new(scenario.cluster.clone())
-        .without_optimizations()
+        .with_spec(spec)
         .build()?;
     let (no, no_wall, no_exec) =
         search_column(&unoptimized, &scenario, Some(budget.configs_or(120)));

@@ -17,12 +17,17 @@
 //! recorder — and dropped if it equals one, else kept as the next
 //! template. A dropped worker's buffers go back for the next rank to
 //! record into. A push costs O(collectives), and O(events) for a trace
-//! it compares. A collator that does not fold holds no trace: one it
-//! keeps goes straight back to the caller ([`Pushed::kept`]), who may
-//! lower it and recycle its buffer before the next rank arrives.
-//! [`Collator::finish`] yields the job's communicator map. A trace that came from no
-//! recorder is pushed with the metadata [`TraceMeta::scan`] computes
-//! from it, as the engine's `predict_trace` does. [`collate`] and
+//! it compares. The fold verdict is the collator's alone: `push` takes
+//! a settle callback and runs it on exactly the traces it keeps, just
+//! before one becomes a template or goes back to the caller, so a
+//! recorder's deferred host time is computed for kept traces and no
+//! caller compares a trace to decide. A collator that does not fold
+//! holds no trace: one it keeps goes straight back to the caller
+//! ([`Pushed::kept`]), who may lower it and recycle its buffer before
+//! the next rank arrives. [`Collator::finish`] yields the job's
+//! communicator map. A trace that came from no recorder is pushed with
+//! the metadata [`TraceMeta::scan`] computes from it, as the engine's
+//! `predict_trace` does. [`collate`] and
 //! [`collate_with_known_groups`] do that for a whole set with folding
 //! off, keeping every trace; they serve only the benchmark's replay and
 //! the tests, and leave once that replay goes through the collator
@@ -159,7 +164,7 @@ pub fn collate_with_known_groups(
     let mut kept = Vec::with_capacity(workers.len());
     for w in workers {
         let meta = TraceMeta::scan(&w.events);
-        kept.extend(collator.push(w, meta)?.kept);
+        kept.extend(collator.push(w, meta, |_| {})?.kept);
     }
     Ok(JobTrace {
         nranks: world,
@@ -433,10 +438,16 @@ impl<'k> Collator<'k> {
     /// must not decrease from one call to the next. Only the collective
     /// descriptors `meta` carries are read, and, when folding, the
     /// events of a trace whose recorder did not match a template whole.
+    /// `settle` runs on the trace once it is known to be kept, before
+    /// it becomes a template or goes back to the caller, and on no
+    /// other: a trace folded away is dropped without it, so a caller
+    /// that owes a trace its host time computes it for kept traces
+    /// only (the fold compares calls, never host time).
     pub fn push(
         &mut self,
         mut trace: WorkerTrace,
         meta: TraceMeta,
+        settle: impl FnOnce(&mut WorkerTrace),
     ) -> Result<Pushed, CollateError> {
         if let Some(&last) = self.ranks.last() {
             if trace.rank < last {
@@ -487,6 +498,7 @@ impl<'k> Collator<'k> {
         };
         if !self.fold {
             self.stats.workers_kept += 1;
+            settle(&mut trace);
             return Ok(Pushed {
                 kept: Some(trace),
                 template: None,
@@ -503,6 +515,7 @@ impl<'k> Collator<'k> {
             });
         }
         self.stats.workers_kept += 1;
+        settle(&mut trace);
         let template = Some(self.templates.len());
         self.templates = self.templates.kept(trace);
         Ok(Pushed {

@@ -44,7 +44,11 @@ fn stream(workers: &[WorkerTrace], world: u32, fold: bool) -> Result<JobTrace, C
     let mut collator = Collator::new(world, &known, fold);
     let mut kept = Vec::new();
     for w in workers {
-        kept.extend(collator.push(w.clone(), TraceMeta::scan(&w.events))?.kept);
+        kept.extend(
+            collator
+                .push(w.clone(), TraceMeta::scan(&w.events), |_| {})?
+                .kept,
+        );
     }
     kept.extend(templates(&collator));
     Ok(JobTrace {
@@ -247,8 +251,10 @@ fn push_takes_ranks_in_order() {
     let known = BTreeMap::new();
     let mut collator = Collator::new(4, &known, true);
     let empty = || TraceMeta::scan(&[]);
-    collator.push(worker(2, vec![]), empty()).unwrap();
-    let err = collator.push(worker(1, vec![]), empty()).unwrap_err();
+    collator.push(worker(2, vec![]), empty(), |_| {}).unwrap();
+    let err = collator
+        .push(worker(1, vec![]), empty(), |_| {})
+        .unwrap_err();
     assert!(matches!(err, CollateError::Invalid(_)), "{err}");
 }
 
@@ -305,7 +311,7 @@ fn metadata_that_does_not_fit_the_trace_is_refused() {
     ] {
         let what = format!("{meta:?}, folding: {fold}");
         let err = Collator::new(1, &known, fold)
-            .push(worker(0, events.clone()), meta)
+            .push(worker(0, events.clone()), meta, |_| {})
             .expect_err(&what);
         assert!(
             matches!(&err, CollateError::Invalid(m) if m.starts_with("worker 0: ")),
@@ -315,7 +321,9 @@ fn metadata_that_does_not_fit_the_trace_is_refused() {
     // What a recorder hands over for such a trace, folding or not.
     for fold in [false, true] {
         let mut collator = Collator::new(1, &known, fold);
-        let pushed = collator.push(worker(0, events.clone()), scanned()).unwrap();
+        let pushed = collator
+            .push(worker(0, events.clone()), scanned(), |_| {})
+            .unwrap();
         let kept = pushed.kept.into_iter().chain(templates(&collator));
         assert_eq!(kept.collect::<Vec<_>>(), [worker(0, events.clone())]);
         assert_eq!(pushed.template, fold.then_some(0));
@@ -343,10 +351,10 @@ fn sequence_numbers_that_skip_ahead_are_counted_once() {
 }
 
 /// Folding keeps the lowest rank of each class and hands it back to
-/// the caller with the push that keeps it; a folded rank's buffers come
-/// back for the next rank. The collator holds no trace, so its
-/// counters no longer include `resident_high_water` (pinned at 3, the
-/// two kept and the one pushed, while it held them).
+/// the caller with the push that keeps it, settled; a folded rank's
+/// buffers come back for the next rank, unsettled. The collator holds
+/// no trace, so its counters no longer include `resident_high_water`
+/// (pinned at 3, the two kept and the one pushed, while it held them).
 #[test]
 fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
     let ar = |comm, bytes, r| {
@@ -365,12 +373,14 @@ fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
     ]);
     let known = BTreeMap::new();
     let mut collator = Collator::new(4, &known, true);
-    let mut kept = Vec::new();
+    let (mut kept, mut settled) = (Vec::new(), Vec::new());
     let spare: Vec<(usize, bool)> = workers
         .iter()
         .map(|w| {
             let pushed = collator
-                .push(w.clone(), TraceMeta::scan(&w.events))
+                .push(w.clone(), TraceMeta::scan(&w.events), |t| {
+                    settled.push(t.rank)
+                })
                 .unwrap();
             let spare = pushed.spare;
             assert!(spare.events.is_empty() && spare.collectives.is_empty());
@@ -403,6 +413,7 @@ fn fold_keeps_the_lowest_rank_of_each_class_and_hands_buffers_back() {
         comm_groups: collator.finish().unwrap(),
     };
     assert_eq!(job.workers, workers[..2]);
+    assert_eq!(settled, [0, 1], "a folded trace is dropped unsettled");
     assert_eq!(job.comm_groups[&5], vec![0, 2]);
     assert_eq!(job.comm_groups[&6], vec![1, 3]);
     let all = reference::collate(workers.clone(), 4).unwrap();

@@ -1,9 +1,8 @@
 //! maya-lint CLI.
 //!
 //! ```text
-//! cargo run -p maya-lint -- --check                  # gate: exit 1 on any finding
-//! cargo run -p maya-lint -- --check --format json    # machine-readable report
-//! cargo run -p maya-lint -- --write-budget           # regenerate lint-budget.toml
+//! cargo run -p maya-lint -- --check          # gate: exit 1 on any finding; lists suppressions
+//! cargo run -p maya-lint -- --write-budget   # regenerate lint-budget.toml
 //! ```
 //!
 //! The workspace root is located from `CARGO_MANIFEST_DIR` (set by
@@ -15,17 +14,9 @@ use std::process::ExitCode;
 
 use maya_lint::config::Config;
 
-const USAGE: &str =
-    "usage: maya-lint [--check] [--format text|json] [--write-budget] [--root PATH]";
-
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-}
+const USAGE: &str = "usage: maya-lint [--check] [--write-budget] [--root PATH]";
 
 fn main() -> ExitCode {
-    let mut format = Format::Text;
     let mut write_budget = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -34,14 +25,6 @@ fn main() -> ExitCode {
             // --check is the default (and only) analysis mode; accept
             // it explicitly so the CI invocation reads as a gate.
             "--check" => {}
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                _ => {
-                    eprintln!("{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "--write-budget" => write_budget = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
@@ -99,10 +82,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match format {
-        Format::Text => print!("{}", report.render_text()),
-        Format::Json => print!("{}", report.render_json()),
-    }
+    print!("{}", report.render_text());
     if report.failed() {
         ExitCode::from(1)
     } else {

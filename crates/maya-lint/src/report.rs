@@ -1,9 +1,10 @@
-//! Rendering: human `file:line rule message` lines and the
-//! machine-readable JSON report.
+//! Rendering: one human-readable report, `file:line rule message` a
+//! finding and `suppressed: file:line rule reason` a suppression, with
+//! the suppressions tallied per rule.
 //!
-//! Both are hand-rolled (the linter is pure std) and
-//! deterministic: findings arrive pre-sorted from the engine, budgets
-//! and suppression tallies are emitted in sorted order.
+//! It is hand-rolled (the linter is pure std) and deterministic:
+//! findings arrive pre-sorted from the engine, budgets and suppression
+//! tallies are emitted in sorted order.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -116,6 +117,18 @@ impl Report {
             self.suppressed.len(),
             self.budgets.len(),
         );
+        let mut by_rule: BTreeMap<&str, usize> = BTreeMap::new();
+        for s in &self.suppressed {
+            let _ = writeln!(
+                out,
+                "suppressed: {}:{} {} {}",
+                s.file, s.line, s.rule, s.reason
+            );
+            *by_rule.entry(s.rule).or_default() += 1;
+        }
+        for (rule, n) in by_rule {
+            let _ = writeln!(out, "suppressed by rule: {rule} {n}");
+        }
         for b in &self.budgets {
             if !b.violation() && b.slack() > 0 {
                 let _ = writeln!(
@@ -129,100 +142,6 @@ impl Report {
         }
         out
     }
-
-    /// Machine-readable rendering.
-    pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(
-                out,
-                "{sep}    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
-                json_str(&f.file),
-                f.line,
-                json_str(f.rule),
-                json_str(&f.message),
-            );
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"suppressed\": [");
-        for (i, s) in self.suppressed.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(
-                out,
-                "{sep}    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"reason\": {}}}",
-                json_str(&s.file),
-                s.line,
-                json_str(s.rule),
-                json_str(&s.reason),
-            );
-        }
-        if !self.suppressed.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"suppressed_by_rule\": {");
-        let mut by_rule: BTreeMap<&str, u64> = BTreeMap::new();
-        for s in &self.suppressed {
-            *by_rule.entry(s.rule).or_insert(0) += 1;
-        }
-        for (i, (rule, n)) in by_rule.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}{}: {n}", json_str(rule));
-        }
-        out.push_str("},\n  \"budgets\": [");
-        for (i, b) in self.budgets.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(
-                out,
-                "{sep}    {{\"crate\": {}, \"total\": {}, \"cap\": {}, \"unwrap\": {}, \
-                 \"expect\": {}, \"panic\": {}, \"index\": {}}}",
-                json_str(&b.krate),
-                b.counts.total(),
-                b.cap
-                    .map(|c| c.to_string())
-                    .unwrap_or_else(|| "null".to_string()),
-                b.counts.unwrap,
-                b.counts.expect,
-                b.counts.panics,
-                b.counts.index,
-            );
-        }
-        if !self.budgets.is_empty() {
-            out.push_str("\n  ");
-        }
-        let _ = write!(
-            out,
-            "],\n  \"files\": {},\n  \"lines\": {},\n  \"failed\": {}\n}}\n",
-            self.files,
-            self.lines,
-            self.failed(),
-        );
-        out
-    }
-}
-
-/// Minimal JSON string escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -249,24 +168,34 @@ mod tests {
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
+    fn text_lists_findings_and_each_suppression_with_its_tally() {
         let mut r = Report::default();
         r.findings.push(Finding {
             file: "a.rs".to_string(),
             line: 3,
             rule: crate::rules::GUARD_RULE,
-            message: "held \"across\"\nblocking".to_string(),
+            message: "held across blocking".to_string(),
         });
-        r.suppressed.push(Suppressed {
-            file: "b.rs".to_string(),
-            line: 9,
-            rule: crate::rules::WALL_CLOCK_RULE,
-            reason: "telemetry".to_string(),
-        });
-        let json = r.render_json();
-        assert!(json.contains("\\\"across\\\""));
-        assert!(json.contains("\\n"));
-        assert!(json.contains("\"failed\": true"));
-        assert!(json.contains("\"suppressed_by_rule\": {\"wall-clock-in-output\": 1}"));
+        for line in [9, 12] {
+            r.suppressed.push(Suppressed {
+                file: "b.rs".to_string(),
+                line,
+                rule: crate::rules::WALL_CLOCK_RULE,
+                reason: "telemetry".to_string(),
+            });
+        }
+        assert!(r.failed());
+        let text = r.render_text();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "a.rs:3 guard-across-blocking-call held across blocking",
+                "maya-lint: 0 files, 0 lines, 1 finding(s), 2 suppressed, 0 budget crate(s)",
+                "suppressed: b.rs:9 wall-clock-in-output telemetry",
+                "suppressed: b.rs:12 wall-clock-in-output telemetry",
+                "suppressed by rule: wall-clock-in-output 2",
+            ]
+        );
     }
 }

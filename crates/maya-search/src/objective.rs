@@ -244,7 +244,7 @@ impl<'a> Objective<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maya::{MayaBuilder, PredictionEngine};
+    use maya::{EmulationSpec, MayaBuilder, PredictionEngine};
     use maya_hw::ClusterSpec;
     use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig};
     use maya_trace::Dtype;
@@ -308,10 +308,8 @@ mod tests {
     #[test]
     fn batch_outcomes_match_individual() {
         let cluster = ClusterSpec::h100(1, 8);
-        let par_maya = MayaBuilder::new(cluster)
-            .emulation_threads(4)
-            .build()
-            .unwrap();
+        let spec = EmulationSpec::new(cluster.clone()).with_emulation_threads(4);
+        let par_maya = MayaBuilder::new(cluster).with_spec(spec).build().unwrap();
         let template = objective_fixture().1;
         let obj = Objective::new(&par_maya, template);
         let configs = [

@@ -531,12 +531,18 @@ impl<'a> TrialScheduler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maya::{MayaBuilder, PredictionEngine};
+    use maya::{EmulationSpec, MayaBuilder, PredictionEngine};
     use maya_hw::ClusterSpec;
     use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
     use maya_trace::Dtype;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// An oracle engine emulating on `threads` OS threads.
+    fn threaded(cluster: ClusterSpec, threads: usize) -> PredictionEngine {
+        let spec = EmulationSpec::new(cluster.clone()).with_emulation_threads(threads);
+        MayaBuilder::new(cluster).with_spec(spec).build().unwrap()
+    }
 
     fn fixture() -> (PredictionEngine, TrainingJob) {
         let cluster = ClusterSpec::h100(1, 4);
@@ -801,10 +807,7 @@ mod tests {
     fn batched_search_identical_to_sequential() {
         let cluster = ClusterSpec::h100(1, 4);
         let seq_maya = MayaBuilder::new(cluster.clone()).build().unwrap();
-        let par_maya = MayaBuilder::new(cluster)
-            .emulation_threads(4)
-            .build()
-            .unwrap();
+        let par_maya = threaded(cluster, 4);
         let template = fixture().1;
         let seq_obj = Objective::new(&seq_maya, template);
         let par_obj = Objective::new(&par_maya, template);
@@ -858,10 +861,7 @@ mod tests {
     fn batched_grid_identical_to_sequential_grid() {
         let cluster = ClusterSpec::h100(1, 4);
         let seq_maya = MayaBuilder::new(cluster.clone()).build().unwrap();
-        let par_maya = MayaBuilder::new(cluster)
-            .emulation_threads(4)
-            .build()
-            .unwrap();
+        let par_maya = threaded(cluster, 4);
         let template = fixture().1;
         let seq_obj = Objective::new(&seq_maya, template);
         let seq = TrialScheduler::new(&seq_obj)
@@ -879,10 +879,7 @@ mod tests {
     fn batched_early_stop_fires_at_the_same_trial() {
         let cluster = ClusterSpec::h100(1, 4);
         let seq_maya = MayaBuilder::new(cluster.clone()).build().unwrap();
-        let par_maya = MayaBuilder::new(cluster)
-            .emulation_threads(4)
-            .build()
-            .unwrap();
+        let par_maya = threaded(cluster, 4);
         let template = fixture().1;
         let seq_obj = Objective::new(&seq_maya, template);
         let par_obj = Objective::new(&par_maya, template);
@@ -968,10 +965,7 @@ mod tests {
     #[test]
     fn observer_sees_every_committed_trial_in_order() {
         let cluster = ClusterSpec::h100(1, 4);
-        let maya = MayaBuilder::new(cluster)
-            .emulation_threads(4)
-            .build()
-            .unwrap();
+        let maya = threaded(cluster, 4);
         let template = fixture().1;
         let obj = Objective::new(&maya, template);
         let observed = Rc::new(RefCell::new(Recorder::new()));
@@ -1013,10 +1007,7 @@ mod tests {
 
         for n in [1usize, 5, 11] {
             for batched in [false, true] {
-                let maya = MayaBuilder::new(cluster.clone())
-                    .emulation_threads(4)
-                    .build()
-                    .unwrap();
+                let maya = threaded(cluster.clone(), 4);
                 let obj = Objective::new(&maya, template);
                 let token = CancelToken::new();
                 let sched = TrialScheduler::new(&obj)

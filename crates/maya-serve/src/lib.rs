@@ -807,13 +807,13 @@ mod tests {
 
     /// Occupies a worker of a [`gated_t`] service until
     /// [`Blocker::release`] (so later submissions really queue): starts
-    /// a search with its first wave warm and `gate` shut, and returns
-    /// once its first progress event proves a worker picked it up. The
-    /// search then parks at its next memo miss.
-    fn occupy_worker(service: &MayaService, gate: &Arc<Gate>) -> Blocker {
+    /// a search under `opts` with its first wave warm and `gate` shut,
+    /// and returns once its first progress event proves a worker picked
+    /// it up. The search then parks at its next memo miss.
+    fn occupy_worker(service: &MayaService, gate: &Arc<Gate>, opts: JobOptions) -> Blocker {
         warm_first_wave(service, "t");
         gate.set_shut(true);
-        let search = service.submit(search("t", 2, 4_000)).unwrap();
+        let search = service.submit_with(search("t", 2, 4_000), opts).unwrap();
         let _ = search.progress().next().expect("blocker running");
         Blocker {
             search,
@@ -847,7 +847,7 @@ mod tests {
             .starvation_guard(std::time::Duration::from_secs(3600))
             .build()
             .unwrap();
-        let blocker = occupy_worker(&service, &gate);
+        let blocker = occupy_worker(&service, &gate, JobOptions::new());
         let batch: Vec<JobHandle> = (0..3)
             .map(|_| {
                 service
@@ -889,7 +889,7 @@ mod tests {
             .tenant_max_queued(2)
             .build()
             .unwrap();
-        let blocker = occupy_worker(&service, &gate);
+        let blocker = occupy_worker(&service, &gate, JobOptions::new());
         let burst = |p: Priority| JobOptions::new().with_priority(p).with_tenant("burst");
         let b1 = service
             .submit_with(predict("t", 2), burst(Priority::Batch))
@@ -936,7 +936,7 @@ mod tests {
         let service = gated_t(&gate).workers(1).build().unwrap();
         // Hold the only worker so the tenant's jobs accrue real queue
         // wait before dispatch.
-        let blocker = occupy_worker(&service, &gate);
+        let blocker = occupy_worker(&service, &gate, JobOptions::new());
         let opts = || JobOptions::new().with_tenant("acme");
         let handles: Vec<JobHandle> = (0..4)
             .map(|_| service.submit_with(predict("t", 2), opts()).unwrap())
@@ -974,7 +974,7 @@ mod tests {
                 .starvation_guard(guard)
                 .build()
                 .unwrap();
-            let blocker = occupy_worker(&service, &gate);
+            let blocker = occupy_worker(&service, &gate, JobOptions::new());
             let batch = service
                 .submit_with(
                     cold_predict("t"),
@@ -1081,24 +1081,21 @@ mod tests {
     #[test]
     fn queued_deadline_fires_while_workers_sleep() {
         use std::time::{Duration, Instant};
-        // workers = 2 with an in-flight cap of 1: tenant a's long
-        // search holds one worker, a's second job is queued but
-        // ineligible, and the *other* worker sits parked in the
-        // scheduler with nothing to do. The queued job's deadline must
-        // still fire on time — the scheduler wakes itself for the
-        // earliest queued expiry instead of sleeping until the long
-        // search ends.
-        let service = MayaService::builder()
-            .target("t", EmulationSpec::new(ClusterSpec::h100(1, 2)))
+        // workers = 2 with an in-flight cap of 1: tenant a's search,
+        // parked behind its gate, holds one worker, a's second job is
+        // queued but ineligible, and the *other* worker sits parked in
+        // the scheduler with nothing to do. The queued job's deadline
+        // must still fire on time — the scheduler wakes itself for the
+        // earliest queued expiry instead of sleeping until the search
+        // ends, which it cannot before the gate opens.
+        let gate = Arc::new(Gate::default());
+        let service = gated_t(&gate)
             .workers(2)
             .tenant_max_in_flight(1)
             .build()
             .unwrap();
         let a_opts = || JobOptions::new().with_tenant("a");
-        let a1 = service
-            .submit_with(search("t", 2, 500_000), a_opts())
-            .unwrap();
-        let _ = a1.progress().next().expect("a1 running");
+        let a1 = occupy_worker(&service, &gate, a_opts());
         let t0 = Instant::now();
         let doomed = service
             .submit_with(
@@ -1117,8 +1114,7 @@ mod tests {
              blocker ends: {:?}",
             t0.elapsed()
         );
-        a1.cancel();
-        let _ = a1.wait_outcome();
+        a1.release();
     }
 
     #[test]
@@ -1127,17 +1123,14 @@ mod tests {
         // Same parked-worker setup, but the queued job has no deadline
         // at all: only the cancel poke can wake the scheduler to
         // discard it and deliver the verdict.
-        let service = MayaService::builder()
-            .target("t", EmulationSpec::new(ClusterSpec::h100(1, 2)))
+        let gate = Arc::new(Gate::default());
+        let service = gated_t(&gate)
             .workers(2)
             .tenant_max_in_flight(1)
             .build()
             .unwrap();
         let a_opts = || JobOptions::new().with_tenant("a");
-        let a1 = service
-            .submit_with(search("t", 2, 500_000), a_opts())
-            .unwrap();
-        let _ = a1.progress().next().expect("a1 running");
+        let a1 = occupy_worker(&service, &gate, a_opts());
         let stuck = service.submit_with(predict("t", 2), a_opts()).unwrap();
         let t0 = Instant::now();
         stuck.cancel();
@@ -1152,25 +1145,20 @@ mod tests {
              blocker ends: {:?}",
             t0.elapsed()
         );
-        a1.cancel();
-        let _ = a1.wait_outcome();
+        a1.release();
     }
 
     #[test]
     fn queued_deadline_fires_even_when_every_worker_is_busy() {
         use std::time::{Duration, Instant};
-        // The hard case: ONE worker, occupied by a long search — no
-        // thread is parked on the queue and no further traffic
-        // arrives. The sweeper must still deliver the queued job's
-        // Expired verdict (and advance the counters) at its deadline,
-        // not when the search ends.
-        let service = MayaService::builder()
-            .target("t", EmulationSpec::new(ClusterSpec::h100(1, 2)))
-            .workers(1)
-            .build()
-            .unwrap();
-        let blocker = service.submit(search("t", 2, 500_000)).unwrap();
-        let _ = blocker.progress().next().expect("blocker running");
+        // The hard case: ONE worker, occupied by a search parked behind
+        // its gate — no thread is parked on the queue and no further
+        // traffic arrives. The sweeper must still deliver the queued
+        // job's Expired verdict (and advance the counters) at its
+        // deadline, not when the search ends.
+        let gate = Arc::new(Gate::default());
+        let service = gated_t(&gate).workers(1).build().unwrap();
+        let blocker = occupy_worker(&service, &gate, JobOptions::new());
         let t0 = Instant::now();
         let doomed = service
             .submit_with(
@@ -1191,24 +1179,19 @@ mod tests {
         );
         assert_eq!(service.stats().expired, 1, "counted at the deadline");
         assert!(
-            !blocker.poll().is_terminal(),
+            !blocker.search.poll().is_terminal(),
             "the blocker must still be running — nothing but the \
              sweeper could have shed the job"
         );
-        blocker.cancel();
-        let _ = blocker.wait_outcome();
+        blocker.release();
     }
 
     #[test]
     fn cancelling_a_queued_job_works_with_every_worker_busy() {
         use std::time::{Duration, Instant};
-        let service = MayaService::builder()
-            .target("t", EmulationSpec::new(ClusterSpec::h100(1, 2)))
-            .workers(1)
-            .build()
-            .unwrap();
-        let blocker = service.submit(search("t", 2, 500_000)).unwrap();
-        let _ = blocker.progress().next().expect("blocker running");
+        let gate = Arc::new(Gate::default());
+        let service = gated_t(&gate).workers(1).build().unwrap();
+        let blocker = occupy_worker(&service, &gate, JobOptions::new());
         let stuck = service.submit(predict("t", 2)).unwrap();
         let t0 = Instant::now();
         stuck.cancel();
@@ -1223,9 +1206,11 @@ mod tests {
              blocker ends: {:?}",
             t0.elapsed()
         );
-        assert!(!blocker.poll().is_terminal(), "blocker still running");
-        blocker.cancel();
-        let _ = blocker.wait_outcome();
+        assert!(
+            !blocker.search.poll().is_terminal(),
+            "blocker still running"
+        );
+        blocker.release();
     }
 
     #[test]
@@ -1233,7 +1218,7 @@ mod tests {
         use std::time::Duration;
         let gate = Arc::new(Gate::default());
         let service = gated_t(&gate).workers(1).queue_capacity(2).build().unwrap();
-        let blocker = occupy_worker(&service, &gate);
+        let blocker = occupy_worker(&service, &gate, JobOptions::new());
         // Fill the whole queue with jobs whose budget is already gone.
         let doomed: Vec<JobHandle> = (0..2)
             .map(|_| {

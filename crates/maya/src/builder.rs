@@ -1,27 +1,29 @@
-//! [`MayaBuilder`]: the one way to construct a [`PredictionEngine`].
+//! [`MayaBuilder`]: an engine from a cluster, a spec and an estimator
+//! choice.
 //!
-//! Pick an estimator, flip spec knobs, then
-//! [`build`](MayaBuilder::build) the engine.
+//! Pick an estimator, hand over an [`EmulationSpec`] built with its own
+//! `with_*` setters, then [`build`](MayaBuilder::build) the engine.
 //!
 //! ```
-//! use maya::MayaBuilder;
+//! use maya::{EmulationSpec, MayaBuilder};
 //! use maya_hw::ClusterSpec;
 //!
-//! let maya = MayaBuilder::new(ClusterSpec::h100(1, 4))
-//!     .selective_launch(true)
-//!     .emulation_threads(2)
-//!     .build()
-//!     .unwrap();
+//! let cluster = ClusterSpec::h100(1, 4);
+//! let spec = EmulationSpec::new(cluster.clone())
+//!     .with_selective_launch(true)
+//!     .with_emulation_threads(2);
+//! let maya = MayaBuilder::new(cluster).with_spec(spec).build().unwrap();
 //! assert_eq!(maya.spec().emulation_threads, 2);
 //! ```
 //!
-//! [`build`](MayaBuilder::build) is the only constructor here.
-//! `maya-serve` replays an [`EstimatorChoice`] once per distinct
-//! cluster and hands the memo to
-//! [`PredictionEngine::with_shared_cache`], so its engines on one
-//! cluster share a warm cache; it also bounds that memo and persists
-//! it across restarts, the one memo-persistence path. A library user
-//! reaches the same snapshot calls through
+//! The builder is a convenience over [`PredictionEngine::new`], which
+//! takes a spec and an estimator instance: the benchmark and
+//! `maya-serve` call it, or [`PredictionEngine::with_shared_cache`],
+//! directly. `maya-serve` replays an [`EstimatorChoice`] once per
+//! distinct cluster and hands the memo to `with_shared_cache`, so its
+//! engines on one cluster share a warm cache; it also bounds that memo
+//! and persists it across restarts, the one memo-persistence path. A
+//! library user reaches the same snapshot calls through
 //! [`PredictionEngine::cache`].
 
 use std::fmt;
@@ -151,40 +153,6 @@ impl MayaBuilder {
         self
     }
 
-    /// Enables/disables dynamic worker deduplication (§4.2).
-    pub fn dedup(mut self, on: bool) -> Self {
-        self.spec = self.spec.with_dedup(on);
-        self
-    }
-
-    /// Enables/disables Megatron-aware selective launch (§7.4).
-    pub fn selective_launch(mut self, on: bool) -> Self {
-        self.spec = self.spec.with_selective_launch(on);
-        self
-    }
-
-    /// Sets the emulation/batch worker-thread count.
-    pub fn emulation_threads(mut self, threads: usize) -> Self {
-        self.spec = self.spec.with_emulation_threads(threads);
-        self
-    }
-
-    /// Installs a fault-injection plan (stragglers, rank failures);
-    /// empty plans are normalized away.
-    pub fn faults(mut self, plan: maya_net::FaultPlan) -> Self {
-        self.spec = self.spec.with_faults(Some(plan));
-        self
-    }
-
-    /// Turns every trace-reduction optimization off (the "No
-    /// Optimization" columns of Table 6 / Figure 14): dedup and
-    /// selective launch. The emulation thread count is not a
-    /// trace-reduction knob and is left as configured.
-    pub fn without_optimizations(mut self) -> Self {
-        self.spec = self.spec.with_dedup(false).with_selective_launch(false);
-        self
-    }
-
     /// Profiles and trains the random-forest estimator at build time.
     pub fn forest(mut self, scale: ProfileScale, seed: u64) -> Self {
         self.estimator = EstimatorChoice::Forest { scale, seed };
@@ -247,10 +215,13 @@ mod tests {
 
     #[test]
     fn builder_knobs_land_in_the_spec() {
-        let spec = MayaBuilder::new(ClusterSpec::h100(1, 8))
-            .dedup(false)
-            .selective_launch(true)
-            .emulation_threads(3)
+        let cluster = ClusterSpec::h100(1, 8);
+        let spec = EmulationSpec::new(cluster.clone())
+            .with_dedup(false)
+            .with_selective_launch(true)
+            .with_emulation_threads(3);
+        let spec = MayaBuilder::new(cluster)
+            .with_spec(spec)
             .build()
             .unwrap()
             .spec()

@@ -17,33 +17,34 @@
 //!   far — the paper hashes, this repo compares, with the same
 //!   partition. While the calls still equal some template's, nothing
 //!   else is written; a rank that matched a template whole leaves no
-//!   events. Every finished rank goes straight into the streaming
-//!   collator, which books the collectives. A collator that folds keeps
-//!   the first trace of each class as its template — the recorders of
-//!   later ranks are handed the templates, and the serial sink between
-//!   the emulating threads lowers the trace in place into the
-//!   simulator's arena ([`maya_sim::Lowering::worker`]) — so a folding
-//!   prediction holds one trace per kept class and no copy of one;
-//!   when it ends, the templates' event buffers go to the engine's
-//!   spare pool for later ranks to record into. A collator that does
-//!   not fold hands each trace back, the sink lowers it at once and
-//!   records a later rank into its buffer, so that prediction holds
-//!   one trace at a time. Either way a kept trace's events are read
-//!   once. A recorder that may be folded does not run the host clock
-//!   either: it notes each call, and the sink settles the notes
-//!   ([`HostCharges::settle`]) only for a trace the collator will keep,
-//!   so host time is computed per kept trace,
-//!   not per rank. Estimation is that lowering (one memo query
-//!   per distinct kernel shape of the job and per memcpy) plus one pass
+//!   events. Every trace, whether a rank just finished it or a caller
+//!   handed it to [`PredictionEngine::predict_trace`], takes one ingest
+//!   step: it is pushed into the streaming collator, which books its
+//!   collectives and alone decides whether it is kept. A recorder that
+//!   may be folded does not run the host clock either: it notes each
+//!   call, and the collator settles the notes
+//!   ([`HostCharges::settle`]) for exactly the traces it keeps, so host
+//!   time is computed per kept trace, not per rank. A collator that
+//!   folds keeps the first trace of each class as its template — the
+//!   recorders of later ranks are handed the templates, and the
+//!   serial sink between the emulating threads lowers the trace in
+//!   place into the simulator's arena ([`maya_sim::Lowering::worker`])
+//!   — so a folding prediction holds one trace per kept class and no
+//!   copy of one; when it ends, the templates' event buffers go to the
+//!   engine's spare pool for later ranks to record into. A collator
+//!   that does not fold hands each trace back, the sink lowers it at
+//!   once and records a later rank into its buffer, so that prediction
+//!   holds one trace at a time. Either way a kept trace's events are
+//!   read once. Estimation is that lowering (one memo query per
+//!   distinct kernel shape of the job and per memcpy) plus one pass
 //!   over the collective sites once the collator has the communicator
 //!   map; simulation is the replay of what was lowered. Emulation,
-//!   collation and estimation run once per prediction. The collator is the
-//!   one collation path: [`PredictionEngine::measure_actual`] emulates
-//!   through the same loop under a plan that runs every rank and folds
-//!   none, keeping every trace for the testbed, and
-//!   [`PredictionEngine::predict_trace`] pushes a caller's finished
-//!   traces into it, each scanned for the metadata a recorder would
-//!   have handed over and lowered as it is kept;
+//!   collation and estimation run once per prediction, and
+//!   `predict_job` and `predict_trace` share everything after the
+//!   traces' source: the world check, the ingest step, the lowering,
+//!   the replay. [`PredictionEngine::measure_actual`] emulates through
+//!   the same ingest step under a plan that runs every rank and folds
+//!   none, keeping every trace for the testbed;
 //! - one ordered fan-out over `emulation_threads` OS threads, which
 //!   spreads either one job's ranks (`predict_job`) or a batch's
 //!   independent jobs ([`PredictionEngine::predict_batch`]) and hands
@@ -83,39 +84,42 @@ struct OomInfo {
     events: usize,
 }
 
-/// What emulating a job produced.
+/// What collating a job's traces produced.
 struct Emulated {
     /// The job's communicator map — the traces the collator kept, one
-    /// per class when the plan folds, went to the caller as they came —
-    /// or the OOM verdict.
+    /// per class when it folds, went to the caller as they came — or
+    /// the OOM verdict.
     outcome: Result<BTreeMap<u64, Vec<u32>>, OomInfo>,
-    /// Ranks emulated.
+    /// Traces taken: ranks emulated, or the caller's traces.
     ranks: usize,
     /// Trace events whose host time was computed.
     charged: usize,
-    /// Wall time spent inside the collator.
+    /// Wall time spent inside the collator, settling excluded.
     collation: Duration,
 }
 
-/// Which ranks of a job to emulate, the communicator groups known
-/// without observing them, and whether ranks with identical traces fold
-/// onto one representative.
-struct LaunchPlan {
-    ranks: Vec<u32>,
-    known: BTreeMap<u64, Vec<u32>>,
-    fold: bool,
+/// Where the traces one collation takes come from, in rank order.
+enum Feed<'a> {
+    /// `ranks` of `job`, emulated on up to `threads` OS threads.
+    Emulate {
+        job: &'a TrainingJob,
+        ranks: Vec<u32>,
+        threads: usize,
+    },
+    /// A caller's finished traces, which came from no recorder: each is
+    /// scanned for the metadata a recorder would have handed over, and
+    /// owes no host time.
+    Traced(Vec<WorkerTrace>),
 }
 
-impl LaunchPlan {
-    /// Every rank, its groups observed, nothing folded: the job as real
-    /// hardware runs it.
-    fn every_rank(job: &TrainingJob) -> Self {
-        LaunchPlan {
-            ranks: (0..job.world).collect(),
-            known: BTreeMap::new(),
-            fold: false,
-        }
-    }
+/// Runs `f` and adds the wall time it took to `stage`: the one clock
+/// behind [`StageTimings`].
+fn timed<R>(stage: &mut Duration, f: impl FnOnce() -> R) -> R {
+    // lint:allow(wall-clock-in-output): stage timing telemetry — predictions come from the simulator and the memoized estimator, not this clock
+    let t = Instant::now();
+    let out = f();
+    *stage += t.elapsed();
+    out
 }
 
 /// Runs `work` over `items` on up to `threads` OS threads and hands
@@ -390,25 +394,21 @@ impl PredictionEngine {
         )
     }
 
-    /// How the current spec predicts a job. Selective launch leaves
-    /// most communicator slots unobserved, so it supplies the
-    /// authoritative group map from workload knowledge (§7.4's
+    /// The ranks of `job` the current spec emulates and the
+    /// communicator groups known without observing them. Selective
+    /// launch leaves most communicator slots unobserved, so it supplies
+    /// the authoritative group map from workload knowledge (§7.4's
     /// "explicit knowledge of the workload"); every other job emulates
     /// all ranks and lets the collator observe its groups.
-    fn launch_plan(&self, job: &TrainingJob) -> LaunchPlan {
-        let fold = self.folds();
+    fn launch_plan(&self, job: &TrainingJob) -> (Vec<u32>, BTreeMap<u64, Vec<u32>>) {
         if self.spec.selective_launch && matches!(job.flavor, FrameworkFlavor::Megatron) {
             let topo = RankTopology::new(&job.parallel, job.world);
-            LaunchPlan {
-                ranks: unique_megatron_ranks(topo.tp, topo.dp, topo.pp),
-                known: maya_torchlet::engine::megatron_comm_groups(job),
-                fold,
-            }
+            (
+                unique_megatron_ranks(topo.tp, topo.dp, topo.pp),
+                maya_torchlet::engine::megatron_comm_groups(job),
+            )
         } else {
-            LaunchPlan {
-                fold,
-                ..LaunchPlan::every_rank(job)
-            }
+            ((0..job.world).collect(), BTreeMap::new())
         }
     }
 
@@ -420,108 +420,137 @@ impl PredictionEngine {
         self.spec.dedup && self.spec.cluster.hetero.is_none() && self.spec.faults.is_none()
     }
 
-    /// Emulates a training job under the launch plan `plan` draws for
-    /// it, collating each rank as it finishes: when the plan folds,
-    /// every rank is recorded against the templates of the classes kept
-    /// before it started, only one trace per class of identical workers
-    /// is ever kept (§4.2) — as a template, which `keep` reads in place
-    /// — and a dropped trace's buffers are what the next rank records
-    /// into. When it does not fold, every trace goes to `keep`, which
-    /// hands back its event buffer for a later rank (an unallocated one
-    /// if it keeps the trace). On OOM, collation stops — a
+    /// Collates the traces of a `world`-rank job as `feed` yields them,
+    /// `known` the groups known without observing them. Each trace
+    /// takes the one ingest step: the collator books it, settles what
+    /// it is owed only if it keeps it, and a kept trace goes to `keep`
+    /// — handed over, or read in place as a template when the collator
+    /// folds; `keep` hands back an event buffer for a later rank (an
+    /// unallocated one if it holds on to the trace). When folding, an
+    /// emulated rank records against the templates of the classes kept
+    /// before it started, and a dropped trace's buffers are what the
+    /// next rank records into. On OOM, collation stops — a
     /// partially-OOMed job has incomplete communicator traces — the
     /// remaining ranks are still emulated for the tally, and the OOM
-    /// verdict of the first rank to run out is returned instead.
-    fn emulate_with(
+    /// verdict of the first rank to run out is returned instead. A
+    /// `world` that is not the cluster's is refused before anything
+    /// runs.
+    fn collate(
         &self,
-        job: &TrainingJob,
-        plan: impl FnOnce(&TrainingJob) -> LaunchPlan,
-        threads: usize,
+        world: u32,
+        known: &BTreeMap<u64, Vec<u32>>,
+        fold: bool,
+        feed: Feed<'_>,
         mut keep: impl FnMut(Cow<'_, WorkerTrace>) -> Result<Vec<TraceEvent>, MayaError>,
     ) -> Result<Emulated, MayaError> {
-        job.validate()?;
-        if job.world != self.spec.cluster.num_gpus() {
+        let cluster = self.spec.cluster.num_gpus();
+        if world != cluster {
             return Err(MayaError::WorldMismatch {
-                job: job.world,
-                cluster: self.spec.cluster.num_gpus(),
+                job: world,
+                cluster,
             });
         }
-        let LaunchPlan { ranks, known, fold } = plan(job);
-        let mut collator = Collator::new(job.world, &known, fold);
+        let mut collator = Collator::new(world, known, fold);
         // The templates a rank starting now records against. Only
         // `clone` and assignment run under this lock, so it cannot be
         // poisoned.
         let current = Mutex::new(Templates::default());
-        let against = || fold.then(|| current.lock().map(|t| t.clone()).unwrap_or_default());
-        let mut collation = Duration::ZERO;
+        let (mut collation, mut settling, mut settled) = (Duration::ZERO, Duration::ZERO, 0);
+        // The one ingest step. `recorded` is what the trace's recorder
+        // handed over with it — its metadata and the host time it is
+        // owed — or `None` for a trace that came from no recorder. The
+        // collator settles the trace only if it keeps it; settling is
+        // emulation's work, not collation's, though the collator calls
+        // it, so its time is taken back out of `collation`.
+        let mut ingest = |trace: WorkerTrace,
+                          recorded: Option<(TraceMeta, HostCharges)>|
+         -> Result<TraceBuffers, MayaError> {
+            let (mut owed, mut host_notes) = (None, Vec::new());
+            let pushed = timed(&mut collation, || {
+                let meta = match recorded {
+                    Some((meta, charges)) => {
+                        owed = Some(charges);
+                        meta
+                    }
+                    None => TraceMeta::scan(&trace.events),
+                };
+                collator.push(trace, meta, |trace| {
+                    if let Some(charges) = owed.take() {
+                        settled += charges.owed();
+                        host_notes = timed(&mut settling, || charges.settle(trace));
+                    }
+                })
+            });
+            let Pushed {
+                kept,
+                template,
+                mut spare,
+            } = pushed?;
+            spare.host_notes = owed.map_or(host_notes, HostCharges::forgo);
+            if let Some(trace) = kept {
+                spare.events = keep(Cow::Owned(trace))?;
+                spare.events.clear();
+            }
+            if let Some(t) = template {
+                let templates = collator.templates();
+                if let Some(template) = templates.get(t) {
+                    keep(Cow::Borrowed(template.trace()))?;
+                }
+                if let Ok(mut now) = current.lock() {
+                    *now = templates;
+                }
+            }
+            Ok(spare)
+        };
         // The first rank to run out: its rank, the memory it held and
         // the allocation that failed.
         let mut oom: Option<(u32, u64, u64)> = None;
         let (mut events, mut charged) = (0usize, 0usize);
-        let emulated = self.emulate_each(
-            &ranks,
-            |rank, ctx| job.run_worker(rank, ctx),
-            threads,
-            against,
-            |mut trace, meta, charges, res| {
-                events += meta.calls;
-                charged += meta.calls - charges.owed();
-                match res {
-                    Ok(()) => {}
-                    Err(CudaError::MemoryAllocation { requested, .. }) => {
-                        oom.get_or_insert((trace.rank, trace.summary.peak_mem_bytes, requested));
-                    }
-                    Err(e) => return Err(MayaError::Device(e)),
-                }
-                // The verdict reads summaries and call counts: what an
-                // OOMed job's traces are owed is never computed.
-                if oom.is_some() {
-                    return Ok(discard(trace, meta, charges));
-                }
-                // A trace the collator will fold away is dropped unread
-                // (`push` reads collectives, folding compares calls
-                // without host time), so only one it will keep is
-                // settled — before the push, which may make it a
-                // template.
-                let folds = meta.matched.is_some()
-                    || collator
-                        .templates()
-                        .find(&trace.events, meta.seen)
-                        .is_some();
-                let host_notes = if fold && folds {
-                    charges.forgo()
-                } else {
-                    charged += charges.owed();
-                    charges.settle(&mut trace)
-                };
-                // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
-                let t = Instant::now();
-                let pushed = collator.push(trace, meta);
-                collation += t.elapsed();
-                let Pushed {
-                    kept,
-                    template,
-                    mut spare,
-                } = pushed?;
-                spare.host_notes = host_notes;
-                if let Some(trace) = kept {
-                    spare.events = keep(Cow::Owned(trace))?;
-                    spare.events.clear();
-                }
-                if let Some(t) = template {
-                    let templates = collator.templates();
-                    if let Some(template) = templates.get(t) {
-                        keep(Cow::Borrowed(template.trace()))?;
-                    }
-                    if let Ok(mut now) = current.lock() {
-                        *now = templates;
-                    }
-                }
-                Ok(spare)
-            },
-        );
+        let (ranks, fed) = match feed {
+            Feed::Emulate {
+                job,
+                ranks,
+                threads,
+            } => {
+                let against =
+                    || fold.then(|| current.lock().map(|t| t.clone()).unwrap_or_default());
+                let fed = self.emulate_each(
+                    &ranks,
+                    |rank, ctx| job.run_worker(rank, ctx),
+                    threads,
+                    against,
+                    |trace, meta, charges, res| {
+                        events += meta.calls;
+                        charged += meta.calls - charges.owed();
+                        match res {
+                            Ok(()) => {}
+                            Err(CudaError::MemoryAllocation { requested, .. }) => {
+                                let held = trace.summary.peak_mem_bytes;
+                                oom.get_or_insert((trace.rank, held, requested));
+                            }
+                            Err(e) => return Err(MayaError::Device(e)),
+                        }
+                        // The verdict reads summaries and call counts:
+                        // what an OOMed job's traces are owed is never
+                        // computed.
+                        if oom.is_some() {
+                            return Ok(discard(trace, meta, charges));
+                        }
+                        ingest(trace, Some((meta, charges)))
+                    },
+                );
+                (ranks.len(), fed)
+            }
+            Feed::Traced(workers) => {
+                let ranks = workers.len();
+                let fed = workers
+                    .into_iter()
+                    .try_for_each(|t| ingest(t, None).map(drop));
+                (ranks, fed)
+            }
+        };
         drop(current);
-        emulated?;
+        fed?;
         let templates = collator.templates();
         let outcome = match oom {
             Some((rank, held, requested)) => {
@@ -533,21 +562,15 @@ impl PredictionEngine {
                     events,
                 })
             }
-            None => {
-                // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
-                let t = Instant::now();
-                let groups = collator.finish();
-                collation += t.elapsed();
-                Ok(groups?)
-            }
+            None => Ok(timed(&mut collation, || collator.finish())?),
         };
         // The collator is gone: the last snapshot owns the templates.
         self.recycle(templates);
         Ok(Emulated {
             outcome,
-            ranks: ranks.len(),
-            charged,
-            collation,
+            ranks,
+            charged: charged + settled,
+            collation: collation.saturating_sub(settling),
         })
     }
 
@@ -572,49 +595,57 @@ impl PredictionEngine {
         self.predict_job_with(job, self.spec.emulation_threads)
     }
 
-    /// Emulates `job` and lowers each trace the collator keeps into a
-    /// pooled simulator arena the moment the collator hands it back,
-    /// recycling its buffer for a later rank: a prediction holds the
-    /// trace being recorded or examined, never the kept ones. Lowering
-    /// is the estimation stage — the one read of a kept trace, one memo
-    /// query per distinct kernel shape of the job and per memcpy
-    /// (Table 6 / Fig. 13's estimation stage) — and runs on the
-    /// calling thread, overlapping the emulating threads when there are
-    /// several; collective queries resolve during the replay, once per
-    /// collective shape of each communicator. Across trials the memo
-    /// persists: a warm search loop pays estimation only for shapes it
-    /// has never seen.
-    fn predict_job_with(
+    /// [`PredictionEngine::predict_job`] emulating on up to `threads`
+    /// OS threads.
+    fn predict_job_with(&self, job: &TrainingJob, threads: usize) -> Result<Prediction, MayaError> {
+        job.validate()?;
+        let (ranks, known) = self.launch_plan(job);
+        self.predict(
+            job.world,
+            &known,
+            Feed::Emulate {
+                job,
+                ranks,
+                threads,
+            },
+        )
+    }
+
+    /// Collates what `feed` yields and lowers each trace the collator
+    /// keeps into a pooled simulator arena the moment the collator
+    /// hands it back, recycling its buffer for a later rank: a
+    /// prediction holds the trace being recorded or examined, never the
+    /// kept ones. Lowering is the estimation stage — the one read of a
+    /// kept trace, one memo query per distinct kernel shape of the job
+    /// and per memcpy (Table 6 / Fig. 13's estimation stage) — and runs
+    /// on the calling thread, overlapping the emulating threads when
+    /// there are several; collective queries resolve during the
+    /// replay, once per collective shape of each communicator. Across
+    /// trials the memo persists: a warm search loop pays estimation
+    /// only for shapes it has never seen.
+    fn predict(
         &self,
-        job: &TrainingJob,
-        emulation_threads: usize,
+        world: u32,
+        known: &BTreeMap<u64, Vec<u32>>,
+        feed: Feed<'_>,
     ) -> Result<Prediction, MayaError> {
         self.with_sim_scratch(|scratch| {
             let sim = self.simulator();
             let mut timings = StageTimings::default();
             let mut lowering = sim.lowering(scratch);
-            // lint:allow(wall-clock-in-output): stage timing telemetry — predicted runtimes come from the simulator, not this clock
-            let t0 = Instant::now();
-            let (mut lowered, mut kept, mut kept_events) = (Duration::ZERO, 0, 0);
-            let emulated = self.emulate_with(
-                job,
-                |job| self.launch_plan(job),
-                emulation_threads,
-                |trace| {
-                    // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
-                    let t = Instant::now();
-                    lowering.worker(&trace)?;
-                    lowered += t.elapsed();
+            let (mut total, mut kept, mut kept_events) = (Duration::ZERO, 0, 0);
+            let emulated = timed(&mut total, || {
+                self.collate(world, known, self.folds(), feed, |trace| {
+                    timed(&mut timings.estimation, || lowering.worker(&trace))?;
                     (kept, kept_events) = (kept + 1, kept_events + trace.events.len());
                     Ok(match trace {
                         Cow::Owned(trace) => trace.events,
                         Cow::Borrowed(_) => Vec::new(),
                     })
-                },
-            )?;
-            timings.emulation = t0.elapsed().saturating_sub(emulated.collation + lowered);
+                })
+            })?;
+            timings.emulation = total.saturating_sub(emulated.collation + timings.estimation);
             timings.collation = emulated.collation;
-            timings.estimation = lowered;
             self.host_charges
                 .fetch_add(emulated.charged as u64, Ordering::Relaxed);
             let groups = match emulated.outcome {
@@ -632,16 +663,10 @@ impl PredictionEngine {
                     })
                 }
             };
-            // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
-            let t = Instant::now();
-            let mut program = lowering.resolve(&groups)?;
-            timings.estimation += t.elapsed();
-            // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
-            let t = Instant::now();
-            let report = program.replay();
-            timings.simulation = t.elapsed();
+            let mut program = timed(&mut timings.estimation, || lowering.resolve(&groups))?;
+            let report = timed(&mut timings.simulation, || program.replay())?;
             Ok(Prediction {
-                outcome: PredictOutcome::Completed(report?),
+                outcome: PredictOutcome::Completed(report),
                 timings,
                 workers_emulated: emulated.ranks,
                 workers_simulated: kept,
@@ -655,64 +680,24 @@ impl PredictionEngine {
     /// The trace is validated exactly once, here at the boundary; the
     /// rest of the pipeline (lowering, replay) runs on the prevalidated
     /// fast path, so an invalid trace fails fast before any stage
-    /// spends time on it. Its workers then go through the collator
-    /// `predict_job` feeds, with the trace's groups as the known ones:
-    /// each is scanned for the metadata a recorder would have handed
-    /// over, when the spec folds only one per class is kept — the
-    /// collator compares each trace in full against the templates it
-    /// holds, and a kept one becomes a template — and a kept one is
-    /// lowered as the collator keeps it.
+    /// spends time on it. Its workers then take `predict_job`'s path
+    /// from the collator on, with the trace's groups as the known ones:
+    /// a trace whose world is not the cluster's is refused, each worker
+    /// is scanned for the metadata a recorder would have handed over,
+    /// when the spec folds only one per class is kept — the collator
+    /// compares each trace in full against the templates it holds, and
+    /// a kept one becomes a template — and a kept one is lowered as the
+    /// collator keeps it.
     pub fn predict_trace(&self, job_trace: JobTrace) -> Result<Prediction, MayaError> {
         job_trace
             .validate()
             .map_err(|m| MayaError::from(SimError::InvalidTrace(m)))?;
-        let emulated = job_trace.workers.len();
-        let fold = self.folds();
-        self.with_sim_scratch(|scratch| {
-            let sim = self.simulator();
-            let mut timings = StageTimings::default();
-            let mut lowering = sim.lowering(scratch);
-            let mut collator = Collator::new(job_trace.nranks, &job_trace.comm_groups, fold);
-            let (mut kept, mut kept_events) = (0, 0);
-            for trace in job_trace.workers {
-                // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
-                let t = Instant::now();
-                let meta = TraceMeta::scan(&trace.events);
-                let pushed = collator.push(trace, meta)?;
-                timings.collation += t.elapsed();
-                let templates = collator.templates();
-                let template = pushed.template.and_then(|t| templates.get(t));
-                let trace = pushed.kept.as_ref().or(template.map(|t| t.trace()));
-                if let Some(trace) = trace {
-                    // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
-                    let t = Instant::now();
-                    lowering.worker(trace)?;
-                    timings.estimation += t.elapsed();
-                    (kept, kept_events) = (kept + 1, kept_events + trace.events.len());
-                }
-            }
-            let templates = collator.templates();
-            // lint:allow(wall-clock-in-output): stage timing telemetry — collation output is trace-derived
-            let t = Instant::now();
-            let groups = collator.finish()?;
-            timings.collation += t.elapsed();
-            self.recycle(templates);
-            // lint:allow(wall-clock-in-output): stage timing telemetry — estimates come from the memoized estimator
-            let t = Instant::now();
-            let mut program = lowering.resolve(&groups)?;
-            timings.estimation += t.elapsed();
-            // lint:allow(wall-clock-in-output): stage timing telemetry — the sim result is wall-clock-free
-            let t = Instant::now();
-            let report = program.replay();
-            timings.simulation = t.elapsed();
-            Ok(Prediction {
-                outcome: PredictOutcome::Completed(report?),
-                timings,
-                workers_emulated: emulated,
-                workers_simulated: kept,
-                trace_events: kept_events,
-            })
-        })
+        let JobTrace {
+            nranks,
+            workers,
+            comm_groups,
+        } = job_trace;
+        self.predict(nranks, &comm_groups, Feed::Traced(workers))
     }
 
     /// Runs the job on the ground-truth testbed (the stand-in for "actual
@@ -723,10 +708,15 @@ impl PredictionEngine {
     /// `Err(peak_bytes)` reports an actual OOM: the memory the first
     /// rank to run out held.
     pub fn measure_actual(&self, job: &TrainingJob) -> Result<Result<Measurement, u64>, MayaError> {
-        let threads = self.spec.emulation_threads;
+        job.validate()?;
+        let feed = Feed::Emulate {
+            job,
+            ranks: (0..job.world).collect(),
+            threads: self.spec.emulation_threads,
+        };
         // The executor takes the job trace whole: every trace is kept.
         let mut workers = Vec::new();
-        let emulated = self.emulate_with(job, LaunchPlan::every_rank, threads, |trace| {
+        let emulated = self.collate(job.world, &BTreeMap::new(), false, feed, |trace| {
             workers.push(trace.into_owned());
             Ok(Vec::new())
         })?;
@@ -823,6 +813,12 @@ mod tests {
         }
     }
 
+    /// An oracle engine emulating on `threads` OS threads.
+    fn threaded(cluster: ClusterSpec, threads: usize) -> PredictionEngine {
+        let spec = EmulationSpec::new(cluster.clone()).with_emulation_threads(threads);
+        MayaBuilder::new(cluster).with_spec(spec).build().unwrap()
+    }
+
     /// A one-way gate threads can wait on.
     #[derive(Default)]
     struct Gate(Mutex<bool>, std::sync::Condvar);
@@ -910,10 +906,7 @@ mod tests {
 
     #[test]
     fn batch_matches_per_job_predictions() {
-        let batched = MayaBuilder::new(ClusterSpec::h100(1, 4))
-            .emulation_threads(4)
-            .build()
-            .unwrap();
+        let batched = threaded(ClusterSpec::h100(1, 4), 4);
         let sequential = MayaBuilder::new(ClusterSpec::h100(1, 4)).build().unwrap();
         let jobs: Vec<TrainingJob> = [
             ParallelConfig::default(),
@@ -959,10 +952,7 @@ mod tests {
 
     #[test]
     fn batch_reports_errors_positionally() {
-        let maya = MayaBuilder::new(ClusterSpec::h100(1, 4))
-            .emulation_threads(2)
-            .build()
-            .unwrap();
+        let maya = threaded(ClusterSpec::h100(1, 4), 2);
         let good = job(4, ParallelConfig::default(), 8);
         let bad = job(2, ParallelConfig::default(), 8); // world mismatch
         let out = maya.predict_batch(&[good, bad, good]);
@@ -989,10 +979,7 @@ mod tests {
 
     #[test]
     fn pre_cancelled_batch_runs_nothing() {
-        let maya = MayaBuilder::new(ClusterSpec::h100(1, 4))
-            .emulation_threads(2)
-            .build()
-            .unwrap();
+        let maya = threaded(ClusterSpec::h100(1, 4), 2);
         let token = crate::CancelToken::new();
         token.cancel();
         let jobs = vec![job(4, ParallelConfig::default(), 8); 3];
@@ -1010,10 +997,7 @@ mod tests {
 
     #[test]
     fn uncancelled_token_changes_nothing() {
-        let maya = MayaBuilder::new(ClusterSpec::h100(1, 4))
-            .emulation_threads(2)
-            .build()
-            .unwrap();
+        let maya = threaded(ClusterSpec::h100(1, 4), 2);
         let token = crate::CancelToken::new();
         let jobs = vec![
             job(4, ParallelConfig::default(), 8),
@@ -1060,6 +1044,41 @@ mod tests {
     }
 
     #[test]
+    fn predict_trace_refuses_a_world_that_is_not_the_clusters() {
+        // gpt3_125m tp2 traced on 2x8 H100s, handed to a 2-GPU engine:
+        // the trace is valid, its world is not the cluster's.
+        let tp2 = ParallelConfig {
+            tp: 2,
+            ..Default::default()
+        };
+        let j = job(16, tp2, 8);
+        let ranks: Vec<u32> = (0..16).collect();
+        let wide = MayaBuilder::new(ClusterSpec::h100(2, 8)).build().unwrap();
+        let traced = wide.trace_workload(&ranks, |r, ctx| j.run_worker(r, ctx));
+        let whole = JobTrace {
+            nranks: 16,
+            workers: traced.into_iter().map(|(t, _)| t).collect(),
+            comm_groups: maya_torchlet::engine::megatron_comm_groups(&j),
+        };
+        let two = ClusterSpec::h100(1, 2);
+        for cluster in [two.clone(), two.with_default_topology()] {
+            let maya = MayaBuilder::new(cluster).build().unwrap();
+            let err = maya.predict_trace(whole.clone()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    MayaError::WorldMismatch {
+                        job: 16,
+                        cluster: 2
+                    }
+                ),
+                "{err:?}"
+            );
+            assert_eq!(maya.cache_stats().misses, 0, "no stage ran");
+        }
+    }
+
+    #[test]
     fn valid_trace_predicts_through_scratch_pool() {
         // Same collated trace predicted repeatedly: the pooled scratch
         // path must return identical reports every time.
@@ -1103,10 +1122,7 @@ mod tests {
             .unwrap();
         let events: usize = traced.iter().map(|(t, _)| t.events.len()).sum();
         for threads in [1, 2, 3, 8] {
-            let maya = MayaBuilder::new(cluster.clone())
-                .emulation_threads(threads)
-                .build()
-                .unwrap();
+            let maya = threaded(cluster.clone(), threads);
             let p = maya.predict_job(&j).unwrap();
             match p.outcome {
                 PredictOutcome::OutOfMemory {
@@ -1162,10 +1178,7 @@ mod tests {
     fn trace_workload_owes_nothing_and_reads_as_a_settled_recording() {
         let cluster = ClusterSpec::h100(1, 4);
         let j = job(4, ParallelConfig::default(), 8);
-        let maya = MayaBuilder::new(cluster.clone())
-            .emulation_threads(2)
-            .build()
-            .unwrap();
+        let maya = threaded(cluster.clone(), 2);
         let traced = maya.trace_workload(&[0, 1, 2, 3], |rank, ctx| j.run_worker(rank, ctx));
         for (rank, (trace, res)) in (0..).zip(&traced) {
             res.as_ref().expect("rank emulates");
@@ -1182,14 +1195,17 @@ mod tests {
     fn only_a_spec_that_folds_signs_its_ranks() {
         let cluster = ClusterSpec::h100(1, 4);
         let faults = maya_net::FaultPlan::generate(1, 4, maya_trace::SimTime::from_secs(1.0));
-        let builder = || MayaBuilder::new(cluster.clone()).emulation_threads(2);
+        let spec = EmulationSpec::new(cluster.clone()).with_emulation_threads(2);
         let j = job(4, ParallelConfig::default(), 8);
-        for (maya, folds) in [
-            (builder(), true),
-            (builder().dedup(false), false),
-            (builder().faults(faults), false),
+        for (spec, folds) in [
+            (spec.clone(), true),
+            (spec.clone().with_dedup(false), false),
+            (spec.with_faults(Some(faults)), false),
         ] {
-            let maya = maya.build().unwrap();
+            let maya = MayaBuilder::new(cluster.clone())
+                .with_spec(spec)
+                .build()
+                .unwrap();
             assert_eq!(maya.folds(), folds);
             let (mut deferred, mut events) = (Vec::new(), 0);
             infallible(maya.emulate_each(

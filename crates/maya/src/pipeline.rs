@@ -232,10 +232,9 @@ mod tests {
 
     #[test]
     fn selective_launch_emulates_stage_leaders_only() {
-        let maya = MayaBuilder::new(ClusterSpec::h100(1, 4))
-            .selective_launch(true)
-            .build()
-            .unwrap();
+        let cluster = ClusterSpec::h100(1, 4);
+        let spec = EmulationSpec::new(cluster.clone()).with_selective_launch(true);
+        let maya = MayaBuilder::new(cluster).with_spec(spec).build().unwrap();
         let par = ParallelConfig {
             pp: 2,
             ..Default::default()
@@ -351,10 +350,9 @@ mod tests {
             },
         );
         let p1 = seq_maya.predict_job(&job).unwrap();
-        let par_maya = MayaBuilder::new(ClusterSpec::h100(1, 4))
-            .emulation_threads(4)
-            .build()
-            .unwrap();
+        let cluster = ClusterSpec::h100(1, 4);
+        let spec = EmulationSpec::new(cluster.clone()).with_emulation_threads(4);
+        let par_maya = MayaBuilder::new(cluster).with_spec(spec).build().unwrap();
         let p2 = par_maya.predict_job(&job).unwrap();
         assert_eq!(
             p1.iteration_time().unwrap(),

@@ -79,7 +79,7 @@ struct Folded {
 /// into the buffers the collator handed back for the previous one,
 /// against the templates of the classes the collator has kept, and
 /// hands the collator what it wrote and its metadata, its noted host
-/// time settled first only if the collator will keep the trace (as a
+/// time settled by the push only if the collator keeps the trace (as a
 /// template, where the kept traces are read at the end). Every rank is also
 /// recorded against no template; what the folding recorder handed over
 /// is held against that recording, and the job's classes against the
@@ -96,7 +96,7 @@ fn fold_all_ranks(job: &TrainingJob, gpu: GpuSpec) -> Folded {
         let against = Some(collator.templates());
         let mut ctx = CudaContext::recording_into(rank, gpu, spare, against);
         job.run_worker(rank, &mut ctx).expect("rank emulates");
-        let (mut trace, meta, charges) = ctx.into_unsettled();
+        let (trace, meta, charges) = ctx.into_unsettled();
         assert_eq!(charges.owed(), meta.calls, "{what}");
         let ((alone, alone_meta), res) = record(job, rank, gpu, TraceBuffers::default(), None);
         res.expect("rank emulates");
@@ -113,18 +113,22 @@ fn fold_all_ranks(job: &TrainingJob, gpu: GpuSpec) -> Folded {
         written += trace.events.len();
         folded_while_recording += usize::from(meta.matched.is_some());
         let matched = meta.matched.is_some();
-        let host_notes = if matched {
-            charges.forgo()
-        } else {
-            charged += charges.owed();
-            let notes = charges.settle(&mut trace);
-            assert_eq!(
-                trace, alone,
-                "{what}: settled, the kept trace is the eager one"
-            );
-            notes
-        };
-        let pushed = collator.push(trace, meta).expect("rank collates");
+        let mut owed = Some(charges);
+        let mut host_notes = Vec::new();
+        let pushed = collator
+            .push(trace, meta, |trace| {
+                let charges = owed.take().expect("settled once");
+                charged += charges.owed();
+                host_notes = charges.settle(trace);
+                assert_eq!(
+                    trace, &alone,
+                    "{what}: settled, the kept trace is the eager one"
+                );
+            })
+            .expect("rank collates");
+        if let Some(charges) = owed {
+            host_notes = charges.forgo();
+        }
         assert!(
             pushed.kept.is_none(),
             "{what}: a folding collator holds what it keeps"
@@ -253,8 +257,9 @@ fn folded_job_counters_are_pinned() {
     // The engine reports the same fold and the same charges, whatever
     // the thread count: settling happens on the sink, in rank order.
     let predict = |threads| {
+        let spec = EmulationSpec::new(cluster.clone()).with_emulation_threads(threads);
         let maya = MayaBuilder::new(cluster.clone())
-            .emulation_threads(threads)
+            .with_spec(spec)
             .build()
             .unwrap();
         let p = maya.predict_job(&job).unwrap();
@@ -536,7 +541,7 @@ fn a_recorder_that_will_not_fold_computes_no_signature() {
         res.expect("rank emulates");
         assert_eq!(meta, TraceMeta::scan(&trace.events));
         assert_eq!((meta.matched, meta.seen), (None, 0));
-        let pushed = collator.push(trace, meta).expect("rank collates");
+        let pushed = collator.push(trace, meta, |_| {}).expect("rank collates");
         spare = pushed.spare;
         assert_eq!(spare.events.capacity(), 0, "every trace is kept");
         workers.extend(pushed.kept);
@@ -554,8 +559,9 @@ fn a_recorder_that_will_not_fold_computes_no_signature() {
         per_rank.sum::<u64>()
     });
     // The engine, not folding, predicts from exactly these traces.
+    let spec = EmulationSpec::new(cluster.clone()).with_dedup(false);
     let p = MayaBuilder::new(cluster)
-        .dedup(false)
+        .with_spec(spec)
         .build()
         .unwrap()
         .predict_job(&job)

@@ -9,7 +9,7 @@
 //! cargo run --release --example config_search
 //! ```
 
-use maya::MayaBuilder;
+use maya::{EmulationSpec, MayaBuilder};
 use maya_hw::ClusterSpec;
 use maya_search::{AlgorithmKind, ConfigSpace, Objective, TrialScheduler};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
@@ -17,8 +17,9 @@ use maya_trace::Dtype;
 
 fn main() {
     let cluster = ClusterSpec::h100(1, 8);
+    let spec = EmulationSpec::new(cluster.clone()).with_selective_launch(true);
     let maya = MayaBuilder::new(cluster.clone())
-        .selective_launch(true)
+        .with_spec(spec)
         .build()
         .expect("builds");
 

@@ -16,7 +16,7 @@
 //! cargo run --release --example faulty_cluster
 //! ```
 
-use maya::{FaultPlan, MayaBuilder, PredictOutcome};
+use maya::{EmulationSpec, FaultPlan, MayaBuilder, PredictOutcome};
 use maya_hw::{ClusterSpec, GpuSpec, HeteroPool, PowerModel, RankClass};
 use maya_search::{AlgorithmKind, ConfigSpace, Objective, TrialScheduler};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
@@ -83,8 +83,9 @@ fn main() {
             f.rank, f.at, f.restart_cost
         );
     }
+    let spec = EmulationSpec::new(imperfect_cluster.clone()).with_faults(Some(faults));
     let faulty = MayaBuilder::new(imperfect_cluster.clone())
-        .faults(faults)
+        .with_spec(spec)
         .build()
         .expect("builds")
         .predict_job(&job)

@@ -10,7 +10,7 @@
 //! cargo run --release --example hyperscale
 //! ```
 
-use maya::MayaBuilder;
+use maya::{EmulationSpec, MayaBuilder};
 use maya_hw::{mfu, ClusterSpec};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
 use maya_trace::Dtype;
@@ -25,8 +25,9 @@ fn main() {
     for dp in [2u32, 4, 8, 16] {
         let world = 8 * 8 * dp;
         let cluster = ClusterSpec::h100(world / 8, 8);
+        let spec = EmulationSpec::new(cluster.clone()).with_selective_launch(true);
         let maya = MayaBuilder::new(cluster.clone())
-            .selective_launch(true)
+            .with_spec(spec)
             .build()
             .expect("builds");
         let parallel = ParallelConfig {

@@ -8,10 +8,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use std::collections::BTreeMap;
+
 use maya::MayaBuilder;
 use maya_hw::ClusterSpec;
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
-use maya_trace::Dtype;
+use maya_trace::{Dtype, JobTrace};
 
 fn main() {
     // 1. Describe the deployment: one DGX-H100 node.
@@ -64,15 +66,31 @@ fn main() {
     }
 
     // 5. Bonus: the same transparency works for arbitrary device-API
-    //    code, not just torchlet models.
-    let traces = maya.trace_workload(&[0], |_rank, ctx| {
+    //    code, not just torchlet models. A one-GPU script, traced and
+    //    predicted on a one-GPU engine: its trace takes the same
+    //    collate → lower → replay path as a job's ranks.
+    let single = MayaBuilder::new(ClusterSpec::h100(1, 1))
+        .build()
+        .expect("builds");
+    let mut traced = single.trace_workload(&[0], |_rank, ctx| {
         let blas = ctx.cublas_create();
         ctx.cublas_gemm_ex(blas, 4096, 4096, 4096, Dtype::Bf16)?;
         ctx.device_synchronize();
         Ok(())
     });
+    let (trace, ran) = traced.remove(0);
+    ran.expect("the script runs");
     println!(
         "custom script traced {} kernel(s) through the device API",
-        traces[0].0.summary.num_kernels
+        trace.summary.num_kernels
     );
+    let script = JobTrace {
+        nranks: 1,
+        workers: vec![trace],
+        comm_groups: BTreeMap::new(),
+    };
+    let predicted = single.predict_trace(script).expect("pipeline runs");
+    if let Some(report) = predicted.report() {
+        println!("custom script predicted: {}", report.total_time);
+    }
 }

@@ -3,7 +3,7 @@
 //! and that selective launch therefore predicts multi-node jobs
 //! accurately (regression test for strided-group inference).
 
-use maya::MayaBuilder;
+use maya::{EmulationSpec, MayaBuilder};
 use maya_hw::ClusterSpec;
 use maya_torchlet::engine::megatron_comm_groups;
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
@@ -114,10 +114,8 @@ fn selective_launch_accurate_on_multinode_strided_groups() {
         };
         let j = job(world, parallel);
         let full = MayaBuilder::new(cluster.clone()).build().unwrap();
-        let selective = MayaBuilder::new(cluster)
-            .selective_launch(true)
-            .build()
-            .unwrap();
+        let spec = EmulationSpec::new(cluster.clone()).with_selective_launch(true);
+        let selective = MayaBuilder::new(cluster).with_spec(spec).build().unwrap();
         let a = full.predict_job(&j).unwrap().iteration_time().unwrap();
         let b = selective.predict_job(&j).unwrap().iteration_time().unwrap();
         let drift = (a.as_secs_f64() / b.as_secs_f64() - 1.0).abs();

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full emulate -> collate ->
 //! estimate -> simulate pipeline against the ground-truth testbed.
 
-use maya::MayaBuilder;
+use maya::{EmulationSpec, MayaBuilder};
 use maya_hw::ClusterSpec;
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
 use maya_trace::Dtype;
@@ -98,10 +98,8 @@ fn dedup_preserves_predictions() {
     };
     let j = job(ModelSpec::gpt3_125m(), 8, parallel, 32);
     let with = MayaBuilder::new(cluster.clone()).build().unwrap();
-    let without = MayaBuilder::new(cluster)
-        .without_optimizations()
-        .build()
-        .unwrap();
+    let spec = EmulationSpec::without_optimizations(cluster.clone());
+    let without = MayaBuilder::new(cluster).with_spec(spec).build().unwrap();
     let a = with.predict_job(&j).unwrap();
     let b = without.predict_job(&j).unwrap();
     assert!(a.workers_simulated < b.workers_simulated);
@@ -122,10 +120,8 @@ fn selective_launch_preserves_predictions() {
     };
     let j = job(ModelSpec::gpt3_125m(), 8, parallel, 32);
     let full = MayaBuilder::new(cluster.clone()).build().unwrap();
-    let selective = MayaBuilder::new(cluster)
-        .selective_launch(true)
-        .build()
-        .unwrap();
+    let spec = EmulationSpec::new(cluster.clone()).with_selective_launch(true);
+    let selective = MayaBuilder::new(cluster).with_spec(spec).build().unwrap();
     let a = full.predict_job(&j).unwrap();
     let b = selective.predict_job(&j).unwrap();
     assert!(b.workers_emulated < a.workers_emulated);

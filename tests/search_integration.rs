@@ -1,6 +1,6 @@
 //! Integration tests for Maya-Search over the real pipeline.
 
-use maya::{MayaBuilder, PredictionEngine};
+use maya::{EmulationSpec, MayaBuilder, PredictionEngine};
 use maya_hw::ClusterSpec;
 use maya_search::{AlgorithmKind, ConfigSpace, Objective, TrialScheduler};
 use maya_torchlet::{FrameworkFlavor, ModelSpec, ParallelConfig, TrainingJob};
@@ -8,10 +8,8 @@ use maya_trace::Dtype;
 
 fn fixture() -> (PredictionEngine, TrainingJob) {
     let cluster = ClusterSpec::h100(1, 8);
-    let maya = MayaBuilder::new(cluster)
-        .selective_launch(true)
-        .build()
-        .unwrap();
+    let spec = EmulationSpec::new(cluster.clone()).with_selective_launch(true);
+    let maya = MayaBuilder::new(cluster).with_spec(spec).build().unwrap();
     let template = TrainingJob {
         model: ModelSpec::gpt3_125m(),
         parallel: ParallelConfig::default(),

@@ -135,7 +135,7 @@ fn stream(
     let mut kept = Vec::new();
     for w in workers {
         let meta = TraceMeta::scan(&w.events);
-        kept.extend(collator.push(w.clone(), meta).expect("push").kept);
+        kept.extend(collator.push(w.clone(), meta, |_| {}).expect("push").kept);
     }
     // A folding collator keeps its traces as templates.
     let templates = collator.templates();
