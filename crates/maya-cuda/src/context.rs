@@ -1,13 +1,16 @@
 //! The per-rank virtual device: CUDA runtime API + emulator state.
 //!
 //! Every API call funnels into `CudaContext::record`, which is also
-//! where the paper's "fold while emulating" (§4.2) happens. The paper
-//! hashes each call; this repo compares it, with the same partition of
-//! ranks: a context whose trace may be folded records against the
-//! [`Templates`] of the classes kept so far (`recording.rs`). While its
-//! calls still equal some template's it writes only their collective
-//! descriptors and what the template cannot reproduce; once they differ
-//! from every template it writes out the matched prefix and records on.
+//! where the paper's "fold while emulating" (§4.2) happens. It takes
+//! the call by reference and hands it on as its parts (stream, op, host
+//! delay): a rank that folds writes no event, so none is built for it.
+//! The paper hashes each call; this repo compares it, with the same
+//! partition of ranks: a context whose trace may be folded records
+//! against the [`Templates`] of the classes kept so far
+//! (`recording.rs`). While its calls still equal some template's it
+//! writes only their collective descriptors and what the template
+//! cannot reproduce; once they differ from every template it writes out
+//! the matched prefix and records on.
 //! The finished context hands out the trace — no event at all if it
 //! matched a template whole — together with its [`TraceMeta`], so the
 //! collator reads collective descriptors only and never re-reads an
@@ -26,14 +29,14 @@
 //! it.
 //!
 //! Handles are small sequential ids the context mints itself, so the
-//! registries behind them are dense tables, not hash maps.
-
-use std::collections::HashMap;
+//! registries behind them are dense tables, not hash maps. Nor are
+//! live allocations hashed: a training script holds a handful at a
+//! time, so they are `(ptr, bytes)` pairs searched newest first.
 
 use maya_hw::GpuSpec;
 use maya_trace::{
-    DeviceOp, KernelKind, MemcpyKind, SimTime, StreamId, Templates, TraceBuffers, TraceEvent,
-    TraceMeta, WorkerTrace,
+    DeviceOp, KernelKind, MemcpyKind, SimTime, StreamId, Templates, TraceBuffers, TraceMeta,
+    WorkerTrace,
 };
 
 use crate::clock::{HostCharges, HostOpClass, ModelClock};
@@ -131,7 +134,8 @@ pub struct CudaContext {
     capacity: u64,
     used: u64,
     peak: u64,
-    allocations: HashMap<u64, u64>,
+    /// Live allocations as `(ptr, bytes)`, oldest first.
+    allocations: Vec<(u64, u64)>,
     next_ptr: u64,
     num_allocs: u64,
     oom: bool,
@@ -180,7 +184,7 @@ impl CudaContext {
             capacity: gpu.mem_bytes().saturating_sub(CONTEXT_RESERVED_BYTES),
             used: 0,
             peak: 0,
-            allocations: HashMap::new(),
+            allocations: Vec::new(),
             next_ptr: 0x7f00_0000_0000,
             num_allocs: 0,
             oom: false,
@@ -235,18 +239,14 @@ impl CudaContext {
 
     /// Records one call, charging or noting host time for it, into the
     /// recording, which compares it against the templates it follows.
-    pub(crate) fn record(&mut self, stream: StreamId, op: DeviceOp, class: HostOpClass) {
+    pub(crate) fn record(&mut self, stream: StreamId, op: &DeviceOp, class: HostOpClass) {
         let host = self.host.charge(class) + std::mem::take(&mut self.pending_host);
         match op {
             DeviceOp::KernelLaunch { .. } | DeviceOp::MemcpyAsync { .. } => self.num_kernels += 1,
             DeviceOp::Collective { .. } => self.num_collectives += 1,
             _ => {}
         }
-        self.trace.push(TraceEvent {
-            stream,
-            op,
-            host_delay: host,
-        });
+        self.trace.push(stream, op, host);
     }
 
     /// Validates a stream handle.
@@ -299,10 +299,10 @@ impl CudaContext {
         self.used += rounded;
         self.peak = self.peak.max(self.used);
         self.num_allocs += 1;
-        self.allocations.insert(ptr, rounded);
+        self.allocations.push((ptr, rounded));
         self.record(
             StreamId::DEFAULT,
-            DeviceOp::Malloc {
+            &DeviceOp::Malloc {
                 bytes: rounded,
                 ptr,
             },
@@ -311,20 +311,24 @@ impl CudaContext {
         Ok(DevicePtr(ptr))
     }
 
+    /// Where `ptr`'s live allocation sits in the registry, searched
+    /// newest first: a free costs O(live allocations), a handful for a
+    /// training script.
+    fn live(&self, ptr: DevicePtr) -> Option<usize> {
+        self.allocations.iter().rposition(|&(p, _)| p == ptr.0)
+    }
+
     /// `cudaFree`. Double frees and unknown pointers are flagged.
     pub fn free(&mut self, ptr: DevicePtr) -> CudaResult<()> {
-        match self.allocations.remove(&ptr.0) {
-            Some(bytes) => {
-                self.used -= bytes;
-                self.record(
-                    StreamId::DEFAULT,
-                    DeviceOp::Free { ptr: ptr.0 },
-                    HostOpClass::Memory,
-                );
-                Ok(())
-            }
-            None => Err(CudaError::InvalidDevicePointer),
-        }
+        let at = self.live(ptr).ok_or(CudaError::InvalidDevicePointer)?;
+        let (_, bytes) = self.allocations.remove(at);
+        self.used -= bytes;
+        self.record(
+            StreamId::DEFAULT,
+            &DeviceOp::Free { ptr: ptr.0 },
+            HostOpClass::Memory,
+        );
+        Ok(())
     }
 
     /// `cudaMemsetAsync`.
@@ -334,13 +338,13 @@ impl CudaContext {
         bytes: u64,
         stream: CudaStream,
     ) -> CudaResult<()> {
-        if !self.allocations.contains_key(&ptr.0) {
+        if self.live(ptr).is_none() {
             return Err(CudaError::InvalidDevicePointer);
         }
         let s = self.check_stream(stream)?;
         self.record(
             s,
-            DeviceOp::KernelLaunch {
+            &DeviceOp::KernelLaunch {
                 kernel: KernelKind::Memset { bytes },
             },
             HostOpClass::KernelLaunch,
@@ -358,7 +362,7 @@ impl CudaContext {
         let s = self.check_stream(stream)?;
         self.record(
             s,
-            DeviceOp::MemcpyAsync {
+            &DeviceOp::MemcpyAsync {
                 bytes,
                 kind,
                 sync: false,
@@ -372,7 +376,7 @@ impl CudaContext {
     pub fn memcpy(&mut self, bytes: u64, kind: MemcpyKind) -> CudaResult<()> {
         self.record(
             StreamId::DEFAULT,
-            DeviceOp::MemcpyAsync {
+            &DeviceOp::MemcpyAsync {
                 bytes,
                 kind,
                 sync: true,
@@ -429,7 +433,7 @@ impl CudaContext {
         let version = *v;
         self.record(
             s,
-            DeviceOp::EventRecord {
+            &DeviceOp::EventRecord {
                 event: event.0,
                 version,
             },
@@ -449,7 +453,7 @@ impl CudaContext {
             .ok_or(CudaError::InvalidResourceHandle)?;
         self.record(
             s,
-            DeviceOp::StreamWaitEvent {
+            &DeviceOp::StreamWaitEvent {
                 event: event.0,
                 version,
             },
@@ -466,7 +470,7 @@ impl CudaContext {
             .ok_or(CudaError::InvalidResourceHandle)?;
         self.record(
             StreamId::DEFAULT,
-            DeviceOp::EventSynchronize {
+            &DeviceOp::EventSynchronize {
                 event: event.0,
                 version,
             },
@@ -478,7 +482,7 @@ impl CudaContext {
     /// `cudaStreamSynchronize`.
     pub fn stream_synchronize(&mut self, stream: CudaStream) -> CudaResult<()> {
         let s = self.check_stream(stream)?;
-        self.record(s, DeviceOp::StreamSynchronize, HostOpClass::Sync);
+        self.record(s, &DeviceOp::StreamSynchronize, HostOpClass::Sync);
         Ok(())
     }
 
@@ -486,7 +490,7 @@ impl CudaContext {
     pub fn device_synchronize(&mut self) {
         self.record(
             StreamId::DEFAULT,
-            DeviceOp::DeviceSynchronize,
+            &DeviceOp::DeviceSynchronize,
             HostOpClass::Sync,
         );
     }
@@ -496,11 +500,16 @@ impl CudaContext {
     /// `cudaLaunchKernel`: generic entry point for framework kernels that
     /// do not go through an opaque library (elementwise ops, softmax,
     /// layernorm, optimizers, fused Triton kernels, ...).
+    ///
+    /// Inlined into the framework's call, as are `cublas_gemm_ex` and
+    /// the GEMM path it shares: left out of line, each read slower in
+    /// paired benchmark runs (ROADMAP, Settled "Emulation").
+    #[inline(always)]
     pub fn launch_kernel(&mut self, kernel: KernelKind, stream: CudaStream) -> CudaResult<()> {
         let s = self.check_stream(stream)?;
         self.record(
             s,
-            DeviceOp::KernelLaunch { kernel },
+            &DeviceOp::KernelLaunch { kernel },
             HostOpClass::KernelLaunch,
         );
         Ok(())
@@ -579,6 +588,72 @@ mod tests {
         let p = c.malloc(4096).unwrap();
         c.free(p).unwrap();
         assert_eq!(c.free(p), Err(CudaError::InvalidDevicePointer));
+    }
+
+    /// The pointers of a trace's `Free` events, in order.
+    fn freed(trace: &WorkerTrace) -> Vec<u64> {
+        let frees = trace.events.iter().filter_map(|e| match e.op {
+            DeviceOp::Free { ptr } => Some(ptr),
+            _ => None,
+        });
+        frees.collect()
+    }
+
+    #[test]
+    fn frees_out_of_allocation_order_each_return_their_own_bytes() {
+        let mut c = ctx();
+        let sizes = [4096, 1 << 20, 512, 8192];
+        let ptrs: Vec<DevicePtr> = sizes.iter().map(|&b| c.malloc(b).unwrap()).collect();
+        let total: u64 = sizes.iter().sum();
+        assert_eq!((c.mem_used(), c.mem_peak()), (total, total));
+        // Oldest first, as 1F1B frees activations, then from the middle.
+        let mut used = total;
+        for at in [0, 2, 3, 1] {
+            c.free(ptrs[at]).unwrap();
+            used -= sizes[at];
+            assert_eq!(c.mem_used(), used, "after freeing allocation {at}");
+            assert_eq!(c.free(ptrs[at]), Err(CudaError::InvalidDevicePointer));
+        }
+        assert_eq!((c.mem_used(), c.mem_peak()), (0, total));
+        let order = [ptrs[0], ptrs[2], ptrs[3], ptrs[1]].map(DevicePtr::raw);
+        assert_eq!(freed(&c.into_trace()), order);
+    }
+
+    #[test]
+    fn memset_on_a_freed_pointer_is_refused_and_records_nothing() {
+        let mut c = ctx();
+        let (p, q) = (c.malloc(4096).unwrap(), c.malloc(4096).unwrap());
+        c.memset_async(p, 4096, CudaStream::DEFAULT).unwrap();
+        c.free(p).unwrap();
+        assert_eq!(
+            c.memset_async(p, 4096, CudaStream::DEFAULT),
+            Err(CudaError::InvalidDevicePointer)
+        );
+        c.memset_async(q, 4096, CudaStream::DEFAULT).unwrap();
+        let t = c.into_trace();
+        assert_eq!(t.events.len(), 5, "two mallocs, two memsets, one free");
+        assert_eq!(t.summary.num_kernels, 2);
+    }
+
+    #[test]
+    fn a_free_after_an_oom_finds_the_registry_as_it_was() {
+        let mut c = ctx();
+        let (p, q) = (c.malloc(4096).unwrap(), c.malloc(1 << 20).unwrap());
+        c.free(q).unwrap();
+        let (used, peak) = (c.mem_used(), c.mem_peak());
+        let too_big = c.gpu().mem_bytes();
+        assert!(c.malloc(too_big).is_err());
+        assert!(c.oom());
+        assert_eq!((c.mem_used(), c.mem_peak()), (used, peak));
+        // The refused request left no entry: the pointer it would have
+        // had, and the one freed before it, are unknown.
+        let next = DevicePtr(q.raw() + (1 << 20));
+        for ptr in [next, q] {
+            assert_eq!(c.free(ptr), Err(CudaError::InvalidDevicePointer));
+        }
+        c.free(p).unwrap();
+        assert_eq!((c.mem_used(), c.mem_peak()), (0, peak));
+        assert_eq!(freed(&c.into_trace()), [q.raw(), p.raw()]);
     }
 
     #[test]

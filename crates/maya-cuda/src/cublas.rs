@@ -84,7 +84,7 @@ impl CudaContext {
         let s = self.check_stream(state.stream)?;
         self.record(
             s,
-            DeviceOp::MemcpyAsync {
+            &DeviceOp::MemcpyAsync {
                 bytes: rows * cols * elem_size,
                 kind: MemcpyKind::HostToDevice,
                 sync: true,
@@ -95,10 +95,11 @@ impl CudaContext {
     }
 
     /// Shared GEMM recording path.
+    #[inline(always)]
     fn gemm_common(&mut self, handle: CublasHandle, kernel: KernelKind) -> CudaResult<()> {
         let state = *self.cublas.get(handle.0).ok_or(CudaError::NotInitialized)?;
         let s = self.check_stream(state.stream)?;
-        self.record(s, DeviceOp::KernelLaunch { kernel }, HostOpClass::Library);
+        self.record(s, &DeviceOp::KernelLaunch { kernel }, HostOpClass::Library);
         Ok(())
     }
 
@@ -117,6 +118,7 @@ impl CudaContext {
     }
 
     /// `cublasGemmEx`: mixed-precision GEMM.
+    #[inline(always)]
     pub fn cublas_gemm_ex(
         &mut self,
         handle: CublasHandle,

@@ -135,7 +135,7 @@ impl CudaContext {
         let s = self.check_stream(state.stream)?;
         self.record(
             s,
-            DeviceOp::KernelLaunch { kernel: build(&d) },
+            &DeviceOp::KernelLaunch { kernel: build(&d) },
             HostOpClass::Library,
         );
         Ok(())
@@ -207,7 +207,7 @@ impl CudaContext {
         let s = self.check_stream(state.stream)?;
         self.record(
             s,
-            DeviceOp::KernelLaunch {
+            &DeviceOp::KernelLaunch {
                 kernel: KernelKind::BatchNorm {
                     numel,
                     channels,
@@ -231,7 +231,7 @@ impl CudaContext {
         let s = self.check_stream(state.stream)?;
         self.record(
             s,
-            DeviceOp::KernelLaunch {
+            &DeviceOp::KernelLaunch {
                 kernel: KernelKind::Pool {
                     numel,
                     window,

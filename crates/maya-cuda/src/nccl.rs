@@ -139,7 +139,7 @@ impl CudaContext {
             rank_in_comm: state.rank,
         };
         state.seq += 1;
-        self.record(s, DeviceOp::Collective { desc }, HostOpClass::Nccl);
+        self.record(s, &DeviceOp::Collective { desc }, HostOpClass::Nccl);
         Ok(())
     }
 

@@ -14,12 +14,17 @@
 //! for bit the events recording alone would have written, and the rest
 //! is recorded as it comes. A recording that ends on a template's last
 //! call wrote nothing: the rank folds onto that class.
+//!
+//! A call comes in as its parts, the op by reference, and is compared
+//! in place: a [`TraceEvent`] is built only where one is written, as a
+//! call is pushed onto the events or as the matched prefix is written
+//! out.
 
 use std::sync::Arc;
 
 use maya_trace::{
-    CollectiveDesc, DeviceOp, Residue, SimTime, Template, Templates, TraceBuffers, TraceEvent,
-    TraceMeta,
+    CollectiveDesc, DeviceOp, Residue, SimTime, StreamId, Template, Templates, TraceBuffers,
+    TraceEvent, TraceMeta,
 };
 
 /// One rank's trace while it is recorded against [`Templates`]: each
@@ -64,40 +69,45 @@ impl Recording {
         }
     }
 
-    /// Takes the next call's event.
+    /// Takes the next call: `op` on `stream`, with `host_delay` written
+    /// before it. Its event is built only if it is written.
     #[inline]
-    pub(crate) fn push(&mut self, event: TraceEvent) {
-        if let DeviceOp::Collective { desc } = event.op {
-            self.collectives.push(desc);
+    pub(crate) fn push(&mut self, stream: StreamId, op: &DeviceOp, host_delay: SimTime) {
+        if let DeviceOp::Collective { desc } = op {
+            self.collectives.push(*desc);
         }
-        if !self.follows(&event) {
-            self.events.push(event);
+        if !self.follows(stream, op, host_delay) {
+            self.events.push(TraceEvent {
+                stream,
+                op: *op,
+                host_delay,
+            });
         }
     }
 
-    /// Whether the calls, `event`'s included, still equal some
+    /// Whether the calls, this one included, still equal some
     /// template's first calls; then what the template does not hold of
-    /// `event` is noted in place of writing it. When they stop doing so,
-    /// the calls before `event` are written out.
+    /// the call is noted in place of writing it. When they stop doing
+    /// so, the calls before this one are written out.
     #[inline]
-    fn follows(&mut self, event: &TraceEvent) -> bool {
+    fn follows(&mut self, stream: StreamId, op: &DeviceOp, host_delay: SimTime) -> bool {
         let Some((_, template)) = &self.follow else {
             return false;
         };
         let at = self.matched;
-        let same = template.is(at, event.stream, &event.op, &mut self.comms);
-        if !same && !self.branch(event) {
+        let same = template.is(at, stream, op, &mut self.comms);
+        if !same && !self.branch(stream, op) {
             self.write_out();
             return false;
         }
-        let ptr = match event.op {
+        let ptr = match *op {
             DeviceOp::Malloc { ptr, .. } | DeviceOp::Free { ptr } => Some(ptr),
             _ => None,
         };
-        if ptr.is_some() || event.host_delay != SimTime::ZERO {
+        if ptr.is_some() || host_delay != SimTime::ZERO {
             self.residue.push(Residue {
                 at,
-                host_delay: event.host_delay,
+                host_delay,
                 ptr: ptr.unwrap_or(0),
             });
         }
@@ -106,14 +116,14 @@ impl Recording {
     }
 
     /// Switches to the template, if any, whose first calls are the ones
-    /// matched so far and whose next is `event`'s.
+    /// matched so far and whose next is `op` on `stream`.
     #[cold]
-    fn branch(&mut self, event: &TraceEvent) -> bool {
+    fn branch(&mut self, stream: StreamId, op: &DeviceOp) -> bool {
         let Some((t, _)) = self.follow else {
             return false;
         };
         let (at, comms) = (self.matched, &mut self.comms);
-        let Some(u) = self.templates.branch(t, at, event.stream, &event.op, comms) else {
+        let Some(u) = self.templates.branch(t, at, stream, op, comms) else {
             return false;
         };
         self.follow = self.templates.get(u).map(|next| (u, Arc::clone(next)));
@@ -176,7 +186,7 @@ impl Recording {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maya_trace::{CollectiveKind, Dtype, KernelKind, StreamId};
+    use maya_trace::{CollectiveKind, Dtype, KernelKind};
 
     fn event(op: DeviceOp) -> TraceEvent {
         TraceEvent {
@@ -231,7 +241,7 @@ mod tests {
     fn record(events: &[TraceEvent], against: &Templates) -> (Vec<TraceEvent>, TraceMeta) {
         let mut rec = Recording::new(TraceBuffers::default(), against.clone());
         for e in events {
-            rec.push(*e);
+            rec.push(e.stream, &e.op, e.host_delay);
         }
         rec.finish()
     }
@@ -257,8 +267,8 @@ mod tests {
         };
         let against = templates(&[&[gemm(2), gemm(4)]]);
         let mut rec = Recording::new(stale, against.clone());
-        for e in events {
-            rec.push(e);
+        for e in &events {
+            rec.push(e.stream, &e.op, e.host_delay);
         }
         let fresh = record(&events, &against);
         assert_eq!(rec.finish(), fresh);

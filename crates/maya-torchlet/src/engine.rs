@@ -13,7 +13,9 @@
 
 use std::collections::HashMap;
 
-use maya_cuda::{CudaContext, CudaEvent, CudaResult, CudaStream, NcclComm, NcclUniqueId};
+use maya_cuda::{
+    CudaContext, CudaError, CudaEvent, CudaResult, CudaStream, NcclComm, NcclUniqueId,
+};
 use maya_trace::{MemcpyKind, SimTime};
 
 use crate::layers::{LayerShape, TransformerEmitter};
@@ -31,6 +33,18 @@ struct Comms {
     /// Directed p2p links: `(peer_stage, is_forward_direction) -> comm`.
     /// `rank_in_comm` is 0 for the sender and 1 for the receiver.
     links: HashMap<(u32, bool, bool), NcclComm>,
+}
+
+impl Comms {
+    /// The link communicator under `(peer_stage, forward, is_send)`; a
+    /// link the set-up did not create is an invalid handle.
+    fn link(&self, peer_stage: u32, forward: bool, is_send: bool) -> CudaResult<NcclComm> {
+        let key = (peer_stage, forward, is_send);
+        self.links
+            .get(&key)
+            .copied()
+            .ok_or(CudaError::InvalidResourceHandle)
+    }
 }
 
 struct Streams {
@@ -227,8 +241,10 @@ pub fn run_megatron_worker(job: &TrainingJob, rank: u32, ctx: &mut CudaContext) 
     };
 
     let steps = build_schedule(par.pp, ppr, num_mb, chunks);
-    let mut act_bufs: HashMap<(u32, u32), maya_cuda::DevicePtr> = HashMap::new();
-    let mut logit_bufs: HashMap<u32, maya_cuda::DevicePtr> = HashMap::new();
+    // Live activation and logit buffers by (microbatch, chunk) and
+    // microbatch: a few at a time, so pairs searched newest first.
+    let mut act_bufs: Vec<((u32, u32), maya_cuda::DevicePtr)> = Vec::new();
+    let mut logit_bufs: Vec<(u32, maya_cuda::DevicePtr)> = Vec::new();
 
     for _iter in 0..job.iterations.max(1) {
         for step in &steps {
@@ -256,7 +272,7 @@ pub fn run_megatron_worker(job: &TrainingJob, rank: u32, ctx: &mut CudaContext) 
                         )?;
                     }
                     let buf = ctx.malloc((act_per_layer * layers_per_chunk as u64).max(512))?;
-                    act_bufs.insert((step.mb, step.chunk), buf);
+                    act_bufs.push(((step.mb, step.chunk), buf));
                     for _ in 0..layers_per_chunk {
                         emitter.forward_layer(ctx)?;
                     }
@@ -272,7 +288,7 @@ pub fn run_megatron_worker(job: &TrainingJob, rank: u32, ctx: &mut CudaContext) 
                         )?;
                     } else {
                         let lb = ctx.malloc(logits_bytes(&cfg, micro_bs, par.tp).max(512))?;
-                        logit_bufs.insert(step.mb, lb);
+                        logit_bufs.push((step.mb, lb));
                         emitter.head_forward(ctx)?;
                     }
                 }
@@ -289,7 +305,7 @@ pub fn run_megatron_worker(job: &TrainingJob, rank: u32, ctx: &mut CudaContext) 
                         )?;
                     } else {
                         emitter.head_backward(ctx)?;
-                        if let Some(lb) = logit_bufs.remove(&step.mb) {
+                        if let Some(lb) = take_live(&mut logit_bufs, step.mb) {
                             ctx.free(lb)?;
                         }
                     }
@@ -321,7 +337,7 @@ pub fn run_megatron_worker(job: &TrainingJob, rank: u32, ctx: &mut CudaContext) 
                             &events,
                         )?;
                     }
-                    if let Some(buf) = act_bufs.remove(&(step.mb, step.chunk)) {
+                    if let Some(buf) = take_live(&mut act_bufs, (step.mb, step.chunk)) {
                         ctx.free(buf)?;
                     }
                 }
@@ -376,6 +392,15 @@ pub fn run_megatron_worker(job: &TrainingJob, rank: u32, ctx: &mut CudaContext) 
     Ok(())
 }
 
+/// Removes and returns the buffer live under `key`, if one is.
+fn take_live<K: PartialEq>(
+    live: &mut Vec<(K, maya_cuda::DevicePtr)>,
+    key: K,
+) -> Option<maya_cuda::DevicePtr> {
+    let at = live.iter().rposition(|(k, _)| *k == key)?;
+    Some(live.remove(at).1)
+}
+
 /// Ensures the directed p2p link communicator `from` → `to` exists on
 /// this rank, which sits on one of the two stages: it sends iff it is
 /// on `from`.
@@ -411,7 +436,7 @@ fn recv_boundary(
     streams: &mut Streams,
     events: &Events,
 ) -> CudaResult<()> {
-    let comm = comms.links[&(peer_stage, forward, false)];
+    let comm = comms.link(peer_stage, forward, false)?;
     let stream = streams.p2p_stream(ctx, peer_stage, forward, false);
     ctx.nccl_recv(comm, 0, bytes, stream)?;
     ctx.event_record(events.recv_done, stream)?;
@@ -428,7 +453,7 @@ fn send_boundary(
     streams: &mut Streams,
     events: &Events,
 ) -> CudaResult<()> {
-    let comm = comms.links[&(peer_stage, forward, true)];
+    let comm = comms.link(peer_stage, forward, true)?;
     let stream = streams.p2p_stream(ctx, peer_stage, forward, true);
     ctx.event_record(events.compute_done, streams.compute)?;
     ctx.stream_wait_event(stream, events.compute_done)?;
@@ -492,4 +517,39 @@ pub fn trace_one_rank(
     let mut ctx = CudaContext::new(rank, gpu);
     let res = job.run_worker(rank, &mut ctx);
     (ctx.into_trace(), res)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A boundary whose link the set-up did not create is refused with
+    /// a typed error, on either side, before anything is recorded.
+    #[test]
+    fn a_missing_pipeline_link_is_an_invalid_handle() {
+        let mut ctx = CudaContext::new(0, maya_hw::GpuSpec::h100());
+        let mut streams = Streams {
+            compute: CudaStream::DEFAULT,
+            dp: ctx.stream_create(),
+            p2p: HashMap::new(),
+        };
+        let events = Events {
+            recv_done: ctx.event_create(),
+            compute_done: ctx.event_create(),
+            dp_done: ctx.event_create(),
+        };
+        let comms = Comms::default();
+        for forward in [true, false] {
+            assert_eq!(
+                recv_boundary(&mut ctx, &comms, 1, forward, 64, &mut streams, &events),
+                Err(CudaError::InvalidResourceHandle)
+            );
+            assert_eq!(
+                send_boundary(&mut ctx, &comms, 1, forward, 64, &mut streams, &events),
+                Err(CudaError::InvalidResourceHandle)
+            );
+        }
+        assert!(streams.p2p.is_empty());
+        assert!(ctx.into_trace().events.is_empty());
+    }
 }

@@ -73,6 +73,9 @@ pub enum RemoteErrorKind {
     /// `MayaError::WorldMismatch`: the job's world size disagrees with
     /// the target cluster.
     WorldMismatch,
+    /// `MayaError::ClusterMismatch` (build-time; not normally seen over
+    /// the wire): a spec for another cluster than its builder's.
+    ClusterMismatch,
     /// The server could not parse a frame the client sent (the echoed
     /// id tells which request; id 0 means the stream is desynchronized
     /// and the server is closing the connection).
@@ -100,6 +103,7 @@ impl RemoteErrorKind {
             RemoteErrorKind::Sim => "sim",
             RemoteErrorKind::Exec => "exec",
             RemoteErrorKind::WorldMismatch => "world_mismatch",
+            RemoteErrorKind::ClusterMismatch => "cluster_mismatch",
             RemoteErrorKind::Protocol => "protocol",
         }
     }
@@ -112,7 +116,7 @@ impl RemoteErrorKind {
     }
 
     /// Every kind.
-    pub fn all() -> [RemoteErrorKind; 17] {
+    pub fn all() -> [RemoteErrorKind; 18] {
         [
             RemoteErrorKind::UnknownTarget,
             RemoteErrorKind::Overloaded,
@@ -130,6 +134,7 @@ impl RemoteErrorKind {
             RemoteErrorKind::Sim,
             RemoteErrorKind::Exec,
             RemoteErrorKind::WorldMismatch,
+            RemoteErrorKind::ClusterMismatch,
             RemoteErrorKind::Protocol,
         ]
     }
@@ -197,6 +202,7 @@ impl From<&maya::MayaError> for RemoteError {
             E::Sim(_) => K::Sim,
             E::Exec(_) => K::Exec,
             E::WorldMismatch { .. } => K::WorldMismatch,
+            E::ClusterMismatch => K::ClusterMismatch,
             E::Cancelled => K::Cancelled,
         };
         RemoteError {
@@ -355,7 +361,8 @@ mod tests {
             Some(E::Collate(_)) => E::Sim(maya_sim::SimError::InvalidTrace("s".into())),
             Some(E::Sim(_)) => E::Exec(maya_hw::ExecError::InvalidTrace("x".into())),
             Some(E::Exec(_)) => E::WorldMismatch { job: 8, cluster: 2 },
-            Some(E::WorldMismatch { .. }) => E::Cancelled,
+            Some(E::WorldMismatch { .. }) => E::ClusterMismatch,
+            Some(E::ClusterMismatch) => E::Cancelled,
             Some(E::Cancelled) => return None,
         })
     }
@@ -404,6 +411,7 @@ mod tests {
                 "sim",
                 "exec",
                 "world_mismatch",
+                "cluster_mismatch",
                 "cancelled",
             ]
         );

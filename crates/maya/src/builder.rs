@@ -133,6 +133,9 @@ impl fmt::Debug for EstimatorChoice {
 /// Builder for [`PredictionEngine`] (see module docs).
 #[derive(Clone, Debug)]
 pub struct MayaBuilder {
+    /// The cluster [`MayaBuilder::new`] was given: a spec for another
+    /// is refused at [`MayaBuilder::build`].
+    cluster: ClusterSpec,
     spec: EmulationSpec,
     estimator: EstimatorChoice,
 }
@@ -142,12 +145,15 @@ impl MayaBuilder {
     /// launch off, sequential emulation) with the oracle estimator.
     pub fn new(cluster: ClusterSpec) -> Self {
         MayaBuilder {
-            spec: EmulationSpec::new(cluster),
+            spec: EmulationSpec::new(cluster.clone()),
+            cluster,
             estimator: EstimatorChoice::Oracle,
         }
     }
 
-    /// Replaces the whole emulation spec (cluster included).
+    /// Replaces the whole emulation spec, which must be for the cluster
+    /// the builder was made with ([`MayaBuilder::build`] refuses it
+    /// otherwise).
     pub fn with_spec(mut self, spec: EmulationSpec) -> Self {
         self.spec = spec;
         self
@@ -171,8 +177,12 @@ impl MayaBuilder {
     }
 
     /// Builds the engine: the chosen estimator for the spec's
-    /// cluster, behind an unbounded memo.
+    /// cluster, behind an unbounded memo. A spec for another cluster
+    /// than the builder's is [`MayaError::ClusterMismatch`].
     pub fn build(self) -> Result<PredictionEngine, MayaError> {
+        if self.spec.cluster != self.cluster {
+            return Err(MayaError::ClusterMismatch);
+        }
         let estimator = self.estimator.build(&self.spec.cluster);
         Ok(PredictionEngine::new(self.spec, estimator))
     }
@@ -229,6 +239,30 @@ mod tests {
         assert!(!spec.dedup);
         assert!(spec.selective_launch);
         assert_eq!(spec.emulation_threads, 3);
+    }
+
+    /// A spec keeps its own cluster: one built for another cluster than
+    /// the builder's is refused, not built on the spec's.
+    #[test]
+    fn a_spec_for_another_cluster_is_refused() {
+        let cluster = ClusterSpec::h100(1, 4);
+        let others = [
+            ClusterSpec::h100(1, 8),
+            ClusterSpec::a40(1, 4),
+            cluster.clone().with_default_topology(),
+        ];
+        for other in others {
+            let spec = EmulationSpec::new(other);
+            let built = MayaBuilder::new(cluster.clone()).with_spec(spec).build();
+            assert!(matches!(built, Err(MayaError::ClusterMismatch)));
+        }
+        let spec = EmulationSpec::new(cluster.clone()).with_emulation_threads(2);
+        let maya = MayaBuilder::new(cluster.clone()).with_spec(spec).build();
+        let maya = maya.unwrap();
+        assert_eq!(maya.spec().cluster, cluster);
+        assert_eq!(maya.spec().emulation_threads, 2);
+        let job = smoke_job(4);
+        assert!(maya.predict_job(&job).unwrap().iteration_time().is_some());
     }
 
     /// A memo snapshot is only sound under the configuration that

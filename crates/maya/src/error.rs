@@ -23,6 +23,9 @@ pub enum MayaError {
         /// GPUs the cluster has.
         cluster: u32,
     },
+    /// [`crate::MayaBuilder::build`] was handed a spec for another
+    /// cluster than the one the builder was made for.
+    ClusterMismatch,
     /// The work was cancelled (via [`crate::CancelToken`]) before this
     /// piece of it ran. Only ever reported for work that never started:
     /// results produced before the cancellation are real and final.
@@ -39,6 +42,9 @@ impl fmt::Display for MayaError {
             MayaError::Exec(e) => write!(f, "execution error: {e}"),
             MayaError::WorldMismatch { job, cluster } => {
                 write!(f, "job wants {job} ranks but cluster has {cluster} GPUs")
+            }
+            MayaError::ClusterMismatch => {
+                write!(f, "the spec is for another cluster than the builder's")
             }
             MayaError::Cancelled => write!(f, "cancelled before execution"),
         }
